@@ -140,10 +140,8 @@ def _cmd_solve(solver: EmpSolver, spec: ProblemSpec, args) -> int:
 
 
 def _cmd_classify(solver: EmpSolver, spec: ProblemSpec, args) -> int:
-    region = solver.classify(spec.u, spec.v)
-    value = solver.value_mb(spec.u, spec.v)
-    h_star = solver.h_star_mb(spec.u, spec.v)
-    attained = solver.solve_mb(spec.u, spec.v).attained
+    sol = solver.solve_mb(spec.u, spec.v)
+    region, value, h_star, attained = sol.region, sol.value, sol.h_star, sol.attained
     print(f"region  : {region.value}")
     print(f"value   : {_fmt(value)}")
     print(f"h*      : {_fmt(h_star)}")

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetError
+from .errors import BudgetError, NumericalFailureError
 
-__all__ = ["RootResult", "solve_bracketed", "expand_bracket"]
+__all__ = ["RootResult", "solve_bracketed"]
 
 
 @dataclass(frozen=True)
@@ -38,13 +38,14 @@ def solve_bracketed(
     budget: int = 200,
 ) -> RootResult:
     """Find x in [lo, hi] with |fn(x)| <= residual_tol, given fn(lo), fn(hi)
-    of opposite signs (either may be zero)."""
+    of opposite signs (either may be zero); NumericalFailureError when they
+    are not."""
     if flo == 0.0:
         return RootResult(lo, 0.0, 0, "residual")
     if fhi == 0.0:
         return RootResult(hi, 0.0, 0, "residual")
     if flo * fhi > 0.0:
-        raise ValueError(f"not a bracket: f({lo})={flo}, f({hi})={fhi}")
+        raise NumericalFailureError(f"not a bracket: f({lo})={flo}, f({hi})={fhi}")
 
     best_x, best_f = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
     for it in range(1, budget + 1):
@@ -72,25 +73,3 @@ def solve_bracketed(
         f"root search used {budget} iterations; best |f|={abs(best_f):.3e} "
         f"at x={best_x!r} exceeds tolerance {residual_tol:.3e}"
     )
-
-
-def expand_bracket(
-    fn,
-    start: float,
-    step: float,
-    direction: int,
-    predicate,
-    *,
-    budget: int = 80,
-):
-    """Walk from `start` in `direction` (+1/-1) with doubling steps until
-    predicate(fn(x)) holds; returns (x, fn(x)).  BudgetError if never."""
-    x = start
-    s = abs(step) * (1 if direction >= 0 else -1)
-    for _ in range(budget):
-        fx = fn(x)
-        if predicate(fx):
-            return x, fx
-        x += s
-        s *= 2.0
-    raise BudgetError(f"bracket expansion from {start} exhausted {budget} steps")

@@ -12,8 +12,10 @@ from zero), and profiles record which of the three endpoint regimes holds:
       theta2 = gamma / f(-alpha).
 
 The increasing bijection phi = f'/f : (-inf, -alpha) -> (theta1, theta2) is
-inverted by bracketed root finding; the conjugate of ln f follows its
-four-branch closed form.  All tolerances are absolute unless noted.
+inverted by a bracket-safeguarded Newton iteration whose derivative
+phi' = f''/f - phi^2 comes from the same certified pass as phi; the
+conjugate of ln f follows its four-branch closed form.  All tolerances are
+absolute unless noted.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .errors import (
     UncertifiedError,
     UnsupportedFamilyError,
 )
-from .rootfind import solve_bracketed
 from .sequences import SequenceFamily, SigmaMinSet, sigma_min_set
 
 __all__ = [
@@ -213,14 +214,14 @@ def eval_f(family: SequenceFamily, y: float, tol: float = 1e-12) -> SeriesEval:
 def _eval_f_relaxed(family, y, tol) -> SeriesEval:
     """f(y) at the tightest certifiable tolerance from tol upward (grades of
     ten, up to 10^4 looser); slowly spaced levels cannot always certify the
-    nominal target within the term budget."""
-    last = None
+    nominal target within the term budget.  Only the message of a failed
+    grade is kept: its traceback would pin that pass's term arrays."""
     for mult in (1.0, 10.0, 100.0, 1e3, 1e4):
         try:
             return _eval_moments(family, y, {0: tol * mult}, (0,))[0]
         except BudgetError as exc:
-            last = exc
-    raise last
+            msg = str(exc)
+    raise BudgetError(msg)
 
 
 def eval_f_derivatives(
@@ -329,11 +330,39 @@ def phi(family: SequenceFamily, y: float, tol: float = 1e-10) -> float:
     return fine[1].value / fine[0].value
 
 
+def _slope_pass(family, y, tol, f_scale, ratio):
+    """(phi(y), phi'(y), f(y), certified bound on the error of phi(y)) from
+    one moments-(0, 1, 2) pass whose tolerances assume f(y) ~ f_scale and
+    max(|phi(y)|, 1) ~ ratio; phi' = f''/f - phi^2 is the variance of sigma
+    under the Gibbs weights.  phi' only proposes steps, so moment 2 needs a
+    finite tail bracket but no tolerance: the pass stops when moments 0 and
+    1 are certified."""
+    t1 = 0.4 * tol * f_scale
+    s0, s1, s2 = _eval_moments(
+        family, y, {0: t1 / ratio, 1: t1, 2: math.inf}, (0, 1, 2)
+    )
+    p = s1.value / s0.value
+    floor = s0.value - s0.tail_bound_used
+    err = (
+        (s1.tail_bound_used + abs(p) * s0.tail_bound_used) / floor
+        if floor > 0.0
+        else math.inf
+    )
+    return p, s2.value / s0.value - p * p, s0.value, err
+
+
 def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
     """The unique y < -alpha with |phi(y) - w| <= tol, for theta1 < w < theta2.
 
-    Brackets by geometric approach to the boundary on the right and doubling
-    steps on the left, then runs the safeguarded scalar root finder.
+    Safeguarded Newton iteration from y = -alpha - 1: each step is one
+    certified pass giving phi and phi', and proposes a Newton step on
+    ln(phi - theta1), which is nearly linear where phi tends to theta1.  The
+    step is taken only strictly inside the current sign bracket and when at
+    most half the step before it, else the bracket is bisected; before a right bracket is known it may at most halve
+    the gap to -alpha, and before a left bracket is known its length is
+    capped, the cap doubling with each step.  Returns once the certified
+    residual is within 0.75 tol, or when the bracket is narrower than 1e-13
+    relative to |y| (the point of smaller residual).
     """
     prof = profile(family)
     if not math.isfinite(w) or w <= prof.theta1 or w >= prof.theta2:
@@ -342,42 +371,64 @@ def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
         )
     a = prof.alpha
     eval_tol = 0.25 * tol
-
-    def g(y):
-        return phi(family, y, eval_tol) - w
-
-    # right end: approach -alpha geometrically until phi exceeds w
-    hi = fhi = None
-    step = 1.0
-    for _ in range(80):
-        y = -a - step
-        val = g(y)
-        if abs(val) <= 0.75 * tol:
+    y = -a - 1.0
+    rough = _eval_moments(family, y, {0: 1e-4, 1: 1e-4}, (0, 1))
+    f_scale = max(rough[0].value, 1e-300)
+    ratio = max(abs(rough[1].value) / f_scale, 1.0)
+    lo = hi = None  # phi(lo) < w < phi(hi)
+    best_y, best_r = y, math.inf
+    cap = 1.0
+    last_step = math.inf
+    for _ in range(200):
+        # the tolerance scale comes from the previous iterate; a pass that
+        # missed its bound is repeated at the scale it measured
+        for _attempt in range(4):
+            p, dp, f_val, err = _slope_pass(family, y, eval_tol, f_scale, ratio)
+            f_scale, ratio = max(f_val, 1e-300), max(abs(p), 1.0)
+            if err <= eval_tol:
+                break
+        else:
+            raise BudgetError(f"phi({y}) not certified to {eval_tol:.3e}")
+        r = p - w
+        if abs(r) <= 0.75 * tol:
             return y
-        if val > 0.0:
-            hi, fhi = y, val
-            break
-        step *= 0.5
-    if hi is None:
-        raise BudgetError(f"no right bracket for phi = {w} near y = {-a}")
-    # left end: double away until phi drops below w
-    lo = flo = None
-    step = 1.0
-    for _ in range(80):
-        y = hi - step
-        val = g(y)
-        if abs(val) <= 0.75 * tol:
-            return y
-        if val < 0.0:
-            lo, flo = y, val
-            break
-        step *= 2.0
-    if lo is None:
-        raise BudgetError(f"no left bracket for phi = {w}")
-    res = solve_bracketed(
-        g, lo, hi, flo, fhi, residual_tol=0.75 * tol, x_tol=1e-13, budget=200
+        if abs(r) < best_r:
+            best_y, best_r = y, abs(r)
+        if r > 0.0:
+            hi = y
+        else:
+            lo = y
+        x_tol = 1e-13 * max(1.0, abs(y))
+        if lo is not None and hi is not None and hi - lo <= x_tol:
+            return best_y
+        # without a usable derivative the step is unbounded and the
+        # safeguards below pick it
+        step = math.copysign(math.inf, -r)
+        if dp > 0.0:
+            d = p - prof.theta1
+            newton = -math.log(d / (w - prof.theta1)) * d / dp if d > 0.0 else -r / dp
+            if not math.isnan(newton):
+                step = newton
+        if abs(step) < x_tol:
+            step = math.copysign(x_tol, -r)
+        nxt = y + step
+        if lo is not None and hi is not None:
+            # bisect unless the step lands inside and at least halves the
+            # step before it
+            if not (lo < nxt < hi and abs(step) <= 0.5 * abs(last_step)):
+                nxt = 0.5 * (lo + hi)
+        elif hi is None:
+            nxt = min(nxt, 0.5 * (y - a))
+            if not y < nxt < -a:
+                raise BudgetError(f"no right bracket for phi = {w} near y = {-a}")
+        else:
+            nxt = max(nxt, y - cap)
+            cap *= 2.0
+        last_step, y = nxt - y, nxt
+    raise BudgetError(
+        f"slope inversion at w={w} used 200 steps; best |phi - w| = {best_r:.3e} "
+        f"at y={best_y!r} exceeds tolerance {0.75 * tol:.3e}"
     )
-    return res.x
 
 
 def lnf_conjugate(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:

@@ -399,7 +399,8 @@ class EmpSolver:
         or epsilon-optimal family, and dual multipliers where they exist."""
         region = self.classify(u, v)
         _, v_n = self._to_norm(u, v)
-        value, h_star = self._value_h_star(region, u, v_n)
+        if region is not Region.INTERIOR:  # the interior value comes with its root
+            value, h_star = self._value_h_star(region, u, v_n)
         kind = Entropy.MAXWELL_BOLTZMANN
         attained = region in _ATTAINED
         rule = None
@@ -414,13 +415,17 @@ class EmpSolver:
             )
             rule = SequenceRule(kind, "restricted", self.family, support=support)
         elif region is Region.INTERIOR:
-            prof = self._profile
+            # one root y of phi(y) = w and one f(y) give the multipliers and
+            # H = u(ln u - 1) + u(w y - ln f(y)), whose error is second order
+            # in the root residual; f is summed to 1e-12 max(1, f) / u because
+            # H carries u ln f
             w = v_n / u
             y_n = self._phi_root(w)
             f_rough = series.eval_f(self._fam, y_n, tol=1e-3).value
-            f_tol = max(min(self.tol, 1e-12) * max(1.0, f_rough), 5e-324)
-            f_val = series._eval_f_relaxed(self._fam, y_n, f_tol).value
-            x_n = math.log(u) - math.log(f_val)
+            f_tol = max(min(self.tol, 1e-12) * max(1.0, f_rough) / max(1.0, u), 5e-324)
+            ln_f = math.log(series._eval_f_relaxed(self._fam, y_n, f_tol).value)
+            value = h_star = u * (math.log(u) - 1.0) + u * (w * y_n - ln_f)
+            x_n = math.log(u) - ln_f
             x, y = self._xy_from_norm(x_n, y_n)
             mult = (x, y)
             rule = SequenceRule(
@@ -460,17 +465,17 @@ class EmpSolver:
                 f"gradient series does not converge at y={y} (dom f endpoint)"
             )
         # slowly spaced level families may not certify the tight tolerance;
-        # relax once before giving up
-        last = None
+        # relax once before giving up (keeping only the message, since a
+        # traceback would pin the failed pass's term arrays)
         for tol in (self.tol, 1e3 * self.tol):
             try:
                 u, v_n = series.grad_h(self._fam, kind, x_n, y_n, tol)
                 h = series.eval_h(self._fam, kind, x_n, y_n, tol)
                 break
             except BudgetError as exc:
-                last = exc
+                msg = str(exc)
         else:
-            raise last
+            raise BudgetError(msg)
         value = x_n * u + y_n * v_n - h
         v = self._from_norm_v(u, v_n)
         region = self.classify(u, v)

@@ -3,11 +3,16 @@ CSV determinism across worker counts, exit codes."""
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from entromin import NumericalFailureError, series, solver
 from entromin.cli import main
+from entromin.rootfind import solve_bracketed
 from entromin.specfile import ParseError, parse_spec, serialize_spec
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 GEO_SOLVE = """\
 [family]
@@ -146,6 +151,52 @@ class TestClassifyMode:
         rec = json.loads(out.read_text())
         assert rec["region"] == "interior" and rec["attained"] is True
 
+    # (region, value = h*, attained) as printed when classify mode computed
+    # each field by its own solver call
+    @pytest.mark.parametrize(
+        "spec, region, value, attained",
+        [
+            ("geometric_solve.emp", "interior", "-2.386294361119891", "true"),
+            ("zeta_solve.emp", "beyond-theta2", "-3.184034175391493", "false"),
+        ],
+    )
+    def test_output_of_shipped_specs(self, tmp_path, capsys, spec, region, value, attained):
+        text = (SPECS / spec).read_text().replace("mode = solve", "mode = classify")
+        path = _write(tmp_path, text)
+        printed = f"region  : {region}\nvalue   : {value}\nh*      : {value}\n"
+        rec = {
+            "attained": attained == "true",
+            "h_star": float(value),
+            "mode": "classify",
+            "region": region,
+            "u": 1.0,
+            "v": 2.0,
+            "value": float(value),
+        }
+        out = tmp_path / "rec.json"
+        assert main(["--spec", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == printed
+        assert out.read_text() == json.dumps(rec, indent=2, sort_keys=True) + "\n"
+        out = tmp_path / "rec.csv"
+        assert main(["--spec", path, "--out", str(out), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == printed
+        assert out.read_text() == (
+            f"u,v,region,value,attained\n1.0,2.0,{region},{value},{attained}\n"
+        )
+
+    def test_one_slope_inversion(self, tmp_path, monkeypatch):
+        calls = []
+        inverse = series.phi_inverse
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return inverse(*args, **kwargs)
+
+        monkeypatch.setattr(series, "phi_inverse", counting)
+        text = GEO_SOLVE.replace("mode = solve", "mode = classify")
+        assert main(["--spec", _write(tmp_path, text)]) == 0
+        assert calls == [2.0]
+
 
 class TestForwardMode:
     def test_record(self, tmp_path):
@@ -268,3 +319,14 @@ class TestExitCodes:
     def test_unknown_family(self, tmp_path):
         text = GEO_SOLVE.replace("name = geometric", "name = nosuch")
         assert main(["--spec", _write(tmp_path, text)]) == 2
+
+    def test_non_bracket_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        with pytest.raises(NumericalFailureError, match="not a bracket"):
+            solve_bracketed(lambda x: x, 1.0, 2.0, 1.0, 2.0, residual_tol=1e-12)
+
+        def solve_mb(self, u, v):
+            return solve_bracketed(lambda x: x, 1.0, 2.0, 1.0, 2.0, residual_tol=1e-12)
+
+        monkeypatch.setattr(solver.EmpSolver, "solve_mb", solve_mb)
+        assert main(["--spec", _write(tmp_path, GEO_SOLVE)]) == 4
+        assert "numerical failure: not a bracket" in capsys.readouterr().err

@@ -14,9 +14,14 @@ from entromin import (
     ConfigurationError,
     DivergenceError,
     DomainError,
+    EmpSolver,
     Entropy,
+    ExplicitPrefix,
+    Lattice3D,
     LogLevels,
+    PowerLaw,
     RangeError,
+    WeightedGeometric,
     boundary_subdifferential,
     estimate_alpha,
     eval_f,
@@ -30,7 +35,7 @@ from entromin import (
 )
 from entromin.series import hessian_h
 
-from conftest import LN2, ZETA2, ZETA3, zeta_oracle
+from conftest import LN2, ZETA2, ZETA3, brute_force_series, zeta_oracle
 
 MB = Entropy.MAXWELL_BOLTZMANN
 BE = Entropy.BOSE_EINSTEIN
@@ -188,6 +193,91 @@ class TestPhiInverse:
         ws = [1.05, 1.15, 1.25, 1.35]
         ys = [phi_inverse(zeta_family, w, 1e-11) for w in ws]
         assert all(a < b for a, b in zip(ys, ys[1:]))
+
+
+def _certified_root(family, w, tol):
+    """phi_inverse at tol, checked against an independent phi evaluation."""
+    y = phi_inverse(family, w, tol)
+    assert y < -profile(family).alpha
+    assert abs(phi(family, y, 1e-13) - w) <= tol
+    return y
+
+
+class TestNewtonInversion:
+    @pytest.mark.parametrize("w", [1.0 + 1e-6, 1.01, 1.5, 3.0, 40.0, 1e3])
+    def test_geometric_closed_form(self, geometric, w):
+        # phi(y) = 1/(1 - e^y), phi'(y) = w(w - 1) at the root
+        y = _certified_root(geometric, w, 1e-12)
+        assert y == pytest.approx(math.log(1.0 - 1.0 / w), abs=2e-12 / (w * (w - 1.0)) + 1e-13)
+
+    @pytest.mark.parametrize("y0", [-6.0, -2.0, -1.2, -1.02])
+    def test_zeta_oracle(self, zeta_family, y0):
+        n = 4000  # the last term is below e^(-0.02 n) of the first
+        f0, f1, f2 = (brute_force_series(zeta_family, y0, n, k) for k in (0, 1, 2))
+        w = f1 / f0
+        slope = f2 / f0 - w * w
+        y = _certified_root(zeta_family, w, 1e-11)
+        assert y == pytest.approx(y0, abs=2e-11 / slope + 1e-13)
+
+    @pytest.mark.parametrize(
+        "family, ws",
+        [
+            (Arithmetic(0.0, 1.0), [1.0 + 1e-9, 1.001, 1.2, 2.0, 9.0, 80.0, 500.0]),
+            (Lattice3D(1.0), [3.0 + 1e-6, 3.1, 4.0, 12.0, 40.0, 100.0]),
+        ],
+    )
+    def test_monotone_across_w(self, family, ws):
+        ys = [_certified_root(family, w, 1e-10) for w in ws]
+        assert all(a < b for a, b in zip(ys, ys[1:]))
+
+    @pytest.mark.parametrize("w", [3.1, 12.0, 40.0, 100.0])
+    def test_lattice_near_minus_alpha(self, lattice, w):
+        # alpha = 0; at large w the root sits within (3/2)/w of the endpoint,
+        # where the sums need thousands of levels
+        y = _certified_root(lattice, w, 1e-10)
+        if w >= 40.0:
+            assert -2.0 / w < y < -1.0 / w
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            Arithmetic(0.0, 1.0),
+            PowerLaw(1.0, 2.0),
+            PowerLaw(1.0, 0.5),
+            LogLevels(1.0),
+            WeightedGeometric(1.0, 3.0),
+            Lattice3D(1.0),
+            ExplicitPrefix((2.0, 1.0), (0.5, 3.0), Arithmetic(1.0, 1.0)),
+        ],
+        ids=repr,
+    )
+    def test_just_above_theta1(self, family):
+        prof = profile(family)
+        y = _certified_root(family, prof.theta1 * (1.0 + 1e-6), 1e-10)
+        assert y < -prof.alpha - 1.0
+
+    @pytest.mark.parametrize(
+        "family, v",
+        [(Arithmetic(0.0, 1.0), 3.0), (WeightedGeometric(1.0, 3.0), 1.2), (Lattice3D(1.0), 12.0)],
+        ids=repr,
+    )
+    def test_interior_solve_pass_budget(self, monkeypatch, family, v):
+        # a pass is one certified sum from n = 1; the secant/bisection
+        # inversion took 120-150 of them per interior solve_mb
+        solver = EmpSolver(family)
+        cls = type(family)
+        log_terms = cls.log_terms
+        passes = []
+
+        def counting(self, y, lo, hi):
+            if lo == 1:
+                passes.append(y)
+            return log_terms(self, y, lo, hi)
+
+        monkeypatch.setattr(cls, "log_terms", counting)
+        sol = solver.solve_mb(1.0, v)
+        assert sol.region.value == "interior"
+        assert len(passes) <= 20
 
 
 class TestLnfConjugate:

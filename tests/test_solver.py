@@ -2,7 +2,9 @@
 values, attainment, epsilon-optimal families, forward/inverse solves,
 objective evaluation, weak duality and the biconjugate identity."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -489,3 +491,50 @@ class TestNormalization:
         back = raw.solve_mb(sol.u, sol.v)
         assert back.multipliers[0] == pytest.approx(0.25, abs=1e-9)
         assert back.multipliers[1] == pytest.approx(-0.8, abs=1e-9)
+
+
+_BLOCKS = []  # weakrefs to the level blocks of _CoarseTails
+
+
+class _CoarseTails(Arithmetic):
+    """Unit weights, sigma_n = n, with every tail bracket widened to 5e-13
+    below n = 4096 and to 1 from there: a tolerance under 5e-13 fails once
+    the pass reaches n = 4096, a looser one certifies in the first block."""
+
+    def sigma_array(self, lo, hi):
+        out = super().sigma_array(lo, hi)
+        _BLOCKS.append(weakref.ref(out))
+        return out
+
+    def tail_interval(self, y, n, moment=0):
+        lo, hi = super().tail_interval(y, n, moment)
+        return lo, max(hi, lo + (5e-13 if n < 4096 else 1.0))
+
+
+class TestRelaxationFreesFailedPass:
+    """A tolerance relaxation must not keep the failed pass alive through
+    its BudgetError, whose traceback reaches the frame holding the term
+    arrays; with the cyclic collector off, only reference counts free them."""
+
+    def _run(self, call):
+        _BLOCKS.clear()
+        gc.collect()
+        gc.disable()
+        try:
+            result = call()
+            assert len(_BLOCKS) >= 8  # the failed pass to n = 4096, then one block
+            assert all(ref() is None for ref in _BLOCKS)
+        finally:
+            gc.enable()
+        return result
+
+    def test_eval_f_ladder(self):
+        from entromin.series import _eval_f_relaxed
+
+        got = self._run(lambda: _eval_f_relaxed(_CoarseTails(), -1.0, 1e-13))
+        assert got.value == pytest.approx(1.0 / (math.e - 1.0), abs=1e-12)
+
+    def test_forward_solve_ladder(self):
+        solver = EmpSolver(_CoarseTails(), tol=1e-13)
+        sol = self._run(lambda: solver.forward_solve(MB, 0.0, -1.0))
+        assert sol.u == pytest.approx(1.0 / (math.e - 1.0), abs=1e-10)
