@@ -331,7 +331,7 @@ def phi(family: SequenceFamily, y: float, tol: float = 1e-10) -> float:
 
 
 def _slope_pass(family, y, tol, f_scale, ratio):
-    """(phi(y), phi'(y), f(y), certified bound on the error of phi(y)) from
+    """(phi(y), phi'(y), certified f(y), bound on the error of phi(y)) from
     one moments-(0, 1, 2) pass whose tolerances assume f(y) ~ f_scale and
     max(|phi(y)|, 1) ~ ratio; phi' = f''/f - phi^2 is the variance of sigma
     under the Gibbs weights.  phi' only proposes steps, so moment 2 needs a
@@ -348,7 +348,7 @@ def _slope_pass(family, y, tol, f_scale, ratio):
         if floor > 0.0
         else math.inf
     )
-    return p, s2.value / s0.value - p * p, s0.value, err
+    return p, s2.value / s0.value - p * p, s0, err
 
 
 def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
@@ -358,12 +358,20 @@ def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
     certified pass giving phi and phi', and proposes a Newton step on
     ln(phi - theta1), which is nearly linear where phi tends to theta1.  The
     step is taken only strictly inside the current sign bracket and when at
-    most half the step before it, else the bracket is bisected; before a right bracket is known it may at most halve
-    the gap to -alpha, and before a left bracket is known its length is
-    capped, the cap doubling with each step.  Returns once the certified
-    residual is within 0.75 tol, or when the bracket is narrower than 1e-13
-    relative to |y| (the point of smaller residual).
+    most half the step before it, else the bracket is bisected; before a
+    right bracket is known it may at most halve the gap to -alpha, and
+    before a left bracket is known its length is capped, the cap doubling
+    with each step.  Returns once the certified residual is within 0.75 tol,
+    or when the bracket is narrower than 1e-13 relative to |y| (the point of
+    smaller residual).
     """
+    return _invert_slope(family, w, tol)[0]
+
+
+def _invert_slope(family, w, tol) -> tuple[float, SeriesEval]:
+    """phi_inverse's root together with the certified f(y) from its last
+    pass, so that a caller needing f at the root re-sums it only when that
+    pass's bound is too loose."""
     prof = profile(family)
     if not math.isfinite(w) or w <= prof.theta1 or w >= prof.theta2:
         raise RangeError(
@@ -376,31 +384,31 @@ def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
     f_scale = max(rough[0].value, 1e-300)
     ratio = max(abs(rough[1].value) / f_scale, 1.0)
     lo = hi = None  # phi(lo) < w < phi(hi)
-    best_y, best_r = y, math.inf
+    best_y, best_f, best_r = y, None, math.inf
     cap = 1.0
     last_step = math.inf
     for _ in range(200):
         # the tolerance scale comes from the previous iterate; a pass that
         # missed its bound is repeated at the scale it measured
         for _attempt in range(4):
-            p, dp, f_val, err = _slope_pass(family, y, eval_tol, f_scale, ratio)
-            f_scale, ratio = max(f_val, 1e-300), max(abs(p), 1.0)
+            p, dp, f_y, err = _slope_pass(family, y, eval_tol, f_scale, ratio)
+            f_scale, ratio = max(f_y.value, 1e-300), max(abs(p), 1.0)
             if err <= eval_tol:
                 break
         else:
             raise BudgetError(f"phi({y}) not certified to {eval_tol:.3e}")
         r = p - w
         if abs(r) <= 0.75 * tol:
-            return y
+            return y, f_y
         if abs(r) < best_r:
-            best_y, best_r = y, abs(r)
+            best_y, best_f, best_r = y, f_y, abs(r)
         if r > 0.0:
             hi = y
         else:
             lo = y
         x_tol = 1e-13 * max(1.0, abs(y))
         if lo is not None and hi is not None and hi - lo <= x_tol:
-            return best_y
+            return best_y, best_f
         # without a usable derivative the step is unbounded and the
         # safeguards below pick it
         step = math.copysign(math.inf, -r)
@@ -449,19 +457,20 @@ def lnf_conjugate(family: SequenceFamily, w: float, tol: float = 1e-10) -> float
     # value, so fall back to a looser root when the tight one is not
     # certifiable within the term budget (slowly spaced level families)
     try:
-        y = phi_inverse(family, w, min(tol, 1e-10))
+        y, f_y = _invert_slope(family, w, min(tol, 1e-10))
     except BudgetError:
-        y = phi_inverse(family, w, 1e-5)
-    f_tol = max(0.25 * tol * max(1.0, _rough_f(family, y)), 5e-324)
-    f_val = _eval_f_relaxed(family, y, f_tol)
-    return w * y - math.log(f_val.value)
+        y, f_y = _invert_slope(family, w, 1e-5)
+    return w * y - math.log(_refine_f(family, y, f_y, 0.25 * tol).value)
 
 
-def _rough_f(family, y):
-    try:
-        return _eval_moments(family, y, {0: 1e-3}, (0,))[0].value
-    except BudgetError:
-        return 1.0
+def _refine_f(family, y, f_y: SeriesEval, rtol: float) -> SeriesEval:
+    """f(y) to rtol max(1, f(y)): the root pass's f_y when its bound is that
+    tight, else the tighter of f_y and a re-sum that relaxes like
+    _eval_f_relaxed."""
+    f_tol = max(rtol * max(1.0, f_y.value), 5e-324)
+    if f_y.tail_bound_used <= f_tol:
+        return f_y
+    return min(f_y, _eval_f_relaxed(family, y, f_tol), key=lambda s: s.tail_bound_used)
 
 
 # ---------------------------------------------------------------------------

@@ -323,15 +323,28 @@ class EmpSolver:
 
     # -- maxwell-boltzmann values -------------------------------------------
 
-    def _phi_root(self, w: float) -> float:
+    def _phi_root(self, w: float) -> tuple[float, series.SeriesEval]:
         """Invert the slope bijection at w, relaxing the residual target when
-        the tight one exceeds what the family's tails can certify."""
+        the tight one exceeds what the family's tails can certify; returns
+        the root and the certified f there from the root's last pass."""
         for root_tol in (min(self.tol, 1e-12) * 0.25, max(self.tol, 1e-10) * 0.25, 1e-5):
             try:
-                return series.phi_inverse(self._fam, w, root_tol)
+                return series._invert_slope(self._fam, w, root_tol)
             except BudgetError:
                 continue
         raise BudgetError(f"slope inversion at w={w} exceeded every tolerance tier")
+
+    def _interior(self, u: float, w: float) -> tuple[float, float, float]:
+        """(H, x, y) in normalized coordinates at an interior target of
+        slope w: one root y of phi(y) = w and f(y) give x = ln(u / f(y)) and
+        H = u(ln u - 1) + u(w y - ln f(y)), whose error is second order in
+        the root residual.  H carries u ln f, so f must hold to
+        1e-12 max(1, f) / u; it is re-summed only when the root's last pass
+        certified it more loosely."""
+        y_n, f_y = self._phi_root(w)
+        rtol = min(self.tol, 1e-12) / max(1.0, u)
+        ln_f = math.log(series._refine_f(self._fam, y_n, f_y, rtol).value)
+        return u * (math.log(u) - 1.0) + u * (w * y_n - ln_f), math.log(u) - ln_f, y_n
 
     def _smin(self):
         if self._degenerate == "divergent":
@@ -373,10 +386,7 @@ class EmpSolver:
             x = math.log(u / prof.f_at_boundary)
             val = (x - 1.0) * u - prof.alpha * v_n
             return val, val
-        w = v_n / u
-        val = u * (math.log(u) - 1.0) + u * series.lnf_conjugate(
-            self._fam, w, self.tol / max(1.0, u)
-        )
+        val = self._interior(u, v_n / u)[0]
         return val, val
 
     def value_mb(self, u: float, v: float) -> float:
@@ -415,17 +425,8 @@ class EmpSolver:
             )
             rule = SequenceRule(kind, "restricted", self.family, support=support)
         elif region is Region.INTERIOR:
-            # one root y of phi(y) = w and one f(y) give the multipliers and
-            # H = u(ln u - 1) + u(w y - ln f(y)), whose error is second order
-            # in the root residual; f is summed to 1e-12 max(1, f) / u because
-            # H carries u ln f
-            w = v_n / u
-            y_n = self._phi_root(w)
-            f_rough = series.eval_f(self._fam, y_n, tol=1e-3).value
-            f_tol = max(min(self.tol, 1e-12) * max(1.0, f_rough) / max(1.0, u), 5e-324)
-            ln_f = math.log(series._eval_f_relaxed(self._fam, y_n, f_tol).value)
-            value = h_star = u * (math.log(u) - 1.0) + u * (w * y_n - ln_f)
-            x_n = math.log(u) - ln_f
+            value, x_n, y_n = self._interior(u, v_n / u)
+            h_star = value
             x, y = self._xy_from_norm(x_n, y_n)
             mult = (x, y)
             rule = SequenceRule(

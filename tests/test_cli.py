@@ -186,13 +186,13 @@ class TestClassifyMode:
 
     def test_one_slope_inversion(self, tmp_path, monkeypatch):
         calls = []
-        inverse = series.phi_inverse
+        inverse = series._invert_slope  # phi_inverse goes through it too
 
         def counting(*args, **kwargs):
             calls.append(args[1])
             return inverse(*args, **kwargs)
 
-        monkeypatch.setattr(series, "phi_inverse", counting)
+        monkeypatch.setattr(series, "_invert_slope", counting)
         text = GEO_SOLVE.replace("mode = solve", "mode = classify")
         assert main(["--spec", _write(tmp_path, text)]) == 0
         assert calls == [2.0]

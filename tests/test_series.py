@@ -33,7 +33,7 @@ from entromin import (
     phi_inverse,
     profile,
 )
-from entromin.series import hessian_h
+from entromin.series import _invert_slope, hessian_h
 
 from conftest import LN2, ZETA2, ZETA3, brute_force_series, zeta_oracle
 
@@ -209,6 +209,14 @@ class TestNewtonInversion:
         # phi(y) = 1/(1 - e^y), phi'(y) = w(w - 1) at the root
         y = _certified_root(geometric, w, 1e-12)
         assert y == pytest.approx(math.log(1.0 - 1.0 / w), abs=2e-12 / (w * (w - 1.0)) + 1e-13)
+
+    @pytest.mark.parametrize("w", [1.01, 2.0, 40.0])
+    def test_root_pass_f_certified(self, geometric, w):
+        # f(y) = e^y / (1 - e^y) = w - 1 at the root y = ln(1 - 1/w)
+        y, f_y = _invert_slope(geometric, w, 1e-12)
+        exact = math.exp(y) / -math.expm1(y)
+        assert abs(f_y.value - exact) <= f_y.tail_bound_used + 1e-15 * exact
+        assert f_y.tail_bound_used <= 1e-12 * exact
 
     @pytest.mark.parametrize("y0", [-6.0, -2.0, -1.2, -1.02])
     def test_zeta_oracle(self, zeta_family, y0):

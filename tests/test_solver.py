@@ -19,9 +19,12 @@ from entromin import (
     Entropy,
     ExplosiveWeights,
     InverseFailure,
+    Lattice3D,
     RangeError,
     Region,
+    WeightedGeometric,
     profile,
+    series,
     solve_two_mb_be,
 )
 
@@ -195,6 +198,41 @@ class TestSolveMb:
         sol = zeta_solver.solve_mb(1.0, zeta_solver.profile.theta2)
         obj = zeta_solver.objective_value(MB, sol.solution, 1e-9)
         assert obj == pytest.approx(sol.value, abs=1e-9)
+
+
+    @pytest.mark.parametrize(
+        "family, u, v",
+        [
+            (Arithmetic(0.0, 1.0), 1.0, 2.0),
+            (Arithmetic(0.0, 1.0), 7.5, 30.0),
+            (WeightedGeometric(1.0, 3.0), 0.3, 0.36),
+            (WeightedGeometric(1.0, 3.0), 0.25, 0.25 * 1.176),
+            (Lattice3D(1.0), 2.0, 24.0),
+            (Lattice3D(1.0), 6.6, 6.6 * 70.4),
+        ],
+        ids=repr,
+    )
+    def test_interior_value_shared_with_value_mb(self, family, u, v):
+        # value_mb, h_star_mb and solve_mb take an interior value from one
+        # path, so the sweep and the classify mode print the same figure
+        solver = EmpSolver(family)
+        sol = solver.solve_mb(u, v)
+        assert sol.region is Region.INTERIOR
+        assert sol.value == sol.h_star == solver.value_mb(u, v) == solver.h_star_mb(u, v)
+
+    def test_interior_f_from_root_pass(self, geo_solver, monkeypatch):
+        # the root's last pass already certifies f(y) within the value's
+        # tolerance, so neither an interior solve nor the conjugate of ln f
+        # sums f again
+        def no_resum(*args):
+            raise AssertionError("f re-summed after the root")
+
+        monkeypatch.setattr(series, "_eval_f_relaxed", no_resum)
+        sol = geo_solver.solve_mb(1.0, 2.0)
+        assert sol.value == pytest.approx(-1.0 - 2.0 * LN2, abs=1e-11)
+        assert series.lnf_conjugate(geo_solver.family, 2.0, 1e-12) == pytest.approx(
+            -2.0 * LN2, abs=1e-11
+        )
 
 
 class TestEpsilonFamily:
