@@ -337,7 +337,7 @@ def _slope_pass(family, y, tol, f_scale, ratio):
     under the Gibbs weights.  phi' only proposes steps, so moment 2 needs a
     finite tail bracket but no tolerance: the pass stops when moments 0 and
     1 are certified."""
-    t1 = 0.4 * tol * f_scale
+    t1 = 0.25 * tol * f_scale
     s0, s1, s2 = _eval_moments(
         family, y, {0: t1 / ratio, 1: t1, 2: math.inf}, (0, 1, 2)
     )
