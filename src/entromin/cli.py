@@ -14,7 +14,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -178,31 +177,16 @@ def _cmd_sweep(solver: EmpSolver, spec: ProblemSpec, args) -> int:
     us = np.linspace(u0, u1, nu)
     vs = np.linspace(v0, v1, nv)
     points = [(float(u), float(v)) for u in us for v in vs]  # lexicographic
-
-    def row(pt):
-        u, v = pt
-        region = solver.classify(u, v)
-        value = solver.value_mb(u, v)
-        attained = region in {
-            Region.ORIGIN,
-            Region.LOWER_BOUNDARY,
-            Region.INTERIOR,
-            Region.UPPER_BOUNDARY_THETA2,
-        }
-        return _csv_row(u, v, region, value, attained), region
-
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(row, points))
-    else:
-        results = [row(pt) for pt in points]
-    rows = "".join(r[0] for r in results)
-    payload = "u,v,region,value,attained\n" + rows
+    sols = [solver.solve_mb(u, v) for u, v in points]
+    payload = "u,v,region,value,attained\n" + "".join(
+        _csv_row(u, v, sol.region, sol.value, sol.attained)
+        for (u, v), sol in zip(points, sols)
+    )
     if args.out:
         Path(args.out).write_text(payload)
     else:
         sys.stdout.write(payload)
-    if args.strict_feasible and all(r[1] in _INFEASIBLE for r in results):
+    if args.strict_feasible and all(sol.region in _INFEASIBLE for sol in sols):
         return 3
     return 0
 
@@ -422,7 +406,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="write the machine-readable result here")
     parser.add_argument("--format", choices=("csv", "json"), default="json")
     parser.add_argument("--terms", type=int, default=10, help="solution terms to report")
-    parser.add_argument("--workers", type=int, default=1, help="sweep parallelism")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility and ignored: sweeps run serially",
+    )
     parser.add_argument(
         "--strict-feasible",
         action="store_true",

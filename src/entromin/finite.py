@@ -2,10 +2,12 @@
 
 Closed forms where they exist (proportional split under a single
 constraint, explicit multipliers for the maxwell-boltzmann two-constraint
-problem), damped Newton on the smooth strictly convex dual for the
-bose-einstein and fermi-dirac cases, greedy zonotope envelopes for
-fermi-dirac feasibility, and a grid-refinement oracle (n <= 4) kept fully
-independent of the multiplier path so the two can cross-check each other.
+problem), the damped Newton of rootfind.minimize_convex_2d on the smooth
+strictly convex dual for the bose-einstein and fermi-dirac cases (both
+started at the maxwell-boltzmann multipliers), greedy zonotope envelopes
+for fermi-dirac feasibility, and a grid-refinement oracle (n <= 4) kept
+fully independent of the multiplier path so the two can cross-check each
+other.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
     NumericalFailureError,
     RangeError,
 )
-from .rootfind import solve_bracketed
+from .rootfind import minimize_convex_2d, solve_bracketed
 
 __all__ = [
     "BoundaryFlag",
@@ -238,95 +240,73 @@ def solve_two_mb_be(
     if where == "upper":
         return _edge_solution(kind, p, sigma, u, eta2, BoundaryFlag.UPPER_EDGE)
 
-    w = v / u
-    root_tol = 1e-12 * max(1.0, abs(w))
-    beta = phi_n_inverse(p, sigma, w, root_tol)
-    lp = np.log(np.asarray(p))
-    s = np.asarray(sigma)
-    expo = lp + s * beta
-    m = float(expo.max())
-    z = float(np.exp(expo - m).sum())
-    alpha = math.log(u) - (m + math.log(z))
+    alpha, beta, expo = _mb_multipliers(p, sigma, u, v)
     if kind is Entropy.MAXWELL_BOLTZMANN:
         u_bar = np.exp(alpha + expo)
         value = _w_sum(kind, p, u_bar)
         return FiniteSolution(
             tuple(u_bar), value, (alpha, beta), BoundaryFlag.INTERIOR_KKT
         )
-    return _dual_newton_be(p, sigma, u, v, alpha, beta)
+    return _dual_newton(kind, p, sigma, u, v, alpha, beta)
 
 
-def _dual_newton_be(p, sigma, u, v, a0: float, b0: float) -> FiniteSolution:
+def _mb_multipliers(p, sigma, u, v):
+    """Maxwell-boltzmann multipliers (alpha, beta) of an interior target and
+    the exponents ln p_k + beta sigma_k, u_k = exp(alpha + exponent_k) at the
+    optimum; they also start the bose-einstein and fermi-dirac Newton."""
+    w = v / u
+    beta = phi_n_inverse(p, sigma, w, 1e-12 * max(1.0, abs(w)))
+    expo = np.log(np.asarray(p)) + np.asarray(sigma) * beta
+    m = float(expo.max())
+    alpha = math.log(u) - (m + math.log(float(np.exp(expo - m).sum())))
+    return alpha, beta, expo
+
+
+def _dual_newton(kind, p, sigma, u, v, a0: float, b0: float) -> FiniteSolution:
+    """Minimize the dual sum_k p_k W*(a + b sigma_k) - a u - b v by the damped
+    Newton of rootfind from (a0, b0), moved into dom W* where needed.  The
+    optimum is u_k = p_k g(a + b sigma_k), g = (W*)' with g' = g (1 - a_W g);
+    residuals below ~1e-11 of the constraint scale sit in float noise."""
     p = np.asarray(p, dtype=float)
     s = np.asarray(sigma, dtype=float)
-    a, b = a0, b0
-    t = a + b * s
-    if t.max() >= 0.0:
-        a -= t.max() + 1.0
+    bose = kind is Entropy.BOSE_EINSTEIN
+    t = a0 + b0 * s
+    if bose and t.max() >= 0.0:
+        a0 -= t.max() + 1.0
+
+    def occupation(a, b):
         t = a + b * s
+        if bose:
+            return 1.0 / np.expm1(-t)  # e^t/(1-e^t)
+        return np.where(t >= 0.0, 1.0 / (1.0 + np.exp(-t)), np.exp(t) / (1.0 + np.exp(t)))
 
-    def dual(a_, b_, t_):
-        return float((-p * np.log1p(-np.exp(t_))).sum()) - a_ * u - b_ * v
+    def residual(a, b):
+        g = occupation(a, b)
+        return float((p * g).sum()) - u, float((p * s * g).sum()) - v
 
-    def finish(a_, b_, g_):
-        u_bar = p * g_
-        value = _w_sum(Entropy.BOSE_EINSTEIN, p, u_bar)
-        return FiniteSolution(tuple(u_bar), value, (a_, b_), BoundaryFlag.INTERIOR_KKT)
+    def hessian(a, b):
+        g = occupation(a, b)
+        gp = g * (1.0 - kind.a * g)
+        return float((p * gp).sum()), float((p * s * gp).sum()), float((p * s * s * gp).sum())
 
-    # residuals below ~1e-11 of the constraint scale sit in float noise, so
-    # accept the best iterate once progress stops below a 1e-9 floor
-    best = None
-    best_norm = math.inf
-    best_it = 0
-    d_cur = dual(a, b, t)
-    for it in range(100):
-        g = 1.0 / np.expm1(-t)  # e^t/(1-e^t)
-        r0 = float((p * g).sum()) - u
-        r1 = float((p * s * g).sum()) - v
-        norm = max(abs(r0) / max(1.0, u), abs(r1) / max(1.0, abs(v)))
-        if norm < best_norm:
-            best, best_norm, best_it = (a, b, g), norm, it
-        if norm <= 1e-11:
-            return finish(a, b, g)
-        if it - best_it >= 4:  # no progress: float floor reached
-            if best_norm <= 1e-9:
-                return finish(*best)
-            raise NumericalFailureError(
-                f"bose-einstein Newton stalled at residual {best_norm:.3e}"
-            )
-        gp = g * (1.0 + g)
-        h00 = float((p * gp).sum())
-        h01 = float((p * s * gp).sum())
-        h11 = float((p * s * s * gp).sum())
-        det = h00 * h11 - h01 * h01
-        if det <= 0.0 or not math.isfinite(det):
-            raise NumericalFailureError("bose-einstein dual hessian degenerate")
-        da = -(h11 * r0 - h01 * r1) / det
-        db = -(-h01 * r0 + h00 * r1) / det
-        slope = r0 * da + r1 * db  # directional derivative of the dual
-        # inside the quadratic basin the Armijo decrease sinks below float
-        # noise; take undamped steps there (domain backtracking only)
-        in_basin = norm <= 1e-6
-        step = 1.0
-        stalled = True
-        for _ in range(60):
-            ta = a + step * da
-            tb = b + step * db
-            t_new = ta + tb * s
-            if t_new.max() < 0.0:
-                d_new = dual(ta, tb, t_new)
-                if in_basin or d_new <= d_cur + 1e-4 * step * slope:
-                    stalled = False
-                    break
-            step *= 0.5
-        if stalled:
-            if best_norm <= 1e-9:
-                return finish(*best)
-            raise NumericalFailureError("bose-einstein line search stalled")
-        a, b, t, d_cur = ta, tb, t_new, d_new
-    if best_norm <= 1e-9:
-        return finish(*best)
-    raise NumericalFailureError("bose-einstein Newton did not converge in 100 steps")
+    def potential(a, b):
+        t = a + b * s
+        if bose:
+            conj = -np.log1p(-np.exp(t))
+        else:  # softplus
+            conj = np.where(t > 0.0, t + np.log1p(np.exp(-t)), np.log1p(np.exp(t)))
+        return float((p * conj).sum()) - a * u - b * v
+
+    res = minimize_convex_2d(
+        residual, hessian, potential, lambda a, b: not bose or (a + b * s).max() < 0.0,
+        (a0, b0), (max(1.0, u), max(1.0, abs(v))), 1e-11,
+    )
+    if not res.converged:
+        name = kind.name.lower().replace("_", "-")
+        raise NumericalFailureError(f"{name} dual Newton: {res.message}")
+    u_bar = p * occupation(*res.point)
+    value = _w_sum(kind, p, u_bar)
+    return FiniteSolution(tuple(u_bar), value, res.point, BoundaryFlag.INTERIOR_KKT)
 
 
 # ---------------------------------------------------------------------------
@@ -419,84 +399,14 @@ def solve_two_fd(p, sigma, u: float, v: float, tol: float = 1e-10) -> FiniteSolu
     if feas is Feasibility.BOUNDARY:
         return _fd_face_solution(p, sigma, u, v)
     try:
-        return _dual_newton_fd(p, sigma, u, v)
+        alpha, beta, _ = _mb_multipliers(p, sigma, u, v)
+        return _dual_newton(Entropy.FERMI_DIRAC, p, sigma, u, v, alpha, beta)
     except NumericalFailureError:
         if n <= 4:
             value = brute_force_oracle(Entropy.FERMI_DIRAC, p, sigma, u, v, 400)
             point = _oracle_point(Entropy.FERMI_DIRAC, p, sigma, u, v, 400)
             return FiniteSolution(point, value, None, BoundaryFlag.ORACLE_FALLBACK)
         raise
-
-
-def _dual_newton_fd(p, sigma, u, v) -> FiniteSolution:
-    p = np.asarray(p, dtype=float)
-    s = np.asarray(sigma, dtype=float)
-    w = v / u
-    beta = phi_n_inverse(p, s, w, 1e-12 * max(1.0, abs(w)))
-    lp = np.log(p)
-    expo = lp + s * beta
-    m = float(expo.max())
-    alpha = math.log(u) - (m + math.log(float(np.exp(expo - m).sum())))
-    a, b = alpha, beta
-
-    def softplus(t_):
-        return np.where(t_ > 0.0, t_ + np.log1p(np.exp(-t_)), np.log1p(np.exp(t_)))
-
-    def dual(a_, b_):
-        return float((p * softplus(a_ + b_ * s)).sum()) - a_ * u - b_ * v
-
-    def finish(a_, b_, g_):
-        u_bar = p * g_
-        value = _w_sum(Entropy.FERMI_DIRAC, p, u_bar)
-        return FiniteSolution(tuple(u_bar), value, (a_, b_), BoundaryFlag.INTERIOR_KKT)
-
-    best = None
-    best_norm = math.inf
-    best_it = 0
-    d_cur = dual(a, b)
-    for it in range(100):
-        t = a + b * s
-        g = np.where(t >= 0.0, 1.0 / (1.0 + np.exp(-t)), np.exp(t) / (1.0 + np.exp(t)))
-        r0 = float((p * g).sum()) - u
-        r1 = float((p * s * g).sum()) - v
-        norm = max(abs(r0) / max(1.0, u), abs(r1) / max(1.0, abs(v)))
-        if norm < best_norm:
-            best, best_norm, best_it = (a, b, g), norm, it
-        if norm <= 1e-11:
-            return finish(a, b, g)
-        if it - best_it >= 4:
-            if best_norm <= 1e-9:
-                return finish(*best)
-            raise NumericalFailureError(
-                f"fermi-dirac Newton stalled at residual {best_norm:.3e}"
-            )
-        gp = g * (1.0 - g)
-        h00 = float((p * gp).sum())
-        h01 = float((p * s * gp).sum())
-        h11 = float((p * s * s * gp).sum())
-        det = h00 * h11 - h01 * h01
-        if det <= 0.0 or not math.isfinite(det):
-            raise NumericalFailureError("fermi-dirac dual hessian degenerate")
-        da = -(h11 * r0 - h01 * r1) / det
-        db = -(-h01 * r0 + h00 * r1) / det
-        slope = r0 * da + r1 * db
-        in_basin = norm <= 1e-6
-        step = 1.0
-        stalled = True
-        for _ in range(60):
-            d_new = dual(a + step * da, b + step * db)
-            if in_basin or d_new <= d_cur + 1e-4 * step * slope:
-                stalled = False
-                break
-            step *= 0.5
-        if stalled:
-            if best_norm <= 1e-9:
-                return finish(*best)
-            raise NumericalFailureError("fermi-dirac line search stalled")
-        a, b, d_cur = a + step * da, b + step * db, d_new
-    if best_norm <= 1e-9:
-        return finish(*best)
-    raise NumericalFailureError("fermi-dirac Newton did not converge in 100 steps")
 
 
 # ---------------------------------------------------------------------------

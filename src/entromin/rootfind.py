@@ -1,11 +1,16 @@
-"""Safeguarded scalar root finding on a sign-changing bracket.
+"""The library's two root finders.
 
-Bisection with secant acceleration: the secant candidate is accepted only
-when it falls safely inside the current bracket, otherwise the step falls
-back to the midpoint.  Termination is residual-driven first (|f| <= rtol)
-with an absolute width stop as a safeguard against extremely steep or flat
-functions; running out of the iteration budget without either certificate
-raises BudgetError.
+solve_bracketed: safeguarded scalar root finding on a sign-changing
+bracket.  Bisection with secant acceleration: the secant candidate is
+accepted only when it falls safely inside the current bracket, otherwise
+the step falls back to the midpoint.  Termination is residual-driven first
+(|f| <= rtol) with an absolute width stop as a safeguard against extremely
+steep or flat functions; running out of the iteration budget without either
+certificate raises BudgetError.
+
+minimize_convex_2d: damped Newton on the smooth convex dual potential of
+every two-variable solve (finite bose-einstein and fermi-dirac, inverse
+solves over countable families), with backtracking kept in its domain.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetError, NumericalFailureError
 
-__all__ = ["RootResult", "solve_bracketed"]
+__all__ = ["RootResult", "solve_bracketed", "NewtonResult", "minimize_convex_2d"]
 
 
 @dataclass(frozen=True)
@@ -73,3 +78,70 @@ def solve_bracketed(
         f"root search used {budget} iterations; best |f|={abs(best_f):.3e} "
         f"at x={best_x!r} exceeds tolerance {residual_tol:.3e}"
     )
+
+
+@dataclass(frozen=True)
+class NewtonResult:
+    """The accepted point and its residual, or else the last iterate, its
+    residual and why Newton stopped."""
+
+    point: tuple[float, float]
+    residual: tuple[float, float]
+    converged: bool
+    message: str = ""
+
+
+def minimize_convex_2d(
+    residual, hessian, potential, in_domain, start, scales, tol
+) -> NewtonResult:
+    """Damped Newton from `start` for the minimizer of a smooth, strictly
+    convex F: residual(x, y) is its gradient, hessian(x, y) its
+    (h_xx, h_xy, h_yy), potential(x, y) F itself and in_domain(x, y) tells
+    whether F is finite there.
+
+    One rule on norm = max_i |r_i| / scales[i]: stop at tol.  Below 1e-6,
+    the quadratic basin, the Armijo decrease of F sinks below float noise,
+    so steps are undamped there, and four basin steps without a new best
+    norm mean the float floor is reached; outside it the Armijo decrease
+    guarantees progress.  Once progress stops the best iterate is accepted
+    if its norm is within max(tol, 1e-9).
+    """
+    basin = 1e-6
+    x, y = start
+    d_cur = potential(x, y)
+    best, best_norm, stale = None, math.inf, 0
+    message = "no convergence in 100 steps"
+    for _ in range(100):
+        r0, r1 = residual(x, y)
+        norm = max(abs(r0) / scales[0], abs(r1) / scales[1])
+        if norm < best_norm:
+            best, best_norm, stale = ((x, y), (r0, r1)), norm, 0
+        elif norm <= basin:
+            stale += 1
+        if norm <= tol:
+            return NewtonResult((x, y), (r0, r1), True)
+        if stale >= 4:
+            message = "stalled"
+            break
+        h00, h01, h11 = hessian(x, y)
+        det = h00 * h11 - h01 * h01
+        if det <= 0.0 or not math.isfinite(det):
+            return NewtonResult((x, y), (r0, r1), False, "dual hessian degenerate")
+        dx = -(h11 * r0 - h01 * r1) / det
+        dy = -(-h01 * r0 + h00 * r1) / det
+        slope = r0 * dx + r1 * dy  # directional derivative of F
+        step = 1.0
+        for _ in range(60):
+            xx, yy = x + step * dx, y + step * dy
+            if in_domain(xx, yy):
+                d_new = potential(xx, yy)
+                if norm <= basin or d_new <= d_cur + 1e-4 * step * slope:
+                    break
+            step *= 0.5
+        else:
+            message = "line search stalled"
+            break
+        x, y, d_cur = xx, yy, d_new
+    if best_norm <= max(tol, 1e-9):
+        return NewtonResult(*best, True)
+    return NewtonResult((x, y), (r0, r1), False, f"{message} at residual {best_norm:.3e}")

@@ -60,6 +60,7 @@ __all__ = [
 
 _TERM_BUDGET = 2**23
 _START_BLOCK = 64
+_MB = Entropy.MAXWELL_BOLTZMANN
 
 
 class BoundaryCase(Enum):
@@ -116,20 +117,36 @@ class HalfLine:
 # core summation with certified tails
 
 
-def _eval_many(family, y, tols, moments, *, boundary=False, budget=_TERM_BUDGET):
-    """Partial sums of p_n sigma_n^k exp(sigma_n y) for each k in `moments`,
-    stopped when every tail bracket is narrower than its tolerance.
+def _eval_many(family, y, tols, moments, x=0.0, kind=_MB, what="conj", boundary=False):
+    """Partial sums of p_n sigma_n^k m(t_n) exp(t_n), t_n = x + sigma_n y, for
+    each k in `moments`, stopped when every tail bracket is narrower than its
+    tolerance: the one certified block-doubling loop.  Maxwell-boltzmann
+    sums, the moments of f at x = 0 among them, have m = 1; for the other
+    entropies m(t) e^t is (W*)(t), (W*)' or (W*)'' as `what` is 'conj',
+    'grad' or 'hess' (_mult_arrays), and the f-tail brackets times exp(x)
+    widen by m's bounds over the tail (_mult_bounds).
 
     Gives up early when a certified width shrinks too slowly to reach its
     tolerance within the term budget even at cubic decay: paying the whole
     budget just to fail made tolerance-ladder fallbacks prohibitively slow.
     """
+    try:
+        ex = math.exp(x)
+    except OverflowError:
+        raise RangeError(f"x={x} is too large: exp(x) overflows") from None
     sums = {k: [] for k in moments}
     lo, hi = 1, _START_BLOCK
+    mlo = mhi = 1.0
     while True:
         logt = family.log_terms(y, lo, hi)
         sig = family.sigma_array(lo, hi)
-        base = np.exp(logt)
+        base = np.exp(logt + x if x else logt)
+        if kind is not _MB:
+            base = base * _mult_arrays(kind, what, x + sig * y)
+            t_next = x + family.sigma(hi + 1) * y
+            if kind is Entropy.BOSE_EINSTEIN and t_next >= 0.0:
+                raise DomainError("bose-einstein dual needs x + sigma_n y < 0 on the tail")
+            mlo, mhi = _mult_bounds(kind, what, math.exp(min(t_next, 700.0)))
         for k in moments:
             block = base if k == 0 else base * sig**k
             sums[k].append(float(block.sum()))
@@ -140,20 +157,21 @@ def _eval_many(family, y, tols, moments, *, boundary=False, budget=_TERM_BUDGET)
                 if boundary
                 else family.tail_interval(y, hi, k)
             )
-            width = None if iv is None else iv[1] - iv[0]
-            if iv is None or not (width <= tols[k]) or not math.isfinite(iv[1]):
+            if iv is None:
                 brackets = None
-                if (
-                    width is not None
-                    and hi >= 4096
-                    and width > tols[k] * (budget / hi) ** 3
-                ):
+                break
+            blo, bhi = ex * iv[0] * mlo, ex * iv[1] * mhi
+            width = bhi - blo
+            if not (width <= tols[k]) or not math.isfinite(bhi):
+                brackets = None
+                if hi >= 4096 and width > tols[k] * (_TERM_BUDGET / hi) ** 3:
                     raise BudgetError(
                         f"series tail width {width:.3e} at n={hi} cannot reach "
-                        f"{tols[k]:.3e} within the {budget}-term budget (y={y}, moment {k})"
+                        f"{tols[k]:.3e} within the {_TERM_BUDGET}-term budget "
+                        f"(x={x}, y={y}, moment {k})"
                     )
                 break
-            brackets[k] = iv
+            brackets[k] = (blo, bhi)
         if brackets is not None:
             out = []
             for k in moments:
@@ -161,12 +179,12 @@ def _eval_many(family, y, tols, moments, *, boundary=False, budget=_TERM_BUDGET)
                 blo, bhi = brackets[k]
                 out.append(SeriesEval(partial + 0.5 * (blo + bhi), hi, 0.5 * (bhi - blo)))
             return out
-        if hi >= budget:
+        if hi >= _TERM_BUDGET:
             raise BudgetError(
-                f"series tails uncertified after {hi} terms at y={y} "
+                f"series tails uncertified after {hi} terms at x={x}, y={y} "
                 f"(moments {moments}, tolerances {tols})"
             )
-        lo, hi = hi + 1, min(2 * hi, budget)
+        lo, hi = hi + 1, min(2 * hi, _TERM_BUDGET)
 
 
 def _require_alpha(family) -> float:
@@ -190,9 +208,10 @@ def _check_boundary_summable(family, moment) -> None:
         )
 
 
-def _eval_moments(family, y, tols, moments):
-    """Route an evaluation point to the interior or boundary machinery,
-    raising DivergenceError beyond the domain."""
+def _eval_moments(family, y, tols, moments, x=0.0, kind=_MB, what="conj"):
+    """Route an evaluation point of _eval_many, for the moments of f or for
+    the dual sums, to the interior or boundary machinery, raising
+    DivergenceError beyond the domain."""
     if family.dom_f_empty:
         raise DivergenceError("dom f is empty for this family")
     a = _require_alpha(family)
@@ -201,8 +220,8 @@ def _eval_moments(family, y, tols, moments):
     if y == -a:
         for k in moments:
             _check_boundary_summable(family, k)
-        return _eval_many(family, y, tols, moments, boundary=True)
-    return _eval_many(family, y, tols, moments)
+        return _eval_many(family, y, tols, moments, x, kind, what, boundary=True)
+    return _eval_many(family, y, tols, moments, x, kind, what)
 
 
 def eval_f(family: SequenceFamily, y: float, tol: float = 1e-12) -> SeriesEval:
@@ -484,10 +503,8 @@ def _theta1(family) -> float:
 
 def _mult_arrays(kind: Entropy, what: str, t: np.ndarray) -> np.ndarray:
     """Per-term multiplier m(t) with W*(t) = e^t m(t) ('conj'),
-    (W*)'(t) = e^t m(t) ('grad'), (W*)''(t) = e^t m(t) ('hess')."""
-    if kind is Entropy.MAXWELL_BOLTZMANN:
-        return np.ones_like(t)
-    z = np.exp(np.minimum(t, 0.0))  # t <= 0 guaranteed on BE paths
+    (W*)'(t) = e^t m(t) ('grad'), (W*)''(t) = e^t m(t) ('hess'), for
+    bose-einstein and fermi-dirac (maxwell-boltzmann has m = 1)."""
     if kind is Entropy.FERMI_DIRAC:
         z = np.exp(np.minimum(t, 700.0))
         if what == "conj":
@@ -495,6 +512,7 @@ def _mult_arrays(kind: Entropy, what: str, t: np.ndarray) -> np.ndarray:
             return np.where(small, 1.0 - 0.5 * z, np.log1p(z) / np.where(small, 1.0, z))
         d = 1.0 / (1.0 + z)
         return d if what == "grad" else d * d
+    z = np.exp(np.minimum(t, 0.0))  # t <= 0 guaranteed on BE paths
     if what == "conj":
         small = z < 1e-8
         return np.where(small, 1.0 + 0.5 * z, -np.log1p(-z) / np.where(small, 1.0, z))
@@ -504,8 +522,6 @@ def _mult_arrays(kind: Entropy, what: str, t: np.ndarray) -> np.ndarray:
 
 def _mult_bounds(kind: Entropy, what: str, z_next: float) -> tuple[float, float]:
     """Bounds of the multiplier over the whole tail, where z <= z_next."""
-    if kind is Entropy.MAXWELL_BOLTZMANN:
-        return 1.0, 1.0
     if kind is Entropy.FERMI_DIRAC:
         if what == "conj":
             lo = math.log1p(z_next) / z_next if z_next > 1e-8 else 1.0 - 0.5 * z_next
@@ -520,63 +536,6 @@ def _mult_bounds(kind: Entropy, what: str, z_next: float) -> tuple[float, float]
     return (1.0, d) if what == "grad" else (1.0, d * d)
 
 
-def _eval_h_moments(family, kind, what, x, y, tols, moments, budget=_TERM_BUDGET):
-    """sum p_n sigma^k m(x + sigma_n y) exp(x + sigma_n y) for k in moments,
-    with tails deduced from the f-tails times the multiplier envelope."""
-    a = _require_alpha(family)
-    boundary = y == -a
-    if boundary:
-        for k in moments:
-            _check_boundary_summable(family, k)
-    sums = {k: [] for k in moments}
-    lo, hi = 1, _START_BLOCK
-    while True:
-        logt = family.log_terms(y, lo, hi) + x
-        sig = family.sigma_array(lo, hi)
-        t = x + sig * y
-        base = np.exp(logt) * _mult_arrays(kind, what, t)
-        for k in moments:
-            block = base if k == 0 else base * sig**k
-            sums[k].append(float(block.sum()))
-        t_next = x + family.sigma(hi + 1) * y
-        if kind is Entropy.BOSE_EINSTEIN and t_next >= 0.0:
-            raise DomainError("bose-einstein dual needs x + sigma_n y < 0 on the tail")
-        z_next = math.exp(min(t_next, 700.0))
-        mlo, mhi = _mult_bounds(kind, what, z_next)
-        ex = math.exp(x)
-        brackets = {}
-        for k in moments:
-            iv = (
-                family.boundary_bracket(hi, k)
-                if boundary
-                else family.tail_interval(y, hi, k)
-            )
-            if iv is None:
-                brackets = None
-                break
-            blo, bhi = ex * iv[0] * mlo, ex * iv[1] * mhi
-            width = bhi - blo
-            if not (width <= tols[k]) or not math.isfinite(bhi):
-                brackets = None
-                if hi >= 4096 and width > tols[k] * (budget / hi) ** 3:
-                    raise BudgetError(
-                        f"dual series tail width {width:.3e} at n={hi} cannot "
-                        f"reach {tols[k]:.3e} within the budget at ({x}, {y})"
-                    )
-                break
-            brackets[k] = (blo, bhi)
-        if brackets is not None:
-            out = []
-            for k in moments:
-                partial = math.fsum(sums[k])
-                blo, bhi = brackets[k]
-                out.append(SeriesEval(partial + 0.5 * (blo + bhi), hi, 0.5 * (bhi - blo)))
-            return out
-        if hi >= budget:
-            raise BudgetError(f"dual series uncertified after {hi} terms at ({x}, {y})")
-        lo, hi = hi + 1, min(2 * hi, budget)
-
-
 def eval_h(
     family: SequenceFamily, kind: Entropy, x: float, y: float, tol: float = 1e-10
 ) -> float:
@@ -589,15 +548,8 @@ def eval_h(
         return math.inf
     if kind is Entropy.BOSE_EINSTEIN and x + _theta1(family) * y >= 0.0:
         return math.inf
-    if kind is Entropy.MAXWELL_BOLTZMANN:
-        tol_f = max(tol * math.exp(-min(x, 700.0)), 5e-324)
-        try:
-            f_val = _eval_moments(family, y, {0: tol_f}, (0,))[0].value
-        except DivergenceError:
-            return math.inf
-        return math.exp(x) * f_val
     try:
-        return _eval_h_moments(family, kind, "conj", x, y, {0: tol}, (0,))[0].value
+        return _eval_moments(family, y, {0: tol}, (0,), x, kind)[0].value
     except DivergenceError:
         return math.inf
 
@@ -615,7 +567,7 @@ def grad_h(
     if kind is Entropy.BOSE_EINSTEIN and x + _theta1(family) * y >= 0.0:
         raise DomainError("outside dom h_BE: x + theta1 y >= 0")
     try:
-        r = _eval_h_moments(family, kind, "grad", x, y, {0: tol, 1: tol}, (0, 1))
+        r = _eval_moments(family, y, {0: tol, 1: tol}, (0, 1), x, kind, "grad")
     except DivergenceError as exc:
         raise DomainError(f"gradient series diverges at ({x}, {y}): {exc}") from exc
     return r[0].value, r[1].value
@@ -628,9 +580,7 @@ def hessian_h(
     a = _require_alpha(family)
     if not y < -a:
         raise DomainError(f"hessian needs y < -alpha = {-a}")
-    r = _eval_h_moments(
-        family, kind, "hess", x, y, {0: tol, 1: tol, 2: tol}, (0, 1, 2)
-    )
+    r = _eval_moments(family, y, {0: tol, 1: tol, 2: tol}, (0, 1, 2), x, kind, "hess")
     return r[0].value, r[1].value, r[2].value
 
 

@@ -33,7 +33,7 @@ from .errors import (
     RangeError,
     UnsupportedFamilyError,
 )
-from .rootfind import solve_bracketed
+from .rootfind import minimize_convex_2d, solve_bracketed
 from .sequences import (
     SequenceFamily,
     ShiftedSigma,
@@ -147,28 +147,31 @@ class EpsilonFamily:
         self.v = v
         self.value = value
 
-    def _phi_prefix(self, t: float, n: int) -> float:
-        lw = self._family.log_terms(0.0, 1, n) + self._family.sigma_array(1, n) * t
-        s = self._family.sigma_array(1, n)
-        m = lw.max()
-        w = np.exp(lw - m)
-        return float((s * w).sum() / w.sum())
-
     def member(self, n: int) -> EpsilonMember:
-        """The n-term member; RangeError when n is too small to reach v/u."""
+        """The n-term member; RangeError when n is too small to reach v/u.
+        The prefix's log weights and levels are built once and shared by
+        every step of the root search for lam."""
         w = self.v / self.u
         a = self._prof.alpha
-        if not self._phi_prefix(-a, n) < w < self._phi_prefix(0.0, n):
+        log_p = self._family.log_terms(0.0, 1, n)
+        s = self._family.sigma_array(1, n)
+
+        def phi_prefix(t):
+            lw = log_p + s * t
+            e = np.exp(lw - lw.max())
+            return float((s * e).sum() / e.sum())
+
+        if not phi_prefix(-a) < w < phi_prefix(0.0):
             raise RangeError(f"truncation n={n} cannot reach slope {w}")
 
         def g(lam):
-            return self._phi_prefix(-lam, n) - w
+            return phi_prefix(-lam) - w
 
         res = solve_bracketed(
             g, 0.0, a, g(0.0), g(a), residual_tol=1e-12 * max(1.0, w), x_tol=1e-14
         )
         lam = res.x
-        lw = self._family.log_terms(0.0, 1, n) - self._family.sigma_array(1, n) * lam
+        lw = log_p - s * lam
         m = float(lw.max())
         z = m + math.log(float(np.exp(lw - m).sum()))
         ups = math.log(self.u) - z
@@ -505,11 +508,6 @@ class EmpSolver:
         prof = self._profile
         w = v_n / u
         scale = max(1.0, u, abs(v_n))
-
-        def accept(xy):
-            x, y = self._xy_from_norm(*xy)
-            return self.forward_solve(kind, x, y)
-
         try:
             y_c = series.phi_inverse(self._fam, w, 1e-10)
         except BudgetError:
@@ -525,14 +523,32 @@ class EmpSolver:
         if kind is Entropy.BOSE_EINSTEIN and x_c + prof.theta1 * y_c >= 0.0:
             x_c = -prof.theta1 * y_c - 1.0
 
+        # the callbacks read s_tol, the series tolerance of the attempt below
+        def residual(xx, yy):
+            gu, gv = series.grad_h(self._fam, kind, xx, yy, s_tol)
+            return gu - u, gv - v_n
+
+        def hessian(xx, yy):
+            return series.hessian_h(self._fam, kind, xx, yy, s_tol)
+
+        def potential(xx, yy):
+            return series.eval_h(self._fam, kind, xx, yy, s_tol) - xx * u - yy * v_n
+
+        def in_domain(xx, yy):
+            return yy < -prof.alpha and (
+                kind is not Entropy.BOSE_EINSTEIN or xx + prof.theta1 * yy < 0.0
+            )
+
         failure = None
         # slowly spaced level families cannot certify the tight gradient
         # series near the domain endpoint; retry once at a looser target
         for relax in (1.0, 1e3):
             res_tol = max(tol, 1e-11) * scale * relax
+            s_tol = res_tol / 10.0
             try:
-                got = self._inverse_newton(
-                    kind, u, v_n, prof, (x_c, y_c), res_tol, scale
+                got = minimize_convex_2d(
+                    residual, hessian, potential, in_domain, (x_c, y_c),
+                    (scale, scale), res_tol / scale,
                 )
             except (DomainError, BudgetError) as exc:
                 failure = InverseFailure(
@@ -540,71 +556,14 @@ class EmpSolver:
                     f"newton aborted: {exc}",
                 )
                 continue
-            if isinstance(got, tuple):
-                return accept(got)
-            failure = got
+            if got.converged:
+                x, y = self._xy_from_norm(*got.point)
+                return self.forward_solve(kind, x, y)
+            failure = InverseFailure(
+                kind, self._xy_from_norm(*got.point), got.residual,
+                f"newton {got.message} above tolerance {res_tol:.3e}",
+            )
         return failure
-
-    def _inverse_newton(self, kind, u, v_n, prof, start, res_tol, scale):
-        """One damped-Newton attempt; returns the root (x, y) in normalized
-        coordinates or an InverseFailure capturing the last iterate."""
-        floor_tol = max(res_tol, 1e-9 * scale)
-        s_tol = res_tol / 10.0
-        x_n, y_n = start
-        r0 = r1 = math.inf
-        best = None
-        best_norm = math.inf
-        best_it = 0
-
-        def potential(xx, yy):
-            return series.eval_h(self._fam, kind, xx, yy, s_tol) - xx * u - yy * v_n
-
-        d_cur = potential(x_n, y_n)
-        for it in range(60):
-            gu, gv = series.grad_h(self._fam, kind, x_n, y_n, s_tol)
-            r0, r1 = gu - u, gv - v_n
-            norm = max(abs(r0), abs(r1))
-            if norm < best_norm:
-                best, best_norm, best_it = (x_n, y_n), norm, it
-            if norm <= res_tol:
-                return x_n, y_n
-            if it - best_it >= 4:  # progress stopped: noise floor
-                if best_norm <= floor_tol:
-                    return best
-                break
-            h00, h01, h11 = series.hessian_h(self._fam, kind, x_n, y_n, s_tol)
-            det = h00 * h11 - h01 * h01
-            if det <= 0.0 or not math.isfinite(det):
-                break
-            dx = -(h11 * r0 - h01 * r1) / det
-            dy = -(-h01 * r0 + h00 * r1) / det
-            slope = r0 * dx + r1 * dy
-            in_basin = norm <= 1e-6 * scale
-            step = 1.0
-            ok = False
-            for _ in range(50):
-                xx, yy = x_n + step * dx, y_n + step * dy
-                in_dom = yy < -prof.alpha and (
-                    kind is not Entropy.BOSE_EINSTEIN
-                    or xx + prof.theta1 * yy < 0.0
-                )
-                if in_dom:
-                    d_new = potential(xx, yy)
-                    if in_basin or d_new <= d_cur + 1e-4 * step * slope:
-                        ok = True
-                        break
-                step *= 0.5
-            if not ok:
-                if best_norm <= floor_tol:
-                    return best
-                break
-            x_n, y_n, d_cur = xx, yy, d_new
-        return InverseFailure(
-            kind,
-            self._xy_from_norm(x_n, y_n),
-            (r0, r1),
-            f"newton residual ({r0:.3e}, {r1:.3e}) above tolerance {res_tol:.3e}",
-        )
 
     # -- objective evaluation --------------------------------------------------
 

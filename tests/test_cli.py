@@ -3,6 +3,7 @@ CSV determinism across worker counts, exit codes."""
 
 import json
 import math
+import threading
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,23 @@ class TestForwardMode:
         assert rec["u"] == pytest.approx(1.0, abs=1e-10)
         assert rec["v"] == pytest.approx(2.0, abs=1e-10)
 
+    @pytest.mark.parametrize("entropy", ["mb", "fd"])
+    def test_huge_x_exits_four(self, tmp_path, capsys, entropy):
+        text = GEO_SOLVE.replace(
+            "mode = solve\nu = 1.0\nv = 2.0", "mode = forward\nx = 800.0\ny = -1.0"
+        ).replace("entropy = mb", f"entropy = {entropy}")
+        assert main(["--spec", _write(tmp_path, text)]) == 4
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_huge_negative_x_is_the_origin(self, tmp_path):
+        out = tmp_path / "rec.json"
+        text = GEO_SOLVE.replace(
+            "mode = solve\nu = 1.0\nv = 2.0", "mode = forward\nx = -800.0\ny = -1.0"
+        )
+        assert main(["--spec", _write(tmp_path, text), "--out", str(out)]) == 0
+        rec = json.loads(out.read_text())
+        assert (rec["u"], rec["v"], rec["region"]) == (0.0, 0.0, "origin")
+
 
 SWEEP = """\
 [family]
@@ -251,6 +269,25 @@ class TestSweepMode:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_rows_from_one_serial_solve_each(self, tmp_path, monkeypatch):
+        threads = []
+        solve_mb = solver.EmpSolver.solve_mb
+
+        def counting(self, u, v):
+            threads.append(threading.get_ident())
+            return solve_mb(self, u, v)
+
+        def no_value_mb(self, u, v):
+            raise AssertionError("sweep rows come from solve_mb")
+
+        monkeypatch.setattr(solver.EmpSolver, "solve_mb", counting)
+        monkeypatch.setattr(solver.EmpSolver, "value_mb", no_value_mb)
+        out = tmp_path / "sweep.csv"
+        rc = main(["--spec", _write(tmp_path, SWEEP), "--out", str(out), "--workers", "4"])
+        assert rc == 0
+        assert threads == [threading.get_ident()] * 9
+        assert len(out.read_text().splitlines()) == 10
 
     def test_grid_with_origin(self, tmp_path):
         text = SWEEP.replace("u_min = 1.0", "u_min = 0.0").replace("v_min = 1.0", "v_min = 0.0")

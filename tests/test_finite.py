@@ -27,6 +27,7 @@ from entromin import (
     solve_two_fd,
     solve_two_mb_be,
 )
+from entromin.rootfind import minimize_convex_2d
 
 MB = Entropy.MAXWELL_BOLTZMANN
 BE = Entropy.BOSE_EINSTEIN
@@ -124,6 +125,66 @@ class TestSolveTwoMbBe:
         assert sum(sol.u_bar) == pytest.approx(2.0, abs=1e-10)
         assert sum(si * ui for si, ui in zip(s, sol.u_bar)) == pytest.approx(3.1, abs=1e-10)
         assert kkt_residual(MB, p, s, sol.u_bar, *sol.multipliers) <= 1e-8
+
+
+    def test_be_newton_from_far_start(self):
+        # damped steps far from the optimum need not shrink the residual;
+        # before stalls were counted only in the quadratic basin this target
+        # was reported as a stalled Newton iteration
+        p, sigma = (1.764, 1.889, 1.62), (-1.733, -1.226, 3.574)
+        u, v = 39.432, -1.749
+        sol = solve_two_mb_be(BE, p, sigma, u, v)
+        assert sol.boundary_flag is BoundaryFlag.INTERIOR_KKT
+        ref = brute_force_oracle(BE, p, sigma, u, v, 4000)
+        assert sol.value == pytest.approx(ref, abs=1e-8)
+        assert math.fsum(sol.u_bar) == pytest.approx(u, rel=1e-11)
+        assert kkt_residual(BE, p, sigma, sol.u_bar, *sol.multipliers) <= 1e-8
+
+
+class TestMinimizeConvex2d:
+    def test_separable_exponential(self):
+        # F = e^x + e^y - 2x - 3y has its minimum at (ln 2, ln 3)
+        res = minimize_convex_2d(
+            lambda x, y: (math.exp(x) - 2.0, math.exp(y) - 3.0),
+            lambda x, y: (math.exp(x), 0.0, math.exp(y)),
+            lambda x, y: math.exp(x) + math.exp(y) - 2.0 * x - 3.0 * y,
+            lambda x, y: True,
+            (-5.0, 4.0), (1.0, 1.0), 1e-12,
+        )
+        assert res.converged
+        assert res.point == pytest.approx((math.log(2.0), math.log(3.0)), abs=1e-12)
+        assert max(map(abs, res.residual)) <= 1e-12
+
+    def test_backtracking_respects_the_domain(self):
+        # F = x + y - ln x - ln y on x, y > 0; full Newton steps from near
+        # the boundary would leave the domain
+        seen = []
+
+        def potential(x, y):
+            seen.append((x, y))
+            return x + y - math.log(x) - math.log(y)
+
+        res = minimize_convex_2d(
+            lambda x, y: (1.0 - 1.0 / x, 1.0 - 1.0 / y),
+            lambda x, y: (1.0 / x**2, 0.0, 1.0 / y**2),
+            potential,
+            lambda x, y: x > 0.0 and y > 0.0,
+            (30.0, 0.01), (1.0, 1.0), 1e-12,
+        )
+        assert res.converged
+        assert res.point == pytest.approx((1.0, 1.0), abs=1e-10)
+        assert all(x > 0.0 and y > 0.0 for x, y in seen)
+
+    def test_degenerate_hessian_is_reported(self):
+        res = minimize_convex_2d(
+            lambda x, y: (math.exp(x + y) - 1.0, math.exp(x + y) - 1.0),
+            lambda x, y: (math.exp(x + y),) * 3,
+            lambda x, y: math.exp(x + y) - x - y,
+            lambda x, y: True,
+            (1.0, 1.0), (1.0, 1.0), 1e-12,
+        )
+        assert not res.converged
+        assert res.point == (1.0, 1.0) and "degenerate" in res.message
 
 
 class TestSolveTwoFd:

@@ -343,6 +343,20 @@ class TestEvalH:
         # x + theta1 y >= 0 puts the point outside dom h_BE
         assert math.isinf(eval_h(geometric, BE, 1.0, -1.0, 1e-10))
 
+    def test_mb_equals_gradient_moment_zero(self):
+        # the maxwell-boltzmann dual sum and the first gradient component
+        # are the same certified sum of p_n exp(x + sigma_n y)
+        fam = Arithmetic(0.0, 1.0)
+        x, y = 0.231763158945975, -2.4247586250488715
+        assert eval_h(fam, MB, x, y) == grad_h(fam, MB, x, y)[0]
+
+    def test_huge_x_is_a_range_error(self, geometric):
+        for kind in (MB, FD):
+            with pytest.raises(RangeError):
+                eval_h(geometric, kind, 800.0, -1.0)
+            with pytest.raises(RangeError):
+                grad_h(geometric, kind, 800.0, -1.0)
+
     @settings(max_examples=20, deadline=None)
     @given(st.floats(-2.0, 2.0), st.floats(-4.0, -0.1))
     def test_mb_factorization_property(self, geometric, x, y):

@@ -261,6 +261,21 @@ class TestEpsilonFamily:
         member = sol.epsilon_family.converge(1e-3, n_max=2**15)
         assert abs(member.objective - sol.value) <= 1e-3
 
+    def test_member_builds_prefix_once(self, zeta_solver, monkeypatch):
+        sol = zeta_solver.solve_mb(1.0, 2.0)
+        fam = sol.epsilon_family._family
+        calls = []
+        orig = type(fam).log_terms
+
+        def counting(self, y, lo, hi):
+            calls.append((y, lo, hi))
+            return orig(self, y, lo, hi)
+
+        monkeypatch.setattr(type(fam), "log_terms", counting)
+        member = sol.epsilon_family.member(256)
+        assert calls == [(0.0, 1, 256)]
+        assert len(member.terms) == 256
+
     def test_too_small_truncation_rejected(self, zeta_solver):
         sol = zeta_solver.solve_mb(1.0, 6.0)
         with pytest.raises(RangeError):
@@ -317,6 +332,18 @@ class TestForwardSolve:
         sol = zeta_solver.forward_solve(MB, 0.0, -1.0)
         assert sol.u == pytest.approx(ZETA3, abs=1e-9)
         assert sol.v == pytest.approx(ZETA2, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", [MB, BE, FD])
+    def test_huge_negative_x_gives_origin(self, geo_solver, kind):
+        # every term underflows: the target is the origin, not an overflow
+        sol = geo_solver.forward_solve(kind, -800.0, -1.0)
+        assert (sol.u, sol.v) == (0.0, 0.0)
+        assert sol.region is Region.ORIGIN
+
+    @pytest.mark.parametrize("kind", [MB, FD])
+    def test_huge_x_is_a_range_error(self, geo_solver, kind):
+        with pytest.raises(RangeError):
+            geo_solver.forward_solve(kind, 800.0, -1.0)
 
     def test_outside_domain(self, geo_solver, zeta_solver, case_b_family):
         with pytest.raises(DomainError):
