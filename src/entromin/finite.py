@@ -201,7 +201,7 @@ def _edge_solution(kind, p, sigma, u, eta, flag) -> FiniteSolution:
 
 def _cone_position(sigma, u, v):
     eta1, eta2 = min(sigma), max(sigma)
-    tol = 1e-12 * max(1.0, abs(v), abs(eta1) * u, abs(eta2) * u)
+    tol = 1e-12 * max(abs(v), abs(eta1) * u, abs(eta2) * u)
     if v < eta1 * u - tol or v > eta2 * u + tol:
         return "outside", eta1, eta2
     if abs(v - eta1 * u) <= tol:

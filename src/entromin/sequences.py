@@ -529,22 +529,29 @@ class WeightedGeometric(SequenceFamily):
 class _LatticeTable:
     """Distinct values of i^2+j^2+k^2 over positive triples, with
     degeneracies, extended on demand; completeness of each prefix follows
-    from enumerating all triples with sum <= L."""
+    from enumerating all triples with sum <= L.
+
+    The table is one read-only (values, degeneracy, ln degeneracy) triple of
+    arrays that a rebuild replaces in a single assignment, so a reader that
+    takes it once slices consistent arrays while another thread extends it.
+    """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._limit = 0
-        self._values: list[int] = []
-        self._degeneracy: list[int] = []
+        self._table = (np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0))
 
-    def ensure(self, count: int) -> None:
-        if len(self._values) >= count:
-            return
+    def ensure(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The table, holding at least `count` levels."""
+        table = self._table
+        if len(table[0]) >= count:
+            return table
         with self._lock:
             limit = max(self._limit, 16)
-            while len(self._values) < count:
+            while len(self._table[0]) < count:
                 limit *= 2
                 self._rebuild(limit)
+            return self._table
 
     def _rebuild(self, limit: int) -> None:
         m = math.isqrt(limit) + 1
@@ -553,13 +560,16 @@ class _LatticeTable:
         sums = sums[sums <= limit]
         counts = np.bincount(sums, minlength=limit + 1)
         values = np.nonzero(counts)[0]
-        self._values = [int(v) for v in values]
-        self._degeneracy = [int(counts[v]) for v in values]
+        degeneracy = counts[values]
+        table = (values.astype(float), degeneracy, np.log(degeneracy.astype(float)))
+        for arr in table:
+            arr.flags.writeable = False
+        self._table = table
         self._limit = limit
 
     def level(self, n: int) -> tuple[int, int]:
-        self.ensure(n)
-        return self._degeneracy[n - 1], self._values[n - 1]
+        values, degeneracy, _ = self.ensure(n)
+        return int(degeneracy[n - 1]), int(values[n - 1])
 
 
 _LATTICE_TABLE = _LatticeTable()
@@ -585,13 +595,12 @@ class Lattice3D(SequenceFamily):
         return self.scale * val
 
     def sigma_array(self, lo, hi):
-        _LATTICE_TABLE.ensure(hi)
-        return self.scale * np.array(_LATTICE_TABLE._values[lo - 1 : hi], dtype=float)
+        values = _LATTICE_TABLE.ensure(hi)[0]
+        return self.scale * values[lo - 1 : hi]
 
     def log_terms(self, y, lo, hi):
-        _LATTICE_TABLE.ensure(hi)
-        deg = np.array(_LATTICE_TABLE._degeneracy[lo - 1 : hi], dtype=float)
-        return np.log(deg) + self.sigma_array(lo, hi) * y
+        values, _, ln_degeneracy = _LATTICE_TABLE.ensure(hi)
+        return ln_degeneracy[lo - 1 : hi] + self.scale * values[lo - 1 : hi] * y
 
     @property
     def alpha(self):
@@ -865,11 +874,8 @@ def lattice_levels(scale: float, count: int) -> list[tuple[int, float]]:
         raise DomainError("count must be >= 1")
     if scale <= 0.0:
         raise DomainError("scale must be positive")
-    _LATTICE_TABLE.ensure(count)
-    return [
-        (_LATTICE_TABLE._degeneracy[i], scale * _LATTICE_TABLE._values[i])
-        for i in range(count)
-    ]
+    values, degeneracy, _ = _LATTICE_TABLE.ensure(count)
+    return list(zip(degeneracy[:count].tolist(), (scale * values[:count]).tolist()))
 
 
 def prefix_stats(family: SequenceFamily, n: int) -> PrefixStats:

@@ -33,7 +33,7 @@ from .errors import (
     RangeError,
     UnsupportedFamilyError,
 )
-from .rootfind import minimize_convex_2d, solve_bracketed
+from .rootfind import minimize_convex_2d
 from .sequences import (
     SequenceFamily,
     ShiftedSigma,
@@ -57,6 +57,12 @@ __all__ = [
 # boundary take its closed-form value; the snap error is O(rtol ln(1/rtol)),
 # which must stay below the 1e-8 weak-duality slack.
 _REGION_RTOL = 1e-12
+
+
+def _on_ray(v: float, ray: float) -> bool:
+    """v within _REGION_RTOL of the boundary value ray, relative to the
+    larger of the two, so that scaling (u, v) never moves a point on or off."""
+    return abs(v - ray) <= _REGION_RTOL * max(abs(v), abs(ray))
 
 
 class Region(Enum):
@@ -135,6 +141,19 @@ class EpsilonMember:
     terms: tuple[float, ...]
 
 
+def _prefix_pass(log_p, s, lam):
+    """phi_n(-lam), its lam-derivative -Var_n(sigma) and ln Z_n(lam) for the
+    prefix weights exp(log_p - s lam), from one exp over the prefix."""
+    lw = log_p - s * lam
+    m = lw.max()
+    e = np.exp(lw - m)
+    z0 = e.sum()
+    se = s * e
+    phi = float(se.sum() / z0)
+    var = float((s * se).sum() / z0) - phi * phi
+    return phi, -var, float(m) + math.log(float(z0))
+
+
 class EpsilonFamily:
     """Feasible truncated sequences for a target beyond theta2: the n-th
     member matches both constraints exactly and its objective
@@ -148,45 +167,92 @@ class EpsilonFamily:
         self.value = value
 
     def member(self, n: int) -> EpsilonMember:
-        """The n-term member; RangeError when n is too small to reach v/u.
-        The prefix's log weights and levels are built once and shared by
-        every step of the root search for lam."""
-        w = self.v / self.u
-        a = self._prof.alpha
+        """The n-term member; RangeError when n is too small to reach v/u,
+        that is unless phi_n(-alpha) < v/u < phi_n(0) for the prefix slope
+        phi_n.  lam solves phi_n(-lam) = v/u by a bracket-safeguarded Newton
+        iteration on [0, alpha], one pass over the prefix per step."""
+        return self._member(n, 0.0)
+
+    def _member(self, n: int, start: float) -> EpsilonMember:
+        """member(n) with the Newton iteration started at lam = start."""
         log_p = self._family.log_terms(0.0, 1, n)
         s = self._family.sigma_array(1, n)
-
-        def phi_prefix(t):
-            lw = log_p + s * t
-            e = np.exp(lw - lw.max())
-            return float((s * e).sum() / e.sum())
-
-        if not phi_prefix(-a) < w < phi_prefix(0.0):
-            raise RangeError(f"truncation n={n} cannot reach slope {w}")
-
-        def g(lam):
-            return phi_prefix(-lam) - w
-
-        res = solve_bracketed(
-            g, 0.0, a, g(0.0), g(a), residual_tol=1e-12 * max(1.0, w), x_tol=1e-14
-        )
-        lam = res.x
-        lw = log_p - s * lam
-        m = float(lw.max())
-        z = m + math.log(float(np.exp(lw - m).sum()))
-        ups = math.log(self.u) - z
-        terms = tuple(float(t) for t in np.exp(ups + lw))
+        lam, log_z = self._root(log_p, s, self.v / self.u, start)
+        ups = math.log(self.u) - log_z
+        terms = tuple(np.exp(ups + (log_p - s * lam)).tolist())
         objective = (ups - 1.0) * self.u - lam * self.v
         return EpsilonMember(n, lam, ups, objective, terms)
 
+    def _root(self, log_p, s, w, lam):
+        """(lam, ln Z_n(lam)) with g(lam) = phi_n(-lam) - w <= 1e-12 max(1, w)
+        in absolute value, or a bracket narrower than 1e-14 max(1, |lo|, |hi|),
+        by Newton from `lam`.  g decreases on [0, alpha], so an iterate with
+        g > 0 proves phi_n(0) > w and one with g < 0 proves phi_n(-alpha) < w;
+        an endpoint is evaluated only when no iterate has proved its side.
+        A Newton step is taken strictly inside the bracket and when it at
+        most halves the step before it; otherwise the bracket is bisected, or
+        its unproved end evaluated when the step points past it."""
+        a = self._prof.alpha
+        r_tol = 1e-12 * max(1.0, w)
+        lo, hi = 0.0, a  # g(lo) > 0 > g(hi) once lo_ok, hi_ok
+        lo_ok = hi_ok = False
+        best = (math.inf, lam, None)
+        last_step = math.inf
+        for _ in range(200):
+            phi, dg, log_z = _prefix_pass(log_p, s, lam)
+            g = phi - w
+            if (lam == 0.0 and not g > 0.0) or (lam == a and not g < 0.0):
+                raise RangeError(f"truncation n={len(s)} cannot reach slope {w}")
+            if abs(g) <= best[0]:
+                best = (abs(g), lam, log_z)
+            if g > 0.0:
+                lo, lo_ok = lam, True
+            elif g < 0.0:
+                hi, hi_ok = lam, True
+            if abs(g) <= r_tol:
+                break
+            if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
+                _, lam, log_z = best
+                break
+            nxt = lam - g / dg if dg < 0.0 else (hi if g > 0.0 else lo)
+            if nxt >= hi and not hi_ok:
+                nxt = a
+            elif nxt <= lo and not lo_ok:
+                nxt = 0.0
+            elif not (lo < nxt < hi and abs(nxt - lam) <= 0.5 * abs(last_step)):
+                nxt = 0.5 * (lo + hi)
+            last_step, lam = nxt - lam, nxt
+        else:
+            raise BudgetError(
+                f"epsilon member root search used 200 steps; best |g|={best[0]:.3e} "
+                f"at lam={best[1]!r} exceeds tolerance {r_tol:.3e}"
+            )
+        for end, ok in ((0.0, lo_ok), (a, hi_ok)):
+            if not ok:
+                g = _prefix_pass(log_p, s, end)[0] - w
+                if not (g > 0.0 if end == 0.0 else g < 0.0):
+                    raise RangeError(f"truncation n={len(s)} cannot reach slope {w}")
+        return lam, log_z
+
     def converge(self, epsilon: float, n_max: int = 2**20, start: int = 8) -> EpsilonMember:
         """Double the truncation from `start` until the member objective is
-        within epsilon of the value."""
+        within epsilon of the value.  Each member's Newton iteration starts
+        from the previous roots: the gap alpha - lam_n shrinks by a roughly
+        constant factor per doubling, so the next gap is extrapolated as
+        (alpha - lam_k)^2 / (alpha - lam_{k-1})."""
+        a = self._prof.alpha
         n = start
         last = None
+        roots = []
         while n <= n_max:
+            guess = roots[-1] if roots else 0.0
+            if len(roots) >= 2:
+                gap, prev = a - roots[-1], a - roots[-2]
+                if 0.0 < gap < prev:
+                    guess = a - gap * gap / prev
             try:
-                last = self.member(n)
+                last = self._member(n, guess)
+                roots.append(last.lam)
                 if abs(last.objective - self.value) <= epsilon:
                     return last
             except RangeError:
@@ -283,15 +349,20 @@ class EmpSolver:
 
     def classify(self, u: float, v: float) -> Region:
         """Region of (u, v) with respect to dom S, the attainment cone and
-        the degenerate -inf cases (evaluated in normalized coordinates)."""
+        the degenerate -inf cases (evaluated in normalized coordinates).
+        Boundaries snap within _REGION_RTOL of the larger of |v| and the
+        boundary ray, so the region depends on v/u only; RangeError when u
+        or v is nan or infinite."""
+        for name, val in (("u", u), ("v", v)):
+            if not math.isfinite(val):
+                raise RangeError(f"{name} must be finite, got {val}")
         if self._degenerate == "constant":
             if u == 0.0 and v == 0.0:
                 return Region.ORIGIN
             if u < 0.0 or u == 0.0:
                 return Region.INFEASIBLE_NEGATIVE
             ray = self._sigma1 * u
-            scale = max(1.0, abs(v), abs(ray))
-            if abs(v - ray) <= _REGION_RTOL * scale:
+            if _on_ray(v, ray):
                 return Region.DEGENERATE_CONSTANT_SIGMA
             # off the ray there is no feasible sequence at all
             return Region.BELOW_CONE if v < ray else Region.INFEASIBLE_NEGATIVE
@@ -304,21 +375,18 @@ class EmpSolver:
             return Region.ZERO_WITH_POSITIVE_V
         if self._degenerate == "divergent":
             t1 = self._theta1_div
-            scale = max(1.0, abs(v_n), t1 * u_n)
-            if abs(v_n - t1 * u_n) <= _REGION_RTOL * scale:
+            if _on_ray(v_n, t1 * u_n):
                 return Region.LOWER_BOUNDARY
             if v_n < t1 * u_n:
                 return Region.BELOW_CONE
             return Region.DEGENERATE_ALL_DIVERGENT
         prof = self._profile
-        scale1 = max(1.0, abs(v_n), abs(prof.theta1) * u_n)
-        if abs(v_n - prof.theta1 * u_n) <= _REGION_RTOL * scale1:
+        if _on_ray(v_n, prof.theta1 * u_n):
             return Region.LOWER_BOUNDARY
         if v_n < prof.theta1 * u_n:
             return Region.BELOW_CONE
         if math.isfinite(prof.theta2):
-            scale2 = max(1.0, abs(v_n), prof.theta2 * u_n)
-            if abs(v_n - prof.theta2 * u_n) <= _REGION_RTOL * scale2:
+            if _on_ray(v_n, prof.theta2 * u_n):
                 return Region.UPPER_BOUNDARY_THETA2
             if v_n > prof.theta2 * u_n:
                 return Region.BEYOND_THETA2

@@ -92,6 +92,25 @@ class TestSolveTwoMbBe:
         assert sol.multipliers[1] == pytest.approx(0.0, abs=1e-11)
         assert sol.value == pytest.approx(math.log(0.5) - 1.0, abs=1e-12)
 
+    def test_tiny_interior_target(self):
+        # an absolute 1e-12 snap put every target below it on the lower edge
+        sol = solve_two_mb_be(MB, (1.0, 1.0), (1.0, 2.0), 1e-300, 1.5e-300)
+        assert sol.boundary_flag is BoundaryFlag.INTERIOR_KKT
+        assert sol.u_bar == pytest.approx((0.5e-300, 0.5e-300), rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(1e-3, 1e3),
+        st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.5, 2.5)),
+        st.floats(-200.0, 200.0),
+    )
+    def test_cone_position_is_scale_invariant(self, u, w, log_t):
+        from entromin.finite import _cone_position
+
+        sigma = [1.0, 2.0, 1.5]
+        t = 10.0**log_t
+        assert _cone_position(sigma, t * u, t * w * u) == _cone_position(sigma, u, w * u)
+
     def test_mb_lower_edge(self):
         sol = solve_two_mb_be(MB, (1.0, 1.0), (1.0, 2.0), 2.0, 2.0)
         assert sol.u_bar == pytest.approx((2.0, 0.0), abs=1e-14)

@@ -3,7 +3,10 @@ statistics, minimum-level sets, and — most importantly — soundness of every
 certified tail bound against brute-force summation."""
 
 import math
+import sys
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +29,7 @@ from entromin import (
     sigma_min_set,
     tail_bound,
 )
+from entromin import sequences
 from entromin.sequences import flipped
 
 from conftest import brute_force_series, brute_force_tail, lattice_triples
@@ -76,6 +80,78 @@ class TestLatticeLevels:
             lattice_levels(1.0, 0)
         with pytest.raises(DomainError):
             lattice_levels(-1.0, 3)
+
+
+class TestLatticeTableThreads:
+    """Lattice3D shares one lazily extended level table between threads."""
+
+    def test_readers_never_see_a_half_published_table(self, monkeypatch):
+        # pause the writer after each attribute it sets while extending the
+        # table, and let another thread read the levels being added: it must
+        # find either too few levels (and wait for the lock) or all of them
+        # with matching degeneracies
+        table = sequences._LatticeTable()
+        monkeypatch.setattr(sequences, "_LATTICE_TABLE", table)
+        fam = Lattice3D(1.0)
+        fam.log_terms(-1.0, 1, 8)  # builds the levels up to 32
+        ref = lattice_triples(64)
+        target = len(ref)  # one rebuild, to 64, adds the missing levels
+        want = np.log([float(ref[k]) for k in sorted(ref)]) - 0.5 * np.array(sorted(ref))
+        errors, readers = [], []
+
+        def read():
+            try:
+                got = fam.log_terms(-0.5, 1, target)
+                assert np.array_equal(got, want)
+                assert np.array_equal(fam.sigma_array(1, target), sorted(ref))
+            except Exception as exc:  # reported below, from the test's thread
+                errors.append(exc)
+
+        def pausing_setattr(obj, name, value):
+            object.__setattr__(obj, name, value)
+            reader = threading.Thread(target=read)
+            readers.append(reader)
+            reader.start()
+            reader.join(timeout=2.0)
+
+        monkeypatch.setattr(sequences._LatticeTable, "__setattr__", pausing_setattr)
+        read()
+        monkeypatch.undo()
+        for reader in readers:
+            reader.join(timeout=10.0)
+            assert not reader.is_alive()
+        assert readers and not errors, errors
+
+    def test_concurrent_growth(self, monkeypatch):
+        table = sequences._LatticeTable()
+        monkeypatch.setattr(sequences, "_LATTICE_TABLE", table)
+        fam = Lattice3D(1.0)
+        ref = lattice_triples(1000)
+        ref_values = np.array(sorted(ref), dtype=float)
+        errors = []
+
+        def read(offset):
+            try:
+                for count in range(50 + offset, len(ref), 37):
+                    s = fam.sigma_array(1, count)
+                    lt = fam.log_terms(0.0, 1, count)
+                    assert np.array_equal(s, ref_values[:count])
+                    assert len(lt) == count
+            except Exception as exc:  # reported below, from the test's thread
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert not errors, errors
 
 
 class TestPrefixStats:

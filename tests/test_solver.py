@@ -16,6 +16,7 @@ from entromin import (
     DomainError,
     EmpSolution,
     EmpSolver,
+    EpsilonFamily,
     Entropy,
     ExplosiveWeights,
     InverseFailure,
@@ -27,6 +28,8 @@ from entromin import (
     series,
     solve_two_mb_be,
 )
+from entromin import solver as solver_module
+from entromin.rootfind import solve_bracketed
 
 from conftest import LN2, ZETA2, ZETA3
 
@@ -104,6 +107,62 @@ class TestClassify:
             assert value == 0.0
         else:
             assert value < math.inf
+
+    @pytest.mark.parametrize(
+        "u,v,name",
+        [
+            (math.nan, 2.0, "u"),
+            (math.inf, 2.0, "u"),
+            (-math.inf, 2.0, "u"),
+            (1.0, math.nan, "v"),
+            (1.0, math.inf, "v"),
+            (1.0, -math.inf, "v"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s, u, v: s.classify(u, v),
+            lambda s, u, v: s.value_mb(u, v),
+            lambda s, u, v: s.h_star_mb(u, v),
+            lambda s, u, v: s.solve_mb(u, v),
+            lambda s, u, v: s.inverse_solve_bf(BE, u, v),
+        ],
+        ids=["classify", "value_mb", "h_star_mb", "solve_mb", "inverse_solve_bf"],
+    )
+    def test_non_finite_input_rejected(self, geo_solver, call, u, v, name):
+        with pytest.raises(RangeError, match=rf"^{name} must be finite"):
+            call(geo_solver, u, v)
+
+    def test_tiny_target_is_interior(self, geo_solver):
+        # with an absolute snap, every point below 1e-12 was on the boundary
+        assert geo_solver.classify(1e-300, 5e-300) is Region.INTERIOR
+        sol = geo_solver.solve_mb(1e-300, 5e-300)
+        assert sol.region is Region.INTERIOR
+        assert sol.multipliers[1] == pytest.approx(math.log(0.8), abs=1e-11)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["geo", "zeta", "const", "divergent"]),
+        st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)),
+        st.one_of(st.sampled_from(["theta1", "theta2"]), st.floats(-2.0, 8.0)),
+        st.floats(-200.0, 200.0),
+    )
+    def test_region_is_scale_invariant(self, geo_solver, zeta_solver, const_solver,
+                                       divergent_solver, which, u, w, log_t):
+        solver = {
+            "geo": geo_solver, "zeta": zeta_solver,
+            "const": const_solver, "divergent": divergent_solver,
+        }[which]
+        # the boundary slopes of each family: theta1 (the constant level of
+        # Arithmetic(5, 0)) and theta2 where it is finite
+        bounds = {"geo": (1.0, 1.0), "zeta": (1.0, zeta_solver.profile.theta2),
+                  "const": (5.0, 5.0), "divergent": (1.0, 1.0)}[which]
+        if isinstance(w, str):
+            w = bounds[0] if w == "theta1" else bounds[1]
+        v = w * u if u != 0.0 else w
+        t = 10.0**log_t
+        assert solver.classify(t * u, t * v) is solver.classify(u, v)
 
 
 class TestValueMb:
@@ -280,6 +339,111 @@ class TestEpsilonFamily:
         sol = zeta_solver.solve_mb(1.0, 6.0)
         with pytest.raises(RangeError):
             sol.epsilon_family.member(2)
+
+    # -- the member root against secant/bisection on the same prefix ---------
+
+    @staticmethod
+    def _prefix_slope(fam, n):
+        log_p = fam.log_terms(0.0, 1, n)
+        s = fam.sigma_array(1, n)
+
+        def phi(t):
+            lw = log_p + s * t
+            e = np.exp(lw - lw.max())
+            return float((s * e).sum() / e.sum())
+
+        return phi
+
+    @classmethod
+    def _reference_lam(cls, eps_fam, n):
+        """lam by solve_bracketed on [0, alpha]; None when n cannot reach v/u."""
+        w = eps_fam.v / eps_fam.u
+        a = eps_fam._prof.alpha
+        phi = cls._prefix_slope(eps_fam._family, n)
+        if not phi(-a) < w < phi(0.0):
+            return None
+
+        def g(lam):
+            return phi(-lam) - w
+
+        return solve_bracketed(
+            g, 0.0, a, g(0.0), g(a), residual_tol=1e-12 * max(1.0, w), x_tol=1e-14
+        ).x
+
+    @staticmethod
+    def _eps_family(solver, w):
+        sol = solver.solve_mb(1.0, w)
+        assert sol.region is Region.BEYOND_THETA2
+        return sol.epsilon_family
+
+    @pytest.mark.parametrize("params", [(1.0, 3.0), (0.5, 4.0)])
+    @pytest.mark.parametrize("ratio", [1.05, 1.3, 2.0])
+    def test_member_root_matches_bracketed_reference(self, params, ratio):
+        solver = EmpSolver(WeightedGeometric(*params))
+        w = ratio * solver.profile.theta2
+        eps_fam = self._eps_family(solver, w)
+        checked = 0
+        for n in (8, 64, 256, 1024, 4096):
+            ref = self._reference_lam(eps_fam, n)
+            if ref is None:
+                with pytest.raises(RangeError):
+                    eps_fam.member(n)
+                continue
+            member = eps_fam.member(n)
+            assert member.lam == pytest.approx(ref, abs=1e-12)
+            phi = self._prefix_slope(eps_fam._family, n)
+            assert abs(phi(-member.lam) - w) <= 1e-12 * max(1.0, w)
+            checked += 1
+        assert checked >= 3
+
+    @pytest.mark.parametrize("w", [1.5, 2.0])
+    def test_converge_matches_reference_doubling(self, zeta_solver, w):
+        eps_fam = self._eps_family(zeta_solver, w)
+        got = eps_fam.converge(1e-3)
+        n = 8
+        while True:
+            ref = self._reference_lam(eps_fam, n)
+            if ref is not None:
+                lw = eps_fam._family.log_terms(0.0, 1, n) - eps_fam._family.sigma_array(1, n) * ref
+                m = float(lw.max())
+                ups = math.log(eps_fam.u) - (m + math.log(float(np.exp(lw - m).sum())))
+                objective = (ups - 1.0) * eps_fam.u - ref * eps_fam.v
+                if abs(objective - eps_fam.value) <= 1e-3:
+                    break
+            n *= 2
+        assert got.n == n
+        assert got.lam == pytest.approx(ref, abs=1e-12)
+        assert got.objective == pytest.approx(objective, abs=1e-12 * max(1.0, abs(objective)))
+
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    def test_range_error_exactly_at_the_edges(self, zeta_solver, n):
+        base = self._eps_family(zeta_solver, 2.0)
+        phi = self._prefix_slope(base._family, n)
+        a = base._prof.alpha
+        for edge, inside in ((phi(0.0), -math.inf), (phi(-a), math.inf)):
+            at = EpsilonFamily(base._family, base._prof, 1.0, edge, base.value)
+            with pytest.raises(RangeError):
+                at.member(n)
+            w = math.nextafter(edge, inside)
+            near = EpsilonFamily(base._family, base._prof, 1.0, w, base.value)
+            member = near.member(n)
+            assert 0.0 <= member.lam <= a
+            assert abs(phi(-member.lam) - w) <= 1e-12 * max(1.0, w)
+
+    def test_passes_per_converge(self, zeta_solver, monkeypatch):
+        eps_fam = self._eps_family(zeta_solver, 2.0)
+        calls = []
+        orig = solver_module._prefix_pass
+
+        def counting(log_p, s, lam):
+            calls.append(len(s))
+            return orig(log_p, s, lam)
+
+        monkeypatch.setattr(solver_module, "_prefix_pass", counting)
+        member = eps_fam.converge(1e-3)
+        members = int(math.log2(member.n // 8)) + 1
+        # secant/bisection took about 40 passes per member
+        assert len(calls) <= 7 * members
 
 
 class TestDichotomyBeyondTheta2:
