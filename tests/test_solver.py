@@ -145,7 +145,13 @@ class TestClassify:
     @given(
         st.sampled_from(["geo", "zeta", "const", "divergent"]),
         st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)),
-        st.one_of(st.sampled_from(["theta1", "theta2"]), st.floats(-2.0, 8.0)),
+        # slopes below 1e-100 in magnitude are left out: with t down to
+        # 1e-200, t * v would underflow to a subnormal or to 0, and (0, 0) is
+        # the origin, not a rescaled (0, v)
+        st.one_of(
+            st.sampled_from(["theta1", "theta2"]),
+            st.floats(-2.0, 8.0).filter(lambda w: w == 0.0 or abs(w) >= 1e-100),
+        ),
         st.floats(-200.0, 200.0),
     )
     def test_region_is_scale_invariant(self, geo_solver, zeta_solver, const_solver,
