@@ -2,14 +2,15 @@
 """Per-layer benchmark: work counts and wall time of two solver paths.
 
 Cases, with targets drawn exactly as perfbench's mb-point workload draws
-them (perfbench/workloads.py, one cycle per seed):
+them (perfbench/workloads.py, one cycle per seed in SEEDS):
 
   epsilon_converge     EpsilonFamily.converge(1e-3) on every beyond-theta2
                        target (WeightedGeometric(1, 3), slopes 1.4 to 2.0);
   lattice_interior     solve_mb on every interior Lattice3D(1) target.
 
 Work counts are deterministic and come from wrapping the library from
-outside; nothing in src/ counts:
+outside; nothing in src/ counts.  All but the first come from perfbench's
+tracer (perfbench/tracing.py):
 
   prefix_passes        np.exp calls made by entromin.solver during one
                        converge: one per evaluation of the prefix slope
@@ -18,15 +19,16 @@ outside; nothing in src/ counts:
                        search does not return it);
   prefix_terms         elements those calls exponentiate;
   members              truncations tried (one log_terms(0, 1, n) each);
-  series_passes        Lattice3D.log_terms calls starting at n = 1 during
-                       one solve_mb: one per certified series pass;
-  series_terms         elements all Lattice3D.log_terms calls return.
+  series_passes        log_terms calls starting at n = 1 during one
+                       solve_mb: one per certified series pass;
+  series_terms         elements all log_terms calls return.
 
 Wall time is the median (with quartiles) over targets of each target's
-median of --repeats calls, after one untimed warm-up call per target.
+median of REPEATS calls, after one untimed warm-up call per target.  All
+timing runs before the tracer is installed.
 
 Usage, from the repository root:
-    python scripts/bench.py --out BENCH.json [--src PATH] [--seeds 9001 9002 9003]
+    python scripts/bench.py --out BENCH.json [--src PATH]
 
 --src points at another checkout's src/ to measure it with the same bench
 code, e.g. a parent commit exported next to this one.
@@ -45,6 +47,8 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (9001, 9002, 9003)
+REPEATS = 5
 
 
 class _CountingNumpy:
@@ -80,101 +84,88 @@ def _summary(per_target):
     }
 
 
-def _timed(fn, repeats):
+def _timed(fn):
     fn()
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
 
 
-def _targets(workloads, np, seeds):
+def _counted(tracer, fn, keys):
+    """fn()'s result and {out: tracer count named key} for that one call."""
+    tracer.reset_counters()
+    result = fn()
+    counts = tracer.counts_now()
+    return result, {out: counts[key] for out, key in keys.items()}
+
+
+def _targets(workloads, np):
     wl = workloads.MbPoint()
-    return [r for seed in seeds for r in wl.requests(np.random.default_rng(seed))]
+    return [r for seed in SEEDS for r in wl.requests(np.random.default_rng(seed))]
 
 
-def bench_converge(entromin, workloads, np, reqs, repeats):
-    from entromin import solver
-
+def _families(entromin, workloads, reqs):
+    """Epsilon families of the beyond-theta2 weighted-geometric targets."""
     es = entromin.EmpSolver(workloads.build_family(entromin, "weighted-geometric"))
     fams = [
         es.solve_mb(*r.args).epsilon_family
         for r in reqs
         if r.family == "weighted-geometric"
     ]
-    fams = [f for f in fams if f is not None]
-    per_target, times, results = [], [], []
-    for fam in fams:
-        counts = Counter()
-        orig_log_terms = type(fam._family).log_terms
-
-        def counting_log_terms(self, y, lo, hi, _orig=orig_log_terms, _c=counts):
-            _c["members"] += 1
-            return _orig(self, y, lo, hi)
-
-        solver.np = _CountingNumpy(np, counts)
-        type(fam._family).log_terms = counting_log_terms
-        try:
-            member = fam.converge(1e-3)
-        finally:
-            solver.np = np
-            type(fam._family).log_terms = orig_log_terms
-        per_target.append(
-            {k: counts[k] for k in ("prefix_passes", "prefix_terms", "members")}
-        )
-        results.append((member.n, member.lam, member.objective))
-        times.append(_timed(lambda f=fam: f.converge(1e-3), repeats))
-    return {
-        "targets": len(fams),
-        "counts_per_converge": _summary(per_target),
-        "n_returned": dict(sorted(Counter(n for n, _, _ in results).items())),
-        "wall_ms_per_converge": {k: 1e3 * v for k, v in _quartiles(times).items()},
-    }
+    return [f for f in fams if f is not None]
 
 
-def bench_lattice(entromin, workloads, reqs, repeats):
-    from entromin import sequences
-
+def _lattice(entromin, workloads, reqs):
+    """The Lattice3D solver and its interior targets."""
     es = entromin.EmpSolver(workloads.build_family(entromin, "lattice3d"))
     targets = [
         r.args
         for r in reqs
         if r.family == "lattice3d" and es.classify(*r.args).value == "interior"
     ]
-    cls = sequences.Lattice3D
-    orig = cls.log_terms
-    per_target, times = [], []
-    for u, v in targets:
-        counts = Counter()
+    return es, targets
 
-        def counting(self, y, lo, hi, _c=counts):
-            out = orig(self, y, lo, hi)
-            _c["series_passes"] += lo == 1
-            _c["series_terms"] += len(out)
-            return out
 
-        cls.log_terms = counting
+def count_converge(tracer, np, fams):
+    from entromin import solver
+
+    per_target, results = [], []
+    for fam in fams:
+        exps = Counter()
+        solver.np = _CountingNumpy(np, exps)
         try:
-            es.solve_mb(u, v)
+            member, counts = _counted(
+                tracer, lambda f=fam: f.converge(1e-3), {"members": "sequences.log_terms.calls"}
+            )
         finally:
-            cls.log_terms = orig
-        per_target.append({k: counts[k] for k in ("series_passes", "series_terms")})
-        times.append(_timed(lambda u=u, v=v: es.solve_mb(u, v), repeats))
+            solver.np = np
+        per_target.append({**exps, **counts})
+        results.append(member.n)
     return {
-        "targets": len(targets),
-        "counts_per_solve": _summary(per_target),
-        "wall_ms_per_solve": {k: 1e3 * v for k, v in _quartiles(times).items()},
+        "counts_per_converge": _summary(per_target),
+        "n_returned": dict(sorted(Counter(results).items())),
     }
+
+
+def count_lattice(tracer, es, targets):
+    keys = {"series_passes": "series.passes", "series_terms": "sequences.terms"}
+    per_target = [
+        _counted(tracer, lambda u=u, v=v: es.solve_mb(u, v), keys)[1] for u, v in targets
+    ]
+    return {"counts_per_solve": _summary(per_target)}
+
+
+def _wall(times):
+    return {k: 1e3 * v for k, v in _quartiles(times).items()}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--src", default="src", help="entromin source tree (default: this checkout's)")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[9001, 9002, 9003])
-    ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str((ROOT / args.src).resolve()))
@@ -182,20 +173,32 @@ def main(argv=None) -> int:
     import numpy as np
 
     import entromin
+    import tracing
     import workloads
 
-    reqs = _targets(workloads, np, args.seeds)
+    reqs = _targets(workloads, np)
+    fams = _families(entromin, workloads, reqs)
+    es, lattice = _lattice(entromin, workloads, reqs)
+    converge_ms = _wall([_timed(lambda f=f: f.converge(1e-3)) for f in fams])
+    lattice_ms = _wall([_timed(lambda u=u, v=v: es.solve_mb(u, v)) for u, v in lattice])
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    tracer.active = True
+    converge = {"targets": len(fams), **count_converge(tracer, np, fams),
+                "wall_ms_per_converge": converge_ms}
+    lattice = {"targets": len(lattice), **count_lattice(tracer, es, lattice),
+               "wall_ms_per_solve": lattice_ms}
+    tracer.active = False
+
     record = {
         "src": args.src,
-        "seeds": args.seeds,
-        "repeats": args.repeats,
+        "seeds": list(SEEDS),
+        "repeats": REPEATS,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": os.cpu_count(),
-        "cases": {
-            "epsilon_converge": bench_converge(entromin, workloads, np, reqs, args.repeats),
-            "lattice_interior": bench_lattice(entromin, workloads, reqs, args.repeats),
-        },
+        "cases": {"epsilon_converge": converge, "lattice_interior": lattice},
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     for name, case in record["cases"].items():

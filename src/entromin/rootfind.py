@@ -1,4 +1,4 @@
-"""The library's two root finders.
+"""The library's root finders and the step rule its Newton loops share.
 
 solve_bracketed: safeguarded scalar root finding on a sign-changing
 bracket.  Bisection with secant acceleration: the secant candidate is
@@ -7,6 +7,9 @@ the step falls back to the midpoint.  Termination is residual-driven first
 (|f| <= rtol) with an absolute width stop as a safeguard against extremely
 steep or flat functions; running out of the iteration budget without either
 certificate raises BudgetError.
+
+safeguarded_step: the next point of a bracket-safeguarded 1-D Newton
+iteration (series slope inversion, epsilon-family members).
 
 minimize_convex_2d: damped Newton on the smooth convex dual potential of
 every two-variable solve (finite bose-einstein and fermi-dirac, inverse
@@ -20,7 +23,13 @@ from dataclasses import dataclass
 
 from .errors import BudgetError, NumericalFailureError
 
-__all__ = ["RootResult", "solve_bracketed", "NewtonResult", "minimize_convex_2d"]
+__all__ = [
+    "RootResult",
+    "solve_bracketed",
+    "safeguarded_step",
+    "NewtonResult",
+    "minimize_convex_2d",
+]
 
 
 @dataclass(frozen=True)
@@ -78,6 +87,15 @@ def solve_bracketed(
         f"root search used {budget} iterations; best |f|={abs(best_f):.3e} "
         f"at x={best_x!r} exceeds tolerance {residual_tol:.3e}"
     )
+
+
+def safeguarded_step(lo: float, hi: float, x: float, nxt: float, last_step: float) -> float:
+    """The Newton candidate nxt from x when it lands strictly inside the
+    bracket (lo, hi) and moves at most half as far as the step before it;
+    otherwise the bracket's midpoint."""
+    if lo < nxt < hi and abs(nxt - x) <= 0.5 * abs(last_step):
+        return nxt
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from .errors import (
     UncertifiedError,
     UnsupportedFamilyError,
 )
+from .rootfind import safeguarded_step
 from .sequences import SequenceFamily, SigmaMinSet, sigma_min_set
 
 __all__ = [
@@ -440,10 +441,7 @@ def _invert_slope(family, w, tol) -> tuple[float, SeriesEval]:
             step = math.copysign(x_tol, -r)
         nxt = y + step
         if lo is not None and hi is not None:
-            # bisect unless the step lands inside and at least halves the
-            # step before it
-            if not (lo < nxt < hi and abs(step) <= 0.5 * abs(last_step)):
-                nxt = 0.5 * (lo + hi)
+            nxt = safeguarded_step(lo, hi, y, nxt, last_step)
         elif hi is None:
             nxt = min(nxt, 0.5 * (y - a))
             if not y < nxt < -a:

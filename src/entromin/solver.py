@@ -33,7 +33,7 @@ from .errors import (
     RangeError,
     UnsupportedFamilyError,
 )
-from .rootfind import minimize_convex_2d
+from .rootfind import minimize_convex_2d, safeguarded_step
 from .sequences import (
     SequenceFamily,
     ShiftedSigma,
@@ -219,8 +219,8 @@ class EpsilonFamily:
                 nxt = a
             elif nxt <= lo and not lo_ok:
                 nxt = 0.0
-            elif not (lo < nxt < hi and abs(nxt - lam) <= 0.5 * abs(last_step)):
-                nxt = 0.5 * (lo + hi)
+            else:
+                nxt = safeguarded_step(lo, hi, lam, nxt, last_step)
             last_step, lam = nxt - lam, nxt
         else:
             raise BudgetError(
