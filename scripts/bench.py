@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
-"""Per-layer benchmark: work counts and wall time of two solver paths.
+"""Per-layer benchmark: work counts and wall time of three solver paths.
 
-Cases, with targets drawn exactly as perfbench's mb-point workload draws
-them (perfbench/workloads.py, one cycle per seed in SEEDS):
+Cases, with targets drawn exactly as perfbench's workloads draw them
+(perfbench/workloads.py, one cycle per seed in SEEDS):
 
   epsilon_converge     EpsilonFamily.converge(1e-3) on every beyond-theta2
-                       target (WeightedGeometric(1, 3), slopes 1.4 to 2.0);
-  lattice_interior     solve_mb on every interior Lattice3D(1) target.
+                       target of mb-point (WeightedGeometric(1, 3), slopes
+                       1.4 to 2.0);
+  lattice_interior     solve_mb on every interior Lattice3D(1) target of
+                       mb-point;
+  bf_roundtrip         every bf-roundtrip target: forward_solve(kind, x, y)
+                       and then inverse_solve_bf(kind, u, v, 1e-10), BE and
+                       FD on Arithmetic(0, 1), WeightedGeometric(1, 3) and
+                       Lattice3D(1).
 
 Work counts are deterministic and come from wrapping the library from
 outside; nothing in src/ counts.  All but the first come from perfbench's
@@ -20,8 +26,13 @@ tracer (perfbench/tracing.py):
   prefix_terms         elements those calls exponentiate;
   members              truncations tried (one log_terms(0, 1, n) each);
   series_passes        log_terms calls starting at n = 1 during one
-                       solve_mb: one per certified series pass;
-  series_terms         elements all log_terms calls return.
+                       solve_mb or round trip: one per certified series
+                       pass;
+  series_terms         elements all log_terms calls return;
+  newton_points        points at which the inverse solve's damped Newton
+                       evaluates its dual potential (the start and every
+                       line-search point inside the domain), counted
+                       through the callback that returns the potential.
 
 Wall time is the median (with quartiles) over targets of each target's
 median of REPEATS calls, after one untimed warm-up call per target.  All
@@ -37,6 +48,7 @@ code, e.g. a parent commit exported next to this one.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -158,6 +170,63 @@ def count_lattice(tracer, es, targets):
     return {"counts_per_solve": _summary(per_target)}
 
 
+def _roundtrips(entromin, workloads, np):
+    """(solver, kind, x, y) for every bf-roundtrip target."""
+    wl = workloads.BfRoundtrip()
+    kinds = {"be": entromin.Entropy.BOSE_EINSTEIN, "fd": entromin.Entropy.FERMI_DIRAC}
+    reqs = [r for seed in SEEDS for r in wl.requests(np.random.default_rng(seed))]
+    solvers = {
+        fam: entromin.EmpSolver(workloads.build_family(entromin, fam)) for fam in wl.families
+    }
+    return [(solvers[r.family], kinds[r.args[0]], *r.args[1:]) for r in reqs]
+
+
+def _roundtrip(es, kind, x, y):
+    fwd = es.forward_solve(kind, x, y)
+    return es.inverse_solve_bf(kind, fwd.u, fwd.v, 1e-10)
+
+
+class _CountingNewton:
+    """solver.minimize_convex_2d counting calls of the callback that returns
+    the potential: `evaluate` (F, gradient and Hessian at one point), or
+    `potential` in trees whose Newton takes separate callbacks."""
+
+    def __init__(self, fn, counts):
+        self._fn = fn
+        self._sig = inspect.signature(fn)
+        self._counts = counts
+
+    def __call__(self, *args, **kwargs):
+        bound = self._sig.bind(*args, **kwargs)
+        name = "evaluate" if "evaluate" in bound.arguments else "potential"
+        inner = bound.arguments[name]
+
+        def counted(*a):
+            self._counts["newton_points"] += 1
+            return inner(*a)
+
+        bound.arguments[name] = counted
+        return self._fn(*bound.args, **bound.kwargs)
+
+
+def count_roundtrips(tracer, entromin, trips):
+    from entromin import solver
+
+    keys = {"series_passes": "series.passes", "series_terms": "sequences.terms"}
+    newton = solver.minimize_convex_2d
+    per_target, failures = [], 0
+    for trip in trips:
+        points = Counter()
+        solver.minimize_convex_2d = _CountingNewton(newton, points)
+        try:
+            result, counts = _counted(tracer, lambda t=trip: _roundtrip(*t), keys)
+        finally:
+            solver.minimize_convex_2d = newton
+        failures += isinstance(result, entromin.InverseFailure)
+        per_target.append({**counts, "newton_points": points["newton_points"]})
+    return {"counts_per_roundtrip": _summary(per_target), "inverse_failures": failures}
+
+
 def _wall(times):
     return {k: 1e3 * v for k, v in _quartiles(times).items()}
 
@@ -179,8 +248,10 @@ def main(argv=None) -> int:
     reqs = _targets(workloads, np)
     fams = _families(entromin, workloads, reqs)
     es, lattice = _lattice(entromin, workloads, reqs)
+    trips = _roundtrips(entromin, workloads, np)
     converge_ms = _wall([_timed(lambda f=f: f.converge(1e-3)) for f in fams])
     lattice_ms = _wall([_timed(lambda u=u, v=v: es.solve_mb(u, v)) for u, v in lattice])
+    roundtrip_ms = _wall([_timed(lambda t=t: _roundtrip(*t)) for t in trips])
 
     tracer = tracing.Tracer()
     tracer.install()
@@ -189,6 +260,8 @@ def main(argv=None) -> int:
                 "wall_ms_per_converge": converge_ms}
     lattice = {"targets": len(lattice), **count_lattice(tracer, es, lattice),
                "wall_ms_per_solve": lattice_ms}
+    roundtrip = {"targets": len(trips), **count_roundtrips(tracer, entromin, trips),
+                 "wall_ms_per_roundtrip": roundtrip_ms}
     tracer.active = False
 
     record = {
@@ -198,7 +271,11 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": os.cpu_count(),
-        "cases": {"epsilon_converge": converge, "lattice_interior": lattice},
+        "cases": {
+            "epsilon_converge": converge,
+            "lattice_interior": lattice,
+            "bf_roundtrip": roundtrip,
+        },
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     for name, case in record["cases"].items():

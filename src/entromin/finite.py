@@ -266,45 +266,44 @@ def _dual_newton(kind, p, sigma, u, v, a0: float, b0: float) -> FiniteSolution:
     """Minimize the dual sum_k p_k W*(a + b sigma_k) - a u - b v by the damped
     Newton of rootfind from (a0, b0), moved into dom W* where needed.  The
     optimum is u_k = p_k g(a + b sigma_k), g = (W*)' with g' = g (1 - a_W g);
-    residuals below ~1e-11 of the constraint scale sit in float noise."""
+    each Newton point computes g once for the gradient and the Hessian.
+    Residuals below ~1e-11 of the constraint scale sit in float noise."""
     p = np.asarray(p, dtype=float)
     s = np.asarray(sigma, dtype=float)
+    ps = p * s
     bose = kind is Entropy.BOSE_EINSTEIN
     t = a0 + b0 * s
     if bose and t.max() >= 0.0:
         a0 -= t.max() + 1.0
 
-    def occupation(a, b):
-        t = a + b * s
+    def occupation(t):
         if bose:
             return 1.0 / np.expm1(-t)  # e^t/(1-e^t)
         return np.where(t >= 0.0, 1.0 / (1.0 + np.exp(-t)), np.exp(t) / (1.0 + np.exp(t)))
 
-    def residual(a, b):
-        g = occupation(a, b)
-        return float((p * g).sum()) - u, float((p * s * g).sum()) - v
-
-    def hessian(a, b):
-        g = occupation(a, b)
-        gp = g * (1.0 - kind.a * g)
-        return float((p * gp).sum()), float((p * s * gp).sum()), float((p * s * s * gp).sum())
-
-    def potential(a, b):
+    def evaluate(a, b):
         t = a + b * s
+        g = occupation(t)
         if bose:
             conj = -np.log1p(-np.exp(t))
         else:  # softplus
             conj = np.where(t > 0.0, t + np.log1p(np.exp(-t)), np.log1p(np.exp(t)))
-        return float((p * conj).sum()) - a * u - b * v
+        gp = g * (1.0 - kind.a * g)
+        return (
+            float((p * conj).sum()) - a * u - b * v,
+            (float((p * g).sum()) - u, float((ps * g).sum()) - v),
+            (float((p * gp).sum()), float((ps * gp).sum()), float((ps * s * gp).sum())),
+        )
 
     res = minimize_convex_2d(
-        residual, hessian, potential, lambda a, b: not bose or (a + b * s).max() < 0.0,
+        evaluate, lambda a, b: not bose or (a + b * s).max() < 0.0,
         (a0, b0), (max(1.0, u), max(1.0, abs(v))), 1e-11,
     )
     if not res.converged:
         name = kind.name.lower().replace("_", "-")
         raise NumericalFailureError(f"{name} dual Newton: {res.message}")
-    u_bar = p * occupation(*res.point)
+    a, b = res.point
+    u_bar = p * occupation(a + b * s)
     value = _w_sum(kind, p, u_bar)
     return FiniteSolution(tuple(u_bar), value, res.point, BoundaryFlag.INTERIOR_KKT)
 

@@ -13,7 +13,8 @@ iteration (series slope inversion, epsilon-family members).
 
 minimize_convex_2d: damped Newton on the smooth convex dual potential of
 every two-variable solve (finite bose-einstein and fermi-dirac, inverse
-solves over countable families), with backtracking kept in its domain.
+solves over countable families), with backtracking kept in its domain; one
+callback gives the potential, its gradient and its Hessian at a point.
 """
 
 from __future__ import annotations
@@ -109,13 +110,13 @@ class NewtonResult:
     message: str = ""
 
 
-def minimize_convex_2d(
-    residual, hessian, potential, in_domain, start, scales, tol
-) -> NewtonResult:
+def minimize_convex_2d(evaluate, in_domain, start, scales, tol) -> NewtonResult:
     """Damped Newton from `start` for the minimizer of a smooth, strictly
-    convex F: residual(x, y) is its gradient, hessian(x, y) its
-    (h_xx, h_xy, h_yy), potential(x, y) F itself and in_domain(x, y) tells
-    whether F is finite there.
+    convex F: evaluate(x, y) returns (F, (r0, r1), (h00, h01, h11)), F with
+    its gradient and its Hessian at one point, so that a caller can get all
+    three from one pass over its terms; in_domain(x, y) tells whether F is
+    finite there.  Each point is evaluated once: a line-search point that is
+    accepted brings its gradient and Hessian to the next step.
 
     One rule on norm = max_i |r_i| / scales[i]: stop at tol.  Below 1e-6,
     the quadratic basin, the Armijo decrease of F sinks below float noise,
@@ -126,11 +127,10 @@ def minimize_convex_2d(
     """
     basin = 1e-6
     x, y = start
-    d_cur = potential(x, y)
+    d_cur, (r0, r1), hess = evaluate(x, y)
     best, best_norm, stale = None, math.inf, 0
     message = "no convergence in 100 steps"
     for _ in range(100):
-        r0, r1 = residual(x, y)
         norm = max(abs(r0) / scales[0], abs(r1) / scales[1])
         if norm < best_norm:
             best, best_norm, stale = ((x, y), (r0, r1)), norm, 0
@@ -141,7 +141,7 @@ def minimize_convex_2d(
         if stale >= 4:
             message = "stalled"
             break
-        h00, h01, h11 = hessian(x, y)
+        h00, h01, h11 = hess
         det = h00 * h11 - h01 * h01
         if det <= 0.0 or not math.isfinite(det):
             return NewtonResult((x, y), (r0, r1), False, "dual hessian degenerate")
@@ -152,14 +152,14 @@ def minimize_convex_2d(
         for _ in range(60):
             xx, yy = x + step * dx, y + step * dy
             if in_domain(xx, yy):
-                d_new = potential(xx, yy)
+                d_new, r_new, h_new = evaluate(xx, yy)
                 if norm <= basin or d_new <= d_cur + 1e-4 * step * slope:
                     break
             step *= 0.5
         else:
             message = "line search stalled"
             break
-        x, y, d_cur = xx, yy, d_new
+        x, y, d_cur, (r0, r1), hess = xx, yy, d_new, r_new, h_new
     if best_norm <= max(tol, 1e-9):
         return NewtonResult(*best, True)
     return NewtonResult((x, y), (r0, r1), False, f"{message} at residual {best_norm:.3e}")

@@ -11,6 +11,12 @@ from zero), and profiles record which of the three endpoint regimes holds:
   (c) closed with gamma < inf, the only case with a finite slope bound
       theta2 = gamma / f(-alpha).
 
+Every sum comes from one certified block-doubling loop, _eval_many, which
+can carry several sums through one pass: the moments of f, or h_W, its
+gradient and its Hessian at one point (_dual_point), each with its own
+tolerance and tail bracket.  eval_h, grad_h and hessian_h are the
+one-quantity entry points to it.
+
 The increasing bijection phi = f'/f : (-inf, -alpha) -> (theta1, theta2) is
 inverted by a bracket-safeguarded Newton iteration whose derivative
 phi' = f''/f - phi^2 comes from the same certified pass as phi; the
@@ -62,6 +68,8 @@ __all__ = [
 _TERM_BUDGET = 2**23
 _START_BLOCK = 64
 _MB = Entropy.MAXWELL_BOLTZMANN
+_UNIT = (1.0, 1.0)
+_add_reduce = np.add.reduce  # ndarray.sum() without its Python-level wrapper
 
 
 class BoundaryCase(Enum):
@@ -118,14 +126,18 @@ class HalfLine:
 # core summation with certified tails
 
 
-def _eval_many(family, y, tols, moments, x=0.0, kind=_MB, what="conj", boundary=False):
-    """Partial sums of p_n sigma_n^k m(t_n) exp(t_n), t_n = x + sigma_n y, for
-    each k in `moments`, stopped when every tail bracket is narrower than its
-    tolerance: the one certified block-doubling loop.  Maxwell-boltzmann
-    sums, the moments of f at x = 0 among them, have m = 1; for the other
-    entropies m(t) e^t is (W*)(t), (W*)' or (W*)'' as `what` is 'conj',
-    'grad' or 'hess' (_mult_arrays), and the f-tail brackets times exp(x)
-    widen by m's bounds over the tail (_mult_bounds).
+def _eval_many(family, y, tols, x=0.0, kind=_MB, boundary=False):
+    """Certified sums of p_n sigma_n^k m(t_n) exp(t_n), t_n = x + sigma_n y,
+    one SeriesEval per key (m, k) of `tols`, in its order, from the one
+    certified block-doubling loop, stopped when every tail bracket is
+    narrower than its sum's tolerance.  m = None, and every m under
+    maxwell-boltzmann, is the unit multiplier: the moments of f are the x = 0
+    case.  Otherwise m(t) e^t is (W*)(t), (W*)' or (W*)'' as m is 'conj',
+    'grad' or 'hess' (_mult_arrays), so h_W, its gradient and its Hessian
+    can share one pass.  Per block the terms are exponentiated once, z = e^t
+    once, and the f-tail bracket derived once per moment; each sum widens it
+    by exp(x) and its multiplier's bounds over the tail (_mult_bounds), which
+    unit sums at x = 0 skip.
 
     Gives up early when a certified width shrinks too slowly to reach its
     tolerance within the term budget even at cubic decay: paying the whole
@@ -135,55 +147,66 @@ def _eval_many(family, y, tols, moments, x=0.0, kind=_MB, what="conj", boundary=
         ex = math.exp(x)
     except OverflowError:
         raise RangeError(f"x={x} is too large: exp(x) overflows") from None
-    sums = {k: [] for k in moments}
+    mults = () if kind is _MB else tuple(dict.fromkeys(m for m, _ in tols if m is not None))
+    scaled = bool(x) or bool(mults)
+    weighted, bounds = {}, {}
+    sums = [[] for _ in tols]
     lo, hi = 1, _START_BLOCK
-    mlo = mhi = 1.0
     while True:
         logt = family.log_terms(y, lo, hi)
         sig = family.sigma_array(lo, hi)
         base = np.exp(logt + x if x else logt)
-        if kind is not _MB:
-            base = base * _mult_arrays(kind, what, x + sig * y)
+        if mults:
             t_next = x + family.sigma(hi + 1) * y
             if kind is Entropy.BOSE_EINSTEIN and t_next >= 0.0:
                 raise DomainError("bose-einstein dual needs x + sigma_n y < 0 on the tail")
-            mlo, mhi = _mult_bounds(kind, what, math.exp(min(t_next, 700.0)))
-        for k in moments:
-            block = base if k == 0 else base * sig**k
-            sums[k].append(float(block.sum()))
-        brackets = {}
-        for k in moments:
-            iv = (
-                family.boundary_bracket(hi, k)
-                if boundary
-                else family.tail_interval(y, hi, k)
-            )
+            weighted = _mult_arrays(kind, mults, x + sig * y)
+            for m, arr in weighted.items():
+                weighted[m] = base * arr
+            z_next = math.exp(min(t_next, 700.0))
+            bounds = {m: _mult_bounds(kind, m, z_next) for m in mults}
+        for acc, (m, k) in zip(sums, tols):
+            block = weighted.get(m, base)
+            if k == 1:
+                block = block * sig
+            elif k:
+                block = block * sig**k
+            acc.append(float(_add_reduce(block)))
+        brackets = []
+        ivs = {}
+        for (m, k), tol in tols.items():
+            if k in ivs:
+                iv = ivs[k]
+            else:
+                iv = ivs[k] = (
+                    family.boundary_bracket(hi, k) if boundary else family.tail_interval(y, hi, k)
+                )
             if iv is None:
                 brackets = None
                 break
-            blo, bhi = ex * iv[0] * mlo, ex * iv[1] * mhi
-            width = bhi - blo
-            if not (width <= tols[k]) or not math.isfinite(bhi):
+            if scaled:
+                mlo, mhi = bounds.get(m, _UNIT)
+                iv = (ex * iv[0] * mlo, ex * iv[1] * mhi)
+            width = iv[1] - iv[0]
+            if not (width <= tol) or not math.isfinite(iv[1]):
                 brackets = None
-                if hi >= 4096 and width > tols[k] * (_TERM_BUDGET / hi) ** 3:
+                if hi >= 4096 and width > tol * (_TERM_BUDGET / hi) ** 3:
                     raise BudgetError(
                         f"series tail width {width:.3e} at n={hi} cannot reach "
-                        f"{tols[k]:.3e} within the {_TERM_BUDGET}-term budget "
-                        f"(x={x}, y={y}, moment {k})"
+                        f"{tol:.3e} within the {_TERM_BUDGET}-term budget "
+                        f"(x={x}, y={y}, sum {(m, k)})"
                     )
                 break
-            brackets[k] = (blo, bhi)
+            brackets.append(iv)
         if brackets is not None:
             out = []
-            for k in moments:
-                partial = math.fsum(sums[k])
-                blo, bhi = brackets[k]
-                out.append(SeriesEval(partial + 0.5 * (blo + bhi), hi, 0.5 * (bhi - blo)))
+            for acc, (blo, bhi) in zip(sums, brackets):
+                out.append(SeriesEval(math.fsum(acc) + 0.5 * (blo + bhi), hi, 0.5 * (bhi - blo)))
             return out
         if hi >= _TERM_BUDGET:
             raise BudgetError(
                 f"series tails uncertified after {hi} terms at x={x}, y={y} "
-                f"(moments {moments}, tolerances {tols})"
+                f"(tolerances {tols})"
             )
         lo, hi = hi + 1, min(2 * hi, _TERM_BUDGET)
 
@@ -209,7 +232,7 @@ def _check_boundary_summable(family, moment) -> None:
         )
 
 
-def _eval_moments(family, y, tols, moments, x=0.0, kind=_MB, what="conj"):
+def _eval_moments(family, y, tols, x=0.0, kind=_MB):
     """Route an evaluation point of _eval_many, for the moments of f or for
     the dual sums, to the interior or boundary machinery, raising
     DivergenceError beyond the domain."""
@@ -219,16 +242,16 @@ def _eval_moments(family, y, tols, moments, x=0.0, kind=_MB, what="conj"):
     if y > -a:
         raise DivergenceError(f"series diverges: y={y} exceeds -alpha={-a}")
     if y == -a:
-        for k in moments:
+        for k in sorted({k for _, k in tols}):
             _check_boundary_summable(family, k)
-        return _eval_many(family, y, tols, moments, x, kind, what, boundary=True)
-    return _eval_many(family, y, tols, moments, x, kind, what)
+        return _eval_many(family, y, tols, x, kind, boundary=True)
+    return _eval_many(family, y, tols, x, kind)
 
 
 def eval_f(family: SequenceFamily, y: float, tol: float = 1e-12) -> SeriesEval:
     """f(y) within tol, certified; boundary y = -alpha allowed when the
     family proves summability there."""
-    return _eval_moments(family, y, {0: tol}, (0,))[0]
+    return _eval_moments(family, y, {(None, 0): tol})[0]
 
 
 def _eval_f_relaxed(family, y, tol) -> SeriesEval:
@@ -238,7 +261,7 @@ def _eval_f_relaxed(family, y, tol) -> SeriesEval:
     grade is kept: its traceback would pin that pass's term arrays."""
     for mult in (1.0, 10.0, 100.0, 1e3, 1e4):
         try:
-            return _eval_moments(family, y, {0: tol * mult}, (0,))[0]
+            return _eval_moments(family, y, {(None, 0): tol * mult})[0]
         except BudgetError as exc:
             msg = str(exc)
     raise BudgetError(msg)
@@ -251,7 +274,7 @@ def eval_f_derivatives(
     a = _require_alpha(family)
     if not y < -a:
         raise DomainError(f"derivatives need y < -alpha = {-a}, got {y}")
-    r = _eval_moments(family, y, {0: tol, 1: tol, 2: tol}, (0, 1, 2))
+    r = _eval_moments(family, y, {(None, 0): tol, (None, 1): tol, (None, 2): tol})
     return r[0].value, r[1].value, r[2].value
 
 
@@ -295,7 +318,7 @@ def _profile_cached(family: SequenceFamily, tol: float) -> SeriesProfile:
             )
     # spot-check that f really is finite strictly inside the declared domain
     try:
-        _eval_many(family, -alpha - 1.0, {0: 1e-6}, (0,))
+        _eval_many(family, -alpha - 1.0, {(None, 0): 1e-6})
     except (DivergenceError, BudgetError) as exc:
         raise ConfigurationError(
             f"f could not be certified finite at y={-alpha - 1.0}: {exc}"
@@ -307,7 +330,7 @@ def _profile_cached(family: SequenceFamily, tol: float) -> SeriesProfile:
         f_b, gamma, theta2 = None, None, math.inf
     else:
         _check_boundary_summable(family, 0)
-        f_b = _eval_many(family, -alpha, {0: tol}, (0,), boundary=True)[0].value
+        f_b = _eval_many(family, -alpha, {(None, 0): tol}, boundary=True)[0].value
         div1 = family.boundary_divergent(1)
         if div1 is True:
             case = BoundaryCase.CLOSED_GAMMA_INFINITE_B
@@ -315,7 +338,7 @@ def _profile_cached(family: SequenceFamily, tol: float) -> SeriesProfile:
         else:
             _check_boundary_summable(family, 1)
             case = BoundaryCase.CLOSED_GAMMA_FINITE_C
-            gamma = _eval_many(family, -alpha, {1: tol}, (1,), boundary=True)[0].value
+            gamma = _eval_many(family, -alpha, {(None, 1): tol}, boundary=True)[0].value
             theta2 = gamma / f_b
     return SeriesProfile(alpha, case, f_b, gamma, smin.theta1, theta2, smin, estimated)
 
@@ -341,12 +364,12 @@ def phi(family: SequenceFamily, y: float, tol: float = 1e-10) -> float:
     a = _require_alpha(family)
     if not y < -a:
         raise DomainError(f"phi needs y < -alpha = {-a}, got {y}")
-    rough = _eval_moments(family, y, {0: 1e-4, 1: 1e-4}, (0, 1))
+    rough = _eval_moments(family, y, {(None, 0): 1e-4, (None, 1): 1e-4})
     f0 = max(rough[0].value, 1e-300)
     ratio = max(rough[1].value / f0, 1.0)
     t0 = 0.25 * tol * f0 / ratio
     t1 = 0.25 * tol * f0
-    fine = _eval_moments(family, y, {0: t0, 1: t1}, (0, 1))
+    fine = _eval_moments(family, y, {(None, 0): t0, (None, 1): t1})
     return fine[1].value / fine[0].value
 
 
@@ -359,7 +382,7 @@ def _slope_pass(family, y, tol, f_scale, ratio):
     1 are certified."""
     t1 = 0.25 * tol * f_scale
     s0, s1, s2 = _eval_moments(
-        family, y, {0: t1 / ratio, 1: t1, 2: math.inf}, (0, 1, 2)
+        family, y, {(None, 0): t1 / ratio, (None, 1): t1, (None, 2): math.inf}
     )
     p = s1.value / s0.value
     floor = s0.value - s0.tail_bound_used
@@ -400,7 +423,7 @@ def _invert_slope(family, w, tol) -> tuple[float, SeriesEval]:
     a = prof.alpha
     eval_tol = 0.25 * tol
     y = -a - 1.0
-    rough = _eval_moments(family, y, {0: 1e-4, 1: 1e-4}, (0, 1))
+    rough = _eval_moments(family, y, {(None, 0): 1e-4, (None, 1): 1e-4})
     f_scale = max(rough[0].value, 1e-300)
     ratio = max(abs(rough[1].value) / f_scale, 1.0)
     lo = hi = None  # phi(lo) < w < phi(hi)
@@ -499,23 +522,29 @@ def _theta1(family) -> float:
     return t if t is not None else sigma_min_set(family).theta1
 
 
-def _mult_arrays(kind: Entropy, what: str, t: np.ndarray) -> np.ndarray:
-    """Per-term multiplier m(t) with W*(t) = e^t m(t) ('conj'),
-    (W*)'(t) = e^t m(t) ('grad'), (W*)''(t) = e^t m(t) ('hess'), for
-    bose-einstein and fermi-dirac (maxwell-boltzmann has m = 1)."""
-    if kind is Entropy.FERMI_DIRAC:
-        z = np.exp(np.minimum(t, 700.0))
-        if what == "conj":
-            small = z < 1e-8
-            return np.where(small, 1.0 - 0.5 * z, np.log1p(z) / np.where(small, 1.0, z))
-        d = 1.0 / (1.0 + z)
-        return d if what == "grad" else d * d
-    z = np.exp(np.minimum(t, 0.0))  # t <= 0 guaranteed on BE paths
-    if what == "conj":
+def _mult_arrays(kind: Entropy, mults, t: np.ndarray) -> dict:
+    """Per-term multipliers m(t), one array for each name in `mults`, with
+    W*(t) = e^t m(t) ('conj'), (W*)'(t) = e^t m(t) ('grad') and
+    (W*)''(t) = e^t m(t) ('hess'), for bose-einstein and fermi-dirac
+    (maxwell-boltzmann has m = 1), from one z = e^t."""
+    fermi = kind is Entropy.FERMI_DIRAC
+    z = np.exp(np.minimum(t, 700.0 if fermi else 0.0))  # t <= 0 on BE paths
+    out = {}
+    if "conj" in mults:
         small = z < 1e-8
-        return np.where(small, 1.0 + 0.5 * z, -np.log1p(-z) / np.where(small, 1.0, z))
-    d = 1.0 / (1.0 - z)
-    return d if what == "grad" else d * d
+        safe = np.where(small, 1.0, z)
+        out["conj"] = (
+            np.where(small, 1.0 - 0.5 * z, np.log1p(z) / safe)
+            if fermi
+            else np.where(small, 1.0 + 0.5 * z, -np.log1p(-z) / safe)
+        )
+    if "grad" in mults or "hess" in mults:
+        d = 1.0 / (1.0 + z) if fermi else 1.0 / (1.0 - z)
+        if "grad" in mults:
+            out["grad"] = d
+        if "hess" in mults:
+            out["hess"] = d * d
+    return out
 
 
 def _mult_bounds(kind: Entropy, what: str, z_next: float) -> tuple[float, float]:
@@ -547,9 +576,43 @@ def eval_h(
     if kind is Entropy.BOSE_EINSTEIN and x + _theta1(family) * y >= 0.0:
         return math.inf
     try:
-        return _eval_moments(family, y, {0: tol}, (0,), x, kind)[0].value
+        return _eval_moments(family, y, {("conj", 0): tol}, x, kind)[0].value
     except DivergenceError:
         return math.inf
+
+
+def _dual_sums(family, kind, x, y, tols) -> list[SeriesEval]:
+    """_eval_moments for sums of h_W and its derivatives (keys of `tols` as
+    in _eval_many), with DomainError for a degenerate family, y > -alpha, a
+    Hessian sum at y = -alpha, x + theta1 y >= 0 under bose-einstein, or a
+    divergent series."""
+    if family.dom_f_empty or family.constant_sigma:
+        raise DomainError("dual sums undefined: degenerate family")
+    a = _require_alpha(family)
+    if y > -a:
+        raise DomainError(f"({x}, {y}) outside dom h: y > -alpha = {-a}")
+    if y == -a and any(m == "hess" for m, _ in tols):
+        raise DomainError(f"hessian needs y < -alpha = {-a}")
+    if kind is Entropy.BOSE_EINSTEIN and x + _theta1(family) * y >= 0.0:
+        raise DomainError("outside dom h_BE: x + theta1 y >= 0")
+    try:
+        return _eval_moments(family, y, tols, x, kind)
+    except DivergenceError as exc:
+        raise DomainError(f"dual series diverges at ({x}, {y}): {exc}") from exc
+
+
+_VALUE_GRADIENT = (("conj", 0), ("grad", 0), ("grad", 1))
+_HESSIAN = (("hess", 0), ("hess", 1), ("hess", 2))
+
+
+def _dual_point(family, kind, x, y, tol, hessian=True) -> list[SeriesEval]:
+    """[h, h_x, h_y] of h_W at (x, y), followed by [h_xx, h_xy, h_yy] when
+    `hessian`, each certified within tol, from one pass of _eval_many: what
+    a Newton point or a forward solve needs, where eval_h, grad_h and
+    hessian_h would sum the same terms three times.  The Hessian needs
+    y < -alpha; without it y = -alpha is allowed in boundary case (c)."""
+    sums = _VALUE_GRADIENT + _HESSIAN if hessian else _VALUE_GRADIENT
+    return _dual_sums(family, kind, x, y, dict.fromkeys(sums, tol))
 
 
 def grad_h(
@@ -557,28 +620,15 @@ def grad_h(
 ) -> tuple[float, float]:
     """The gradient series sum p_n (W*)'(x+sigma_n y) (1, sigma_n), valid on
     the interior and, in boundary case (c), at y = -alpha."""
-    if family.dom_f_empty or family.constant_sigma:
-        raise DomainError("gradient undefined: degenerate family")
-    a = _require_alpha(family)
-    if y > -a:
-        raise DomainError(f"({x}, {y}) outside dom h: y > -alpha = {-a}")
-    if kind is Entropy.BOSE_EINSTEIN and x + _theta1(family) * y >= 0.0:
-        raise DomainError("outside dom h_BE: x + theta1 y >= 0")
-    try:
-        r = _eval_moments(family, y, {0: tol, 1: tol}, (0, 1), x, kind, "grad")
-    except DivergenceError as exc:
-        raise DomainError(f"gradient series diverges at ({x}, {y}): {exc}") from exc
-    return r[0].value, r[1].value
+    gu, gv = _dual_sums(family, kind, x, y, {("grad", 0): tol, ("grad", 1): tol})
+    return gu.value, gv.value
 
 
 def hessian_h(
     family: SequenceFamily, kind: Entropy, x: float, y: float, tol: float = 1e-10
 ) -> tuple[float, float, float]:
     """(h_xx, h_xy, h_yy) of h_W at an interior point."""
-    a = _require_alpha(family)
-    if not y < -a:
-        raise DomainError(f"hessian needs y < -alpha = {-a}")
-    r = _eval_moments(family, y, {0: tol, 1: tol, 2: tol}, (0, 1, 2), x, kind, "hess")
+    r = _dual_sums(family, kind, x, y, dict.fromkeys(_HESSIAN, tol))
     return r[0].value, r[1].value, r[2].value
 
 

@@ -525,7 +525,12 @@ class EmpSolver:
     def forward_solve(self, kind: Entropy, x: float, y: float) -> EmpSolution:
         """From dual multipliers to the unique optimal occupation sequence:
         (u, v) is the gradient of h_W at (x, y) and the value follows from
-        Fenchel equality x u + y v - h_W(x, y)."""
+        Fenchel equality x u + y v - h_W(x, y); h_W and its gradient come
+        from one certified pass.  RangeError when x or y is nan or
+        infinite."""
+        for name, val in (("x", x), ("y", y)):
+            if not math.isfinite(val):
+                raise RangeError(f"{name} must be finite, got {val}")
         if self._degenerate is not None:
             raise DomainError("forward solve undefined for degenerate families")
         x_n, y_n = self._xy_to_norm(x, y)
@@ -541,8 +546,10 @@ class EmpSolver:
         # traceback would pin the failed pass's term arrays)
         for tol in (self.tol, 1e3 * self.tol):
             try:
-                u, v_n = series.grad_h(self._fam, kind, x_n, y_n, tol)
-                h = series.eval_h(self._fam, kind, x_n, y_n, tol)
+                h, u, v_n = (
+                    s.value
+                    for s in series._dual_point(self._fam, kind, x_n, y_n, tol, hessian=False)
+                )
                 break
             except BudgetError as exc:
                 msg = str(exc)
@@ -563,8 +570,12 @@ class EmpSolver:
         """Best-effort inverse solve for bose-einstein / fermi-dirac targets
         strictly inside the cone: damped Newton on the dual potential
         h_W(x, y) - x u - y v, initialized at the maxwell-boltzmann
-        multipliers.  Returns an InverseFailure report when it cannot verify
-        a solution; never a guessed value."""
+        multipliers of one loose slope root (residual 1e-5; the Newton
+        corrects it) and the f(y) of that root's last pass.  Each Newton
+        point is one certified pass for h_W, its gradient and its Hessian.
+        Returns an InverseFailure report when it cannot verify a solution,
+        including when the iteration leaves the range where the series can
+        be summed; never a guessed value."""
         if kind is Entropy.MAXWELL_BOLTZMANN:
             raise DomainError("use solve_mb for maxwell-boltzmann targets")
         region = self.classify(u, v)
@@ -577,30 +588,25 @@ class EmpSolver:
         w = v_n / u
         scale = max(1.0, u, abs(v_n))
         try:
-            y_c = series.phi_inverse(self._fam, w, 1e-10)
-        except BudgetError:
-            try:
-                y_c = series.phi_inverse(self._fam, w, 1e-5)
-            except BudgetError as exc:
-                return InverseFailure(
-                    kind, (math.nan, math.nan), (math.inf, math.inf),
-                    f"newton aborted: {exc}",
-                )
-        f_c = series.eval_f(self._fam, y_c, tol=1e-8 * max(1.0, u)).value
+            y_c, f_y = series._invert_slope(self._fam, w, 1e-5)
+        except BudgetError as exc:
+            return InverseFailure(
+                kind, (math.nan, math.nan), (math.inf, math.inf),
+                f"newton aborted: {exc}",
+            )
+        # f to 1e-8 max(1, u) (_refine_f's tolerance is relative to max(1, f))
+        f_tol = 1e-8 * max(1.0, u)
+        f_c = series._refine_f(self._fam, y_c, f_y, f_tol / max(1.0, f_y.value)).value
         x_c = math.log(u / f_c)
         if kind is Entropy.BOSE_EINSTEIN and x_c + prof.theta1 * y_c >= 0.0:
             x_c = -prof.theta1 * y_c - 1.0
 
-        # the callbacks read s_tol, the series tolerance of the attempt below
-        def residual(xx, yy):
-            gu, gv = series.grad_h(self._fam, kind, xx, yy, s_tol)
-            return gu - u, gv - v_n
-
-        def hessian(xx, yy):
-            return series.hessian_h(self._fam, kind, xx, yy, s_tol)
-
-        def potential(xx, yy):
-            return series.eval_h(self._fam, kind, xx, yy, s_tol) - xx * u - yy * v_n
+        # reads s_tol, the series tolerance of the attempt below
+        def evaluate(xx, yy):
+            h, gu, gv, *hess = (
+                s.value for s in series._dual_point(self._fam, kind, xx, yy, s_tol)
+            )
+            return h - xx * u - yy * v_n, (gu - u, gv - v_n), hess
 
         def in_domain(xx, yy):
             return yy < -prof.alpha and (
@@ -615,10 +621,10 @@ class EmpSolver:
             s_tol = res_tol / 10.0
             try:
                 got = minimize_convex_2d(
-                    residual, hessian, potential, in_domain, (x_c, y_c),
-                    (scale, scale), res_tol / scale,
+                    evaluate, in_domain, (x_c, y_c), (scale, scale), res_tol / scale,
                 )
-            except (DomainError, BudgetError) as exc:
+            except (DomainError, BudgetError, RangeError) as exc:
+                # RangeError: an iterate's x overflows exp(x)
                 failure = InverseFailure(
                     kind, self._xy_from_norm(x_c, y_c), (math.inf, math.inf),
                     f"newton aborted: {exc}",

@@ -164,9 +164,11 @@ class TestMinimizeConvex2d:
     def test_separable_exponential(self):
         # F = e^x + e^y - 2x - 3y has its minimum at (ln 2, ln 3)
         res = minimize_convex_2d(
-            lambda x, y: (math.exp(x) - 2.0, math.exp(y) - 3.0),
-            lambda x, y: (math.exp(x), 0.0, math.exp(y)),
-            lambda x, y: math.exp(x) + math.exp(y) - 2.0 * x - 3.0 * y,
+            lambda x, y: (
+                math.exp(x) + math.exp(y) - 2.0 * x - 3.0 * y,
+                (math.exp(x) - 2.0, math.exp(y) - 3.0),
+                (math.exp(x), 0.0, math.exp(y)),
+            ),
             lambda x, y: True,
             (-5.0, 4.0), (1.0, 1.0), 1e-12,
         )
@@ -179,14 +181,16 @@ class TestMinimizeConvex2d:
         # the boundary would leave the domain
         seen = []
 
-        def potential(x, y):
+        def evaluate(x, y):
             seen.append((x, y))
-            return x + y - math.log(x) - math.log(y)
+            return (
+                x + y - math.log(x) - math.log(y),
+                (1.0 - 1.0 / x, 1.0 - 1.0 / y),
+                (1.0 / x**2, 0.0, 1.0 / y**2),
+            )
 
         res = minimize_convex_2d(
-            lambda x, y: (1.0 - 1.0 / x, 1.0 - 1.0 / y),
-            lambda x, y: (1.0 / x**2, 0.0, 1.0 / y**2),
-            potential,
+            evaluate,
             lambda x, y: x > 0.0 and y > 0.0,
             (30.0, 0.01), (1.0, 1.0), 1e-12,
         )
@@ -196,9 +200,11 @@ class TestMinimizeConvex2d:
 
     def test_degenerate_hessian_is_reported(self):
         res = minimize_convex_2d(
-            lambda x, y: (math.exp(x + y) - 1.0, math.exp(x + y) - 1.0),
-            lambda x, y: (math.exp(x + y),) * 3,
-            lambda x, y: math.exp(x + y) - x - y,
+            lambda x, y: (
+                math.exp(x + y) - x - y,
+                (math.exp(x + y) - 1.0, math.exp(x + y) - 1.0),
+                (math.exp(x + y),) * 3,
+            ),
             lambda x, y: True,
             (1.0, 1.0), (1.0, 1.0), 1e-12,
         )

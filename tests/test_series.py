@@ -3,6 +3,7 @@ endpoint profiles, the slope bijection and its inverse, the conjugate of
 ln f, and the dual sums h_W with gradients and boundary subdifferentials."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,8 @@ from entromin import (
     phi_inverse,
     profile,
 )
-from entromin.series import _invert_slope, hessian_h
+from entromin import series
+from entromin.series import _HESSIAN, _dual_point, _dual_sums, _invert_slope, hessian_h
 
 from conftest import LN2, ZETA2, ZETA3, brute_force_series, zeta_oracle
 
@@ -404,6 +406,75 @@ class TestGradH:
         assert abs((gux_p[0] - gux_m[0]) / (2 * h) - h00) <= 1e-5
         assert abs((guy_p[0] - guy_m[0]) / (2 * h) - h01) <= 1e-5
         assert abs((guy_p[1] - guy_m[1]) / (2 * h) - h11) <= 1e-5
+
+
+def _close(a, b, bound):
+    """|a - b| <= bound, plus the rounding of the partial sums, which the
+    certified tail bounds do not cover."""
+    return abs(a - b) <= bound + 8 * sys.float_info.epsilon * max(abs(a), abs(b))
+
+
+class TestDualPoint:
+    """One pass for h_W, its gradient and its Hessian against the separate
+    passes of eval_h, grad_h and hessian_h."""
+
+    POINTS = [
+        (Arithmetic(0.0, 1.0), -0.3, -0.9),
+        (WeightedGeometric(1.0, 3.0), -0.5, -1.6),
+        (Lattice3D(1.0), -0.4, -0.5),
+    ]
+
+    @pytest.mark.parametrize("kind", [BE, FD])
+    @pytest.mark.parametrize("family, x, y", POINTS, ids=repr)
+    def test_fused_sums_match_separate_passes(self, family, x, y, kind):
+        tol = 1e-11
+        fused = _dual_point(family, kind, x, y, tol)
+        separate = (
+            _dual_sums(family, kind, x, y, {("conj", 0): tol})
+            + _dual_sums(family, kind, x, y, {("grad", 0): tol, ("grad", 1): tol})
+            + _dual_sums(family, kind, x, y, dict.fromkeys(_HESSIAN, tol))
+        )
+        assert eval_h(family, kind, x, y, tol) == separate[0].value
+        assert grad_h(family, kind, x, y, tol) == (separate[1].value, separate[2].value)
+        assert hessian_h(family, kind, x, y, tol) == tuple(s.value for s in separate[3:])
+        for f, s in zip(fused, separate):
+            assert f.tail_bound_used <= tol
+            assert _close(f.value, s.value, f.tail_bound_used + s.tail_bound_used)
+
+    @pytest.mark.parametrize("kind, x", [(MB, 0.3), (BE, -0.5), (FD, 0.2)])
+    def test_case_c_forward_solve_at_the_boundary(self, zeta_family, kind, x):
+        # y = -alpha: the boundary brackets, and no Hessian
+        solver = EmpSolver(zeta_family)
+        y = -1.0
+        sol = solver.forward_solve(kind, x, y)
+        h, gu, gv = _dual_point(zeta_family, kind, x, y, solver.tol, hessian=False)
+        assert (sol.u, sol.v) == (gu.value, gv.value)
+        assert sol.value == x * gu.value + y * gv.value - h.value
+        sh = _dual_sums(zeta_family, kind, x, y, {("conj", 0): solver.tol})[0]
+        su, sv = _dual_sums(zeta_family, kind, x, y, {("grad", 0): solver.tol, ("grad", 1): solver.tol})
+        assert eval_h(zeta_family, kind, x, y, solver.tol) == sh.value
+        assert _close(sol.u, su.value, gu.tail_bound_used + su.tail_bound_used)
+        assert _close(sol.v, sv.value, gv.tail_bound_used + sv.tail_bound_used)
+        bound = (
+            abs(x) * (gu.tail_bound_used + su.tail_bound_used)
+            + abs(y) * (gv.tail_bound_used + sv.tail_bound_used)
+            + h.tail_bound_used + sh.tail_bound_used
+        )
+        assert _close(sol.value, x * su.value + y * sv.value - sh.value, bound)
+        with pytest.raises(DomainError):
+            _dual_point(zeta_family, kind, x, y, solver.tol)
+
+    def test_maxwell_boltzmann_sums_use_no_multiplier(self, monkeypatch):
+        # the f sums, slope passes among them, never touch the multiplier
+        # machinery of the bose-einstein and fermi-dirac sums
+        def fail(*args):
+            raise AssertionError("multiplier work on a maxwell-boltzmann sum")
+
+        monkeypatch.setattr(series, "_mult_arrays", fail)
+        monkeypatch.setattr(series, "_mult_bounds", fail)
+        sol = EmpSolver(WeightedGeometric(1.0, 3.0)).solve_mb(1.0, 1.2)
+        assert sol.region.value == "interior"
+        assert eval_f(Lattice3D(1.0), -0.8, 1e-12).tail_bound_used <= 1e-12
 
 
 class TestBoundarySubdifferential:

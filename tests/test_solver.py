@@ -521,6 +521,33 @@ class TestForwardSolve:
         with pytest.raises(DomainError):
             EmpSolver(case_b_family).forward_solve(MB, 0.0, -1.0)
 
+    @pytest.mark.parametrize("which", ["x", "y"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("kind", [MB, BE, FD])
+    def test_non_finite_multipliers_are_range_errors(self, geo_solver, kind, bad, which):
+        # before any series work: a nan used to run the whole term budget
+        # and name x in its BudgetError, and x = -inf gave the origin with
+        # a nan value
+        x, y = (bad, -1.0) if which == "x" else (-1.0, bad)
+        with pytest.raises(RangeError, match=f"{which} must be finite, got {bad}"):
+            geo_solver.forward_solve(kind, x, y)
+
+    def test_one_pass_per_forward_solve(self, monkeypatch, geo_solver):
+        # h_W and its gradient come from the same certified sum
+        fam = geo_solver._fam
+        orig = type(fam).log_terms
+        passes = []
+
+        def counting(self, y, lo, hi):
+            if lo == 1:
+                passes.append(y)
+            return orig(self, y, lo, hi)
+
+        monkeypatch.setattr(type(fam), "log_terms", counting)
+        for kind in (MB, BE, FD):
+            geo_solver.forward_solve(kind, -1.0, -LN2)
+        assert len(passes) == 3
+
 
 class TestInverseSolve:
     def test_be_round_trip(self, geo_solver):
@@ -541,6 +568,34 @@ class TestInverseSolve:
         res = geo_solver.inverse_solve_bf(BE, 1.0, 1e6)
         assert isinstance(res, InverseFailure)
         assert res.kind is BE and res.message
+
+    def test_exp_overflow_is_a_failure_report(self, geo_solver):
+        # u_n <= p_n = 1 under fermi-dirac, so v = 1010 at u = 1000 needs
+        # v >= 500500: the iterates' x grows until exp(x) overflows, which
+        # must not escape as a RangeError about an x the caller never gave
+        res = geo_solver.inverse_solve_bf(FD, 1000.0, 1010.0)
+        assert isinstance(res, InverseFailure)
+        assert res.kind is FD and "overflows" in res.message
+
+    def test_pass_budget(self, monkeypatch, geo_solver):
+        # one loose slope root, then one certified pass per Newton point
+        # (h, gradient and Hessian together) and one for the closing
+        # forward solve; three passes per Newton point and a tight root
+        # took 23 here
+        fwd = geo_solver.forward_solve(BE, -1.0, -LN2)
+        fam = geo_solver._fam
+        orig = type(fam).log_terms
+        passes = []
+
+        def counting(self, y, lo, hi):
+            if lo == 1:
+                passes.append(y)
+            return orig(self, y, lo, hi)
+
+        monkeypatch.setattr(type(fam), "log_terms", counting)
+        inv = geo_solver.inverse_solve_bf(BE, fwd.u, fwd.v)
+        assert isinstance(inv, EmpSolution)
+        assert len(passes) <= 12
 
     def test_outside_cone_rejected(self, geo_solver):
         with pytest.raises(RangeError):
