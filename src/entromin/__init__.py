@@ -3,150 +3,23 @@
 Solvers for the problem of minimizing sum p_n W(u_n / p_n) over nonnegative
 sequences matching two moment constraints sum u_n = u, sum sigma_n u_n = v,
 for the maxwell-boltzmann, bose-einstein and fermi-dirac entropies.
+
+The package re-exports the public names (__all__) of entropies, errors,
+finite, sequences, series and solver.
 """
 
-from .entropies import (
-    Entropy,
-    entropy_conjugate,
-    entropy_conjugate_derivative,
-    entropy_derivative,
-    entropy_value,
-)
-from .errors import (
-    BudgetError,
-    ConfigurationError,
-    DivergenceError,
-    DomainError,
-    EmpError,
-    InfeasibleError,
-    NumericalFailureError,
-    RangeError,
-    UncertifiedError,
-    UnsupportedFamilyError,
-)
-from .finite import (
-    BoundaryFlag,
-    Feasibility,
-    FiniteProblem,
-    FiniteSolution,
-    brute_force_oracle,
-    fd_feasible,
-    kkt_residual,
-    phi_n,
-    phi_n_inverse,
-    solve_single,
-    solve_two_fd,
-    solve_two_mb_be,
-)
-from .sequences import (
-    Arithmetic,
-    ExplicitPrefix,
-    ExplosiveWeights,
-    Lattice3D,
-    LogLevels,
-    PowerLaw,
-    PrefixStats,
-    SequenceFamily,
-    ShiftedSigma,
-    SigmaMinSet,
-    WeightedGeometric,
-    generate,
-    lattice_levels,
-    prefix_stats,
-    sigma_min_set,
-    tail_bound,
-)
-from .series import (
-    BoundaryCase,
-    HalfLine,
-    SeriesEval,
-    SeriesProfile,
-    boundary_subdifferential,
-    estimate_alpha,
-    eval_f,
-    eval_f_derivatives,
-    eval_h,
-    grad_h,
-    lnf_conjugate,
-    phi,
-    phi_inverse,
-    profile,
-)
-from .solver import (
-    EmpSolution,
-    EmpSolver,
-    EpsilonFamily,
-    EpsilonMember,
-    InverseFailure,
-    Region,
-    SequenceRule,
-)
+from . import entropies, errors, finite, sequences, series, solver
+from .entropies import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .finite import *  # noqa: F401,F403
+from .sequences import *  # noqa: F401,F403
+from .series import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Entropy",
-    "entropy_value",
-    "entropy_conjugate",
-    "entropy_conjugate_derivative",
-    "entropy_derivative",
-    "EmpError",
-    "DomainError",
-    "RangeError",
-    "DivergenceError",
-    "UncertifiedError",
-    "BudgetError",
-    "ConfigurationError",
-    "UnsupportedFamilyError",
-    "InfeasibleError",
-    "NumericalFailureError",
-    "SequenceFamily",
-    "Arithmetic",
-    "PowerLaw",
-    "LogLevels",
-    "WeightedGeometric",
-    "Lattice3D",
-    "ExplicitPrefix",
-    "ExplosiveWeights",
-    "ShiftedSigma",
-    "PrefixStats",
-    "SigmaMinSet",
-    "generate",
-    "lattice_levels",
-    "prefix_stats",
-    "sigma_min_set",
-    "tail_bound",
-    "BoundaryCase",
-    "SeriesProfile",
-    "SeriesEval",
-    "HalfLine",
-    "eval_f",
-    "eval_f_derivatives",
-    "profile",
-    "estimate_alpha",
-    "phi",
-    "phi_inverse",
-    "lnf_conjugate",
-    "eval_h",
-    "grad_h",
-    "boundary_subdifferential",
-    "BoundaryFlag",
-    "Feasibility",
-    "FiniteProblem",
-    "FiniteSolution",
-    "solve_single",
-    "phi_n",
-    "phi_n_inverse",
-    "solve_two_mb_be",
-    "solve_two_fd",
-    "fd_feasible",
-    "brute_force_oracle",
-    "kkt_residual",
-    "Region",
-    "SequenceRule",
-    "EpsilonFamily",
-    "EpsilonMember",
-    "EmpSolution",
-    "InverseFailure",
-    "EmpSolver",
+    name
+    for module in (entropies, errors, finite, sequences, series, solver)
+    for name in module.__all__
 ]

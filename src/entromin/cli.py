@@ -26,6 +26,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .finite import solve_two_mb_be
+from .sequences import sigma_min_set
 from .solver import EmpSolution, EmpSolver, InverseFailure, Region
 from .specfile import ParseError, ProblemSpec, parse_spec
 from . import series
@@ -261,9 +262,9 @@ def _check_roundtrips(solver, spec):
         w = prof.theta1 + wf * (
             (prof.theta2 - prof.theta1) if math.isfinite(prof.theta2) else 2.0 * prof.theta1
         )
-        y = series.phi_inverse(solver._fam, w, 1e-5)
+        y = series.phi_inverse(solver.normal_family, w, 1e-5)
         for x in (-0.5, 0.3):
-            sol = solver.forward_solve(Entropy.MAXWELL_BOLTZMANN, *solver._xy_from_norm(x, y))
+            sol = solver.forward_solve(Entropy.MAXWELL_BOLTZMANN, *solver.multipliers_from_normal(x, y))
             back = solver.solve_mb(sol.u, sol.v)
             gap = abs(back.value - sol.value) / max(1.0, abs(sol.value))
             worst_val = max(worst_val, gap)
@@ -275,9 +276,9 @@ def _check_roundtrips(solver, spec):
             w = prof.theta1 + wf * (
                 (prof.theta2 - prof.theta1) if math.isfinite(prof.theta2) else prof.theta1
             )
-            y = series.phi_inverse(solver._fam, w, 1e-5)
+            y = series.phi_inverse(solver.normal_family, w, 1e-5)
             x = -1.0 if kind is Entropy.FERMI_DIRAC else min(-1.0, prof.theta1 * (-y) - 1.0)
-            xo, yo = solver._xy_from_norm(x, y)
+            xo, yo = solver.multipliers_from_normal(x, y)
             fwd = solver.forward_solve(kind, xo, yo)
             inv = solver.inverse_solve_bf(kind, fwd.u, fwd.v, 1e-11)
             if isinstance(inv, InverseFailure):
@@ -325,7 +326,7 @@ def _check_beyond_theta2(solver, spec):
         return False, str(exc)
     x_n = math.log(1.0 / prof.f_at_boundary)
     _, v_cand = series.grad_h(
-        solver._fam, Entropy.MAXWELL_BOLTZMANN, x_n, -prof.alpha, 1e-10
+        solver.normal_family, Entropy.MAXWELL_BOLTZMANN, x_n, -prof.alpha, 1e-10
     )
     gap = abs(v_cand - 1.3 * prof.theta2)
     ok = gap > 1e-6
@@ -337,8 +338,8 @@ def _check_beyond_theta2(solver, spec):
 
 
 def _check_degenerate(solver):
-    if solver._degenerate == "constant":
-        s1 = solver._sigma1
+    if solver.family.constant_sigma:
+        s1 = solver.family.sigma(1)
         region = solver.classify(1.0, s1)
         value = solver.value_mb(1.0, s1)
         lhs, rhs = solver.biconjugate_check(0.0, -1.0, 256)
@@ -349,7 +350,7 @@ def _check_degenerate(solver):
             and math.isinf(lhs)
         )
         return ok, f"ray region {region.value}, value {_fmt(value)}, h = {_fmt(rhs)}"
-    t1 = solver._theta1_div
+    t1 = sigma_min_set(solver.normal_family).theta1
     region = solver.classify(1.0, 2.0 * t1)
     value = solver.value_mb(1.0, 2.0 * t1)
     lhs, rhs = solver.biconjugate_check(0.0, -1.0, 256)
@@ -364,7 +365,7 @@ def _check_degenerate(solver):
 def _cmd_verify(solver: EmpSolver, spec: ProblemSpec, args) -> int:
     rng = np.random.default_rng(20240801)
     checks = [("fenchel-young", lambda: _check_fenchel_young(solver, rng))]
-    if solver._degenerate is None:
+    if solver.profile is not None:
         checks += [
             ("truncation-convergence", lambda: _check_truncation(solver, spec)),
             ("forward-inverse-roundtrips", lambda: _check_roundtrips(solver, spec)),

@@ -5,6 +5,19 @@ a DivergenceError means divergence was proved, a BudgetError means the
 iteration/term budget ran out *without* a certificate either way.
 """
 
+__all__ = [
+    "EmpError",
+    "DomainError",
+    "RangeError",
+    "DivergenceError",
+    "UncertifiedError",
+    "BudgetError",
+    "ConfigurationError",
+    "UnsupportedFamilyError",
+    "InfeasibleError",
+    "NumericalFailureError",
+]
+
 
 class EmpError(Exception):
     """Base class for all library errors."""

@@ -101,11 +101,13 @@ def safeguarded_step(lo: float, hi: float, x: float, nxt: float, last_step: floa
 
 @dataclass(frozen=True)
 class NewtonResult:
-    """The accepted point and its residual, or else the last iterate, its
-    residual and why Newton stopped."""
+    """The accepted point with its potential F and residual (the gradient
+    of F), or else the last iterate, those two there and why Newton
+    stopped."""
 
     point: tuple[float, float]
     residual: tuple[float, float]
+    potential: float
     converged: bool
     message: str = ""
 
@@ -133,18 +135,18 @@ def minimize_convex_2d(evaluate, in_domain, start, scales, tol) -> NewtonResult:
     for _ in range(100):
         norm = max(abs(r0) / scales[0], abs(r1) / scales[1])
         if norm < best_norm:
-            best, best_norm, stale = ((x, y), (r0, r1)), norm, 0
+            best, best_norm, stale = ((x, y), (r0, r1), d_cur), norm, 0
         elif norm <= basin:
             stale += 1
         if norm <= tol:
-            return NewtonResult((x, y), (r0, r1), True)
+            return NewtonResult((x, y), (r0, r1), d_cur, True)
         if stale >= 4:
             message = "stalled"
             break
         h00, h01, h11 = hess
         det = h00 * h11 - h01 * h01
         if det <= 0.0 or not math.isfinite(det):
-            return NewtonResult((x, y), (r0, r1), False, "dual hessian degenerate")
+            return NewtonResult((x, y), (r0, r1), d_cur, False, "dual hessian degenerate")
         dx = -(h11 * r0 - h01 * r1) / det
         dy = -(-h01 * r0 + h00 * r1) / det
         slope = r0 * dx + r1 * dy  # directional derivative of F
@@ -162,4 +164,4 @@ def minimize_convex_2d(evaluate, in_domain, start, scales, tol) -> NewtonResult:
         x, y, d_cur, (r0, r1), hess = xx, yy, d_new, r_new, h_new
     if best_norm <= max(tol, 1e-9):
         return NewtonResult(*best, True)
-    return NewtonResult((x, y), (r0, r1), False, f"{message} at residual {best_norm:.3e}")
+    return NewtonResult((x, y), (r0, r1), d_cur, False, f"{message} at residual {best_norm:.3e}")

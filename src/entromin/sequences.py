@@ -292,7 +292,10 @@ class Arithmetic(SequenceFamily):
         rho = math.exp(self.slope * y)
         if rho >= 1.0:  # slope*y underflowed to zero
             return None
-        amp = math.exp(self.offset * y)
+        try:
+            amp = math.exp(self.offset * y)
+        except OverflowError:  # no certificate from this route
+            return None
         s0 = rho ** (n + 1) / (1.0 - rho)
         if moment == 0:
             t = amp * s0
@@ -619,9 +622,12 @@ class Lattice3D(SequenceFamily):
         rho_log = self.scale * y
         m = moment + 1
         eps = -0.5 * rho_log
-        c = (m / (math.e * eps)) ** m
-        q = math.exp(rho_log + eps)  # = exp(scale*y/2) < 1
-        hi = self.scale**moment * c * q ** (v + 1) / (1.0 - q)
+        try:
+            c = (m / (math.e * eps)) ** m
+            q = math.exp(rho_log + eps)  # = exp(scale*y/2) < 1
+            hi = self.scale**moment * c * q ** (v + 1) / (1.0 - q)
+        except (ZeroDivisionError, OverflowError):
+            return 0.0, math.inf  # y so near 0 that eps or 1 - q rounds to 0
         return 0.0, hi
 
     def boundary_divergent(self, moment=0):

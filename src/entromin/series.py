@@ -20,8 +20,9 @@ one-quantity entry points to it.
 The increasing bijection phi = f'/f : (-inf, -alpha) -> (theta1, theta2) is
 inverted by a bracket-safeguarded Newton iteration whose derivative
 phi' = f''/f - phi^2 comes from the same certified pass as phi; the
-conjugate of ln f follows its four-branch closed form.  All tolerances are
-absolute unless noted.
+conjugate of ln f follows its four-branch closed form, and its interior
+branch (_conjugate_at) is also the solver's interior value.  All
+tolerances are absolute unless noted.
 """
 
 from __future__ import annotations
@@ -481,8 +482,10 @@ def _invert_slope(family, w, tol) -> tuple[float, SeriesEval]:
 
 def lnf_conjugate(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
     """(ln f)*(w): +inf below theta1; -ln(sum of tied minimal weights) at
-    theta1; w phi^{-1}(w) - ln f(phi^{-1}(w)) inside; -alpha w - ln f(-alpha)
-    at and beyond theta2 (boundary case c only)."""
+    theta1; w phi^{-1}(w) - ln f(phi^{-1}(w)) inside, from the same root
+    and f as the solver's interior values (_conjugate_at, with f to
+    0.25 tol); -alpha w - ln f(-alpha) at and beyond theta2 (boundary case
+    c only)."""
     prof = profile(family)
     t1_tol = 1e-12 * max(1.0, abs(prof.theta1))
     if not math.isfinite(w):
@@ -493,14 +496,25 @@ def lnf_conjugate(family: SequenceFamily, w: float, tol: float = 1e-10) -> float
         return -math.log(prof.sigma_min.p_sum)
     if w >= prof.theta2:
         return -prof.alpha * w - math.log(prof.f_at_boundary)
-    # a residual delta in the root costs only O(delta^2) in the supremum
-    # value, so fall back to a looser root when the tight one is not
-    # certifiable within the term budget (slowly spaced level families)
-    try:
-        y, f_y = _invert_slope(family, w, min(tol, 1e-10))
-    except BudgetError:
-        y, f_y = _invert_slope(family, w, 1e-5)
-    return w * y - math.log(_refine_f(family, y, f_y, 0.25 * tol).value)
+    return _conjugate_at(family, w, tol, 0.25 * tol)[0]
+
+
+def _conjugate_at(family, w, tol, f_rtol) -> tuple[float, float, float]:
+    """((ln f)*(w), y, ln f(y)) at theta1 < w < theta2, with y the slope root
+    phi(y) = w and (ln f)*(w) = w y - ln f(y).  The root's residual target
+    is 0.25 min(tol, 1e-12), else 0.25 max(tol, 1e-10), else 1e-5, the first
+    the family's tails can certify: a residual delta costs only O(delta^2)
+    in the value.  f(y) holds to f_rtol max(1, f(y)) (_refine_f)."""
+    for root_tol in (min(tol, 1e-12) * 0.25, max(tol, 1e-10) * 0.25, 1e-5):
+        try:
+            y, f_y = _invert_slope(family, w, root_tol)
+            break
+        except BudgetError:
+            continue
+    else:
+        raise BudgetError(f"slope inversion at w={w} exceeded every tolerance tier")
+    ln_f = math.log(_refine_f(family, y, f_y, f_rtol).value)
+    return w * y - ln_f, y, ln_f
 
 
 def _refine_f(family, y, f_y: SeriesEval, rtol: float) -> SeriesEval:
@@ -520,6 +534,13 @@ def _refine_f(family, y, f_y: SeriesEval, rtol: float) -> SeriesEval:
 def _theta1(family) -> float:
     t = family.analytic_theta1
     return t if t is not None else sigma_min_set(family).theta1
+
+
+def _outside_be(family, x, y) -> bool:
+    """(x, y) outside dom h_BE: t = x + theta1 y >= 0, or t so near 0 that
+    e^t rounds to 1 and the first term's -ln(1 - e^t) has no float value."""
+    t = x + _theta1(family) * y
+    return t >= 0.0 or math.exp(t) == 1.0
 
 
 def _mult_arrays(kind: Entropy, mults, t: np.ndarray) -> dict:
@@ -567,13 +588,14 @@ def eval_h(
     family: SequenceFamily, kind: Entropy, x: float, y: float, tol: float = 1e-10
 ) -> float:
     """h_W(x, y) within tol; +inf signals a certified divergence (the point
-    lies outside dom h_W)."""
+    lies outside dom h_W), or under bose-einstein a point so near its edge
+    that e^(x + theta1 y) rounds to 1."""
     if family.dom_f_empty:
         return math.inf
     a = _require_alpha(family)
     if y > -a:
         return math.inf
-    if kind is Entropy.BOSE_EINSTEIN and x + _theta1(family) * y >= 0.0:
+    if kind is Entropy.BOSE_EINSTEIN and _outside_be(family, x, y):
         return math.inf
     try:
         return _eval_moments(family, y, {("conj", 0): tol}, x, kind)[0].value
@@ -584,7 +606,7 @@ def eval_h(
 def _dual_sums(family, kind, x, y, tols) -> list[SeriesEval]:
     """_eval_moments for sums of h_W and its derivatives (keys of `tols` as
     in _eval_many), with DomainError for a degenerate family, y > -alpha, a
-    Hessian sum at y = -alpha, x + theta1 y >= 0 under bose-einstein, or a
+    Hessian sum at y = -alpha, e^(x + theta1 y) >= 1 under bose-einstein, or a
     divergent series."""
     if family.dom_f_empty or family.constant_sigma:
         raise DomainError("dual sums undefined: degenerate family")
@@ -593,8 +615,8 @@ def _dual_sums(family, kind, x, y, tols) -> list[SeriesEval]:
         raise DomainError(f"({x}, {y}) outside dom h: y > -alpha = {-a}")
     if y == -a and any(m == "hess" for m, _ in tols):
         raise DomainError(f"hessian needs y < -alpha = {-a}")
-    if kind is Entropy.BOSE_EINSTEIN and x + _theta1(family) * y >= 0.0:
-        raise DomainError("outside dom h_BE: x + theta1 y >= 0")
+    if kind is Entropy.BOSE_EINSTEIN and _outside_be(family, x, y):
+        raise DomainError(f"({x}, {y}) outside dom h_BE: e^(x + theta1 y) is not below 1")
     try:
         return _eval_moments(family, y, tols, x, kind)
     except DivergenceError as exc:
@@ -609,10 +631,18 @@ def _dual_point(family, kind, x, y, tol, hessian=True) -> list[SeriesEval]:
     """[h, h_x, h_y] of h_W at (x, y), followed by [h_xx, h_xy, h_yy] when
     `hessian`, each certified within tol, from one pass of _eval_many: what
     a Newton point or a forward solve needs, where eval_h, grad_h and
-    hessian_h would sum the same terms three times.  The Hessian needs
-    y < -alpha; without it y = -alpha is allowed in boundary case (c)."""
+    hessian_h would sum the same terms three times.  Under maxwell-boltzmann
+    every multiplier is 1 (h = h_x = h_xx, h_y = h_xy), so each moment is
+    summed once.  The Hessian needs y < -alpha; without it y = -alpha is
+    allowed in boundary case (c)."""
     sums = _VALUE_GRADIENT + _HESSIAN if hessian else _VALUE_GRADIENT
-    return _dual_sums(family, kind, x, y, dict.fromkeys(sums, tol))
+    if kind is not _MB:
+        return _dual_sums(family, kind, x, y, dict.fromkeys(sums, tol))
+    first = {}  # moment -> the first sum naming it, which keeps the 'hess' check
+    for m, k in sums:
+        first.setdefault(k, m)
+    moments = _dual_sums(family, kind, x, y, {(m, k): tol for k, m in first.items()})
+    return [moments[k] for _, k in sums]
 
 
 def grad_h(

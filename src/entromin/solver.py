@@ -6,6 +6,9 @@ the value H(u, v) = h*(u, v) is computed from the closed conjugate formula,
 optimal occupation sequences are returned where the infimum is attained,
 and where it is not (v > theta2 u, finite value) an explicit family of
 feasible sequences with objectives converging to the value is constructed.
+EmpSolver.solve_mb is the one region dispatch for all of it; value_mb and
+h_star_mb return its value and h_star.  The interior value comes from the
+same slope root and f as series.lnf_conjugate.
 
 Forward solves (from dual multipliers (x, y) to the unique optimizer) work
 for all three entropies.  Inverse bose-einstein/fermi-dirac solves are
@@ -13,8 +16,9 @@ best-effort Newton iterations that either succeed and verify, or return an
 explicit failure report; no complete inverse theory exists for them.
 
 Families whose levels decrease to -inf or dip below zero are normalized
-internally (sign flip, then a constant shift), and every reported value,
-multiplier and sequence is translated back to the original coordinates.
+(sign flip, then a constant shift; EmpSolver.normal_family), and every
+reported value, multiplier and sequence is translated back to the original
+coordinates (EmpSolver.multipliers_from_normal for multipliers).
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ __all__ = [
 # boundary take its closed-form value; the snap error is O(rtol ln(1/rtol)),
 # which must stay below the 1e-8 weak-duality slack.
 _REGION_RTOL = 1e-12
+_MB = Entropy.MAXWELL_BOLTZMANN
 
 
 def _on_ray(v: float, ray: float) -> bool:
@@ -92,7 +97,9 @@ class SequenceRule:
 
     form "zero": all terms vanish; "restricted": finitely many explicit
     terms; "exponential": u_n = p_n e^{x + sigma_n y} / (1 + a e^{x + sigma_n y})
-    with the original-coordinate multipliers (x, y).
+    with the original-coordinate multipliers (x, y); `normal` is the
+    (family, x, y) it is evaluated with, those of the solver's normal form
+    (EmpSolver builds every exponential rule).
     """
 
     kind: Entropy
@@ -101,9 +108,7 @@ class SequenceRule:
     x: Optional[float] = None
     y: Optional[float] = None
     support: Optional[tuple[tuple[int, float], ...]] = None
-    _eval_family: Optional[SequenceFamily] = None
-    _eval_x: Optional[float] = None
-    _eval_y: Optional[float] = None
+    normal: Optional[tuple[SequenceFamily, float, float]] = None
 
     def term(self, n: int) -> float:
         if n < 1:
@@ -115,9 +120,7 @@ class SequenceRule:
                 if k == n:
                     return val
             return 0.0
-        fam = self._eval_family or self.family
-        x = self._eval_x if self._eval_x is not None else self.x
-        y = self._eval_y if self._eval_y is not None else self.y
+        fam, x, y = self.normal
         lt = float(fam.log_terms(y, n, n)[0]) + x
         t = x + fam.sigma(n) * y
         a = self.kind.a
@@ -293,38 +296,38 @@ ExplicitSequence = Sequence[float]
 
 class EmpSolver:
     """Immutable per-family front end; all methods are safe to call
-    concurrently once construction (normalization + profiling) finishes."""
+    concurrently once construction (normalization + profiling) finishes.
+
+    The solver works in a normal form of the family (normal_family):
+    levels decreasing to -inf are flipped, then levels with min sigma <= 0
+    shifted, and results are mapped back to the original coordinates.  A
+    family is degenerate, with no profile, when its levels are constant or
+    dom f is empty."""
 
     def __init__(self, family: SequenceFamily, tol: float = 1e-10):
         self.family = family
         self.tol = tol
         self._flip = 1
         self._shift = 0.0
+        self._profile = None
+        self._smin = None  # the normal form's SigmaMinSet; None for constant levels
         fam = family
-        if fam.constant_sigma:
-            self._fam = fam
-            self._degenerate = "constant"
-            self._profile = None
-            self._sigma1 = fam.sigma(1)
-            return
-        if fam.sigma_direction == -1:
-            fam = flipped(fam)
-            self._flip = -1
-        if fam.sigma_direction != +1:
-            raise UnsupportedFamilyError("levels neither constant nor tending to +/-inf")
-        smin = sigma_min_set(fam)
-        if smin.theta1 <= 0.0:
-            self._shift = smin.theta1 - 1.0
-            fam = ShiftedSigma(fam, self._shift)
+        if not fam.constant_sigma:
+            if fam.sigma_direction == -1:
+                fam = flipped(fam)
+                self._flip = -1
+            if fam.sigma_direction != +1:
+                raise UnsupportedFamilyError("levels neither constant nor tending to +/-inf")
+            smin = sigma_min_set(fam)
+            if smin.theta1 <= 0.0:
+                self._shift = smin.theta1 - 1.0
+                fam = ShiftedSigma(fam, self._shift)
+            if fam.dom_f_empty:
+                self._smin = sigma_min_set(fam)
+            else:
+                self._profile = series.profile(fam, tol)
+                self._smin = self._profile.sigma_min
         self._fam = fam
-        if fam.dom_f_empty:
-            self._degenerate = "divergent"
-            self._profile = None
-            self._theta1_div = sigma_min_set(fam).theta1
-            self._smin_div = sigma_min_set(fam)
-            return
-        self._degenerate = None
-        self._profile = series.profile(fam, tol)
 
     # -- coordinate maps ----------------------------------------------------
 
@@ -338,11 +341,21 @@ class EmpSolver:
         y_n = self._flip * y
         return x + self._shift * y_n, y_n
 
-    def _xy_from_norm(self, x_n, y_n):
+    def multipliers_from_normal(self, x_n: float, y_n: float) -> tuple[float, float]:
+        """The original-coordinate multipliers (x, y) of multipliers
+        (x_n, y_n) of the normal form."""
         return x_n - self._shift * y_n, self._flip * y_n
 
     @property
+    def normal_family(self) -> SequenceFamily:
+        """The family the solver works in: levels flipped when they decrease
+        to -inf, then shifted by theta1 - 1 when min sigma <= 0, so that
+        v_normal = +-v - shift u; a degenerate family as given."""
+        return self._fam
+
+    @property
     def profile(self) -> Optional[SeriesProfile]:
+        """The normal form's series profile; None for a degenerate family."""
         return self._profile
 
     # -- classification -----------------------------------------------------
@@ -356,12 +369,12 @@ class EmpSolver:
         for name, val in (("u", u), ("v", v)):
             if not math.isfinite(val):
                 raise RangeError(f"{name} must be finite, got {val}")
-        if self._degenerate == "constant":
+        if self.family.constant_sigma:
             if u == 0.0 and v == 0.0:
                 return Region.ORIGIN
-            if u < 0.0 or u == 0.0:
+            if u <= 0.0:
                 return Region.INFEASIBLE_NEGATIVE
-            ray = self._sigma1 * u
+            ray = self.family.sigma(1) * u
             if _on_ray(v, ray):
                 return Region.DEGENERATE_CONSTANT_SIGMA
             # off the ray there is no feasible sequence at all
@@ -369,22 +382,16 @@ class EmpSolver:
         u_n, v_n = self._to_norm(u, v)
         if u_n < 0.0 or (u_n == 0.0 and v_n < 0.0):
             return Region.INFEASIBLE_NEGATIVE
-        if u_n == 0.0 and v_n == 0.0:
-            return Region.ORIGIN
         if u_n == 0.0:
-            return Region.ZERO_WITH_POSITIVE_V
-        if self._degenerate == "divergent":
-            t1 = self._theta1_div
-            if _on_ray(v_n, t1 * u_n):
-                return Region.LOWER_BOUNDARY
-            if v_n < t1 * u_n:
-                return Region.BELOW_CONE
-            return Region.DEGENERATE_ALL_DIVERGENT
-        prof = self._profile
-        if _on_ray(v_n, prof.theta1 * u_n):
+            return Region.ORIGIN if v_n == 0.0 else Region.ZERO_WITH_POSITIVE_V
+        ray = self._smin.theta1 * u_n
+        if _on_ray(v_n, ray):
             return Region.LOWER_BOUNDARY
-        if v_n < prof.theta1 * u_n:
+        if v_n < ray:
             return Region.BELOW_CONE
+        prof = self._profile
+        if prof is None:
+            return Region.DEGENERATE_ALL_DIVERGENT
         if math.isfinite(prof.theta2):
             if _on_ray(v_n, prof.theta2 * u_n):
                 return Region.UPPER_BOUNDARY_THETA2
@@ -392,135 +399,89 @@ class EmpSolver:
                 return Region.BEYOND_THETA2
         return Region.INTERIOR
 
-    # -- maxwell-boltzmann values -------------------------------------------
-
-    def _phi_root(self, w: float) -> tuple[float, series.SeriesEval]:
-        """Invert the slope bijection at w, relaxing the residual target when
-        the tight one exceeds what the family's tails can certify; returns
-        the root and the certified f there from the root's last pass."""
-        for root_tol in (min(self.tol, 1e-12) * 0.25, max(self.tol, 1e-10) * 0.25, 1e-5):
-            try:
-                return series._invert_slope(self._fam, w, root_tol)
-            except BudgetError:
-                continue
-        raise BudgetError(f"slope inversion at w={w} exceeded every tolerance tier")
+    # -- maxwell-boltzmann solves -------------------------------------------
 
     def _interior(self, u: float, w: float) -> tuple[float, float, float]:
         """(H, x, y) in normalized coordinates at an interior target of
-        slope w: one root y of phi(y) = w and f(y) give x = ln(u / f(y)) and
-        H = u(ln u - 1) + u(w y - ln f(y)), whose error is second order in
-        the root residual.  H carries u ln f, so f must hold to
-        1e-12 max(1, f) / u; it is re-summed only when the root's last pass
-        certified it more loosely."""
-        y_n, f_y = self._phi_root(w)
+        slope w: H = u(ln u - 1) + u (ln f)*(w) and x = ln u - ln f(y) from
+        one slope root y (series._conjugate_at).  H carries u ln f, so f
+        must hold to 1e-12 max(1, f) / u; it is re-summed only when the
+        root's last pass certified it more loosely."""
         rtol = min(self.tol, 1e-12) / max(1.0, u)
-        ln_f = math.log(series._refine_f(self._fam, y_n, f_y, rtol).value)
-        return u * (math.log(u) - 1.0) + u * (w * y_n - ln_f), math.log(u) - ln_f, y_n
+        conj, y_n, ln_f = series._conjugate_at(self._fam, w, self.tol, rtol)
+        return u * (math.log(u) - 1.0) + u * conj, math.log(u) - ln_f, y_n
 
-    def _smin(self):
-        if self._degenerate == "divergent":
-            return self._smin_div
-        return self._profile.sigma_min
-
-    def _value_h_star(self, region: Region, u: float, v_n: float):
-        """(H, h*) in normalized coordinates for the maxwell-boltzmann case."""
-        inf = math.inf
-        if self._degenerate == "constant":
-            if region is Region.ORIGIN:
-                return 0.0, -inf
-            if region is Region.DEGENERATE_CONSTANT_SIGMA:
-                return -inf, -inf
-            return inf, -inf  # off the feasible ray; h = +inf identically
-        if self._degenerate == "divergent":
-            if region is Region.ORIGIN:
-                return 0.0, -inf
-            if region is Region.LOWER_BOUNDARY:
-                smin = self._smin()
-                h = u * (math.log(u) - 1.0 - math.log(smin.p_sum))
-                return h, -inf
-            if region is Region.DEGENERATE_ALL_DIVERGENT:
-                return -inf, -inf
-            return inf, -inf
-        prof = self._profile
-        if region is Region.ORIGIN:
-            return 0.0, 0.0
-        if region is Region.INFEASIBLE_NEGATIVE:
-            return inf, inf
-        if region is Region.ZERO_WITH_POSITIVE_V:
-            return inf, -prof.alpha * v_n
-        if region is Region.BELOW_CONE:
-            return inf, inf
-        if region is Region.LOWER_BOUNDARY:
-            val = u * (math.log(u) - 1.0 - math.log(prof.sigma_min.p_sum))
-            return val, val
-        if region in (Region.UPPER_BOUNDARY_THETA2, Region.BEYOND_THETA2):
-            x = math.log(u / prof.f_at_boundary)
-            val = (x - 1.0) * u - prof.alpha * v_n
-            return val, val
-        val = self._interior(u, v_n / u)[0]
-        return val, val
+    def _exponential(self, kind, x_n, y_n, xy=None) -> SequenceRule:
+        """The exponential rule at normal-form multipliers (x_n, y_n); its
+        original multipliers are xy, or else mapped back from (x_n, y_n)."""
+        x, y = xy or self.multipliers_from_normal(x_n, y_n)
+        return SequenceRule(kind, "exponential", self.family, x, y, normal=(self._fam, x_n, y_n))
 
     def value_mb(self, u: float, v: float) -> float:
-        """H(u, v) for the maxwell-boltzmann entropy: 0 at the origin, -inf
-        on the degenerate regions, +inf where no feasible sequence exists,
-        and the closed conjugate formula on the cone."""
-        region = self.classify(u, v)
-        _, v_n = self._to_norm(u, v)
-        return self._value_h_star(region, u, v_n)[0]
+        """H(u, v) for the maxwell-boltzmann entropy: solve_mb(u, v).value."""
+        return self.solve_mb(u, v).value
 
     def h_star_mb(self, u: float, v: float) -> float:
-        """h*(u, v); differs from H(u, v) at (0, v > 0), where the dual value
-        -alpha v is finite but the primal problem is infeasible."""
-        region = self.classify(u, v)
-        _, v_n = self._to_norm(u, v)
-        return self._value_h_star(region, u, v_n)[1]
+        """h*(u, v) = solve_mb(u, v).h_star; differs from H(u, v) at
+        (0, v > 0), where the dual value -alpha v is finite but the primal
+        problem is infeasible, and on degenerate families, where it is
+        -inf."""
+        return self.solve_mb(u, v).h_star
 
     def solve_mb(self, u: float, v: float) -> EmpSolution:
-        """Full maxwell-boltzmann solve: value, attainment, optimal sequence
-        or epsilon-optimal family, and dual multipliers where they exist."""
+        """Full maxwell-boltzmann solve and the one region dispatch.  The
+        value H(u, v) is 0 at the origin, -inf on the degenerate regions,
+        +inf where no feasible sequence exists, and the closed conjugate
+        formula on the cone; h*(u, v) is -inf on degenerate families,
+        -alpha v at (0, v > 0) and H elsewhere.  Also attainment, the
+        optimal sequence or epsilon-optimal family, and dual multipliers
+        where they exist."""
         region = self.classify(u, v)
         _, v_n = self._to_norm(u, v)
-        if region is not Region.INTERIOR:  # the interior value comes with its root
-            value, h_star = self._value_h_star(region, u, v_n)
-        kind = Entropy.MAXWELL_BOLTZMANN
-        attained = region in _ATTAINED
-        rule = None
-        eps_fam = None
-        mult = None
+        prof = self._profile
+        value = math.inf  # no feasible sequence
+        rule = eps_fam = None
         if region is Region.ORIGIN:
-            rule = SequenceRule(kind, "zero", self.family)
+            value = 0.0
+            rule = SequenceRule(_MB, "zero", self.family)
+        elif region in (Region.DEGENERATE_CONSTANT_SIGMA, Region.DEGENERATE_ALL_DIVERGENT):
+            value = -math.inf
         elif region is Region.LOWER_BOUNDARY:
-            smin = self._smin()
-            support = tuple(
-                (n, u * self.family.p(n) / smin.p_sum) for n in smin.indices
-            )
-            rule = SequenceRule(kind, "restricted", self.family, support=support)
+            smin = self._smin
+            value = u * (math.log(u) - 1.0 - math.log(smin.p_sum))
+            support = tuple((n, u * self.family.p(n) / smin.p_sum) for n in smin.indices)
+            rule = SequenceRule(_MB, "restricted", self.family, support=support)
         elif region is Region.INTERIOR:
             value, x_n, y_n = self._interior(u, v_n / u)
-            h_star = value
-            x, y = self._xy_from_norm(x_n, y_n)
-            mult = (x, y)
-            rule = SequenceRule(
-                kind, "exponential", self.family, x=x, y=y,
-                _eval_family=self._fam, _eval_x=x_n, _eval_y=y_n,
-            )
-        elif region is Region.UPPER_BOUNDARY_THETA2:
-            prof = self._profile
+            rule = self._exponential(_MB, x_n, y_n)
+        elif region in (Region.UPPER_BOUNDARY_THETA2, Region.BEYOND_THETA2):
             x_n = math.log(u / prof.f_at_boundary)
-            y_n = -prof.alpha
-            x, y = self._xy_from_norm(x_n, y_n)
-            mult = (x, y)
-            rule = SequenceRule(
-                kind, "exponential", self.family, x=x, y=y,
-                _eval_family=self._fam, _eval_x=x_n, _eval_y=y_n,
-            )
-        elif region is Region.BEYOND_THETA2:
-            eps_fam = EpsilonFamily(self._fam, self._profile, u, v_n, value)
+            value = (x_n - 1.0) * u - prof.alpha * v_n
+            if region is Region.UPPER_BOUNDARY_THETA2:
+                rule = self._exponential(_MB, x_n, -prof.alpha)
+            else:
+                eps_fam = EpsilonFamily(self._fam, prof, u, v_n, value)
+        if prof is None:
+            h_star = -math.inf
+        elif region is Region.ZERO_WITH_POSITIVE_V:
+            h_star = -prof.alpha * v_n
+        else:
+            h_star = value
+        mult = None if rule is None or rule.normal is None else (rule.x, rule.y)
         return EmpSolution(
-            region, value, h_star, attained, u, v, kind, rule, eps_fam, mult
+            region, value, h_star, region in _ATTAINED, u, v, _MB, rule, eps_fam, mult
         )
 
     # -- forward and inverse solves ------------------------------------------
+
+    def _attained(self, kind, x_n, y_n, u, v_n, value, xy=None) -> EmpSolution:
+        """The attained solution at normal-form multipliers (x_n, y_n) whose
+        gradient sums are (u, v_n); xy as in _exponential."""
+        v = self._from_norm_v(u, v_n)
+        rule = self._exponential(kind, x_n, y_n, xy)
+        return EmpSolution(
+            self.classify(u, v), value, value, True, u, v, kind, rule, None, (rule.x, rule.y)
+        )
 
     def forward_solve(self, kind: Entropy, x: float, y: float) -> EmpSolution:
         """From dual multipliers to the unique optimal occupation sequence:
@@ -531,10 +492,10 @@ class EmpSolver:
         for name, val in (("x", x), ("y", y)):
             if not math.isfinite(val):
                 raise RangeError(f"{name} must be finite, got {val}")
-        if self._degenerate is not None:
+        prof = self._profile
+        if prof is None:
             raise DomainError("forward solve undefined for degenerate families")
         x_n, y_n = self._xy_to_norm(x, y)
-        prof = self._profile
         if y_n > -prof.alpha or (
             y_n == -prof.alpha and prof.boundary_case is not BoundaryCase.CLOSED_GAMMA_FINITE_C
         ):
@@ -555,27 +516,26 @@ class EmpSolver:
                 msg = str(exc)
         else:
             raise BudgetError(msg)
-        value = x_n * u + y_n * v_n - h
-        v = self._from_norm_v(u, v_n)
-        region = self.classify(u, v)
-        rule = SequenceRule(
-            kind, "exponential", self.family, x=x, y=y,
-            _eval_family=self._fam, _eval_x=x_n, _eval_y=y_n,
-        )
-        return EmpSolution(region, value, value, True, u, v, kind, rule, None, (x, y))
+        return self._attained(kind, x_n, y_n, u, v_n, x_n * u + y_n * v_n - h, (x, y))
 
     def inverse_solve_bf(
         self, kind: Entropy, u: float, v: float, tol: float = 1e-10
     ) -> Union[EmpSolution, InverseFailure]:
         """Best-effort inverse solve for bose-einstein / fermi-dirac targets
         strictly inside the cone: damped Newton on the dual potential
-        h_W(x, y) - x u - y v, initialized at the maxwell-boltzmann
+        F = h_W(x, y) - x u - y v, initialized at the maxwell-boltzmann
         multipliers of one loose slope root (residual 1e-5; the Newton
         corrects it) and the f(y) of that root's last pass.  Each Newton
         point is one certified pass for h_W, its gradient and its Hessian.
-        Returns an InverseFailure report when it cannot verify a solution,
-        including when the iteration leaves the range where the series can
-        be summed; never a guessed value."""
+
+        The solution is read off the accepted Newton point, without a
+        further pass: its gradient sums are (u, v) plus the Newton residual,
+        which is within res_tol = max(tol, 1e-11) max(1, u, |v|) (10^3 times
+        that on the retry), and its value x u' + y v' - h_W is certified by
+        that point's sums, each within res_tol / 10.  Returns an
+        InverseFailure report when it cannot verify a solution, including
+        when the iteration leaves the range where the series can be summed;
+        never a guessed value."""
         if kind is Entropy.MAXWELL_BOLTZMANN:
             raise DomainError("use solve_mb for maxwell-boltzmann targets")
         region = self.classify(u, v)
@@ -597,7 +557,8 @@ class EmpSolver:
         # f to 1e-8 max(1, u) (_refine_f's tolerance is relative to max(1, f))
         f_tol = 1e-8 * max(1.0, u)
         f_c = series._refine_f(self._fam, y_c, f_y, f_tol / max(1.0, f_y.value)).value
-        x_c = math.log(u / f_c)
+        # ln u - ln f where u / f underflows
+        x_c = math.log(u / f_c) if u / f_c > 0.0 else math.log(u) - math.log(f_c)
         if kind is Entropy.BOSE_EINSTEIN and x_c + prof.theta1 * y_c >= 0.0:
             x_c = -prof.theta1 * y_c - 1.0
 
@@ -626,15 +587,18 @@ class EmpSolver:
             except (DomainError, BudgetError, RangeError) as exc:
                 # RangeError: an iterate's x overflows exp(x)
                 failure = InverseFailure(
-                    kind, self._xy_from_norm(x_c, y_c), (math.inf, math.inf),
+                    kind, self.multipliers_from_normal(x_c, y_c), (math.inf, math.inf),
                     f"newton aborted: {exc}",
                 )
                 continue
             if got.converged:
-                x, y = self._xy_from_norm(*got.point)
-                return self.forward_solve(kind, x, y)
+                (x_n, y_n), (r0, r1) = got.point, got.residual
+                # value = x u' + y v' - h_W with (u', v') = (u, v) + r and
+                # h_W = F + x u + y v
+                value = x_n * r0 + y_n * r1 - got.potential
+                return self._attained(kind, x_n, y_n, u + r0, v_n + r1, value)
             failure = InverseFailure(
-                kind, self._xy_from_norm(*got.point), got.residual,
+                kind, self.multipliers_from_normal(*got.point), got.residual,
                 f"newton {got.message} above tolerance {res_tol:.3e}",
             )
         return failure
@@ -668,9 +632,7 @@ class EmpSolver:
         )
 
     def _objective_exponential(self, kind, rule, tol):
-        fam = rule._eval_family or self._fam
-        x = rule._eval_x if rule._eval_x is not None else rule.x
-        y = rule._eval_y if rule._eval_y is not None else rule.y
+        fam, x, y = rule.normal
         a = kind.a
         lo, hi = 1, 64
         blocks = []
@@ -723,13 +685,12 @@ class EmpSolver:
         """Numerical check of H* = h: rhs = h(x, y) summed directly, lhs =
         sup over sampled dom-H points of x u + y v - H(u, v).  Always
         lhs <= rhs up to sampling gap."""
-        x_n, y_n = self._xy_to_norm(x, y)
-        rhs = series.eval_h(self._fam, Entropy.MAXWELL_BOLTZMANN, x_n, y_n, self.tol) \
-            if self._degenerate is None else math.inf
-        if self._degenerate is not None:
-            # H takes -inf on its ray/cone: the sup is +inf immediately
-            return math.inf, rhs
         prof = self._profile
+        if prof is None:
+            # H takes -inf on its ray/cone: the sup is +inf immediately
+            return math.inf, math.inf
+        x_n, y_n = self._xy_to_norm(x, y)
+        rhs = series.eval_h(self._fam, _MB, x_n, y_n, self.tol)
         n_w = max(16, int(math.sqrt(sample_budget / 4.0)))
         n_u = max(16, sample_budget // n_w)
         u_grid = np.logspace(-3.0, 3.0, n_u)
