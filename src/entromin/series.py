@@ -638,10 +638,9 @@ def _dual_point(family, kind, x, y, tol, hessian=True) -> list[SeriesEval]:
     sums = _VALUE_GRADIENT + _HESSIAN if hessian else _VALUE_GRADIENT
     if kind is not _MB:
         return _dual_sums(family, kind, x, y, dict.fromkeys(sums, tol))
-    first = {}  # moment -> the first sum naming it, which keeps the 'hess' check
-    for m, k in sums:
-        first.setdefault(k, m)
-    moments = _dual_sums(family, kind, x, y, {(m, k): tol for k, m in first.items()})
+    # one sum per moment; the 'hess' key keeps _dual_sums' y < -alpha check
+    per_moment = (("conj", 0), ("grad", 1), ("hess", 2))[: 3 if hessian else 2]
+    moments = _dual_sums(family, kind, x, y, dict.fromkeys(per_moment, tol))
     return [moments[k] for _, k in sums]
 
 
