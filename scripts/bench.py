@@ -20,10 +20,11 @@ tracer (perfbench/tracing.py):
 
   prefix_passes        np.exp calls made by entromin.solver during one
                        converge: one per evaluation of the prefix slope
-                       phi_n, plus those that build a member after its
-                       root search (its terms, and ln Z_n where the root
-                       search does not return it);
+                       phi_n, plus any that build a member after its root
+                       search (its terms, in trees that do not take them
+                       from the root's last pass);
   prefix_terms         elements those calls exponentiate;
+  prefix_terms_per_n   prefix_terms over the returned member's n;
   members              truncations tried (one log_terms(0, 1, n) each);
   series_passes        log_terms calls starting at n = 1 during one
                        solve_mb or round trip: one per certified series
@@ -36,7 +37,10 @@ tracer (perfbench/tracing.py):
 
 Wall time is the median (with quartiles) over targets of each target's
 median of REPEATS calls, after one untimed warm-up call per target.  All
-timing runs before the tracer is installed.
+timing runs before the tracer is installed, so the counts see whatever a
+tree caches across calls warm, as a long-running process does (the
+endpoint slopes phi_n(0) and phi_n(-alpha) of the epsilon family, per
+family and n, where the tree caches them).
 
 Usage, from the repository root:
     python scripts/bench.py --out BENCH.json [--src PATH]
@@ -154,7 +158,8 @@ def count_converge(tracer, np, fams):
             )
         finally:
             solver.np = np
-        per_target.append({**exps, **counts})
+        per_n = exps["prefix_terms"] / member.n
+        per_target.append({**exps, "prefix_terms_per_n": per_n, **counts})
         results.append(member.n)
     return {
         "counts_per_converge": _summary(per_target),

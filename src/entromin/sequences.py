@@ -290,8 +290,8 @@ class Arithmetic(SequenceFamily):
         if moment > 0 and self.sigma(n + 1) <= 0.0:
             return None
         rho = math.exp(self.slope * y)
-        if rho >= 1.0:  # slope*y underflowed to zero
-            return None
+        if rho >= 1.0:  # slope*y rounds to 0: only the trivial bracket is certain
+            return 0.0, math.inf
         try:
             amp = math.exp(self.offset * y)
         except OverflowError:  # no certificate from this route

@@ -191,7 +191,7 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB, boundary=False):
             width = iv[1] - iv[0]
             if not (width <= tol) or not math.isfinite(iv[1]):
                 brackets = None
-                if hi >= 4096 and width > tol * (_TERM_BUDGET / hi) ** 3:
+                if hi >= 4096 and not width <= tol * (_TERM_BUDGET / hi) ** 3:
                     raise BudgetError(
                         f"series tail width {width:.3e} at n={hi} cannot reach "
                         f"{tol:.3e} within the {_TERM_BUDGET}-term budget "

@@ -23,6 +23,7 @@ coordinates (EmpSolver.multipliers_from_normal for multipliers).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -146,7 +147,9 @@ class EpsilonMember:
 
 def _prefix_pass(log_p, s, lam):
     """phi_n(-lam), its lam-derivative -Var_n(sigma) and ln Z_n(lam) for the
-    prefix weights exp(log_p - s lam), from one exp over the prefix."""
+    prefix weights exp(log_p - s lam), from one exp over the prefix; then
+    those weights over their largest, e, and the sum z0 of e, so that the
+    member at lam is u e / z0 with no second exp."""
     lw = log_p - s * lam
     m = lw.max()
     e = np.exp(lw - m)
@@ -154,7 +157,16 @@ def _prefix_pass(log_p, s, lam):
     se = s * e
     phi = float(se.sum() / z0)
     var = float((s * se).sum() / z0) - phi * phi
-    return phi, -var, float(m) + math.log(float(z0))
+    return phi, -var, float(m) + math.log(float(z0)), e, float(z0)
+
+
+@functools.lru_cache(maxsize=1024)
+def _prefix_ends(family, n: int) -> dict:
+    """{lam: phi_n(-lam)} at the ends of [0, alpha] for the first n terms of
+    a normalized family.  They depend on (family, n) alone, so every target
+    of one family shares them; EpsilonFamily._root fills the dict from the
+    prefix it already holds, and concurrent writers store the same float."""
+    return {}
 
 
 class EpsilonFamily:
@@ -174,40 +186,65 @@ class EpsilonFamily:
         that is unless phi_n(-alpha) < v/u < phi_n(0) for the prefix slope
         phi_n.  lam solves phi_n(-lam) = v/u by a bracket-safeguarded Newton
         iteration on [0, alpha], one pass over the prefix per step."""
-        return self._member(n, 0.0)
+        return self._member(n, 0.0)[0]
 
-    def _member(self, n: int, start: float) -> EpsilonMember:
-        """member(n) with the Newton iteration started at lam = start."""
+    def _member(self, n: int, start: float, bound: float = math.inf, floor: float = 0.0):
+        """(member(n), its lam) with the Newton iteration started at
+        lam = start; (None, a root estimate) once the dual bound of an
+        iterate exceeds `bound` (see _root)."""
         log_p = self._family.log_terms(0.0, 1, n)
         s = self._family.sigma_array(1, n)
-        lam, log_z = self._root(log_p, s, self.v / self.u, start)
+        lam, at = self._root(log_p, s, start, bound, floor)
+        if at is None:
+            return None, lam
+        _, _, log_z, e, z0 = at
         ups = math.log(self.u) - log_z
-        terms = tuple(np.exp(ups + (log_p - s * lam)).tolist())
+        terms = tuple((e * (self.u / z0)).tolist())
         objective = (ups - 1.0) * self.u - lam * self.v
-        return EpsilonMember(n, lam, ups, objective, terms)
+        return EpsilonMember(n, lam, ups, objective, terms), lam
 
-    def _root(self, log_p, s, w, lam):
-        """(lam, ln Z_n(lam)) with g(lam) = phi_n(-lam) - w <= 1e-12 max(1, w)
-        in absolute value, or a bracket narrower than 1e-14 max(1, |lo|, |hi|),
-        by Newton from `lam`.  g decreases on [0, alpha], so an iterate with
-        g > 0 proves phi_n(0) > w and one with g < 0 proves phi_n(-alpha) < w;
-        an endpoint is evaluated only when no iterate has proved its side.
-        A Newton step is taken strictly inside the bracket and when it at
-        most halves the step before it; otherwise the bracket is bisected, or
-        its unproved end evaluated when the step points past it."""
+    def _root(self, log_p, s, lam, bound=math.inf, floor=0.0):
+        """(lam, the _prefix_pass at lam) with g(lam) = phi_n(-lam) - w at
+        most 1e-12 max(1, w) in absolute value, w = v/u, or a bracket
+        narrower than 1e-14 max(1, |lo|, |hi|), by Newton from `lam`.
+        g decreases on [0, alpha], so an iterate with g > 0 proves
+        phi_n(0) > w and one with g < 0 proves phi_n(-alpha) < w; an endpoint
+        is evaluated only when no iterate has proved its side, and at most
+        once per (family, n) (_prefix_ends).  A Newton step is taken strictly
+        inside the bracket and when it at most halves the step before it;
+        otherwise the bracket is bisected, or its unproved end evaluated when
+        the step points past it.
+
+        Every pass also gives the Lagrange dual of the n-term problem,
+        D_n(lam) = (ln u - ln Z_n(lam) - 1) u - lam v, which is at most the
+        member's objective for every lam (weak duality) and equals it at the
+        root.  Once an iterate's D_n exceeds `bound` the search stops and
+        returns (an estimate of the root, None): the objective is then above
+        `bound`, up to rounding.  The estimate is the Newton step, clipped
+        to [floor, alpha], from an iterate left of the root; from one right
+        of it, where g is flat and the step lands far short, the midpoint of
+        that step and the iterate."""
         a = self._prof.alpha
+        n = len(s)
+        u, v = self.u, self.v
+        w = v / u
+        ln_u = math.log(u)
         r_tol = 1e-12 * max(1.0, w)
         lo, hi = 0.0, a  # g(lo) > 0 > g(hi) once lo_ok, hi_ok
         lo_ok = hi_ok = False
         best = (math.inf, lam, None)
         last_step = math.inf
         for _ in range(200):
-            phi, dg, log_z = _prefix_pass(log_p, s, lam)
+            at = _prefix_pass(log_p, s, lam)
+            phi, dg, log_z = at[:3]
             g = phi - w
             if (lam == 0.0 and not g > 0.0) or (lam == a and not g < 0.0):
-                raise RangeError(f"truncation n={len(s)} cannot reach slope {w}")
+                raise RangeError(f"truncation n={n} cannot reach slope {w}")
+            if (ln_u - log_z - 1.0) * u - lam * v > bound:
+                step = min(max(lam - g / dg, floor), a) if dg < 0.0 else lam
+                return (step if g > 0.0 else 0.5 * (step + lam)), None
             if abs(g) <= best[0]:
-                best = (abs(g), lam, log_z)
+                best = (abs(g), lam, at)
             if g > 0.0:
                 lo, lo_ok = lam, True
             elif g < 0.0:
@@ -215,7 +252,7 @@ class EpsilonFamily:
             if abs(g) <= r_tol:
                 break
             if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
-                _, lam, log_z = best
+                _, lam, at = best
                 break
             nxt = lam - g / dg if dg < 0.0 else (hi if g > 0.0 else lo)
             if nxt >= hi and not hi_ok:
@@ -230,40 +267,56 @@ class EpsilonFamily:
                 f"epsilon member root search used 200 steps; best |g|={best[0]:.3e} "
                 f"at lam={best[1]!r} exceeds tolerance {r_tol:.3e}"
             )
+        ends = _prefix_ends(self._family, n)
         for end, ok in ((0.0, lo_ok), (a, hi_ok)):
             if not ok:
-                g = _prefix_pass(log_p, s, end)[0] - w
+                phi = ends.get(end)
+                if phi is None:
+                    phi = ends[end] = _prefix_pass(log_p, s, end)[0]
+                g = phi - w
                 if not (g > 0.0 if end == 0.0 else g < 0.0):
-                    raise RangeError(f"truncation n={len(s)} cannot reach slope {w}")
-        return lam, log_z
+                    raise RangeError(f"truncation n={n} cannot reach slope {w}")
+        return lam, at
 
     def converge(self, epsilon: float, n_max: int = 2**20, start: int = 8) -> EpsilonMember:
         """Double the truncation from `start` until the member objective is
         within epsilon of the value.  Each member's Newton iteration starts
         from the previous roots: the gap alpha - lam_n shrinks by a roughly
         constant factor per doubling, so the next gap is extrapolated as
-        (alpha - lam_k)^2 / (alpha - lam_{k-1})."""
+        (alpha - lam_k)^2 / (alpha - lam_{k-1}).
+
+        A member is dropped after the first Newton pass whose dual bound
+        D_n(lam) exceeds value + epsilon + delta: its objective is then
+        farther than epsilon from the value.  delta = 1e-12 max(1, |value| +
+        alpha v) covers the rounding of D_n and of the objective, whose two
+        products are each at most about |value| + alpha v in magnitude.
+        A dropped member's root estimate (_root; never below the previous
+        root, as roots grow with n for nondecreasing levels) stands in for
+        its root in the extrapolation, and it pays neither its endpoint pass
+        nor its terms.
+        member(n) passes no bound and solves every member to its root."""
         a = self._prof.alpha
+        bound = self.value + epsilon + 1e-12 * max(1.0, abs(self.value) + a * self.v)
         n = start
-        last = None
         roots = []
         while n <= n_max:
-            guess = roots[-1] if roots else 0.0
+            floor = guess = roots[-1] if roots else 0.0
             if len(roots) >= 2:
                 gap, prev = a - roots[-1], a - roots[-2]
                 if 0.0 < gap < prev:
                     guess = a - gap * gap / prev
             try:
-                last = self._member(n, guess)
-                roots.append(last.lam)
-                if abs(last.objective - self.value) <= epsilon:
-                    return last
+                member, lam = self._member(n, guess, bound, floor)
             except RangeError:
                 pass
+            else:
+                roots.append(lam)
+                if member is not None and abs(member.objective - self.value) <= epsilon:
+                    return member
             n *= 2
         raise BudgetError(
-            f"epsilon family did not reach {epsilon} by n={n_max}"
-            + (f"; best gap {abs(last.objective - self.value):.3e}" if last else "")
+            f"epsilon family did not reach {epsilon} by n={n_max}: every truncation "
+            "tried was farther than epsilon from the value or could not reach v/u"
         )
 
 

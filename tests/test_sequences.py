@@ -318,6 +318,15 @@ def test_shifted_terms_and_alpha(zeta_family):
     assert sh.alpha == zeta_family.alpha
 
 
+@pytest.mark.parametrize("y", [-1e-300, -5e-324, -1e-17])
+def test_arithmetic_tail_is_trivial_where_the_ratio_rounds_to_one(y):
+    # exp(slope y) == 1.0: no finite bracket is certain, and returning none
+    # at all kept the kernel summing to its whole term budget
+    fam = Arithmetic(0.0, 1.0)
+    for k in (0, 1, 2):
+        assert fam.tail_interval(y, 100, k) == (0.0, math.inf)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(-3.0, -0.02), st.integers(64, 400))
 def test_arithmetic_moment_tails_are_exact(y, n):

@@ -4,6 +4,9 @@ objective evaluation, weak duality and the biconjugate identity."""
 
 import gc
 import math
+import sys
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 from entromin import (
     Arithmetic,
+    BudgetError,
     DomainError,
     EmpError,
     EmpSolution,
@@ -403,24 +407,136 @@ class TestEpsilonFamily:
             checked += 1
         assert checked >= 3
 
-    @pytest.mark.parametrize("w", [1.5, 2.0])
-    def test_converge_matches_reference_doubling(self, zeta_solver, w):
-        eps_fam = self._eps_family(zeta_solver, w)
-        got = eps_fam.converge(1e-3)
+    @classmethod
+    def _reference_members(cls, eps_fam, until):
+        """(n, lam, objective) of every reachable member of the doubling
+        sequence from n = 8, by solve_bracketed roots, up to the first whose
+        objective is within `until` of the value."""
+        fam = eps_fam._family
+        out = []
         n = 8
         while True:
-            ref = self._reference_lam(eps_fam, n)
+            ref = cls._reference_lam(eps_fam, n)
             if ref is not None:
-                lw = eps_fam._family.log_terms(0.0, 1, n) - eps_fam._family.sigma_array(1, n) * ref
+                lw = fam.log_terms(0.0, 1, n) - fam.sigma_array(1, n) * ref
                 m = float(lw.max())
                 ups = math.log(eps_fam.u) - (m + math.log(float(np.exp(lw - m).sum())))
                 objective = (ups - 1.0) * eps_fam.u - ref * eps_fam.v
-                if abs(objective - eps_fam.value) <= 1e-3:
-                    break
+                out.append((n, ref, objective))
+                if abs(objective - eps_fam.value) <= until:
+                    return out
             n *= 2
-        assert got.n == n
-        assert got.lam == pytest.approx(ref, abs=1e-12)
-        assert got.objective == pytest.approx(objective, abs=1e-12 * max(1.0, abs(objective)))
+
+    @staticmethod
+    def _first_within(refs, value, epsilon):
+        return next(r for r in refs if abs(r[2] - value) <= epsilon)
+
+    @pytest.mark.parametrize("params", [(1.0, 3.0), (0.5, 4.0)])
+    @pytest.mark.parametrize("ratio", [1.05, 1.3, 1.6, 2.0])
+    def test_converge_matches_reference_doubling(self, params, ratio):
+        solver = EmpSolver(WeightedGeometric(*params))
+        eps_fam = self._eps_family(solver, ratio * solver.profile.theta2)
+        refs = self._reference_members(eps_fam, 1e-4)
+        for epsilon in (1e-2, 1e-3, 1e-4):
+            n, lam, objective = self._first_within(refs, eps_fam.value, epsilon)
+            got = eps_fam.converge(epsilon)
+            assert got.n == n
+            assert got.lam == pytest.approx(lam, abs=1e-12)
+            assert got.objective == pytest.approx(objective, abs=1e-12 * max(1.0, abs(objective)))
+
+    @pytest.mark.parametrize("params", [(1.0, 3.0), (0.5, 4.0)])
+    @pytest.mark.parametrize("ratio", [1.05, 2.0])
+    def test_converge_at_a_members_own_gap(self, params, ratio):
+        # epsilon equal to a member's gap |objective - value|, and the floats
+        # on either side of it: the dual-bound drop must keep the member
+        # whose gap is exactly epsilon and the objective check must refuse it
+        # one float below.  The gap is the one converge computes (a reference
+        # root can differ from its root in the last bits of the objective).
+        solver = EmpSolver(WeightedGeometric(*params))
+        eps_fam = self._eps_family(solver, ratio * solver.profile.theta2)
+        value = eps_fam.value
+        refs = self._reference_members(eps_fam, 1e-3)
+        for n, _, objective in refs[:-1]:
+            member = eps_fam.converge(abs(objective - value) * (1.0 + 1e-9))
+            assert member.n == n
+            gap = abs(member.objective - value)
+            for epsilon in (gap, math.nextafter(gap, math.inf)):
+                assert eps_fam.converge(epsilon).n == n
+            below = math.nextafter(gap, 0.0)
+            later = [r for r in refs if r[0] > n]
+            assert eps_fam.converge(below).n == self._first_within(later, value, below)[0]
+
+    @pytest.mark.parametrize("ratio", [1.4, 1.7, 2.0])
+    def test_prefix_terms_per_converge(self, zeta_solver, monkeypatch, ratio):
+        # members provably outside epsilon are dropped after one pass, with
+        # no endpoint pass and no terms; the returned member's terms come
+        # from its last pass (about 11.8 n on the parent of this bound)
+        eps_fam = self._eps_family(zeta_solver, ratio * zeta_solver.profile.theta2)
+        solver_module._prefix_ends.cache_clear()
+        terms = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, x, *args, **kwargs):
+                terms.append(np.size(x))
+                return np.exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "np", CountingNumpy())
+        member = eps_fam.converge(1e-3)
+        assert sum(terms) <= 8 * member.n
+
+    def test_endpoint_pass_cached_per_family_and_n(self, zeta_solver, monkeypatch):
+        # the returned member's root is approached from one side, so its
+        # other endpoint takes a pass the first time only
+        eps_fam = self._eps_family(zeta_solver, 2.0)
+        solver_module._prefix_ends.cache_clear()
+        calls = []
+        orig = solver_module._prefix_pass
+
+        def counting(log_p, s, lam):
+            calls.append(lam)
+            return orig(log_p, s, lam)
+
+        monkeypatch.setattr(solver_module, "_prefix_pass", counting)
+        first = eps_fam.converge(1e-3)
+        cold = len(calls)
+        ends = solver_module._prefix_ends(eps_fam._family, first.n)
+        assert ends
+        phi = self._prefix_slope(eps_fam._family, first.n)
+        assert all(got == phi(-lam) for lam, got in ends.items())
+        again = eps_fam.converge(1e-3)
+        assert again == first
+        assert len(calls) - cold == cold - len(ends)
+
+    def test_threads_share_one_solver(self, zeta_solver):
+        eps_fam = self._eps_family(zeta_solver, 1.7 * zeta_solver.profile.theta2)
+        solver_module._prefix_ends.cache_clear()
+        start = threading.Barrier(2)
+        got, errors = [None, None], []
+
+        def run(k):
+            try:
+                start.wait(timeout=10.0)
+                got[k] = eps_fam.converge(1e-3)
+            except Exception as exc:  # reported below, from the test's thread
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert not errors, errors
+        assert got[0] == got[1]
+        assert got[0] == eps_fam.converge(1e-3)
 
     @pytest.mark.parametrize("n", [2, 3, 64])
     def test_range_error_exactly_at_the_edges(self, zeta_solver, n):
@@ -946,16 +1062,63 @@ class TestOnlyEmpErrorsEscape:
         "flipped-shifted-be-huge": (
             Arithmetic(2.0, -1.0), lambda s: s.forward_solve(BE, -1.7e308, 1e300)
         ),
+        # exp(x) (0, inf) is a (0, nan) tail bracket: the kernel doubled on
+        # past its early give-up and the level table ran out of memory
+        "lattice-mb-huge-x-subnormal-y": (
+            Lattice3D(1.0), lambda s: s.forward_solve(MB, -1e300, -5e-324)
+        ),
+        "lattice-fd-max-x-tiny-y": (
+            Lattice3D(1.0), lambda s: s.forward_solve(FD, -1.7e308, -1e-300)
+        ),
     }
+    # a budget run-out is an EmpError too; the cases above all end at once
+    SECONDS = 5.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("case", list(CASES))
     def test_only_emp_error(self, case):
         family, call = self.CASES[case]
+        solver = EmpSolver(family)
+        start = time.perf_counter()
         try:
-            got = call(EmpSolver(family))
+            got = call(solver)
         except EmpError:
+            got = None
+        assert time.perf_counter() - start < self.SECONDS
+        if got is None:
             return
         assert isinstance(got, (EmpSolution, InverseFailure))
         if isinstance(got, EmpSolution):
             assert not math.isnan(got.value)
+
+
+class TestEarlyGiveUp:
+    """Sums with no finite tail bracket end in a BudgetError at n = 4096,
+    the kernel's early give-up, instead of running the 2^23-term budget
+    (or, for Lattice3D, building the level table that far)."""
+
+    CASES = {
+        # exp(slope y) rounds to 1: the geometric tail has only (0, inf)
+        "arithmetic-mb-tiny-y": (Arithmetic(0.0, 1.0), MB, 0.0, -1e-300),
+        "arithmetic-fd-tiny-y": (Arithmetic(0.0, 1.0), FD, 0.0, -1e-300),
+        "arithmetic-be-tiny-y": (Arithmetic(0.0, 1.0), BE, -1.0, -1e-300),
+        # exp(x) times the (0, inf) bracket is (0, nan)
+        "lattice-mb-nan-width": (Lattice3D(1.0), MB, -1e300, -5e-324),
+        "lattice-be-nan-width": (Lattice3D(1.0), BE, -1.7e308, -1e-300),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_budget_error_at_4096(self, case, monkeypatch):
+        family, kind, x, y = self.CASES[case]
+        solver = EmpSolver(family)
+        highest = []
+        orig = type(family).log_terms
+
+        def recording(self, yy, lo, hi):
+            highest.append(hi)
+            return orig(self, yy, lo, hi)
+
+        monkeypatch.setattr(type(family), "log_terms", recording)
+        with pytest.raises(BudgetError, match="n=4096"):
+            solver.forward_solve(kind, x, y)
+        assert max(highest) <= 4096
