@@ -17,12 +17,14 @@ gradient and its Hessian at one point (_dual_point), each with its own
 tolerance and tail bracket.  eval_h, grad_h and hessian_h are the
 one-quantity entry points to it.
 
-The increasing bijection phi = f'/f : (-inf, -alpha) -> (theta1, theta2) is
-inverted by a bracket-safeguarded Newton iteration whose derivative
-phi' = f''/f - phi^2 comes from the same certified pass as phi; the
-conjugate of ln f follows its four-branch closed form, and its interior
-branch (_conjugate_at) is also the solver's interior value.  All
-tolerances are absolute unless noted.
+The increasing bijection phi = f'/f : (-inf, -alpha) -> (theta1, theta2) has
+one certified evaluation (_certified_slope), which phi returns and whose
+pass also gives phi' = f''/f - phi^2 to phi_inverse's bracket-safeguarded
+Newton iteration; the conjugate of ln f follows its four-branch closed form,
+and its interior branch (_conjugate_at) is also the solver's interior value.
+A target the term budget cannot certify is relaxed by one rule
+(_first_certified: the first of a fixed list of tolerances that certifies).
+All tolerances are absolute unless noted.
 """
 
 from __future__ import annotations
@@ -255,14 +257,15 @@ def eval_f(family: SequenceFamily, y: float, tol: float = 1e-12) -> SeriesEval:
     return _eval_moments(family, y, {(None, 0): tol})[0]
 
 
-def _eval_f_relaxed(family, y, tol) -> SeriesEval:
-    """f(y) at the tightest certifiable tolerance from tol upward (grades of
-    ten, up to 10^4 looser); slowly spaced levels cannot always certify the
-    nominal target within the term budget.  Only the message of a failed
-    grade is kept: its traceback would pin that pass's term arrays."""
-    for mult in (1.0, 10.0, 100.0, 1e3, 1e4):
+def _first_certified(attempt, tols):
+    """attempt(t) for the first tolerance t of `tols` at which it raises no
+    BudgetError, else the last tier's BudgetError: the one relaxation rule,
+    since slowly spaced levels cannot always certify the nominal target
+    within the term budget.  Only the message of a failed tier is kept: its
+    traceback would pin that pass's term arrays."""
+    for t in tols:
         try:
-            return _eval_moments(family, y, {(None, 0): tol * mult})[0]
+            return attempt(t)
         except BudgetError as exc:
             msg = str(exc)
     raise BudgetError(msg)
@@ -361,48 +364,53 @@ def profile(family: SequenceFamily, tol: float = 1e-10) -> SeriesProfile:
 
 
 def phi(family: SequenceFamily, y: float, tol: float = 1e-10) -> float:
-    """f'(y)/f(y) at y < -alpha, within tol; strictly increasing in y."""
+    """f'(y)/f(y) at y < -alpha, within tol; strictly increasing in y.
+
+    The slope evaluation of each phi_inverse step (_certified_slope), at
+    the scale of one rough pass: the error of phi, bounded from the tail
+    brackets of f and f', is certified to be at most 0.25 tol."""
     a = _require_alpha(family)
     if not y < -a:
         raise DomainError(f"phi needs y < -alpha = {-a}, got {y}")
-    rough = _eval_moments(family, y, {(None, 0): 1e-4, (None, 1): 1e-4})
-    f0 = max(rough[0].value, 1e-300)
-    ratio = max(rough[1].value / f0, 1.0)
-    t0 = 0.25 * tol * f0 / ratio
-    t1 = 0.25 * tol * f0
-    fine = _eval_moments(family, y, {(None, 0): t0, (None, 1): t1})
-    return fine[1].value / fine[0].value
+    return _certified_slope(family, y, 0.25 * tol)[0]
 
 
-def _slope_pass(family, y, tol, f_scale, ratio):
-    """(phi(y), phi'(y), certified f(y), bound on the error of phi(y)) from
-    one moments-(0, 1, 2) pass whose tolerances assume f(y) ~ f_scale and
-    max(|phi(y)|, 1) ~ ratio; phi' = f''/f - phi^2 is the variance of sigma
-    under the Gibbs weights.  phi' only proposes steps, so moment 2 needs a
-    finite tail bracket but no tolerance: the pass stops when moments 0 and
-    1 are certified."""
-    t1 = 0.25 * tol * f_scale
-    s0, s1, s2 = _eval_moments(
-        family, y, {(None, 0): t1 / ratio, (None, 1): t1, (None, 2): math.inf}
-    )
-    p = s1.value / s0.value
-    floor = s0.value - s0.tail_bound_used
-    err = (
-        (s1.tail_bound_used + abs(p) * s0.tail_bound_used) / floor
-        if floor > 0.0
-        else math.inf
-    )
-    return p, s2.value / s0.value - p * p, s0, err
+def _certified_slope(family, y, tol, scale=None):
+    """(phi(y), phi'(y), certified f(y), the scale it measured), phi(y)
+    within tol, from moments-(0, 1, 2) passes whose tolerances assume the
+    scale (f(y), max(|phi(y)|, 1)), taken from one pass at tolerance 1e-4
+    when None; a pass whose certified error of phi misses tol is repeated
+    at the scale it measured, at most four passes in all.  phi' = f''/f -
+    phi^2 is the variance of sigma under the Gibbs weights; it only proposes
+    steps, so moment 2 needs a finite tail bracket but no tolerance: each
+    pass stops when moments 0 and 1 are certified."""
+    if scale is None:
+        rough = _eval_moments(family, y, {(None, 0): 1e-4, (None, 1): 1e-4})
+        f_scale = max(rough[0].value, 1e-300)
+        scale = (f_scale, max(abs(rough[1].value) / f_scale, 1.0))
+    for _ in range(4):
+        f_scale, ratio = scale
+        t1 = 0.25 * tol * f_scale
+        s0, s1, s2 = _eval_moments(
+            family, y, {(None, 0): t1 / ratio, (None, 1): t1, (None, 2): math.inf}
+        )
+        p = s1.value / s0.value
+        scale = (max(s0.value, 1e-300), max(abs(p), 1.0))
+        floor = s0.value - s0.tail_bound_used
+        if floor > 0.0 and (s1.tail_bound_used + abs(p) * s0.tail_bound_used) / floor <= tol:
+            return p, s2.value / s0.value - p * p, s0, scale
+    raise BudgetError(f"phi({y}) not certified to {tol:.3e}")
 
 
 def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
     """The unique y < -alpha with |phi(y) - w| <= tol, for theta1 < w < theta2.
 
     Safeguarded Newton iteration from y = -alpha - 1: each step is one
-    certified pass giving phi and phi', and proposes a Newton step on
-    ln(phi - theta1), which is nearly linear where phi tends to theta1.  The
-    step is taken only strictly inside the current sign bracket and when at
-    most half the step before it, else the bracket is bisected; before a
+    certified slope evaluation giving phi and phi', as phi does, and
+    proposes a Newton step on ln(phi - theta1), which is nearly linear
+    where phi tends to theta1.  The step is taken only strictly inside the
+    current sign bracket and when at most half the step before it, else the
+    bracket is bisected; before a
     right bracket is known it may at most halve the gap to -alpha, and
     before a left bracket is known its length is capped, the cap doubling
     with each step.  Returns once the certified residual is within 0.75 tol,
@@ -422,25 +430,16 @@ def _invert_slope(family, w, tol) -> tuple[float, SeriesEval]:
             f"w={w} outside the open range ({prof.theta1}, {prof.theta2})"
         )
     a = prof.alpha
-    eval_tol = 0.25 * tol
     y = -a - 1.0
-    rough = _eval_moments(family, y, {(None, 0): 1e-4, (None, 1): 1e-4})
-    f_scale = max(rough[0].value, 1e-300)
-    ratio = max(abs(rough[1].value) / f_scale, 1.0)
+    scale = None
     lo = hi = None  # phi(lo) < w < phi(hi)
     best_y, best_f, best_r = y, None, math.inf
     cap = 1.0
     last_step = math.inf
     for _ in range(200):
-        # the tolerance scale comes from the previous iterate; a pass that
-        # missed its bound is repeated at the scale it measured
-        for _attempt in range(4):
-            p, dp, f_y, err = _slope_pass(family, y, eval_tol, f_scale, ratio)
-            f_scale, ratio = max(f_y.value, 1e-300), max(abs(p), 1.0)
-            if err <= eval_tol:
-                break
-        else:
-            raise BudgetError(f"phi({y}) not certified to {eval_tol:.3e}")
+        # the tolerance scale comes from the previous iterate, the first
+        # from a rough pass
+        p, dp, f_y, scale = _certified_slope(family, y, 0.25 * tol, scale)
         r = p - w
         if abs(r) <= 0.75 * tol:
             return y, f_y
@@ -505,26 +504,26 @@ def _conjugate_at(family, w, tol, f_rtol) -> tuple[float, float, float]:
     is 0.25 min(tol, 1e-12), else 0.25 max(tol, 1e-10), else 1e-5, the first
     the family's tails can certify: a residual delta costs only O(delta^2)
     in the value.  f(y) holds to f_rtol max(1, f(y)) (_refine_f)."""
-    for root_tol in (min(tol, 1e-12) * 0.25, max(tol, 1e-10) * 0.25, 1e-5):
-        try:
-            y, f_y = _invert_slope(family, w, root_tol)
-            break
-        except BudgetError:
-            continue
-    else:
-        raise BudgetError(f"slope inversion at w={w} exceeded every tolerance tier")
+    y, f_y = _first_certified(
+        lambda t: _invert_slope(family, w, t),
+        (min(tol, 1e-12) * 0.25, max(tol, 1e-10) * 0.25, 1e-5),
+    )
     ln_f = math.log(_refine_f(family, y, f_y, f_rtol).value)
     return w * y - ln_f, y, ln_f
 
 
 def _refine_f(family, y, f_y: SeriesEval, rtol: float) -> SeriesEval:
     """f(y) to rtol max(1, f(y)): the root pass's f_y when its bound is that
-    tight, else the tighter of f_y and a re-sum that relaxes like
-    _eval_f_relaxed."""
+    tight, else the tighter of f_y and a re-sum at that tolerance relaxed in
+    grades of ten up to 10^4 (_first_certified)."""
     f_tol = max(rtol * max(1.0, f_y.value), 5e-324)
     if f_y.tail_bound_used <= f_tol:
         return f_y
-    return min(f_y, _eval_f_relaxed(family, y, f_tol), key=lambda s: s.tail_bound_used)
+    resum = _first_certified(
+        lambda t: _eval_moments(family, y, {(None, 0): t})[0],
+        [f_tol * m for m in (1.0, 10.0, 100.0, 1e3, 1e4)],
+    )
+    return min(f_y, resum, key=lambda s: s.tail_bound_used)
 
 
 # ---------------------------------------------------------------------------

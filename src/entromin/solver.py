@@ -555,20 +555,14 @@ class EmpSolver:
             raise DomainError(
                 f"gradient series does not converge at y={y} (dom f endpoint)"
             )
-        # slowly spaced level families may not certify the tight tolerance;
-        # relax once before giving up (keeping only the message, since a
-        # traceback would pin the failed pass's term arrays)
-        for tol in (self.tol, 1e3 * self.tol):
-            try:
-                h, u, v_n = (
-                    s.value
-                    for s in series._dual_point(self._fam, kind, x_n, y_n, tol, hessian=False)
-                )
-                break
-            except BudgetError as exc:
-                msg = str(exc)
-        else:
-            raise BudgetError(msg)
+        # slowly spaced level families may not certify the tight tolerance
+        h, u, v_n = (
+            s.value
+            for s in series._first_certified(
+                lambda t: series._dual_point(self._fam, kind, x_n, y_n, t, hessian=False),
+                (self.tol, 1e3 * self.tol),
+            )
+        )
         return self._attained(kind, x_n, y_n, u, v_n, x_n * u + y_n * v_n - h, (x, y))
 
     def inverse_solve_bf(

@@ -293,11 +293,15 @@ class TestSolveMb:
     def test_interior_f_from_root_pass(self, geo_solver, monkeypatch):
         # the root's last pass already certifies f(y) within the value's
         # tolerance, so neither an interior solve nor the conjugate of ln f
-        # sums f again
-        def no_resum(*args):
-            raise AssertionError("f re-summed after the root")
+        # sums f again (_refine_f's re-sum is the one pass of f alone)
+        moments = series._eval_moments
 
-        monkeypatch.setattr(series, "_eval_f_relaxed", no_resum)
+        def no_resum(family, y, tols, *args):
+            if list(tols) == [(None, 0)]:
+                raise AssertionError("f re-summed after the root")
+            return moments(family, y, tols, *args)
+
+        monkeypatch.setattr(series, "_eval_moments", no_resum)
         sol = geo_solver.solve_mb(1.0, 2.0)
         assert sol.value == pytest.approx(-1.0 - 2.0 * LN2, abs=1e-11)
         assert series.lnf_conjugate(geo_solver.family, 2.0, 1e-12) == pytest.approx(
@@ -936,10 +940,17 @@ class TestRelaxationFreesFailedPass:
         return result
 
     def test_eval_f_ladder(self):
-        from entromin.series import _eval_f_relaxed
-
-        got = self._run(lambda: _eval_f_relaxed(_CoarseTails(), -1.0, 1e-13))
+        # a root pass's f too loose for the target: f is re-summed, and the
+        # first grade (1e-13) fails at n = 4096
+        loose = series.SeriesEval(1.0, 64, math.inf)
+        got = self._run(lambda: series._refine_f(_CoarseTails(), -1.0, loose, 1e-13))
         assert got.value == pytest.approx(1.0 / (math.e - 1.0), abs=1e-12)
+
+    def test_conjugate_root_ladder(self):
+        # the first root tier (residual 2.5e-14) fails at n = 4096 and the
+        # second (2.5e-11) certifies; phi(-ln 2) = 2 and f(-ln 2) = 1
+        got = self._run(lambda: series.lnf_conjugate(_CoarseTails(), 2.0, 1e-13))
+        assert got == pytest.approx(-2.0 * LN2, abs=1e-10)
 
     def test_forward_solve_ladder(self):
         solver = EmpSolver(_CoarseTails(), tol=1e-13)
