@@ -396,6 +396,14 @@ class PowerLaw(SequenceFamily):
         hi = _block_doubling_tail(lambda m: self.sigma(m) * y, self.sigma, y, n)
         return None if hi is None else (0.0, hi)
 
+    def tail_interval(self, y, n, moment=0):
+        # the terms are positive, so (0, inf) is a true bracket where no
+        # finite one is certified, and the kernel's early give-up applies
+        iv = super().tail_interval(y, n, moment)
+        if iv is None and self.scale > 0.0 and y < 0.0:
+            return 0.0, math.inf
+        return iv
+
     def boundary_divergent(self, moment=0):
         return True if self.scale > 0.0 else None
 

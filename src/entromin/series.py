@@ -495,7 +495,7 @@ def lnf_conjugate(family: SequenceFamily, w: float, tol: float = 1e-10) -> float
         return -math.log(prof.sigma_min.p_sum)
     if w >= prof.theta2:
         return -prof.alpha * w - math.log(prof.f_at_boundary)
-    return _conjugate_at(family, w, tol, 0.25 * tol)[0]
+    return _conjugate_at(family, w, tol, lambda _: 0.25 * tol)[0]
 
 
 def _conjugate_at(family, w, tol, f_rtol) -> tuple[float, float, float]:
@@ -503,12 +503,14 @@ def _conjugate_at(family, w, tol, f_rtol) -> tuple[float, float, float]:
     phi(y) = w and (ln f)*(w) = w y - ln f(y).  The root's residual target
     is 0.25 min(tol, 1e-12), else 0.25 max(tol, 1e-10), else 1e-5, the first
     the family's tails can certify: a residual delta costs only O(delta^2)
-    in the value.  f(y) holds to f_rtol max(1, f(y)) (_refine_f)."""
+    in the value.  f(y) holds to f_rtol(c) max(1, f(y)) (_refine_f), with c
+    the (ln f)*(w) of the root's last pass."""
     y, f_y = _first_certified(
         lambda t: _invert_slope(family, w, t),
         (min(tol, 1e-12) * 0.25, max(tol, 1e-10) * 0.25, 1e-5),
     )
-    ln_f = math.log(_refine_f(family, y, f_y, f_rtol).value)
+    rtol = f_rtol(w * y - math.log(f_y.value))
+    ln_f = math.log(_refine_f(family, y, f_y, rtol).value)
     return w * y - ln_f, y, ln_f
 
 

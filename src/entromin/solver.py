@@ -458,11 +458,21 @@ class EmpSolver:
         """(H, x, y) in normalized coordinates at an interior target of
         slope w: H = u(ln u - 1) + u (ln f)*(w) and x = ln u - ln f(y) from
         one slope root y (series._conjugate_at).  H carries u ln f, so f
-        must hold to 1e-12 max(1, f) / u; it is re-summed only when the
-        root's last pass certified it more loosely."""
-        rtol = min(self.tol, 1e-12) / max(1.0, u)
-        conj, y_n, ln_f = series._conjugate_at(self._fam, w, self.tol, rtol)
-        return u * (math.log(u) - 1.0) + u * conj, math.log(u) - ln_f, y_n
+        holds to c max(1, f) max(1, |H|) / max(u, |H|), c = min(tol, 1e-12),
+        with |H| from the f of the root's last pass: an error of H relative
+        to max(1, |H|), so that H(tu, tv) = t H(u, v) + t ln t u holds to
+        rounding for every t.  f is re-summed only when the root's last pass
+        certified it more loosely."""
+        c = min(self.tol, 1e-12)
+        base = u * (math.log(u) - 1.0)
+
+        def f_rtol(conj):
+            h = abs(base + u * conj)
+            # an H that overflows takes the relative target c
+            return c * max(1.0, h) / max(u, h) if h < math.inf else c
+
+        conj, y_n, ln_f = series._conjugate_at(self._fam, w, self.tol, f_rtol)
+        return base + u * conj, math.log(u) - ln_f, y_n
 
     def _exponential(self, kind, x_n, y_n, xy=None) -> SequenceRule:
         """The exponential rule at normal-form multipliers (x_n, y_n); its
@@ -581,8 +591,8 @@ class EmpSolver:
         that on the retry), and its value x u' + y v' - h_W is certified by
         that point's sums, each within res_tol / 10.  Returns an
         InverseFailure report when it cannot verify a solution, including
-        when the iteration leaves the range where the series can be summed;
-        never a guessed value."""
+        when the iteration leaves the range where the series can be summed
+        or its accepted point is not interior; never a guessed value."""
         if kind is Entropy.MAXWELL_BOLTZMANN:
             raise DomainError("use solve_mb for maxwell-boltzmann targets")
         region = self.classify(u, v)
@@ -643,7 +653,14 @@ class EmpSolver:
                 # value = x u' + y v' - h_W with (u', v') = (u, v) + r and
                 # h_W = F + x u + y v
                 value = x_n * r0 + y_n * r1 - got.potential
-                return self._attained(kind, x_n, y_n, u + r0, v_n + r1, value)
+                sol = self._attained(kind, x_n, y_n, u + r0, v_n + r1, value)
+                if sol.region is Region.INTERIOR:
+                    return sol
+                # the residual moved an interior target out of the cone
+                return InverseFailure(
+                    kind, sol.multipliers, got.residual,
+                    f"newton point lies in region {sol.region.value}, not interior",
+                )
             failure = InverseFailure(
                 kind, self.multipliers_from_normal(*got.point), got.residual,
                 f"newton {got.message} above tolerance {res_tol:.3e}",

@@ -175,6 +175,26 @@ class TestPhi:
         assert abs(phi(zeta_family, back, 1e-12) - w) <= 1e-10
 
 
+    @pytest.mark.parametrize("y", [-0.5, -0.2])
+    def test_one_sided_bracket_against_nsum(self, y):
+        # PowerLaw's block-doubling tail bound has lower end 0, so the
+        # certificate of phi rests on an upper bound alone.  mpmath's default
+        # nsum (Richardson + Shanks) is off by 4e-6 at y = -0.2; its
+        # Euler-Maclaurin method agrees with a direct 4e6-term sum
+        mpmath = pytest.importorskip("mpmath")
+
+        def moment(k):
+            return mpmath.nsum(
+                lambda n: mpmath.sqrt(n) ** k * mpmath.exp(y * mpmath.sqrt(n)),
+                [1, mpmath.inf],
+                method="euler-maclaurin",
+            )
+
+        with mpmath.workdps(30):
+            want = float(moment(1) / moment(0))
+        assert abs(phi(PowerLaw(1.0, 0.5), y, 1e-10) - want) <= 1e-10
+
+
 class TestPhiInverse:
     def test_analytic_inverse(self, geometric):
         assert phi_inverse(geometric, 2.0, 1e-12) == pytest.approx(-LN2, abs=1e-11)

@@ -26,6 +26,8 @@ from entromin import (
     ExplosiveWeights,
     InverseFailure,
     Lattice3D,
+    LogLevels,
+    PowerLaw,
     RangeError,
     Region,
     WeightedGeometric,
@@ -307,6 +309,52 @@ class TestSolveMb:
         assert series.lnf_conjugate(geo_solver.family, 2.0, 1e-12) == pytest.approx(
             -2.0 * LN2, abs=1e-11
         )
+
+
+class TestHomogeneity:
+    """H(tu, tv) = t H(u, v) + t ln t u.  The interior f target is relative
+    to |H|, so the identity holds to rounding at every scale, t u far above
+    1 included."""
+
+    FAMILIES = [
+        Arithmetic(0.0, 1.0),
+        WeightedGeometric(1.0, 3.0),
+        Lattice3D(1.0),
+        PowerLaw(1.0, 0.5),
+    ]
+
+    @staticmethod
+    def _check(family, u, w, t):
+        solver = EmpSolver(family)
+        want = t * solver.value_mb(u, w * u) + t * math.log(t) * u
+        got = solver.value_mb(t * u, t * (w * u))
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(FAMILIES),
+        st.floats(-3.0, 3.0),
+        st.floats(0.02, 0.98),
+        st.floats(-200.0, 200.0),
+    )
+    def test_scaling(self, family, log_u, frac, log_t):
+        prof = profile(family)
+        # w across the cone (theta1, theta2), or up to 11 theta1 when open
+        if math.isfinite(prof.theta2):
+            w = prof.theta1 + frac * (prof.theta2 - prof.theta1)
+        else:
+            w = prof.theta1 * (1.0 + 10.0 * frac)
+        self._check(family, 10.0**log_u, w, 10.0**log_t)
+
+    @pytest.mark.parametrize("family", [Arithmetic(0.0, 1.0), PowerLaw(1.0, 0.5)], ids=repr)
+    def test_overflowing_value_is_inf(self, family):
+        # H(1e306, 1.5e306) is about 7e308, beyond the largest float
+        assert EmpSolver(family).value_mb(1e306, 1.5e306) == math.inf
+
+    @pytest.mark.parametrize("u, w, t", [(1.0, 1.19, 1e100), (0.5, 3.19, 1e150)])
+    def test_scaling_log_levels(self, u, w, t):
+        # about 1 s per solve, so two fixed points instead of a property
+        self._check(LogLevels(1.0), u, w, t)
 
 
 class TestEpsilonFamily:
@@ -718,6 +766,15 @@ class TestInverseSolve:
         assert isinstance(inv, EmpSolution)
         assert len(passes) <= 10
 
+    @pytest.mark.parametrize("kind", [BE, FD])
+    def test_accepted_point_outside_interior_is_a_failure(self, kind):
+        # the Newton residual (-u, -v) is within its tolerance, so the
+        # accepted point has u = v = 0: region origin, not a solution of
+        # the interior target
+        res = EmpSolver(Arithmetic(0.0, 1.0)).inverse_solve_bf(kind, 5e-324, 1e-310)
+        assert isinstance(res, InverseFailure)
+        assert "origin" in res.message
+
     def test_outside_cone_rejected(self, geo_solver):
         with pytest.raises(RangeError):
             geo_solver.inverse_solve_bf(BE, 1.0, 0.5)
@@ -1116,6 +1173,10 @@ class TestEarlyGiveUp:
         # exp(x) times the (0, inf) bracket is (0, nan)
         "lattice-mb-nan-width": (Lattice3D(1.0), MB, -1e300, -5e-324),
         "lattice-be-nan-width": (Lattice3D(1.0), BE, -1.7e308, -1e-300),
+        # no finite bracket of the power-law tail: PowerLaw answers (0, inf)
+        "powerlaw-fd-subnormal-y": (PowerLaw(1.0, 0.5), FD, 0.0, -5e-324),
+        "powerlaw-mb-tiny-y": (PowerLaw(1.0, 0.5), MB, 0.0, -1e-300),
+        "powerlaw-mb-small-y": (PowerLaw(1.0, 0.5), MB, 0.0, -1e-17),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
