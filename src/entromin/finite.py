@@ -487,14 +487,6 @@ def _oracle_scan(kind, p, sigma, u, v, grid):
     det = sj - si
     caps = _caps(kind, p, u)
 
-    def closed(free_vals):
-        """Solve u_i, u_j from the two constraints given the free coordinates."""
-        ru = u - sum(free_vals)
-        rv = v - sum(sigma[k] * t for k, t in zip(free, free_vals))
-        ui = (sj * ru - rv) / det
-        uj = ru - ui
-        return ui, uj
-
     if len(free) == 1:
         k = free[0]
         lo, hi = 0.0, caps[k]

@@ -2,16 +2,26 @@
 
 A family is a finitely described generator of weights p_n (positive, with
 sum p_n = inf) and levels sigma_n, n >= 1.  Everything the series layer
-proves about f(y) = sum p_n exp(sigma_n y) rests on per-family certificates
-declared here:
+proves about f(y) = sum p_n exp(sigma_n y) rests on what a family declares:
 
-  * ``tail_ratio``      -- a ratio-test constant r < 1 valid for the whole
-                           tail beyond an index, from monotonicity metadata;
-  * ``tail_interval``   -- closed-form two-sided tail brackets (exact
-                           geometric sums, integral tests, block-doubling
-                           majorants);
-  * ``boundary_bracket`` / ``boundary_divergent`` -- summability of the
-                           weighted series at the domain endpoint y = -alpha.
+  * its terms: ``p`` and ``sigma`` (``log_p``, ``sigma_array`` and
+    ``log_terms`` where faster or overflow-free);
+  * ``alpha``, the endpoint of dom f: f is finite on (-inf, -alpha), and
+    alpha = +inf when dom f is empty; levels falling to -inf have none, and
+    an undeclared alpha raises UnsupportedFamilyError;
+  * ``sigma_direction`` when the levels do not tend to +inf, and
+    ``sigma_increasing_from`` when they are not nondecreasing from n = 1;
+  * its tail certificates: ``tail_ratio`` (a ratio-test constant r < 1 for
+    the whole tail beyond an index), ``_direct_interval`` (closed-form
+    two-sided brackets: exact geometric sums, integral tests, block-doubling
+    majorants) and ``boundary_bracket`` / ``boundary_divergent``
+    (summability of the weighted series at the endpoint y = -alpha).
+
+The base class derives the rest: ``constant_sigma`` is sigma_direction 0,
+``dom_f_empty`` is alpha = +inf for levels not falling to -inf, and
+``tail_interval`` combines the certificates.  theta1 = min sigma_n comes
+from ``sigma_min_set``, cached per family; the attainment cone and the
+degenerate cases follow from alpha and theta1.
 
 A bound is returned only when the family's structure proves it; otherwise
 the methods return None and callers must enlarge the truncation or reject.
@@ -20,6 +30,7 @@ Families are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -81,7 +92,10 @@ class SigmaMinSet:
 
 @dataclass(frozen=True)
 class SequenceFamily:
-    """Deterministic generator of (p_n, sigma_n); subclasses add parameters."""
+    """Deterministic generator of (p_n, sigma_n); subclasses add parameters
+    and declare what the module docstring lists.  constant_sigma and
+    dom_f_empty are derived here from sigma_direction and alpha, and are
+    not overridden."""
 
     # -- term access --------------------------------------------------------
 
@@ -109,8 +123,8 @@ class SequenceFamily:
     @property
     def alpha(self) -> float:
         """Endpoint of dom f: f is finite on (-inf, -alpha).  Only defined
-        when sigma_n -> +inf; +inf when dom f is empty."""
-        raise NotImplementedError
+        when sigma_n does not tend to -inf; +inf when dom f is empty."""
+        raise UnsupportedFamilyError("family has no dom-f endpoint; normalize it first")
 
     @property
     def sigma_direction(self) -> int:
@@ -119,20 +133,16 @@ class SequenceFamily:
 
     @property
     def constant_sigma(self) -> bool:
-        return False
+        return self.sigma_direction == 0
 
     @property
     def dom_f_empty(self) -> bool:
-        return False
+        return self.sigma_direction != -1 and self.alpha == math.inf
 
     @property
     def sigma_increasing_from(self) -> int:
         """Index from which sigma is nondecreasing onward."""
         return 1
-
-    @property
-    def analytic_theta1(self) -> Optional[float]:
-        return None
 
     # -- tail certificates ----------------------------------------------------
     # Tail of order (N, k):  T = sum_{n > N} p_n sigma_n^k exp(sigma_n y).
@@ -172,7 +182,7 @@ class SequenceFamily:
             his.append(direct[1])
         try:
             a = self.alpha
-        except (NotImplementedError, UnsupportedFamilyError):
+        except UnsupportedFamilyError:
             a = None
         if a is not None and math.isfinite(a) and y <= -a:
             bb = self.boundary_bracket(n, moment)
@@ -258,18 +268,6 @@ class Arithmetic(SequenceFamily):
     @property
     def sigma_direction(self):
         return 0 if self.slope == 0.0 else (1 if self.slope > 0.0 else -1)
-
-    @property
-    def constant_sigma(self):
-        return self.slope == 0.0
-
-    @property
-    def dom_f_empty(self):
-        return self.slope == 0.0
-
-    @property
-    def analytic_theta1(self):
-        return self.offset + self.slope if self.slope > 0.0 else None
 
     def tail_ratio(self, y, n, moment=0):
         if self.slope <= 0.0 or y >= 0.0:
@@ -376,10 +374,6 @@ class PowerLaw(SequenceFamily):
     def sigma_direction(self):
         return 1 if self.scale > 0.0 else -1
 
-    @property
-    def analytic_theta1(self):
-        return self.scale if self.scale > 0.0 else None
-
     def tail_ratio(self, y, n, moment=0):
         if self.scale <= 0.0 or y >= 0.0 or self.exponent < 1.0:
             return None
@@ -439,10 +433,6 @@ class LogLevels(SequenceFamily):
     @property
     def sigma_direction(self):
         return 1 if self.scale > 0.0 else -1
-
-    @property
-    def analytic_theta1(self):
-        return self.scale * math.log(2.0) if self.scale > 0.0 else None
 
     def _direct_interval(self, y, n, moment):
         # integral test on ln^k(w) w^(scale*y), w = x+1, which is elementary
@@ -510,10 +500,6 @@ class WeightedGeometric(SequenceFamily):
     @property
     def alpha(self):
         return self.rate
-
-    @property
-    def analytic_theta1(self):
-        return 1.0
 
     def tail_ratio(self, y, n, moment=0):
         r = math.exp(self.rate + y)
@@ -617,10 +603,6 @@ class Lattice3D(SequenceFamily):
     def alpha(self):
         return 0.0
 
-    @property
-    def analytic_theta1(self):
-        return 3.0 * self.scale
-
     def _direct_interval(self, y, n, moment):
         if y >= 0.0:
             return None
@@ -670,14 +652,6 @@ class ExplosiveWeights(SequenceFamily):
     @property
     def alpha(self):
         return math.inf
-
-    @property
-    def dom_f_empty(self):
-        return True
-
-    @property
-    def analytic_theta1(self):
-        return 1.0
 
 
 @dataclass(frozen=True)
@@ -729,14 +703,6 @@ class ExplicitPrefix(SequenceFamily):
     @property
     def sigma_direction(self):
         return self.tail.sigma_direction
-
-    @property
-    def constant_sigma(self):
-        return self.tail.constant_sigma  # prefix equality enforced above
-
-    @property
-    def dom_f_empty(self):
-        return self.tail.dom_f_empty
 
     @property
     def sigma_increasing_from(self):
@@ -798,21 +764,8 @@ class ShiftedSigma(SequenceFamily):
         return self.base.sigma_direction
 
     @property
-    def constant_sigma(self):
-        return self.base.constant_sigma
-
-    @property
-    def dom_f_empty(self):
-        return self.base.dom_f_empty
-
-    @property
     def sigma_increasing_from(self):
         return self.base.sigma_increasing_from
-
-    @property
-    def analytic_theta1(self):
-        t = self.base.analytic_theta1
-        return None if t is None else t - self.shift
 
     def tail_ratio(self, y, n, moment=0):
         if moment == 0:
@@ -901,9 +854,11 @@ def prefix_stats(family: SequenceFamily, n: int) -> PrefixStats:
     return PrefixStats(n, math.fsum(weights), min(sigmas), max(sigmas))
 
 
+@functools.lru_cache(maxsize=256)
 def sigma_min_set(family: SequenceFamily, tie_tol: float = 1e-12) -> SigmaMinSet:
     """theta1 = min sigma_n with its attaining index set, found by scanning
-    until the nondecreasing tail guarantees sigma_n > theta1 + tie_tol."""
+    until the nondecreasing tail guarantees sigma_n > theta1 + tie_tol;
+    cached per (family, tie_tol), as families are immutable."""
     if family.sigma_direction != +1:
         raise UnsupportedFamilyError(
             "sigma must increase to infinity (normalize the family first)"
@@ -931,7 +886,7 @@ def tail_bound(family: SequenceFamily, y: float, n: int) -> Optional[float]:
     the family certifies no tail ratio at this index."""
     try:
         a = family.alpha
-    except (NotImplementedError, UnsupportedFamilyError) as exc:
+    except UnsupportedFamilyError as exc:
         raise DomainError("family has no dom-f endpoint; normalize first") from exc
     if not y < -a:
         raise DomainError(f"tail bound requires y < -alpha = {-a}, got {y}")

@@ -58,7 +58,6 @@ __all__ = [
     "eval_f",
     "eval_f_derivatives",
     "profile",
-    "estimate_alpha",
     "phi",
     "phi_inverse",
     "lnf_conjugate",
@@ -105,7 +104,6 @@ class SeriesProfile:
     theta1: float
     theta2: float
     sigma_min: SigmaMinSet
-    alpha_estimated: bool = False
 
     def __post_init__(self):
         finite_t2 = math.isfinite(self.theta2)
@@ -148,6 +146,8 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB, boundary=False):
     """
     try:
         ex = math.exp(x)
+        if ex == math.inf:  # x = +inf: math.exp returns inf without raising
+            raise OverflowError
     except OverflowError:
         raise RangeError(f"x={x} is too large: exp(x) overflows") from None
     mults = () if kind is _MB else tuple(dict.fromkeys(m for m, _ in tols if m is not None))
@@ -214,15 +214,6 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB, boundary=False):
         lo, hi = hi + 1, min(2 * hi, _TERM_BUDGET)
 
 
-def _require_alpha(family) -> float:
-    try:
-        return family.alpha
-    except (NotImplementedError, UnsupportedFamilyError) as exc:
-        raise UnsupportedFamilyError(
-            "family has no dom-f endpoint; normalize it first"
-        ) from exc
-
-
 def _check_boundary_summable(family, moment) -> None:
     div = family.boundary_divergent(moment)
     if div is True:
@@ -241,7 +232,7 @@ def _eval_moments(family, y, tols, x=0.0, kind=_MB):
     DivergenceError beyond the domain."""
     if family.dom_f_empty:
         raise DivergenceError("dom f is empty for this family")
-    a = _require_alpha(family)
+    a = family.alpha
     if y > -a:
         raise DivergenceError(f"series diverges: y={y} exceeds -alpha={-a}")
     if y == -a:
@@ -275,7 +266,7 @@ def eval_f_derivatives(
     family: SequenceFamily, y: float, tol: float = 1e-12
 ) -> tuple[float, float, float]:
     """(f, f', f'') at y < -alpha, each within tol."""
-    a = _require_alpha(family)
+    a = family.alpha
     if not y < -a:
         raise DomainError(f"derivatives need y < -alpha = {-a}, got {y}")
     r = _eval_moments(family, y, {(None, 0): tol, (None, 1): tol, (None, 2): tol})
@@ -286,17 +277,6 @@ def eval_f_derivatives(
 # profile
 
 
-def estimate_alpha(family: SequenceFamily, n_terms: int = 4096) -> float:
-    """Advisory limsup estimate of ln(p_n)/sigma_n over the top half of a
-    long prefix; cannot certify domain membership near the boundary."""
-    best = -math.inf
-    for n in range(max(2, n_terms // 2), n_terms + 1):
-        s = family.sigma(n)
-        if s > 0.0:
-            best = max(best, family.log_p(n) / s)
-    return max(best, 0.0)
-
-
 @functools.lru_cache(maxsize=256)
 def _profile_cached(family: SequenceFamily, tol: float) -> SeriesProfile:
     smin = sigma_min_set(family)
@@ -304,15 +284,8 @@ def _profile_cached(family: SequenceFamily, tol: float) -> SeriesProfile:
         raise UnsupportedFamilyError(
             f"levels must be positive (min sigma = {smin.theta1}); shift first"
         )
-    estimated = False
-    try:
-        alpha = family.alpha
-    except NotImplementedError:
-        alpha = estimate_alpha(family)
-        estimated = True
-    if math.isinf(alpha):
-        raise UnsupportedFamilyError("dom f is empty; profile undefined")
-    if alpha > 0.0 and not estimated:
+    alpha = family.alpha
+    if alpha > 0.0:
         # declared alpha must not be contradicted by a certificate of
         # convergence strictly outside (-inf, -alpha]
         probe = family.tail_interval(-0.5 * alpha, _START_BLOCK, 0)
@@ -344,7 +317,7 @@ def _profile_cached(family: SequenceFamily, tol: float) -> SeriesProfile:
             case = BoundaryCase.CLOSED_GAMMA_FINITE_C
             gamma = _eval_many(family, -alpha, {(None, 1): tol}, boundary=True)[0].value
             theta2 = gamma / f_b
-    return SeriesProfile(alpha, case, f_b, gamma, smin.theta1, theta2, smin, estimated)
+    return SeriesProfile(alpha, case, f_b, gamma, smin.theta1, theta2, smin)
 
 
 def profile(family: SequenceFamily, tol: float = 1e-10) -> SeriesProfile:
@@ -369,7 +342,7 @@ def phi(family: SequenceFamily, y: float, tol: float = 1e-10) -> float:
     The slope evaluation of each phi_inverse step (_certified_slope), at
     the scale of one rough pass: the error of phi, bounded from the tail
     brackets of f and f', is certified to be at most 0.25 tol."""
-    a = _require_alpha(family)
+    a = family.alpha
     if not y < -a:
         raise DomainError(f"phi needs y < -alpha = {-a}, got {y}")
     return _certified_slope(family, y, 0.25 * tol)[0]
@@ -532,15 +505,10 @@ def _refine_f(family, y, f_y: SeriesEval, rtol: float) -> SeriesEval:
 # the dual sums h_W
 
 
-def _theta1(family) -> float:
-    t = family.analytic_theta1
-    return t if t is not None else sigma_min_set(family).theta1
-
-
 def _outside_be(family, x, y) -> bool:
     """(x, y) outside dom h_BE: t = x + theta1 y >= 0, or t so near 0 that
     e^t rounds to 1 and the first term's -ln(1 - e^t) has no float value."""
-    t = x + _theta1(family) * y
+    t = x + sigma_min_set(family).theta1 * y
     return t >= 0.0 or math.exp(t) == 1.0
 
 
@@ -593,7 +561,7 @@ def eval_h(
     that e^(x + theta1 y) rounds to 1."""
     if family.dom_f_empty:
         return math.inf
-    a = _require_alpha(family)
+    a = family.alpha
     if y > -a:
         return math.inf
     if kind is Entropy.BOSE_EINSTEIN and _outside_be(family, x, y):
@@ -611,7 +579,7 @@ def _dual_sums(family, kind, x, y, tols) -> list[SeriesEval]:
     divergent series."""
     if family.dom_f_empty or family.constant_sigma:
         raise DomainError("dual sums undefined: degenerate family")
-    a = _require_alpha(family)
+    a = family.alpha
     if y > -a:
         raise DomainError(f"({x}, {y}) outside dom h: y > -alpha = {-a}")
     if y == -a and any(m == "hess" for m, _ in tols):

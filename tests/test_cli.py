@@ -345,6 +345,17 @@ class TestVerifyMode:
         assert rc == 0
         assert "degenerate-detection" in capsys.readouterr().out
 
+    def test_all_divergent_family_suite(self, tmp_path, capsys):
+        text = GEO_SOLVE.replace("name = geometric", "name = divergent").replace(
+            "mode = solve\nu = 1.0\nv = 2.0", "mode = verify"
+        )
+        rc = main(["--spec", _write(tmp_path, text)])
+        assert rc == 0
+        assert (
+            "PASS  degenerate-detection: cone region degenerate-all-divergent, "
+            "value -inf, h = +inf"
+        ) in capsys.readouterr().out.splitlines()
+
 
 class TestExitCodes:
     def test_missing_file(self):

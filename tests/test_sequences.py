@@ -311,6 +311,54 @@ def test_flip_reverses_direction():
     assert flip.sigma(4) == -fam.sigma(4)
 
 
+# (family, sigma_direction, constant_sigma, dom_f_empty, theta1, or None
+# where sigma_min_set refuses the family): the metadata the base class must
+# derive for every shipped family, the constant and falling ones and the
+# ExplicitPrefix and ShiftedSigma wrappers included
+DERIVED_METADATA = [
+    (Arithmetic(0.0, 1.0), 1, False, False, 1.0),
+    (Arithmetic(-3.0, 1.0), 1, False, False, -2.0),
+    (Arithmetic(5.0, 0.0), 0, True, True, None),
+    (Arithmetic(2.0, -1.0), -1, False, False, None),
+    (Arithmetic(0.0, -1.0), -1, False, False, None),
+    (PowerLaw(1.0, 0.5), 1, False, False, 1.0),
+    (PowerLaw(2.0, 1.5), 1, False, False, 2.0),
+    (PowerLaw(-1.0, 0.5), -1, False, False, None),
+    (LogLevels(1.0), 1, False, False, math.log(2.0)),
+    (LogLevels(0.5), 1, False, False, 0.5 * math.log(2.0)),
+    (LogLevels(-1.0), -1, False, False, None),
+    (WeightedGeometric(1.0, 3.0), 1, False, False, 1.0),
+    (WeightedGeometric(0.5, 1.5), 1, False, False, 1.0),
+    (Lattice3D(1.0), 1, False, False, 3.0),
+    (Lattice3D(0.5), 1, False, False, 1.5),
+    (ExplosiveWeights(1.0), 1, False, True, 1.0),
+    (ExplicitPrefix((1.0, 2.0), (3.0, 0.5), Arithmetic(0.0, 1.0)), 1, False, False, 0.5),
+    (ExplicitPrefix((1.0, 2.0), (-3.0, -1.0), Arithmetic(0.0, -1.0)), -1, False, False, None),
+    (ExplicitPrefix((1.0,), (5.0,), Arithmetic(5.0, 0.0)), 0, True, True, None),
+    (ExplicitPrefix((1.0, 1.0), (2.0, 1.0), WeightedGeometric(1.0, 3.0)), 1, False, False, 1.0),
+    (ExplicitPrefix((1.0,), (1.0,), ExplosiveWeights(1.0)), 1, False, True, 1.0),
+    (ShiftedSigma(Arithmetic(-3.0, 1.0), -3.0), 1, False, False, 1.0),
+    (ShiftedSigma(WeightedGeometric(1.0, 3.0), -2.0), 1, False, False, 3.0),
+    (ShiftedSigma(Lattice3D(1.0), 2.0), 1, False, False, 1.0),
+    (ShiftedSigma(LogLevels(1.0), -1.0), 1, False, False, 1.0 + math.log(2.0)),
+    (ShiftedSigma(ExplosiveWeights(1.0), 0.5), 1, False, True, 0.5),
+    (ShiftedSigma(Arithmetic(5.0, 0.0), 4.0), 0, True, True, None),
+]
+
+
+@pytest.mark.parametrize("case", DERIVED_METADATA, ids=lambda c: repr(c[0]))
+def test_derived_metadata(case):
+    fam, direction, constant, empty, theta1 = case
+    assert fam.sigma_direction == direction
+    assert fam.constant_sigma is constant
+    assert fam.dom_f_empty is empty
+    if theta1 is None:
+        with pytest.raises(UnsupportedFamilyError):
+            sigma_min_set(fam)
+    else:
+        assert sigma_min_set(fam).theta1 == theta1
+
+
 def test_shifted_terms_and_alpha(zeta_family):
     sh = ShiftedSigma(zeta_family, -2.0)
     assert sh.sigma(5) == zeta_family.sigma(5) + 2.0

@@ -4,6 +4,8 @@ ln f, and the dual sums h_W with gradients and boundary subdifferentials."""
 
 import math
 import sys
+import warnings
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +24,10 @@ from entromin import (
     LogLevels,
     PowerLaw,
     RangeError,
+    SequenceFamily,
+    UnsupportedFamilyError,
     WeightedGeometric,
     boundary_subdifferential,
-    estimate_alpha,
     eval_f,
     eval_f_derivatives,
     eval_h,
@@ -107,6 +110,17 @@ class TestDerivatives:
             eval_f_derivatives(zeta_family, -1.0, 1e-8)
 
 
+@dataclass(frozen=True)
+class _NoAlpha(SequenceFamily):
+    """Unit weights and sigma_n = n, with no declared alpha."""
+
+    def p(self, n):
+        return 1.0
+
+    def sigma(self, n):
+        return float(n)
+
+
 class TestProfile:
     def test_geometric(self, geometric):
         prof = profile(geometric)
@@ -114,7 +128,6 @@ class TestProfile:
         assert prof.boundary_case is BoundaryCase.OPEN_A
         assert prof.theta1 == 1.0
         assert math.isinf(prof.theta2)
-        assert not prof.alpha_estimated
 
     def test_zeta(self, zeta_family):
         prof = profile(zeta_family)
@@ -143,9 +156,13 @@ class TestProfile:
         assert prof.theta1 == 3.0
         assert prof.boundary_case is BoundaryCase.OPEN_A
 
-    def test_alpha_estimator_is_consistent(self, zeta_family, geometric):
-        assert estimate_alpha(zeta_family) == pytest.approx(1.0, abs=1e-2)
-        assert estimate_alpha(geometric) == pytest.approx(0.0, abs=1e-12)
+    def test_family_without_alpha_is_unsupported(self):
+        # an undeclared dom-f endpoint is refused, not estimated: no solve
+        # could use a profile built on an estimate
+        with pytest.raises(UnsupportedFamilyError, match="no dom-f endpoint"):
+            profile(_NoAlpha())
+        with pytest.raises(UnsupportedFamilyError, match="no dom-f endpoint"):
+            EmpSolver(_NoAlpha())
 
 
 class TestPhi:
@@ -378,6 +395,16 @@ class TestEvalH:
                 eval_h(geometric, kind, 800.0, -1.0)
             with pytest.raises(RangeError):
                 grad_h(geometric, kind, 800.0, -1.0)
+
+    @pytest.mark.parametrize("kind", [MB, FD])
+    @pytest.mark.parametrize("which", [eval_h, grad_h])
+    def test_infinite_x_is_a_range_error(self, kind, which):
+        # math.exp(inf) returns inf without raising: the sums ran 4096 terms
+        # and ended in a BudgetError on a nan tail width
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError):
+                which(Arithmetic(0.0, 1.0), kind, math.inf, -1.0)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(-2.0, 2.0), st.floats(-4.0, -0.1))

@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 import time
+import warnings
 import weakref
 
 import numpy as np
@@ -23,6 +24,7 @@ from entromin import (
     EmpSolver,
     EpsilonFamily,
     Entropy,
+    ExplicitPrefix,
     ExplosiveWeights,
     InverseFailure,
     Lattice3D,
@@ -684,6 +686,17 @@ class TestForwardSolve:
         with pytest.raises(RangeError):
             geo_solver.forward_solve(kind, 800.0, -1.0)
 
+    @pytest.mark.parametrize("kind", [MB, FD])
+    def test_overflowing_normal_form_x_is_a_range_error(self, kind):
+        # flipped and shifted by -2: x_n = 0 - 2 (-1.7e308) overflows to +inf,
+        # which ran 4096 terms (warning of an overflow in multiply) and ended
+        # in a BudgetError on a nan tail width
+        solver = EmpSolver(Arithmetic(2.0, -1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="x=inf"):
+                solver.forward_solve(kind, 0.0, 1.7e308)
+
     def test_outside_domain(self, geo_solver, zeta_solver, case_b_family):
         with pytest.raises(DomainError):
             geo_solver.forward_solve(MB, 0.0, 0.5)
@@ -947,6 +960,39 @@ class TestNormalization:
         x, y = sol.multipliers
         assert x == pytest.approx(0.0, abs=1e-10)
         assert y == pytest.approx(LN2, abs=1e-11)  # sign mirrored
+
+    MIRRORS = {
+        "powerlaw": (PowerLaw(-1.0, 0.5), PowerLaw(1.0, 0.5), 1.3, 2.5),
+        "explicit-prefix": (
+            ExplicitPrefix((1.0, 2.0), (-3.0, -1.0), Arithmetic(0.0, -1.0)),
+            ExplicitPrefix((1.0, 2.0), (3.0, 1.0), Arithmetic(0.0, 1.0)),
+            1.0,
+            2.0,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(MIRRORS))
+    def test_falling_levels_solve_as_their_mirror(self, case):
+        # levels falling to -inf are flipped: (u, -v) is solved exactly as
+        # the mirror family at (u, v), and y changes sign
+        falling, rising, u, v = self.MIRRORS[case]
+        got, ref = EmpSolver(falling).solve_mb(u, -v), EmpSolver(rising).solve_mb(u, v)
+        assert got.region is ref.region is Region.INTERIOR
+        assert (got.value, got.h_star) == (ref.value, ref.h_star)
+        x, y = ref.multipliers
+        assert got.multipliers == (x, -y)
+        assert got.solution.prefix(20) == ref.solution.prefix(20)
+
+    @pytest.mark.parametrize("kind", [MB, BE, FD])
+    def test_falling_log_levels_forward_as_their_mirror(self, kind):
+        # LogLevels' solve_mb takes about a second; its forward solve at
+        # mirrored y exercises the same flip
+        x = -0.3 if kind is BE else 0.3
+        got = EmpSolver(LogLevels(-1.0)).forward_solve(kind, x, 2.0)
+        ref = EmpSolver(LogLevels(1.0)).forward_solve(kind, x, -2.0)
+        assert got.region is ref.region is Region.INTERIOR
+        assert (got.u, got.v, got.value) == (ref.u, -ref.v, ref.value)
+        assert got.multipliers == (x, 2.0)
 
     def test_forward_solve_in_raw_coordinates(self):
         raw = EmpSolver(Arithmetic(-3.0, 1.0))
