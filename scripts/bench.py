@@ -9,6 +9,9 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
                        1.4 to 2.0);
   lattice_interior     solve_mb on every interior Lattice3D(1) target of
                        mb-point;
+  mb_interior          solve_mb on every interior target of mb-point's three
+                       families (Arithmetic(0, 1), WeightedGeometric(1, 3)
+                       and Lattice3D(1)), reported overall and per family;
   bf_roundtrip         every bf-roundtrip target: forward_solve(kind, x, y)
                        and then inverse_solve_bf(kind, u, v, 1e-10), BE and
                        FD on Arithmetic(0, 1), WeightedGeometric(1, 3) and
@@ -175,6 +178,46 @@ def count_lattice(tracer, es, targets):
     return {"counts_per_solve": _summary(per_target)}
 
 
+def _interior(entromin, workloads, reqs):
+    """(family key, solver, u, v) for every interior mb-point target."""
+    solvers = {
+        fam: entromin.EmpSolver(workloads.build_family(entromin, fam))
+        for fam in workloads.MbPoint.families
+    }
+    return [
+        (r.family, solvers[r.family], *r.args)
+        for r in reqs
+        if solvers[r.family].classify(*r.args).value == "interior"
+    ]
+
+
+def _by_family(targets, values):
+    out = {}
+    for (fam, *_), value in zip(targets, values):
+        out.setdefault(fam, []).append(value)
+    return out
+
+
+def count_interior(tracer, targets, times):
+    """mb_interior's counts and wall times, overall and per family; times
+    holds each target's time in seconds, in the order of targets."""
+    keys = {"series_passes": "series.passes", "series_terms": "sequences.terms"}
+    per_target = [
+        _counted(tracer, lambda es=es, u=u, v=v: es.solve_mb(u, v), keys)[1]
+        for _, es, u, v in targets
+    ]
+    counts, walls = _by_family(targets, per_target), _by_family(targets, times)
+    per_family = {
+        fam: {
+            "targets": len(counts[fam]),
+            "counts_per_solve": _summary(counts[fam]),
+            "wall_ms_per_solve": _wall(walls[fam]),
+        }
+        for fam in counts
+    }
+    return {"counts_per_solve": _summary(per_target), "per_family": per_family}
+
+
 def _roundtrips(entromin, workloads, np):
     """(solver, kind, x, y) for every bf-roundtrip target."""
     wl = workloads.BfRoundtrip()
@@ -253,9 +296,11 @@ def main(argv=None) -> int:
     reqs = _targets(workloads, np)
     fams = _families(entromin, workloads, reqs)
     es, lattice = _lattice(entromin, workloads, reqs)
+    interior = _interior(entromin, workloads, reqs)
     trips = _roundtrips(entromin, workloads, np)
     converge_ms = _wall([_timed(lambda f=f: f.converge(1e-3)) for f in fams])
     lattice_ms = _wall([_timed(lambda u=u, v=v: es.solve_mb(u, v)) for u, v in lattice])
+    interior_s = [_timed(lambda es=es, u=u, v=v: es.solve_mb(u, v)) for _, es, u, v in interior]
     roundtrip_ms = _wall([_timed(lambda t=t: _roundtrip(*t)) for t in trips])
 
     tracer = tracing.Tracer()
@@ -265,6 +310,8 @@ def main(argv=None) -> int:
                 "wall_ms_per_converge": converge_ms}
     lattice = {"targets": len(lattice), **count_lattice(tracer, es, lattice),
                "wall_ms_per_solve": lattice_ms}
+    interior = {"targets": len(interior), **count_interior(tracer, interior, interior_s),
+                "wall_ms_per_solve": _wall(interior_s)}
     roundtrip = {"targets": len(trips), **count_roundtrips(tracer, entromin, trips),
                  "wall_ms_per_roundtrip": roundtrip_ms}
     tracer.active = False
@@ -280,6 +327,7 @@ def main(argv=None) -> int:
             "epsilon_converge": converge,
             "lattice_interior": lattice,
             "bf_roundtrip": roundtrip,
+            "mb_interior": interior,
         },
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
@@ -289,6 +337,10 @@ def main(argv=None) -> int:
         means = ", ".join(f"{k} {v['mean']:.1f}" for k, v in counts.items())
         print(f"{name}: {case['targets']} targets; {means}; "
               f"median {wall['median']:.3f} ms [{wall['q1']:.3f}, {wall['q3']:.3f}]")
+        for fam, sub in case.get("per_family", {}).items():
+            means = ", ".join(f"{k} {v['mean']:.2f}" for k, v in sub["counts_per_solve"].items())
+            print(f"  {fam}: {sub['targets']} targets; {means}; "
+                  f"median {sub['wall_ms_per_solve']['median']:.3f} ms")
     return 0
 
 

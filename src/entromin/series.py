@@ -20,7 +20,9 @@ one-quantity entry points to it.
 The increasing bijection phi = f'/f : (-inf, -alpha) -> (theta1, theta2) has
 one certified evaluation (_certified_slope), which phi returns and whose
 pass also gives phi' = f''/f - phi^2 to phi_inverse's bracket-safeguarded
-Newton iteration; the conjugate of ln f follows its four-branch closed form,
+Newton iteration.  Every inversion starts at y = -alpha - 1, so that first
+evaluation is made once per (family, tol) and cached (_slope_start), as the
+profile is; the conjugate of ln f follows its four-branch closed form,
 and its interior branch (_conjugate_at) is also the solver's interior value.
 A target the term budget cannot certify is relaxed by one rule
 (_first_certified: the first of a fixed list of tolerances that certifies).
@@ -229,7 +231,9 @@ def _check_boundary_summable(family, moment) -> None:
 def _eval_moments(family, y, tols, x=0.0, kind=_MB):
     """Route an evaluation point of _eval_many, for the moments of f or for
     the dual sums, to the interior or boundary machinery, raising
-    DivergenceError beyond the domain."""
+    DivergenceError beyond the domain and RangeError at a nan x or y."""
+    if math.isnan(x) or math.isnan(y):
+        raise RangeError(f"x={x} and y={y} must not be nan")
     if family.dom_f_empty:
         raise DivergenceError("dom f is empty for this family")
     a = family.alpha
@@ -242,6 +246,21 @@ def _eval_moments(family, y, tols, x=0.0, kind=_MB):
     return _eval_many(family, y, tols, x, kind)
 
 
+def _overflow_ignored(fn):
+    """fn under numpy's errstate(over='ignore'), entered once per call: at a
+    huge negative y, sigma_n y (and x + sigma_n y) overflows to -inf, whose
+    exponential is the correct term 0.  Public entry points only; the state
+    costs about 2 us to enter, too much for each pass of a slope root."""
+
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore"):
+            return fn(*args, **kwargs)
+
+    return quiet
+
+
+@_overflow_ignored
 def eval_f(family: SequenceFamily, y: float, tol: float = 1e-12) -> SeriesEval:
     """f(y) within tol, certified; boundary y = -alpha allowed when the
     family proves summability there."""
@@ -262,6 +281,7 @@ def _first_certified(attempt, tols):
     raise BudgetError(msg)
 
 
+@_overflow_ignored
 def eval_f_derivatives(
     family: SequenceFamily, y: float, tol: float = 1e-12
 ) -> tuple[float, float, float]:
@@ -378,12 +398,13 @@ def _certified_slope(family, y, tol, scale=None):
 def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
     """The unique y < -alpha with |phi(y) - w| <= tol, for theta1 < w < theta2.
 
-    Safeguarded Newton iteration from y = -alpha - 1: each step is one
-    certified slope evaluation giving phi and phi', as phi does, and
-    proposes a Newton step on ln(phi - theta1), which is nearly linear
-    where phi tends to theta1.  The step is taken only strictly inside the
-    current sign bracket and when at most half the step before it, else the
-    bracket is bisected; before a
+    Safeguarded Newton iteration from y = -alpha - 1, whose slope
+    evaluation does not depend on w and is cached per (family, tol): each
+    step is one certified slope evaluation giving phi and phi', as phi
+    does, and proposes a Newton step on ln(phi - theta1), which is nearly
+    linear where phi tends to theta1.  The step is taken only strictly
+    inside the current sign bracket and when at most half the step before
+    it, else the bracket is bisected; before a
     right bracket is known it may at most halve the gap to -alpha, and
     before a left bracket is known its length is capped, the cap doubling
     with each step.  Returns once the certified residual is within 0.75 tol,
@@ -393,10 +414,21 @@ def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
     return _invert_slope(family, w, tol)[0]
 
 
+@functools.lru_cache(maxsize=256)
+def _slope_start(family: SequenceFamily, tol: float):
+    """_certified_slope at y = -alpha - 1 to 0.25 tol, its scale from a
+    rough pass: the first step of every slope inversion at tolerance tol,
+    which no target changes, so it is evaluated once per (family, tol) and
+    cached as _profile_cached is.  A BudgetError is not cached."""
+    return _certified_slope(family, -family.alpha - 1.0, 0.25 * tol)
+
+
 def _invert_slope(family, w, tol) -> tuple[float, SeriesEval]:
     """phi_inverse's root together with the certified f(y) from its last
     pass, so that a caller needing f at the root re-sums it only when that
-    pass's bound is too loose."""
+    pass's bound is too loose.  The first step's two passes (the rough
+    scale and the slope at y = -alpha - 1) are evaluated once per (family,
+    tol) and cached (_slope_start)."""
     prof = profile(family)
     if not math.isfinite(w) or w <= prof.theta1 or w >= prof.theta2:
         raise RangeError(
@@ -410,9 +442,12 @@ def _invert_slope(family, w, tol) -> tuple[float, SeriesEval]:
     cap = 1.0
     last_step = math.inf
     for _ in range(200):
-        # the tolerance scale comes from the previous iterate, the first
-        # from a rough pass
-        p, dp, f_y, scale = _certified_slope(family, y, 0.25 * tol, scale)
+        # the first point is the same for every target (_slope_start); each
+        # later one takes its tolerance scale from the previous iterate
+        if scale is None:
+            p, dp, f_y, scale = _slope_start(family, tol)
+        else:
+            p, dp, f_y, scale = _certified_slope(family, y, 0.25 * tol, scale)
         r = p - w
         if abs(r) <= 0.75 * tol:
             return y, f_y
@@ -553,6 +588,7 @@ def _mult_bounds(kind: Entropy, what: str, z_next: float) -> tuple[float, float]
     return (1.0, d) if what == "grad" else (1.0, d * d)
 
 
+@_overflow_ignored
 def eval_h(
     family: SequenceFamily, kind: Entropy, x: float, y: float, tol: float = 1e-10
 ) -> float:
@@ -613,6 +649,7 @@ def _dual_point(family, kind, x, y, tol, hessian=True) -> list[SeriesEval]:
     return [moments[k] for _, k in sums]
 
 
+@_overflow_ignored
 def grad_h(
     family: SequenceFamily, kind: Entropy, x: float, y: float, tol: float = 1e-10
 ) -> tuple[float, float]:
@@ -622,6 +659,7 @@ def grad_h(
     return gu.value, gv.value
 
 
+@_overflow_ignored
 def hessian_h(
     family: SequenceFamily, kind: Entropy, x: float, y: float, tol: float = 1e-10
 ) -> tuple[float, float, float]:

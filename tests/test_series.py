@@ -4,6 +4,8 @@ ln f, and the dual sums h_W with gradients and boundary subdifferentials."""
 
 import math
 import sys
+import threading
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from entromin import (
     Arithmetic,
     BoundaryCase,
+    BudgetError,
     ConfigurationError,
     DivergenceError,
     DomainError,
@@ -327,6 +330,112 @@ class TestNewtonInversion:
         assert len(passes) <= 20
 
 
+def _count_passes(monkeypatch, family) -> list:
+    """A list that gains the y of every certified series pass (one
+    log_terms call from n = 1) on family's class."""
+    cls = type(family)
+    log_terms = cls.log_terms
+    passes = []
+
+    def counting(self, y, lo, hi):
+        if lo == 1:
+            passes.append(y)
+        return log_terms(self, y, lo, hi)
+
+    monkeypatch.setattr(cls, "log_terms", counting)
+    return passes
+
+
+_CACHE_CASES = [
+    (Arithmetic(0.0, 1.0), 3.0, 6.5),
+    (WeightedGeometric(1.0, 3.0), 1.2, 1.05),
+    (Lattice3D(1.0), 12.0, 4.5),
+]
+
+
+class TestSlopeStartCache:
+    """Every slope inversion starts at y = -alpha - 1 with the same two
+    passes (a rough scale and the first slope), cached per (family, tol)."""
+
+    @pytest.mark.parametrize("family, v1, v2", _CACHE_CASES, ids=repr)
+    def test_one_start_evaluation_for_two_solves(self, monkeypatch, family, v1, v2):
+        solver = EmpSolver(family)
+        passes = _count_passes(monkeypatch, family)
+
+        def solve_passes(v):
+            passes.clear()
+            assert solver.solve_mb(1.0, v).region.value == "interior"
+            return len(passes)
+
+        series._slope_start.cache_clear()
+        cold = solve_passes(v2)
+        series._slope_start.cache_clear()
+        solve_passes(v1)
+        warm = solve_passes(v2)
+        info = series._slope_start.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert warm == cold - 2
+
+    @pytest.mark.parametrize("family, v1, v2", _CACHE_CASES, ids=repr)
+    def test_cold_and_warm_results_are_identical(self, family, v1, v2):
+        solver = EmpSolver(family)
+        calls = [
+            lambda: solver.solve_mb(1.0, v1),
+            lambda: lnf_conjugate(family, v2, 1e-11),
+            lambda: phi_inverse(family, v2, 1e-10),
+            lambda: solver.inverse_solve_bf(BE, 1.0, v1),
+            lambda: solver.inverse_solve_bf(FD, 1.0, v2),
+        ]
+        for call in calls:
+            series._slope_start.cache_clear()
+            cold = call()
+            hits = series._slope_start.cache_info().hits
+            warm = call()
+            assert series._slope_start.cache_info().hits > hits
+            assert repr(warm) == repr(cold)
+
+    def test_threads_sharing_a_solver_match_serial_results(self):
+        solver = EmpSolver(Lattice3D(1.0))
+        targets = [(1.0, v) for v in (3.3, 4.5, 6.0, 8.0, 12.0, 20.0)]
+        serial = [repr(solver.solve_mb(u, v)) for u, v in targets]
+        results = {}
+        barrier = threading.Barrier(2)
+
+        def work(name, order):
+            barrier.wait()
+            results[name] = {i: repr(solver.solve_mb(*targets[i])) for i in order}
+
+        series._slope_start.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            n = len(targets)
+            threads = [
+                threading.Thread(target=work, args=("up", range(n))),
+                threading.Thread(target=work, args=("down", range(n - 1, -1, -1))),
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for name in ("up", "down"):
+            assert [results[name][i] for i in range(len(targets))] == serial
+
+    def test_a_budget_error_is_not_cached(self):
+        # PowerLaw(1, 0.5) terms at y = -1 fall like e^-sqrt(n): no tail
+        # bracket reaches a 1e-300 target, and the start pass gives up
+        family = PowerLaw(1.0, 0.5)
+        series._slope_start.cache_clear()
+        for _ in range(2):
+            with pytest.raises(BudgetError):
+                phi_inverse(family, 1.5, 1e-300)
+        info = series._slope_start.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
+
+
 class TestLnfConjugate:
     def test_at_theta1(self, geometric):
         assert lnf_conjugate(geometric, 1.0, 1e-12) == 0.0
@@ -546,3 +655,53 @@ class TestBoundarySubdifferential:
         # x - theta1 alpha >= 0 lies outside dom h_BE
         with pytest.raises(DomainError):
             boundary_subdifferential(zeta_family, BE, 2.0, 1e-9)
+
+
+_EDGE_FAMILIES = [
+    Arithmetic(0.0, 1.0),
+    WeightedGeometric(1.0, 3.0),
+    Lattice3D(1.0),
+    PowerLaw(1.0, 0.5),
+]
+
+
+class TestFloatEdges:
+    @pytest.mark.parametrize("family", _EDGE_FAMILIES, ids=repr)
+    @pytest.mark.parametrize(
+        "call, args",
+        [
+            ("eval_f", (math.nan,)),
+            *(
+                (name, (kind, x, y))
+                for name in ("eval_h", "grad_h", "hessian_h")
+                for kind in (MB, BE, FD)
+                for x, y in ((math.nan, -1.5), (0.0, math.nan))
+            ),
+        ],
+        ids=str,
+    )
+    def test_nan_is_a_range_error(self, family, call, args):
+        # nan passed the y > -alpha tests and the exp(x) guard, so the
+        # sums ran on nan terms: 4,096 terms, or the whole 2^23-term budget
+        t0 = time.perf_counter()
+        with pytest.raises(RangeError):
+            getattr(series, call)(family, *args)
+        assert time.perf_counter() - t0 < 0.05
+
+    @pytest.mark.parametrize("family", _EDGE_FAMILIES, ids=repr)
+    @pytest.mark.parametrize("kind", [MB, BE, FD])
+    @pytest.mark.parametrize("x", [0.0, -1.0, 3.0, -1.7e308])
+    def test_huge_negative_y_warns_of_no_overflow(self, family, kind, x):
+        # sigma_n y (and x + sigma_n y) overflow to -inf, whose terms are 0
+        y = -1.7e308
+        solver = EmpSolver(family)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solver.forward_solve(kind, x, y)
+            assert (sol.region.value, sol.u, sol.v, sol.value) == ("origin", 0.0, 0.0, 0.0)
+            assert eval_h(family, kind, x, y) == 0.0
+            assert grad_h(family, kind, x, y) == (0.0, 0.0)
+            assert hessian_h(family, kind, x, y) == (0.0, 0.0, 0.0)
+            if x == 0.0:
+                assert eval_f(family, y).value == 0.0
+                assert eval_f_derivatives(family, y) == (0.0, 0.0, 0.0)
