@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-layer benchmark: work counts and wall time of three solver paths.
+"""Per-layer benchmark: work counts and wall time of the solver paths.
 
 Cases, with targets drawn exactly as perfbench's workloads draw them
 (perfbench/workloads.py, one cycle per seed in SEEDS):
@@ -15,7 +15,12 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
   bf_roundtrip         every bf-roundtrip target: forward_solve(kind, x, y)
                        and then inverse_solve_bf(kind, u, v, 1e-10), BE and
                        FD on Arithmetic(0, 1), WeightedGeometric(1, 3) and
-                       Lattice3D(1).
+                       Lattice3D(1);
+  finite_truncation    the finite solves of the CLI's truncation check on
+                       mb-point's three families: solve_two_mb_be(MB, p,
+                       sigma, 1, w) on the first n terms, n = 8, 16, ... up
+                       to cli._max_finite_prefix, at w = cli._interior_slope,
+                       reported overall and per family.
 
 Work counts are deterministic and come from wrapping the library from
 outside; nothing in src/ counts.  All but the first come from perfbench's
@@ -36,7 +41,10 @@ tracer (perfbench/tracing.py):
   newton_points        points at which the inverse solve's damped Newton
                        evaluates its dual potential (the start and every
                        line-search point inside the domain), counted
-                       through the callback that returns the potential.
+                       through the callback that returns the potential;
+  root_iterations      iterations of rootfind.solve_bracketed, one phi_n
+                       evaluation each (the bracket expansion before it is
+                       not counted).
 
 Wall time is the median (with quartiles) over targets of each target's
 median of REPEATS calls, after one untimed warm-up call per target.  All
@@ -198,6 +206,20 @@ def _by_family(targets, values):
     return out
 
 
+def _per_family(targets, per_target, times):
+    """Each family's target count, count summary and wall times; targets
+    start with their family key, per_target and times follow their order."""
+    counts, walls = _by_family(targets, per_target), _by_family(targets, times)
+    return {
+        fam: {
+            "targets": len(counts[fam]),
+            "counts_per_solve": _summary(counts[fam]),
+            "wall_ms_per_solve": _wall(walls[fam]),
+        }
+        for fam in counts
+    }
+
+
 def count_interior(tracer, targets, times):
     """mb_interior's counts and wall times, overall and per family; times
     holds each target's time in seconds, in the order of targets."""
@@ -206,16 +228,8 @@ def count_interior(tracer, targets, times):
         _counted(tracer, lambda es=es, u=u, v=v: es.solve_mb(u, v), keys)[1]
         for _, es, u, v in targets
     ]
-    counts, walls = _by_family(targets, per_target), _by_family(targets, times)
-    per_family = {
-        fam: {
-            "targets": len(counts[fam]),
-            "counts_per_solve": _summary(counts[fam]),
-            "wall_ms_per_solve": _wall(walls[fam]),
-        }
-        for fam in counts
-    }
-    return {"counts_per_solve": _summary(per_target), "per_family": per_family}
+    return {"counts_per_solve": _summary(per_target),
+            "per_family": _per_family(targets, per_target, times)}
 
 
 def _roundtrips(entromin, workloads, np):
@@ -275,6 +289,38 @@ def count_roundtrips(tracer, entromin, trips):
     return {"counts_per_roundtrip": _summary(per_target), "inverse_failures": failures}
 
 
+def _truncations(entromin, workloads):
+    """(family key, p, sigma, w) for every finite solve of the CLI's
+    truncation check on mb-point's families."""
+    from entromin import cli
+
+    out = []
+    for key in workloads.MbPoint.families:
+        es = entromin.EmpSolver(workloads.build_family(entromin, key))
+        fam, w = es.family, cli._interior_slope(es.profile)
+        n, n_max = 8, cli._max_finite_prefix(fam)
+        while n <= n_max:
+            p = [fam.p(k) for k in range(1, n + 1)]
+            sigma = [fam.sigma(k) for k in range(1, n + 1)]
+            out.append((key, p, sigma, w))
+            n *= 2
+    return out
+
+
+def _truncated(entromin, p, sigma, w):
+    return entromin.solve_two_mb_be(entromin.Entropy.MAXWELL_BOLTZMANN, p, sigma, 1.0, w)
+
+
+def count_truncations(tracer, entromin, solves, times):
+    """finite_truncation's counts and wall times, overall and per family."""
+    keys = {"root_iterations": "rootfind.iterations"}
+    per_target = [
+        _counted(tracer, lambda t=t: _truncated(entromin, *t[1:]), keys)[1] for t in solves
+    ]
+    return {"counts_per_solve": _summary(per_target),
+            "per_family": _per_family(solves, per_target, times)}
+
+
 def _wall(times):
     return {k: 1e3 * v for k, v in _quartiles(times).items()}
 
@@ -298,10 +344,12 @@ def main(argv=None) -> int:
     es, lattice = _lattice(entromin, workloads, reqs)
     interior = _interior(entromin, workloads, reqs)
     trips = _roundtrips(entromin, workloads, np)
+    truncations = _truncations(entromin, workloads)
     converge_ms = _wall([_timed(lambda f=f: f.converge(1e-3)) for f in fams])
     lattice_ms = _wall([_timed(lambda u=u, v=v: es.solve_mb(u, v)) for u, v in lattice])
     interior_s = [_timed(lambda es=es, u=u, v=v: es.solve_mb(u, v)) for _, es, u, v in interior]
     roundtrip_ms = _wall([_timed(lambda t=t: _roundtrip(*t)) for t in trips])
+    truncation_s = [_timed(lambda t=t: _truncated(entromin, *t[1:])) for t in truncations]
 
     tracer = tracing.Tracer()
     tracer.install()
@@ -314,6 +362,9 @@ def main(argv=None) -> int:
                 "wall_ms_per_solve": _wall(interior_s)}
     roundtrip = {"targets": len(trips), **count_roundtrips(tracer, entromin, trips),
                  "wall_ms_per_roundtrip": roundtrip_ms}
+    truncation = {"targets": len(truncations),
+                  **count_truncations(tracer, entromin, truncations, truncation_s),
+                  "wall_ms_per_solve": _wall(truncation_s)}
     tracer.active = False
 
     record = {
@@ -328,6 +379,7 @@ def main(argv=None) -> int:
             "lattice_interior": lattice,
             "bf_roundtrip": roundtrip,
             "mb_interior": interior,
+            "finite_truncation": truncation,
         },
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")

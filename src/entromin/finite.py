@@ -4,10 +4,9 @@ Closed forms where they exist (proportional split under a single
 constraint, explicit multipliers for the maxwell-boltzmann two-constraint
 problem), the damped Newton of rootfind.minimize_convex_2d on the smooth
 strictly convex dual for the bose-einstein and fermi-dirac cases (both
-started at the maxwell-boltzmann multipliers), greedy zonotope envelopes
-for fermi-dirac feasibility, and a grid-refinement oracle (n <= 4) kept
-fully independent of the multiplier path so the two can cross-check each
-other.
+started at the maxwell-boltzmann multipliers), and greedy zonotope
+envelopes for fermi-dirac feasibility and its boundary faces.  A dual
+Newton that does not converge raises NumericalFailureError.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "solve_two_mb_be",
     "solve_two_fd",
     "fd_feasible",
-    "brute_force_oracle",
     "kkt_residual",
 ]
 
@@ -50,7 +48,6 @@ class BoundaryFlag(Enum):
     UPPER_EDGE = "upper-edge"
     SINGLE_CONSTRAINT = "single-constraint"
     ORIGIN = "origin"
-    ORACLE_FALLBACK = "oracle-fallback"
 
 
 class Feasibility(Enum):
@@ -279,7 +276,8 @@ def _dual_newton(kind, p, sigma, u, v, a0: float, b0: float) -> FiniteSolution:
     def occupation(t):
         if bose:
             return 1.0 / np.expm1(-t)  # e^t/(1-e^t)
-        return np.where(t >= 0.0, 1.0 / (1.0 + np.exp(-t)), np.exp(t) / (1.0 + np.exp(t)))
+        # the logistic function, one branch: no exp of a large positive t
+        return np.exp(np.minimum(t, 0.0)) / (1.0 + np.exp(-np.abs(t)))
 
     def evaluate(a, b):
         t = a + b * s
@@ -287,7 +285,7 @@ def _dual_newton(kind, p, sigma, u, v, a0: float, b0: float) -> FiniteSolution:
         if bose:
             conj = -np.log1p(-np.exp(t))
         else:  # softplus
-            conj = np.where(t > 0.0, t + np.log1p(np.exp(-t)), np.log1p(np.exp(t)))
+            conj = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
         gp = g * (1.0 - kind.a * g)
         return (
             float((p * conj).sum()) - a * u - b * v,
@@ -386,7 +384,8 @@ def _fd_face_solution(p, sigma, u: float, v: float) -> FiniteSolution:
 
 def solve_two_fd(p, sigma, u: float, v: float, tol: float = 1e-10) -> FiniteSolution:
     """Two-constraint fermi-dirac solve: Newton on the dual when (u, v) is
-    interior to the zonotope, exact greedy-face solution on its boundary."""
+    interior to the zonotope (NumericalFailureError when it does not
+    converge), exact greedy-face solution on its boundary."""
     p = [float(x) for x in p]
     sigma = [float(x) for x in sigma]
     n = len(p)
@@ -397,159 +396,5 @@ def solve_two_fd(p, sigma, u: float, v: float, tol: float = 1e-10) -> FiniteSolu
         raise InfeasibleError(f"(u, v) = ({u}, {v}) outside the fermi-dirac zonotope")
     if feas is Feasibility.BOUNDARY:
         return _fd_face_solution(p, sigma, u, v)
-    try:
-        alpha, beta, _ = _mb_multipliers(p, sigma, u, v)
-        return _dual_newton(Entropy.FERMI_DIRAC, p, sigma, u, v, alpha, beta)
-    except NumericalFailureError:
-        if n <= 4:
-            value = brute_force_oracle(Entropy.FERMI_DIRAC, p, sigma, u, v, 400)
-            point = _oracle_point(Entropy.FERMI_DIRAC, p, sigma, u, v, 400)
-            return FiniteSolution(point, value, None, BoundaryFlag.ORACLE_FALLBACK)
-        raise
-
-
-# ---------------------------------------------------------------------------
-# independent grid oracle (n <= 4)
-
-
-def _w_grid(kind: Entropy, p, cols) -> np.ndarray:
-    """Vectorized objective over candidate points; +inf outside dom."""
-    total = np.zeros(cols[0].shape)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for pk, uk in zip(p, cols):
-            r = uk / pk
-            bad = r < 0.0
-            if kind is Entropy.FERMI_DIRAC:
-                bad |= r > 1.0
-            rs = np.clip(r, 1e-300, None)
-            if kind is Entropy.MAXWELL_BOLTZMANN:
-                w = np.where(r > 0.0, rs * np.log(rs) - r, 0.0)
-            elif kind is Entropy.BOSE_EINSTEIN:
-                w = np.where(r > 0.0, rs * np.log(rs), 0.0) - (1.0 + np.maximum(r, 0.0)) * np.log1p(np.maximum(r, 0.0))
-            else:
-                one = np.clip(1.0 - r, 1e-300, None)
-                w = np.where(r > 0.0, rs * np.log(rs), 0.0) + np.where(
-                    r < 1.0, one * np.log(one), 0.0
-                )
-            total = total + pk * np.where(bad, np.inf, w)
-    return total
-
-
-def _caps(kind: Entropy, p, u):
-    if kind is Entropy.FERMI_DIRAC:
-        return [min(pk, u) for pk in p]
-    return [u] * len(p)
-
-
-def _oracle_scan(kind, p, sigma, u, v, grid):
-    """Returns (best_value, best_point) over the feasible slice, by gridding
-    the free coordinates and solving the two constraints for the rest."""
-    n = len(p)
-    tol = 1e-9 * max(1.0, abs(u), abs(v))
-    if n == 2:
-        s1, s2 = sigma
-        if s1 != s2:
-            u1 = (s2 * u - v) / (s2 - s1)
-            u2 = u - u1
-            pt = np.array([[u1], [u2]])
-            val = _w_grid(kind, p, pt)[0]
-            return (val, (u1, u2)) if math.isfinite(val) else (math.inf, None)
-        if abs(v - s1 * u) > tol:
-            return math.inf, None
-        caps = _caps(kind, p, u)
-        lo, hi = max(0.0, u - caps[1]), min(u, caps[0])
-        best = (math.inf, None)
-        for _ in range(6):
-            t = np.linspace(lo, hi, grid)
-            cols = [t, u - t]
-            vals = _w_grid(kind, p, cols)
-            j = int(np.argmin(vals))
-            if vals[j] < best[0]:
-                best = (float(vals[j]), (float(t[j]), float(u - t[j])))
-            span = (hi - lo) / (grid - 1)
-            lo, hi = max(lo, t[j] - 2 * span), min(hi, t[j] + 2 * span)
-        return best
-
-    # eliminate the best-conditioned pair: the widest level gap keeps the
-    # feasible band of the remaining grid coordinates thick
-    pair = None
-    gap = 0.0
-    for i_ in range(n):
-        for j_ in range(i_ + 1, n):
-            if abs(sigma[i_] - sigma[j_]) > gap:
-                gap = abs(sigma[i_] - sigma[j_])
-                pair = (i_, j_)
-    if pair is None or gap == 0.0:
-        raise DomainError("oracle requires at least two distinct levels")
-    i, j = pair
-    free = [k for k in range(n) if k not in pair]
-    si, sj = sigma[i], sigma[j]
-    det = sj - si
-    caps = _caps(kind, p, u)
-
-    if len(free) == 1:
-        k = free[0]
-        lo, hi = 0.0, caps[k]
-        best = (math.inf, None)
-        for _ in range(6):
-            t = np.linspace(lo, hi, grid)
-            ru = u - t
-            rv = v - sigma[k] * t
-            ui = (sj * ru - rv) / det
-            uj = ru - ui
-            cols = [None] * n
-            cols[i], cols[j], cols[k] = ui, uj, t
-            vals = _w_grid(kind, p, cols)
-            m = int(np.argmin(vals))
-            if vals[m] < best[0]:
-                best = (
-                    float(vals[m]),
-                    tuple(float(c[m]) for c in cols),
-                )
-            span = (hi - lo) / (grid - 1)
-            lo, hi = max(0.0, t[m] - 2 * span), min(caps[k], t[m] + 2 * span)
-        return best
-
-    # two free coordinates (n = 4)
-    k1, k2 = free
-    g = max(16, int(math.isqrt(grid)))
-    lo1, hi1, lo2, hi2 = 0.0, caps[k1], 0.0, caps[k2]
-    best = (math.inf, None)
-    for _ in range(6):
-        t1 = np.linspace(lo1, hi1, g)
-        t2 = np.linspace(lo2, hi2, g)
-        a, b = np.meshgrid(t1, t2, indexing="ij")
-        a, b = a.ravel(), b.ravel()
-        ru = u - a - b
-        rv = v - sigma[k1] * a - sigma[k2] * b
-        ui = (sj * ru - rv) / det
-        uj = ru - ui
-        cols = [None] * n
-        cols[i], cols[j], cols[k1], cols[k2] = ui, uj, a, b
-        vals = _w_grid(kind, p, cols)
-        m = int(np.argmin(vals))
-        if vals[m] < best[0]:
-            best = (float(vals[m]), tuple(float(c[m]) for c in cols))
-        s1_ = (hi1 - lo1) / (g - 1)
-        s2_ = (hi2 - lo2) / (g - 1)
-        lo1, hi1 = max(0.0, a[m] - 2 * s1_), min(caps[k1], a[m] + 2 * s1_)
-        lo2, hi2 = max(0.0, b[m] - 2 * s2_), min(caps[k2], b[m] + 2 * s2_)
-    return best
-
-
-def brute_force_oracle(kind: Entropy, p, sigma, u: float, v: float, grid: int = 400) -> float:
-    """Grid-refinement minimum of the finite objective over the feasible
-    slice; independent verification oracle for n <= 4."""
-    if len(p) > 4:
-        raise DomainError("oracle is restricted to n <= 4")
-    value, point = _oracle_scan(kind, list(map(float, p)), list(map(float, sigma)), u, v, grid)
-    if point is None or not math.isfinite(value):
-        raise InfeasibleError("oracle found no feasible grid point")
-    return value
-
-
-def _oracle_point(kind, p, sigma, u, v, grid):
-    _, point = _oracle_scan(kind, list(map(float, p)), list(map(float, sigma)), u, v, grid)
-    if point is None:
-        raise InfeasibleError("oracle found no feasible grid point")
-    return tuple(max(0.0, x) for x in point)
+    alpha, beta, _ = _mb_multipliers(p, sigma, u, v)
+    return _dual_newton(Entropy.FERMI_DIRAC, p, sigma, u, v, alpha, beta)

@@ -2,11 +2,12 @@
 
 solve_bracketed: safeguarded scalar root finding on a sign-changing
 bracket.  Bisection with secant acceleration: the secant candidate is
-accepted only when it falls safely inside the current bracket, otherwise
-the step falls back to the midpoint.  Termination is residual-driven first
-(|f| <= rtol) with an absolute width stop as a safeguard against extremely
-steep or flat functions; running out of the iteration budget without either
-certificate raises BudgetError.
+accepted only when it falls safely inside the current bracket and the step
+before it halved the bracket, otherwise the step falls back to the
+midpoint.  Termination is residual-driven first (|f| <= rtol) with an
+absolute width stop as a safeguard against extremely steep or flat
+functions; running out of the iteration budget without either certificate
+raises BudgetError.
 
 safeguarded_step: the next point of a bracket-safeguarded 1-D Newton
 iteration (series slope inversion, epsilon-family members).
@@ -63,13 +64,17 @@ def solve_bracketed(
         raise NumericalFailureError(f"not a bracket: f({lo})={flo}, f({hi})={fhi}")
 
     best_x, best_f = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+    halved = True
     for it in range(1, budget + 1):
         width = hi - lo
         if width <= x_tol * max(1.0, abs(lo), abs(hi)):
             return RootResult(best_x, best_f, it, "width")
-        # secant through the bracket endpoints, safeguarded to the interior
+        # secant through the bracket endpoints, safeguarded to the interior;
+        # bisect after a step that did not halve the bracket: on a near-step
+        # function the secant keeps landing just inside one end, and the
+        # bracket would shrink by about 1% per step
         denom = fhi - flo
-        x = lo - flo * width / denom if denom != 0.0 else 0.5 * (lo + hi)
+        x = lo - flo * width / denom if denom != 0.0 and halved else 0.5 * (lo + hi)
         margin = 0.01 * width
         if not (lo + margin <= x <= hi - margin):
             x = 0.5 * (lo + hi)
@@ -84,6 +89,7 @@ def solve_bracketed(
             hi, fhi = x, fx
         else:
             lo, flo = x, fx
+        halved = hi - lo <= 0.5 * width
     raise BudgetError(
         f"root search used {budget} iterations; best |f|={abs(best_f):.3e} "
         f"at x={best_x!r} exceeds tolerance {residual_tol:.3e}"

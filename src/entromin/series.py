@@ -356,12 +356,14 @@ def profile(family: SequenceFamily, tol: float = 1e-10) -> SeriesProfile:
 # phi and the conjugate of ln f
 
 
+@_overflow_ignored
 def phi(family: SequenceFamily, y: float, tol: float = 1e-10) -> float:
     """f'(y)/f(y) at y < -alpha, within tol; strictly increasing in y.
 
     The slope evaluation of each phi_inverse step (_certified_slope), at
     the scale of one rough pass: the error of phi, bounded from the tail
-    brackets of f and f', is certified to be at most 0.25 tol."""
+    brackets of f and f', is certified to be at most 0.25 tol.  RangeError
+    at a y so negative that the certified f(y) underflows to 0."""
     a = family.alpha
     if not y < -a:
         raise DomainError(f"phi needs y < -alpha = {-a}, got {y}")
@@ -387,6 +389,8 @@ def _certified_slope(family, y, tol, scale=None):
         s0, s1, s2 = _eval_moments(
             family, y, {(None, 0): t1 / ratio, (None, 1): t1, (None, 2): math.inf}
         )
+        if s0.value == 0.0:
+            raise RangeError(f"f({y}) underflows to 0: phi has no float value there")
         p = s1.value / s0.value
         scale = (max(s0.value, 1e-300), max(abs(p), 1.0))
         floor = s0.value - s0.tail_bound_used

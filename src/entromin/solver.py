@@ -679,7 +679,12 @@ class EmpSolver:
     ) -> float:
         """sum p_n W(u_n / p_n) under the everywhere-defined summation
         convention (partial-sum limit; +inf when it does not exist, which
-        cannot happen for the nonnegative-deficit sequences accepted here)."""
+        cannot happen for the nonnegative-deficit sequences accepted here).
+
+        An exponential rule u_n = p_n (W*)'(x + sigma_n y) meets termwise
+        Fenchel equality, so its objective is x u + y v - h_W(x, y), read
+        from one certified _dual_point pass as forward_solve reads it; each
+        sum within tol / (1 + |x| + |y|) puts the value within tol."""
         if isinstance(seq, SequenceRule):
             if seq.form == "zero":
                 return 0.0
@@ -688,7 +693,14 @@ class EmpSolver:
                     self.family.p(n) * entropy_value(kind, val / self.family.p(n))
                     for n, val in seq.support
                 )
-            return self._objective_exponential(kind, seq, tol)
+            fam, x, y = seq.normal
+            h, u, v = (
+                s.value
+                for s in series._dual_point(
+                    fam, kind, x, y, tol / (1.0 + abs(x) + abs(y)), hessian=False
+                )
+            )
+            return x * u + y * v - h
         terms = [float(t) for t in seq]
         if any(t < 0.0 for t in terms):
             raise DomainError("occupation terms must be nonnegative")
@@ -696,52 +708,6 @@ class EmpSolver:
             self.family.p(n + 1) * entropy_value(kind, t / self.family.p(n + 1))
             for n, t in enumerate(terms)
         )
-
-    def _objective_exponential(self, kind, rule, tol):
-        fam, x, y = rule.normal
-        a = kind.a
-        lo, hi = 1, 64
-        blocks = []
-        while True:
-            lt = fam.log_terms(y, lo, hi) + x
-            t = x + fam.sigma_array(lo, hi) * y
-            q = np.exp(np.minimum(t, 0.0))
-            if a == 0:
-                ratio = t - 1.0
-            elif a == 1:
-                small = q < 1e-8
-                l1p = np.where(small, 1.0 - 0.5 * q, np.log1p(q) / np.where(small, 1.0, q))
-                ratio = (t - np.log1p(q)) / (1.0 + q) - l1p / (1.0 + q)
-            else:
-                small = q < 1e-8
-                m1p = np.where(
-                    small, -1.0 - 0.5 * q, np.log1p(-q) / np.where(small, 1.0, q)
-                )
-                ratio = (t - np.log1p(-q)) / (1.0 - q) + m1p / (1.0 - q)
-            blocks.append(float((np.exp(lt) * ratio).sum()))
-            # past t <= -ln 3: W(g(t)) = e^t [(t - 1) + d(t)] with
-            # |d(t)| <= 5 e^t (|t| + 2), so the remaining objective mass is
-            # (x-1) T0 + y T1 up to an exponentially small correction
-            t_next = x + fam.sigma(hi + 1) * y
-            if t_next <= -math.log(3.0):
-                t0 = fam.tail_interval(y, hi, 0)
-                t1 = fam.tail_interval(y, hi, 1)
-                if t0 is not None and t1 is not None:
-                    ex = math.exp(x)
-                    q_next = math.exp(t_next)
-                    halfw = 0.5 * ex * (
-                        abs(x - 1.0) * (t0[1] - t0[0]) + abs(y) * (t1[1] - t1[0])
-                    )
-                    corr = 5.0 * q_next * ex * ((abs(x) + 2.0) * t0[1] + abs(y) * t1[1])
-                    if halfw + corr <= 0.5 * tol:
-                        tail_mid = ex * (
-                            (x - 1.0) * 0.5 * (t0[0] + t0[1])
-                            + y * 0.5 * (t1[0] + t1[1])
-                        )
-                        return math.fsum(blocks) + tail_mid
-            if hi >= 2**21:
-                raise BudgetError("objective series did not certify its tail")
-            lo, hi = hi + 1, 2 * hi
 
     # -- biconjugate ---------------------------------------------------------
 

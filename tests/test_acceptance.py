@@ -20,7 +20,6 @@ from entromin import (
     Lattice3D,
     Region,
     WeightedGeometric,
-    brute_force_oracle,
     entropy_conjugate,
     entropy_derivative,
     entropy_value,
@@ -32,7 +31,7 @@ from entromin import (
 )
 from entromin.finite import BoundaryFlag
 
-from conftest import lattice_triples, zeta_oracle
+from conftest import brute_force_oracle, lattice_triples, zeta_oracle
 
 MB = Entropy.MAXWELL_BOLTZMANN
 BE = Entropy.BOSE_EINSTEIN

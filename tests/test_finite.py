@@ -16,8 +16,8 @@ from entromin import (
     Feasibility,
     FiniteProblem,
     InfeasibleError,
+    NumericalFailureError,
     RangeError,
-    brute_force_oracle,
     entropy_value,
     fd_feasible,
     kkt_residual,
@@ -28,6 +28,8 @@ from entromin import (
     solve_two_mb_be,
 )
 from entromin.rootfind import minimize_convex_2d
+
+from conftest import brute_force_oracle
 
 MB = Entropy.MAXWELL_BOLTZMANN
 BE = Entropy.BOSE_EINSTEIN
@@ -159,6 +161,18 @@ class TestSolveTwoMbBe:
         assert math.fsum(sol.u_bar) == pytest.approx(u, rel=1e-11)
         assert kkt_residual(BE, p, sigma, sol.u_bar, *sol.multipliers) <= 1e-8
 
+    def test_near_step_slope_root_does_not_stall(self):
+        # phi_n is almost a step between the levels 3 and 3e4: the secant
+        # step kept landing just inside the bracket, shrinking it by about
+        # 1% per step, and the root search ran out of its 200 iterations
+        p, sigma = (1.0, 1e5, 1.0), (0.0, 3e4, 3.0)
+        sol = solve_two_mb_be(MB, p, sigma, 1.0, 800.0)
+        assert sol.boundary_flag is BoundaryFlag.INTERIOR_KKT
+        assert math.fsum(sol.u_bar) == pytest.approx(1.0, rel=1e-10)
+        assert math.fsum(s * x for s, x in zip(sigma, sol.u_bar)) == pytest.approx(
+            800.0, rel=1e-10
+        )
+
 
 class TestMinimizeConvex2d:
     def test_separable_exponential(self):
@@ -238,6 +252,22 @@ class TestSolveTwoFd:
     def test_infeasible(self):
         with pytest.raises(InfeasibleError):
             solve_two_fd((1.0, 1.0), (1.0, 2.0), 1.0, 2.5)
+
+    def test_failed_newton_raises_for_small_n(self):
+        # the dual Newton stalls at residual 4.8e-8; a grid search once
+        # answered for n <= 4 instead, 9.2e-6 above the minimum
+        p = (332.1464170706233, 4.727566123889271, 1.1029953814915952, 0.826882583128524)
+        sigma = (24688.915926877296, 1.0239072816378503, 6.109006862673386e-06, 1.9461962023442796)
+        with pytest.raises(NumericalFailureError):
+            solve_two_fd(p, sigma, 338.40185745709744, 8200341.416325603)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_saturated_level_warns_of_nothing(self):
+        # x + sigma_3 y is large at the optimum: the two-branch occupation
+        # and softplus overflowed exp in the branch np.where discards
+        sol = solve_two_fd((5.0, 2.0, 1.0), (1.0, 2.0, 100.0), 2.5, 102.9998995)
+        assert sol.boundary_flag is BoundaryFlag.INTERIOR_KKT
+        assert math.fsum(sol.u_bar) == pytest.approx(2.5, rel=1e-10)
 
 
 class TestFdFeasible:

@@ -40,7 +40,7 @@ from entromin import (
 from entromin import solver as solver_module
 from entromin.rootfind import solve_bracketed
 
-from conftest import LN2, ZETA2, ZETA3
+from conftest import LN2, ZETA2, ZETA3, objective_exponential
 
 MB = Entropy.MAXWELL_BOLTZMANN
 BE = Entropy.BOSE_EINSTEIN
@@ -258,7 +258,7 @@ class TestSolveMb:
         # objective of the returned sequence reproduces the value, and the
         # constraints re-sum to the targets
         sol = geo_solver.solve_mb(1.4, 3.7)
-        obj = geo_solver.objective_value(MB, sol.solution, 1e-12)
+        obj = objective_exponential(MB, sol.solution, 1e-12)
         assert obj == pytest.approx(sol.value, abs=1e-10)
         terms = sol.solution.prefix(2000)
         assert math.fsum(terms) == pytest.approx(1.4, abs=1e-10)
@@ -270,7 +270,7 @@ class TestSolveMb:
         # the case-(d) sequence lives exactly at y = -alpha; its objective
         # must still reproduce the value through the boundary brackets
         sol = zeta_solver.solve_mb(1.0, zeta_solver.profile.theta2)
-        obj = zeta_solver.objective_value(MB, sol.solution, 1e-9)
+        obj = objective_exponential(MB, sol.solution, 1e-9)
         assert obj == pytest.approx(sol.value, abs=1e-9)
 
 
@@ -659,7 +659,7 @@ class TestForwardSolve:
     @pytest.mark.parametrize("kind,x,y", [(BE, -1.0, -LN2), (FD, 0.0, -1.0)])
     def test_fenchel_value_equals_direct_objective(self, geo_solver, kind, x, y):
         sol = geo_solver.forward_solve(kind, x, y)
-        direct = geo_solver.objective_value(kind, sol.solution, 1e-12)
+        direct = objective_exponential(kind, sol.solution, 1e-12)
         assert direct == pytest.approx(sol.value, abs=1e-10)
 
     def test_fd_occupation_formula(self, geo_solver):
@@ -801,7 +801,8 @@ class TestObjectiveValue:
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-40.0, -math.log(3.0)))
     def test_tail_ratio_envelope(self, t):
-        # the tail certificate relies on W(g(t)) e^{-t} = (t-1) + d(t) with
+        # objective_exponential's tail certificate relies on
+        # W(g(t)) e^{-t} = (t-1) + d(t) with
         # |d(t)| <= 5 e^t (|t|+2) for every entropy once t <= -ln 3
         from math import exp, log1p
 
@@ -813,6 +814,34 @@ class TestObjectiveValue:
         be = (t - log1p(-q)) / (1 - q) + m1p / (1 - q)
         assert abs(fd - (t - 1.0)) <= env
         assert abs(be - (t - 1.0)) <= env
+
+    # the rules of the solves whose values are checked against
+    # objective_exponential above, and one lattice interior solve
+    FENCHEL_CASES = {
+        "arithmetic-mb-interior": (Arithmetic(0.0, 1.0), lambda s: s.solve_mb(1.4, 3.7), MB, 1e-12),
+        "weighted-geometric-mb-theta2": (
+            WeightedGeometric(1.0, 3.0), lambda s: s.solve_mb(1.0, s.profile.theta2), MB, 1e-9
+        ),
+        "arithmetic-be-forward": (
+            Arithmetic(0.0, 1.0), lambda s: s.forward_solve(BE, -1.0, -LN2), BE, 1e-12
+        ),
+        "arithmetic-fd-forward": (
+            Arithmetic(0.0, 1.0), lambda s: s.forward_solve(FD, 0.0, -1.0), FD, 1e-12
+        ),
+        "loglevels-mb-interior": (LogLevels(1.0), lambda s: s.solve_mb(1.3, 1.56), MB, 1e-8),
+        "lattice-mb-interior": (Lattice3D(1.0), lambda s: s.solve_mb(1.0, 5.5), MB, 1e-10),
+    }
+
+    @pytest.mark.parametrize("case", list(FENCHEL_CASES))
+    def test_fenchel_value_matches_direct_sum(self, case):
+        # x u + y v - h_W from the dual sums against the block-doubling sum
+        # of p_n W(u_n / p_n) itself, each certified within tol
+        family, solve, kind, tol = self.FENCHEL_CASES[case]
+        solver = EmpSolver(family)
+        rule = solve(solver).solution
+        assert rule.form == "exponential"
+        got = solver.objective_value(kind, rule, tol)
+        assert abs(got - objective_exponential(kind, rule, tol)) <= tol
 
     def test_zero_sequence(self, geo_solver):
         sol = geo_solver.solve_mb(0.0, 0.0)
@@ -913,7 +942,7 @@ class TestSlowlySpacedLevels:
     def test_value_against_truncated_primal(self, log_solver):
         sol = log_solver.solve_mb(1.3, 1.56)
         assert sol.region is Region.INTERIOR
-        obj = log_solver.objective_value(MB, sol.solution, 1e-8)
+        obj = objective_exponential(MB, sol.solution, 1e-8)
         assert obj == pytest.approx(sol.value, abs=1e-6)
         terms = sol.solution.prefix(300_000)
         assert math.fsum(terms) == pytest.approx(1.3, abs=1e-4)
@@ -1184,6 +1213,18 @@ class TestOnlyEmpErrorsEscape:
         "lattice-fd-max-x-tiny-y": (
             Lattice3D(1.0), lambda s: s.forward_solve(FD, -1.7e308, -1e-300)
         ),
+        # f(y) underflows to 0 and phi = f'/f divided by it; sigma_n y
+        # overflows at y = -1.7e308
+        **{
+            f"{name}-phi-{y:g}": (family, lambda s, y=y: series.phi(s.family, y))
+            for name, family in (
+                ("arithmetic", Arithmetic(0.0, 1.0)),
+                ("weighted-geometric", WeightedGeometric(1.0, 3.0)),
+                ("lattice", Lattice3D(1.0)),
+                ("power-law", PowerLaw(1.0, 0.5)),
+            )
+            for y in (-1e300, -1.7e308)
+        },
     }
     # a budget run-out is an EmpError too; the cases above all end at once
     SECONDS = 5.0
