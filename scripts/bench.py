@@ -12,6 +12,10 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
   mb_interior          solve_mb on every interior target of mb-point's three
                        families (Arithmetic(0, 1), WeightedGeometric(1, 3)
                        and Lattice3D(1)), reported overall and per family;
+  shifted_interior     solve_mb on Arithmetic(-3, 1) at every interior
+                       Arithmetic(0, 1) target (u, w u) of mb-point, moved
+                       to (u, (w - 3) u): the same normal form, reached
+                       through the solver's shift of the levels by -3;
   bf_roundtrip         every bf-roundtrip target: forward_solve(kind, x, y)
                        and then inverse_solve_bf(kind, u, v, 1e-10), BE and
                        FD on Arithmetic(0, 1), WeightedGeometric(1, 3) and
@@ -178,7 +182,13 @@ def count_converge(tracer, np, fams):
     }
 
 
-def count_lattice(tracer, es, targets):
+def _shifted(entromin, interior):
+    """The Arithmetic(-3, 1) solver and the shifted_interior targets."""
+    es = entromin.EmpSolver(entromin.Arithmetic(-3.0, 1.0))
+    return es, [(u, v - 3.0 * u) for fam, _, u, v in interior if fam == "arithmetic"]
+
+
+def count_solves(tracer, es, targets):
     keys = {"series_passes": "series.passes", "series_terms": "sequences.terms"}
     per_target = [
         _counted(tracer, lambda u=u, v=v: es.solve_mb(u, v), keys)[1] for u, v in targets
@@ -343,11 +353,13 @@ def main(argv=None) -> int:
     fams = _families(entromin, workloads, reqs)
     es, lattice = _lattice(entromin, workloads, reqs)
     interior = _interior(entromin, workloads, reqs)
+    shifted_es, shifted = _shifted(entromin, interior)
     trips = _roundtrips(entromin, workloads, np)
     truncations = _truncations(entromin, workloads)
     converge_ms = _wall([_timed(lambda f=f: f.converge(1e-3)) for f in fams])
     lattice_ms = _wall([_timed(lambda u=u, v=v: es.solve_mb(u, v)) for u, v in lattice])
     interior_s = [_timed(lambda es=es, u=u, v=v: es.solve_mb(u, v)) for _, es, u, v in interior]
+    shifted_ms = _wall([_timed(lambda u=u, v=v: shifted_es.solve_mb(u, v)) for u, v in shifted])
     roundtrip_ms = _wall([_timed(lambda t=t: _roundtrip(*t)) for t in trips])
     truncation_s = [_timed(lambda t=t: _truncated(entromin, *t[1:])) for t in truncations]
 
@@ -356,8 +368,10 @@ def main(argv=None) -> int:
     tracer.active = True
     converge = {"targets": len(fams), **count_converge(tracer, np, fams),
                 "wall_ms_per_converge": converge_ms}
-    lattice = {"targets": len(lattice), **count_lattice(tracer, es, lattice),
+    lattice = {"targets": len(lattice), **count_solves(tracer, es, lattice),
                "wall_ms_per_solve": lattice_ms}
+    shifted = {"targets": len(shifted), **count_solves(tracer, shifted_es, shifted),
+               "wall_ms_per_solve": shifted_ms}
     interior = {"targets": len(interior), **count_interior(tracer, interior, interior_s),
                 "wall_ms_per_solve": _wall(interior_s)}
     roundtrip = {"targets": len(trips), **count_roundtrips(tracer, entromin, trips),
@@ -379,6 +393,7 @@ def main(argv=None) -> int:
             "lattice_interior": lattice,
             "bf_roundtrip": roundtrip,
             "mb_interior": interior,
+            "shifted_interior": shifted,
             "finite_truncation": truncation,
         },
     }

@@ -6,7 +6,9 @@ problem), the damped Newton of rootfind.minimize_convex_2d on the smooth
 strictly convex dual for the bose-einstein and fermi-dirac cases (both
 started at the maxwell-boltzmann multipliers), and greedy zonotope
 envelopes for fermi-dirac feasibility and its boundary faces.  A dual
-Newton that does not converge raises NumericalFailureError.
+Newton that does not converge raises NumericalFailureError.  The
+tolerances are fixed: the slope root to 1e-12 relative, the dual Newton to
+1e-11 of the constraint scale.
 """
 
 from __future__ import annotations
@@ -78,12 +80,12 @@ class FiniteProblem:
         if len(self.p) != len(self.sigma) or not self.p:
             raise DomainError("p and sigma must be equal-length and nonempty")
 
-    def solve(self, tol: float = 1e-10) -> FiniteSolution:
+    def solve(self) -> FiniteSolution:
         if self.v is None:
             return solve_single(self.kind, self.p, self.u)
         if self.kind is Entropy.FERMI_DIRAC:
-            return solve_two_fd(self.p, self.sigma, self.u, self.v, tol)
-        return solve_two_mb_be(self.kind, self.p, self.sigma, self.u, self.v, tol)
+            return solve_two_fd(self.p, self.sigma, self.u, self.v)
+        return solve_two_mb_be(self.kind, self.p, self.sigma, self.u, self.v)
 
 
 def _w_sum(kind: Entropy, p, u_bar) -> float:
@@ -208,9 +210,7 @@ def _cone_position(sigma, u, v):
     return "interior", eta1, eta2
 
 
-def solve_two_mb_be(
-    kind: Entropy, p, sigma, u: float, v: float, tol: float = 1e-10
-) -> FiniteSolution:
+def solve_two_mb_be(kind: Entropy, p, sigma, u: float, v: float) -> FiniteSolution:
     """Two-constraint exact solve for maxwell-boltzmann (closed-form
     multipliers) or bose-einstein (damped Newton on the dual)."""
     if kind not in (Entropy.MAXWELL_BOLTZMANN, Entropy.BOSE_EINSTEIN):
@@ -382,7 +382,7 @@ def _fd_face_solution(p, sigma, u: float, v: float) -> FiniteSolution:
     return FiniteSolution(tuple(u_bar), value, None, flag)
 
 
-def solve_two_fd(p, sigma, u: float, v: float, tol: float = 1e-10) -> FiniteSolution:
+def solve_two_fd(p, sigma, u: float, v: float) -> FiniteSolution:
     """Two-constraint fermi-dirac solve: Newton on the dual when (u, v) is
     interior to the zonotope (NumericalFailureError when it does not
     converge), exact greedy-face solution on its boundary."""

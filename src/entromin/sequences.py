@@ -14,14 +14,18 @@ proves about f(y) = sum p_n exp(sigma_n y) rests on what a family declares:
   * its tail certificates: ``tail_ratio`` (a ratio-test constant r < 1 for
     the whole tail beyond an index), ``_direct_interval`` (closed-form
     two-sided brackets: exact geometric sums, integral tests, block-doubling
-    majorants) and ``boundary_bracket`` / ``boundary_divergent``
-    (summability of the weighted series at the endpoint y = -alpha).
+    majorants), ``boundary_bracket`` (the tail at the endpoint y = -alpha)
+    and ``boundary_divergent`` (summability there).
 
 The base class derives the rest: ``constant_sigma`` is sigma_direction 0,
 ``dom_f_empty`` is alpha = +inf for levels not falling to -inf, and
-``tail_interval`` combines the certificates.  theta1 = min sigma_n comes
-from ``sigma_min_set``, cached per family; the attainment cone and the
-degenerate cases follow from alpha and theta1.
+``tail_interval``, the one bracket the series layer reads, combines a leaf
+family's certificates (``boundary_bracket`` is a hook only this combiner
+reads).  A wrapper (ExplicitPrefix, ShiftedSigma) instead declares
+``tail_interval`` from its base's whole bracket, keeping ``tail_ratio`` for
+``tail_bound``.  theta1 = min sigma_n comes from ``sigma_min_set``, cached
+per family; the attainment cone and the degenerate cases follow from alpha
+and theta1.
 
 A bound is returned only when the family's structure proves it; otherwise
 the methods return None and callers must enlarge the truncation or reject.
@@ -709,13 +713,12 @@ class ExplicitPrefix(SequenceFamily):
         return max(self._m + 1, self.tail.sigma_increasing_from)
 
     def tail_ratio(self, y, n, moment=0):
-        return self.tail.tail_ratio(y, n, moment) if n >= self._m else None
+        # t_{m+1}/t_m for m >= n must compare tail-family terms only
+        return self.tail.tail_ratio(y, n, moment) if n > self._m else None
 
-    def _direct_interval(self, y, n, moment):
-        return self.tail._direct_interval(y, n, moment) if n >= self._m else None
-
-    def boundary_bracket(self, n, moment=0):
-        return self.tail.boundary_bracket(n, moment) if n >= self._m else None
+    def tail_interval(self, y, n, moment=0):
+        # beyond the prefix every term belongs to the tail family
+        return self.tail.tail_interval(y, n, moment) if n >= self._m else None
 
     def boundary_divergent(self, moment=0):
         return self.tail.boundary_divergent(moment)
@@ -772,34 +775,27 @@ class ShiftedSigma(SequenceFamily):
             return self.base.tail_ratio(y, n, 0)  # gaps are shift-invariant
         return None
 
-    def _direct_interval(self, y, n, moment):
-        if moment != 0:
-            return None
-        base = self.base._direct_interval(y, n, 0)
-        if base is None:
-            return None
-        s = math.exp(-self.shift * y)
-        return base[0] * s, base[1] * s
-
-    def boundary_bracket(self, n, moment=0):
-        a = self.base.alpha
-        if not math.isfinite(a):
-            return None
-        s = math.exp(self.shift * a)
-        b0 = self.base.boundary_bracket(n, 0)
-        if moment == 0:
-            return None if b0 is None else (b0[0] * s, b0[1] * s)
-        if moment == 1:
-            b1 = self.base.boundary_bracket(n, 1)
-            if b0 is None or b1 is None:
+    def tail_interval(self, y, n, moment=0):
+        # (sigma - shift)^k = sum_j C(k, j) (-shift)^(k-j) sigma^j over the
+        # base's brackets by interval arithmetic, scaled by exp(-shift*y); at
+        # y = -alpha the base's brackets are its boundary brackets
+        try:
+            s = math.exp(-self.shift * y)
+        except OverflowError:  # the terms are positive: the trivial bracket holds
+            return 0.0, math.inf
+        lo = hi = 0.0
+        for j in range(moment + 1):
+            c = math.comb(moment, j) * (-self.shift) ** (moment - j)
+            if c == 0.0:
+                continue  # shift = 0: skipped, so 0 * inf never makes nan
+            iv = self.base.tail_interval(y, n, j)
+            if iv is None:
                 return None
-            # interval arithmetic for (sigma - shift) = sigma^1 - shift*sigma^0
-            if self.shift >= 0.0:
-                lo, hi = b1[0] - self.shift * b0[1], b1[1] - self.shift * b0[0]
+            if c > 0.0:
+                lo, hi = lo + c * iv[0], hi + c * iv[1]
             else:
-                lo, hi = b1[0] - self.shift * b0[0], b1[1] - self.shift * b0[1]
-            return max(lo, 0.0), hi
-        return None
+                lo, hi = lo + c * iv[1], hi + c * iv[0]
+        return max(lo, 0.0) * s, hi * s  # every shifted level is positive
 
     def boundary_divergent(self, moment=0):
         return self.base.boundary_divergent(moment)

@@ -14,8 +14,9 @@ from zero), and profiles record which of the three endpoint regimes holds:
 Every sum comes from one certified block-doubling loop, _eval_many, which
 can carry several sums through one pass: the moments of f, or h_W, its
 gradient and its Hessian at one point (_dual_point), each with its own
-tolerance and tail bracket.  eval_h, grad_h and hessian_h are the
-one-quantity entry points to it.
+tolerance and tail bracket.  Every bracket, at y = -alpha too, is the
+family's tail_interval.  eval_h, grad_h and hessian_h are the one-quantity
+entry points to it.
 
 The increasing bijection phi = f'/f : (-inf, -alpha) -> (theta1, theta2) has
 one certified evaluation (_certified_slope), which phi returns and whose
@@ -129,7 +130,7 @@ class HalfLine:
 # core summation with certified tails
 
 
-def _eval_many(family, y, tols, x=0.0, kind=_MB, boundary=False):
+def _eval_many(family, y, tols, x=0.0, kind=_MB):
     """Certified sums of p_n sigma_n^k m(t_n) exp(t_n), t_n = x + sigma_n y,
     one SeriesEval per key (m, k) of `tols`, in its order, from the one
     certified block-doubling loop, stopped when every tail bracket is
@@ -138,9 +139,10 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB, boundary=False):
     case.  Otherwise m(t) e^t is (W*)(t), (W*)' or (W*)'' as m is 'conj',
     'grad' or 'hess' (_mult_arrays), so h_W, its gradient and its Hessian
     can share one pass.  Per block the terms are exponentiated once, z = e^t
-    once, and the f-tail bracket derived once per moment; each sum widens it
-    by exp(x) and its multiplier's bounds over the tail (_mult_bounds), which
-    unit sums at x = 0 skip.
+    once, and the f-tail bracket taken once per moment from
+    family.tail_interval, the one bracket source (at y = -alpha it is the
+    boundary bracket); each sum widens it by exp(x) and its multiplier's
+    bounds over the tail (_mult_bounds), which unit sums at x = 0 skip.
 
     Gives up early when a certified width shrinks too slowly to reach its
     tolerance within the term budget even at cubic decay: paying the whole
@@ -183,9 +185,7 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB, boundary=False):
             if k in ivs:
                 iv = ivs[k]
             else:
-                iv = ivs[k] = (
-                    family.boundary_bracket(hi, k) if boundary else family.tail_interval(y, hi, k)
-                )
+                iv = ivs[k] = family.tail_interval(y, hi, k)
             if iv is None:
                 brackets = None
                 break
@@ -222,16 +222,17 @@ def _check_boundary_summable(family, moment) -> None:
         raise DivergenceError(
             f"boundary series (moment {moment}) certified divergent at y=-alpha"
         )
-    if div is None and family.boundary_bracket(_START_BLOCK, moment) is None:
+    if div is None and family.tail_interval(-family.alpha, _START_BLOCK, moment) is None:
         raise UncertifiedError(
             "family certifies neither summability nor divergence at y=-alpha"
         )
 
 
 def _eval_moments(family, y, tols, x=0.0, kind=_MB):
-    """Route an evaluation point of _eval_many, for the moments of f or for
-    the dual sums, to the interior or boundary machinery, raising
-    DivergenceError beyond the domain and RangeError at a nan x or y."""
+    """_eval_many at one evaluation point, for the moments of f or for the
+    dual sums, once the point is checked: DivergenceError beyond the domain
+    or where a moment is not summable at y = -alpha, RangeError at a nan x
+    or y."""
     if math.isnan(x) or math.isnan(y):
         raise RangeError(f"x={x} and y={y} must not be nan")
     if family.dom_f_empty:
@@ -242,7 +243,6 @@ def _eval_moments(family, y, tols, x=0.0, kind=_MB):
     if y == -a:
         for k in sorted({k for _, k in tols}):
             _check_boundary_summable(family, k)
-        return _eval_many(family, y, tols, x, kind, boundary=True)
     return _eval_many(family, y, tols, x, kind)
 
 
@@ -327,7 +327,7 @@ def _profile_cached(family: SequenceFamily, tol: float) -> SeriesProfile:
         f_b, gamma, theta2 = None, None, math.inf
     else:
         _check_boundary_summable(family, 0)
-        f_b = _eval_many(family, -alpha, {(None, 0): tol}, boundary=True)[0].value
+        f_b = _eval_many(family, -alpha, {(None, 0): tol})[0].value
         div1 = family.boundary_divergent(1)
         if div1 is True:
             case = BoundaryCase.CLOSED_GAMMA_INFINITE_B
@@ -335,7 +335,7 @@ def _profile_cached(family: SequenceFamily, tol: float) -> SeriesProfile:
         else:
             _check_boundary_summable(family, 1)
             case = BoundaryCase.CLOSED_GAMMA_FINITE_C
-            gamma = _eval_many(family, -alpha, {(None, 1): tol}, boundary=True)[0].value
+            gamma = _eval_many(family, -alpha, {(None, 1): tol})[0].value
             theta2 = gamma / f_b
     return SeriesProfile(alpha, case, f_b, gamma, smin.theta1, theta2, smin)
 

@@ -136,6 +136,20 @@ class TestSolveMode:
         assert rc == 0
         assert "best-effort" in capsys.readouterr().out
 
+    def test_failed_be_inverse_exits_four(self, tmp_path, capsys):
+        # v/u = 1 + 1e-6 sits so near theta1 = 1 that the dual Hessian
+        # degenerates: the failure and its last iterate are reported, no file
+        text = GEO_SOLVE.replace("entropy = mb", "entropy = be").replace(
+            "v = 2.0", "v = 1.000001"
+        )
+        out = tmp_path / "rec.json"
+        rc = main(["--spec", _write(tmp_path, text), "--out", str(out)])
+        assert rc == 4
+        printed = capsys.readouterr().out
+        assert "numerical failure: newton dual hessian degenerate" in printed
+        assert "last iterate: x = " in printed
+        assert not out.exists()
+
     def test_terms_flag(self, tmp_path):
         out = tmp_path / "rec.json"
         rc = main(["--spec", _write(tmp_path, GEO_SOLVE), "--out", str(out), "--terms", "3"])

@@ -225,6 +225,17 @@ class TestTailBound:
         # spacing decays to zero: no uniform ratio certificate exists
         assert tail_bound(LogLevels(1.0), -2.0, 50) is None
 
+    def test_no_ratio_across_the_prefix_end(self):
+        # from n = m = 64 the ratio test would compare the prefix's last
+        # term (level 1000) with the tail family's terms
+        levels = tuple(float(n) for n in range(1, 64)) + (1000.0,)
+        fam = ExplicitPrefix((1.0,) * 64, levels, Arithmetic(0.0, 1.0))
+        for n in (64, 65):
+            bound = tail_bound(fam, -0.05, n)
+            brute, converged = brute_force_tail(fam, -0.05, n, 2000)
+            assert converged and (bound is None or brute <= bound)
+        assert tail_bound(fam, -0.05, 65) is not None
+
 
 _FAMILY_POINTS = [
     (Arithmetic(0.0, 1.0), -0.05),
@@ -239,6 +250,14 @@ _FAMILY_POINTS = [
     (Lattice3D(0.25), -1.1),
     (ExplicitPrefix((2.0, 1.5), (0.7, 0.9), Arithmetic(0.0, 1.0)), -0.2),
     (ShiftedSigma(Arithmetic(-4.0, 1.0), -5.0), -0.15),
+    (ShiftedSigma(WeightedGeometric(1.0, 3.0), -2.0), -1.2),
+    # the prefix ends at n = 70 with a level far above the tail's
+    (
+        ExplicitPrefix(
+            (1.0,) * 70, tuple(float(n) for n in range(1, 70)) + (1000.0,), Arithmetic(0.0, 1.0)
+        ),
+        -0.05,
+    ),
 ]
 
 
@@ -266,6 +285,32 @@ def test_boundary_brackets_sound(zeta_family):
         lo, hi = zeta_family.boundary_bracket(50, moment)
         tail = math.fsum(n ** (moment - 3.0) for n in range(51, 400_000))
         assert lo <= tail <= hi
+
+
+def test_shifted_boundary_brackets_sound(zeta_family):
+    # at y = -alpha = -1 the terms of levels n + 2 are e^-2 (n + 2)^k / n^3
+    fam = ShiftedSigma(zeta_family, -2.0)
+    for moment in (0, 1):
+        lo, hi = fam.tail_interval(-1.0, 50, moment)
+        tail = math.exp(-2.0) * math.fsum(
+            (n + 2.0) ** moment * n**-3.0 for n in range(51, 400_000)
+        )
+        assert lo <= tail <= hi
+
+
+def test_shifted_moment_brackets_come_from_the_base():
+    # (sigma + 2)^k expands over the base's moment brackets: moment 1 is as
+    # tight as moments 0 and 2, not dominated by the boundary tail (~1/n)
+    fam = ShiftedSigma(WeightedGeometric(1.0, 3.0), -2.0)
+    lo, hi = fam.tail_interval(-1.2, 300, 1)
+    assert 0.0 < lo <= hi < 1e-30
+
+
+@pytest.mark.parametrize("moment", [0, 1, 2])
+def test_shifted_tail_is_trivial_where_the_scale_overflows(moment):
+    # exp(-shift y) has no float value: only (0, inf) is certain
+    fam = ShiftedSigma(Lattice3D(1.0), 2.0)
+    assert fam.tail_interval(-1e300, 64, moment) == (0.0, math.inf)
 
 
 def test_boundary_divergence_flags(case_b_family, zeta_family):

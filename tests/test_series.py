@@ -90,6 +90,16 @@ class TestEvalF:
         got = eval_f(case_b_family, -1.0, 1e-8).value
         assert got == pytest.approx(zeta_oracle(1.5, 2_000_000), abs=1e-8)
 
+    def test_prefix_end_takes_the_tail_familys_bracket(self):
+        # the tail beyond a 64-term prefix is the tail family's own; a ratio
+        # bound from the prefix's last term (level 1000) missed 0.795 of it
+        levels = tuple(float(n) for n in range(1, 64)) + (1000.0,)
+        fam = ExplicitPrefix((1.0,) * 64, levels, Arithmetic(0.0, 1.0))
+        got = eval_f(fam, -0.05, 1e-10)
+        rho = math.exp(-0.05)
+        direct = math.fsum(math.exp(-0.05 * s) for s in levels) + rho**65 / (1.0 - rho)
+        assert abs(got.value - direct) <= got.tail_bound_used + 1e-13
+
 
 class TestDerivatives:
     def test_geometric(self, geometric):

@@ -32,6 +32,7 @@ from entromin import (
     PowerLaw,
     RangeError,
     Region,
+    ShiftedSigma,
     WeightedGeometric,
     profile,
     series,
@@ -1023,6 +1024,31 @@ class TestNormalization:
         assert (got.u, got.v, got.value) == (ref.u, -ref.v, ref.value)
         assert got.multipliers == (x, 2.0)
 
+    # levels -1 and 0.5 before a weighted-geometric tail: the normal form
+    # shifts by -2, whose moment-1 tail bracket must come from the base's
+    # moments (a boundary-dominated one stayed near 1/n, and this solve ran
+    # the whole term budget)
+    PREFIXED = ExplicitPrefix((1.0, 2.0), (-1.0, 0.5), WeightedGeometric(1.0, 3.0))
+
+    def test_shifted_prefix_solve_is_interior(self):
+        es = EmpSolver(self.PREFIXED)
+        start = time.perf_counter()
+        sol = es.solve_mb(1.0, -0.5)
+        assert time.perf_counter() - start < 1.0
+        assert sol.region is Region.INTERIOR
+        assert objective_exponential(MB, sol.solution, 1e-10) == pytest.approx(
+            sol.value, abs=1e-9
+        )
+
+    @pytest.mark.parametrize("kind", [BE, FD])
+    def test_shifted_prefix_round_trip(self, kind):
+        es = EmpSolver(self.PREFIXED)
+        x, y = es.multipliers_from_normal(-1.0, -2.0)
+        fwd = es.forward_solve(kind, x, y)
+        inv = es.inverse_solve_bf(kind, fwd.u, fwd.v, 1e-10)
+        assert isinstance(inv, EmpSolution)
+        assert inv.multipliers == pytest.approx((x, y), abs=1e-8)
+
     def test_forward_solve_in_raw_coordinates(self):
         raw = EmpSolver(Arithmetic(-3.0, 1.0))
         sol = raw.forward_solve(MB, 0.25, -0.8)
@@ -1204,6 +1230,10 @@ class TestOnlyEmpErrorsEscape:
         ),
         "flipped-shifted-be-huge": (
             Arithmetic(2.0, -1.0), lambda s: s.forward_solve(BE, -1.7e308, 1e300)
+        ),
+        # exp(-shift y) overflows in a shifted tail bracket
+        "shifted-lattice-eval-f-huge-y": (
+            Lattice3D(1.0), lambda s: series.eval_f(ShiftedSigma(Lattice3D(1.0), 2.0), -1e300)
         ),
         # exp(x) (0, inf) is a (0, nan) tail bracket: the kernel doubled on
         # past its early give-up and the level table ran out of memory
