@@ -20,12 +20,12 @@ proves about f(y) = sum p_n exp(sigma_n y) rests on what a family declares:
 The base class derives the rest: ``constant_sigma`` is sigma_direction 0,
 ``dom_f_empty`` is alpha = +inf for levels not falling to -inf, and
 ``tail_interval``, the one bracket the series layer reads, combines a leaf
-family's certificates (``boundary_bracket`` is a hook only this combiner
-reads).  A wrapper (ExplicitPrefix, ShiftedSigma) instead declares
-``tail_interval`` from its base's whole bracket, keeping ``tail_ratio`` for
-``tail_bound``.  theta1 = min sigma_n comes from ``sigma_min_set``, cached
-per family; the attainment cone and the degenerate cases follow from alpha
-and theta1.
+family's certificates (``boundary_bracket`` is a hook only it reads; moments
+k >= 1 need positive levels).  A wrapper (ExplicitPrefix, ShiftedSigma)
+declares ``tail_interval`` from its base's whole bracket (a shift falls back
+on the combiner where that has none), keeping ``tail_ratio`` for
+``tail_bound``.  theta1 = min sigma_n comes from ``sigma_min_set``, cached per
+family; the attainment cone and degenerate cases follow from alpha and theta1.
 
 A bound is returned only when the family's structure proves it; otherwise
 the methods return None and callers must enlarge the truncation or reject.
@@ -172,7 +172,9 @@ class SequenceFamily:
 
         Combines the ratio route, the family's closed forms, boundary
         domination for y <= -alpha, and moment absorption into the plain
-        tail at a shifted ordinate.  None when nothing is certified.
+        tail at a shifted ordinate.  None when nothing is certified.  For
+        k >= 1 over a nonpositive level the family's routes must decline
+        (lo = 0 floors every bracket), and absorption is not tried.
         """
         los, his = [0.0], []
         r = self.tail_ratio(y, n, moment)
@@ -199,21 +201,21 @@ class SequenceFamily:
             # absorb sigma^k <= (k/(e eps))^k exp(eps sigma), sigma > 0;
             # the best eps trades the constant against the slower base tail,
             # scaling like 1/sigma for slowly spaced levels, so try a ladder
+            last = max(n + 1, self.sigma_increasing_from)  # nondecreasing on
+            if min(map(self.sigma, range(n + 1, last + 1))) <= 0.0:
+                return None
             gap = -a - y
-            s_next = self.sigma(n + 1)
             ladder = {0.5 * gap, 0.125 * gap, 0.03125 * gap}
-            if s_next > 0.0:
-                ladder.add(min(0.5 * gap, 1.0 / s_next))
-            found = False
+            ladder.add(min(0.5 * gap, 1.0 / self.sigma(n + 1)))
             for eps in ladder:
                 if eps <= 0.0:
                     continue
                 base = self.tail_interval(y + eps, n, 0)
                 if base is not None:
                     c = (moment / (math.e * eps)) ** moment
-                    his.append(c * base[1])
-                    found = True
-            if found:
+                    # c may underflow to 0 against a trivial base bracket
+                    his.append(c * base[1] if base[1] < math.inf else math.inf)
+            if his:
                 los.append(self._term(y, n + 1, moment))
         if not his:
             return None
@@ -221,9 +223,7 @@ class SequenceFamily:
         return min(max(los), hi), hi
 
     def _term(self, y, n, moment):
-        s = self.sigma(n)
-        if moment > 0 and s <= 0.0:
-            return 0.0  # conservative for lower bounds only
+        s = self.sigma(n)  # positive wherever a moment k >= 1 is asked for
         t = self.log_p(n) + s * y
         v = math.exp(t) if t < 700.0 else math.inf
         return v * s**moment
@@ -777,12 +777,14 @@ class ShiftedSigma(SequenceFamily):
 
     def tail_interval(self, y, n, moment=0):
         # (sigma - shift)^k = sum_j C(k, j) (-shift)^(k-j) sigma^j over the
-        # base's brackets by interval arithmetic, scaled by exp(-shift*y); at
-        # y = -alpha the base's brackets are its boundary brackets
-        try:
-            s = math.exp(-self.shift * y)
-        except OverflowError:  # the terms are positive: the trivial bracket holds
-            return 0.0, math.inf
+        # base's brackets by interval arithmetic, scaled by exp(-shift*y);
+        # where the base has none (j >= 1 needs positive base levels) or e^t
+        # would magnify its rounding (a base tail rounded to 0 can be a
+        # shifted tail of order 1), the combiner brackets the shifted terms
+        t = -self.shift * y
+        if t > 600.0:  # the terms are positive: (0, inf) always holds
+            iv = super().tail_interval(y, n, moment)
+            return (0.0, math.inf) if iv is None else iv
         lo = hi = 0.0
         for j in range(moment + 1):
             c = math.comb(moment, j) * (-self.shift) ** (moment - j)
@@ -790,12 +792,13 @@ class ShiftedSigma(SequenceFamily):
                 continue  # shift = 0: skipped, so 0 * inf never makes nan
             iv = self.base.tail_interval(y, n, j)
             if iv is None:
-                return None
+                return super().tail_interval(y, n, moment)
             if c > 0.0:
                 lo, hi = lo + c * iv[0], hi + c * iv[1]
             else:
                 lo, hi = lo + c * iv[1], hi + c * iv[0]
-        return max(lo, 0.0) * s, hi * s  # every shifted level is positive
+        s = math.exp(t)  # t <= 600: finite, and 0 only where inf * s is nan
+        return max(lo, 0.0) * s, (hi * s if hi < math.inf else math.inf)
 
     def boundary_divergent(self, moment=0):
         return self.base.boundary_divergent(moment)

@@ -251,6 +251,9 @@ _FAMILY_POINTS = [
     (ExplicitPrefix((2.0, 1.5), (0.7, 0.9), Arithmetic(0.0, 1.0)), -0.2),
     (ShiftedSigma(Arithmetic(-4.0, 1.0), -5.0), -0.15),
     (ShiftedSigma(WeightedGeometric(1.0, 3.0), -2.0), -1.2),
+    # base levels n - 1000 are negative up to n = 999: moments >= 1 of the
+    # base have no bracket there
+    (ShiftedSigma(Arithmetic(-1000.0, 1.0), -1000.0), -0.05),
     # the prefix ends at n = 70 with a level far above the tail's
     (
         ExplicitPrefix(
@@ -307,10 +310,33 @@ def test_shifted_moment_brackets_come_from_the_base():
 
 
 @pytest.mark.parametrize("moment", [0, 1, 2])
-def test_shifted_tail_is_trivial_where_the_scale_overflows(moment):
-    # exp(-shift y) has no float value: only (0, inf) is certain
+def test_shifted_tail_where_the_scale_overflows(moment):
+    # exp(-shift y) = e^999.9 magnifies the base's rounding: the base tail
+    # is 0 in floats, the shifted tail of levels 0.1 + m/1000 is about 19
+    fam = ShiftedSigma(Arithmetic(1000.0, 0.001), 999.9)
+    lo, hi = fam.tail_interval(-10.0, 64, moment)
+    tail = math.fsum(
+        (0.1 + 0.001 * m) ** moment * math.exp(-10.0 * (0.1 + 0.001 * m))
+        for m in range(65, 20_000)
+    )
+    assert lo <= tail * (1 + 1e-9) and tail <= hi * (1 + 1e-9) and hi < math.inf
+    # the shifted terms' own ratio bound certifies a tail that is 0
+    fam = ShiftedSigma(WeightedGeometric(1.0, 3.0), 0.5)
+    assert fam.tail_interval(-1e10, 64, moment) == (0.0, 0.0)
+    # Lattice3D has no ratio certificate: only (0, inf) is certain
     fam = ShiftedSigma(Lattice3D(1.0), 2.0)
     assert fam.tail_interval(-1e300, 64, moment) == (0.0, math.inf)
+
+
+def test_no_moment_bracket_over_nonpositive_levels():
+    # levels n - 1000: the moment-1 tail beyond 64 is negative, so neither
+    # the floor 0 nor the absorption of sigma^k into e^(eps sigma) holds
+    fam = Arithmetic(-1000.0, 1.0)
+    for moment in (1, 2):
+        assert fam.tail_interval(-0.05, 64, moment) is None
+        assert fam.tail_interval(-0.05, 999, moment) is None
+        assert fam.tail_interval(-0.05, 1000, moment) is not None
+    assert fam.tail_interval(-0.05, 64, 0) is not None
 
 
 def test_boundary_divergence_flags(case_b_family, zeta_family):

@@ -190,6 +190,13 @@ class TestPhi:
         with pytest.raises(DomainError):
             phi(geometric, 0.5, 1e-10)
 
+    def test_negative_levels(self):
+        # levels n - 1000: f'/f = 1/(1 - e^-0.05) - 1000; the moment-1 tail
+        # is certified only beyond the last negative level
+        rho = math.exp(-0.05)
+        got = phi(Arithmetic(-1000.0, 1.0), -0.05, 1e-10)
+        assert got == pytest.approx(1.0 / (1.0 - rho) - 1000.0, abs=1e-9)
+
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-8.0, -0.05), st.floats(0.01, 3.0))
     def test_strictly_increasing(self, geometric, y, gap):

@@ -978,6 +978,18 @@ class TestNormalization:
             v, abs=1e-10
         )
 
+    def test_far_negative_levels_agree_with_manual_map(self):
+        # sigma_n = n - 1000 normalizes by the shift -1000 to sigma_n = n;
+        # the normal form's moment tails at n = 64 lie over base levels
+        # near -935, where the base certifies no moment >= 1
+        raw = EmpSolver(Arithmetic(-1000.0, 1.0))
+        ref = EmpSolver(Arithmetic(0.0, 1.0))
+        for u, w in ((1.0, 5.0), (2.0, 20.0)):
+            got, want = raw.solve_mb(u, (w - 1000.0) * u), ref.solve_mb(u, w * u)
+            assert got.region is want.region is Region.INTERIOR
+            assert got.value == pytest.approx(want.value, abs=1e-9)
+            assert got.multipliers[1] == pytest.approx(want.multipliers[1], abs=1e-9)
+
     def test_flipped_levels(self):
         # sigma_n = -n decreases to -inf: solving at (1, -2) must match the
         # geometric solve at (1, 2) with mirrored multipliers
