@@ -26,6 +26,14 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
                        to cli._max_finite_prefix, at w = cli._interior_slope,
                        reported overall and per family.
 
+Apart from the cases, ladder_build reports per family what filling the
+cache of slope-root starts costs for the mb_interior and the bf_roundtrip
+targets: the entries a run over the family's targets from a cleared cache
+leaves cached (the slope ladder's entries, series._ladder_entry, or the one
+start of trees before it, series._slope_start), and the passes and terms
+that run spends beyond a warm rerun of the same targets.  Results do not
+depend on which entries are cached, so the difference is the build alone.
+
 Work counts are deterministic and come from wrapping the library from
 outside; nothing in src/ counts.  All but the first come from perfbench's
 tracer (perfbench/tracing.py):
@@ -53,9 +61,9 @@ tracer (perfbench/tracing.py):
 Wall time is the median (with quartiles) over targets of each target's
 median of REPEATS calls, after one untimed warm-up call per target.  All
 timing runs before the tracer is installed, so the counts see whatever a
-tree caches across calls warm, as a long-running process does (the
-endpoint slopes phi_n(0) and phi_n(-alpha) of the epsilon family, per
-family and n, where the tree caches them).
+tree caches across calls warm, as a long-running process does (the slope
+ladder, and the endpoint slopes phi_n(0) and phi_n(-alpha) of the epsilon
+family, per family and n, where the tree caches them).
 
 Usage, from the repository root:
     python scripts/bench.py --out BENCH.json [--src PATH]
@@ -243,14 +251,14 @@ def count_interior(tracer, targets, times):
 
 
 def _roundtrips(entromin, workloads, np):
-    """(solver, kind, x, y) for every bf-roundtrip target."""
+    """(family key, solver, kind, x, y) for every bf-roundtrip target."""
     wl = workloads.BfRoundtrip()
     kinds = {"be": entromin.Entropy.BOSE_EINSTEIN, "fd": entromin.Entropy.FERMI_DIRAC}
     reqs = [r for seed in SEEDS for r in wl.requests(np.random.default_rng(seed))]
     solvers = {
         fam: entromin.EmpSolver(workloads.build_family(entromin, fam)) for fam in wl.families
     }
-    return [(solvers[r.family], kinds[r.args[0]], *r.args[1:]) for r in reqs]
+    return [(r.family, solvers[r.family], kinds[r.args[0]], *r.args[1:]) for r in reqs]
 
 
 def _roundtrip(es, kind, x, y):
@@ -291,7 +299,7 @@ def count_roundtrips(tracer, entromin, trips):
         points = Counter()
         solver.minimize_convex_2d = _CountingNewton(newton, points)
         try:
-            result, counts = _counted(tracer, lambda t=trip: _roundtrip(*t), keys)
+            result, counts = _counted(tracer, lambda t=trip: _roundtrip(*t[1:]), keys)
         finally:
             solver.minimize_convex_2d = newton
         failures += isinstance(result, entromin.InverseFailure)
@@ -331,6 +339,46 @@ def count_truncations(tracer, entromin, solves, times):
             "per_family": _per_family(solves, per_target, times)}
 
 
+def _slope_cache():
+    """The tree's cache of slope-root starts, or None in trees without one."""
+    from entromin import series
+
+    for name in ("_ladder_entry", "_slope_start"):
+        if hasattr(series, name):
+            return getattr(series, name)
+    return None
+
+
+def count_ladder_build(tracer, cache, groups):
+    """Per family key of groups (key -> calls): the entries that one run of
+    the calls from a cleared cache leaves cached, and the passes and terms
+    it spends beyond a warm rerun."""
+    keys = {"series_passes": "series.passes", "series_terms": "sequences.terms"}
+
+    def run(calls):
+        total = Counter()
+        for fn in calls:
+            total.update(_counted(tracer, fn, keys)[1])
+        return total
+
+    out = {}
+    for fam, calls in groups.items():
+        cache.cache_clear()
+        cold = run(calls)
+        entries = cache.cache_info().currsize
+        warm = run(calls)
+        out[fam] = {"entries": entries, **{k: cold[k] - warm[k] for k in keys}}
+    return out
+
+
+def _grouped(targets, call):
+    """{family key: [call(*rest) as a thunk]} over targets (key, *rest)."""
+    out = {}
+    for fam, *rest in targets:
+        out.setdefault(fam, []).append(lambda rest=rest: call(*rest))
+    return out
+
+
 def _wall(times):
     return {k: 1e3 * v for k, v in _quartiles(times).items()}
 
@@ -360,7 +408,7 @@ def main(argv=None) -> int:
     lattice_ms = _wall([_timed(lambda u=u, v=v: es.solve_mb(u, v)) for u, v in lattice])
     interior_s = [_timed(lambda es=es, u=u, v=v: es.solve_mb(u, v)) for _, es, u, v in interior]
     shifted_ms = _wall([_timed(lambda u=u, v=v: shifted_es.solve_mb(u, v)) for u, v in shifted])
-    roundtrip_ms = _wall([_timed(lambda t=t: _roundtrip(*t)) for t in trips])
+    roundtrip_ms = _wall([_timed(lambda t=t: _roundtrip(*t[1:])) for t in trips])
     truncation_s = [_timed(lambda t=t: _truncated(entromin, *t[1:])) for t in truncations]
 
     tracer = tracing.Tracer()
@@ -372,13 +420,19 @@ def main(argv=None) -> int:
                "wall_ms_per_solve": lattice_ms}
     shifted = {"targets": len(shifted), **count_solves(tracer, shifted_es, shifted),
                "wall_ms_per_solve": shifted_ms}
-    interior = {"targets": len(interior), **count_interior(tracer, interior, interior_s),
-                "wall_ms_per_solve": _wall(interior_s)}
+    mb_interior = {"targets": len(interior), **count_interior(tracer, interior, interior_s),
+                   "wall_ms_per_solve": _wall(interior_s)}
     roundtrip = {"targets": len(trips), **count_roundtrips(tracer, entromin, trips),
                  "wall_ms_per_roundtrip": roundtrip_ms}
     truncation = {"targets": len(truncations),
                   **count_truncations(tracer, entromin, truncations, truncation_s),
                   "wall_ms_per_solve": _wall(truncation_s)}
+    cache = _slope_cache()
+    build = None if cache is None else {
+        "mb_interior": count_ladder_build(
+            tracer, cache, _grouped(interior, lambda es, u, v: es.solve_mb(u, v))),
+        "bf_roundtrip": count_ladder_build(tracer, cache, _grouped(trips, _roundtrip)),
+    }
     tracer.active = False
 
     record = {
@@ -392,10 +446,11 @@ def main(argv=None) -> int:
             "epsilon_converge": converge,
             "lattice_interior": lattice,
             "bf_roundtrip": roundtrip,
-            "mb_interior": interior,
+            "mb_interior": mb_interior,
             "shifted_interior": shifted,
             "finite_truncation": truncation,
         },
+        "ladder_build": build,
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     for name, case in record["cases"].items():
@@ -408,6 +463,10 @@ def main(argv=None) -> int:
             means = ", ".join(f"{k} {v['mean']:.2f}" for k, v in sub["counts_per_solve"].items())
             print(f"  {fam}: {sub['targets']} targets; {means}; "
                   f"median {sub['wall_ms_per_solve']['median']:.3f} ms")
+    for name, per_family in (build or {}).items():
+        print(f"ladder_build, {name}: " + "; ".join(
+            f"{fam} {b['entries']} entries, {b['series_passes']} passes, "
+            f"{b['series_terms']} terms" for fam, b in per_family.items()))
     return 0
 
 

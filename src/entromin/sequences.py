@@ -618,7 +618,7 @@ class Lattice3D(SequenceFamily):
         eps = -0.5 * rho_log
         try:
             c = (m / (math.e * eps)) ** m
-            q = math.exp(rho_log + eps)  # = exp(scale*y/2) < 1
+            q = math.exp(0.5 * rho_log)  # = exp(rho_log + eps) < 1, 0 at y = -inf
             hi = self.scale**moment * c * q ** (v + 1) / (1.0 - q)
         except (ZeroDivisionError, OverflowError):
             return 0.0, math.inf  # y so near 0 that eps or 1 - q rounds to 0
@@ -756,6 +756,8 @@ class ShiftedSigma(SequenceFamily):
         return self.base.sigma_array(lo, hi) - self.shift
 
     def log_terms(self, y, lo, hi):
+        if y == -math.inf:  # every shifted level is positive: each term is 0
+            return np.full(hi - lo + 1, -math.inf)
         return self.base.log_terms(y, lo, hi) - self.shift * y
 
     @property
@@ -781,6 +783,8 @@ class ShiftedSigma(SequenceFamily):
         # where the base has none (j >= 1 needs positive base levels) or e^t
         # would magnify its rounding (a base tail rounded to 0 can be a
         # shifted tail of order 1), the combiner brackets the shifted terms
+        if y == -math.inf:  # every shifted level is positive: each term is 0
+            return 0.0, 0.0
         t = -self.shift * y
         if t > 600.0:  # the terms are positive: (0, inf) always holds
             iv = super().tail_interval(y, n, moment)

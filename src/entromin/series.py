@@ -21,10 +21,14 @@ entry points to it.
 The increasing bijection phi = f'/f : (-inf, -alpha) -> (theta1, theta2) has
 one certified evaluation (_certified_slope), which phi returns and whose
 pass also gives phi' = f''/f - phi^2 to phi_inverse's bracket-safeguarded
-Newton iteration.  Every inversion starts at y = -alpha - 1, so that first
-evaluation is made once per (family, tol) and cached (_slope_start), as the
-profile is; the conjugate of ln f follows its four-branch closed form,
-and its interior branch (_conjugate_at) is also the solver's interior value.
+Newton iteration.  Every inversion starts from the slope ladder: the
+certified slopes at y_k = -alpha - 2^(k/4), k = -48..24, each evaluated
+once per (family, tol, k) on first use and cached (_ladder_entry), as the
+profile is.  The two entries that bracket the target are the first
+bracket, and the nearer one's pass is the first iterate, so a warm
+inversion spends its passes on Newton steps from a nearby start.  The
+conjugate of ln f follows its four-branch closed form, and its interior
+branch (_conjugate_at) is also the solver's interior value.
 A target the term budget cannot certify is relaxed by one rule
 (_first_certified: the first of a fixed list of tolerances that certifies).
 All tolerances are absolute unless noted.
@@ -402,56 +406,110 @@ def _certified_slope(family, y, tol, scale=None):
 def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
     """The unique y < -alpha with |phi(y) - w| <= tol, for theta1 < w < theta2.
 
-    Safeguarded Newton iteration from y = -alpha - 1, whose slope
-    evaluation does not depend on w and is cached per (family, tol): each
-    step is one certified slope evaluation giving phi and phi', as phi
-    does, and proposes a Newton step on ln(phi - theta1), which is nearly
-    linear where phi tends to theta1.  The step is taken only strictly
-    inside the current sign bracket and when at most half the step before
-    it, else the bracket is bisected; before a
-    right bracket is known it may at most halve the gap to -alpha, and
-    before a left bracket is known its length is capped, the cap doubling
-    with each step.  Returns once the certified residual is within 0.75 tol,
-    or when the bracket is narrower than 1e-13 relative to |y| (the point of
-    smaller residual).
+    Safeguarded Newton iteration from the slope ladder (_ladder_entry): the
+    two cached certified slopes at y_k = -alpha - 2^(k/4) whose values
+    bracket w are its first bracket, and it starts from the nearer one's
+    cached pass.  Each later step is one certified slope evaluation giving
+    phi and phi', as phi does, and proposes a Newton step on
+    ln(phi - theta1), which is nearly linear where phi tends to theta1.
+    The step is taken only strictly inside the current sign bracket and
+    when at most half the step before it, else the bracket is bisected;
+    where w lies beyond the ladder's last entry on one side, before a right
+    bracket is known it may at most halve the gap to -alpha, and before a
+    left bracket is known its length is capped, the cap doubling with each
+    step.  Every step is at least 4 ulp(y).  Returns once the certified
+    residual is within 0.75 tol, or when the bracket is at most 4 ulp(y)
+    wide (the point of smaller residual).
     """
     return _invert_slope(family, w, tol)[0]
 
 
-@functools.lru_cache(maxsize=256)
-def _slope_start(family: SequenceFamily, tol: float):
-    """_certified_slope at y = -alpha - 1 to 0.25 tol, its scale from a
-    rough pass: the first step of every slope inversion at tolerance tol,
-    which no target changes, so it is evaluated once per (family, tol) and
-    cached as _profile_cached is.  A BudgetError is not cached."""
-    return _certified_slope(family, -family.alpha - 1.0, 0.25 * tol)
+# the slope ladder's indices: y_k = -alpha - 2^(k/4), from 2^-12 to 64 left
+# of -alpha
+_LADDER_K = (-48, 24)
+
+
+@functools.lru_cache(maxsize=4096)
+def _ladder_entry(family: SequenceFamily, tol: float, k: int):
+    """(y_k, phi(y_k), phi'(y_k), certified f(y_k), scale): _certified_slope
+    at y_k = -alpha - 2^(k/4) to 0.25 tol, its scale from its own rough
+    pass, so an entry depends on (family, tol, k) alone.  Cached as
+    _profile_cached is; an entry that raises (BudgetError, or RangeError
+    where f(y_k) underflows or y_k rounds to -alpha) is not cached."""
+    a = family.alpha
+    y = -a - 2.0 ** (0.25 * k)
+    if not y < -a:
+        raise RangeError(f"ladder point {k} rounds to -alpha = {-a}")
+    return (y, *_certified_slope(family, y, 0.25 * tol))
+
+
+def _ladder_bracket(family, w, tol):
+    """(inner, outer): the ladder entries nearest w on either side, inner's
+    phi on the near side of w, outer's at or beyond it.  The search gallops
+    outward from k = 0 (y = -alpha - 1) and then bisects, so its path
+    depends on w alone.  The ladder ends at k = -48 and 24 and at the first
+    entry that raises BudgetError or RangeError: outer is None where it ends
+    before w is bracketed, and a bisection stops there with the bracket it
+    has.  An error of the k = 0 entry itself propagates."""
+    lo_k, hi_k = _LADDER_K
+    inner_k, inner = 0, _ladder_entry(family, tol, 0)
+    d = 1 if inner[1] > w else -1  # phi falls as k grows
+
+    def beyond(e):
+        return e[1] <= w if d > 0 else e[1] >= w
+
+    def entry(k):
+        try:
+            return _ladder_entry(family, tol, k)
+        except (BudgetError, RangeError):
+            return None
+
+    step = 1
+    while True:
+        outer_k = min(max(inner_k + d * step, lo_k), hi_k)
+        outer = None if outer_k == inner_k else entry(outer_k)
+        if outer is None:
+            return inner, None
+        if beyond(outer):
+            break
+        inner_k, inner = outer_k, outer
+        step *= 2
+    while abs(outer_k - inner_k) > 1:
+        mid_k = inner_k + (outer_k - inner_k) // 2
+        mid = entry(mid_k)
+        if mid is None:
+            break
+        if beyond(mid):
+            outer_k, outer = mid_k, mid
+        else:
+            inner_k, inner = mid_k, mid
+    return inner, outer
 
 
 def _invert_slope(family, w, tol) -> tuple[float, SeriesEval]:
     """phi_inverse's root together with the certified f(y) from its last
     pass, so that a caller needing f at the root re-sums it only when that
-    pass's bound is too loose.  The first step's two passes (the rough
-    scale and the slope at y = -alpha - 1) are evaluated once per (family,
-    tol) and cached (_slope_start)."""
+    pass's bound is too loose.  The first bracket and the first iterate
+    come from the slope ladder (_ladder_bracket) with no new pass."""
     prof = profile(family)
     if not math.isfinite(w) or w <= prof.theta1 or w >= prof.theta2:
         raise RangeError(
             f"w={w} outside the open range ({prof.theta1}, {prof.theta2})"
         )
     a = prof.alpha
-    y = -a - 1.0
-    scale = None
     lo = hi = None  # phi(lo) < w < phi(hi)
+    start, outer = _ladder_bracket(family, w, tol)
+    if outer is not None:
+        lo, hi = sorted((start[0], outer[0]))
+        if abs(outer[1] - w) < abs(start[1] - w):
+            start = outer
+    # each point after the start takes its tolerance scale from the one
+    # before it
+    y, p, dp, f_y, scale = start
     best_y, best_f, best_r = y, None, math.inf
     cap = 1.0
     last_step = math.inf
     for _ in range(200):
-        # the first point is the same for every target (_slope_start); each
-        # later one takes its tolerance scale from the previous iterate
-        if scale is None:
-            p, dp, f_y, scale = _slope_start(family, tol)
-        else:
-            p, dp, f_y, scale = _certified_slope(family, y, 0.25 * tol, scale)
         r = p - w
         if abs(r) <= 0.75 * tol:
             return y, f_y
@@ -461,7 +519,7 @@ def _invert_slope(family, w, tol) -> tuple[float, SeriesEval]:
             hi = y
         else:
             lo = y
-        x_tol = 1e-13 * max(1.0, abs(y))
+        x_tol = 4.0 * math.ulp(y)
         if lo is not None and hi is not None and hi - lo <= x_tol:
             return best_y, best_f
         # without a usable derivative the step is unbounded and the
@@ -485,6 +543,7 @@ def _invert_slope(family, w, tol) -> tuple[float, SeriesEval]:
             nxt = max(nxt, y - cap)
             cap *= 2.0
         last_step, y = nxt - y, nxt
+        p, dp, f_y, scale = _certified_slope(family, y, 0.25 * tol, scale)
     raise BudgetError(
         f"slope inversion at w={w} used 200 steps; best |phi - w| = {best_r:.3e} "
         f"at y={best_y!r} exceeds tolerance {0.75 * tol:.3e}"

@@ -5,10 +5,10 @@ ln f, and the dual sums h_W with gradients and boundary subdifferentials."""
 import math
 import sys
 import threading
-import time
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +28,7 @@ from entromin import (
     PowerLaw,
     RangeError,
     SequenceFamily,
+    ShiftedSigma,
     UnsupportedFamilyError,
     WeightedGeometric,
     boundary_subdifferential,
@@ -269,6 +270,14 @@ class TestNewtonInversion:
         y = _certified_root(geometric, w, 1e-12)
         assert y == pytest.approx(math.log(1.0 - 1.0 / w), abs=2e-12 / (w * (w - 1.0)) + 1e-13)
 
+    def test_steep_slope_meets_tol(self, geometric):
+        # phi' = w (w - 1) is large here: a step floor of 1e-13 in y jumped
+        # over the whole tolerance window from w = 11.1 on and returned a
+        # root up to 3.9e-10 off in phi
+        for w in np.geomspace(1.5, 100.0, 150):
+            y = phi_inverse(geometric, float(w), 1e-12)
+            assert abs(-1.0 / math.expm1(y) - w) <= 1e-12
+
     @pytest.mark.parametrize("w", [1.01, 2.0, 40.0])
     def test_root_pass_f_certified(self, geometric, w):
         # f(y) = e^y / (1 - e^y) = w - 1 at the root y = ln(1 - 1/w)
@@ -363,38 +372,40 @@ def _count_passes(monkeypatch, family) -> list:
     return passes
 
 
-_CACHE_CASES = [
-    (Arithmetic(0.0, 1.0), 3.0, 6.5),
-    (WeightedGeometric(1.0, 3.0), 1.2, 1.05),
-    (Lattice3D(1.0), 12.0, 4.5),
+_LADDER_CASES = [
+    # family, two interior slopes, and the interior slope range
+    (Arithmetic(0.0, 1.0), 3.0, 6.5, (1.02, 9.0)),
+    (WeightedGeometric(1.0, 3.0), 1.2, 1.05, (1.02, 1.34)),
+    (Lattice3D(1.0), 12.0, 4.5, (3.1, 12.0)),
 ]
 
 
-class TestSlopeStartCache:
-    """Every slope inversion starts at y = -alpha - 1 with the same two
-    passes (a rough scale and the first slope), cached per (family, tol)."""
+class TestSlopeLadder:
+    """Every slope inversion starts from the cached certified slopes at
+    y_k = -alpha - 2^(k/4) that bracket its target; an entry depends on
+    (family, tol, k) alone, and one that raises is not cached."""
 
-    @pytest.mark.parametrize("family, v1, v2", _CACHE_CASES, ids=repr)
-    def test_one_start_evaluation_for_two_solves(self, monkeypatch, family, v1, v2):
+    @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
+    def test_results_do_not_depend_on_the_filled_entries(self, family, v1, v2, slopes):
         solver = EmpSolver(family)
-        passes = _count_passes(monkeypatch, family)
+        lo, hi = slopes
+        others = [
+            (u, u * float(w)) for u, w in zip([0.5, 1.0, 2.0, 3.5] * 50, np.geomspace(lo, hi, 200))
+        ]
+        series._ladder_entry.cache_clear()
+        cold = repr(solver.solve_mb(1.0, v1))
+        for t in others:
+            solver.solve_mb(*t)
+        warm = repr(solver.solve_mb(1.0, v1))
+        series._ladder_entry.cache_clear()
+        for t in reversed(others):
+            solver.solve_mb(*t)
+        reverse = repr(solver.solve_mb(1.0, v1))
+        assert warm == cold
+        assert reverse == cold
 
-        def solve_passes(v):
-            passes.clear()
-            assert solver.solve_mb(1.0, v).region.value == "interior"
-            return len(passes)
-
-        series._slope_start.cache_clear()
-        cold = solve_passes(v2)
-        series._slope_start.cache_clear()
-        solve_passes(v1)
-        warm = solve_passes(v2)
-        info = series._slope_start.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        assert warm == cold - 2
-
-    @pytest.mark.parametrize("family, v1, v2", _CACHE_CASES, ids=repr)
-    def test_cold_and_warm_results_are_identical(self, family, v1, v2):
+    @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
+    def test_cold_and_warm_results_are_identical(self, family, v1, v2, slopes):
         solver = EmpSolver(family)
         calls = [
             lambda: solver.solve_mb(1.0, v1),
@@ -404,12 +415,24 @@ class TestSlopeStartCache:
             lambda: solver.inverse_solve_bf(FD, 1.0, v2),
         ]
         for call in calls:
-            series._slope_start.cache_clear()
+            series._ladder_entry.cache_clear()
             cold = call()
-            hits = series._slope_start.cache_info().hits
+            misses = series._ladder_entry.cache_info().misses
             warm = call()
-            assert series._slope_start.cache_info().hits > hits
+            assert series._ladder_entry.cache_info().misses == misses
             assert repr(warm) == repr(cold)
+
+    @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
+    def test_a_warm_interior_solve_takes_few_passes(self, monkeypatch, family, v1, v2, slopes):
+        # from y = -alpha - 1 alone an interior solve took 5 to 8 passes
+        solver = EmpSolver(family)
+        for v in (v1, v2):
+            solver.solve_mb(1.0, v)
+        passes = _count_passes(monkeypatch, family)
+        for v in (v1, v2):
+            passes.clear()
+            assert solver.solve_mb(1.0, v).region.value == "interior"
+            assert len(passes) <= 4
 
     def test_threads_sharing_a_solver_match_serial_results(self):
         solver = EmpSolver(Lattice3D(1.0))
@@ -422,7 +445,7 @@ class TestSlopeStartCache:
             barrier.wait()
             results[name] = {i: repr(solver.solve_mb(*targets[i])) for i in order}
 
-        series._slope_start.cache_clear()
+        series._ladder_entry.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -441,16 +464,34 @@ class TestSlopeStartCache:
         for name in ("up", "down"):
             assert [results[name][i] for i in range(len(targets))] == serial
 
-    def test_a_budget_error_is_not_cached(self):
+    def test_a_budget_error_at_the_start_is_not_cached(self):
         # PowerLaw(1, 0.5) terms at y = -1 fall like e^-sqrt(n): no tail
-        # bracket reaches a 1e-300 target, and the start pass gives up
+        # bracket reaches a 1e-300 target, and the k = 0 entry gives up
         family = PowerLaw(1.0, 0.5)
-        series._slope_start.cache_clear()
+        series._ladder_entry.cache_clear()
         for _ in range(2):
             with pytest.raises(BudgetError):
                 phi_inverse(family, 1.5, 1e-300)
-        info = series._slope_start.cache_info()
+        info = series._ladder_entry.cache_info()
         assert (info.misses, info.currsize) == (2, 0)
+
+    def test_the_ladder_ends_at_an_entry_that_raises(self):
+        # at tol 2.5e-13 PowerLaw(1, 0.5) certifies its slope at y_-7 =
+        # -2^(-7/4) but not at y_-15 (the terms e^(y sqrt(n)) fall too
+        # slowly), where the search from k = 0 through -1, -3 and -7 goes
+        # next; the root beyond y_-7 is found one-sided from there
+        family, tol = PowerLaw(1.0, 0.5), 2.5e-13
+        series._ladder_entry.cache_clear()
+        w = series._ladder_entry(family, tol, -7)[1] + 0.1
+        y = phi_inverse(family, w, tol)
+        assert -(2.0 ** -1.75) < y < -0.25
+        assert abs(y - _certified_root(family, w, 1e-10)) <= 1e-9
+        before = series._ladder_entry.cache_info()
+        with pytest.raises(BudgetError):
+            series._ladder_entry(family, tol, -15)
+        series._ladder_entry(family, tol, -7)
+        after = series._ladder_entry.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
 class TestLnfConjugate:
@@ -697,13 +738,36 @@ class TestFloatEdges:
         ],
         ids=str,
     )
-    def test_nan_is_a_range_error(self, family, call, args):
+    def test_nan_is_a_range_error(self, monkeypatch, family, call, args):
         # nan passed the y > -alpha tests and the exp(x) guard, so the
         # sums ran on nan terms: 4,096 terms, or the whole 2^23-term budget
-        t0 = time.perf_counter()
+        passes = _count_passes(monkeypatch, family)
         with pytest.raises(RangeError):
             getattr(series, call)(family, *args)
-        assert time.perf_counter() - t0 < 0.05
+        assert passes == []
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            Lattice3D(1.0),
+            ShiftedSigma(Lattice3D(1.0), 2.0),
+            ShiftedSigma(WeightedGeometric(1.0, 3.0), 0.5),
+            ShiftedSigma(Arithmetic(0.0, 1.0), 0.5),
+            ShiftedSigma(Arithmetic(0.0, 1.0), 0.0),
+        ],
+        ids=repr,
+    )
+    def test_minus_inf_y_sums_to_zero(self, family):
+        # every level is positive, so every term is 0; Lattice3D's tail
+        # bound took exp(-inf + inf) = nan, and the shifted log terms
+        # -inf - shift * y were nan with numpy's "invalid value" warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eval_f(family, -math.inf).value == 0.0
+            assert eval_f_derivatives(family, -math.inf) == (0.0, 0.0, 0.0)
+            for kind, x in ((MB, 0.0), (BE, -1.0), (FD, 3.0)):
+                assert eval_h(family, kind, x, -math.inf) == 0.0
+                assert grad_h(family, kind, x, -math.inf) == (0.0, 0.0)
 
     @pytest.mark.parametrize("family", _EDGE_FAMILIES, ids=repr)
     @pytest.mark.parametrize("kind", [MB, BE, FD])
