@@ -35,14 +35,18 @@ that run spends beyond a warm rerun of the same targets.  Results do not
 depend on which entries are cached, so the difference is the build alone.
 
 Work counts are deterministic and come from wrapping the library from
-outside; nothing in src/ counts.  All but the first come from perfbench's
-tracer (perfbench/tracing.py):
+outside; nothing in src/ counts.  members and the series counts come from
+perfbench's tracer (perfbench/tracing.py), the exp counts from the numpy
+that entromin.solver and entromin.finite see, and newton_points from
+solver.minimize_convex_2d:
 
-  prefix_passes        np.exp calls made by entromin.solver during one
-                       converge: one per evaluation of the prefix slope
-                       phi_n, plus any that build a member after its root
-                       search (its terms, in trees that do not take them
-                       from the root's last pass);
+  prefix_passes        np.exp calls made by entromin.solver and
+                       entromin.finite (where a tree keeps the Gibbs pass,
+                       one exp of the prefix weights) during one converge:
+                       one per evaluation of the prefix slope phi_n, plus
+                       any that build a member after its root search (its
+                       terms, in trees that do not take them from the
+                       root's last pass);
   prefix_terms         elements those calls exponentiate;
   prefix_terms_per_n   prefix_terms over the returned member's n;
   members              truncations tried (one log_terms(0, 1, n) each);
@@ -54,9 +58,11 @@ tracer (perfbench/tracing.py):
                        evaluates its dual potential (the start and every
                        line-search point inside the domain), counted
                        through the callback that returns the potential;
-  root_iterations      iterations of rootfind.solve_bracketed, one phi_n
-                       evaluation each (the bracket expansion before it is
-                       not counted).
+  exp_calls            np.exp calls made by entromin.solver and
+                       entromin.finite during one finite solve: every
+                       evaluation of phi_n in its slope root, and any exp
+                       that builds the optimum after it;
+  exp_terms            elements those calls exponentiate.
 
 Wall time is the median (with quartiles) over targets of each target's
 median of REPEATS calls, after one untimed warm-up call per target.  All
@@ -75,6 +81,7 @@ code, e.g. a parent commit exported next to this one.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import os
@@ -101,9 +108,24 @@ class _CountingNumpy:
         return getattr(self._np, name)
 
     def exp(self, x, *args, **kwargs):
-        self._counts["prefix_passes"] += 1
-        self._counts["prefix_terms"] += self._np.size(x)
+        self._counts["exp_calls"] += 1
+        self._counts["exp_terms"] += self._np.size(x)
         return self._np.exp(x, *args, **kwargs)
+
+
+@contextlib.contextmanager
+def _counting_exp(np, counts):
+    """Count the exp calls of entromin.solver and entromin.finite into
+    counts: a tree keeps its Gibbs pass in one of the two."""
+    from entromin import finite, solver
+
+    for module in (solver, finite):
+        module.np = _CountingNumpy(np, counts)
+    try:
+        yield
+    finally:
+        for module in (solver, finite):
+            module.np = np
 
 
 def _quartiles(xs):
@@ -169,20 +191,16 @@ def _lattice(entromin, workloads, reqs):
 
 
 def count_converge(tracer, np, fams):
-    from entromin import solver
-
     per_target, results = [], []
     for fam in fams:
         exps = Counter()
-        solver.np = _CountingNumpy(np, exps)
-        try:
+        with _counting_exp(np, exps):
             member, counts = _counted(
                 tracer, lambda f=fam: f.converge(1e-3), {"members": "sequences.log_terms.calls"}
             )
-        finally:
-            solver.np = np
-        per_n = exps["prefix_terms"] / member.n
-        per_target.append({**exps, "prefix_terms_per_n": per_n, **counts})
+        passes, terms = exps["exp_calls"], exps["exp_terms"]
+        per_target.append({"prefix_passes": passes, "prefix_terms": terms,
+                           "prefix_terms_per_n": terms / member.n, **counts})
         results.append(member.n)
     return {
         "counts_per_converge": _summary(per_target),
@@ -329,12 +347,14 @@ def _truncated(entromin, p, sigma, w):
     return entromin.solve_two_mb_be(entromin.Entropy.MAXWELL_BOLTZMANN, p, sigma, 1.0, w)
 
 
-def count_truncations(tracer, entromin, solves, times):
+def count_truncations(np, entromin, solves, times):
     """finite_truncation's counts and wall times, overall and per family."""
-    keys = {"root_iterations": "rootfind.iterations"}
-    per_target = [
-        _counted(tracer, lambda t=t: _truncated(entromin, *t[1:]), keys)[1] for t in solves
-    ]
+    per_target = []
+    for t in solves:
+        exps = Counter()
+        with _counting_exp(np, exps):
+            _truncated(entromin, *t[1:])
+        per_target.append({"exp_calls": exps["exp_calls"], "exp_terms": exps["exp_terms"]})
     return {"counts_per_solve": _summary(per_target),
             "per_family": _per_family(solves, per_target, times)}
 
@@ -425,7 +445,7 @@ def main(argv=None) -> int:
     roundtrip = {"targets": len(trips), **count_roundtrips(tracer, entromin, trips),
                  "wall_ms_per_roundtrip": roundtrip_ms}
     truncation = {"targets": len(truncations),
-                  **count_truncations(tracer, entromin, truncations, truncation_s),
+                  **count_truncations(np, entromin, truncations, truncation_s),
                   "wall_ms_per_solve": _wall(truncation_s)}
     cache = _slope_cache()
     build = None if cache is None else {

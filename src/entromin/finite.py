@@ -1,14 +1,19 @@
 """Exact finite-n entropy minimization under one or two moment constraints.
 
 Closed forms where they exist (proportional split under a single
-constraint, explicit multipliers for the maxwell-boltzmann two-constraint
-problem), the damped Newton of rootfind.minimize_convex_2d on the smooth
-strictly convex dual for the bose-einstein and fermi-dirac cases (both
-started at the maxwell-boltzmann multipliers), and greedy zonotope
-envelopes for fermi-dirac feasibility and its boundary faces.  A dual
-Newton that does not converge raises NumericalFailureError.  The
-tolerances are fixed: the slope root to 1e-12 relative, the dual Newton to
-1e-11 of the constraint scale.
+constraint; under two, the maxwell-boltzmann optimum is the Gibbs sequence
+u_k = p_k e^(alpha + beta sigma_k)), the damped Newton of
+rootfind.minimize_convex_2d on the smooth strictly convex dual for the
+bose-einstein and fermi-dirac cases (both started at the maxwell-boltzmann
+multipliers), and greedy zonotope envelopes for fermi-dirac feasibility and
+its boundary faces.  The Gibbs pass, one exp of the weights, gives phi_n,
+Var_n(sigma), ln Z_n and that optimum: the slope root phi_n(beta) = v/u is
+a Newton iteration on it, and so is each solver.EpsilonFamily member.
+
+Weights must be finite and positive and levels finite (DomainError),
+targets finite (RangeError).  A Newton iteration that does not converge
+raises NumericalFailureError.  The tolerances are fixed: the slope root to
+1e-12 relative, the dual Newton to 1e-11 of the constraint scale.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .errors import (
     NumericalFailureError,
     RangeError,
 )
-from .rootfind import minimize_convex_2d, solve_bracketed
+from .rootfind import minimize_convex_2d, safeguarded_step
 
 __all__ = [
     "BoundaryFlag",
@@ -77,8 +82,7 @@ class FiniteProblem:
     v: Optional[float] = None
 
     def __post_init__(self):
-        if len(self.p) != len(self.sigma) or not self.p:
-            raise DomainError("p and sigma must be equal-length and nonempty")
+        _checked(self.p, self.sigma, u=self.u, v=self.v)
 
     def solve(self) -> FiniteSolution:
         if self.v is None:
@@ -86,6 +90,22 @@ class FiniteProblem:
         if self.kind is Entropy.FERMI_DIRAC:
             return solve_two_fd(self.p, self.sigma, self.u, self.v)
         return solve_two_mb_be(self.kind, self.p, self.sigma, self.u, self.v)
+
+
+def _checked(p, sigma, **target):
+    """p and sigma as float arrays: DomainError unless they are equal-length
+    and nonempty with every p_k finite and positive and every sigma_k
+    finite, RangeError for a target (u, v, t) that is nan or infinite (None
+    is skipped)."""
+    p, s = np.asarray(p, dtype=float), np.asarray(sigma, dtype=float)
+    if p.ndim != 1 or not p.size or s.shape != p.shape:
+        raise DomainError("p and sigma must be equal-length and nonempty")
+    if not (np.all(p > 0.0) and np.all(np.isfinite(p)) and np.all(np.isfinite(s))):
+        raise DomainError("weights must be finite and positive, levels finite")
+    for name, val in target.items():
+        if val is not None and not math.isfinite(val):
+            raise RangeError(f"{name} must be finite, got {val}")
+    return p, s
 
 
 def _w_sum(kind: Entropy, p, u_bar) -> float:
@@ -111,7 +131,7 @@ def kkt_residual(kind: Entropy, p, sigma, u_bar, alpha: float, beta: float) -> f
 def solve_single(kind: Entropy, p, u: float) -> FiniteSolution:
     """Minimize sum p_k W(u_k/p_k) subject to sum u_k = u, u_k >= 0: the
     proportional split u_k = u p_k / rho is optimal."""
-    p = [float(x) for x in p]
+    p = _checked(p, p, u=u)[0].tolist()  # no levels: p stands in for them
     if u < 0.0:
         raise InfeasibleError(f"u must be nonnegative, got {u}")
     n = len(p)
@@ -129,54 +149,64 @@ def solve_single(kind: Entropy, p, u: float) -> FiniteSolution:
 # the finite mean-level map phi_n
 
 
+def _gibbs_pass(log_p, s, t):
+    """phi_n(t), its derivative Var_n(sigma) and ln Z_n(t) for the weights
+    exp(log_p + s t), from one exp over them; then those weights over their
+    largest, e, and the sum z0 of e, so that the maxwell-boltzmann optimum
+    at t is u e / z0 with no second exp."""
+    lw = log_p + s * t
+    m = lw.max()
+    e = np.exp(lw - m)
+    z0 = e.sum()
+    se = s * e
+    phi = float(se.sum() / z0)
+    var = float((s * se).sum() / z0) - phi * phi
+    return phi, var, float(m) + math.log(float(z0)), e, float(z0)
+
+
+def _slope_root(log_p, s, w, tol):
+    """(t, the _gibbs_pass at t) with |phi_n(t) - w| <= tol, min s < w < max s,
+    by Newton from t = 0 on g = phi_n - w with g' = Var_n(sigma) from the
+    same pass: steps capped at 1, 2, 4, ... until g takes both signs, then
+    kept inside that bracket (rootfind.safeguarded_step); the best point
+    once the bracket is narrower than 1e-14 max(1, |lo|, |hi|)."""
+    t, lo, hi = 0.0, None, None  # g(lo) < 0 < g(hi)
+    best = (math.inf, t, None)
+    cap, last_step = 1.0, math.inf
+    for _ in range(200):
+        at = _gibbs_pass(log_p, s, t)
+        g = at[0] - w
+        if abs(g) <= best[0]:
+            best = (abs(g), t, at)
+        if abs(g) <= tol:
+            return t, at
+        lo, hi = (t, hi) if g < 0.0 else (lo, t)
+        newton = t - g / at[1] if at[1] > 0.0 else math.copysign(math.inf, -g)
+        if lo is None or hi is None:
+            nxt = min(max(newton, t - cap), t + cap)
+            cap *= 2.0
+        elif hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
+            return best[1], best[2]
+        else:
+            nxt = safeguarded_step(lo, hi, t, newton, last_step)
+        last_step, t = nxt - t, nxt
+    raise NumericalFailureError(f"phi_n root search used 200 steps; best "
+                                f"|phi_n - w|={best[0]:.3e} exceeds tolerance {tol:.3e}")
+
+
 def phi_n(p, sigma, t: float) -> float:
     """Weighted mean of sigma under weights p_k exp(sigma_k t)."""
-    p = np.asarray(p, dtype=float)
-    s = np.asarray(sigma, dtype=float)
-    e = s * t
-    w = p * np.exp(e - e.max())
-    return float((s * w).sum() / w.sum())
+    p, s = _checked(p, sigma, t=t)
+    return _gibbs_pass(np.log(p), s, t)[0]
 
 
 def phi_n_inverse(p, sigma, w: float, tol: float = 1e-12) -> float:
-    """The unique t with phi_n(t) = w, for w strictly inside (min s, max s)."""
-    s = np.asarray(sigma, dtype=float)
+    """The t with |phi_n(t) - w| <= tol, for w strictly inside (min s, max s)."""
+    p, s = _checked(p, sigma)
     eta1, eta2 = float(s.min()), float(s.max())
     if not eta1 < w < eta2:
         raise RangeError(f"w={w} outside the open range ({eta1}, {eta2})")
-
-    def g(t):
-        return phi_n(p, sigma, t) - w
-
-    t_lo = t_hi = 0.0
-    f0 = g(0.0)
-    if abs(f0) <= tol:
-        return 0.0
-    step = 1.0
-    if f0 < 0.0:
-        f_lo = f0
-        for _ in range(200):
-            t_hi = t_lo + step
-            f_hi = g(t_hi)
-            if f_hi >= 0.0:
-                break
-            t_lo, f_lo = t_hi, f_hi
-            step *= 2.0
-        else:
-            raise NumericalFailureError("phi_n bracket expansion failed")
-    else:
-        f_hi = f0
-        for _ in range(200):
-            t_lo = t_hi - step
-            f_lo = g(t_lo)
-            if f_lo <= 0.0:
-                break
-            t_hi, f_hi = t_lo, f_lo
-            step *= 2.0
-        else:
-            raise NumericalFailureError("phi_n bracket expansion failed")
-    res = solve_bracketed(g, t_lo, t_hi, f_lo, f_hi, residual_tol=tol, x_tol=1e-14)
-    return res.x
+    return _slope_root(np.log(p), s, w, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +245,7 @@ def solve_two_mb_be(kind: Entropy, p, sigma, u: float, v: float) -> FiniteSoluti
     multipliers) or bose-einstein (damped Newton on the dual)."""
     if kind not in (Entropy.MAXWELL_BOLTZMANN, Entropy.BOSE_EINSTEIN):
         raise DomainError("use solve_two_fd for the fermi-dirac entropy")
-    p = [float(x) for x in p]
-    sigma = [float(x) for x in sigma]
+    p, sigma = _checked(p, sigma, u=u, v=v)
     if u < 0.0 or (u == 0.0 and v != 0.0):
         raise InfeasibleError(f"no feasible point for (u, v) = ({u}, {v})")
     n = len(p)
@@ -237,26 +266,22 @@ def solve_two_mb_be(kind: Entropy, p, sigma, u: float, v: float) -> FiniteSoluti
     if where == "upper":
         return _edge_solution(kind, p, sigma, u, eta2, BoundaryFlag.UPPER_EDGE)
 
-    alpha, beta, expo = _mb_multipliers(p, sigma, u, v)
+    alpha, beta, u_bar = _mb_multipliers(p, sigma, u, v)
     if kind is Entropy.MAXWELL_BOLTZMANN:
-        u_bar = np.exp(alpha + expo)
         value = _w_sum(kind, p, u_bar)
-        return FiniteSolution(
-            tuple(u_bar), value, (alpha, beta), BoundaryFlag.INTERIOR_KKT
-        )
+        return FiniteSolution(tuple(u_bar), value, (alpha, beta), BoundaryFlag.INTERIOR_KKT)
     return _dual_newton(kind, p, sigma, u, v, alpha, beta)
 
 
 def _mb_multipliers(p, sigma, u, v):
     """Maxwell-boltzmann multipliers (alpha, beta) of an interior target and
-    the exponents ln p_k + beta sigma_k, u_k = exp(alpha + exponent_k) at the
-    optimum; they also start the bose-einstein and fermi-dirac Newton."""
+    its optimum u_k = p_k e^(alpha + beta sigma_k), both from the slope
+    root's last Gibbs pass: alpha = ln u - ln Z_n, u_k = u e_k / z0.  The
+    multipliers also start the bose-einstein and fermi-dirac Newton."""
     w = v / u
-    beta = phi_n_inverse(p, sigma, w, 1e-12 * max(1.0, abs(w)))
-    expo = np.log(np.asarray(p)) + np.asarray(sigma) * beta
-    m = float(expo.max())
-    alpha = math.log(u) - (m + math.log(float(np.exp(expo - m).sum())))
-    return alpha, beta, expo
+    beta, at = _slope_root(np.log(p), sigma, w, 1e-12 * max(1.0, abs(w)))
+    _, _, log_z, e, z0 = at
+    return math.log(u) - log_z, beta, u * e / z0
 
 
 def _dual_newton(kind, p, sigma, u, v, a0: float, b0: float) -> FiniteSolution:
@@ -329,8 +354,7 @@ def _envelope_v(p, sigma, u: float, lower: bool) -> float:
 
 def fd_feasible(p, sigma, u: float, v: float) -> Feasibility:
     """Membership of (u, v) in the zonotope sum_k [0, p_k] (1, sigma_k)."""
-    p = np.asarray(p, dtype=float)
-    s = np.asarray(sigma, dtype=float)
+    p, s = _checked(p, sigma, u=u, v=v)
     rho = float(p.sum())
     scale = max(1.0, abs(u), abs(v), rho, float(np.abs(s).max()) * max(1.0, abs(u)))
     atol = 1e-12 * scale
@@ -386,8 +410,7 @@ def solve_two_fd(p, sigma, u: float, v: float) -> FiniteSolution:
     """Two-constraint fermi-dirac solve: Newton on the dual when (u, v) is
     interior to the zonotope (NumericalFailureError when it does not
     converge), exact greedy-face solution on its boundary."""
-    p = [float(x) for x in p]
-    sigma = [float(x) for x in sigma]
+    p, sigma = _checked(p, sigma, u=u, v=v)
     n = len(p)
     if u == 0.0 and v == 0.0:
         return FiniteSolution((0.0,) * n, 0.0, None, BoundaryFlag.ORIGIN)

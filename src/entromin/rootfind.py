@@ -1,5 +1,9 @@
 """The library's root finders and the step rule its Newton loops share.
 
+safeguarded_step: the next point of a bracket-safeguarded 1-D Newton
+iteration; it serves all three such loops (series slope inversion, the
+finite slope root and the epsilon-family members).
+
 solve_bracketed: safeguarded scalar root finding on a sign-changing
 bracket.  Bisection with secant acceleration: the secant candidate is
 accepted only when it falls safely inside the current bracket and the step
@@ -7,10 +11,8 @@ before it halved the bracket, otherwise the step falls back to the
 midpoint.  Termination is residual-driven first (|f| <= rtol) with an
 absolute width stop as a safeguard against extremely steep or flat
 functions; running out of the iteration budget without either certificate
-raises BudgetError.
-
-safeguarded_step: the next point of a bracket-safeguarded 1-D Newton
-iteration (series slope inversion, epsilon-family members).
+raises BudgetError.  The library does not call it: the tests use it as an
+independent reference root for the Newton loops.
 
 minimize_convex_2d: damped Newton on the smooth convex dual potential of
 every two-variable solve (finite bose-einstein and fermi-dirac, inverse
@@ -55,7 +57,7 @@ def solve_bracketed(
 ) -> RootResult:
     """Find x in [lo, hi] with |fn(x)| <= residual_tol, given fn(lo), fn(hi)
     of opposite signs (either may be zero); NumericalFailureError when they
-    are not."""
+    are not.  No library path calls it; it is the tests' reference root."""
     if flo == 0.0:
         return RootResult(lo, 0.0, 0, "residual")
     if fhi == 0.0:

@@ -11,21 +11,22 @@ proves about f(y) = sum p_n exp(sigma_n y) rests on what a family declares:
     an undeclared alpha raises UnsupportedFamilyError;
   * ``sigma_direction`` when the levels do not tend to +inf, and
     ``sigma_increasing_from`` when they are not nondecreasing from n = 1;
-  * its tail certificates: ``tail_ratio`` (a ratio-test constant r < 1 for
-    the whole tail beyond an index), ``_direct_interval`` (closed-form
-    two-sided brackets: exact geometric sums, integral tests, block-doubling
-    majorants), ``boundary_bracket`` (the tail at the endpoint y = -alpha)
-    and ``boundary_divergent`` (summability there).
+  * its tail certificates, three in a leaf family: ``tail_ratio`` (a
+    ratio-test constant r < 1 for the whole tail beyond an index),
+    ``_direct_interval`` (closed-form brackets: exact geometric sums,
+    integral tests, block-doubling majorants, and zeta-type tails at and
+    beyond the endpoint y = -alpha) and ``boundary_divergent``
+    (summability at y = -alpha).
 
 The base class derives the rest: ``constant_sigma`` is sigma_direction 0,
 ``dom_f_empty`` is alpha = +inf for levels not falling to -inf, and
 ``tail_interval``, the one bracket the series layer reads, combines a leaf
-family's certificates (``boundary_bracket`` is a hook only it reads; moments
-k >= 1 need positive levels).  A wrapper (ExplicitPrefix, ShiftedSigma)
-declares ``tail_interval`` from its base's whole bracket (a shift falls back
-on the combiner where that has none), keeping ``tail_ratio`` for
-``tail_bound``.  theta1 = min sigma_n comes from ``sigma_min_set``, cached per
-family; the attainment cone and degenerate cases follow from alpha and theta1.
+family's certificates (moments k >= 1 need positive levels).  A wrapper
+(ExplicitPrefix, ShiftedSigma) declares ``tail_interval`` from its base's
+whole bracket (a shift falls back on the combiner where that has none),
+keeping ``tail_ratio`` for ``tail_bound``.  theta1 = min sigma_n comes from
+``sigma_min_set``, cached per family; the attainment cone and degenerate
+cases follow from alpha and theta1.
 
 A bound is returned only when the family's structure proves it; otherwise
 the methods return None and callers must enlarge the truncation or reject.
@@ -159,10 +160,6 @@ class SequenceFamily:
     def _direct_interval(self, y, n, moment):
         return None
 
-    def boundary_bracket(self, n: int, moment: int = 0):
-        """(lo, hi) bracket of the tail at y = -alpha, or None."""
-        return None
-
     def boundary_divergent(self, moment: int = 0) -> Optional[bool]:
         """True/False when (non)summability at y = -alpha is certified."""
         return None
@@ -170,11 +167,11 @@ class SequenceFamily:
     def tail_interval(self, y: float, n: int, moment: int = 0):
         """Best available (lo, hi) bracket of the (N=n, k=moment) tail.
 
-        Combines the ratio route, the family's closed forms, boundary
-        domination for y <= -alpha, and moment absorption into the plain
-        tail at a shifted ordinate.  None when nothing is certified.  For
-        k >= 1 over a nonpositive level the family's routes must decline
-        (lo = 0 floors every bracket), and absorption is not tried.
+        Combines the ratio route, the family's closed forms and moment
+        absorption into the plain tail at a shifted ordinate.  None when
+        nothing is certified.  For k >= 1 over a nonpositive level the
+        family's routes must decline (lo = 0 floors every bracket), and
+        absorption is not tried.
         """
         los, his = [0.0], []
         r = self.tail_ratio(y, n, moment)
@@ -190,13 +187,6 @@ class SequenceFamily:
             a = self.alpha
         except UnsupportedFamilyError:
             a = None
-        if a is not None and math.isfinite(a) and y <= -a:
-            bb = self.boundary_bracket(n, moment)
-            if bb is not None:
-                # p sigma^k exp(sigma y) <= p sigma^k exp(-sigma alpha)
-                his.append(bb[1])
-                if y == -a:  # the bracket is two-sided exactly at the endpoint
-                    los.append(bb[0])
         if not his and moment > 0 and a is not None and math.isfinite(a) and y < -a:
             # absorb sigma^k <= (k/(e eps))^k exp(eps sigma), sigma > 0;
             # the best eps trades the constant against the slower base tail,
@@ -512,13 +502,15 @@ class WeightedGeometric(SequenceFamily):
             r *= ((n + 1) / n) ** e  # sup over the tail sits at m = n
         return r if r < 1.0 else None
 
-    def boundary_bracket(self, n, moment=0):
-        # terms n^(moment - power): zeta-type integral-test bracket
+    def _direct_interval(self, y, n, moment):
+        # at y = -rate the terms are n^(moment - power), a zeta-type tail
+        # with an integral-test bracket; for y < -rate they are smaller
         e = moment - self.power
-        if e >= -1.0:
+        if y > -self.rate or e >= -1.0:
             return None
         c = -e - 1.0
-        return (n + 1.0) ** (e + 1.0) / c, float(n) ** (e + 1.0) / c
+        lo = (n + 1.0) ** (e + 1.0) / c if y == -self.rate else 0.0
+        return lo, float(n) ** (e + 1.0) / c
 
     def boundary_divergent(self, moment=0):
         return moment - self.power >= -1.0

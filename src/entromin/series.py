@@ -655,19 +655,12 @@ def _mult_bounds(kind: Entropy, what: str, z_next: float) -> tuple[float, float]
 def eval_h(
     family: SequenceFamily, kind: Entropy, x: float, y: float, tol: float = 1e-10
 ) -> float:
-    """h_W(x, y) within tol; +inf signals a certified divergence (the point
-    lies outside dom h_W), or under bose-einstein a point so near its edge
-    that e^(x + theta1 y) rounds to 1."""
-    if family.dom_f_empty:
-        return math.inf
-    a = family.alpha
-    if y > -a:
-        return math.inf
-    if kind is Entropy.BOSE_EINSTEIN and _outside_be(family, x, y):
-        return math.inf
+    """h_W(x, y) within tol; +inf where _dual_sums refuses the point: outside
+    dom h_W (a certified divergence), or under bose-einstein so near its
+    edge that e^(x + theta1 y) rounds to 1."""
     try:
-        return _eval_moments(family, y, {("conj", 0): tol}, x, kind)[0].value
-    except DivergenceError:
+        return _dual_sums(family, kind, x, y, {("conj", 0): tol})[0].value
+    except DomainError:
         return math.inf
 
 

@@ -45,7 +45,7 @@ from .sequences import (
     flipped,
     sigma_min_set,
 )
-from . import series
+from . import finite, series
 from .series import BoundaryCase, SeriesProfile
 
 __all__ = [
@@ -145,21 +145,6 @@ class EpsilonMember:
     terms: tuple[float, ...]
 
 
-def _prefix_pass(log_p, s, lam):
-    """phi_n(-lam), its lam-derivative -Var_n(sigma) and ln Z_n(lam) for the
-    prefix weights exp(log_p - s lam), from one exp over the prefix; then
-    those weights over their largest, e, and the sum z0 of e, so that the
-    member at lam is u e / z0 with no second exp."""
-    lw = log_p - s * lam
-    m = lw.max()
-    e = np.exp(lw - m)
-    z0 = e.sum()
-    se = s * e
-    phi = float(se.sum() / z0)
-    var = float((s * se).sum() / z0) - phi * phi
-    return phi, -var, float(m) + math.log(float(z0)), e, float(z0)
-
-
 @functools.lru_cache(maxsize=1024)
 def _prefix_ends(family, n: int) -> dict:
     """{lam: phi_n(-lam)} at the ends of [0, alpha] for the first n terms of
@@ -204,9 +189,10 @@ class EpsilonFamily:
         return EpsilonMember(n, lam, ups, objective, terms), lam
 
     def _root(self, log_p, s, lam, bound=math.inf, floor=0.0):
-        """(lam, the _prefix_pass at lam) with g(lam) = phi_n(-lam) - w at
-        most 1e-12 max(1, w) in absolute value, w = v/u, or a bracket
-        narrower than 1e-14 max(1, |lo|, |hi|), by Newton from `lam`.
+        """(lam, the Gibbs pass at t = -lam, finite._gibbs_pass) with
+        g(lam) = phi_n(-lam) - w at most 1e-12 max(1, w) in absolute value,
+        w = v/u, or a bracket narrower than 1e-14 max(1, |lo|, |hi|), by
+        Newton from `lam`; dg/dlam = -Var_n(sigma) from the same pass.
         g decreases on [0, alpha], so an iterate with g > 0 proves
         phi_n(0) > w and one with g < 0 proves phi_n(-alpha) < w; an endpoint
         is evaluated only when no iterate has proved its side, and at most
@@ -235,9 +221,9 @@ class EpsilonFamily:
         best = (math.inf, lam, None)
         last_step = math.inf
         for _ in range(200):
-            at = _prefix_pass(log_p, s, lam)
-            phi, dg, log_z = at[:3]
-            g = phi - w
+            at = finite._gibbs_pass(log_p, s, -lam)
+            phi, var, log_z = at[:3]
+            g, dg = phi - w, -var
             if (lam == 0.0 and not g > 0.0) or (lam == a and not g < 0.0):
                 raise RangeError(f"truncation n={n} cannot reach slope {w}")
             if (ln_u - log_z - 1.0) * u - lam * v > bound:
@@ -272,7 +258,7 @@ class EpsilonFamily:
             if not ok:
                 phi = ends.get(end)
                 if phi is None:
-                    phi = ends[end] = _prefix_pass(log_p, s, end)[0]
+                    phi = ends[end] = finite._gibbs_pass(log_p, s, -end)[0]
                 g = phi - w
                 if not (g > 0.0 if end == 0.0 else g < 0.0):
                     raise RangeError(f"truncation n={n} cannot reach slope {w}")

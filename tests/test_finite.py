@@ -3,6 +3,7 @@ certificates, zonotope feasibility, and agreement with the independent
 grid-refinement oracle on randomized instances."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,30 @@ class TestPhiN:
         # range chosen so the limit values are still resolvable in float
         p, s = (1.0, 2.0, 1.0), (0.5, 1.0, 3.0)
         assert phi_n(p, s, t) < phi_n(p, s, t + 0.25)
+
+    def test_inverse_meets_its_tolerance_on_a_steep_target(self):
+        # phi_n is nearly a step at this root: the root must still meet its
+        # tolerance, and the two-constraint solve its v
+        p = (0.19080713589648912, 67667.84249492163, 97.75111961449109)
+        s = (-683.4279139230856, 5.311596457839904, 33784.123099770906)
+        w = 12943.278053600625
+        t = phi_n_inverse(p, s, w, 1e-12 * w)
+        assert abs(phi_n(p, s, t) - w) <= 1e-12 * w
+        sol = solve_two_mb_be(MB, p, s, 1.0, w)
+        assert abs(math.fsum(si * ui for si, ui in zip(s, sol.u_bar)) - w) <= 1e-12 * w
+
+    def test_inverse_meets_its_tolerance_on_random_targets(self):
+        # weights and levels spread over many orders of magnitude, so that
+        # phi_n is steep near many roots
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            n = int(rng.integers(2, 12))
+            p = np.exp(rng.uniform(-8.0, 12.0, n))
+            s = np.sign(rng.uniform(-1.0, 1.0, n)) * np.exp(rng.uniform(-6.0, 11.0, n))
+            w = float(rng.uniform(s.min(), s.max()))
+            tol = 1e-12 * max(1.0, abs(w))
+            t = phi_n_inverse(p, s, w, tol)
+            assert abs(phi_n(p, s, t) - w) <= tol, (p, s, w)
 
 
 class TestSolveTwoMbBe:
@@ -224,6 +249,30 @@ class TestMinimizeConvex2d:
         )
         assert not res.converged
         assert res.point == (1.0, 1.0) and "degenerate" in res.message
+
+    @pytest.mark.parametrize("noise, converged", [(2e-10, True), (2e-9, False)])
+    def test_stalled_newton_accepted_up_to_1e_9(self, noise, converged):
+        # gradient noise of alternating sign keeps the residual near 2 noise,
+        # above tol = 1e-12: the best point is accepted when its residual is
+        # within 1e-9 and reported as stalled otherwise
+        sign = [1.0]
+
+        def evaluate(x, y):
+            sign[0] = -sign[0]
+            d = sign[0] * noise
+            return (
+                math.exp(x) + math.exp(y) - 2.0 * x - 3.0 * y,
+                (math.exp(x) - 2.0 + d, math.exp(y) - 3.0 + d),
+                (math.exp(x), 0.0, math.exp(y)),
+            )
+
+        res = minimize_convex_2d(
+            evaluate, lambda x, y: True, (-5.0, 4.0), (1.0, 1.0), 1e-12
+        )
+        assert res.converged is converged
+        assert 1e-12 < max(map(abs, res.residual)) <= 2.5 * noise
+        if not converged:
+            assert "stalled at residual" in res.message
 
 
 class TestSolveTwoFd:
@@ -381,6 +430,80 @@ def test_scaling_of_mb_solutions():
     for t in (0.5, 2.0, 7.5):
         scaled = solve_two_mb_be(MB, p, s, t * 1.0, t * 2.0)
         assert scaled.u_bar == pytest.approx(tuple(t * x for x in base.u_bar), rel=1e-9)
+
+
+_BAD_ARRAYS = [
+    pytest.param((1.0, 0.0, 1.0), (1.0, 2.0, 3.0), 1.0, 2.0, id="zero-weight"),
+    pytest.param((1.0, -1.0, 1.0), (1.0, 2.0, 3.0), 1.0, 2.0, id="negative-weight"),
+    pytest.param((0.0, 1.0), (1.0, 2.0), 1.0, 1.0, id="zero-weight-on-the-edge"),
+    pytest.param((1.0, math.inf), (1.0, 2.0), 1.0, 1.5, id="infinite-weight"),
+    pytest.param((1.0, math.nan), (1.0, 2.0), 1.0, 1.5, id="nan-weight"),
+    pytest.param((1.0, 1.0), (1.0, math.nan), 1.0, 1.5, id="nan-level"),
+    pytest.param((1.0, 1.0), (-math.inf, 2.0), 1.0, 1.5, id="infinite-level"),
+    pytest.param((1.0, 1.0), (1.0, 2.0, 3.0), 1.0, 1.5, id="length-mismatch"),
+    pytest.param((), (), 1.0, 1.5, id="empty"),
+]
+
+_TWO_CONSTRAINT_CALLS = pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, s, u, v: solve_two_mb_be(MB, p, s, u, v),
+        lambda p, s, u, v: solve_two_mb_be(BE, p, s, u, v),
+        lambda p, s, u, v: solve_two_fd(p, s, u, v),
+        lambda p, s, u, v: fd_feasible(p, s, u, v),
+        lambda p, s, u, v: FiniteProblem(MB, p, s, u, v),
+    ],
+    ids=["mb", "be", "fd", "fd-feasible", "problem"],
+)
+
+
+class TestInvalidInputs:
+    """Every finite entry point rejects invalid weights, levels and targets
+    with a library error, before any numpy warning or nan."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("p, s, u, v", _BAD_ARRAYS)
+    @_TWO_CONSTRAINT_CALLS
+    def test_weights_and_levels(self, call, p, s, u, v):
+        with pytest.raises(DomainError):
+            call(p, s, u, v)
+
+    @pytest.mark.parametrize("u, v", [(math.nan, 1.5), (1.0, math.inf)], ids=["nan-u", "inf-v"])
+    @_TWO_CONSTRAINT_CALLS
+    def test_targets(self, call, u, v):
+        with pytest.raises(RangeError):
+            call((1.0, 1.0), (1.0, 2.0), u, v)
+
+    @pytest.mark.parametrize("p, s, u, v", _BAD_ARRAYS)
+    def test_slope_map_weights_and_levels(self, p, s, u, v):
+        with pytest.raises(DomainError):
+            phi_n(p, s, 0.0)
+        with pytest.raises(DomainError):
+            phi_n_inverse(p, s, v / u)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_slope_map_arguments(self, t):
+        with pytest.raises(RangeError):
+            phi_n((1.0, 1.0), (1.0, 2.0), t)
+        with pytest.raises(RangeError):
+            phi_n_inverse((1.0, 1.0), (1.0, 2.0), t)
+
+    @pytest.mark.parametrize(
+        "p, u",
+        [((1.0, 0.0), 1.0), ((1.0, math.nan), 1.0), ((), 1.0), ((1.0, 1.0), math.nan)],
+        ids=["zero-weight", "nan-weight", "empty", "nan-u"],
+    )
+    def test_single_constraint(self, p, u):
+        error = RangeError if math.isnan(u) else DomainError
+        with pytest.raises(error):
+            solve_single(MB, p, u)
+        with pytest.raises(error):
+            FiniteProblem(MB, p, p, u)
 
 
 def test_finite_problem_dispatch():

@@ -285,7 +285,7 @@ def test_tail_interval_brackets_brute_force(family, y, moment):
 def test_boundary_brackets_sound(zeta_family):
     # boundary tails are zeta tails: check against long partial sums
     for moment in (0, 1):
-        lo, hi = zeta_family.boundary_bracket(50, moment)
+        lo, hi = zeta_family.tail_interval(-1.0, 50, moment)
         tail = math.fsum(n ** (moment - 3.0) for n in range(51, 400_000))
         assert lo <= tail <= hi
 

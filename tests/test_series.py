@@ -27,6 +27,7 @@ from entromin import (
     LogLevels,
     PowerLaw,
     RangeError,
+    Region,
     SequenceFamily,
     ShiftedSigma,
     UnsupportedFamilyError,
@@ -492,6 +493,18 @@ class TestSlopeLadder:
         series._ladder_entry(family, tol, -7)
         after = series._ladder_entry.cache_info()
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+    @pytest.mark.parametrize("w", [0.0101, 0.01001])
+    def test_root_left_of_the_ladder(self, w):
+        # on Arithmetic(0, 0.01) these roots lie near y = -462 and -691, left
+        # of the ladder's last entry at y = -64: Newton runs with no left
+        # bracket, its steps capped at 1, 2, 4, ...  phi(y) = 0.01/(1 - e^(0.01 y))
+        family = Arithmetic(0.0, 0.01)
+        y = phi_inverse(family, w, 1e-10)
+        assert y < -64.0
+        assert abs(-0.01 / math.expm1(0.01 * y) - w) <= 1e-10
+        if w == 0.0101:
+            assert EmpSolver(family).solve_mb(1.0, w).region is Region.INTERIOR
 
 
 class TestLnfConjugate:

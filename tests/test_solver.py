@@ -38,6 +38,7 @@ from entromin import (
     series,
     solve_two_mb_be,
 )
+from entromin import finite as finite_module
 from entromin import solver as solver_module
 from entromin.rootfind import solve_bracketed
 
@@ -538,8 +539,10 @@ class TestEpsilonFamily:
                 terms.append(np.size(x))
                 return np.exp(x, *args, **kwargs)
 
-        monkeypatch.setattr(solver_module, "np", CountingNumpy())
+        # the epsilon family's one exp is the Gibbs pass in finite
+        monkeypatch.setattr(finite_module, "np", CountingNumpy())
         member = eps_fam.converge(1e-3)
+        assert terms
         assert sum(terms) <= 8 * member.n
 
     def test_endpoint_pass_cached_per_family_and_n(self, zeta_solver, monkeypatch):
@@ -548,13 +551,13 @@ class TestEpsilonFamily:
         eps_fam = self._eps_family(zeta_solver, 2.0)
         solver_module._prefix_ends.cache_clear()
         calls = []
-        orig = solver_module._prefix_pass
+        orig = finite_module._gibbs_pass
 
-        def counting(log_p, s, lam):
-            calls.append(lam)
-            return orig(log_p, s, lam)
+        def counting(log_p, s, t):
+            calls.append(t)
+            return orig(log_p, s, t)
 
-        monkeypatch.setattr(solver_module, "_prefix_pass", counting)
+        monkeypatch.setattr(finite_module, "_gibbs_pass", counting)
         first = eps_fam.converge(1e-3)
         cold = len(calls)
         ends = solver_module._prefix_ends(eps_fam._family, first.n)
@@ -611,13 +614,13 @@ class TestEpsilonFamily:
     def test_passes_per_converge(self, zeta_solver, monkeypatch):
         eps_fam = self._eps_family(zeta_solver, 2.0)
         calls = []
-        orig = solver_module._prefix_pass
+        orig = finite_module._gibbs_pass
 
-        def counting(log_p, s, lam):
+        def counting(log_p, s, t):
             calls.append(len(s))
-            return orig(log_p, s, lam)
+            return orig(log_p, s, t)
 
-        monkeypatch.setattr(solver_module, "_prefix_pass", counting)
+        monkeypatch.setattr(finite_module, "_gibbs_pass", counting)
         member = eps_fam.converge(1e-3)
         members = int(math.log2(member.n // 8)) + 1
         # secant/bisection took about 40 passes per member
