@@ -8,11 +8,12 @@ bose-einstein and fermi-dirac cases (both started at the maxwell-boltzmann
 multipliers), and greedy zonotope envelopes for fermi-dirac feasibility and
 its boundary faces.  The Gibbs pass, one exp of the weights, gives phi_n,
 Var_n(sigma), ln Z_n and that optimum: the slope root phi_n(beta) = v/u is
-a Newton iteration on it, and so is each solver.EpsilonFamily member.
+rootfind.newton_root on it, and so is each solver.EpsilonFamily member.
 
-Weights must be finite and positive and levels finite (DomainError),
-targets finite (RangeError).  A Newton iteration that does not converge
-raises NumericalFailureError.  The tolerances are fixed: the slope root to
+Weights must be finite and positive and levels at most 1e150 in size, so
+that Var_n(sigma) does not overflow (DomainError), targets finite
+(RangeError).  A Newton iteration that does not converge raises
+NumericalFailureError.  The tolerances are fixed: the slope root to
 1e-12 relative, the dual Newton to 1e-11 of the constraint scale.
 """
 
@@ -27,12 +28,13 @@ import numpy as np
 
 from .entropies import Entropy, entropy_value
 from .errors import (
+    BudgetError,
     DomainError,
     InfeasibleError,
     NumericalFailureError,
     RangeError,
 )
-from .rootfind import minimize_convex_2d, safeguarded_step
+from .rootfind import minimize_convex_2d, newton_root
 
 __all__ = [
     "BoundaryFlag",
@@ -94,14 +96,14 @@ class FiniteProblem:
 
 def _checked(p, sigma, **target):
     """p and sigma as float arrays: DomainError unless they are equal-length
-    and nonempty with every p_k finite and positive and every sigma_k
-    finite, RangeError for a target (u, v, t) that is nan or infinite (None
-    is skipped)."""
+    and nonempty with every p_k finite and positive and every |sigma_k| at
+    most 1e150, so that Var_n(sigma) does not overflow, RangeError for a
+    target (u, v, t) that is nan or infinite (None is skipped)."""
     p, s = np.asarray(p, dtype=float), np.asarray(sigma, dtype=float)
     if p.ndim != 1 or not p.size or s.shape != p.shape:
         raise DomainError("p and sigma must be equal-length and nonempty")
-    if not (np.all(p > 0.0) and np.all(np.isfinite(p)) and np.all(np.isfinite(s))):
-        raise DomainError("weights must be finite and positive, levels finite")
+    if not (np.all(p > 0.0) and np.all(np.isfinite(p)) and np.all(np.abs(s) <= 1e150)):
+        raise DomainError("weights must be finite and positive, levels at most 1e150 in size")
     for name, val in target.items():
         if val is not None and not math.isfinite(val):
             raise RangeError(f"{name} must be finite, got {val}")
@@ -131,7 +133,7 @@ def kkt_residual(kind: Entropy, p, sigma, u_bar, alpha: float, beta: float) -> f
 def solve_single(kind: Entropy, p, u: float) -> FiniteSolution:
     """Minimize sum p_k W(u_k/p_k) subject to sum u_k = u, u_k >= 0: the
     proportional split u_k = u p_k / rho is optimal."""
-    p = _checked(p, p, u=u)[0].tolist()  # no levels: p stands in for them
+    p = _checked(p, np.zeros(np.shape(p)), u=u)[0].tolist()  # no levels
     if u < 0.0:
         raise InfeasibleError(f"u must be nonnegative, got {u}")
     n = len(p)
@@ -165,33 +167,20 @@ def _gibbs_pass(log_p, s, t):
 
 
 def _slope_root(log_p, s, w, tol):
-    """(t, the _gibbs_pass at t) with |phi_n(t) - w| <= tol, min s < w < max s,
-    by Newton from t = 0 on g = phi_n - w with g' = Var_n(sigma) from the
-    same pass: steps capped at 1, 2, 4, ... until g takes both signs, then
-    kept inside that bracket (rootfind.safeguarded_step); the best point
-    once the bracket is narrower than 1e-14 max(1, |lo|, |hi|)."""
-    t, lo, hi = 0.0, None, None  # g(lo) < 0 < g(hi)
-    best = (math.inf, t, None)
-    cap, last_step = 1.0, math.inf
-    for _ in range(200):
+    """(t, the _gibbs_pass at t) with |phi_n(t) - w| <= tol, min s < w < max s:
+    rootfind.newton_root from t = 0 on g = phi_n - w, g' = Var_n(sigma)
+    from the same pass."""
+
+    def evaluate(t):
         at = _gibbs_pass(log_p, s, t)
         g = at[0] - w
-        if abs(g) <= best[0]:
-            best = (abs(g), t, at)
-        if abs(g) <= tol:
-            return t, at
-        lo, hi = (t, hi) if g < 0.0 else (lo, t)
-        newton = t - g / at[1] if at[1] > 0.0 else math.copysign(math.inf, -g)
-        if lo is None or hi is None:
-            nxt = min(max(newton, t - cap), t + cap)
-            cap *= 2.0
-        elif hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
-            return best[1], best[2]
-        else:
-            nxt = safeguarded_step(lo, hi, t, newton, last_step)
-        last_step, t = nxt - t, nxt
-    raise NumericalFailureError(f"phi_n root search used 200 steps; best "
-                                f"|phi_n - w|={best[0]:.3e} exceeds tolerance {tol:.3e}")
+        return g, t - g / at[1] if at[1] > 0.0 else math.nan, at
+
+    try:
+        t, at, _, _ = newton_root(evaluate, 0.0, evaluate(0.0), tol)
+    except BudgetError as exc:
+        raise NumericalFailureError(f"phi_n {exc}") from exc
+    return t, at
 
 
 def phi_n(p, sigma, t: float) -> float:
@@ -214,18 +203,15 @@ def phi_n_inverse(p, sigma, w: float, tol: float = 1e-12) -> float:
 
 
 def _edge_solution(kind, p, sigma, u, eta, flag) -> FiniteSolution:
-    """v = eta * u forces all mass onto the levels tying eta, where the
-    single-constraint proportional split is optimal."""
+    """v = eta * u forces all mass onto the levels tying eta: the
+    single-constraint split over them (solve_single), zero elsewhere."""
     scale = 1e-12 * max(1.0, abs(eta))
     idx = [k for k, s in enumerate(sigma) if abs(s - eta) <= scale]
-    rho = math.fsum(p[k] for k in idx)
-    if kind is Entropy.FERMI_DIRAC and u > rho:
-        raise InfeasibleError("edge mass exceeds fermi-dirac capacity")
+    single = solve_single(kind, p[idx], u)
     u_bar = [0.0] * len(p)
-    for k in idx:
-        u_bar[k] = u * p[k] / rho
-    value = rho * entropy_value(kind, u / rho)
-    return FiniteSolution(tuple(u_bar), value, None, flag)
+    for k, uk in zip(idx, single.u_bar):
+        u_bar[k] = uk
+    return FiniteSolution(tuple(u_bar), single.value, None, flag)
 
 
 def _cone_position(sigma, u, v):
@@ -255,8 +241,7 @@ def solve_two_mb_be(kind: Entropy, p, sigma, u: float, v: float) -> FiniteSoluti
     if eta1 == eta2:
         if where == "outside":
             raise InfeasibleError("degenerate cone: v must equal sigma_1 * u")
-        sol = solve_single(kind, p, u)
-        return FiniteSolution(sol.u_bar, sol.value, None, BoundaryFlag.SINGLE_CONSTRAINT)
+        return solve_single(kind, p, u)
     if where == "outside":
         raise InfeasibleError(
             f"(u, v) = ({u}, {v}) outside the cone [{eta1 * u}, {eta2 * u}]"
@@ -300,7 +285,9 @@ def _dual_newton(kind, p, sigma, u, v, a0: float, b0: float) -> FiniteSolution:
 
     def occupation(t):
         if bose:
-            return 1.0 / np.expm1(-t)  # e^t/(1-e^t)
+            # e^t/(1-e^t); 1/inf = 0, the right value, where expm1(-t)
+            # overflows (t < -709.78): its warning is ignored below
+            return 1.0 / np.expm1(-t)
         # the logistic function, one branch: no exp of a large positive t
         return np.exp(np.minimum(t, 0.0)) / (1.0 + np.exp(-np.abs(t)))
 
@@ -318,15 +305,16 @@ def _dual_newton(kind, p, sigma, u, v, a0: float, b0: float) -> FiniteSolution:
             (float((p * gp).sum()), float((ps * gp).sum()), float((ps * s * gp).sum())),
         )
 
-    res = minimize_convex_2d(
-        evaluate, lambda a, b: not bose or (a + b * s).max() < 0.0,
-        (a0, b0), (max(1.0, u), max(1.0, abs(v))), 1e-11,
-    )
-    if not res.converged:
-        name = kind.name.lower().replace("_", "-")
-        raise NumericalFailureError(f"{name} dual Newton: {res.message}")
-    a, b = res.point
-    u_bar = p * occupation(a + b * s)
+    with np.errstate(over="ignore"):
+        res = minimize_convex_2d(
+            evaluate, lambda a, b: not bose or (a + b * s).max() < 0.0,
+            (a0, b0), (max(1.0, u), max(1.0, abs(v))), 1e-11,
+        )
+        if not res.converged:
+            name = kind.name.lower().replace("_", "-")
+            raise NumericalFailureError(f"{name} dual Newton: {res.message}")
+        a, b = res.point
+        u_bar = p * occupation(a + b * s)
     value = _w_sum(kind, p, u_bar)
     return FiniteSolution(tuple(u_bar), value, res.point, BoundaryFlag.INTERIOR_KKT)
 

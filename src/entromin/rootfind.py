@@ -1,8 +1,8 @@
-"""The library's root finders and the step rule its Newton loops share.
+"""The library's root finders.
 
-safeguarded_step: the next point of a bracket-safeguarded 1-D Newton
-iteration; it serves all three such loops (series slope inversion, the
-finite slope root and the epsilon-family members).
+newton_root: the one 1-D Newton loop of the library, safeguarded by a
+bracket.  Every scalar root (series slope inversion, the finite slope root
+and the epsilon-family members) is one evaluate callback passed to it.
 
 solve_bracketed: safeguarded scalar root finding on a sign-changing
 bracket.  Bisection with secant acceleration: the secant candidate is
@@ -29,11 +29,57 @@ from .errors import BudgetError, NumericalFailureError
 
 __all__ = [
     "RootResult",
+    "newton_root",
     "solve_bracketed",
-    "safeguarded_step",
     "NewtonResult",
     "minimize_convex_2d",
 ]
+
+
+def newton_root(evaluate, x, first, r_tol, lo=-math.inf, hi=math.inf, lo_ok=False, hi_ok=False):
+    """(x, payload, lo_ok, hi_ok) with |g(x)| <= r_tol for an increasing g
+    on [lo, hi], by Newton from x.  evaluate(x) returns (g(x), its Newton
+    point or nan, payload), and first is evaluate(x) at the start.  lo_ok
+    (hi_ok) tells that g(lo) < 0 (g(hi) > 0) is proved; g < 0 at an
+    iterate proves it lo, g > 0 proves it hi, g == 0 proves neither.
+
+    Each step moves at least 4 ulp(x).  While an end is infinite the steps
+    are capped at 1, 2, 4, ...; between finite ends a step past an unproved
+    end goes to that end, and the Newton point is taken when it lies
+    strictly inside and moves at most half as far as the step before it,
+    else the midpoint.  Once hi - lo <= 4 ulp(x) the point of least |g| is
+    returned.  BudgetError after 200 evaluations."""
+    best = (math.inf, x, None)
+    cap, last_step = 1.0, math.inf
+    for evaluations in range(1, 201):
+        g, nxt, payload = first if evaluations == 1 else evaluate(x)
+        if g > 0.0:
+            hi, hi_ok = x, True
+        elif g < 0.0:
+            lo, lo_ok = x, True
+        if abs(g) <= r_tol:
+            return x, payload, lo_ok, hi_ok
+        if abs(g) < best[0]:
+            best = (abs(g), x, payload)
+        floor = 4.0 * math.ulp(x)
+        if hi - lo <= floor:
+            return best[1], best[2], lo_ok, hi_ok
+        if math.isnan(nxt):
+            nxt = math.copysign(math.inf, -g)
+        if abs(nxt - x) < floor:
+            nxt = x + math.copysign(floor, -g)
+        if math.isinf(hi - lo):
+            nxt = min(max(nxt, x - cap), x + cap)
+            cap *= 2.0
+        elif nxt >= hi and not hi_ok:
+            nxt = hi
+        elif nxt <= lo and not lo_ok:
+            nxt = lo
+        elif not (lo < nxt < hi and abs(nxt - x) <= 0.5 * abs(last_step)):
+            nxt = 0.5 * (lo + hi)
+        last_step, x = nxt - x, nxt
+    raise BudgetError(f"root search used 200 evaluations; best |g| = {best[0]:.3e} "
+                      f"at x = {best[1]!r} exceeds tolerance {r_tol:.3e}")
 
 
 @dataclass(frozen=True)
@@ -96,15 +142,6 @@ def solve_bracketed(
         f"root search used {budget} iterations; best |f|={abs(best_f):.3e} "
         f"at x={best_x!r} exceeds tolerance {residual_tol:.3e}"
     )
-
-
-def safeguarded_step(lo: float, hi: float, x: float, nxt: float, last_step: float) -> float:
-    """The Newton candidate nxt from x when it lands strictly inside the
-    bracket (lo, hi) and moves at most half as far as the step before it;
-    otherwise the bracket's midpoint."""
-    if lo < nxt < hi and abs(nxt - x) <= 0.5 * abs(last_step):
-        return nxt
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ entry points to it.
 
 The increasing bijection phi = f'/f : (-inf, -alpha) -> (theta1, theta2) has
 one certified evaluation (_certified_slope), which phi returns and whose
-pass also gives phi' = f''/f - phi^2 to phi_inverse's bracket-safeguarded
-Newton iteration.  Every inversion starts from the slope ladder: the
+pass also gives phi' = f''/f - phi^2 to phi_inverse's Newton root
+(rootfind.newton_root).  Every inversion starts from the slope ladder: the
 certified slopes at y_k = -alpha - 2^(k/4), k = -48..24, each evaluated
 once per (family, tol, k) on first use and cached (_ladder_entry), as the
 profile is.  The two entries that bracket the target are the first
@@ -54,7 +54,7 @@ from .errors import (
     UncertifiedError,
     UnsupportedFamilyError,
 )
-from .rootfind import safeguarded_step
+from .rootfind import newton_root
 from .sequences import SequenceFamily, SigmaMinSet, sigma_min_set
 
 __all__ = [
@@ -406,20 +406,15 @@ def _certified_slope(family, y, tol, scale=None):
 def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
     """The unique y < -alpha with |phi(y) - w| <= tol, for theta1 < w < theta2.
 
-    Safeguarded Newton iteration from the slope ladder (_ladder_entry): the
-    two cached certified slopes at y_k = -alpha - 2^(k/4) whose values
-    bracket w are its first bracket, and it starts from the nearer one's
-    cached pass.  Each later step is one certified slope evaluation giving
-    phi and phi', as phi does, and proposes a Newton step on
-    ln(phi - theta1), which is nearly linear where phi tends to theta1.
-    The step is taken only strictly inside the current sign bracket and
-    when at most half the step before it, else the bracket is bisected;
-    where w lies beyond the ladder's last entry on one side, before a right
-    bracket is known it may at most halve the gap to -alpha, and before a
-    left bracket is known its length is capped, the cap doubling with each
-    step.  Every step is at least 4 ulp(y).  Returns once the certified
-    residual is within 0.75 tol, or when the bracket is at most 4 ulp(y)
-    wide (the point of smaller residual).
+    rootfind.newton_root from the slope ladder (_ladder_entry): the two
+    cached certified slopes at y_k = -alpha - 2^(k/4) whose values bracket
+    w are its first bracket, else (-inf, -alpha), as phi tends to theta2 > w
+    at -alpha; it starts from the nearer entry's cached pass.  Each later
+    step is one certified slope evaluation giving phi and phi', as phi
+    does, and proposes a Newton step on ln(phi - theta1), which is nearly
+    linear where phi tends to theta1.  Returns once the certified residual
+    is within 0.75 tol, or when the bracket is at most 4 ulp(y) wide (the
+    point of least residual).
     """
     return _invert_slope(family, w, tol)[0]
 
@@ -496,58 +491,33 @@ def _invert_slope(family, w, tol) -> tuple[float, SeriesEval]:
         raise RangeError(
             f"w={w} outside the open range ({prof.theta1}, {prof.theta2})"
         )
-    a = prof.alpha
-    lo = hi = None  # phi(lo) < w < phi(hi)
+    t1 = prof.theta1
+    lo, hi = -math.inf, -prof.alpha  # phi tends to theta2 > w at -alpha
     start, outer = _ladder_bracket(family, w, tol)
     if outer is not None:
         lo, hi = sorted((start[0], outer[0]))
         if abs(outer[1] - w) < abs(start[1] - w):
             start = outer
-    # each point after the start takes its tolerance scale from the one
-    # before it
     y, p, dp, f_y, scale = start
-    best_y, best_f, best_r = y, None, math.inf
-    cap = 1.0
-    last_step = math.inf
-    for _ in range(200):
-        r = p - w
-        if abs(r) <= 0.75 * tol:
-            return y, f_y
-        if abs(r) < best_r:
-            best_y, best_f, best_r = y, f_y, abs(r)
-        if r > 0.0:
-            hi = y
-        else:
-            lo = y
-        x_tol = 4.0 * math.ulp(y)
-        if lo is not None and hi is not None and hi - lo <= x_tol:
-            return best_y, best_f
-        # without a usable derivative the step is unbounded and the
-        # safeguards below pick it
-        step = math.copysign(math.inf, -r)
-        if dp > 0.0:
-            d = p - prof.theta1
-            newton = -math.log(d / (w - prof.theta1)) * d / dp if d > 0.0 else -r / dp
-            if not math.isnan(newton):
-                step = newton
-        if abs(step) < x_tol:
-            step = math.copysign(x_tol, -r)
-        nxt = y + step
-        if lo is not None and hi is not None:
-            nxt = safeguarded_step(lo, hi, y, nxt, last_step)
-        elif hi is None:
-            nxt = min(nxt, 0.5 * (y - a))
-            if not y < nxt < -a:
-                raise BudgetError(f"no right bracket for phi = {w} near y = {-a}")
-        else:
-            nxt = max(nxt, y - cap)
-            cap *= 2.0
-        last_step, y = nxt - y, nxt
+
+    def newton(y, p, dp):
+        # the step on ln(phi - theta1), nearly linear where phi tends to
+        # theta1; nan without a usable derivative
+        if not dp > 0.0:
+            return math.nan
+        d = p - t1
+        return y + (-math.log(d / (w - t1)) * d / dp if d > 0.0 else (w - p) / dp)
+
+    def evaluate(y):
+        # each point takes its tolerance scale from the one before it
+        nonlocal scale
         p, dp, f_y, scale = _certified_slope(family, y, 0.25 * tol, scale)
-    raise BudgetError(
-        f"slope inversion at w={w} used 200 steps; best |phi - w| = {best_r:.3e} "
-        f"at y={best_y!r} exceeds tolerance {0.75 * tol:.3e}"
+        return p - w, newton(y, p, dp), f_y
+
+    y, f_y, _, _ = newton_root(
+        evaluate, y, (p - w, newton(y, p, dp), f_y), 0.75 * tol, lo, hi, True, True
     )
+    return y, f_y
 
 
 def lnf_conjugate(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:

@@ -38,7 +38,7 @@ from .errors import (
     RangeError,
     UnsupportedFamilyError,
 )
-from .rootfind import minimize_convex_2d, safeguarded_step
+from .rootfind import minimize_convex_2d, newton_root
 from .sequences import (
     SequenceFamily,
     ShiftedSigma,
@@ -145,6 +145,11 @@ class EpsilonMember:
     terms: tuple[float, ...]
 
 
+class _Dropped(Exception):
+    """An epsilon-family member dropped by its dual bound; its one argument
+    is the root estimate that stands in for its root (EpsilonFamily._root)."""
+
+
 @functools.lru_cache(maxsize=1024)
 def _prefix_ends(family, n: int) -> dict:
     """{lam: phi_n(-lam)} at the ends of [0, alpha] for the first n terms of
@@ -190,16 +195,13 @@ class EpsilonFamily:
 
     def _root(self, log_p, s, lam, bound=math.inf, floor=0.0):
         """(lam, the Gibbs pass at t = -lam, finite._gibbs_pass) with
-        g(lam) = phi_n(-lam) - w at most 1e-12 max(1, w) in absolute value,
-        w = v/u, or a bracket narrower than 1e-14 max(1, |lo|, |hi|), by
-        Newton from `lam`; dg/dlam = -Var_n(sigma) from the same pass.
-        g decreases on [0, alpha], so an iterate with g > 0 proves
-        phi_n(0) > w and one with g < 0 proves phi_n(-alpha) < w; an endpoint
-        is evaluated only when no iterate has proved its side, and at most
-        once per (family, n) (_prefix_ends).  A Newton step is taken strictly
-        inside the bracket and when it at most halves the step before it;
-        otherwise the bracket is bisected, or its unproved end evaluated when
-        the step points past it.
+        g = phi_n(t) - w at most 1e-12 max(1, w) in absolute value, w = v/u:
+        rootfind.newton_root in t = -lam on [-alpha, 0] from t = -lam, with
+        g' = Var_n(sigma) from the same pass.  A step evaluates an end of
+        [-alpha, 0] only when it points past that end and no iterate has
+        proved its side; an end no iterate proved is checked after the
+        root, at most once per (family, n) (_prefix_ends).  RangeError
+        unless phi_n(-alpha) < w < phi_n(0).
 
         Every pass also gives the Lagrange dual of the n-term problem,
         D_n(lam) = (ln u - ln Z_n(lam) - 1) u - lam v, which is at most the
@@ -209,52 +211,35 @@ class EpsilonFamily:
         `bound`, up to rounding.  The estimate is the Newton step, clipped
         to [floor, alpha], from an iterate left of the root; from one right
         of it, where g is flat and the step lands far short, the midpoint of
-        that step and the iterate."""
+        that step and the iterate.  evaluate carries it out of the root
+        search in a _Dropped."""
         a = self._prof.alpha
         n = len(s)
         u, v = self.u, self.v
         w = v / u
         ln_u = math.log(u)
-        r_tol = 1e-12 * max(1.0, w)
-        lo, hi = 0.0, a  # g(lo) > 0 > g(hi) once lo_ok, hi_ok
-        lo_ok = hi_ok = False
-        best = (math.inf, lam, None)
-        last_step = math.inf
-        for _ in range(200):
-            at = finite._gibbs_pass(log_p, s, -lam)
+
+        def evaluate(t):
+            lam = -t
+            at = finite._gibbs_pass(log_p, s, t)
             phi, var, log_z = at[:3]
-            g, dg = phi - w, -var
+            g = phi - w
             if (lam == 0.0 and not g > 0.0) or (lam == a and not g < 0.0):
                 raise RangeError(f"truncation n={n} cannot reach slope {w}")
             if (ln_u - log_z - 1.0) * u - lam * v > bound:
-                step = min(max(lam - g / dg, floor), a) if dg < 0.0 else lam
-                return (step if g > 0.0 else 0.5 * (step + lam)), None
-            if abs(g) <= best[0]:
-                best = (abs(g), lam, at)
-            if g > 0.0:
-                lo, lo_ok = lam, True
-            elif g < 0.0:
-                hi, hi_ok = lam, True
-            if abs(g) <= r_tol:
-                break
-            if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
-                _, lam, at = best
-                break
-            nxt = lam - g / dg if dg < 0.0 else (hi if g > 0.0 else lo)
-            if nxt >= hi and not hi_ok:
-                nxt = a
-            elif nxt <= lo and not lo_ok:
-                nxt = 0.0
-            else:
-                nxt = safeguarded_step(lo, hi, lam, nxt, last_step)
-            last_step, lam = nxt - lam, nxt
-        else:
-            raise BudgetError(
-                f"epsilon member root search used 200 steps; best |g|={best[0]:.3e} "
-                f"at lam={best[1]!r} exceeds tolerance {r_tol:.3e}"
+                step = min(max(lam + g / var, floor), a) if var > 0.0 else lam
+                raise _Dropped(step if g > 0.0 else 0.5 * (step + lam))
+            return g, t - g / var if var > 0.0 else math.nan, at
+
+        try:
+            # the end t = -0.0, so that lam = -t is 0.0 there
+            t, at, alpha_ok, zero_ok = newton_root(
+                evaluate, -lam, evaluate(-lam), 1e-12 * max(1.0, w), -a, -0.0
             )
+        except _Dropped as drop:
+            return drop.args[0], None
         ends = _prefix_ends(self._family, n)
-        for end, ok in ((0.0, lo_ok), (a, hi_ok)):
+        for end, ok in ((0.0, zero_ok), (a, alpha_ok)):
             if not ok:
                 phi = ends.get(end)
                 if phi is None:
@@ -262,7 +247,7 @@ class EpsilonFamily:
                 g = phi - w
                 if not (g > 0.0 if end == 0.0 else g < 0.0):
                     raise RangeError(f"truncation n={n} cannot reach slope {w}")
-        return lam, at
+        return -t, at
 
     def converge(self, epsilon: float, n_max: int = 2**20, start: int = 8) -> EpsilonMember:
         """Double the truncation from `start` until the member objective is

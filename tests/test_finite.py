@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from entromin import (
     BoundaryFlag,
+    BudgetError,
     DomainError,
     Entropy,
     Feasibility,
@@ -28,7 +29,7 @@ from entromin import (
     solve_two_fd,
     solve_two_mb_be,
 )
-from entromin.rootfind import minimize_convex_2d
+from entromin.rootfind import minimize_convex_2d, newton_root
 
 from conftest import brute_force_oracle
 
@@ -110,6 +111,14 @@ class TestPhiN:
             t = phi_n_inverse(p, s, w, tol)
             assert abs(phi_n(p, s, t) - w) <= tol, (p, s, w)
 
+    @pytest.mark.parametrize("w, tol", [(5e99, 5e87), (3e99, 1e87)])
+    def test_inverse_raises_where_it_cannot_reach_a_tiny_root(self, w, tol):
+        # the root is near t = 6.9e-98, Var_n is 0 at every t of the first
+        # bracket [0, 1] right of it, so the steps bisect: a width stop of
+        # 1e-14 once returned t = 7.1e-15 (and t = 0.0) far off tolerance
+        with pytest.raises(NumericalFailureError):
+            phi_n_inverse((1.0, 1e-300), (0.0, 1e100), w, tol)
+
 
 class TestSolveTwoMbBe:
     def test_mb_symmetric(self):
@@ -186,6 +195,23 @@ class TestSolveTwoMbBe:
         assert math.fsum(sol.u_bar) == pytest.approx(u, rel=1e-11)
         assert kkt_residual(BE, p, sigma, sol.u_bar, *sol.multipliers) <= 1e-8
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_be_occupation_far_below_zero_warns_of_nothing(self):
+        # a + b sigma_2 is far below -709.78 at the optimum, where expm1
+        # overflows in the occupation 1/expm1(-t): its value 0 is right
+        p = (6297.697451083165, 148.7775203153633, 0.010060465664895381,
+             0.03909916771534093, 0.002424654386929243, 5792.980848335678,
+             1.4633253027260154)
+        sigma = (20.74075719137835, 56797.302670714846, 0.3233046226189196,
+                 672.6555533628502, -0.19369832439856155, -115.58164109834452,
+                 -663.4478824338876)
+        sol = solve_two_mb_be(BE, p, sigma, 1.0, -614.8620312909081)
+        assert sol.value == pytest.approx(-2.6604067542935126, rel=1e-12)
+        assert sol.multipliers == pytest.approx(
+            (-13.346813531719327, -0.018675545155185075), rel=1e-12
+        )
+        assert sol.u_bar[1] == 0.0
+
     def test_near_step_slope_root_does_not_stall(self):
         # phi_n is almost a step between the levels 3 and 3e4: the secant
         # step kept landing just inside the bracket, shrinking it by about
@@ -197,6 +223,62 @@ class TestSolveTwoMbBe:
         assert math.fsum(s * x for s, x in zip(sigma, sol.u_bar)) == pytest.approx(
             800.0, rel=1e-10
         )
+
+
+class TestNewtonRoot:
+    @staticmethod
+    def _recorded(g, newton=lambda x, gx: math.nan):
+        """evaluate for newton_root from g and a Newton point rule, with the
+        list of points it is called at."""
+        seen = []
+
+        def evaluate(x):
+            seen.append(x)
+            gx = g(x)
+            return gx, newton(x, gx), ("at", x)
+
+        return evaluate, seen
+
+    def test_newton_point_past_an_unproved_end_evaluates_that_end(self):
+        # the Newton point overshoots 100-fold: from x = 0 it lands at 75,
+        # past the unproved end 1, which is evaluated instead
+        evaluate, seen = self._recorded(lambda x: x - 0.75, lambda x, gx: x - 100.0 * gx)
+        x, payload, lo_ok, hi_ok = newton_root(evaluate, 0.0, evaluate(0.0), 1e-12, -1.0, 1.0)
+        assert seen[:2] == [0.0, 1.0]
+        assert abs(x - 0.75) <= 1e-12 and payload == ("at", x)
+        assert lo_ok and hi_ok
+        assert all(-1.0 <= t <= 1.0 for t in seen)
+
+    def test_an_infinite_end_caps_the_steps(self):
+        # no Newton point: the steps are 1, 2, 4, ... until g changes sign
+        evaluate, seen = self._recorded(lambda x: x - 100.0)
+        x, _, lo_ok, hi_ok = newton_root(evaluate, 0.0, evaluate(0.0), 1e-9)
+        assert seen[:8] == [0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 63.0, 127.0]
+        assert abs(x - 100.0) <= 1e-9 and lo_ok and hi_ok
+
+    def test_g_zero_proves_neither_end(self):
+        evaluate, seen = self._recorded(lambda x: 0.0)
+        x, payload, lo_ok, hi_ok = newton_root(evaluate, 0.5, evaluate(0.5), 0.0, 0.0, 1.0)
+        assert (x, payload, lo_ok, hi_ok) == (0.5, ("at", 0.5), False, False)
+        assert seen == [0.5]
+
+    def test_a_4_ulp_bracket_returns_the_best_point(self):
+        # g jumps from -1 to 1 at c and never meets r_tol = 0.5: the steps
+        # bisect down to a bracket of 4 ulp, whose point of least |g| is
+        # the iterate nearest c
+        c = 0.3
+        evaluate, seen = self._recorded(lambda x: math.copysign(1.0 + abs(x - c), x - c))
+        x, payload, _, _ = newton_root(evaluate, 0.0, evaluate(0.0), 0.5, -1.0, 1.0, True, True)
+        assert abs(x - c) <= 4.0 * math.ulp(c)
+        assert x == min(seen, key=lambda t: abs(t - c)) and payload == ("at", x)
+        assert len(seen) < 200
+
+    def test_budget_error_after_200_evaluations(self):
+        # g < 0 everywhere: the capped steps never find a right end
+        evaluate, seen = self._recorded(lambda x: -1.0)
+        with pytest.raises(BudgetError):
+            newton_root(evaluate, 0.0, evaluate(0.0), 1e-12)
+        assert len(seen) == 200
 
 
 class TestMinimizeConvex2d:
@@ -440,6 +522,9 @@ _BAD_ARRAYS = [
     pytest.param((1.0, math.nan), (1.0, 2.0), 1.0, 1.5, id="nan-weight"),
     pytest.param((1.0, 1.0), (1.0, math.nan), 1.0, 1.5, id="nan-level"),
     pytest.param((1.0, 1.0), (-math.inf, 2.0), 1.0, 1.5, id="infinite-level"),
+    # sigma_k^2 in Var_n(sigma) overflows past about 1.3e154
+    pytest.param((1.0, 1.0), (-1e300, 1e300), 1.0, 1e299, id="huge-levels"),
+    pytest.param((1.0, 1.0), (0.0, 2e150), 1.0, 1e150, id="level-above-1e150"),
     pytest.param((1.0, 1.0), (1.0, 2.0, 3.0), 1.0, 1.5, id="length-mismatch"),
     pytest.param((), (), 1.0, 1.5, id="empty"),
 ]
