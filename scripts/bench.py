@@ -24,7 +24,11 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
                        mb-point's three families: solve_two_mb_be(MB, p,
                        sigma, 1, w) on the first n terms, n = 8, 16, ... up
                        to cli._max_finite_prefix, at w = cli._interior_slope,
-                       reported overall and per family.
+                       reported overall and per family;
+  slow_value           value_mb(1, w) on slowly spaced levels, whose tight
+                       targets lie beyond the term budget: LogLevels(1) at
+                       w = 1.19, 3.19 and 5.19 and PowerLaw(1, 0.5) at
+                       w = 1.5, 3.5 and 5.5, reported overall and per family.
 
 Apart from the cases, ladder_build reports per family what filling the
 cache of slope-root starts costs for the mb_interior and the bf_roundtrip
@@ -62,7 +66,10 @@ solver.minimize_convex_2d:
                        entromin.finite during one finite solve: every
                        evaluation of phi_n in its slope root, and any exp
                        that builds the optimum after it;
-  exp_terms            elements those calls exponentiate.
+  exp_terms            elements those calls exponentiate;
+  budget_errors        BudgetErrors constructed during one slow_value call,
+                       raised or caught, counted through the class's
+                       __init__.
 
 Wall time is the median (with quartiles) over targets of each target's
 median of REPEATS calls, after one untimed warm-up call per target.  All
@@ -126,6 +133,24 @@ def _counting_exp(np, counts):
     finally:
         for module in (solver, finite):
             module.np = np
+
+
+@contextlib.contextmanager
+def _counting_budget_errors(counts):
+    """Count every BudgetError constructed into counts."""
+    from entromin.errors import BudgetError
+
+    init = BudgetError.__init__
+
+    def counting(self, *args):
+        counts["budget_errors"] += 1
+        init(self, *args)
+
+    BudgetError.__init__ = counting
+    try:
+        yield
+    finally:
+        BudgetError.__init__ = init
 
 
 def _quartiles(xs):
@@ -325,6 +350,31 @@ def count_roundtrips(tracer, entromin, trips):
     return {"counts_per_roundtrip": _summary(per_target), "inverse_failures": failures}
 
 
+SLOW_SLOPES = {"loglevels": (1.19, 3.19, 5.19), "powerlaw": (1.5, 3.5, 5.5)}
+
+
+def _slow(entromin, workloads):
+    """(family key, solver, u, v) for every slow_value target."""
+    out = []
+    for key, slopes in SLOW_SLOPES.items():
+        es = entromin.EmpSolver(workloads.build_family(entromin, key))
+        out += [(key, es, 1.0, w) for w in slopes]
+    return out
+
+
+def count_slow_values(tracer, targets, times):
+    """slow_value's counts and wall times, overall and per family."""
+    keys = {"series_passes": "series.passes", "series_terms": "sequences.terms"}
+    per_target = []
+    for _, es, u, v in targets:
+        built = Counter()
+        with _counting_budget_errors(built):
+            counts = _counted(tracer, lambda: es.value_mb(u, v), keys)[1]
+        per_target.append({**counts, "budget_errors": built["budget_errors"]})
+    return {"counts_per_solve": _summary(per_target),
+            "per_family": _per_family(targets, per_target, times)}
+
+
 def _truncations(entromin, workloads):
     """(family key, p, sigma, w) for every finite solve of the CLI's
     truncation check on mb-point's families."""
@@ -424,12 +474,14 @@ def main(argv=None) -> int:
     shifted_es, shifted = _shifted(entromin, interior)
     trips = _roundtrips(entromin, workloads, np)
     truncations = _truncations(entromin, workloads)
+    slow = _slow(entromin, workloads)
     converge_ms = _wall([_timed(lambda f=f: f.converge(1e-3)) for f in fams])
     lattice_ms = _wall([_timed(lambda u=u, v=v: es.solve_mb(u, v)) for u, v in lattice])
     interior_s = [_timed(lambda es=es, u=u, v=v: es.solve_mb(u, v)) for _, es, u, v in interior]
     shifted_ms = _wall([_timed(lambda u=u, v=v: shifted_es.solve_mb(u, v)) for u, v in shifted])
     roundtrip_ms = _wall([_timed(lambda t=t: _roundtrip(*t[1:])) for t in trips])
     truncation_s = [_timed(lambda t=t: _truncated(entromin, *t[1:])) for t in truncations]
+    slow_s = [_timed(lambda es=es, u=u, v=v: es.value_mb(u, v)) for _, es, u, v in slow]
 
     tracer = tracing.Tracer()
     tracer.install()
@@ -447,6 +499,8 @@ def main(argv=None) -> int:
     truncation = {"targets": len(truncations),
                   **count_truncations(np, entromin, truncations, truncation_s),
                   "wall_ms_per_solve": _wall(truncation_s)}
+    slow_value = {"targets": len(slow), **count_slow_values(tracer, slow, slow_s),
+                  "wall_ms_per_solve": _wall(slow_s)}
     cache = _slope_cache()
     build = None if cache is None else {
         "mb_interior": count_ladder_build(
@@ -469,6 +523,7 @@ def main(argv=None) -> int:
             "mb_interior": mb_interior,
             "shifted_interior": shifted,
             "finite_truncation": truncation,
+            "slow_value": slow_value,
         },
         "ladder_build": build,
     }

@@ -23,20 +23,21 @@ one certified evaluation (_certified_slope), which phi returns and whose
 pass also gives phi' = f''/f - phi^2 to phi_inverse's Newton root
 (rootfind.newton_root).  Every inversion starts from the slope ladder: the
 certified slopes at y_k = -alpha - 2^(k/4), k = -48..24, each evaluated
-once per (family, tol, k) on first use and cached (_ladder_entry), as the
-profile is.  The two entries that bracket the target are the first
+once per (family, tol, k, ceiling) on first use and cached (_ladder_entry),
+as the profile is.  The two entries that bracket the target are the first
 bracket, and the nearer one's pass is the first iterate, so a warm
 inversion spends its passes on Newton steps from a nearby start.  The
 conjugate of ln f follows its four-branch closed form, and its interior
 branch (_conjugate_at) is also the solver's interior value.
-A target the term budget cannot certify is relaxed by one rule
-(_first_certified: the first of a fixed list of tolerances that certifies).
-All tolerances are absolute unless noted.
+A pass whose target is beyond the term budget stops at the bound it can
+reach up to a ceiling times it (_eval_many; only _conjugate_at, _refine_f
+and forward_solve pass one).  All tolerances are absolute unless noted.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -79,6 +80,7 @@ _START_BLOCK = 64
 _MB = Entropy.MAXWELL_BOLTZMANN
 _UNIT = (1.0, 1.0)
 _add_reduce = np.add.reduce  # ndarray.sum() without its Python-level wrapper
+_log = logging.getLogger("entromin")
 
 
 class BoundaryCase(Enum):
@@ -134,7 +136,7 @@ class HalfLine:
 # core summation with certified tails
 
 
-def _eval_many(family, y, tols, x=0.0, kind=_MB):
+def _eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0):
     """Certified sums of p_n sigma_n^k m(t_n) exp(t_n), t_n = x + sigma_n y,
     one SeriesEval per key (m, k) of `tols`, in its order, from the one
     certified block-doubling loop, stopped when every tail bracket is
@@ -148,9 +150,10 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB):
     boundary bracket); each sum widens it by exp(x) and its multiplier's
     bounds over the tail (_mult_bounds), which unit sums at x = 0 skip.
 
-    Gives up early when a certified width shrinks too slowly to reach its
-    tolerance within the term budget even at cubic decay: paying the whole
-    budget just to fail made tolerance-ladder fallbacks prohibitively slow.
+    When a certified width shrinks too slowly to reach its tolerance within
+    the term budget even at cubic decay, the block is judged again with
+    every tolerance times the ceiling, and a pass that stops there logs it;
+    BudgetError when that is out of reach too (at once under ceiling 1).
     """
     try:
         ex = math.exp(x)
@@ -162,6 +165,7 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB):
     scaled = bool(x) or bool(mults)
     weighted, bounds = {}, {}
     sums = [[] for _ in tols]
+    asked = None  # the tolerances asked for, once they rose to the ceiling
     lo, hi = 1, _START_BLOCK
     while True:
         logt = family.log_terms(y, lo, hi)
@@ -183,35 +187,42 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB):
             elif k:
                 block = block * sig**k
             acc.append(float(_add_reduce(block)))
-        brackets = []
-        ivs = {}
-        for (m, k), tol in tols.items():
-            if k in ivs:
-                iv = ivs[k]
+        while True:  # judged again once the tolerances rise to the ceiling
+            brackets, ivs = [], {}
+            for (m, k), tol in tols.items():
+                if k in ivs:
+                    iv = ivs[k]
+                else:
+                    iv = ivs[k] = family.tail_interval(y, hi, k)
+                if iv is None:
+                    break
+                if scaled:
+                    mlo, mhi = bounds.get(m, _UNIT)
+                    iv = (ex * iv[0] * mlo, ex * iv[1] * mhi)
+                width = iv[1] - iv[0]
+                if not (width <= tol) or not math.isfinite(iv[1]):
+                    if hi >= 4096 and not width <= tol * (_TERM_BUDGET / hi) ** 3:
+                        if ceiling == 1.0:
+                            raise BudgetError(
+                                f"series tail width {width:.3e} at n={hi} cannot reach "
+                                f"{tol:.3e} within the {_TERM_BUDGET}-term budget "
+                                f"(x={x}, y={y}, sum {(m, k)})"
+                            )
+                        asked, tols, ceiling = tols, {s: t * ceiling for s, t in tols.items()}, 1.0
+                        brackets = None  # judge this block again
+                    break
+                brackets.append(iv)
             else:
-                iv = ivs[k] = family.tail_interval(y, hi, k)
-            if iv is None:
-                brackets = None
+                out = []
+                for acc, (blo, bhi) in zip(sums, brackets):
+                    out.append(SeriesEval(math.fsum(acc) + 0.5 * (blo + bhi), hi, 0.5 * (bhi - blo)))
+                if asked is not None:
+                    _log.debug("series pass stopped at its ceiling: %r at y=%r, n=%d, "
+                               "targets %s, widths %s", family, y, hi, list(asked.values()),
+                               [2.0 * s.tail_bound_used for s in out])
+                return out
+            if brackets is not None:
                 break
-            if scaled:
-                mlo, mhi = bounds.get(m, _UNIT)
-                iv = (ex * iv[0] * mlo, ex * iv[1] * mhi)
-            width = iv[1] - iv[0]
-            if not (width <= tol) or not math.isfinite(iv[1]):
-                brackets = None
-                if hi >= 4096 and not width <= tol * (_TERM_BUDGET / hi) ** 3:
-                    raise BudgetError(
-                        f"series tail width {width:.3e} at n={hi} cannot reach "
-                        f"{tol:.3e} within the {_TERM_BUDGET}-term budget "
-                        f"(x={x}, y={y}, sum {(m, k)})"
-                    )
-                break
-            brackets.append(iv)
-        if brackets is not None:
-            out = []
-            for acc, (blo, bhi) in zip(sums, brackets):
-                out.append(SeriesEval(math.fsum(acc) + 0.5 * (blo + bhi), hi, 0.5 * (bhi - blo)))
-            return out
         if hi >= _TERM_BUDGET:
             raise BudgetError(
                 f"series tails uncertified after {hi} terms at x={x}, y={y} "
@@ -232,7 +243,7 @@ def _check_boundary_summable(family, moment) -> None:
         )
 
 
-def _eval_moments(family, y, tols, x=0.0, kind=_MB):
+def _eval_moments(family, y, tols, x=0.0, kind=_MB, ceiling=1.0):
     """_eval_many at one evaluation point, for the moments of f or for the
     dual sums, once the point is checked: DivergenceError beyond the domain
     or where a moment is not summable at y = -alpha, RangeError at a nan x
@@ -247,7 +258,7 @@ def _eval_moments(family, y, tols, x=0.0, kind=_MB):
     if y == -a:
         for k in sorted({k for _, k in tols}):
             _check_boundary_summable(family, k)
-    return _eval_many(family, y, tols, x, kind)
+    return _eval_many(family, y, tols, x, kind, ceiling)
 
 
 def _overflow_ignored(fn):
@@ -269,20 +280,6 @@ def eval_f(family: SequenceFamily, y: float, tol: float = 1e-12) -> SeriesEval:
     """f(y) within tol, certified; boundary y = -alpha allowed when the
     family proves summability there."""
     return _eval_moments(family, y, {(None, 0): tol})[0]
-
-
-def _first_certified(attempt, tols):
-    """attempt(t) for the first tolerance t of `tols` at which it raises no
-    BudgetError, else the last tier's BudgetError: the one relaxation rule,
-    since slowly spaced levels cannot always certify the nominal target
-    within the term budget.  Only the message of a failed tier is kept: its
-    traceback would pin that pass's term arrays."""
-    for t in tols:
-        try:
-            return attempt(t)
-        except BudgetError as exc:
-            msg = str(exc)
-    raise BudgetError(msg)
 
 
 @_overflow_ignored
@@ -374,15 +371,16 @@ def phi(family: SequenceFamily, y: float, tol: float = 1e-10) -> float:
     return _certified_slope(family, y, 0.25 * tol)[0]
 
 
-def _certified_slope(family, y, tol, scale=None):
-    """(phi(y), phi'(y), certified f(y), the scale it measured), phi(y)
-    within tol, from moments-(0, 1, 2) passes whose tolerances assume the
-    scale (f(y), max(|phi(y)|, 1)), taken from one pass at tolerance 1e-4
-    when None; a pass whose certified error of phi misses tol is repeated
-    at the scale it measured, at most four passes in all.  phi' = f''/f -
-    phi^2 is the variance of sigma under the Gibbs weights; it only proposes
-    steps, so moment 2 needs a finite tail bracket but no tolerance: each
-    pass stops when moments 0 and 1 are certified."""
+def _certified_slope(family, y, tol, scale=None, ceiling=1.0):
+    """(phi(y), phi'(y), certified f(y), the scale it measured, e), phi(y)
+    within e >= tol, from moments-(0, 1, 2) passes whose tolerances assume
+    the scale (f(y), max(|phi(y)|, 1)), taken from one pass at tolerance
+    1e-4 when None; a pass whose certified error of phi misses tol is
+    repeated at the scale it measured, at most four passes in all, unless
+    it stopped at its ceiling (a width above its tolerance).  phi' = f''/f
+    - phi^2 is the variance of sigma under the Gibbs weights; it only
+    proposes steps, so moment 2 needs a finite tail bracket but no
+    tolerance: each pass stops when moments 0 and 1 are certified."""
     if scale is None:
         rough = _eval_moments(family, y, {(None, 0): 1e-4, (None, 1): 1e-4})
         f_scale = max(rough[0].value, 1e-300)
@@ -390,16 +388,19 @@ def _certified_slope(family, y, tol, scale=None):
     for _ in range(4):
         f_scale, ratio = scale
         t1 = 0.25 * tol * f_scale
-        s0, s1, s2 = _eval_moments(
-            family, y, {(None, 0): t1 / ratio, (None, 1): t1, (None, 2): math.inf}
-        )
+        tols = {(None, 0): t1 / ratio, (None, 1): t1, (None, 2): math.inf}
+        s0, s1, s2 = _eval_moments(family, y, tols, 0.0, _MB, ceiling)
         if s0.value == 0.0:
             raise RangeError(f"f({y}) underflows to 0: phi has no float value there")
         p = s1.value / s0.value
         scale = (max(s0.value, 1e-300), max(abs(p), 1.0))
         floor = s0.value - s0.tail_bound_used
-        if floor > 0.0 and (s1.tail_bound_used + abs(p) * s0.tail_bound_used) / floor <= tol:
-            return p, s2.value / s0.value - p * p, s0, scale
+        if floor > 0.0:
+            e = (s1.tail_bound_used + abs(p) * s0.tail_bound_used) / floor
+            if e <= tol or ceiling > 1.0 and (  # a ceiling stop: a width above its tolerance
+                2.0 * s0.tail_bound_used > t1 / ratio or 2.0 * s1.tail_bound_used > t1
+            ):
+                return p, s2.value / s0.value - p * p, s0, scale, max(e, tol)
     raise BudgetError(f"phi({y}) not certified to {tol:.3e}")
 
 
@@ -425,20 +426,20 @@ _LADDER_K = (-48, 24)
 
 
 @functools.lru_cache(maxsize=4096)
-def _ladder_entry(family: SequenceFamily, tol: float, k: int):
-    """(y_k, phi(y_k), phi'(y_k), certified f(y_k), scale): _certified_slope
-    at y_k = -alpha - 2^(k/4) to 0.25 tol, its scale from its own rough
-    pass, so an entry depends on (family, tol, k) alone.  Cached as
-    _profile_cached is; an entry that raises (BudgetError, or RangeError
-    where f(y_k) underflows or y_k rounds to -alpha) is not cached."""
+def _ladder_entry(family: SequenceFamily, tol: float, k: int, ceiling: float = 1.0):
+    """(y_k, phi(y_k), phi'(y_k), certified f(y_k), scale, e): _certified_slope
+    at y_k = -alpha - 2^(k/4) to 0.25 tol, its scale from its own rough pass,
+    so an entry depends on its arguments alone.  Cached as _profile_cached
+    is; an entry that raises (BudgetError, or RangeError where f(y_k)
+    underflows or y_k rounds to -alpha) is not cached."""
     a = family.alpha
     y = -a - 2.0 ** (0.25 * k)
     if not y < -a:
         raise RangeError(f"ladder point {k} rounds to -alpha = {-a}")
-    return (y, *_certified_slope(family, y, 0.25 * tol))
+    return (y, *_certified_slope(family, y, 0.25 * tol, None, ceiling))
 
 
-def _ladder_bracket(family, w, tol):
+def _ladder_bracket(family, w, tol, ceiling):
     """(inner, outer): the ladder entries nearest w on either side, inner's
     phi on the near side of w, outer's at or beyond it.  The search gallops
     outward from k = 0 (y = -alpha - 1) and then bisects, so its path
@@ -447,7 +448,7 @@ def _ladder_bracket(family, w, tol):
     before w is bracketed, and a bisection stops there with the bracket it
     has.  An error of the k = 0 entry itself propagates."""
     lo_k, hi_k = _LADDER_K
-    inner_k, inner = 0, _ladder_entry(family, tol, 0)
+    inner_k, inner = 0, _ladder_entry(family, tol, 0, ceiling)
     d = 1 if inner[1] > w else -1  # phi falls as k grows
 
     def beyond(e):
@@ -455,7 +456,7 @@ def _ladder_bracket(family, w, tol):
 
     def entry(k):
         try:
-            return _ladder_entry(family, tol, k)
+            return _ladder_entry(family, tol, k, ceiling)
         except (BudgetError, RangeError):
             return None
 
@@ -481,11 +482,13 @@ def _ladder_bracket(family, w, tol):
     return inner, outer
 
 
-def _invert_slope(family, w, tol) -> tuple[float, SeriesEval]:
+def _invert_slope(family, w, tol, ceiling=1.0) -> tuple[float, SeriesEval]:
     """phi_inverse's root together with the certified f(y) from its last
     pass, so that a caller needing f at the root re-sums it only when that
     pass's bound is too loose.  The first bracket and the first iterate
-    come from the slope ladder (_ladder_bracket) with no new pass."""
+    come from the slope ladder (_ladder_bracket) with no new pass.  A slope
+    certified only to e > q = 0.25 tol (a ceiling stop) passes at |phi - w|
+    <= 3 e: newton_root sees the residual times q / e (point)."""
     prof = profile(family)
     if not math.isfinite(w) or w <= prof.theta1 or w >= prof.theta2:
         raise RangeError(
@@ -493,12 +496,13 @@ def _invert_slope(family, w, tol) -> tuple[float, SeriesEval]:
         )
     t1 = prof.theta1
     lo, hi = -math.inf, -prof.alpha  # phi tends to theta2 > w at -alpha
-    start, outer = _ladder_bracket(family, w, tol)
+    start, outer = _ladder_bracket(family, w, tol, ceiling)
     if outer is not None:
         lo, hi = sorted((start[0], outer[0]))
         if abs(outer[1] - w) < abs(start[1] - w):
             start = outer
-    y, p, dp, f_y, scale = start
+    y, p, dp, f_y, scale, e = start
+    q = 0.25 * tol
 
     def newton(y, p, dp):
         # the step on ln(phi - theta1), nearly linear where phi tends to
@@ -508,15 +512,16 @@ def _invert_slope(family, w, tol) -> tuple[float, SeriesEval]:
         d = p - t1
         return y + (-math.log(d / (w - t1)) * d / dp if d > 0.0 else (w - p) / dp)
 
+    def point(y, p, dp, f_y, e):
+        return (p - w) * (q / e) if e > q else p - w, newton(y, p, dp), f_y
+
     def evaluate(y):
         # each point takes its tolerance scale from the one before it
         nonlocal scale
-        p, dp, f_y, scale = _certified_slope(family, y, 0.25 * tol, scale)
-        return p - w, newton(y, p, dp), f_y
+        p, dp, f_y, scale, e = _certified_slope(family, y, q, scale, ceiling)
+        return point(y, p, dp, f_y, e)
 
-    y, f_y, _, _ = newton_root(
-        evaluate, y, (p - w, newton(y, p, dp), f_y), 0.75 * tol, lo, hi, True, True
-    )
+    y, f_y, _, _ = newton_root(evaluate, y, point(y, p, dp, f_y, e), 0.75 * tol, lo, hi, True, True)
     return y, f_y
 
 
@@ -542,14 +547,12 @@ def lnf_conjugate(family: SequenceFamily, w: float, tol: float = 1e-10) -> float
 def _conjugate_at(family, w, tol, f_rtol) -> tuple[float, float, float]:
     """((ln f)*(w), y, ln f(y)) at theta1 < w < theta2, with y the slope root
     phi(y) = w and (ln f)*(w) = w y - ln f(y).  The root's residual target
-    is 0.25 min(tol, 1e-12), else 0.25 max(tol, 1e-10), else 1e-5, the first
-    the family's tails can certify: a residual delta costs only O(delta^2)
-    in the value.  f(y) holds to f_rtol(c) max(1, f(y)) (_refine_f), with c
-    the (ln f)*(w) of the root's last pass."""
-    y, f_y = _first_certified(
-        lambda t: _invert_slope(family, w, t),
-        (min(tol, 1e-12) * 0.25, max(tol, 1e-10) * 0.25, 1e-5),
-    )
+    t = 0.25 min(tol, 1e-12) rises up to 1e-5 where the family's tails cannot
+    certify it (_invert_slope under the ceiling 1e-5 / t, none at the float
+    floor): a residual delta costs only O(delta^2) in the value.  f(y) holds
+    to f_rtol(c) max(1, f(y)) (_refine_f), c the root's last (ln f)*(w)."""
+    t = 0.25 * min(tol, 1e-12)
+    y, f_y = _invert_slope(family, w, t, 1e-5 / t if t > 1e-300 else 1.0)
     rtol = f_rtol(w * y - math.log(f_y.value))
     ln_f = math.log(_refine_f(family, y, f_y, rtol).value)
     return w * y - ln_f, y, ln_f
@@ -557,15 +560,12 @@ def _conjugate_at(family, w, tol, f_rtol) -> tuple[float, float, float]:
 
 def _refine_f(family, y, f_y: SeriesEval, rtol: float) -> SeriesEval:
     """f(y) to rtol max(1, f(y)): the root pass's f_y when its bound is that
-    tight, else the tighter of f_y and a re-sum at that tolerance relaxed in
-    grades of ten up to 10^4 (_first_certified)."""
+    tight, else the tighter of f_y and a re-sum at that tolerance, which may
+    stop at up to 10^4 times it (the kernel's ceiling)."""
     f_tol = max(rtol * max(1.0, f_y.value), 5e-324)
     if f_y.tail_bound_used <= f_tol:
         return f_y
-    resum = _first_certified(
-        lambda t: _eval_moments(family, y, {(None, 0): t})[0],
-        [f_tol * m for m in (1.0, 10.0, 100.0, 1e3, 1e4)],
-    )
+    resum = _eval_moments(family, y, {(None, 0): f_tol}, 0.0, _MB, 1e4)[0]
     return min(f_y, resum, key=lambda s: s.tail_bound_used)
 
 
@@ -634,7 +634,7 @@ def eval_h(
         return math.inf
 
 
-def _dual_sums(family, kind, x, y, tols) -> list[SeriesEval]:
+def _dual_sums(family, kind, x, y, tols, ceiling=1.0) -> list[SeriesEval]:
     """_eval_moments for sums of h_W and its derivatives (keys of `tols` as
     in _eval_many), with DomainError for a degenerate family, y > -alpha, a
     Hessian sum at y = -alpha, e^(x + theta1 y) >= 1 under bose-einstein, or a
@@ -649,7 +649,7 @@ def _dual_sums(family, kind, x, y, tols) -> list[SeriesEval]:
     if kind is Entropy.BOSE_EINSTEIN and _outside_be(family, x, y):
         raise DomainError(f"({x}, {y}) outside dom h_BE: e^(x + theta1 y) is not below 1")
     try:
-        return _eval_moments(family, y, tols, x, kind)
+        return _eval_moments(family, y, tols, x, kind, ceiling)
     except DivergenceError as exc:
         raise DomainError(f"dual series diverges at ({x}, {y}): {exc}") from exc
 
@@ -658,7 +658,7 @@ _VALUE_GRADIENT = (("conj", 0), ("grad", 0), ("grad", 1))
 _HESSIAN = (("hess", 0), ("hess", 1), ("hess", 2))
 
 
-def _dual_point(family, kind, x, y, tol, hessian=True) -> list[SeriesEval]:
+def _dual_point(family, kind, x, y, tol, hessian=True, ceiling=1.0) -> list[SeriesEval]:
     """[h, h_x, h_y] of h_W at (x, y), followed by [h_xx, h_xy, h_yy] when
     `hessian`, each certified within tol, from one pass of _eval_many: what
     a Newton point or a forward solve needs, where eval_h, grad_h and
@@ -668,10 +668,10 @@ def _dual_point(family, kind, x, y, tol, hessian=True) -> list[SeriesEval]:
     allowed in boundary case (c)."""
     sums = _VALUE_GRADIENT + _HESSIAN if hessian else _VALUE_GRADIENT
     if kind is not _MB:
-        return _dual_sums(family, kind, x, y, dict.fromkeys(sums, tol))
+        return _dual_sums(family, kind, x, y, dict.fromkeys(sums, tol), ceiling)
     # one sum per moment; the 'hess' key keeps _dual_sums' y < -alpha check
     per_moment = (("conj", 0), ("grad", 1), ("hess", 2))[: 3 if hessian else 2]
-    moments = _dual_sums(family, kind, x, y, dict.fromkeys(per_moment, tol))
+    moments = _dual_sums(family, kind, x, y, dict.fromkeys(per_moment, tol), ceiling)
     return [moments[k] for _, k in sums]
 
 

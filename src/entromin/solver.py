@@ -536,14 +536,13 @@ class EmpSolver:
             raise DomainError(
                 f"gradient series does not converge at y={y} (dom f endpoint)"
             )
-        # slowly spaced level families may not certify the tight tolerance;
+        # slowly spaced level families may certify only up to 10^3 tol;
         # at a huge negative y, sigma_n y overflows to -inf, a term of 0
         with np.errstate(over="ignore"):
             h, u, v_n = (
                 s.value
-                for s in series._first_certified(
-                    lambda t: series._dual_point(self._fam, kind, x_n, y_n, t, hessian=False),
-                    (self.tol, 1e3 * self.tol),
+                for s in series._dual_point(
+                    self._fam, kind, x_n, y_n, self.tol, hessian=False, ceiling=1e3
                 )
             )
         return self._attained(kind, x_n, y_n, u, v_n, x_n * u + y_n * v_n - h, (x, y))

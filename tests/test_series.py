@@ -384,7 +384,7 @@ _LADDER_CASES = [
 class TestSlopeLadder:
     """Every slope inversion starts from the cached certified slopes at
     y_k = -alpha - 2^(k/4) that bracket its target; an entry depends on
-    (family, tol, k) alone, and one that raises is not cached."""
+    (family, tol, k, ceiling) alone, and one that raises is not cached."""
 
     @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
     def test_results_do_not_depend_on_the_filled_entries(self, family, v1, v2, slopes):

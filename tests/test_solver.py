@@ -3,6 +3,7 @@ values, attainment, epsilon-optimal families, forward/inverse solves,
 objective evaluation, weak duality and the biconjugate identity."""
 
 import gc
+import logging
 import math
 import sys
 import threading
@@ -940,8 +941,41 @@ def log_solver():
 
 
 class TestSlowlySpacedLevels:
-    """Logarithmic levels converge like powers of 1/N, exercising the
-    tolerance-ladder fallbacks instead of the tight closed-form paths."""
+    """Logarithmic levels converge like powers of 1/N, so their sums stop
+    at a bound above the tight target (the kernel's ceiling) instead of
+    taking the tight closed-form paths."""
+
+    @pytest.mark.parametrize("w", [1.19, 3.19, 5.19])
+    def test_value_in_one_pass_per_step(self, log_solver, monkeypatch, w):
+        # f(y) = zeta(-y) - 1 and phi(y) = -zeta'(-y) / f(y); a tight
+        # target out of reach used to cost whole passes ending in a
+        # BudgetError and a restart at a looser target
+        mpmath = pytest.importorskip("mpmath")
+        log_solver.value_mb(1.0, w)
+        built = _count_budget_errors(monkeypatch)
+        passes = _count_kernel_passes(monkeypatch)
+        sol = log_solver.solve_mb(1.0, w)
+        assert built == [] and len(passes) <= 5
+        with mpmath.workdps(30):
+            f = lambda y: mpmath.zeta(-y) - 1
+            y = mpmath.findroot(lambda y: -mpmath.zeta(-y, 1, 1) / f(y) - w, sol.multipliers[1])
+            exact = float(-1 + w * y - mpmath.log(f(y)))
+        assert abs(sol.value - exact) <= 1e-13 * max(1.0, abs(exact))
+
+    def test_power_law_slope_roots_near_the_ladder_end(self, monkeypatch):
+        # PowerLaw(1, 0.5) cannot certify a tight slope left of y = -0.25:
+        # its ladder entry k = -15 stops at its ceiling and is cached, where
+        # an entry that raised was paid again by every solve
+        solver = EmpSolver(PowerLaw(1.0, 0.5))
+        ws = np.random.default_rng(17).uniform(7.7, 9.0, 40)
+        for w in ws:
+            solver.solve_mb(1.0, float(w))
+        built = _count_budget_errors(monkeypatch)
+        passes = _count_kernel_passes(monkeypatch)
+        for w in ws:
+            assert solver.solve_mb(1.0, float(w)).region is Region.INTERIOR
+        assert built == []
+        assert len(passes) / len(ws) < 5.0
 
     def test_value_against_truncated_primal(self, log_solver):
         sol = log_solver.solve_mb(1.3, 1.56)
@@ -1081,9 +1115,10 @@ _BLOCKS = []  # weakrefs to the level blocks of _CoarseTails
 
 
 class _CoarseTails(Arithmetic):
-    """Unit weights, sigma_n = n, with every tail bracket widened to 5e-13
-    below n = 4096 and to 1 from there: a tolerance under 5e-13 fails once
-    the pass reaches n = 4096, a looser one certifies in the first block."""
+    """Unit weights, sigma_n = n, with every tail bracket widened to 1e-2
+    below n = 8192 and to 5e-13 from there: a tolerance under about 1e-3
+    is out of reach by the kernel's give-up rule at n = 4096, and one that
+    rose to its ceiling certifies at n = 8192."""
 
     def sigma_array(self, lo, hi):
         out = super().sigma_array(lo, hi)
@@ -1092,43 +1127,112 @@ class _CoarseTails(Arithmetic):
 
     def tail_interval(self, y, n, moment=0):
         lo, hi = super().tail_interval(y, n, moment)
-        return lo, max(hi, lo + (5e-13 if n < 4096 else 1.0))
+        return lo, max(hi, lo + (1e-2 if n < 8192 else 5e-13))
 
 
-class TestRelaxationFreesFailedPass:
-    """A tolerance relaxation must not keep the failed pass alive through
-    its BudgetError, whose traceback reaches the frame holding the term
-    arrays; with the cyclic collector off, only reference counts free them."""
+def _count_budget_errors(monkeypatch) -> list:
+    """A list that gains the message of every BudgetError constructed."""
+    built = []
+    init = BudgetError.__init__
 
-    def _run(self, call):
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(BudgetError, "__init__", counting)
+    return built
+
+
+def _count_kernel_passes(monkeypatch) -> list:
+    """A list that gains one entry per pass of series._eval_many: True for
+    a pass that returned stopped at its ceiling (a width above a tolerance
+    it was asked for), else False."""
+    passes = []
+    kernel = series._eval_many
+
+    def counting(family, y, tols, *args):
+        passes.append(False)
+        out = kernel(family, y, tols, *args)
+        passes[-1] = any(2.0 * s.tail_bound_used > t for s, t in zip(out, tols.values()))
+        return out
+
+    monkeypatch.setattr(series, "_eval_many", counting)
+    return passes
+
+
+_LOOSE = series.SeriesEval(1.0, 64, math.inf)  # a root pass's f too loose to keep
+_CEILING_CALLS = {
+    # f re-summed to 1e-13 (the tolerance of the root's f at f < 1)
+    "refine_f": lambda: series._refine_f(_CoarseTails(), -1.0, _LOOSE, 1e-13),
+    # phi(-ln 2) = 2 and f(-ln 2) = 1
+    "lnf_conjugate": lambda: series.lnf_conjugate(_CoarseTails(), 2.0, 1e-13),
+    "forward_solve": lambda: EmpSolver(_CoarseTails(), tol=1e-13).forward_solve(MB, 0.0, -1.0),
+}
+
+
+class TestCeilingStop:
+    """A sum whose target is out of reach stops, in the same pass, at the
+    bound it can reach below its ceiling, where a ladder of tolerances
+    used to throw the pass away and start again from n = 1."""
+
+    @pytest.fixture(autouse=True)
+    def _cold(self):
+        series._ladder_entry.cache_clear()
+
+    def _run(self, monkeypatch, name):
+        # with the cyclic collector off, only reference counts free the
+        # term arrays once the call returns
+        built = _count_budget_errors(monkeypatch)
         _BLOCKS.clear()
         gc.collect()
         gc.disable()
         try:
-            result = call()
-            assert len(_BLOCKS) >= 8  # the failed pass to n = 4096, then one block
+            result = _CEILING_CALLS[name]()
+            assert len(_BLOCKS) >= 8  # one pass to n = 8192 at least
             assert all(ref() is None for ref in _BLOCKS)
         finally:
             gc.enable()
+        assert built == []
         return result
 
-    def test_eval_f_ladder(self):
-        # a root pass's f too loose for the target: f is re-summed, and the
-        # first grade (1e-13) fails at n = 4096
-        loose = series.SeriesEval(1.0, 64, math.inf)
-        got = self._run(lambda: series._refine_f(_CoarseTails(), -1.0, loose, 1e-13))
+    def test_refine_f(self, monkeypatch):
+        got = self._run(monkeypatch, "refine_f")
         assert got.value == pytest.approx(1.0 / (math.e - 1.0), abs=1e-12)
+        assert got.tail_bound_used > 1e-13  # the re-sum stopped above its target
 
-    def test_conjugate_root_ladder(self):
-        # the first root tier (residual 2.5e-14) fails at n = 4096 and the
-        # second (2.5e-11) certifies; phi(-ln 2) = 2 and f(-ln 2) = 1
-        got = self._run(lambda: series.lnf_conjugate(_CoarseTails(), 2.0, 1e-13))
+    def test_lnf_conjugate(self, monkeypatch):
+        got = self._run(monkeypatch, "lnf_conjugate")
         assert got == pytest.approx(-2.0 * LN2, abs=1e-10)
 
-    def test_forward_solve_ladder(self):
-        solver = EmpSolver(_CoarseTails(), tol=1e-13)
-        sol = self._run(lambda: solver.forward_solve(MB, 0.0, -1.0))
+    def test_forward_solve(self, monkeypatch):
+        sol = self._run(monkeypatch, "forward_solve")
         assert sol.u == pytest.approx(1.0 / (math.e - 1.0), abs=1e-10)
+
+    @pytest.mark.parametrize("name", list(_CEILING_CALLS))
+    def test_each_ceiling_stop_logs_one_record(self, monkeypatch, caplog, name):
+        passes = _count_kernel_passes(monkeypatch)
+        caplog.set_level(logging.DEBUG, logger="entromin")
+        _CEILING_CALLS[name]()
+        records = [r for r in caplog.records if r.name == "entromin"]
+        assert sum(passes) >= 1
+        assert len(records) == sum(passes)
+        assert all("stopped at its ceiling" in r.getMessage() for r in records)
+
+    @pytest.mark.parametrize("tol", [0.0, 5e-324])
+    def test_a_target_at_the_float_floor_takes_no_ceiling(self, tol):
+        # the ceiling 1e-5 / t has no float value at t = 0.25 min(tol, 1e-12)
+        family = Arithmetic(0.0, 1.0)
+        assert series.lnf_conjugate(family, 2.0, tol) == pytest.approx(-2.0 * LN2, abs=1e-12)
+        assert EmpSolver(family, tol=tol).value_mb(1.0, 2.0) == pytest.approx(G_INTERIOR, abs=1e-12)
+
+    def test_a_negative_tolerance_is_an_emp_error(self):
+        with pytest.raises(EmpError):
+            series.lnf_conjugate(Arithmetic(0.0, 1.0), 2.0, -1.0)
+
+    def test_an_interior_solve_logs_nothing(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="entromin")
+        assert EmpSolver(Arithmetic(0.0, 1.0)).solve_mb(1.0, 2.0).region is Region.INTERIOR
+        assert [r for r in caplog.records if r.name == "entromin"] == []
 
 
 ZETA_THETA2 = ZETA2 / ZETA3
