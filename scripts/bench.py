@@ -28,7 +28,14 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
   slow_value           value_mb(1, w) on slowly spaced levels, whose tight
                        targets lie beyond the term budget: LogLevels(1) at
                        w = 1.19, 3.19 and 5.19 and PowerLaw(1, 0.5) at
-                       w = 1.5, 3.5 and 5.5, reported overall and per family.
+                       w = 1.5, 3.5 and 5.5, reported overall and per family;
+  slow_roundtrip       the inverse half of three LogLevels(1) round trips
+                       near the domain endpoint, where tight Newton-point
+                       sums lie beyond the term budget: forward_solve(kind,
+                       x, y) once in setup, then inverse_solve_bf(kind, u,
+                       v, 1e-10) at (BE, -1.572..., -1.685...), (FD,
+                       2.567..., -1.617...) and (FD, 2.536..., -2.264...)
+                       (SLOW_TRIPS), reported overall and per round trip.
 
 Apart from the cases, ladder_build reports per family what filling the
 cache of slope-root starts costs for the mb_interior and the bf_roundtrip
@@ -67,9 +74,9 @@ solver.minimize_convex_2d:
                        evaluation of phi_n in its slope root, and any exp
                        that builds the optimum after it;
   exp_terms            elements those calls exponentiate;
-  budget_errors        BudgetErrors constructed during one slow_value call,
-                       raised or caught, counted through the class's
-                       __init__.
+  budget_errors        BudgetErrors constructed during one slow_value call
+                       or round trip, raised or caught, counted through the
+                       class's __init__.
 
 Wall time is the median (with quartiles) over targets of each target's
 median of REPEATS calls, after one untimed warm-up call per target.  All
@@ -306,7 +313,11 @@ def _roundtrips(entromin, workloads, np):
 
 def _roundtrip(es, kind, x, y):
     fwd = es.forward_solve(kind, x, y)
-    return es.inverse_solve_bf(kind, fwd.u, fwd.v, 1e-10)
+    return _inverse(es, kind, fwd.u, fwd.v)
+
+
+def _inverse(es, kind, u, v):
+    return es.inverse_solve_bf(kind, u, v, 1e-10)
 
 
 class _CountingNewton:
@@ -332,22 +343,45 @@ class _CountingNewton:
         return self._fn(*bound.args, **bound.kwargs)
 
 
-def count_roundtrips(tracer, entromin, trips):
+def count_roundtrips(tracer, entromin, trips, call=_roundtrip):
+    """The counts of call(*trip[1:]) for each trip, in their order, and how
+    many of them returned an InverseFailure."""
     from entromin import solver
 
     keys = {"series_passes": "series.passes", "series_terms": "sequences.terms"}
     newton = solver.minimize_convex_2d
     per_target, failures = [], 0
     for trip in trips:
-        points = Counter()
-        solver.minimize_convex_2d = _CountingNewton(newton, points)
+        counted = Counter()
+        solver.minimize_convex_2d = _CountingNewton(newton, counted)
         try:
-            result, counts = _counted(tracer, lambda t=trip: _roundtrip(*t[1:]), keys)
+            with _counting_budget_errors(counted):
+                result, counts = _counted(tracer, lambda t=trip: call(*t[1:]), keys)
         finally:
             solver.minimize_convex_2d = newton
         failures += isinstance(result, entromin.InverseFailure)
-        per_target.append({**counts, "newton_points": points["newton_points"]})
-    return {"counts_per_roundtrip": _summary(per_target), "inverse_failures": failures}
+        per_target.append({**counts, "newton_points": counted["newton_points"],
+                           "budget_errors": counted["budget_errors"]})
+    return per_target, failures
+
+
+SLOW_TRIPS = (
+    ("be", -1.5724672244573579, -1.685160659795017),
+    ("fd", 2.567434108467147, -1.6177673101565806),
+    ("fd", 2.5365574570108045, -2.2643561422253207),
+)
+
+
+def _slow_trips(entromin, workloads):
+    """(family key, solver, kind, u, v) for every slow_roundtrip target,
+    (u, v) from the forward solve at its multipliers."""
+    es = entromin.EmpSolver(workloads.build_family(entromin, "loglevels"))
+    kinds = {"be": entromin.Entropy.BOSE_EINSTEIN, "fd": entromin.Entropy.FERMI_DIRAC}
+    out = []
+    for k, x, y in SLOW_TRIPS:
+        fwd = es.forward_solve(kinds[k], x, y)
+        out.append(("loglevels", es, kinds[k], fwd.u, fwd.v))
+    return out
 
 
 SLOW_SLOPES = {"loglevels": (1.19, 3.19, 5.19), "powerlaw": (1.5, 3.5, 5.5)}
@@ -473,6 +507,7 @@ def main(argv=None) -> int:
     interior = _interior(entromin, workloads, reqs)
     shifted_es, shifted = _shifted(entromin, interior)
     trips = _roundtrips(entromin, workloads, np)
+    slow_trips = _slow_trips(entromin, workloads)
     truncations = _truncations(entromin, workloads)
     slow = _slow(entromin, workloads)
     converge_ms = _wall([_timed(lambda f=f: f.converge(1e-3)) for f in fams])
@@ -480,6 +515,7 @@ def main(argv=None) -> int:
     interior_s = [_timed(lambda es=es, u=u, v=v: es.solve_mb(u, v)) for _, es, u, v in interior]
     shifted_ms = _wall([_timed(lambda u=u, v=v: shifted_es.solve_mb(u, v)) for u, v in shifted])
     roundtrip_ms = _wall([_timed(lambda t=t: _roundtrip(*t[1:])) for t in trips])
+    slow_trip_s = [_timed(lambda t=t: _inverse(*t[1:])) for t in slow_trips]
     truncation_s = [_timed(lambda t=t: _truncated(entromin, *t[1:])) for t in truncations]
     slow_s = [_timed(lambda es=es, u=u, v=v: es.value_mb(u, v)) for _, es, u, v in slow]
 
@@ -494,8 +530,18 @@ def main(argv=None) -> int:
                "wall_ms_per_solve": shifted_ms}
     mb_interior = {"targets": len(interior), **count_interior(tracer, interior, interior_s),
                    "wall_ms_per_solve": _wall(interior_s)}
-    roundtrip = {"targets": len(trips), **count_roundtrips(tracer, entromin, trips),
-                 "wall_ms_per_roundtrip": roundtrip_ms}
+    per_trip, failures = count_roundtrips(tracer, entromin, trips)
+    roundtrip = {"targets": len(trips), "counts_per_roundtrip": _summary(per_trip),
+                 "inverse_failures": failures, "wall_ms_per_roundtrip": roundtrip_ms}
+    per_trip, failures = count_roundtrips(tracer, entromin, slow_trips, _inverse)
+    slow_roundtrip = {
+        "targets": len(slow_trips), "counts_per_roundtrip": _summary(per_trip),
+        "inverse_failures": failures, "wall_ms_per_roundtrip": _wall(slow_trip_s),
+        "per_roundtrip": [
+            {"kind": k, "x": x, "y": y, "wall_ms": 1e3 * t, **counts}
+            for (k, x, y), t, counts in zip(SLOW_TRIPS, slow_trip_s, per_trip)
+        ],
+    }
     truncation = {"targets": len(truncations),
                   **count_truncations(np, entromin, truncations, truncation_s),
                   "wall_ms_per_solve": _wall(truncation_s)}
@@ -524,6 +570,7 @@ def main(argv=None) -> int:
             "shifted_interior": shifted,
             "finite_truncation": truncation,
             "slow_value": slow_value,
+            "slow_roundtrip": slow_roundtrip,
         },
         "ladder_build": build,
     }
@@ -538,6 +585,8 @@ def main(argv=None) -> int:
             means = ", ".join(f"{k} {v['mean']:.2f}" for k, v in sub["counts_per_solve"].items())
             print(f"  {fam}: {sub['targets']} targets; {means}; "
                   f"median {sub['wall_ms_per_solve']['median']:.3f} ms")
+        for trip in case.get("per_roundtrip", []):
+            print("  " + ", ".join(f"{k} {v}" for k, v in trip.items()))
     for name, per_family in (build or {}).items():
         print(f"ladder_build, {name}: " + "; ".join(
             f"{fam} {b['entries']} entries, {b['series_passes']} passes, "

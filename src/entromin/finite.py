@@ -303,12 +303,13 @@ def _dual_newton(kind, p, sigma, u, v, a0: float, b0: float) -> FiniteSolution:
             float((p * conj).sum()) - a * u - b * v,
             (float((p * g).sum()) - u, float((ps * g).sum()) - v),
             (float((p * gp).sum()), float((ps * gp).sum()), float((ps * s * gp).sum())),
+            1e-11,
         )
 
     with np.errstate(over="ignore"):
         res = minimize_convex_2d(
             evaluate, lambda a, b: not bose or (a + b * s).max() < 0.0,
-            (a0, b0), (max(1.0, u), max(1.0, abs(v))), 1e-11,
+            (a0, b0), (max(1.0, u), max(1.0, abs(v))),
         )
         if not res.converged:
             name = kind.name.lower().replace("_", "-")

@@ -17,7 +17,7 @@ independent reference root for the Newton loops.
 minimize_convex_2d: damped Newton on the smooth convex dual potential of
 every two-variable solve (finite bose-einstein and fermi-dirac, inverse
 solves over countable families), with backtracking kept in its domain; one
-callback gives the potential, its gradient and its Hessian at a point.
+callback gives the potential with its gradient, Hessian and tolerance.
 """
 
 from __future__ import annotations
@@ -157,30 +157,31 @@ class NewtonResult:
     message: str = ""
 
 
-def minimize_convex_2d(evaluate, in_domain, start, scales, tol) -> NewtonResult:
+def minimize_convex_2d(evaluate, in_domain, start, scales) -> NewtonResult:
     """Damped Newton from `start` for the minimizer of a smooth, strictly
-    convex F: evaluate(x, y) returns (F, (r0, r1), (h00, h01, h11)), F with
-    its gradient and its Hessian at one point, so that a caller can get all
-    three from one pass over its terms; in_domain(x, y) tells whether F is
-    finite there.  Each point is evaluated once: a line-search point that is
-    accepted brings its gradient and Hessian to the next step.
+    convex F: evaluate(x, y) returns (F, (r0, r1), (h00, h01, h11), tol), F
+    with its gradient and its Hessian at one point, so that a caller can get
+    all three from one pass over its terms, and the tolerance that point's
+    residual is judged at; in_domain(x, y) tells whether F is finite there.
+    Each point is evaluated once: a line-search point that is accepted
+    brings its gradient, Hessian and tolerance to the next step.
 
-    One rule on norm = max_i |r_i| / scales[i]: stop at tol.  Below 1e-6,
-    the quadratic basin, the Armijo decrease of F sinks below float noise,
-    so steps are undamped there, and four basin steps without a new best
-    norm mean the float floor is reached; outside it the Armijo decrease
-    guarantees progress.  Once progress stops the best iterate is accepted
-    if its norm is within max(tol, 1e-9).
+    One rule on norm = max_i |r_i| / scales[i]: stop at the point's tol.
+    Below 1e-6, the quadratic basin, the Armijo decrease of F sinks below
+    float noise, so steps are undamped there, and four basin steps without a
+    new best norm mean the float floor is reached; outside it the Armijo
+    decrease guarantees progress.  Once progress stops the best iterate is
+    accepted if its norm is within max(its tol, 1e-9).
     """
     basin = 1e-6
     x, y = start
-    d_cur, (r0, r1), hess = evaluate(x, y)
-    best, best_norm, stale = None, math.inf, 0
+    d_cur, (r0, r1), hess, tol = evaluate(x, y)
+    best, best_norm, best_tol, stale = None, math.inf, tol, 0
     message = "no convergence in 100 steps"
     for _ in range(100):
         norm = max(abs(r0) / scales[0], abs(r1) / scales[1])
         if norm < best_norm:
-            best, best_norm, stale = ((x, y), (r0, r1), d_cur), norm, 0
+            best, best_norm, best_tol, stale = ((x, y), (r0, r1), d_cur), norm, tol, 0
         elif norm <= basin:
             stale += 1
         if norm <= tol:
@@ -199,14 +200,14 @@ def minimize_convex_2d(evaluate, in_domain, start, scales, tol) -> NewtonResult:
         for _ in range(60):
             xx, yy = x + step * dx, y + step * dy
             if in_domain(xx, yy):
-                d_new, r_new, h_new = evaluate(xx, yy)
+                d_new, r_new, h_new, t_new = evaluate(xx, yy)
                 if norm <= basin or d_new <= d_cur + 1e-4 * step * slope:
                     break
             step *= 0.5
         else:
             message = "line search stalled"
             break
-        x, y, d_cur, (r0, r1), hess = xx, yy, d_new, r_new, h_new
-    if best_norm <= max(tol, 1e-9):
+        x, y, d_cur, (r0, r1), hess, tol = xx, yy, d_new, r_new, h_new, t_new
+    if best_norm <= max(best_tol, 1e-9):
         return NewtonResult(*best, True)
     return NewtonResult((x, y), (r0, r1), d_cur, False, f"{message} at residual {best_norm:.3e}")

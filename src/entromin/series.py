@@ -30,8 +30,9 @@ inversion spends its passes on Newton steps from a nearby start.  The
 conjugate of ln f follows its four-branch closed form, and its interior
 branch (_conjugate_at) is also the solver's interior value.
 A pass whose target is beyond the term budget stops at the bound it can
-reach up to a ceiling times it (_eval_many; only _conjugate_at, _refine_f
-and forward_solve pass one).  All tolerances are absolute unless noted.
+reach up to a ceiling times it (_eval_many; only _conjugate_at, _refine_f,
+forward_solve and inverse_solve_bf's Newton points pass one).  All
+tolerances are absolute unless noted.
 """
 
 from __future__ import annotations

@@ -559,12 +559,14 @@ class EmpSolver:
 
         The solution is read off the accepted Newton point, without a
         further pass: its gradient sums are (u, v) plus the Newton residual,
-        which is within res_tol = max(tol, 1e-11) max(1, u, |v|) (10^3 times
-        that on the retry), and its value x u' + y v' - h_W is certified by
-        that point's sums, each within res_tol / 10.  Returns an
-        InverseFailure report when it cannot verify a solution, including
-        when the iteration leaves the range where the series can be summed
-        or its accepted point is not interior; never a guessed value."""
+        which is within res_tol = max(tol, 1e-11) max(1, u, |v|), and its
+        value x u' + y v' - h_W is certified by that point's sums, each
+        within res_tol / 10.  The first pass that stops at its ceiling,
+        10^3 times that, makes both 10^3 times looser for the rest of the
+        Newton (no ceiling, no restart).  Returns an InverseFailure report
+        when it cannot verify a solution, including when the iteration
+        leaves the range where the series can be summed or its accepted
+        point is not interior; never a guessed value."""
         if kind is Entropy.MAXWELL_BOLTZMANN:
             raise DomainError("use solve_mb for maxwell-boltzmann targets")
         region = self.classify(u, v)
@@ -590,54 +592,49 @@ class EmpSolver:
         x_c = math.log(u / f_c) if u / f_c > 0.0 else math.log(u) - math.log(f_c)
         if kind is Entropy.BOSE_EINSTEIN and x_c + prof.theta1 * y_c >= 0.0:
             x_c = -prof.theta1 * y_c - 1.0
+        res_tol = max(tol, 1e-11) * scale
+        relax = 1.0  # 10^3 from the first pass that stops at its ceiling
 
-        # reads s_tol, the series tolerance of the attempt below
         def evaluate(xx, yy):
-            h, gu, gv, *hess = (
-                s.value for s in series._dual_point(self._fam, kind, xx, yy, s_tol)
-            )
-            return h - xx * u - yy * v_n, (gu - u, gv - v_n), hess
+            nonlocal relax
+            s_tol = relax * res_tol / 10.0
+            sums = series._dual_point(self._fam, kind, xx, yy, s_tol, ceiling=1e3 / relax)
+            # only a pass past 4096 terms can stop at its ceiling
+            if sums[0].truncation_n >= 4096 and any(2.0 * s.tail_bound_used > s_tol for s in sums):
+                relax = 1e3
+            h, gu, gv, *hess = (s.value for s in sums)
+            return h - xx * u - yy * v_n, (gu - u, gv - v_n), hess, relax * res_tol / scale
 
         def in_domain(xx, yy):
             return yy < -prof.alpha and (
                 kind is not Entropy.BOSE_EINSTEIN or xx + prof.theta1 * yy < 0.0
             )
 
-        failure = None
-        # slowly spaced level families cannot certify the tight gradient
-        # series near the domain endpoint; retry once at a looser target
-        for relax in (1.0, 1e3):
-            res_tol = max(tol, 1e-11) * scale * relax
-            s_tol = res_tol / 10.0
-            try:
-                got = minimize_convex_2d(
-                    evaluate, in_domain, (x_c, y_c), (scale, scale), res_tol / scale,
-                )
-            except (DomainError, BudgetError, RangeError) as exc:
-                # RangeError: an iterate's x overflows exp(x)
-                failure = InverseFailure(
-                    kind, self.multipliers_from_normal(x_c, y_c), (math.inf, math.inf),
-                    f"newton aborted: {exc}",
-                )
-                continue
-            if got.converged:
-                (x_n, y_n), (r0, r1) = got.point, got.residual
-                # value = x u' + y v' - h_W with (u', v') = (u, v) + r and
-                # h_W = F + x u + y v
-                value = x_n * r0 + y_n * r1 - got.potential
-                sol = self._attained(kind, x_n, y_n, u + r0, v_n + r1, value)
-                if sol.region is Region.INTERIOR:
-                    return sol
-                # the residual moved an interior target out of the cone
-                return InverseFailure(
-                    kind, sol.multipliers, got.residual,
-                    f"newton point lies in region {sol.region.value}, not interior",
-                )
-            failure = InverseFailure(
-                kind, self.multipliers_from_normal(*got.point), got.residual,
-                f"newton {got.message} above tolerance {res_tol:.3e}",
+        try:
+            got = minimize_convex_2d(evaluate, in_domain, (x_c, y_c), (scale, scale))
+        except (DomainError, BudgetError, RangeError) as exc:
+            # RangeError: an iterate's x overflows exp(x)
+            return InverseFailure(
+                kind, self.multipliers_from_normal(x_c, y_c), (math.inf, math.inf),
+                f"newton aborted: {exc}",
             )
-        return failure
+        if not got.converged:
+            return InverseFailure(
+                kind, self.multipliers_from_normal(*got.point), got.residual,
+                f"newton {got.message} above tolerance {relax * res_tol:.3e}",
+            )
+        (x_n, y_n), (r0, r1) = got.point, got.residual
+        # value = x u' + y v' - h_W with (u', v') = (u, v) + r and
+        # h_W = F + x u + y v
+        value = x_n * r0 + y_n * r1 - got.potential
+        sol = self._attained(kind, x_n, y_n, u + r0, v_n + r1, value)
+        if sol.region is Region.INTERIOR:
+            return sol
+        # the residual moved an interior target out of the cone
+        return InverseFailure(
+            kind, sol.multipliers, got.residual,
+            f"newton point lies in region {sol.region.value}, not interior",
+        )
 
     # -- objective evaluation --------------------------------------------------
 

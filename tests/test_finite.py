@@ -289,9 +289,10 @@ class TestMinimizeConvex2d:
                 math.exp(x) + math.exp(y) - 2.0 * x - 3.0 * y,
                 (math.exp(x) - 2.0, math.exp(y) - 3.0),
                 (math.exp(x), 0.0, math.exp(y)),
+                1e-12,
             ),
             lambda x, y: True,
-            (-5.0, 4.0), (1.0, 1.0), 1e-12,
+            (-5.0, 4.0), (1.0, 1.0),
         )
         assert res.converged
         assert res.point == pytest.approx((math.log(2.0), math.log(3.0)), abs=1e-12)
@@ -308,12 +309,13 @@ class TestMinimizeConvex2d:
                 x + y - math.log(x) - math.log(y),
                 (1.0 - 1.0 / x, 1.0 - 1.0 / y),
                 (1.0 / x**2, 0.0, 1.0 / y**2),
+                1e-12,
             )
 
         res = minimize_convex_2d(
             evaluate,
             lambda x, y: x > 0.0 and y > 0.0,
-            (30.0, 0.01), (1.0, 1.0), 1e-12,
+            (30.0, 0.01), (1.0, 1.0),
         )
         assert res.converged
         assert res.point == pytest.approx((1.0, 1.0), abs=1e-10)
@@ -325,36 +327,50 @@ class TestMinimizeConvex2d:
                 math.exp(x + y) - x - y,
                 (math.exp(x + y) - 1.0, math.exp(x + y) - 1.0),
                 (math.exp(x + y),) * 3,
+                1e-12,
             ),
             lambda x, y: True,
-            (1.0, 1.0), (1.0, 1.0), 1e-12,
+            (1.0, 1.0), (1.0, 1.0),
         )
         assert not res.converged
         assert res.point == (1.0, 1.0) and "degenerate" in res.message
 
-    @pytest.mark.parametrize("noise, converged", [(2e-10, True), (2e-9, False)])
-    def test_stalled_newton_accepted_up_to_1e_9(self, noise, converged):
-        # gradient noise of alternating sign keeps the residual near 2 noise,
-        # above tol = 1e-12: the best point is accepted when its residual is
-        # within 1e-9 and reported as stalled otherwise
-        sign = [1.0]
+    @staticmethod
+    def _noisy(noise, tols):
+        """F = e^x + e^y - 2x - 3y with gradient noise of alternating sign,
+        which keeps the residual near 2 noise; the i-th point is judged at
+        tols(i)."""
+        calls = [0]
 
         def evaluate(x, y):
-            sign[0] = -sign[0]
-            d = sign[0] * noise
+            calls[0] += 1
+            d = -noise if calls[0] % 2 else noise
             return (
                 math.exp(x) + math.exp(y) - 2.0 * x - 3.0 * y,
                 (math.exp(x) - 2.0 + d, math.exp(y) - 3.0 + d),
                 (math.exp(x), 0.0, math.exp(y)),
+                tols(calls[0]),
             )
 
-        res = minimize_convex_2d(
-            evaluate, lambda x, y: True, (-5.0, 4.0), (1.0, 1.0), 1e-12
-        )
+        return minimize_convex_2d(evaluate, lambda x, y: True, (-5.0, 4.0), (1.0, 1.0))
+
+    @pytest.mark.parametrize("noise, converged", [(2e-10, True), (2e-9, False)])
+    def test_stalled_newton_accepted_up_to_1e_9(self, noise, converged):
+        # the residual stays above tol = 1e-12: the best point is accepted
+        # when its residual is within 1e-9 and reported as stalled otherwise
+        res = self._noisy(noise, lambda i: 1e-12)
         assert res.converged is converged
         assert 1e-12 < max(map(abs, res.residual)) <= 2.5 * noise
         if not converged:
             assert "stalled at residual" in res.message
+
+    def test_each_point_is_judged_at_its_own_tolerance(self):
+        # the first two points are judged at 1e-12 and every later one at
+        # 1e-8, which the noisy residual meets: a fixed 1e-12 reports it
+        # stalled above 1e-9 (the case above)
+        res = self._noisy(2e-9, lambda i: 1e-12 if i <= 2 else 1e-8)
+        assert res.converged and not res.message
+        assert 1e-12 < max(map(abs, res.residual)) <= 1e-8
 
 
 class TestSolveTwoFd:

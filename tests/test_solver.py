@@ -751,10 +751,15 @@ class TestInverseSolve:
         assert inv.multipliers[0] == pytest.approx(0.0, abs=1e-8)
         assert inv.multipliers[1] == pytest.approx(-1.0, abs=1e-8)
 
-    def test_extreme_target_yields_failure_report(self, geo_solver):
+    def test_extreme_target_yields_failure_report(self, monkeypatch, geo_solver):
+        # one Newton: the sums its first point needs are out of reach even
+        # at the ceiling, and that BudgetError is the report, with no second
+        # Newton at a looser target
+        built = _count_budget_errors(monkeypatch)
         res = geo_solver.inverse_solve_bf(BE, 1.0, 1e6)
         assert isinstance(res, InverseFailure)
         assert res.kind is BE and res.message
+        assert len(built) == 1
 
     def test_exp_overflow_is_a_failure_report(self, geo_solver):
         # u_n <= p_n = 1 under fermi-dirac, so v = 1010 at u = 1000 needs
@@ -996,6 +1001,21 @@ class TestSlowlySpacedLevels:
         assert isinstance(inv, EmpSolution)
         assert inv.multipliers[0] == pytest.approx(-1.0, abs=1e-7)
         assert inv.multipliers[1] == pytest.approx(-2.2, abs=1e-7)
+
+    def test_inverse_newton_points_stop_at_their_ceiling(self, log_solver, monkeypatch, caplog):
+        # near the domain endpoint a Newton point's tight gradient sums are
+        # out of reach: its pass stops at its ceiling and the Newton goes on
+        # at the looser target, where a BudgetError used to restart it
+        x, y = 2.5365574570108045, -2.2643561422253207
+        fwd = log_solver.forward_solve(FD, x, y)
+        built = _count_budget_errors(monkeypatch)
+        caplog.set_level(logging.DEBUG, logger="entromin")
+        inv = log_solver.inverse_solve_bf(FD, fwd.u, fwd.v, 1e-10)
+        assert isinstance(inv, EmpSolution)
+        assert inv.multipliers == pytest.approx((x, y), abs=1e-8)
+        assert built == []
+        records = [r.getMessage() for r in caplog.records if r.name == "entromin"]
+        assert any("stopped at its ceiling" in m for m in records)
 
 
 class TestNormalization:
