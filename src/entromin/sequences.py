@@ -281,28 +281,25 @@ class Arithmetic(SequenceFamily):
             return None
         if moment > 0 and self.sigma(n + 1) <= 0.0:
             return None
-        rho = math.exp(self.slope * y)
-        if rho >= 1.0:  # slope*y rounds to 0: only the trivial bracket is certain
+        om = -math.expm1(self.slope * y)  # 1 - rho, rho = e^(slope y), without cancellation
+        if om <= 2.0**-54:  # rho rounds to 1: only the trivial bracket is certain
             return 0.0, math.inf
         try:
             amp = math.exp(self.offset * y)
         except OverflowError:  # no certificate from this route
             return None
-        s0 = rho ** (n + 1) / (1.0 - rho)
+        g = math.exp((n + 1) * self.slope * y)  # rho^(n+1)
+        s0 = g / om
         if moment == 0:
             t = amp * s0
             return t, t
-        s1 = rho ** (n + 1) * ((n + 1) - n * rho) / (1.0 - rho) ** 2
+        s1 = g * (1.0 + n * om) / om**2
         a, b = self.offset, self.slope
         if moment == 1:
             t = amp * (a * s0 + b * s1)
             return t, t
         if moment == 2:
-            s2 = (
-                rho ** (n + 1)
-                * ((n + 1) ** 2 - (2 * n * n + 2 * n - 1) * rho + n * n * rho * rho)
-                / (1.0 - rho) ** 3
-            )
+            s2 = g * (2.0 + (2 * n - 1) * om + n * n * om * om) / om**3
             t = amp * (a * a * s0 + 2 * a * b * s1 + b * b * s2)
             return t, t
         return None

@@ -25,10 +25,11 @@ pass also gives phi' = f''/f - phi^2 to phi_inverse's Newton root
 certified slopes at y_k = -alpha - 2^(k/4), k = -48..24, each evaluated
 once per (family, tol, k, ceiling) on first use and cached (_ladder_entry),
 as the profile is.  The two entries that bracket the target are the first
-bracket, and the nearer one's pass is the first iterate, so a warm
-inversion spends its passes on Newton steps from a nearby start.  The
-conjugate of ln f follows its four-branch closed form, and its interior
-branch (_conjugate_at) is also the solver's interior value.
+bracket, and the first iterate is the cubic Hermite interpolant of their
+(phi, phi') (_hermite_start), so a warm interior inversion mostly takes
+two passes: that start and one Newton step.  The conjugate of ln f follows
+its four-branch closed form, and its interior branch (_conjugate_at) is
+also the solver's interior value.
 A pass whose target is beyond the term budget stops at the bound it can
 reach up to a ceiling times it (_eval_many; only _conjugate_at, _refine_f,
 forward_solve and inverse_solve_bf's Newton points pass one).  All
@@ -411,10 +412,13 @@ def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
     rootfind.newton_root from the slope ladder (_ladder_entry): the two
     cached certified slopes at y_k = -alpha - 2^(k/4) whose values bracket
     w are its first bracket, else (-inf, -alpha), as phi tends to theta2 > w
-    at -alpha; it starts from the nearer entry's cached pass.  Each later
-    step is one certified slope evaluation giving phi and phi', as phi
-    does, and proposes a Newton step on ln(phi - theta1), which is nearly
-    linear where phi tends to theta1.  Returns once the certified residual
+    at -alpha.  It starts at the cubic Hermite interpolant of ln(-alpha - y)
+    in ln(phi - theta1) through the two entries (_hermite_start), or at the
+    nearer entry's cached pass where that one meets tol, the ladder is
+    one-sided or the interpolant leaves the bracket.  Each step is one
+    certified slope evaluation giving phi and phi', as phi does, and
+    proposes a Newton step on ln(phi - theta1), which is nearly linear
+    where phi tends to theta1.  Returns once the certified residual
     is within 0.75 tol, or when the bracket is at most 4 ulp(y) wide (the
     point of least residual).
     """
@@ -486,8 +490,9 @@ def _ladder_bracket(family, w, tol, ceiling):
 def _invert_slope(family, w, tol, ceiling=1.0) -> tuple[float, SeriesEval]:
     """phi_inverse's root together with the certified f(y) from its last
     pass, so that a caller needing f at the root re-sums it only when that
-    pass's bound is too loose.  The first bracket and the first iterate
-    come from the slope ladder (_ladder_bracket) with no new pass.  A slope
+    pass's bound is too loose.  The first bracket comes from the slope
+    ladder (_ladder_bracket) with no new pass; the first iterate is one pass
+    at the Hermite start, or the nearer entry's (phi_inverse).  A slope
     certified only to e > q = 0.25 tol (a ceiling stop) passes at |phi - w|
     <= 3 e: newton_root sees the residual times q / e (point)."""
     prof = profile(family)
@@ -497,10 +502,11 @@ def _invert_slope(family, w, tol, ceiling=1.0) -> tuple[float, SeriesEval]:
         )
     t1 = prof.theta1
     lo, hi = -math.inf, -prof.alpha  # phi tends to theta2 > w at -alpha
-    start, outer = _ladder_bracket(family, w, tol, ceiling)
+    inner, outer = _ladder_bracket(family, w, tol, ceiling)
+    start = inner
     if outer is not None:
-        lo, hi = sorted((start[0], outer[0]))
-        if abs(outer[1] - w) < abs(start[1] - w):
+        lo, hi = sorted((inner[0], outer[0]))
+        if abs(outer[1] - w) < abs(inner[1] - w):
             start = outer
     y, p, dp, f_y, scale, e = start
     q = 0.25 * tol
@@ -522,8 +528,33 @@ def _invert_slope(family, w, tol, ceiling=1.0) -> tuple[float, SeriesEval]:
         p, dp, f_y, scale, e = _certified_slope(family, y, q, scale, ceiling)
         return point(y, p, dp, f_y, e)
 
-    y, f_y, _, _ = newton_root(evaluate, y, point(y, p, dp, f_y, e), 0.75 * tol, lo, hi, True, True)
+    first = point(y, p, dp, f_y, e)
+    if outer is not None and abs(first[0]) > 0.75 * tol:
+        y_h = _hermite_start(inner, outer, w, t1, prof.alpha)
+        if lo < y_h < hi:
+            y, first = y_h, evaluate(y_h)
+    y, f_y, _, _ = newton_root(evaluate, y, first, 0.75 * tol, lo, hi, True, True)
     return y, f_y
+
+
+def _hermite_start(inner, outer, w, t1, a) -> float:
+    """The cubic Hermite interpolant of z = ln(-alpha - y) in u = ln(phi -
+    theta1) through two ladder entries, each giving (u, z, dz/du = -(phi -
+    theta1) / (phi' (-alpha - y))), at u = ln(w - theta1), as a y; nan where
+    an entry has phi <= theta1 or phi' <= 0, or the two u coincide."""
+    ends = []
+    for y, p, dp, *_ in (inner, outer):
+        d, r = p - t1, -a - y
+        if not (d > 0.0 and dp > 0.0):
+            return math.nan
+        ends.append((math.log(d), math.log(r), -d / r / dp))
+    (u0, z0, m0), (u1, z1, m1) = ends
+    h = u1 - u0
+    if h == 0.0:
+        return math.nan
+    t = (math.log(w - t1) - u0) / h
+    z = z0 + t * t * (3.0 - 2.0 * t) * (z1 - z0) + h * t * (1.0 - t) * ((1.0 - t) * m0 - t * m1)
+    return -a - math.exp(z) if z < 700.0 else math.nan
 
 
 def lnf_conjugate(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:

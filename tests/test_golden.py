@@ -5,7 +5,11 @@ tests/golden/NAME.stdout and NAME.json (NAME.csv for the sweep) hold what
 wrote at commit 622be7b; the three geometric_* files were re-pinned when
 slope roots began to start from the cached slope ladder, which moved their
 last digits (geometric_solve's y and x are now within 4.5e-16 of their
-closed forms -ln 2 and 0, against 2.2e-14 and 4.3e-14 before).  A change
+closed forms -ln 2 and 0, against 2.2e-14 and 4.3e-14 before), and again
+when each slope root began at the Hermite interpolant of its two ladder
+entries, one Newton step fewer (y and x are now 1.4e-15 and 2.7e-15 from
+-ln 2 and 0, two sweep values moved 1-2 ulp to within 4.6e-16 of the exact
+H, and verify's mb round-trip error reads 1.99e-16).  A change
 meant to keep every figure, such as a refactor, must leave these files as
 they are.
 """

@@ -279,6 +279,14 @@ class TestNewtonInversion:
             y = phi_inverse(geometric, float(w), 1e-12)
             assert abs(-1.0 / math.expm1(y) - w) <= 1e-12
 
+    def test_steep_slope_meets_tol_above_100(self, geometric):
+        # near y = -0.01 the tail holds most of each moment: forming its
+        # closed form from 1 - e^y lost digits, and 5 of these roots missed
+        # tol by up to 1.5e-12
+        for w in np.geomspace(100.0, 130.0, 200):
+            y = phi_inverse(geometric, float(w), 1e-12)
+            assert abs(-1.0 / math.expm1(y) - w) <= 1e-12
+
     @pytest.mark.parametrize("w", [1.01, 2.0, 40.0])
     def test_root_pass_f_certified(self, geometric, w):
         # f(y) = e^y / (1 - e^y) = w - 1 at the root y = ln(1 - 1/w)
@@ -434,6 +442,57 @@ class TestSlopeLadder:
             passes.clear()
             assert solver.solve_mb(1.0, v).region.value == "interior"
             assert len(passes) <= 4
+
+    @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
+    def test_a_warm_interior_solve_takes_two_passes(self, monkeypatch, family, v1, v2, slopes):
+        # a Newton step from the nearer bracketing entry alone took 2.96 to
+        # 3.32 passes per solve on these families, at most 4
+        solver = EmpSolver(family)
+        ws = [float(w) for w in np.geomspace(*slopes, 200)]
+        for w in ws:
+            solver.solve_mb(1.0, w)
+        passes = _count_passes(monkeypatch, family)
+        counts = []
+        for w in ws:
+            passes.clear()
+            assert solver.solve_mb(1.0, w).region is Region.INTERIOR
+            counts.append(len(passes))
+        assert max(counts) <= 3
+        assert sum(counts) / len(counts) <= 2.5
+
+    @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
+    def test_the_start_lies_inside_the_ladder_bracket(self, monkeypatch, family, v1, v2, slopes):
+        # each root starts strictly inside its two bracketing entries, or
+        # at the nearer entry; a target at an entry's slope starts and ends
+        # there with no new pass
+        tol = 1e-10
+        starts = []
+        newton_root = series.newton_root
+
+        def recording(evaluate, x, first, r_tol, lo, hi, lo_ok, hi_ok):
+            starts.append((x, lo, hi))
+            return newton_root(evaluate, x, first, r_tol, lo, hi, lo_ok, hi_ok)
+
+        monkeypatch.setattr(series, "newton_root", recording)
+        for w in np.geomspace(*slopes, 40):
+            starts.clear()
+            phi_inverse(family, float(w), tol)
+            inner, outer = series._ladder_bracket(family, float(w), tol, 1.0)
+            [(x, lo, hi)] = starts
+            assert (lo, hi) == tuple(sorted((inner[0], outer[0])))
+            assert lo < x < hi
+        entry = series._ladder_entry(family, tol, 2)
+        passes = _count_passes(monkeypatch, family)
+        assert phi_inverse(family, entry[1], tol) == entry[0]
+        assert passes == []
+
+    def test_the_start_falls_back_without_a_usable_interpolant(self):
+        # entries (y, phi, phi', ...) on Arithmetic(0, 1) (theta1 = 1, alpha = 0)
+        inner, outer = (-2.0, 1.2, 0.2), (-1.0, 1.6, 0.9)
+        assert -2.0 < series._hermite_start(inner, outer, 1.4, 1.0, 0.0) < -1.0
+        assert math.isnan(series._hermite_start((-2.0, 1.2, 0.0), outer, 1.4, 1.0, 0.0))
+        assert math.isnan(series._hermite_start((-2.0, 1.0, 0.2), outer, 1.4, 1.0, 0.0))
+        assert math.isnan(series._hermite_start(inner, (-1.0, 1.2, 0.9), 1.2, 1.0, 0.0))
 
     def test_threads_sharing_a_solver_match_serial_results(self):
         solver = EmpSolver(Lattice3D(1.0))
