@@ -35,7 +35,11 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
                        x, y) once in setup, then inverse_solve_bf(kind, u,
                        v, 1e-10) at (BE, -1.572..., -1.685...), (FD,
                        2.567..., -1.617...) and (FD, 2.536..., -2.264...)
-                       (SLOW_TRIPS), reported overall and per round trip.
+                       (SLOW_TRIPS), reported overall and per round trip;
+  cli_verify           cli._cmd_verify on the verify spec that perfbench's
+                       cli-batch writes for each of mb-point's families,
+                       with a solver built from that spec, reported per
+                       family with the wall time of each check.
 
 Apart from the cases, ladder_build reports per family what filling the
 cache of slope-root starts costs for the mb_interior and the bf_roundtrip
@@ -76,7 +80,12 @@ solver.minimize_convex_2d:
   exp_terms            elements those calls exponentiate;
   budget_errors        BudgetErrors constructed during one slow_value call
                        or round trip, raised or caught, counted through the
-                       class's __init__.
+                       class's __init__;
+  entropy_*_calls      Python-level calls of each entropy function
+                       (entropy_value, entropy_derivative, entropy_conjugate,
+                       entropy_conjugate_derivative) during one verify,
+                       whatever module makes them, and entropy_calls their
+                       sum.
 
 Wall time is the median (with quartiles) over targets of each target's
 median of REPEATS calls, after one untimed warm-up call per target.  All
@@ -97,12 +106,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import inspect
+import io
 import json
 import os
 import platform
 import statistics
 import sys
 import time
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -158,6 +169,39 @@ def _counting_budget_errors(counts):
         yield
     finally:
         BudgetError.__init__ = init
+
+
+ENTROPY_FUNCTIONS = (
+    "entropy_value",
+    "entropy_derivative",
+    "entropy_conjugate",
+    "entropy_conjugate_derivative",
+)
+
+
+@contextlib.contextmanager
+def _counting_entropy_calls(counts):
+    """Count into counts every call of the four entropy functions, through
+    each name that an entromin module binds to one of them."""
+    from entromin import entropies
+
+    patched = []
+    for name in ENTROPY_FUNCTIONS:
+        fn = getattr(entropies, name)
+
+        def counting(*args, _fn=fn, _key=f"{name}_calls"):
+            counts[_key] += 1
+            return _fn(*args)
+
+        for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "entromin"]:
+            if getattr(module, name, None) is fn:
+                setattr(module, name, counting)
+                patched.append((module, name, fn))
+    try:
+        yield
+    finally:
+        for module, name, fn in patched:
+            setattr(module, name, fn)
 
 
 def _quartiles(xs):
@@ -483,6 +527,88 @@ def _grouped(targets, call):
     return out
 
 
+VERIFY_CHECKS = (
+    "_check_fenchel_young",
+    "_check_truncation",
+    "_check_roundtrips",
+    "_check_weak_duality",
+    "_check_beyond_theta2",
+    "_check_degenerate",
+)
+
+
+def _verify_runs(entromin, workloads):
+    """(family key, run) for each of mb-point's families: run() parses the
+    verify spec cli-batch writes for it, builds its solver and returns
+    cli._cmd_verify's exit code, its printed report discarded."""
+    from entromin import cli, specfile
+
+    def run(text):
+        spec = specfile.parse_spec(text)
+        solver = entromin.EmpSolver(spec.build_family(), spec.tol)
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli._cmd_verify(solver, spec, types.SimpleNamespace(out=None))
+
+    return [
+        (fam, lambda t=workloads._spec_text(fam, {"mode": "verify"}): run(t))
+        for fam in workloads.MbPoint.families
+    ]
+
+
+@contextlib.contextmanager
+def _timing_checks(times):
+    """Append each verify check's wall time in seconds to times[check]."""
+    from entromin import cli
+
+    saved = {name: getattr(cli, name) for name in VERIFY_CHECKS if hasattr(cli, name)}
+
+    def timed(fn, key):
+        def wrapper(*args):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                times.setdefault(key, []).append(time.perf_counter() - t0)
+        return wrapper
+
+    for name, fn in saved.items():
+        setattr(cli, name, timed(fn, name[len("_check_"):]))
+    try:
+        yield
+    finally:
+        for name, fn in saved.items():
+            setattr(cli, name, fn)
+
+
+def verify_case(runs):
+    """cli_verify: per family, the wall time of one verify and of each
+    check (median and quartiles over REPEATS runs after one warm-up) and
+    the entropy calls of one verify, which repeat exactly."""
+    per_target, times, per_family = [], [], {}
+    for fam, run in runs:
+        counts = Counter({f"{name}_calls": 0 for name in ENTROPY_FUNCTIONS})
+        with _counting_entropy_calls(counts):
+            code = run()
+        counts["entropy_calls"] = sum(counts.values())
+        checks, runs_s = {}, []
+        run()
+        with _timing_checks(checks):
+            for _ in range(REPEATS):
+                t0 = time.perf_counter()
+                run()
+                runs_s.append(time.perf_counter() - t0)
+        times.append(statistics.median(runs_s))
+        per_target.append(dict(counts))
+        per_family[fam] = {
+            "exit_code": code,
+            "counts_per_verify": dict(counts),
+            "wall_ms_per_verify": _wall(runs_s),
+            "wall_ms_per_check": {k: _wall(v) for k, v in checks.items()},
+        }
+    return {"targets": len(runs), "counts_per_verify": _summary(per_target),
+            "wall_ms_per_verify": _wall(times), "per_family": per_family}
+
+
 def _wall(times):
     return {k: 1e3 * v for k, v in _quartiles(times).items()}
 
@@ -518,6 +644,7 @@ def main(argv=None) -> int:
     slow_trip_s = [_timed(lambda t=t: _inverse(*t[1:])) for t in slow_trips]
     truncation_s = [_timed(lambda t=t: _truncated(entromin, *t[1:])) for t in truncations]
     slow_s = [_timed(lambda es=es, u=u, v=v: es.value_mb(u, v)) for _, es, u, v in slow]
+    cli_verify = verify_case(_verify_runs(entromin, workloads))
 
     tracer = tracing.Tracer()
     tracer.install()
@@ -571,6 +698,7 @@ def main(argv=None) -> int:
             "finite_truncation": truncation,
             "slow_value": slow_value,
             "slow_roundtrip": slow_roundtrip,
+            "cli_verify": cli_verify,
         },
         "ladder_build": build,
     }
@@ -582,6 +710,12 @@ def main(argv=None) -> int:
         print(f"{name}: {case['targets']} targets; {means}; "
               f"median {wall['median']:.3f} ms [{wall['q1']:.3f}, {wall['q3']:.3f}]")
         for fam, sub in case.get("per_family", {}).items():
+            if "counts_per_verify" in sub:
+                counts = ", ".join(f"{k} {v}" for k, v in sub["counts_per_verify"].items())
+                checks = ", ".join(f"{k} {v['median']:.2f}" for k, v in sub["wall_ms_per_check"].items())
+                print(f"  {fam}: {counts}; median {sub['wall_ms_per_verify']['median']:.2f} ms "
+                      f"({checks} ms)")
+                continue
             means = ", ".join(f"{k} {v['mean']:.2f}" for k, v in sub["counts_per_solve"].items())
             print(f"  {fam}: {sub['targets']} targets; {means}; "
                   f"median {sub['wall_ms_per_solve']['median']:.3f} ms")

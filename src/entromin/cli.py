@@ -200,19 +200,17 @@ def _check_fenchel_young(solver, rng):
     worst_eq = 0.0
     for kind in Entropy:
         hi = 0.999 if kind is Entropy.FERMI_DIRAC else 8.0
-        for u in np.linspace(0.001, hi, 200):
-            t = entropy_derivative(kind, float(u))
-            gap = entropy_value(kind, float(u)) + entropy_conjugate(kind, t) - u * t
-            worst_eq = max(worst_eq, abs(gap))
+        u = np.linspace(0.001, hi, 200)
+        t = entropy_derivative(kind, u)
+        gap = entropy_value(kind, u) + entropy_conjugate(kind, t) - u * t
+        worst_eq = max(worst_eq, float(np.abs(gap).max()))
     worst_ineq = 0.0
     for kind in Entropy:
         hi = 1.0 if kind is Entropy.FERMI_DIRAC else 10.0
         us = rng.uniform(0.0, hi, 2000)
         ts = rng.uniform(-30.0, -0.01 if kind is Entropy.BOSE_EINSTEIN else 5.0, 2000)
-        for u, t in zip(us, ts):
-            gap = entropy_value(kind, float(u)) + entropy_conjugate(kind, float(t)) - u * t
-            if gap < worst_ineq:
-                worst_ineq = gap
+        gap = entropy_value(kind, us) + entropy_conjugate(kind, ts) - us * ts
+        worst_ineq = min(worst_ineq, float(gap.min()))
     ok = worst_eq <= 1e-10 and worst_ineq >= -1e-12
     return ok, f"equality gap {worst_eq:.2e}, worst inequality {worst_ineq:.2e}"
 
@@ -237,13 +235,13 @@ def _check_truncation(solver, spec):
     target = solver.value_mb(1.0, w)
     fam = solver.family
     n_max = _max_finite_prefix(fam)
+    p = np.array([fam.p(k) for k in range(1, n_max + 1)])
+    sig = fam.sigma_array(1, n_max)
     prev = math.inf
     val = math.inf
     n = 8
     while n <= n_max:
-        p = [fam.p(k) for k in range(1, n + 1)]
-        sig = [fam.sigma(k) for k in range(1, n + 1)]
-        val = solve_two_mb_be(Entropy.MAXWELL_BOLTZMANN, p, sig, 1.0, w).value
+        val = solve_two_mb_be(Entropy.MAXWELL_BOLTZMANN, p[:n], sig[:n], 1.0, w).value
         if val > prev + 1e-10:
             return False, f"truncated values not monotone at n={n}"
         prev = val

@@ -13,6 +13,11 @@ evaluated in overflow-safe branch-split form.  Derivative queries outside
 the open domain interior raise DomainError: the subdifferential is empty
 there, reporting a fake +/-inf slope would be wrong.
 
+Every function is elementwise on a float or a numpy array: a float in gives
+a float out, an array gives an array of its shape, and a derivative query
+raises DomainError when any element lies outside the open domain.  No
+floating-point warning escapes.
+
 All functions are pure and safe to call concurrently.
 """
 
@@ -20,6 +25,8 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -57,68 +64,76 @@ _A_CONST = {
 }
 
 
-def _xlogx(u: float) -> float:
-    return 0.0 if u == 0.0 else u * math.log(u)
+def _out(r: np.ndarray):
+    """A 0-d result as a Python float, any other as the array."""
+    return float(r) if r.ndim == 0 else r
 
 
-def entropy_value(kind: Entropy, u: float) -> float:
+def _reject(outside: np.ndarray, x: np.ndarray, what: str) -> None:
+    """DomainError naming the first element of x where outside is true."""
+    if outside.any():
+        raise DomainError(f"{what}, got {float(x[outside].flat[0])}")
+
+
+def _xlogx(u: np.ndarray) -> np.ndarray:
+    return np.where(u == 0.0, 0.0, u * np.log(u))
+
+
+def entropy_value(kind: Entropy, u):
     """W(u), total on the reals; +inf encodes 'outside dom W'."""
-    if u < 0.0 or math.isnan(u):
-        return _INF
-    if kind is Entropy.MAXWELL_BOLTZMANN:
-        return _INF if math.isinf(u) else _xlogx(u) - u
-    if kind is Entropy.BOSE_EINSTEIN:
-        if math.isinf(u):
-            return -_INF
-        return _xlogx(u) - _xlogx(1.0 + u)
-    if u > 1.0:
-        return _INF
-    return _xlogx(u) + _xlogx(1.0 - u)
+    u = np.asarray(u, dtype=float)
+    with np.errstate(all="ignore"):
+        if kind is Entropy.MAXWELL_BOLTZMANN:
+            w = np.where(u == _INF, _INF, _xlogx(u) - u)
+        elif kind is Entropy.BOSE_EINSTEIN:
+            w = np.where(u == _INF, -_INF, _xlogx(u) - _xlogx(1.0 + u))
+        else:
+            w = np.where(u > 1.0, _INF, _xlogx(u) + _xlogx(1.0 - u))
+        # u < 0 or nan
+        return _out(np.where(u >= 0.0, w, _INF))
 
 
-def entropy_conjugate(kind: Entropy, t: float) -> float:
+def entropy_conjugate(kind: Entropy, t):
     """W*(t) = sup_u (u t - W(u)), in log1p-stable form."""
-    if kind is Entropy.MAXWELL_BOLTZMANN:
-        return _INF if t > _EXP_OVERFLOW else math.exp(t)
-    if kind is Entropy.FERMI_DIRAC:
-        # softplus
-        if t > 0.0:
-            return t + math.log1p(math.exp(-t))
-        return math.log1p(math.exp(t))
-    # bose-einstein: finite only for t < 0
-    if t >= 0.0:
-        return _INF
-    z = math.exp(t)
-    if z >= 1.0:  # t just below 0 can round exp(t) to 1.0
-        return _INF
-    return -math.log1p(-z)
+    t = np.asarray(t, dtype=float)
+    with np.errstate(all="ignore"):
+        if kind is Entropy.MAXWELL_BOLTZMANN:
+            return _out(np.where(t > _EXP_OVERFLOW, _INF, np.exp(t)))
+        if kind is Entropy.FERMI_DIRAC:
+            # softplus
+            return _out(
+                np.where(t > 0.0, t + np.log1p(np.exp(-t)), np.log1p(np.exp(t)))
+            )
+        # bose-einstein: finite only where exp(t) < 1, so for t < 0 but not
+        # for a t just below 0 that rounds exp(t) to 1.0
+        z = np.exp(t)
+        return _out(np.where(z >= 1.0, _INF, -np.log1p(-z)))
 
 
-def entropy_conjugate_derivative(kind: Entropy, t: float) -> float:
+def entropy_conjugate_derivative(kind: Entropy, t):
     """(W*)'(t) = exp(t) / (1 + a exp(t)); requires t in dom W*."""
-    if kind is Entropy.MAXWELL_BOLTZMANN:
-        return _INF if t > _EXP_OVERFLOW else math.exp(t)
-    if kind is Entropy.FERMI_DIRAC:
-        if t >= 0.0:
-            return 1.0 / (1.0 + math.exp(-t))
-        z = math.exp(t)
-        return z / (1.0 + z)
-    if t >= 0.0:
-        raise DomainError(f"bose-einstein conjugate requires t < 0, got {t}")
-    # exp(t)/(1-exp(t)) = 1/(exp(-t)-1), exact for t near 0 via expm1
-    return 1.0 / math.expm1(-t)
+    t = np.asarray(t, dtype=float)
+    with np.errstate(all="ignore"):
+        if kind is Entropy.MAXWELL_BOLTZMANN:
+            return _out(np.where(t > _EXP_OVERFLOW, _INF, np.exp(t)))
+        if kind is Entropy.FERMI_DIRAC:
+            z = np.exp(t)
+            return _out(np.where(t >= 0.0, 1.0 / (1.0 + np.exp(-t)), z / (1.0 + z)))
+        _reject(t >= 0.0, t, "bose-einstein conjugate requires t < 0")
+        # exp(t)/(1-exp(t)) = 1/(exp(-t)-1), exact for t near 0 via expm1;
+        # 1/inf = 0 where expm1(-t) overflows
+        return _out(1.0 / np.expm1(-t))
 
 
-def entropy_derivative(kind: Entropy, u: float) -> float:
+def entropy_derivative(kind: Entropy, u):
     """W'(u) on the interior of dom W; DomainError elsewhere."""
-    if kind is Entropy.MAXWELL_BOLTZMANN:
-        if u <= 0.0:
-            raise DomainError(f"maxwell-boltzmann derivative requires u > 0, got {u}")
-        return math.log(u)
-    if kind is Entropy.BOSE_EINSTEIN:
-        if u <= 0.0:
-            raise DomainError(f"bose-einstein derivative requires u > 0, got {u}")
-        return math.log(u) - math.log1p(u)
-    if not 0.0 < u < 1.0:
-        raise DomainError(f"fermi-dirac derivative requires 0 < u < 1, got {u}")
-    return math.log(u) - math.log1p(-u)
+    u = np.asarray(u, dtype=float)
+    with np.errstate(all="ignore"):
+        if kind is Entropy.MAXWELL_BOLTZMANN:
+            _reject(u <= 0.0, u, "maxwell-boltzmann derivative requires u > 0")
+            return _out(np.log(u))
+        if kind is Entropy.BOSE_EINSTEIN:
+            _reject(u <= 0.0, u, "bose-einstein derivative requires u > 0")
+            return _out(np.log(u) - np.log1p(u))
+        _reject(~((u > 0.0) & (u < 1.0)), u, "fermi-dirac derivative requires 0 < u < 1")
+        return _out(np.log(u) - np.log1p(-u))

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .entropies import Entropy, entropy_value
+from .entropies import Entropy, entropy_derivative, entropy_value
 from .errors import (
     BudgetError,
     DomainError,
@@ -111,19 +111,22 @@ def _checked(p, sigma, **target):
 
 
 def _w_sum(kind: Entropy, p, u_bar) -> float:
-    return math.fsum(
-        pk * entropy_value(kind, uk / pk) for pk, uk in zip(p, u_bar)
-    )
+    """sum_k p_k W(u_k / p_k), the terms formed in one array and summed by
+    math.fsum."""
+    p = np.asarray(p, dtype=float)
+    return math.fsum((p * entropy_value(kind, np.asarray(u_bar, dtype=float) / p)).tolist())
 
 
 def kkt_residual(kind: Entropy, p, sigma, u_bar, alpha: float, beta: float) -> float:
-    """max_k |W'(u_k/p_k) - (alpha + beta sigma_k)| over interior coordinates."""
-    from .entropies import entropy_derivative
-
-    worst = 0.0
-    for pk, sk, uk in zip(p, sigma, u_bar):
-        worst = max(worst, abs(entropy_derivative(kind, uk / pk) - alpha - beta * sk))
-    return worst
+    """max_k |W'(u_k/p_k) - (alpha + beta sigma_k)| over interior coordinates,
+    those whose u_k/p_k lies in the open domain of W (0 when there are none):
+    a coordinate that underflowed to 0 has no derivative to compare."""
+    p = np.asarray(p, dtype=float)
+    r = np.asarray(u_bar, dtype=float) / p
+    inside = (r > 0.0) & ((r < 1.0) | (kind is not Entropy.FERMI_DIRAC))
+    s = np.asarray(sigma, dtype=float)[inside]
+    gap = np.abs(entropy_derivative(kind, r[inside]) - alpha - beta * s)
+    return float(gap.max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

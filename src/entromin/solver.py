@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .entropies import Entropy, entropy_value
+from .entropies import Entropy
 from .errors import (
     BudgetError,
     DomainError,
@@ -656,9 +656,10 @@ class EmpSolver:
             if seq.form == "zero":
                 return 0.0
             if seq.form == "restricted":
-                return math.fsum(
-                    self.family.p(n) * entropy_value(kind, val / self.family.p(n))
-                    for n, val in seq.support
+                return finite._w_sum(
+                    kind,
+                    [self.family.p(n) for n, _ in seq.support],
+                    [val for _, val in seq.support],
                 )
             fam, x, y = seq.normal
             h, u, v = (
@@ -671,10 +672,7 @@ class EmpSolver:
         terms = [float(t) for t in seq]
         if any(t < 0.0 for t in terms):
             raise DomainError("occupation terms must be nonnegative")
-        return math.fsum(
-            self.family.p(n + 1) * entropy_value(kind, t / self.family.p(n + 1))
-            for n, t in enumerate(terms)
-        )
+        return finite._w_sum(kind, [self.family.p(n) for n in range(1, len(terms) + 1)], terms)
 
     # -- biconjugate ---------------------------------------------------------
 

@@ -70,6 +70,76 @@ def lattice_triples(limit: int) -> dict[int, int]:
     return counts
 
 
+# -- scalar reference entropies --------------------------------------------
+# One float at a time with the math module's libm functions: the
+# entropies before they became elementwise on arrays, kept as the reference
+# that tests/test_entropies.py compares the numpy bodies against.
+
+_EXP_OVERFLOW = 709.0
+
+
+def _ref_xlogx(u: float) -> float:
+    return 0.0 if u == 0.0 else u * math.log(u)
+
+
+def ref_entropy_value(kind: Entropy, u: float) -> float:
+    if u < 0.0 or math.isnan(u):
+        return math.inf
+    if kind is Entropy.MAXWELL_BOLTZMANN:
+        return math.inf if math.isinf(u) else _ref_xlogx(u) - u
+    if kind is Entropy.BOSE_EINSTEIN:
+        if math.isinf(u):
+            return -math.inf
+        return _ref_xlogx(u) - _ref_xlogx(1.0 + u)
+    if u > 1.0:
+        return math.inf
+    return _ref_xlogx(u) + _ref_xlogx(1.0 - u)
+
+
+def ref_entropy_conjugate(kind: Entropy, t: float) -> float:
+    if kind is Entropy.MAXWELL_BOLTZMANN:
+        return math.inf if t > _EXP_OVERFLOW else math.exp(t)
+    if kind is Entropy.FERMI_DIRAC:
+        if t > 0.0:
+            return t + math.log1p(math.exp(-t))
+        return math.log1p(math.exp(t))
+    if t >= 0.0:
+        return math.inf
+    z = math.exp(t)
+    if z >= 1.0:
+        return math.inf
+    return -math.log1p(-z)
+
+
+def ref_entropy_conjugate_derivative(kind: Entropy, t: float) -> float:
+    """Raises OverflowError for bose-einstein at t below about -709.78,
+    where expm1(-t) overflows."""
+    if kind is Entropy.MAXWELL_BOLTZMANN:
+        return math.inf if t > _EXP_OVERFLOW else math.exp(t)
+    if kind is Entropy.FERMI_DIRAC:
+        if t >= 0.0:
+            return 1.0 / (1.0 + math.exp(-t))
+        z = math.exp(t)
+        return z / (1.0 + z)
+    if t >= 0.0:
+        raise DomainError(f"bose-einstein conjugate requires t < 0, got {t}")
+    return 1.0 / math.expm1(-t)
+
+
+def ref_entropy_derivative(kind: Entropy, u: float) -> float:
+    if kind is Entropy.MAXWELL_BOLTZMANN:
+        if u <= 0.0:
+            raise DomainError(f"maxwell-boltzmann derivative requires u > 0, got {u}")
+        return math.log(u)
+    if kind is Entropy.BOSE_EINSTEIN:
+        if u <= 0.0:
+            raise DomainError(f"bose-einstein derivative requires u > 0, got {u}")
+        return math.log(u) - math.log1p(u)
+    if not 0.0 < u < 1.0:
+        raise DomainError(f"fermi-dirac derivative requires 0 < u < 1, got {u}")
+    return math.log(u) - math.log1p(-u)
+
+
 # -- objective of an exponential sequence rule ------------------------------
 
 

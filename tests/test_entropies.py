@@ -1,9 +1,13 @@
 """Pointwise entropy functions: closed-form spot values, the ordering of the
-three statistics, Fenchel-Young equality/inequality, and consistency of every
-derivative with finite differences."""
+three statistics, Fenchel-Young equality/inequality, consistency of every
+derivative with finite differences, and agreement of the elementwise numpy
+bodies with the scalar math reference in conftest at every float edge."""
 
 import math
+import re
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +19,13 @@ from entromin import (
     entropy_conjugate_derivative,
     entropy_derivative,
     entropy_value,
+)
+
+from conftest import (
+    ref_entropy_conjugate,
+    ref_entropy_conjugate_derivative,
+    ref_entropy_derivative,
+    ref_entropy_value,
 )
 
 MB = Entropy.MAXWELL_BOLTZMANN
@@ -141,13 +152,11 @@ def test_conjugate_matches_grid_sup(kind, t_lo, t_hi):
     # sup_u (u t - W(u)) over a fine grid reproduces W* to grid resolution
     n = 40_000
     hi = 1.0 if kind is FD else 25.0
+    u = hi * np.arange(n + 1) / n
+    w = entropy_value(kind, u)
+    inside = ~np.isinf(w)
     for t in [t_lo, 0.5 * (t_lo + t_hi), t_hi]:
-        best = -INF
-        for i in range(n + 1):
-            u = hi * i / n
-            w = entropy_value(kind, u)
-            if not math.isinf(w):
-                best = max(best, u * t - w)
+        best = float(np.max(u[inside] * t - w[inside]))
         assert best == pytest.approx(entropy_conjugate(kind, t), abs=1e-4)
 
 
@@ -179,3 +188,153 @@ def test_inverse_gradient_identity_mb_be(u):
 def test_inverse_gradient_identity_fd(u):
     t = entropy_derivative(FD, u)
     assert entropy_conjugate_derivative(FD, t) == pytest.approx(u, rel=1e-10)
+
+
+# -- elementwise numpy bodies against the scalar math reference --------------
+
+TINY = 5e-324
+MIN_NORMAL = 2.2250738585072014e-308
+NAN = math.nan
+# arguments u of W and W': the domain ends, outside it, nan, +-inf,
+# subnormals, 1 -+ 1 ulp for fermi-dirac, and far into the range
+EDGE_U = (
+    0.0, -0.0, 1.0, -1.0, -TINY, -1e300, NAN, INF, -INF, TINY, 1e-310,
+    MIN_NORMAL, 1e-300, 1e-12, 0.5, 1.0 - 2.0**-53, 1.0 + 2.0**-52, 2.0,
+    math.e, 710.0, 1e15, 1e300, 1.7976931348623157e308,
+)
+# arguments t of W* and W*': 0, nan, +-inf, subnormals, beyond the exp
+# cut at 709, t -> 0- where exp(t) rounds to 1, large |t| for the
+# fermi-dirac softplus, and the bose-einstein (W*)' beyond -709.78
+EDGE_T = (
+    0.0, -0.0, NAN, INF, -INF, TINY, -TINY, 1e-310, -1e-310, -1e-17,
+    -(2.0**-60), -1e-9, -0.01, -math.log(2.0), 1.0, -1.0, 36.0, -36.0,
+    40.0, -40.0, 708.0, 709.0, 709.5, 709.79, 710.0, -708.0, -709.0,
+    -745.0, -746.0, 800.0, -800.0, 1e10, -1e10, 1e300, -1e300,
+)
+FUNCTIONS = (
+    (entropy_value, ref_entropy_value, EDGE_U),
+    (entropy_derivative, ref_entropy_derivative, EDGE_U),
+    (entropy_conjugate, ref_entropy_conjugate, EDGE_T),
+    (entropy_conjugate_derivative, ref_entropy_conjugate_derivative, EDGE_T),
+)
+
+
+def _xlogx_size(u):
+    return abs(u * math.log(u)) if u > 0.0 else 0.0
+
+
+def _ulp_scale(fn, kind, x, ref):
+    """The largest magnitude among the result and the quantities the formula
+    adds (or, for bose-einstein's -log1p(-e^t), divides by 1 - e^t): numpy's
+    log, log1p and exp differ from libm's by up to 1 ulp, and each of those
+    ulps reaches the result at that scale."""
+    size = abs(ref)
+    if fn is entropy_value:
+        other = {MB: abs(x), BE: _xlogx_size(1.0 + x), FD: _xlogx_size(1.0 - x)}[kind]
+        size = max(size, _xlogx_size(x), other)
+    elif fn is entropy_derivative and kind is not MB:
+        size = max(size, abs(math.log(x)), abs(math.log1p(x if kind is BE else -x)))
+    elif fn is entropy_conjugate and kind is BE:
+        z = math.exp(x)
+        size = max(size, z / (1.0 - z))
+    return size
+
+
+def _matches(fn, kind, x, got, ref):
+    """Special values (nan, +-inf, signed zeros) match exactly, finite values
+    within 2 ulp of _ulp_scale."""
+    if not math.isfinite(ref) or ref == 0.0:
+        return repr(got) == repr(ref)
+    return abs(got - ref) <= 2.0 * math.ulp(_ulp_scale(fn, kind, x, ref))
+
+
+@pytest.fixture
+def warnings_are_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+@pytest.mark.usefixtures("warnings_are_errors")
+@pytest.mark.parametrize("kind", [MB, BE, FD])
+@pytest.mark.parametrize("fn,ref,edges", FUNCTIONS, ids=lambda v: getattr(v, "__name__", ""))
+class TestArrayBodies:
+    def test_edges_match_the_reference(self, fn, ref, edges, kind):
+        for x in edges:
+            try:
+                want = ref(kind, x)
+            except DomainError as exc:
+                with pytest.raises(DomainError) as got:
+                    fn(kind, x)
+                assert str(got.value) == str(exc)
+                continue
+            except OverflowError:
+                # the reference's expm1(-t) overflows; e^t / (1 - e^t) is 0
+                # to the float resolution there
+                assert (fn, kind, x < -709.78) == (entropy_conjugate_derivative, BE, True)
+                want = 0.0
+            got = fn(kind, x)
+            assert type(got) is float
+            assert _matches(fn, kind, x, got, want), (x, got, want)
+
+    def test_seeded_sample_matches_the_reference(self, fn, ref, edges, kind):
+        rng = np.random.default_rng(20)
+        if edges is EDGE_U:
+            xs = np.concatenate([rng.uniform(0.0, 1.0, 600), np.exp(rng.uniform(-740.0, 700.0, 600))])
+            if kind is FD:
+                xs = xs[xs < 1.0]
+            xs = xs[xs > 0.0]
+        else:
+            xs = np.concatenate([rng.uniform(-40.0, 40.0, 600), -np.exp(rng.uniform(-740.0, 6.5, 600))])
+            if kind is BE:
+                # where libm rounds e^t to 1.0: the guard test below
+                xs = xs[xs < -(2.0**-54)]
+        for x, got in zip(xs.tolist(), fn(kind, xs).tolist()):
+            assert _matches(fn, kind, x, got, ref(kind, x)), (x, got)
+
+    def test_arrays_keep_shape_and_scalar_values(self, fn, ref, edges, kind):
+        xs = np.array([x for x in edges if _raises(fn, kind, x) is None])
+        grid = np.resize(xs, (3, xs.size))
+        out = fn(kind, grid)
+        assert isinstance(out, np.ndarray) and out.shape == grid.shape
+        scalar = [repr(fn(kind, x)) for x in xs.tolist()]
+        assert [repr(v) for v in out[1].tolist()] == scalar
+        x0 = 0.25 if edges is EDGE_U else -0.25
+        assert type(fn(kind, np.float64(x0))) is float
+        assert type(fn(kind, np.array(x0))) is float
+
+
+def _raises(fn, kind, x):
+    try:
+        fn(kind, x)
+    except DomainError:
+        return DomainError
+    return None
+
+
+@pytest.mark.usefixtures("warnings_are_errors")
+@pytest.mark.parametrize(
+    "fn,kind,edges",
+    [(entropy_derivative, k, EDGE_U) for k in (MB, BE, FD)]
+    + [(entropy_conjugate_derivative, BE, EDGE_T)],
+    ids=["mb", "be", "fd", "be-conjugate"],
+)
+def test_one_element_outside_the_domain_raises(fn, kind, edges):
+    good = [x for x in edges if _raises(fn, kind, x) is None]
+    bad = [x for x in edges if _raises(fn, kind, x) is DomainError]
+    assert bad
+    for x in bad:
+        with pytest.raises(DomainError, match=re.escape(f"got {x}")):
+            fn(kind, np.array(good[:3] + [x] + good[3:]))
+
+
+@pytest.mark.usefixtures("warnings_are_errors")
+def test_be_conjugate_is_inf_exactly_where_exp_rounds_to_one():
+    # the guard fires where e^t rounds to 1.0, and -log1p(-e^t) is finite
+    # one float below; numpy's exp decides which t those are
+    ts = np.concatenate([-np.geomspace(1e-20, 1e-15, 4001), [-TINY, -MIN_NORMAL]])
+    got = entropy_conjugate(BE, ts)
+    rounds_to_one = np.exp(ts) >= 1.0
+    assert rounds_to_one.any() and not rounds_to_one.all()
+    assert np.array_equal(got == INF, rounds_to_one)
+    assert np.all(np.isfinite(got[~rounds_to_one]))

@@ -181,6 +181,13 @@ class TestSolveTwoMbBe:
         assert sum(si * ui for si, ui in zip(s, sol.u_bar)) == pytest.approx(3.1, abs=1e-10)
         assert kkt_residual(MB, p, s, sol.u_bar, *sol.multipliers) <= 1e-8
 
+    def test_kkt_skips_a_coordinate_that_underflowed(self):
+        # u_3 = e^(alpha + 1e4 beta) underflows to 0 at this interior optimum:
+        # W'(0) does not exist, so the residual is over the other two
+        p, s = (1.0, 1.0, 1.0), (0.0, 1.0, 1e4)
+        sol = solve_two_mb_be(MB, p, s, 1.0, 0.01)
+        assert sol.boundary_flag is BoundaryFlag.INTERIOR_KKT and sol.u_bar[2] == 0.0
+        assert kkt_residual(MB, p, s, sol.u_bar, *sol.multipliers) <= 1e-12
 
     def test_be_newton_from_far_start(self):
         # damped steps far from the optimum need not shrink the residual;

@@ -9,9 +9,12 @@ closed forms -ln 2 and 0, against 2.2e-14 and 4.3e-14 before), and again
 when each slope root began at the Hermite interpolant of its two ladder
 entries, one Newton step fewer (y and x are now 1.4e-15 and 2.7e-15 from
 -ln 2 and 0, two sweep values moved 1-2 ulp to within 4.6e-16 of the exact
-H, and verify's mb round-trip error reads 1.99e-16).  A change
-meant to keep every figure, such as a refactor, must leave these files as
-they are.
+H, and verify's mb round-trip error reads 1.99e-16).
+weighted_geometric_verify and lattice_verify were pinned at commit ec177e7,
+before the entropy functions became elementwise on arrays; with
+geometric_verify (Arithmetic(0, 1)) they hold verify's report on all three
+of perfbench's families.  A change meant to keep every figure, such as a
+refactor, must leave these files as they are.
 """
 
 from pathlib import Path
