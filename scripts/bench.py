@@ -51,7 +51,8 @@ depend on which entries are cached, so the difference is the build alone.
 
 Work counts are deterministic and come from wrapping the library from
 outside; nothing in src/ counts.  members and the series counts come from
-perfbench's tracer (perfbench/tracing.py), the exp counts from the numpy
+perfbench's tracer (perfbench/tracing.py), array_calls and bracket_calls
+from the family that series._eval_many sees, the exp counts from the numpy
 that entromin.solver and entromin.finite see, and newton_points from
 solver.minimize_convex_2d:
 
@@ -69,6 +70,14 @@ solver.minimize_convex_2d:
                        solve_mb or round trip: one per certified series
                        pass;
   series_terms         elements all log_terms calls return;
+  array_calls          log_terms calls that series._eval_many makes during
+                       one solve_mb, round trip or value_mb: one per array
+                       pass over a stretch of terms;
+  bracket_calls        tail_interval and tail_intervals calls that
+                       series._eval_many makes during the same call: its
+                       tail brackets (calls the families make from inside
+                       one, and brackets taken outside the kernel, do not
+                       count);
   newton_points        points at which the inverse solve's damped Newton
                        evaluates its dual potential (the start and every
                        line-search point inside the domain), counted
@@ -204,6 +213,56 @@ def _counting_entropy_calls(counts):
             setattr(module, name, fn)
 
 
+KERNEL_CALLS = {
+    "log_terms": "array_calls",
+    "tail_interval": "bracket_calls",
+    "tail_intervals": "bracket_calls",
+}
+PASS_KEYS = {
+    "series_passes": "series.passes",
+    "series_terms": "sequences.terms",
+    "array_calls": "array_calls",
+    "bracket_calls": "bracket_calls",
+}
+
+
+class _CountingFamily:
+    """A family as series._eval_many sees it, counting into counts the
+    kernel's calls of the methods in KERNEL_CALLS."""
+
+    def __init__(self, family, counts):
+        self._family = family
+        self._counts = counts
+
+    def __repr__(self):
+        return repr(self._family)
+
+    def __getattr__(self, name):
+        attr = getattr(self._family, name)
+        key = KERNEL_CALLS.get(name)
+        if key is None:
+            return attr
+
+        def counted(*args, **kwargs):
+            self._counts[key] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+def _count_kernel(counts):
+    """Wrap series._eval_many so that the family it works on counts its
+    calls into counts (for the rest of the process)."""
+    from entromin import series
+
+    kernel = series._eval_many
+
+    def counting(family, *args, **kwargs):
+        return kernel(_CountingFamily(family, counts), *args, **kwargs)
+
+    series._eval_many = counting
+
+
 def _quartiles(xs):
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return {"median": q2, "q1": q1, "q3": q3}
@@ -231,11 +290,16 @@ def _timed(fn):
     return statistics.median(times)
 
 
+_KERNEL_COUNTS = Counter()
+
+
 def _counted(tracer, fn, keys):
-    """fn()'s result and {out: tracer count named key} for that one call."""
+    """fn()'s result and {out: tracer or kernel count named key} for that
+    one call."""
     tracer.reset_counters()
+    _KERNEL_COUNTS.clear()
     result = fn()
-    counts = tracer.counts_now()
+    counts = tracer.counts_now() + _KERNEL_COUNTS
     return result, {out: counts[key] for out, key in keys.items()}
 
 
@@ -291,9 +355,8 @@ def _shifted(entromin, interior):
 
 
 def count_solves(tracer, es, targets):
-    keys = {"series_passes": "series.passes", "series_terms": "sequences.terms"}
     per_target = [
-        _counted(tracer, lambda u=u, v=v: es.solve_mb(u, v), keys)[1] for u, v in targets
+        _counted(tracer, lambda u=u, v=v: es.solve_mb(u, v), PASS_KEYS)[1] for u, v in targets
     ]
     return {"counts_per_solve": _summary(per_target)}
 
@@ -335,9 +398,8 @@ def _per_family(targets, per_target, times):
 def count_interior(tracer, targets, times):
     """mb_interior's counts and wall times, overall and per family; times
     holds each target's time in seconds, in the order of targets."""
-    keys = {"series_passes": "series.passes", "series_terms": "sequences.terms"}
     per_target = [
-        _counted(tracer, lambda es=es, u=u, v=v: es.solve_mb(u, v), keys)[1]
+        _counted(tracer, lambda es=es, u=u, v=v: es.solve_mb(u, v), PASS_KEYS)[1]
         for _, es, u, v in targets
     ]
     return {"counts_per_solve": _summary(per_target),
@@ -392,7 +454,6 @@ def count_roundtrips(tracer, entromin, trips, call=_roundtrip):
     many of them returned an InverseFailure."""
     from entromin import solver
 
-    keys = {"series_passes": "series.passes", "series_terms": "sequences.terms"}
     newton = solver.minimize_convex_2d
     per_target, failures = [], 0
     for trip in trips:
@@ -400,7 +461,7 @@ def count_roundtrips(tracer, entromin, trips, call=_roundtrip):
         solver.minimize_convex_2d = _CountingNewton(newton, counted)
         try:
             with _counting_budget_errors(counted):
-                result, counts = _counted(tracer, lambda t=trip: call(*t[1:]), keys)
+                result, counts = _counted(tracer, lambda t=trip: call(*t[1:]), PASS_KEYS)
         finally:
             solver.minimize_convex_2d = newton
         failures += isinstance(result, entromin.InverseFailure)
@@ -442,12 +503,11 @@ def _slow(entromin, workloads):
 
 def count_slow_values(tracer, targets, times):
     """slow_value's counts and wall times, overall and per family."""
-    keys = {"series_passes": "series.passes", "series_terms": "sequences.terms"}
     per_target = []
     for _, es, u, v in targets:
         built = Counter()
         with _counting_budget_errors(built):
-            counts = _counted(tracer, lambda: es.value_mb(u, v), keys)[1]
+            counts = _counted(tracer, lambda: es.value_mb(u, v), PASS_KEYS)[1]
         per_target.append({**counts, "budget_errors": built["budget_errors"]})
     return {"counts_per_solve": _summary(per_target),
             "per_family": _per_family(targets, per_target, times)}
@@ -648,6 +708,7 @@ def main(argv=None) -> int:
 
     tracer = tracing.Tracer()
     tracer.install()
+    _count_kernel(_KERNEL_COUNTS)
     tracer.active = True
     converge = {"targets": len(fams), **count_converge(tracer, np, fams),
                 "wall_ms_per_converge": converge_ms}

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _INF = math.inf
+_LN2 = math.log(2.0)
 
 # exp(t) overflows float64 beyond this
 _EXP_OVERFLOW = 709.0
@@ -104,10 +105,13 @@ def entropy_conjugate(kind: Entropy, t):
             return _out(
                 np.where(t > 0.0, t + np.log1p(np.exp(-t)), np.log1p(np.exp(t)))
             )
-        # bose-einstein: finite only where exp(t) < 1, so for t < 0 but not
-        # for a t just below 0 that rounds exp(t) to 1.0
+        # bose-einstein: -ln(1 - e^t), finite only where exp(t) < 1, so for
+        # t < 0 but not for a t just below 0 that rounds exp(t) to 1.0;
+        # log1p(-e^t) cancels as t -> 0-, where -expm1(t) is 1 - e^t without
+        # error (Maechler 2012: log1p(-e^t) below -ln 2, log(-expm1(t)) above)
         z = np.exp(t)
-        return _out(np.where(z >= 1.0, _INF, -np.log1p(-z)))
+        w = np.where(t > -_LN2, -np.log(-np.expm1(t)), -np.log1p(-z))
+        return _out(np.where(z >= 1.0, _INF, w))
 
 
 def entropy_conjugate_derivative(kind: Entropy, t):

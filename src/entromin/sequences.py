@@ -15,18 +15,19 @@ proves about f(y) = sum p_n exp(sigma_n y) rests on what a family declares:
     ratio-test constant r < 1 for the whole tail beyond an index),
     ``_direct_interval`` (closed-form brackets: exact geometric sums,
     integral tests, block-doubling majorants, and zeta-type tails at and
-    beyond the endpoint y = -alpha) and ``boundary_divergent``
-    (summability at y = -alpha).
+    beyond the endpoint y = -alpha; ``_direct_intervals`` where moments
+    share pieces) and ``boundary_divergent`` (summability at y = -alpha).
 
 The base class derives the rest: ``constant_sigma`` is sigma_direction 0,
 ``dom_f_empty`` is alpha = +inf for levels not falling to -inf, and
-``tail_interval``, the one bracket the series layer reads, combines a leaf
-family's certificates (moments k >= 1 need positive levels).  A wrapper
-(ExplicitPrefix, ShiftedSigma) declares ``tail_interval`` from its base's
-whole bracket (a shift falls back on the combiner where that has none),
-keeping ``tail_ratio`` for ``tail_bound``.  theta1 = min sigma_n comes from
-``sigma_min_set``, cached per family; the attainment cone and degenerate
-cases follow from alpha and theta1.
+``tail_intervals``, the brackets the series layer reads (all moments at one
+index from one call; ``tail_interval`` is its one-moment view), combines a
+leaf family's certificates (moments k >= 1 need positive levels).  A
+wrapper (ExplicitPrefix, ShiftedSigma) declares ``tail_intervals`` from its
+base's whole brackets (a shift falls back on the combiner where that has
+none), and passes ``tail_ratio`` on where it holds.
+theta1 = min sigma_n comes from ``sigma_min_set``, cached per family; the
+attainment cone and degenerate cases follow from alpha and theta1.
 
 A bound is returned only when the family's structure proves it; otherwise
 the methods return None and callers must enlarge the truncation or reject.
@@ -61,7 +62,6 @@ __all__ = [
     "lattice_levels",
     "prefix_stats",
     "sigma_min_set",
-    "tail_bound",
     "flipped",
 ]
 
@@ -160,63 +160,97 @@ class SequenceFamily:
     def _direct_interval(self, y, n, moment):
         return None
 
+    def _direct_intervals(self, y, n, moments):
+        """Closed-form (lo, hi) brackets of the (N=n, k) tails, one per k in
+        `moments` (None where there is none); a family whose moments share
+        closed-form pieces takes them once by overriding this."""
+        return [self._direct_interval(y, n, k) for k in moments]
+
     def boundary_divergent(self, moment: int = 0) -> Optional[bool]:
         """True/False when (non)summability at y = -alpha is certified."""
         return None
 
     def tail_interval(self, y: float, n: int, moment: int = 0):
-        """Best available (lo, hi) bracket of the (N=n, k=moment) tail.
+        """Best available (lo, hi) bracket of the (N=n, k=moment) tail, or
+        None: the one-moment view of tail_intervals."""
+        return self.tail_intervals(y, n, (moment,))[0]
+
+    def tail_intervals(self, y: float, n: int, moments) -> list:
+        """Best available (lo, hi) bracket of the (N=n, k) tail for each k in
+        `moments`, in its order, from one call: what a summation pass reads
+        at each block end.  Subclasses override this, never tail_interval.
 
         Combines the ratio route, the family's closed forms and moment
-        absorption into the plain tail at a shifted ordinate.  None when
-        nothing is certified.  For k >= 1 over a nonpositive level the
-        family's routes must decline (lo = 0 floors every bracket), and
-        absorption is not tried.
+        absorption into the plain tail at a shifted ordinate, taking t_n,
+        t_{n+1} and the absorbed base tails once for every moment.  None for
+        a moment where nothing is certified.  For k >= 1 over a nonpositive
+        level the family's routes must decline (lo = 0 floors every
+        bracket), and absorption is not tried.
         """
-        los, his = [0.0], []
-        r = self.tail_ratio(y, n, moment)
-        if r is not None and r < 1.0:
-            t_n = self._term(y, n, moment)
-            his.append(t_n * r / (1.0 - r))
-            los.append(self._term(y, n + 1, moment))
-        direct = self._direct_interval(y, n, moment)
-        if direct is not None:
-            los.append(direct[0])
-            his.append(direct[1])
+        out = []
+        t_n = t_next = bases = None  # (e^(ln p + sigma y), sigma), taken once
+        for k, direct in zip(moments, self._direct_intervals(y, n, moments)):
+            los, his = [0.0], []
+            r = self.tail_ratio(y, n, k)
+            if r is not None and r < 1.0:
+                if t_n is None:
+                    t_n = self._term(y, n)
+                if t_next is None:
+                    t_next = self._term(y, n + 1)
+                his.append(t_n[0] * t_n[1] ** k * r / (1.0 - r))
+                los.append(t_next[0] * t_next[1] ** k)
+            if direct is not None:
+                los.append(direct[0])
+                his.append(direct[1])
+            if not his and k > 0:
+                if bases is None:
+                    bases = self._absorbed_bases(y, n)
+                for eps, base in bases.items():
+                    # absorb sigma^k <= (k/(e eps))^k exp(eps sigma), sigma > 0
+                    c = (k / (math.e * eps)) ** k
+                    # c may underflow to 0 against a trivial base bracket
+                    his.append(c * base[1] if base[1] < math.inf else math.inf)
+                if his:
+                    if t_next is None:
+                        t_next = self._term(y, n + 1)
+                    los.append(t_next[0] * t_next[1] ** k)
+            if his:
+                hi = min(his)
+                out.append((min(max(los), hi), hi))
+            else:
+                out.append(None)
+        return out
+
+    def _absorbed_bases(self, y, n) -> dict:
+        """{eps: plain-tail bracket at y + eps} for moment absorption, empty
+        without a finite alpha above -y or with a nonpositive level past n.
+        The best eps trades the constant (k/(e eps))^k against the slower
+        base tail, scaling like 1/sigma for slowly spaced levels: a ladder."""
         try:
             a = self.alpha
         except UnsupportedFamilyError:
-            a = None
-        if not his and moment > 0 and a is not None and math.isfinite(a) and y < -a:
-            # absorb sigma^k <= (k/(e eps))^k exp(eps sigma), sigma > 0;
-            # the best eps trades the constant against the slower base tail,
-            # scaling like 1/sigma for slowly spaced levels, so try a ladder
-            last = max(n + 1, self.sigma_increasing_from)  # nondecreasing on
-            if min(map(self.sigma, range(n + 1, last + 1))) <= 0.0:
-                return None
-            gap = -a - y
-            ladder = {0.5 * gap, 0.125 * gap, 0.03125 * gap}
-            ladder.add(min(0.5 * gap, 1.0 / self.sigma(n + 1)))
-            for eps in ladder:
-                if eps <= 0.0:
-                    continue
+            return {}
+        if not (math.isfinite(a) and y < -a):
+            return {}
+        last = max(n + 1, self.sigma_increasing_from)  # nondecreasing on
+        if min(map(self.sigma, range(n + 1, last + 1))) <= 0.0:
+            return {}
+        gap = -a - y
+        ladder = {0.5 * gap, 0.125 * gap, 0.03125 * gap}
+        ladder.add(min(0.5 * gap, 1.0 / self.sigma(n + 1)))
+        bases = {}
+        for eps in ladder:
+            if eps > 0.0:
                 base = self.tail_interval(y + eps, n, 0)
                 if base is not None:
-                    c = (moment / (math.e * eps)) ** moment
-                    # c may underflow to 0 against a trivial base bracket
-                    his.append(c * base[1] if base[1] < math.inf else math.inf)
-            if his:
-                los.append(self._term(y, n + 1, moment))
-        if not his:
-            return None
-        hi = min(his)
-        return min(max(los), hi), hi
+                    bases[eps] = base
+        return bases
 
-    def _term(self, y, n, moment):
+    def _term(self, y, n):
+        """(v, s) = (e^(ln p_n + sigma_n y), sigma_n): t_n of moment k is v s^k."""
         s = self.sigma(n)  # positive wherever a moment k >= 1 is asked for
         t = self.log_p(n) + s * y
-        v = math.exp(t) if t < 700.0 else math.inf
-        return v * s**moment
+        return (math.exp(t) if t < 700.0 else math.inf), s
 
 
 # ---------------------------------------------------------------------------
@@ -275,34 +309,35 @@ class Arithmetic(SequenceFamily):
             r *= (self.sigma(n + 1) / s_n) ** moment
         return r if r < 1.0 else None
 
-    def _direct_interval(self, y, n, moment):
-        # exact geometric moment tails
+    def _direct_intervals(self, y, n, moments):
+        # exact geometric moment tails, from 1 - rho, e^(offset y) and
+        # rho^(n+1) taken once for every moment
         if self.slope <= 0.0 or y >= 0.0:
-            return None
-        if moment > 0 and self.sigma(n + 1) <= 0.0:
-            return None
+            return [None] * len(moments)
         om = -math.expm1(self.slope * y)  # 1 - rho, rho = e^(slope y), without cancellation
         if om <= 2.0**-54:  # rho rounds to 1: only the trivial bracket is certain
-            return 0.0, math.inf
+            return [None if k and self.sigma(n + 1) <= 0.0 else (0.0, math.inf) for k in moments]
         try:
             amp = math.exp(self.offset * y)
         except OverflowError:  # no certificate from this route
-            return None
+            return [None] * len(moments)
         g = math.exp((n + 1) * self.slope * y)  # rho^(n+1)
-        s0 = g / om
-        if moment == 0:
-            t = amp * s0
-            return t, t
-        s1 = g * (1.0 + n * om) / om**2
         a, b = self.offset, self.slope
-        if moment == 1:
-            t = amp * (a * s0 + b * s1)
-            return t, t
-        if moment == 2:
-            s2 = g * (2.0 + (2 * n - 1) * om + n * n * om * om) / om**3
-            t = amp * (a * a * s0 + 2 * a * b * s1 + b * b * s2)
-            return t, t
-        return None
+        s0 = g / om
+        out = []
+        for k in moments:
+            t = None  # k > 2, or k >= 1 over a nonpositive level
+            if k == 0:
+                t = amp * s0
+            elif k <= 2 and self.sigma(n + 1) > 0.0:
+                s1 = g * (1.0 + n * om) / om**2
+                if k == 1:
+                    t = amp * (a * s0 + b * s1)
+                else:
+                    s2 = g * (2.0 + (2 * n - 1) * om + n * n * om * om) / om**3
+                    t = amp * (a * a * s0 + 2 * a * b * s1 + b * b * s2)
+            out.append(None if t is None else (t, t))
+        return out
 
     def boundary_divergent(self, moment=0):
         # alpha = 0 and p_n = 1: terms do not vanish at y = 0
@@ -381,13 +416,13 @@ class PowerLaw(SequenceFamily):
         hi = _block_doubling_tail(lambda m: self.sigma(m) * y, self.sigma, y, n)
         return None if hi is None else (0.0, hi)
 
-    def tail_interval(self, y, n, moment=0):
+    def tail_intervals(self, y, n, moments):
         # the terms are positive, so (0, inf) is a true bracket where no
         # finite one is certified, and the kernel's early give-up applies
-        iv = super().tail_interval(y, n, moment)
-        if iv is None and self.scale > 0.0 and y < 0.0:
-            return 0.0, math.inf
-        return iv
+        ivs = super().tail_intervals(y, n, moments)
+        if self.scale > 0.0 and y < 0.0:
+            return [(0.0, math.inf) if iv is None else iv for iv in ivs]
+        return ivs
 
     def boundary_divergent(self, moment=0):
         return True if self.scale > 0.0 else None
@@ -425,29 +460,32 @@ class LogLevels(SequenceFamily):
     def sigma_direction(self):
         return 1 if self.scale > 0.0 else -1
 
-    def _direct_interval(self, y, n, moment):
+    def _direct_intervals(self, y, n, moments):
         # integral test on ln^k(w) w^(scale*y), w = x+1, which is elementary
-        # for k <= 2 and decreasing once ln w > k/(-scale*y)
-        if self.scale <= 0.0 or moment > 2:
-            return None
+        # for k <= 2 and decreasing once ln w > k/(-scale*y); the logs and
+        # powers of w = n+2 and n+1 are taken once for every moment
         e = self.scale * y
-        if e >= -1.0:
-            return None
+        if self.scale <= 0.0 or e >= -1.0:
+            return [None] * len(moments)
         m = -(e + 1.0)
-        if moment > 0 and math.log(n + 1.0) <= moment / (-e):
-            return None  # terms not yet decreasing at this index
+        ends = [(math.log(w), w ** (e + 1.0)) for w in (n + 2.0, n + 1.0)]
 
-        def integral(w):
-            lw = math.log(w)
-            if moment == 0:
+        def integral(k, lw, pw):
+            if k == 0:
                 tail = 1.0 / m
-            elif moment == 1:
+            elif k == 1:
                 tail = lw / m + 1.0 / (m * m)
             else:
                 tail = lw * lw / m + 2.0 * lw / (m * m) + 2.0 / (m**3)
-            return self.scale**moment * w ** (e + 1.0) * tail
+            return self.scale**k * pw * tail
 
-        return integral(n + 2.0), integral(n + 1.0)
+        out = []
+        for k in moments:
+            if k > 2 or k > 0 and ends[1][0] <= k / (-e):  # ends[1][0] = ln(n+1)
+                out.append(None)  # terms not yet decreasing at this index
+            else:
+                out.append(tuple(integral(k, lw, pw) for lw, pw in ends))
+        return out
 
     def boundary_divergent(self, moment=0):
         # at y = -alpha the terms are sigma^k/(n+1): harmonic or worse
@@ -596,22 +634,26 @@ class Lattice3D(SequenceFamily):
     def alpha(self):
         return 0.0
 
-    def _direct_interval(self, y, n, moment):
+    def _direct_intervals(self, y, n, moments):
         if y >= 0.0:
-            return None
+            return [None] * len(moments)
         # degeneracy of value S is at most S (each admissible (i,j) fixes k),
-        # so the tail is below scale^k * sum_{S > V} S^(k+1) rho^S
-        _, v = _LATTICE_TABLE.level(n)
+        # so the tail is below scale^k * sum_{S > V} S^(k+1) rho^S; the
+        # level V and q^(V+1) are taken once for every moment
+        v = float(_LATTICE_TABLE.ensure(n)[0][n - 1])
         rho_log = self.scale * y
-        m = moment + 1
         eps = -0.5 * rho_log
-        try:
-            c = (m / (math.e * eps)) ** m
-            q = math.exp(0.5 * rho_log)  # = exp(rho_log + eps) < 1, 0 at y = -inf
-            hi = self.scale**moment * c * q ** (v + 1) / (1.0 - q)
-        except (ZeroDivisionError, OverflowError):
-            return 0.0, math.inf  # y so near 0 that eps or 1 - q rounds to 0
-        return 0.0, hi
+        q = math.exp(0.5 * rho_log)  # = exp(rho_log + eps) < 1, 0 at y = -inf
+        qv = q ** (v + 1.0)
+        out = []
+        for k in moments:
+            m = k + 1
+            try:
+                hi = self.scale**k * (m / (math.e * eps)) ** m * qv / (1.0 - q)
+            except (ZeroDivisionError, OverflowError):
+                hi = math.inf  # y so near 0 that eps or 1 - q rounds to 0
+            out.append((0.0, hi))
+        return out
 
     def boundary_divergent(self, moment=0):
         return True
@@ -705,9 +747,11 @@ class ExplicitPrefix(SequenceFamily):
         # t_{m+1}/t_m for m >= n must compare tail-family terms only
         return self.tail.tail_ratio(y, n, moment) if n > self._m else None
 
-    def tail_interval(self, y, n, moment=0):
+    def tail_intervals(self, y, n, moments):
         # beyond the prefix every term belongs to the tail family
-        return self.tail.tail_interval(y, n, moment) if n >= self._m else None
+        if n >= self._m:
+            return self.tail.tail_intervals(y, n, moments)
+        return [None] * len(moments)
 
     def boundary_divergent(self, moment=0):
         return self.tail.boundary_divergent(moment)
@@ -766,32 +810,39 @@ class ShiftedSigma(SequenceFamily):
             return self.base.tail_ratio(y, n, 0)  # gaps are shift-invariant
         return None
 
-    def tail_interval(self, y, n, moment=0):
+    def tail_intervals(self, y, n, moments):
         # (sigma - shift)^k = sum_j C(k, j) (-shift)^(k-j) sigma^j over the
-        # base's brackets by interval arithmetic, scaled by exp(-shift*y);
-        # where the base has none (j >= 1 needs positive base levels) or e^t
-        # would magnify its rounding (a base tail rounded to 0 can be a
-        # shifted tail of order 1), the combiner brackets the shifted terms
+        # base's brackets (j = 0..max k from one call) by interval arithmetic,
+        # scaled by exp(-shift*y); where the base has none (j >= 1 needs
+        # positive base levels) or e^t would magnify its rounding (a base
+        # tail rounded to 0 can be a shifted tail of order 1), the combiner
+        # brackets the shifted terms
         if y == -math.inf:  # every shifted level is positive: each term is 0
-            return 0.0, 0.0
+            return [(0.0, 0.0)] * len(moments)
         t = -self.shift * y
         if t > 600.0:  # the terms are positive: (0, inf) always holds
-            iv = super().tail_interval(y, n, moment)
-            return (0.0, math.inf) if iv is None else iv
-        lo = hi = 0.0
-        for j in range(moment + 1):
-            c = math.comb(moment, j) * (-self.shift) ** (moment - j)
-            if c == 0.0:
-                continue  # shift = 0: skipped, so 0 * inf never makes nan
-            iv = self.base.tail_interval(y, n, j)
-            if iv is None:
-                return super().tail_interval(y, n, moment)
-            if c > 0.0:
-                lo, hi = lo + c * iv[0], hi + c * iv[1]
-            else:
-                lo, hi = lo + c * iv[1], hi + c * iv[0]
+            ivs = super().tail_intervals(y, n, moments)
+            return [(0.0, math.inf) if iv is None else iv for iv in ivs]
+        base = self.base.tail_intervals(y, n, tuple(range(max(moments) + 1)))
         s = math.exp(t)  # t <= 600: finite, and 0 only where inf * s is nan
-        return max(lo, 0.0) * s, (hi * s if hi < math.inf else math.inf)
+        out = []
+        for k in moments:
+            lo = hi = 0.0
+            for j in range(k + 1):
+                c = math.comb(k, j) * (-self.shift) ** (k - j)
+                if c == 0.0:
+                    continue  # shift = 0: skipped, so 0 * inf never makes nan
+                iv = base[j]
+                if iv is None:
+                    out.append(super().tail_intervals(y, n, (k,))[0])
+                    break
+                if c > 0.0:
+                    lo, hi = lo + c * iv[0], hi + c * iv[1]
+                else:
+                    lo, hi = lo + c * iv[1], hi + c * iv[0]
+            else:
+                out.append((max(lo, 0.0) * s, hi * s if hi < math.inf else math.inf))
+        return out
 
     def boundary_divergent(self, moment=0):
         return self.base.boundary_divergent(moment)
@@ -872,18 +923,3 @@ def sigma_min_set(family: SequenceFamily, tie_tol: float = 1e-12) -> SigmaMinSet
     p_sum = math.fsum(family.p(k) for k in indices)
     return SigmaMinSet(theta1, tuple(indices), p_sum)
 
-
-def tail_bound(family: SequenceFamily, y: float, n: int) -> Optional[float]:
-    """Ratio-test upper bound on sum_{m > n} p_m exp(sigma_m y), or None if
-    the family certifies no tail ratio at this index."""
-    try:
-        a = family.alpha
-    except UnsupportedFamilyError as exc:
-        raise DomainError("family has no dom-f endpoint; normalize first") from exc
-    if not y < -a:
-        raise DomainError(f"tail bound requires y < -alpha = {-a}, got {y}")
-    r = family.tail_ratio(y, n, 0)
-    if r is None or r >= 1.0:
-        return None
-    term_n = math.exp(family.log_p(n) + family.sigma(n) * y)
-    return term_n * r / (1.0 - r)

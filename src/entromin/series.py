@@ -11,11 +11,13 @@ from zero), and profiles record which of the three endpoint regimes holds:
   (c) closed with gamma < inf, the only case with a finite slope bound
       theta2 = gamma / f(-alpha).
 
-Every sum comes from one certified block-doubling loop, _eval_many, which
-can carry several sums through one pass: the moments of f, or h_W, its
-gradient and its Hessian at one point (_dual_point), each with its own
-tolerance and tail bracket.  Every bracket, at y = -alpha too, is the
-family's tail_interval.  eval_h, grad_h and hessian_h are the one-quantity
+Every sum comes from one certified pass, _eval_many, which can carry
+several sums: the moments of f, or h_W, its gradient and its Hessian at one
+point (_dual_point), each with its own tolerance and tail bracket.  A pass
+first walks the block ends n = 64, 128, ... on the tail brackets alone, one
+family.tail_intervals call per block end (at y = -alpha too), to the first
+where every bracket is narrow enough, and then sums the terms up to there
+once (_block_sums).  eval_h, grad_h and hessian_h are the one-quantity
 entry points to it.
 
 The increasing bijection phi = f'/f : (-inf, -alpha) -> (theta1, theta2) has
@@ -79,6 +81,7 @@ __all__ = [
 
 _TERM_BUDGET = 2**23
 _START_BLOCK = 64
+_ONE_ARRAY = 4096  # a pass sums its terms up to here in one array
 _MB = Entropy.MAXWELL_BOLTZMANN
 _UNIT = (1.0, 1.0)
 _add_reduce = np.add.reduce  # ndarray.sum() without its Python-level wrapper
@@ -140,22 +143,24 @@ class HalfLine:
 
 def _eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0):
     """Certified sums of p_n sigma_n^k m(t_n) exp(t_n), t_n = x + sigma_n y,
-    one SeriesEval per key (m, k) of `tols`, in its order, from the one
-    certified block-doubling loop, stopped when every tail bracket is
-    narrower than its sum's tolerance.  m = None, and every m under
-    maxwell-boltzmann, is the unit multiplier: the moments of f are the x = 0
-    case.  Otherwise m(t) e^t is (W*)(t), (W*)' or (W*)'' as m is 'conj',
-    'grad' or 'hess' (_mult_arrays), so h_W, its gradient and its Hessian
-    can share one pass.  Per block the terms are exponentiated once, z = e^t
-    once, and the f-tail bracket taken once per moment from
-    family.tail_interval, the one bracket source (at y = -alpha it is the
-    boundary bracket); each sum widens it by exp(x) and its multiplier's
-    bounds over the tail (_mult_bounds), which unit sums at x = 0 skip.
+    one SeriesEval per key (m, k) of `tols`, in its order, from one
+    certified pass, stopped at the first block end n = 64, 128, ... where
+    every tail bracket is narrower than its sum's tolerance.  m = None, and
+    every m under maxwell-boltzmann, is the unit multiplier: the moments of
+    f are the x = 0 case.  Otherwise m(t) e^t is (W*)(t), (W*)' or (W*)'' as
+    m is 'conj', 'grad' or 'hess' (_mult_arrays), so h_W, its gradient and
+    its Hessian can share one pass.
 
+    The stopping rule reads only the brackets, so the pass walks the block
+    ends with scalar work alone, one family.tail_intervals call each (at
+    y = -alpha the boundary brackets), which each sum widens by exp(x) and
+    its multiplier's bounds over the tail (_mult_bounds; unit sums at x = 0
+    skip them), and then sums the terms up to its stop once (_block_sums).
     When a certified width shrinks too slowly to reach its tolerance within
-    the term budget even at cubic decay, the block is judged again with
+    the term budget even at cubic decay, the block end is judged again with
     every tolerance times the ceiling, and a pass that stops there logs it;
-    BudgetError when that is out of reach too (at once under ceiling 1).
+    BudgetError, before any term is summed, when that is out of reach too
+    (at once under ceiling 1).
     """
     try:
         ex = math.exp(x)
@@ -163,39 +168,24 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0):
             raise OverflowError
     except OverflowError:
         raise RangeError(f"x={x} is too large: exp(x) overflows") from None
-    mults = () if kind is _MB else tuple(dict.fromkeys(m for m, _ in tols if m is not None))
+    mults, moments, slot = _pass_shape(tuple(tols))
+    mults = () if kind is _MB else mults
     scaled = bool(x) or bool(mults)
-    weighted, bounds = {}, {}
-    sums = [[] for _ in tols]
+    bounds = {}
     asked = None  # the tolerances asked for, once they rose to the ceiling
-    lo, hi = 1, _START_BLOCK
+    hi = _START_BLOCK
     while True:
-        logt = family.log_terms(y, lo, hi)
-        sig = family.sigma_array(lo, hi)
-        base = np.exp(logt + x if x else logt)
         if mults:
             t_next = x + family.sigma(hi + 1) * y
             if kind is Entropy.BOSE_EINSTEIN and t_next >= 0.0:
                 raise DomainError("bose-einstein dual needs x + sigma_n y < 0 on the tail")
-            weighted = _mult_arrays(kind, mults, x + sig * y)
-            for m, arr in weighted.items():
-                weighted[m] = base * arr
             z_next = math.exp(min(t_next, 700.0))
             bounds = {m: _mult_bounds(kind, m, z_next) for m in mults}
-        for acc, (m, k) in zip(sums, tols):
-            block = weighted.get(m, base)
-            if k == 1:
-                block = block * sig
-            elif k:
-                block = block * sig**k
-            acc.append(float(_add_reduce(block)))
+        ivs = family.tail_intervals(y, hi, moments)
         while True:  # judged again once the tolerances rise to the ceiling
-            brackets, ivs = [], {}
+            brackets = []
             for (m, k), tol in tols.items():
-                if k in ivs:
-                    iv = ivs[k]
-                else:
-                    iv = ivs[k] = family.tail_interval(y, hi, k)
+                iv = ivs[slot[k]]
                 if iv is None:
                     break
                 if scaled:
@@ -211,11 +201,12 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0):
                                 f"(x={x}, y={y}, sum {(m, k)})"
                             )
                         asked, tols, ceiling = tols, {s: t * ceiling for s, t in tols.items()}, 1.0
-                        brackets = None  # judge this block again
+                        brackets = None  # judge this block end again
                     break
                 brackets.append(iv)
             else:
                 out = []
+                sums = _block_sums(family, y, tols, x, kind, mults, hi)
                 for acc, (blo, bhi) in zip(sums, brackets):
                     out.append(SeriesEval(math.fsum(acc) + 0.5 * (blo + bhi), hi, 0.5 * (bhi - blo)))
                 if asked is not None:
@@ -230,7 +221,54 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0):
                 f"series tails uncertified after {hi} terms at x={x}, y={y} "
                 f"(tolerances {tols})"
             )
-        lo, hi = hi + 1, min(2 * hi, _TERM_BUDGET)
+        hi = min(2 * hi, _TERM_BUDGET)
+
+
+@functools.lru_cache(maxsize=64)
+def _pass_shape(keys):
+    """(multipliers, moments, {moment: its place}) of a pass over the sums
+    `keys`, each in order of first appearance."""
+    mults = tuple(dict.fromkeys(m for m, _ in keys if m is not None))
+    moments = tuple(dict.fromkeys(k for _, k in keys))
+    return mults, moments, {k: i for i, k in enumerate(moments)}
+
+
+def _block_sums(family, y, tols, x, kind, mults, n):
+    """Per sum of `tols`, its partials over the blocks 1-64, 65-128, ... up
+    to a pass's stopping index n, whose math.fsum is the sum: one array of
+    terms up to min(n, 4096), each partial from a slice (none when n = 64),
+    then one array per block.  Per array the terms are exponentiated once,
+    and z = e^t once for the multipliers (_mult_arrays)."""
+    sums = [[] for _ in tols]
+    lo, hi = 1, n if n < _ONE_ARRAY else _ONE_ARRAY
+    while True:
+        logt = family.log_terms(y, lo, hi)
+        sig = family.sigma_array(lo, hi)
+        base = np.exp(logt + x if x else logt)
+        weighted = {}
+        if mults:
+            weighted = _mult_arrays(kind, mults, x + sig * y)
+            for m, arr in weighted.items():
+                weighted[m] = base * arr
+        cuts = None  # (start, end) of each block inside the array
+        if hi > _START_BLOCK and lo == 1:
+            cuts = [(0, _START_BLOCK)]
+            while cuts[-1][1] < hi:
+                cuts.append((cuts[-1][1], 2 * cuts[-1][1]))
+        for acc, (m, k) in zip(sums, tols):
+            block = weighted.get(m, base)
+            if k == 1:
+                block = block * sig
+            elif k:
+                block = block * sig**k
+            if cuts is None:
+                acc.append(float(_add_reduce(block)))
+            else:
+                for a, b in cuts:
+                    acc.append(float(_add_reduce(block[a:b])))
+        if hi == n:
+            return sums
+        lo, hi = hi + 1, 2 * hi
 
 
 def _check_boundary_summable(family, moment) -> None:

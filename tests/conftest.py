@@ -19,6 +19,7 @@ from entromin import (
     Entropy,
     InfeasibleError,
     Lattice3D,
+    UnsupportedFamilyError,
     WeightedGeometric,
 )
 
@@ -55,6 +56,24 @@ def brute_force_tail(family, y: float, n: int, horizon: int, moment: int = 0) ->
     total = math.fsum(terms)
     converged = terms[-1] <= 1e-18 * max(total, 1e-300)
     return total, converged
+
+
+def tail_bound(family, y: float, n: int):
+    """Ratio-test upper bound on sum_{m > n} p_m exp(sigma_m y), or None if
+    the family certifies no tail ratio at this index: the ratio route of
+    tail_interval on its own, checked against brute-force tails in
+    tests/test_sequences.py."""
+    try:
+        a = family.alpha
+    except UnsupportedFamilyError as exc:
+        raise DomainError("family has no dom-f endpoint; normalize first") from exc
+    if not y < -a:
+        raise DomainError(f"tail bound requires y < -alpha = {-a}, got {y}")
+    r = family.tail_ratio(y, n, 0)
+    if r is None or r >= 1.0:
+        return None
+    term_n = math.exp(family.log_p(n) + family.sigma(n) * y)
+    return term_n * r / (1.0 - r)
 
 
 def lattice_triples(limit: int) -> dict[int, int]:
@@ -355,3 +374,118 @@ def case_b_family():
 @pytest.fixture(scope="session")
 def lattice():
     return Lattice3D(1.0)
+
+
+# -- reference summation kernel ---------------------------------------------
+# series._eval_many as it was when every block of a pass built its own term
+# arrays and took one tail_interval bracket per moment: the block-doubling
+# loop that the one-walk, one-array-pass kernel must reproduce bit for bit
+# (tests/test_series.py).
+
+from entromin.errors import RangeError  # noqa: E402
+from entromin.series import (  # noqa: E402
+    _MB,
+    _TERM_BUDGET,
+    _START_BLOCK,
+    _UNIT,
+    _add_reduce,
+    _log,
+    _mult_arrays,
+    _mult_bounds,
+    SeriesEval,
+)
+
+
+def ref_eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0):
+    """Certified sums of p_n sigma_n^k m(t_n) exp(t_n), t_n = x + sigma_n y,
+    one SeriesEval per key (m, k) of `tols`, in its order, from the one
+    certified block-doubling loop, stopped when every tail bracket is
+    narrower than its sum's tolerance.  m = None, and every m under
+    maxwell-boltzmann, is the unit multiplier: the moments of f are the x = 0
+    case.  Otherwise m(t) e^t is (W*)(t), (W*)' or (W*)'' as m is 'conj',
+    'grad' or 'hess' (_mult_arrays), so h_W, its gradient and its Hessian
+    can share one pass.  Per block the terms are exponentiated once, z = e^t
+    once, and the f-tail bracket taken once per moment from
+    family.tail_interval, the one bracket source (at y = -alpha it is the
+    boundary bracket); each sum widens it by exp(x) and its multiplier's
+    bounds over the tail (_mult_bounds), which unit sums at x = 0 skip.
+
+    When a certified width shrinks too slowly to reach its tolerance within
+    the term budget even at cubic decay, the block is judged again with
+    every tolerance times the ceiling, and a pass that stops there logs it;
+    BudgetError when that is out of reach too (at once under ceiling 1).
+    """
+    try:
+        ex = math.exp(x)
+        if ex == math.inf:  # x = +inf: math.exp returns inf without raising
+            raise OverflowError
+    except OverflowError:
+        raise RangeError(f"x={x} is too large: exp(x) overflows") from None
+    mults = () if kind is _MB else tuple(dict.fromkeys(m for m, _ in tols if m is not None))
+    scaled = bool(x) or bool(mults)
+    weighted, bounds = {}, {}
+    sums = [[] for _ in tols]
+    asked = None  # the tolerances asked for, once they rose to the ceiling
+    lo, hi = 1, _START_BLOCK
+    while True:
+        logt = family.log_terms(y, lo, hi)
+        sig = family.sigma_array(lo, hi)
+        base = np.exp(logt + x if x else logt)
+        if mults:
+            t_next = x + family.sigma(hi + 1) * y
+            if kind is Entropy.BOSE_EINSTEIN and t_next >= 0.0:
+                raise DomainError("bose-einstein dual needs x + sigma_n y < 0 on the tail")
+            weighted = _mult_arrays(kind, mults, x + sig * y)
+            for m, arr in weighted.items():
+                weighted[m] = base * arr
+            z_next = math.exp(min(t_next, 700.0))
+            bounds = {m: _mult_bounds(kind, m, z_next) for m in mults}
+        for acc, (m, k) in zip(sums, tols):
+            block = weighted.get(m, base)
+            if k == 1:
+                block = block * sig
+            elif k:
+                block = block * sig**k
+            acc.append(float(_add_reduce(block)))
+        while True:  # judged again once the tolerances rise to the ceiling
+            brackets, ivs = [], {}
+            for (m, k), tol in tols.items():
+                if k in ivs:
+                    iv = ivs[k]
+                else:
+                    iv = ivs[k] = family.tail_interval(y, hi, k)
+                if iv is None:
+                    break
+                if scaled:
+                    mlo, mhi = bounds.get(m, _UNIT)
+                    iv = (ex * iv[0] * mlo, ex * iv[1] * mhi)
+                width = iv[1] - iv[0]
+                if not (width <= tol) or not math.isfinite(iv[1]):
+                    if hi >= 4096 and not width <= tol * (_TERM_BUDGET / hi) ** 3:
+                        if ceiling == 1.0:
+                            raise BudgetError(
+                                f"series tail width {width:.3e} at n={hi} cannot reach "
+                                f"{tol:.3e} within the {_TERM_BUDGET}-term budget "
+                                f"(x={x}, y={y}, sum {(m, k)})"
+                            )
+                        asked, tols, ceiling = tols, {s: t * ceiling for s, t in tols.items()}, 1.0
+                        brackets = None  # judge this block again
+                    break
+                brackets.append(iv)
+            else:
+                out = []
+                for acc, (blo, bhi) in zip(sums, brackets):
+                    out.append(SeriesEval(math.fsum(acc) + 0.5 * (blo + bhi), hi, 0.5 * (bhi - blo)))
+                if asked is not None:
+                    _log.debug("series pass stopped at its ceiling: %r at y=%r, n=%d, "
+                               "targets %s, widths %s", family, y, hi, list(asked.values()),
+                               [2.0 * s.tail_bound_used for s in out])
+                return out
+            if brackets is not None:
+                break
+        if hi >= _TERM_BUDGET:
+            raise BudgetError(
+                f"series tails uncertified after {hi} terms at x={x}, y={y} "
+                f"(tolerances {tols})"
+            )
+        lo, hi = hi + 1, min(2 * hi, _TERM_BUDGET)

@@ -338,3 +338,17 @@ def test_be_conjugate_is_inf_exactly_where_exp_rounds_to_one():
     assert rounds_to_one.any() and not rounds_to_one.all()
     assert np.array_equal(got == INF, rounds_to_one)
     assert np.all(np.isfinite(got[~rounds_to_one]))
+
+
+@pytest.mark.usefixtures("warnings_are_errors")
+def test_be_conjugate_is_accurate_as_t_tends_to_zero():
+    # -ln(1 - e^t) at 200 points from -ln 2 to -1e-15: -log1p(-e^t) lost
+    # up to 8e-7 relative accuracy there (27.631043 for 27.631021 at
+    # t = -1e-12), -log(-expm1(t)) keeps a few ulp
+    mpmath = pytest.importorskip("mpmath")
+    ts = -np.geomspace(math.log(2.0), 1e-15, 200)
+    got = entropy_conjugate(BE, ts)
+    with mpmath.workdps(50):
+        want = [float(-mpmath.log(-mpmath.expm1(mpmath.mpf(t)))) for t in ts.tolist()]
+    for t, g, w in zip(ts.tolist(), got.tolist(), want):
+        assert abs(g - w) <= 4.0 * math.ulp(w), (t, g, w)

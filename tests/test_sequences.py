@@ -2,9 +2,11 @@
 statistics, minimum-level sets, and — most importantly — soundness of every
 certified tail bound against brute-force summation."""
 
+import json
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,12 +29,11 @@ from entromin import (
     lattice_levels,
     prefix_stats,
     sigma_min_set,
-    tail_bound,
 )
 from entromin import sequences
 from entromin.sequences import flipped
 
-from conftest import brute_force_series, brute_force_tail, lattice_triples
+from conftest import brute_force_series, brute_force_tail, lattice_triples, tail_bound
 
 
 class TestGenerate:
@@ -264,6 +265,38 @@ _FAMILY_POINTS = [
 ]
 
 
+_PINNED = Path(__file__).resolve().parent / "golden" / "tail_brackets.json"
+_PINNED_N = tuple(64 * 2**j for j in range(8)) + (70, 300)
+
+
+def _pinned_bracket_inputs():
+    """(family, y, n) of the pinned brackets: every family of _FAMILY_POINTS
+    at its y, at twice and half its distance from -alpha, and at -alpha
+    where its plain series is certified summable, for each n of _PINNED_N."""
+    for family, y in _FAMILY_POINTS:
+        a = family.alpha
+        ys = [y, -a + 2.0 * (y + a), -a + 0.5 * (y + a)]
+        if family.boundary_divergent(0) is False:
+            ys.append(-a)
+        for yy in ys:
+            for n in _PINNED_N:
+                yield family, yy, n
+
+
+def _pin_key(family, y, n, k):
+    return f"{family!r} y={y!r} n={n} k={k}"
+
+
+def _pin_tail_brackets():
+    """The pinned brackets, {_pin_key: repr of tail_interval(y, n, k)} for
+    k = 0, 1, 2 at every _pinned_bracket_inputs point."""
+    return {
+        _pin_key(family, y, n, k): repr(family.tail_interval(y, n, k))
+        for family, y, n in _pinned_bracket_inputs()
+        for k in (0, 1, 2)
+    }
+
+
 @pytest.mark.parametrize("family,y", _FAMILY_POINTS)
 @pytest.mark.parametrize("moment", [0, 1, 2])
 def test_tail_interval_brackets_brute_force(family, y, moment):
@@ -455,3 +488,20 @@ def test_arithmetic_moment_tails_are_exact(y, n):
         assert hi - lo <= 1e-12 * max(1.0, hi)
         brute, _ = brute_force_tail(fam, y, n, 5000, k)
         assert brute == pytest.approx(hi, rel=1e-9, abs=1e-300)
+
+
+def test_tail_intervals_reproduce_the_pinned_brackets():
+    # tests/golden/tail_brackets.json holds repr(tail_interval(y, n, k)) at
+    # commit 0a2157d, before every moment came from one tail_intervals call
+    # (json.dumps(_pin_tail_brackets(), indent=1) wrote it); every moment
+    # set and order must give the same floats
+    pinned = json.loads(_PINNED.read_text())
+    keys = {_pin_key(f, y, n, k) for f, y, n in _pinned_bracket_inputs() for k in (0, 1, 2)}
+    assert set(pinned) == keys
+    for family, y, n in _pinned_bracket_inputs():
+        want = [pinned[_pin_key(family, y, n, k)] for k in (0, 1, 2)]
+        assert [repr(iv) for iv in family.tail_intervals(y, n, (0, 1, 2))] == want
+        assert [repr(iv) for iv in family.tail_intervals(y, n, (2, 0))] == [want[2], want[0]]
+        for k in (0, 1, 2):
+            assert repr(family.tail_intervals(y, n, (k,))[0]) == want[k]
+            assert repr(family.tail_interval(y, n, k)) == want[k]

@@ -45,7 +45,8 @@ from entromin import (
 from entromin import series
 from entromin.series import _HESSIAN, _dual_point, _dual_sums, _invert_slope, hessian_h
 
-from conftest import LN2, ZETA2, ZETA3, brute_force_series, zeta_oracle
+from conftest import LN2, ZETA2, ZETA3, brute_force_series, ref_eval_many, zeta_oracle
+from test_sequences import _FAMILY_POINTS
 
 MB = Entropy.MAXWELL_BOLTZMANN
 BE = Entropy.BOSE_EINSTEIN
@@ -858,3 +859,70 @@ class TestFloatEdges:
             if x == 0.0:
                 assert eval_f(family, y).value == 0.0
                 assert eval_f_derivatives(family, y) == (0.0, 0.0, 0.0)
+
+
+# -- the kernel against its block-loop reference ------------------------------
+
+
+def _kernel_outcome(kernel, *args):
+    """repr of each SeriesEval's (value, truncation_n, tail_bound_used), or
+    the type and message of the exception the kernel raised."""
+    try:
+        with np.errstate(all="ignore"):
+            out = kernel(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    return [repr((s.value, s.truncation_n, s.tail_bound_used)) for s in out]
+
+
+_KERNEL_TOLS = (1e-15, 1e-12, 1e-10, 1e-6, 1e-3, math.inf)
+_KERNEL_KEYS = st.tuples(st.sampled_from([None, "conj", "grad", "hess"]), st.integers(0, 2))
+
+
+@st.composite
+def _kernel_calls(draw):
+    """(family, y, tols, x, kind, ceiling) for series._eval_many: a family of
+    _FAMILY_POINTS at y from 0.6 to 4 times its y's distance from -alpha
+    (or at -alpha where it is summable), under each entropy, with a
+    tolerance set that may hold math.inf and a ceiling."""
+    family, y0 = draw(st.sampled_from(_FAMILY_POINTS))
+    a = family.alpha
+    if family.boundary_divergent(0) is False and draw(st.booleans()):
+        y = -a
+    else:
+        y = -a + draw(st.floats(0.6, 4.0)) * (y0 + a)
+    kind = draw(st.sampled_from([MB, BE, FD]))
+    if kind is BE:  # x + sigma_1 y < 0 but for a few draws
+        x = -family.sigma(1) * y - draw(st.floats(-0.5, 3.0))
+    else:
+        x = draw(st.floats(-3.0, 2.0))
+    tols = draw(st.dictionaries(_KERNEL_KEYS, st.sampled_from(_KERNEL_TOLS), min_size=1, max_size=4))
+    ceiling = draw(st.sampled_from([1.0, 1.0, 1e3, 1e5]))
+    return family, y, tols, x, kind, ceiling
+
+
+class TestKernelMatchesReference:
+    """series._eval_many walks the block ends on the brackets alone and sums
+    its terms once; the block loop it replaced, tests/conftest.py's
+    ref_eval_many, built every block's arrays.  Every SeriesEval must agree
+    to the bit, and every error in type and message."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_kernel_calls())
+    def test_random_passes(self, call):
+        assert _kernel_outcome(series._eval_many, *call) == _kernel_outcome(ref_eval_many, *call)
+
+    @pytest.mark.parametrize("family,y", _FAMILY_POINTS)
+    @pytest.mark.parametrize("kind,x", [(MB, 0.0), (MB, -1.3), (BE, None), (FD, 1.5)])
+    def test_family_points(self, family, y, kind, x):
+        # tight and loose sums together, so passes stop past one block and
+        # past 4096 terms, some at a ceiling and some with a BudgetError
+        if x is None:
+            x = -family.sigma(1) * y - 0.5
+        keys = [(None, 0), (None, 1), (None, 2)] if kind is MB else [("conj", 0), ("grad", 1), ("hess", 2)]
+        for tol in (1e-14, 1e-9):
+            for ceiling in (1.0, 1e4):
+                call = (family, y, dict(zip(keys, (tol, 1e-3, tol))), x, kind, ceiling)
+                got = _kernel_outcome(series._eval_many, *call)
+                assert got == _kernel_outcome(ref_eval_many, *call)
+
