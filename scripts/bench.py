@@ -50,11 +50,12 @@ that run spends beyond a warm rerun of the same targets.  Results do not
 depend on which entries are cached, so the difference is the build alone.
 
 Work counts are deterministic and come from wrapping the library from
-outside; nothing in src/ counts.  members and the series counts come from
-perfbench's tracer (perfbench/tracing.py), array_calls and bracket_calls
-from the family that series._eval_many sees, the exp counts from the numpy
-that entromin.solver and entromin.finite see, and newton_points from
-solver.minimize_convex_2d:
+outside; nothing in src/ counts.  prefix_builds and the series counts come
+from perfbench's tracer (perfbench/tracing.py), members and terms_built from
+solver.EpsilonFamily and solver.EpsilonMember, array_calls and
+bracket_calls from the family that series._eval_many sees, the exp counts
+from the numpy that entromin.solver and entromin.finite see, and
+newton_points from solver.minimize_convex_2d:
 
   prefix_passes        np.exp calls made by entromin.solver and
                        entromin.finite (where a tree keeps the Gibbs pass,
@@ -65,7 +66,16 @@ solver.minimize_convex_2d:
                        root's last pass);
   prefix_terms         elements those calls exponentiate;
   prefix_terms_per_n   prefix_terms over the returned member's n;
-  members              truncations tried (one log_terms(0, 1, n) each);
+  members              truncations tried: EpsilonFamily._member calls;
+  prefix_builds        log_terms calls during one converge: the member
+                       prefixes built, one per member in trees that build
+                       each member's prefix and none for a prefix that a
+                       tree keeps from an earlier call;
+  terms_built          tuples of member terms made during one converge:
+                       one per member solved to its root in trees that make
+                       the tuple with the member, and only those read in
+                       trees that make it on first read
+                       (EpsilonMember.terms);
   series_passes        log_terms calls starting at n = 1 during one
                        solve_mb or round trip: one per certified series
                        pass;
@@ -100,8 +110,8 @@ Wall time is the median (with quartiles) over targets of each target's
 median of REPEATS calls, after one untimed warm-up call per target.  All
 timing runs before the tracer is installed, so the counts see whatever a
 tree caches across calls warm, as a long-running process does (the slope
-ladder, and the endpoint slopes phi_n(0) and phi_n(-alpha) of the epsilon
-family, per family and n, where the tree caches them).
+ladder, and the epsilon family's prefix arrays and endpoint slopes
+phi_n(0) and phi_n(-alpha), per family and n, where the tree caches them).
 
 Usage, from the repository root:
     python scripts/bench.py --out BENCH.json [--src PATH]
@@ -114,6 +124,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import inspect
 import io
 import json
@@ -160,6 +171,49 @@ def _counting_exp(np, counts):
     finally:
         for module in (solver, finite):
             module.np = np
+
+
+@contextlib.contextmanager
+def _counting_members(counts):
+    """Count epsilon-family members tried (EpsilonFamily._member calls) and
+    tuples of member terms made into counts."""
+    from entromin.solver import EpsilonFamily, EpsilonMember
+
+    patched = []
+
+    def patch(owner, name, value):
+        patched.append((owner, name, getattr(owner, name)))
+        setattr(owner, name, value)
+
+    member = EpsilonFamily._member
+
+    def counting_member(self, *args):
+        counts["members"] += 1
+        return member(self, *args)
+
+    patch(EpsilonFamily, "_member", counting_member)
+    lazy = vars(EpsilonMember).get("terms")
+    if isinstance(lazy, functools.cached_property):  # the tuple is made on first read
+        build = lazy.func
+
+        def counting_build(self):
+            counts["terms_built"] += 1
+            return build(self)
+
+        patch(lazy, "func", counting_build)
+    else:  # the tuple is made with the member
+        init = EpsilonMember.__init__
+
+        def counting_init(self, *args, **kwargs):
+            counts["terms_built"] += 1
+            init(self, *args, **kwargs)
+
+        patch(EpsilonMember, "__init__", counting_init)
+    try:
+        yield
+    finally:
+        for owner, name, value in reversed(patched):
+            setattr(owner, name, value)
 
 
 @contextlib.contextmanager
@@ -333,14 +387,17 @@ def _lattice(entromin, workloads, reqs):
 def count_converge(tracer, np, fams):
     per_target, results = [], []
     for fam in fams:
-        exps = Counter()
-        with _counting_exp(np, exps):
+        exps, made = Counter(), Counter()
+        with _counting_exp(np, exps), _counting_members(made):
             member, counts = _counted(
-                tracer, lambda f=fam: f.converge(1e-3), {"members": "sequences.log_terms.calls"}
+                tracer, lambda f=fam: f.converge(1e-3),
+                {"prefix_builds": "sequences.log_terms.calls"},
             )
         passes, terms = exps["exp_calls"], exps["exp_terms"]
         per_target.append({"prefix_passes": passes, "prefix_terms": terms,
-                           "prefix_terms_per_n": terms / member.n, **counts})
+                           "prefix_terms_per_n": terms / member.n,
+                           "members": made["members"], **counts,
+                           "terms_built": made["terms_built"]})
         results.append(member.n)
     return {
         "counts_per_converge": _summary(per_target),

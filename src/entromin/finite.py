@@ -158,15 +158,20 @@ def _gibbs_pass(log_p, s, t):
     """phi_n(t), its derivative Var_n(sigma) and ln Z_n(t) for the weights
     exp(log_p + s t), from one exp over them; then those weights over their
     largest, e, and the sum z0 of e, so that the maxwell-boltzmann optimum
-    at t is u e / z0 with no second exp."""
-    lw = log_p + s * t
-    m = lw.max()
-    e = np.exp(lw - m)
-    z0 = e.sum()
+    at t is u e / z0 with no second exp.  Two arrays are made, e and one
+    for the moments; log_p and s are only read, so they may be read-only
+    and shared (solver._prefix)."""
+    e = s * t
+    e += log_p
+    m = float(np.maximum.reduce(e))
+    e -= m
+    np.exp(e, out=e)
+    z0 = float(np.add.reduce(e))
     se = s * e
-    phi = float(se.sum() / z0)
-    var = float((s * se).sum() / z0) - phi * phi
-    return phi, var, float(m) + math.log(float(z0)), e, float(z0)
+    phi = float(np.add.reduce(se)) / z0
+    se *= s
+    var = float(np.add.reduce(se)) / z0 - phi * phi
+    return phi, var, m + math.log(z0), e, z0
 
 
 def _slope_root(log_p, s, w, tol):

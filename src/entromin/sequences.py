@@ -56,11 +56,8 @@ __all__ = [
     "ExplicitPrefix",
     "ExplosiveWeights",
     "ShiftedSigma",
-    "PrefixStats",
     "SigmaMinSet",
-    "generate",
     "lattice_levels",
-    "prefix_stats",
     "sigma_min_set",
     "flipped",
 ]
@@ -70,16 +67,6 @@ _PREFIX_SCAN = 64  # documented construction-time validity scan length
 
 # ---------------------------------------------------------------------------
 # result records
-
-
-@dataclass(frozen=True)
-class PrefixStats:
-    """Partial weight sum and running level extrema over the first n terms."""
-
-    n: int
-    rho_n: float
-    eta1_n: float
-    eta2_n: float
 
 
 @dataclass(frozen=True)
@@ -870,13 +857,6 @@ def flipped(family: SequenceFamily) -> SequenceFamily:
 # module operations
 
 
-def generate(family: SequenceFamily, n: int) -> tuple[float, float]:
-    """The n-th (p, sigma) pair, n >= 1."""
-    if n < 1 or n != int(n):
-        raise DomainError(f"term index must be a positive integer, got {n}")
-    return family.p(n), family.sigma(n)
-
-
 def lattice_levels(scale: float, count: int) -> list[tuple[int, float]]:
     """First `count` distinct 3-d lattice levels scale*(nx^2+ny^2+nz^2),
     ascending, each with its degeneracy."""
@@ -886,15 +866,6 @@ def lattice_levels(scale: float, count: int) -> list[tuple[int, float]]:
         raise DomainError("scale must be positive")
     values, degeneracy, _ = _LATTICE_TABLE.ensure(count)
     return list(zip(degeneracy[:count].tolist(), (scale * values[:count]).tolist()))
-
-
-def prefix_stats(family: SequenceFamily, n: int) -> PrefixStats:
-    """Exact partial weight sum and running level extrema."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    weights = [family.p(k) for k in range(1, n + 1)]
-    sigmas = [family.sigma(k) for k in range(1, n + 1)]
-    return PrefixStats(n, math.fsum(weights), min(sigmas), max(sigmas))
 
 
 @functools.lru_cache(maxsize=256)

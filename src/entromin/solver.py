@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence, Union
 
@@ -136,18 +137,65 @@ class SequenceRule:
 
 @dataclass(frozen=True)
 class EpsilonMember:
-    """One feasible truncation: terms u_k = p_k e^{ups - sigma_k lam} up to n."""
+    """One feasible truncation: terms u_k = p_k e^{ups - sigma_k lam} up to n.
+
+    term_array holds them as a read-only float array; `terms`, the same
+    floats as a tuple, is built on its first read and kept.  Equality, hash
+    and repr cover (n, lam, ups, objective) alone, which fix the terms."""
 
     n: int
     lam: float
     ups: float
     objective: float
-    terms: tuple[float, ...]
+    term_array: np.ndarray = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def terms(self) -> tuple[float, ...]:
+        return tuple(self.term_array.tolist())
 
 
 class _Dropped(Exception):
     """An epsilon-family member dropped by its dual bound; its one argument
     is the root estimate that stands in for its root (EpsilonFamily._root)."""
+
+
+_PREFIX_CACHE_N = 2**16
+_PREFIX_CACHE_SIZE = 32
+_PREFIX_CACHE_BYTES = _PREFIX_CACHE_SIZE * 2 * 8 * _PREFIX_CACHE_N
+
+
+def _prefix(family, n: int):
+    """(ln p_k, sigma_k) for k = 1..n of a normalized family, as read-only
+    arrays.  Every member and every target of one family shares them: up to
+    n = _PREFIX_CACHE_N (2^16) they are built once per (family, n) and kept
+    in a least-recently-used cache of _PREFIX_CACHE_SIZE (32) entries,
+    larger ones are built per call.  The cache thus holds at most
+    _PREFIX_CACHE_BYTES (32 MiB: two float64 arrays per entry) whatever
+    truncations are asked for."""
+    if n > _PREFIX_CACHE_N:
+        return _build_prefix(family, n)
+    return _cached_prefix(family, n)
+
+
+def _build_prefix(family, n: int):
+    log_p = family.log_terms(0.0, 1, n)
+    s = family.sigma_array(1, n)
+    log_p.flags.writeable = s.flags.writeable = False
+    return log_p, s
+
+
+_cached_prefix = functools.lru_cache(maxsize=_PREFIX_CACHE_SIZE)(_build_prefix)
+
+
+def _truncation(n, name: str) -> int:
+    """n as an int when it is an integer >= 1 (numpy integers included)."""
+    try:
+        k = operator.index(n)
+    except TypeError:
+        k = 0
+    if k < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
+    return k
 
 
 @functools.lru_cache(maxsize=1024)
@@ -175,23 +223,27 @@ class EpsilonFamily:
         """The n-term member; RangeError when n is too small to reach v/u,
         that is unless phi_n(-alpha) < v/u < phi_n(0) for the prefix slope
         phi_n.  lam solves phi_n(-lam) = v/u by a bracket-safeguarded Newton
-        iteration on [0, alpha], one pass over the prefix per step."""
-        return self._member(n, 0.0)[0]
+        iteration on [0, alpha], one pass over the prefix per step.
+        DomainError unless n is an integer >= 1."""
+        return self._member(_truncation(n, "n"), 0.0)[0]
 
     def _member(self, n: int, start: float, bound: float = math.inf, floor: float = 0.0):
         """(member(n), its lam) with the Newton iteration started at
         lam = start; (None, a root estimate) once the dual bound of an
-        iterate exceeds `bound` (see _root)."""
-        log_p = self._family.log_terms(0.0, 1, n)
-        s = self._family.sigma_array(1, n)
+        iterate exceeds `bound` (see _root).  The prefix comes from _prefix,
+        shared per (family, n); the member's terms are the root's last
+        Gibbs pass scaled in place, u e / z0, and become a tuple only when
+        read (EpsilonMember.terms)."""
+        log_p, s = _prefix(self._family, n)
         lam, at = self._root(log_p, s, start, bound, floor)
         if at is None:
             return None, lam
         _, _, log_z, e, z0 = at
         ups = math.log(self.u) - log_z
-        terms = tuple((e * (self.u / z0)).tolist())
+        e *= self.u / z0
+        e.flags.writeable = False
         objective = (ups - 1.0) * self.u - lam * self.v
-        return EpsilonMember(n, lam, ups, objective, terms), lam
+        return EpsilonMember(n, lam, ups, objective, e), lam
 
     def _root(self, log_p, s, lam, bound=math.inf, floor=0.0):
         """(lam, the Gibbs pass at t = -lam, finite._gibbs_pass) with
@@ -265,10 +317,13 @@ class EpsilonFamily:
         root, as roots grow with n for nondecreasing levels) stands in for
         its root in the extrapolation, and it pays neither its endpoint pass
         nor its terms.
-        member(n) passes no bound and solves every member to its root."""
+        member(n) passes no bound and solves every member to its root.
+        DomainError unless epsilon > 0 and start is an integer >= 1."""
+        if not epsilon > 0.0:
+            raise DomainError(f"epsilon must be > 0, got {epsilon!r}")
+        n = _truncation(start, "start")
         a = self._prof.alpha
         bound = self.value + epsilon + 1e-12 * max(1.0, abs(self.value) + a * self.v)
-        n = start
         roots = []
         while n <= n_max:
             floor = guess = roots[-1] if roots else 0.0

@@ -8,6 +8,7 @@ paths they check.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -22,6 +23,35 @@ from entromin import (
     UnsupportedFamilyError,
     WeightedGeometric,
 )
+
+# -- term access by index (what the families' arrays must agree with) --------
+
+
+def generate(family, n: int) -> tuple[float, float]:
+    """The n-th (p, sigma) pair, n >= 1."""
+    if n < 1 or n != int(n):
+        raise DomainError(f"term index must be a positive integer, got {n}")
+    return family.p(n), family.sigma(n)
+
+
+@dataclass(frozen=True)
+class PrefixStats:
+    """Partial weight sum and running level extrema over the first n terms."""
+
+    n: int
+    rho_n: float
+    eta1_n: float
+    eta2_n: float
+
+
+def prefix_stats(family, n: int) -> PrefixStats:
+    """Exact partial weight sum and running level extrema."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    weights = [family.p(k) for k in range(1, n + 1)]
+    sigmas = [family.sigma(k) for k in range(1, n + 1)]
+    return PrefixStats(n, math.fsum(weights), min(sigmas), max(sigmas))
+
 
 # -- frozen reference constants (computed by the oracles below) -------------
 
@@ -489,3 +519,21 @@ def ref_eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0):
                 f"(tolerances {tols})"
             )
         lo, hi = hi + 1, min(2 * hi, _TERM_BUDGET)
+
+
+# finite._gibbs_pass as it was before it reduced with the ufuncs and
+# exponentiated in place: the floats the slimmed pass must reproduce bit for
+# bit (tests/test_finite.py).
+
+
+def ref_gibbs_pass(log_p, s, t):
+    """phi_n(t), Var_n(sigma), ln Z_n(t), the weights e over their largest
+    and their sum z0, for the weights exp(log_p + s t)."""
+    lw = log_p + s * t
+    m = lw.max()
+    e = np.exp(lw - m)
+    z0 = e.sum()
+    se = s * e
+    phi = float(se.sum() / z0)
+    var = float((s * se).sum() / z0) - phi * phi
+    return phi, var, float(m) + math.log(float(z0)), e, float(z0)

@@ -31,7 +31,9 @@ from entromin import (
 )
 from entromin.rootfind import minimize_convex_2d, newton_root
 
-from conftest import brute_force_oracle
+from entromin import finite as finite_module
+
+from conftest import brute_force_oracle, ref_gibbs_pass
 
 MB = Entropy.MAXWELL_BOLTZMANN
 BE = Entropy.BOSE_EINSTEIN
@@ -110,6 +112,29 @@ class TestPhiN:
             tol = 1e-12 * max(1.0, abs(w))
             t = phi_n_inverse(p, s, w, tol)
             assert abs(phi_n(p, s, t) - w) <= tol, (p, s, w)
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 1000, 8192])
+    def test_gibbs_pass_matches_reference_and_keeps_its_inputs(self, n):
+        # the same floats as the reference pass, and no write into the
+        # prefix arrays, which the epsilon family shares read-only
+        rng = np.random.default_rng(n)
+        log_p = rng.uniform(-30.0, 5.0, n)
+        s = np.sort(rng.uniform(0.0, 50.0, n))
+        before = log_p.copy(), s.copy()
+        for t in (0.0, -0.0, -0.37, -3.1, 0.25, -700.0):
+            got = finite_module._gibbs_pass(log_p, s, t)
+            want = ref_gibbs_pass(log_p, s, t)
+            assert got[:3] == want[:3] and got[4] == want[4]
+            np.testing.assert_array_equal(got[3], want[3])
+            assert got[3] is not log_p and got[3] is not s
+            np.testing.assert_array_equal(log_p, before[0])
+            np.testing.assert_array_equal(s, before[1])
+
+    def test_gibbs_pass_reads_read_only_inputs(self):
+        log_p, s = np.log(np.arange(1.0, 65.0)), np.arange(1.0, 65.0)
+        log_p.flags.writeable = s.flags.writeable = False
+        got = finite_module._gibbs_pass(log_p, s, -0.5)
+        assert got[:3] == ref_gibbs_pass(log_p, s, -0.5)[:3]
 
     @pytest.mark.parametrize("w, tol", [(5e99, 5e87), (3e99, 1e87)])
     def test_inverse_raises_where_it_cannot_reach_a_tiny_root(self, w, tol):

@@ -25,15 +25,20 @@ from entromin import (
     ShiftedSigma,
     UnsupportedFamilyError,
     WeightedGeometric,
-    generate,
     lattice_levels,
-    prefix_stats,
     sigma_min_set,
 )
 from entromin import sequences
 from entromin.sequences import flipped
 
-from conftest import brute_force_series, brute_force_tail, lattice_triples, tail_bound
+from conftest import (
+    brute_force_series,
+    brute_force_tail,
+    generate,
+    lattice_triples,
+    prefix_stats,
+    tail_bound,
+)
 
 
 class TestGenerate:

@@ -3,6 +3,8 @@ values, attainment, epsilon-optimal families, forward/inverse solves,
 objective evaluation, weak duality and the biconjugate identity."""
 
 import gc
+import hashlib
+import json
 import logging
 import math
 import sys
@@ -10,6 +12,7 @@ import threading
 import time
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,8 +392,10 @@ class TestEpsilonFamily:
         assert abs(member.objective - sol.value) <= 1e-3
 
     def test_member_builds_prefix_once(self, zeta_solver, monkeypatch):
+        # the prefix is built once per (family, n) and then shared
         sol = zeta_solver.solve_mb(1.0, 2.0)
         fam = sol.epsilon_family._family
+        solver_module._cached_prefix.cache_clear()
         calls = []
         orig = type(fam).log_terms
 
@@ -402,6 +407,136 @@ class TestEpsilonFamily:
         member = sol.epsilon_family.member(256)
         assert calls == [(0.0, 1, 256)]
         assert len(member.terms) == 256
+        again = sol.epsilon_family.member(256)
+        assert calls == [(0.0, 1, 256)]
+        assert again == member and hash(again) == hash(member)
+        assert again.terms == member.terms
+
+    def test_cached_prefix_is_read_only(self, zeta_solver):
+        sol = zeta_solver.solve_mb(1.0, 2.0)
+        fam = sol.epsilon_family._family
+        log_p, s = solver_module._prefix(fam, 64)
+        assert solver_module._prefix(fam, 64)[0] is log_p
+        member = sol.epsilon_family.member(64)
+        for arr in (log_p, s, member.term_array):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        np.testing.assert_array_equal(log_p, fam.log_terms(0.0, 1, 64))
+        np.testing.assert_array_equal(s, fam.sigma_array(1, 64))
+
+    def test_terms_are_built_once(self, zeta_solver):
+        member = zeta_solver.solve_mb(1.0, 2.0).epsilon_family.member(128)
+        assert "terms" not in vars(member)
+        first = member.terms
+        assert member.terms is first
+        assert first == tuple(member.term_array.tolist())
+        assert "term_array" not in repr(member) and "terms" not in repr(member)
+
+    def test_prefix_cache_stays_inside_its_bound(self, monkeypatch):
+        # WeightedGeometric(0.5, 4) at 2 theta2 reaches n = 2^19 under
+        # converge(1e-4): prefixes past the cached size are built per member
+        # and freed, and what the cache holds stays inside its stated bound
+        solver = EmpSolver(WeightedGeometric(0.5, 4.0))
+        eps_fam = self._eps_family(solver, 2.0 * solver.profile.theta2)
+        fam = eps_fam._family
+        solver_module._cached_prefix.cache_clear()
+        built = []
+        log_terms, sigma_array = type(fam).log_terms, type(fam).sigma_array
+
+        def keeping(fn):
+            def wrapped(self, *args):
+                arr = fn(self, *args)
+                built.append(weakref.ref(arr))
+                return arr
+
+            return wrapped
+
+        monkeypatch.setattr(type(fam), "log_terms", keeping(log_terms))
+        monkeypatch.setattr(type(fam), "sigma_array", keeping(sigma_array))
+        member = eps_fam.converge(1e-4)
+        assert member.n >= 2**18
+        del member
+        gc.collect()
+        alive = [r() for r in built if r() is not None]
+        # the prefixes past the cached size were freed
+        assert alive and len(alive) < len(built)
+        assert max(len(a) for a in alive) <= solver_module._PREFIX_CACHE_N
+        assert sum(a.nbytes for a in alive) <= solver_module._PREFIX_CACHE_BYTES
+
+    # -- members pinned bit for bit -------------------------------------------
+
+    _PINNED = Path(__file__).resolve().parent / "golden" / "epsilon_members.json"
+
+    @staticmethod
+    def _member_digest(member):
+        key = (member.n, member.lam, member.ups, member.objective, member.terms)
+        return hashlib.sha256(repr(key).encode()).hexdigest()
+
+    def test_members_reproduce_the_pinned_digests(self, zeta_solver):
+        # tests/golden/epsilon_members.json holds the sha256 of
+        # repr((n, lam, ups, objective, terms)) at commit 79f7045 for
+        # converge(1e-3) at every beyond-theta2 target of perfbench's
+        # mb-point cycles on seeds 9001-9003 (all on WeightedGeometric(1, 3)),
+        # and for member(128) and member(256) at (u, v) = (1, 2)
+        pinned = json.loads(self._PINNED.read_text())
+        assert pinned["family"] == repr(zeta_solver.family)
+        got = []
+        for u, v, n, _ in pinned["converge_1e-3"]:
+            sol = zeta_solver.solve_mb(float.fromhex(u), float.fromhex(v))
+            member = sol.epsilon_family.converge(1e-3)
+            got.append([u, v, member.n, self._member_digest(member)])
+        assert got == pinned["converge_1e-3"]
+        eps_fam = zeta_solver.solve_mb(1.0, 2.0).epsilon_family
+        got = [[n, self._member_digest(eps_fam.member(n))] for n, _ in pinned["member_at_u1_v2"]]
+        assert got == pinned["member_at_u1_v2"]
+
+    # -- truncation inputs ----------------------------------------------------
+
+    @pytest.fixture
+    def counted_prefixes(self, zeta_solver, monkeypatch):
+        """The (1, 2) epsilon family and the log_terms calls made on its
+        family from here on."""
+        eps_fam = zeta_solver.solve_mb(1.0, 2.0).epsilon_family
+        calls = []
+        orig = type(eps_fam._family).log_terms
+
+        def counting(self, y, lo, hi):
+            calls.append(hi)
+            return orig(self, y, lo, hi)
+
+        monkeypatch.setattr(type(eps_fam._family), "log_terms", counting)
+        return eps_fam, calls
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_member_rejects_a_truncation_below_one(self, counted_prefixes, n):
+        eps_fam, calls = counted_prefixes
+        with pytest.raises(DomainError, match=f"n must be an integer >= 1, got {n}"):
+            eps_fam.member(n)
+        assert calls == []
+
+    def test_member_rejects_a_fractional_truncation(self, counted_prefixes):
+        eps_fam, calls = counted_prefixes
+        with pytest.raises(DomainError, match="n must be an integer >= 1, got 2.5"):
+            eps_fam.member(2.5)
+        assert calls == []
+
+    def test_converge_rejects_a_start_below_one(self, counted_prefixes):
+        eps_fam, calls = counted_prefixes
+        with pytest.raises(DomainError, match="start must be an integer >= 1, got 0"):
+            eps_fam.converge(1e-3, start=0)
+        assert calls == []
+
+    @pytest.mark.parametrize("epsilon", [math.nan, 0.0, -1.0])
+    def test_converge_rejects_a_nonpositive_epsilon(self, counted_prefixes, epsilon):
+        eps_fam, calls = counted_prefixes
+        with pytest.raises(DomainError, match="epsilon must be > 0"):
+            eps_fam.converge(epsilon)
+        assert calls == []
+
+    def test_numpy_integers_are_truncations(self, zeta_solver):
+        eps_fam = zeta_solver.solve_mb(1.0, 2.0).epsilon_family
+        assert eps_fam.member(np.int64(128)) == eps_fam.member(128)
+        assert eps_fam.converge(1e-3, start=np.int32(8)) == eps_fam.converge(1e-3)
 
     def test_too_small_truncation_rejected(self, zeta_solver):
         sol = zeta_solver.solve_mb(1.0, 6.0)
@@ -566,7 +701,7 @@ class TestEpsilonFamily:
         phi = self._prefix_slope(eps_fam._family, first.n)
         assert all(got == phi(-lam) for lam, got in ends.items())
         again = eps_fam.converge(1e-3)
-        assert again == first
+        assert again == first and again.terms == first.terms
         assert len(calls) - cold == cold - len(ends)
 
     def test_threads_share_one_solver(self, zeta_solver):
@@ -594,8 +729,9 @@ class TestEpsilonFamily:
         finally:
             sys.setswitchinterval(old)
         assert not errors, errors
-        assert got[0] == got[1]
-        assert got[0] == eps_fam.converge(1e-3)
+        assert got[0] == got[1] and got[0].terms == got[1].terms
+        again = eps_fam.converge(1e-3)
+        assert got[0] == again and got[0].terms == again.terms
 
     @pytest.mark.parametrize("n", [2, 3, 64])
     def test_range_error_exactly_at_the_edges(self, zeta_solver, n):
