@@ -19,7 +19,7 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
   bf_roundtrip         every bf-roundtrip target: forward_solve(kind, x, y)
                        and then inverse_solve_bf(kind, u, v, 1e-10), BE and
                        FD on Arithmetic(0, 1), WeightedGeometric(1, 3) and
-                       Lattice3D(1);
+                       Lattice3D(1), reported overall and per family;
   finite_truncation    the finite solves of the CLI's truncation check on
                        mb-point's three families: solve_two_mb_be(MB, p,
                        sigma, 1, w) on the first n terms, n = 8, 16, ... up
@@ -54,8 +54,9 @@ outside; nothing in src/ counts.  prefix_builds and the series counts come
 from perfbench's tracer (perfbench/tracing.py), members and terms_built from
 solver.EpsilonFamily and solver.EpsilonMember, array_calls and
 bracket_calls from the family that series._eval_many sees, the exp counts
-from the numpy that entromin.solver and entromin.finite see, and
-newton_points from solver.minimize_convex_2d:
+from the numpy that entromin.solver and entromin.finite see, slope_passes
+from the arguments of series._eval_many, and newton_points from
+solver.minimize_convex_2d:
 
   prefix_passes        np.exp calls made by entromin.solver and
                        entromin.finite (where a tree keeps the Gibbs pass,
@@ -88,6 +89,10 @@ newton_points from solver.minimize_convex_2d:
                        tail brackets (calls the families make from inside
                        one, and brackets taken outside the kernel, do not
                        count);
+  slope_passes         series._eval_many calls under maxwell-boltzmann
+                       during one round trip: the passes of a slope root
+                       and of f at it that start the inverse's Newton (the
+                       round trip's other passes are under its own entropy);
   newton_points        points at which the inverse solve's damped Newton
                        evaluates its dual potential (the start and every
                        line-search point inside the domain), counted
@@ -306,12 +311,17 @@ class _CountingFamily:
 
 def _count_kernel(counts):
     """Wrap series._eval_many so that the family it works on counts its
-    calls into counts (for the rest of the process)."""
+    calls into counts, and its maxwell-boltzmann calls count as slope_passes
+    (for the rest of the process)."""
     from entromin import series
 
     kernel = series._eval_many
+    sig = inspect.signature(kernel)
 
     def counting(family, *args, **kwargs):
+        bound = sig.bind(family, *args, **kwargs)
+        bound.apply_defaults()
+        counts["slope_passes"] += bound.arguments["kind"] is series._MB
         return kernel(_CountingFamily(family, counts), *args, **kwargs)
 
     series._eval_many = counting
@@ -506,6 +516,9 @@ class _CountingNewton:
         return self._fn(*bound.args, **bound.kwargs)
 
 
+TRIP_KEYS = {**PASS_KEYS, "slope_passes": "slope_passes"}
+
+
 def count_roundtrips(tracer, entromin, trips, call=_roundtrip):
     """The counts of call(*trip[1:]) for each trip, in their order, and how
     many of them returned an InverseFailure."""
@@ -518,7 +531,7 @@ def count_roundtrips(tracer, entromin, trips, call=_roundtrip):
         solver.minimize_convex_2d = _CountingNewton(newton, counted)
         try:
             with _counting_budget_errors(counted):
-                result, counts = _counted(tracer, lambda t=trip: call(*t[1:]), PASS_KEYS)
+                result, counts = _counted(tracer, lambda t=trip: call(*t[1:]), TRIP_KEYS)
         finally:
             solver.minimize_convex_2d = newton
         failures += isinstance(result, entromin.InverseFailure)
@@ -757,7 +770,7 @@ def main(argv=None) -> int:
     lattice_ms = _wall([_timed(lambda u=u, v=v: es.solve_mb(u, v)) for u, v in lattice])
     interior_s = [_timed(lambda es=es, u=u, v=v: es.solve_mb(u, v)) for _, es, u, v in interior]
     shifted_ms = _wall([_timed(lambda u=u, v=v: shifted_es.solve_mb(u, v)) for u, v in shifted])
-    roundtrip_ms = _wall([_timed(lambda t=t: _roundtrip(*t[1:])) for t in trips])
+    roundtrip_s = [_timed(lambda t=t: _roundtrip(*t[1:])) for t in trips]
     slow_trip_s = [_timed(lambda t=t: _inverse(*t[1:])) for t in slow_trips]
     truncation_s = [_timed(lambda t=t: _truncated(entromin, *t[1:])) for t in truncations]
     slow_s = [_timed(lambda es=es, u=u, v=v: es.value_mb(u, v)) for _, es, u, v in slow]
@@ -777,7 +790,8 @@ def main(argv=None) -> int:
                    "wall_ms_per_solve": _wall(interior_s)}
     per_trip, failures = count_roundtrips(tracer, entromin, trips)
     roundtrip = {"targets": len(trips), "counts_per_roundtrip": _summary(per_trip),
-                 "inverse_failures": failures, "wall_ms_per_roundtrip": roundtrip_ms}
+                 "inverse_failures": failures, "wall_ms_per_roundtrip": _wall(roundtrip_s),
+                 "per_family": _per_family(trips, per_trip, roundtrip_s)}
     per_trip, failures = count_roundtrips(tracer, entromin, slow_trips, _inverse)
     slow_roundtrip = {
         "targets": len(slow_trips), "counts_per_roundtrip": _summary(per_trip),

@@ -235,7 +235,7 @@ def _check_truncation(solver, spec):
     target = solver.value_mb(1.0, w)
     fam = solver.family
     n_max = _max_finite_prefix(fam)
-    p = np.array([fam.p(k) for k in range(1, n_max + 1)])
+    p = fam.p_array(1, n_max)
     sig = fam.sigma_array(1, n_max)
     prev = math.inf
     val = math.inf

@@ -39,7 +39,6 @@ from .rootfind import minimize_convex_2d, newton_root
 __all__ = [
     "BoundaryFlag",
     "Feasibility",
-    "FiniteProblem",
     "FiniteSolution",
     "solve_single",
     "phi_n",
@@ -71,27 +70,6 @@ class FiniteSolution:
     value: float
     multipliers: Optional[tuple[float, float]]
     boundary_flag: BoundaryFlag
-
-
-@dataclass(frozen=True)
-class FiniteProblem:
-    """A finite instance; v = None selects the single-constraint problem."""
-
-    kind: Entropy
-    p: tuple[float, ...]
-    sigma: tuple[float, ...]
-    u: float
-    v: Optional[float] = None
-
-    def __post_init__(self):
-        _checked(self.p, self.sigma, u=self.u, v=self.v)
-
-    def solve(self) -> FiniteSolution:
-        if self.v is None:
-            return solve_single(self.kind, self.p, self.u)
-        if self.kind is Entropy.FERMI_DIRAC:
-            return solve_two_fd(self.p, self.sigma, self.u, self.v)
-        return solve_two_mb_be(self.kind, self.p, self.sigma, self.u, self.v)
 
 
 def _checked(p, sigma, **target):

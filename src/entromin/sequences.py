@@ -4,8 +4,8 @@ A family is a finitely described generator of weights p_n (positive, with
 sum p_n = inf) and levels sigma_n, n >= 1.  Everything the series layer
 proves about f(y) = sum p_n exp(sigma_n y) rests on what a family declares:
 
-  * its terms: ``p`` and ``sigma`` (``log_p``, ``sigma_array`` and
-    ``log_terms`` where faster or overflow-free);
+  * its terms: ``p`` and ``sigma`` (``log_p``, ``p_array``,
+    ``sigma_array`` and ``log_terms`` where faster or overflow-free);
   * ``alpha``, the endpoint of dom f: f is finite on (-inf, -alpha), and
     alpha = +inf when dom f is empty; levels falling to -inf have none, and
     an undeclared alpha raises UnsupportedFamilyError;
@@ -104,6 +104,10 @@ class SequenceFamily:
     def sigma_array(self, lo: int, hi: int) -> np.ndarray:
         """sigma_n for n in [lo, hi] inclusive."""
         return np.array([self.sigma(n) for n in range(lo, hi + 1)], dtype=float)
+
+    def p_array(self, lo: int, hi: int) -> np.ndarray:
+        """p_n for n in [lo, hi] inclusive, the floats p gives."""
+        return np.array([self.p(n) for n in range(lo, hi + 1)], dtype=float)
 
     def log_terms(self, y: float, lo: int, hi: int) -> np.ndarray:
         """ln(p_n) + sigma_n * y for n in [lo, hi], overflow-free."""
@@ -613,6 +617,9 @@ class Lattice3D(SequenceFamily):
         values = _LATTICE_TABLE.ensure(hi)[0]
         return self.scale * values[lo - 1 : hi]
 
+    def p_array(self, lo, hi):
+        return _LATTICE_TABLE.ensure(hi)[1][lo - 1 : hi].astype(float)
+
     def log_terms(self, y, lo, hi):
         values, _, ln_degeneracy = _LATTICE_TABLE.ensure(hi)
         return ln_degeneracy[lo - 1 : hi] + self.scale * values[lo - 1 : hi] * y
@@ -625,18 +632,32 @@ class Lattice3D(SequenceFamily):
         if y >= 0.0:
             return [None] * len(moments)
         # degeneracy of value S is at most S (each admissible (i,j) fixes k),
-        # so the tail is below scale^k * sum_{S > V} S^(k+1) rho^S; the
-        # level V and q^(V+1) are taken once for every moment
-        v = float(_LATTICE_TABLE.ensure(n)[0][n - 1])
+        # so the tail is below scale^k * sum_{S > V} S^m rho^S, m = k + 1,
+        # rho = e^(scale y).  Over S >= V + 1 the ratio of its terms is at
+        # most r = (1 + 1/(V+1))^m rho: where r < 1 the sum is at most
+        # (V+1)^m rho^(V+1) / (1 - r), at the terms' own rate.  Absorbing
+        # S^m <= (m/(e eps))^m e^(eps S), eps = -scale y / 2, bounds it
+        # everywhere, at half that rate, by (m/(e eps))^m q^(V+1) / (1 - q),
+        # q = rho^(1/2); where r <= q the ratio bound is the smaller (as
+        # (V+1)^m q^(V+1) <= (m/(e eps))^m), so absorption is taken only
+        # where r > q, and the smaller of the two where both hold
+        v1 = float(_LATTICE_TABLE.ensure(n)[0][n - 1]) + 1.0
         rho_log = self.scale * y
         eps = -0.5 * rho_log
-        q = math.exp(0.5 * rho_log)  # = exp(rho_log + eps) < 1, 0 at y = -inf
-        qv = q ** (v + 1.0)
+        step, lv, head = math.log1p(1.0 / v1), math.log(v1), v1 * rho_log
         out = []
         for k in moments:
             m = k + 1
+            log_r = m * step + rho_log
             try:
-                hi = self.scale**k * (m / (math.e * eps)) ** m * qv / (1.0 - q)
+                c = self.scale**k
+                if log_r <= -eps:
+                    hi = c * math.exp(m * lv + head) / -math.expm1(log_r)
+                else:
+                    q = math.exp(-eps)
+                    hi = c * (m / (math.e * eps)) ** m * q**v1 / (1.0 - q)
+                    if log_r < 0.0:
+                        hi = min(hi, c * math.exp(m * lv + head) / -math.expm1(log_r))
             except (ZeroDivisionError, OverflowError):
                 hi = math.inf  # y so near 0 that eps or 1 - q rounds to 0
             out.append((0.0, hi))

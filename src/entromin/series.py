@@ -29,9 +29,11 @@ once per (family, tol, k, ceiling) on first use and cached (_ladder_entry),
 as the profile is.  The two entries that bracket the target are the first
 bracket, and the first iterate is the cubic Hermite interpolant of their
 (phi, phi') (_hermite_start), so a warm interior inversion mostly takes
-two passes: that start and one Newton step.  The conjugate of ln f follows
-its four-branch closed form, and its interior branch (_conjugate_at) is
-also the solver's interior value.
+two passes: that start and one Newton step.  The ladder also starts the
+bose-einstein and fermi-dirac inverse with no pass (_ladder_point: that
+start, and ln f there interpolated through the same two entries).  The
+conjugate of ln f follows its four-branch closed form, and its interior
+branch (_conjugate_at) is also the solver's interior value.
 A pass whose target is beyond the term budget stops at the bound it can
 reach up to a ceiling times it (_eval_many; only _conjugate_at, _refine_f,
 forward_solve and inverse_solve_bf's Newton points pass one).  All
@@ -66,9 +68,7 @@ __all__ = [
     "BoundaryCase",
     "SeriesProfile",
     "SeriesEval",
-    "HalfLine",
     "eval_f",
-    "eval_f_derivatives",
     "profile",
     "phi",
     "phi_inverse",
@@ -76,7 +76,6 @@ __all__ = [
     "eval_h",
     "grad_h",
     "hessian_h",
-    "boundary_subdifferential",
 ]
 
 _TERM_BUDGET = 2**23
@@ -127,14 +126,6 @@ class SeriesProfile:
             raise ConfigurationError(
                 f"theta1={self.theta1} must lie below theta2={self.theta2}"
             )
-
-
-@dataclass(frozen=True)
-class HalfLine:
-    """The vertical half-line {u} x [v_min, inf) in the (u, v) plane."""
-
-    u: float
-    v_min: float
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +311,6 @@ def eval_f(family: SequenceFamily, y: float, tol: float = 1e-12) -> SeriesEval:
     """f(y) within tol, certified; boundary y = -alpha allowed when the
     family proves summability there."""
     return _eval_moments(family, y, {(None, 0): tol})[0]
-
-
-@_overflow_ignored
-def eval_f_derivatives(
-    family: SequenceFamily, y: float, tol: float = 1e-12
-) -> tuple[float, float, float]:
-    """(f, f', f'') at y < -alpha, each within tol."""
-    a = family.alpha
-    if not y < -a:
-        raise DomainError(f"derivatives need y < -alpha = {-a}, got {y}")
-    r = _eval_moments(family, y, {(None, 0): tol, (None, 1): tol, (None, 2): tol})
-    return r[0].value, r[1].value, r[2].value
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +504,45 @@ def _ladder_bracket(family, w, tol, ceiling):
     return inner, outer
 
 
+def _ladder_start(family, prof, w, tol, ceiling=1.0):
+    """Where a slope root for w starts, from the slope ladder alone
+    (_ladder_bracket, no new pass): (bracket, entry, y_h, ends).  bracket is
+    the (lo, hi) of the two entries that bracket w, else (-inf, -alpha), as
+    phi tends to theta2 > w at -alpha; entry is the one nearer w; y_h is
+    their Hermite start (_hermite_start), None where entry meets tol (its
+    residual counted as _invert_slope counts it), the ladder is one-sided
+    or the interpolant leaves the bracket; ends are the two entries, None
+    where one-sided."""
+    inner, outer = _ladder_bracket(family, w, tol, ceiling)
+    if outer is None:
+        return (-math.inf, -prof.alpha), inner, None, None
+    bracket = tuple(sorted((inner[0], outer[0])))
+    start = outer if abs(outer[1] - w) < abs(inner[1] - w) else inner
+    q, e = 0.25 * tol, start[5]
+    if not abs(start[1] - w) * (q / e if e > q else 1.0) > 0.75 * tol:
+        return bracket, start, None, (inner, outer)
+    y_h = _hermite_start(inner, outer, w, prof.theta1, prof.alpha)
+    return bracket, start, (y_h if bracket[0] < y_h < bracket[1] else None), (inner, outer)
+
+
+def _ladder_point(family, w, tol) -> tuple[float, float]:
+    """(y, ln f(y)) where a slope root for w starts (_ladder_start), with no
+    new pass: the nearer entry's y and certified ln f, or at the Hermite
+    start the cubic Hermite interpolant of ln f in y through the two entries
+    (values ln f(y_k), slopes phi(y_k)).  The bf inverse's Newton starts
+    from it."""
+    _, start, y_h, ends = _ladder_start(family, profile(family), w, tol)
+    if y_h is None:
+        return start[0], math.log(start[3].value)
+    (y0, p0, _, f0, *_), (y1, p1, _, f1, *_) = ends
+    return y_h, _hermite((y0, math.log(f0.value), p0), (y1, math.log(f1.value), p1), y_h)
+
+
 def _invert_slope(family, w, tol, ceiling=1.0) -> tuple[float, SeriesEval]:
     """phi_inverse's root together with the certified f(y) from its last
     pass, so that a caller needing f at the root re-sums it only when that
     pass's bound is too loose.  The first bracket comes from the slope
-    ladder (_ladder_bracket) with no new pass; the first iterate is one pass
+    ladder (_ladder_start) with no new pass; the first iterate is one pass
     at the Hermite start, or the nearer entry's (phi_inverse).  A slope
     certified only to e > q = 0.25 tol (a ceiling stop) passes at |phi - w|
     <= 3 e: newton_root sees the residual times q / e (point)."""
@@ -539,13 +552,7 @@ def _invert_slope(family, w, tol, ceiling=1.0) -> tuple[float, SeriesEval]:
             f"w={w} outside the open range ({prof.theta1}, {prof.theta2})"
         )
     t1 = prof.theta1
-    lo, hi = -math.inf, -prof.alpha  # phi tends to theta2 > w at -alpha
-    inner, outer = _ladder_bracket(family, w, tol, ceiling)
-    start = inner
-    if outer is not None:
-        lo, hi = sorted((inner[0], outer[0]))
-        if abs(outer[1] - w) < abs(inner[1] - w):
-            start = outer
+    (lo, hi), start, y_h, _ = _ladder_start(family, prof, w, tol, ceiling)
     y, p, dp, f_y, scale, e = start
     q = 0.25 * tol
 
@@ -566,11 +573,7 @@ def _invert_slope(family, w, tol, ceiling=1.0) -> tuple[float, SeriesEval]:
         p, dp, f_y, scale, e = _certified_slope(family, y, q, scale, ceiling)
         return point(y, p, dp, f_y, e)
 
-    first = point(y, p, dp, f_y, e)
-    if outer is not None and abs(first[0]) > 0.75 * tol:
-        y_h = _hermite_start(inner, outer, w, t1, prof.alpha)
-        if lo < y_h < hi:
-            y, first = y_h, evaluate(y_h)
+    y, first = (y, point(y, p, dp, f_y, e)) if y_h is None else (y_h, evaluate(y_h))
     y, f_y, _, _ = newton_root(evaluate, y, first, 0.75 * tol, lo, hi, True, True)
     return y, f_y
 
@@ -586,13 +589,19 @@ def _hermite_start(inner, outer, w, t1, a) -> float:
         if not (d > 0.0 and dp > 0.0):
             return math.nan
         ends.append((math.log(d), math.log(r), -d / r / dp))
-    (u0, z0, m0), (u1, z1, m1) = ends
-    h = u1 - u0
-    if h == 0.0:
+    if ends[0][0] == ends[1][0]:
         return math.nan
-    t = (math.log(w - t1) - u0) / h
-    z = z0 + t * t * (3.0 - 2.0 * t) * (z1 - z0) + h * t * (1.0 - t) * ((1.0 - t) * m0 - t * m1)
+    z = _hermite(*ends, math.log(w - t1))
     return -a - math.exp(z) if z < 700.0 else math.nan
+
+
+def _hermite(a, b, x) -> float:
+    """The cubic Hermite interpolant through a = (x0, g0, g0') and b = (x1,
+    g1, g1') at x."""
+    (x0, g0, m0), (x1, g1, m1) = a, b
+    h = x1 - x0
+    t = (x - x0) / h
+    return g0 + t * t * (3.0 - 2.0 * t) * (g1 - g0) + h * t * (1.0 - t) * ((1.0 - t) * m0 - t * m1)
 
 
 def lnf_conjugate(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
@@ -762,22 +771,3 @@ def hessian_h(
     """(h_xx, h_xy, h_yy) of h_W at an interior point."""
     r = _dual_sums(family, kind, x, y, dict.fromkeys(_HESSIAN, tol))
     return r[0].value, r[1].value, r[2].value
-
-
-def boundary_subdifferential(
-    family: SequenceFamily, kind: Entropy, x: float, tol: float = 1e-10
-) -> Optional[HalfLine]:
-    """The subdifferential of h_W at (x, -alpha): a vertical half-line when
-    the gradient series converges there (case c), the empty set (None) when
-    it diverges (case b); precondition error when -alpha is outside dom f."""
-    prof = profile(family)
-    if prof.alpha <= 0.0:
-        raise DomainError("boundary subdifferential needs alpha > 0")
-    if prof.boundary_case is BoundaryCase.OPEN_A:
-        raise DomainError("(x, -alpha) is outside dom h in boundary case (a)")
-    if kind is Entropy.BOSE_EINSTEIN and x - prof.theta1 * prof.alpha >= 0.0:
-        raise DomainError("(x, -alpha) outside dom h_BE")
-    if prof.boundary_case is BoundaryCase.CLOSED_GAMMA_INFINITE_B:
-        return None
-    u, v = grad_h(family, kind, x, -prof.alpha, tol)
-    return HalfLine(u, v)

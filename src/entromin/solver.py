@@ -607,10 +607,13 @@ class EmpSolver:
     ) -> Union[EmpSolution, InverseFailure]:
         """Best-effort inverse solve for bose-einstein / fermi-dirac targets
         strictly inside the cone: damped Newton on the dual potential
-        F = h_W(x, y) - x u - y v, initialized at the maxwell-boltzmann
-        multipliers of one loose slope root (residual 1e-5; the Newton
-        corrects it) and the f(y) of that root's last pass.  Each Newton
-        point is one certified pass for h_W, its gradient and its Hessian.
+        F = h_W(x, y) - x u - y v, started without a pass at the
+        maxwell-boltzmann multipliers the cached slope ladder gives
+        (series._ladder_point at tolerance 1e-5): y where the root of phi(y)
+        = v/u starts, and x = ln u - ln f(y) with ln f(y) interpolated
+        through the two ladder entries (the Newton corrects both).  Each
+        Newton point is one certified pass for h_W, its gradient and its
+        Hessian.
 
         The solution is read off the accepted Newton point, without a
         further pass: its gradient sums are (u, v) plus the Newton residual,
@@ -634,17 +637,13 @@ class EmpSolver:
         w = v_n / u
         scale = max(1.0, u, abs(v_n))
         try:
-            y_c, f_y = series._invert_slope(self._fam, w, 1e-5)
+            y_c, ln_f = series._ladder_point(self._fam, w, 1e-5)
         except BudgetError as exc:
             return InverseFailure(
                 kind, (math.nan, math.nan), (math.inf, math.inf),
                 f"newton aborted: {exc}",
             )
-        # f to 1e-8 max(1, u) (_refine_f's tolerance is relative to max(1, f))
-        f_tol = 1e-8 * max(1.0, u)
-        f_c = series._refine_f(self._fam, y_c, f_y, f_tol / max(1.0, f_y.value)).value
-        # ln u - ln f where u / f underflows
-        x_c = math.log(u / f_c) if u / f_c > 0.0 else math.log(u) - math.log(f_c)
+        x_c = math.log(u) - ln_f
         if kind is Entropy.BOSE_EINSTEIN and x_c + prof.theta1 * y_c >= 0.0:
             x_c = -prof.theta1 * y_c - 1.0
         res_tol = max(tol, 1e-11) * scale

@@ -21,7 +21,8 @@ Three key=value sections describe one problem:
     tol = 1e-10
     epsilon = 1e-6
 
-Parsing is exact and diffable: parse -> serialize -> parse is the identity.
+Parsing is exact and diffable: a spec written back with its floats' repr
+parses to the same ProblemSpec (the tests' serialize_spec checks it).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .sequences import (
     WeightedGeometric,
 )
 
-__all__ = ["ParseError", "ProblemSpec", "parse_spec", "serialize_spec"]
+__all__ = ["ParseError", "ProblemSpec", "parse_spec"]
 
 _MODES = ("solve", "classify", "forward", "sweep", "verify")
 _ENTROPIES = ("mb", "be", "fd")
@@ -212,21 +213,3 @@ def parse_spec(text: str) -> ProblemSpec:
 
     params = tuple(sorted(family.items()))
     return ProblemSpec(name, params, entropy, mode, u, v, x, y, grid, tol, epsilon)
-
-
-def serialize_spec(spec: ProblemSpec) -> str:
-    out = ["[family]", f"name = {spec.family_name}"]
-    for key, value in spec.family_params:
-        out.append(f"{key} = {value}")
-    out += ["", "[problem]", f"entropy = {spec.entropy}", f"mode = {spec.mode}"]
-    if spec.mode == "sweep":
-        for key, value in zip(_GRID_KEYS, spec.grid):
-            out.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
-    elif spec.mode == "forward":
-        out.append(f"x = {spec.x!r}")
-        out.append(f"y = {spec.y!r}")
-    elif spec.mode in ("solve", "classify"):
-        out.append(f"u = {spec.u!r}")
-        out.append(f"v = {spec.v!r}")
-    out += ["", "[tolerances]", f"tol = {spec.tol!r}", f"epsilon = {spec.epsilon!r}", ""]
-    return "\n".join(out)

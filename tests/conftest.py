@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from entromin import (
     UnsupportedFamilyError,
     WeightedGeometric,
 )
+from entromin import finite, series, specfile
 
 # -- term access by index (what the families' arrays must agree with) --------
 
@@ -51,6 +53,85 @@ def prefix_stats(family, n: int) -> PrefixStats:
     weights = [family.p(k) for k in range(1, n + 1)]
     sigmas = [family.sigma(k) for k in range(1, n + 1)]
     return PrefixStats(n, math.fsum(weights), min(sigmas), max(sigmas))
+
+
+# -- helpers the library does not call ---------------------------------------
+# Moved out of entromin unchanged: only the tests use them.
+
+
+def eval_f_derivatives(family, y: float, tol: float = 1e-12) -> tuple[float, float, float]:
+    """(f, f', f'') at y < -alpha, each within tol."""
+    a = family.alpha
+    if not y < -a:
+        raise DomainError(f"derivatives need y < -alpha = {-a}, got {y}")
+    with np.errstate(over="ignore"):
+        r = series._eval_moments(family, y, {(None, 0): tol, (None, 1): tol, (None, 2): tol})
+    return r[0].value, r[1].value, r[2].value
+
+
+@dataclass(frozen=True)
+class HalfLine:
+    """The vertical half-line {u} x [v_min, inf) in the (u, v) plane."""
+
+    u: float
+    v_min: float
+
+
+def boundary_subdifferential(family, kind, x: float, tol: float = 1e-10):
+    """The subdifferential of h_W at (x, -alpha): a vertical half-line when
+    the gradient series converges there (case c), the empty set (None) when
+    it diverges (case b); precondition error when -alpha is outside dom f."""
+    prof = series.profile(family)
+    if prof.alpha <= 0.0:
+        raise DomainError("boundary subdifferential needs alpha > 0")
+    if prof.boundary_case is series.BoundaryCase.OPEN_A:
+        raise DomainError("(x, -alpha) is outside dom h in boundary case (a)")
+    if kind is Entropy.BOSE_EINSTEIN and x - prof.theta1 * prof.alpha >= 0.0:
+        raise DomainError("(x, -alpha) outside dom h_BE")
+    if prof.boundary_case is series.BoundaryCase.CLOSED_GAMMA_INFINITE_B:
+        return None
+    u, v = series.grad_h(family, kind, x, -prof.alpha, tol)
+    return HalfLine(u, v)
+
+
+@dataclass(frozen=True)
+class FiniteProblem:
+    """A finite instance; v = None selects the single-constraint problem."""
+
+    kind: Entropy
+    p: tuple[float, ...]
+    sigma: tuple[float, ...]
+    u: float
+    v: Optional[float] = None
+
+    def __post_init__(self):
+        finite._checked(self.p, self.sigma, u=self.u, v=self.v)
+
+    def solve(self):
+        if self.v is None:
+            return finite.solve_single(self.kind, self.p, self.u)
+        if self.kind is Entropy.FERMI_DIRAC:
+            return finite.solve_two_fd(self.p, self.sigma, self.u, self.v)
+        return finite.solve_two_mb_be(self.kind, self.p, self.sigma, self.u, self.v)
+
+
+def serialize_spec(spec) -> str:
+    """The spec file text of a ProblemSpec, floats by repr."""
+    out = ["[family]", f"name = {spec.family_name}"]
+    for key, value in spec.family_params:
+        out.append(f"{key} = {value}")
+    out += ["", "[problem]", f"entropy = {spec.entropy}", f"mode = {spec.mode}"]
+    if spec.mode == "sweep":
+        for key, value in zip(specfile._GRID_KEYS, spec.grid):
+            out.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
+    elif spec.mode == "forward":
+        out.append(f"x = {spec.x!r}")
+        out.append(f"y = {spec.y!r}")
+    elif spec.mode in ("solve", "classify"):
+        out.append(f"u = {spec.u!r}")
+        out.append(f"v = {spec.v!r}")
+    out += ["", "[tolerances]", f"tol = {spec.tol!r}", f"epsilon = {spec.epsilon!r}", ""]
+    return "\n".join(out)
 
 
 # -- frozen reference constants (computed by the oracles below) -------------

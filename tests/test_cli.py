@@ -11,7 +11,9 @@ import pytest
 from entromin import NumericalFailureError, series, solver
 from entromin.cli import main
 from entromin.rootfind import solve_bracketed
-from entromin.specfile import ParseError, parse_spec, serialize_spec
+from entromin.specfile import ParseError, parse_spec
+
+from conftest import serialize_spec
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 

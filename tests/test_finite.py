@@ -16,7 +16,6 @@ from entromin import (
     DomainError,
     Entropy,
     Feasibility,
-    FiniteProblem,
     InfeasibleError,
     NumericalFailureError,
     RangeError,
@@ -33,7 +32,7 @@ from entromin.rootfind import minimize_convex_2d, newton_root
 
 from entromin import finite as finite_module
 
-from conftest import brute_force_oracle, ref_gibbs_pass
+from conftest import FiniteProblem, brute_force_oracle, ref_gibbs_pass
 
 MB = Entropy.MAXWELL_BOLTZMANN
 BE = Entropy.BOSE_EINSTEIN

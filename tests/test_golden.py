@@ -15,8 +15,15 @@ before the entropy functions became elementwise on arrays; with
 geometric_verify (Arithmetic(0, 1)) they hold verify's report on all three
 of perfbench's families.  The three *_verify pairs were re-pinned when the
 bose-einstein conjugate began to take -log(-expm1(t)) above t = -ln 2,
-which moved only their Fenchel-Young equality gap (5.22e-15 to 5.33e-15).  A change meant to keep every figure, such as a
-refactor, must leave these files as they are.
+which moved only their Fenchel-Young equality gap (5.22e-15 to 5.33e-15).
+lattice_forward and lattice_verify were re-pinned when the Lattice3D tail
+bracket gained its ratio-test route, so that a lattice pass stops at an
+earlier block end: lattice_forward's v moved from 6.121022812015456 to
+...637 and its value from -3.039455566306101 to ...173 (1.9e-13 and
+7.9e-14 from mpmath sums over 3,000 levels), and lattice_verify's
+round-trip errors read 1.45e-13 and 2.55e-12 (8.32e-13 and 3.57e-12).
+A change meant to keep every figure, such as a refactor, must leave these
+files as they are.
 """
 
 from pathlib import Path

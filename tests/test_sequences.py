@@ -81,6 +81,15 @@ class TestLatticeLevels:
         assert [int(v) for _, v in levels] == sorted(table)
         assert sum(d for d, _ in levels) == sum(table.values())
 
+    @pytest.mark.parametrize(
+        "family", [Lattice3D(1.0), Lattice3D(0.25), WeightedGeometric(1.0, 3.0)], ids=repr
+    )
+    def test_weight_arrays_are_the_weights(self, family):
+        # the CLI's truncation check reads its weights as one array
+        for lo, hi in ((1, 2048), (5, 70)):
+            want = [family.p(n) for n in range(lo, hi + 1)]
+            assert family.p_array(lo, hi).tolist() == want
+
     def test_bad_args(self):
         with pytest.raises(DomainError):
             lattice_levels(1.0, 0)
@@ -320,6 +329,48 @@ def test_tail_interval_brackets_brute_force(family, y, moment):
             assert lo <= tail * (1 + 1e-12) + 1e-300
 
 
+class TestLatticeTail:
+    """Lattice3D's bracket bounds sum_{S > V} S^(k+1) rho^S by a ratio test
+    over S >= V + 1 wherever its ratio is below 1: it decays at the terms'
+    own rate, where absorbing S^(k+1) into half of it did not."""
+
+    @staticmethod
+    def _levels(limit):
+        # (values, degeneracies) of i^2 + j^2 + k^2 <= limit, enumerated
+        m = math.isqrt(limit) + 1
+        sq = np.arange(1, m + 1) ** 2
+        sums = (sq[:, None, None] + sq[None, :, None] + sq[None, None, :]).ravel()
+        counts = np.bincount(sums[sums <= limit])
+        values = np.nonzero(counts)[0]
+        return values.astype(float), counts[values].astype(float)
+
+    def _tail(self, values, deg, y, n, k):
+        terms = deg[n:] * values[n:] ** k * np.exp(values[n:] * y)
+        assert terms[-1] <= 1e-18 * terms.sum()  # the horizon holds the tail
+        return math.fsum(terms)
+
+    def test_tail_at_the_terms_rate(self):
+        # the absorption bound alone gave (0, 5.9e-7) here
+        values, deg = self._levels(2000)
+        lo, hi = Lattice3D(1.0).tail_interval(-0.2, 128, 0)
+        tail = self._tail(values, deg, -0.2, 128, 0)
+        assert hi - lo <= 1e-12
+        assert lo <= tail <= hi * (1 + 1e-12)
+
+    def test_upper_ends_bound_the_brute_force_tails(self):
+        values, deg = self._levels(4000)
+        rng = np.random.default_rng(24)
+        fam = Lattice3D(1.0)
+        for _ in range(150):
+            y = float(rng.uniform(-3.0, -0.05))
+            n = 64 * 2 ** int(rng.integers(0, 6))
+            for k in (0, 1, 2):
+                lo, hi = fam.tail_interval(y, n, k)
+                tail = self._tail(values, deg, y, n, k)
+                assert lo <= tail * (1 + 1e-12) + 1e-300
+                assert tail <= hi * (1 + 1e-12) + 1e-300
+
+
 def test_boundary_brackets_sound(zeta_family):
     # boundary tails are zeta tails: check against long partial sums
     for moment in (0, 1):
@@ -498,8 +549,9 @@ def test_arithmetic_moment_tails_are_exact(y, n):
 def test_tail_intervals_reproduce_the_pinned_brackets():
     # tests/golden/tail_brackets.json holds repr(tail_interval(y, n, k)) at
     # commit 0a2157d, before every moment came from one tail_intervals call
-    # (json.dumps(_pin_tail_brackets(), indent=1) wrote it); every moment
-    # set and order must give the same floats
+    # (json.dumps(_pin_tail_brackets(), indent=1) wrote it), its Lattice3D
+    # entries re-pinned when that bracket gained its ratio-test route, none
+    # of them wider; every moment set and order must give the same floats
     pinned = json.loads(_PINNED.read_text())
     keys = {_pin_key(f, y, n, k) for f, y, n in _pinned_bracket_inputs() for k in (0, 1, 2)}
     assert set(pinned) == keys

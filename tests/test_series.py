@@ -32,9 +32,7 @@ from entromin import (
     ShiftedSigma,
     UnsupportedFamilyError,
     WeightedGeometric,
-    boundary_subdifferential,
     eval_f,
-    eval_f_derivatives,
     eval_h,
     grad_h,
     lnf_conjugate,
@@ -45,7 +43,16 @@ from entromin import (
 from entromin import series
 from entromin.series import _HESSIAN, _dual_point, _dual_sums, _invert_slope, hessian_h
 
-from conftest import LN2, ZETA2, ZETA3, brute_force_series, ref_eval_many, zeta_oracle
+from conftest import (
+    LN2,
+    ZETA2,
+    ZETA3,
+    boundary_subdifferential,
+    brute_force_series,
+    eval_f_derivatives,
+    ref_eval_many,
+    zeta_oracle,
+)
 from test_sequences import _FAMILY_POINTS
 
 MB = Entropy.MAXWELL_BOLTZMANN

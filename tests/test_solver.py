@@ -906,10 +906,10 @@ class TestInverseSolve:
         assert res.kind is FD and "overflows" in res.message
 
     def test_pass_budget(self, monkeypatch, geo_solver):
-        # one loose slope root, then one certified pass per Newton point
-        # (h, gradient and Hessian together), and the solution read off
-        # the accepted point; a closing forward solve made it 11, and three
-        # passes per Newton point and a tight root 23
+        # one certified pass per Newton point (h, gradient and Hessian
+        # together), and the solution read off the accepted point; a
+        # closing forward solve made it 11, and three passes per Newton
+        # point and a tight root 23
         fwd = geo_solver.forward_solve(BE, -1.0, -LN2)
         fam = geo_solver.normal_family
         orig = type(fam).log_terms
@@ -924,6 +924,87 @@ class TestInverseSolve:
         inv = geo_solver.inverse_solve_bf(BE, fwd.u, fwd.v)
         assert isinstance(inv, EmpSolution)
         assert len(passes) <= 10
+
+    @pytest.mark.parametrize(
+        "family, points",
+        [
+            (Arithmetic(0.0, 1.0), [(-1.2, -0.9), (-0.5, -2.1), (0.4, -0.35)]),
+            (WeightedGeometric(1.0, 3.0), [(-1.0, -1.5), (0.5, -2.0), (-0.2, -3.3)]),
+            (Lattice3D(1.0), [(-1.0, -0.15), (0.3, -0.7), (-0.4, -1.6)]),
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("kind", [BE, FD])
+    def test_a_warm_inverse_makes_one_pass_per_newton_point(self, monkeypatch, family, points, kind):
+        # the Newton starts from the cached slope ladder with no pass of
+        # its own; a loose slope root made one pass more
+        solver = EmpSolver(family)
+        t1 = solver.profile.theta1
+        targets = []
+        for x, y in points:
+            x = min(x, -t1 * y - 0.3) if kind is BE else x  # BE: x + theta1 y < 0
+            fwd = solver.forward_solve(kind, x, y)
+            targets.append((fwd.u, fwd.v))
+            solver.inverse_solve_bf(kind, fwd.u, fwd.v)
+        kernel, newton = series._eval_many, solver_module.minimize_convex_2d
+        passes, points_seen = [], []
+
+        def counting_kernel(*args, **kwargs):
+            passes.append(args[1])
+            return kernel(*args, **kwargs)
+
+        def counting_newton(evaluate, *args):
+            def counted(*point):
+                points_seen.append(point)
+                return evaluate(*point)
+
+            return newton(counted, *args)
+
+        monkeypatch.setattr(series, "_eval_many", counting_kernel)
+        monkeypatch.setattr(solver_module, "minimize_convex_2d", counting_newton)
+        for u, v in targets:
+            passes.clear()
+            points_seen.clear()
+            assert isinstance(solver.inverse_solve_bf(kind, u, v), EmpSolution)
+            assert len(passes) == len(points_seen) > 0
+
+    # (family, kind, x, y, the multipliers the inverse returned when it
+    # started from a slope root to 1e-5): an inverse from the forward solve
+    # at (x, y) returns the same region and multipliers within 1e-8
+    _LADDER_EDGE_TRIPS = [
+        # w beyond the ladder's last entry toward theta2 (y_-48 = -1 - 2^-12)
+        (WeightedGeometric(1.0, 3.0), BE, -5.0, -1.0001, (-4.999999999815998, -1.0001000001346645)),
+        # w beyond its last entry toward theta1 (y_24 = -64)
+        (Lattice3D(0.02), FD, 1.0, -70.0, (1.000000000000073, -70.0000000000007)),
+    ]
+    _BRACKETED_TRIPS = [
+        (Arithmetic(0.0, 1.0), BE, -1.2, -0.9, (-1.2000000000000002, -0.8999999999999999)),
+        (WeightedGeometric(1.0, 3.0), FD, 0.5, -2.0, (0.499999999999998, -1.9999999999999982)),
+        (Lattice3D(1.0), FD, 0.3, -0.7, (0.30000000016538636, -0.7000000000186836)),
+    ]
+
+    @staticmethod
+    def _assert_round_trip(family, kind, x, y, before):
+        solver = EmpSolver(family)
+        fwd = solver.forward_solve(kind, x, y)
+        inv = solver.inverse_solve_bf(kind, fwd.u, fwd.v)
+        assert isinstance(inv, EmpSolution) and inv.region is Region.INTERIOR
+        assert max(abs(a - b) for a, b in zip(inv.multipliers, before)) <= 1e-8
+
+    @pytest.mark.parametrize("family, kind, x, y, before", _LADDER_EDGE_TRIPS, ids=repr)
+    def test_a_one_sided_ladder_start(self, family, kind, x, y, before):
+        solver = EmpSolver(family)
+        fwd = solver.forward_solve(kind, x, y)
+        assert series._ladder_bracket(solver.normal_family, fwd.v / fwd.u, 1e-5, 1.0)[1] is None
+        self._assert_round_trip(family, kind, x, y, before)
+
+    @pytest.mark.parametrize("family, kind, x, y, before", _BRACKETED_TRIPS, ids=repr)
+    def test_an_interpolant_outside_the_bracket(self, monkeypatch, family, kind, x, y, before):
+        # no target of a scan over these families puts the interpolant
+        # outside its bracket, so it is made nan, as for an unusable entry:
+        # the start falls back on the nearer entry and its certified f
+        monkeypatch.setattr(series, "_hermite_start", lambda *args: math.nan)
+        self._assert_round_trip(family, kind, x, y, before)
 
     @pytest.mark.parametrize("kind", [BE, FD])
     def test_accepted_point_outside_interior_is_a_failure(self, kind):
