@@ -26,7 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .entropies import Entropy, entropy_derivative, entropy_value
+from .entropies import (
+    Entropy, entropy_conjugate, entropy_conjugate_derivative, entropy_derivative, entropy_value,
+)
 from .errors import (
     BudgetError,
     DomainError,
@@ -259,7 +261,8 @@ def _dual_newton(kind, p, sigma, u, v, a0: float, b0: float) -> FiniteSolution:
     """Minimize the dual sum_k p_k W*(a + b sigma_k) - a u - b v by the damped
     Newton of rootfind from (a0, b0), moved into dom W* where needed.  The
     optimum is u_k = p_k g(a + b sigma_k), g = (W*)' with g' = g (1 - a_W g);
-    each Newton point computes g once for the gradient and the Hessian.
+    W* and g are the entropies module's, and each Newton point computes g
+    once for the gradient and the Hessian.
     Residuals below ~1e-11 of the constraint scale sit in float noise."""
     p = np.asarray(p, dtype=float)
     s = np.asarray(sigma, dtype=float)
@@ -269,24 +272,12 @@ def _dual_newton(kind, p, sigma, u, v, a0: float, b0: float) -> FiniteSolution:
     if bose and t.max() >= 0.0:
         a0 -= t.max() + 1.0
 
-    def occupation(t):
-        if bose:
-            # e^t/(1-e^t); 1/inf = 0, the right value, where expm1(-t)
-            # overflows (t < -709.78): its warning is ignored below
-            return 1.0 / np.expm1(-t)
-        # the logistic function, one branch: no exp of a large positive t
-        return np.exp(np.minimum(t, 0.0)) / (1.0 + np.exp(-np.abs(t)))
-
     def evaluate(a, b):
         t = a + b * s
-        g = occupation(t)
-        if bose:
-            conj = -np.log1p(-np.exp(t))
-        else:  # softplus
-            conj = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+        g = entropy_conjugate_derivative(kind, t)
         gp = g * (1.0 - kind.a * g)
         return (
-            float((p * conj).sum()) - a * u - b * v,
+            float((p * entropy_conjugate(kind, t)).sum()) - a * u - b * v,
             (float((p * g).sum()) - u, float((ps * g).sum()) - v),
             (float((p * gp).sum()), float((ps * gp).sum()), float((ps * s * gp).sum())),
             1e-11,
@@ -301,7 +292,7 @@ def _dual_newton(kind, p, sigma, u, v, a0: float, b0: float) -> FiniteSolution:
             name = kind.name.lower().replace("_", "-")
             raise NumericalFailureError(f"{name} dual Newton: {res.message}")
         a, b = res.point
-        u_bar = p * occupation(a + b * s)
+        u_bar = p * entropy_conjugate_derivative(kind, a + b * s)
     value = _w_sum(kind, p, u_bar)
     return FiniteSolution(tuple(u_bar), value, res.point, BoundaryFlag.INTERIOR_KKT)
 

@@ -13,10 +13,10 @@ proves about f(y) = sum p_n exp(sigma_n y) rests on what a family declares:
     ``sigma_increasing_from`` when they are not nondecreasing from n = 1;
   * its tail certificates, three in a leaf family: ``tail_ratio`` (a
     ratio-test constant r < 1 for the whole tail beyond an index),
-    ``_direct_interval`` (closed-form brackets: exact geometric sums,
-    integral tests, block-doubling majorants, and zeta-type tails at and
-    beyond the endpoint y = -alpha; ``_direct_intervals`` where moments
-    share pieces) and ``boundary_divergent`` (summability at y = -alpha).
+    ``_direct_intervals``, the one closed-form hook (brackets for all asked
+    moments from one call: exact geometric sums, integral tests, ratio and
+    block-doubling majorants, and zeta-type tails at and beyond the
+    endpoint y = -alpha) and ``boundary_divergent`` (summability there).
 
 The base class derives the rest: ``constant_sigma`` is sigma_direction 0,
 ``dom_f_empty`` is alpha = +inf for levels not falling to -inf, and
@@ -148,14 +148,11 @@ class SequenceFamily:
         or None when the family cannot certify one."""
         return None
 
-    def _direct_interval(self, y, n, moment):
-        return None
-
     def _direct_intervals(self, y, n, moments):
         """Closed-form (lo, hi) brackets of the (N=n, k) tails, one per k in
-        `moments` (None where there is none); a family whose moments share
-        closed-form pieces takes them once by overriding this."""
-        return [self._direct_interval(y, n, k) for k in moments]
+        `moments` (None where there is none): a family with closed forms
+        overrides this, taking pieces its moments share once."""
+        return [None] * len(moments)
 
     def boundary_divergent(self, moment: int = 0) -> Optional[bool]:
         """True/False when (non)summability at y = -alpha is certified."""
@@ -401,11 +398,12 @@ class PowerLaw(SequenceFamily):
             r *= ((n + 1) / n) ** (self.exponent * moment)
         return r if r < 1.0 else None
 
-    def _direct_interval(self, y, n, moment):
-        if self.scale <= 0.0 or y >= 0.0 or moment != 0:
-            return None
+    def _direct_intervals(self, y, n, moments):
+        # a block-doubling majorant of the plain tail; none for k >= 1
+        if self.scale <= 0.0 or y >= 0.0 or 0 not in moments:
+            return [None] * len(moments)
         hi = _block_doubling_tail(lambda m: self.sigma(m) * y, self.sigma, y, n)
-        return None if hi is None else (0.0, hi)
+        return [None if k or hi is None else (0.0, hi) for k in moments]
 
     def tail_intervals(self, y, n, moments):
         # the terms are positive, so (0, inf) is a true bracket where no
@@ -528,15 +526,20 @@ class WeightedGeometric(SequenceFamily):
             r *= ((n + 1) / n) ** e  # sup over the tail sits at m = n
         return r if r < 1.0 else None
 
-    def _direct_interval(self, y, n, moment):
-        # at y = -rate the terms are n^(moment - power), a zeta-type tail
-        # with an integral-test bracket; for y < -rate they are smaller
-        e = moment - self.power
-        if y > -self.rate or e >= -1.0:
-            return None
-        c = -e - 1.0
-        lo = (n + 1.0) ** (e + 1.0) / c if y == -self.rate else 0.0
-        return lo, float(n) ** (e + 1.0) / c
+    def _direct_intervals(self, y, n, moments):
+        # at y = -rate the terms are n^(k - power), a zeta-type tail with an
+        # integral-test bracket where k - power < -1; for y < -rate they are
+        # smaller
+        out = []
+        for k in moments:
+            e = k - self.power
+            if y > -self.rate or e >= -1.0:
+                out.append(None)
+            else:
+                c = -e - 1.0
+                lo = (n + 1.0) ** (e + 1.0) / c if y == -self.rate else 0.0
+                out.append((lo, float(n) ** (e + 1.0) / c))
+        return out
 
     def boundary_divergent(self, moment=0):
         return moment - self.power >= -1.0
@@ -889,11 +892,14 @@ def lattice_levels(scale: float, count: int) -> list[tuple[int, float]]:
     return list(zip(degeneracy[:count].tolist(), (scale * values[:count]).tolist()))
 
 
+TIE_RTOL = 1e-12  # levels within TIE_RTOL max(1, |theta1|) of theta1 tie with it
+
+
 @functools.lru_cache(maxsize=256)
-def sigma_min_set(family: SequenceFamily, tie_tol: float = 1e-12) -> SigmaMinSet:
+def sigma_min_set(family: SequenceFamily) -> SigmaMinSet:
     """theta1 = min sigma_n with its attaining index set, found by scanning
-    until the nondecreasing tail guarantees sigma_n > theta1 + tie_tol;
-    cached per (family, tie_tol), as families are immutable."""
+    until the nondecreasing tail guarantees sigma_n beyond the tie
+    (TIE_RTOL); cached per family, as families are immutable."""
     if family.sigma_direction != +1:
         raise UnsupportedFamilyError(
             "sigma must increase to infinity (normalize the family first)"
@@ -901,7 +907,7 @@ def sigma_min_set(family: SequenceFamily, tie_tol: float = 1e-12) -> SigmaMinSet
     n0 = family.sigma_increasing_from
     head = [family.sigma(k) for k in range(1, n0 + 1)]
     theta1 = min(head)
-    tol = tie_tol * max(1.0, abs(theta1))
+    tol = TIE_RTOL * max(1.0, abs(theta1))
     indices = [k + 1 for k, s in enumerate(head) if s <= theta1 + tol]
     n = n0 + 1
     while True:

@@ -62,7 +62,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .rootfind import newton_root
-from .sequences import SequenceFamily, SigmaMinSet, sigma_min_set
+from .sequences import TIE_RTOL, SequenceFamily, SigmaMinSet, sigma_min_set
 
 __all__ = [
     "BoundaryCase",
@@ -295,8 +295,9 @@ def _eval_moments(family, y, tols, x=0.0, kind=_MB, ceiling=1.0):
 def _overflow_ignored(fn):
     """fn under numpy's errstate(over='ignore'), entered once per call: at a
     huge negative y, sigma_n y (and x + sigma_n y) overflows to -inf, whose
-    exponential is the correct term 0.  Public entry points only; the state
-    costs about 2 us to enter, too much for each pass of a slope root."""
+    exponential is the correct term 0.  The one float state of every public
+    entry that sums terms, here and in solver; the state costs about 2 us
+    to enter, too much for each pass of a slope root."""
 
     @functools.wraps(fn)
     def quiet(*args, **kwargs):
@@ -611,7 +612,7 @@ def lnf_conjugate(family: SequenceFamily, w: float, tol: float = 1e-10) -> float
     0.25 tol); -alpha w - ln f(-alpha) at and beyond theta2 (boundary case
     c only)."""
     prof = profile(family)
-    t1_tol = 1e-12 * max(1.0, abs(prof.theta1))
+    t1_tol = TIE_RTOL * max(1.0, abs(prof.theta1))  # sigma_min_set's tie
     if not math.isfinite(w):
         raise RangeError(f"w must be finite, got {w}")
     if w < prof.theta1 - t1_tol:
@@ -715,14 +716,12 @@ def eval_h(
 
 def _dual_sums(family, kind, x, y, tols, ceiling=1.0) -> list[SeriesEval]:
     """_eval_moments for sums of h_W and its derivatives (keys of `tols` as
-    in _eval_many), with DomainError for a degenerate family, y > -alpha, a
-    Hessian sum at y = -alpha, e^(x + theta1 y) >= 1 under bose-einstein, or a
-    divergent series."""
+    in _eval_many), with DomainError for a degenerate family, a Hessian sum
+    at y = -alpha, e^(x + theta1 y) >= 1 under bose-einstein (_outside_be),
+    or a divergent series, y > -alpha included (_eval_moments)."""
     if family.dom_f_empty or family.constant_sigma:
         raise DomainError("dual sums undefined: degenerate family")
     a = family.alpha
-    if y > -a:
-        raise DomainError(f"({x}, {y}) outside dom h: y > -alpha = {-a}")
     if y == -a and any(m == "hess" for m, _ in tols):
         raise DomainError(f"hessian needs y < -alpha = {-a}")
     if kind is Entropy.BOSE_EINSTEIN and _outside_be(family, x, y):

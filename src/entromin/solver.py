@@ -47,7 +47,7 @@ from .sequences import (
     sigma_min_set,
 )
 from . import finite, series
-from .series import BoundaryCase, SeriesProfile
+from .series import SeriesProfile
 
 __all__ = [
     "Region",
@@ -112,6 +112,7 @@ class SequenceRule:
     support: Optional[tuple[tuple[int, float], ...]] = None
     normal: Optional[tuple[SequenceFamily, float, float]] = None
 
+    @series._overflow_ignored
     def term(self, n: int) -> float:
         if n < 1:
             raise DomainError("term index must be >= 1")
@@ -125,11 +126,7 @@ class SequenceRule:
         fam, x, y = self.normal
         lt = float(fam.log_terms(y, n, n)[0]) + x
         t = x + fam.sigma(n) * y
-        a = self.kind.a
-        if a == 0:
-            return math.exp(lt)
-        denom = 1.0 + a * math.exp(min(t, 700.0))
-        return math.exp(lt) / denom
+        return math.exp(lt) / (1.0 + self.kind.a * math.exp(min(t, 700.0)))
 
     def prefix(self, count: int) -> list[float]:
         return [self.term(n) for n in range(1, count + 1)]
@@ -572,34 +569,25 @@ class EmpSolver:
             self.classify(u, v), value, value, True, u, v, kind, rule, None, (rule.x, rule.y)
         )
 
+    @series._overflow_ignored
     def forward_solve(self, kind: Entropy, x: float, y: float) -> EmpSolution:
         """From dual multipliers to the unique optimal occupation sequence:
         (u, v) is the gradient of h_W at (x, y) and the value follows from
         Fenchel equality x u + y v - h_W(x, y); h_W and its gradient come
         from one certified pass.  RangeError when x or y is nan or
-        infinite."""
+        infinite; DomainError from series._dual_sums, before any term is
+        summed, on a degenerate family or outside dom h_W."""
         for name, val in (("x", x), ("y", y)):
             if not math.isfinite(val):
                 raise RangeError(f"{name} must be finite, got {val}")
-        prof = self._profile
-        if prof is None:
-            raise DomainError("forward solve undefined for degenerate families")
         x_n, y_n = self._xy_to_norm(x, y)
-        if y_n > -prof.alpha or (
-            y_n == -prof.alpha and prof.boundary_case is not BoundaryCase.CLOSED_GAMMA_FINITE_C
-        ):
-            raise DomainError(
-                f"gradient series does not converge at y={y} (dom f endpoint)"
+        # slowly spaced level families may certify only up to 10^3 tol
+        h, u, v_n = (
+            s.value
+            for s in series._dual_point(
+                self._fam, kind, x_n, y_n, self.tol, hessian=False, ceiling=1e3
             )
-        # slowly spaced level families may certify only up to 10^3 tol;
-        # at a huge negative y, sigma_n y overflows to -inf, a term of 0
-        with np.errstate(over="ignore"):
-            h, u, v_n = (
-                s.value
-                for s in series._dual_point(
-                    self._fam, kind, x_n, y_n, self.tol, hessian=False, ceiling=1e3
-                )
-            )
+        )
         return self._attained(kind, x_n, y_n, u, v_n, x_n * u + y_n * v_n - h, (x, y))
 
     def inverse_solve_bf(
@@ -644,7 +632,8 @@ class EmpSolver:
                 f"newton aborted: {exc}",
             )
         x_c = math.log(u) - ln_f
-        if kind is Entropy.BOSE_EINSTEIN and x_c + prof.theta1 * y_c >= 0.0:
+        bose = kind is Entropy.BOSE_EINSTEIN
+        if bose and series._outside_be(self._fam, x_c, y_c):
             x_c = -prof.theta1 * y_c - 1.0
         res_tol = max(tol, 1e-11) * scale
         relax = 1.0  # 10^3 from the first pass that stops at its ceiling
@@ -660,9 +649,7 @@ class EmpSolver:
             return h - xx * u - yy * v_n, (gu - u, gv - v_n), hess, relax * res_tol / scale
 
         def in_domain(xx, yy):
-            return yy < -prof.alpha and (
-                kind is not Entropy.BOSE_EINSTEIN or xx + prof.theta1 * yy < 0.0
-            )
+            return yy < -prof.alpha and not (bose and series._outside_be(self._fam, xx, yy))
 
         try:
             got = minimize_convex_2d(evaluate, in_domain, (x_c, y_c), (scale, scale))
@@ -692,6 +679,7 @@ class EmpSolver:
 
     # -- objective evaluation --------------------------------------------------
 
+    @series._overflow_ignored
     def objective_value(
         self,
         kind: Entropy,
@@ -730,6 +718,7 @@ class EmpSolver:
 
     # -- biconjugate ---------------------------------------------------------
 
+    @series._overflow_ignored
     def biconjugate_check(
         self, x: float, y: float, sample_budget: int = 10_000
     ) -> tuple[float, float]:

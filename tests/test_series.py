@@ -853,13 +853,19 @@ class TestFloatEdges:
     @pytest.mark.parametrize("kind", [MB, BE, FD])
     @pytest.mark.parametrize("x", [0.0, -1.0, 3.0, -1.7e308])
     def test_huge_negative_y_warns_of_no_overflow(self, family, kind, x):
-        # sigma_n y (and x + sigma_n y) overflow to -inf, whose terms are 0
+        # sigma_n y (and x + sigma_n y) overflow to -inf, whose terms are 0;
+        # the rule's terms, its objective and the biconjugate check leaked
+        # numpy's "overflow encountered in multiply"
         y = -1.7e308
         solver = EmpSolver(family)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solver.forward_solve(kind, x, y)
             assert (sol.region.value, sol.u, sol.v, sol.value) == ("origin", 0.0, 0.0, 0.0)
+            assert sol.solution.prefix(3) == [0.0] * 3
+            assert solver.objective_value(kind, sol.solution) == 0.0
+            if kind is MB:
+                assert solver.biconjugate_check(x, y, 64) == (0.0, 0.0)
             assert eval_h(family, kind, x, y) == 0.0
             assert grad_h(family, kind, x, y) == (0.0, 0.0)
             assert hessian_h(family, kind, x, y) == (0.0, 0.0, 0.0)
