@@ -53,7 +53,8 @@ Work counts are deterministic and come from wrapping the library from
 outside; nothing in src/ counts.  prefix_builds and the series counts come
 from perfbench's tracer (perfbench/tracing.py), members and terms_built from
 solver.EpsilonFamily and solver.EpsilonMember, array_calls and
-bracket_calls from the family that series._eval_many sees, the exp counts
+bracket_calls from the family that series._eval_many and
+series._model_slope see, model_points from the latter, the exp counts
 from the numpy that entromin.solver and entromin.finite see, slope_passes
 from the arguments of series._eval_many, and newton_points from
 solver.minimize_convex_2d:
@@ -85,10 +86,16 @@ solver.minimize_convex_2d:
                        one solve_mb, round trip or value_mb: one per array
                        pass over a stretch of terms;
   bracket_calls        tail_interval and tail_intervals calls that
-                       series._eval_many makes during the same call: its
-                       tail brackets (calls the families make from inside
-                       one, and brackets taken outside the kernel, do not
-                       count);
+                       series._eval_many and series._model_slope make
+                       during the same call: the kernel's tail brackets and
+                       a slope model's one per point it tries (calls the
+                       families make from inside one, and brackets taken
+                       elsewhere, do not count);
+  model_points         slope-root iterates certified from the Taylor model
+                       of an earlier pass, with no pass of their own, during
+                       one solve_mb: series._model_slope calls that return
+                       a slope (lattice_interior, mb_interior and
+                       shifted_interior; 0 in trees without the model);
   slope_passes         series._eval_many calls under maxwell-boltzmann
                        during one round trip: the passes of a slope root
                        and of f at it that start the inverse's Newton (the
@@ -283,6 +290,7 @@ PASS_KEYS = {
     "array_calls": "array_calls",
     "bracket_calls": "bracket_calls",
 }
+SOLVE_KEYS = {**PASS_KEYS, "model_points": "model_points"}
 
 
 class _CountingFamily:
@@ -310,9 +318,10 @@ class _CountingFamily:
 
 
 def _count_kernel(counts):
-    """Wrap series._eval_many so that the family it works on counts its
-    calls into counts, and its maxwell-boltzmann calls count as slope_passes
-    (for the rest of the process)."""
+    """Wrap series._eval_many, and series._model_slope where the tree has
+    it, so that the family each works on counts its calls into counts; the
+    kernel's maxwell-boltzmann calls count as slope_passes and the model's
+    slopes as model_points (for the rest of the process)."""
     from entromin import series
 
     kernel = series._eval_many
@@ -325,6 +334,15 @@ def _count_kernel(counts):
         return kernel(_CountingFamily(family, counts), *args, **kwargs)
 
     series._eval_many = counting
+    model = getattr(series, "_model_slope", None)
+    if model is not None:
+
+        def counting_model(family, *args):
+            out = model(_CountingFamily(family, counts), *args)
+            counts["model_points"] += out is not None
+            return out
+
+        series._model_slope = counting_model
 
 
 def _quartiles(xs):
@@ -423,7 +441,7 @@ def _shifted(entromin, interior):
 
 def count_solves(tracer, es, targets):
     per_target = [
-        _counted(tracer, lambda u=u, v=v: es.solve_mb(u, v), PASS_KEYS)[1] for u, v in targets
+        _counted(tracer, lambda u=u, v=v: es.solve_mb(u, v), SOLVE_KEYS)[1] for u, v in targets
     ]
     return {"counts_per_solve": _summary(per_target)}
 
@@ -466,7 +484,7 @@ def count_interior(tracer, targets, times):
     """mb_interior's counts and wall times, overall and per family; times
     holds each target's time in seconds, in the order of targets."""
     per_target = [
-        _counted(tracer, lambda es=es, u=u, v=v: es.solve_mb(u, v), PASS_KEYS)[1]
+        _counted(tracer, lambda es=es, u=u, v=v: es.solve_mb(u, v), SOLVE_KEYS)[1]
         for _, es, u, v in targets
     ]
     return {"counts_per_solve": _summary(per_target),

@@ -28,12 +28,16 @@ certified slopes at y_k = -alpha - 2^(k/4), k = -48..24, each evaluated
 once per (family, tol, k, ceiling) on first use and cached (_ladder_entry),
 as the profile is.  The two entries that bracket the target are the first
 bracket, and the first iterate is the cubic Hermite interpolant of their
-(phi, phi') (_hermite_start), so a warm interior inversion mostly takes
-two passes: that start and one Newton step.  The ladder also starts the
-bose-einstein and fermi-dirac inverse with no pass (_ladder_point: that
-start, and ln f there interpolated through the same two entries).  The
-conjugate of ln f follows its four-branch closed form, and its interior
-branch (_conjugate_at) is also the solver's interior value.
+(phi, phi') (_hermite_start).  A slope pass also keeps the partial sums
+of moments 0 to 5 over its terms (_SlopeModel), whose Taylor expansion
+with a proved remainder certifies phi at nearby points with one bracket
+call and no pass (_model_slope), so a warm interior inversion mostly takes
+one pass: the pass at that start certifies the Newton steps after it.
+The ladder also starts the bose-einstein and fermi-dirac inverse with no
+pass (_ladder_point: that start, and ln f there interpolated through the
+same two entries).  The conjugate of ln f follows its four-branch closed
+form, and its interior branch (_conjugate_at) is also the solver's
+interior value.
 A pass whose target is beyond the term budget stops at the bound it can
 reach up to a ceiling times it (_eval_many; only _conjugate_at, _refine_f,
 forward_solve and inverse_solve_bf's Newton points pass one).  All
@@ -47,7 +51,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -132,7 +136,7 @@ class SeriesProfile:
 # core summation with certified tails
 
 
-def _eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0):
+def _eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0, model=False):
     """Certified sums of p_n sigma_n^k m(t_n) exp(t_n), t_n = x + sigma_n y,
     one SeriesEval per key (m, k) of `tols`, in its order, from one
     certified pass, stopped at the first block end n = 64, 128, ... where
@@ -152,6 +156,10 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0):
     every tolerance times the ceiling, and a pass that stops there logs it;
     BudgetError, before any term is summed, when that is out of reach too
     (at once under ceiling 1).
+
+    With `model`, for a slope pass (the moments 0, 1, 2 of f, in that
+    order), the list ends with the pass's _SlopeModel, None where the pass
+    stopped at its ceiling.
     """
     try:
         ex = math.exp(x)
@@ -196,14 +204,17 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0):
                     break
                 brackets.append(iv)
             else:
-                out = []
-                sums = _block_sums(family, y, tols, x, kind, mults, hi)
-                for acc, (blo, bhi) in zip(sums, brackets):
-                    out.append(SeriesEval(math.fsum(acc) + 0.5 * (blo + bhi), hi, 0.5 * (bhi - blo)))
+                sums, higher, top = _block_sums(family, y, tols, x, kind, mults, hi, model)
+                partials = [math.fsum(acc) for acc in sums]
+                out = [SeriesEval(s + 0.5 * (blo + bhi), hi, 0.5 * (bhi - blo))
+                       for s, (blo, bhi) in zip(partials, brackets)]
                 if asked is not None:
                     _log.debug("series pass stopped at its ceiling: %r at y=%r, n=%d, "
                                "targets %s, widths %s", family, y, hi, list(asked.values()),
                                [2.0 * s.tail_bound_used for s in out])
+                if model:
+                    stopped = asked is not None  # a ceiling stop keeps no model
+                    out.append(None if stopped else _SlopeModel(y, hi, (*partials, *higher), top))
                 return out
             if brackets is not None:
                 break
@@ -224,13 +235,18 @@ def _pass_shape(keys):
     return mults, moments, {k: i for i, k in enumerate(moments)}
 
 
-def _block_sums(family, y, tols, x, kind, mults, n):
-    """Per sum of `tols`, its partials over the blocks 1-64, 65-128, ... up
-    to a pass's stopping index n, whose math.fsum is the sum: one array of
-    terms up to min(n, 4096), each partial from a slice (none when n = 64),
-    then one array per block.  Per array the terms are exponentiated once,
-    and z = e^t once for the multipliers (_mult_arrays)."""
+def _block_sums(family, y, tols, x, kind, mults, n, model=False):
+    """(sums, higher, top).  Per sum of `tols`, its partials over the blocks
+    1-64, 65-128, ... up to a pass's stopping index n, whose math.fsum is
+    the sum: one array of terms up to min(n, 4096), each partial from a
+    slice (none when n = 64), then one array per block.  Per array the terms
+    are exponentiated once, and z = e^t once for the multipliers
+    (_mult_arrays).  With `model` (a slope pass, its last sum moment 2),
+    higher holds the partial sums of moments 3, 4 and 5 over the same
+    terms, each array's moment-2 terms times sigma, sigma^2 and sigma^3,
+    and top the largest level summed; else () and 0."""
     sums = [[] for _ in tols]
+    higher, top = [0.0, 0.0, 0.0] if model else (), 0.0
     lo, hi = 1, n if n < _ONE_ARRAY else _ONE_ARRAY
     while True:
         logt = family.log_terms(y, lo, hi)
@@ -257,8 +273,13 @@ def _block_sums(family, y, tols, x, kind, mults, n):
             else:
                 for a, b in cuts:
                     acc.append(float(_add_reduce(block[a:b])))
+        if model:
+            for j in range(3):
+                block = block * sig
+                higher[j] += float(_add_reduce(block))
+            top = max(top, float(sig[-1] if family.sigma_increasing_from <= lo else sig.max()))
         if hi == n:
-            return sums
+            return sums, higher, top
         lo, hi = hi + 1, 2 * hi
 
 
@@ -274,7 +295,7 @@ def _check_boundary_summable(family, moment) -> None:
         )
 
 
-def _eval_moments(family, y, tols, x=0.0, kind=_MB, ceiling=1.0):
+def _eval_moments(family, y, tols, x=0.0, kind=_MB, ceiling=1.0, model=False):
     """_eval_many at one evaluation point, for the moments of f or for the
     dual sums, once the point is checked: DivergenceError beyond the domain
     or where a moment is not summable at y = -alpha, RangeError at a nan x
@@ -289,7 +310,7 @@ def _eval_moments(family, y, tols, x=0.0, kind=_MB, ceiling=1.0):
     if y == -a:
         for k in sorted({k for _, k in tols}):
             _check_boundary_summable(family, k)
-    return _eval_many(family, y, tols, x, kind, ceiling)
+    return _eval_many(family, y, tols, x, kind, ceiling, model)
 
 
 def _overflow_ignored(fn):
@@ -392,36 +413,108 @@ def phi(family: SequenceFamily, y: float, tol: float = 1e-10) -> float:
 
 
 def _certified_slope(family, y, tol, scale=None, ceiling=1.0):
-    """(phi(y), phi'(y), certified f(y), the scale it measured, e), phi(y)
-    within e >= tol, from moments-(0, 1, 2) passes whose tolerances assume
-    the scale (f(y), max(|phi(y)|, 1)), taken from one pass at tolerance
-    1e-4 when None; a pass whose certified error of phi misses tol is
-    repeated at the scale it measured, at most four passes in all, unless
+    """(phi(y), phi'(y), certified f(y), the scale it measured, e, model),
+    phi(y) within e >= tol, from moments-(0, 1, 2) passes whose tolerances
+    assume the scale (f(y), max(|phi(y)|, 1)), taken from one pass at
+    tolerance 1e-4 when None; a pass whose certified error of phi misses tol
+    is repeated at the scale it measured, at most four passes in all, unless
     it stopped at its ceiling (a width above its tolerance).  phi' = f''/f
     - phi^2 is the variance of sigma under the Gibbs weights; it only
     proposes steps, so moment 2 needs a finite tail bracket but no
-    tolerance: each pass stops when moments 0 and 1 are certified."""
+    tolerance: each pass stops when moments 0 and 1 are certified.  model
+    is the last pass's _SlopeModel, which certifies the slope at nearby
+    points with no new pass (_model_slope); None after a ceiling stop."""
     if scale is None:
         rough = _eval_moments(family, y, {(None, 0): 1e-4, (None, 1): 1e-4})
         f_scale = max(rough[0].value, 1e-300)
         scale = (f_scale, max(abs(rough[1].value) / f_scale, 1.0))
     for _ in range(4):
-        f_scale, ratio = scale
-        t1 = 0.25 * tol * f_scale
-        tols = {(None, 0): t1 / ratio, (None, 1): t1, (None, 2): math.inf}
-        s0, s1, s2 = _eval_moments(family, y, tols, 0.0, _MB, ceiling)
+        tols = _slope_tols(tol, scale)
+        s0, s1, s2, model = _eval_moments(family, y, tols, 0.0, _MB, ceiling, True)
         if s0.value == 0.0:
             raise RangeError(f"f({y}) underflows to 0: phi has no float value there")
-        p = s1.value / s0.value
-        scale = (max(s0.value, 1e-300), max(abs(p), 1.0))
-        floor = s0.value - s0.tail_bound_used
-        if floor > 0.0:
-            e = (s1.tail_bound_used + abs(p) * s0.tail_bound_used) / floor
-            if e <= tol or ceiling > 1.0 and (  # a ceiling stop: a width above its tolerance
-                2.0 * s0.tail_bound_used > t1 / ratio or 2.0 * s1.tail_bound_used > t1
-            ):
-                return p, s2.value / s0.value - p * p, s0, scale, max(e, tol)
+        p, dp, scale, e = _judge_slope(s0, s1, s2.value)
+        # a ceiling stop leaves no model: a width above its tolerance
+        if e < math.inf and (e <= tol or model is None):
+            return p, dp, s0, scale, max(e, tol), model
     raise BudgetError(f"phi({y}) not certified to {tol:.3e}")
+
+
+def _slope_tols(tol, scale):
+    """The tolerances of f, f' and f'' for a slope certified to tol at the
+    scale (f(y), max(|phi(y)|, 1)): an error of f' of t and of f of t /
+    max(|phi|, 1) each move phi by about t / f, t = 0.25 tol f."""
+    f_scale, ratio = scale
+    t1 = 0.25 * tol * f_scale
+    return {(None, 0): t1 / ratio, (None, 1): t1, (None, 2): math.inf}
+
+
+def _judge_slope(s0, s1, m2):
+    """(phi, phi', scale, e) from certified f and f' and the moment-2 value
+    m2: phi = f'/f within e, inf where f's bracket reaches 0, and the scale
+    (f, max(|phi|, 1)) the next point's tolerances assume."""
+    p = s1.value / s0.value
+    floor = s0.value - s0.tail_bound_used
+    e = (s1.tail_bound_used + abs(p) * s0.tail_bound_used) / floor if floor > 0.0 else math.inf
+    return p, m2 / s0.value - p * p, (max(s0.value, 1e-300), max(abs(p), 1.0)), e
+
+
+class _SlopeModel(NamedTuple):
+    """What a slope pass at y stopped at n keeps for nearby points: the
+    partial sums P_k = sum_{m <= n} p_m sigma_m^k exp(sigma_m y), k = 0..5,
+    and top, the largest sigma_m summed."""
+
+    y: float
+    n: int
+    partials: tuple
+    top: float
+
+
+def _model_slope(family, model, y, tol, scale):
+    """_certified_slope's (phi, phi', f, scale, e) at y from the pass kept in
+    model, with f and f' certified to the tolerances a pass at y would meet
+    (_slope_tols, _model_moments), or None where they or phi's certified
+    error e <= tol are out of its reach."""
+    tols = _slope_tols(tol, scale)
+    got = _model_moments(family, model, y, tols[(None, 0)], tols[(None, 1)])
+    if got is None:
+        return None
+    s0, s1, m2 = got
+    p, dp, scale, e = _judge_slope(s0, s1, m2)
+    return (p, dp, s0, scale, tol) if e <= tol else None
+
+
+def _model_moments(family, model, y, t0, t1):
+    """(f(y), f'(y), f''(y)) from the pass kept in model, f and f' as
+    SeriesEvals whose widths (twice their bounds) are within t0 and t1, or
+    None.  With d = y - model.y and levels positive (normal form), the sum
+    over m <= n of p_m sigma_m^k exp(sigma_m y) is sum_{j < 4} d^j / j!
+    P_{k+j} within the Taylor remainder d^4 / 4! P_{k+4} e^{max(0, top d)},
+    and one family.tail_intervals call at y adds the tails beyond n.  The
+    remainders are checked against t0 and t1 before the bracket is taken;
+    f'' only proposes phi', and needs a finite bracket.  None too where
+    e^(top d) overflows or a bracket is missing."""
+    d = y - model.y
+    x = model.top * d
+    if not x <= 700.0:
+        return None
+    p0, p1, p2, p3, p4, p5 = model.partials
+    rem = d * d * d * d / 24.0 * (math.exp(x) if x > 0.0 else 1.0)
+    r0, r1 = rem * p4, rem * p5
+    if not (2.0 * r0 <= t0 and 2.0 * r1 <= t1):
+        return None
+    iv0, iv1, iv2 = family.tail_intervals(y, model.n, (0, 1, 2))
+    if iv0 is None or iv1 is None or iv2 is None or not math.isfinite(iv2[1]):
+        return None
+    b0, b1 = r0 + 0.5 * (iv0[1] - iv0[0]), r1 + 0.5 * (iv1[1] - iv1[0])
+    if not (2.0 * b0 <= t0 and 2.0 * b1 <= t1):
+        return None
+    c1, c2, c3 = d, 0.5 * d * d, d * d * d / 6.0
+    return (
+        SeriesEval(p0 + c1 * p1 + c2 * p2 + c3 * p3 + 0.5 * (iv0[0] + iv0[1]), model.n, b0),
+        SeriesEval(p1 + c1 * p2 + c2 * p3 + c3 * p4 + 0.5 * (iv1[0] + iv1[1]), model.n, b1),
+        p2 + c1 * p3 + c2 * p4 + c3 * p5 + 0.5 * (iv2[0] + iv2[1]),
+    )
 
 
 def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
@@ -434,11 +527,12 @@ def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
     in ln(phi - theta1) through the two entries (_hermite_start), or at the
     nearer entry's cached pass where that one meets tol, the ladder is
     one-sided or the interpolant leaves the bracket.  Each step is one
-    certified slope evaluation giving phi and phi', as phi does, and
-    proposes a Newton step on ln(phi - theta1), which is nearly linear
-    where phi tends to theta1.  Returns once the certified residual
-    is within 0.75 tol, or when the bracket is at most 4 ulp(y) wide (the
-    point of least residual).
+    certified slope evaluation giving phi and phi', as phi does, or where
+    it certifies them, the Taylor model of the last such pass (no new
+    pass; _model_slope), and proposes a Newton step on ln(phi - theta1),
+    which is nearly linear where phi tends to theta1.  Returns once the
+    certified residual is within 0.75 tol, or when the bracket is at most
+    4 ulp(y) wide (the point of least residual).
     """
     return _invert_slope(family, w, tol)[0]
 
@@ -454,12 +548,13 @@ def _ladder_entry(family: SequenceFamily, tol: float, k: int, ceiling: float = 1
     at y_k = -alpha - 2^(k/4) to 0.25 tol, its scale from its own rough pass,
     so an entry depends on its arguments alone.  Cached as _profile_cached
     is; an entry that raises (BudgetError, or RangeError where f(y_k)
-    underflows or y_k rounds to -alpha) is not cached."""
+    underflows or y_k rounds to -alpha) is not cached.  The pass's model is
+    dropped: a Newton step from an entry is rarely short enough for it."""
     a = family.alpha
     y = -a - 2.0 ** (0.25 * k)
     if not y < -a:
         raise RangeError(f"ladder point {k} rounds to -alpha = {-a}")
-    return (y, *_certified_slope(family, y, 0.25 * tol, None, ceiling))
+    return (y, *_certified_slope(family, y, 0.25 * tol, None, ceiling)[:5])
 
 
 def _ladder_bracket(family, w, tol, ceiling):
@@ -544,9 +639,12 @@ def _invert_slope(family, w, tol, ceiling=1.0) -> tuple[float, SeriesEval]:
     pass, so that a caller needing f at the root re-sums it only when that
     pass's bound is too loose.  The first bracket comes from the slope
     ladder (_ladder_start) with no new pass; the first iterate is one pass
-    at the Hermite start, or the nearer entry's (phi_inverse).  A slope
-    certified only to e > q = 0.25 tol (a ceiling stop) passes at |phi - w|
-    <= 3 e: newton_root sees the residual times q / e (point)."""
+    at the Hermite start, or the nearer entry's (phi_inverse).  Every later
+    iterate takes its slope from the model of the last pass where that
+    certifies it to q = 0.25 tol (_model_slope), else from a new pass, whose
+    model the iterates after it read.  A slope certified only to e > q (a
+    ceiling stop, which leaves no model) passes at |phi - w| <= 3 e:
+    newton_root sees the residual times q / e (point)."""
     prof = profile(family)
     if not math.isfinite(w) or w <= prof.theta1 or w >= prof.theta2:
         raise RangeError(
@@ -556,6 +654,7 @@ def _invert_slope(family, w, tol, ceiling=1.0) -> tuple[float, SeriesEval]:
     (lo, hi), start, y_h, _ = _ladder_start(family, prof, w, tol, ceiling)
     y, p, dp, f_y, scale, e = start
     q = 0.25 * tol
+    model = None  # the last pass's, which the iterates after it read
 
     def newton(y, p, dp):
         # the step on ln(phi - theta1), nearly linear where phi tends to
@@ -569,9 +668,14 @@ def _invert_slope(family, w, tol, ceiling=1.0) -> tuple[float, SeriesEval]:
         return (p - w) * (q / e) if e > q else p - w, newton(y, p, dp), f_y
 
     def evaluate(y):
-        # each point takes its tolerance scale from the one before it
-        nonlocal scale
-        p, dp, f_y, scale, e = _certified_slope(family, y, q, scale, ceiling)
+        # each point takes its tolerance scale from the one before it, and
+        # its slope from the last pass's model where that certifies it
+        nonlocal scale, model
+        got = model and _model_slope(family, model, y, q, scale)
+        if got:
+            p, dp, f_y, scale, e = got
+        else:
+            p, dp, f_y, scale, e, model = _certified_slope(family, y, q, scale, ceiling)
         return point(y, p, dp, f_y, e)
 
     y, first = (y, point(y, p, dp, f_y, e)) if y_h is None else (y_h, evaluate(y_h))

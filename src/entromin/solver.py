@@ -485,7 +485,8 @@ class EmpSolver:
         with |H| from the f of the root's last pass: an error of H relative
         to max(1, |H|), so that H(tu, tv) = t H(u, v) + t ln t u holds to
         rounding for every t.  f is re-summed only when the root's last pass
-        certified it more loosely."""
+        certified it more loosely.  Where both terms of H overflow, to +inf
+        and -inf, H is u (ln u - 1 + (ln f)*(w)), +inf or -inf."""
         c = min(self.tol, 1e-12)
         base = u * (math.log(u) - 1.0)
 
@@ -495,7 +496,10 @@ class EmpSolver:
             return c * max(1.0, h) / max(u, h) if h < math.inf else c
 
         conj, y_n, ln_f = series._conjugate_at(self._fam, w, self.tol, f_rtol)
-        return base + u * conj, math.log(u) - ln_f, y_n
+        value = base + u * conj
+        if math.isnan(value):
+            value = u * (math.log(u) - 1.0 + conj)
+        return value, math.log(u) - ln_f, y_n
 
     def _exponential(self, kind, x_n, y_n, xy=None) -> SequenceRule:
         """The exponential rule at normal-form multipliers (x_n, y_n); its

@@ -22,6 +22,11 @@ earlier block end: lattice_forward's v moved from 6.121022812015456 to
 ...637 and its value from -3.039455566306101 to ...173 (1.9e-13 and
 7.9e-14 from mpmath sums over 3,000 levels), and lattice_verify's
 round-trip errors read 1.45e-13 and 2.55e-12 (8.32e-13 and 3.57e-12).
+geometric_sweep and weighted_geometric_verify were re-pinned when a slope
+root began to take its Newton iterates from the last pass's partial
+moments with no pass of their own: the sweep's H at (2, 3) moved 1 ulp,
+from -2.5232481437645475 to ...548 (3.4e-16 and 1.6e-16 from the exact H),
+and verify's mb round-trip error reads 1.71e-14 (1.70e-14).
 A change meant to keep every figure, such as a refactor, must leave these
 files as they are.
 """

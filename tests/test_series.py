@@ -20,6 +20,7 @@ from entromin import (
     ConfigurationError,
     DivergenceError,
     DomainError,
+    EmpError,
     EmpSolver,
     Entropy,
     ExplicitPrefix,
@@ -572,6 +573,162 @@ class TestSlopeLadder:
         assert abs(-0.01 / math.expm1(0.01 * y) - w) <= 1e-10
         if w == 0.0101:
             assert EmpSolver(family).solve_mb(1.0, w).region is Region.INTERIOR
+
+
+def _reference_slope_sums(family, y):
+    """(f(y), f'(y), a bound on the error of each): the closed forms
+    e^y/(1 - e^y) and e^y/(1 - e^y)^2 on Arithmetic(0, 1), else one pass
+    certified to 1e-15 relative."""
+    if family == Arithmetic(0.0, 1.0):
+        d = math.expm1(-y)
+        return 1.0 / d, (d + 1.0) / (d * d), 0.0, 0.0
+    rough = series._eval_moments(family, y, {(None, 0): 1e-6, (None, 1): 1e-6})
+    tols = {(None, 0): 1e-15 * rough[0].value, (None, 1): 1e-15 * rough[1].value}
+    s0, s1 = series._eval_moments(family, y, tols)
+    return s0.value, s1.value, s0.tail_bound_used, s1.tail_bound_used
+
+
+_MODEL_FAMILIES = [Arithmetic(0.0, 1.0), WeightedGeometric(1.0, 3.0), Lattice3D(1.0)]
+
+
+class TestSlopeModel:
+    """A slope root certifies each Newton iterate from the partial moments
+    0 to 5 of its last pass, with a proved Taylor remainder and one tail
+    bracket, and sums a new pass only where that misses its tolerance."""
+
+    @pytest.mark.parametrize(
+        "family, vs",
+        [
+            (Arithmetic(0.0, 1.0), (1.5, 3.0, 6.5)),
+            (WeightedGeometric(1.0, 3.0), (1.05, 1.2, 1.3)),
+            (Lattice3D(1.0), (4.5, 8.0, 12.0)),
+        ],
+        ids=repr,
+    )
+    def test_a_warm_interior_solve_takes_one_pass(self, monkeypatch, family, vs):
+        # a pass at the Hermite start and one per Newton iterate took 2
+        # passes per warm solve on these families
+        solver = EmpSolver(family)
+        for v in vs:
+            solver.solve_mb(1.0, v)
+        passes = _count_passes(monkeypatch, family)
+        for v in vs:
+            passes.clear()
+            assert solver.solve_mb(1.0, v).region is Region.INTERIOR
+            assert len(passes) == 1
+
+    @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    def test_roots_agree_with_pass_only_roots(self, monkeypatch, family, v1, v2, slopes, tol):
+        ws = [float(w) for w in np.geomspace(*slopes, 25)]
+        modelled = [(phi_inverse(family, w, tol), lnf_conjugate(family, w, tol)) for w in ws]
+        monkeypatch.setattr(series, "_model_slope", lambda *args: None)
+        for w, (y, conj) in zip(ws, modelled):
+            y_pass = phi_inverse(family, w, tol)
+            assert abs(phi(family, y, 1e-14) - phi(family, y_pass, 1e-14)) <= tol
+            assert abs(conj - lnf_conjugate(family, w, tol)) <= tol
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(_MODEL_FAMILIES),
+        st.floats(math.log(0.05), math.log(5.0)),
+        st.sampled_from([1e-4, 1e-8, 1e-12]),
+        st.floats(-12.0, -2.0),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    def test_the_model_brackets_f_and_its_slope(self, family, log_gap, tol, log_d, sign):
+        # at any tolerance the model's f and f' hold at y0 + d or it
+        # declines; rounding, which no certificate counts yet, within 1e-14
+        y0 = -family.alpha - math.exp(log_gap)
+        *_, model = series._certified_slope(family, y0, tol)
+        y = y0 + sign * 10.0**log_d
+        got = series._model_moments(family, model, y, math.inf, math.inf)
+        if got is None:
+            return
+        s0, s1, _ = got
+        f, df, f_err, df_err = _reference_slope_sums(family, y)
+        assert abs(s0.value - f) <= s0.tail_bound_used + f_err + 1e-14 * f
+        assert abs(s1.value - df) <= s1.tail_bound_used + df_err + 1e-14 * df
+
+    def test_the_model_declines_far_from_its_pass(self):
+        family = Arithmetic(0.0, 1.0)
+        *_, model = series._certified_slope(family, -1.0, 1e-10)
+        assert series._model_moments(family, model, -0.5, 1e-3, 1e-3) is None
+        assert series._model_moments(family, model, -1.0 + 1e-9, 1e-3, 1e-3) is not None
+
+    def test_the_pass_keeps_its_partial_moments(self):
+        family = Arithmetic(0.0, 1.0)
+        tols = {(None, 0): 1e-12, (None, 1): 1e-12, (None, 2): math.inf}
+        *sums, model = series._eval_many(family, -1.0, tols, 0.0, MB, 1.0, True)
+        n = sums[0].truncation_n
+        terms = np.exp(-np.arange(1.0, n + 1.0))
+        sigma = np.arange(1.0, n + 1.0)
+        assert (model.y, model.n, model.top) == (-1.0, n, float(n))
+        for k, partial in enumerate(model.partials):
+            assert partial == pytest.approx(float(np.sum(terms * sigma**k)), rel=1e-14)
+
+
+_GUARD_FAMILIES = [
+    Arithmetic(0.0, 1.0),
+    WeightedGeometric(1.0, 3.0),
+    Lattice3D(1.0),
+    LogLevels(1.0),
+    PowerLaw(1.0, 0.5),
+]
+_EXTREME = [
+    0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1e-300, 1e300,
+    sys.float_info.max, -sys.float_info.max, math.inf, -math.inf, math.nan,
+]
+
+
+@st.composite
+def _guard_calls(draw):
+    """(family, entry, args): an extreme float or a slope within 1 ulp of
+    theta1 or theta2 for phi_inverse and lnf_conjugate, or (u, v) from
+    extreme floats and those slopes for solve_mb and value_mb."""
+    family = draw(st.sampled_from(_GUARD_FAMILIES))
+    prof = profile(family)
+    edges = [t for t in (prof.theta1, prof.theta2) if math.isfinite(t)]
+    slopes = [math.nextafter(t, d) for t in edges for d in (-math.inf, math.inf)] + edges
+    w = draw(st.sampled_from(slopes + _EXTREME))
+    entry = draw(st.sampled_from(["phi_inverse", "lnf_conjugate", "solve_mb", "value_mb"]))
+    if entry in ("phi_inverse", "lnf_conjugate"):
+        return family, entry, (w,)
+    u = draw(st.sampled_from([1.0, *_EXTREME]))
+    v = draw(st.sampled_from([u * w, *_EXTREME]))
+    return family, entry, (u, v)
+
+
+class TestOnlyEmpErrorEscapes:
+    """The slope-root entries at extreme floats and at slopes 1 ulp from
+    the cone's edges return a float that is not nan, or raise EmpError."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_guard_calls())
+    def test_extreme_inputs(self, call):
+        family, entry, args = call
+        if entry in ("solve_mb", "value_mb"):
+            fn = getattr(EmpSolver(family), entry)
+        else:
+            fn = getattr(series, entry)
+            args = (family, *args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = fn(*args)
+            except EmpError:
+                return
+        if entry == "solve_mb":
+            assert not math.isnan(out.value) and not math.isnan(out.h_star)
+            assert not any(math.isnan(m) for m in out.multipliers or ())
+        else:
+            assert not math.isnan(out)
+
+    def test_a_huge_interior_value_overflows_to_inf(self):
+        # u (ln u - 1) overflowed to +inf and u (ln f)*(w) to -inf, whose
+        # sum was returned as nan
+        big = sys.float_info.max
+        assert EmpSolver(LogLevels(1.0)).value_mb(big, big) == math.inf
 
 
 class TestLnfConjugate:
