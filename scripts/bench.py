@@ -54,7 +54,8 @@ outside; nothing in src/ counts.  prefix_builds and the series counts come
 from perfbench's tracer (perfbench/tracing.py), members and terms_built from
 solver.EpsilonFamily and solver.EpsilonMember, array_calls and
 bracket_calls from the family that series._eval_many and
-series._model_slope see, model_points from the latter, the exp counts
+series._model_moments see, model_points from series._model_slope or
+series._certified_slope (whichever the tree has, below), the exp counts
 from the numpy that entromin.solver and entromin.finite see, slope_passes
 from the arguments of series._eval_many, and newton_points from
 solver.minimize_convex_2d:
@@ -86,7 +87,7 @@ solver.minimize_convex_2d:
                        one solve_mb, round trip or value_mb: one per array
                        pass over a stretch of terms;
   bracket_calls        tail_interval and tail_intervals calls that
-                       series._eval_many and series._model_slope make
+                       series._eval_many and series._model_moments make
                        during the same call: the kernel's tail brackets and
                        a slope model's one per point it tries (calls the
                        families make from inside one, and brackets taken
@@ -94,8 +95,10 @@ solver.minimize_convex_2d:
   model_points         slope-root iterates certified from the Taylor model
                        of an earlier pass, with no pass of their own, during
                        one solve_mb: series._model_slope calls that return
-                       a slope (lattice_interior, mb_interior and
-                       shifted_interior; 0 in trees without the model);
+                       a slope in trees with that function, else
+                       series._certified_slope calls that return without
+                       an _eval_many call (lattice_interior, mb_interior
+                       and shifted_interior; 0 in trees without the model);
   slope_passes         series._eval_many calls under maxwell-boltzmann
                        during one round trip: the passes of a slope root
                        and of f at it that start the inverse's Newton (the
@@ -318,31 +321,53 @@ class _CountingFamily:
 
 
 def _count_kernel(counts):
-    """Wrap series._eval_many, and series._model_slope where the tree has
-    it, so that the family each works on counts its calls into counts; the
-    kernel's maxwell-boltzmann calls count as slope_passes and the model's
-    slopes as model_points (for the rest of the process)."""
+    """Wrap series._eval_many and series._model_moments so that the family
+    each works on counts its calls into counts, and count the kernel's
+    maxwell-boltzmann calls as slope_passes and the model's slopes as
+    model_points: series._model_slope returns that are not None where the
+    tree has that function, else series._certified_slope calls that return
+    without an _eval_many call (for the rest of the process)."""
     from entromin import series
 
     kernel = series._eval_many
     sig = inspect.signature(kernel)
+    kernel_calls = [0]
 
     def counting(family, *args, **kwargs):
         bound = sig.bind(family, *args, **kwargs)
         bound.apply_defaults()
         counts["slope_passes"] += bound.arguments["kind"] is series._MB
+        kernel_calls[0] += 1
         return kernel(_CountingFamily(family, counts), *args, **kwargs)
 
     series._eval_many = counting
+    moments = getattr(series, "_model_moments", None)
+    if moments is None:  # a tree without the slope model
+        return
+
+    def counting_moments(family, *args):
+        return moments(_CountingFamily(family, counts), *args)
+
+    series._model_moments = counting_moments
     model = getattr(series, "_model_slope", None)
     if model is not None:
 
-        def counting_model(family, *args):
-            out = model(_CountingFamily(family, counts), *args)
+        def counting_model(*args):
+            out = model(*args)
             counts["model_points"] += out is not None
             return out
 
         series._model_slope = counting_model
+        return
+    slope = series._certified_slope
+
+    def counting_slope(*args, **kwargs):
+        before = kernel_calls[0]
+        out = slope(*args, **kwargs)
+        counts["model_points"] += kernel_calls[0] == before
+        return out
+
+    series._certified_slope = counting_slope
 
 
 def _quartiles(xs):

@@ -465,7 +465,11 @@ class LogLevels(SequenceFamily):
             elif k == 1:
                 tail = lw / m + 1.0 / (m * m)
             else:
-                tail = lw * lw / m + 2.0 * lw / (m * m) + 2.0 / (m**3)
+                try:
+                    cube = 2.0 / (m**3)
+                except OverflowError:  # m^3 beyond the float maximum: 2/m^3 < 1.2e-308
+                    cube = 2.3e-308
+                tail = lw * lw / m + 2.0 * lw / (m * m) + cube
             return self.scale**k * pw * tail
 
         out = []

@@ -21,18 +21,18 @@ once (_block_sums).  eval_h, grad_h and hessian_h are the one-quantity
 entry points to it.
 
 The increasing bijection phi = f'/f : (-inf, -alpha) -> (theta1, theta2) has
-one certified evaluation (_certified_slope), which phi returns and whose
-pass also gives phi' = f''/f - phi^2 to phi_inverse's Newton root
-(rootfind.newton_root).  Every inversion starts from the slope ladder: the
-certified slopes at y_k = -alpha - 2^(k/4), k = -48..24, each evaluated
-once per (family, tol, k, ceiling) on first use and cached (_ladder_entry),
-as the profile is.  The two entries that bracket the target are the first
-bracket, and the first iterate is the cubic Hermite interpolant of their
-(phi, phi') (_hermite_start).  A slope pass also keeps the partial sums
-of moments 0 to 5 over its terms (_SlopeModel), whose Taylor expansion
-with a proved remainder certifies phi at nearby points with one bracket
-call and no pass (_model_slope), so a warm interior inversion mostly takes
-one pass: the pass at that start certifies the Newton steps after it.
+one certified evaluation (_certified_slope), whose record (_Slope) phi
+reads and phi_inverse's Newton root (rootfind.newton_root) steps on.
+Every inversion starts from the slope ladder: the certified slopes at y_k =
+-alpha - 2^(k/4), k = -48..24, each evaluated once per (family, tol, k,
+ceiling) on first use and cached (_ladder_entry), as the profile is.  The
+two entries that bracket the target are the first bracket, and the first
+iterate is the cubic Hermite interpolant of their (phi, phi')
+(_hermite_start).  A slope pass also keeps the partial sums of moments 0 to
+5 over its terms (_SlopeModel), whose Taylor expansion with a proved
+remainder certifies phi at nearby points with one bracket call and no pass
+(_model_moments), so a warm interior inversion mostly takes one pass: the
+pass at that start certifies the Newton steps after it.
 The ladder also starts the bose-einstein and fermi-dirac inverse with no
 pass (_ladder_point: that start, and ln f there interpolated through the
 same two entries).  The conjugate of ln f follows its four-branch closed
@@ -88,6 +88,7 @@ _ONE_ARRAY = 4096  # a pass sums its terms up to here in one array
 _MB = Entropy.MAXWELL_BOLTZMANN
 _UNIT = (1.0, 1.0)
 _add_reduce = np.add.reduce  # ndarray.sum() without its Python-level wrapper
+_tuple_new = tuple.__new__  # a NamedTuple without its Python-level __new__
 _log = logging.getLogger("entromin")
 
 
@@ -409,54 +410,7 @@ def phi(family: SequenceFamily, y: float, tol: float = 1e-10) -> float:
     a = family.alpha
     if not y < -a:
         raise DomainError(f"phi needs y < -alpha = {-a}, got {y}")
-    return _certified_slope(family, y, 0.25 * tol)[0]
-
-
-def _certified_slope(family, y, tol, scale=None, ceiling=1.0):
-    """(phi(y), phi'(y), certified f(y), the scale it measured, e, model),
-    phi(y) within e >= tol, from moments-(0, 1, 2) passes whose tolerances
-    assume the scale (f(y), max(|phi(y)|, 1)), taken from one pass at
-    tolerance 1e-4 when None; a pass whose certified error of phi misses tol
-    is repeated at the scale it measured, at most four passes in all, unless
-    it stopped at its ceiling (a width above its tolerance).  phi' = f''/f
-    - phi^2 is the variance of sigma under the Gibbs weights; it only
-    proposes steps, so moment 2 needs a finite tail bracket but no
-    tolerance: each pass stops when moments 0 and 1 are certified.  model
-    is the last pass's _SlopeModel, which certifies the slope at nearby
-    points with no new pass (_model_slope); None after a ceiling stop."""
-    if scale is None:
-        rough = _eval_moments(family, y, {(None, 0): 1e-4, (None, 1): 1e-4})
-        f_scale = max(rough[0].value, 1e-300)
-        scale = (f_scale, max(abs(rough[1].value) / f_scale, 1.0))
-    for _ in range(4):
-        tols = _slope_tols(tol, scale)
-        s0, s1, s2, model = _eval_moments(family, y, tols, 0.0, _MB, ceiling, True)
-        if s0.value == 0.0:
-            raise RangeError(f"f({y}) underflows to 0: phi has no float value there")
-        p, dp, scale, e = _judge_slope(s0, s1, s2.value)
-        # a ceiling stop leaves no model: a width above its tolerance
-        if e < math.inf and (e <= tol or model is None):
-            return p, dp, s0, scale, max(e, tol), model
-    raise BudgetError(f"phi({y}) not certified to {tol:.3e}")
-
-
-def _slope_tols(tol, scale):
-    """The tolerances of f, f' and f'' for a slope certified to tol at the
-    scale (f(y), max(|phi(y)|, 1)): an error of f' of t and of f of t /
-    max(|phi|, 1) each move phi by about t / f, t = 0.25 tol f."""
-    f_scale, ratio = scale
-    t1 = 0.25 * tol * f_scale
-    return {(None, 0): t1 / ratio, (None, 1): t1, (None, 2): math.inf}
-
-
-def _judge_slope(s0, s1, m2):
-    """(phi, phi', scale, e) from certified f and f' and the moment-2 value
-    m2: phi = f'/f within e, inf where f's bracket reaches 0, and the scale
-    (f, max(|phi|, 1)) the next point's tolerances assume."""
-    p = s1.value / s0.value
-    floor = s0.value - s0.tail_bound_used
-    e = (s1.tail_bound_used + abs(p) * s0.tail_bound_used) / floor if floor > 0.0 else math.inf
-    return p, m2 / s0.value - p * p, (max(s0.value, 1e-300), max(abs(p), 1.0)), e
+    return _certified_slope(family, y, 0.25 * tol).phi
 
 
 class _SlopeModel(NamedTuple):
@@ -470,18 +424,78 @@ class _SlopeModel(NamedTuple):
     top: float
 
 
-def _model_slope(family, model, y, tol, scale):
-    """_certified_slope's (phi, phi', f, scale, e) at y from the pass kept in
-    model, with f and f' certified to the tolerances a pass at y would meet
-    (_slope_tols, _model_moments), or None where they or phi's certified
-    error e <= tol are out of its reach."""
-    tols = _slope_tols(tol, scale)
-    got = _model_moments(family, model, y, tols[(None, 0)], tols[(None, 1)])
-    if got is None:
-        return None
-    s0, s1, m2 = got
-    p, dp, scale, e = _judge_slope(s0, s1, m2)
-    return (p, dp, s0, scale, tol) if e <= tol else None
+class _Slope(NamedTuple):
+    """A certified slope at y: phi(y) within err (inf where f's bracket
+    reaches 0), phi'(y), the certified f(y), the scale (f(y), max(|phi|, 1))
+    the next point's tolerances assume, and the _SlopeModel of the pass it
+    rests on (None after a ceiling stop and in a ladder entry)."""
+
+    y: float
+    phi: float
+    dphi: float
+    f: SeriesEval
+    scale: tuple
+    err: float
+    model: Optional[_SlopeModel]
+
+    def residual(self, w, q):
+        """phi - w as a slope root judges it, times q / err where err > q: a
+        slope certified only to err passes at |phi - w| <= 3 err."""
+        return (self.phi - w) * (q / self.err) if self.err > q else self.phi - w
+
+
+def _certified_slope(family, y, tol, last=None, ceiling=1.0) -> _Slope:
+    """The slope at y with err <= tol: from last.model where its Taylor
+    expansion certifies f and f' to the tolerances a pass at y would meet
+    and phi to tol (_model_moments), else from moments-(0, 1, 2) passes
+    whose tolerances assume the scale last.scale, or with no last that of
+    one pass at tolerance 1e-4.  A pass whose err misses tol is repeated at
+    the scale it measured, at most four passes in all, unless it stopped at
+    its ceiling (a width above its tolerance: err > tol, no model).  phi' =
+    f''/f - phi^2, the variance of sigma under the Gibbs weights, only
+    proposes Newton steps, so moment 2 needs a finite tail bracket but no
+    tolerance: each pass stops when moments 0 and 1 are certified."""
+    if last is None:
+        rough = _eval_moments(family, y, {(None, 0): 1e-4, (None, 1): 1e-4})
+        f_scale = max(rough[0].value, 1e-300)
+        tols = _slope_tols(tol, (f_scale, max(abs(rough[1].value) / f_scale, 1.0)))
+    else:
+        tols = _slope_tols(tol, last.scale)
+        got = last.model and _model_moments(family, last.model, y, tols[(None, 0)], tols[(None, 1)])
+        if got:
+            slope = _judge_slope(y, *got, last.model)
+            if slope.err <= tol:
+                return slope
+    for _ in range(4):
+        s0, s1, s2, model = _eval_moments(family, y, tols, 0.0, _MB, ceiling, True)
+        if s0.value == 0.0:
+            raise RangeError(f"f({y}) underflows to 0: phi has no float value there")
+        slope = _judge_slope(y, s0, s1, s2.value, model)
+        # a ceiling stop leaves no model: a width above its tolerance
+        if slope.err < math.inf and (slope.err <= tol or model is None):
+            return slope
+        tols = _slope_tols(tol, slope.scale)
+    raise BudgetError(f"phi({y}) not certified to {tol:.3e}")
+
+
+def _slope_tols(tol, scale):
+    """The tolerances of f, f' and f'' for a slope certified to tol at the
+    scale (f(y), max(|phi(y)|, 1)): an error of f' of t and of f of t /
+    max(|phi|, 1) each move phi by about t / f, t = 0.25 tol f."""
+    f_scale, ratio = scale
+    t1 = 0.25 * tol * f_scale
+    return {(None, 0): t1 / ratio, (None, 1): t1, (None, 2): math.inf}
+
+
+def _judge_slope(y, s0, s1, m2, model) -> _Slope:
+    """_certified_slope's slope at y from certified f and f', the moment-2
+    value m2 and the model they came from: phi = f'/f within err, inf where
+    f's bracket reaches 0."""
+    p = s1.value / s0.value
+    floor = s0.value - s0.tail_bound_used
+    e = (s1.tail_bound_used + abs(p) * s0.tail_bound_used) / floor if floor > 0.0 else math.inf
+    scale = (max(s0.value, 1e-300), max(abs(p), 1.0))
+    return _tuple_new(_Slope, (y, p, m2 / s0.value - p * p, s0, scale, e, model))
 
 
 def _model_moments(family, model, y, t0, t1):
@@ -525,16 +539,15 @@ def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
     w are its first bracket, else (-inf, -alpha), as phi tends to theta2 > w
     at -alpha.  It starts at the cubic Hermite interpolant of ln(-alpha - y)
     in ln(phi - theta1) through the two entries (_hermite_start), or at the
-    nearer entry's cached pass where that one meets tol, the ladder is
-    one-sided or the interpolant leaves the bracket.  Each step is one
-    certified slope evaluation giving phi and phi', as phi does, or where
-    it certifies them, the Taylor model of the last such pass (no new
-    pass; _model_slope), and proposes a Newton step on ln(phi - theta1),
-    which is nearly linear where phi tends to theta1.  Returns once the
-    certified residual is within 0.75 tol, or when the bracket is at most
-    4 ulp(y) wide (the point of least residual).
+    nearer entry where that one meets tol, the ladder is one-sided or the
+    interpolant leaves the bracket.  Each step is one _certified_slope from
+    the one before it, from that one's model (no pass) or else a pass as phi
+    takes, and proposes a Newton step on ln(phi - theta1), nearly linear
+    where phi tends to theta1.  Returns once the certified residual is
+    within 0.75 tol, or when the bracket is at most 4 ulp(y) wide (the
+    point of least residual).
     """
-    return _invert_slope(family, w, tol)[0]
+    return _invert_slope(family, w, tol).y
 
 
 # the slope ladder's indices: y_k = -alpha - 2^(k/4), from 2^-12 to 64 left
@@ -543,18 +556,18 @@ _LADDER_K = (-48, 24)
 
 
 @functools.lru_cache(maxsize=4096)
-def _ladder_entry(family: SequenceFamily, tol: float, k: int, ceiling: float = 1.0):
-    """(y_k, phi(y_k), phi'(y_k), certified f(y_k), scale, e): _certified_slope
-    at y_k = -alpha - 2^(k/4) to 0.25 tol, its scale from its own rough pass,
-    so an entry depends on its arguments alone.  Cached as _profile_cached
-    is; an entry that raises (BudgetError, or RangeError where f(y_k)
-    underflows or y_k rounds to -alpha) is not cached.  The pass's model is
-    dropped: a Newton step from an entry is rarely short enough for it."""
+def _ladder_entry(family: SequenceFamily, tol: float, k: int, ceiling: float = 1.0) -> _Slope:
+    """The certified slope at y_k = -alpha - 2^(k/4) to 0.25 tol
+    (_certified_slope), its scale from its own rough pass, so an entry
+    depends on its arguments alone.  Cached as _profile_cached is; an entry
+    that raises (BudgetError, or RangeError where f(y_k) underflows or y_k
+    rounds to -alpha) is not cached.  The pass's model is dropped: a Newton
+    step from an entry is rarely short enough for it."""
     a = family.alpha
     y = -a - 2.0 ** (0.25 * k)
     if not y < -a:
         raise RangeError(f"ladder point {k} rounds to -alpha = {-a}")
-    return (y, *_certified_slope(family, y, 0.25 * tol, None, ceiling)[:5])
+    return _certified_slope(family, y, 0.25 * tol, None, ceiling)._replace(model=None)
 
 
 def _ladder_bracket(family, w, tol, ceiling):
@@ -567,10 +580,10 @@ def _ladder_bracket(family, w, tol, ceiling):
     has.  An error of the k = 0 entry itself propagates."""
     lo_k, hi_k = _LADDER_K
     inner_k, inner = 0, _ladder_entry(family, tol, 0, ceiling)
-    d = 1 if inner[1] > w else -1  # phi falls as k grows
+    d = 1 if inner.phi > w else -1  # phi falls as k grows
 
     def beyond(e):
-        return e[1] <= w if d > 0 else e[1] >= w
+        return e.phi <= w if d > 0 else e.phi >= w
 
     def entry(k):
         try:
@@ -606,16 +619,15 @@ def _ladder_start(family, prof, w, tol, ceiling=1.0):
     the (lo, hi) of the two entries that bracket w, else (-inf, -alpha), as
     phi tends to theta2 > w at -alpha; entry is the one nearer w; y_h is
     their Hermite start (_hermite_start), None where entry meets tol (its
-    residual counted as _invert_slope counts it), the ladder is one-sided
-    or the interpolant leaves the bracket; ends are the two entries, None
-    where one-sided."""
+    residual as _invert_slope judges it, _Slope.residual), the ladder is
+    one-sided or the interpolant leaves the bracket; ends are the two
+    entries, None where one-sided."""
     inner, outer = _ladder_bracket(family, w, tol, ceiling)
     if outer is None:
         return (-math.inf, -prof.alpha), inner, None, None
-    bracket = tuple(sorted((inner[0], outer[0])))
-    start = outer if abs(outer[1] - w) < abs(inner[1] - w) else inner
-    q, e = 0.25 * tol, start[5]
-    if not abs(start[1] - w) * (q / e if e > q else 1.0) > 0.75 * tol:
+    bracket = tuple(sorted((inner.y, outer.y)))
+    start = outer if abs(outer.phi - w) < abs(inner.phi - w) else inner
+    if not abs(start.residual(w, 0.25 * tol)) > 0.75 * tol:
         return bracket, start, None, (inner, outer)
     y_h = _hermite_start(inner, outer, w, prof.theta1, prof.alpha)
     return bracket, start, (y_h if bracket[0] < y_h < bracket[1] else None), (inner, outer)
@@ -629,58 +641,41 @@ def _ladder_point(family, w, tol) -> tuple[float, float]:
     from it."""
     _, start, y_h, ends = _ladder_start(family, profile(family), w, tol)
     if y_h is None:
-        return start[0], math.log(start[3].value)
-    (y0, p0, _, f0, *_), (y1, p1, _, f1, *_) = ends
-    return y_h, _hermite((y0, math.log(f0.value), p0), (y1, math.log(f1.value), p1), y_h)
+        return start.y, math.log(start.f.value)
+    return y_h, _hermite(*((e.y, math.log(e.f.value), e.phi) for e in ends), y_h)
 
 
-def _invert_slope(family, w, tol, ceiling=1.0) -> tuple[float, SeriesEval]:
-    """phi_inverse's root together with the certified f(y) from its last
-    pass, so that a caller needing f at the root re-sums it only when that
-    pass's bound is too loose.  The first bracket comes from the slope
-    ladder (_ladder_start) with no new pass; the first iterate is one pass
-    at the Hermite start, or the nearer entry's (phi_inverse).  Every later
-    iterate takes its slope from the model of the last pass where that
-    certifies it to q = 0.25 tol (_model_slope), else from a new pass, whose
-    model the iterates after it read.  A slope certified only to e > q (a
-    ceiling stop, which leaves no model) passes at |phi - w| <= 3 e:
-    newton_root sees the residual times q / e (point)."""
+def _invert_slope(family, w, tol, ceiling=1.0) -> _Slope:
+    """phi_inverse's root as the certified slope of its last point, whose f
+    a caller needing f at the root re-sums only when its bound is too
+    loose.  The first bracket comes from the slope ladder (_ladder_start)
+    with no new pass; the first point is one pass at the Hermite start, or
+    the nearer entry (phi_inverse).  Each later point is _certified_slope
+    from the one before it: from that slope's model where it certifies phi
+    to q = 0.25 tol, else from a new pass, whose model the points after it
+    read.  A slope certified only to err > q (a ceiling stop, which leaves
+    no model) passes at |phi - w| <= 3 err (_Slope.residual)."""
     prof = profile(family)
     if not math.isfinite(w) or w <= prof.theta1 or w >= prof.theta2:
-        raise RangeError(
-            f"w={w} outside the open range ({prof.theta1}, {prof.theta2})"
-        )
-    t1 = prof.theta1
-    (lo, hi), start, y_h, _ = _ladder_start(family, prof, w, tol, ceiling)
-    y, p, dp, f_y, scale, e = start
+        raise RangeError(f"w={w} outside the open range ({prof.theta1}, {prof.theta2})")
+    t1, gap = prof.theta1, w - prof.theta1
+    (lo, hi), last, y_h, _ = _ladder_start(family, prof, w, tol, ceiling)
     q = 0.25 * tol
-    model = None  # the last pass's, which the iterates after it read
 
-    def newton(y, p, dp):
-        # the step on ln(phi - theta1), nearly linear where phi tends to
-        # theta1; nan without a usable derivative
-        if not dp > 0.0:
-            return math.nan
-        d = p - t1
-        return y + (-math.log(d / (w - t1)) * d / dp if d > 0.0 else (w - p) / dp)
-
-    def point(y, p, dp, f_y, e):
-        return (p - w) * (q / e) if e > q else p - w, newton(y, p, dp), f_y
+    def point(s):
+        # the residual and the Newton step on ln(phi - theta1), nearly
+        # linear where phi tends to theta1; nan without a usable derivative
+        d, dp = s.phi - t1, s.dphi
+        step = (-math.log(d / gap) * d if d > 0.0 else w - s.phi) / dp if dp > 0.0 else math.nan
+        return s.residual(w, q), s.y + step, s
 
     def evaluate(y):
-        # each point takes its tolerance scale from the one before it, and
-        # its slope from the last pass's model where that certifies it
-        nonlocal scale, model
-        got = model and _model_slope(family, model, y, q, scale)
-        if got:
-            p, dp, f_y, scale, e = got
-        else:
-            p, dp, f_y, scale, e, model = _certified_slope(family, y, q, scale, ceiling)
-        return point(y, p, dp, f_y, e)
+        nonlocal last
+        last = _certified_slope(family, y, q, last, ceiling)
+        return point(last)
 
-    y, first = (y, point(y, p, dp, f_y, e)) if y_h is None else (y_h, evaluate(y_h))
-    y, f_y, _, _ = newton_root(evaluate, y, first, 0.75 * tol, lo, hi, True, True)
-    return y, f_y
+    first = point(last) if y_h is None else evaluate(y_h)
+    return newton_root(evaluate, last.y, first, 0.75 * tol, lo, hi, True, True)[1]
 
 
 def _hermite_start(inner, outer, w, t1, a) -> float:
@@ -689,11 +684,11 @@ def _hermite_start(inner, outer, w, t1, a) -> float:
     theta1) / (phi' (-alpha - y))), at u = ln(w - theta1), as a y; nan where
     an entry has phi <= theta1 or phi' <= 0, or the two u coincide."""
     ends = []
-    for y, p, dp, *_ in (inner, outer):
-        d, r = p - t1, -a - y
-        if not (d > 0.0 and dp > 0.0):
+    for s in (inner, outer):
+        d, r = s.phi - t1, -a - s.y
+        if not (d > 0.0 and s.dphi > 0.0):
             return math.nan
-        ends.append((math.log(d), math.log(r), -d / r / dp))
+        ends.append((math.log(d), math.log(r), -d / r / s.dphi))
     if ends[0][0] == ends[1][0]:
         return math.nan
     z = _hermite(*ends, math.log(w - t1))
@@ -736,10 +731,10 @@ def _conjugate_at(family, w, tol, f_rtol) -> tuple[float, float, float]:
     floor): a residual delta costs only O(delta^2) in the value.  f(y) holds
     to f_rtol(c) max(1, f(y)) (_refine_f), c the root's last (ln f)*(w)."""
     t = 0.25 * min(tol, 1e-12)
-    y, f_y = _invert_slope(family, w, t, 1e-5 / t if t > 1e-300 else 1.0)
-    rtol = f_rtol(w * y - math.log(f_y.value))
-    ln_f = math.log(_refine_f(family, y, f_y, rtol).value)
-    return w * y - ln_f, y, ln_f
+    root = _invert_slope(family, w, t, 1e-5 / t if t > 1e-300 else 1.0)
+    rtol = f_rtol(w * root.y - math.log(root.f.value))
+    ln_f = math.log(_refine_f(family, root.y, root.f, rtol).value)
+    return w * root.y - ln_f, root.y, ln_f
 
 
 def _refine_f(family, y, f_y: SeriesEval, rtol: float) -> SeriesEval:

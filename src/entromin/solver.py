@@ -482,11 +482,11 @@ class EmpSolver:
         slope w: H = u(ln u - 1) + u (ln f)*(w) and x = ln u - ln f(y) from
         one slope root y (series._conjugate_at).  H carries u ln f, so f
         holds to c max(1, f) max(1, |H|) / max(u, |H|), c = min(tol, 1e-12),
-        with |H| from the f of the root's last pass: an error of H relative
-        to max(1, |H|), so that H(tu, tv) = t H(u, v) + t ln t u holds to
-        rounding for every t.  f is re-summed only when the root's last pass
-        certified it more loosely.  Where both terms of H overflow, to +inf
-        and -inf, H is u (ln u - 1 + (ln f)*(w)), +inf or -inf."""
+        with |H| from the f of the root's last pass: H within about c max(1,
+        |H|), so H(tu, tv) = t H(u, v) + t ln t u holds within the sum of
+        the two solves' errors, not to rounding.  f is re-summed only when
+        the root's last pass certified it more loosely.  Where the terms of
+        H overflow to +inf and -inf, H is u (ln u - 1 + (ln f)*(w)), +-inf."""
         c = min(self.tol, 1e-12)
         base = u * (math.log(u) - 1.0)
 

@@ -2,11 +2,14 @@
 endpoint profiles, the slope bijection and its inverse, the conjugate of
 ln f, and the dual sums h_W with gradients and boundary subdifferentials."""
 
+import json
 import math
 import sys
 import threading
 import warnings
+from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from entromin import (
     EmpSolver,
     Entropy,
     ExplicitPrefix,
+    InverseFailure,
     Lattice3D,
     LogLevels,
     PowerLaw,
@@ -299,7 +303,8 @@ class TestNewtonInversion:
     @pytest.mark.parametrize("w", [1.01, 2.0, 40.0])
     def test_root_pass_f_certified(self, geometric, w):
         # f(y) = e^y / (1 - e^y) = w - 1 at the root y = ln(1 - 1/w)
-        y, f_y = _invert_slope(geometric, w, 1e-12)
+        root = _invert_slope(geometric, w, 1e-12)
+        y, f_y = root.y, root.f
         exact = math.exp(y) / -math.expm1(y)
         assert abs(f_y.value - exact) <= f_y.tail_bound_used + 1e-15 * exact
         assert f_y.tail_bound_used <= 1e-12 * exact
@@ -496,12 +501,15 @@ class TestSlopeLadder:
         assert passes == []
 
     def test_the_start_falls_back_without_a_usable_interpolant(self):
-        # entries (y, phi, phi', ...) on Arithmetic(0, 1) (theta1 = 1, alpha = 0)
-        inner, outer = (-2.0, 1.2, 0.2), (-1.0, 1.6, 0.9)
+        # entries (y, phi, phi') on Arithmetic(0, 1) (theta1 = 1, alpha = 0)
+        def entry(y, p, dp):
+            return series._Slope(y, p, dp, None, None, 0.0, None)
+
+        inner, outer = entry(-2.0, 1.2, 0.2), entry(-1.0, 1.6, 0.9)
         assert -2.0 < series._hermite_start(inner, outer, 1.4, 1.0, 0.0) < -1.0
-        assert math.isnan(series._hermite_start((-2.0, 1.2, 0.0), outer, 1.4, 1.0, 0.0))
-        assert math.isnan(series._hermite_start((-2.0, 1.0, 0.2), outer, 1.4, 1.0, 0.0))
-        assert math.isnan(series._hermite_start(inner, (-1.0, 1.2, 0.9), 1.2, 1.0, 0.0))
+        assert math.isnan(series._hermite_start(entry(-2.0, 1.2, 0.0), outer, 1.4, 1.0, 0.0))
+        assert math.isnan(series._hermite_start(entry(-2.0, 1.0, 0.2), outer, 1.4, 1.0, 0.0))
+        assert math.isnan(series._hermite_start(inner, entry(-1.0, 1.2, 0.9), 1.2, 1.0, 0.0))
 
     def test_threads_sharing_a_solver_match_serial_results(self):
         solver = EmpSolver(Lattice3D(1.0))
@@ -622,7 +630,7 @@ class TestSlopeModel:
     def test_roots_agree_with_pass_only_roots(self, monkeypatch, family, v1, v2, slopes, tol):
         ws = [float(w) for w in np.geomspace(*slopes, 25)]
         modelled = [(phi_inverse(family, w, tol), lnf_conjugate(family, w, tol)) for w in ws]
-        monkeypatch.setattr(series, "_model_slope", lambda *args: None)
+        monkeypatch.setattr(series, "_model_moments", lambda *args: None)
         for w, (y, conj) in zip(ws, modelled):
             y_pass = phi_inverse(family, w, tol)
             assert abs(phi(family, y, 1e-14) - phi(family, y_pass, 1e-14)) <= tol
@@ -668,6 +676,160 @@ class TestSlopeModel:
             assert partial == pytest.approx(float(np.sum(terms * sigma**k)), rel=1e-14)
 
 
+class _LooseTails(Arithmetic):
+    """Unit weights, sigma_n = n, with every tail bracket's upper end raised
+    by 1e-5 (64 / n)^4, still a true bracket: at y = -16, where f is
+    1.1e-7, the rough pass reads f as 5.1e-6, and the first slope pass,
+    whose tolerances assume that f, misses its tolerance and is retried at
+    the f it measured."""
+
+    def tail_intervals(self, y, n, moments):
+        pad = 1e-5 * (64 / n) ** 4
+        ivs = super().tail_intervals(y, n, moments)
+        return [None if iv is None else (iv[0], iv[1] + pad) for iv in ivs]
+
+
+_A, _WG, _L3 = Arithmetic(0.0, 1.0), WeightedGeometric(1.0, 3.0), Lattice3D(1.0)
+# (entry, family, args): interior solve_mb at (u, v), the others at their
+# own arguments (a y or a slope w, and tol)
+_SLOPE_CALLS = [
+    ("phi", _A, (-1.0, 1e-10)),
+    ("phi", _WG, (-1.5, 1e-12)),
+    ("phi", _L3, (-0.3, 1e-10)),
+    ("phi", _LooseTails(), (-16.0, 1e-10)),  # a pass retried at its measured scale
+    ("phi_inverse", _A, (1.5, 1e-10)),
+    ("phi_inverse", _A, (6.5, 1e-12)),
+    ("phi_inverse", _WG, (1.2, 1e-10)),
+    ("phi_inverse", _L3, (4.5, 1e-10)),
+    ("phi_inverse", _L3, (12.0, 1e-12)),
+    ("phi_inverse", _A, (1.0000000000000002, 1e-15)),  # the nearer entry meets tol
+    ("phi_inverse", _A, (1.000000000000001, 1e-15)),  # an entry at phi = theta1: no interpolant
+    ("phi_inverse", _WG, (1.0000000000000016, 1e-10)),  # the interpolant at the bracket's end
+    ("lnf_conjugate", _A, (2.0, 1e-12)),
+    ("lnf_conjugate", _WG, (1.25, 1e-11)),
+    ("lnf_conjugate", _L3, (8.0, 1e-10)),
+    ("_ladder_point", _A, (1.5, 1e-5)),
+    ("_ladder_point", _WG, (1.2, 1e-5)),
+    ("_ladder_point", _L3, (6.0, 1e-5)),
+    ("_ladder_point", _A, (1.000000000000001, 1e-15)),
+    ("_ladder_point", _WG, (1.0000000000000016, 1e-10)),
+    ("solve_mb", _A, (1.0, 2.0)),
+    ("solve_mb", _A, (0.5, 1.7)),
+    ("solve_mb", _WG, (1.0, 1.2)),
+    ("solve_mb", _WG, (3.0, 3.9)),
+    ("solve_mb", _L3, (1.0, 4.5)),
+    ("solve_mb", _L3, (2.0, 24.0)),
+    ("solve_mb", Arithmetic(0.0, 0.01), (1.0, 0.0101)),  # left of the ladder
+    ("solve_mb", PowerLaw(1.0, 0.5), (1.0, 8.0)),  # iterates stop at their ceiling
+]
+_SLOPE_BRANCHES = (
+    "model accepted",
+    "model declined",
+    "pass retried",
+    "iterate ceiling stop",
+    "one-sided ladder",
+    "start meets tol",
+    "hermite outside",
+)
+_SLOPE_PINNED = Path(__file__).resolve().parent / "golden" / "slope_layer.json"
+
+
+def _slope_layer_outputs() -> dict:
+    """{call: repr of its output} over _SLOPE_CALLS: solve_mb's region,
+    value and multipliers, and what the others return."""
+    out = {}
+    for entry, family, args in _SLOPE_CALLS:
+        if entry == "solve_mb":
+            sol = EmpSolver(family).solve_mb(*args)
+            got = (sol.region.value, sol.value, sol.multipliers)
+        else:
+            got = getattr(series, entry)(family, *args)
+        out[f"{entry} {family!r} {args!r}"] = repr(got)
+    return out
+
+
+def _count_slope_branches(monkeypatch) -> Counter:
+    """A Counter of the slope layer's branches taken from here on, read
+    from outside it: slope passes and their ceiling stops (series._eval_many
+    with model, a None model), model tries (series._model_moments), passes
+    per certified slope, slope-root iterates (the evaluate calls of
+    series.newton_root), one-sided ladders (series._ladder_bracket) and
+    starts (series._ladder_start, with or without a _hermite_start call)."""
+    counts, live = Counter(), {"passes": 0, "tries": 0, "iterate": False, "hermite": False}
+    kernel, moments, slope = series._eval_many, series._model_moments, series._certified_slope
+    newton, bracket = series.newton_root, series._ladder_bracket
+    start, hermite = series._ladder_start, series._hermite_start
+
+    def eval_many(family, y, tols, x=0.0, kind=MB, ceiling=1.0, model=False):
+        out = kernel(family, y, tols, x, kind, ceiling, model)
+        if model:
+            live["passes"] += 1
+            counts["iterate ceiling stop"] += live["iterate"] and out[-1] is None
+        return out
+
+    def model_moments(*args):
+        live["tries"] += 1
+        return moments(*args)
+
+    def certified_slope(*args):
+        before = live["passes"]
+        out = slope(*args)
+        counts["pass retried"] += live["passes"] - before >= 2
+        return out
+
+    def newton_root(evaluate, *args):
+        def iterate(y):
+            passes, tries = live["passes"], live["tries"]
+            live["iterate"] = True
+            try:
+                return evaluate(y)
+            finally:
+                live["iterate"] = False
+                if live["tries"] > tries:
+                    counts["model accepted" if live["passes"] == passes else "model declined"] += 1
+
+        return newton(iterate, *args)
+
+    def ladder_bracket(*args):
+        inner, outer = bracket(*args)
+        counts["one-sided ladder"] += outer is None
+        return inner, outer
+
+    def hermite_start(*args):
+        live["hermite"] = True
+        return hermite(*args)
+
+    def ladder_start(*args):
+        live["hermite"] = False
+        out = start(*args)
+        if out[3] is not None and out[2] is None:
+            counts["hermite outside" if live["hermite"] else "start meets tol"] += 1
+        return out
+
+    for name, fn in [
+        ("_eval_many", eval_many),
+        ("_model_moments", model_moments),
+        ("_certified_slope", certified_slope),
+        ("newton_root", newton_root),
+        ("_ladder_bracket", ladder_bracket),
+        ("_ladder_start", ladder_start),
+        ("_hermite_start", hermite_start),
+    ]:
+        monkeypatch.setattr(series, name, fn)
+    return counts
+
+
+class TestSlopeLayerGolden:
+    def test_outputs_match_the_pinned_reprs(self, monkeypatch):
+        # tests/golden/slope_layer.json holds _slope_layer_outputs() at
+        # commit 63298ca (json.dumps(..., indent=1) wrote it): the library's
+        # slope outputs to the bit, where the CLI goldens print rounded
+        # figures; the calls take every branch of the slope layer
+        branches = _count_slope_branches(monkeypatch)
+        assert _slope_layer_outputs() == json.loads(_SLOPE_PINNED.read_text())
+        assert {b: branches[b] for b in _SLOPE_BRANCHES if not branches[b]} == {}
+
+
 _GUARD_FAMILIES = [
     Arithmetic(0.0, 1.0),
     WeightedGeometric(1.0, 3.0),
@@ -682,16 +844,33 @@ _EXTREME = [
 
 
 @st.composite
-def _guard_calls(draw):
+def _guard_calls(draw, entries=("phi_inverse", "lnf_conjugate", "solve_mb", "value_mb")):
     """(family, entry, args): an extreme float or a slope within 1 ulp of
-    theta1 or theta2 for phi_inverse and lnf_conjugate, or (u, v) from
-    extreme floats and those slopes for solve_mb and value_mb."""
+    theta1 or theta2 for phi_inverse and lnf_conjugate, (u, v) from extreme
+    floats and those slopes for solve_mb and value_mb, an extreme float,
+    -alpha - 1 or a y within 1 ulp of -alpha for phi, and a bose-einstein or
+    fermi-dirac target (u, w u) with u extreme and w 1 ulp or 2e-12
+    relative inside the cone for inverse_solve_bf."""
     family = draw(st.sampled_from(_GUARD_FAMILIES))
     prof = profile(family)
+    entry = draw(st.sampled_from(entries))
+    if entry == "phi":
+        a = prof.alpha
+        ys = [math.nextafter(-a, -math.inf), math.nextafter(-a, math.inf), -a - 1.0]
+        return family, entry, (draw(st.sampled_from(ys + _EXTREME)),)
     edges = [t for t in (prof.theta1, prof.theta2) if math.isfinite(t)]
+    if entry == "inverse_solve_bf":
+        kind = draw(st.sampled_from([BE, FD]))
+        # 1 ulp inside an edge the solver still puts (u, w u) on its ray,
+        # which it takes within 1e-12 relative; 2e-12 inside, in the cone
+        inside = [math.nextafter(prof.theta1, math.inf), prof.theta1 * (1.0 + 2e-12)]
+        if math.isfinite(prof.theta2):
+            inside += [math.nextafter(prof.theta2, -math.inf), prof.theta2 * (1.0 - 2e-12)]
+        w = draw(st.sampled_from(inside))
+        u = draw(st.sampled_from(_EXTREME))
+        return family, entry, (kind, u, u * w)
     slopes = [math.nextafter(t, d) for t in edges for d in (-math.inf, math.inf)] + edges
     w = draw(st.sampled_from(slopes + _EXTREME))
-    entry = draw(st.sampled_from(["phi_inverse", "lnf_conjugate", "solve_mb", "value_mb"]))
     if entry in ("phi_inverse", "lnf_conjugate"):
         return family, entry, (w,)
     u = draw(st.sampled_from([1.0, *_EXTREME]))
@@ -701,13 +880,15 @@ def _guard_calls(draw):
 
 class TestOnlyEmpErrorEscapes:
     """The slope-root entries at extreme floats and at slopes 1 ulp from
-    the cone's edges return a float that is not nan, or raise EmpError."""
+    the cone's edges return a float that is not nan, or raise EmpError; so
+    do phi at extreme y and at y within 1 ulp of -alpha, and the bf inverse
+    at extreme targets 1 ulp inside the cone, which may also report an
+    InverseFailure."""
 
-    @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(_guard_calls())
-    def test_extreme_inputs(self, call):
+    @staticmethod
+    def _check(call):
         family, entry, args = call
-        if entry in ("solve_mb", "value_mb"):
+        if entry in ("solve_mb", "value_mb", "inverse_solve_bf"):
             fn = getattr(EmpSolver(family), entry)
         else:
             fn = getattr(series, entry)
@@ -718,11 +899,23 @@ class TestOnlyEmpErrorEscapes:
                 out = fn(*args)
             except EmpError:
                 return
-        if entry == "solve_mb":
+        if isinstance(out, InverseFailure):
+            return
+        if entry in ("solve_mb", "inverse_solve_bf"):
             assert not math.isnan(out.value) and not math.isnan(out.h_star)
             assert not any(math.isnan(m) for m in out.multipliers or ())
         else:
             assert not math.isnan(out)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_guard_calls())
+    def test_extreme_inputs(self, call):
+        self._check(call)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_guard_calls(("phi", "inverse_solve_bf")))
+    def test_extreme_slopes_and_bf_targets(self, call):
+        self._check(call)
 
     def test_a_huge_interior_value_overflows_to_inf(self):
         # u (ln u - 1) overflowed to +inf and u (ln f)*(w) to -inf, whose
@@ -1029,6 +1222,16 @@ class TestFloatEdges:
             if x == 0.0:
                 assert eval_f(family, y).value == 0.0
                 assert eval_f_derivatives(family, y) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("y", [-1e103, -1e200, -1.7e308])
+    @pytest.mark.parametrize("kind", [MB, BE, FD])
+    def test_log_levels_at_huge_negative_y(self, kind, y):
+        # the moment-2 tail bracket took 2 / m^3, m = -(scale y + 1), whose
+        # float power raised a raw OverflowError beyond m = 5.7e102
+        family = LogLevels(1.0)
+        with pytest.raises(RangeError):
+            phi(family, y)
+        assert hessian_h(family, kind, 0.0, y) == (0.0, 0.0, 0.0)
 
 
 # -- the kernel against its block-loop reference ------------------------------
