@@ -44,9 +44,8 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
 Apart from the cases, ladder_build reports per family what filling the
 cache of slope-root starts costs for the mb_interior and the bf_roundtrip
 targets: the entries a run over the family's targets from a cleared cache
-leaves cached (the slope ladder's entries, series._ladder_entry, or the one
-start of trees before it, series._slope_start), and the passes and terms
-that run spends beyond a warm rerun of the same targets.  Results do not
+leaves cached (the slope ladder's entries, series._ladder_entry), and the
+passes and terms that run spends beyond a warm rerun of the same targets.  Results do not
 depend on which entries are cached, so the difference is the build alone.
 
 Work counts are deterministic and come from wrapping the library from
@@ -54,8 +53,7 @@ outside; nothing in src/ counts.  prefix_builds and the series counts come
 from perfbench's tracer (perfbench/tracing.py), members and terms_built from
 solver.EpsilonFamily and solver.EpsilonMember, array_calls and
 bracket_calls from the family that series._eval_many and
-series._model_moments see, model_points from series._model_slope or
-series._certified_slope (whichever the tree has, below), the exp counts
+series._model_moments see, model_points from series._certified_slope, the exp counts
 from the numpy that entromin.solver and entromin.finite see, slope_passes
 from the arguments of series._eval_many, and newton_points from
 solver.minimize_convex_2d:
@@ -75,10 +73,8 @@ solver.minimize_convex_2d:
                        each member's prefix and none for a prefix that a
                        tree keeps from an earlier call;
   terms_built          tuples of member terms made during one converge:
-                       one per member solved to its root in trees that make
-                       the tuple with the member, and only those read in
-                       trees that make it on first read
-                       (EpsilonMember.terms);
+                       one per member whose terms are read
+                       (EpsilonMember.terms, made on first read);
   series_passes        log_terms calls starting at n = 1 during one
                        solve_mb or round trip: one per certified series
                        pass;
@@ -94,11 +90,9 @@ solver.minimize_convex_2d:
                        elsewhere, do not count);
   model_points         slope-root iterates certified from the Taylor model
                        of an earlier pass, with no pass of their own, during
-                       one solve_mb: series._model_slope calls that return
-                       a slope in trees with that function, else
-                       series._certified_slope calls that return without
-                       an _eval_many call (lattice_interior, mb_interior
-                       and shifted_interior; 0 in trees without the model);
+                       one solve_mb: series._certified_slope calls that
+                       return without an _eval_many call (lattice_interior,
+                       mb_interior and shifted_interior);
   slope_passes         series._eval_many calls under maxwell-boltzmann
                        during one round trip: the passes of a slope root
                        and of f at it that start the inverse's Newton (the
@@ -106,7 +100,7 @@ solver.minimize_convex_2d:
   newton_points        points at which the inverse solve's damped Newton
                        evaluates its dual potential (the start and every
                        line-search point inside the domain), counted
-                       through the callback that returns the potential;
+                       through its `evaluate` callback;
   exp_calls            np.exp calls made by entromin.solver and
                        entromin.finite during one finite solve: every
                        evaluation of phi_n in its slope root, and any exp
@@ -139,7 +133,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import inspect
 import io
 import json
@@ -207,23 +200,14 @@ def _counting_members(counts):
         return member(self, *args)
 
     patch(EpsilonFamily, "_member", counting_member)
-    lazy = vars(EpsilonMember).get("terms")
-    if isinstance(lazy, functools.cached_property):  # the tuple is made on first read
-        build = lazy.func
+    lazy = vars(EpsilonMember)["terms"]  # a cached_property: made on first read
+    build = lazy.func
 
-        def counting_build(self):
-            counts["terms_built"] += 1
-            return build(self)
+    def counting_build(self):
+        counts["terms_built"] += 1
+        return build(self)
 
-        patch(lazy, "func", counting_build)
-    else:  # the tuple is made with the member
-        init = EpsilonMember.__init__
-
-        def counting_init(self, *args, **kwargs):
-            counts["terms_built"] += 1
-            init(self, *args, **kwargs)
-
-        patch(EpsilonMember, "__init__", counting_init)
+    patch(lazy, "func", counting_build)
     try:
         yield
     finally:
@@ -324,9 +308,8 @@ def _count_kernel(counts):
     """Wrap series._eval_many and series._model_moments so that the family
     each works on counts its calls into counts, and count the kernel's
     maxwell-boltzmann calls as slope_passes and the model's slopes as
-    model_points: series._model_slope returns that are not None where the
-    tree has that function, else series._certified_slope calls that return
-    without an _eval_many call (for the rest of the process)."""
+    model_points: series._certified_slope calls that return without an
+    _eval_many call (for the rest of the process)."""
     from entromin import series
 
     kernel = series._eval_many
@@ -341,24 +324,12 @@ def _count_kernel(counts):
         return kernel(_CountingFamily(family, counts), *args, **kwargs)
 
     series._eval_many = counting
-    moments = getattr(series, "_model_moments", None)
-    if moments is None:  # a tree without the slope model
-        return
+    moments = series._model_moments
 
     def counting_moments(family, *args):
         return moments(_CountingFamily(family, counts), *args)
 
     series._model_moments = counting_moments
-    model = getattr(series, "_model_slope", None)
-    if model is not None:
-
-        def counting_model(*args):
-            out = model(*args)
-            counts["model_points"] += out is not None
-            return out
-
-        series._model_slope = counting_model
-        return
     slope = series._certified_slope
 
     def counting_slope(*args, **kwargs):
@@ -537,9 +508,8 @@ def _inverse(es, kind, u, v):
 
 
 class _CountingNewton:
-    """solver.minimize_convex_2d counting calls of the callback that returns
-    the potential: `evaluate` (F, gradient and Hessian at one point), or
-    `potential` in trees whose Newton takes separate callbacks."""
+    """solver.minimize_convex_2d counting calls of its `evaluate` callback
+    (F, gradient and Hessian at one point)."""
 
     def __init__(self, fn, counts):
         self._fn = fn
@@ -548,14 +518,13 @@ class _CountingNewton:
 
     def __call__(self, *args, **kwargs):
         bound = self._sig.bind(*args, **kwargs)
-        name = "evaluate" if "evaluate" in bound.arguments else "potential"
-        inner = bound.arguments[name]
+        inner = bound.arguments["evaluate"]
 
         def counted(*a):
             self._counts["newton_points"] += 1
             return inner(*a)
 
-        bound.arguments[name] = counted
+        bound.arguments["evaluate"] = counted
         return self._fn(*bound.args, **bound.kwargs)
 
 
@@ -660,16 +629,6 @@ def count_truncations(np, entromin, solves, times):
             "per_family": _per_family(solves, per_target, times)}
 
 
-def _slope_cache():
-    """The tree's cache of slope-root starts, or None in trees without one."""
-    from entromin import series
-
-    for name in ("_ladder_entry", "_slope_start"):
-        if hasattr(series, name):
-            return getattr(series, name)
-    return None
-
-
 def count_ladder_build(tracer, cache, groups):
     """Per family key of groups (key -> calls): the entries that one run of
     the calls from a cleared cache leaves cached, and the passes and terms
@@ -733,7 +692,7 @@ def _timing_checks(times):
     """Append each verify check's wall time in seconds to times[check]."""
     from entromin import cli
 
-    saved = {name: getattr(cli, name) for name in VERIFY_CHECKS if hasattr(cli, name)}
+    saved = {name: getattr(cli, name) for name in VERIFY_CHECKS}
 
     def timed(fn, key):
         def wrapper(*args):
@@ -849,8 +808,8 @@ def main(argv=None) -> int:
                   "wall_ms_per_solve": _wall(truncation_s)}
     slow_value = {"targets": len(slow), **count_slow_values(tracer, slow, slow_s),
                   "wall_ms_per_solve": _wall(slow_s)}
-    cache = _slope_cache()
-    build = None if cache is None else {
+    cache = entromin.series._ladder_entry
+    build = {
         "mb_interior": count_ladder_build(
             tracer, cache, _grouped(interior, lambda es, u, v: es.solve_mb(u, v))),
         "bf_roundtrip": count_ladder_build(tracer, cache, _grouped(trips, _roundtrip)),
@@ -896,7 +855,7 @@ def main(argv=None) -> int:
                   f"median {sub['wall_ms_per_solve']['median']:.3f} ms")
         for trip in case.get("per_roundtrip", []):
             print("  " + ", ".join(f"{k} {v}" for k, v in trip.items()))
-    for name, per_family in (build or {}).items():
+    for name, per_family in build.items():
         print(f"ladder_build, {name}: " + "; ".join(
             f"{fam} {b['entries']} entries, {b['series_passes']} passes, "
             f"{b['series_terms']} terms" for fam, b in per_family.items()))

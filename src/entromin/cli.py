@@ -1,6 +1,11 @@
 """Command-line front end: solve, classify, forward, sweep and verify modes
 driven by a problem-spec file.
 
+solve, classify and forward write one record in --format to --out, or to
+stdout.  A sweep's rows are CSV whatever --format says; verify writes its
+record only with --out.  A failed BE/FD inverse prints its message and last
+iterate and writes nothing.
+
 Exit codes: 0 success, 2 parse/configuration error, 3 only-infeasible
 results under --strict-feasible, 4 numerical failure or failed checks.
 Set EMP_LOG=DEBUG|INFO|... for diagnostics.
@@ -33,12 +38,6 @@ from . import series
 
 log = logging.getLogger("entromin")
 
-_ENTROPY = {
-    "mb": Entropy.MAXWELL_BOLTZMANN,
-    "be": Entropy.BOSE_EINSTEIN,
-    "fd": Entropy.FERMI_DIRAC,
-}
-
 _INFEASIBLE = {
     Region.INFEASIBLE_NEGATIVE,
     Region.BELOW_CONE,
@@ -65,131 +64,93 @@ def _sanitize(obj):
     return obj
 
 
-def _emit(record, rows_csv, args) -> None:
-    """Write the machine-readable record to --out (or stdout) in the chosen
-    format; `rows_csv` is the CSV rendering, record the JSON one."""
-    if args.format == "csv":
-        payload = rows_csv
-    else:
-        payload = json.dumps(_sanitize(record), indent=2, sort_keys=True) + "\n"
+_CSV_HEADER = "u,v,region,value,attained\n"
+
+
+def _write(payload: str, args) -> None:
     if args.out:
         Path(args.out).write_text(payload)
     else:
         sys.stdout.write(payload)
 
 
-def _solution_record(sol: EmpSolution, spec: ProblemSpec, terms: int) -> dict:
-    rec = {
-        "mode": spec.mode,
-        "entropy": spec.entropy,
-        "u": sol.u,
-        "v": sol.v,
-        "region": sol.region.value,
-        "value": sol.value,
-        "h_star": sol.h_star,
-        "attained": sol.attained,
-        "multipliers": None
-        if sol.multipliers is None
-        else {"x": sol.multipliers[0], "y": sol.multipliers[1]},
-    }
-    if sol.solution is not None:
-        rec["terms"] = sol.solution.prefix(terms)
-    return rec
+def _emit(record, rows_csv, args) -> None:
+    """Write the machine-readable record to --out (or stdout) in the chosen
+    format; `rows_csv` is the CSV rendering, record the JSON one."""
+    if args.format == "json":
+        rows_csv = json.dumps(_sanitize(record), indent=2, sort_keys=True) + "\n"
+    _write(rows_csv, args)
 
 
-def _csv_row(u, v, region, value, attained) -> str:
-    return f"{_fmt(u)},{_fmt(v)},{region.value},{_fmt(value)},{str(attained).lower()}\n"
+def _csv_row(sol: EmpSolution) -> str:
+    cells = (_fmt(sol.u), _fmt(sol.v), sol.region.value, _fmt(sol.value), str(sol.attained).lower())
+    return ",".join(cells) + "\n"
 
 
-def _print_solution(sol: EmpSolution, terms: int) -> None:
-    print(f"region    : {sol.region.value}")
-    print(f"value     : {_fmt(sol.value)}")
-    print(f"h*        : {_fmt(sol.h_star)}")
-    print(f"attained  : {str(sol.attained).lower()}")
-    if sol.multipliers is not None:
-        print(f"multipliers: x = {sol.multipliers[0]!r}, y = {sol.multipliers[1]!r}")
-    if sol.solution is not None:
-        head = ", ".join(repr(t) for t in sol.solution.prefix(terms))
-        print(f"terms     : {head}, ...")
-    if sol.epsilon_family is not None:
-        print("no minimizer exists; epsilon-optimal truncations available")
-
-
-def _cmd_solve(solver: EmpSolver, spec: ProblemSpec, args) -> int:
-    kind = _ENTROPY[spec.entropy]
-    if kind is Entropy.MAXWELL_BOLTZMANN:
+def _cmd_target(solver: EmpSolver, spec: ProblemSpec, args) -> int:
+    """solve, classify and forward: one EmpSolution, printed, recorded and
+    written once; classify reports its region and value alone."""
+    kind = Entropy(spec.entropy)
+    if spec.mode == "forward":
+        sol = solver.forward_solve(kind, spec.x, spec.y)
+        print(f"u         : {sol.u!r}")
+        print(f"v         : {sol.v!r}")
+    elif spec.mode == "classify" or kind is Entropy.MAXWELL_BOLTZMANN:
         sol = solver.solve_mb(spec.u, spec.v)
     else:
         print(
             f"note: {spec.entropy} inverse solves are best-effort "
             "(no complete inverse theory); reporting the Newton outcome."
         )
-        result = solver.inverse_solve_bf(kind, spec.u, spec.v, spec.tol)
-        if isinstance(result, InverseFailure):
-            print(f"numerical failure: {result.message}")
-            print(f"last iterate: x = {result.last_iterate[0]!r}, y = {result.last_iterate[1]!r}")
+        sol = solver.inverse_solve_bf(kind, spec.u, spec.v, spec.tol)
+        if isinstance(sol, InverseFailure):
+            print(f"numerical failure: {sol.message}")
+            print(f"last iterate: x = {sol.last_iterate[0]!r}, y = {sol.last_iterate[1]!r}")
             return 4
-        sol = result
-    _print_solution(sol, args.terms)
-    rec = _solution_record(sol, spec, args.terms)
-    rows = _csv_row(sol.u, sol.v, sol.region, sol.value, sol.attained)
-    _emit(rec, "u,v,region,value,attained\n" + rows, args)
-    if args.strict_feasible and sol.region in _INFEASIBLE:
-        return 3
-    return 0
-
-
-def _cmd_classify(solver: EmpSolver, spec: ProblemSpec, args) -> int:
-    sol = solver.solve_mb(spec.u, spec.v)
-    region, value, h_star, attained = sol.region, sol.value, sol.h_star, sol.attained
-    print(f"region  : {region.value}")
-    print(f"value   : {_fmt(value)}")
-    print(f"h*      : {_fmt(h_star)}")
     rec = {
-        "mode": "classify",
-        "u": spec.u,
-        "v": spec.v,
-        "region": region.value,
-        "value": value,
-        "h_star": h_star,
-        "attained": attained,
+        "mode": spec.mode,
+        "u": sol.u,
+        "v": sol.v,
+        "region": sol.region.value,
+        "value": sol.value,
+        "h_star": sol.h_star,
+        "attained": sol.attained,
     }
-    _emit(rec, "u,v,region,value,attained\n" + _csv_row(spec.u, spec.v, region, value, attained), args)
-    if args.strict_feasible and region in _INFEASIBLE:
-        return 3
-    return 0
-
-
-def _cmd_forward(solver: EmpSolver, spec: ProblemSpec, args) -> int:
-    kind = _ENTROPY[spec.entropy]
-    sol = solver.forward_solve(kind, spec.x, spec.y)
-    print(f"u         : {sol.u!r}")
-    print(f"v         : {sol.v!r}")
-    _print_solution(sol, args.terms)
-    rec = _solution_record(sol, spec, args.terms)
-    _emit(rec, "u,v,region,value,attained\n" + _csv_row(sol.u, sol.v, sol.region, sol.value, sol.attained), args)
-    return 0
+    if spec.mode == "classify":
+        print(f"region  : {sol.region.value}")
+        print(f"value   : {_fmt(sol.value)}")
+        print(f"h*      : {_fmt(sol.h_star)}")
+    else:
+        print(f"region    : {sol.region.value}")
+        print(f"value     : {_fmt(sol.value)}")
+        print(f"h*        : {_fmt(sol.h_star)}")
+        print(f"attained  : {str(sol.attained).lower()}")
+        rec["entropy"] = spec.entropy
+        rec["multipliers"] = None
+        if sol.multipliers is not None:
+            print(f"multipliers: x = {sol.multipliers[0]!r}, y = {sol.multipliers[1]!r}")
+            rec["multipliers"] = dict(zip("xy", sol.multipliers))
+        if sol.solution is not None:
+            rec["terms"] = sol.solution.prefix(args.terms)
+            print(f"terms     : {', '.join(repr(t) for t in rec['terms'])}, ...")
+        if sol.epsilon_family is not None:
+            print("no minimizer exists; epsilon-optimal truncations available")
+    _emit(rec, _CSV_HEADER + _csv_row(sol), args)
+    # a forward request is a pair of multipliers, feasible whatever (u, v)
+    # its certified sums reach; a requested (u, v) may not be
+    return 3 if args.strict_feasible and spec.u is not None and sol.region in _INFEASIBLE else 0
 
 
 def _cmd_sweep(solver: EmpSolver, spec: ProblemSpec, args) -> int:
+    """The sweep's rows, written as CSV whatever --format says."""
     if spec.entropy != "mb":
         raise ConfigurationError("sweep mode computes the maxwell-boltzmann value; set entropy = mb")
     u0, u1, nu, v0, v1, nv = spec.grid
     us = np.linspace(u0, u1, nu)
     vs = np.linspace(v0, v1, nv)
-    points = [(float(u), float(v)) for u in us for v in vs]  # lexicographic
-    sols = [solver.solve_mb(u, v) for u, v in points]
-    payload = "u,v,region,value,attained\n" + "".join(
-        _csv_row(u, v, sol.region, sol.value, sol.attained)
-        for (u, v), sol in zip(points, sols)
-    )
-    if args.out:
-        Path(args.out).write_text(payload)
-    else:
-        sys.stdout.write(payload)
-    if args.strict_feasible and all(sol.region in _INFEASIBLE for sol in sols):
-        return 3
-    return 0
+    sols = [solver.solve_mb(float(u), float(v)) for u in us for v in vs]  # lexicographic
+    _write(_CSV_HEADER + "".join(_csv_row(sol) for sol in sols), args)
+    return 3 if args.strict_feasible and all(sol.region in _INFEASIBLE for sol in sols) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +176,13 @@ def _check_fenchel_young(solver, rng):
     return ok, f"equality gap {worst_eq:.2e}, worst inequality {worst_ineq:.2e}"
 
 
-def _interior_slope(prof):
-    # stay near theta1 so the optimal sequence decays fast enough for the
-    # finite truncations to converge within the scanned prefix
-    hi = prof.theta2 if math.isfinite(prof.theta2) else 2.0 * prof.theta1
-    return prof.theta1 + 0.25 * (hi - prof.theta1)
+def _interior_slope(prof, f=0.25, c=1.0):
+    """theta1 + f (theta2 - theta1), or theta1 + f c theta1 where theta2 is
+    infinite.  The default stays near theta1, so the optimal sequence decays
+    fast enough for the finite truncations to converge within the scanned
+    prefix."""
+    width = prof.theta2 - prof.theta1 if math.isfinite(prof.theta2) else c * prof.theta1
+    return prof.theta1 + f * width
 
 
 def _max_finite_prefix(family, n_cap=2048):
@@ -257,10 +220,7 @@ def _check_roundtrips(solver, spec):
     prof = solver.profile
     worst_val = 0.0
     for wf in (0.25, 0.6, 0.85):
-        w = prof.theta1 + wf * (
-            (prof.theta2 - prof.theta1) if math.isfinite(prof.theta2) else 2.0 * prof.theta1
-        )
-        y = series.phi_inverse(solver.normal_family, w, 1e-5)
+        y = series.phi_inverse(solver.normal_family, _interior_slope(prof, wf, 2.0), 1e-5)
         for x in (-0.5, 0.3):
             sol = solver.forward_solve(Entropy.MAXWELL_BOLTZMANN, *solver.multipliers_from_normal(x, y))
             back = solver.solve_mb(sol.u, sol.v)
@@ -271,10 +231,7 @@ def _check_roundtrips(solver, spec):
     worst_bf = 0.0
     for kind in (Entropy.BOSE_EINSTEIN, Entropy.FERMI_DIRAC):
         for wf in (0.25, 0.5):
-            w = prof.theta1 + wf * (
-                (prof.theta2 - prof.theta1) if math.isfinite(prof.theta2) else prof.theta1
-            )
-            y = series.phi_inverse(solver.normal_family, w, 1e-5)
+            y = series.phi_inverse(solver.normal_family, _interior_slope(prof, wf), 1e-5)
             x = -1.0 if kind is Entropy.FERMI_DIRAC else min(-1.0, prof.theta1 * (-y) - 1.0)
             xo, yo = solver.multipliers_from_normal(x, y)
             fwd = solver.forward_solve(kind, xo, yo)
@@ -336,28 +293,19 @@ def _check_beyond_theta2(solver, spec):
 
 
 def _check_degenerate(solver):
-    if solver.family.constant_sigma:
-        s1 = solver.family.sigma(1)
-        region = solver.classify(1.0, s1)
-        value = solver.value_mb(1.0, s1)
-        lhs, rhs = solver.biconjugate_check(0.0, -1.0, 256)
-        ok = (
-            region is Region.DEGENERATE_CONSTANT_SIGMA
-            and value == -math.inf
-            and math.isinf(rhs)
-            and math.isinf(lhs)
-        )
-        return ok, f"ray region {region.value}, value {_fmt(value)}, h = {_fmt(rhs)}"
-    t1 = sigma_min_set(solver.normal_family).theta1
-    region = solver.classify(1.0, 2.0 * t1)
-    value = solver.value_mb(1.0, 2.0 * t1)
+    ray = solver.family.constant_sigma
+    if ray:
+        w, expected = solver.family.sigma(1), Region.DEGENERATE_CONSTANT_SIGMA
+    else:
+        t1 = sigma_min_set(solver.normal_family).theta1
+        w, expected = 2.0 * t1, Region.DEGENERATE_ALL_DIVERGENT
+    region = solver.classify(1.0, w)
+    value = solver.value_mb(1.0, w)
     lhs, rhs = solver.biconjugate_check(0.0, -1.0, 256)
-    ok = (
-        region is Region.DEGENERATE_ALL_DIVERGENT
-        and value == -math.inf
-        and math.isinf(rhs)
-    )
-    return ok, f"cone region {region.value}, value {_fmt(value)}, h = {_fmt(rhs)}"
+    ok = region is expected and value == -math.inf and math.isinf(rhs)
+    ok = ok and (math.isinf(lhs) or not ray)  # on the ray both sides are infinite
+    label = "ray" if ray else "cone"
+    return ok, f"{label} region {region.value}, value {_fmt(value)}, h = {_fmt(rhs)}"
 
 
 def _cmd_verify(solver: EmpSolver, spec: ProblemSpec, args) -> int:
@@ -443,15 +391,11 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if spec.mode == "solve":
-            return _cmd_solve(solver, spec, args)
-        if spec.mode == "classify":
-            return _cmd_classify(solver, spec, args)
-        if spec.mode == "forward":
-            return _cmd_forward(solver, spec, args)
         if spec.mode == "sweep":
             return _cmd_sweep(solver, spec, args)
-        return _cmd_verify(solver, spec, args)
+        if spec.mode == "verify":
+            return _cmd_verify(solver, spec, args)
+        return _cmd_target(solver, spec, args)
     except (ParseError, ConfigurationError, UnsupportedFamilyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

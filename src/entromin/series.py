@@ -179,7 +179,8 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0, model=False):
             t_next = x + family.sigma(hi + 1) * y
             if kind is Entropy.BOSE_EINSTEIN and t_next >= 0.0:
                 raise DomainError("bose-einstein dual needs x + sigma_n y < 0 on the tail")
-            z_next = math.exp(min(t_next, 700.0))
+            # unclipped: fermi-dirac's lower bounds take the tail's largest z
+            z_next = math.exp(t_next) if t_next < 709.0 else math.inf
             bounds = {m: _mult_bounds(kind, m, z_next) for m in mults}
         ivs = family.tail_intervals(y, hi, moments)
         while True:  # judged again once the tolerances rise to the ceiling
@@ -255,9 +256,11 @@ def _block_sums(family, y, tols, x, kind, mults, n, model=False):
         base = np.exp(logt + x if x else logt)
         weighted = {}
         if mults:
-            weighted = _mult_arrays(kind, mults, x + sig * y)
-            for m, arr in weighted.items():
-                weighted[m] = base * arr
+            t = x + sig * y
+            if kind is Entropy.FERMI_DIRAC and t.max() > 700.0:
+                weighted = _fermi_far(mults, base, (logt + x) - t, t)
+            else:
+                weighted = {m: base * arr for m, arr in _mult_arrays(kind, mults, t).items()}
         cuts = None  # (start, end) of each block inside the array
         if hi > _START_BLOCK and lo == 1:
             cuts = [(0, _START_BLOCK)]
@@ -371,6 +374,8 @@ def _profile_cached(family: SequenceFamily, tol: float) -> SeriesProfile:
     else:
         _check_boundary_summable(family, 0)
         f_b = _eval_many(family, -alpha, {(None, 0): tol})[0].value
+        if not f_b >= np.finfo(float).tiny:  # gamma / f_b would be inf or lose digits
+            raise UnsupportedFamilyError(f"f(-alpha) = {f_b!r} underflows below the normal floats")
         div1 = family.boundary_divergent(1)
         if div1 is True:
             case = BoundaryCase.CLOSED_GAMMA_INFINITE_B
@@ -781,6 +786,21 @@ def _mult_arrays(kind: Entropy, mults, t: np.ndarray) -> dict:
             out["grad"] = d
         if "hess" in mults:
             out["hess"] = d * d
+    return out
+
+
+def _fermi_far(mults, base, logp: np.ndarray, t: np.ndarray) -> dict:
+    """_block_sums' fermi-dirac terms where some t > 700: there z = e^t is
+    clipped (_mult_arrays) and base = p_n e^t nears overflow, so those terms
+    come from w = e^-t and p_n = e^logp, the others as base m(t)."""
+    far = t > 700.0
+    tf, p = t[far], np.exp(logp[far])
+    w = np.exp(-tf)
+    exact = {"conj": p * (tf + np.log1p(w)), "grad": p / (1.0 + w), "hess": p * w / (1.0 + w) ** 2}
+    base = np.where(far, 0.0, base)
+    out = {m: base * arr for m, arr in _mult_arrays(Entropy.FERMI_DIRAC, mults, t).items()}
+    for m, arr in out.items():
+        arr[far] = exact[m]
     return out
 
 

@@ -126,6 +126,8 @@ class SequenceRule:
         fam, x, y = self.normal
         lt = float(fam.log_terms(y, n, n)[0]) + x
         t = x + fam.sigma(n) * y
+        if t > 700.0 and self.kind.a > 0:  # fermi-dirac past the clip: p_n / (1 + e^-t)
+            return math.exp(lt - t) / (1.0 + math.exp(-t))
         return math.exp(lt) / (1.0 + self.kind.a * math.exp(min(t, 700.0)))
 
     def prefix(self, count: int) -> list[float]:

@@ -45,9 +45,16 @@ from .sequences import (
 
 __all__ = ["ParseError", "ProblemSpec", "parse_spec"]
 
-_MODES = ("solve", "classify", "forward", "sweep", "verify")
 _ENTROPIES = ("mb", "be", "fd")
 _GRID_KEYS = ("u_min", "u_max", "u_steps", "v_min", "v_max", "v_steps")
+# the [problem] keys each mode requires, in the order they are parsed
+_TARGET_KEYS = {
+    "solve": ("u", "v"),
+    "classify": ("u", "v"),
+    "forward": ("x", "y"),
+    "sweep": _GRID_KEYS,
+    "verify": (),
+}
 
 
 class ParseError(EmpError):
@@ -131,6 +138,13 @@ def _build_family(name: str, params: dict[str, str]) -> SequenceFamily:
     return cls(**kwargs)
 
 
+def _no_stray_key(section: str, keys: dict[str, str], lines: dict[str, int]) -> None:
+    """ParseError at the first key, in sorted order, that `section` has left."""
+    if keys:
+        stray = sorted(keys)[0]
+        raise ParseError(lines.get(f"{section}.{stray}", 0), f"unexpected key {stray!r}")
+
+
 def parse_spec(text: str) -> ProblemSpec:
     section = None
     family: dict[str, str] = {}
@@ -164,52 +178,31 @@ def parse_spec(text: str) -> ProblemSpec:
         raise ParseError(0, "missing [family] name")
     name = family.pop("name")
     mode = problem.pop("mode", "solve")
-    if mode not in _MODES:
+    if mode not in _TARGET_KEYS:
         raise ParseError(lines.get("problem.mode", 0), f"unknown mode {mode!r}")
     entropy = problem.pop("entropy", "mb")
     if entropy not in _ENTROPIES:
         raise ParseError(lines.get("problem.entropy", 0), f"unknown entropy {entropy!r}")
 
-    u = v = x = y = None
-    grid = None
+    targets = {}
+    for key in _TARGET_KEYS[mode]:
+        if key not in problem:
+            raise ParseError(0, f"{mode} mode requires {key}")
+        parse = _parse_int if key.endswith("_steps") else _parse_float
+        targets[key] = parse(problem.pop(key), lines.get(f"problem.{key}", 0), key)
     if mode == "sweep":
-        vals = []
-        for key in _GRID_KEYS:
-            if key not in problem:
-                raise ParseError(0, f"sweep mode requires {key}")
-            ln = lines.get(f"problem.{key}", 0)
-            raw = problem.pop(key)
-            vals.append(
-                _parse_int(raw, ln, key) if key.endswith("steps") else _parse_float(raw, ln, key)
-            )
-        grid = tuple(vals)
-        if grid[2] < 1 or grid[5] < 1:
+        targets = {"grid": tuple(targets.values())}
+        if targets["grid"][2] < 1 or targets["grid"][5] < 1:
             raise ParseError(0, "sweep step counts must be >= 1")
-    elif mode == "forward":
-        for key in ("x", "y"):
-            if key not in problem:
-                raise ParseError(0, f"forward mode requires {key}")
-        x = _parse_float(problem.pop("x"), lines.get("problem.x", 0), "x")
-        y = _parse_float(problem.pop("y"), lines.get("problem.y", 0), "y")
-    elif mode in ("solve", "classify"):
-        for key in ("u", "v"):
-            if key not in problem:
-                raise ParseError(0, f"{mode} mode requires {key}")
-        u = _parse_float(problem.pop("u"), lines.get("problem.u", 0), "u")
-        v = _parse_float(problem.pop("v"), lines.get("problem.v", 0), "v")
-    if problem:
-        stray = sorted(problem)[0]
-        raise ParseError(lines.get(f"problem.{stray}", 0), f"unexpected key {stray!r}")
+    _no_stray_key("problem", problem, lines)
 
     tol = _parse_float(tolerances.pop("tol", "1e-10"), lines.get("tolerances.tol", 0), "tol")
     epsilon = _parse_float(
         tolerances.pop("epsilon", "1e-6"), lines.get("tolerances.epsilon", 0), "epsilon"
     )
-    if tolerances:
-        stray = sorted(tolerances)[0]
-        raise ParseError(lines.get(f"tolerances.{stray}", 0), f"unexpected key {stray!r}")
+    _no_stray_key("tolerances", tolerances, lines)
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ParseError(lines.get("tolerances.tol", 0), "tol must be positive")
 
     params = tuple(sorted(family.items()))
-    return ProblemSpec(name, params, entropy, mode, u, v, x, y, grid, tol, epsilon)
+    return ProblemSpec(name, params, entropy, mode, tol=tol, epsilon=epsilon, **targets)

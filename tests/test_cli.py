@@ -1,6 +1,7 @@
 """Command-line front end: spec parsing round trips, per-mode outputs,
 CSV determinism across worker counts, exit codes."""
 
+import dataclasses
 import json
 import math
 import threading
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from entromin import NumericalFailureError, series, solver
+from entromin import ConfigurationError, NumericalFailureError, Region, cli, series, solver
 from entromin.cli import main
 from entromin.rootfind import solve_bracketed
 from entromin.specfile import ParseError, parse_spec
@@ -214,6 +215,11 @@ class TestClassifyMode:
         assert main(["--spec", _write(tmp_path, text)]) == 0
         assert calls == [2.0]
 
+    def test_strict_feasible_exit_code(self, tmp_path, capsys):
+        text = GEO_SOLVE.replace("mode = solve", "mode = classify").replace("v = 2.0", "v = 0.5")
+        assert main(["--spec", _write(tmp_path, text), "--strict-feasible"]) == 3
+        assert capsys.readouterr().out.startswith("region  : below-cone\n")
+
 
 class TestForwardMode:
     def test_record(self, tmp_path):
@@ -244,6 +250,21 @@ class TestForwardMode:
         rec = json.loads(out.read_text())
         assert (rec["u"], rec["v"], rec["region"]) == (0.0, 0.0, "origin")
 
+    def test_strict_feasible_exits_zero(self, tmp_path, monkeypatch):
+        # the requested multipliers are always feasible, even where the
+        # certified sums of a tiny u land (u, v) below the cone
+        path = _write(tmp_path, FORWARD)
+        assert main(["--spec", path, "--strict-feasible"]) == 0
+        forward_solve = solver.EmpSolver.forward_solve
+
+        def below_cone(self, kind, x, y):
+            return dataclasses.replace(forward_solve(self, kind, x, y), region=Region.BELOW_CONE)
+
+        monkeypatch.setattr(solver.EmpSolver, "forward_solve", below_cone)
+        out = tmp_path / "rec.json"
+        assert main(["--spec", path, "--strict-feasible", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["region"] == "below-cone"
+
 
 SWEEP = """\
 [family]
@@ -263,6 +284,54 @@ v_steps = 3
 tol = 1e-10
 epsilon = 1e-6
 """
+
+
+FORWARD = GEO_SOLVE.replace("mode = solve\nu = 1.0\nv = 2.0", "mode = forward\nx = 0.1\ny = -0.7")
+
+
+class TestSpecErrors:
+    """Each error path of the spec parser, with its exact message and line
+    (0 where no one line is at fault)."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (GEO_SOLVE.replace("u = 1.0", "u = one"), "line 7: u: not a number: 'one'"),
+            (SWEEP.replace("u_steps = 3", "u_steps = 2.5"), "line 9: u_steps: not an integer: '2.5'"),
+            (GEO_SOLVE.replace("[problem]", "[extra]"), "line 4: unknown section [extra]"),
+            ("name = geometric\n", "line 1: key outside any section"),
+            (GEO_SOLVE.replace("u = 1.0", "u ="), "line 7: empty value for 'u'"),
+            (GEO_SOLVE.replace("v = 2.0", "v = 2.0\nv = 3.0"), "line 9: duplicate key 'v'"),
+            (GEO_SOLVE.replace("name = geometric", ""), "line 0: missing [family] name"),
+            (GEO_SOLVE.replace("mode = solve", "mode = bogus"), "line 6: unknown mode 'bogus'"),
+            (SWEEP.replace("v_steps = 3\n", ""), "line 0: sweep mode requires v_steps"),
+            (SWEEP.replace("v_steps = 3", "v_steps = 0"), "line 0: sweep step counts must be >= 1"),
+            (FORWARD.replace("y = -0.7\n", ""), "line 0: forward mode requires y"),
+            (GEO_SOLVE.replace("v = 2.0", "v = 2.0\nw = 3.0"), "line 9: unexpected key 'w'"),
+            (GEO_SOLVE.replace("epsilon = 1e-6", "epsilon = 1e-6\neps = 1"), "line 13: unexpected key 'eps'"),
+            (GEO_SOLVE.replace("tol = 1e-10", "tol = 0"), "line 11: tol must be positive"),
+            (GEO_SOLVE.replace("tol = 1e-10", "tol = inf"), "line 11: tol must be positive"),
+        ],
+    )
+    def test_parse_error(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_spec(text)
+        assert str(err.value) == message
+        assert err.value.line == int(message.split(":")[0].split()[1])
+
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ("name = explicit\np = 1,1", "explicit family needs p and sigma lists"),
+            ("name = geometric\nbogus = 1", "family 'geometric' has no parameter 'bogus'"),
+        ],
+    )
+    def test_family_error(self, tmp_path, capsys, family, message):
+        text = GEO_SOLVE.replace("name = geometric", family)
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            parse_spec(text).build_family()
+        assert main(["--spec", _write(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSweepMode:
@@ -321,6 +390,22 @@ class TestSweepMode:
         ray = [r for r in rows if r.split(",")[0] == r.split(",")[1]]
         assert ray and all("degenerate-constant-sigma,-inf,false" in r for r in ray)
 
+    def test_csv_to_stdout_without_out(self, tmp_path, capsys):
+        path = _write(tmp_path, SWEEP)
+        out = tmp_path / "sweep.csv"
+        assert main(["--spec", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["--spec", path, "--format", "json"]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    def test_strict_feasible_exit_code(self, tmp_path):
+        # v < u lies below the cone v >= theta1 u = u at every row
+        below = SWEEP.replace("v_min = 1.0", "v_min = 0.1").replace("v_max = 3.0", "v_max = 0.5")
+        assert main(["--spec", _write(tmp_path, below), "--strict-feasible"]) == 3
+        assert main(["--spec", _write(tmp_path, below)]) == 0
+        # one feasible row is enough
+        assert main(["--spec", _write(tmp_path, SWEEP), "--strict-feasible"]) == 0
+
     def test_sweep_requires_mb(self, tmp_path):
         text = SWEEP.replace("entropy = mb", "entropy = fd")
         rc = main(["--spec", _write(tmp_path, text)])
@@ -371,6 +456,21 @@ class TestVerifyMode:
             "PASS  degenerate-detection: cone region degenerate-all-divergent, "
             "value -inf, h = +inf"
         ) in capsys.readouterr().out.splitlines()
+
+    def test_raising_check_fails_and_exits_four(self, tmp_path, capsys, monkeypatch):
+        def raising(solver, spec):
+            raise NumericalFailureError("no bracket")
+
+        monkeypatch.setattr(cli, "_check_truncation", raising)
+        text = GEO_SOLVE.replace("mode = solve\nu = 1.0\nv = 2.0", "mode = verify")
+        out = tmp_path / "rec.json"
+        assert main(["--spec", _write(tmp_path, text), "--out", str(out)]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL  truncation-convergence: raised NumericalFailureError: no bracket" in lines
+        assert sum(line.startswith("PASS  ") for line in lines) == len(lines) - 1
+        checks = json.loads(out.read_text())["checks"]
+        assert {"check": "truncation-convergence", "pass": False,
+                "detail": "raised NumericalFailureError: no bracket"} in checks
 
 
 class TestExitCodes:

@@ -193,6 +193,23 @@ class TestProfile:
             EmpSolver(_NoAlpha())
 
 
+    @pytest.mark.parametrize("shift", [-745.0, -800.0, -1000.0])
+    def test_underflowing_boundary_value_is_unsupported(self, shift):
+        # every level raised by -shift: f(-alpha) is subnormal or 0, and
+        # theta2 = gamma / f(-alpha) raised ZeroDivisionError (or, at -745,
+        # came out equal to theta1 = 746)
+        fam = ShiftedSigma(WeightedGeometric(1.0, 3.0), shift)
+        with pytest.raises(UnsupportedFamilyError, match="underflows below the normal floats"):
+            profile(fam)
+        with pytest.raises(UnsupportedFamilyError, match="underflows below the normal floats"):
+            EmpSolver(fam)
+
+    def test_tiny_normal_boundary_value(self):
+        fam = ShiftedSigma(WeightedGeometric(1.0, 3.0), -700.0)
+        assert profile(fam).theta2 == 701.3684337781708
+        assert EmpSolver(fam).profile.theta2 == 701.3684337781708
+
+
 class TestPhi:
     def test_values(self, geometric):
         assert phi(geometric, -LN2, 1e-12) == pytest.approx(2.0, abs=1e-11)
@@ -974,6 +991,23 @@ class TestEvalH:
 
     def test_fd_outside_dom_f(self, geometric):
         assert math.isinf(eval_h(geometric, FD, 5.0, 0.0, 1e-10))
+
+    def test_fd_terms_where_e_to_the_t_overflows(self):
+        # levels n - 100: t_n = 805 - n reaches 804, where p_n e^t and the
+        # tail's e^t overflow; h came out +inf
+        fam = Arithmetic(-100.0, 1.0)
+        ws = [math.exp(-abs(805.0 - n)) for n in range(1, 6001)]
+        t_plus = [max(805.0 - n, 0.0) for n in range(1, 6001)]
+        h = math.fsum(t + math.log1p(w) for t, w in zip(t_plus, ws))
+        occ = [1.0 / (1.0 + w) if t else w / (1.0 + w) for t, w in zip(t_plus, ws)]
+        hxx = math.fsum(w / (1.0 + w) ** 2 for w in ws)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eval_h(fam, FD, 705.0, -1.0) == pytest.approx(h, rel=1e-9)
+            hu, hv = grad_h(fam, FD, 705.0, -1.0)
+            assert hessian_h(fam, FD, 705.0, -1.0)[0] == pytest.approx(hxx, rel=1e-9)
+        assert hu == pytest.approx(math.fsum(occ), rel=1e-9)
+        assert hv == pytest.approx(math.fsum((n - 100) * o for n, o in enumerate(occ, 1)), rel=1e-9)
 
     def test_be_dom_condition(self, geometric):
         # x + theta1 y >= 0 puts the point outside dom h_BE

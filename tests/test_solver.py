@@ -813,6 +813,21 @@ class TestForwardSolve:
             expect = math.exp(-n) / (1.0 + math.exp(-n))
             assert sol.solution.term(n) == pytest.approx(expect, abs=1e-14)
 
+    @pytest.mark.parametrize("x", [700.5, 705.0, 709.0])
+    def test_fd_terms_past_the_clip_of_e_to_the_t(self, x):
+        # z = e^t was clipped at e^700 while p_n e^t was not, so an FD term
+        # with t = x - n > 700 came out e^(t - 700) too large: u = 785.29
+        # for 704.5 at x = 705, and term(1) = 54.6
+        fam = Arithmetic(0.0, 1.0)
+        sol = EmpSolver(fam).forward_solve(FD, x, -1.0)
+        ts = [x - n for n in range(1, 5001)]
+        occ = [1.0 / (1.0 + math.exp(-t)) if t > 0 else math.exp(t) / (1.0 + math.exp(t)) for t in ts]
+        h = [t + math.log1p(math.exp(-t)) if t > 0 else math.log1p(math.exp(t)) for t in ts]
+        assert sol.u == pytest.approx(math.fsum(occ), rel=1e-9)
+        assert sol.v == pytest.approx(math.fsum(n * o for n, o in enumerate(occ, 1)), rel=1e-9)
+        assert series.eval_h(fam, FD, x, -1.0) == pytest.approx(math.fsum(h), rel=1e-9)
+        assert all(term <= 1.0 for term in sol.solution.prefix(10))
+
     def test_boundary_case_c_forward(self, zeta_solver):
         # at y = -alpha the gradient series still converges in case (c)
         sol = zeta_solver.forward_solve(MB, 0.0, -1.0)
