@@ -39,7 +39,8 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
   cli_verify           cli._cmd_verify on the verify spec that perfbench's
                        cli-batch writes for each of mb-point's families,
                        with a solver built from that spec, reported per
-                       family with the wall time of each check.
+                       family with the wall time of each check and the
+                       inverse solves' Newton points.
 
 Apart from the cases, ladder_build reports per family what filling the
 cache of slope-root starts costs for the mb_interior and the bf_roundtrip
@@ -55,8 +56,8 @@ solver.EpsilonFamily and solver.EpsilonMember, array_calls and
 bracket_calls from the family that series._eval_many and
 series._model_moments see, model_points from series._certified_slope, the exp counts
 from the numpy that entromin.solver and entromin.finite see, slope_passes
-from the arguments of series._eval_many, and newton_points from
-solver.minimize_convex_2d:
+from the arguments of series._eval_many, and newton_points and
+proposal_points from solver.minimize_convex_2d and series._dual_point:
 
   prefix_passes        np.exp calls made by entromin.solver and
                        entromin.finite (where a tree keeps the Gibbs pass,
@@ -97,10 +98,16 @@ solver.minimize_convex_2d:
                        during one round trip: the passes of a slope root
                        and of f at it that start the inverse's Newton (the
                        round trip's other passes are under its own entropy);
-  newton_points        points at which the inverse solve's damped Newton
-                       evaluates its dual potential (the start and every
-                       line-search point inside the domain), counted
-                       through its `evaluate` callback;
+  newton_points        certified Newton points of the inverse solves during
+                       one round trip or verify: points at which a damped
+                       Newton evaluates its dual potential (the start and
+                       every line-search point inside the domain), counted
+                       through its `evaluate` callback, that make a
+                       series._dual_point pass;
+  proposal_points      the other such points: those of the uncertified
+                       finite-sum Newton that proposes where the certified
+                       one starts, which make no pass (0 in trees without
+                       it);
   exp_calls            np.exp calls made by entromin.solver and
                        entromin.finite during one finite solve: every
                        evaluation of phi_n in its slope root, and any exp
@@ -507,47 +514,53 @@ def _inverse(es, kind, u, v):
     return es.inverse_solve_bf(kind, u, v, 1e-10)
 
 
-class _CountingNewton:
-    """solver.minimize_convex_2d counting calls of its `evaluate` callback
-    (F, gradient and Hessian at one point)."""
+@contextlib.contextmanager
+def _counting_newton(counts):
+    """Count into counts the points at which the inverse solve's damped
+    Newtons evaluate their dual potential (calls of the `evaluate` callback
+    of solver.minimize_convex_2d): newton_points where the point makes a
+    certified series._dual_point pass, proposal_points where it makes none
+    (the uncertified finite-sum proposal, which trees before it lack)."""
+    from entromin import series, solver
 
-    def __init__(self, fn, counts):
-        self._fn = fn
-        self._sig = inspect.signature(fn)
-        self._counts = counts
+    newton, dual_point = solver.minimize_convex_2d, series._dual_point
+    passes = [0]
 
-    def __call__(self, *args, **kwargs):
-        bound = self._sig.bind(*args, **kwargs)
-        inner = bound.arguments["evaluate"]
+    def counting_dual_point(*args, **kwargs):
+        passes[0] += 1
+        return dual_point(*args, **kwargs)
 
-        def counted(*a):
-            self._counts["newton_points"] += 1
-            return inner(*a)
+    def counting_newton(evaluate, *args, **kwargs):
+        def counted(*point):
+            before = passes[0]
+            try:
+                return evaluate(*point)
+            finally:
+                counts["newton_points" if passes[0] > before else "proposal_points"] += 1
 
-        bound.arguments["evaluate"] = counted
-        return self._fn(*bound.args, **bound.kwargs)
+        return newton(counted, *args, **kwargs)
+
+    solver.minimize_convex_2d, series._dual_point = counting_newton, counting_dual_point
+    try:
+        yield
+    finally:
+        solver.minimize_convex_2d, series._dual_point = newton, dual_point
 
 
 TRIP_KEYS = {**PASS_KEYS, "slope_passes": "slope_passes"}
+NEWTON_KEYS = ("newton_points", "proposal_points")
 
 
 def count_roundtrips(tracer, entromin, trips, call=_roundtrip):
     """The counts of call(*trip[1:]) for each trip, in their order, and how
     many of them returned an InverseFailure."""
-    from entromin import solver
-
-    newton = solver.minimize_convex_2d
     per_target, failures = [], 0
     for trip in trips:
         counted = Counter()
-        solver.minimize_convex_2d = _CountingNewton(newton, counted)
-        try:
-            with _counting_budget_errors(counted):
-                result, counts = _counted(tracer, lambda t=trip: call(*t[1:]), TRIP_KEYS)
-        finally:
-            solver.minimize_convex_2d = newton
+        with _counting_newton(counted), _counting_budget_errors(counted):
+            result, counts = _counted(tracer, lambda t=trip: call(*t[1:]), TRIP_KEYS)
         failures += isinstance(result, entromin.InverseFailure)
-        per_target.append({**counts, "newton_points": counted["newton_points"],
+        per_target.append({**counts, **{k: counted[k] for k in NEWTON_KEYS},
                            "budget_errors": counted["budget_errors"]})
     return per_target, failures
 
@@ -715,13 +728,15 @@ def _timing_checks(times):
 def verify_case(runs):
     """cli_verify: per family, the wall time of one verify and of each
     check (median and quartiles over REPEATS runs after one warm-up) and
-    the entropy calls of one verify, which repeat exactly."""
+    the entropy calls and inverse Newton points of one verify, which repeat
+    exactly."""
     per_target, times, per_family = [], [], {}
     for fam, run in runs:
-        counts = Counter({f"{name}_calls": 0 for name in ENTROPY_FUNCTIONS})
-        with _counting_entropy_calls(counts):
+        counts, points = Counter({f"{name}_calls": 0 for name in ENTROPY_FUNCTIONS}), Counter()
+        with _counting_entropy_calls(counts), _counting_newton(points):
             code = run()
         counts["entropy_calls"] = sum(counts.values())
+        counts.update({k: points[k] for k in NEWTON_KEYS})
         checks, runs_s = {}, []
         run()
         with _timing_checks(checks):

@@ -35,9 +35,11 @@ remainder certifies phi at nearby points with one bracket call and no pass
 pass at that start certifies the Newton steps after it.
 The ladder also starts the bose-einstein and fermi-dirac inverse with no
 pass (_ladder_point: that start, and ln f there interpolated through the
-same two entries).  The conjugate of ln f follows its four-branch closed
-form, and its interior branch (_conjugate_at) is also the solver's
-interior value.
+same two entries); the inverse moves that start to the minimizer of the
+uncertified dual of its first 64 terms or more (solver._proposal, from
+_mult_arrays and no pass) before its first certified point.  The
+conjugate of ln f follows its four-branch closed form, and its interior
+branch (_conjugate_at) is also the solver's interior value.
 A pass whose target is beyond the term budget stops at the bound it can
 reach up to a ceiling times it (_eval_many; only _conjugate_at, _refine_f,
 forward_solve and inverse_solve_bf's Newton points pass one).  All

@@ -185,6 +185,55 @@ def _build_prefix(family, n: int):
 
 _cached_prefix = functools.lru_cache(maxsize=_PREFIX_CACHE_SIZE)(_build_prefix)
 
+_DUAL_MULTS = ("conj", "grad", "hess")
+
+
+def _finite_dual(kind, log_p, s, powers, x, y):
+    """(h, (h_x, h_y), (h_xx, h_xy, h_yy)) of the finite dual sum_k p_k
+    W*(x + sigma_k y) over the terms ln p_k = log_p, sigma_k = s, uncertified:
+    the per-term W*, (W*)' and (W*)'' come from the kernel's own multipliers
+    (series._mult_arrays, series._fermi_far past t = 700), and the six sums
+    from one product of those three rows with powers = (1, sigma_k,
+    sigma_k^2)."""
+    t = x + s * y
+    base = np.exp(log_p + t)
+    if kind is Entropy.FERMI_DIRAC and t.max() > 700.0:
+        rows = list(series._fermi_far(_DUAL_MULTS, base, log_p, t).values())
+    else:
+        rows = [base * m for m in series._mult_arrays(kind, _DUAL_MULTS, t).values()]
+    (h, _, _), (gu, gv, _), hess = (np.array(rows) @ powers).tolist()
+    return h, (gu, gv), hess
+
+
+def _proposal(family, kind, u, v, start, scale, in_domain, tol):
+    """Where the certified Newton of inverse_solve_bf starts: the minimizer
+    of the uncertified dual of the first n terms, sum_{k <= n} p_k W*(x +
+    sigma_k y) - x u - y v (_finite_dual), by minimize_convex_2d from start
+    down to residual norm tol, or start where that Newton does not converge.
+    n is 64 (series._START_BLOCK), doubled up to 4096 while the last half of
+    the first n terms carries more than the tolerance at start, as
+    maxwell-boltzmann terms p_k e^(x + sigma_k y) (1 + sigma_k).  It makes
+    no pass: ln p_k and sigma_k come from _prefix.  numpy's float warnings
+    are off for the whole proposal."""
+    x0, y0 = start
+    n = series._START_BLOCK
+    with np.errstate(all="ignore"):
+        while True:
+            log_p, s = _prefix(family, n)
+            half = slice(n // 2, n)
+            tail = np.exp(log_p[half] + (x0 + s[half] * y0)) @ (1.0 + s[half])
+            if n >= series._ONE_ARRAY or not tail > tol * scale:
+                break
+            n *= 2
+        powers = np.stack((np.ones_like(s), s, s * s), axis=1)
+
+        def evaluate(x, y):
+            h, (gu, gv), hess = _finite_dual(kind, log_p, s, powers, x, y)
+            return h - x * u - y * v, (gu - u, gv - v), hess, tol
+
+        got = minimize_convex_2d(evaluate, in_domain, start, (scale, scale))
+    return got.point if got.converged else start
+
 
 def _truncation(n, name: str) -> int:
     """n as an int when it is an integer >= 1 (numpy integers included)."""
@@ -605,9 +654,12 @@ class EmpSolver:
         maxwell-boltzmann multipliers the cached slope ladder gives
         (series._ladder_point at tolerance 1e-5): y where the root of phi(y)
         = v/u starts, and x = ln u - ln f(y) with ln f(y) interpolated
-        through the two ladder entries (the Newton corrects both).  Each
-        Newton point is one certified pass for h_W, its gradient and its
-        Hessian.
+        through the two ladder entries.  From there an uncertified Newton
+        on the dual of the first 64 terms or more (_proposal, no pass)
+        proposes where the certified Newton starts; it starts at the ladder
+        point where that one does not converge.  Each certified Newton point
+        is one certified pass for h_W, its gradient and its Hessian, so a
+        proposal that lands within the tolerance costs one pass.
 
         The solution is read off the accepted Newton point, without a
         further pass: its gradient sums are (u, v) plus the Newton residual,
@@ -657,12 +709,16 @@ class EmpSolver:
         def in_domain(xx, yy):
             return yy < -prof.alpha and not (bose and series._outside_be(self._fam, xx, yy))
 
+        # the proposal's residual target, res_tol / 10, in norm units
+        start = _proposal(
+            self._fam, kind, u, v_n, (x_c, y_c), scale, in_domain, res_tol / 10.0 / scale
+        )
         try:
-            got = minimize_convex_2d(evaluate, in_domain, (x_c, y_c), (scale, scale))
+            got = minimize_convex_2d(evaluate, in_domain, start, (scale, scale))
         except (DomainError, BudgetError, RangeError) as exc:
             # RangeError: an iterate's x overflows exp(x)
             return InverseFailure(
-                kind, self.multipliers_from_normal(x_c, y_c), (math.inf, math.inf),
+                kind, self.multipliers_from_normal(*start), (math.inf, math.inf),
                 f"newton aborted: {exc}",
             )
         if not got.converged:

@@ -23,6 +23,8 @@ Three key=value sections describe one problem:
 
 Parsing is exact and diffable: a spec written back with its floats' repr
 parses to the same ProblemSpec (the tests' serialize_spec checks it).
+parse_spec also builds the family once, so that every error, the family's
+included, is a ParseError with the line at fault.
 """
 
 from __future__ import annotations
@@ -97,8 +99,8 @@ def _parse_int(raw: str, line: int, key: str) -> int:
         raise ParseError(line, f"{key}: not an integer: {raw!r}") from exc
 
 
-def _float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+def _float_list(raw: str, line: int, key: str) -> tuple[float, ...]:
+    return tuple(_parse_float(tok, line, key) for tok in raw.split(",") if tok.strip())
 
 
 _SIMPLE_FAMILIES = {
@@ -109,33 +111,51 @@ _SIMPLE_FAMILIES = {
     "weighted-geometric": (WeightedGeometric, {"rate": 1.0, "power": 3.0}),
     "lattice3d": (Lattice3D, {"scale": 1.0}),
     "divergent": (ExplosiveWeights, {"rate": 1.0}),
+    "constant": (lambda level: Arithmetic(offset=level, slope=0.0), {"level": 1.0}),
 }
 
 
-def _build_family(name: str, params: dict[str, str]) -> SequenceFamily:
-    if name == "constant":
-        level = float(params.get("level", "1.0"))
-        return Arithmetic(offset=level, slope=0.0)
-    if name == "explicit":
-        if "p" not in params or "sigma" not in params:
-            raise ConfigurationError("explicit family needs p and sigma lists")
-        weights = _float_list(params["p"])
-        levels = _float_list(params["sigma"])
-        tail_name = params.get("tail", "arithmetic")
-        tail_params = {
-            k[len("tail.") :]: v for k, v in params.items() if k.startswith("tail.")
-        }
-        tail = _build_family(tail_name, tail_params)
-        return ExplicitPrefix(weights, levels, tail)
-    if name not in _SIMPLE_FAMILIES:
-        raise ConfigurationError(f"unknown family {name!r}")
-    cls, defaults = _SIMPLE_FAMILIES[name]
-    kwargs = dict(defaults)
-    for key, raw in params.items():
-        if key not in defaults:
-            raise ConfigurationError(f"family {name!r} has no parameter {key!r}")
-        kwargs[key] = float(raw)
-    return cls(**kwargs)
+def _build_family(name: str, params: dict[str, str], lines=None, prefix="") -> SequenceFamily:
+    """The family `name` with `params`, each key read as prefix + key (an
+    explicit family's tail reads its keys "tail.<key>").  Every error is a
+    ParseError at the line of the key at fault, from lines ("family.<key>"
+    to its line, 0 where absent): a parameter's own line for an unknown
+    parameter or a value that is not a number, else the line that names the
+    family (`name`, or `tail` for a tail), also for a family's own check of
+    its values."""
+    lines = lines or {}
+
+    def line(key):
+        return lines.get(f"family.{prefix}{key}", 0)
+
+    name_line = lines.get(f"family.{prefix[:-1] or 'name'}", 0)
+    try:
+        if name == "explicit":
+            if "p" not in params or "sigma" not in params:
+                raise ParseError(name_line, "explicit family needs p and sigma lists")
+            for key in params:
+                if key not in ("p", "sigma", "tail") and not key.startswith("tail."):
+                    message = f"family 'explicit' has no parameter {prefix + key!r}"
+                    raise ParseError(line(key), message)
+            weights = _float_list(params["p"], line("p"), f"{prefix}p")
+            levels = _float_list(params["sigma"], line("sigma"), f"{prefix}sigma")
+            tail_params = {
+                k[len("tail.") :]: v for k, v in params.items() if k.startswith("tail.")
+            }
+            tail_name = params.get("tail", "arithmetic")
+            tail = _build_family(tail_name, tail_params, lines, f"{prefix}tail.")
+            return ExplicitPrefix(weights, levels, tail)
+        if name not in _SIMPLE_FAMILIES:
+            raise ParseError(name_line, f"unknown family {name!r}")
+        cls, defaults = _SIMPLE_FAMILIES[name]
+        kwargs = dict(defaults)
+        for key, raw in params.items():
+            if key not in defaults:
+                raise ParseError(line(key), f"family {name!r} has no parameter {prefix + key!r}")
+            kwargs[key] = _parse_float(raw, line(key), prefix + key)
+        return cls(**kwargs)
+    except ConfigurationError as exc:  # a family's own check of its values
+        raise ParseError(name_line, str(exc)) from exc
 
 
 def _no_stray_key(section: str, keys: dict[str, str], lines: dict[str, int]) -> None:
@@ -204,5 +224,6 @@ def parse_spec(text: str) -> ProblemSpec:
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ParseError(lines.get("tolerances.tol", 0), "tol must be positive")
 
+    _build_family(name, family, lines)
     params = tuple(sorted(family.items()))
     return ProblemSpec(name, params, entropy, mode, tol=tol, epsilon=epsilon, **targets)

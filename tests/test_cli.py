@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from entromin import ConfigurationError, NumericalFailureError, Region, cli, series, solver
+from entromin import NumericalFailureError, Region, cli, series, solver
 from entromin.cli import main
 from entromin.rootfind import solve_bracketed
 from entromin.specfile import ParseError, parse_spec
@@ -322,14 +322,34 @@ class TestSpecErrors:
     @pytest.mark.parametrize(
         "family, message",
         [
-            ("name = explicit\np = 1,1", "explicit family needs p and sigma lists"),
-            ("name = geometric\nbogus = 1", "family 'geometric' has no parameter 'bogus'"),
+            ("name = explicit\np = 1,1", "line 2: explicit family needs p and sigma lists"),
+            ("name = geometric\nbogus = 1", "line 3: family 'geometric' has no parameter 'bogus'"),
+            ("name = nosuch", "line 2: unknown family 'nosuch'"),
+            # an explicit family ignored keys it does not read
+            (
+                "name = explicit\np = 1\nsigma = 1\nbogus = 1",
+                "line 5: family 'explicit' has no parameter 'bogus'",
+            ),
+            (
+                "name = weighted-geometric\nrate = -1",
+                "line 2: weighted-geometric rate must be positive",
+            ),
+            # a family parameter that is not a number raised a raw ValueError
+            ("name = geometric\nslope = abc", "line 3: slope: not a number: 'abc'"),
+            ("name = explicit\np = 1,x\nsigma = 1,2", "line 3: p: not a number: 'x'"),
+            ("name = constant\nlevel = high", "line 3: level: not a number: 'high'"),
+            (
+                "name = explicit\np = 1\nsigma = 1\ntail = arithmetic\ntail.slope = q",
+                "line 6: tail.slope: not a number: 'q'",
+            ),
+            ("name = explicit\np = 1\nsigma = 1\ntail = nosuch", "line 5: unknown family 'nosuch'"),
         ],
     )
     def test_family_error(self, tmp_path, capsys, family, message):
         text = GEO_SOLVE.replace("name = geometric", family)
-        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        with pytest.raises(ParseError) as err:
             parse_spec(text).build_family()
+        assert str(err.value) == message
         assert main(["--spec", _write(tmp_path, text)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 

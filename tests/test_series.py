@@ -24,6 +24,7 @@ from entromin import (
     DivergenceError,
     DomainError,
     EmpError,
+    EmpSolution,
     EmpSolver,
     Entropy,
     ExplicitPrefix,
@@ -895,12 +896,20 @@ def _guard_calls(draw, entries=("phi_inverse", "lnf_conjugate", "solve_mb", "val
     return family, entry, (u, v)
 
 
+def _be_edge_target():
+    """The bose-einstein target of the multipliers (1 - 1e-12, -1) on
+    Arithmetic(0, 1): x + theta1 y = -1e-12, the first occupation near 1e12."""
+    fwd = EmpSolver(Arithmetic(0.0, 1.0)).forward_solve(BE, 1.0 - 1e-12, -1.0)
+    return fwd.u, fwd.v
+
+
 class TestOnlyEmpErrorEscapes:
     """The slope-root entries at extreme floats and at slopes 1 ulp from
     the cone's edges return a float that is not nan, or raise EmpError; so
     do phi at extreme y and at y within 1 ulp of -alpha, and the bf inverse
     at extreme targets 1 ulp inside the cone, which may also report an
-    InverseFailure."""
+    InverseFailure, as it must where its finite proposal overflows or has
+    no minimizer."""
 
     @staticmethod
     def _check(call):
@@ -933,6 +942,28 @@ class TestOnlyEmpErrorEscapes:
     @given(_guard_calls(("phi", "inverse_solve_bf")))
     def test_extreme_slopes_and_bf_targets(self, call):
         self._check(call)
+
+    @pytest.mark.parametrize(
+        "kind, target",
+        [
+            # fermi-dirac u above sum_{n <= 64} p_n = 64: the 64-term dual
+            # has no minimizer
+            (FD, lambda: (100.0, 6000.0)),
+            (FD, lambda: (1000.0, 1e6)),
+            (BE, _be_edge_target),
+            (BE, lambda: (1e300, 2e300)),
+            (FD, lambda: (1e300, 2e300)),
+            (BE, lambda: (1e300, 1e300 * (1.0 + 1e-9))),
+        ],
+    )
+    def test_bf_targets_the_finite_proposal_cannot_reach(self, kind, target):
+        # the inverse's uncertified proposal overflows or has no minimizer
+        # there: a solution or a failure report, and no float warning
+        u, v = target()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = EmpSolver(Arithmetic(0.0, 1.0)).inverse_solve_bf(kind, u, v)
+        assert isinstance(out, (EmpSolution, InverseFailure))
 
     def test_a_huge_interior_value_overflows_to_inf(self):
         # u (ln u - 1) overflowed to +inf and u (ln f)*(w) to -inf, whose
