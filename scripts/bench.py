@@ -57,7 +57,8 @@ bracket_calls from the family that series._eval_many and
 series._model_moments see, model_points from series._certified_slope, the exp counts
 from the numpy that entromin.solver and entromin.finite see, slope_passes
 from the arguments of series._eval_many, and newton_points and
-proposal_points from solver.minimize_convex_2d and series._dual_point:
+proposal_points from the minimize_convex_2d that entromin.solver and
+entromin.finite call and from series._dual_point:
 
   prefix_passes        np.exp calls made by entromin.solver and
                        entromin.finite (where a tree keeps the Gibbs pass,
@@ -106,8 +107,9 @@ proposal_points from solver.minimize_convex_2d and series._dual_point:
                        series._dual_point pass;
   proposal_points      the other such points: those of the uncertified
                        finite-sum Newton that proposes where the certified
-                       one starts, which make no pass (0 in trees without
-                       it);
+                       one starts (finite._minimize_dual, in trees before
+                       it solver's own), which make no pass (0 in trees
+                       without a proposal);
   exp_calls            np.exp calls made by entromin.solver and
                        entromin.finite during one finite solve: every
                        evaluation of phi_n in its slope root, and any exp
@@ -516,12 +518,15 @@ def _inverse(es, kind, u, v):
 
 @contextlib.contextmanager
 def _counting_newton(counts):
-    """Count into counts the points at which the inverse solve's damped
-    Newtons evaluate their dual potential (calls of the `evaluate` callback
-    of solver.minimize_convex_2d): newton_points where the point makes a
-    certified series._dual_point pass, proposal_points where it makes none
-    (the uncertified finite-sum proposal, which trees before it lack)."""
-    from entromin import series, solver
+    """Count into counts the points at which the damped Newtons of solver
+    and finite evaluate their dual potential (calls of the `evaluate`
+    callback of minimize_convex_2d as either module calls it):
+    newton_points where the point makes a certified series._dual_point
+    pass, proposal_points where it makes none.  The latter are the
+    inverse's uncertified finite-sum proposal, finite._minimize_dual (in
+    older trees solver's own Newton; none in trees without a proposal);
+    no case runs a finite bose-einstein or fermi-dirac solve."""
+    from entromin import finite, series, solver
 
     newton, dual_point = solver.minimize_convex_2d, series._dual_point
     passes = [0]
@@ -540,11 +545,14 @@ def _counting_newton(counts):
 
         return newton(counted, *args, **kwargs)
 
+    finite_newton = finite.minimize_convex_2d
     solver.minimize_convex_2d, series._dual_point = counting_newton, counting_dual_point
+    finite.minimize_convex_2d = counting_newton
     try:
         yield
     finally:
         solver.minimize_convex_2d, series._dual_point = newton, dual_point
+        finite.minimize_convex_2d = finite_newton
 
 
 TRIP_KEYS = {**PASS_KEYS, "slope_passes": "slope_passes"}

@@ -6,9 +6,11 @@ u_k = p_k e^(alpha + beta sigma_k)), the damped Newton of
 rootfind.minimize_convex_2d on the smooth strictly convex dual for the
 bose-einstein and fermi-dirac cases (both started at the maxwell-boltzmann
 multipliers), and greedy zonotope envelopes for fermi-dirac feasibility and
-its boundary faces.  The Gibbs pass, one exp of the weights, gives phi_n,
-Var_n(sigma), ln Z_n and that optimum: the slope root phi_n(beta) = v/u is
-rootfind.newton_root on it, and so is each solver.EpsilonFamily member.
+its boundary faces.  That Newton (_minimize_dual), on the series kernel's
+rows (series._mult_arrays), is also the inverse's proposal.  The Gibbs
+pass, one exp of the weights, gives phi_n, Var_n(sigma), ln Z_n and that
+optimum: the slope root phi_n(beta) = v/u is rootfind.newton_root on it,
+and so is each solver.EpsilonFamily member.
 
 Weights must be finite and positive and levels at most 1e150 in size, so
 that Var_n(sigma) does not overflow (DomainError), targets finite
@@ -26,9 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .entropies import (
-    Entropy, entropy_conjugate, entropy_conjugate_derivative, entropy_derivative, entropy_value,
-)
+from . import series
+from .entropies import Entropy, entropy_conjugate_derivative, entropy_derivative, entropy_value
 from .errors import (
     BudgetError,
     DomainError,
@@ -257,42 +258,59 @@ def _mb_multipliers(p, sigma, u, v):
     return math.log(u) - log_z, beta, u * e / z0
 
 
+_DUAL_MULTS = ("conj", "grad", "hess")
+
+
+def _finite_dual(kind, log_p, s, powers, span, x, y):
+    """(h, (h_x, h_y), (h_xx, h_xy, h_yy)) of the finite dual sum_k p_k
+    W*(x + sigma_k y), ln p_k = log_p, sigma_k = s: the kernel's rows of
+    W*, (W*)' and (W*)'' (series._mult_arrays, max t from span = (min s,
+    max s)) times powers = (1, sigma_k, sigma_k^2) in one product."""
+    t = x + s * y
+    lt = log_p + t
+    t_hi = x + (span[1] if y > 0.0 else span[0]) * y
+    rows = series._mult_arrays(kind, _DUAL_MULTS, t, t_hi, np.exp(lt), lt, log_p)
+    (h, _, _), (gu, gv, _), hess = (np.array(list(rows.values())) @ powers).tolist()
+    return h, (gu, gv), hess
+
+
+def _minimize_dual(kind, log_p, s, u, v, start, scales, tol, in_domain):
+    """minimize_convex_2d from start on the finite dual sum_k p_k W*(x +
+    sigma_k y) - x u - y v (_finite_dual), each point judged at residual
+    norm tol, numpy's float warnings off: the finite-dual Newton of
+    _dual_newton and of the inverse's proposal (solver._proposal)."""
+    powers = np.stack((np.ones_like(s), s, s * s), axis=1)
+    span = (float(np.minimum.reduce(s)), float(np.maximum.reduce(s)))
+
+    def evaluate(x, y):
+        h, (gu, gv), hess = _finite_dual(kind, log_p, s, powers, span, x, y)
+        return h - x * u - y * v, (gu - u, gv - v), hess, tol
+
+    with np.errstate(all="ignore"):
+        return minimize_convex_2d(evaluate, in_domain, start, scales)
+
+
 def _dual_newton(kind, p, sigma, u, v, a0: float, b0: float) -> FiniteSolution:
-    """Minimize the dual sum_k p_k W*(a + b sigma_k) - a u - b v by the damped
-    Newton of rootfind from (a0, b0), moved into dom W* where needed.  The
-    optimum is u_k = p_k g(a + b sigma_k), g = (W*)' with g' = g (1 - a_W g);
-    W* and g are the entropies module's, and each Newton point computes g
-    once for the gradient and the Hessian.
-    Residuals below ~1e-11 of the constraint scale sit in float noise."""
+    """Minimize the dual sum_k p_k W*(a + b sigma_k) - a u - b v from (a0,
+    b0), moved into dom W* where needed, to residual 1e-11 of the
+    constraint scale, where float noise sits (_minimize_dual).  The optimum
+    u_k = p_k (W*)'(a + b sigma_k) is the entropies module's: under
+    fermi-dirac it never exceeds p_k."""
     p = np.asarray(p, dtype=float)
     s = np.asarray(sigma, dtype=float)
-    ps = p * s
     bose = kind is Entropy.BOSE_EINSTEIN
     t = a0 + b0 * s
     if bose and t.max() >= 0.0:
         a0 -= t.max() + 1.0
-
-    def evaluate(a, b):
-        t = a + b * s
-        g = entropy_conjugate_derivative(kind, t)
-        gp = g * (1.0 - kind.a * g)
-        return (
-            float((p * entropy_conjugate(kind, t)).sum()) - a * u - b * v,
-            (float((p * g).sum()) - u, float((ps * g).sum()) - v),
-            (float((p * gp).sum()), float((ps * gp).sum()), float((ps * s * gp).sum())),
-            1e-11,
-        )
-
-    with np.errstate(over="ignore"):
-        res = minimize_convex_2d(
-            evaluate, lambda a, b: not bose or (a + b * s).max() < 0.0,
-            (a0, b0), (max(1.0, u), max(1.0, abs(v))),
-        )
-        if not res.converged:
-            name = kind.name.lower().replace("_", "-")
-            raise NumericalFailureError(f"{name} dual Newton: {res.message}")
-        a, b = res.point
-        u_bar = p * entropy_conjugate_derivative(kind, a + b * s)
+    res = _minimize_dual(
+        kind, np.log(p), s, u, v, (a0, b0), (max(1.0, u), max(1.0, abs(v))), 1e-11,
+        lambda a, b: not bose or (a + b * s).max() < 0.0,
+    )
+    if not res.converged:
+        name = kind.name.lower().replace("_", "-")
+        raise NumericalFailureError(f"{name} dual Newton: {res.message}")
+    a, b = res.point
+    u_bar = p * entropy_conjugate_derivative(kind, a + b * s)
     value = _w_sum(kind, p, u_bar)
     return FiniteSolution(tuple(u_bar), value, res.point, BoundaryFlag.INTERIOR_KKT)
 

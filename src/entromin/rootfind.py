@@ -15,9 +15,10 @@ raises BudgetError.  The library does not call it: the tests use it as an
 independent reference root for the Newton loops.
 
 minimize_convex_2d: damped Newton on the smooth convex dual potential of
-every two-variable solve (finite bose-einstein and fermi-dirac, inverse
-solves over countable families), with backtracking kept in its domain; one
-callback gives the potential with its gradient, Hessian and tolerance.
+every two-variable solve (finite._minimize_dual's finite bose-einstein and
+fermi-dirac dual, which the inverse's proposal shares, and the inverse's
+certified Newton), with backtracking kept in its domain; one callback gives
+the potential with its gradient, Hessian and tolerance.
 """
 
 from __future__ import annotations

@@ -36,8 +36,9 @@ pass at that start certifies the Newton steps after it.
 The ladder also starts the bose-einstein and fermi-dirac inverse with no
 pass (_ladder_point: that start, and ln f there interpolated through the
 same two entries); the inverse moves that start to the minimizer of the
-uncertified dual of its first 64 terms or more (solver._proposal, from
-_mult_arrays and no pass) before its first certified point.  The
+uncertified dual of its first 64 terms or more (solver._proposal: no pass,
+finite._minimize_dual on the rows of _mult_arrays, which also builds a
+pass's W* rows) before its first certified point.  The
 conjugate of ln f follows its four-branch closed form, and its interior
 branch (_conjugate_at) is also the solver's interior value.
 A pass whose target is beyond the term budget stops at the bound it can
@@ -89,6 +90,7 @@ _START_BLOCK = 64
 _ONE_ARRAY = 4096  # a pass sums its terms up to here in one array
 _MB = Entropy.MAXWELL_BOLTZMANN
 _UNIT = (1.0, 1.0)
+_LN2 = math.log(2.0)
 _add_reduce = np.add.reduce  # ndarray.sum() without its Python-level wrapper
 _tuple_new = tuple.__new__  # a NamedTuple without its Python-level __new__
 _log = logging.getLogger("entromin")
@@ -181,9 +183,7 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0, model=False):
             t_next = x + family.sigma(hi + 1) * y
             if kind is Entropy.BOSE_EINSTEIN and t_next >= 0.0:
                 raise DomainError("bose-einstein dual needs x + sigma_n y < 0 on the tail")
-            # unclipped: fermi-dirac's lower bounds take the tail's largest z
-            z_next = math.exp(t_next) if t_next < 709.0 else math.inf
-            bounds = {m: _mult_bounds(kind, m, z_next) for m in mults}
+            bounds = _mult_bounds(kind, t_next)
         ivs = family.tail_intervals(y, hi, moments)
         while True:  # judged again once the tolerances rise to the ceiling
             brackets = []
@@ -244,25 +244,26 @@ def _block_sums(family, y, tols, x, kind, mults, n, model=False):
     1-64, 65-128, ... up to a pass's stopping index n, whose math.fsum is
     the sum: one array of terms up to min(n, 4096), each partial from a
     slice (none when n = 64), then one array per block.  Per array the terms
-    are exponentiated once, and z = e^t once for the multipliers
-    (_mult_arrays).  With `model` (a slope pass, its last sum moment 2),
-    higher holds the partial sums of moments 3, 4 and 5 over the same
-    terms, each array's moment-2 terms times sigma, sigma^2 and sigma^3,
-    and top the largest level summed; else () and 0."""
+    are exponentiated once, and their multiplier rows built once from
+    z = e^t (_mult_arrays).  With `model` (a slope pass, its last sum
+    moment 2), higher holds the partial sums of moments 3, 4 and 5 over the
+    same terms, each array's moment-2 terms times sigma, sigma^2 and
+    sigma^3, and top the largest level summed; else () and 0."""
     sums = [[] for _ in tols]
     higher, top = [0.0, 0.0, 0.0] if model else (), 0.0
+    # x + theta1 y bounds every t when y <= 0; else each array's own max
+    t_hi = x + sigma_min_set(family).theta1 * y if mults and y <= 0.0 else None
     lo, hi = 1, n if n < _ONE_ARRAY else _ONE_ARRAY
     while True:
         logt = family.log_terms(y, lo, hi)
         sig = family.sigma_array(lo, hi)
-        base = np.exp(logt + x if x else logt)
+        lt = logt + x if x else logt
+        base = np.exp(lt)
         weighted = {}
         if mults:
             t = x + sig * y
-            if kind is Entropy.FERMI_DIRAC and t.max() > 700.0:
-                weighted = _fermi_far(mults, base, (logt + x) - t, t)
-            else:
-                weighted = {m: base * arr for m, arr in _mult_arrays(kind, mults, t).items()}
+            bound = t_hi if t_hi is not None else float(np.maximum.reduce(t))
+            weighted = _mult_arrays(kind, mults, t, bound, base, lt)
         cuts = None  # (start, end) of each block inside the array
         if hi > _START_BLOCK and lo == 1:
             cuts = [(0, _START_BLOCK)]
@@ -766,60 +767,62 @@ def _outside_be(family, x, y) -> bool:
     return t >= 0.0 or math.exp(t) == 1.0
 
 
-def _mult_arrays(kind: Entropy, mults, t: np.ndarray) -> dict:
-    """Per-term multipliers m(t), one array for each name in `mults`, with
-    W*(t) = e^t m(t) ('conj'), (W*)'(t) = e^t m(t) ('grad') and
-    (W*)''(t) = e^t m(t) ('hess'), for bose-einstein and fermi-dirac
-    (maxwell-boltzmann has m = 1), from one z = e^t."""
+def _mult_arrays(kind: Entropy, mults, t, t_hi, base, lt, log_p=None) -> dict:
+    """The rows base m(t) of the bose-einstein or fermi-dirac dual sums, one
+    per name in `mults`, where base = p_n e^t = e^lt and e^t m(t) is W*(t)
+    ('conj'), (W*)'(t) ('grad') or (W*)''(t) ('hess'), from one z = e^t.
+    t_hi >= max t decides two branches without a reduction: bose-einstein's
+    1 - z is -expm1(t) where t > -ln 2 (no cancellation, Maechler 2012), and
+    fermi-dirac terms with t > 700 come from e^-t and p_n = e^log_p, or
+    e^(lt - t) where the caller has no ln p_n."""
     fermi = kind is Entropy.FERMI_DIRAC
-    z = np.exp(np.minimum(t, 700.0 if fermi else 0.0))  # t <= 0 on BE paths
+    far = near = None
+    if fermi and t_hi > 700.0:
+        far = t > 700.0
+        base = np.where(far, 0.0, base)
+    z = np.exp(t if far is None else np.minimum(t, 700.0))  # t < 0 under bose-einstein
+    den = 1.0 + z if fermi else 1.0 - z
+    if not fermi and t_hi > -_LN2:
+        near = t > -_LN2
+        den = np.where(near, -np.expm1(t), den)
     out = {}
-    if "conj" in mults:
+    if "conj" in mults:  # W*(t) / z = ln(1 + z) / z or -ln(1 - z) / z
         small = z < 1e-8
-        safe = np.where(small, 1.0, z)
-        out["conj"] = (
-            np.where(small, 1.0 - 0.5 * z, np.log1p(z) / safe)
-            if fermi
-            else np.where(small, 1.0 + 0.5 * z, -np.log1p(-z) / safe)
-        )
-    if "grad" in mults or "hess" in mults:
-        d = 1.0 / (1.0 + z) if fermi else 1.0 / (1.0 - z)
-        if "grad" in mults:
-            out["grad"] = d
-        if "hess" in mults:
-            out["hess"] = d * d
+        ln_den = np.log1p(z if fermi else -z)
+        if near is not None:
+            ln_den = np.where(near, np.log(den), ln_den)
+        ratio = (ln_den if fermi else -ln_den) / np.where(small, 1.0, z)
+        out["conj"] = base * np.where(small, 1.0 - 0.5 * z if fermi else 1.0 + 0.5 * z, ratio)
+    d = 1.0 / den
+    if "grad" in mults:
+        out["grad"] = base * d
+    if "hess" in mults:
+        out["hess"] = base * (d * d)
+    if far is not None:
+        tf = t[far]
+        p = np.exp(log_p[far] if log_p is not None else lt[far] - tf)
+        w = np.exp(-tf)
+        exact = {"conj": p * (tf + np.log1p(w)), "grad": p / (1.0 + w), "hess": p * w / (1.0 + w) ** 2}
+        for m, row in out.items():
+            row[far] = exact[m]
     return out
 
 
-def _fermi_far(mults, base, logp: np.ndarray, t: np.ndarray) -> dict:
-    """_block_sums' fermi-dirac terms where some t > 700: there z = e^t is
-    clipped (_mult_arrays) and base = p_n e^t nears overflow, so those terms
-    come from w = e^-t and p_n = e^logp, the others as base m(t)."""
-    far = t > 700.0
-    tf, p = t[far], np.exp(logp[far])
-    w = np.exp(-tf)
-    exact = {"conj": p * (tf + np.log1p(w)), "grad": p / (1.0 + w), "hess": p * w / (1.0 + w) ** 2}
-    base = np.where(far, 0.0, base)
-    out = {m: base * arr for m, arr in _mult_arrays(Entropy.FERMI_DIRAC, mults, t).items()}
-    for m, arr in out.items():
-        arr[far] = exact[m]
-    return out
-
-
-def _mult_bounds(kind: Entropy, what: str, z_next: float) -> tuple[float, float]:
-    """Bounds of the multiplier over the whole tail, where z <= z_next."""
+def _mult_bounds(kind: Entropy, t_next: float) -> dict:
+    """{m: bounds of the multiplier m over the whole tail, where t <=
+    t_next} for m = 'conj', 'grad' and 'hess': fermi-dirac's lower bounds
+    take the tail's largest z = e^t_next, unclipped, and bose-einstein's
+    1 - z is -expm1(t_next) above -ln 2, as in _mult_arrays."""
+    z = math.exp(t_next) if t_next < 709.0 else math.inf
     if kind is Entropy.FERMI_DIRAC:
-        if what == "conj":
-            lo = math.log1p(z_next) / z_next if z_next > 1e-8 else 1.0 - 0.5 * z_next
-            return lo, 1.0
-        d = 1.0 / (1.0 + z_next)
-        return (d, 1.0) if what == "grad" else (d * d, 1.0)
-    # bose-einstein: z_next < 1 strictly
-    if what == "conj":
-        hi = -math.log1p(-z_next) / z_next if z_next > 1e-8 else 1.0 + 0.5 * z_next
-        return 1.0, hi
-    d = 1.0 / (1.0 - z_next)
-    return (1.0, d) if what == "grad" else (1.0, d * d)
+        d = 1.0 / (1.0 + z)
+        conj = math.log1p(z) / z if z > 1e-8 else 1.0 - 0.5 * z
+        return {"conj": (conj, 1.0), "grad": (d, 1.0), "hess": (d * d, 1.0)}
+    near = t_next > -_LN2  # t_next < 0, so z < 1
+    den = -math.expm1(t_next) if near else 1.0 - z
+    d = 1.0 / den
+    conj = -(math.log(den) if near else math.log1p(-z)) / z if z > 1e-8 else 1.0 + 0.5 * z
+    return {"conj": (1.0, conj), "grad": (1.0, d), "hess": (1.0, d * d)}
 
 
 @_overflow_ignored

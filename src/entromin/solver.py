@@ -185,53 +185,28 @@ def _build_prefix(family, n: int):
 
 _cached_prefix = functools.lru_cache(maxsize=_PREFIX_CACHE_SIZE)(_build_prefix)
 
-_DUAL_MULTS = ("conj", "grad", "hess")
-
-
-def _finite_dual(kind, log_p, s, powers, x, y):
-    """(h, (h_x, h_y), (h_xx, h_xy, h_yy)) of the finite dual sum_k p_k
-    W*(x + sigma_k y) over the terms ln p_k = log_p, sigma_k = s, uncertified:
-    the per-term W*, (W*)' and (W*)'' come from the kernel's own multipliers
-    (series._mult_arrays, series._fermi_far past t = 700), and the six sums
-    from one product of those three rows with powers = (1, sigma_k,
-    sigma_k^2)."""
-    t = x + s * y
-    base = np.exp(log_p + t)
-    if kind is Entropy.FERMI_DIRAC and t.max() > 700.0:
-        rows = list(series._fermi_far(_DUAL_MULTS, base, log_p, t).values())
-    else:
-        rows = [base * m for m in series._mult_arrays(kind, _DUAL_MULTS, t).values()]
-    (h, _, _), (gu, gv, _), hess = (np.array(rows) @ powers).tolist()
-    return h, (gu, gv), hess
-
 
 def _proposal(family, kind, u, v, start, scale, in_domain, tol):
     """Where the certified Newton of inverse_solve_bf starts: the minimizer
-    of the uncertified dual of the first n terms, sum_{k <= n} p_k W*(x +
-    sigma_k y) - x u - y v (_finite_dual), by minimize_convex_2d from start
-    down to residual norm tol, or start where that Newton does not converge.
-    n is 64 (series._START_BLOCK), doubled up to 4096 while the last half of
-    the first n terms carries more than the tolerance at start, as
-    maxwell-boltzmann terms p_k e^(x + sigma_k y) (1 + sigma_k).  It makes
-    no pass: ln p_k and sigma_k come from _prefix.  numpy's float warnings
-    are off for the whole proposal."""
+    of the uncertified dual of the first n terms, by the finite solves'
+    Newton (finite._minimize_dual) from start down to residual norm tol, or
+    start where it does not converge.  n is 64 (series._START_BLOCK),
+    doubled up to 4096 while the last half of the first n terms carries
+    more than the tolerance at start, as maxwell-boltzmann terms p_k e^(x +
+    sigma_k y) (1 + sigma_k), each divided by the tolerance first, which
+    keeps them finite for a target near the float limit.  It makes no
+    pass: ln p_k and sigma_k come from _prefix."""
     x0, y0 = start
+    shift = x0 - math.log(tol * scale)
     n = series._START_BLOCK
-    with np.errstate(all="ignore"):
-        while True:
-            log_p, s = _prefix(family, n)
-            half = slice(n // 2, n)
-            tail = np.exp(log_p[half] + (x0 + s[half] * y0)) @ (1.0 + s[half])
-            if n >= series._ONE_ARRAY or not tail > tol * scale:
-                break
-            n *= 2
-        powers = np.stack((np.ones_like(s), s, s * s), axis=1)
-
-        def evaluate(x, y):
-            h, (gu, gv), hess = _finite_dual(kind, log_p, s, powers, x, y)
-            return h - x * u - y * v, (gu - u, gv - v), hess, tol
-
-        got = minimize_convex_2d(evaluate, in_domain, start, (scale, scale))
+    while True:
+        log_p, s = _prefix(family, n)
+        half = slice(n // 2, n)
+        tail = np.exp(log_p[half] + (shift + s[half] * y0)) @ (1.0 + s[half])
+        if n >= series._ONE_ARRAY or not tail > 1.0:
+            break
+        n *= 2
+    got = finite._minimize_dual(kind, log_p, s, u, v, start, (scale, scale), tol, in_domain)
     return got.point if got.converged else start
 
 
@@ -654,12 +629,13 @@ class EmpSolver:
         maxwell-boltzmann multipliers the cached slope ladder gives
         (series._ladder_point at tolerance 1e-5): y where the root of phi(y)
         = v/u starts, and x = ln u - ln f(y) with ln f(y) interpolated
-        through the two ladder entries.  From there an uncertified Newton
-        on the dual of the first 64 terms or more (_proposal, no pass)
-        proposes where the certified Newton starts; it starts at the ladder
-        point where that one does not converge.  Each certified Newton point
-        is one certified pass for h_W, its gradient and its Hessian, so a
-        proposal that lands within the tolerance costs one pass.
+        through the two ladder entries.  From there the finite solves' dual
+        Newton (finite._minimize_dual), uncertified on the first 64 terms or
+        more (_proposal, no pass), proposes where the certified Newton
+        starts; it starts at the ladder point where that one does not
+        converge.  Each certified Newton point is one certified pass for
+        h_W, its gradient and its Hessian, so a proposal that lands within
+        the tolerance costs one pass.
 
         The solution is read off the accepted Newton point, without a
         further pass: its gradient sums are (u, v) plus the Newton residual,

@@ -514,9 +514,10 @@ def ref_eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0):
     narrower than its sum's tolerance.  m = None, and every m under
     maxwell-boltzmann, is the unit multiplier: the moments of f are the x = 0
     case.  Otherwise m(t) e^t is (W*)(t), (W*)' or (W*)'' as m is 'conj',
-    'grad' or 'hess' (_mult_arrays), so h_W, its gradient and its Hessian
-    can share one pass.  Per block the terms are exponentiated once, z = e^t
-    once, and the f-tail bracket taken once per moment from
+    'grad' or 'hess', so h_W, its gradient and its Hessian can share one
+    pass.  Per block the terms are exponentiated once, their multiplier rows
+    built once from z = e^t (_mult_arrays, bounded by the block's largest
+    t), and the f-tail bracket taken once per moment from
     family.tail_interval, the one bracket source (at y = -alpha it is the
     boundary bracket); each sum widens it by exp(x) and its multiplier's
     bounds over the tail (_mult_bounds), which unit sums at x = 0 skip.
@@ -541,16 +542,15 @@ def ref_eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0):
     while True:
         logt = family.log_terms(y, lo, hi)
         sig = family.sigma_array(lo, hi)
-        base = np.exp(logt + x if x else logt)
+        lt = logt + x if x else logt
+        base = np.exp(lt)
         if mults:
             t_next = x + family.sigma(hi + 1) * y
             if kind is Entropy.BOSE_EINSTEIN and t_next >= 0.0:
                 raise DomainError("bose-einstein dual needs x + sigma_n y < 0 on the tail")
-            weighted = _mult_arrays(kind, mults, x + sig * y)
-            for m, arr in weighted.items():
-                weighted[m] = base * arr
-            z_next = math.exp(min(t_next, 700.0))
-            bounds = {m: _mult_bounds(kind, m, z_next) for m in mults}
+            t = x + sig * y
+            weighted = _mult_arrays(kind, mults, t, float(t.max()), base, lt)
+            bounds = _mult_bounds(kind, t_next)
         for acc, (m, k) in zip(sums, tols):
             block = weighted.get(m, base)
             if k == 1:

@@ -19,6 +19,7 @@ from entromin import (
     InfeasibleError,
     NumericalFailureError,
     RangeError,
+    entropy_conjugate_derivative,
     entropy_value,
     fd_feasible,
     kkt_residual,
@@ -643,3 +644,110 @@ def test_finite_problem_dispatch():
     assert prob.solve().value == pytest.approx(math.log(0.5) - 1.0, abs=1e-12)
     single = FiniteProblem(FD, (1.0, 1.0), (1.0, 2.0), 1.0)
     assert single.solve().boundary_flag is BoundaryFlag.SINGLE_CONSTRAINT
+
+
+class TestDualNearItsEdges:
+    """Targets (u, v) = sum_k p_k (W*)'(x + sigma_k y) (1, sigma_k) from
+    drawn multipliers: n from 3 to 60, p_k = e^U(-2, 2), levels shifted so
+    that min sigma = 0.5.  Under bose-einstein the first level sits just
+    below condensation, x + 0.5 y = -gap with gap log-uniform in [1e-7, 1],
+    where the dual's multipliers lose 1e-16 / gap relative accuracy unless
+    1 - e^t is -expm1(t).  Under fermi-dirac the low levels are saturated,
+    x up to 60, where p_k e^t / (1 + e^t) can round above p_k: the
+    occupations come from (W*)' itself, which never exceeds 1."""
+
+    @staticmethod
+    def _draw(rng):
+        n = int(rng.integers(3, 61))
+        p = np.exp(rng.uniform(-2.0, 2.0, n))
+        s = rng.uniform(0.0, 10.0, n)
+        return p, s + (0.5 - s.min())
+
+    @staticmethod
+    def _target(kind, p, s, x, y):
+        g = entropy_conjugate_derivative(kind, x + s * y)
+        return math.fsum((p * g).tolist()), math.fsum((p * s * g).tolist())
+
+    def test_be_solutions_meet_their_targets_near_condensation(self):
+        # a draw near gap 1e-7 may have a numerically rank-one dual Hessian,
+        # where the Newton raises rather than return a wrong point
+        rng = np.random.default_rng(30)
+        solved = 0
+        for _ in range(150):
+            p, s = self._draw(rng)
+            gap = 10.0 ** rng.uniform(-7.0, 0.0)
+            y = -rng.uniform(0.1, 3.0)
+            u, v = self._target(BE, p, s, -gap - 0.5 * y, y)
+            try:
+                sol = solve_two_mb_be(BE, p, s, u, v)
+            except NumericalFailureError:
+                continue
+            solved += 1
+            u_bar = np.array(sol.u_bar)
+            assert math.fsum(u_bar.tolist()) == pytest.approx(u, rel=5e-11, abs=0.0)
+            assert math.fsum((s * u_bar).tolist()) == pytest.approx(v, rel=5e-11, abs=0.0)
+        assert solved >= 140
+
+    def test_fd_occupations_stay_within_their_weights(self):
+        rng = np.random.default_rng(31)
+        for _ in range(150):
+            p, s = self._draw(rng)
+            x = rng.uniform(0.0, 60.0)
+            y = -(x + rng.uniform(5.0, 30.0)) / s.max()  # the top level at t <= -5
+            sol = solve_two_fd(p, s, *self._target(FD, p, s, x, y))
+            assert math.isfinite(sol.value)
+            assert all(uk <= pk for uk, pk in zip(sol.u_bar, p.tolist()))
+
+
+class TestFiniteDualAgainstMpmath:
+    """finite._finite_dual, the one finite-dual evaluator, against its sums
+    in 50-digit arithmetic at the float t_k = x + sigma_k y it forms: h, the
+    gradient and the Hessian within 1e-13 relative.  The bose-einstein cases
+    put max t at -1e-12, -1e-6 and -0.5, where 1 - e^t cancels unless it is
+    -expm1(t); the fermi-dirac ones reach t = 800, past the kernel's
+    clipped z = e^700, with unsorted levels and both signs of y."""
+
+    P = (1.3, 0.4, 2.2, 0.9)
+    S = (2.0, 0.5, 3.75, 1.25)  # unsorted, min 0.5 and max 3.75
+
+    @staticmethod
+    def _reference(mpmath, kind, log_p, s, x, y):
+        t = x + s * y
+        rows = [[mpmath.mpf(0)] * 3 for _ in range(3)]
+        for lp, sk, tk in zip(log_p.tolist(), s.tolist(), t.tolist()):
+            pk, tk, sk = mpmath.exp(mpmath.mpf(lp)), mpmath.mpf(tk), mpmath.mpf(sk)
+            z = mpmath.exp(tk)
+            den = 1 + z if kind is FD else 1 - z
+            conj = mpmath.log(den) if kind is FD else -mpmath.log(den)
+            for i, m in enumerate((conj, z / den, z / den**2)):
+                for k in range(3):
+                    rows[i][k] += pk * m * sk**k
+        (h, _, _), (gu, gv, _), hess = rows
+        return [h, gu, gv, *hess]
+
+    @pytest.mark.parametrize(
+        "kind, t_max, y",
+        [
+            (BE, -1e-12, -1.0),
+            (BE, -1e-6, -1.0),
+            (BE, -0.5, -1.0),
+            (BE, -1e-6, 0.25),
+            (FD, 800.0, 150.0),
+            (FD, 800.0, -300.0),
+        ],
+    )
+    def test_sums(self, kind, t_max, y):
+        mpmath = pytest.importorskip("mpmath")
+        log_p, s = np.log(np.array(self.P)), np.array(self.S)
+        top = s.max() if y > 0.0 else s.min()
+        x = t_max - top * y  # max t = t_max, up to the rounding of x
+        assert float(np.max(x + s * y)) == pytest.approx(t_max, rel=1e-3)
+        powers = np.stack((np.ones_like(s), s, s * s), axis=1)
+        with np.errstate(over="ignore"):  # p_k e^t overflows past t = 709; its terms are redone
+            h, grad, hess = finite_module._finite_dual(
+                kind, log_p, s, powers, (s.min(), s.max()), x, y
+            )
+        with mpmath.workdps(50):
+            want = [float(w) for w in self._reference(mpmath, kind, log_p, s, x, y)]
+        for got, w in zip((h, *grad, *hess), want):
+            assert got == pytest.approx(w, rel=1e-13, abs=0.0)

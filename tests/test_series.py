@@ -1185,6 +1185,25 @@ class TestDualPoint:
         assert sol.region.value == "interior"
         assert eval_f(Lattice3D(1.0), -0.8, 1e-12).tail_bound_used <= 1e-12
 
+    @pytest.mark.parametrize("kind", [BE, FD])
+    def test_tail_multiplier_bounds_contain_the_multipliers(self, kind):
+        # the tail's bounds at t_next are the multipliers there, at one end
+        # of each bound; 1 - z from a rounded z = e^t cancels as t_next ->
+        # 0-, losing 1e-16 / |t_next| relative, where -expm1(t_next) keeps
+        # a few ulp, which the slack covers (the ends are not rounded out)
+        mpmath = pytest.importorskip("mpmath")
+        slack = 4.0 * sys.float_info.epsilon
+        for t_next in (-np.geomspace(1e-9, 1.0, 200)).tolist():
+            bounds = series._mult_bounds(kind, t_next)
+            with mpmath.workdps(50):
+                z = mpmath.exp(mpmath.mpf(t_next))
+                den = 1 + z if kind is FD else 1 - z
+                conj = (mpmath.log(den) if kind is FD else -mpmath.log(den)) / z
+                exact = {"conj": float(conj), "grad": float(1 / den), "hess": float(1 / den**2)}
+            for m, want in exact.items():
+                lo, hi = bounds[m]
+                assert lo * (1.0 - slack) <= want <= hi * (1.0 + slack), (m, t_next, bounds[m])
+
 
 class TestBoundarySubdifferential:
     def test_zeta_at_origin_multiplier(self, zeta_family):

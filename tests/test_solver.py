@@ -983,7 +983,7 @@ class TestInverseSolve:
         # certified residual meets the inverse's tolerance
         solver = EmpSolver(family)
         t1 = solver.profile.theta1
-        sums = solver_module._finite_dual
+        sums = finite_module._finite_dual
         for x, y in points:
             x = min(x, -t1 * y - 0.3) if kind is BE else x  # BE: x + theta1 y < 0
             fwd = solver.forward_solve(kind, x, y)
@@ -993,9 +993,9 @@ class TestInverseSolve:
                 h, (gu, gv), hess = sums(*args)
                 return h, (gu + d, gv - d), hess
 
-            monkeypatch.setattr(solver_module, "_finite_dual", off)
+            monkeypatch.setattr(finite_module, "_finite_dual", off)
             inv = solver.inverse_solve_bf(kind, fwd.u, fwd.v)
-            monkeypatch.setattr(solver_module, "_finite_dual", sums)
+            monkeypatch.setattr(finite_module, "_finite_dual", sums)
             assert isinstance(inv, EmpSolution)
             res_tol = 1e-10 * scale  # max(tol, 1e-11) max(1, u, |v|)
             assert abs(inv.u - fwd.u) <= res_tol and abs(inv.v - fwd.v) <= res_tol
