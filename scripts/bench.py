@@ -115,6 +115,12 @@ entromin.finite call and from series._dual_point:
                        evaluation of phi_n in its slope root, and any exp
                        that builds the optimum after it;
   exp_terms            elements those calls exponentiate;
+  py_calls             Python-level calls during one warm solve_mb, as
+                       cProfile counts them (functions and builtins, the
+                       solve_mb call itself included, the profiler's own
+                       disable call not), measured before the tracer is
+                       installed (lattice_interior, mb_interior and
+                       shifted_interior);
   budget_errors        BudgetErrors constructed during one slow_value call
                        or round trip, raised or caught, counted through the
                        class's __init__;
@@ -126,10 +132,11 @@ entromin.finite call and from series._dual_point:
 
 Wall time is the median (with quartiles) over targets of each target's
 median of REPEATS calls, after one untimed warm-up call per target.  All
-timing runs before the tracer is installed, so the counts see whatever a
-tree caches across calls warm, as a long-running process does (the slope
-ladder, and the epsilon family's prefix arrays and endpoint slopes
-phi_n(0) and phi_n(-alpha), per family and n, where the tree caches them).
+timing and the py_calls profiles run before the tracer is installed, so
+the counts see whatever a tree caches across calls warm, as a long-running
+process does (the slope ladder, and the epsilon family's prefix arrays and
+endpoint slopes phi_n(0) and phi_n(-alpha), per family and n, where the
+tree caches them).
 
 Usage, from the repository root:
     python scripts/bench.py --out BENCH.json [--src PATH]
@@ -142,11 +149,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import cProfile
 import inspect
 import io
 import json
 import os
 import platform
+import pstats
 import statistics
 import sys
 import time
@@ -377,6 +386,13 @@ def _timed(fn):
     return statistics.median(times)
 
 
+def _py_calls(fn, *args):
+    """Calls that cProfile sees during fn(*args), fn's own included."""
+    prof = cProfile.Profile()
+    prof.runcall(fn, *args)
+    return pstats.Stats(prof).total_calls - 1  # not the profiler's disable()
+
+
 _KERNEL_COUNTS = Counter()
 
 
@@ -444,9 +460,12 @@ def _shifted(entromin, interior):
     return es, [(u, v - 3.0 * u) for fam, _, u, v in interior if fam == "arithmetic"]
 
 
-def count_solves(tracer, es, targets):
+def count_solves(tracer, es, targets, py_calls):
+    """The counts of es.solve_mb at each target, with py_calls, each
+    target's calls measured without the tracer, in the order of targets."""
     per_target = [
-        _counted(tracer, lambda u=u, v=v: es.solve_mb(u, v), SOLVE_KEYS)[1] for u, v in targets
+        {**_counted(tracer, lambda u=u, v=v: es.solve_mb(u, v), SOLVE_KEYS)[1], "py_calls": c}
+        for (u, v), c in zip(targets, py_calls)
     ]
     return {"counts_per_solve": _summary(per_target)}
 
@@ -485,12 +504,14 @@ def _per_family(targets, per_target, times):
     }
 
 
-def count_interior(tracer, targets, times):
+def count_interior(tracer, targets, times, py_calls):
     """mb_interior's counts and wall times, overall and per family; times
-    holds each target's time in seconds, in the order of targets."""
+    and py_calls hold each target's time in seconds and its calls measured
+    without the tracer, in the order of targets."""
     per_target = [
-        _counted(tracer, lambda es=es, u=u, v=v: es.solve_mb(u, v), SOLVE_KEYS)[1]
-        for _, es, u, v in targets
+        {**_counted(tracer, lambda es=es, u=u, v=v: es.solve_mb(u, v), SOLVE_KEYS)[1],
+         "py_calls": c}
+        for (_, es, u, v), c in zip(targets, py_calls)
     ]
     return {"counts_per_solve": _summary(per_target),
             "per_family": _per_family(targets, per_target, times)}
@@ -800,6 +821,9 @@ def main(argv=None) -> int:
     truncation_s = [_timed(lambda t=t: _truncated(entromin, *t[1:])) for t in truncations]
     slow_s = [_timed(lambda es=es, u=u, v=v: es.value_mb(u, v)) for _, es, u, v in slow]
     cli_verify = verify_case(_verify_runs(entromin, workloads))
+    lattice_calls = [_py_calls(es.solve_mb, u, v) for u, v in lattice]
+    interior_calls = [_py_calls(es.solve_mb, u, v) for _, es, u, v in interior]
+    shifted_calls = [_py_calls(shifted_es.solve_mb, u, v) for u, v in shifted]
 
     tracer = tracing.Tracer()
     tracer.install()
@@ -807,11 +831,13 @@ def main(argv=None) -> int:
     tracer.active = True
     converge = {"targets": len(fams), **count_converge(tracer, np, fams),
                 "wall_ms_per_converge": converge_ms}
-    lattice = {"targets": len(lattice), **count_solves(tracer, es, lattice),
+    lattice = {"targets": len(lattice), **count_solves(tracer, es, lattice, lattice_calls),
                "wall_ms_per_solve": lattice_ms}
-    shifted = {"targets": len(shifted), **count_solves(tracer, shifted_es, shifted),
+    shifted = {"targets": len(shifted),
+               **count_solves(tracer, shifted_es, shifted, shifted_calls),
                "wall_ms_per_solve": shifted_ms}
-    mb_interior = {"targets": len(interior), **count_interior(tracer, interior, interior_s),
+    mb_interior = {"targets": len(interior),
+                   **count_interior(tracer, interior, interior_s, interior_calls),
                    "wall_ms_per_solve": _wall(interior_s)}
     per_trip, failures = count_roundtrips(tracer, entromin, trips)
     roundtrip = {"targets": len(trips), "counts_per_roundtrip": _summary(per_trip),

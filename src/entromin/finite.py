@@ -346,9 +346,9 @@ def fd_feasible(p, sigma, u: float, v: float) -> Feasibility:
         return Feasibility.INFEASIBLE
     if u <= atol:
         return Feasibility.BOUNDARY if abs(v) <= atol else Feasibility.INFEASIBLE
-    if u >= rho - atol:
-        v_full = float((s * p).sum())
-        return Feasibility.BOUNDARY if abs(v - v_full) <= atol else Feasibility.INFEASIBLE
+    # the envelopes hold up to u = rho: at u = rho - d, v may lie anywhere
+    # from v_full - d max sigma to v_full - d min sigma, v_full = sum sigma p,
+    # which can be far wider than atol
     vmin = _envelope_v(p, s, u, lower=True)
     vmax = _envelope_v(p, s, u, lower=False)
     if v < vmin - atol or v > vmax + atol:

@@ -22,10 +22,14 @@ The base class derives the rest: ``constant_sigma`` is sigma_direction 0,
 ``dom_f_empty`` is alpha = +inf for levels not falling to -inf, and
 ``tail_intervals``, the brackets the series layer reads (all moments at one
 index from one call; ``tail_interval`` is its one-moment view), combines a
-leaf family's certificates (moments k >= 1 need positive levels).  A
-wrapper (ExplicitPrefix, ShiftedSigma) declares ``tail_intervals`` from its
-base's whole brackets (a shift falls back on the combiner where that has
-none), and passes ``tail_ratio`` on where it holds.
+leaf family's certificates (moments k >= 1 need positive levels).  A family
+whose closed forms no other route can beat declares ``_direct_wins``, and
+they skip the combiner: Arithmetic's are the exact tails (the ratio
+route's 1 - r cancels near y = 0 and can round low), and Lattice3D has no
+other route.  A wrapper (ExplicitPrefix, ShiftedSigma) declares
+``tail_intervals`` from its base's whole brackets (a shift falls back on
+the combiner where that has none), and passes ``tail_ratio`` on where it
+holds.
 theta1 = min sigma_n comes from ``sigma_min_set``, cached per family; the
 attainment cone and degenerate cases follow from alpha and theta1.
 
@@ -163,50 +167,58 @@ class SequenceFamily:
         None: the one-moment view of tail_intervals."""
         return self.tail_intervals(y, n, (moment,))[0]
 
+    # True where no other route can beat a closed form: tail_intervals then
+    # takes each as it is
+    _direct_wins = False
+
     def tail_intervals(self, y: float, n: int, moments) -> list:
         """Best available (lo, hi) bracket of the (N=n, k) tail for each k in
         `moments`, in its order, from one call: what a summation pass reads
         at each block end.  Subclasses override this, never tail_interval.
 
-        Combines the ratio route, the family's closed forms and moment
-        absorption into the plain tail at a shifted ordinate, taking t_n,
-        t_{n+1} and the absorbed base tails once for every moment.  None for
-        a moment where nothing is certified.  For k >= 1 over a nonpositive
-        level the family's routes must decline (lo = 0 floors every
-        bracket), and absorption is not tried.
+        A family whose closed forms win (_direct_wins) takes each as it is,
+        trying no other route for that moment (and none at all where every
+        moment has one), so that no bracket depends on the other moments
+        asked for.  Every other moment combines the ratio route, the closed
+        form and moment absorption into the plain tail at a shifted
+        ordinate, keeping the largest lower and the smallest upper end, and
+        takes t_n and t_{n+1} (together) and the absorbed base tails once
+        for every moment.  None for a moment where nothing is certified.
+        For k >= 1 over a nonpositive level the family's routes must
+        decline (lo = 0 floors every bracket), and absorption is not tried.
         """
+        directs = self._direct_intervals(y, n, moments)
+        if self._direct_wins and None not in directs:
+            return directs
         out = []
-        t_n = t_next = bases = None  # (e^(ln p + sigma y), sigma), taken once
-        for k, direct in zip(moments, self._direct_intervals(y, n, moments)):
-            los, his = [0.0], []
+        terms = bases = None  # t_n, t_{n+1} as (e^(ln p + sigma y), sigma), taken once
+        for k, direct in zip(moments, directs):
+            if self._direct_wins and direct is not None:
+                out.append(direct)
+                continue
+            lo, hi = 0.0, None
             r = self.tail_ratio(y, n, k)
             if r is not None and r < 1.0:
-                if t_n is None:
-                    t_n = self._term(y, n)
-                if t_next is None:
-                    t_next = self._term(y, n + 1)
-                his.append(t_n[0] * t_n[1] ** k * r / (1.0 - r))
-                los.append(t_next[0] * t_next[1] ** k)
+                terms = terms or self._terms(y, n)
+                (v, s), (v_next, s_next) = terms
+                lo, hi = max(lo, v_next * s_next**k), v * s**k * r / (1.0 - r)
             if direct is not None:
-                los.append(direct[0])
-                his.append(direct[1])
-            if not his and k > 0:
+                lo = max(lo, direct[0])
+                hi = direct[1] if hi is None else min(hi, direct[1])
+            if hi is None and k > 0:
                 if bases is None:
                     bases = self._absorbed_bases(y, n)
                 for eps, base in bases.items():
                     # absorb sigma^k <= (k/(e eps))^k exp(eps sigma), sigma > 0
                     c = (k / (math.e * eps)) ** k
                     # c may underflow to 0 against a trivial base bracket
-                    his.append(c * base[1] if base[1] < math.inf else math.inf)
-                if his:
-                    if t_next is None:
-                        t_next = self._term(y, n + 1)
-                    los.append(t_next[0] * t_next[1] ** k)
-            if his:
-                hi = min(his)
-                out.append((min(max(los), hi), hi))
-            else:
-                out.append(None)
+                    h = c * base[1] if base[1] < math.inf else math.inf
+                    hi = h if hi is None else min(hi, h)
+                if hi is not None:
+                    terms = terms or self._terms(y, n)
+                    v_next, s_next = terms[1]
+                    lo = max(lo, v_next * s_next**k)
+            out.append(None if hi is None else (min(lo, hi), hi))
         return out
 
     def _absorbed_bases(self, y, n) -> dict:
@@ -234,11 +246,15 @@ class SequenceFamily:
                     bases[eps] = base
         return bases
 
-    def _term(self, y, n):
-        """(v, s) = (e^(ln p_n + sigma_n y), sigma_n): t_n of moment k is v s^k."""
-        s = self.sigma(n)  # positive wherever a moment k >= 1 is asked for
-        t = self.log_p(n) + s * y
-        return (math.exp(t) if t < 700.0 else math.inf), s
+    def _terms(self, y, n):
+        """(v, s) = (e^(ln p_m + sigma_m y), sigma_m) for m = n and n + 1:
+        t_m of moment k is v s^k."""
+        out = []
+        for m in (n, n + 1):
+            s = self.sigma(m)  # positive wherever a moment k >= 1 is asked for
+            t = self.log_p(m) + s * y
+            out.append(((math.exp(t) if t < 700.0 else math.inf), s))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +272,7 @@ class Arithmetic(SequenceFamily):
 
     offset: float = 0.0
     slope: float = 1.0
+    _direct_wins = True  # the closed forms are the exact tails
 
     def __post_init__(self):
         if not (math.isfinite(self.offset) and math.isfinite(self.slope)):
@@ -607,6 +624,7 @@ class Lattice3D(SequenceFamily):
     the distinct values, p_n = the number of positive triples attaining it."""
 
     scale: float = 1.0
+    _direct_wins = True  # no ratio route: the closed forms are its only brackets
 
     def __post_init__(self):
         if self.scale <= 0.0 or not math.isfinite(self.scale):

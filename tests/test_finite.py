@@ -698,6 +698,26 @@ class TestDualNearItsEdges:
             assert math.isfinite(sol.value)
             assert all(uk <= pk for uk, pk in zip(sol.u_bar, p.tolist()))
 
+    def test_fd_targets_next_to_the_full_vertex_solve(self):
+        # at u = rho - d, rho = sum p_k, v may lie d max sigma below
+        # sum sigma_k p_k; fd_feasible once asked for it within atol there
+        # and called draws 8 and 133 (d = 2.6e-11 and 9.9e-11) infeasible
+        rng = np.random.default_rng(7)
+        near = 0
+        for _ in range(300):
+            n = int(rng.integers(3, 61))
+            p = np.exp(rng.uniform(-2.0, 2.0, n))
+            s = rng.uniform(0.5, 10.5, n)
+            x, y = rng.uniform(0.0, 60.0), -rng.uniform(0.5, 10.0)
+            u, v = self._target(FD, p, s, x, y)
+            if p.sum() - u > 1e-8 * p.sum():
+                continue
+            near += 1
+            u_bar = np.array(solve_two_fd(p, s, u, v).u_bar)
+            assert math.fsum(u_bar.tolist()) == pytest.approx(u, rel=5e-11, abs=0.0)
+            assert math.fsum((s * u_bar).tolist()) == pytest.approx(v, rel=5e-11, abs=0.0)
+        assert near == 35
+
 
 class TestFiniteDualAgainstMpmath:
     """finite._finite_dual, the one finite-dual evaluator, against its sums

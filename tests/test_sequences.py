@@ -551,7 +551,10 @@ def test_tail_intervals_reproduce_the_pinned_brackets():
     # commit 0a2157d, before every moment came from one tail_intervals call
     # (json.dumps(_pin_tail_brackets(), indent=1) wrote it), its Lattice3D
     # entries re-pinned when that bracket gained its ratio-test route, none
-    # of them wider; every moment set and order must give the same floats
+    # of them wider, and its Arithmetic entries (alone or under a prefix or
+    # a shift) when Arithmetic's exact tails stopped meeting the ratio
+    # route's rounding in the combiner; every moment set and order must
+    # give the same floats
     pinned = json.loads(_PINNED.read_text())
     keys = {_pin_key(f, y, n, k) for f, y, n in _pinned_bracket_inputs() for k in (0, 1, 2)}
     assert set(pinned) == keys
@@ -562,3 +565,49 @@ def test_tail_intervals_reproduce_the_pinned_brackets():
         for k in (0, 1, 2):
             assert repr(family.tail_intervals(y, n, (k,))[0]) == want[k]
             assert repr(family.tail_interval(y, n, k)) == want[k]
+
+
+def _arithmetic_tail(mpmath, family, y, n, k):
+    """sum_{m > n} sigma_m^k e^(sigma_m y) of Arithmetic(a, b) at the float
+    y, in closed form: e^(a y) sum_{m > n} (a + b m)^k rho^m, rho = e^(b y)."""
+    a, b, y = mpmath.mpf(family.offset), mpmath.mpf(family.slope), mpmath.mpf(y)
+    rho, om, m = mpmath.exp(b * y), -mpmath.expm1(b * y), n + 1
+    g = mpmath.exp(m * b * y)  # rho^m
+    s0 = g / om
+    s1 = g * (m / om + rho / om**2)  # sum_{j >= 0} (m + j) rho^(m + j)
+    s2 = g * (m * m / om + 2 * m * rho / om**2 + rho * (1 + rho) / om**3)
+    return mpmath.exp(a * y) * (s0, a * s0 + b * s1, a * a * s0 + 2 * a * b * s1 + b * b * s2)[k]
+
+
+def test_arithmetic_brackets_are_the_exact_tail():
+    # Arithmetic returns its closed forms without the combiner: both ends
+    # lie within 1e-14 relative of the exact tail at the float y (50 digits),
+    # apart from the rounding of e^((n+1) slope y) and e^(offset y) at their
+    # rounded arguments, which reaches 2.3e-14 at |(n+1) slope y| = 410, and
+    # from tails below the normal floats, which round to 0
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for family, y, n in _pinned_bracket_inputs():
+            if type(family) is not Arithmetic:
+                continue
+            rounding = 2.0**-53 * (abs((n + 1) * family.slope * y) + abs(family.offset * y))
+            for k, iv in zip((0, 1, 2), family.tail_intervals(y, n, (0, 1, 2))):
+                want = _arithmetic_tail(mpmath, family, y, n, k)
+                for end in iv:
+                    assert abs(end - want) <= (1e-14 + rounding) * want + sys.float_info.min
+
+
+def test_skipping_the_combiner_changes_no_lattice_bracket():
+    # Lattice3D has no ratio route and its closed forms bracket every
+    # moment for y < 0, so the combiner would return them as they are; an
+    # Arithmetic moment without a closed form (k = 3) takes the combiner
+    # for every moment of the call
+    combined = sequences.SequenceFamily.tail_intervals
+    for family, y, n in _pinned_bracket_inputs():
+        if type(family) is Lattice3D:
+            for moments in ((0, 1, 2), (2, 0), (1,)):
+                got = family.tail_intervals(y, n, moments)
+                assert repr(got) == repr(combined(family, y, n, moments))
+    fam = Arithmetic(0.0, 1.0)
+    got = fam.tail_intervals(-0.3, 64, (0, 3))
+    assert got == combined(fam, -0.3, 64, (0, 3)) and got[1] is not None
