@@ -344,7 +344,7 @@ def fd_feasible(p, sigma, u: float, v: float) -> Feasibility:
     atol = 1e-12 * scale
     if u < -atol or u > rho + atol:
         return Feasibility.INFEASIBLE
-    if u <= atol:
+    if u <= 0.0:  # here the envelopes' interval can invert
         return Feasibility.BOUNDARY if abs(v) <= atol else Feasibility.INFEASIBLE
     # the envelopes hold up to u = rho: at u = rho - d, v may lie anywhere
     # from v_full - d max sigma to v_full - d min sigma, v_full = sum sigma p,

@@ -42,9 +42,9 @@ pass's W* rows) before its first certified point.  The
 conjugate of ln f follows its four-branch closed form, and its interior
 branch (_conjugate_at) is also the solver's interior value.
 A pass whose target is beyond the term budget stops at the bound it can
-reach up to a ceiling times it (_eval_many; only _conjugate_at, _refine_f,
-forward_solve and inverse_solve_bf's Newton points pass one).  All
-tolerances are absolute unless noted.
+reach up to a ceiling times it (_eval_many; only _conjugate_at's slope
+root and its ladder, _refine_f, forward_solve and inverse_solve_bf's Newton
+points pass one).  All tolerances are absolute unless noted.
 """
 
 from __future__ import annotations
@@ -88,6 +88,7 @@ __all__ = [
 _TERM_BUDGET = 2**23
 _START_BLOCK = 64
 _ONE_ARRAY = 4096  # a pass sums its terms up to here in one array
+_PROFILE_TOL = 1e-10  # every profile's f(-alpha) and gamma, so theta2
 _MB = Entropy.MAXWELL_BOLTZMANN
 _UNIT = (1.0, 1.0)
 _LN2 = math.log(2.0)
@@ -347,7 +348,16 @@ def eval_f(family: SequenceFamily, y: float, tol: float = 1e-12) -> SeriesEval:
 
 
 @functools.lru_cache(maxsize=256)
-def _profile_cached(family: SequenceFamily, tol: float) -> SeriesProfile:
+def profile(family: SequenceFamily) -> SeriesProfile:
+    """Analytic profile (alpha, boundary case, theta1, theta2, ...), one per
+    family whatever a caller's tolerance (sums to _PROFILE_TOL), so regions
+    and slope roots read one theta2; cached, so concurrent requests share it."""
+    if family.constant_sigma:
+        raise UnsupportedFamilyError("constant levels: the problem is degenerate")
+    if family.dom_f_empty:
+        raise UnsupportedFamilyError("dom f empty: the problem is degenerate")
+    if family.sigma_direction != +1:
+        raise UnsupportedFamilyError("levels must increase to +inf; normalize first")
     smin = sigma_min_set(family)
     if smin.theta1 <= 0.0:
         raise UnsupportedFamilyError(
@@ -376,7 +386,7 @@ def _profile_cached(family: SequenceFamily, tol: float) -> SeriesProfile:
         f_b, gamma, theta2 = None, None, math.inf
     else:
         _check_boundary_summable(family, 0)
-        f_b = _eval_many(family, -alpha, {(None, 0): tol})[0].value
+        f_b = _eval_many(family, -alpha, {(None, 0): _PROFILE_TOL})[0].value
         if not f_b >= np.finfo(float).tiny:  # gamma / f_b would be inf or lose digits
             raise UnsupportedFamilyError(f"f(-alpha) = {f_b!r} underflows below the normal floats")
         div1 = family.boundary_divergent(1)
@@ -386,21 +396,9 @@ def _profile_cached(family: SequenceFamily, tol: float) -> SeriesProfile:
         else:
             _check_boundary_summable(family, 1)
             case = BoundaryCase.CLOSED_GAMMA_FINITE_C
-            gamma = _eval_many(family, -alpha, {(None, 1): tol})[0].value
+            gamma = _eval_many(family, -alpha, {(None, 1): _PROFILE_TOL})[0].value
             theta2 = gamma / f_b
     return SeriesProfile(alpha, case, f_b, gamma, smin.theta1, theta2, smin)
-
-
-def profile(family: SequenceFamily, tol: float = 1e-10) -> SeriesProfile:
-    """Analytic profile (alpha, boundary case, theta1, theta2, ...); cached
-    per (family, tol) so concurrent requests share one computation."""
-    if family.constant_sigma:
-        raise UnsupportedFamilyError("constant levels: the problem is degenerate")
-    if family.dom_f_empty:
-        raise UnsupportedFamilyError("dom f empty: the problem is degenerate")
-    if family.sigma_direction != +1:
-        raise UnsupportedFamilyError("levels must increase to +inf; normalize first")
-    return _profile_cached(family, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +565,7 @@ _LADDER_K = (-48, 24)
 def _ladder_entry(family: SequenceFamily, tol: float, k: int, ceiling: float = 1.0) -> _Slope:
     """The certified slope at y_k = -alpha - 2^(k/4) to 0.25 tol
     (_certified_slope), its scale from its own rough pass, so an entry
-    depends on its arguments alone.  Cached as _profile_cached is; an entry
+    depends on its arguments alone.  Cached as profile is; an entry
     that raises (BudgetError, or RangeError where f(y_k) underflows or y_k
     rounds to -alpha) is not cached.  The pass's model is dropped: a Newton
     step from an entry is rarely short enough for it."""
@@ -714,10 +712,9 @@ def _hermite(a, b, x) -> float:
 
 def lnf_conjugate(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
     """(ln f)*(w): +inf below theta1; -ln(sum of tied minimal weights) at
-    theta1; w phi^{-1}(w) - ln f(phi^{-1}(w)) inside, from the same root
-    and f as the solver's interior values (_conjugate_at, with f to
-    0.25 tol); -alpha w - ln f(-alpha) at and beyond theta2 (boundary case
-    c only)."""
+    theta1; w phi^{-1}(w) - ln f(phi^{-1}(w)) inside, the solver's interior
+    g (_conjugate_at); -alpha w - ln f(-alpha) at and beyond theta2 (case c
+    only).  tol sets the root and f, not the profile (profile(family))."""
     prof = profile(family)
     t1_tol = TIE_RTOL * max(1.0, abs(prof.theta1))  # sigma_min_set's tie
     if not math.isfinite(w):
@@ -728,27 +725,28 @@ def lnf_conjugate(family: SequenceFamily, w: float, tol: float = 1e-10) -> float
         return -math.log(prof.sigma_min.p_sum)
     if w >= prof.theta2:
         return -prof.alpha * w - math.log(prof.f_at_boundary)
-    return _conjugate_at(family, w, tol, lambda _: 0.25 * tol)[0]
+    return _conjugate_at(family, w, tol)[0]
 
 
-def _conjugate_at(family, w, tol, f_rtol) -> tuple[float, float, float]:
+def _conjugate_at(family, w, tol) -> tuple[float, float, float]:
     """((ln f)*(w), y, ln f(y)) at theta1 < w < theta2, with y the slope root
-    phi(y) = w and (ln f)*(w) = w y - ln f(y).  The root's residual target
-    t = 0.25 min(tol, 1e-12) rises up to 1e-5 where the family's tails cannot
-    certify it (_invert_slope under the ceiling 1e-5 / t, none at the float
-    floor): a residual delta costs only O(delta^2) in the value.  f(y) holds
-    to f_rtol(c) max(1, f(y)) (_refine_f), c the root's last (ln f)*(w)."""
-    t = 0.25 * min(tol, 1e-12)
+    phi(y) = w and (ln f)*(w) = w y - ln f(y), one g per (family, w, tol).
+    The root's residual target t = 0.25 c, c = min(tol, 1e-12), rises up to
+    1e-5 where the tails cannot certify it (_invert_slope under the ceiling
+    1e-5 / t, none at the float floor): a residual delta costs O(delta^2) in
+    g.  f(y) holds to c max(1, f(y)) (_refine_f): g within about c max(1, f)
+    / f plus rounding."""
+    c = min(tol, 1e-12)
+    t = 0.25 * c
     root = _invert_slope(family, w, t, 1e-5 / t if t > 1e-300 else 1.0)
-    rtol = f_rtol(w * root.y - math.log(root.f.value))
-    ln_f = math.log(_refine_f(family, root.y, root.f, rtol).value)
+    ln_f = math.log(_refine_f(family, root.y, root.f, c).value)
     return w * root.y - ln_f, root.y, ln_f
 
 
 def _refine_f(family, y, f_y: SeriesEval, rtol: float) -> SeriesEval:
-    """f(y) to rtol max(1, f(y)): the root pass's f_y when its bound is that
-    tight, else the tighter of f_y and a re-sum at that tolerance, which may
-    stop at up to 10^4 times it (the kernel's ceiling)."""
+    """f(y) to rtol max(1, f(y)) (rtol = c, _conjugate_at): the root pass's
+    f_y when its bound is that tight, else the tighter of f_y and a re-sum at
+    that tolerance, which may stop at up to 10^4 times it (the ceiling)."""
     f_tol = max(rtol * max(1.0, f_y.value), 5e-324)
     if f_y.tail_bound_used <= f_tol:
         return f_y

@@ -404,7 +404,8 @@ class EmpSolver:
     levels decreasing to -inf are flipped, then levels with min sigma <= 0
     shifted, and results are mapped back to the original coordinates.  A
     family is degenerate, with no profile, when its levels are constant or
-    dom f is empty."""
+    dom f is empty.  tol does not set the profile: classify and the slope
+    roots read the one series.profile of the normal form and its theta2."""
 
     def __init__(self, family: SequenceFamily, tol: float = 1e-10):
         self.family = family
@@ -427,7 +428,7 @@ class EmpSolver:
             if fam.dom_f_empty:
                 self._smin = sigma_min_set(fam)
             else:
-                self._profile = series.profile(fam, tol)
+                self._profile = series.profile(fam)
                 self._smin = self._profile.sigma_min
         self._fam = fam
 
@@ -505,24 +506,14 @@ class EmpSolver:
 
     def _interior(self, u: float, w: float) -> tuple[float, float, float]:
         """(H, x, y) in normalized coordinates at an interior target of
-        slope w: H = u(ln u - 1) + u (ln f)*(w) and x = ln u - ln f(y) from
-        one slope root y (series._conjugate_at).  H carries u ln f, so f
-        holds to c max(1, f) max(1, |H|) / max(u, |H|), c = min(tol, 1e-12),
-        with |H| from the f of the root's last pass: H within about c max(1,
-        |H|), so H(tu, tv) = t H(u, v) + t ln t u holds within the sum of
-        the two solves' errors, not to rounding.  f is re-summed only when
-        the root's last pass certified it more loosely.  Where the terms of
-        H overflow to +inf and -inf, H is u (ln u - 1 + (ln f)*(w)), +-inf."""
-        c = min(self.tol, 1e-12)
-        base = u * (math.log(u) - 1.0)
-
-        def f_rtol(conj):
-            h = abs(base + u * conj)
-            # an H that overflows takes the relative target c
-            return c * max(1.0, h) / max(u, h) if h < math.inf else c
-
-        conj, y_n, ln_f = series._conjugate_at(self._fam, w, self.tol, f_rtol)
-        value = base + u * conj
+        slope w: H = u(ln u - 1) + u g and x = ln u - ln f(y), with y and
+        g = (ln f)*(w) lnf_conjugate's (series._conjugate_at, one g per
+        (family, w, tol), f held to c max(1, f), c = min(tol, 1e-12)): H is
+        within about u c max(1, f) / f plus rounding, and H(tu, tv) = t H(u,
+        v) + t ln t u holds to rounding.  Where the terms of H overflow to
+        +inf and -inf, H is u (ln u - 1 + g), +-inf."""
+        conj, y_n, ln_f = series._conjugate_at(self._fam, w, self.tol)
+        value = u * (math.log(u) - 1.0) + u * conj
         if math.isnan(value):
             value = u * (math.log(u) - 1.0 + conj)
         return value, math.log(u) - ln_f, y_n

@@ -718,6 +718,16 @@ class TestDualNearItsEdges:
             assert math.fsum((s * u_bar).tolist()) == pytest.approx(v, rel=5e-11, abs=0.0)
         assert near == 35
 
+    @pytest.mark.parametrize("x, y", [(-25.0, -0.01), (-22.0, -0.05), (-26.0, -0.001)])
+    def test_fd_targets_next_to_the_empty_vertex_solve(self, x, y):
+        # u below atol = 1e-10 with v up to u max sigma: fd_feasible once
+        # asked |v| <= atol there and called these targets infeasible
+        p, s = np.array([1.0, 1.0]), np.array([1.0, 100.0])
+        u, v = self._target(FD, p, s, x, y)
+        assert fd_feasible(p, s, u, v) is Feasibility.INTERIOR
+        sol = solve_two_fd(p, s, u, v)
+        assert sol.multipliers == pytest.approx((x, y), rel=1e-9, abs=0.0)
+
 
 class TestFiniteDualAgainstMpmath:
     """finite._finite_dual, the one finite-dual evaluator, against its sums

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entromin import (
@@ -320,13 +320,11 @@ class TestSolveMb:
 
 
 class TestHomogeneity:
-    """H(tu, tv) = t H(u, v) + t ln t u.  The interior f target is relative
-    to max(1, |H|), so the identity holds at every scale, t u far above 1
-    included, within about 1e-12 (max(1, |H(tu, tv)|) + t max(1, |H(u, v)|)),
-    and to rounding only where the two solves hold f to one relative
-    tolerance: at u = 0.01 the root's last pass may meet 9e-12 where the
-    t u = 1 solve re-sums f to 1e-12, and the scaled error reaches t u 9e-12
-    (PowerLaw(1, 0.5), t = 100: 8.3e-12 against the 6.5e-12 asserted)."""
+    """H(tu, tv) = t H(u, v) + t ln t u.  H(u, v) = u(ln u - 1) + u g with
+    g = (ln f)*(v/u), and the interior g is a function of the family, v/u
+    and the solver's tolerance alone (series._conjugate_at, f held to c
+    max(1, f) whatever u is), so the two solves of one check read the same
+    g and the identity holds to rounding, at every scale."""
 
     FAMILIES = [
         Arithmetic(0.0, 1.0),
@@ -349,6 +347,10 @@ class TestHomogeneity:
         st.floats(0.02, 0.98),
         st.floats(-200.0, 200.0),
     )
+    # two draws whose solves once read f to different tolerances: the
+    # errors were 8.27e-12 against 6.50e-12 and 8.16e-10 against 1.29e-10
+    @example(PowerLaw(1.0, 0.5), -2.0, 0.71875, 2.0)
+    @example(PowerLaw(1.0, 0.5), 1.5, 0.96875, 1.5)
     def test_scaling(self, family, log_u, frac, log_t):
         prof = profile(family)
         # w across the cone (theta1, theta2), or up to 11 theta1 when open
@@ -357,6 +359,19 @@ class TestHomogeneity:
         else:
             w = prof.theta1 * (1.0 + 10.0 * frac)
         self._check(family, 10.0**log_u, w, 10.0**log_t)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    @pytest.mark.parametrize("family", FAMILIES, ids=repr)
+    def test_interior_value_is_the_conjugate_of_ln_f(self, family, tol):
+        # bit for bit: the solver's g is lnf_conjugate's at every u
+        prof = profile(family)
+        t2 = prof.theta2 if math.isfinite(prof.theta2) else 11.0 * prof.theta1
+        w = prof.theta1 + 0.4 * (t2 - prof.theta1)
+        solver = EmpSolver(family, tol)
+        for u in (1e-3, 1e-2, 1.0, 10.0**1.5, 1e3):
+            v = w * u
+            g = series.lnf_conjugate(family, v / u, tol)
+            assert solver.value_mb(u, v) == u * (math.log(u) - 1.0) + u * g
 
     @pytest.mark.parametrize("family", [Arithmetic(0.0, 1.0), PowerLaw(1.0, 0.5)], ids=repr)
     def test_overflowing_value_is_inf(self, family):
@@ -367,6 +382,43 @@ class TestHomogeneity:
     def test_scaling_log_levels(self, u, w, t):
         # about 1 s per solve, so two fixed points instead of a property
         self._check(LogLevels(1.0), u, w, t)
+
+
+class TestOneTheta2:
+    """A solver's regions and its slope roots read one profile, whatever
+    its tolerance: classify and the interior root agree on theta2."""
+
+    def test_a_loose_solver_reads_the_one_theta2(self):
+        # between the theta2 of a 1e-6 profile and that of the 1e-10 one;
+        # a 1e-13 profile (theta2 = 1.110626535326148) puts w beyond it too
+        family, w = WeightedGeometric(0.5, 4.0), 1.1106265358668974
+        solver = EmpSolver(family, tol=1e-6)
+        assert solver.classify(1.0, w) is Region.BEYOND_THETA2
+        sol = solver.solve_mb(1.0, w)
+        assert sol.region is Region.BEYOND_THETA2
+        assert math.isfinite(sol.value)
+        assert solver.profile is profile(family)
+
+    # an interior solve this near theta2 takes about 0.5-2.5 s
+    @settings(max_examples=6, deadline=None)
+    @given(
+        st.sampled_from([WeightedGeometric(1.0, 3.0), WeightedGeometric(0.5, 4.0)]),
+        st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12]),
+        st.floats(-12.0, -8.0),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    def test_regions_next_to_theta2_agree_with_the_root(self, family, tol, log_rel, sign):
+        # w within 1e-8 relative of theta2, log-uniformly from 1e-12 out
+        solver = EmpSolver(family, tol)
+        w = solver.profile.theta2 * (1.0 + sign * 10.0**log_rel)
+        region = solver.classify(1.0, w)
+        assert solver.solve_mb(1.0, w).region is region
+        if region is Region.INTERIOR:
+            got = solver.inverse_solve_bf(FD, 1.0, w)
+            assert isinstance(got, InverseFailure) or got.region is Region.INTERIOR
+        else:
+            with pytest.raises(RangeError, match="strict-cone interior"):
+                solver.inverse_solve_bf(FD, 1.0, w)
 
 
 class TestEpsilonFamily:
