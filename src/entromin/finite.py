@@ -194,17 +194,15 @@ def phi_n_inverse(p, sigma, w: float, tol: float = 1e-12) -> float:
 def _edge_solution(kind, p, sigma, u, eta, flag) -> FiniteSolution:
     """v = eta * u forces all mass onto the levels tying eta: the
     single-constraint split over them (solve_single), zero elsewhere."""
-    scale = 1e-12 * max(1.0, abs(eta))
-    idx = [k for k, s in enumerate(sigma) if abs(s - eta) <= scale]
+    idx = np.flatnonzero(np.abs(sigma - eta) <= 1e-12 * max(1.0, abs(eta)))
     single = solve_single(kind, p[idx], u)
-    u_bar = [0.0] * len(p)
-    for k, uk in zip(idx, single.u_bar):
-        u_bar[k] = uk
-    return FiniteSolution(tuple(u_bar), single.value, None, flag)
+    u_bar = np.zeros(len(p))
+    u_bar[idx] = single.u_bar
+    return FiniteSolution(tuple(u_bar.tolist()), single.value, None, flag)
 
 
 def _cone_position(sigma, u, v):
-    eta1, eta2 = min(sigma), max(sigma)
+    eta1, eta2 = float(np.minimum.reduce(sigma)), float(np.maximum.reduce(sigma))
     tol = 1e-12 * max(abs(v), abs(eta1) * u, abs(eta2) * u)
     if v < eta1 * u - tol or v > eta2 * u + tol:
         return "outside", eta1, eta2
@@ -243,7 +241,8 @@ def solve_two_mb_be(kind: Entropy, p, sigma, u: float, v: float) -> FiniteSoluti
     alpha, beta, u_bar = _mb_multipliers(p, sigma, u, v)
     if kind is Entropy.MAXWELL_BOLTZMANN:
         value = _w_sum(kind, p, u_bar)
-        return FiniteSolution(tuple(u_bar), value, (alpha, beta), BoundaryFlag.INTERIOR_KKT)
+        flag = BoundaryFlag.INTERIOR_KKT
+        return FiniteSolution(tuple(u_bar.tolist()), value, (alpha, beta), flag)
     return _dual_newton(kind, p, sigma, u, v, alpha, beta)
 
 
@@ -261,11 +260,23 @@ def _mb_multipliers(p, sigma, u, v):
 _DUAL_MULTS = ("conj", "grad", "hess")
 
 
+def _dual_rows(s):
+    """(s, powers, span) for _finite_dual: the levels s, the n x 3 rows
+    powers = (1, sigma_k, sigma_k^2), read-only, and span = (min s, max s).
+    They depend on s alone, so the inverse's proposal keeps them per
+    (family, n) (solver._prefix_rows) and the exact solves build them per
+    call."""
+    powers = np.stack((np.ones_like(s), s, s * s), axis=1)
+    powers.flags.writeable = False
+    return s, powers, (float(np.minimum.reduce(s)), float(np.maximum.reduce(s)))
+
+
 def _finite_dual(kind, log_p, s, powers, span, x, y):
     """(h, (h_x, h_y), (h_xx, h_xy, h_yy)) of the finite dual sum_k p_k
     W*(x + sigma_k y), ln p_k = log_p, sigma_k = s: the kernel's rows of
     W*, (W*)' and (W*)'' (series._mult_arrays, max t from span = (min s,
-    max s)) times powers = (1, sigma_k, sigma_k^2) in one product."""
+    max s)) times powers = (1, sigma_k, sigma_k^2) in one product
+    (_dual_rows gives s, powers and span)."""
     t = x + s * y
     lt = log_p + t
     t_hi = x + (span[1] if y > 0.0 else span[0]) * y
@@ -274,16 +285,17 @@ def _finite_dual(kind, log_p, s, powers, span, x, y):
     return h, (gu, gv), hess
 
 
-def _minimize_dual(kind, log_p, s, u, v, start, scales, tol, in_domain):
+def _minimize_dual(kind, log_p, rows, u, v, start, scales, tol, in_domain):
     """minimize_convex_2d from start on the finite dual sum_k p_k W*(x +
-    sigma_k y) - x u - y v (_finite_dual), each point judged at residual
-    norm tol, numpy's float warnings off: the finite-dual Newton of
-    _dual_newton and of the inverse's proposal (solver._proposal)."""
-    powers = np.stack((np.ones_like(s), s, s * s), axis=1)
-    span = (float(np.minimum.reduce(s)), float(np.maximum.reduce(s)))
+    sigma_k y) - x u - y v (_finite_dual on rows = _dual_rows(sigma)), each
+    point judged at residual norm tol, numpy's float warnings off: the
+    finite-dual Newton of _dual_newton, to the float floor, and of the
+    inverse's proposal (solver._proposal), which stops at a looser norm and
+    takes the last Newton step itself, unevaluated, from the result's
+    Hessian."""
 
     def evaluate(x, y):
-        h, (gu, gv), hess = _finite_dual(kind, log_p, s, powers, span, x, y)
+        h, (gu, gv), hess = _finite_dual(kind, log_p, *rows, x, y)
         return h - x * u - y * v, (gu - u, gv - v), hess, tol
 
     with np.errstate(all="ignore"):
@@ -303,7 +315,7 @@ def _dual_newton(kind, p, sigma, u, v, a0: float, b0: float) -> FiniteSolution:
     if bose and t.max() >= 0.0:
         a0 -= t.max() + 1.0
     res = _minimize_dual(
-        kind, np.log(p), s, u, v, (a0, b0), (max(1.0, u), max(1.0, abs(v))), 1e-11,
+        kind, np.log(p), _dual_rows(s), u, v, (a0, b0), (max(1.0, u), max(1.0, abs(v))), 1e-11,
         lambda a, b: not bose or (a + b * s).max() < 0.0,
     )
     if not res.converged:
@@ -312,7 +324,7 @@ def _dual_newton(kind, p, sigma, u, v, a0: float, b0: float) -> FiniteSolution:
     a, b = res.point
     u_bar = p * entropy_conjugate_derivative(kind, a + b * s)
     value = _w_sum(kind, p, u_bar)
-    return FiniteSolution(tuple(u_bar), value, res.point, BoundaryFlag.INTERIOR_KKT)
+    return FiniteSolution(tuple(u_bar.tolist()), value, res.point, BoundaryFlag.INTERIOR_KKT)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +375,7 @@ def _fd_face_solution(p, sigma, u: float, v: float) -> FiniteSolution:
     to the marginal slope group, which takes the proportional split."""
     n = len(p)
     vmin = _envelope_v(np.asarray(p), np.asarray(sigma), u, lower=True)
+    p, sigma = np.asarray(p, dtype=float).tolist(), np.asarray(sigma, dtype=float).tolist()
     lower = abs(v - vmin) <= 1e-9 * max(1.0, abs(v), abs(vmin))
     order = sorted(range(n), key=lambda k: (sigma[k], k))
     if not lower:

@@ -147,15 +147,28 @@ def solve_bracketed(
 
 @dataclass(frozen=True)
 class NewtonResult:
-    """The accepted point with its potential F and residual (the gradient
-    of F), or else the last iterate, those two there and why Newton
-    stopped."""
+    """The accepted point with its potential F, residual (the gradient of
+    F) and Hessian (h00, h01, h11), or else the last iterate, those three
+    there and why Newton stopped.  With the Hessian a caller can take the
+    Newton step from the point without evaluating F again (_newton_step)."""
 
     point: tuple[float, float]
     residual: tuple[float, float]
     potential: float
+    hessian: tuple[float, float, float]
     converged: bool
     message: str = ""
+
+
+def _newton_step(residual, hess):
+    """The Newton step (dx, dy) = -H^-1 r of a 2x2 Hessian hess = (h00,
+    h01, h11) at residual r, or None where det H is not positive and
+    finite."""
+    (r0, r1), (h00, h01, h11) = residual, hess
+    det = h00 * h11 - h01 * h01
+    if det <= 0.0 or not math.isfinite(det):
+        return None
+    return -(h11 * r0 - h01 * r1) / det, -(-h01 * r0 + h00 * r1) / det
 
 
 def minimize_convex_2d(evaluate, in_domain, start, scales) -> NewtonResult:
@@ -172,7 +185,9 @@ def minimize_convex_2d(evaluate, in_domain, start, scales) -> NewtonResult:
     float noise, so steps are undamped there, and four basin steps without a
     new best norm mean the float floor is reached; outside it the Armijo
     decrease guarantees progress.  Once progress stops the best iterate is
-    accepted if its norm is within max(its tol, 1e-9).
+    accepted if its norm is within max(its tol, 1e-9).  The result carries
+    the Hessian at its point, so that a caller that stops at a loose tol
+    can take one more, unevaluated, Newton step (solver._proposal).
     """
     basin = 1e-6
     x, y = start
@@ -182,20 +197,18 @@ def minimize_convex_2d(evaluate, in_domain, start, scales) -> NewtonResult:
     for _ in range(100):
         norm = max(abs(r0) / scales[0], abs(r1) / scales[1])
         if norm < best_norm:
-            best, best_norm, best_tol, stale = ((x, y), (r0, r1), d_cur), norm, tol, 0
+            best, best_norm, best_tol, stale = ((x, y), (r0, r1), d_cur, hess), norm, tol, 0
         elif norm <= basin:
             stale += 1
         if norm <= tol:
-            return NewtonResult((x, y), (r0, r1), d_cur, True)
+            return NewtonResult((x, y), (r0, r1), d_cur, hess, True)
         if stale >= 4:
             message = "stalled"
             break
-        h00, h01, h11 = hess
-        det = h00 * h11 - h01 * h01
-        if det <= 0.0 or not math.isfinite(det):
-            return NewtonResult((x, y), (r0, r1), d_cur, False, "dual hessian degenerate")
-        dx = -(h11 * r0 - h01 * r1) / det
-        dy = -(-h01 * r0 + h00 * r1) / det
+        newton = _newton_step((r0, r1), hess)
+        if newton is None:
+            return NewtonResult((x, y), (r0, r1), d_cur, hess, False, "dual hessian degenerate")
+        dx, dy = newton
         slope = r0 * dx + r1 * dy  # directional derivative of F
         step = 1.0
         for _ in range(60):
@@ -211,4 +224,6 @@ def minimize_convex_2d(evaluate, in_domain, start, scales) -> NewtonResult:
         x, y, d_cur, (r0, r1), hess, tol = xx, yy, d_new, r_new, h_new, t_new
     if best_norm <= max(best_tol, 1e-9):
         return NewtonResult(*best, True)
-    return NewtonResult((x, y), (r0, r1), d_cur, False, f"{message} at residual {best_norm:.3e}")
+    return NewtonResult(
+        (x, y), (r0, r1), d_cur, hess, False, f"{message} at residual {best_norm:.3e}"
+    )

@@ -39,7 +39,7 @@ from .errors import (
     RangeError,
     UnsupportedFamilyError,
 )
-from .rootfind import minimize_convex_2d, newton_root
+from .rootfind import _newton_step, minimize_convex_2d, newton_root
 from .sequences import (
     SequenceFamily,
     ShiftedSigma,
@@ -185,17 +185,41 @@ def _build_prefix(family, n: int):
 
 _cached_prefix = functools.lru_cache(maxsize=_PREFIX_CACHE_SIZE)(_build_prefix)
 
+_ROWS_CACHE_SIZE = 32
+_ROWS_CACHE_BYTES = _ROWS_CACHE_SIZE * 4 * 8 * series._ONE_ARRAY
+
+
+@functools.lru_cache(maxsize=_ROWS_CACHE_SIZE)
+def _prefix_rows(family, n: int):
+    """finite._dual_rows of the first n levels of a normalized family, n <=
+    series._ONE_ARRAY (4096), the most _proposal takes: the levels (from
+    _prefix), the read-only n x 3 rows (1, sigma_k, sigma_k^2) and (min
+    sigma, max sigma).  They are built once per (family, n) and kept in a
+    least-recently-used cache of _ROWS_CACHE_SIZE (32) entries, so the cache
+    holds at most _ROWS_CACHE_BYTES (4 MiB: the rows' three float64 columns
+    and the levels they keep alive, per entry)."""
+    return finite._dual_rows(_prefix(family, n)[1])
+
 
 def _proposal(family, kind, u, v, start, scale, in_domain, tol):
-    """Where the certified Newton of inverse_solve_bf starts: the minimizer
-    of the uncertified dual of the first n terms, by the finite solves'
-    Newton (finite._minimize_dual) from start down to residual norm tol, or
-    start where it does not converge.  n is 64 (series._START_BLOCK),
-    doubled up to 4096 while the last half of the first n terms carries
-    more than the tolerance at start, as maxwell-boltzmann terms p_k e^(x +
-    sigma_k y) (1 + sigma_k), each divided by the tolerance first, which
-    keeps them finite for a target near the float limit.  It makes no
-    pass: ln p_k and sigma_k come from _prefix."""
+    """Where the certified Newton of inverse_solve_bf starts: near the
+    minimizer of the uncertified dual of the first n terms, by the finite
+    solves' Newton (finite._minimize_dual) from start, or start where it
+    does not converge.  n is 64 (series._START_BLOCK), doubled up to 4096
+    while the last half of the first n terms carries more than the
+    tolerance at start, as maxwell-boltzmann terms p_k e^(x + sigma_k y)
+    (1 + sigma_k), each divided by the tolerance first, which keeps them
+    finite for a target near the float limit.
+
+    The Newton stops at the first point whose residual norm r meets r^2 <=
+    tol / 10, and the proposal is that point's Newton step, from the
+    Hessian the point was evaluated with and not evaluated itself: Newton
+    converges quadratically there, so the step's residual is about r^2,
+    and the certified Newton judges the proposal anyway.  Where the step
+    is not finite or leaves in_domain, or the Hessian's determinant is not
+    positive and finite, the proposal is the evaluated point.  It makes no
+    pass: ln p_k and sigma_k come from _prefix, the rows of the finite dual
+    from _prefix_rows."""
     x0, y0 = start
     shift = x0 - math.log(tol * scale)
     n = series._START_BLOCK
@@ -206,8 +230,18 @@ def _proposal(family, kind, u, v, start, scale, in_domain, tol):
         if n >= series._ONE_ARRAY or not tail > 1.0:
             break
         n *= 2
-    got = finite._minimize_dual(kind, log_p, s, u, v, start, (scale, scale), tol, in_domain)
-    return got.point if got.converged else start
+    got = finite._minimize_dual(
+        kind, log_p, _prefix_rows(family, n), u, v, start, (scale, scale), math.sqrt(0.1 * tol),
+        in_domain,
+    )
+    if not got.converged:
+        return start
+    newton = _newton_step(got.residual, got.hessian)
+    if newton is not None:
+        x, y = got.point[0] + newton[0], got.point[1] + newton[1]
+        if math.isfinite(x) and math.isfinite(y) and in_domain(x, y):
+            return x, y
+    return got.point
 
 
 def _truncation(n, name: str) -> int:
@@ -623,10 +657,14 @@ class EmpSolver:
         through the two ladder entries.  From there the finite solves' dual
         Newton (finite._minimize_dual), uncertified on the first 64 terms or
         more (_proposal, no pass), proposes where the certified Newton
-        starts; it starts at the ladder point where that one does not
-        converge.  Each certified Newton point is one certified pass for
-        h_W, its gradient and its Hessian, so a proposal that lands within
-        the tolerance costs one pass.
+        starts: the Newton step, not evaluated, from its first point whose
+        residual norm r meets r^2 <= t / 10, t = res_tol / (10 scale), the
+        norm the certified points' sums are held to (that point itself
+        where the step is unusable); it starts at the ladder point where
+        that Newton does not converge.
+        Each certified Newton point is one certified pass for h_W, its
+        gradient and its Hessian, so a proposal that lands within the
+        tolerance costs one pass.
 
         The solution is read off the accepted Newton point, without a
         further pass: its gradient sums are (u, v) plus the Newton residual,

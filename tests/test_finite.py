@@ -329,6 +329,7 @@ class TestMinimizeConvex2d:
         assert res.converged
         assert res.point == pytest.approx((math.log(2.0), math.log(3.0)), abs=1e-12)
         assert max(map(abs, res.residual)) <= 1e-12
+        assert res.hessian == (math.exp(res.point[0]), 0.0, math.exp(res.point[1]))
 
     def test_backtracking_respects_the_domain(self):
         # F = x + y - ln x - ln y on x, y > 0; full Newton steps from near
@@ -366,6 +367,7 @@ class TestMinimizeConvex2d:
         )
         assert not res.converged
         assert res.point == (1.0, 1.0) and "degenerate" in res.message
+        assert res.hessian == (math.exp(2.0),) * 3
 
     @staticmethod
     def _noisy(noise, tols):
@@ -393,6 +395,8 @@ class TestMinimizeConvex2d:
         res = self._noisy(noise, lambda i: 1e-12)
         assert res.converged is converged
         assert 1e-12 < max(map(abs, res.residual)) <= 2.5 * noise
+        if converged:  # the best point, with its own Hessian
+            assert res.hessian == (math.exp(res.point[0]), 0.0, math.exp(res.point[1]))
         if not converged:
             assert "stalled at residual" in res.message
 
@@ -403,6 +407,47 @@ class TestMinimizeConvex2d:
         res = self._noisy(2e-9, lambda i: 1e-12 if i <= 2 else 1e-8)
         assert res.converged and not res.message
         assert 1e-12 < max(map(abs, res.residual)) <= 1e-8
+
+
+class TestUBarElements:
+    """Every branch of the finite solves returns u_bar as a tuple of Python
+    floats, with the values (as float.hex) they had when some branches
+    returned numpy float64 elements."""
+
+    P, S = (0.5, 1.25, 2.0), (1.0, 2.5, 4.0)
+    ZERO = "0x0.0p+0"
+    SPLIT = ("0x1.999999999999ap-3", "0x1.0000000000000p-1", "0x1.999999999999ap-1")
+
+    @pytest.mark.parametrize(
+        "solve, flag, want",
+        [
+            (lambda p, s: solve_single(BE, p, 1.5), BoundaryFlag.SINGLE_CONSTRAINT, SPLIT),
+            (lambda p, s: solve_two_mb_be(MB, p, s, 0.0, 0.0), BoundaryFlag.ORIGIN, (ZERO,) * 3),
+            (lambda p, s: solve_two_mb_be(MB, p, (2.0,) * 3, 1.5, 3.0),
+             BoundaryFlag.SINGLE_CONSTRAINT, SPLIT),
+            (lambda p, s: solve_two_mb_be(MB, (*p, 0.75), (*s, 1.0), 1.5, 1.5),
+             BoundaryFlag.LOWER_EDGE,
+             ("0x1.3333333333333p-1", ZERO, ZERO, "0x1.ccccccccccccdp-1")),
+            (lambda p, s: solve_two_mb_be(BE, p, s, 1.5, 6.0),
+             BoundaryFlag.UPPER_EDGE, (ZERO, ZERO, "0x1.8000000000000p+0")),
+            (lambda p, s: solve_two_mb_be(MB, p, s, 1.5, 3.7), BoundaryFlag.INTERIOR_KKT,
+             ("0x1.e9ccf2ba14b17p-2", "0x1.27441e56fc5f5p-1", "0x1.c7aad097f28fep-2")),
+            (lambda p, s: solve_two_mb_be(BE, p, s, 1.5, 3.7), BoundaryFlag.INTERIOR_KKT,
+             ("0x1.f8c4491e51c6ap-2", "0x1.184cc7f2bf4a6p-1", "0x1.d6a226fc2fa4bp-2")),
+            (lambda p, s: solve_two_fd(p, s, 1.5, 3.7), BoundaryFlag.INTERIOR_KKT,
+             ("0x1.b4e16f7803cf2p-2", "0x1.5c2fa19907200p-1", "0x1.92bf4d55eb450p-2")),
+            (lambda p, s: solve_two_fd(p, s, 1.2, 0.5 + 2.5 * 0.7), BoundaryFlag.LOWER_EDGE,
+             ("0x1.0000000000000p-1", "0x1.6666666666666p-1", ZERO)),
+            (lambda p, s: solve_two_fd(p, s, 0.0, 0.0), BoundaryFlag.ORIGIN, (ZERO,) * 3),
+        ],
+        ids=["single", "mb-origin", "mb-degenerate", "mb-lower", "be-upper", "mb-interior",
+             "be-interior", "fd-interior", "fd-face", "fd-origin"],
+    )
+    def test_elements_are_floats(self, solve, flag, want):
+        sol = solve(self.P, self.S)
+        assert sol.boundary_flag is flag
+        assert all(type(x) is float for x in sol.u_bar)
+        assert tuple(x.hex() for x in sol.u_bar) == want
 
 
 class TestSolveTwoFd:
@@ -772,10 +817,9 @@ class TestFiniteDualAgainstMpmath:
         top = s.max() if y > 0.0 else s.min()
         x = t_max - top * y  # max t = t_max, up to the rounding of x
         assert float(np.max(x + s * y)) == pytest.approx(t_max, rel=1e-3)
-        powers = np.stack((np.ones_like(s), s, s * s), axis=1)
         with np.errstate(over="ignore"):  # p_k e^t overflows past t = 709; its terms are redone
             h, grad, hess = finite_module._finite_dual(
-                kind, log_p, s, powers, (s.min(), s.max()), x, y
+                kind, log_p, *finite_module._dual_rows(s), x, y
             )
         with mpmath.workdps(50):
             want = [float(w) for w in self._reference(mpmath, kind, log_p, s, x, y)]

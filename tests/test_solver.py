@@ -2,6 +2,7 @@
 values, attainment, epsilon-optimal families, forward/inverse solves,
 objective evaluation, weak duality and the biconjugate identity."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -1052,6 +1053,138 @@ class TestInverseSolve:
             res_tol = 1e-10 * scale  # max(tol, 1e-11) max(1, u, |v|)
             assert abs(inv.u - fwd.u) <= res_tol and abs(inv.v - fwd.v) <= res_tol
             assert inv.multipliers == pytest.approx((x, y), abs=1e-8)
+
+    @staticmethod
+    def _proposal_calls(monkeypatch, family, points, kind):
+        """The _proposal arguments of inverse round trips at points (x, y)
+        of family under kind."""
+        solver = EmpSolver(family)
+        t1 = solver.profile.theta1
+        calls, proposal = [], solver_module._proposal
+
+        def recording(*args):
+            calls.append(args)
+            return proposal(*args)
+
+        monkeypatch.setattr(solver_module, "_proposal", recording)
+        for x, y in points:
+            x = min(x, -t1 * y - 0.3) if kind is BE else x  # BE: x + theta1 y < 0
+            fwd = solver.forward_solve(kind, x, y)
+            assert isinstance(solver.inverse_solve_bf(kind, fwd.u, fwd.v), EmpSolution)
+        monkeypatch.setattr(solver_module, "_proposal", proposal)
+        return calls
+
+    @pytest.mark.parametrize("family, points", _WARM_POINTS, ids=repr)
+    @pytest.mark.parametrize("kind", [BE, FD])
+    def test_the_proposal_skips_its_confirming_evaluation(self, monkeypatch, family, points, kind):
+        # the proposal stops at residual norm r with r^2 <= tol / 10 and
+        # returns that point's Newton step unevaluated: never more
+        # finite-dual evaluations than the same Newton run down to tol, and
+        # fewer over the targets
+        calls = self._proposal_calls(monkeypatch, family, points, kind)
+        sums, minimize = finite_module._finite_dual, finite_module._minimize_dual
+        evaluations, runs = [], []
+
+        def counting(*args):
+            evaluations.append(args[-2:])
+            return sums(*args)
+
+        def recording(*args):
+            runs.append(args)
+            return minimize(*args)
+
+        monkeypatch.setattr(finite_module, "_finite_dual", counting)
+        monkeypatch.setattr(finite_module, "_minimize_dual", recording)
+        made = full = 0
+        for args in calls:
+            evaluations.clear()
+            start = solver_module._proposal(*args)
+            stopped = len(evaluations)
+            tol, in_domain = args[-1], args[-2]
+            assert math.isfinite(start[0]) and math.isfinite(start[1]) and in_domain(*start)
+            assert start not in evaluations  # the step, not an evaluated point
+            evaluations.clear()
+            kind_, log_p, rows, u, v, start0, scales, _, dom = runs[-1]
+            assert minimize(kind_, log_p, rows, u, v, start0, scales, tol, dom).converged
+            assert stopped <= len(evaluations)
+            made, full = made + stopped, full + len(evaluations)
+        assert made < full
+
+    _BAD_HESSIANS = [
+        (1.0, 1.0, 1.0),  # det = 0
+        (1.0, 2.0, 1.0),  # det < 0
+        (math.inf, 0.0, 1.0),  # det = inf
+        (math.nan, 0.0, 1.0),  # det = nan
+        (1.0, 0.0, 1e-320),  # det > 0 subnormal: the step in y overflows
+    ]
+
+    @pytest.mark.parametrize("kind", [BE, FD])
+    @pytest.mark.parametrize("hessian", _BAD_HESSIANS + [None], ids=repr)
+    def test_a_rejected_step_proposes_the_evaluated_point(self, monkeypatch, kind, hessian):
+        # a Hessian at the stopping point with no usable Newton step, or
+        # (None) a step that in_domain rejects: the proposal is the last
+        # point the Newton evaluated, finite and inside the domain
+        family, points = _WARM_POINTS[1]
+        calls = self._proposal_calls(monkeypatch, family, points, kind)
+        newton, results, fake = finite_module.minimize_convex_2d, [], [None]
+
+        def faking(*args):
+            got = newton(*args)
+            results.append(got)
+            return got if fake[0] is None else dataclasses.replace(got, hessian=fake[0])
+
+        monkeypatch.setattr(finite_module, "minimize_convex_2d", faking)
+        for args in calls:
+            *head, in_domain, tol = args
+            fake[0] = None
+            step = solver_module._proposal(*args)
+            point = results[-1].point
+            assert results[-1].converged and step != point
+            if hessian is None:  # the same Newton again, with its step outside the domain
+                args = (*head, lambda x, y, s=step: (x, y) != s and in_domain(x, y), tol)
+            fake[0] = hessian
+            start = solver_module._proposal(*args)
+            assert start == results[-1].point == point
+            assert math.isfinite(start[0]) and math.isfinite(start[1]) and in_domain(*start)
+
+    def test_prefix_rows_cache_stays_inside_its_bound(self, monkeypatch):
+        # the proposal's rows (1, sigma_k, sigma_k^2) are built once per
+        # (family, n), read-only; more (family, n) than the cache holds
+        # leave only what fits inside its stated bound alive
+        rows_of, cached = finite_module._dual_rows, solver_module._prefix_rows
+        cached.cache_clear()
+        built = []
+
+        def keeping(s):
+            rows = rows_of(s)
+            built.append((weakref.ref(rows[0]), weakref.ref(rows[1])))
+            return rows
+
+        monkeypatch.setattr(finite_module, "_dual_rows", keeping)
+        for kind in (BE, FD):
+            for _ in range(2):
+                for family, points in _WARM_POINTS:
+                    self._proposal_calls(monkeypatch, family, points, kind)
+        info = cached.cache_info()
+        assert built and len(built) == info.currsize == info.misses and info.hits >= info.misses
+        for s, powers in ((ref[0](), ref[1]()) for ref in built):
+            for arr in (s, powers):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
+            np.testing.assert_array_equal(powers, np.stack((s ** 0, s, s * s), axis=1))
+        n_max = series._ONE_ARRAY
+        for scale in range(1, 7):  # 6 families x 7 sizes: 42 entries > 32
+            fam = EmpSolver(Arithmetic(0.0, float(scale))).normal_family
+            n = series._START_BLOCK
+            while n <= n_max:
+                cached(fam, n)
+                n *= 2
+        solver_module._cached_prefix.cache_clear()  # what is alive, the rows cache holds
+        gc.collect()
+        alive = [a for ref in built for a in (ref[0](), ref[1]()) if a is not None]
+        assert alive and len(built) > cached.cache_info().currsize == solver_module._ROWS_CACHE_SIZE
+        assert max(len(a) for a in alive) <= n_max
+        assert sum(a.nbytes for a in alive) <= solver_module._ROWS_CACHE_BYTES
 
     # (family, kind, x, y, the multipliers the inverse returned when it
     # started from a slope root to 1e-5): an inverse from the forward solve
