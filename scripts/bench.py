@@ -25,6 +25,11 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
                        sigma, 1, w) on the first n terms, n = 8, 16, ... up
                        to cli._max_finite_prefix, at w = cli._interior_slope,
                        reported overall and per family;
+  finite_fd            solve_two_fd(p, sigma, u, v) with p_k = 1 and sigma
+                       evenly spaced on [0, 10] at n = 64 and 2048, u = n/4,
+                       n/3 and n/2, at face targets (v on the lower
+                       envelope) and interior ones (v = 6 u), reported
+                       overall and per n and kind of target;
   slow_value           value_mb(1, w) on slowly spaced levels, whose tight
                        targets lie beyond the term budget: LogLevels(1) at
                        w = 1.19, 3.19 and 5.19 and PowerLaw(1, 0.5) at
@@ -115,12 +120,12 @@ entromin.finite call and from series._dual_point:
                        evaluation of phi_n in its slope root, and any exp
                        that builds the optimum after it;
   exp_terms            elements those calls exponentiate;
-  py_calls             Python-level calls during one warm solve_mb, as
-                       cProfile counts them (functions and builtins, the
-                       solve_mb call itself included, the profiler's own
-                       disable call not), measured before the tracer is
-                       installed (lattice_interior, mb_interior and
-                       shifted_interior);
+  py_calls             Python-level calls during one warm solve_mb or
+                       solve_two_fd, as cProfile counts them (functions and
+                       builtins, the solve call itself included, the
+                       profiler's own disable call not), measured before
+                       the tracer is installed (lattice_interior,
+                       mb_interior, shifted_interior and finite_fd);
   budget_errors        BudgetErrors constructed during one slow_value call
                        or round trip, raised or caught, counted through the
                        class's __init__;
@@ -153,6 +158,7 @@ import cProfile
 import inspect
 import io
 import json
+import math
 import os
 import platform
 import pstats
@@ -671,6 +677,27 @@ def count_truncations(np, entromin, solves, times):
             "per_family": _per_family(solves, per_target, times)}
 
 
+def _fd_solves():
+    """(target key, p, sigma, u, v) for every finite_fd solve: the face
+    target's v is the lower envelope at u, the greedy fill of the lowest
+    levels."""
+    out = []
+    for n in (64, 2048):
+        p, sigma = [1.0] * n, [10.0 * k / (n - 1) for k in range(n)]
+        for u in (n / 4, n / 3, n / 2):
+            m = int(u)
+            face = math.fsum(sigma[:m]) + (u - m) * sigma[m]
+            out += [(f"n{n}-face", p, sigma, u, face), (f"n{n}-interior", p, sigma, u, 6.0 * u)]
+    return out
+
+
+def count_fd(solves, py_calls, times):
+    """finite_fd's py_calls and wall times, overall and per n and kind."""
+    per_target = [{"py_calls": c} for c in py_calls]
+    return {"counts_per_solve": _summary(per_target),
+            "per_family": _per_family(solves, per_target, times)}
+
+
 def count_ladder_build(tracer, cache, groups):
     """Per family key of groups (key -> calls): the entries that one run of
     the calls from a cleared cache leaves cached, and the passes and terms
@@ -819,11 +846,14 @@ def main(argv=None) -> int:
     roundtrip_s = [_timed(lambda t=t: _roundtrip(*t[1:])) for t in trips]
     slow_trip_s = [_timed(lambda t=t: _inverse(*t[1:])) for t in slow_trips]
     truncation_s = [_timed(lambda t=t: _truncated(entromin, *t[1:])) for t in truncations]
+    fd_solves = _fd_solves()
+    fd_s = [_timed(lambda t=t: entromin.solve_two_fd(*t[1:])) for t in fd_solves]
     slow_s = [_timed(lambda es=es, u=u, v=v: es.value_mb(u, v)) for _, es, u, v in slow]
     cli_verify = verify_case(_verify_runs(entromin, workloads))
     lattice_calls = [_py_calls(es.solve_mb, u, v) for u, v in lattice]
     interior_calls = [_py_calls(es.solve_mb, u, v) for _, es, u, v in interior]
     shifted_calls = [_py_calls(shifted_es.solve_mb, u, v) for u, v in shifted]
+    fd_calls = [_py_calls(entromin.solve_two_fd, *t[1:]) for t in fd_solves]
 
     tracer = tracing.Tracer()
     tracer.install()
@@ -855,6 +885,8 @@ def main(argv=None) -> int:
     truncation = {"targets": len(truncations),
                   **count_truncations(np, entromin, truncations, truncation_s),
                   "wall_ms_per_solve": _wall(truncation_s)}
+    finite_fd = {"targets": len(fd_solves), **count_fd(fd_solves, fd_calls, fd_s),
+                 "wall_ms_per_solve": _wall(fd_s)}
     slow_value = {"targets": len(slow), **count_slow_values(tracer, slow, slow_s),
                   "wall_ms_per_solve": _wall(slow_s)}
     cache = entromin.series._ladder_entry
@@ -879,6 +911,7 @@ def main(argv=None) -> int:
             "mb_interior": mb_interior,
             "shifted_interior": shifted,
             "finite_truncation": truncation,
+            "finite_fd": finite_fd,
             "slow_value": slow_value,
             "slow_roundtrip": slow_roundtrip,
             "cli_verify": cli_verify,

@@ -5,10 +5,11 @@ constraint; under two, the maxwell-boltzmann optimum is the Gibbs sequence
 u_k = p_k e^(alpha + beta sigma_k)), the damped Newton of
 rootfind.minimize_convex_2d on the smooth strictly convex dual for the
 bose-einstein and fermi-dirac cases (both started at the maxwell-boltzmann
-multipliers), and greedy zonotope envelopes for fermi-dirac feasibility and
-its boundary faces.  That Newton (_minimize_dual), on the series kernel's
-rows (series._mult_arrays), is also the inverse's proposal.  The Gibbs
-pass, one exp of the weights, gives phi_n, Var_n(sigma), ln Z_n and that
+multipliers), and one greedy fill of the fermi-dirac zonotope (_fd_fill)
+for both its envelopes and the solution on the face that feasibility
+names.  That Newton (_minimize_dual), on the series kernel's rows
+(series._mult_arrays), is also the inverse's proposal.  The Gibbs pass,
+one exp of the weights, gives phi_n, Var_n(sigma), ln Z_n and that
 optimum: the slope root phi_n(beta) = v/u is rootfind.newton_root on it,
 and so is each solver.EpsilonFamily member.
 
@@ -117,16 +118,15 @@ def kkt_residual(kind: Entropy, p, sigma, u_bar, alpha: float, beta: float) -> f
 def solve_single(kind: Entropy, p, u: float) -> FiniteSolution:
     """Minimize sum p_k W(u_k/p_k) subject to sum u_k = u, u_k >= 0: the
     proportional split u_k = u p_k / rho is optimal."""
-    p = _checked(p, np.zeros(np.shape(p)), u=u)[0].tolist()  # no levels
+    p = _checked(p, np.zeros(np.shape(p)), u=u)[0]  # no levels
     if u < 0.0:
         raise InfeasibleError(f"u must be nonnegative, got {u}")
-    n = len(p)
     if u == 0.0:
-        return FiniteSolution((0.0,) * n, 0.0, None, BoundaryFlag.ORIGIN)
+        return FiniteSolution((0.0,) * len(p), 0.0, None, BoundaryFlag.ORIGIN)
     rho = math.fsum(p)
     if kind is Entropy.FERMI_DIRAC and u > rho:
         raise InfeasibleError(f"fermi-dirac capacity is rho = {rho} < u = {u}")
-    u_bar = tuple(u * pk / rho for pk in p)
+    u_bar = tuple((u * p / rho).tolist())
     value = rho * entropy_value(kind, u / rho)
     return FiniteSolution(u_bar, value, None, BoundaryFlag.SINGLE_CONSTRAINT)
 
@@ -331,90 +331,82 @@ def _dual_newton(kind, p, sigma, u, v, a0: float, b0: float) -> FiniteSolution:
 # fermi-dirac: zonotope feasibility and two-constraint solve
 
 
-def _envelope_v(p, sigma, u: float, lower: bool) -> float:
-    """Greedy extreme of sum sigma_k u_k at first coordinate u: fill smallest
-    (largest) slopes first for the lower (upper) envelope."""
-    order = np.argsort(sigma, kind="stable")
-    if not lower:
-        order = order[::-1]
-    remaining = u
-    total = 0.0
-    for k in order:
-        take = min(remaining, p[k])
-        total += sigma[k] * take
-        remaining -= take
-        if remaining <= 0.0:
-            break
-    return total
+def _fd_fill(p, s, u: float):
+    """(order, take, (vmin, vmax)): the greedy fills of mass u (Dantzig's
+    fractional knapsack) that trace the lower and upper envelopes.  Row 0
+    of order is the stable ascending sort of sigma, row 1 its reverse, and
+    each level takes min(p_k, what remains before it); sequential
+    accumulates round as a level-by-level loop does."""
+    up = np.argsort(s, kind="stable")
+    order = np.array((up, up[::-1]))
+    caps = p[order]
+    left = np.empty_like(caps)  # u, then the p_k to subtract from it
+    left[:, 0], left[:, 1:] = u, caps[:, :-1]
+    take = np.minimum(np.maximum(np.subtract.accumulate(left, axis=1), 0.0), caps)
+    v = np.add.accumulate(s[order] * take, axis=1)[:, -1] + 0.0  # summed from 0.0: no -0.0
+    return order, take, tuple(v.tolist())
 
 
-def fd_feasible(p, sigma, u: float, v: float) -> Feasibility:
-    """Membership of (u, v) in the zonotope sum_k [0, p_k] (1, sigma_k)."""
-    p, s = _checked(p, sigma, u=u, v=v)
+def _fd_position(p, s, u: float, v: float):
+    """(Feasibility, face) of (u, v) in the zonotope sum_k [0, p_k] (1,
+    sigma_k), within atol = 1e-12 of its scale.  A BOUNDARY target with u >
+    0 lies within atol of an envelope, and face = (order, take, lower) is
+    that envelope's fill (_fd_fill), the lower one when both are that near;
+    face is None otherwise."""
     rho = float(p.sum())
     scale = max(1.0, abs(u), abs(v), rho, float(np.abs(s).max()) * max(1.0, abs(u)))
     atol = 1e-12 * scale
     if u < -atol or u > rho + atol:
-        return Feasibility.INFEASIBLE
+        return Feasibility.INFEASIBLE, None
     if u <= 0.0:  # here the envelopes' interval can invert
-        return Feasibility.BOUNDARY if abs(v) <= atol else Feasibility.INFEASIBLE
+        return (Feasibility.BOUNDARY if abs(v) <= atol else Feasibility.INFEASIBLE), None
     # the envelopes hold up to u = rho: at u = rho - d, v may lie anywhere
     # from v_full - d max sigma to v_full - d min sigma, v_full = sum sigma p,
     # which can be far wider than atol
-    vmin = _envelope_v(p, s, u, lower=True)
-    vmax = _envelope_v(p, s, u, lower=False)
+    order, take, (vmin, vmax) = _fd_fill(p, s, u)
     if v < vmin - atol or v > vmax + atol:
-        return Feasibility.INFEASIBLE
-    if v <= vmin + atol or v >= vmax - atol:
-        return Feasibility.BOUNDARY
-    return Feasibility.INTERIOR  # vmin < v < vmax strictly, kinks included
+        return Feasibility.INFEASIBLE, None
+    lower = v <= vmin + atol
+    if lower or v >= vmax - atol:  # the face that is near, the lower if both are
+        row = 0 if lower else 1
+        return Feasibility.BOUNDARY, (order[row], take[row], lower)
+    return Feasibility.INTERIOR, None  # vmin < v < vmax strictly, kinks included
 
 
-def _fd_face_solution(p, sigma, u: float, v: float) -> FiniteSolution:
-    """Exact solution on the zonotope boundary: the greedy fill is forced up
-    to the marginal slope group, which takes the proportional split."""
-    n = len(p)
-    vmin = _envelope_v(np.asarray(p), np.asarray(sigma), u, lower=True)
-    p, sigma = np.asarray(p, dtype=float).tolist(), np.asarray(sigma, dtype=float).tolist()
-    lower = abs(v - vmin) <= 1e-9 * max(1.0, abs(v), abs(vmin))
-    order = sorted(range(n), key=lambda k: (sigma[k], k))
-    if not lower:
-        order = order[::-1]
-    u_bar = [0.0] * n
-    remaining = u
-    pos = 0
-    while pos < len(order) and remaining > 0.0:
-        k = order[pos]
-        group = [k]
-        while pos + len(group) < len(order) and sigma[order[pos + len(group)]] == sigma[k]:
-            group.append(order[pos + len(group)])
-        cap = math.fsum(p[g] for g in group)
-        if remaining >= cap:
-            for g in group:
-                u_bar[g] = p[g]
-            remaining -= cap
-        else:
-            for g in group:
-                u_bar[g] = remaining * p[g] / cap
-            remaining = 0.0
-        pos += len(group)
+def fd_feasible(p, sigma, u: float, v: float) -> Feasibility:
+    """Membership of (u, v) in the zonotope sum_k [0, p_k] (1, sigma_k)."""
+    return _fd_position(*_checked(p, sigma, u=u, v=v), u, v)[0]
+
+
+def _fd_face_solution(p, s, order, take, lower: bool) -> FiniteSolution:
+    """Exact solution on the face that the fill (order, take) traces: every
+    level the fill passes is full, and the marginal tie group, the levels
+    sharing the sigma of the first level left below its p_k, takes the
+    proportional split of its mass (solve_single)."""
+    u_bar = np.empty_like(p)
+    u_bar[order] = take
+    short = np.flatnonzero(take < p[order])
+    if short.size:
+        ties = np.flatnonzero(s[order] == s[order[short[0]]])
+        group = order[ties]
+        u_bar[group] = solve_single(Entropy.FERMI_DIRAC, p[group], math.fsum(take[ties])).u_bar
     value = _w_sum(Entropy.FERMI_DIRAC, p, u_bar)
     flag = BoundaryFlag.LOWER_EDGE if lower else BoundaryFlag.UPPER_EDGE
-    return FiniteSolution(tuple(u_bar), value, None, flag)
+    return FiniteSolution(tuple(u_bar.tolist()), value, None, flag)
 
 
 def solve_two_fd(p, sigma, u: float, v: float) -> FiniteSolution:
     """Two-constraint fermi-dirac solve: Newton on the dual when (u, v) is
     interior to the zonotope (NumericalFailureError when it does not
-    converge), exact greedy-face solution on its boundary."""
+    converge), exact greedy-face solution on its boundary, and the origin
+    where it is BOUNDARY with u <= 0."""
     p, sigma = _checked(p, sigma, u=u, v=v)
-    n = len(p)
-    if u == 0.0 and v == 0.0:
-        return FiniteSolution((0.0,) * n, 0.0, None, BoundaryFlag.ORIGIN)
-    feas = fd_feasible(p, sigma, u, v)
+    feas, face = _fd_position(p, sigma, u, v)
     if feas is Feasibility.INFEASIBLE:
         raise InfeasibleError(f"(u, v) = ({u}, {v}) outside the fermi-dirac zonotope")
     if feas is Feasibility.BOUNDARY:
-        return _fd_face_solution(p, sigma, u, v)
+        if face is None:
+            return FiniteSolution((0.0,) * len(p), 0.0, None, BoundaryFlag.ORIGIN)
+        return _fd_face_solution(p, sigma, *face)
     alpha, beta, _ = _mb_multipliers(p, sigma, u, v)
     return _dual_newton(Entropy.FERMI_DIRAC, p, sigma, u, v, alpha, beta)

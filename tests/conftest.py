@@ -618,3 +618,55 @@ def ref_gibbs_pass(log_p, s, t):
     phi = float(se.sum() / z0)
     var = float((s * se).sum() / z0) - phi * phi
     return phi, var, float(m) + math.log(float(z0)), e, float(z0)
+
+
+# finite's fermi-dirac zonotope code as it was before one array fill served
+# both envelopes and the face solution: the level-by-level greedy loops that
+# the fill must reproduce, its envelopes bit for bit (tests/test_finite.py).
+
+
+def ref_envelope_v(p, sigma, u: float, lower: bool) -> float:
+    """Greedy extreme of sum sigma_k u_k at first coordinate u: fill smallest
+    (largest) slopes first for the lower (upper) envelope."""
+    order = np.argsort(sigma, kind="stable")
+    if not lower:
+        order = order[::-1]
+    remaining = u
+    total = 0.0
+    for k in order:
+        take = min(remaining, p[k])
+        total += sigma[k] * take
+        remaining -= take
+        if remaining <= 0.0:
+            break
+    return total
+
+
+def ref_fd_face(p, sigma, u: float, lower: bool) -> list[float]:
+    """u_bar on the lower (upper) face at first coordinate u: the greedy fill
+    is forced up to the marginal slope group, which takes the proportional
+    split."""
+    p, sigma = list(map(float, p)), list(map(float, sigma))
+    n = len(p)
+    order = sorted(range(n), key=lambda k: (sigma[k], k))
+    if not lower:
+        order = order[::-1]
+    u_bar = [0.0] * n
+    remaining = u
+    pos = 0
+    while pos < len(order) and remaining > 0.0:
+        k = order[pos]
+        group = [k]
+        while pos + len(group) < len(order) and sigma[order[pos + len(group)]] == sigma[k]:
+            group.append(order[pos + len(group)])
+        cap = math.fsum(p[g] for g in group)
+        if remaining >= cap:
+            for g in group:
+                u_bar[g] = p[g]
+            remaining -= cap
+        else:
+            for g in group:
+                u_bar[g] = remaining * p[g] / cap
+            remaining = 0.0
+        pos += len(group)
+    return u_bar

@@ -33,7 +33,13 @@ from entromin.rootfind import minimize_convex_2d, newton_root
 
 from entromin import finite as finite_module
 
-from conftest import FiniteProblem, brute_force_oracle, ref_gibbs_pass
+from conftest import (
+    FiniteProblem,
+    brute_force_oracle,
+    ref_envelope_v,
+    ref_fd_face,
+    ref_gibbs_pass,
+)
 
 MB = Entropy.MAXWELL_BOLTZMANN
 BE = Entropy.BOSE_EINSTEIN
@@ -485,6 +491,25 @@ class TestSolveTwoFd:
         with pytest.raises(NumericalFailureError):
             solve_two_fd(p, sigma, 338.40185745709744, 8200341.416325603)
 
+    @pytest.mark.parametrize(
+        "p, sigma, u, v, flag",
+        [
+            ((1.0, 1.0), (1.0, 2.0), 1e-10, 2e-10, BoundaryFlag.UPPER_EDGE),
+            ((1e4, 1.0), (0.0, 1.0), 0.5, 5e-9, BoundaryFlag.LOWER_EDGE),
+        ],
+        ids=["upper-within-1e-9-of-lower", "lower-within-atol"],
+    )
+    def test_face_is_the_one_feasibility_found(self, p, sigma, u, v, flag):
+        # the face solution once chose its face again, lower when |v - vmin|
+        # <= 1e-9 max(1, |v|, |vmin|): it put the first target on the lower
+        # face (sum sigma u = 1e-10) and the second, within atol = 1e-8 of
+        # the lower envelope, on the upper one (sum sigma u = 0.5)
+        atol = 1e-12 * max(1.0, u, abs(v), sum(p), max(map(abs, sigma)) * max(1.0, u))
+        sol = solve_two_fd(p, sigma, u, v)
+        assert sol.boundary_flag is flag
+        assert abs(math.fsum(sol.u_bar) - u) <= atol
+        assert abs(math.fsum(sk * uk for sk, uk in zip(sigma, sol.u_bar)) - v) <= atol
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_saturated_level_warns_of_nothing(self):
         # x + sigma_3 y is large at the optimum: the two-branch occupation
@@ -520,6 +545,47 @@ class TestFdFeasible:
         u = sum(ubar)
         v = sum(si * ui for si, ui in zip(s, ubar))
         assert fd_feasible(p, s, u, v) is not Feasibility.INFEASIBLE
+
+
+class TestFdGreedyFill:
+    """finite._fd_fill, one array fill for both zonotope envelopes and the
+    face solution, against the level-by-level loops it replaced
+    (conftest.ref_envelope_v and ref_fd_face): its envelopes bit for bit,
+    and on each face a solution inside the box that meets (u, v) within
+    fd_feasible's atol, splits its marginal tie group in proportion to p
+    and lies within 4 ulp(u) of the loop's, half of the draws with tied
+    integer levels."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_fill_matches_the_loops(self, data):
+        n = data.draw(st.integers(1, 12))
+        p = np.array(data.draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n)))
+        tied = data.draw(st.booleans())
+        levels = st.integers(-3, 3).map(float) if tied else st.floats(-10.0, 10.0)
+        s = np.array(data.draw(st.lists(levels, min_size=n, max_size=n)))
+        rho = float(p.sum())
+        u = data.draw(st.floats(1e-300, rho) | st.floats(1e-13, 1e-9))  # no subnormal splits
+        envelopes = finite_module._fd_fill(p, s, u)[2]
+        assert [x.hex() for x in envelopes] == [
+            float(ref_envelope_v(p, s, u, lower)).hex() for lower in (True, False)
+        ]
+        for v in envelopes:
+            atol = 1e-12 * max(1.0, u, abs(v), rho, float(np.abs(s).max()) * max(1.0, u))
+            sol = solve_two_fd(p, s, u, v)
+            lower = sol.boundary_flag is BoundaryFlag.LOWER_EDGE
+            assert lower or sol.boundary_flag is BoundaryFlag.UPPER_EDGE
+            u_bar = np.array(sol.u_bar)
+            assert np.all(u_bar >= 0.0) and np.all(u_bar <= p)
+            assert abs(math.fsum(u_bar.tolist()) - u) <= atol
+            assert abs(math.fsum((s * u_bar).tolist()) - v) <= atol
+            partial = (u_bar > 0.0) & (u_bar < p)
+            if partial.any():
+                assert np.unique(s[partial]).size == 1
+                ratio = (u_bar / p)[s == s[partial][0]]
+                assert ratio.max() - ratio.min() <= 4.0 * np.finfo(float).eps * ratio.max()
+            ref = np.array(ref_fd_face(p, s, u, lower))
+            assert np.all(np.abs(u_bar - ref) <= 4.0 * math.ulp(u))
 
 
 class TestOracle:
