@@ -61,9 +61,10 @@ solver.EpsilonFamily and solver.EpsilonMember, array_calls and
 bracket_calls from the family that series._eval_many and
 series._model_moments see, model_points from series._certified_slope, the exp counts
 from the numpy that entromin.solver and entromin.finite see, slope_passes
-from the arguments of series._eval_many, and newton_points and
+from the arguments of series._eval_many, newton_points and
 proposal_points from the minimize_convex_2d that entromin.solver and
-entromin.finite call and from series._dual_point:
+entromin.finite call and from series._dual_point, and rows_builds from
+entromin.finite._dual_rows:
 
   prefix_passes        np.exp calls made by entromin.solver and
                        entromin.finite (where a tree keeps the Gibbs pass,
@@ -115,6 +116,10 @@ entromin.finite call and from series._dual_point:
                        one starts (finite._minimize_dual, in trees before
                        it solver's own), which make no pass (0 in trees
                        without a proposal);
+  rows_builds          finite._dual_rows calls during one round trip: the
+                       proposal's rows (1, sigma_k, sigma_k^2) built, none
+                       for rows a tree keeps per (family, n) from an
+                       earlier call (0 in trees without finite._dual_rows);
   exp_calls            np.exp calls made by entromin.solver and
                        entromin.finite during one finite solve: every
                        evaluation of phi_n in its slope root, and any exp
@@ -140,8 +145,8 @@ median of REPEATS calls, after one untimed warm-up call per target.  All
 timing and the py_calls profiles run before the tracer is installed, so
 the counts see whatever a tree caches across calls warm, as a long-running
 process does (the slope ladder, and the epsilon family's prefix arrays and
-endpoint slopes phi_n(0) and phi_n(-alpha), per family and n, where the
-tree caches them).
+endpoint slopes phi_n(0) and phi_n(-alpha) and the proposal's rows, per
+family and n, where the tree caches them).
 
 Usage, from the repository root:
     python scripts/bench.py --out BENCH.json [--src PATH]
@@ -237,6 +242,27 @@ def _counting_members(counts):
     finally:
         for owner, name, value in reversed(patched):
             setattr(owner, name, value)
+
+
+@contextlib.contextmanager
+def _counting_rows_builds(counts):
+    """Count finite._dual_rows calls into counts["rows_builds"]."""
+    from entromin import finite
+
+    rows = getattr(finite, "_dual_rows", None)
+    if rows is None:
+        yield
+        return
+
+    def counting(s):
+        counts["rows_builds"] += 1
+        return rows(s)
+
+    finite._dual_rows = counting
+    try:
+        yield
+    finally:
+        finite._dual_rows = rows
 
 
 @contextlib.contextmanager
@@ -592,11 +618,13 @@ def count_roundtrips(tracer, entromin, trips, call=_roundtrip):
     per_target, failures = [], 0
     for trip in trips:
         counted = Counter()
-        with _counting_newton(counted), _counting_budget_errors(counted):
+        with _counting_newton(counted), _counting_budget_errors(counted), \
+                _counting_rows_builds(counted):
             result, counts = _counted(tracer, lambda t=trip: call(*t[1:]), TRIP_KEYS)
         failures += isinstance(result, entromin.InverseFailure)
         per_target.append({**counts, **{k: counted[k] for k in NEWTON_KEYS},
-                           "budget_errors": counted["budget_errors"]})
+                           "budget_errors": counted["budget_errors"],
+                           "rows_builds": counted["rows_builds"]})
     return per_target, failures
 
 

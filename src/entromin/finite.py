@@ -264,7 +264,7 @@ def _dual_rows(s):
     """(s, powers, span) for _finite_dual: the levels s, the n x 3 rows
     powers = (1, sigma_k, sigma_k^2), read-only, and span = (min s, max s).
     They depend on s alone, so the inverse's proposal keeps them per
-    (family, n) (solver._prefix_rows) and the exact solves build them per
+    (family, n) (solver._Prefix.rows) and the exact solves build them per
     call."""
     powers = np.stack((np.ones_like(s), s, s * s), axis=1)
     powers.flags.writeable = False

@@ -114,8 +114,9 @@ class SequenceRule:
 
     @series._overflow_ignored
     def term(self, n: int) -> float:
-        if n < 1:
-            raise DomainError("term index must be >= 1")
+        """u_n; DomainError unless n is an integer >= 1.  Bose-einstein's
+        1 - e^t is -expm1(t) where t > -ln 2, as in series._mult_arrays."""
+        n = _truncation(n, "n")
         if self.form == "zero":
             return 0.0
         if self.form == "restricted":
@@ -128,10 +129,14 @@ class SequenceRule:
         t = x + fam.sigma(n) * y
         if t > 700.0 and self.kind.a > 0:  # fermi-dirac past the clip: p_n / (1 + e^-t)
             return math.exp(lt - t) / (1.0 + math.exp(-t))
+        if t > -series._LN2 and self.kind.a < 0:
+            return math.exp(lt) / -math.expm1(t)
         return math.exp(lt) / (1.0 + self.kind.a * math.exp(min(t, 700.0)))
 
     def prefix(self, count: int) -> list[float]:
-        return [self.term(n) for n in range(1, count + 1)]
+        """[term(1), ..., term(count)]; DomainError unless count is an
+        integer >= 0."""
+        return [self.term(n) for n in range(1, _truncation(count, "count", 0) + 1)]
 
 
 @dataclass(frozen=True)
@@ -163,42 +168,37 @@ _PREFIX_CACHE_SIZE = 32
 _PREFIX_CACHE_BYTES = _PREFIX_CACHE_SIZE * 2 * 8 * _PREFIX_CACHE_N
 
 
-def _prefix(family, n: int):
-    """(ln p_k, sigma_k) for k = 1..n of a normalized family, as read-only
-    arrays.  Every member and every target of one family shares them: up to
-    n = _PREFIX_CACHE_N (2^16) they are built once per (family, n) and kept
-    in a least-recently-used cache of _PREFIX_CACHE_SIZE (32) entries,
-    larger ones are built per call.  The cache thus holds at most
-    _PREFIX_CACHE_BYTES (32 MiB: two float64 arrays per entry) whatever
-    truncations are asked for."""
-    if n > _PREFIX_CACHE_N:
-        return _build_prefix(family, n)
-    return _cached_prefix(family, n)
+class _Prefix:
+    """The first n terms of a normalized family, as every target of the
+    family reads them: log_p and s, (ln p_k, sigma_k) for k = 1..n as
+    read-only arrays; rows, finite._dual_rows(s), built on first read (the
+    inverse's proposal reads it, n <= series._ONE_ARRAY); and ends, the
+    endpoint slopes {lam: phi_n(-lam)} that EpsilonFamily._root fills
+    (concurrent writers store the same float)."""
+
+    def __init__(self, family, n: int):
+        self.log_p = family.log_terms(0.0, 1, n)
+        self.s = family.sigma_array(1, n)
+        self.log_p.flags.writeable = self.s.flags.writeable = False
+        self.ends = {}
+
+    @functools.cached_property
+    def rows(self):
+        return finite._dual_rows(self.s)
 
 
-def _build_prefix(family, n: int):
-    log_p = family.log_terms(0.0, 1, n)
-    s = family.sigma_array(1, n)
-    log_p.flags.writeable = s.flags.writeable = False
-    return log_p, s
+_cached_prefix = functools.lru_cache(maxsize=_PREFIX_CACHE_SIZE)(_Prefix)
 
 
-_cached_prefix = functools.lru_cache(maxsize=_PREFIX_CACHE_SIZE)(_build_prefix)
-
-_ROWS_CACHE_SIZE = 32
-_ROWS_CACHE_BYTES = _ROWS_CACHE_SIZE * 4 * 8 * series._ONE_ARRAY
-
-
-@functools.lru_cache(maxsize=_ROWS_CACHE_SIZE)
-def _prefix_rows(family, n: int):
-    """finite._dual_rows of the first n levels of a normalized family, n <=
-    series._ONE_ARRAY (4096), the most _proposal takes: the levels (from
-    _prefix), the read-only n x 3 rows (1, sigma_k, sigma_k^2) and (min
-    sigma, max sigma).  They are built once per (family, n) and kept in a
-    least-recently-used cache of _ROWS_CACHE_SIZE (32) entries, so the cache
-    holds at most _ROWS_CACHE_BYTES (4 MiB: the rows' three float64 columns
-    and the levels they keep alive, per entry)."""
-    return finite._dual_rows(_prefix(family, n)[1])
+def _prefix(family, n: int) -> _Prefix:
+    """The _Prefix of the first n terms.  Up to n = _PREFIX_CACHE_N (2^16)
+    it is built once per (family, n) and kept in a least-recently-used
+    cache of _PREFIX_CACHE_SIZE (32) entries, larger ones are built per
+    call.  A record holds two float64 arrays of n, and its rows (n <=
+    4096) three more columns, at most 2 * 2^16 floats in all, so the cache
+    holds at most _PREFIX_CACHE_BYTES (32 MiB) whatever truncations are
+    asked for."""
+    return _Prefix(family, n) if n > _PREFIX_CACHE_N else _cached_prefix(family, n)
 
 
 def _proposal(family, kind, u, v, start, scale, in_domain, tol):
@@ -218,20 +218,20 @@ def _proposal(family, kind, u, v, start, scale, in_domain, tol):
     and the certified Newton judges the proposal anyway.  Where the step
     is not finite or leaves in_domain, or the Hessian's determinant is not
     positive and finite, the proposal is the evaluated point.  It makes no
-    pass: ln p_k and sigma_k come from _prefix, the rows of the finite dual
-    from _prefix_rows."""
+    pass: ln p_k, sigma_k and the rows of the finite dual come from one
+    _prefix record per (family, n)."""
     x0, y0 = start
     shift = x0 - math.log(tol * scale)
     n = series._START_BLOCK
     while True:
-        log_p, s = _prefix(family, n)
+        pre = _prefix(family, n)
         half = slice(n // 2, n)
-        tail = np.exp(log_p[half] + (shift + s[half] * y0)) @ (1.0 + s[half])
+        tail = np.exp(pre.log_p[half] + (shift + pre.s[half] * y0)) @ (1.0 + pre.s[half])
         if n >= series._ONE_ARRAY or not tail > 1.0:
             break
         n *= 2
     got = finite._minimize_dual(
-        kind, log_p, _prefix_rows(family, n), u, v, start, (scale, scale), math.sqrt(0.1 * tol),
+        kind, pre.log_p, pre.rows, u, v, start, (scale, scale), math.sqrt(0.1 * tol),
         in_domain,
     )
     if not got.converged:
@@ -244,24 +244,15 @@ def _proposal(family, kind, u, v, start, scale, in_domain, tol):
     return got.point
 
 
-def _truncation(n, name: str) -> int:
-    """n as an int when it is an integer >= 1 (numpy integers included)."""
+def _truncation(n, name: str, least: int = 1) -> int:
+    """n as an int when it is an integer >= least (numpy integers included)."""
     try:
         k = operator.index(n)
     except TypeError:
-        k = 0
-    if k < 1:
-        raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
+        k = least - 1
+    if k < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")
     return k
-
-
-@functools.lru_cache(maxsize=1024)
-def _prefix_ends(family, n: int) -> dict:
-    """{lam: phi_n(-lam)} at the ends of [0, alpha] for the first n terms of
-    a normalized family.  They depend on (family, n) alone, so every target
-    of one family shares them; EpsilonFamily._root fills the dict from the
-    prefix it already holds, and concurrent writers store the same float."""
-    return {}
 
 
 class EpsilonFamily:
@@ -287,12 +278,11 @@ class EpsilonFamily:
     def _member(self, n: int, start: float, bound: float = math.inf, floor: float = 0.0):
         """(member(n), its lam) with the Newton iteration started at
         lam = start; (None, a root estimate) once the dual bound of an
-        iterate exceeds `bound` (see _root).  The prefix comes from _prefix,
-        shared per (family, n); the member's terms are the root's last
-        Gibbs pass scaled in place, u e / z0, and become a tuple only when
-        read (EpsilonMember.terms)."""
-        log_p, s = _prefix(self._family, n)
-        lam, at = self._root(log_p, s, start, bound, floor)
+        iterate exceeds `bound` (see _root).  The prefix record comes from
+        _prefix, shared per (family, n); the member's terms are the root's
+        last Gibbs pass scaled in place, u e / z0, and become a tuple only
+        when read (EpsilonMember.terms)."""
+        lam, at = self._root(_prefix(self._family, n), start, bound, floor)
         if at is None:
             return None, lam
         _, _, log_z, e, z0 = at
@@ -302,15 +292,15 @@ class EpsilonFamily:
         objective = (ups - 1.0) * self.u - lam * self.v
         return EpsilonMember(n, lam, ups, objective, e), lam
 
-    def _root(self, log_p, s, lam, bound=math.inf, floor=0.0):
+    def _root(self, pre, lam, bound=math.inf, floor=0.0):
         """(lam, the Gibbs pass at t = -lam, finite._gibbs_pass) with
-        g = phi_n(t) - w at most 1e-12 max(1, w) in absolute value, w = v/u:
-        rootfind.newton_root in t = -lam on [-alpha, 0] from t = -lam, with
-        g' = Var_n(sigma) from the same pass.  A step evaluates an end of
-        [-alpha, 0] only when it points past that end and no iterate has
-        proved its side; an end no iterate proved is checked after the
-        root, at most once per (family, n) (_prefix_ends).  RangeError
-        unless phi_n(-alpha) < w < phi_n(0).
+        g = phi_n(t) - w at most 1e-12 max(1, w) in absolute value, w = v/u,
+        on the prefix record pre (_prefix): rootfind.newton_root in t = -lam
+        on [-alpha, 0] from t = -lam, with g' = Var_n(sigma) from the same
+        pass.  A step evaluates an end of [-alpha, 0] only when it points
+        past that end and no iterate has proved its side; an end no iterate
+        proved is checked after the root, at most once per record (pre.ends).
+        RangeError unless phi_n(-alpha) < w < phi_n(0).
 
         Every pass also gives the Lagrange dual of the n-term problem,
         D_n(lam) = (ln u - ln Z_n(lam) - 1) u - lam v, which is at most the
@@ -323,6 +313,7 @@ class EpsilonFamily:
         that step and the iterate.  evaluate carries it out of the root
         search in a _Dropped."""
         a = self._prof.alpha
+        log_p, s = pre.log_p, pre.s
         n = len(s)
         u, v = self.u, self.v
         w = v / u
@@ -347,7 +338,7 @@ class EpsilonFamily:
             )
         except _Dropped as drop:
             return drop.args[0], None
-        ends = _prefix_ends(self._family, n)
+        ends = pre.ends
         for end, ok in ((0.0, zero_ok), (a, alpha_ok)):
             if not ok:
                 phi = ends.get(end)

@@ -255,6 +255,19 @@ class TestSolveMb:
         for n in range(1, 30):
             assert sol.solution.term(n) == pytest.approx(n ** -3.0 / ZETA3, abs=1e-10)
 
+    @pytest.mark.parametrize("family,u,v", [(Arithmetic(0.0, 1.0), 1.0, 2.0), (Lattice3D(1.0), 1.0, 5.0)])
+    def test_rule_rejects_a_fractional_index(self, family, u, v):
+        # term(2.5) returned 0.1768 on Arithmetic(0, 1) and raised a raw
+        # TypeError on Lattice3D(1); prefix(2.5) raised a TypeError
+        rule = EmpSolver(family).solve_mb(u, v).solution
+        for n in (2.5, 0, -1):
+            with pytest.raises(DomainError, match=f"n must be an integer >= 1, got {n}"):
+                rule.term(n)
+        with pytest.raises(DomainError, match="count must be an integer >= 0, got 2.5"):
+            rule.prefix(2.5)
+        assert rule.prefix(0) == []
+        assert rule.prefix(np.int64(2)) == [rule.term(1), rule.term(np.int32(2))]
+
     def test_beyond_theta2_not_attained(self, zeta_solver):
         sol = zeta_solver.solve_mb(1.0, 2.0)
         assert sol.region is Region.BEYOND_THETA2
@@ -472,14 +485,16 @@ class TestEpsilonFamily:
     def test_cached_prefix_is_read_only(self, zeta_solver):
         sol = zeta_solver.solve_mb(1.0, 2.0)
         fam = sol.epsilon_family._family
-        log_p, s = solver_module._prefix(fam, 64)
-        assert solver_module._prefix(fam, 64)[0] is log_p
+        pre = solver_module._prefix(fam, 64)
+        assert solver_module._prefix(fam, 64) is pre
         member = sol.epsilon_family.member(64)
-        for arr in (log_p, s, member.term_array):
+        s, powers, _ = pre.rows
+        assert pre.rows[1] is powers and s is pre.s
+        for arr in (pre.log_p, pre.s, powers, member.term_array):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
-        np.testing.assert_array_equal(log_p, fam.log_terms(0.0, 1, 64))
-        np.testing.assert_array_equal(s, fam.sigma_array(1, 64))
+        np.testing.assert_array_equal(pre.log_p, fam.log_terms(0.0, 1, 64))
+        np.testing.assert_array_equal(pre.s, fam.sigma_array(1, 64))
 
     def test_terms_are_built_once(self, zeta_solver):
         member = zeta_solver.solve_mb(1.0, 2.0).epsilon_family.member(128)
@@ -490,35 +505,41 @@ class TestEpsilonFamily:
         assert "term_array" not in repr(member) and "terms" not in repr(member)
 
     def test_prefix_cache_stays_inside_its_bound(self, monkeypatch):
-        # WeightedGeometric(0.5, 4) at 2 theta2 reaches n = 2^19 under
-        # converge(1e-4): prefixes past the cached size are built per member
-        # and freed, and what the cache holds stays inside its stated bound
-        solver = EmpSolver(WeightedGeometric(0.5, 4.0))
-        eps_fam = self._eps_family(solver, 2.0 * solver.profile.theta2)
-        fam = eps_fam._family
+        # 6 families x 7 sizes of proposal rows (42 records > 32, each with
+        # its rows), then WeightedGeometric(0.5, 4) at 2 theta2 under
+        # converge(1e-4), which reaches n = 2^19: records past the cached
+        # size are built per member and freed, and what the cache keeps
+        # alive stays inside its stated bound
         solver_module._cached_prefix.cache_clear()
-        built = []
-        log_terms, sigma_array = type(fam).log_terms, type(fam).sigma_array
+        made = []
+        init = solver_module._Prefix.__init__
 
-        def keeping(fn):
-            def wrapped(self, *args):
-                arr = fn(self, *args)
-                built.append(weakref.ref(arr))
-                return arr
+        def keeping(pre, family, n):
+            init(pre, family, n)
+            made.append(weakref.ref(pre))
 
-            return wrapped
-
-        monkeypatch.setattr(type(fam), "log_terms", keeping(log_terms))
-        monkeypatch.setattr(type(fam), "sigma_array", keeping(sigma_array))
-        member = eps_fam.converge(1e-4)
+        monkeypatch.setattr(solver_module._Prefix, "__init__", keeping)
+        for scale in range(1, 7):
+            fam = EmpSolver(Arithmetic(0.0, float(scale))).normal_family
+            n = series._START_BLOCK
+            while n <= series._ONE_ARRAY:
+                assert solver_module._prefix(fam, n).rows
+                n *= 2
+        solver = EmpSolver(WeightedGeometric(0.5, 4.0))
+        member = self._eps_family(solver, 2.0 * solver.profile.theta2).converge(1e-4)
         assert member.n >= 2**18
         del member
         gc.collect()
-        alive = [r() for r in built if r() is not None]
-        # the prefixes past the cached size were freed
-        assert alive and len(alive) < len(built)
-        assert max(len(a) for a in alive) <= solver_module._PREFIX_CACHE_N
-        assert sum(a.nbytes for a in alive) <= solver_module._PREFIX_CACHE_BYTES
+        alive = [r() for r in made if r() is not None]
+        assert alive and len(alive) < len(made)
+        assert len(alive) <= solver_module._PREFIX_CACHE_SIZE
+        assert any("rows" in vars(pre) for pre in alive)
+        assert max(len(pre.s) for pre in alive) <= solver_module._PREFIX_CACHE_N
+        held = sum(
+            pre.log_p.nbytes + pre.s.nbytes + (pre.rows[1].nbytes if "rows" in vars(pre) else 0)
+            for pre in alive
+        )
+        assert held <= solver_module._PREFIX_CACHE_BYTES
 
     # -- members pinned bit for bit -------------------------------------------
 
@@ -721,7 +742,7 @@ class TestEpsilonFamily:
         # no endpoint pass and no terms; the returned member's terms come
         # from its last pass (about 11.8 n on the parent of this bound)
         eps_fam = self._eps_family(zeta_solver, ratio * zeta_solver.profile.theta2)
-        solver_module._prefix_ends.cache_clear()
+        solver_module._cached_prefix.cache_clear()  # endpoint slopes go with their prefix
         terms = []
 
         class CountingNumpy:
@@ -742,7 +763,7 @@ class TestEpsilonFamily:
         # the returned member's root is approached from one side, so its
         # other endpoint takes a pass the first time only
         eps_fam = self._eps_family(zeta_solver, 2.0)
-        solver_module._prefix_ends.cache_clear()
+        solver_module._cached_prefix.cache_clear()
         calls = []
         orig = finite_module._gibbs_pass
 
@@ -753,7 +774,7 @@ class TestEpsilonFamily:
         monkeypatch.setattr(finite_module, "_gibbs_pass", counting)
         first = eps_fam.converge(1e-3)
         cold = len(calls)
-        ends = solver_module._prefix_ends(eps_fam._family, first.n)
+        ends = solver_module._prefix(eps_fam._family, first.n).ends
         assert ends
         phi = self._prefix_slope(eps_fam._family, first.n)
         assert all(got == phi(-lam) for lam, got in ends.items())
@@ -763,7 +784,7 @@ class TestEpsilonFamily:
 
     def test_threads_share_one_solver(self, zeta_solver):
         eps_fam = self._eps_family(zeta_solver, 1.7 * zeta_solver.profile.theta2)
-        solver_module._prefix_ends.cache_clear()
+        solver_module._cached_prefix.cache_clear()
         start = threading.Barrier(2)
         got, errors = [None, None], []
 
@@ -880,6 +901,22 @@ class TestForwardSolve:
         assert sol.v == pytest.approx(math.fsum(n * o for n, o in enumerate(occ, 1)), rel=1e-9)
         assert series.eval_h(fam, FD, x, -1.0) == pytest.approx(math.fsum(h), rel=1e-9)
         assert all(term <= 1.0 for term in sol.solution.prefix(10))
+
+    @pytest.mark.parametrize(
+        "family", [Arithmetic(0.0, 1.0), WeightedGeometric(1.0, 3.0), Lattice3D(1.0)], ids=repr
+    )
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9, 1e-12, 1e-15])
+    def test_be_terms_near_condensation(self, family, gap):
+        # 1 - e^t cancelled for t near 0: term(1) of Arithmetic(0, 1) at
+        # (2 - 1e-9, -2) was 999999916.2596358, not 999999916.7596358
+        mpmath = pytest.importorskip("mpmath")
+        rule = EmpSolver(family).forward_solve(BE, 2.0 * family.sigma(1) - gap, -2.0).solution
+        fam, x, y = rule.normal  # the floats the rule evaluates with
+        with mpmath.workdps(50):
+            for n in (1, 2, 3):
+                t = mpmath.mpf(x) + mpmath.mpf(fam.sigma(n)) * mpmath.mpf(y)
+                ref = mpmath.mpf(fam.p(n)) / mpmath.expm1(-t)
+                assert abs(rule.term(n) / ref - 1) <= 1e-13
 
     def test_boundary_case_c_forward(self, zeta_solver):
         # at y = -alpha the gradient series still converges in case (c)
@@ -1147,44 +1184,35 @@ class TestInverseSolve:
             assert start == results[-1].point == point
             assert math.isfinite(start[0]) and math.isfinite(start[1]) and in_domain(*start)
 
-    def test_prefix_rows_cache_stays_inside_its_bound(self, monkeypatch):
+    def test_prefix_rows_are_built_once(self, monkeypatch):
         # the proposal's rows (1, sigma_k, sigma_k^2) are built once per
-        # (family, n), read-only; more (family, n) than the cache holds
-        # leave only what fits inside its stated bound alive
-        rows_of, cached = finite_module._dual_rows, solver_module._prefix_rows
-        cached.cache_clear()
+        # cached (family, n), read-only; a second round of every proposal
+        # builds neither a prefix nor its rows
+        rows_of = finite_module._dual_rows
+        solver_module._cached_prefix.cache_clear()
         built = []
 
         def keeping(s):
             rows = rows_of(s)
-            built.append((weakref.ref(rows[0]), weakref.ref(rows[1])))
+            built.append(rows)
             return rows
 
         monkeypatch.setattr(finite_module, "_dual_rows", keeping)
         for kind in (BE, FD):
+            rounds = []
             for _ in range(2):
                 for family, points in _WARM_POINTS:
                     self._proposal_calls(monkeypatch, family, points, kind)
-        info = cached.cache_info()
-        assert built and len(built) == info.currsize == info.misses and info.hits >= info.misses
-        for s, powers in ((ref[0](), ref[1]()) for ref in built):
+                rounds.append(len(built))
+            assert rounds[0] == rounds[1]
+        info = solver_module._cached_prefix.cache_info()
+        assert built and len(built) <= info.currsize == info.misses and info.hits >= info.misses
+        assert len({id(s) for s, _, _ in built}) == len(built)
+        for s, powers, _ in built:
             for arr in (s, powers):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0.0
             np.testing.assert_array_equal(powers, np.stack((s ** 0, s, s * s), axis=1))
-        n_max = series._ONE_ARRAY
-        for scale in range(1, 7):  # 6 families x 7 sizes: 42 entries > 32
-            fam = EmpSolver(Arithmetic(0.0, float(scale))).normal_family
-            n = series._START_BLOCK
-            while n <= n_max:
-                cached(fam, n)
-                n *= 2
-        solver_module._cached_prefix.cache_clear()  # what is alive, the rows cache holds
-        gc.collect()
-        alive = [a for ref in built for a in (ref[0](), ref[1]()) if a is not None]
-        assert alive and len(built) > cached.cache_info().currsize == solver_module._ROWS_CACHE_SIZE
-        assert max(len(a) for a in alive) <= n_max
-        assert sum(a.nbytes for a in alive) <= solver_module._ROWS_CACHE_BYTES
 
     # (family, kind, x, y, the multipliers the inverse returned when it
     # started from a slope root to 1e-5): an inverse from the forward solve
