@@ -45,7 +45,17 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
                        cli-batch writes for each of mb-point's families,
                        with a solver built from that spec, reported per
                        family with the wall time of each check and the
-                       inverse solves' Newton points.
+                       inverse solves' Newton points;
+  rule_prefix          SequenceRule.prefix(100_000) of the interior
+                       solutions solve_mb(1, 2) on Arithmetic(0, 1) and
+                       solve_mb(1, 3.19) on LogLevels(1), reported per
+                       family;
+  explicit_solver      EmpSolver(ExplicitPrefix((1, 2), (1, 2),
+                       WeightedGeometric(1, 3))) and EmpSolver of its tail
+                       alone, each built cold (the family caches
+                       sigma_min_set, series.profile, series._ladder_entry
+                       and solver._cached_prefix cleared first), before any
+                       other case runs, and the caches cleared again after.
 
 Apart from the cases, ladder_build reports per family what filling the
 cache of slope-root starts costs for the mb_interior and the bf_roundtrip
@@ -55,11 +65,12 @@ passes and terms that run spends beyond a warm rerun of the same targets.  Resul
 depend on which entries are cached, so the difference is the build alone.
 
 Work counts are deterministic and come from wrapping the library from
-outside; nothing in src/ counts.  prefix_builds and the series counts come
-from perfbench's tracer (perfbench/tracing.py), members and terms_built from
-solver.EpsilonFamily and solver.EpsilonMember, array_calls and
-bracket_calls from the family that series._eval_many and
-series._model_moments see, model_points from series._certified_slope, the exp counts
+outside; nothing in src/ counts.  prefix_builds, series_passes and
+log_terms_calls come from perfbench's tracer (perfbench/tracing.py),
+members and terms_built from solver.EpsilonFamily and
+solver.EpsilonMember, series_terms, array_calls and bracket_calls from the
+family that series._eval_many and series._model_moments see, model_points
+from series._certified_slope, the exp counts
 from the numpy that entromin.solver and entromin.finite see, slope_passes
 from the arguments of series._eval_many, newton_points and
 proposal_points from the minimize_convex_2d that entromin.solver and
@@ -86,7 +97,9 @@ entromin.finite._dual_rows:
   series_passes        log_terms calls starting at n = 1 during one
                        solve_mb or round trip: one per certified series
                        pass;
-  series_terms         elements all log_terms calls return;
+  series_terms         elements the kernel's log_terms calls return (those
+                       of series._eval_many and series._model_moments, not
+                       a family's own reads inside a tail bracket);
   array_calls          log_terms calls that series._eval_many makes during
                        one solve_mb, round trip or value_mb: one per array
                        pass over a stretch of terms;
@@ -126,11 +139,14 @@ entromin.finite._dual_rows:
                        that builds the optimum after it;
   exp_terms            elements those calls exponentiate;
   py_calls             Python-level calls during one warm solve_mb or
-                       solve_two_fd, as cProfile counts them (functions and
-                       builtins, the solve call itself included, the
-                       profiler's own disable call not), measured before
-                       the tracer is installed (lattice_interior,
-                       mb_interior, shifted_interior and finite_fd);
+                       solve_two_fd, one prefix or one cold solver build,
+                       as cProfile counts them (functions and builtins, the
+                       call itself included, the profiler's own disable
+                       call not), measured before the tracer is installed
+                       (lattice_interior, mb_interior, shifted_interior,
+                       finite_fd, rule_prefix and explicit_solver);
+  log_terms_calls      log_terms calls during one prefix, outermost only
+                       (rule_prefix);
   budget_errors        BudgetErrors constructed during one slow_value call
                        or round trip, raised or caught, counted through the
                        class's __init__;
@@ -323,7 +339,7 @@ KERNEL_CALLS = {
 }
 PASS_KEYS = {
     "series_passes": "series.passes",
-    "series_terms": "sequences.terms",
+    "series_terms": "series_terms",
     "array_calls": "array_calls",
     "bracket_calls": "bracket_calls",
 }
@@ -332,7 +348,9 @@ SOLVE_KEYS = {**PASS_KEYS, "model_points": "model_points"}
 
 class _CountingFamily:
     """A family as series._eval_many sees it, counting into counts the
-    kernel's calls of the methods in KERNEL_CALLS."""
+    kernel's calls of the methods in KERNEL_CALLS, and as series_terms the
+    elements its log_terms calls return.  It equals and hashes as the
+    family, so that the family's caches (sigma_min_set) see the family."""
 
     def __init__(self, family, counts):
         self._family = family
@@ -340,6 +358,12 @@ class _CountingFamily:
 
     def __repr__(self):
         return repr(self._family)
+
+    def __eq__(self, other):
+        return self._family == (other._family if isinstance(other, _CountingFamily) else other)
+
+    def __hash__(self):
+        return hash(self._family)
 
     def __getattr__(self, name):
         attr = getattr(self._family, name)
@@ -349,6 +373,8 @@ class _CountingFamily:
 
         def counted(*args, **kwargs):
             self._counts[key] += 1
+            if name == "log_terms":  # (y, lo, hi)
+                self._counts["series_terms"] += args[2] - args[1] + 1
             return attr(*args, **kwargs)
 
         return counted
@@ -730,7 +756,7 @@ def count_ladder_build(tracer, cache, groups):
     """Per family key of groups (key -> calls): the entries that one run of
     the calls from a cleared cache leaves cached, and the passes and terms
     it spends beyond a warm rerun."""
-    keys = {"series_passes": "series.passes", "series_terms": "sequences.terms"}
+    keys = {"series_passes": "series.passes", "series_terms": "series_terms"}
 
     def run(calls):
         total = Counter()
@@ -844,6 +870,78 @@ def _wall(times):
     return {k: 1e3 * v for k, v in _quartiles(times).items()}
 
 
+def _runs(fn, setup=lambda: None):
+    """REPEATS wall times of fn() in seconds after one untimed warm-up,
+    each call after setup()."""
+    setup()
+    fn()
+    times = []
+    for _ in range(REPEATS):
+        setup()
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return times
+
+
+PREFIX_COUNT = 100_000
+
+
+def _prefix_rules(entromin):
+    """(family key, rule) for every rule_prefix case."""
+    targets = (("arithmetic", entromin.Arithmetic(0.0, 1.0), 2.0),
+               ("loglevels", entromin.LogLevels(1.0), 3.19))
+    return [(key, entromin.EmpSolver(fam).solve_mb(1.0, w).solution) for key, fam, w in targets]
+
+
+def prefix_case(tracer, rules, py_calls, runs):
+    """rule_prefix: per family, the py_calls and log_terms calls of one
+    prefix(PREFIX_COUNT) and the wall times of runs."""
+    per_target, per_family = [], {}
+    keys = {"log_terms_calls": "sequences.log_terms.calls"}
+    for (fam, rule), calls, times in zip(rules, py_calls, runs):
+        counts = _counted(tracer, lambda r=rule: r.prefix(PREFIX_COUNT), keys)[1]
+        counts["py_calls"] = calls
+        per_target.append(counts)
+        per_family[fam] = {"targets": 1, "counts_per_prefix": _summary([counts]),
+                           "wall_ms_per_prefix": _wall(times)}
+    return {"targets": len(rules), "counts_per_prefix": _summary(per_target),
+            "wall_ms_per_prefix": _wall([statistics.median(t) for t in runs]),
+            "per_family": per_family}
+
+
+def _clear_family_caches(entromin):
+    """Empty the caches that a solver build fills per family."""
+    from entromin import sequences, series, solver
+
+    for cache in (sequences.sigma_min_set, series.profile, series._ladder_entry,
+                  solver._cached_prefix):
+        cache.cache_clear()
+
+
+def explicit_case(entromin):
+    """explicit_solver: per family, the py_calls of one cold EmpSolver build
+    and the wall times of REPEATS cold builds; the caches are left empty."""
+    tail = entromin.WeightedGeometric(1, 3)
+    builds = [("explicit", entromin.ExplicitPrefix((1, 2), (1, 2), tail)), ("tail", tail)]
+
+    def clear():
+        _clear_family_caches(entromin)
+
+    per_target, medians, per_family = [], [], {}
+    for key, fam in builds:
+        times = _runs(lambda f=fam: entromin.EmpSolver(f), clear)
+        clear()
+        counts = {"py_calls": _py_calls(entromin.EmpSolver, fam)}
+        clear()
+        per_target.append(counts)
+        medians.append(statistics.median(times))
+        per_family[key] = {"targets": 1, "counts_per_build": _summary([counts]),
+                           "wall_ms_per_build": _wall(times)}
+    return {"targets": len(builds), "counts_per_build": _summary(per_target),
+            "wall_ms_per_build": _wall(medians), "per_family": per_family}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="JSON file to write")
@@ -858,6 +956,7 @@ def main(argv=None) -> int:
     import tracing
     import workloads
 
+    explicit_solver = explicit_case(entromin)  # first: it empties the caches
     reqs = _targets(workloads, np)
     fams = _families(entromin, workloads, reqs)
     es, lattice = _lattice(entromin, workloads, reqs)
@@ -878,10 +977,13 @@ def main(argv=None) -> int:
     fd_s = [_timed(lambda t=t: entromin.solve_two_fd(*t[1:])) for t in fd_solves]
     slow_s = [_timed(lambda es=es, u=u, v=v: es.value_mb(u, v)) for _, es, u, v in slow]
     cli_verify = verify_case(_verify_runs(entromin, workloads))
+    rules = _prefix_rules(entromin)
+    prefix_runs = [_runs(lambda r=rule: r.prefix(PREFIX_COUNT)) for _, rule in rules]
     lattice_calls = [_py_calls(es.solve_mb, u, v) for u, v in lattice]
     interior_calls = [_py_calls(es.solve_mb, u, v) for _, es, u, v in interior]
     shifted_calls = [_py_calls(shifted_es.solve_mb, u, v) for u, v in shifted]
     fd_calls = [_py_calls(entromin.solve_two_fd, *t[1:]) for t in fd_solves]
+    prefix_calls = [_py_calls(rule.prefix, PREFIX_COUNT) for _, rule in rules]
 
     tracer = tracing.Tracer()
     tracer.install()
@@ -923,6 +1025,7 @@ def main(argv=None) -> int:
             tracer, cache, _grouped(interior, lambda es, u, v: es.solve_mb(u, v))),
         "bf_roundtrip": count_ladder_build(tracer, cache, _grouped(trips, _roundtrip)),
     }
+    rule_prefix = prefix_case(tracer, rules, prefix_calls, prefix_runs)
     tracer.active = False
 
     record = {
@@ -943,6 +1046,8 @@ def main(argv=None) -> int:
             "slow_value": slow_value,
             "slow_roundtrip": slow_roundtrip,
             "cli_verify": cli_verify,
+            "rule_prefix": rule_prefix,
+            "explicit_solver": explicit_solver,
         },
         "ladder_build": build,
     }
@@ -960,9 +1065,10 @@ def main(argv=None) -> int:
                 print(f"  {fam}: {counts}; median {sub['wall_ms_per_verify']['median']:.2f} ms "
                       f"({checks} ms)")
                 continue
-            means = ", ".join(f"{k} {v['mean']:.2f}" for k, v in sub["counts_per_solve"].items())
-            print(f"  {fam}: {sub['targets']} targets; {means}; "
-                  f"median {sub['wall_ms_per_solve']['median']:.3f} ms")
+            counts = next(v for k, v in sub.items() if k.startswith("counts"))
+            wall = next(v for k, v in sub.items() if k.startswith("wall_ms"))
+            means = ", ".join(f"{k} {v['mean']:.2f}" for k, v in counts.items())
+            print(f"  {fam}: {sub['targets']} targets; {means}; median {wall['median']:.3f} ms")
         for trip in case.get("per_roundtrip", []):
             print("  " + ", ".join(f"{k} {v}" for k, v in trip.items()))
     for name, per_family in build.items():

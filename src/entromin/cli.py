@@ -186,8 +186,9 @@ def _interior_slope(prof, f=0.25, c=1.0):
 
 
 def _max_finite_prefix(family, n_cap=2048):
+    p = family.p_array(1, n_cap)
     n = 1
-    while n < n_cap and math.isfinite(family.p(2 * n)):
+    while n < n_cap and math.isfinite(p[2 * n - 1]):
         n *= 2
     return n
 
@@ -259,7 +260,7 @@ def _check_weak_duality(solver, rng):
         k = int(rng.integers(2, 10))
         terms = rng.uniform(0.0, 1.0, k)
         u = float(terms.sum())
-        v = float(sum(t * fam.sigma(i + 1) for i, t in enumerate(terms)))
+        v = float(sum(t * s for t, s in zip(terms, fam.sigma_array(1, k))))
         if u <= 0.0:
             continue
         obj = solver.objective_value(Entropy.MAXWELL_BOLTZMANN, list(terms))

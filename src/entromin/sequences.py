@@ -4,8 +4,8 @@ A family is a finitely described generator of weights p_n (positive, with
 sum p_n = inf) and levels sigma_n, n >= 1.  Everything the series layer
 proves about f(y) = sum p_n exp(sigma_n y) rests on what a family declares:
 
-  * its terms: ``p`` and ``sigma`` (``log_p``, ``p_array``,
-    ``sigma_array`` and ``log_terms`` where faster or overflow-free);
+  * its terms, once, as the arrays ``sigma_array`` and ``log_terms`` (ln p_n
+    + sigma_n y, overflow-free), and ``p_array`` where its weights are exact;
   * ``alpha``, the endpoint of dom f: f is finite on (-inf, -alpha), and
     alpha = +inf when dom f is empty; levels falling to -inf have none, and
     an undeclared alpha raises UnsupportedFamilyError;
@@ -18,11 +18,13 @@ proves about f(y) = sum p_n exp(sigma_n y) rests on what a family declares:
     block-doubling majorants, and zeta-type tails at and beyond the
     endpoint y = -alpha) and ``boundary_divergent`` (summability there).
 
-The base class derives the rest: ``constant_sigma`` is sigma_direction 0,
-``dom_f_empty`` is alpha = +inf for levels not falling to -inf, and
-``tail_intervals``, the brackets the series layer reads (all moments at one
-index from one call; ``tail_interval`` is its one-moment view), combines a
-leaf family's certificates (moments k >= 1 need positive levels).  A family
+The base class derives the rest: ``p_array`` (e^(ln p_n), inf from ln p_n
+= 700 on), the scalars ``sigma``, ``log_p`` and ``p`` (an element of each
+array), ``constant_sigma`` (sigma_direction 0) and ``dom_f_empty`` (alpha
+= +inf for levels not falling to -inf).  ``tail_intervals``, the brackets
+the series layer reads (all moments at one index from one call;
+``tail_interval`` is its one-moment view), combines a leaf family's
+certificates (moments k >= 1 need positive levels).  A family
 whose closed forms no other route can beat declares ``_direct_wins``, and
 they skip the combiner: Arithmetic's are the exact tails (the ratio
 route's 1 - r cancels near y = 0 and can round low), and Lattice3D has no
@@ -89,34 +91,33 @@ class SigmaMinSet:
 @dataclass(frozen=True)
 class SequenceFamily:
     """Deterministic generator of (p_n, sigma_n); subclasses add parameters
-    and declare what the module docstring lists.  constant_sigma and
-    dom_f_empty are derived here from sigma_direction and alpha, and are
-    not overridden."""
+    and declare what the module docstring lists, their terms as two arrays.
+    The scalar terms, constant_sigma and dom_f_empty are derived here, and
+    are not overridden."""
 
     # -- term access --------------------------------------------------------
 
-    def p(self, n: int) -> float:
-        raise NotImplementedError
-
-    def sigma(self, n: int) -> float:
-        raise NotImplementedError
-
-    def log_p(self, n: int) -> float:
-        """ln(p_n); override where p_n overflows a float."""
-        return math.log(self.p(n))
-
     def sigma_array(self, lo: int, hi: int) -> np.ndarray:
         """sigma_n for n in [lo, hi] inclusive."""
-        return np.array([self.sigma(n) for n in range(lo, hi + 1)], dtype=float)
-
-    def p_array(self, lo: int, hi: int) -> np.ndarray:
-        """p_n for n in [lo, hi] inclusive, the floats p gives."""
-        return np.array([self.p(n) for n in range(lo, hi + 1)], dtype=float)
+        raise NotImplementedError
 
     def log_terms(self, y: float, lo: int, hi: int) -> np.ndarray:
         """ln(p_n) + sigma_n * y for n in [lo, hi], overflow-free."""
-        logp = np.array([self.log_p(n) for n in range(lo, hi + 1)])
-        return logp + self.sigma_array(lo, hi) * y
+        raise NotImplementedError
+
+    def p_array(self, lo: int, hi: int) -> np.ndarray:
+        """p_n for n in [lo, hi] inclusive: e^(ln p_n), inf where ln p_n >= 700."""
+        log_p = self.log_terms(0.0, lo, hi)
+        return np.where(log_p < 700.0, np.exp(np.minimum(log_p, 700.0)), math.inf)
+
+    def sigma(self, n: int) -> float:
+        return float(self.sigma_array(n, n)[0])
+
+    def log_p(self, n: int) -> float:
+        return float(self.log_terms(0.0, n, n)[0])
+
+    def p(self, n: int) -> float:
+        return float(self.p_array(n, n)[0])
 
     # -- analytic metadata ---------------------------------------------------
 
@@ -233,11 +234,11 @@ class SequenceFamily:
         if not (math.isfinite(a) and y < -a):
             return {}
         last = max(n + 1, self.sigma_increasing_from)  # nondecreasing on
-        if min(map(self.sigma, range(n + 1, last + 1))) <= 0.0:
+        s = self.sigma_array(n + 1, last).tolist()
+        if min(s) <= 0.0:
             return {}
         gap = -a - y
-        ladder = {0.5 * gap, 0.125 * gap, 0.03125 * gap}
-        ladder.add(min(0.5 * gap, 1.0 / self.sigma(n + 1)))
+        ladder = {0.5 * gap, 0.125 * gap, 0.03125 * gap, min(0.5 * gap, 1.0 / s[0])}
         bases = {}
         for eps in ladder:
             if eps > 0.0:
@@ -248,13 +249,10 @@ class SequenceFamily:
 
     def _terms(self, y, n):
         """(v, s) = (e^(ln p_m + sigma_m y), sigma_m) for m = n and n + 1:
-        t_m of moment k is v s^k."""
-        out = []
-        for m in (n, n + 1):
-            s = self.sigma(m)  # positive wherever a moment k >= 1 is asked for
-            t = self.log_p(m) + s * y
-            out.append(((math.exp(t) if t < 700.0 else math.inf), s))
-        return out
+        t_m of moment k is v s^k; s is positive wherever a k >= 1 is asked for."""
+        s = self.sigma_array(n, n + 1)
+        t = (self.log_terms(0.0, n, n + 1) + s * y).tolist()
+        return [(math.exp(tm) if tm < 700.0 else math.inf, sm) for tm, sm in zip(t, s.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +275,6 @@ class Arithmetic(SequenceFamily):
     def __post_init__(self):
         if not (math.isfinite(self.offset) and math.isfinite(self.slope)):
             raise ConfigurationError("arithmetic family needs finite offset/slope")
-
-    def p(self, n):
-        return 1.0
-
-    def sigma(self, n):
-        return self.offset + self.slope * n
 
     def sigma_array(self, lo, hi):
         return self.offset + self.slope * np.arange(lo, hi + 1, dtype=float)
@@ -320,8 +312,10 @@ class Arithmetic(SequenceFamily):
         if self.slope <= 0.0 or y >= 0.0:
             return [None] * len(moments)
         om = -math.expm1(self.slope * y)  # 1 - rho, rho = e^(slope y), without cancellation
+        # moments k >= 1 need sigma_(n+1) > 0: read once, and not for moment 0 alone
+        positive = moments != (0,) and self.sigma_array(n + 1, n + 1)[0] > 0.0
         if om <= 2.0**-54:  # rho rounds to 1: only the trivial bracket is certain
-            return [None if k and self.sigma(n + 1) <= 0.0 else (0.0, math.inf) for k in moments]
+            return [None if k and not positive else (0.0, math.inf) for k in moments]
         try:
             amp = math.exp(self.offset * y)
         except OverflowError:  # no certificate from this route
@@ -334,7 +328,7 @@ class Arithmetic(SequenceFamily):
             t = None  # k > 2, or k >= 1 over a nonpositive level
             if k == 0:
                 t = amp * s0
-            elif k <= 2 and self.sigma(n + 1) > 0.0:
+            elif k <= 2 and positive:
                 s1 = g * (1.0 + n * om) / om**2
                 if k == 1:
                     t = amp * (a * s0 + b * s1)
@@ -382,12 +376,6 @@ class PowerLaw(SequenceFamily):
             raise ConfigurationError("power-law exponent must be positive")
         if self.scale == 0.0 or not math.isfinite(self.scale):
             raise ConfigurationError("power-law scale must be nonzero finite")
-
-    def p(self, n):
-        return 1.0
-
-    def sigma(self, n):
-        return self.scale * float(n) ** self.exponent
 
     def sigma_array(self, lo, hi):
         return self.scale * np.arange(lo, hi + 1, dtype=float) ** self.exponent
@@ -443,12 +431,6 @@ class LogLevels(SequenceFamily):
     def __post_init__(self):
         if self.scale == 0.0 or not math.isfinite(self.scale):
             raise ConfigurationError("log-levels scale must be nonzero finite")
-
-    def p(self, n):
-        return 1.0
-
-    def sigma(self, n):
-        return self.scale * math.log(n + 1.0)
 
     def sigma_array(self, lo, hi):
         return self.scale * np.log(np.arange(lo, hi + 1, dtype=float) + 1.0)
@@ -518,16 +500,6 @@ class WeightedGeometric(SequenceFamily):
             raise ConfigurationError("weighted-geometric rate must be positive")
         if not math.isfinite(self.power):
             raise ConfigurationError("weighted-geometric power must be finite")
-
-    def p(self, n):
-        t = self.rate * n - self.power * math.log(n)
-        return math.exp(t) if t < 700.0 else math.inf
-
-    def sigma(self, n):
-        return float(n)
-
-    def log_p(self, n):
-        return self.rate * n - self.power * math.log(n)
 
     def sigma_array(self, lo, hi):
         return np.arange(lo, hi + 1, dtype=float)
@@ -610,10 +582,6 @@ class _LatticeTable:
         self._table = table
         self._limit = limit
 
-    def level(self, n: int) -> tuple[int, int]:
-        values, degeneracy, _ = self.ensure(n)
-        return int(degeneracy[n - 1]), int(values[n - 1])
-
 
 _LATTICE_TABLE = _LatticeTable()
 
@@ -629,14 +597,6 @@ class Lattice3D(SequenceFamily):
     def __post_init__(self):
         if self.scale <= 0.0 or not math.isfinite(self.scale):
             raise ConfigurationError("lattice scale must be positive")
-
-    def p(self, n):
-        deg, _ = _LATTICE_TABLE.level(n)
-        return float(deg)
-
-    def sigma(self, n):
-        _, val = _LATTICE_TABLE.level(n)
-        return self.scale * val
 
     def sigma_array(self, lo, hi):
         values = _LATTICE_TABLE.ensure(hi)[0]
@@ -703,15 +663,8 @@ class ExplosiveWeights(SequenceFamily):
         if self.rate <= 0.0 or not math.isfinite(self.rate):
             raise ConfigurationError("explosive rate must be positive")
 
-    def p(self, n):
-        t = self.rate * n * n
-        return math.exp(t) if t < 700.0 else math.inf
-
-    def sigma(self, n):
-        return float(n)
-
-    def log_p(self, n):
-        return self.rate * n * n
+    def sigma_array(self, lo, hi):
+        return np.arange(lo, hi + 1, dtype=float)
 
     def log_terms(self, y, lo, hi):
         k = np.arange(lo, hi + 1, dtype=float)
@@ -755,14 +708,24 @@ class ExplicitPrefix(SequenceFamily):
     def _m(self):
         return len(self.weights)
 
-    def p(self, n):
-        return self.weights[n - 1] if n <= self._m else self.tail.p(n)
+    def _joined(self, head, tail, lo, hi):
+        """head(w, s) of the given weights and levels with index in [lo, hi],
+        as float arrays, joined to tail(max(lo, m + 1), hi) where hi > m."""
+        m = self._m
+        if lo > m:
+            return tail(lo, hi)
+        w, s = (np.array(v[lo - 1 : hi], dtype=float) for v in (self.weights, self.levels))
+        return head(w, s) if hi <= m else np.concatenate((head(w, s), tail(m + 1, hi)))
 
-    def sigma(self, n):
-        return self.levels[n - 1] if n <= self._m else self.tail.sigma(n)
+    def sigma_array(self, lo, hi):
+        return self._joined(lambda w, s: s, self.tail.sigma_array, lo, hi)
 
-    def log_p(self, n):
-        return math.log(self.weights[n - 1]) if n <= self._m else self.tail.log_p(n)
+    def p_array(self, lo, hi):  # the given weights as they are
+        return self._joined(lambda w, s: w, self.tail.p_array, lo, hi)
+
+    def log_terms(self, y, lo, hi):
+        tail = functools.partial(self.tail.log_terms, y)
+        return self._joined(lambda w, s: np.log(w) + s * y, tail, lo, hi)
 
     @property
     def alpha(self):
@@ -805,21 +768,15 @@ class ShiftedSigma(SequenceFamily):
         if not math.isfinite(self.shift):
             raise ConfigurationError("shift must be finite")
         scan = max(_PREFIX_SCAN, self.base.sigma_increasing_from + 1)
-        low = min(self.base.sigma(n) for n in range(1, scan + 1))
+        low = float(self.base.sigma_array(1, scan).min())
         if self.shift >= low:
             raise ConfigurationError(f"shift {self.shift} not below min sigma {low}")
 
-    def p(self, n):
-        return self.base.p(n)
-
-    def sigma(self, n):
-        return self.base.sigma(n) - self.shift
-
-    def log_p(self, n):
-        return self.base.log_p(n)
-
     def sigma_array(self, lo, hi):
         return self.base.sigma_array(lo, hi) - self.shift
+
+    def p_array(self, lo, hi):
+        return self.base.p_array(lo, hi)
 
     def log_terms(self, y, lo, hi):
         if y == -math.inf:  # every shifted level is positive: each term is 0
@@ -927,19 +884,19 @@ def sigma_min_set(family: SequenceFamily) -> SigmaMinSet:
             "sigma must increase to infinity (normalize the family first)"
         )
     n0 = family.sigma_increasing_from
-    head = [family.sigma(k) for k in range(1, n0 + 1)]
-    theta1 = min(head)
-    tol = TIE_RTOL * max(1.0, abs(theta1))
-    indices = [k + 1 for k, s in enumerate(head) if s <= theta1 + tol]
-    n = n0 + 1
+    head = family.sigma_array(1, n0)
+    theta1 = float(head.min())
+    top = theta1 + TIE_RTOL * max(1.0, abs(theta1))
+    # the tie run past n0, in blocks of 64 doubling up to 2^16, listed once it ends
+    lo, size, last = n0 + 1, 64, n0 + 10_000_000
     while True:
-        s = family.sigma(n)
-        if s > theta1 + tol:
+        above = np.flatnonzero(family.sigma_array(lo, min(lo + size - 1, last)) > top)
+        if above.size:
             break
-        indices.append(n)
-        n += 1
-        if n > n0 + 10_000_000:
+        if lo + size > last:
             raise UnsupportedFamilyError("level tie scan did not terminate")
-    p_sum = math.fsum(family.p(k) for k in indices)
-    return SigmaMinSet(theta1, tuple(indices), p_sum)
+        lo, size = lo + size, min(2 * size, 2**16)
+    indices = (np.flatnonzero(head <= top) + 1).tolist() + list(range(n0 + 1, lo + int(above[0])))
+    p = family.p_array(1, indices[-1])[np.array(indices) - 1]
+    return SigmaMinSet(theta1, tuple(indices), math.fsum(p.tolist()))
 

@@ -101,7 +101,8 @@ class SequenceRule:
     terms; "exponential": u_n = p_n e^{x + sigma_n y} / (1 + a e^{x + sigma_n y})
     with the original-coordinate multipliers (x, y); `normal` is the
     (family, x, y) it is evaluated with, those of the solver's normal form
-    (EmpSolver builds every exponential rule).
+    (EmpSolver builds every exponential rule).  term and prefix read one
+    array: e^(ln p_n + sigma_n y + x), or else series._mult_arrays' 'grad' row.
     """
 
     kind: Entropy
@@ -112,31 +113,35 @@ class SequenceRule:
     support: Optional[tuple[tuple[int, float], ...]] = None
     normal: Optional[tuple[SequenceFamily, float, float]] = None
 
-    @series._overflow_ignored
     def term(self, n: int) -> float:
-        """u_n; DomainError unless n is an integer >= 1.  Bose-einstein's
-        1 - e^t is -expm1(t) where t > -ln 2, as in series._mult_arrays."""
+        """u_n; DomainError unless n is an integer >= 1."""
         n = _truncation(n, "n")
-        if self.form == "zero":
-            return 0.0
-        if self.form == "restricted":
-            for k, val in self.support:
-                if k == n:
-                    return val
-            return 0.0
-        fam, x, y = self.normal
-        lt = float(fam.log_terms(y, n, n)[0]) + x
-        t = x + fam.sigma(n) * y
-        if t > 700.0 and self.kind.a > 0:  # fermi-dirac past the clip: p_n / (1 + e^-t)
-            return math.exp(lt - t) / (1.0 + math.exp(-t))
-        if t > -series._LN2 and self.kind.a < 0:
-            return math.exp(lt) / -math.expm1(t)
-        return math.exp(lt) / (1.0 + self.kind.a * math.exp(min(t, 700.0)))
+        return float(self._terms(n, n)[0])
 
     def prefix(self, count: int) -> list[float]:
         """[term(1), ..., term(count)]; DomainError unless count is an
         integer >= 0."""
-        return [self.term(n) for n in range(1, _truncation(count, "count", 0) + 1)]
+        count = _truncation(count, "count", 0)
+        return self._terms(1, count).tolist() if count else []
+
+    @series._overflow_ignored
+    def _terms(self, lo: int, hi: int) -> np.ndarray:
+        """u_n for n in [lo, hi].  Fermi-dirac terms past t = x + sigma_n y
+        = 700 read ln p_n, which only they read."""
+        if self.form != "exponential":
+            u = np.zeros(hi - lo + 1)
+            for k, val in self.support or ():
+                if lo <= k <= hi:
+                    u[k - lo] = val
+            return u
+        fam, x, y = self.normal
+        lt = fam.log_terms(y, lo, hi) + x
+        if self.kind is _MB:
+            return np.exp(lt)
+        t = x + fam.sigma_array(lo, hi) * y
+        t_hi = float(t.max())
+        log_p = fam.log_terms(0.0, lo, hi) if t_hi > 700.0 else None
+        return series._mult_arrays(self.kind, ("grad",), t, t_hi, np.exp(lt), lt, log_p)["grad"]
 
 
 @dataclass(frozen=True)
@@ -581,7 +586,8 @@ class EmpSolver:
         elif region is Region.LOWER_BOUNDARY:
             smin = self._smin
             value = u * (math.log(u) - 1.0 - math.log(smin.p_sum))
-            support = tuple((n, u * self.family.p(n) / smin.p_sum) for n in smin.indices)
+            p = self.family.p_array(1, smin.indices[-1])
+            support = tuple((n, u * float(p[n - 1]) / smin.p_sum) for n in smin.indices)
             rule = SequenceRule(_MB, "restricted", self.family, support=support)
         elif region is Region.INTERIOR:
             value, x_n, y_n = self._interior(u, v_n / u)
@@ -756,10 +762,9 @@ class EmpSolver:
             if seq.form == "zero":
                 return 0.0
             if seq.form == "restricted":
+                p = self.family.p_array(1, max((n for n, _ in seq.support), default=0))
                 return finite._w_sum(
-                    kind,
-                    [self.family.p(n) for n, _ in seq.support],
-                    [val for _, val in seq.support],
+                    kind, [p[n - 1] for n, _ in seq.support], [val for _, val in seq.support]
                 )
             fam, x, y = seq.normal
             h, u, v = (
@@ -772,7 +777,7 @@ class EmpSolver:
         terms = [float(t) for t in seq]
         if any(t < 0.0 for t in terms):
             raise DomainError("occupation terms must be nonnegative")
-        return finite._w_sum(kind, [self.family.p(n) for n in range(1, len(terms) + 1)], terms)
+        return finite._w_sum(kind, self.family.p_array(1, len(terms)), terms)
 
     # -- biconjugate ---------------------------------------------------------
 

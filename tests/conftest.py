@@ -50,8 +50,8 @@ def prefix_stats(family, n: int) -> PrefixStats:
     """Exact partial weight sum and running level extrema."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    weights = [family.p(k) for k in range(1, n + 1)]
-    sigmas = [family.sigma(k) for k in range(1, n + 1)]
+    weights = family.p_array(1, n).tolist()
+    sigmas = family.sigma_array(1, n).tolist()
     return PrefixStats(n, math.fsum(weights), min(sigmas), max(sigmas))
 
 
@@ -151,19 +151,17 @@ def zeta_oracle(s: float, n: int = 200_000) -> float:
 
 def brute_force_series(family, y: float, n_terms: int, moment: int = 0) -> float:
     """Plain partial sum of p_n sigma_n^k exp(sigma_n y)."""
-    return math.fsum(
-        math.exp(family.log_p(n) + family.sigma(n) * y) * family.sigma(n) ** moment
-        for n in range(1, n_terms + 1)
-    )
+    log_p = family.log_terms(0.0, 1, n_terms).tolist()
+    sigma = family.sigma_array(1, n_terms).tolist()
+    return math.fsum(math.exp(lp + s * y) * s**moment for lp, s in zip(log_p, sigma))
 
 
 def brute_force_tail(family, y: float, n: int, horizon: int, moment: int = 0) -> tuple[float, bool]:
     """Direct sum of terms n+1 .. n+horizon and whether it visibly converged
     (the last term is negligible against the accumulated sum)."""
-    terms = [
-        math.exp(family.log_p(k) + family.sigma(k) * y) * family.sigma(k) ** moment
-        for k in range(n + 1, n + horizon + 1)
-    ]
+    log_p = family.log_terms(0.0, n + 1, n + horizon).tolist()
+    sigma = family.sigma_array(n + 1, n + horizon).tolist()
+    terms = [math.exp(lp + s * y) * s**moment for lp, s in zip(log_p, sigma)]
     total = math.fsum(terms)
     converged = terms[-1] <= 1e-18 * max(total, 1e-300)
     return total, converged

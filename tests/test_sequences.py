@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,9 @@ class TestGenerate:
             assert generate(a, n) == generate(b, n)
 
 
+_EXPLICIT = ExplicitPrefix((1.0, 2.5, 7.0), (0.5, 1.0, 1.5), WeightedGeometric(1.0, 3.0))
+
+
 class TestLatticeLevels:
     def test_first_three(self):
         assert lattice_levels(1.0, 3) == [(1, 3.0), (3, 6.0), (3, 9.0)]
@@ -82,13 +86,61 @@ class TestLatticeLevels:
         assert sum(d for d, _ in levels) == sum(table.values())
 
     @pytest.mark.parametrize(
-        "family", [Lattice3D(1.0), Lattice3D(0.25), WeightedGeometric(1.0, 3.0)], ids=repr
+        "family",
+        [
+            Lattice3D(1.0),
+            Lattice3D(0.25),
+            WeightedGeometric(1.0, 3.0),
+            Arithmetic(0.0, 1.0),
+            Arithmetic(-3.0, 0.5),
+            PowerLaw(1.0, 1.5),
+            PowerLaw(2.0, 0.5),
+            LogLevels(1.0),
+            WeightedGeometric(0.5, 4.0),
+            ExplosiveWeights(1.0),
+            ShiftedSigma(WeightedGeometric(1.0, 3.0), -2.0),
+            ShiftedSigma(Lattice3D(1.0), 1.0),
+            _EXPLICIT,
+        ],
+        ids=repr,
     )
     def test_weight_arrays_are_the_weights(self, family):
-        # the CLI's truncation check reads its weights as one array
-        for lo, hi in ((1, 2048), (5, 70)):
-            want = [family.p(n) for n in range(lo, hi + 1)]
-            assert family.p_array(lo, hi).tolist() == want
+        # every family declares its terms as arrays, and the scalars p,
+        # sigma and log_p are their elements, bit for bit (numpy's log and
+        # ** differ from math.log and float ** at some indices); the CLI's
+        # truncation check reads its weights as one array
+        for lo, hi in ((1, 2048), (5, 70), (1, 8)):
+            arrays = (family.p_array(lo, hi), family.sigma_array(lo, hi),
+                      family.log_terms(0.0, lo, hi))
+            for scalar, array in zip((family.p, family.sigma, family.log_p), arrays):
+                want = [v.hex() for v in array.tolist()]
+                assert [scalar(n).hex() for n in range(lo, hi + 1)] == want
+
+    def test_explicit_weights_are_exact(self):
+        # the given weights as they are, and the tail's beyond them
+        m = len(_EXPLICIT.weights)
+        assert [_EXPLICIT.p(k) for k in range(1, m + 1)] == list(_EXPLICIT.weights)
+        assert _EXPLICIT.p_array(1, m + 3).tolist() == [
+            *_EXPLICIT.weights, *_EXPLICIT.tail.p_array(m + 1, m + 3).tolist()
+        ]
+        assert Lattice3D(1.0).p(3) == 3.0 and ShiftedSigma(Lattice3D(1.0), 1.0).p(3) == 3.0
+
+    def test_explicit_log_terms_read_the_tail_once(self, monkeypatch):
+        # one call of the tail's array, not a scalar read per index
+        calls = []
+        orig = WeightedGeometric.log_terms
+
+        def counting(self, y, lo, hi):
+            calls.append((lo, hi))
+            return orig(self, y, lo, hi)
+
+        monkeypatch.setattr(WeightedGeometric, "log_terms", counting)
+        got = _EXPLICIT.log_terms(-1.5, 1, 4096)
+        assert calls == [(4, 4096)]
+        m = len(_EXPLICIT.weights)
+        head = [math.log(w) + s * -1.5 for w, s in zip(_EXPLICIT.weights, _EXPLICIT.levels)]
+        assert got[:m].tolist() == pytest.approx(head, rel=1e-15)
+        assert got[m:].tolist() == orig(_EXPLICIT.tail, -1.5, m + 1, 4096).tolist()
 
     def test_bad_args(self):
         with pytest.raises(DomainError):
@@ -207,6 +259,27 @@ class TestSigmaMinSet:
     def test_lattice(self, lattice):
         smin = sigma_min_set(lattice)
         assert (smin.theta1, smin.indices, smin.p_sum) == (3.0, (1,), 1.0)
+
+    def test_tie_run_across_blocks(self):
+        # sigma_n = 1e-15 n ties with theta1 up to n = 1001, past the
+        # scan's first blocks of 64, 128, 256 and 512 levels
+        fam = Arithmetic(0.0, 1e-15)
+        smin = sigma_min_set(fam)
+        top = smin.theta1 + sequences.TIE_RTOL
+        assert smin.indices == tuple(n for n in range(1, 3000) if fam.sigma(n) <= top)
+        assert smin.indices[-1] == 1001 and smin.p_sum == 1001.0
+
+    def test_a_refused_tie_scan_stays_small(self):
+        # 10^7 tied levels: the scan gave up only after building a list of
+        # 10^7 ints (413 MB resident, 3.45 s)
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedFamilyError, match="level tie scan did not terminate"):
+                sigma_min_set(Arithmetic(0.0, 1e-100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_rejects_decreasing_levels(self):
         with pytest.raises(UnsupportedFamilyError):

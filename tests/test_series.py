@@ -155,11 +155,11 @@ class TestDerivatives:
 class _NoAlpha(SequenceFamily):
     """Unit weights and sigma_n = n, with no declared alpha."""
 
-    def p(self, n):
-        return 1.0
+    def sigma_array(self, lo, hi):
+        return np.arange(lo, hi + 1, dtype=float)
 
-    def sigma(self, n):
-        return float(n)
+    def log_terms(self, y, lo, hi):
+        return self.sigma_array(lo, hi) * y
 
 
 class TestProfile:

@@ -268,6 +268,60 @@ class TestSolveMb:
         assert rule.prefix(0) == []
         assert rule.prefix(np.int64(2)) == [rule.term(1), rule.term(np.int32(2))]
 
+    @staticmethod
+    def _rules():
+        """{name: rule} over every form, the exponential one under all three
+        entropies, fermi-dirac's also with terms past t = 700."""
+        es = EmpSolver(Arithmetic(0.0, 1.0))
+        return {
+            "mb": es.solve_mb(1.0, 2.0).solution,
+            "mb-loglevels": EmpSolver(LogLevels(1.0)).solve_mb(1.0, 3.19).solution,
+            "be": es.forward_solve(BE, 1.5 - 1e-9, -1.5).solution,
+            "fd": es.forward_solve(FD, 3.0, -1.0).solution,
+            "fd-past-700": es.forward_solve(FD, 705.0, -1.0).solution,
+            "restricted": es.solve_mb(3.0, 3.0).solution,
+            "zero": es.solve_mb(0.0, 0.0).solution,
+        }
+
+    def test_prefix_is_its_terms(self):
+        for name, rule in self._rules().items():
+            terms = rule.prefix(1000)
+            assert [t.hex() for t in terms] == [rule.term(n).hex() for n in range(1, 1001)], name
+            assert rule.prefix(0) == []
+
+    def test_fermi_dirac_terms_past_700_read_ln_p(self):
+        # past t = 700 a term is p_n / (1 + e^-t) with p_n = e^(ln p_n); from
+        # e^(lt - t), lt = ln p_n + t, it lost up to 1.5e-14 relative, and
+        # PowerLaw's scalar levels put its terms above p_n = 1 below t = 700
+        mpmath = pytest.importorskip("mpmath")
+        rule = EmpSolver(PowerLaw(1.0, 1.5)).forward_solve(FD, 705.0, -1.0).solution
+        assert max(rule.prefix(200)) == 1.0
+        rule = EmpSolver(WeightedGeometric(0.5, 4.0)).forward_solve(FD, 705.0, -1.0).solution
+        fam, x, y = rule.normal
+        with mpmath.workdps(40):
+            for n in (1, 2, 3, 4):  # t = 705 - n
+                t = mpmath.mpf(x) + mpmath.mpf(fam.sigma(n)) * mpmath.mpf(y)
+                ref = mpmath.exp(mpmath.mpf(fam.log_p(n))) / (1 + mpmath.exp(-t))
+                assert abs(rule.term(n) / ref - 1) <= 1e-15
+
+    def test_prefix_reads_one_term_array(self, monkeypatch):
+        # one log_terms call per prefix, not one per term
+        for name, rule in self._rules().items():
+            if rule.form != "exponential" or name == "fd-past-700":
+                continue
+            cls = type(rule.normal[0])
+            calls = []
+            orig = cls.log_terms
+
+            def counting(self, y, lo, hi, orig=orig):
+                calls.append((lo, hi))
+                return orig(self, y, lo, hi)
+
+            monkeypatch.setattr(cls, "log_terms", counting)
+            rule.prefix(100_000)
+            assert calls == [(1, 100_000)], name
+            monkeypatch.undo()
+
     def test_beyond_theta2_not_attained(self, zeta_solver):
         sol = zeta_solver.solve_mb(1.0, 2.0)
         assert sol.region is Region.BEYOND_THETA2
@@ -1902,16 +1956,18 @@ class TestEarlyGiveUp:
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_budget_error_at_4096(self, case, monkeypatch):
+        # the kernel's term arrays: the n of each _block_sums call (a
+        # bracket's own read of t_4097 is no summed term)
         family, kind, x, y = self.CASES[case]
         solver = EmpSolver(family)
         highest = []
-        orig = type(family).log_terms
+        orig = series._block_sums
 
-        def recording(self, yy, lo, hi):
-            highest.append(hi)
-            return orig(self, yy, lo, hi)
+        def recording(fam, yy, tols, xx, kk, mults, n, *args):
+            highest.append(n)
+            return orig(fam, yy, tols, xx, kk, mults, n, *args)
 
-        monkeypatch.setattr(type(family), "log_terms", recording)
+        monkeypatch.setattr(series, "_block_sums", recording)
         with pytest.raises(BudgetError, match="n=4096"):
             solver.forward_solve(kind, x, y)
         assert max(highest, default=0) <= 4096
