@@ -63,6 +63,12 @@ targets: the entries a run over the family's targets from a cleared cache
 leaves cached (the slope ladder's entries, series._ladder_entry), and the
 passes and terms that run spends beyond a warm rerun of the same targets.  Results do not
 depend on which entries are cached, so the difference is the build alone.
+dual_rows reports the wall time of one call of series._mult_arrays, which
+makes the bose-einstein and fermi-dirac dual's rows (W*, (W*)' and (W*)'',
+as finite._finite_dual asks for them), and of one
+finite._finite_dual, on the first n = 64 and 4096 terms of the family at
+every bf_roundtrip target (x, y), per entropy: the median and quartiles
+over targets, in microseconds.
 
 Work counts are deterministic and come from wrapping the library from
 outside; nothing in src/ counts.  prefix_builds, series_passes and
@@ -74,8 +80,9 @@ from series._certified_slope, the exp counts
 from the numpy that entromin.solver and entromin.finite see, slope_passes
 from the arguments of series._eval_many, newton_points and
 proposal_points from the minimize_convex_2d that entromin.solver and
-entromin.finite call and from series._dual_point, and rows_builds from
-entromin.finite._dual_rows:
+entromin.finite call and from series._dual_point, rows_builds from
+entromin.finite._dual_rows, and scalar_reads from the sigma_array and
+log_terms of the family classes:
 
   prefix_passes        np.exp calls made by entromin.solver and
                        entromin.finite (where a tree keeps the Gibbs pass,
@@ -147,6 +154,12 @@ entromin.finite._dual_rows:
                        finite_fd, rule_prefix and explicit_solver);
   log_terms_calls      log_terms calls during one prefix, outermost only
                        (rule_prefix);
+  scalar_reads         sigma_array and log_terms calls of one or two
+                       elements, made by any family class during one warm
+                       solve_mb (mb_interior) or round trip (bf_roundtrip,
+                       slow_roundtrip): reads of single levels and log
+                       weights that a tree does not keep from an earlier
+                       call;
   budget_errors        BudgetErrors constructed during one slow_value call
                        or round trip, raised or caught, counted through the
                        class's __init__;
@@ -279,6 +292,37 @@ def _counting_rows_builds(counts):
         yield
     finally:
         finite._dual_rows = rows
+
+
+@contextlib.contextmanager
+def _counting_scalar_reads(counts):
+    """Count into counts["scalar_reads"] the sigma_array and log_terms calls
+    of at most two elements that any family class makes: the scalar reads
+    of levels and log weights (sigma, log_p and the brackets' t_n and
+    t_(n+1)) that a tree does not keep from an earlier call."""
+    from entromin import sequences
+
+    patched = []
+    for cls in vars(sequences).values():
+        if not (isinstance(cls, type) and issubclass(cls, sequences.SequenceFamily)):
+            continue
+        for name in ("sigma_array", "log_terms"):
+            if name not in cls.__dict__:
+                continue
+            method = cls.__dict__[name]
+
+            def counting(self, *args, _method=method):
+                lo, hi = args[-2:]  # (lo, hi) or (y, lo, hi)
+                counts["scalar_reads"] += hi - lo <= 1
+                return _method(self, *args)
+
+            setattr(cls, name, counting)
+            patched.append((cls, name, method))
+    try:
+        yield
+    finally:
+        for cls, name, method in patched:
+            setattr(cls, name, method)
 
 
 @contextlib.contextmanager
@@ -566,11 +610,12 @@ def count_interior(tracer, targets, times, py_calls):
     """mb_interior's counts and wall times, overall and per family; times
     and py_calls hold each target's time in seconds and its calls measured
     without the tracer, in the order of targets."""
-    per_target = [
-        {**_counted(tracer, lambda es=es, u=u, v=v: es.solve_mb(u, v), SOLVE_KEYS)[1],
-         "py_calls": c}
-        for (_, es, u, v), c in zip(targets, py_calls)
-    ]
+    per_target = []
+    for (_, es, u, v), c in zip(targets, py_calls):
+        reads = Counter()
+        with _counting_scalar_reads(reads):
+            counts = _counted(tracer, lambda es=es, u=u, v=v: es.solve_mb(u, v), SOLVE_KEYS)[1]
+        per_target.append({**counts, "py_calls": c, "scalar_reads": reads["scalar_reads"]})
     return {"counts_per_solve": _summary(per_target),
             "per_family": _per_family(targets, per_target, times)}
 
@@ -645,13 +690,49 @@ def count_roundtrips(tracer, entromin, trips, call=_roundtrip):
     for trip in trips:
         counted = Counter()
         with _counting_newton(counted), _counting_budget_errors(counted), \
-                _counting_rows_builds(counted):
+                _counting_rows_builds(counted), _counting_scalar_reads(counted):
             result, counts = _counted(tracer, lambda t=trip: call(*t[1:]), TRIP_KEYS)
         failures += isinstance(result, entromin.InverseFailure)
         per_target.append({**counts, **{k: counted[k] for k in NEWTON_KEYS},
                            "budget_errors": counted["budget_errors"],
-                           "rows_builds": counted["rows_builds"]})
+                           "rows_builds": counted["rows_builds"],
+                           "scalar_reads": counted["scalar_reads"]})
     return per_target, failures
+
+
+DUAL_ROWS_N = (64, 4096)
+
+
+def dual_rows_case(np, trips):
+    """dual_rows: per function, n in DUAL_ROWS_N and entropy, the wall time
+    in microseconds of one call of series._mult_arrays (the rows that
+    finite._finite_dual asks for, from its arguments) and of one
+    finite._finite_dual, on the first n terms of the trip's family at each
+    bf_roundtrip target (x, y): the median and quartiles over targets of
+    each target's median of REPEATS calls."""
+    from entromin import finite, series
+
+    times = {"mult_arrays": {}, "finite_dual": {}}
+    for n in DUAL_ROWS_N:
+        prefixes = {}
+        for _, es, kind, x, y in trips:
+            fam = es.normal_family
+            if fam not in prefixes:
+                log_p, s = fam.log_terms(0.0, 1, n), fam.sigma_array(1, n)
+                prefixes[fam] = (log_p, finite._dual_rows(s))
+            log_p, rows = prefixes[fam]
+            s, _, span = rows
+            t = x + s * y
+            lt = log_p + t
+            t_hi = x + (span[1] if y > 0.0 else span[0]) * y
+            base = np.exp(lt)
+            key = f"{kind.name.lower()}, n={n}"
+            times["mult_arrays"].setdefault(key, []).append(_timed(
+                lambda: series._mult_arrays(kind, finite._DUAL_MULTS, t, t_hi, base, lt, log_p)))
+            times["finite_dual"].setdefault(key, []).append(_timed(
+                lambda: finite._finite_dual(kind, log_p, *rows, x, y)))
+    return {fn: {key: {k: 1e6 * v for k, v in _quartiles(ts).items()} for key, ts in by.items()}
+            for fn, by in times.items()}
 
 
 SLOW_TRIPS = (
@@ -984,6 +1065,7 @@ def main(argv=None) -> int:
     shifted_calls = [_py_calls(shifted_es.solve_mb, u, v) for u, v in shifted]
     fd_calls = [_py_calls(entromin.solve_two_fd, *t[1:]) for t in fd_solves]
     prefix_calls = [_py_calls(rule.prefix, PREFIX_COUNT) for _, rule in rules]
+    dual_rows = dual_rows_case(np, trips)
 
     tracer = tracing.Tracer()
     tracer.install()
@@ -1050,6 +1132,7 @@ def main(argv=None) -> int:
             "explicit_solver": explicit_solver,
         },
         "ladder_build": build,
+        "dual_rows": dual_rows,
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     for name, case in record["cases"].items():
@@ -1075,6 +1158,9 @@ def main(argv=None) -> int:
         print(f"ladder_build, {name}: " + "; ".join(
             f"{fam} {b['entries']} entries, {b['series_passes']} passes, "
             f"{b['series_terms']} terms" for fam, b in per_family.items()))
+    for fn, by in dual_rows.items():
+        print(f"dual_rows, {fn}: " + "; ".join(
+            f"{key} {q['median']:.1f} us [{q['q1']:.1f}, {q['q3']:.1f}]" for key, q in by.items()))
     return 0
 
 

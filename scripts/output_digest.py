@@ -6,7 +6,11 @@ For each of mb-point, bf-roundtrip and cli-batch on seeds 9001-9003, the
 script builds the workload's cycle of requests exactly as perfbench does
 (perfbench/workloads.py), runs its warm-up requests and then every request
 of the cycle once, in order, and hashes the repr of each output's `digest`
-(what perfbench requires a repetition of the request to reproduce).  A
+(what perfbench requires a repetition of the request to reproduce).  On
+bf-roundtrip, whose digest is (status, multipliers), an output also holds
+the forward solution's u, v and value and the inverse solution's value,
+recorded from the solver's own returns, so that a change to the dual
+sums' rows shows even where the multipliers round back the same.  A
 request that raises contributes the type and message of its exception.
 Two source trees that print the same lines give bit-identical outputs on
 every request.
@@ -17,7 +21,8 @@ and seed how many outputs moved and, per field, the largest relative move
 |a - b| / max(|a|, |b|) of the outputs that moved (inf where a field
 changed type, sign of infinity or text).  The fields are region, H, x, y,
 n and objective on mb-point (the solution and its converged truncation),
-status, x, y and message on bf-roundtrip, and the exit code and every
+status, x, y, message, forward u, forward v, forward value and inverse
+value on bf-roundtrip, and the exit code and every
 field of the written file on cli-batch (JSON keys, list indices dropped,
 or CSV columns), where a text field moves by its numbers.
 
@@ -60,18 +65,41 @@ def _import(src):
     return np, entromin, workloads
 
 
+def _recorded(ctx) -> dict:
+    """Make each of ctx's solvers record what its last forward_solve and
+    inverse_solve_bf returned, under those names, in the dict returned."""
+    seen = {}
+    for es in ctx["solvers"].values():
+        for name in ("forward_solve", "inverse_solve_bf"):
+            def record(*args, _method=getattr(es, name), _name=name):
+                seen[_name] = out = _method(*args)
+                return out
+
+            setattr(es, name, record)
+    return seen
+
+
 def outputs(entromin, np, wl, seed, out_dir):
     """Each request's line of one cycle of wl at seed, in order: its
-    output's digest, or the text 'raised <type>: <message>' (a str)."""
+    output's digest (on bf-roundtrip followed by the forward solution's
+    (u, v, value) and the inverse solution's value, None for a failure),
+    or the text 'raised <type>: <message>' (a str)."""
     requests = wl.requests(np.random.default_rng(seed))
     ctx = wl.prepare(entromin, out_dir, requests)
+    seen = _recorded(ctx) if wl.name == "bf-roundtrip" else None
     for req in wl.warmups():
         wl.run(ctx, req)
     for req in requests:
         try:
-            yield wl.digest(wl.run(ctx, req))
+            out = wl.digest(wl.run(ctx, req))
         except Exception as exc:  # a request that raises is part of the output
             yield f"raised {type(exc).__name__}: {exc}"
+            continue
+        if seen is not None:
+            fwd, inv = seen["forward_solve"], seen["inverse_solve_bf"]
+            inverse = None if isinstance(inv, entromin.InverseFailure) else inv.value
+            out = (*out, (fwd.u, fwd.v, fwd.value), inverse)
+        yield out
 
 
 def digest(entromin, np, wl, seed, out_dir) -> str:
@@ -108,10 +136,12 @@ def fields(name, out):
     if isinstance(out, str):
         return [("raised", out)]
     if name == "bf-roundtrip":
-        status, payload = out
-        return [("status", status)] + (
+        status, payload, (u, v, value), inverse = out
+        pairs = [("status", status)] + (
             [("x", payload[0]), ("y", payload[1])] if status == "ok" else [("message", payload)]
         )
+        pairs += [("forward u", u), ("forward v", v), ("forward value", value)]
+        return pairs + ([("inverse value", inverse)] if status == "ok" else [])
     if name == "cli-batch":
         code, text = out
         return [("exit code", code), *_file_fields(text)]

@@ -20,11 +20,13 @@ proves about f(y) = sum p_n exp(sigma_n y) rests on what a family declares:
 
 The base class derives the rest: ``p_array`` (e^(ln p_n), inf from ln p_n
 = 700 on), the scalars ``sigma``, ``log_p`` and ``p`` (an element of each
-array), ``constant_sigma`` (sigma_direction 0) and ``dom_f_empty`` (alpha
-= +inf for levels not falling to -inf).  ``tail_intervals``, the brackets
-the series layer reads (all moments at one index from one call;
-``tail_interval`` is its one-moment view), combines a leaf family's
-certificates (moments k >= 1 need positive levels).  A family
+array; ``sigma`` and ``log_p`` memoized per family, so that the block
+ends' levels and t_n, t_(n+1) are read once), ``constant_sigma``
+(sigma_direction 0) and ``dom_f_empty`` (alpha = +inf for levels not
+falling to -inf).  ``tail_intervals``, the brackets the series layer reads
+(all moments at one index from one call; ``tail_interval`` is its
+one-moment view), combines a leaf family's certificates (moments k >= 1
+need positive levels).  A family
 whose closed forms no other route can beat declares ``_direct_wins``, and
 they skip the combiner: Arithmetic's are the exact tails (the ratio
 route's 1 - r cancels near y = 0 and can round low), and Lattice3D has no
@@ -69,6 +71,8 @@ __all__ = [
 ]
 
 _PREFIX_SCAN = 64  # documented construction-time validity scan length
+_MEMO_SIZE = 1024  # memoized sigma(n) and log_p(n) per family, each
+_MEMO_LOCK = threading.Lock()  # keeps the bound under concurrent first reads
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +97,9 @@ class SequenceFamily:
     """Deterministic generator of (p_n, sigma_n); subclasses add parameters
     and declare what the module docstring lists, their terms as two arrays.
     The scalar terms, constant_sigma and dom_f_empty are derived here, and
-    are not overridden."""
+    are not overridden.  sigma(n) and log_p(n), elements of sigma_array(n,
+    n) and log_terms(0.0, n, n), are kept in a dict per instance up to
+    _MEMO_SIZE (1,024) entries; reads past it go to the arrays uncached."""
 
     # -- term access --------------------------------------------------------
 
@@ -110,11 +116,33 @@ class SequenceFamily:
         log_p = self.log_terms(0.0, lo, hi)
         return np.where(log_p < 700.0, np.exp(np.minimum(log_p, 700.0)), math.inf)
 
+    @functools.cached_property
+    def _sigmas(self) -> dict:
+        return {}
+
+    @functools.cached_property
+    def _log_ps(self) -> dict:
+        return {}
+
     def sigma(self, n: int) -> float:
-        return float(self.sigma_array(n, n)[0])
+        memo = self._sigmas
+        if n in memo:
+            return memo[n]
+        s = float(self.sigma_array(n, n)[0])
+        with _MEMO_LOCK:
+            if len(memo) < _MEMO_SIZE:
+                memo[n] = s
+        return s
 
     def log_p(self, n: int) -> float:
-        return float(self.log_terms(0.0, n, n)[0])
+        memo = self._log_ps
+        if n in memo:
+            return memo[n]
+        lp = float(self.log_terms(0.0, n, n)[0])
+        with _MEMO_LOCK:
+            if len(memo) < _MEMO_SIZE:
+                memo[n] = lp
+        return lp
 
     def p(self, n: int) -> float:
         return float(self.p_array(n, n)[0])
@@ -250,9 +278,10 @@ class SequenceFamily:
     def _terms(self, y, n):
         """(v, s) = (e^(ln p_m + sigma_m y), sigma_m) for m = n and n + 1:
         t_m of moment k is v s^k; s is positive wherever a k >= 1 is asked for."""
-        s = self.sigma_array(n, n + 1)
-        t = (self.log_terms(0.0, n, n + 1) + s * y).tolist()
-        return [(math.exp(tm) if tm < 700.0 else math.inf, sm) for tm, sm in zip(t, s.tolist())]
+        s, s_next = self.sigma(n), self.sigma(n + 1)
+        t, t_next = self.log_p(n) + s * y, self.log_p(n + 1) + s_next * y
+        return [(math.exp(t) if t < 700.0 else math.inf, s),
+                (math.exp(t_next) if t_next < 700.0 else math.inf, s_next)]
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +342,7 @@ class Arithmetic(SequenceFamily):
             return [None] * len(moments)
         om = -math.expm1(self.slope * y)  # 1 - rho, rho = e^(slope y), without cancellation
         # moments k >= 1 need sigma_(n+1) > 0: read once, and not for moment 0 alone
-        positive = moments != (0,) and self.sigma_array(n + 1, n + 1)[0] > 0.0
+        positive = moments != (0,) and self.sigma(n + 1) > 0.0
         if om <= 2.0**-54:  # rho rounds to 1: only the trivial bracket is certain
             return [None if k and not positive else (0.0, math.inf) for k in moments]
         try:

@@ -38,7 +38,9 @@ pass (_ladder_point: that start, and ln f there interpolated through the
 same two entries); the inverse moves that start to the minimizer of the
 uncertified dual of its first 64 terms or more (solver._proposal: no pass,
 finite._minimize_dual on the rows of _mult_arrays, which also builds a
-pass's W* rows) before its first certified point.  The
+pass's W* rows, base ln(1 + z) / z or -ln(1 - z) / z at z = e^t clipped
+at 1e-300: exactly base wherever z < 2^-53, an underflowed z = 0
+included) before its first certified point.  The
 conjugate of ln f follows its four-branch closed form, and its interior
 branch (_conjugate_at) is also the solver's interior value.
 A pass whose target is beyond the term budget stops at the bound it can
@@ -772,7 +774,10 @@ def _mult_arrays(kind: Entropy, mults, t, t_hi, base, lt, log_p=None) -> dict:
     t_hi >= max t decides two branches without a reduction: bose-einstein's
     1 - z is -expm1(t) where t > -ln 2 (no cancellation, Maechler 2012), and
     fermi-dirac terms with t > 700 come from e^-t and p_n = e^log_p, or
-    e^(lt - t) where the caller has no ln p_n."""
+    e^(lt - t) where the caller has no ln p_n.  The W* row divides ln(1 + z)
+    or -ln(1 - z) by z clipped at 1e-300, with no mask: where z < 2^-53, z =
+    0 included, the quotient is exactly 1.0, so a term whose e^t underflows
+    is base."""
     fermi = kind is Entropy.FERMI_DIRAC
     far = near = None
     if fermi and t_hi > 700.0:
@@ -785,12 +790,11 @@ def _mult_arrays(kind: Entropy, mults, t, t_hi, base, lt, log_p=None) -> dict:
         den = np.where(near, -np.expm1(t), den)
     out = {}
     if "conj" in mults:  # W*(t) / z = ln(1 + z) / z or -ln(1 - z) / z
-        small = z < 1e-8
-        ln_den = np.log1p(z if fermi else -z)
+        zc = np.maximum(z, 1e-300)  # exactly 1.0 where z < 2^-53, z = 0 included
+        ln_den = np.log1p(zc if fermi else -zc)
         if near is not None:
             ln_den = np.where(near, np.log(den), ln_den)
-        ratio = (ln_den if fermi else -ln_den) / np.where(small, 1.0, z)
-        out["conj"] = base * np.where(small, 1.0 - 0.5 * z if fermi else 1.0 + 0.5 * z, ratio)
+        out["conj"] = base * ((ln_den if fermi else -ln_den) / zc)
     d = 1.0 / den
     if "grad" in mults:
         out["grad"] = base * d
@@ -810,7 +814,10 @@ def _mult_bounds(kind: Entropy, t_next: float) -> dict:
     """{m: bounds of the multiplier m over the whole tail, where t <=
     t_next} for m = 'conj', 'grad' and 'hess': fermi-dirac's lower bounds
     take the tail's largest z = e^t_next, unclipped, and bose-einstein's
-    1 - z is -expm1(t_next) above -ln 2, as in _mult_arrays."""
+    1 - z is -expm1(t_next) above -ln 2, as in _mult_arrays.  The W* bound
+    keeps 1 -+ z/2 for z <= 1e-8: on one float the branch is a single
+    comparison, not a mask, it keeps z = 0 from dividing by zero, and
+    every tail bracket's width stays as it was."""
     z = math.exp(t_next) if t_next < 709.0 else math.inf
     if kind is Entropy.FERMI_DIRAC:
         d = 1.0 / (1.0 + z)

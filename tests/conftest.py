@@ -618,6 +618,31 @@ def ref_gibbs_pass(log_p, s, t):
     return phi, var, float(m) + math.log(float(z0)), e, float(z0)
 
 
+# series._mult_arrays' W* row as it was before its small-z guard became one
+# clip: 1 -+ z/2 in place of ln(1 +- z) / z wherever z = e^t < 1e-8, through a
+# mask.  The clipped row must reproduce it bit for bit where z >= 1e-8 and
+# where z < 2^-53 (tests/test_series.py).
+
+
+def ref_conj_row(kind, t, base):
+    """base W*(t) / e^t for t < 0: base ln(1 + z) / z under fermi-dirac and
+    base -ln(1 - z) / z under bose-einstein, 1 - e^t as -expm1(t) where
+    t > -ln 2."""
+    fermi = kind is Entropy.FERMI_DIRAC
+    z = np.exp(t)
+    den = 1.0 + z if fermi else 1.0 - z
+    near = None
+    if not fermi and float(t.max()) > -LN2:
+        near = t > -LN2
+        den = np.where(near, -np.expm1(t), den)
+    small = z < 1e-8
+    ln_den = np.log1p(z if fermi else -z)
+    if near is not None:
+        ln_den = np.where(near, np.log(den), ln_den)
+    ratio = (ln_den if fermi else -ln_den) / np.where(small, 1.0, z)
+    return base * np.where(small, 1.0 - 0.5 * z if fermi else 1.0 + 0.5 * z, ratio)
+
+
 # finite's fermi-dirac zonotope code as it was before one array fill served
 # both envelopes and the face solution: the level-by-level greedy loops that
 # the fill must reproduce, its envelopes bit for bit (tests/test_finite.py).

@@ -891,3 +891,19 @@ class TestFiniteDualAgainstMpmath:
             want = [float(w) for w in self._reference(mpmath, kind, log_p, s, x, y)]
         for got, w in zip((h, *grad, *hess), want):
             assert got == pytest.approx(w, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("kind", [BE, FD])
+    def test_sums_where_z_underflows(self, kind):
+        # ln p = 700 on the level whose t is -800: its z = e^t underflows to
+        # 0 while its base p e^t = e^-100 carries every sum, and the W* row
+        # there is exactly base (its ln(1 + z) / z taken at the clipped z)
+        mpmath = pytest.importorskip("mpmath")
+        log_p, s = np.log(np.array(self.P)), np.array(self.S)
+        log_p[np.argmax(s)] = 700.0
+        x, y = -650.0, -40.0  # t from -670 down to -800
+        assert float(np.min(x + s * y)) == -800.0 and np.exp(-800.0) == 0.0
+        h, grad, hess = finite_module._finite_dual(kind, log_p, *finite_module._dual_rows(s), x, y)
+        with mpmath.workdps(400):  # at 50 digits ln(1 + e^-800) would be ln 1 = 0
+            want = [float(w) for w in self._reference(mpmath, kind, log_p, s, x, y)]
+        for got, w in zip((h, *grad, *hess), want):
+            assert got == pytest.approx(w, rel=1e-13, abs=0.0)

@@ -2,6 +2,7 @@
 statistics, minimum-level sets, and — most importantly — soundness of every
 certified tail bound against brute-force summation."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -18,6 +19,8 @@ from entromin import (
     Arithmetic,
     ConfigurationError,
     DomainError,
+    EmpSolver,
+    Entropy,
     ExplicitPrefix,
     ExplosiveWeights,
     Lattice3D,
@@ -66,6 +69,21 @@ class TestGenerate:
 
 
 _EXPLICIT = ExplicitPrefix((1.0, 2.5, 7.0), (0.5, 1.0, 1.5), WeightedGeometric(1.0, 3.0))
+_LIBRARY_FAMILIES = [
+    Lattice3D(1.0),
+    Lattice3D(0.25),
+    WeightedGeometric(1.0, 3.0),
+    Arithmetic(0.0, 1.0),
+    Arithmetic(-3.0, 0.5),
+    PowerLaw(1.0, 1.5),
+    PowerLaw(2.0, 0.5),
+    LogLevels(1.0),
+    WeightedGeometric(0.5, 4.0),
+    ExplosiveWeights(1.0),
+    ShiftedSigma(WeightedGeometric(1.0, 3.0), -2.0),
+    ShiftedSigma(Lattice3D(1.0), 1.0),
+    _EXPLICIT,
+]
 
 
 class TestLatticeLevels:
@@ -85,25 +103,7 @@ class TestLatticeLevels:
         assert [int(v) for _, v in levels] == sorted(table)
         assert sum(d for d, _ in levels) == sum(table.values())
 
-    @pytest.mark.parametrize(
-        "family",
-        [
-            Lattice3D(1.0),
-            Lattice3D(0.25),
-            WeightedGeometric(1.0, 3.0),
-            Arithmetic(0.0, 1.0),
-            Arithmetic(-3.0, 0.5),
-            PowerLaw(1.0, 1.5),
-            PowerLaw(2.0, 0.5),
-            LogLevels(1.0),
-            WeightedGeometric(0.5, 4.0),
-            ExplosiveWeights(1.0),
-            ShiftedSigma(WeightedGeometric(1.0, 3.0), -2.0),
-            ShiftedSigma(Lattice3D(1.0), 1.0),
-            _EXPLICIT,
-        ],
-        ids=repr,
-    )
+    @pytest.mark.parametrize("family", _LIBRARY_FAMILIES, ids=repr)
     def test_weight_arrays_are_the_weights(self, family):
         # every family declares its terms as arrays, and the scalars p,
         # sigma and log_p are their elements, bit for bit (numpy's log and
@@ -147,6 +147,124 @@ class TestLatticeLevels:
             lattice_levels(1.0, 0)
         with pytest.raises(DomainError):
             lattice_levels(-1.0, 3)
+
+
+def _small_reads(monkeypatch) -> list:
+    """The sigma_array and log_terms calls of at most two elements that any
+    family class makes from here on, as (class, method, lo, hi)."""
+    calls = []
+    for cls in vars(sequences).values():
+        if not (isinstance(cls, type) and issubclass(cls, sequences.SequenceFamily)):
+            continue
+        for name in ("sigma_array", "log_terms"):
+            if name in cls.__dict__:
+                def counting(self, *args, _orig=cls.__dict__[name], _name=name):
+                    lo, hi = args[-2:]
+                    if hi - lo <= 1:
+                        calls.append((type(self).__name__, _name, lo, hi))
+                    return _orig(self, *args)
+
+                monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+def _old_terms(family, y, n):
+    """SequenceFamily._terms as two-element arrays formed it: (e^t_m, sigma_m)
+    for m = n and n + 1, t_m = ln p_m + sigma_m y."""
+    s = family.sigma_array(n, n + 1)
+    with np.errstate(over="ignore"):
+        t = (family.log_terms(0.0, n, n + 1) + s * y).tolist()
+    return [(math.exp(tm) if tm < 700.0 else math.inf, sm) for tm, sm in zip(t, s.tolist())]
+
+
+class TestScalarMemo:
+    """sigma(n) and log_p(n) are memoized elements of the family's arrays,
+    up to sequences._MEMO_SIZE (1,024) of each per family, so the block
+    walk and the tail brackets read their levels once per family."""
+
+    BLOCK_ENDS = [64 * 2**j for j in range(9)]
+
+    @pytest.mark.parametrize("family", _LIBRARY_FAMILIES, ids=repr)
+    def test_scalars_are_the_array_elements(self, family):
+        family = dataclasses.replace(family)  # a fresh memo
+        ns = self.BLOCK_ENDS
+        if isinstance(family, ExplicitPrefix):
+            m = len(family.weights)
+            ns = [*range(max(1, m - 2), m + 4), *ns]
+        hexes = lambda terms: [(v.hex(), s.hex()) for v, s in terms]  # noqa: E731
+        for _ in range(2):  # read, then read from the memo
+            for n in ns:
+                assert family.sigma(n).hex() == family.sigma_array(n, n)[0].hex()
+                assert family.log_p(n).hex() == family.log_terms(0.0, n, n)[0].hex()
+                lo = max(1, n - 1)
+                assert family.sigma(n).hex() == family.sigma_array(lo, n + 1)[n - lo].hex()
+                for y in (0.0, -0.5, -1e300):
+                    assert hexes(family._terms(y, n)) == hexes(_old_terms(family, y, n))
+
+    @pytest.mark.parametrize(
+        "family, forward, w",
+        [
+            (Arithmetic(0.0, 1.0), (-0.5, -1.0), 2.0),
+            (WeightedGeometric(1.0, 3.0), (-0.5, -2.0), 1.2),
+            (Lattice3D(1.0), (-0.5, -0.5), 4.0),
+        ],
+        ids=repr,
+    )
+    def test_warm_solves_make_no_small_array_reads(self, monkeypatch, family, forward, w):
+        # the block ends' sigma_(n+1), the brackets' t_n and t_(n+1) and the
+        # closed forms' sign tests come from the memo once the levels are read
+        es = EmpSolver(family)
+
+        def solves():
+            for kind, x in ((Entropy.BOSE_EINSTEIN, forward[0]), (Entropy.FERMI_DIRAC, 0.5)):
+                es.forward_solve(kind, x, forward[1])
+            assert es.solve_mb(1.0, w).region.value == "interior"
+
+        solves()
+        calls = _small_reads(monkeypatch)
+        solves()
+        assert calls == []
+
+    def test_threads_read_the_same_levels(self):
+        # more readers than cores, switching often, on a fresh family: each
+        # sees the arrays' floats, and the memo fills to its bound, not past
+        family = WeightedGeometric(1.0, 3.0)
+        last = 2 * sequences._MEMO_SIZE
+        start = threading.Barrier(4)
+        seen = [None] * 4
+
+        def read(k):
+            ns = range(1, last + 1) if k % 2 else range(last, 0, -1)
+            start.wait()
+            seen[k] = sorted((n, family.sigma(n), family.log_p(n), *family._terms(-0.5, n))
+                             for n in ns)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert seen[1:] == seen[:1] * 3
+        want = zip(family.sigma_array(1, last).tolist(), family.log_terms(0.0, 1, last).tolist())
+        assert [r[1:3] for r in seen[0]] == list(want)
+        assert len(family._sigmas) == len(family._log_ps) == sequences._MEMO_SIZE
+
+    def test_memo_is_bounded(self):
+        # tail_interval is public and n arbitrary: reads past the bound go
+        # to the arrays, uncached
+        family = WeightedGeometric(1.0, 3.0)
+        for n in range(1, 5001):
+            family.tail_interval(-1.5, n, 1)
+        assert len(family._sigmas) == len(family._log_ps) == sequences._MEMO_SIZE == 1024
+        assert family.sigma(4999).hex() == family.sigma_array(4999, 4999)[0].hex()
+        assert family._terms(-1.5, 4999) == _old_terms(family, -1.5, 4999)
+        assert 4999 not in family._sigmas
 
 
 class TestLatticeTableThreads:

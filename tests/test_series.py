@@ -56,6 +56,7 @@ from conftest import (
     boundary_subdifferential,
     brute_force_series,
     eval_f_derivatives,
+    ref_conj_row,
     ref_eval_many,
     zeta_oracle,
 )
@@ -1215,6 +1216,50 @@ class TestDualPoint:
             for m, want in exact.items():
                 lo, hi = bounds[m]
                 assert lo * (1.0 - slack) <= want <= hi * (1.0 + slack), (m, t_next, bounds[m])
+
+
+class TestConjRow:
+    """The W* row of series._mult_arrays, base ln(1 + z) / z (fermi-dirac) or
+    base -ln(1 - z) / z (bose-einstein), z = e^t, with z clipped at 1e-300
+    in place of a mask, against the masked guard it replaced (1 -+ z/2
+    where z < 1e-8, conftest.ref_conj_row), at t from -1e-6 to -800."""
+
+    T = -np.geomspace(1e-6, 800.0, 20_001)
+
+    @staticmethod
+    def _row(kind, t, lt):
+        return series._mult_arrays(kind, ("conj",), t, float(t.max()), np.exp(lt), lt)["conj"]
+
+    @pytest.mark.parametrize("kind", [BE, FD])
+    def test_bit_for_bit_where_both_forms_are_exact(self, kind):
+        # ln p up to 700, so that p e^t > 0 where z = e^t underflows to 0:
+        # both forms give exactly 1.0 for z < 2^-53 and the same quotient
+        # from z >= 1e-8 on
+        t = self.T
+        lt = np.linspace(0.0, 700.0, t.size) + t
+        z = np.exp(t)
+        assert (np.exp(lt)[z == 0.0] > 0.0).any()
+        got, want = self._row(kind, t, lt), ref_conj_row(kind, t, np.exp(lt))
+        same = (z >= 1e-8) | (z < 2.0**-53)
+        assert got[same].tobytes() == want[same].tobytes()
+        # in between, the row rounds the product of a factor one ulp of 1.0
+        # away with base once more on each side
+        between = ~same
+        assert between.sum() > 500
+        assert np.all(np.abs(got[between] - want[between]) <= 2.0**-51 * want[between])
+
+    @pytest.mark.parametrize("kind", [BE, FD])
+    def test_factor_within_one_ulp_where_z_is_small(self, kind):
+        # with base 1 the row is the factor W*(t) / z itself, near 1: on
+        # [2^-53, 1e-8) ln(1 +- z) / z and 1 -+ z/2 are each within an ulp
+        # of it, and differ by at most one ulp of 1.0
+        t = self.T
+        got, want = self._row(kind, t, np.zeros_like(t)), ref_conj_row(kind, t, np.ones_like(t))
+        z = np.exp(t)
+        same = (z >= 1e-8) | (z < 2.0**-53)
+        assert got[same].tobytes() == want[same].tobytes()
+        assert np.all(got[z < 2.0**-53] == 1.0)
+        assert np.max(np.abs(got[~same] - want[~same])) <= math.ulp(1.0)
 
 
 class TestBoundarySubdifferential:
