@@ -52,15 +52,18 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
                        family;
   explicit_solver      EmpSolver(ExplicitPrefix((1, 2), (1, 2),
                        WeightedGeometric(1, 3))) and EmpSolver of its tail
-                       alone, each built cold (the family caches
-                       sigma_min_set, series.profile, series._ladder_entry
-                       and solver._cached_prefix cleared first), before any
-                       other case runs, and the caches cleared again after.
+                       alone, each built cold (the module caches
+                       sigma_min_set, series.profile, the slope ladder and
+                       solver._cached_prefix cleared first; what a family
+                       instance keeps, its scalar memos and term table,
+                       stays), before any other case runs, and the caches
+                       cleared again after.
 
 Apart from the cases, ladder_build reports per family what filling the
 cache of slope-root starts costs for the mb_interior and the bf_roundtrip
 targets: the entries a run over the family's targets from a cleared cache
-leaves cached (the slope ladder's entries, series._ladder_entry), and the
+leaves cached (the slope ladder's entries: those of series._LADDERS, in
+trees before the ladder tables series._ladder_entry's), and the
 passes and terms that run spends beyond a warm rerun of the same targets.  Results do not
 depend on which entries are cached, so the difference is the build alone.
 dual_rows reports the wall time of one call of series._mult_arrays, which
@@ -81,8 +84,10 @@ from the numpy that entromin.solver and entromin.finite see, slope_passes
 from the arguments of series._eval_many, newton_points and
 proposal_points from the minimize_convex_2d that entromin.solver and
 entromin.finite call and from series._dual_point, rows_builds from
-entromin.finite._dual_rows, and scalar_reads from the sigma_array and
-log_terms of the family classes:
+entromin.finite._dual_rows, scalar_reads and sigma_builds from the
+sigma_array and log_terms of the family classes, reduce_calls from
+series._add_reduce and ladder_lookups from series._ladder (in trees before
+the ladder tables, series._ladder_entry):
 
   prefix_passes        np.exp calls made by entromin.solver and
                        entromin.finite (where a tree keeps the Gibbs pass,
@@ -160,6 +165,21 @@ log_terms of the family classes:
                        slow_roundtrip): reads of single levels and log
                        weights that a tree does not keep from an earlier
                        call;
+  sigma_builds         sigma_array calls made by any family class during
+                       one warm solve_mb (mb_interior) or round trip
+                       (bf_roundtrip, slow_roundtrip), a wrapper's call of
+                       its base's included: level arrays built, where a
+                       tree reads no table of them;
+  reduce_calls         series._add_reduce calls during the same call: the
+                       kernel's reductions of its term rows, one per sum
+                       and block in trees that reduce each sum's row on its
+                       own, one per block in trees that reduce a block of
+                       rows at once (and one per array for a slope model's
+                       rows);
+  ladder_lookups       reads of the slope ladder's cache during the same
+                       call: series._ladder calls (one table per bracket),
+                       in trees before the ladder tables series._ladder_entry
+                       calls (one cached entry per read);
   budget_errors        BudgetErrors constructed during one slow_value call
                        or round trip, raised or caught, counted through the
                        class's __init__;
@@ -299,7 +319,8 @@ def _counting_scalar_reads(counts):
     """Count into counts["scalar_reads"] the sigma_array and log_terms calls
     of at most two elements that any family class makes: the scalar reads
     of levels and log weights (sigma, log_p and the brackets' t_n and
-    t_(n+1)) that a tree does not keep from an earlier call."""
+    t_(n+1)) that a tree does not keep from an earlier call; and into
+    counts["sigma_builds"] every sigma_array call."""
     from entromin import sequences
 
     patched = []
@@ -311,9 +332,10 @@ def _counting_scalar_reads(counts):
                 continue
             method = cls.__dict__[name]
 
-            def counting(self, *args, _method=method):
+            def counting(self, *args, _method=method, _levels=name == "sigma_array"):
                 lo, hi = args[-2:]  # (lo, hi) or (y, lo, hi)
                 counts["scalar_reads"] += hi - lo <= 1
+                counts["sigma_builds"] += _levels
                 return _method(self, *args)
 
             setattr(cls, name, counting)
@@ -323,6 +345,33 @@ def _counting_scalar_reads(counts):
     finally:
         for cls, name, method in patched:
             setattr(cls, name, method)
+
+
+@contextlib.contextmanager
+def _counting_kernel_reads(counts):
+    """Count into counts the kernel's reductions (series._add_reduce calls,
+    reduce_calls) and the slope ladder's cache reads (series._ladder calls,
+    or series._ladder_entry calls in trees before the ladder tables,
+    ladder_lookups)."""
+    from entromin import series
+
+    reads = {"_add_reduce": "reduce_calls",
+             "_ladder" if hasattr(series, "_ladder") else "_ladder_entry": "ladder_lookups"}
+    saved = {name: getattr(series, name) for name in reads}
+
+    def counted(fn, key):
+        def counting(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counting
+
+    for name, key in reads.items():
+        setattr(series, name, counted(saved[name], key))
+    try:
+        yield
+    finally:
+        for name, fn in saved.items():
+            setattr(series, name, fn)
 
 
 @contextlib.contextmanager
@@ -613,9 +662,10 @@ def count_interior(tracer, targets, times, py_calls):
     per_target = []
     for (_, es, u, v), c in zip(targets, py_calls):
         reads = Counter()
-        with _counting_scalar_reads(reads):
+        with _counting_scalar_reads(reads), _counting_kernel_reads(reads):
             counts = _counted(tracer, lambda es=es, u=u, v=v: es.solve_mb(u, v), SOLVE_KEYS)[1]
-        per_target.append({**counts, "py_calls": c, "scalar_reads": reads["scalar_reads"]})
+        per_target.append({**counts, "py_calls": c,
+                           **{k: reads[k] for k in ("scalar_reads", *READ_KEYS)}})
     return {"counts_per_solve": _summary(per_target),
             "per_family": _per_family(targets, per_target, times)}
 
@@ -681,6 +731,7 @@ def _counting_newton(counts):
 
 TRIP_KEYS = {**PASS_KEYS, "slope_passes": "slope_passes"}
 NEWTON_KEYS = ("newton_points", "proposal_points")
+READ_KEYS = ("sigma_builds", "reduce_calls", "ladder_lookups")
 
 
 def count_roundtrips(tracer, entromin, trips, call=_roundtrip):
@@ -690,13 +741,15 @@ def count_roundtrips(tracer, entromin, trips, call=_roundtrip):
     for trip in trips:
         counted = Counter()
         with _counting_newton(counted), _counting_budget_errors(counted), \
-                _counting_rows_builds(counted), _counting_scalar_reads(counted):
+                _counting_rows_builds(counted), _counting_scalar_reads(counted), \
+                _counting_kernel_reads(counted):
             result, counts = _counted(tracer, lambda t=trip: call(*t[1:]), TRIP_KEYS)
         failures += isinstance(result, entromin.InverseFailure)
         per_target.append({**counts, **{k: counted[k] for k in NEWTON_KEYS},
                            "budget_errors": counted["budget_errors"],
                            "rows_builds": counted["rows_builds"],
-                           "scalar_reads": counted["scalar_reads"]})
+                           "scalar_reads": counted["scalar_reads"],
+                           **{k: counted[k] for k in READ_KEYS}})
     return per_target, failures
 
 
@@ -833,10 +886,26 @@ def count_fd(solves, py_calls, times):
             "per_family": _per_family(solves, per_target, times)}
 
 
-def count_ladder_build(tracer, cache, groups):
+def _clear_ladder(series):
+    """Empty the slope ladder's cache: the ladder tables, or in trees
+    before them the least-recently-used cache of its entries."""
+    if hasattr(series, "_LADDERS"):
+        series._LADDERS.clear()
+    else:
+        series._ladder_entry.cache_clear()
+
+
+def _ladder_entries(series):
+    """The slope-ladder entries cached."""
+    if hasattr(series, "_LADDERS"):
+        return sum(len(ladder.rungs) for ladder in list(series._LADDERS.values()))
+    return series._ladder_entry.cache_info().currsize
+
+
+def count_ladder_build(tracer, series, groups):
     """Per family key of groups (key -> calls): the entries that one run of
-    the calls from a cleared cache leaves cached, and the passes and terms
-    it spends beyond a warm rerun."""
+    the calls from a cleared ladder cache leaves cached, and the passes and
+    terms it spends beyond a warm rerun."""
     keys = {"series_passes": "series.passes", "series_terms": "series_terms"}
 
     def run(calls):
@@ -847,9 +916,9 @@ def count_ladder_build(tracer, cache, groups):
 
     out = {}
     for fam, calls in groups.items():
-        cache.cache_clear()
+        _clear_ladder(series)
         cold = run(calls)
-        entries = cache.cache_info().currsize
+        entries = _ladder_entries(series)
         warm = run(calls)
         out[fam] = {"entries": entries, **{k: cold[k] - warm[k] for k in keys}}
     return out
@@ -995,9 +1064,9 @@ def _clear_family_caches(entromin):
     """Empty the caches that a solver build fills per family."""
     from entromin import sequences, series, solver
 
-    for cache in (sequences.sigma_min_set, series.profile, series._ladder_entry,
-                  solver._cached_prefix):
+    for cache in (sequences.sigma_min_set, series.profile, solver._cached_prefix):
         cache.cache_clear()
+    _clear_ladder(series)
 
 
 def explicit_case(entromin):
@@ -1101,11 +1170,10 @@ def main(argv=None) -> int:
                  "wall_ms_per_solve": _wall(fd_s)}
     slow_value = {"targets": len(slow), **count_slow_values(tracer, slow, slow_s),
                   "wall_ms_per_solve": _wall(slow_s)}
-    cache = entromin.series._ladder_entry
     build = {
         "mb_interior": count_ladder_build(
-            tracer, cache, _grouped(interior, lambda es, u, v: es.solve_mb(u, v))),
-        "bf_roundtrip": count_ladder_build(tracer, cache, _grouped(trips, _roundtrip)),
+            tracer, entromin.series, _grouped(interior, lambda es, u, v: es.solve_mb(u, v))),
+        "bf_roundtrip": count_ladder_build(tracer, entromin.series, _grouped(trips, _roundtrip)),
     }
     rule_prefix = prefix_case(tracer, rules, prefix_calls, prefix_runs)
     tracer.active = False

@@ -4,8 +4,10 @@ A family is a finitely described generator of weights p_n (positive, with
 sum p_n = inf) and levels sigma_n, n >= 1.  Everything the series layer
 proves about f(y) = sum p_n exp(sigma_n y) rests on what a family declares:
 
-  * its terms, once, as the arrays ``sigma_array`` and ``log_terms`` (ln p_n
-    + sigma_n y, overflow-free), and ``p_array`` where its weights are exact;
+  * its terms, once: ``_term_arrays``, the y-free arrays of an index window
+    (sigma_n first, then what ln p_n needs), and ``log_terms`` (ln p_n +
+    sigma_n y, overflow-free) combining them with y, and ``p_array`` where
+    its weights are exact;
   * ``alpha``, the endpoint of dom f: f is finite on (-inf, -alpha), and
     alpha = +inf when dom f is empty; levels falling to -inf have none, and
     an undeclared alpha raises UnsupportedFamilyError;
@@ -18,8 +20,11 @@ proves about f(y) = sum p_n exp(sigma_n y) rests on what a family declares:
     block-doubling majorants, and zeta-type tails at and beyond the
     endpoint y = -alpha) and ``boundary_divergent`` (summability there).
 
-The base class derives the rest: ``p_array`` (e^(ln p_n), inf from ln p_n
-= 700 on), the scalars ``sigma``, ``log_p`` and ``p`` (an element of each
+The base class derives the rest: the family's term table (``_tabled``: the
+``_term_arrays`` of [1, N], N a power of two up to 2^13, built once and
+read as slices), ``sigma_array`` (a copy of its levels), ``p_array``
+(e^(ln p_n), inf from ln p_n = 700 on), the scalars ``sigma``, ``log_p``
+and ``p`` (an element of each
 array; ``sigma`` and ``log_p`` memoized per family, so that the block
 ends' levels and t_n, t_(n+1) are read once), ``constant_sigma``
 (sigma_direction 0) and ``dom_f_empty`` (alpha = +inf for levels not
@@ -73,6 +78,9 @@ __all__ = [
 _PREFIX_SCAN = 64  # documented construction-time validity scan length
 _MEMO_SIZE = 1024  # memoized sigma(n) and log_p(n) per family, each
 _MEMO_LOCK = threading.Lock()  # keeps the bound under concurrent first reads
+_TABLE_MIN = 64  # the smallest term table: a pass's first block
+_TABLE_MAX = 2**13  # the largest: windows reaching past it are built per call
+_TABLE_LOCK = threading.RLock()  # one build at a time; a wrapper builds its base inside its own
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +96,14 @@ class SigmaMinSet:
     p_sum: float
 
 
+def _powers(sigma: np.ndarray) -> np.ndarray:
+    """(sigma, sigma^2) as one 2-row array, sigma^2 as sigma * sigma."""
+    out = np.empty((2, len(sigma)))
+    out[0] = sigma
+    np.multiply(sigma, sigma, out=out[1])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # base class
 
@@ -95,26 +111,89 @@ class SigmaMinSet:
 @dataclass(frozen=True)
 class SequenceFamily:
     """Deterministic generator of (p_n, sigma_n); subclasses add parameters
-    and declare what the module docstring lists, their terms as two arrays.
-    The scalar terms, constant_sigma and dom_f_empty are derived here, and
-    are not overridden.  sigma(n) and log_p(n), elements of sigma_array(n,
-    n) and log_terms(0.0, n, n), are kept in a dict per instance up to
-    _MEMO_SIZE (1,024) entries; reads past it go to the arrays uncached."""
+    and declare what the module docstring lists, their terms as the y-free
+    _term_arrays and log_terms.  The term table, sigma_array, the scalar
+    terms, constant_sigma and dom_f_empty are derived here, and are not
+    overridden.
+
+    The term table holds _term_arrays(1, N) and (sigma_n, sigma_n^2) as
+    one 2 x N array, N the least power of two reaching the highest index
+    read (at least 64), built on first read and rebuilt larger on a read
+    past N, up to _TABLE_MAX = 2^13 terms (the windows of passes up to
+    8,192 terms); windows reaching past that are built per call.  Its
+    arrays are read-only, and a rebuild replaces them in one assignment
+    under a lock, so readers that take the table once slice consistent
+    arrays from any thread; at most 2^13 floats per array, under 256 KB
+    per family.  sigma(n) and log_p(n), elements of sigma_array(n, n) and
+    log_terms(0.0, n, n), are kept in a dict per instance up to _MEMO_SIZE
+    (1,024) entries; reads past it go to the arrays uncached."""
 
     # -- term access --------------------------------------------------------
 
-    def sigma_array(self, lo: int, hi: int) -> np.ndarray:
-        """sigma_n for n in [lo, hi] inclusive."""
+    def _term_arrays(self, lo: int, hi: int) -> tuple:
+        """The y-free arrays of the terms n in [lo, hi]: sigma_n first, then
+        at most one more that log_terms combines with y; each element
+        depends on its n alone, so a slice of a longer window holds the same
+        floats."""
         raise NotImplementedError
 
     def log_terms(self, y: float, lo: int, hi: int) -> np.ndarray:
-        """ln(p_n) + sigma_n * y for n in [lo, hi], overflow-free."""
+        """ln(p_n) + sigma_n * y for n in [lo, hi], overflow-free: a new
+        array from the term table's slices."""
         raise NotImplementedError
+
+    def sigma_array(self, lo: int, hi: int) -> np.ndarray:
+        """sigma_n for n in [lo, hi] inclusive, a new array."""
+        return self._tabled(lo, hi)[0].copy()
 
     def p_array(self, lo: int, hi: int) -> np.ndarray:
         """p_n for n in [lo, hi] inclusive: e^(ln p_n), inf where ln p_n >= 700."""
         log_p = self.log_terms(0.0, lo, hi)
         return np.where(log_p < 700.0, np.exp(np.minimum(log_p, 700.0)), math.inf)
+
+    # the term table, ((sigma_n, the other array or None), (sigma_n,
+    # sigma_n^2)) over [1, N]: each instance's own, set in its __dict__ by
+    # _build_table on first read
+    _term_table = None
+
+    def _build_table(self, hi: int):
+        """The term table, built or rebuilt to reach hi <= _TABLE_MAX."""
+        with _TABLE_LOCK:
+            table = self._term_table
+            if table is None or table[1].shape[1] < hi:
+                sigma, *extra = self._term_arrays(1, max(_TABLE_MIN, 1 << (hi - 1).bit_length()))
+                powers = _powers(sigma)
+                extra = extra[0] if extra else None
+                for a in (powers, extra):
+                    if a is not None:
+                        a.flags.writeable = False
+                # sigma_n stored once, as the first row of powers
+                table = self.__dict__["_term_table"] = ((powers[0], extra), powers)
+        return table
+
+    def _tabled(self, lo: int, hi: int) -> tuple:
+        """The _term_arrays of [lo, hi], read-only: slices of the term table,
+        or built for the call past _TABLE_MAX."""
+        table = self._term_table
+        if table is None or table[1].shape[1] < hi:
+            if hi > _TABLE_MAX:
+                return self._term_arrays(lo, hi)
+            table = self._build_table(hi)
+        (sigma, extra), i = table[0], lo - 1
+        return (sigma[i:hi],) if extra is None else (sigma[i:hi], extra[i:hi])
+
+    def _level_powers(self, lo: int, hi: int, rows: int = 2) -> np.ndarray:
+        """The first `rows` of (sigma_n, sigma_n^2) for n in [lo, hi] as one
+        read-only array, the term table's slice: the factors of a pass's
+        moment-1 and moment-2 terms.  Past _TABLE_MAX sigma_n^2 is built
+        only where asked for."""
+        table = self._term_table
+        if table is None or table[1].shape[1] < hi:
+            if hi > _TABLE_MAX:
+                sigma = self._term_arrays(lo, hi)[0]
+                return _powers(sigma) if rows == 2 else sigma[None]
+            table = self._build_table(hi)
+        return table[1][:rows, lo - 1 : hi]
 
     @functools.cached_property
     def _sigmas(self) -> dict:
@@ -128,7 +207,7 @@ class SequenceFamily:
         memo = self._sigmas
         if n in memo:
             return memo[n]
-        s = float(self.sigma_array(n, n)[0])
+        s = float(self._tabled(n, n)[0][0])
         with _MEMO_LOCK:
             if len(memo) < _MEMO_SIZE:
                 memo[n] = s
@@ -262,7 +341,7 @@ class SequenceFamily:
         if not (math.isfinite(a) and y < -a):
             return {}
         last = max(n + 1, self.sigma_increasing_from)  # nondecreasing on
-        s = self.sigma_array(n + 1, last).tolist()
+        s = self._tabled(n + 1, last)[0].tolist()
         if min(s) <= 0.0:
             return {}
         gap = -a - y
@@ -305,11 +384,11 @@ class Arithmetic(SequenceFamily):
         if not (math.isfinite(self.offset) and math.isfinite(self.slope)):
             raise ConfigurationError("arithmetic family needs finite offset/slope")
 
-    def sigma_array(self, lo, hi):
-        return self.offset + self.slope * np.arange(lo, hi + 1, dtype=float)
+    def _term_arrays(self, lo, hi):
+        return (self.offset + self.slope * np.arange(lo, hi + 1, dtype=float),)
 
     def log_terms(self, y, lo, hi):
-        return self.sigma_array(lo, hi) * y
+        return self._tabled(lo, hi)[0] * y
 
     @property
     def alpha(self):
@@ -406,11 +485,11 @@ class PowerLaw(SequenceFamily):
         if self.scale == 0.0 or not math.isfinite(self.scale):
             raise ConfigurationError("power-law scale must be nonzero finite")
 
-    def sigma_array(self, lo, hi):
-        return self.scale * np.arange(lo, hi + 1, dtype=float) ** self.exponent
+    def _term_arrays(self, lo, hi):
+        return (self.scale * np.arange(lo, hi + 1, dtype=float) ** self.exponent,)
 
     def log_terms(self, y, lo, hi):
-        return self.sigma_array(lo, hi) * y
+        return self._tabled(lo, hi)[0] * y
 
     @property
     def alpha(self):
@@ -461,11 +540,11 @@ class LogLevels(SequenceFamily):
         if self.scale == 0.0 or not math.isfinite(self.scale):
             raise ConfigurationError("log-levels scale must be nonzero finite")
 
-    def sigma_array(self, lo, hi):
-        return self.scale * np.log(np.arange(lo, hi + 1, dtype=float) + 1.0)
+    def _term_arrays(self, lo, hi):
+        return (self.scale * np.log(np.arange(lo, hi + 1, dtype=float) + 1.0),)
 
     def log_terms(self, y, lo, hi):
-        return self.sigma_array(lo, hi) * y
+        return self._tabled(lo, hi)[0] * y
 
     @property
     def alpha(self):
@@ -530,12 +609,13 @@ class WeightedGeometric(SequenceFamily):
         if not math.isfinite(self.power):
             raise ConfigurationError("weighted-geometric power must be finite")
 
-    def sigma_array(self, lo, hi):
-        return np.arange(lo, hi + 1, dtype=float)
+    def _term_arrays(self, lo, hi):  # k and power ln k
+        k = np.arange(lo, hi + 1, dtype=float)
+        return k, self.power * np.log(k)
 
     def log_terms(self, y, lo, hi):
-        k = np.arange(lo, hi + 1, dtype=float)
-        return (self.rate + y) * k - self.power * np.log(k)
+        k, power_ln_k = self._tabled(lo, hi)
+        return (self.rate + y) * k - power_ln_k
 
     @property
     def alpha(self):
@@ -627,16 +707,16 @@ class Lattice3D(SequenceFamily):
         if self.scale <= 0.0 or not math.isfinite(self.scale):
             raise ConfigurationError("lattice scale must be positive")
 
-    def sigma_array(self, lo, hi):
-        values = _LATTICE_TABLE.ensure(hi)[0]
-        return self.scale * values[lo - 1 : hi]
+    def _term_arrays(self, lo, hi):  # scale * values and ln degeneracy
+        values, _, ln_degeneracy = _LATTICE_TABLE.ensure(hi)
+        return self.scale * values[lo - 1 : hi], ln_degeneracy[lo - 1 : hi]
 
     def p_array(self, lo, hi):
         return _LATTICE_TABLE.ensure(hi)[1][lo - 1 : hi].astype(float)
 
     def log_terms(self, y, lo, hi):
-        values, _, ln_degeneracy = _LATTICE_TABLE.ensure(hi)
-        return ln_degeneracy[lo - 1 : hi] + self.scale * values[lo - 1 : hi] * y
+        s, ln_degeneracy = self._tabled(lo, hi)
+        return ln_degeneracy + s * y
 
     @property
     def alpha(self):
@@ -692,12 +772,13 @@ class ExplosiveWeights(SequenceFamily):
         if self.rate <= 0.0 or not math.isfinite(self.rate):
             raise ConfigurationError("explosive rate must be positive")
 
-    def sigma_array(self, lo, hi):
-        return np.arange(lo, hi + 1, dtype=float)
+    def _term_arrays(self, lo, hi):  # k and rate k^2
+        k = np.arange(lo, hi + 1, dtype=float)
+        return k, self.rate * k * k
 
     def log_terms(self, y, lo, hi):
-        k = np.arange(lo, hi + 1, dtype=float)
-        return self.rate * k * k + k * y
+        k, rate_k2 = self._tabled(lo, hi)
+        return rate_k2 + k * y
 
     @property
     def alpha(self):
@@ -737,24 +818,37 @@ class ExplicitPrefix(SequenceFamily):
     def _m(self):
         return len(self.weights)
 
+    @functools.cached_property
+    def _head(self):
+        """(w, ln w, levels) of the explicit terms as read-only arrays."""
+        w = np.array(self.weights, dtype=float)
+        head = (w, np.log(w), np.array(self.levels, dtype=float))
+        for a in head:
+            a.flags.writeable = False
+        return head
+
     def _joined(self, head, tail, lo, hi):
-        """head(w, s) of the given weights and levels with index in [lo, hi],
-        as float arrays, joined to tail(max(lo, m + 1), hi) where hi > m."""
+        """head(w, ln w, s), the explicit terms with index in [lo, hi] as
+        read-only slices of _head, joined to tail(max(lo, m + 1), hi) where
+        hi > m; head returns a new array."""
         m = self._m
         if lo > m:
             return tail(lo, hi)
-        w, s = (np.array(v[lo - 1 : hi], dtype=float) for v in (self.weights, self.levels))
-        return head(w, s) if hi <= m else np.concatenate((head(w, s), tail(m + 1, hi)))
+        part = head(*(a[lo - 1 : hi] for a in self._head))
+        return part if hi <= m else np.concatenate((part, tail(m + 1, hi)))
 
-    def sigma_array(self, lo, hi):
-        return self._joined(lambda w, s: s, self.tail.sigma_array, lo, hi)
+    def _term_arrays(self, lo, hi):
+        def tail(lo, hi):
+            return self.tail._tabled(lo, hi)[0]
+
+        return (self._joined(lambda w, lw, s: s.copy(), tail, lo, hi),)
 
     def p_array(self, lo, hi):  # the given weights as they are
-        return self._joined(lambda w, s: w, self.tail.p_array, lo, hi)
+        return self._joined(lambda w, lw, s: w.copy(), self.tail.p_array, lo, hi)
 
     def log_terms(self, y, lo, hi):
         tail = functools.partial(self.tail.log_terms, y)
-        return self._joined(lambda w, s: np.log(w) + s * y, tail, lo, hi)
+        return self._joined(lambda w, lw, s: lw + s * y, tail, lo, hi)
 
     @property
     def alpha(self):
@@ -801,8 +895,8 @@ class ShiftedSigma(SequenceFamily):
         if self.shift >= low:
             raise ConfigurationError(f"shift {self.shift} not below min sigma {low}")
 
-    def sigma_array(self, lo, hi):
-        return self.base.sigma_array(lo, hi) - self.shift
+    def _term_arrays(self, lo, hi):
+        return (self.base._tabled(lo, hi)[0] - self.shift,)
 
     def p_array(self, lo, hi):
         return self.base.p_array(lo, hi)

@@ -17,22 +17,24 @@ point (_dual_point), each with its own tolerance and tail bracket.  A pass
 first walks the block ends n = 64, 128, ... on the tail brackets alone, one
 family.tail_intervals call per block end (at y = -alpha too), to the first
 where every bracket is narrow enough, and then sums the terms up to there
-once (_block_sums).  eval_h, grad_h and hessian_h are the one-quantity
-entry points to it.
+once (_block_sums: one block of rows per array of terms, its y-free levels
+from the family's term table, and one reduce per block).  eval_h, grad_h
+and hessian_h are the one-quantity entry points to it.
 
 The increasing bijection phi = f'/f : (-inf, -alpha) -> (theta1, theta2) has
 one certified evaluation (_certified_slope), whose record (_Slope) phi
 reads and phi_inverse's Newton root (rootfind.newton_root) steps on.
 Every inversion starts from the slope ladder: the certified slopes at y_k =
--alpha - 2^(k/4), k = -48..24, each evaluated once per (family, tol, k,
-ceiling) on first use and cached (_ladder_entry), as the profile is.  The
-two entries that bracket the target are the first bracket, and the first
-iterate is the cubic Hermite interpolant of their (phi, phi')
-(_hermite_start).  A slope pass also keeps the partial sums of moments 0 to
-5 over its terms (_SlopeModel), whose Taylor expansion with a proved
-remainder certifies phi at nearby points with one bracket call and no pass
-(_model_moments), so a warm interior inversion mostly takes one pass: the
-pass at that start certifies the Newton steps after it.
+-alpha - 2^(k/4), k = -48..24, each evaluated on first use and kept in a
+table per (family, tol, ceiling) with its ln f and Hermite node (_Ladder;
+the 64 latest tables are kept), so a warm start is one table lookup and a
+bisection of the kept phis.  The two entries that bracket the target are
+the first bracket, and the first iterate is the cubic Hermite interpolant
+of their (phi, phi') (_hermite_start).  A slope pass also keeps the partial
+sums of moments 0 to 5 over its terms (_SlopeModel), whose Taylor expansion
+with a proved remainder certifies phi at nearby points with one bracket
+call and no pass (_model_moments), so a warm interior inversion mostly
+takes one pass: the pass at that start certifies the Newton steps after it.
 The ladder also starts the bose-einstein and fermi-dirac inverse with no
 pass (_ladder_point: that start, and ln f there interpolated through the
 same two entries); the inverse moves that start to the minimizer of the
@@ -51,9 +53,11 @@ points pass one).  All tolerances are absolute unless noted.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import logging
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -158,12 +162,16 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0, model=False):
     ends with scalar work alone, one family.tail_intervals call each (at
     y = -alpha the boundary brackets), which each sum widens by exp(x) and
     its multiplier's bounds over the tail (_mult_bounds; unit sums at x = 0
-    skip them), and then sums the terms up to its stop once (_block_sums).
-    When a certified width shrinks too slowly to reach its tolerance within
-    the term budget even at cubic decay, the block end is judged again with
-    every tolerance times the ceiling, and a pass that stops there logs it;
-    BudgetError, before any term is summed, when that is out of reach too
-    (at once under ceiling 1).
+    skip them), and then sums the terms up to its stop once (_block_sums):
+    per array one call of family.log_terms, the only term work that
+    depends on y besides the exponentials, and one block of every sum's
+    rows, reduced once per block.  The pass's layout is worked out once per
+    set of sums and entropy (_pass_shape).  When a certified width shrinks
+    too slowly to reach its tolerance within the term budget even at cubic
+    decay, the block end is judged again with every tolerance times the
+    ceiling, and a pass that stops there logs it; BudgetError, before any
+    term is summed, when that is out of reach too (at once under ceiling
+    1).
 
     With `model`, for a slope pass (the moments 0, 1, 2 of f, in that
     order), the list ends with the pass's _SlopeModel, None where the pass
@@ -175,8 +183,8 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0, model=False):
             raise OverflowError
     except OverflowError:
         raise RangeError(f"x={x} is too large: exp(x) overflows") from None
-    mults, moments, slot = _pass_shape(tuple(tols))
-    mults = () if kind is _MB else mults
+    shape = _pass_shape(tuple(tols), kind is _MB)
+    mults, moments, slot = shape[:3]
     scaled = bool(x) or bool(mults)
     bounds = {}
     asked = None  # the tolerances asked for, once they rose to the ceiling
@@ -211,7 +219,7 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0, model=False):
                     break
                 brackets.append(iv)
             else:
-                sums, higher, top = _block_sums(family, y, tols, x, kind, mults, hi, model)
+                sums, higher, top = _block_sums(family, y, x, kind, shape, hi, model)
                 partials = [math.fsum(acc) for acc in sums]
                 out = [SeriesEval(s + 0.5 * (blo + bhi), hi, 0.5 * (bhi - blo))
                        for s, (blo, bhi) in zip(partials, brackets)]
@@ -234,60 +242,98 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0, model=False):
 
 
 @functools.lru_cache(maxsize=64)
-def _pass_shape(keys):
-    """(multipliers, moments, {moment: its place}) of a pass over the sums
-    `keys`, each in order of first appearance."""
-    mults = tuple(dict.fromkeys(m for m, _ in keys if m is not None))
+def _pass_shape(keys, mb):
+    """(multipliers, moments, {moment: its place}, layout) of a pass over
+    the sums `keys`, the multipliers and moments each in order of first
+    appearance (no multiplier under maxwell-boltzmann, `mb`), and the
+    layout of the pass's block of rows (_block_sums), (units, weighted,
+    index, rows, levels).  Rows 0 .. units - 1 are base = p_n e^(t_n)
+    times 1, sigma_n and sigma_n^2, as far as a unit-multiplier sum needs
+    (base at least, units <= 3); then one row per multiplier, in the order
+    of multipliers, that _mult_arrays writes; then each remaining (row,
+    source row, k), block[source] sigma_n^k: a multiplier's moments k >= 1
+    and the unit moments k >= 3.  index holds each sum's row and rows their
+    count, and levels how many of sigma_n and sigma_n^2 the rows read: 0
+    for sums of base alone under maxwell-boltzmann, which read no level."""
+    mults = () if mb else tuple(dict.fromkeys(m for m, _ in keys if m is not None))
     moments = tuple(dict.fromkeys(k for _, k in keys))
-    return mults, moments, {k: i for i, k in enumerate(moments)}
+    sums = [(None if mb else m, k) for m, k in keys]
+    units = min(max((k for m, k in sums if m is None), default=0), 2) + 1
+    rows = [(None, j) for j in range(units)] + [(m, 0) for m in mults]
+    weighted = []
+    for m, k in dict.fromkeys(sums):
+        if (m, k) not in rows:
+            weighted.append((len(rows), rows.index((m, 0)), k))
+            rows.append((m, k))
+    index = tuple(rows.index(key) for key in sums)
+    levels = 2 if units == 3 or any(k == 2 for *_, k in weighted) else int(len(rows) > 1)
+    layout = (units, tuple(weighted), index, len(rows), levels)
+    return mults, moments, {k: i for i, k in enumerate(moments)}, layout
 
 
-def _block_sums(family, y, tols, x, kind, mults, n, model=False):
-    """(sums, higher, top).  Per sum of `tols`, its partials over the blocks
-    1-64, 65-128, ... up to a pass's stopping index n, whose math.fsum is
-    the sum: one array of terms up to min(n, 4096), each partial from a
-    slice (none when n = 64), then one array per block.  Per array the terms
-    are exponentiated once, and their multiplier rows built once from
-    z = e^t (_mult_arrays).  With `model` (a slope pass, its last sum
-    moment 2), higher holds the partial sums of moments 3, 4 and 5 over the
-    same terms, each array's moment-2 terms times sigma, sigma^2 and
-    sigma^3, and top the largest level summed; else () and 0."""
-    sums = [[] for _ in tols]
+def _block_sums(family, y, x, kind, shape, n, model=False):
+    """(sums, higher, top).  Per sum of the pass `shape` (_pass_shape), its
+    partials over the blocks 1-64, 65-128, ... up to a pass's stopping
+    index n, whose math.fsum is the sum: one array of terms up to min(n,
+    4096), each partial from a slice (none when n = 64), then one array per
+    block.  Per array every row of the pass goes into one block, laid out
+    as _pass_shape says: base = e^(ln p_n + sigma_n y + x), exponentiated
+    into it once; (sigma_n, sigma_n^2) times base in one product, from the
+    family's term table (_level_powers); the multiplier rows, which
+    _mult_arrays writes in place from one z = e^t; and the sigma-weighted
+    rows.  Then one row-wise np.add.reduce per block gives every partial:
+    each row's is the float that row's own pairwise reduce gives.  With
+    `model` (a slope pass, its last sum moment 2), higher holds the partial
+    sums of moments 3, 4 and 5 over the same terms, three more rows of
+    successive products of the last sum's row with sigma_n, reduced once
+    per array, and top the largest level summed; else () and 0."""
+    mults = shape[0]
+    units, weighted, index, rows, levels = shape[3]
+    if model and not levels:
+        levels = 1  # the model's rows read sigma_n
+    sums = [[] for _ in index]
     higher, top = [0.0, 0.0, 0.0] if model else (), 0.0
+    size = rows + 3 if model else rows
     # x + theta1 y bounds every t when y <= 0; else each array's own max
     t_hi = x + sigma_min_set(family).theta1 * y if mults and y <= 0.0 else None
     lo, hi = 1, n if n < _ONE_ARRAY else _ONE_ARRAY
     while True:
         logt = family.log_terms(y, lo, hi)
-        sig = family.sigma_array(lo, hi)
+        if levels:
+            powers = family._level_powers(lo, hi, levels)
+            sig = powers[0]
         lt = logt + x if x else logt
-        base = np.exp(lt)
-        weighted = {}
+        block = np.empty((size, hi - lo + 1))
+        base = np.exp(lt, out=block[0])
+        if units > 1:
+            np.multiply(powers[: units - 1], base, out=block[1:units])
         if mults:
             t = x + sig * y
             bound = t_hi if t_hi is not None else float(np.maximum.reduce(t))
-            weighted = _mult_arrays(kind, mults, t, bound, base, lt)
-        cuts = None  # (start, end) of each block inside the array
+            _mult_arrays(kind, mults, t, bound, base, lt, out=dict(zip(mults, block[units:])))
+        for r, src, k in weighted:
+            np.multiply(block[src], sig if k == 1 else powers[1] if k == 2 else sig**k, out=block[r])
+        if model:
+            row = block[index[-1]]
+            for r in range(rows, size):
+                row = np.multiply(row, sig, out=block[r])
+            top = max(top, float(sig[-1] if family.sigma_increasing_from <= lo else sig.max()))
         if hi > _START_BLOCK and lo == 1:
-            cuts = [(0, _START_BLOCK)]
-            while cuts[-1][1] < hi:
-                cuts.append((cuts[-1][1], 2 * cuts[-1][1]))
-        for acc, (m, k) in zip(sums, tols):
-            block = weighted.get(m, base)
-            if k == 1:
-                block = block * sig
-            elif k:
-                block = block * sig**k
-            if cuts is None:
-                acc.append(float(_add_reduce(block)))
-            else:
-                for a, b in cuts:
-                    acc.append(float(_add_reduce(block[a:b])))
+            a = 0
+            for j in range(6, hi.bit_length()):  # the blocks end at 64, 128, ..., hi
+                got = _add_reduce(block[:rows, a : 1 << j], axis=-1)
+                for acc, i in zip(sums, index):
+                    acc.append(float(got[i]))
+                a = 1 << j
+            got = _add_reduce(block[rows:], axis=-1) if model else ()
+        else:
+            got = _add_reduce(block, axis=-1)
+            for acc, i in zip(sums, index):
+                acc.append(float(got[i]))
+            got = got[rows:]
         if model:
             for j in range(3):
-                block = block * sig
-                higher[j] += float(_add_reduce(block))
-            top = max(top, float(sig[-1] if family.sigma_increasing_from <= lo else sig.max()))
+                higher[j] += float(got[j])
         if hi == n:
             return sums, higher, top
         lo, hi = hi + 1, 2 * hi
@@ -542,8 +588,8 @@ def _model_moments(family, model, y, t0, t1):
 def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
     """The unique y < -alpha with |phi(y) - w| <= tol, for theta1 < w < theta2.
 
-    rootfind.newton_root from the slope ladder (_ladder_entry): the two
-    cached certified slopes at y_k = -alpha - 2^(k/4) whose values bracket
+    rootfind.newton_root from the slope ladder (_Ladder): the two kept
+    certified slopes at y_k = -alpha - 2^(k/4) whose values bracket
     w are its first bracket, else (-inf, -alpha), as phi tends to theta2 > w
     at -alpha.  It starts at the cubic Hermite interpolant of ln(-alpha - y)
     in ln(phi - theta1) through the two entries (_hermite_start), or at the
@@ -561,64 +607,156 @@ def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
 # the slope ladder's indices: y_k = -alpha - 2^(k/4), from 2^-12 to 64 left
 # of -alpha
 _LADDER_K = (-48, 24)
+_LADDER_TABLES = 64  # ladders kept, each of at most 73 entries
+_LADDERS = {}  # (family, tol, ceiling) -> _Ladder, the oldest first
+_LADDER_LOCK = threading.Lock()
 
 
-@functools.lru_cache(maxsize=4096)
-def _ladder_entry(family: SequenceFamily, tol: float, k: int, ceiling: float = 1.0) -> _Slope:
-    """The certified slope at y_k = -alpha - 2^(k/4) to 0.25 tol
-    (_certified_slope), its scale from its own rough pass, so an entry
-    depends on its arguments alone.  Cached as profile is; an entry
-    that raises (BudgetError, or RangeError where f(y_k) underflows or y_k
-    rounds to -alpha) is not cached.  The pass's model is dropped: a Newton
-    step from an entry is rarely short enough for it."""
-    a = family.alpha
-    y = -a - 2.0 ** (0.25 * k)
-    if not y < -a:
-        raise RangeError(f"ladder point {k} rounds to -alpha = {-a}")
-    return _certified_slope(family, y, 0.25 * tol, None, ceiling)._replace(model=None)
+class _Rung(NamedTuple):
+    """A slope-ladder entry at y_k: its phi and certified _Slope (no
+    model), ln f(y_k), and its Hermite node (_hermite_node)."""
+
+    y: float
+    phi: float
+    slope: _Slope
+    ln_f: float
+    node: Optional[tuple]
+
+
+class _Ladder:
+    """The slope ladder of one (family, tol, ceiling): the certified slopes
+    at y_k = -alpha - 2^(k/4), k = -48..24, to 0.25 tol (_certified_slope,
+    its scale from its own rough pass, so an entry depends on its arguments
+    alone), each computed on first use and kept as a _Rung by k (rungs).  An
+    entry that raises (BudgetError, or RangeError where f(y_k) underflows
+    or y_k rounds to -alpha) is not kept.  The pass's model is dropped: a
+    Newton step from an entry is rarely short enough for it.
+
+    bracket(w) finds the two entries nearest w as a gallop from k = 0 does
+    (_gallop), which fills missing entries.  The entries the gallops have
+    read form a set closed under their search paths; while their phis fall
+    with k (index, else None), the gallop for w reads only entries of that
+    set, and ends at the two adjacent ones that bracket w, so a warm bracket
+    is a bisection of their -phi.  Entries are added with one dict
+    operation and index replaced in one assignment under a lock, so
+    concurrent readers see consistent records."""
+
+    def __init__(self, family, tol, ceiling):
+        self.family, self.tol, self.ceiling = family, tol, ceiling
+        self.rungs = {}
+        self.searched = frozenset()  # the k the gallops have read
+        self.index = None  # (k, -phi, rung) of the searched entries by k, and the place of k = 0
+
+    def rung(self, k) -> _Rung:
+        """The entry at k, computed on first use."""
+        got = self.rungs.get(k)
+        if got is not None:
+            return got
+        family = self.family
+        a = family.alpha
+        y = -a - 2.0 ** (0.25 * k)
+        if not y < -a:
+            raise RangeError(f"ladder point {k} rounds to -alpha = {-a}")
+        s = _certified_slope(family, y, 0.25 * self.tol, None, self.ceiling)._replace(model=None)
+        node = _hermite_node(s, sigma_min_set(family).theta1, a)
+        return self.rungs.setdefault(k, _Rung(y, s.phi, s, math.log(s.f.value), node))
+
+    def bracket(self, w):
+        """(inner, outer): the entries nearest w on either side, inner's phi
+        on the near side of w, outer's at or beyond it, as _gallop finds
+        them; from the index where it holds two adjacent entries around w."""
+        index = self.index
+        if index is not None:
+            ks, keys, rungs, zero = index
+            if rungs[zero].phi > w:  # outer: the first k > 0 with phi <= w
+                i = bisect.bisect_left(keys, -w)
+                if i < len(ks) and ks[i] - ks[i - 1] == 1:
+                    return rungs[i - 1], rungs[i]
+            else:  # outer: the last k < 0 with phi >= w
+                i = min(bisect.bisect_right(keys, -w), zero) - 1
+                if i >= 0 and ks[i + 1] - ks[i] == 1:
+                    return rungs[i + 1], rungs[i]
+        return self._gallop(w)
+
+    def _gallop(self, w):
+        """bracket's search: it gallops outward from k = 0 (y = -alpha - 1)
+        and then bisects, so its path depends on w alone.  The ladder ends
+        at k = -48 and 24 and at the first entry that raises BudgetError or
+        RangeError: outer is None where it ends before w is bracketed, and a
+        bisection stops there with the bracket it has.  An error of the k =
+        0 entry itself propagates."""
+        lo_k, hi_k = _LADDER_K
+        inner_k, inner = 0, self.rung(0)
+        read = {0}
+        d = 1 if inner.phi > w else -1  # phi falls as k grows
+
+        def beyond(e):
+            return e.phi <= w if d > 0 else e.phi >= w
+
+        def entry(k):
+            try:
+                e = self.rung(k)
+            except (BudgetError, RangeError):
+                return None
+            read.add(k)
+            return e
+
+        step = 1
+        while True:
+            outer_k = min(max(inner_k + d * step, lo_k), hi_k)
+            outer = None if outer_k == inner_k else entry(outer_k)
+            if outer is None:
+                self._searched(read)
+                return inner, None
+            if beyond(outer):
+                break
+            inner_k, inner = outer_k, outer
+            step *= 2
+        while abs(outer_k - inner_k) > 1:
+            mid_k = inner_k + (outer_k - inner_k) // 2
+            mid = entry(mid_k)
+            if mid is None:
+                break
+            if beyond(mid):
+                outer_k, outer = mid_k, mid
+            else:
+                inner_k, inner = mid_k, mid
+        self._searched(read)
+        return inner, outer
+
+    def _searched(self, read):
+        """Add the entries a gallop read to the searched set, and rebuild the
+        index while their phis fall with k."""
+        if read <= self.searched:
+            return
+        with _LADDER_LOCK:
+            self.searched = searched = self.searched | read
+            ks = tuple(sorted(searched))
+            rungs = tuple(self.rungs[k] for k in ks)
+            keys = tuple(-r.phi for r in rungs)
+            falling = all(a <= b for a, b in zip(keys, keys[1:]))
+            self.index = (ks, keys, rungs, ks.index(0)) if falling else None
+
+
+def _ladder(family, tol, ceiling=1.0) -> _Ladder:
+    """The slope ladder of (family, tol, ceiling), made on first use; the
+    _LADDER_TABLES (64) most recently made are kept."""
+    key = (family, tol, ceiling)
+    ladder = _LADDERS.get(key)
+    if ladder is None:
+        with _LADDER_LOCK:
+            ladder = _LADDERS.get(key)
+            if ladder is None:
+                if len(_LADDERS) >= _LADDER_TABLES:
+                    del _LADDERS[next(iter(_LADDERS))]
+                ladder = _LADDERS[key] = _Ladder(family, tol, ceiling)
+    return ladder
 
 
 def _ladder_bracket(family, w, tol, ceiling):
-    """(inner, outer): the ladder entries nearest w on either side, inner's
-    phi on the near side of w, outer's at or beyond it.  The search gallops
-    outward from k = 0 (y = -alpha - 1) and then bisects, so its path
-    depends on w alone.  The ladder ends at k = -48 and 24 and at the first
-    entry that raises BudgetError or RangeError: outer is None where it ends
-    before w is bracketed, and a bisection stops there with the bracket it
-    has.  An error of the k = 0 entry itself propagates."""
-    lo_k, hi_k = _LADDER_K
-    inner_k, inner = 0, _ladder_entry(family, tol, 0, ceiling)
-    d = 1 if inner.phi > w else -1  # phi falls as k grows
-
-    def beyond(e):
-        return e.phi <= w if d > 0 else e.phi >= w
-
-    def entry(k):
-        try:
-            return _ladder_entry(family, tol, k, ceiling)
-        except (BudgetError, RangeError):
-            return None
-
-    step = 1
-    while True:
-        outer_k = min(max(inner_k + d * step, lo_k), hi_k)
-        outer = None if outer_k == inner_k else entry(outer_k)
-        if outer is None:
-            return inner, None
-        if beyond(outer):
-            break
-        inner_k, inner = outer_k, outer
-        step *= 2
-    while abs(outer_k - inner_k) > 1:
-        mid_k = inner_k + (outer_k - inner_k) // 2
-        mid = entry(mid_k)
-        if mid is None:
-            break
-        if beyond(mid):
-            outer_k, outer = mid_k, mid
-        else:
-            inner_k, inner = mid_k, mid
-    return inner, outer
+    """(inner, outer): the ladder entries nearest w on either side
+    (_Ladder.bracket), outer None where the ladder ends before w."""
+    return _ladder(family, tol, ceiling).bracket(w)
 
 
 def _ladder_start(family, prof, w, tol, ceiling=1.0):
@@ -626,18 +764,18 @@ def _ladder_start(family, prof, w, tol, ceiling=1.0):
     (_ladder_bracket, no new pass): (bracket, entry, y_h, ends).  bracket is
     the (lo, hi) of the two entries that bracket w, else (-inf, -alpha), as
     phi tends to theta2 > w at -alpha; entry is the one nearer w; y_h is
-    their Hermite start (_hermite_start), None where entry meets tol (its
-    residual as _invert_slope judges it, _Slope.residual), the ladder is
-    one-sided or the interpolant leaves the bracket; ends are the two
-    entries, None where one-sided."""
+    their Hermite start (_hermite_start, from the entries' nodes), None
+    where entry meets tol (its residual as _invert_slope judges it,
+    _Slope.residual), the ladder is one-sided or the interpolant leaves the
+    bracket; ends are the two entries, None where one-sided."""
     inner, outer = _ladder_bracket(family, w, tol, ceiling)
     if outer is None:
         return (-math.inf, -prof.alpha), inner, None, None
-    bracket = tuple(sorted((inner.y, outer.y)))
+    bracket = (inner.y, outer.y) if inner.y < outer.y else (outer.y, inner.y)
     start = outer if abs(outer.phi - w) < abs(inner.phi - w) else inner
-    if not abs(start.residual(w, 0.25 * tol)) > 0.75 * tol:
+    if not abs(start.slope.residual(w, 0.25 * tol)) > 0.75 * tol:
         return bracket, start, None, (inner, outer)
-    y_h = _hermite_start(inner, outer, w, prof.theta1, prof.alpha)
+    y_h = _hermite_start(inner.node, outer.node, w, prof.theta1, prof.alpha)
     return bracket, start, (y_h if bracket[0] < y_h < bracket[1] else None), (inner, outer)
 
 
@@ -649,8 +787,8 @@ def _ladder_point(family, w, tol) -> tuple[float, float]:
     from it."""
     _, start, y_h, ends = _ladder_start(family, profile(family), w, tol)
     if y_h is None:
-        return start.y, math.log(start.f.value)
-    return y_h, _hermite(*((e.y, math.log(e.f.value), e.phi) for e in ends), y_h)
+        return start.y, start.ln_f
+    return y_h, _hermite(*((e.y, e.ln_f, e.phi) for e in ends), y_h)
 
 
 def _invert_slope(family, w, tol, ceiling=1.0) -> _Slope:
@@ -667,8 +805,8 @@ def _invert_slope(family, w, tol, ceiling=1.0) -> _Slope:
     if not math.isfinite(w) or w <= prof.theta1 or w >= prof.theta2:
         raise RangeError(f"w={w} outside the open range ({prof.theta1}, {prof.theta2})")
     t1, gap = prof.theta1, w - prof.theta1
-    (lo, hi), last, y_h, _ = _ladder_start(family, prof, w, tol, ceiling)
-    q = 0.25 * tol
+    (lo, hi), start, y_h, _ = _ladder_start(family, prof, w, tol, ceiling)
+    last, q = start.slope, 0.25 * tol
 
     def point(s):
         # the residual and the Newton step on ln(phi - theta1), nearly
@@ -686,20 +824,24 @@ def _invert_slope(family, w, tol, ceiling=1.0) -> _Slope:
     return newton_root(evaluate, last.y, first, 0.75 * tol, lo, hi, True, True)[1]
 
 
+def _hermite_node(s, t1, a):
+    """The node (u, z, dz/du) of the slope s in _hermite_start's
+    coordinates: u = ln(phi - theta1), z = ln(-alpha - y), dz/du = -(phi -
+    theta1) / (phi' (-alpha - y)); None where phi <= theta1 or phi' <= 0."""
+    d, r = s.phi - t1, -a - s.y
+    if not (d > 0.0 and s.dphi > 0.0):
+        return None
+    return math.log(d), math.log(r), -d / r / s.dphi
+
+
 def _hermite_start(inner, outer, w, t1, a) -> float:
     """The cubic Hermite interpolant of z = ln(-alpha - y) in u = ln(phi -
-    theta1) through two ladder entries, each giving (u, z, dz/du = -(phi -
-    theta1) / (phi' (-alpha - y))), at u = ln(w - theta1), as a y; nan where
-    an entry has phi <= theta1 or phi' <= 0, or the two u coincide."""
-    ends = []
-    for s in (inner, outer):
-        d, r = s.phi - t1, -a - s.y
-        if not (d > 0.0 and s.dphi > 0.0):
-            return math.nan
-        ends.append((math.log(d), math.log(r), -d / r / s.dphi))
-    if ends[0][0] == ends[1][0]:
+    theta1) through the nodes of two ladder entries (_hermite_node), at u =
+    ln(w - theta1), as a y; nan where a node is None or the two u
+    coincide."""
+    if inner is None or outer is None or inner[0] == outer[0]:
         return math.nan
-    z = _hermite(*ends, math.log(w - t1))
+    z = _hermite(inner, outer, math.log(w - t1))
     return -a - math.exp(z) if z < 700.0 else math.nan
 
 
@@ -767,10 +909,12 @@ def _outside_be(family, x, y) -> bool:
     return t >= 0.0 or math.exp(t) == 1.0
 
 
-def _mult_arrays(kind: Entropy, mults, t, t_hi, base, lt, log_p=None) -> dict:
+def _mult_arrays(kind: Entropy, mults, t, t_hi, base, lt, log_p=None, out=None) -> dict:
     """The rows base m(t) of the bose-einstein or fermi-dirac dual sums, one
     per name in `mults`, where base = p_n e^t = e^lt and e^t m(t) is W*(t)
-    ('conj'), (W*)'(t) ('grad') or (W*)''(t) ('hess'), from one z = e^t.
+    ('conj'), (W*)'(t) ('grad') or (W*)''(t) ('hess'), from one z = e^t,
+    each written into out[name] where a dict `out` is given (the rows of a
+    pass's block), else into a new array.
     t_hi >= max t decides two branches without a reduction: bose-einstein's
     1 - z is -expm1(t) where t > -ln 2 (no cancellation, Maechler 2012), and
     fermi-dirac terms with t > 700 come from e^-t and p_n = e^log_p, or
@@ -778,6 +922,7 @@ def _mult_arrays(kind: Entropy, mults, t, t_hi, base, lt, log_p=None) -> dict:
     or -ln(1 - z) by z clipped at 1e-300, with no mask: where z < 2^-53, z =
     0 included, the quotient is exactly 1.0, so a term whose e^t underflows
     is base."""
+    rows = {}
     fermi = kind is Entropy.FERMI_DIRAC
     far = near = None
     if fermi and t_hi > 700.0:
@@ -788,26 +933,26 @@ def _mult_arrays(kind: Entropy, mults, t, t_hi, base, lt, log_p=None) -> dict:
     if not fermi and t_hi > -_LN2:
         near = t > -_LN2
         den = np.where(near, -np.expm1(t), den)
-    out = {}
     if "conj" in mults:  # W*(t) / z = ln(1 + z) / z or -ln(1 - z) / z
         zc = np.maximum(z, 1e-300)  # exactly 1.0 where z < 2^-53, z = 0 included
         ln_den = np.log1p(zc if fermi else -zc)
         if near is not None:
             ln_den = np.where(near, np.log(den), ln_den)
-        out["conj"] = base * ((ln_den if fermi else -ln_den) / zc)
+        ratio = (ln_den if fermi else -ln_den) / zc
+        rows["conj"] = np.multiply(base, ratio, out=out["conj"] if out else None)
     d = 1.0 / den
     if "grad" in mults:
-        out["grad"] = base * d
+        rows["grad"] = np.multiply(base, d, out=out["grad"] if out else None)
     if "hess" in mults:
-        out["hess"] = base * (d * d)
+        rows["hess"] = np.multiply(base, d * d, out=out["hess"] if out else None)
     if far is not None:
         tf = t[far]
         p = np.exp(log_p[far] if log_p is not None else lt[far] - tf)
         w = np.exp(-tf)
         exact = {"conj": p * (tf + np.log1p(w)), "grad": p / (1.0 + w), "hess": p * w / (1.0 + w) ** 2}
-        for m, row in out.items():
+        for m, row in rows.items():
             row[far] = exact[m]
-    return out
+    return rows
 
 
 def _mult_bounds(kind: Entropy, t_next: float) -> dict:

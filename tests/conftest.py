@@ -19,12 +19,18 @@ from entromin import (
     BudgetError,
     DomainError,
     Entropy,
+    ExplicitPrefix,
+    ExplosiveWeights,
     InfeasibleError,
     Lattice3D,
+    LogLevels,
+    PowerLaw,
+    ShiftedSigma,
     UnsupportedFamilyError,
     WeightedGeometric,
 )
-from entromin import finite, series, specfile
+from entromin import finite, sequences, series, specfile
+from entromin.sequences import sigma_min_set
 
 # -- term access by index (what the families' arrays must agree with) --------
 
@@ -494,6 +500,7 @@ def lattice():
 from entromin.errors import RangeError  # noqa: E402
 from entromin.series import (  # noqa: E402
     _MB,
+    _ONE_ARRAY,
     _TERM_BUDGET,
     _START_BLOCK,
     _UNIT,
@@ -641,6 +648,156 @@ def ref_conj_row(kind, t, base):
         ln_den = np.where(near, np.log(den), ln_den)
     ratio = (ln_den if fermi else -ln_den) / np.where(small, 1.0, z)
     return base * np.where(small, 1.0 - 0.5 * z if fermi else 1.0 + 0.5 * z, ratio)
+
+
+# series._block_sums as it was before one block of rows held every sum of a
+# pass: a loop over the sums, each row built on its own (levels from
+# sigma_array) and reduced per block, the model's rows after it.  The block
+# layout must reproduce its partials, higher moments and top bit for bit
+# (tests/test_series.py).
+
+
+def ref_block_sums(family, y, tols, x, kind, mults, n, model=False):
+    """(sums, higher, top).  Per sum of `tols`, its partials over the blocks
+    1-64, 65-128, ... up to n: one array of terms up to min(n, 4096), each
+    partial from a slice (none when n = 64), then one array per block.  With
+    `model`, higher holds the partial sums of moments 3, 4 and 5 (the last
+    sum's row times sigma, sigma^2 and sigma^3) and top the largest level
+    summed; else () and 0."""
+    sums = [[] for _ in tols]
+    higher, top = [0.0, 0.0, 0.0] if model else (), 0.0
+    t_hi = x + sigma_min_set(family).theta1 * y if mults and y <= 0.0 else None
+    lo, hi = 1, n if n < _ONE_ARRAY else _ONE_ARRAY
+    while True:
+        logt = family.log_terms(y, lo, hi)
+        sig = family.sigma_array(lo, hi)
+        lt = logt + x if x else logt
+        base = np.exp(lt)
+        weighted = {}
+        if mults:
+            t = x + sig * y
+            bound = t_hi if t_hi is not None else float(np.maximum.reduce(t))
+            weighted = _mult_arrays(kind, mults, t, bound, base, lt)
+        cuts = None
+        if hi > _START_BLOCK and lo == 1:
+            cuts = [(0, _START_BLOCK)]
+            while cuts[-1][1] < hi:
+                cuts.append((cuts[-1][1], 2 * cuts[-1][1]))
+        for acc, (m, k) in zip(sums, tols):
+            block = weighted.get(m, base)
+            if k == 1:
+                block = block * sig
+            elif k:
+                block = block * sig**k
+            if cuts is None:
+                acc.append(float(_add_reduce(block)))
+            else:
+                for a, b in cuts:
+                    acc.append(float(_add_reduce(block[a:b])))
+        if model:
+            for j in range(3):
+                block = block * sig
+                higher[j] += float(_add_reduce(block))
+            top = max(top, float(sig[-1] if family.sigma_increasing_from <= lo else sig.max()))
+        if hi == n:
+            return sums, higher, top
+        lo, hi = hi + 1, 2 * hi
+
+
+# The families' term formulas as they were before each family kept a table of
+# its y-free arrays: sigma_array and log_terms built per call.  The tables
+# must reproduce them bit for bit (tests/test_sequences.py).
+
+
+def ref_sigma_array(family, lo, hi):
+    """sigma_n for n in [lo, hi], from the family's own formula."""
+    k = np.arange(lo, hi + 1, dtype=float)
+    if isinstance(family, Arithmetic):
+        return family.offset + family.slope * k
+    if isinstance(family, PowerLaw):
+        return family.scale * k**family.exponent
+    if isinstance(family, LogLevels):
+        return family.scale * np.log(k + 1.0)
+    if isinstance(family, (WeightedGeometric, ExplosiveWeights)):
+        return k
+    if isinstance(family, Lattice3D):
+        return family.scale * sequences._LATTICE_TABLE.ensure(hi)[0][lo - 1 : hi]
+    if isinstance(family, ShiftedSigma):
+        return ref_sigma_array(family.base, lo, hi) - family.shift
+    if isinstance(family, ExplicitPrefix):
+        return _ref_joined(family, lambda w, s: s, ref_sigma_array, lo, hi)
+    raise TypeError(family)
+
+
+def ref_log_terms(family, y, lo, hi):
+    """ln p_n + sigma_n y for n in [lo, hi], from the family's own formula."""
+    k = np.arange(lo, hi + 1, dtype=float)
+    if isinstance(family, (Arithmetic, PowerLaw, LogLevels)):
+        return ref_sigma_array(family, lo, hi) * y
+    if isinstance(family, WeightedGeometric):
+        return (family.rate + y) * k - family.power * np.log(k)
+    if isinstance(family, ExplosiveWeights):
+        return family.rate * k * k + k * y
+    if isinstance(family, Lattice3D):
+        values, _, ln_degeneracy = sequences._LATTICE_TABLE.ensure(hi)
+        return ln_degeneracy[lo - 1 : hi] + family.scale * values[lo - 1 : hi] * y
+    if isinstance(family, ShiftedSigma):
+        if y == -math.inf:
+            return np.full(hi - lo + 1, -math.inf)
+        return ref_log_terms(family.base, y, lo, hi) - family.shift * y
+    if isinstance(family, ExplicitPrefix):
+        def tail(f, lo, hi):
+            return ref_log_terms(f, y, lo, hi)
+
+        return _ref_joined(family, lambda w, s: np.log(w) + s * y, tail, lo, hi)
+    raise TypeError(family)
+
+
+def _ref_joined(family, head, tail, lo, hi):
+    m = len(family.weights)
+    if lo > m:
+        return tail(family.tail, lo, hi)
+    w, s = (np.array(v[lo - 1 : hi], dtype=float) for v in (family.weights, family.levels))
+    return head(w, s) if hi <= m else np.concatenate((head(w, s), tail(family.tail, m + 1, hi)))
+
+
+# series._ladder_bracket as it was when each ladder entry was a least-recently
+# used cache entry per (family, tol, k, ceiling): the gallop whose brackets,
+# and whose set of computed entries, the ladder table must reproduce
+# (tests/test_series.py).
+
+
+def ref_ladder_bracket(entry, w):
+    """(inner, outer): the ladder entries nearest w on either side, entry(k)
+    returning the slope at k or None where it raises (k = 0 must not): a
+    gallop outward from k = 0, then a bisection."""
+    lo_k, hi_k = -48, 24
+    inner_k, inner = 0, entry(0)
+    d = 1 if inner.phi > w else -1
+
+    def beyond(e):
+        return e.phi <= w if d > 0 else e.phi >= w
+
+    step = 1
+    while True:
+        outer_k = min(max(inner_k + d * step, lo_k), hi_k)
+        outer = None if outer_k == inner_k else entry(outer_k)
+        if outer is None:
+            return inner, None
+        if beyond(outer):
+            break
+        inner_k, inner = outer_k, outer
+        step *= 2
+    while abs(outer_k - inner_k) > 1:
+        mid_k = inner_k + (outer_k - inner_k) // 2
+        mid = entry(mid_k)
+        if mid is None:
+            break
+        if beyond(mid):
+            outer_k, outer = mid_k, mid
+        else:
+            inner_k, inner = mid_k, mid
+    return inner, outer
 
 
 # finite's fermi-dirac zonotope code as it was before one array fill served

@@ -3,6 +3,7 @@ statistics, minimum-level sets, and — most importantly — soundness of every
 certified tail bound against brute-force summation."""
 
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -41,6 +42,8 @@ from conftest import (
     generate,
     lattice_triples,
     prefix_stats,
+    ref_log_terms,
+    ref_sigma_array,
     tail_bound,
 )
 
@@ -274,11 +277,13 @@ class TestLatticeTableThreads:
         # pause the writer after each attribute it sets while extending the
         # table, and let another thread read the levels being added: it must
         # find either too few levels (and wait for the lock) or all of them
-        # with matching degeneracies
+        # with matching degeneracies; the reads go to the level table itself
+        # (Lattice3D._term_arrays), not through the family's term table,
+        # whose first read would build 64 levels at once
         table = sequences._LatticeTable()
         monkeypatch.setattr(sequences, "_LATTICE_TABLE", table)
         fam = Lattice3D(1.0)
-        fam.log_terms(-1.0, 1, 8)  # builds the levels up to 32
+        fam._term_arrays(1, 8)  # builds the levels up to 32
         ref = lattice_triples(64)
         target = len(ref)  # one rebuild, to 64, adds the missing levels
         want = np.log([float(ref[k]) for k in sorted(ref)]) - 0.5 * np.array(sorted(ref))
@@ -286,9 +291,9 @@ class TestLatticeTableThreads:
 
         def read():
             try:
-                got = fam.log_terms(-0.5, 1, target)
-                assert np.array_equal(got, want)
-                assert np.array_equal(fam.sigma_array(1, target), sorted(ref))
+                s, ln_degeneracy = fam._term_arrays(1, target)
+                assert np.array_equal(ln_degeneracy + s * -0.5, want)
+                assert np.array_equal(s, sorted(ref))
             except Exception as exc:  # reported below, from the test's thread
                 errors.append(exc)
 
@@ -337,6 +342,111 @@ class TestLatticeTableThreads:
         finally:
             sys.setswitchinterval(old)
         assert not errors, errors
+
+
+# the windows a certified pass reads ([1, 64 2^j] up to 4096, then [2^j + 1,
+# 2^(j+1)]; the last beyond the largest table), and a few others
+_TABLE_WINDOWS = [(1, 64 << j) for j in range(7)] + [(2**j + 1, 2 ** (j + 1)) for j in range(12, 16)]
+_TABLE_WINDOWS += [(1, 1), (2, 3), (5, 70), (100, 101), (4000, 4200)]
+
+
+def _table_ys(family):
+    return (0.0, -0.5, -family.alpha - 1e-9, -1e300)
+
+
+class TestTermTables:
+    """Each family keeps the y-free arrays of its terms in one read-only
+    table per instance (SequenceFamily._table), grown by doubling up to
+    sequences._TABLE_MAX terms: sigma_array and log_terms must give the
+    floats the families' formulas gave before the tables
+    (tests/conftest.py's ref_sigma_array and ref_log_terms), whatever order
+    the windows are read in and from however many threads."""
+
+    @pytest.mark.parametrize("family", _LIBRARY_FAMILIES, ids=repr)
+    def test_arrays_are_the_pre_table_formulas(self, family):
+        # a fresh instance reads the windows widest first, another narrowest
+        # first, so that every window is read both as a slice of a larger
+        # table and where it grows the table
+        for order in (reversed(_TABLE_WINDOWS), _TABLE_WINDOWS):
+            fam = dataclasses.replace(family)
+            for lo, hi in order:
+                assert fam.sigma_array(lo, hi).tobytes() == ref_sigma_array(fam, lo, hi).tobytes()
+                for y in _table_ys(fam):
+                    with np.errstate(all="ignore"):
+                        got, want = fam.log_terms(y, lo, hi), ref_log_terms(fam, y, lo, hi)
+                    assert got.tobytes() == want.tobytes(), (lo, hi, y)
+
+    @pytest.mark.parametrize("family", _LIBRARY_FAMILIES, ids=repr)
+    def test_writes_into_returned_arrays_leave_later_reads_unchanged(self, family):
+        reads = (family.sigma_array, functools.partial(family.log_terms, -0.5), family.p_array)
+        for lo, hi in ((1, 64), (3, 40), (4097, 8192)):
+            for read in reads:
+                with np.errstate(all="ignore"):
+                    first = read(lo, hi)
+                    want = first.copy()
+                    first[:] = 123.0
+                    assert read(lo, hi).tobytes() == want.tobytes()
+        assert family.sigma(5).hex() == ref_sigma_array(family, 5, 5)[0].hex()
+
+    def test_threads_read_identical_floats(self):
+        # four threads grow and slice the same fresh tables at a 1 us switch
+        # interval, each reading the windows in its own order
+        families = [WeightedGeometric(1.0, 3.0), Lattice3D(0.5), LogLevels(2.0),
+                    ShiftedSigma(PowerLaw(1.0, 1.5), -1.0), _EXPLICIT]
+        windows = [(1, 64 << j) for j in range(7)] + [(5, 70), (4097, 8192), (1, 1), (60, 3000)]
+        want = {(i, w): (ref_sigma_array(f, *w).tobytes(), ref_log_terms(f, -0.5, *w).tobytes())
+                for i, f in enumerate(families) for w in windows}
+        fresh = [dataclasses.replace(f) for f in families]
+        errors, seen = [], []
+
+        def read(seed):
+            try:
+                order = np.random.default_rng(seed).permutation(len(want))
+                keys = list(want)
+                for j in order:
+                    i, (lo, hi) = keys[j]
+                    fam = fresh[i]
+                    got = (fam.sigma_array(lo, hi).tobytes(), fam.log_terms(-0.5, lo, hi).tobytes())
+                    assert got == want[keys[j]], keys[j]
+                    seen.append(keys[j])
+            except Exception as exc:  # reported below, from the test's thread
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert len(seen) == 4 * len(want)
+
+    def test_each_store_stays_inside_its_bound(self):
+        # 10,000 distinct windows, many past the largest table: the table
+        # stops at _TABLE_MAX terms, under 256 KB, and the scalar memos at
+        # _MEMO_SIZE entries
+        fam = WeightedGeometric(1.0, 3.0)
+        rng = np.random.default_rng(38)
+        windows = set()
+        while len(windows) < 10_000:
+            lo = int(rng.integers(1, 70_000))
+            windows.add((lo, lo + int(rng.integers(0, 64))))
+        for lo, hi in windows:
+            fam.sigma_array(lo, hi)
+            fam.log_terms(-1.5, lo, hi)
+            fam.sigma(hi)
+            fam.log_p(lo)
+        arrays, powers = fam._term_table
+        assert max(len(a) for a in arrays) == powers.shape[1] == sequences._TABLE_MAX
+        owned = [powers] + [a for a in arrays if a.base is None]
+        assert sum(a.nbytes for a in owned) < 2**18
+        assert all(not a.flags.writeable for a in (*arrays, powers))
+        assert len(fam._sigmas) == len(fam._log_ps) == sequences._MEMO_SIZE
 
 
 class TestPrefixStats:

@@ -48,6 +48,7 @@ from entromin import (
 )
 from entromin import series
 from entromin.series import _HESSIAN, _dual_point, _dual_sums, _invert_slope, hessian_h
+from entromin.sequences import sigma_min_set
 
 from conftest import (
     LN2,
@@ -56,11 +57,13 @@ from conftest import (
     boundary_subdifferential,
     brute_force_series,
     eval_f_derivatives,
+    ref_block_sums,
     ref_conj_row,
     ref_eval_many,
+    ref_ladder_bracket,
     zeta_oracle,
 )
-from test_sequences import _FAMILY_POINTS
+from test_sequences import _FAMILY_POINTS, _LIBRARY_FAMILIES
 
 MB = Entropy.MAXWELL_BOLTZMANN
 BE = Entropy.BOSE_EINSTEIN
@@ -426,6 +429,22 @@ def _count_passes(monkeypatch, family) -> list:
     return passes
 
 
+def _count_ladder_fills(monkeypatch) -> list:
+    """A list that gains (family, tol, ceiling, k) for every slope-ladder
+    entry computed from here on: each read of an entry its table does not
+    hold (series._Ladder.rung), whether it raises or not."""
+    fills = []
+    rung = series._Ladder.rung
+
+    def counting(self, k):
+        if k not in self.rungs:
+            fills.append((self.family, self.tol, self.ceiling, k))
+        return rung(self, k)
+
+    monkeypatch.setattr(series._Ladder, "rung", counting)
+    return fills
+
+
 _LADDER_CASES = [
     # family, two interior slopes, and the interior slope range
     (Arithmetic(0.0, 1.0), 3.0, 6.5, (1.02, 9.0)),
@@ -435,9 +454,9 @@ _LADDER_CASES = [
 
 
 class TestSlopeLadder:
-    """Every slope inversion starts from the cached certified slopes at
-    y_k = -alpha - 2^(k/4) that bracket its target; an entry depends on
-    (family, tol, k, ceiling) alone, and one that raises is not cached."""
+    """Every slope inversion starts from the kept certified slopes at y_k =
+    -alpha - 2^(k/4) that bracket its target; an entry depends on (family,
+    tol, k, ceiling) alone, and one that raises is not kept."""
 
     @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
     def test_results_do_not_depend_on_the_filled_entries(self, family, v1, v2, slopes):
@@ -446,12 +465,12 @@ class TestSlopeLadder:
         others = [
             (u, u * float(w)) for u, w in zip([0.5, 1.0, 2.0, 3.5] * 50, np.geomspace(lo, hi, 200))
         ]
-        series._ladder_entry.cache_clear()
+        series._LADDERS.clear()
         cold = repr(solver.solve_mb(1.0, v1))
         for t in others:
             solver.solve_mb(*t)
         warm = repr(solver.solve_mb(1.0, v1))
-        series._ladder_entry.cache_clear()
+        series._LADDERS.clear()
         for t in reversed(others):
             solver.solve_mb(*t)
         reverse = repr(solver.solve_mb(1.0, v1))
@@ -459,7 +478,7 @@ class TestSlopeLadder:
         assert reverse == cold
 
     @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
-    def test_cold_and_warm_results_are_identical(self, family, v1, v2, slopes):
+    def test_cold_and_warm_results_are_identical(self, monkeypatch, family, v1, v2, slopes):
         solver = EmpSolver(family)
         calls = [
             lambda: solver.solve_mb(1.0, v1),
@@ -468,12 +487,13 @@ class TestSlopeLadder:
             lambda: solver.inverse_solve_bf(BE, 1.0, v1),
             lambda: solver.inverse_solve_bf(FD, 1.0, v2),
         ]
+        fills = _count_ladder_fills(monkeypatch)
         for call in calls:
-            series._ladder_entry.cache_clear()
+            series._LADDERS.clear()
             cold = call()
-            misses = series._ladder_entry.cache_info().misses
+            misses = len(fills)
             warm = call()
-            assert series._ladder_entry.cache_info().misses == misses
+            assert len(fills) == misses
             assert repr(warm) == repr(cold)
 
     @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
@@ -526,15 +546,16 @@ class TestSlopeLadder:
             [(x, lo, hi)] = starts
             assert (lo, hi) == tuple(sorted((inner[0], outer[0])))
             assert lo < x < hi
-        entry = series._ladder_entry(family, tol, 2)
+        entry = series._ladder(family, tol).rung(2)
         passes = _count_passes(monkeypatch, family)
         assert phi_inverse(family, entry[1], tol) == entry[0]
         assert passes == []
 
     def test_the_start_falls_back_without_a_usable_interpolant(self):
         # entries (y, phi, phi') on Arithmetic(0, 1) (theta1 = 1, alpha = 0)
+        # and their Hermite nodes (series._hermite_node)
         def entry(y, p, dp):
-            return series._Slope(y, p, dp, None, None, 0.0, None)
+            return series._hermite_node(series._Slope(y, p, dp, None, None, 0.0, None), 1.0, 0.0)
 
         inner, outer = entry(-2.0, 1.2, 0.2), entry(-1.0, 1.6, 0.9)
         assert -2.0 < series._hermite_start(inner, outer, 1.4, 1.0, 0.0) < -1.0
@@ -553,7 +574,7 @@ class TestSlopeLadder:
             barrier.wait()
             results[name] = {i: repr(solver.solve_mb(*targets[i])) for i in order}
 
-        series._ladder_entry.cache_clear()
+        series._LADDERS.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -572,34 +593,134 @@ class TestSlopeLadder:
         for name in ("up", "down"):
             assert [results[name][i] for i in range(len(targets))] == serial
 
-    def test_a_budget_error_at_the_start_is_not_cached(self):
+    def test_a_budget_error_at_the_start_is_not_cached(self, monkeypatch):
         # PowerLaw(1, 0.5) terms at y = -1 fall like e^-sqrt(n): no tail
         # bracket reaches a 1e-300 target, and the k = 0 entry gives up
         family = PowerLaw(1.0, 0.5)
-        series._ladder_entry.cache_clear()
+        series._LADDERS.clear()
+        fills = _count_ladder_fills(monkeypatch)
         for _ in range(2):
             with pytest.raises(BudgetError):
                 phi_inverse(family, 1.5, 1e-300)
-        info = series._ladder_entry.cache_info()
-        assert (info.misses, info.currsize) == (2, 0)
+        assert (len(fills), series._ladder(family, 1e-300).rungs) == (2, {})
 
-    def test_the_ladder_ends_at_an_entry_that_raises(self):
+    def test_the_ladder_ends_at_an_entry_that_raises(self, monkeypatch):
         # at tol 2.5e-13 PowerLaw(1, 0.5) certifies its slope at y_-7 =
         # -2^(-7/4) but not at y_-15 (the terms e^(y sqrt(n)) fall too
         # slowly), where the search from k = 0 through -1, -3 and -7 goes
         # next; the root beyond y_-7 is found one-sided from there
         family, tol = PowerLaw(1.0, 0.5), 2.5e-13
-        series._ladder_entry.cache_clear()
-        w = series._ladder_entry(family, tol, -7)[1] + 0.1
+        series._LADDERS.clear()
+        ladder = series._ladder(family, tol)
+        w = ladder.rung(-7).phi + 0.1
         y = phi_inverse(family, w, tol)
         assert -(2.0 ** -1.75) < y < -0.25
         assert abs(y - _certified_root(family, w, 1e-10)) <= 1e-9
-        before = series._ladder_entry.cache_info()
+        fills = _count_ladder_fills(monkeypatch)
         with pytest.raises(BudgetError):
-            series._ladder_entry(family, tol, -15)
-        series._ladder_entry(family, tol, -7)
-        after = series._ladder_entry.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+            ladder.rung(-15)
+        ladder.rung(-7)
+        assert fills == [(family, tol, 1.0, -15)]
+        assert -15 not in ladder.rungs
+
+    @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
+    def test_the_table_brackets_as_the_gallop_did(self, monkeypatch, family, v1, v2, slopes):
+        # mb-point's interior slopes on the family (a stratified geometric
+        # draw over the same range), as a solve's slope root reads the
+        # ladder: a cold run and a warm rerun return the same (bracket,
+        # start), the brackets of tests/conftest.py's ref_ladder_bracket, and
+        # the table computes the entries that gallop computed, the warm run
+        # none and without a gallop
+        tol, ceiling = 2.5e-13, 1e-5 / 2.5e-13  # series._conjugate_at's ladder
+        prof = profile(family)
+        rng = np.random.default_rng(9001)
+        edges = np.geomspace(*slopes, 241)
+        ws = [float(w) for w in rng.uniform(edges[:-1], edges[1:])]
+        series._LADDERS.clear()
+        ladder = series._ladder(family, tol, ceiling)
+        computed = {}
+
+        def entry(k):
+            if k not in computed:
+                y = -family.alpha - 2.0 ** (0.25 * k)
+                try:
+                    computed[k] = series._certified_slope(family, y, 0.25 * tol, None, ceiling)
+                except (BudgetError, RangeError):
+                    computed[k] = None
+            return computed[k]
+
+        def start(w):
+            (lo, hi), s, y_h, _ = series._ladder_start(family, prof, w, tol, ceiling)
+            return lo, hi, s.y, y_h
+
+        cold = [start(w) for w in ws]
+        for w in ws:
+            inner, outer = ladder.bracket(w)
+            ref_inner, ref_outer = ref_ladder_bracket(entry, w)
+            assert (inner.y, inner.phi, outer.y, outer.phi) == (
+                ref_inner.y, ref_inner.phi, ref_outer.y, ref_outer.phi)
+        assert set(ladder.rungs) == {k for k, s in computed.items() if s is not None}
+        fills, gallops = _count_ladder_fills(monkeypatch), []
+        gallop = series._Ladder._gallop
+        monkeypatch.setattr(series._Ladder, "_gallop", lambda self, w: gallops.append(w) or gallop(self, w))
+        assert [start(w) for w in ws] == cold
+        assert (fills, gallops) == ([], [])
+
+    def test_threads_filling_one_ladder_match_serial_brackets(self):
+        # four threads fill one cold ladder at a 1 us switch interval, each
+        # bracketing the slopes in its own order: every bracket, and the
+        # entries kept, are those of a serial run
+        family, tol = Arithmetic(0.0, 1.0), 1e-10
+        ws = [float(w) for w in np.geomspace(1.02, 9.0, 60)]
+
+        def ends(pair):
+            inner, outer = pair
+            return inner.y, outer.y
+
+        series._LADDERS.clear()
+        serial = [ends(series._ladder(family, tol).bracket(w)) for w in ws]
+        kept = set(series._ladder(family, tol).rungs)
+        series._LADDERS.clear()
+        results, errors = {}, []
+
+        def work(seed):
+            try:
+                order = np.random.default_rng(seed).permutation(len(ws)).tolist()
+                results[seed] = {j: ends(series._ladder(family, tol).bracket(ws[j])) for j in order}
+            except Exception as exc:  # reported below, from the test's thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        for got in results.values():
+            assert [got[j] for j in range(len(ws))] == serial
+        assert set(series._ladder(family, tol).rungs) == kept
+
+    def test_the_ladder_store_stays_inside_its_bound(self):
+        # 10,000 distinct (family, tol) ladders: the latest _LADDER_TABLES
+        # are kept, and a ladder holds at most one entry per k
+        family = Arithmetic(0.0, 1.0)
+        series._LADDERS.clear()
+        tols = [1e-10 * (1.0 + i / 10_000) for i in range(10_000)]
+        for tol in tols:
+            series._ladder(family, tol)
+        assert len(series._LADDERS) == series._LADDER_TABLES == 64
+        assert list(series._LADDERS) == [(family, tol, 1.0) for tol in tols[-64:]]
+        ladder = series._ladder(family, tols[-1])
+        for w in np.geomspace(1.02, 9.0, 200):
+            ladder.bracket(float(w))
+        lo_k, hi_k = series._LADDER_K
+        assert set(ladder.rungs) <= set(range(lo_k, hi_k + 1))
 
     @pytest.mark.parametrize("w", [0.0101, 0.01001])
     def test_root_left_of_the_ladder(self, w):
@@ -1440,3 +1561,64 @@ class TestKernelMatchesReference:
                 got = _kernel_outcome(series._eval_many, *call)
                 assert got == _kernel_outcome(ref_eval_many, *call)
 
+
+
+# -- the block of rows against the per-sum loop -------------------------------
+
+_SLOPE_KEYS = ((None, 0), (None, 1), (None, 2))
+_DUAL_3 = series._VALUE_GRADIENT
+_DUAL_6 = series._VALUE_GRADIENT + _HESSIAN
+
+
+def _block_cases(family):
+    """(kind, x, keys, model) of the passes the block layout must match on
+    family at its y (_block_y): slope passes with and without their model,
+    single sums, the maxwell-boltzmann dual point, and bose-einstein and
+    fermi-dirac passes of 3 and 6 sums, bose-einstein with the first term's
+    t = x + theta1 y at -0.3 (the -expm1 branch above -ln 2) and at -2,
+    fermi-dirac at x = 1.5 and at x = 800 (the terms with t > 700)."""
+    t1y = sigma_min_set(family).theta1 * _block_y(family)
+    return [
+        (MB, 0.0, _SLOPE_KEYS, True),
+        (MB, 0.0, _SLOPE_KEYS, False),
+        (MB, 0.0, ((None, 0),), False),
+        (MB, 0.0, ((None, 1),), False),
+        (MB, -1.3, (("conj", 0), ("grad", 1), ("hess", 2)), False),
+        (BE, -t1y - 0.3, _DUAL_3, False),
+        (BE, -t1y - 0.3, _DUAL_6, False),
+        (BE, -t1y - 2.0, _DUAL_6 + ((None, 1),), False),
+        (FD, 1.5, _DUAL_3, False),
+        (FD, 1.5, _DUAL_6, False),
+        (FD, 800.0, _DUAL_6, False),
+    ]
+
+
+def _block_y(family):
+    a = family.alpha
+    return -a - 0.5 if math.isfinite(a) else -1.0
+
+
+def _hexes(out):
+    sums, higher, top = out
+    return [[v.hex() for v in acc] for acc in sums], [v.hex() for v in higher], float(top).hex()
+
+
+class TestBlockSumsMatchReference:
+    """series._block_sums puts every row of a pass into one block and
+    reduces it once per block; tests/conftest.py's ref_block_sums, the loop
+    it replaced, built and reduced each sum's row on its own.  Partials,
+    higher moments and top must agree to the bit at every stopping index n
+    = 64 ... 4096, whose arrays are cut into blocks, and at n = 8192, which
+    adds the array [4097, 8192]."""
+
+    @pytest.mark.parametrize("family", _LIBRARY_FAMILIES, ids=repr)
+    def test_every_pass_shape(self, family):
+        y = _block_y(family)
+        with np.errstate(all="ignore"):
+            for kind, x, keys, model in _block_cases(family):
+                tols = dict.fromkeys(keys, 1e-10)
+                shape = series._pass_shape(keys, kind is MB)
+                for n in (64 << j for j in range(8)):
+                    got = series._block_sums(family, y, x, kind, shape, n, model)
+                    want = ref_block_sums(family, y, tols, x, kind, shape[0], n, model)
+                    assert _hexes(got) == _hexes(want), (kind, x, keys, model, n)

@@ -1650,7 +1650,7 @@ class TestNormalization:
         assert back.multipliers[1] == pytest.approx(-0.8, abs=1e-9)
 
 
-_BLOCKS = []  # (weakref, length) of the level arrays of _CoarseTails
+_BLOCKS = []  # (weakref, length) of the term arrays of _CoarseTails
 
 
 class _CoarseTails(Arithmetic):
@@ -1659,8 +1659,8 @@ class _CoarseTails(Arithmetic):
     is out of reach by the kernel's give-up rule at n = 4096, and one that
     rose to its ceiling certifies at n = 8192."""
 
-    def sigma_array(self, lo, hi):
-        out = super().sigma_array(lo, hi)
+    def log_terms(self, y, lo, hi):
+        out = super().log_terms(y, lo, hi)
         _BLOCKS.append((weakref.ref(out), len(out)))
         return out
 
@@ -1716,7 +1716,7 @@ class TestCeilingStop:
 
     @pytest.fixture(autouse=True)
     def _cold(self):
-        series._ladder_entry.cache_clear()
+        series._LADDERS.clear()
 
     def _run(self, monkeypatch, name):
         # with the cyclic collector off, only reference counts free the
