@@ -175,7 +175,8 @@ the ladder tables, series._ladder_entry):
                        and block in trees that reduce each sum's row on its
                        own, one per block in trees that reduce a block of
                        rows at once (and one per array for a slope model's
-                       rows);
+                       rows; one per slice of series._BLOCK_WIDTH columns
+                       in arrays wider than that, where a tree has it);
   ladder_lookups       reads of the slope ladder's cache during the same
                        call: series._ladder calls (one table per bracket),
                        in trees before the ladder tables series._ladder_entry
@@ -333,7 +334,7 @@ def _counting_scalar_reads(counts):
             method = cls.__dict__[name]
 
             def counting(self, *args, _method=method, _levels=name == "sigma_array"):
-                lo, hi = args[-2:]  # (lo, hi) or (y, lo, hi)
+                lo, hi = args[:2] if _levels else args[1:3]  # (lo, hi) or (y, lo, hi, ...)
                 counts["scalar_reads"] += hi - lo <= 1
                 counts["sigma_builds"] += _levels
                 return _method(self, *args)

@@ -24,11 +24,11 @@ The base class derives the rest: the family's term table (``_tabled``: the
 ``_term_arrays`` of [1, N], N a power of two up to 2^13, built once and
 read as slices), ``sigma_array`` (a copy of its levels), ``p_array``
 (e^(ln p_n), inf from ln p_n = 700 on), the scalars ``sigma``, ``log_p``
-and ``p`` (an element of each
-array; ``sigma`` and ``log_p`` memoized per family, so that the block
-ends' levels and t_n, t_(n+1) are read once), ``constant_sigma``
-(sigma_direction 0) and ``dom_f_empty`` (alpha = +inf for levels not
-falling to -inf).  ``tail_intervals``, the brackets the series layer reads
+and ``p`` (an element of each array; ``sigma`` read from the term table
+and ``log_p`` memoized per family, so that the block ends' levels and t_n,
+t_(n+1) are read once), ``constant_sigma`` (sigma_direction 0) and
+``dom_f_empty`` (alpha = +inf for levels not falling to -inf).
+``tail_intervals``, the brackets the series layer reads
 (all moments at one index from one call; ``tail_interval`` is its
 one-moment view), combines a leaf family's certificates (moments k >= 1
 need positive levels).  A family
@@ -76,7 +76,7 @@ __all__ = [
 ]
 
 _PREFIX_SCAN = 64  # documented construction-time validity scan length
-_MEMO_SIZE = 1024  # memoized sigma(n) and log_p(n) per family, each
+_MEMO_SIZE = 1024  # memoized log_p(n) per family
 _MEMO_LOCK = threading.Lock()  # keeps the bound under concurrent first reads
 _TABLE_MIN = 64  # the smallest term table: a pass's first block
 _TABLE_MAX = 2**13  # the largest: windows reaching past it are built per call
@@ -94,14 +94,6 @@ class SigmaMinSet:
     theta1: float
     indices: tuple[int, ...]
     p_sum: float
-
-
-def _powers(sigma: np.ndarray) -> np.ndarray:
-    """(sigma, sigma^2) as one 2-row array, sigma^2 as sigma * sigma."""
-    out = np.empty((2, len(sigma)))
-    out[0] = sigma
-    np.multiply(sigma, sigma, out=out[1])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +116,10 @@ class SequenceFamily:
     arrays are read-only, and a rebuild replaces them in one assignment
     under a lock, so readers that take the table once slice consistent
     arrays from any thread; at most 2^13 floats per array, under 256 KB
-    per family.  sigma(n) and log_p(n), elements of sigma_array(n, n) and
-    log_terms(0.0, n, n), are kept in a dict per instance up to _MEMO_SIZE
-    (1,024) entries; reads past it go to the arrays uncached."""
+    per family.  sigma(n) is the table's element (past it, of
+    _term_arrays(n, n)); log_p(n), the element of log_terms(0.0, n, n), is
+    kept in a dict per instance up to _MEMO_SIZE (1,024) entries, and reads
+    past it go to the array uncached."""
 
     # -- term access --------------------------------------------------------
 
@@ -137,9 +130,11 @@ class SequenceFamily:
         floats."""
         raise NotImplementedError
 
-    def log_terms(self, y: float, lo: int, hi: int) -> np.ndarray:
+    def log_terms(self, y: float, lo: int, hi: int, arrays=None) -> np.ndarray:
         """ln(p_n) + sigma_n * y for n in [lo, hi], overflow-free: a new
-        array from the term table's slices."""
+        array from the term table's slices, or from `arrays` where the
+        caller holds the window's _tabled(lo, hi) (a wrapper reads its
+        base's arrays, not its own, and ignores them)."""
         raise NotImplementedError
 
     def sigma_array(self, lo: int, hi: int) -> np.ndarray:
@@ -162,7 +157,9 @@ class SequenceFamily:
             table = self._term_table
             if table is None or table[1].shape[1] < hi:
                 sigma, *extra = self._term_arrays(1, max(_TABLE_MIN, 1 << (hi - 1).bit_length()))
-                powers = _powers(sigma)
+                powers = np.empty((2, len(sigma)))
+                powers[0] = sigma
+                np.multiply(sigma, sigma, out=powers[1])
                 extra = extra[0] if extra else None
                 for a in (powers, extra):
                     if a is not None:
@@ -182,36 +179,25 @@ class SequenceFamily:
         (sigma, extra), i = table[0], lo - 1
         return (sigma[i:hi],) if extra is None else (sigma[i:hi], extra[i:hi])
 
-    def _level_powers(self, lo: int, hi: int, rows: int = 2) -> np.ndarray:
-        """The first `rows` of (sigma_n, sigma_n^2) for n in [lo, hi] as one
-        read-only array, the term table's slice: the factors of a pass's
-        moment-1 and moment-2 terms.  Past _TABLE_MAX sigma_n^2 is built
-        only where asked for."""
-        table = self._term_table
-        if table is None or table[1].shape[1] < hi:
-            if hi > _TABLE_MAX:
-                sigma = self._term_arrays(lo, hi)[0]
-                return _powers(sigma) if rows == 2 else sigma[None]
-            table = self._build_table(hi)
-        return table[1][:rows, lo - 1 : hi]
-
-    @functools.cached_property
-    def _sigmas(self) -> dict:
-        return {}
+    def _level_powers(self, lo: int, hi: int, rows: int, sigma: np.ndarray):
+        """The first `rows` of (sigma_n, sigma_n^2) for n in [lo, hi], read
+        after _tabled(lo, hi), whose levels sigma is: the factors of a
+        pass's moment-1 and moment-2 terms.  The term table's read-only
+        slice, or past _TABLE_MAX sigma itself and sigma * sigma, built only
+        where asked for."""
+        if hi > _TABLE_MAX:
+            return (sigma,) if rows == 1 else (sigma, sigma * sigma)
+        return self._term_table[1][:rows, lo - 1 : hi]
 
     @functools.cached_property
     def _log_ps(self) -> dict:
         return {}
 
     def sigma(self, n: int) -> float:
-        memo = self._sigmas
-        if n in memo:
-            return memo[n]
-        s = float(self._tabled(n, n)[0][0])
-        with _MEMO_LOCK:
-            if len(memo) < _MEMO_SIZE:
-                memo[n] = s
-        return s
+        table = self._term_table
+        if table is None or table[1].shape[1] < n:
+            return float(self._tabled(n, n)[0][0])
+        return float(table[1][0, n - 1])
 
     def log_p(self, n: int) -> float:
         memo = self._log_ps
@@ -387,8 +373,8 @@ class Arithmetic(SequenceFamily):
     def _term_arrays(self, lo, hi):
         return (self.offset + self.slope * np.arange(lo, hi + 1, dtype=float),)
 
-    def log_terms(self, y, lo, hi):
-        return self._tabled(lo, hi)[0] * y
+    def log_terms(self, y, lo, hi, arrays=None):
+        return (arrays or self._tabled(lo, hi))[0] * y
 
     @property
     def alpha(self):
@@ -488,8 +474,8 @@ class PowerLaw(SequenceFamily):
     def _term_arrays(self, lo, hi):
         return (self.scale * np.arange(lo, hi + 1, dtype=float) ** self.exponent,)
 
-    def log_terms(self, y, lo, hi):
-        return self._tabled(lo, hi)[0] * y
+    def log_terms(self, y, lo, hi, arrays=None):
+        return (arrays or self._tabled(lo, hi))[0] * y
 
     @property
     def alpha(self):
@@ -543,8 +529,8 @@ class LogLevels(SequenceFamily):
     def _term_arrays(self, lo, hi):
         return (self.scale * np.log(np.arange(lo, hi + 1, dtype=float) + 1.0),)
 
-    def log_terms(self, y, lo, hi):
-        return self._tabled(lo, hi)[0] * y
+    def log_terms(self, y, lo, hi, arrays=None):
+        return (arrays or self._tabled(lo, hi))[0] * y
 
     @property
     def alpha(self):
@@ -613,8 +599,8 @@ class WeightedGeometric(SequenceFamily):
         k = np.arange(lo, hi + 1, dtype=float)
         return k, self.power * np.log(k)
 
-    def log_terms(self, y, lo, hi):
-        k, power_ln_k = self._tabled(lo, hi)
+    def log_terms(self, y, lo, hi, arrays=None):
+        k, power_ln_k = arrays or self._tabled(lo, hi)
         return (self.rate + y) * k - power_ln_k
 
     @property
@@ -714,8 +700,8 @@ class Lattice3D(SequenceFamily):
     def p_array(self, lo, hi):
         return _LATTICE_TABLE.ensure(hi)[1][lo - 1 : hi].astype(float)
 
-    def log_terms(self, y, lo, hi):
-        s, ln_degeneracy = self._tabled(lo, hi)
+    def log_terms(self, y, lo, hi, arrays=None):
+        s, ln_degeneracy = arrays or self._tabled(lo, hi)
         return ln_degeneracy + s * y
 
     @property
@@ -776,8 +762,8 @@ class ExplosiveWeights(SequenceFamily):
         k = np.arange(lo, hi + 1, dtype=float)
         return k, self.rate * k * k
 
-    def log_terms(self, y, lo, hi):
-        k, rate_k2 = self._tabled(lo, hi)
+    def log_terms(self, y, lo, hi, arrays=None):
+        k, rate_k2 = arrays or self._tabled(lo, hi)
         return rate_k2 + k * y
 
     @property
@@ -846,7 +832,7 @@ class ExplicitPrefix(SequenceFamily):
     def p_array(self, lo, hi):  # the given weights as they are
         return self._joined(lambda w, lw, s: w.copy(), self.tail.p_array, lo, hi)
 
-    def log_terms(self, y, lo, hi):
+    def log_terms(self, y, lo, hi, arrays=None):
         tail = functools.partial(self.tail.log_terms, y)
         return self._joined(lambda w, lw, s: lw + s * y, tail, lo, hi)
 
@@ -901,7 +887,7 @@ class ShiftedSigma(SequenceFamily):
     def p_array(self, lo, hi):
         return self.base.p_array(lo, hi)
 
-    def log_terms(self, y, lo, hi):
+    def log_terms(self, y, lo, hi, arrays=None):
         if y == -math.inf:  # every shifted level is positive: each term is 0
             return np.full(hi - lo + 1, -math.inf)
         return self.base.log_terms(y, lo, hi) - self.shift * y

@@ -27,10 +27,11 @@ reads and phi_inverse's Newton root (rootfind.newton_root) steps on.
 Every inversion starts from the slope ladder: the certified slopes at y_k =
 -alpha - 2^(k/4), k = -48..24, each evaluated on first use and kept in a
 table per (family, tol, ceiling) with its ln f and Hermite node (_Ladder;
-the 64 latest tables are kept), so a warm start is one table lookup and a
-bisection of the kept phis.  The two entries that bracket the target are
-the first bracket, and the first iterate is the cubic Hermite interpolant
-of their (phi, phi') (_hermite_start).  A slope pass also keeps the partial
+4,096 entries over all tables, the oldest unread tables dropped first), so
+a warm start gallops over kept entries alone.  The two
+entries that bracket the target are the first bracket, and the first
+iterate is the cubic Hermite interpolant of their (phi, phi')
+(_hermite_start).  A slope pass also keeps the partial
 sums of moments 0 to 5 over its terms (_SlopeModel), whose Taylor expansion
 with a proved remainder certifies phi at nearby points with one bracket
 call and no pass (_model_moments), so a warm interior inversion mostly
@@ -53,7 +54,6 @@ points pass one).  All tolerances are absolute unless noted.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import logging
 import math
@@ -94,6 +94,7 @@ __all__ = [
 _TERM_BUDGET = 2**23
 _START_BLOCK = 64
 _ONE_ARRAY = 4096  # a pass sums its terms up to here in one array
+_BLOCK_WIDTH = 2**13  # the widest block of rows: wider arrays fill it a slice at a time
 _PROFILE_TOL = 1e-10  # every profile's f(-alpha) and gamma, so theta2
 _MB = Entropy.MAXWELL_BOLTZMANN
 _UNIT = (1.0, 1.0)
@@ -276,17 +277,23 @@ def _block_sums(family, y, x, kind, shape, n, model=False):
     partials over the blocks 1-64, 65-128, ... up to a pass's stopping
     index n, whose math.fsum is the sum: one array of terms up to min(n,
     4096), each partial from a slice (none when n = 64), then one array per
-    block.  Per array every row of the pass goes into one block, laid out
-    as _pass_shape says: base = e^(ln p_n + sigma_n y + x), exponentiated
-    into it once; (sigma_n, sigma_n^2) times base in one product, from the
-    family's term table (_level_powers); the multiplier rows, which
-    _mult_arrays writes in place from one z = e^t; and the sigma-weighted
-    rows.  Then one row-wise np.add.reduce per block gives every partial:
-    each row's is the float that row's own pairwise reduce gives.  With
-    `model` (a slope pass, its last sum moment 2), higher holds the partial
-    sums of moments 3, 4 and 5 over the same terms, three more rows of
-    successive products of the last sum's row with sigma_n, reduced once
-    per array, and top the largest level summed; else () and 0."""
+    block.  Per array, family.log_terms is called once, with the window's
+    y-free arrays (family._tabled: the term table's slices, or built once
+    past it), and every row of the pass goes into one block of rows, laid
+    out as _pass_shape says: base = e^(ln p_n + sigma_n y + x),
+    exponentiated into it once; sigma_n and sigma_n^2 times base
+    (_level_powers); the multiplier rows, which _mult_arrays writes in place
+    from one z = e^t; and the sigma-weighted rows.  Then one row-wise
+    np.add.reduce per block gives every partial: each row's is the float
+    that row's own pairwise reduce gives.  An array wider than _BLOCK_WIDTH
+    fills one block of that width a slice of columns at a time, and adds
+    the slices' partials pairwise, as np.add.reduce's pairwise summation
+    splits a row whose length is a power of two: the same floats, from a
+    block that stays in cache.  With `model` (a slope pass, its last sum
+    moment 2), higher holds the partial sums of moments 3, 4 and 5 over the
+    same terms, three more rows of successive products of the last sum's
+    row with sigma_n, reduced once per array, and top the largest level
+    summed; else () and 0."""
     mults = shape[0]
     units, weighted, index, rows, levels = shape[3]
     if model and not levels:
@@ -294,31 +301,43 @@ def _block_sums(family, y, x, kind, shape, n, model=False):
     sums = [[] for _ in index]
     higher, top = [0.0, 0.0, 0.0] if model else (), 0.0
     size = rows + 3 if model else rows
-    # x + theta1 y bounds every t when y <= 0; else each array's own max
+    # x + theta1 y bounds every t when y <= 0; else each slice's own max
     t_hi = x + sigma_min_set(family).theta1 * y if mults and y <= 0.0 else None
     lo, hi = 1, n if n < _ONE_ARRAY else _ONE_ARRAY
     while True:
-        logt = family.log_terms(y, lo, hi)
-        if levels:
-            powers = family._level_powers(lo, hi, levels)
-            sig = powers[0]
+        arrays = family._tabled(lo, hi)
+        logt = family.log_terms(y, lo, hi, arrays)
         lt = logt + x if x else logt
-        block = np.empty((size, hi - lo + 1))
-        base = np.exp(lt, out=block[0])
-        if units > 1:
-            np.multiply(powers[: units - 1], base, out=block[1:units])
-        if mults:
-            t = x + sig * y
-            bound = t_hi if t_hi is not None else float(np.maximum.reduce(t))
-            _mult_arrays(kind, mults, t, bound, base, lt, out=dict(zip(mults, block[units:])))
-        for r, src, k in weighted:
-            np.multiply(block[src], sig if k == 1 else powers[1] if k == 2 else sig**k, out=block[r])
+        powers = family._level_powers(lo, hi, levels, arrays[0]) if levels else ()
+        width = hi - lo + 1
+        step = width if width < _BLOCK_WIDTH else _BLOCK_WIDTH
+        block = np.empty((size, step))
+        cut = hi > _START_BLOCK and lo == 1  # the first array, one slice of several blocks
+        parts = [None] * (width // step)
+        for a in range(0, width, step):
+            # the slice's terms: the whole array where it fits in the block
+            lts, pw = (lt, powers) if step == width else (lt[a : a + step], [r[a : a + step] for r in powers])
+            base = np.exp(lts, out=block[0])
+            if levels:
+                sig = pw[0]
+            if units > 1:
+                np.multiply(pw[: units - 1], base, out=block[1:units])
+            if mults:
+                t = x + sig * y
+                bound = t_hi if t_hi is not None else float(np.maximum.reduce(t))
+                _mult_arrays(kind, mults, t, bound, base, lts, out=dict(zip(mults, block[units:])))
+            for r, src, k in weighted:
+                np.multiply(block[src], sig if k == 1 else pw[1] if k == 2 else sig**k, out=block[r])
+            if model:
+                row = block[index[-1]]
+                for r in range(rows, size):
+                    row = np.multiply(row, sig, out=block[r])
+            if not cut:
+                parts[a // step] = _add_reduce(block, axis=-1)
         if model:
-            row = block[index[-1]]
-            for r in range(rows, size):
-                row = np.multiply(row, sig, out=block[r])
+            sig = powers[0]
             top = max(top, float(sig[-1] if family.sigma_increasing_from <= lo else sig.max()))
-        if hi > _START_BLOCK and lo == 1:
+        if cut:
             a = 0
             for j in range(6, hi.bit_length()):  # the blocks end at 64, 128, ..., hi
                 got = _add_reduce(block[:rows, a : 1 << j], axis=-1)
@@ -327,7 +346,9 @@ def _block_sums(family, y, x, kind, shape, n, model=False):
                 a = 1 << j
             got = _add_reduce(block[rows:], axis=-1) if model else ()
         else:
-            got = _add_reduce(block, axis=-1)
+            while parts[1:]:
+                parts = [p + q for p, q in zip(parts[::2], parts[1::2])]
+            got = parts[0]
             for acc, i in zip(sums, index):
                 acc.append(float(got[i]))
             got = got[rows:]
@@ -607,9 +628,10 @@ def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
 # the slope ladder's indices: y_k = -alpha - 2^(k/4), from 2^-12 to 64 left
 # of -alpha
 _LADDER_K = (-48, 24)
-_LADDER_TABLES = 64  # ladders kept, each of at most 73 entries
-_LADDERS = {}  # (family, tol, ceiling) -> _Ladder, the oldest first
+_LADDER_ENTRIES = 4096  # entries kept over all ladders
+_LADDERS = {}  # (family, tol, ceiling) -> _Ladder, oldest first
 _LADDER_LOCK = threading.Lock()
+_ladder_entries = 0  # the entries of the ladders in _LADDERS
 
 
 class _Rung(NamedTuple):
@@ -630,22 +652,14 @@ class _Ladder:
     alone), each computed on first use and kept as a _Rung by k (rungs).  An
     entry that raises (BudgetError, or RangeError where f(y_k) underflows
     or y_k rounds to -alpha) is not kept.  The pass's model is dropped: a
-    Newton step from an entry is rarely short enough for it.
-
-    bracket(w) finds the two entries nearest w as a gallop from k = 0 does
-    (_gallop), which fills missing entries.  The entries the gallops have
-    read form a set closed under their search paths; while their phis fall
-    with k (index, else None), the gallop for w reads only entries of that
-    set, and ends at the two adjacent ones that bracket w, so a warm bracket
-    is a bisection of their -phi.  Entries are added with one dict
-    operation and index replaced in one assignment under a lock, so
-    concurrent readers see consistent records."""
+    Newton step from an entry is rarely short enough for it.  Entries are
+    added under the store's lock (_keep), so concurrent readers see
+    consistent records."""
 
     def __init__(self, family, tol, ceiling):
         self.family, self.tol, self.ceiling = family, tol, ceiling
         self.rungs = {}
-        self.searched = frozenset()  # the k the gallops have read
-        self.index = None  # (k, -phi, rung) of the searched entries by k, and the place of k = 0
+        self.read = False  # read since made or since _keep last passed it
 
     def rung(self, k) -> _Rung:
         """The entry at k, computed on first use."""
@@ -659,98 +673,90 @@ class _Ladder:
             raise RangeError(f"ladder point {k} rounds to -alpha = {-a}")
         s = _certified_slope(family, y, 0.25 * self.tol, None, self.ceiling)._replace(model=None)
         node = _hermite_node(s, sigma_min_set(family).theta1, a)
-        return self.rungs.setdefault(k, _Rung(y, s.phi, s, math.log(s.f.value), node))
+        return _keep(self, k, _Rung(y, s.phi, s, math.log(s.f.value), node))
 
     def bracket(self, w):
         """(inner, outer): the entries nearest w on either side, inner's phi
-        on the near side of w, outer's at or beyond it, as _gallop finds
-        them; from the index where it holds two adjacent entries around w."""
-        index = self.index
-        if index is not None:
-            ks, keys, rungs, zero = index
-            if rungs[zero].phi > w:  # outer: the first k > 0 with phi <= w
-                i = bisect.bisect_left(keys, -w)
-                if i < len(ks) and ks[i] - ks[i - 1] == 1:
-                    return rungs[i - 1], rungs[i]
-            else:  # outer: the last k < 0 with phi >= w
-                i = min(bisect.bisect_right(keys, -w), zero) - 1
-                if i >= 0 and ks[i + 1] - ks[i] == 1:
-                    return rungs[i + 1], rungs[i]
-        return self._gallop(w)
-
-    def _gallop(self, w):
-        """bracket's search: it gallops outward from k = 0 (y = -alpha - 1)
-        and then bisects, so its path depends on w alone.  The ladder ends
-        at k = -48 and 24 and at the first entry that raises BudgetError or
-        RangeError: outer is None where it ends before w is bracketed, and a
-        bisection stops there with the bracket it has.  An error of the k =
-        0 entry itself propagates."""
+        on the near side of w, outer's at or beyond it.  The search gallops
+        outward from k = 0 (y = -alpha - 1) and then bisects, so its path
+        depends on w alone.  The ladder ends at k = -48 and 24 and at the
+        first entry that raises BudgetError or RangeError: outer is None
+        where it ends before w is bracketed, and a bisection stops there
+        with the bracket it has.  An error of the k = 0 entry itself
+        propagates."""
         lo_k, hi_k = _LADDER_K
-        inner_k, inner = 0, self.rung(0)
-        read = {0}
-        d = 1 if inner.phi > w else -1  # phi falls as k grows
+        rungs = self.rungs
+        inner_k, inner = 0, rungs.get(0) or self.rung(0)
+        up = inner.phi > w  # phi falls as k grows
 
-        def beyond(e):
-            return e.phi <= w if d > 0 else e.phi >= w
-
-        def entry(k):
+        def entry(k):  # a missing entry, computed; None where it raises
             try:
-                e = self.rung(k)
+                return self.rung(k)
             except (BudgetError, RangeError):
                 return None
-            read.add(k)
-            return e
 
         step = 1
         while True:
-            outer_k = min(max(inner_k + d * step, lo_k), hi_k)
-            outer = None if outer_k == inner_k else entry(outer_k)
+            outer_k = inner_k + step if up else inner_k - step
+            outer_k = lo_k if outer_k < lo_k else hi_k if outer_k > hi_k else outer_k
+            outer = None if outer_k == inner_k else rungs.get(outer_k) or entry(outer_k)
             if outer is None:
-                self._searched(read)
                 return inner, None
-            if beyond(outer):
+            if (outer.phi <= w) if up else (outer.phi >= w):
                 break
             inner_k, inner = outer_k, outer
             step *= 2
-        while abs(outer_k - inner_k) > 1:
+        while not -1 <= outer_k - inner_k <= 1:
             mid_k = inner_k + (outer_k - inner_k) // 2
-            mid = entry(mid_k)
+            mid = rungs.get(mid_k) or entry(mid_k)
             if mid is None:
                 break
-            if beyond(mid):
+            if (mid.phi <= w) if up else (mid.phi >= w):
                 outer_k, outer = mid_k, mid
             else:
                 inner_k, inner = mid_k, mid
-        self._searched(read)
         return inner, outer
-
-    def _searched(self, read):
-        """Add the entries a gallop read to the searched set, and rebuild the
-        index while their phis fall with k."""
-        if read <= self.searched:
-            return
-        with _LADDER_LOCK:
-            self.searched = searched = self.searched | read
-            ks = tuple(sorted(searched))
-            rungs = tuple(self.rungs[k] for k in ks)
-            keys = tuple(-r.phi for r in rungs)
-            falling = all(a <= b for a, b in zip(keys, keys[1:]))
-            self.index = (ks, keys, rungs, ks.index(0)) if falling else None
 
 
 def _ladder(family, tol, ceiling=1.0) -> _Ladder:
-    """The slope ladder of (family, tol, ceiling), made on first use; the
-    _LADDER_TABLES (64) most recently made are kept."""
+    """The slope ladder of (family, tol, ceiling), made on first use and
+    marked read on each later one."""
+    global _ladder_entries
     key = (family, tol, ceiling)
     ladder = _LADDERS.get(key)
-    if ladder is None:
-        with _LADDER_LOCK:
-            ladder = _LADDERS.get(key)
-            if ladder is None:
-                if len(_LADDERS) >= _LADDER_TABLES:
-                    del _LADDERS[next(iter(_LADDERS))]
-                ladder = _LADDERS[key] = _Ladder(family, tol, ceiling)
+    if ladder is not None:
+        ladder.read = True
+        return ladder
+    with _LADDER_LOCK:
+        ladder = _LADDERS.get(key)
+        if ladder is None:
+            if not _LADDERS:  # emptied since the count was kept
+                _ladder_entries = 0
+            ladder = _LADDERS[key] = _Ladder(family, tol, ceiling)
     return ladder
+
+
+def _keep(ladder, k, rung) -> _Rung:
+    """The entry at k of ladder: rung, added unless another thread added
+    one first.  While the store then holds more than _LADDER_ENTRIES (4,096)
+    entries, it drops its oldest ladder, or, where that ladder was read
+    since it was made or last came up here, moves it to the end unread (a
+    second chance: a ladder in use is kept, and a hit costs no more than
+    its lookup)."""
+    global _ladder_entries
+    with _LADDER_LOCK:
+        got = ladder.rungs.setdefault(k, rung)
+        if got is rung and _LADDERS.get((ladder.family, ladder.tol, ladder.ceiling)) is ladder:
+            _ladder_entries += 1
+            while _ladder_entries > _LADDER_ENTRIES:
+                key = next(iter(_LADDERS))
+                old = _LADDERS.pop(key)
+                if old.read:
+                    old.read = False
+                    _LADDERS[key] = old
+                else:
+                    _ladder_entries -= len(old.rungs)
+    return got
 
 
 def _ladder_bracket(family, w, tol, ceiling):

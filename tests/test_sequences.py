@@ -162,7 +162,7 @@ def _small_reads(monkeypatch) -> list:
         for name in ("sigma_array", "log_terms"):
             if name in cls.__dict__:
                 def counting(self, *args, _orig=cls.__dict__[name], _name=name):
-                    lo, hi = args[-2:]
+                    lo, hi = args[_name == "log_terms" :][:2]  # (y,) lo, hi (, arrays)
                     if hi - lo <= 1:
                         calls.append((type(self).__name__, _name, lo, hi))
                     return _orig(self, *args)
@@ -181,9 +181,10 @@ def _old_terms(family, y, n):
 
 
 class TestScalarMemo:
-    """sigma(n) and log_p(n) are memoized elements of the family's arrays,
-    up to sequences._MEMO_SIZE (1,024) of each per family, so the block
-    walk and the tail brackets read their levels once per family."""
+    """sigma(n) is an element of the family's term table, and log_p(n) a
+    memoized element of log_terms, up to sequences._MEMO_SIZE (1,024) per
+    family, so the block walk and the tail brackets read their levels once
+    per family."""
 
     BLOCK_ENDS = [64 * 2**j for j in range(9)]
 
@@ -230,7 +231,8 @@ class TestScalarMemo:
 
     def test_threads_read_the_same_levels(self):
         # more readers than cores, switching often, on a fresh family: each
-        # sees the arrays' floats, and the memo fills to its bound, not past
+        # sees the arrays' floats, and the log_p memo fills to its bound, not
+        # past
         family = WeightedGeometric(1.0, 3.0)
         last = 2 * sequences._MEMO_SIZE
         start = threading.Barrier(4)
@@ -256,7 +258,7 @@ class TestScalarMemo:
         assert seen[1:] == seen[:1] * 3
         want = zip(family.sigma_array(1, last).tolist(), family.log_terms(0.0, 1, last).tolist())
         assert [r[1:3] for r in seen[0]] == list(want)
-        assert len(family._sigmas) == len(family._log_ps) == sequences._MEMO_SIZE
+        assert len(family._log_ps) == sequences._MEMO_SIZE
 
     def test_memo_is_bounded(self):
         # tail_interval is public and n arbitrary: reads past the bound go
@@ -264,10 +266,10 @@ class TestScalarMemo:
         family = WeightedGeometric(1.0, 3.0)
         for n in range(1, 5001):
             family.tail_interval(-1.5, n, 1)
-        assert len(family._sigmas) == len(family._log_ps) == sequences._MEMO_SIZE == 1024
+        assert len(family._log_ps) == sequences._MEMO_SIZE == 1024
         assert family.sigma(4999).hex() == family.sigma_array(4999, 4999)[0].hex()
         assert family._terms(-1.5, 4999) == _old_terms(family, -1.5, 4999)
-        assert 4999 not in family._sigmas
+        assert 4999 not in family._log_ps
 
 
 class TestLatticeTableThreads:
@@ -356,7 +358,7 @@ def _table_ys(family):
 
 class TestTermTables:
     """Each family keeps the y-free arrays of its terms in one read-only
-    table per instance (SequenceFamily._table), grown by doubling up to
+    table per instance (SequenceFamily._tabled), grown by doubling up to
     sequences._TABLE_MAX terms: sigma_array and log_terms must give the
     floats the families' formulas gave before the tables
     (tests/conftest.py's ref_sigma_array and ref_log_terms), whatever order
@@ -428,7 +430,7 @@ class TestTermTables:
 
     def test_each_store_stays_inside_its_bound(self):
         # 10,000 distinct windows, many past the largest table: the table
-        # stops at _TABLE_MAX terms, under 256 KB, and the scalar memos at
+        # stops at _TABLE_MAX terms, under 256 KB, and the log_p memo at
         # _MEMO_SIZE entries
         fam = WeightedGeometric(1.0, 3.0)
         rng = np.random.default_rng(38)
@@ -446,7 +448,7 @@ class TestTermTables:
         owned = [powers] + [a for a in arrays if a.base is None]
         assert sum(a.nbytes for a in owned) < 2**18
         assert all(not a.flags.writeable for a in (*arrays, powers))
-        assert len(fam._sigmas) == len(fam._log_ps) == sequences._MEMO_SIZE
+        assert len(fam._log_ps) == sequences._MEMO_SIZE
 
 
 class TestPrefixStats:

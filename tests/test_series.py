@@ -46,7 +46,7 @@ from entromin import (
     phi_inverse,
     profile,
 )
-from entromin import series
+from entromin import sequences, series
 from entromin.series import _HESSIAN, _dual_point, _dual_sums, _invert_slope, hessian_h
 from entromin.sequences import sigma_min_set
 
@@ -402,10 +402,10 @@ class TestNewtonInversion:
         log_terms = cls.log_terms
         passes = []
 
-        def counting(self, y, lo, hi):
+        def counting(self, y, lo, hi, *arrays):
             if lo == 1:
                 passes.append(y)
-            return log_terms(self, y, lo, hi)
+            return log_terms(self, y, lo, hi, *arrays)
 
         monkeypatch.setattr(cls, "log_terms", counting)
         sol = solver.solve_mb(1.0, v)
@@ -420,10 +420,10 @@ def _count_passes(monkeypatch, family) -> list:
     log_terms = cls.log_terms
     passes = []
 
-    def counting(self, y, lo, hi):
+    def counting(self, y, lo, hi, *arrays):
         if lo == 1:
             passes.append(y)
-        return log_terms(self, y, lo, hi)
+        return log_terms(self, y, lo, hi, *arrays)
 
     monkeypatch.setattr(cls, "log_terms", counting)
     return passes
@@ -624,13 +624,13 @@ class TestSlopeLadder:
         assert -15 not in ladder.rungs
 
     @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
-    def test_the_table_brackets_as_the_gallop_did(self, monkeypatch, family, v1, v2, slopes):
+    def test_brackets_and_entries_match_the_reference_gallop(self, monkeypatch, family, v1, v2, slopes):
         # mb-point's interior slopes on the family (a stratified geometric
         # draw over the same range), as a solve's slope root reads the
         # ladder: a cold run and a warm rerun return the same (bracket,
         # start), the brackets of tests/conftest.py's ref_ladder_bracket, and
-        # the table computes the entries that gallop computed, the warm run
-        # none and without a gallop
+        # the ladder computes the entries that gallop computed, the warm run
+        # none
         tol, ceiling = 2.5e-13, 1e-5 / 2.5e-13  # series._conjugate_at's ladder
         prof = profile(family)
         rng = np.random.default_rng(9001)
@@ -660,11 +660,9 @@ class TestSlopeLadder:
             assert (inner.y, inner.phi, outer.y, outer.phi) == (
                 ref_inner.y, ref_inner.phi, ref_outer.y, ref_outer.phi)
         assert set(ladder.rungs) == {k for k, s in computed.items() if s is not None}
-        fills, gallops = _count_ladder_fills(monkeypatch), []
-        gallop = series._Ladder._gallop
-        monkeypatch.setattr(series._Ladder, "_gallop", lambda self, w: gallops.append(w) or gallop(self, w))
+        fills = _count_ladder_fills(monkeypatch)
         assert [start(w) for w in ws] == cold
-        assert (fills, gallops) == ([], [])
+        assert fills == []
 
     def test_threads_filling_one_ladder_match_serial_brackets(self):
         # four threads fill one cold ladder at a 1 us switch interval, each
@@ -707,16 +705,33 @@ class TestSlopeLadder:
         assert set(series._ladder(family, tol).rungs) == kept
 
     def test_the_ladder_store_stays_inside_its_bound(self):
-        # 10,000 distinct (family, tol) ladders: the latest _LADDER_TABLES
-        # are kept, and a ladder holds at most one entry per k
+        # 3,000 distinct (family, tol) ladders of 3 entries each, stand-ins
+        # added as series._Ladder.rung adds its entries: the store never
+        # holds more than _LADDER_ENTRIES, drops the oldest unread ladders
+        # first, and keeps one read after every new ladder
         family = Arithmetic(0.0, 1.0)
         series._LADDERS.clear()
-        tols = [1e-10 * (1.0 + i / 10_000) for i in range(10_000)]
+        tols = [1e-10 * (1.0 + i / 10_000) for i in range(3_000)]
+        kept = (family, tols[0], 1.0)
         for tol in tols:
-            series._ladder(family, tol)
-        assert len(series._LADDERS) == series._LADDER_TABLES == 64
-        assert list(series._LADDERS) == [(family, tol, 1.0) for tol in tols[-64:]]
-        ladder = series._ladder(family, tols[-1])
+            ladder = series._ladder(family, tol)
+            for k in range(3):
+                series._keep(ladder, k, object())
+            series._ladder(*kept)
+            assert sum(len(t.rungs) for t in series._LADDERS.values()) <= series._LADDER_ENTRIES
+        assert series._LADDER_ENTRIES == 4096
+        assert len(series._LADDERS[kept].rungs) == 3
+        others = [key for key in series._LADDERS if key != kept]
+        assert others == [(family, tol, 1.0) for tol in tols[-len(others) :]]
+        assert sum(len(t.rungs) for t in series._LADDERS.values()) > series._LADDER_ENTRIES - 3
+        # emptied by clear(), the store counts from zero again
+        series._LADDERS.clear()
+        for tol in tols[:10]:
+            for k in range(3):
+                series._keep(series._ladder(family, tol), k, object())
+        assert list(series._LADDERS) == [(family, tol, 1.0) for tol in tols[:10]]
+        series._LADDERS.clear()
+        ladder = series._ladder(family, 1e-10)
         for w in np.geomspace(1.02, 9.0, 200):
             ladder.bracket(float(w))
         lo_k, hi_k = series._LADDER_K
@@ -1608,8 +1623,10 @@ class TestBlockSumsMatchReference:
     reduces it once per block; tests/conftest.py's ref_block_sums, the loop
     it replaced, built and reduced each sum's row on its own.  Partials,
     higher moments and top must agree to the bit at every stopping index n
-    = 64 ... 4096, whose arrays are cut into blocks, and at n = 8192, which
-    adds the array [4097, 8192]."""
+    = 64 ... 4096, whose arrays are cut into blocks, at n = 8192, which
+    adds the array [4097, 8192], and at n = 2^15 and 2^16, whose arrays
+    past the term table are wider than series._BLOCK_WIDTH and fill their
+    block a slice at a time."""
 
     @pytest.mark.parametrize("family", _LIBRARY_FAMILIES, ids=repr)
     def test_every_pass_shape(self, family):
@@ -1622,3 +1639,34 @@ class TestBlockSumsMatchReference:
                     got = series._block_sums(family, y, x, kind, shape, n, model)
                     want = ref_block_sums(family, y, tols, x, kind, shape[0], n, model)
                     assert _hexes(got) == _hexes(want), (kind, x, keys, model, n)
+
+    @pytest.mark.parametrize("family", _LIBRARY_FAMILIES, ids=repr)
+    def test_wide_arrays_match_slice_by_slice(self, family):
+        # y just left of -alpha, so that the terms of [32769, 65536] still
+        # count: 2 and 4 slices of 8,192 columns, added pairwise
+        assert series._BLOCK_WIDTH == 2**13
+        a = family.alpha
+        y = -a - 2.0**-10 if math.isfinite(a) else -1e-3
+        with np.errstate(all="ignore"):
+            for kind, x, keys, model in _block_cases(family):
+                tols = dict.fromkeys(keys, 1e-10)
+                shape = series._pass_shape(keys, kind is MB)
+                for n in (2**15, 2**16):
+                    got = series._block_sums(family, y, x, kind, shape, n, model)
+                    want = ref_block_sums(family, y, tols, x, kind, shape[0], n, model)
+                    assert _hexes(got) == _hexes(want), (kind, x, keys, model, n)
+
+    @pytest.mark.parametrize("family", [LogLevels(1.0), WeightedGeometric(1.0, 3.0)], ids=repr)
+    def test_arrays_past_the_table_are_built_once(self, monkeypatch, family):
+        # log_terms combines the y-free arrays the kernel took for its levels
+        cls, calls = type(family), []
+        term_arrays = cls._term_arrays
+        monkeypatch.setattr(cls, "_term_arrays",
+                            lambda self, lo, hi: calls.append((lo, hi)) or term_arrays(self, lo, hi))
+        family._tabled(1, sequences._TABLE_MAX)  # the full table, built first
+        y = -family.alpha - 0.01
+        for kind, x, keys, model in ((MB, 0.0, _SLOPE_KEYS, True), (FD, 1.5, _DUAL_6, False)):
+            calls.clear()
+            with np.errstate(all="ignore"):
+                series._block_sums(family, y, x, kind, series._pass_shape(keys, kind is MB), 2**16, model)
+            assert calls == [(8193, 16384), (16385, 32768), (32769, 65536)]

@@ -1024,10 +1024,10 @@ class TestForwardSolve:
         orig = type(fam).log_terms
         passes = []
 
-        def counting(self, y, lo, hi):
+        def counting(self, y, lo, hi, *arrays):
             if lo == 1:
                 passes.append(y)
-            return orig(self, y, lo, hi)
+            return orig(self, y, lo, hi, *arrays)
 
         monkeypatch.setattr(type(fam), "log_terms", counting)
         for kind in (MB, BE, FD):
@@ -1087,10 +1087,10 @@ class TestInverseSolve:
         orig = type(fam).log_terms
         passes = []
 
-        def counting(self, y, lo, hi):
+        def counting(self, y, lo, hi, *arrays):
             if lo == 1:
                 passes.append(y)
-            return orig(self, y, lo, hi)
+            return orig(self, y, lo, hi, *arrays)
 
         monkeypatch.setattr(type(fam), "log_terms", counting)
         inv = geo_solver.inverse_solve_bf(BE, fwd.u, fwd.v)
@@ -1659,8 +1659,8 @@ class _CoarseTails(Arithmetic):
     is out of reach by the kernel's give-up rule at n = 4096, and one that
     rose to its ceiling certifies at n = 8192."""
 
-    def log_terms(self, y, lo, hi):
-        out = super().log_terms(y, lo, hi)
+    def log_terms(self, y, lo, hi, arrays=None):
+        out = super().log_terms(y, lo, hi, arrays)
         _BLOCKS.append((weakref.ref(out), len(out)))
         return out
 
