@@ -62,10 +62,11 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
 Apart from the cases, ladder_build reports per family what filling the
 cache of slope-root starts costs for the mb_interior and the bf_roundtrip
 targets: the entries a run over the family's targets from a cleared cache
-leaves cached (the slope ladder's entries: those of series._LADDERS, in
-trees before the ladder tables series._ladder_entry's), and the
-passes and terms that run spends beyond a warm rerun of the same targets.  Results do not
-depend on which entries are cached, so the difference is the build alone.
+leaves cached (the slope ladder's entries: those of the ladders the run
+made that the cache still holds, in trees before the ladder tables
+series._ladder_entry's), and the passes and terms that run spends beyond a
+warm rerun of the same targets.  Results do not depend on which entries
+are cached, so the difference is the build alone.
 dual_rows reports the wall time of one call of series._mult_arrays, which
 makes the bose-einstein and fermi-dirac dual's rows (W*, (W*)' and (W*)'',
 as finite._finite_dual asks for them), and of one
@@ -86,8 +87,8 @@ proposal_points from the minimize_convex_2d that entromin.solver and
 entromin.finite call and from series._dual_point, rows_builds from
 entromin.finite._dual_rows, scalar_reads and sigma_builds from the
 sigma_array and log_terms of the family classes, reduce_calls from
-series._add_reduce and ladder_lookups from series._ladder (in trees before
-the ladder tables, series._ladder_entry):
+series._add_reduce and ladder_lookups from series._ladder, the cache of
+slope ladders (in trees before the ladder tables, series._ladder_entry):
 
   prefix_passes        np.exp calls made by entromin.solver and
                        entromin.finite (where a tree keeps the Gibbs pass,
@@ -178,7 +179,7 @@ the ladder tables, series._ladder_entry):
                        rows; one per slice of series._BLOCK_WIDTH columns
                        in arrays wider than that, where a tree has it);
   ladder_lookups       reads of the slope ladder's cache during the same
-                       call: series._ladder calls (one table per bracket),
+                       call: series._ladder calls (one ladder per bracket),
                        in trees before the ladder tables series._ladder_entry
                        calls (one cached entry per read);
   budget_errors        BudgetErrors constructed during one slow_value call
@@ -221,6 +222,7 @@ import statistics
 import sys
 import time
 import types
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -351,9 +353,9 @@ def _counting_scalar_reads(counts):
 @contextlib.contextmanager
 def _counting_kernel_reads(counts):
     """Count into counts the kernel's reductions (series._add_reduce calls,
-    reduce_calls) and the slope ladder's cache reads (series._ladder calls,
-    or series._ladder_entry calls in trees before the ladder tables,
-    ladder_lookups)."""
+    reduce_calls) and the slope ladder's cache reads (calls of series._ladder,
+    the cache of ladders, or series._ladder_entry calls in trees before the
+    ladder tables, ladder_lookups)."""
     from entromin import series
 
     reads = {"_add_reduce": "reduce_calls",
@@ -888,18 +890,47 @@ def count_fd(solves, py_calls, times):
 
 
 def _clear_ladder(series):
-    """Empty the slope ladder's cache: the ladder tables, or in trees
-    before them the least-recently-used cache of its entries."""
+    """Empty the slope ladder's cache: the least-recently-used cache of
+    ladders, the parent's dict of them, or in trees before the ladder
+    tables the least-recently-used cache of its entries."""
     if hasattr(series, "_LADDERS"):
         series._LADDERS.clear()
+    elif hasattr(series, "_Ladder"):
+        series._ladder.cache_clear()
     else:
         series._ladder_entry.cache_clear()
 
 
-def _ladder_entries(series):
-    """The slope-ladder entries cached."""
-    if hasattr(series, "_LADDERS"):
-        return sum(len(ladder.rungs) for ladder in list(series._LADDERS.values()))
+@contextlib.contextmanager
+def _ladders_made(series):
+    """A WeakSet that gains every slope ladder made from here on
+    (series._Ladder): only the cache keeps one alive, so the set holds the
+    ladders made that are still cached.  Empty in trees before the ladder
+    tables."""
+    made = weakref.WeakSet()
+    cls = getattr(series, "_Ladder", None)
+    if cls is None:
+        yield made
+        return
+    init = cls.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        made.add(self)
+
+    cls.__init__ = recording
+    try:
+        yield made
+    finally:
+        cls.__init__ = init
+
+
+def _ladder_entries(series, made):
+    """The slope-ladder entries cached: those of the ladders in made
+    (_ladders_made), or in trees before the ladder tables the entries of
+    series._ladder_entry's cache."""
+    if hasattr(series, "_Ladder"):
+        return sum(len(ladder.rungs) for ladder in made)
     return series._ladder_entry.cache_info().currsize
 
 
@@ -918,8 +949,9 @@ def count_ladder_build(tracer, series, groups):
     out = {}
     for fam, calls in groups.items():
         _clear_ladder(series)
-        cold = run(calls)
-        entries = _ladder_entries(series)
+        with _ladders_made(series) as made:
+            cold = run(calls)
+        entries = _ladder_entries(series, made)
         warm = run(calls)
         out[fam] = {"entries": entries, **{k: cold[k] - warm[k] for k in keys}}
     return out

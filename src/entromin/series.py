@@ -27,24 +27,23 @@ reads and phi_inverse's Newton root (rootfind.newton_root) steps on.
 Every inversion starts from the slope ladder: the certified slopes at y_k =
 -alpha - 2^(k/4), k = -48..24, each evaluated on first use and kept in a
 table per (family, tol, ceiling) with its ln f and Hermite node (_Ladder;
-4,096 entries over all tables, the oldest unread tables dropped first), so
-a warm start gallops over kept entries alone.  The two
-entries that bracket the target are the first bracket, and the first
-iterate is the cubic Hermite interpolant of their (phi, phi')
-(_hermite_start).  A slope pass also keeps the partial
-sums of moments 0 to 5 over its terms (_SlopeModel), whose Taylor expansion
-with a proved remainder certifies phi at nearby points with one bracket
-call and no pass (_model_moments), so a warm interior inversion mostly
-takes one pass: the pass at that start certifies the Newton steps after it.
-The ladder also starts the bose-einstein and fermi-dirac inverse with no
-pass (_ladder_point: that start, and ln f there interpolated through the
-same two entries); the inverse moves that start to the minimizer of the
-uncertified dual of its first 64 terms or more (solver._proposal: no pass,
-finite._minimize_dual on the rows of _mult_arrays, which also builds a
-pass's W* rows, base ln(1 + z) / z or -ln(1 - z) / z at z = e^t clipped
-at 1e-300: exactly base wherever z < 2^-53, an underflowed z = 0
-included) before its first certified point.  The
-conjugate of ln f follows its four-branch closed form, and its interior
+_ladder keeps the 56 tables used last, 4,088 entries at most), so a warm
+start gallops over kept entries alone.  The two entries that bracket the
+target are the first bracket, and the first iterate is the cubic Hermite
+interpolant of their (phi, phi') (_hermite_start).  A slope pass also keeps
+the partial sums of moments 0 to 5 over its terms (_SlopeModel), whose
+Taylor expansion with a proved remainder certifies phi at nearby points
+with one bracket call and no pass (_model_moments), so a warm interior
+inversion mostly takes one pass: the pass at that start certifies the
+Newton steps after it.  The ladder also starts the bose-einstein and
+fermi-dirac inverse with no pass (_ladder_point: that start, and ln f there
+interpolated through the same two entries); the inverse moves that start to
+the minimizer of the uncertified dual of its first 64 terms or more
+(solver._proposal: no pass, finite._minimize_dual on the rows of
+_mult_arrays, which also builds a pass's W* rows, base ln(1 + z) / z or
+-ln(1 - z) / z at z = e^t clipped at 1e-300: exactly base wherever z <
+2^-53, an underflowed z = 0 included) before its first certified point.
+The conjugate of ln f follows its four-branch closed form, and its interior
 branch (_conjugate_at) is also the solver's interior value.
 A pass whose target is beyond the term budget stops at the bound it can
 reach up to a ceiling times it (_eval_many; only _conjugate_at's slope
@@ -57,7 +56,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -628,10 +626,6 @@ def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
 # the slope ladder's indices: y_k = -alpha - 2^(k/4), from 2^-12 to 64 left
 # of -alpha
 _LADDER_K = (-48, 24)
-_LADDER_ENTRIES = 4096  # entries kept over all ladders
-_LADDERS = {}  # (family, tol, ceiling) -> _Ladder, oldest first
-_LADDER_LOCK = threading.Lock()
-_ladder_entries = 0  # the entries of the ladders in _LADDERS
 
 
 class _Rung(NamedTuple):
@@ -652,14 +646,15 @@ class _Ladder:
     alone), each computed on first use and kept as a _Rung by k (rungs).  An
     entry that raises (BudgetError, or RangeError where f(y_k) underflows
     or y_k rounds to -alpha) is not kept.  The pass's model is dropped: a
-    Newton step from an entry is rarely short enough for it.  Entries are
-    added under the store's lock (_keep), so concurrent readers see
-    consistent records."""
+    Newton step from an entry is rarely short enough for it.  An entry is
+    added with dict.setdefault, so threads filling one ladder all read the
+    first record kept at k.  Two threads using a new key at once may each
+    build a ladder (_ladder): the cache keeps one, and the other is dropped
+    with its entries, which depend on their arguments alone."""
 
     def __init__(self, family, tol, ceiling):
         self.family, self.tol, self.ceiling = family, tol, ceiling
         self.rungs = {}
-        self.read = False  # read since made or since _keep last passed it
 
     def rung(self, k) -> _Rung:
         """The entry at k, computed on first use."""
@@ -673,7 +668,7 @@ class _Ladder:
             raise RangeError(f"ladder point {k} rounds to -alpha = {-a}")
         s = _certified_slope(family, y, 0.25 * self.tol, None, self.ceiling)._replace(model=None)
         node = _hermite_node(s, sigma_min_set(family).theta1, a)
-        return _keep(self, k, _Rung(y, s.phi, s, math.log(s.f.value), node))
+        return self.rungs.setdefault(k, _Rung(y, s.phi, s, math.log(s.f.value), node))
 
     def bracket(self, w):
         """(inner, outer): the entries nearest w on either side, inner's phi
@@ -718,63 +713,20 @@ class _Ladder:
         return inner, outer
 
 
-def _ladder(family, tol, ceiling=1.0) -> _Ladder:
-    """The slope ladder of (family, tol, ceiling), made on first use and
-    marked read on each later one."""
-    global _ladder_entries
-    key = (family, tol, ceiling)
-    ladder = _LADDERS.get(key)
-    if ladder is not None:
-        ladder.read = True
-        return ladder
-    with _LADDER_LOCK:
-        ladder = _LADDERS.get(key)
-        if ladder is None:
-            if not _LADDERS:  # emptied since the count was kept
-                _ladder_entries = 0
-            ladder = _LADDERS[key] = _Ladder(family, tol, ceiling)
-    return ladder
-
-
-def _keep(ladder, k, rung) -> _Rung:
-    """The entry at k of ladder: rung, added unless another thread added
-    one first.  While the store then holds more than _LADDER_ENTRIES (4,096)
-    entries, it drops its oldest ladder, or, where that ladder was read
-    since it was made or last came up here, moves it to the end unread (a
-    second chance: a ladder in use is kept, and a hit costs no more than
-    its lookup)."""
-    global _ladder_entries
-    with _LADDER_LOCK:
-        got = ladder.rungs.setdefault(k, rung)
-        if got is rung and _LADDERS.get((ladder.family, ladder.tol, ladder.ceiling)) is ladder:
-            _ladder_entries += 1
-            while _ladder_entries > _LADDER_ENTRIES:
-                key = next(iter(_LADDERS))
-                old = _LADDERS.pop(key)
-                if old.read:
-                    old.read = False
-                    _LADDERS[key] = old
-                else:
-                    _ladder_entries -= len(old.rungs)
-    return got
-
-
-def _ladder_bracket(family, w, tol, ceiling):
-    """(inner, outer): the ladder entries nearest w on either side
-    (_Ladder.bracket), outer None where the ladder ends before w."""
-    return _ladder(family, tol, ceiling).bracket(w)
+# at most 4,096 entries: 56 ladders of at most 73 entries (one per k) each
+_ladder = functools.lru_cache(maxsize=4096 // (_LADDER_K[1] - _LADDER_K[0] + 1))(_Ladder)
 
 
 def _ladder_start(family, prof, w, tol, ceiling=1.0):
-    """Where a slope root for w starts, from the slope ladder alone
-    (_ladder_bracket, no new pass): (bracket, entry, y_h, ends).  bracket is
-    the (lo, hi) of the two entries that bracket w, else (-inf, -alpha), as
-    phi tends to theta2 > w at -alpha; entry is the one nearer w; y_h is
-    their Hermite start (_hermite_start, from the entries' nodes), None
-    where entry meets tol (its residual as _invert_slope judges it,
-    _Slope.residual), the ladder is one-sided or the interpolant leaves the
-    bracket; ends are the two entries, None where one-sided."""
-    inner, outer = _ladder_bracket(family, w, tol, ceiling)
+    """Where a slope root for w starts, from the cached slope ladder alone
+    (_ladder(...).bracket, no new pass): (bracket, entry, y_h, ends).
+    bracket is the (lo, hi) of the two entries that bracket w, else
+    (-inf, -alpha), as phi tends to theta2 > w at -alpha; entry is the one
+    nearer w; y_h is their Hermite start (_hermite_start, from the entries'
+    nodes), None where entry meets tol (its residual as _invert_slope judges
+    it, _Slope.residual), the ladder is one-sided or the interpolant leaves
+    the bracket; ends are the two entries, None where one-sided."""
+    inner, outer = _ladder(family, tol, ceiling).bracket(w)
     if outer is None:
         return (-math.inf, -prof.alpha), inner, None, None
     bracket = (inner.y, outer.y) if inner.y < outer.y else (outer.y, inner.y)

@@ -761,7 +761,7 @@ def _ref_joined(family, head, tail, lo, hi):
     return head(w, s) if hi <= m else np.concatenate((head(w, s), tail(family.tail, m + 1, hi)))
 
 
-# series._ladder_bracket as it was when each ladder entry was a least-recently
+# series._Ladder.bracket as it was when each ladder entry was a least-recently
 # used cache entry per (family, tol, k, ceiling): the gallop whose brackets,
 # and whose set of computed entries, the ladder table must reproduce
 # (tests/test_series.py).

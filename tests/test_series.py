@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 import warnings
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -465,12 +466,12 @@ class TestSlopeLadder:
         others = [
             (u, u * float(w)) for u, w in zip([0.5, 1.0, 2.0, 3.5] * 50, np.geomspace(lo, hi, 200))
         ]
-        series._LADDERS.clear()
+        series._ladder.cache_clear()
         cold = repr(solver.solve_mb(1.0, v1))
         for t in others:
             solver.solve_mb(*t)
         warm = repr(solver.solve_mb(1.0, v1))
-        series._LADDERS.clear()
+        series._ladder.cache_clear()
         for t in reversed(others):
             solver.solve_mb(*t)
         reverse = repr(solver.solve_mb(1.0, v1))
@@ -489,7 +490,7 @@ class TestSlopeLadder:
         ]
         fills = _count_ladder_fills(monkeypatch)
         for call in calls:
-            series._LADDERS.clear()
+            series._ladder.cache_clear()
             cold = call()
             misses = len(fills)
             warm = call()
@@ -542,11 +543,11 @@ class TestSlopeLadder:
         for w in np.geomspace(*slopes, 40):
             starts.clear()
             phi_inverse(family, float(w), tol)
-            inner, outer = series._ladder_bracket(family, float(w), tol, 1.0)
+            inner, outer = series._ladder(family, tol, 1.0).bracket(float(w))
             [(x, lo, hi)] = starts
             assert (lo, hi) == tuple(sorted((inner[0], outer[0])))
             assert lo < x < hi
-        entry = series._ladder(family, tol).rung(2)
+        entry = series._ladder(family, tol, 1.0).rung(2)
         passes = _count_passes(monkeypatch, family)
         assert phi_inverse(family, entry[1], tol) == entry[0]
         assert passes == []
@@ -574,7 +575,7 @@ class TestSlopeLadder:
             barrier.wait()
             results[name] = {i: repr(solver.solve_mb(*targets[i])) for i in order}
 
-        series._LADDERS.clear()
+        series._ladder.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -597,12 +598,12 @@ class TestSlopeLadder:
         # PowerLaw(1, 0.5) terms at y = -1 fall like e^-sqrt(n): no tail
         # bracket reaches a 1e-300 target, and the k = 0 entry gives up
         family = PowerLaw(1.0, 0.5)
-        series._LADDERS.clear()
+        series._ladder.cache_clear()
         fills = _count_ladder_fills(monkeypatch)
         for _ in range(2):
             with pytest.raises(BudgetError):
                 phi_inverse(family, 1.5, 1e-300)
-        assert (len(fills), series._ladder(family, 1e-300).rungs) == (2, {})
+        assert (len(fills), series._ladder(family, 1e-300, 1.0).rungs) == (2, {})
 
     def test_the_ladder_ends_at_an_entry_that_raises(self, monkeypatch):
         # at tol 2.5e-13 PowerLaw(1, 0.5) certifies its slope at y_-7 =
@@ -610,8 +611,8 @@ class TestSlopeLadder:
         # slowly), where the search from k = 0 through -1, -3 and -7 goes
         # next; the root beyond y_-7 is found one-sided from there
         family, tol = PowerLaw(1.0, 0.5), 2.5e-13
-        series._LADDERS.clear()
-        ladder = series._ladder(family, tol)
+        series._ladder.cache_clear()
+        ladder = series._ladder(family, tol, 1.0)
         w = ladder.rung(-7).phi + 0.1
         y = phi_inverse(family, w, tol)
         assert -(2.0 ** -1.75) < y < -0.25
@@ -636,7 +637,7 @@ class TestSlopeLadder:
         rng = np.random.default_rng(9001)
         edges = np.geomspace(*slopes, 241)
         ws = [float(w) for w in rng.uniform(edges[:-1], edges[1:])]
-        series._LADDERS.clear()
+        series._ladder.cache_clear()
         ladder = series._ladder(family, tol, ceiling)
         computed = {}
 
@@ -675,16 +676,16 @@ class TestSlopeLadder:
             inner, outer = pair
             return inner.y, outer.y
 
-        series._LADDERS.clear()
-        serial = [ends(series._ladder(family, tol).bracket(w)) for w in ws]
-        kept = set(series._ladder(family, tol).rungs)
-        series._LADDERS.clear()
+        series._ladder.cache_clear()
+        serial = [ends(series._ladder(family, tol, 1.0).bracket(w)) for w in ws]
+        kept = set(series._ladder(family, tol, 1.0).rungs)
+        series._ladder.cache_clear()
         results, errors = {}, []
 
         def work(seed):
             try:
                 order = np.random.default_rng(seed).permutation(len(ws)).tolist()
-                results[seed] = {j: ends(series._ladder(family, tol).bracket(ws[j])) for j in order}
+                results[seed] = {j: ends(series._ladder(family, tol, 1.0).bracket(ws[j])) for j in order}
             except Exception as exc:  # reported below, from the test's thread
                 errors.append(exc)
 
@@ -702,40 +703,49 @@ class TestSlopeLadder:
         assert not errors, errors
         for got in results.values():
             assert [got[j] for j in range(len(ws))] == serial
-        assert set(series._ladder(family, tol).rungs) == kept
+        assert set(series._ladder(family, tol, 1.0).rungs) == kept
 
     def test_the_ladder_store_stays_inside_its_bound(self):
-        # 3,000 distinct (family, tol) ladders of 3 entries each, stand-ins
-        # added as series._Ladder.rung adds its entries: the store never
-        # holds more than _LADDER_ENTRIES, drops the oldest unread ladders
-        # first, and keeps one read after every new ladder
+        # 3,000 distinct (family, tol) ladders, each given a stand-in entry
+        # at every k of _LADDER_K as series._Ladder.rung adds its entries:
+        # the cache never holds more than 56 ladders or 4,096 entries, and
+        # the ladder read after every new one keeps its entries
         family = Arithmetic(0.0, 1.0)
-        series._LADDERS.clear()
+        lo_k, hi_k = series._LADDER_K
+        series._ladder.cache_clear()
         tols = [1e-10 * (1.0 + i / 10_000) for i in range(3_000)]
-        kept = (family, tols[0], 1.0)
+        kept = series._ladder(family, tols[0], 1.0)
+        live = weakref.WeakSet()  # the ladders the cache holds: no other references
         for tol in tols:
-            ladder = series._ladder(family, tol)
-            for k in range(3):
-                series._keep(ladder, k, object())
-            series._ladder(*kept)
-            assert sum(len(t.rungs) for t in series._LADDERS.values()) <= series._LADDER_ENTRIES
-        assert series._LADDER_ENTRIES == 4096
-        assert len(series._LADDERS[kept].rungs) == 3
-        others = [key for key in series._LADDERS if key != kept]
-        assert others == [(family, tol, 1.0) for tol in tols[-len(others) :]]
-        assert sum(len(t.rungs) for t in series._LADDERS.values()) > series._LADDER_ENTRIES - 3
-        # emptied by clear(), the store counts from zero again
-        series._LADDERS.clear()
-        for tol in tols[:10]:
-            for k in range(3):
-                series._keep(series._ladder(family, tol), k, object())
-        assert list(series._LADDERS) == [(family, tol, 1.0) for tol in tols[:10]]
-        series._LADDERS.clear()
-        ladder = series._ladder(family, 1e-10)
+            ladder = series._ladder(family, tol, 1.0)
+            live.add(ladder)
+            for k in range(lo_k, hi_k + 1):
+                ladder.rungs.setdefault(k, object())
+            del ladder
+            assert series._ladder(family, tols[0], 1.0) is kept
+            assert len(kept.rungs) == hi_k - lo_k + 1
+            assert series._ladder.cache_info().currsize == len(live) <= 56
+            assert sum(len(t.rungs) for t in live) <= 4096
+        assert series._ladder.cache_info().currsize == 56
+        series._ladder.cache_clear()
+        assert series._ladder.cache_info().currsize == 0
+        assert series._ladder(family, tols[0], 1.0).rungs == {}
+        ladder = series._ladder(family, 1e-10, 1.0)
         for w in np.geomspace(1.02, 9.0, 200):
             ladder.bracket(float(w))
-        lo_k, hi_k = series._LADDER_K
         assert set(ladder.rungs) <= set(range(lo_k, hi_k + 1))
+
+    @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
+    def test_a_cold_inversion_keeps_its_entries(self, monkeypatch, family, v1, v2, slopes):
+        # phi_inverse files its ladder under (family, tol, 1.0), the key
+        # every reader passes: the entries a cold root filled are read back
+        tol = 1e-10
+        series._ladder.cache_clear()
+        fills = _count_ladder_fills(monkeypatch)
+        phi_inverse(family, v2, tol)
+        assert fills
+        assert {k for *_, k in fills} <= set(series._ladder(family, tol, 1.0).rungs)
+        assert series._ladder.cache_info().currsize == 1
 
     @pytest.mark.parametrize("w", [0.0101, 0.01001])
     def test_root_left_of_the_ladder(self, w):
@@ -920,11 +930,11 @@ def _count_slope_branches(monkeypatch) -> Counter:
     from outside it: slope passes and their ceiling stops (series._eval_many
     with model, a None model), model tries (series._model_moments), passes
     per certified slope, slope-root iterates (the evaluate calls of
-    series.newton_root), one-sided ladders (series._ladder_bracket) and
+    series.newton_root), one-sided ladders (series._Ladder.bracket) and
     starts (series._ladder_start, with or without a _hermite_start call)."""
     counts, live = Counter(), {"passes": 0, "tries": 0, "iterate": False, "hermite": False}
     kernel, moments, slope = series._eval_many, series._model_moments, series._certified_slope
-    newton, bracket = series.newton_root, series._ladder_bracket
+    newton, bracket = series.newton_root, series._Ladder.bracket
     start, hermite = series._ladder_start, series._hermite_start
 
     def eval_many(family, y, tols, x=0.0, kind=MB, ceiling=1.0, model=False):
@@ -957,8 +967,8 @@ def _count_slope_branches(monkeypatch) -> Counter:
 
         return newton(iterate, *args)
 
-    def ladder_bracket(*args):
-        inner, outer = bracket(*args)
+    def ladder_bracket(self, w):
+        inner, outer = bracket(self, w)
         counts["one-sided ladder"] += outer is None
         return inner, outer
 
@@ -978,11 +988,11 @@ def _count_slope_branches(monkeypatch) -> Counter:
         ("_model_moments", model_moments),
         ("_certified_slope", certified_slope),
         ("newton_root", newton_root),
-        ("_ladder_bracket", ladder_bracket),
         ("_ladder_start", ladder_start),
         ("_hermite_start", hermite_start),
     ]:
         monkeypatch.setattr(series, name, fn)
+    monkeypatch.setattr(series._Ladder, "bracket", ladder_bracket)
     return counts
 
 

@@ -1295,7 +1295,7 @@ class TestInverseSolve:
     def test_a_one_sided_ladder_start(self, family, kind, x, y, before):
         solver = EmpSolver(family)
         fwd = solver.forward_solve(kind, x, y)
-        assert series._ladder_bracket(solver.normal_family, fwd.v / fwd.u, 1e-5, 1.0)[1] is None
+        assert series._ladder(solver.normal_family, 1e-5, 1.0).bracket(fwd.v / fwd.u)[1] is None
         self._assert_round_trip(family, kind, x, y, before)
 
     @pytest.mark.parametrize("family, kind, x, y, before", _BRACKETED_TRIPS, ids=repr)
@@ -1716,7 +1716,7 @@ class TestCeilingStop:
 
     @pytest.fixture(autouse=True)
     def _cold(self):
-        series._LADDERS.clear()
+        series._ladder.cache_clear()
 
     def _run(self, monkeypatch, name):
         # with the cyclic collector off, only reference counts free the
