@@ -44,8 +44,9 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
   cli_verify           cli._cmd_verify on the verify spec that perfbench's
                        cli-batch writes for each of mb-point's families,
                        with a solver built from that spec, reported per
-                       family with the wall time of each check and the
-                       inverse solves' Newton points;
+                       family with the wall time of each check, the
+                       inverse solves' Newton points and the term-array
+                       calls of a warm verify;
   rule_prefix          SequenceRule.prefix(100_000) of the interior
                        solutions solve_mb(1, 2) on Arithmetic(0, 1) and
                        solve_mb(1, 3.19) on LogLevels(1), reported per
@@ -185,6 +186,15 @@ slope ladders (in trees before the ladder tables, series._ladder_entry):
   budget_errors        BudgetErrors constructed during one slow_value call
                        or round trip, raised or caught, counted through the
                        class's __init__;
+  term_arrays_*        _term_arrays calls of any family class during one
+                       warm verify (cli_verify's warm-up run, after the
+                       counted one), which parses its spec again and asks
+                       it for its family: term_arrays_in_table those whose
+                       window ends at or below 2^13, the terms of a
+                       family's term table (table builds, none where the
+                       spec's family is the one the last run built),
+                       term_arrays_past_table the windows past it, built
+                       per call;
   entropy_*_calls      Python-level calls of each entropy function
                        (entropy_value, entropy_derivative, entropy_conjugate,
                        entropy_conjugate_derivative) during one verify,
@@ -348,6 +358,34 @@ def _counting_scalar_reads(counts):
     finally:
         for cls, name, method in patched:
             setattr(cls, name, method)
+
+
+TABLE_TERMS = 2**13  # the terms of a family's term table, where a tree keeps one
+
+
+@contextlib.contextmanager
+def _counting_term_arrays(counts):
+    """Count into counts the _term_arrays calls of every family class: those
+    whose window ends at or below TABLE_TERMS (term_arrays_in_table) and
+    those past it (term_arrays_past_table)."""
+    from entromin import sequences
+
+    patched = []
+    for cls in vars(sequences).values():
+        if isinstance(cls, type) and "_term_arrays" in vars(cls):
+            method = vars(cls)["_term_arrays"]
+
+            def counting(self, lo, hi, _method=method):
+                counts["term_arrays_in_table" if hi <= TABLE_TERMS else "term_arrays_past_table"] += 1
+                return _method(self, lo, hi)
+
+            setattr(cls, "_term_arrays", counting)
+            patched.append((cls, method))
+    try:
+        yield
+    finally:
+        for cls, method in patched:
+            setattr(cls, "_term_arrays", method)
 
 
 @contextlib.contextmanager
@@ -1020,9 +1058,9 @@ def _timing_checks(times):
 
 def verify_case(runs):
     """cli_verify: per family, the wall time of one verify and of each
-    check (median and quartiles over REPEATS runs after one warm-up) and
-    the entropy calls and inverse Newton points of one verify, which repeat
-    exactly."""
+    check (median and quartiles over REPEATS runs after one warm-up), the
+    entropy calls and inverse Newton points of one verify, which repeat
+    exactly, and the term-array calls of the warm-up verify."""
     per_target, times, per_family = [], [], {}
     for fam, run in runs:
         counts, points = Counter({f"{name}_calls": 0 for name in ENTROPY_FUNCTIONS}), Counter()
@@ -1030,8 +1068,10 @@ def verify_case(runs):
             code = run()
         counts["entropy_calls"] = sum(counts.values())
         counts.update({k: points[k] for k in NEWTON_KEYS})
+        counts.update(term_arrays_in_table=0, term_arrays_past_table=0)
         checks, runs_s = {}, []
-        run()
+        with _counting_term_arrays(counts):  # the warm-up run: a warm verify
+            run()
         with _timing_checks(checks):
             for _ in range(REPEATS):
                 t0 = time.perf_counter()

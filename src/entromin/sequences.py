@@ -21,8 +21,8 @@ proves about f(y) = sum p_n exp(sigma_n y) rests on what a family declares:
     endpoint y = -alpha) and ``boundary_divergent`` (summability there).
 
 The base class derives the rest: the family's term table (``_tabled``: the
-``_term_arrays`` of [1, N], N a power of two up to 2^13, built once and
-read as slices), ``sigma_array`` (a copy of its levels), ``p_array``
+``_term_arrays`` of [1, 2^13], built on first read and read as slices),
+``sigma_array`` (a copy of its levels), ``p_array``
 (e^(ln p_n), inf from ln p_n = 700 on), the scalars ``sigma``, ``log_p``
 and ``p`` (an element of each array; ``sigma`` read from the term table
 and ``log_p`` memoized per family, so that the block ends' levels and t_n,
@@ -78,9 +78,7 @@ __all__ = [
 _PREFIX_SCAN = 64  # documented construction-time validity scan length
 _MEMO_SIZE = 1024  # memoized log_p(n) per family
 _MEMO_LOCK = threading.Lock()  # keeps the bound under concurrent first reads
-_TABLE_MIN = 64  # the smallest term table: a pass's first block
-_TABLE_MAX = 2**13  # the largest: windows reaching past it are built per call
-_TABLE_LOCK = threading.RLock()  # one build at a time; a wrapper builds its base inside its own
+_TABLE_MAX = 2**13  # the term table's terms: windows reaching past it are built per call
 
 
 # ---------------------------------------------------------------------------
@@ -108,15 +106,12 @@ class SequenceFamily:
     terms, constant_sigma and dom_f_empty are derived here, and are not
     overridden.
 
-    The term table holds _term_arrays(1, N) and (sigma_n, sigma_n^2) as
-    one 2 x N array, N the least power of two reaching the highest index
-    read (at least 64), built on first read and rebuilt larger on a read
-    past N, up to _TABLE_MAX = 2^13 terms (the windows of passes up to
-    8,192 terms); windows reaching past that are built per call.  Its
-    arrays are read-only, and a rebuild replaces them in one assignment
-    under a lock, so readers that take the table once slice consistent
-    arrays from any thread; at most 2^13 floats per array, under 256 KB
-    per family.  sigma(n) is the table's element (past it, of
+    The term table holds _term_arrays(1, _TABLE_MAX) and (sigma_n,
+    sigma_n^2) as one 2 x _TABLE_MAX array, _TABLE_MAX = 2^13 terms (the
+    windows of passes up to 8,192 terms), built once, on the first read of
+    any window, and never changed: its arrays are read-only, so any thread
+    slices the same floats; under 256 KB per family.  Windows reaching past
+    it are built per call.  sigma(n) is the table's element (past it, of
     _term_arrays(n, n)); log_p(n), the element of log_terms(0.0, n, n), is
     kept in a dict per instance up to _MEMO_SIZE (1,024) entries, and reads
     past it go to the array uncached."""
@@ -146,37 +141,28 @@ class SequenceFamily:
         log_p = self.log_terms(0.0, lo, hi)
         return np.where(log_p < 700.0, np.exp(np.minimum(log_p, 700.0)), math.inf)
 
-    # the term table, ((sigma_n, the other array or None), (sigma_n,
-    # sigma_n^2)) over [1, N]: each instance's own, set in its __dict__ by
-    # _build_table on first read
-    _term_table = None
-
-    def _build_table(self, hi: int):
-        """The term table, built or rebuilt to reach hi <= _TABLE_MAX."""
-        with _TABLE_LOCK:
-            table = self._term_table
-            if table is None or table[1].shape[1] < hi:
-                sigma, *extra = self._term_arrays(1, max(_TABLE_MIN, 1 << (hi - 1).bit_length()))
-                powers = np.empty((2, len(sigma)))
-                powers[0] = sigma
-                np.multiply(sigma, sigma, out=powers[1])
-                extra = extra[0] if extra else None
-                for a in (powers, extra):
-                    if a is not None:
-                        a.flags.writeable = False
-                # sigma_n stored once, as the first row of powers
-                table = self.__dict__["_term_table"] = ((powers[0], extra), powers)
-        return table
+    @functools.cached_property
+    def _term_table(self):
+        """((sigma_n, the other array or None), (sigma_n, sigma_n^2)) over
+        [1, _TABLE_MAX], read-only, sigma_n stored once, as the first row of
+        the powers; a level or its square past the float maximum is inf."""
+        with np.errstate(over="ignore"):
+            sigma, *extra = self._term_arrays(1, _TABLE_MAX)
+            powers = np.empty((2, len(sigma)))
+            powers[0] = sigma
+            np.multiply(sigma, sigma, out=powers[1])
+        extra = extra[0] if extra else None
+        for a in (powers, extra):
+            if a is not None:
+                a.flags.writeable = False
+        return (powers[0], extra), powers
 
     def _tabled(self, lo: int, hi: int) -> tuple:
         """The _term_arrays of [lo, hi], read-only: slices of the term table,
         or built for the call past _TABLE_MAX."""
-        table = self._term_table
-        if table is None or table[1].shape[1] < hi:
-            if hi > _TABLE_MAX:
-                return self._term_arrays(lo, hi)
-            table = self._build_table(hi)
-        (sigma, extra), i = table[0], lo - 1
+        if hi > _TABLE_MAX:
+            return self._term_arrays(lo, hi)
+        (sigma, extra), i = self._term_table[0], lo - 1
         return (sigma[i:hi],) if extra is None else (sigma[i:hi], extra[i:hi])
 
     def _level_powers(self, lo: int, hi: int, rows: int, sigma: np.ndarray):
@@ -194,10 +180,9 @@ class SequenceFamily:
         return {}
 
     def sigma(self, n: int) -> float:
-        table = self._term_table
-        if table is None or table[1].shape[1] < n:
-            return float(self._tabled(n, n)[0][0])
-        return float(table[1][0, n - 1])
+        if n > _TABLE_MAX:
+            return float(self._term_arrays(n, n)[0][0])
+        return float(self._term_table[1][0, n - 1])
 
     def log_p(self, n: int) -> float:
         memo = self._log_ps
@@ -636,49 +621,36 @@ class WeightedGeometric(SequenceFamily):
 # -- 3-d isotropic lattice ---------------------------------------------------
 
 
-class _LatticeTable:
-    """Distinct values of i^2+j^2+k^2 over positive triples, with
-    degeneracies, extended on demand; completeness of each prefix follows
-    from enumerating all triples with sum <= L.
-
-    The table is one read-only (values, degeneracy, ln degeneracy) triple of
-    arrays that a rebuild replaces in a single assignment, so a reader that
-    takes it once slices consistent arrays while another thread extends it.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._limit = 0
-        self._table = (np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0))
-
-    def ensure(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The table, holding at least `count` levels."""
-        table = self._table
-        if len(table[0]) >= count:
-            return table
-        with self._lock:
-            limit = max(self._limit, 16)
-            while len(self._table[0]) < count:
-                limit *= 2
-                self._rebuild(limit)
-            return self._table
-
-    def _rebuild(self, limit: int) -> None:
-        m = math.isqrt(limit) + 1
-        sq = np.arange(1, m + 1) ** 2
-        sums = (sq[:, None, None] + sq[None, :, None] + sq[None, None, :]).ravel()
-        sums = sums[sums <= limit]
-        counts = np.bincount(sums, minlength=limit + 1)
-        values = np.nonzero(counts)[0]
-        degeneracy = counts[values]
-        table = (values.astype(float), degeneracy, np.log(degeneracy.astype(float)))
-        for arr in table:
-            arr.flags.writeable = False
-        self._table = table
-        self._limit = limit
+@functools.lru_cache(maxsize=None)  # one entry per power-of-two limit asked for
+def _lattice_upto(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values S <= limit of i^2+j^2+k^2 over positive triples,
+    ascending, with their degeneracies and the degeneracies' logs, as
+    read-only arrays.  The pair sums j^2+k^2 are counted once, and each
+    i^2 adds them shifted by i^2: O(limit) memory, with no triple built."""
+    sq = np.arange(1, math.isqrt(limit) + 1) ** 2
+    pairs = (sq[:, None] + sq[None, :]).ravel()
+    pairs = np.bincount(pairs[pairs < limit], minlength=limit + 1)
+    counts = np.zeros(limit + 1, dtype=pairs.dtype)
+    for i2 in sq.tolist():
+        counts[i2:] += pairs[: limit + 1 - i2]
+    values = np.nonzero(counts)[0]
+    degeneracy = counts[values]
+    table = (values.astype(float), degeneracy, np.log(degeneracy.astype(float)))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
-_LATTICE_TABLE = _LatticeTable()
+def _lattice(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_lattice_upto at a power-of-two limit from 32 on that holds `count`
+    levels (count levels from 3 on need a limit of count + 2 at least); a
+    prefix of the levels is the same at every limit that holds it."""
+    limit = max(32, 1 << (count + 1).bit_length())
+    table = _lattice_upto(limit)
+    while len(table[0]) < count:
+        limit *= 2
+        table = _lattice_upto(limit)
+    return table
 
 
 @dataclass(frozen=True)
@@ -694,11 +666,11 @@ class Lattice3D(SequenceFamily):
             raise ConfigurationError("lattice scale must be positive")
 
     def _term_arrays(self, lo, hi):  # scale * values and ln degeneracy
-        values, _, ln_degeneracy = _LATTICE_TABLE.ensure(hi)
+        values, _, ln_degeneracy = _lattice(hi)
         return self.scale * values[lo - 1 : hi], ln_degeneracy[lo - 1 : hi]
 
     def p_array(self, lo, hi):
-        return _LATTICE_TABLE.ensure(hi)[1][lo - 1 : hi].astype(float)
+        return _lattice(hi)[1][lo - 1 : hi].astype(float)
 
     def log_terms(self, y, lo, hi, arrays=None):
         s, ln_degeneracy = arrays or self._tabled(lo, hi)
@@ -721,7 +693,7 @@ class Lattice3D(SequenceFamily):
         # q = rho^(1/2); where r <= q the ratio bound is the smaller (as
         # (V+1)^m q^(V+1) <= (m/(e eps))^m), so absorption is taken only
         # where r > q, and the smaller of the two where both hold
-        v1 = float(_LATTICE_TABLE.ensure(n)[0][n - 1]) + 1.0
+        v1 = float(_lattice(n)[0][n - 1]) + 1.0
         rho_log = self.scale * y
         eps = -0.5 * rho_log
         step, lv, head = math.log1p(1.0 / v1), math.log(v1), v1 * rho_log
@@ -976,7 +948,7 @@ def lattice_levels(scale: float, count: int) -> list[tuple[int, float]]:
         raise DomainError("count must be >= 1")
     if scale <= 0.0:
         raise DomainError("scale must be positive")
-    values, degeneracy, _ = _LATTICE_TABLE.ensure(count)
+    values, degeneracy, _ = _lattice(count)
     return list(zip(degeneracy[:count].tolist(), (scale * values[:count]).tolist()))
 
 

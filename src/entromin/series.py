@@ -973,16 +973,11 @@ def _dual_point(family, kind, x, y, tol, hessian=True, ceiling=1.0) -> list[Seri
     `hessian`, each certified within tol, from one pass of _eval_many: what
     a Newton point or a forward solve needs, where eval_h, grad_h and
     hessian_h would sum the same terms three times.  Under maxwell-boltzmann
-    every multiplier is 1 (h = h_x = h_xx, h_y = h_xy), so each moment is
-    summed once.  The Hessian needs y < -alpha; without it y = -alpha is
-    allowed in boundary case (c)."""
+    every multiplier is 1 (h = h_x = h_xx, h_y = h_xy), and the pass's
+    layout (_pass_shape) gives each moment one row.  The Hessian needs
+    y < -alpha; without it y = -alpha is allowed in boundary case (c)."""
     sums = _VALUE_GRADIENT + _HESSIAN if hessian else _VALUE_GRADIENT
-    if kind is not _MB:
-        return _dual_sums(family, kind, x, y, dict.fromkeys(sums, tol), ceiling)
-    # one sum per moment; the 'hess' key keeps _dual_sums' y < -alpha check
-    per_moment = (("conj", 0), ("grad", 1), ("hess", 2))[: 3 if hessian else 2]
-    moments = _dual_sums(family, kind, x, y, dict.fromkeys(per_moment, tol), ceiling)
-    return [moments[k] for _, k in sums]
+    return _dual_sums(family, kind, x, y, dict.fromkeys(sums, tol), ceiling)
 
 
 @_overflow_ignored

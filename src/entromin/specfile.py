@@ -24,11 +24,13 @@ Three key=value sections describe one problem:
 Parsing is exact and diffable: a spec written back with its floats' repr
 parses to the same ProblemSpec (the tests' serialize_spec checks it).
 parse_spec also builds the family once, so that every error, the family's
-included, is a ParseError with the line at fault.
+included, is a ParseError with the line at fault; ProblemSpec.build_family
+returns one instance per family name and parameters, shared between specs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -82,7 +84,15 @@ class ProblemSpec:
     epsilon: float = 1e-6
 
     def build_family(self) -> SequenceFamily:
-        return _build_family(self.family_name, dict(self.family_params))
+        """The spec's family: one instance per (family_name, family_params),
+        shared by the specs that name it, so that what the instance keeps
+        (its term table) is built once."""
+        return _shared_family(self.family_name, self.family_params)
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_family(name: str, params: tuple[tuple[str, str], ...]) -> SequenceFamily:
+    return _build_family(name, dict(params))
 
 
 def _parse_float(raw: str, line: int, key: str) -> float:

@@ -721,7 +721,7 @@ def ref_sigma_array(family, lo, hi):
     if isinstance(family, (WeightedGeometric, ExplosiveWeights)):
         return k
     if isinstance(family, Lattice3D):
-        return family.scale * sequences._LATTICE_TABLE.ensure(hi)[0][lo - 1 : hi]
+        return family.scale * sequences._lattice(hi)[0][lo - 1 : hi]
     if isinstance(family, ShiftedSigma):
         return ref_sigma_array(family.base, lo, hi) - family.shift
     if isinstance(family, ExplicitPrefix):
@@ -739,7 +739,7 @@ def ref_log_terms(family, y, lo, hi):
     if isinstance(family, ExplosiveWeights):
         return family.rate * k * k + k * y
     if isinstance(family, Lattice3D):
-        values, _, ln_degeneracy = sequences._LATTICE_TABLE.ensure(hi)
+        values, _, ln_degeneracy = sequences._lattice(hi)
         return ln_degeneracy[lo - 1 : hi] + family.scale * values[lo - 1 : hi] * y
     if isinstance(family, ShiftedSigma):
         if y == -math.inf:

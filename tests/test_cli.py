@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from entromin import NumericalFailureError, Region, cli, series, solver
+from entromin import NumericalFailureError, Region, cli, sequences, series, solver
 from entromin.cli import main
 from entromin.rootfind import solve_bracketed
 from entromin.specfile import ParseError, parse_spec
@@ -85,6 +85,13 @@ class TestSpecFile:
         )
         fam = parse_spec(text).build_family()
         assert fam.sigma(1) == 2.0 and fam.sigma(3) == 5.0
+
+    def test_equal_specs_share_one_family(self):
+        # one instance per family, so that its term table is built once
+        text = GEO_SOLVE.replace("name = geometric", "name = loglevels\nscale = 0.75")
+        fam = parse_spec(text).build_family()
+        assert parse_spec(text).build_family() is fam
+        assert parse_spec(text.replace("mode = solve", "mode = classify")).build_family() is fam
 
 
 class TestSolveMode:
@@ -439,6 +446,24 @@ class TestVerifyMode:
         assert rc == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_second_run_builds_no_term_table(self, monkeypatch, capsys):
+        # a second verify of one spec in the same process reads the family's
+        # term table as the first left it: no term-array window ending at
+        # or below its 2^13 terms is built again
+        path = str(SPECS / "lattice_verify.emp")
+        assert main(["--spec", path]) == 0
+        calls = []
+        for cls in vars(sequences).values():
+            if isinstance(cls, type) and "_term_arrays" in vars(cls):
+                def counting(self, lo, hi, _term_arrays=vars(cls)["_term_arrays"]):
+                    calls.append((type(self).__name__, lo, hi))
+                    return _term_arrays(self, lo, hi)
+
+                monkeypatch.setattr(cls, "_term_arrays", counting)
+        assert main(["--spec", path]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert [c for c in calls if c[2] <= sequences._TABLE_MAX] == []
 
     def test_corrupted_weights_fail_construction(self, tmp_path):
         text = GEO_SOLVE.replace(

@@ -9,6 +9,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from entromin import (
     Lattice3D,
     LogLevels,
     PowerLaw,
+    RangeError,
     ShiftedSigma,
     UnsupportedFamilyError,
     WeightedGeometric,
@@ -273,58 +275,33 @@ class TestScalarMemo:
 
 
 class TestLatticeTableThreads:
-    """Lattice3D shares one lazily extended level table between threads."""
+    """Lattice3D's levels come from one read-only table per power-of-two
+    limit (sequences._lattice_upto), cached and shared between threads."""
 
-    def test_readers_never_see_a_half_published_table(self, monkeypatch):
-        # pause the writer after each attribute it sets while extending the
-        # table, and let another thread read the levels being added: it must
-        # find either too few levels (and wait for the lock) or all of them
-        # with matching degeneracies; the reads go to the level table itself
-        # (Lattice3D._term_arrays), not through the family's term table,
-        # whose first read would build 64 levels at once
-        table = sequences._LatticeTable()
-        monkeypatch.setattr(sequences, "_LATTICE_TABLE", table)
-        fam = Lattice3D(1.0)
-        fam._term_arrays(1, 8)  # builds the levels up to 32
-        ref = lattice_triples(64)
-        target = len(ref)  # one rebuild, to 64, adds the missing levels
-        want = np.log([float(ref[k]) for k in sorted(ref)]) - 0.5 * np.array(sorted(ref))
-        errors, readers = [], []
+    @pytest.mark.parametrize("limit", [32 << j for j in range(8)])
+    def test_tables_are_the_enumerated_triples(self, limit):
+        ref = lattice_triples(limit)
+        keys = sorted(ref)
+        degeneracy = np.array([ref[v] for v in keys], dtype=np.int64)
+        values, got, ln_degeneracy = sequences._lattice_upto(limit)
+        assert values.tobytes() == np.array(keys, dtype=float).tobytes()
+        assert got.dtype == degeneracy.dtype and got.tobytes() == degeneracy.tobytes()
+        assert ln_degeneracy.tobytes() == np.log(degeneracy.astype(float)).tobytes()
 
-        def read():
-            try:
-                s, ln_degeneracy = fam._term_arrays(1, target)
-                assert np.array_equal(ln_degeneracy + s * -0.5, want)
-                assert np.array_equal(s, sorted(ref))
-            except Exception as exc:  # reported below, from the test's thread
-                errors.append(exc)
-
-        def pausing_setattr(obj, name, value):
-            object.__setattr__(obj, name, value)
-            reader = threading.Thread(target=read)
-            readers.append(reader)
-            reader.start()
-            reader.join(timeout=2.0)
-
-        monkeypatch.setattr(sequences._LatticeTable, "__setattr__", pausing_setattr)
-        read()
-        monkeypatch.undo()
-        for reader in readers:
-            reader.join(timeout=10.0)
-            assert not reader.is_alive()
-        assert readers and not errors, errors
-
-    def test_concurrent_growth(self, monkeypatch):
-        table = sequences._LatticeTable()
-        monkeypatch.setattr(sequences, "_LATTICE_TABLE", table)
+    def test_concurrent_growth(self):
+        # six threads read levels at growing counts from cold tables, each
+        # from its own offset, at a 1 us switch interval
+        sequences._lattice_upto.cache_clear()
         fam = Lattice3D(1.0)
         ref = lattice_triples(1000)
+        ref_levels = [(ref[v], float(v)) for v in sorted(ref)]
         ref_values = np.array(sorted(ref), dtype=float)
         errors = []
 
         def read(offset):
             try:
                 for count in range(50 + offset, len(ref), 37):
+                    assert lattice_levels(1.0, count) == ref_levels[:count]
                     s = fam.sigma_array(1, count)
                     lt = fam.log_terms(0.0, 1, count)
                     assert np.array_equal(s, ref_values[:count])
@@ -358,8 +335,8 @@ def _table_ys(family):
 
 class TestTermTables:
     """Each family keeps the y-free arrays of its terms in one read-only
-    table per instance (SequenceFamily._tabled), grown by doubling up to
-    sequences._TABLE_MAX terms: sigma_array and log_terms must give the
+    table per instance (SequenceFamily._tabled) of sequences._TABLE_MAX
+    terms, built on first read: sigma_array and log_terms must give the
     floats the families' formulas gave before the tables
     (tests/conftest.py's ref_sigma_array and ref_log_terms), whatever order
     the windows are read in and from however many threads."""
@@ -367,8 +344,7 @@ class TestTermTables:
     @pytest.mark.parametrize("family", _LIBRARY_FAMILIES, ids=repr)
     def test_arrays_are_the_pre_table_formulas(self, family):
         # a fresh instance reads the windows widest first, another narrowest
-        # first, so that every window is read both as a slice of a larger
-        # table and where it grows the table
+        # first, so that a wide and a narrow first read each build a table
         for order in (reversed(_TABLE_WINDOWS), _TABLE_WINDOWS):
             fam = dataclasses.replace(family)
             for lo, hi in order:
@@ -391,14 +367,16 @@ class TestTermTables:
         assert family.sigma(5).hex() == ref_sigma_array(family, 5, 5)[0].hex()
 
     def test_threads_read_identical_floats(self):
-        # four threads grow and slice the same fresh tables at a 1 us switch
-        # interval, each reading the windows in its own order
+        # four threads build and slice the same fresh tables, Lattice3D's
+        # levels among them cold, at a 1 us switch interval, each reading
+        # the windows in its own order
         families = [WeightedGeometric(1.0, 3.0), Lattice3D(0.5), LogLevels(2.0),
                     ShiftedSigma(PowerLaw(1.0, 1.5), -1.0), _EXPLICIT]
         windows = [(1, 64 << j) for j in range(7)] + [(5, 70), (4097, 8192), (1, 1), (60, 3000)]
         want = {(i, w): (ref_sigma_array(f, *w).tobytes(), ref_log_terms(f, -0.5, *w).tobytes())
                 for i, f in enumerate(families) for w in windows}
         fresh = [dataclasses.replace(f) for f in families]
+        sequences._lattice_upto.cache_clear()
         errors, seen = [], []
 
         def read(seed):
@@ -427,6 +405,38 @@ class TestTermTables:
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
         assert len(seen) == 4 * len(want)
+
+    @pytest.mark.parametrize("family", _LIBRARY_FAMILIES, ids=repr)
+    def test_one_build_whatever_the_order(self, family, monkeypatch):
+        # windows [1, k] up to _TABLE_MAX, read in a shuffled order on a
+        # fresh instance, build its table once, at full size
+        fam, calls = dataclasses.replace(family), []
+        term_arrays = type(fam)._term_arrays
+
+        def counting(self, lo, hi):
+            if self is fam:
+                calls.append((lo, hi))
+            return term_arrays(self, lo, hi)
+
+        monkeypatch.setattr(type(fam), "_term_arrays", counting)
+        ks = [1, 2, 3, 63, 64, 65, 100, 127, 128, 1000, 2048, 4097, 5000, 8191, 8192]
+        for k in np.random.default_rng(40).permutation(ks).tolist():
+            fam.sigma_array(1, k)
+            fam.log_terms(-0.5, 1, k)
+            fam.sigma(k)
+        assert calls == [(1, sequences._TABLE_MAX)]
+
+    @pytest.mark.parametrize("family", [PowerLaw(1e152, 1.0), Arithmetic(0.0, 1e152)], ids=repr)
+    def test_squares_past_the_float_maximum_leak_no_warning(self, family):
+        # sigma_n^2 = 1e304 n^2 overflows from n = 135, inside the table:
+        # the solve raises an EmpError, not numpy's overflow warning, and
+        # the table holds inf there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fam = dataclasses.replace(family)
+            with pytest.raises(RangeError):
+                EmpSolver(fam).solve_mb(1.0, 2e152)
+            assert fam._term_table[1][1, -1] == math.inf
 
     def test_each_store_stays_inside_its_bound(self):
         # 10,000 distinct windows, many past the largest table: the table
