@@ -56,8 +56,8 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
                        alone, each built cold (the module caches
                        sigma_min_set, series.profile, the slope ladder and
                        solver._cached_prefix cleared first; what a family
-                       instance keeps, its scalar memos and term table,
-                       stays), before any other case runs, and the caches
+                       instance keeps, its term table, stays), before
+                       any other case runs, and the caches
                        cleared again after.
 
 Apart from the cases, ladder_build reports per family what filling the

@@ -5,9 +5,9 @@ sum p_n = inf) and levels sigma_n, n >= 1.  Everything the series layer
 proves about f(y) = sum p_n exp(sigma_n y) rests on what a family declares:
 
   * its terms, once: ``_term_arrays``, the y-free arrays of an index window
-    (sigma_n first, then what ln p_n needs), and ``log_terms`` (ln p_n +
-    sigma_n y, overflow-free) combining them with y, and ``p_array`` where
-    its weights are exact;
+    (sigma_n first, then what ln p_n needs), and, unless its weights are
+    all 1, ``log_terms`` (ln p_n + sigma_n y, overflow-free) combining them
+    with y, and ``p_array`` where its weights are exact;
   * ``alpha``, the endpoint of dom f: f is finite on (-inf, -alpha), and
     alpha = +inf when dom f is empty; levels falling to -inf have none, and
     an undeclared alpha raises UnsupportedFamilyError;
@@ -21,13 +21,14 @@ proves about f(y) = sum p_n exp(sigma_n y) rests on what a family declares:
     endpoint y = -alpha) and ``boundary_divergent`` (summability there).
 
 The base class derives the rest: the family's term table (``_tabled``: the
-``_term_arrays`` of [1, 2^13], built on first read and read as slices),
-``sigma_array`` (a copy of its levels), ``p_array``
-(e^(ln p_n), inf from ln p_n = 700 on), the scalars ``sigma``, ``log_p``
-and ``p`` (an element of each array; ``sigma`` read from the term table
-and ``log_p`` memoized per family, so that the block ends' levels and t_n,
-t_(n+1) are read once), ``constant_sigma`` (sigma_direction 0) and
-``dom_f_empty`` (alpha = +inf for levels not falling to -inf).
+``_term_arrays`` of [1, 2^13] and its (sigma_n, ln p_n) rows, built on
+first read and read as slices), ``log_terms`` for unit weights (sigma_n
+y), ``sigma_array`` (a copy of its levels), ``p_array`` (e^(ln p_n), inf
+from ln p_n = 700 on), the scalars ``sigma``, ``log_p`` and ``p`` (an
+element of each array; ``sigma`` and ``log_p`` read from the table's rows,
+so that the block ends' levels and t_n, t_(n+1) cost no array),
+``constant_sigma`` (sigma_direction 0) and ``dom_f_empty`` (alpha = +inf
+for levels not falling to -inf).
 ``tail_intervals``, the brackets the series layer reads
 (all moments at one index from one call; ``tail_interval`` is its
 one-moment view), combines a leaf family's certificates (moments k >= 1
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,8 +76,6 @@ __all__ = [
 ]
 
 _PREFIX_SCAN = 64  # documented construction-time validity scan length
-_MEMO_SIZE = 1024  # memoized log_p(n) per family
-_MEMO_LOCK = threading.Lock()  # keeps the bound under concurrent first reads
 _TABLE_MAX = 2**13  # the term table's terms: windows reaching past it are built per call
 
 
@@ -102,35 +100,34 @@ class SigmaMinSet:
 class SequenceFamily:
     """Deterministic generator of (p_n, sigma_n); subclasses add parameters
     and declare what the module docstring lists, their terms as the y-free
-    _term_arrays and log_terms.  The term table, sigma_array, the scalar
-    terms, constant_sigma and dom_f_empty are derived here, and are not
-    overridden.
+    _term_arrays and, unless their weights are all 1, log_terms.  The term
+    table, sigma_array, the scalar terms, constant_sigma and dom_f_empty
+    are derived here, and are not overridden.
 
-    The term table holds _term_arrays(1, _TABLE_MAX) and (sigma_n,
-    sigma_n^2) as one 2 x _TABLE_MAX array, _TABLE_MAX = 2^13 terms (the
-    windows of passes up to 8,192 terms), built once, on the first read of
-    any window, and never changed: its arrays are read-only, so any thread
-    slices the same floats; under 256 KB per family.  Windows reaching past
-    it are built per call.  sigma(n) is the table's element (past it, of
-    _term_arrays(n, n)); log_p(n), the element of log_terms(0.0, n, n), is
-    kept in a dict per instance up to _MEMO_SIZE (1,024) entries, and reads
-    past it go to the array uncached."""
+    The term table holds _term_arrays(1, _TABLE_MAX), _TABLE_MAX = 2^13
+    terms (the windows of passes up to 8,192 terms), and (sigma_n, ln p_n)
+    as one 2 x _TABLE_MAX array, sigma_n stored once, as its first row, and
+    ln p_n = log_terms(0.0, 1, _TABLE_MAX).  It is built once, on the first
+    read of any window or scalar, and never changed: its arrays are
+    read-only, so any thread slices the same floats; under 256 KB per
+    family (a wrapper's holds views of its base's).  Windows reaching past
+    it are built per call.  sigma(n) and log_p(n) are elements of the
+    table's rows, and past it of the window [n, n]."""
 
     # -- term access --------------------------------------------------------
 
     def _term_arrays(self, lo: int, hi: int) -> tuple:
         """The y-free arrays of the terms n in [lo, hi]: sigma_n first, then
-        at most one more that log_terms combines with y; each element
-        depends on its n alone, so a slice of a longer window holds the same
-        floats."""
+        what log_terms combines with y; each element depends on its n
+        alone, so a slice of a longer window holds the same floats."""
         raise NotImplementedError
 
     def log_terms(self, y: float, lo: int, hi: int, arrays=None) -> np.ndarray:
         """ln(p_n) + sigma_n * y for n in [lo, hi], overflow-free: a new
         array from the term table's slices, or from `arrays` where the
-        caller holds the window's _tabled(lo, hi) (a wrapper reads its
-        base's arrays, not its own, and ignores them)."""
-        raise NotImplementedError
+        caller holds the window's _tabled(lo, hi).  Here unit weights,
+        sigma_n * y; a family with other weights overrides it."""
+        return (arrays or self._tabled(lo, hi))[0] * y
 
     def sigma_array(self, lo: int, hi: int) -> np.ndarray:
         """sigma_n for n in [lo, hi] inclusive, a new array."""
@@ -143,41 +140,27 @@ class SequenceFamily:
 
     @functools.cached_property
     def _term_table(self):
-        """((sigma_n, the other array or None), (sigma_n, sigma_n^2)) over
-        [1, _TABLE_MAX], read-only, sigma_n stored once, as the first row of
-        the powers; a level or its square past the float maximum is inf."""
-        with np.errstate(over="ignore"):
-            sigma, *extra = self._term_arrays(1, _TABLE_MAX)
-            powers = np.empty((2, len(sigma)))
-            powers[0] = sigma
-            np.multiply(sigma, sigma, out=powers[1])
-        extra = extra[0] if extra else None
-        for a in (powers, extra):
-            if a is not None:
-                a.flags.writeable = False
-        return (powers[0], extra), powers
+        """(the _term_arrays, (sigma_n, ln p_n)) over [1, _TABLE_MAX],
+        read-only, sigma_n stored once, as the first row of the pair; built
+        with no warning: a level past the float maximum is inf, and a unit
+        weight's ln p_n there inf * 0 = nan, as log_terms(0.0, n, n) reads."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            sigma, *rest = self._term_arrays(1, _TABLE_MAX)
+            pair = np.empty((2, _TABLE_MAX))
+            pair[0] = sigma
+            arrays = (pair[0], *rest)
+            pair[1] = self.log_terms(0.0, 1, _TABLE_MAX, arrays)
+        for a in (pair, *arrays):
+            a.flags.writeable = False
+        return arrays, pair
 
     def _tabled(self, lo: int, hi: int) -> tuple:
         """The _term_arrays of [lo, hi], read-only: slices of the term table,
         or built for the call past _TABLE_MAX."""
         if hi > _TABLE_MAX:
             return self._term_arrays(lo, hi)
-        (sigma, extra), i = self._term_table[0], lo - 1
-        return (sigma[i:hi],) if extra is None else (sigma[i:hi], extra[i:hi])
-
-    def _level_powers(self, lo: int, hi: int, rows: int, sigma: np.ndarray):
-        """The first `rows` of (sigma_n, sigma_n^2) for n in [lo, hi], read
-        after _tabled(lo, hi), whose levels sigma is: the factors of a
-        pass's moment-1 and moment-2 terms.  The term table's read-only
-        slice, or past _TABLE_MAX sigma itself and sigma * sigma, built only
-        where asked for."""
-        if hi > _TABLE_MAX:
-            return (sigma,) if rows == 1 else (sigma, sigma * sigma)
-        return self._term_table[1][:rows, lo - 1 : hi]
-
-    @functools.cached_property
-    def _log_ps(self) -> dict:
-        return {}
+        i = lo - 1
+        return tuple([a[i:hi] for a in self._term_table[0]])
 
     def sigma(self, n: int) -> float:
         if n > _TABLE_MAX:
@@ -185,14 +168,9 @@ class SequenceFamily:
         return float(self._term_table[1][0, n - 1])
 
     def log_p(self, n: int) -> float:
-        memo = self._log_ps
-        if n in memo:
-            return memo[n]
-        lp = float(self.log_terms(0.0, n, n)[0])
-        with _MEMO_LOCK:
-            if len(memo) < _MEMO_SIZE:
-                memo[n] = lp
-        return lp
+        if n > _TABLE_MAX:
+            return float(self.log_terms(0.0, n, n)[0])
+        return float(self._term_table[1][1, n - 1])
 
     def p(self, n: int) -> float:
         return float(self.p_array(n, n)[0])
@@ -326,10 +304,16 @@ class SequenceFamily:
         return bases
 
     def _terms(self, y, n):
-        """(v, s) = (e^(ln p_m + sigma_m y), sigma_m) for m = n and n + 1:
-        t_m of moment k is v s^k; s is positive wherever a k >= 1 is asked for."""
-        s, s_next = self.sigma(n), self.sigma(n + 1)
-        t, t_next = self.log_p(n) + s * y, self.log_p(n + 1) + s_next * y
+        """(v, s) = (e^(ln p_m + sigma_m y), sigma_m) for m = n and n + 1,
+        from the table's rows or past them one window [n, n + 1]: t_m of
+        moment k is v s^k; s is positive wherever a k >= 1 is asked for."""
+        if n < _TABLE_MAX:
+            (s, s_next), (lp, lp_next) = self._term_table[1][:, n - 1 : n + 1].tolist()
+        else:
+            arrays = self._term_arrays(n, n + 1)
+            s, s_next = arrays[0].tolist()
+            lp, lp_next = self.log_terms(0.0, n, n + 1, arrays).tolist()
+        t, t_next = lp + s * y, lp_next + s_next * y
         return [(math.exp(t) if t < 700.0 else math.inf, s),
                 (math.exp(t_next) if t_next < 700.0 else math.inf, s_next)]
 
@@ -357,9 +341,6 @@ class Arithmetic(SequenceFamily):
 
     def _term_arrays(self, lo, hi):
         return (self.offset + self.slope * np.arange(lo, hi + 1, dtype=float),)
-
-    def log_terms(self, y, lo, hi, arrays=None):
-        return (arrays or self._tabled(lo, hi))[0] * y
 
     @property
     def alpha(self):
@@ -459,9 +440,6 @@ class PowerLaw(SequenceFamily):
     def _term_arrays(self, lo, hi):
         return (self.scale * np.arange(lo, hi + 1, dtype=float) ** self.exponent,)
 
-    def log_terms(self, y, lo, hi, arrays=None):
-        return (arrays or self._tabled(lo, hi))[0] * y
-
     @property
     def alpha(self):
         if self.scale > 0.0:
@@ -513,9 +491,6 @@ class LogLevels(SequenceFamily):
 
     def _term_arrays(self, lo, hi):
         return (self.scale * np.log(np.arange(lo, hi + 1, dtype=float) + 1.0),)
-
-    def log_terms(self, y, lo, hi, arrays=None):
-        return (arrays or self._tabled(lo, hi))[0] * y
 
     @property
     def alpha(self):
@@ -795,17 +770,20 @@ class ExplicitPrefix(SequenceFamily):
         part = head(*(a[lo - 1 : hi] for a in self._head))
         return part if hi <= m else np.concatenate((part, tail(m + 1, hi)))
 
-    def _term_arrays(self, lo, hi):
-        def tail(lo, hi):
-            return self.tail._tabled(lo, hi)[0]
-
-        return (self._joined(lambda w, lw, s: s.copy(), tail, lo, hi),)
+    def _term_arrays(self, lo, hi):  # the joined levels, then the tail's window over [lo, hi]
+        tail = self.tail._tabled(lo, hi)
+        sigma = self._joined(lambda w, lw, s: s.copy(), lambda a, b: tail[0][a - lo :], lo, hi)
+        return (sigma, *tail)
 
     def p_array(self, lo, hi):  # the given weights as they are
         return self._joined(lambda w, lw, s: w.copy(), self.tail.p_array, lo, hi)
 
     def log_terms(self, y, lo, hi, arrays=None):
-        tail = functools.partial(self.tail.log_terms, y)
+        _, *window = arrays or self._tabled(lo, hi)
+
+        def tail(a, b):
+            return self.tail.log_terms(y, a, b, tuple([t[a - lo :] for t in window]))
+
         return self._joined(lambda w, lw, s: lw + s * y, tail, lo, hi)
 
     @property
@@ -853,8 +831,9 @@ class ShiftedSigma(SequenceFamily):
         if self.shift >= low:
             raise ConfigurationError(f"shift {self.shift} not below min sigma {low}")
 
-    def _term_arrays(self, lo, hi):
-        return (self.base._tabled(lo, hi)[0] - self.shift,)
+    def _term_arrays(self, lo, hi):  # the shifted levels, then the base's window
+        base = self.base._tabled(lo, hi)
+        return (base[0] - self.shift, *base)
 
     def p_array(self, lo, hi):
         return self.base.p_array(lo, hi)
@@ -862,7 +841,8 @@ class ShiftedSigma(SequenceFamily):
     def log_terms(self, y, lo, hi, arrays=None):
         if y == -math.inf:  # every shifted level is positive: each term is 0
             return np.full(hi - lo + 1, -math.inf)
-        return self.base.log_terms(y, lo, hi) - self.shift * y
+        base = (arrays or self._tabled(lo, hi))[1:]
+        return self.base.log_terms(y, lo, hi, base) - self.shift * y
 
     @property
     def alpha(self):

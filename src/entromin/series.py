@@ -17,7 +17,7 @@ point (_dual_point), each with its own tolerance and tail bracket.  A pass
 first walks the block ends n = 64, 128, ... on the tail brackets alone, one
 family.tail_intervals call per block end (at y = -alpha too), to the first
 where every bracket is narrow enough, and then sums the terms up to there
-once (_block_sums: one block of rows per array of terms, its y-free levels
+once (_block_sums: one block of rows per array of terms, its y-free arrays
 from the family's term table, and one reduce per block).  eval_h, grad_h
 and hessian_h are the one-quantity entry points to it.
 
@@ -246,14 +246,13 @@ def _pass_shape(keys, mb):
     the sums `keys`, the multipliers and moments each in order of first
     appearance (no multiplier under maxwell-boltzmann, `mb`), and the
     layout of the pass's block of rows (_block_sums), (units, weighted,
-    index, rows, levels).  Rows 0 .. units - 1 are base = p_n e^(t_n)
+    index, rows).  Rows 0 .. units - 1 are base = p_n e^(t_n)
     times 1, sigma_n and sigma_n^2, as far as a unit-multiplier sum needs
     (base at least, units <= 3); then one row per multiplier, in the order
     of multipliers, that _mult_arrays writes; then each remaining (row,
     source row, k), block[source] sigma_n^k: a multiplier's moments k >= 1
     and the unit moments k >= 3.  index holds each sum's row and rows their
-    count, and levels how many of sigma_n and sigma_n^2 the rows read: 0
-    for sums of base alone under maxwell-boltzmann, which read no level."""
+    count."""
     mults = () if mb else tuple(dict.fromkeys(m for m, _ in keys if m is not None))
     moments = tuple(dict.fromkeys(k for _, k in keys))
     sums = [(None if mb else m, k) for m, k in keys]
@@ -265,8 +264,7 @@ def _pass_shape(keys, mb):
             weighted.append((len(rows), rows.index((m, 0)), k))
             rows.append((m, k))
     index = tuple(rows.index(key) for key in sums)
-    levels = 2 if units == 3 or any(k == 2 for *_, k in weighted) else int(len(rows) > 1)
-    layout = (units, tuple(weighted), index, len(rows), levels)
+    layout = (units, tuple(weighted), index, len(rows))
     return mults, moments, {k: i for i, k in enumerate(moments)}, layout
 
 
@@ -277,11 +275,12 @@ def _block_sums(family, y, x, kind, shape, n, model=False):
     4096), each partial from a slice (none when n = 64), then one array per
     block.  Per array, family.log_terms is called once, with the window's
     y-free arrays (family._tabled: the term table's slices, or built once
-    past it), and every row of the pass goes into one block of rows, laid
-    out as _pass_shape says: base = e^(ln p_n + sigma_n y + x),
-    exponentiated into it once; sigma_n and sigma_n^2 times base
-    (_level_powers); the multiplier rows, which _mult_arrays writes in place
-    from one z = e^t; and the sigma-weighted rows.  Then one row-wise
+    past it), the first of which, sigma_n, gives every level factor, and
+    every row of the pass goes into one block of rows, laid out as
+    _pass_shape says: base = e^(ln p_n + sigma_n y + x), exponentiated
+    into it once; sigma_n and sigma_n^2 times base, sigma_n^2 formed in
+    its own row first; the multiplier rows, which _mult_arrays writes in
+    place from one z = e^t; and the sigma-weighted rows.  Then one row-wise
     np.add.reduce per block gives every partial: each row's is the float
     that row's own pairwise reduce gives.  An array wider than _BLOCK_WIDTH
     fills one block of that width a slice of columns at a time, and adds
@@ -293,9 +292,7 @@ def _block_sums(family, y, x, kind, shape, n, model=False):
     row with sigma_n, reduced once per array, and top the largest level
     summed; else () and 0."""
     mults = shape[0]
-    units, weighted, index, rows, levels = shape[3]
-    if model and not levels:
-        levels = 1  # the model's rows read sigma_n
+    units, weighted, index, rows = shape[3]
     sums = [[] for _ in index]
     higher, top = [0.0, 0.0, 0.0] if model else (), 0.0
     size = rows + 3 if model else rows
@@ -306,7 +303,7 @@ def _block_sums(family, y, x, kind, shape, n, model=False):
         arrays = family._tabled(lo, hi)
         logt = family.log_terms(y, lo, hi, arrays)
         lt = logt + x if x else logt
-        powers = family._level_powers(lo, hi, levels, arrays[0]) if levels else ()
+        sigma = arrays[0]
         width = hi - lo + 1
         step = width if width < _BLOCK_WIDTH else _BLOCK_WIDTH
         block = np.empty((size, step))
@@ -314,18 +311,18 @@ def _block_sums(family, y, x, kind, shape, n, model=False):
         parts = [None] * (width // step)
         for a in range(0, width, step):
             # the slice's terms: the whole array where it fits in the block
-            lts, pw = (lt, powers) if step == width else (lt[a : a + step], [r[a : a + step] for r in powers])
+            lts, sig = (lt, sigma) if step == width else (lt[a : a + step], sigma[a : a + step])
             base = np.exp(lts, out=block[0])
-            if levels:
-                sig = pw[0]
             if units > 1:
-                np.multiply(pw[: units - 1], base, out=block[1:units])
+                np.multiply(sig, base, out=block[1])
+            if units > 2:
+                np.multiply(np.multiply(sig, sig, out=block[2]), base, out=block[2])
             if mults:
                 t = x + sig * y
                 bound = t_hi if t_hi is not None else float(np.maximum.reduce(t))
                 _mult_arrays(kind, mults, t, bound, base, lts, out=dict(zip(mults, block[units:])))
             for r, src, k in weighted:
-                np.multiply(block[src], sig if k == 1 else pw[1] if k == 2 else sig**k, out=block[r])
+                np.multiply(block[src], sig if k == 1 else sig**k, out=block[r])
             if model:
                 row = block[index[-1]]
                 for r in range(rows, size):
@@ -333,8 +330,7 @@ def _block_sums(family, y, x, kind, shape, n, model=False):
             if not cut:
                 parts[a // step] = _add_reduce(block, axis=-1)
         if model:
-            sig = powers[0]
-            top = max(top, float(sig[-1] if family.sigma_increasing_from <= lo else sig.max()))
+            top = max(top, float(sigma[-1] if family.sigma_increasing_from <= lo else sigma.max()))
         if cut:
             a = 0
             for j in range(6, hi.bit_length()):  # the blocks end at 64, 128, ..., hi

@@ -135,9 +135,9 @@ class TestLatticeLevels:
         calls = []
         orig = WeightedGeometric.log_terms
 
-        def counting(self, y, lo, hi):
+        def counting(self, y, lo, hi, *arrays):
             calls.append((lo, hi))
-            return orig(self, y, lo, hi)
+            return orig(self, y, lo, hi, *arrays)
 
         monkeypatch.setattr(WeightedGeometric, "log_terms", counting)
         got = _EXPLICIT.log_terms(-1.5, 1, 4096)
@@ -182,23 +182,28 @@ def _old_terms(family, y, n):
     return [(math.exp(tm) if tm < 700.0 else math.inf, sm) for tm, sm in zip(t, s.tolist())]
 
 
+def _stores(family) -> set:
+    """The names of what a family instance keeps beyond its fields."""
+    return set(vars(family)) - {f.name for f in dataclasses.fields(family)}
+
+
 class TestScalarMemo:
-    """sigma(n) is an element of the family's term table, and log_p(n) a
-    memoized element of log_terms, up to sequences._MEMO_SIZE (1,024) per
-    family, so the block walk and the tail brackets read their levels once
-    per family."""
+    """sigma(n) and log_p(n) are elements of the family's term table, its
+    (sigma_n, ln p_n) rows, so the block walk and the tail brackets read
+    their levels and log-weights with no array built; past the table they
+    are elements of one window, and a family keeps nothing per index."""
 
     BLOCK_ENDS = [64 * 2**j for j in range(9)]
 
     @pytest.mark.parametrize("family", _LIBRARY_FAMILIES, ids=repr)
     def test_scalars_are_the_array_elements(self, family):
-        family = dataclasses.replace(family)  # a fresh memo
+        family = dataclasses.replace(family)  # a fresh table
         ns = self.BLOCK_ENDS
         if isinstance(family, ExplicitPrefix):
             m = len(family.weights)
             ns = [*range(max(1, m - 2), m + 4), *ns]
         hexes = lambda terms: [(v.hex(), s.hex()) for v, s in terms]  # noqa: E731
-        for _ in range(2):  # read, then read from the memo
+        for _ in range(2):  # read cold, then from the built table
             for n in ns:
                 assert family.sigma(n).hex() == family.sigma_array(n, n)[0].hex()
                 assert family.log_p(n).hex() == family.log_terms(0.0, n, n)[0].hex()
@@ -218,7 +223,7 @@ class TestScalarMemo:
     )
     def test_warm_solves_make_no_small_array_reads(self, monkeypatch, family, forward, w):
         # the block ends' sigma_(n+1), the brackets' t_n and t_(n+1) and the
-        # closed forms' sign tests come from the memo once the levels are read
+        # closed forms' sign tests come from the table's rows
         es = EmpSolver(family)
 
         def solves():
@@ -232,19 +237,22 @@ class TestScalarMemo:
         assert calls == []
 
     def test_threads_read_the_same_levels(self):
-        # more readers than cores, switching often, on a fresh family: each
-        # sees the arrays' floats, and the log_p memo fills to its bound, not
-        # past
+        # more readers than cores, switching often, on a cold family, in and
+        # past its table: each sees the arrays' floats, in scalars, in the
+        # terms t_n, t_(n+1) and in windows
         family = WeightedGeometric(1.0, 3.0)
-        last = 2 * sequences._MEMO_SIZE
+        ns = [*range(1, 2049), 8191, 8192, 8193, 16384]
+        windows = [(1, 64), (5, 70), (8190, 8200), (8193, 16384)]
         start = threading.Barrier(4)
         seen = [None] * 4
 
         def read(k):
-            ns = range(1, last + 1) if k % 2 else range(last, 0, -1)
+            order = ns if k % 2 else ns[::-1]
             start.wait()
-            seen[k] = sorted((n, family.sigma(n), family.log_p(n), *family._terms(-0.5, n))
-                             for n in ns)
+            rows = [(n, family.sigma(n), family.log_p(n), *family._terms(-0.5, n)) for n in order]
+            wins = [(family.sigma_array(lo, hi).tobytes(), family.log_terms(-0.5, lo, hi).tobytes())
+                    for lo, hi in (windows if k % 2 else windows[::-1])]
+            seen[k] = (sorted(rows), sorted(wins))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -258,20 +266,55 @@ class TestScalarMemo:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert seen[1:] == seen[:1] * 3
-        want = zip(family.sigma_array(1, last).tolist(), family.log_terms(0.0, 1, last).tolist())
-        assert [r[1:3] for r in seen[0]] == list(want)
-        assert len(family._log_ps) == sequences._MEMO_SIZE
+        want = [(s_.hex(), lp.hex()) for lo, hi in ((1, 2048), (8191, 8193), (16384, 16384))
+                for s_, lp in zip(ref_sigma_array(family, lo, hi).tolist(),
+                                  ref_log_terms(family, 0.0, lo, hi).tolist())]
+        assert [(r[1].hex(), r[2].hex()) for r in seen[0][0]] == want
+        assert [(n, *terms) for n, _, _, *terms in seen[0][0]] == [
+            (n, *_old_terms(family, -0.5, n)) for n in sorted(ns)]
 
     def test_memo_is_bounded(self):
-        # tail_interval is public and n arbitrary: reads past the bound go
-        # to the arrays, uncached
+        # tail_interval is public and n arbitrary: every index, in the
+        # table or past it, reads the same terms, and the family keeps
+        # nothing per index, only its one table
         family = WeightedGeometric(1.0, 3.0)
-        for n in range(1, 5001):
+        for n in [*range(1, 5001), *range(8185, 8200), 20_000]:
             family.tail_interval(-1.5, n, 1)
-        assert len(family._log_ps) == sequences._MEMO_SIZE == 1024
-        assert family.sigma(4999).hex() == family.sigma_array(4999, 4999)[0].hex()
-        assert family._terms(-1.5, 4999) == _old_terms(family, -1.5, 4999)
-        assert 4999 not in family._log_ps
+        assert _stores(family) == {"_term_table"}
+        for n in (4999, 8192, 8193, 20_000):
+            assert family.sigma(n).hex() == family.sigma_array(n, n)[0].hex()
+            assert family._terms(-1.5, n) == _old_terms(family, -1.5, n)
+
+    @pytest.mark.parametrize("family", _LIBRARY_FAMILIES, ids=repr)
+    def test_log_p_in_the_table_builds_no_array(self, family, monkeypatch):
+        # once a fresh family's table is read, log_p(n) for n <= 2^13 is an
+        # element of its ln p_n row, read with no log_terms call
+        fam = dataclasses.replace(family)
+        fam.sigma(1)
+        calls = _small_reads(monkeypatch)
+        ns = (1, 2, 3, 64, 1000, 8191, sequences._TABLE_MAX)
+        got = [fam.log_p(n).hex() for n in ns]
+        assert calls == []
+        assert got == [ref_log_terms(fam, 0.0, n, n)[0].hex() for n in ns]
+
+    @pytest.mark.parametrize("family", _LIBRARY_FAMILIES, ids=repr)
+    def test_terms_past_the_table_build_one_window(self, family, monkeypatch):
+        # t_n and t_(n+1) past the table come from one window [n, n + 1]
+        fam, calls = dataclasses.replace(family), []
+        fam.sigma(1)
+        term_arrays = type(fam)._term_arrays
+
+        def counting(self, lo, hi):
+            if self is fam:
+                calls.append((lo, hi))
+            return term_arrays(self, lo, hi)
+
+        monkeypatch.setattr(type(fam), "_term_arrays", counting)
+        for n in (sequences._TABLE_MAX, sequences._TABLE_MAX + 1, 20_000):
+            calls.clear()
+            got = fam._terms(-0.5, n)
+            assert calls == [(n, n + 1)]
+            assert got == _old_terms(fam, -0.5, n)
 
 
 class TestLatticeTableThreads:
@@ -428,37 +471,52 @@ class TestTermTables:
 
     @pytest.mark.parametrize("family", [PowerLaw(1e152, 1.0), Arithmetic(0.0, 1e152)], ids=repr)
     def test_squares_past_the_float_maximum_leak_no_warning(self, family):
-        # sigma_n^2 = 1e304 n^2 overflows from n = 135, inside the table:
-        # the solve raises an EmpError, not numpy's overflow warning, and
-        # the table holds inf there
+        # sigma_n^2 = 1e304 n^2 overflows from n = 135, inside the table,
+        # whose levels are finite: the solve, whose passes form the
+        # squares, raises an EmpError, not numpy's overflow warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fam = dataclasses.replace(family)
             with pytest.raises(RangeError):
                 EmpSolver(fam).solve_mb(1.0, 2e152)
-            assert fam._term_table[1][1, -1] == math.inf
+            top = float(fam._term_table[1][0, -1])
+            assert math.isfinite(top) and top > math.sqrt(sys.float_info.max)
+
+    def test_levels_past_the_float_maximum_leak_no_warning(self):
+        # sigma_n = 1e305 n is inf from n = 1798, inside the table, where
+        # the ln p_n row reads inf * 0 = nan: building it warns of nothing,
+        # and the solve reports the target below the cone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fam = Arithmetic(0.0, 1e305)
+            assert EmpSolver(fam).solve_mb(1.0, 2.0).region.value == "below-cone"
+            assert fam.sigma(5000) == math.inf and math.isnan(fam.log_p(5000))
 
     def test_each_store_stays_inside_its_bound(self):
         # 10,000 distinct windows, many past the largest table: the table
-        # stops at _TABLE_MAX terms, under 256 KB, and the log_p memo at
-        # _MEMO_SIZE entries
-        fam = WeightedGeometric(1.0, 3.0)
+        # stops at _TABLE_MAX terms, under 256 KB, and is all a family
+        # keeps; a wrapper's table owns its levels and ln p_n rows alone,
+        # and holds views of its base's
         rng = np.random.default_rng(38)
         windows = set()
         while len(windows) < 10_000:
             lo = int(rng.integers(1, 70_000))
             windows.add((lo, lo + int(rng.integers(0, 64))))
-        for lo, hi in windows:
-            fam.sigma_array(lo, hi)
-            fam.log_terms(-1.5, lo, hi)
-            fam.sigma(hi)
-            fam.log_p(lo)
-        arrays, powers = fam._term_table
-        assert max(len(a) for a in arrays) == powers.shape[1] == sequences._TABLE_MAX
-        owned = [powers] + [a for a in arrays if a.base is None]
-        assert sum(a.nbytes for a in owned) < 2**18
-        assert all(not a.flags.writeable for a in (*arrays, powers))
-        assert len(fam._log_ps) == sequences._MEMO_SIZE
+        leaf = WeightedGeometric(1.0, 3.0)
+        for fam in (leaf, ShiftedSigma(leaf, 0.5), dataclasses.replace(_EXPLICIT, tail=leaf)):
+            for lo, hi in windows if fam is leaf else list(windows)[:500]:
+                fam.sigma_array(lo, hi)
+                fam.log_terms(-1.5, lo, hi)
+                fam.sigma(hi)
+                fam.log_p(lo)
+            arrays, pair = fam._term_table
+            assert pair.shape == (2, sequences._TABLE_MAX) and arrays[0].base is pair
+            assert max(len(a) for a in arrays) == sequences._TABLE_MAX
+            owned = [pair] + [a for a in arrays if a.base is None]
+            assert sum(a.nbytes for a in owned) < 2**18
+            assert fam is leaf or len(owned) == 1  # a wrapper owns its pair alone
+            assert all(not a.flags.writeable for a in (*arrays, pair))
+            assert _stores(fam) - {"_head"} == {"_term_table"}  # _head: the explicit terms
 
 
 class TestPrefixStats:

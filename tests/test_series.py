@@ -1680,3 +1680,23 @@ class TestBlockSumsMatchReference:
             with np.errstate(all="ignore"):
                 series._block_sums(family, y, x, kind, series._pass_shape(keys, kind is MB), 2**16, model)
             assert calls == [(8193, 16384), (16385, 32768), (32769, 65536)]
+
+    @pytest.mark.parametrize("family", [
+        ShiftedSigma(LogLevels(1.0), -1.0),
+        ExplicitPrefix((1.0, 2.5, 7.0), (0.5, 1.0, 1.5), WeightedGeometric(1.0, 3.0)),
+    ], ids=repr)
+    def test_wrappers_build_each_base_window_once(self, monkeypatch, family):
+        # a wrapper's arrays hold its base's window, which its log_terms
+        # hands on: past the table each array builds the base's once
+        base = getattr(family, "base", None) or family.tail
+        cls, calls = type(base), []
+        term_arrays = cls._term_arrays
+        monkeypatch.setattr(cls, "_term_arrays",
+                            lambda self, lo, hi: calls.append((lo, hi)) or term_arrays(self, lo, hi))
+        family._tabled(1, sequences._TABLE_MAX)
+        y = -family.alpha - 0.01
+        for kind, x, keys, model in ((MB, 0.0, _SLOPE_KEYS, True), (FD, 1.5, _DUAL_6, False)):
+            calls.clear()
+            with np.errstate(all="ignore"):
+                series._block_sums(family, y, x, kind, series._pass_shape(keys, kind is MB), 2**16, model)
+            assert calls == [(8193, 16384), (16385, 32768), (32769, 65536)]
