@@ -7,8 +7,6 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
   epsilon_converge     EpsilonFamily.converge(1e-3) on every beyond-theta2
                        target of mb-point (WeightedGeometric(1, 3), slopes
                        1.4 to 2.0);
-  lattice_interior     solve_mb on every interior Lattice3D(1) target of
-                       mb-point;
   mb_interior          solve_mb on every interior target of mb-point's three
                        families (Arithmetic(0, 1), WeightedGeometric(1, 3)
                        and Lattice3D(1)), reported overall and per family;
@@ -63,48 +61,44 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
 Apart from the cases, ladder_build reports per family what filling the
 cache of slope-root starts costs for the mb_interior and the bf_roundtrip
 targets: the entries a run over the family's targets from a cleared cache
-leaves cached (the slope ladder's entries: those of the ladders the run
-made that the cache still holds, in trees before the ladder tables
-series._ladder_entry's), and the passes and terms that run spends beyond a
-warm rerun of the same targets.  Results do not depend on which entries
-are cached, so the difference is the build alone.
+leaves cached (those of the slope ladders the run made that the cache
+still holds), and the passes and terms that run spends beyond a warm rerun
+of the same targets.  Results do not depend on which entries are cached,
+so the difference is the build alone.
 dual_rows reports the wall time of one call of series._mult_arrays, which
 makes the bose-einstein and fermi-dirac dual's rows (W*, (W*)' and (W*)'',
-as finite._finite_dual asks for them), and of one
-finite._finite_dual, on the first n = 64 and 4096 terms of the family at
-every bf_roundtrip target (x, y), per entropy: the median and quartiles
-over targets, in microseconds.
+as finite._finite_dual asks for them), and of one finite._finite_dual, on
+the first n = 64 and 4096 terms of the family at every bf_roundtrip target
+(x, y), per entropy: the median and quartiles over targets, in
+microseconds.
 
 Work counts are deterministic and come from wrapping the library from
-outside; nothing in src/ counts.  prefix_builds, series_passes and
-log_terms_calls come from perfbench's tracer (perfbench/tracing.py),
-members and terms_built from solver.EpsilonFamily and
-solver.EpsilonMember, series_terms, array_calls and bracket_calls from the
-family that series._eval_many and series._model_moments see, model_points
-from series._certified_slope, the exp counts
-from the numpy that entromin.solver and entromin.finite see, slope_passes
-from the arguments of series._eval_many, newton_points and
+outside, each wrap installed and removed by _patched; nothing in src/
+counts.  prefix_builds, series_passes and log_terms_calls come from
+perfbench's tracer (perfbench/tracing.py), members and terms_built from
+solver.EpsilonFamily and solver.EpsilonMember, series_terms, array_calls
+and bracket_calls from the family that series._eval_many and
+series._model_moments see, model_points from series._certified_slope, the
+exp counts from the numpy that entromin.solver and entromin.finite see,
+slope_passes from the arguments of series._eval_many, newton_points and
 proposal_points from the minimize_convex_2d that entromin.solver and
 entromin.finite call and from series._dual_point, rows_builds from
 entromin.finite._dual_rows, scalar_reads and sigma_builds from the
 sigma_array and log_terms of the family classes, reduce_calls from
 series._add_reduce and ladder_lookups from series._ladder, the cache of
-slope ladders (in trees before the ladder tables, series._ladder_entry):
+slope ladders:
 
   prefix_passes        np.exp calls made by entromin.solver and
-                       entromin.finite (where a tree keeps the Gibbs pass,
-                       one exp of the prefix weights) during one converge:
-                       one per evaluation of the prefix slope phi_n, plus
-                       any that build a member after its root search (its
-                       terms, in trees that do not take them from the
-                       root's last pass);
+                       entromin.finite during one converge, one exp of the
+                       prefix weights each: one per evaluation of the
+                       prefix slope phi_n, plus any that build a member
+                       after its root search;
   prefix_terms         elements those calls exponentiate;
   prefix_terms_per_n   prefix_terms over the returned member's n;
   members              truncations tried: EpsilonFamily._member calls;
   prefix_builds        log_terms calls during one converge: the member
-                       prefixes built, one per member in trees that build
-                       each member's prefix and none for a prefix that a
-                       tree keeps from an earlier call;
+                       prefixes built, none for a prefix kept from an
+                       earlier call;
   terms_built          tuples of member terms made during one converge:
                        one per member whose terms are read
                        (EpsilonMember.terms, made on first read);
@@ -126,8 +120,8 @@ slope ladders (in trees before the ladder tables, series._ladder_entry):
   model_points         slope-root iterates certified from the Taylor model
                        of an earlier pass, with no pass of their own, during
                        one solve_mb: series._certified_slope calls that
-                       return without an _eval_many call (lattice_interior,
-                       mb_interior and shifted_interior);
+                       return without an _eval_many call (mb_interior and
+                       shifted_interior);
   slope_passes         series._eval_many calls under maxwell-boltzmann
                        during one round trip: the passes of a slope root
                        and of f at it that start the inverse's Newton (the
@@ -140,13 +134,11 @@ slope ladders (in trees before the ladder tables, series._ladder_entry):
                        series._dual_point pass;
   proposal_points      the other such points: those of the uncertified
                        finite-sum Newton that proposes where the certified
-                       one starts (finite._minimize_dual, in trees before
-                       it solver's own), which make no pass (0 in trees
-                       without a proposal);
+                       one starts (finite._minimize_dual), which make no
+                       pass;
   rows_builds          finite._dual_rows calls during one round trip: the
                        proposal's rows (1, sigma_k, sigma_k^2) built, none
-                       for rows a tree keeps per (family, n) from an
-                       earlier call (0 in trees without finite._dual_rows);
+                       for rows kept per (family, n) from an earlier call;
   exp_calls            np.exp calls made by entromin.solver and
                        entromin.finite during one finite solve: every
                        evaluation of phi_n in its slope root, and any exp
@@ -157,32 +149,26 @@ slope ladders (in trees before the ladder tables, series._ladder_entry):
                        as cProfile counts them (functions and builtins, the
                        call itself included, the profiler's own disable
                        call not), measured before the tracer is installed
-                       (lattice_interior, mb_interior, shifted_interior,
-                       finite_fd, rule_prefix and explicit_solver);
+                       (mb_interior, shifted_interior, finite_fd,
+                       rule_prefix and explicit_solver);
   log_terms_calls      log_terms calls during one prefix, outermost only
                        (rule_prefix);
   scalar_reads         sigma_array and log_terms calls of one or two
                        elements, made by any family class during one warm
                        solve_mb (mb_interior) or round trip (bf_roundtrip,
                        slow_roundtrip): reads of single levels and log
-                       weights that a tree does not keep from an earlier
-                       call;
+                       weights not kept from an earlier call;
   sigma_builds         sigma_array calls made by any family class during
                        one warm solve_mb (mb_interior) or round trip
                        (bf_roundtrip, slow_roundtrip), a wrapper's call of
-                       its base's included: level arrays built, where a
-                       tree reads no table of them;
+                       its base's included: level arrays built;
   reduce_calls         series._add_reduce calls during the same call: the
-                       kernel's reductions of its term rows, one per sum
-                       and block in trees that reduce each sum's row on its
-                       own, one per block in trees that reduce a block of
-                       rows at once (and one per array for a slope model's
+                       kernel's reductions of its block of term rows, one
+                       per block (and one per array for a slope model's
                        rows; one per slice of series._BLOCK_WIDTH columns
-                       in arrays wider than that, where a tree has it);
+                       in arrays wider than that);
   ladder_lookups       reads of the slope ladder's cache during the same
-                       call: series._ladder calls (one ladder per bracket),
-                       in trees before the ladder tables series._ladder_entry
-                       calls (one cached entry per read);
+                       call: series._ladder calls (one ladder per bracket);
   budget_errors        BudgetErrors constructed during one slow_value call
                        or round trip, raised or caught, counted through the
                        class's __init__;
@@ -204,16 +190,17 @@ slope ladders (in trees before the ladder tables, series._ladder_entry):
 Wall time is the median (with quartiles) over targets of each target's
 median of REPEATS calls, after one untimed warm-up call per target.  All
 timing and the py_calls profiles run before the tracer is installed, so
-the counts see whatever a tree caches across calls warm, as a long-running
-process does (the slope ladder, and the epsilon family's prefix arrays and
-endpoint slopes phi_n(0) and phi_n(-alpha) and the proposal's rows, per
-family and n, where the tree caches them).
+the counts see what the library caches across calls warm, as a
+long-running process does (the slope ladder, and the epsilon family's
+prefix arrays and endpoint slopes phi_n(0) and phi_n(-alpha) and the
+proposal's rows, per family and n).
 
 Usage, from the repository root:
     python scripts/bench.py --out BENCH.json [--src PATH]
 
 --src points at another checkout's src/ to measure it with the same bench
-code, e.g. a parent commit exported next to this one.
+code, e.g. a parent commit exported next to this one; the wrapped names
+must exist there as they do in this tree.
 """
 
 from __future__ import annotations
@@ -241,6 +228,46 @@ SEEDS = (9001, 9002, 9003)
 REPEATS = 5
 
 
+_INHERITED = object()  # what _patched saves for a name its owner only inherits
+
+
+@contextlib.contextmanager
+def _patched(sites):
+    """Replace each (owner, name, wrap) of sites, in order, by wrap(owner.name)
+    while the block runs, and put back what owner itself held, in reverse
+    order, when the block ends, also when it raises: a name owner only
+    inherited is deleted again.  One (owner, name) may come more than once,
+    each wrap wrapping the one before."""
+    saved = []
+    try:
+        for owner, name, wrap in sites:
+            wrapped = wrap(getattr(owner, name))
+            saved.append((owner, name, vars(owner).get(name, _INHERITED)))
+            setattr(owner, name, wrapped)
+        yield
+    finally:
+        for owner, name, held in reversed(saved):
+            if held is _INHERITED:
+                delattr(owner, name)
+            else:
+                setattr(owner, name, held)
+
+
+def _count(counts, key, amount=None):
+    """A wrap for _patched: fn becomes a function that adds
+    amount(*args, **kwargs) of its arguments, or 1 without amount, to
+    counts[key] and then returns fn(*args, **kwargs)."""
+
+    def wrap(fn):
+        def counting(*args, **kwargs):
+            counts[key] += 1 if amount is None else amount(*args, **kwargs)
+            return fn(*args, **kwargs)
+
+        return counting
+
+    return wrap
+
+
 class _CountingNumpy:
     """numpy as seen by one module, counting exp calls and their sizes."""
 
@@ -257,180 +284,84 @@ class _CountingNumpy:
         return self._np.exp(x, *args, **kwargs)
 
 
-@contextlib.contextmanager
-def _counting_exp(np, counts):
-    """Count the exp calls of entromin.solver and entromin.finite into
-    counts: a tree keeps its Gibbs pass in one of the two."""
+def _counting_exp(counts):
+    """Sites that count the exp calls of entromin.solver and entromin.finite
+    into counts."""
     from entromin import finite, solver
 
-    for module in (solver, finite):
-        module.np = _CountingNumpy(np, counts)
-    try:
-        yield
-    finally:
-        for module in (solver, finite):
-            module.np = np
+    return [(module, "np", lambda np: _CountingNumpy(np, counts)) for module in (solver, finite)]
 
 
-@contextlib.contextmanager
 def _counting_members(counts):
-    """Count epsilon-family members tried (EpsilonFamily._member calls) and
-    tuples of member terms made into counts."""
+    """Sites that count epsilon-family members tried (EpsilonFamily._member
+    calls) and tuples of member terms made into counts."""
     from entromin.solver import EpsilonFamily, EpsilonMember
 
-    patched = []
-
-    def patch(owner, name, value):
-        patched.append((owner, name, getattr(owner, name)))
-        setattr(owner, name, value)
-
-    member = EpsilonFamily._member
-
-    def counting_member(self, *args):
-        counts["members"] += 1
-        return member(self, *args)
-
-    patch(EpsilonFamily, "_member", counting_member)
     lazy = vars(EpsilonMember)["terms"]  # a cached_property: made on first read
-    build = lazy.func
-
-    def counting_build(self):
-        counts["terms_built"] += 1
-        return build(self)
-
-    patch(lazy, "func", counting_build)
-    try:
-        yield
-    finally:
-        for owner, name, value in reversed(patched):
-            setattr(owner, name, value)
+    return [(EpsilonFamily, "_member", _count(counts, "members")),
+            (lazy, "func", _count(counts, "terms_built"))]
 
 
-@contextlib.contextmanager
 def _counting_rows_builds(counts):
-    """Count finite._dual_rows calls into counts["rows_builds"]."""
+    """Sites that count finite._dual_rows calls into counts["rows_builds"]."""
     from entromin import finite
 
-    rows = getattr(finite, "_dual_rows", None)
-    if rows is None:
-        yield
-        return
-
-    def counting(s):
-        counts["rows_builds"] += 1
-        return rows(s)
-
-    finite._dual_rows = counting
-    try:
-        yield
-    finally:
-        finite._dual_rows = rows
+    return [(finite, "_dual_rows", _count(counts, "rows_builds"))]
 
 
-@contextlib.contextmanager
 def _counting_scalar_reads(counts):
-    """Count into counts["scalar_reads"] the sigma_array and log_terms calls
-    of at most two elements that any family class makes: the scalar reads
-    of levels and log weights (sigma, log_p and the brackets' t_n and
-    t_(n+1)) that a tree does not keep from an earlier call; and into
-    counts["sigma_builds"] every sigma_array call."""
+    """Sites that count into counts["scalar_reads"] the sigma_array and
+    log_terms calls of at most two elements that any family class makes:
+    the scalar reads of levels and log weights (sigma, log_p and the
+    brackets' t_n and t_(n+1)) that are not kept from an earlier call; and
+    into counts["sigma_builds"] every sigma_array call."""
     from entromin import sequences
 
-    patched = []
+    sites = []
     for cls in vars(sequences).values():
         if not (isinstance(cls, type) and issubclass(cls, sequences.SequenceFamily)):
             continue
-        for name in ("sigma_array", "log_terms"):
-            if name not in cls.__dict__:
-                continue
-            method = cls.__dict__[name]
-
-            def counting(self, *args, _method=method, _levels=name == "sigma_array"):
-                lo, hi = args[:2] if _levels else args[1:3]  # (lo, hi) or (y, lo, hi, ...)
-                counts["scalar_reads"] += hi - lo <= 1
-                counts["sigma_builds"] += _levels
-                return _method(self, *args)
-
-            setattr(cls, name, counting)
-            patched.append((cls, name, method))
-    try:
-        yield
-    finally:
-        for cls, name, method in patched:
-            setattr(cls, name, method)
+        if "sigma_array" in vars(cls):
+            sites += [(cls, "sigma_array",
+                       _count(counts, "scalar_reads", lambda self, lo, hi: hi - lo <= 1)),
+                      (cls, "sigma_array", _count(counts, "sigma_builds"))]
+        if "log_terms" in vars(cls):
+            sites.append((cls, "log_terms", _count(
+                counts, "scalar_reads", lambda self, y, lo, hi, *arrays: hi - lo <= 1)))
+    return sites
 
 
-TABLE_TERMS = 2**13  # the terms of a family's term table, where a tree keeps one
+TABLE_TERMS = 2**13  # the terms of a family's term table
 
 
-@contextlib.contextmanager
 def _counting_term_arrays(counts):
-    """Count into counts the _term_arrays calls of every family class: those
-    whose window ends at or below TABLE_TERMS (term_arrays_in_table) and
-    those past it (term_arrays_past_table)."""
+    """Sites that count into counts the _term_arrays calls of every family
+    class: those whose window ends at or below TABLE_TERMS
+    (term_arrays_in_table) and those past it (term_arrays_past_table)."""
     from entromin import sequences
 
-    patched = []
-    for cls in vars(sequences).values():
-        if isinstance(cls, type) and "_term_arrays" in vars(cls):
-            method = vars(cls)["_term_arrays"]
-
-            def counting(self, lo, hi, _method=method):
-                counts["term_arrays_in_table" if hi <= TABLE_TERMS else "term_arrays_past_table"] += 1
-                return _method(self, lo, hi)
-
-            setattr(cls, "_term_arrays", counting)
-            patched.append((cls, method))
-    try:
-        yield
-    finally:
-        for cls, method in patched:
-            setattr(cls, "_term_arrays", method)
+    return [(cls, "_term_arrays", _count(counts, key, amount))
+            for cls in vars(sequences).values()
+            if isinstance(cls, type) and "_term_arrays" in vars(cls)
+            for key, amount in (("term_arrays_in_table", lambda self, lo, hi: hi <= TABLE_TERMS),
+                                ("term_arrays_past_table", lambda self, lo, hi: hi > TABLE_TERMS))]
 
 
-@contextlib.contextmanager
 def _counting_kernel_reads(counts):
-    """Count into counts the kernel's reductions (series._add_reduce calls,
-    reduce_calls) and the slope ladder's cache reads (calls of series._ladder,
-    the cache of ladders, or series._ladder_entry calls in trees before the
-    ladder tables, ladder_lookups)."""
+    """Sites that count into counts the kernel's reductions (series._add_reduce
+    calls, reduce_calls) and the slope ladder's cache reads (series._ladder
+    calls, ladder_lookups)."""
     from entromin import series
 
-    reads = {"_add_reduce": "reduce_calls",
-             "_ladder" if hasattr(series, "_ladder") else "_ladder_entry": "ladder_lookups"}
-    saved = {name: getattr(series, name) for name in reads}
-
-    def counted(fn, key):
-        def counting(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return counting
-
-    for name, key in reads.items():
-        setattr(series, name, counted(saved[name], key))
-    try:
-        yield
-    finally:
-        for name, fn in saved.items():
-            setattr(series, name, fn)
+    return [(series, "_add_reduce", _count(counts, "reduce_calls")),
+            (series, "_ladder", _count(counts, "ladder_lookups"))]
 
 
-@contextlib.contextmanager
 def _counting_budget_errors(counts):
-    """Count every BudgetError constructed into counts."""
+    """Sites that count every BudgetError constructed into counts."""
     from entromin.errors import BudgetError
 
-    init = BudgetError.__init__
-
-    def counting(self, *args):
-        counts["budget_errors"] += 1
-        init(self, *args)
-
-    BudgetError.__init__ = counting
-    try:
-        yield
-    finally:
-        BudgetError.__init__ = init
+    return [(BudgetError, "__init__", _count(counts, "budget_errors"))]
 
 
 ENTROPY_FUNCTIONS = (
@@ -441,29 +372,16 @@ ENTROPY_FUNCTIONS = (
 )
 
 
-@contextlib.contextmanager
 def _counting_entropy_calls(counts):
-    """Count into counts every call of the four entropy functions, through
-    each name that an entromin module binds to one of them."""
+    """Sites that count into counts every call of the four entropy
+    functions, through each name that an entromin module binds to one of
+    them."""
     from entromin import entropies
 
-    patched = []
-    for name in ENTROPY_FUNCTIONS:
-        fn = getattr(entropies, name)
-
-        def counting(*args, _fn=fn, _key=f"{name}_calls"):
-            counts[_key] += 1
-            return _fn(*args)
-
-        for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "entromin"]:
-            if getattr(module, name, None) is fn:
-                setattr(module, name, counting)
-                patched.append((module, name, fn))
-    try:
-        yield
-    finally:
-        for module, name, fn in patched:
-            setattr(module, name, fn)
+    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "entromin"]
+    return [(module, name, _count(counts, f"{name}_calls"))
+            for name in ENTROPY_FUNCTIONS for module in modules
+            if vars(module).get(name) is getattr(entropies, name)]
 
 
 KERNEL_CALLS = {
@@ -515,40 +433,37 @@ class _CountingFamily:
 
 
 def _count_kernel(counts):
-    """Wrap series._eval_many and series._model_moments so that the family
-    each works on counts its calls into counts, and count the kernel's
-    maxwell-boltzmann calls as slope_passes and the model's slopes as
-    model_points: series._certified_slope calls that return without an
-    _eval_many call (for the rest of the process)."""
+    """Sites that wrap series._eval_many and series._model_moments so that
+    the family each works on counts its calls into counts, and count the
+    kernel's maxwell-boltzmann calls as slope_passes and the model's slopes
+    as model_points: series._certified_slope calls that return without an
+    _eval_many call."""
     from entromin import series
 
-    kernel = series._eval_many
-    sig = inspect.signature(kernel)
-    kernel_calls = [0]
+    calls, sig = Counter(), inspect.signature(series._eval_many)
 
-    def counting(family, *args, **kwargs):
-        bound = sig.bind(family, *args, **kwargs)
+    def slope_pass(*args, **kwargs):
+        bound = sig.bind(*args, **kwargs)
         bound.apply_defaults()
-        counts["slope_passes"] += bound.arguments["kind"] is series._MB
-        kernel_calls[0] += 1
-        return kernel(_CountingFamily(family, counts), *args, **kwargs)
+        return bound.arguments["kind"] is series._MB
 
-    series._eval_many = counting
-    moments = series._model_moments
+    def counted_family(fn):
+        return lambda family, *args, **kwargs: fn(_CountingFamily(family, counts), *args, **kwargs)
 
-    def counting_moments(family, *args):
-        return moments(_CountingFamily(family, counts), *args)
+    def model_point(slope):
+        def counting(*args, **kwargs):
+            before = calls["eval_many"]
+            out = slope(*args, **kwargs)
+            counts["model_points"] += calls["eval_many"] == before
+            return out
 
-    series._model_moments = counting_moments
-    slope = series._certified_slope
+        return counting
 
-    def counting_slope(*args, **kwargs):
-        before = kernel_calls[0]
-        out = slope(*args, **kwargs)
-        counts["model_points"] += kernel_calls[0] == before
-        return out
-
-    series._certified_slope = counting_slope
+    return [(series, "_eval_many", counted_family),
+            (series, "_eval_many", _count(counts, "slope_passes", slope_pass)),
+            (series, "_eval_many", _count(calls, "eval_many")),
+            (series, "_model_moments", counted_family),
+            (series, "_certified_slope", model_point)]
 
 
 def _quartiles(xs):
@@ -569,13 +484,7 @@ def _summary(per_target):
 
 
 def _timed(fn):
-    fn()
-    times = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    return statistics.median(_runs(fn))
 
 
 def _py_calls(fn, *args):
@@ -614,29 +523,17 @@ def _families(entromin, workloads, reqs):
     return [f for f in fams if f is not None]
 
 
-def _lattice(entromin, workloads, reqs):
-    """The Lattice3D solver and its interior targets."""
-    es = entromin.EmpSolver(workloads.build_family(entromin, "lattice3d"))
-    targets = [
-        r.args
-        for r in reqs
-        if r.family == "lattice3d" and es.classify(*r.args).value == "interior"
-    ]
-    return es, targets
-
-
-def count_converge(tracer, np, fams):
+def count_converge(tracer, fams):
     per_target, results = [], []
     for fam in fams:
-        exps, made = Counter(), Counter()
-        with _counting_exp(np, exps), _counting_members(made):
+        made = Counter()
+        with _patched(_counting_exp(made) + _counting_members(made)):
             member, counts = _counted(
                 tracer, lambda f=fam: f.converge(1e-3),
                 {"prefix_builds": "sequences.log_terms.calls"},
             )
-        passes, terms = exps["exp_calls"], exps["exp_terms"]
-        per_target.append({"prefix_passes": passes, "prefix_terms": terms,
-                           "prefix_terms_per_n": terms / member.n,
+        per_target.append({"prefix_passes": made["exp_calls"], "prefix_terms": made["exp_terms"],
+                           "prefix_terms_per_n": made["exp_terms"] / member.n,
                            "members": made["members"], **counts,
                            "terms_built": made["terms_built"]})
         results.append(member.n)
@@ -703,7 +600,7 @@ def count_interior(tracer, targets, times, py_calls):
     per_target = []
     for (_, es, u, v), c in zip(targets, py_calls):
         reads = Counter()
-        with _counting_scalar_reads(reads), _counting_kernel_reads(reads):
+        with _patched(_counting_scalar_reads(reads) + _counting_kernel_reads(reads)):
             counts = _counted(tracer, lambda es=es, u=u, v=v: es.solve_mb(u, v), SOLVE_KEYS)[1]
         per_target.append({**counts, "py_calls": c,
                            **{k: reads[k] for k in ("scalar_reads", *READ_KEYS)}})
@@ -731,48 +628,40 @@ def _inverse(es, kind, u, v):
     return es.inverse_solve_bf(kind, u, v, 1e-10)
 
 
-@contextlib.contextmanager
 def _counting_newton(counts):
-    """Count into counts the points at which the damped Newtons of solver
-    and finite evaluate their dual potential (calls of the `evaluate`
-    callback of minimize_convex_2d as either module calls it):
+    """Sites that count into counts the points at which the damped Newtons
+    of solver and finite evaluate their dual potential (calls of the
+    `evaluate` callback of minimize_convex_2d as either module calls it):
     newton_points where the point makes a certified series._dual_point
     pass, proposal_points where it makes none.  The latter are the
-    inverse's uncertified finite-sum proposal, finite._minimize_dual (in
-    older trees solver's own Newton; none in trees without a proposal);
-    no case runs a finite bose-einstein or fermi-dirac solve."""
+    inverse's uncertified finite-sum proposal, finite._minimize_dual; no
+    case runs a finite bose-einstein or fermi-dirac solve."""
     from entromin import finite, series, solver
 
-    newton, dual_point = solver.minimize_convex_2d, series._dual_point
-    passes = [0]
+    passes = Counter()
 
-    def counting_dual_point(*args, **kwargs):
-        passes[0] += 1
-        return dual_point(*args, **kwargs)
+    def counting_newton(newton):
+        def counting(evaluate, *args, **kwargs):
+            def counted(*point):
+                before = passes["dual_point"]
+                try:
+                    return evaluate(*point)
+                finally:
+                    counts["newton_points" if passes["dual_point"] > before else "proposal_points"] += 1
 
-    def counting_newton(evaluate, *args, **kwargs):
-        def counted(*point):
-            before = passes[0]
-            try:
-                return evaluate(*point)
-            finally:
-                counts["newton_points" if passes[0] > before else "proposal_points"] += 1
+            return newton(counted, *args, **kwargs)
 
-        return newton(counted, *args, **kwargs)
+        return counting
 
-    finite_newton = finite.minimize_convex_2d
-    solver.minimize_convex_2d, series._dual_point = counting_newton, counting_dual_point
-    finite.minimize_convex_2d = counting_newton
-    try:
-        yield
-    finally:
-        solver.minimize_convex_2d, series._dual_point = newton, dual_point
-        finite.minimize_convex_2d = finite_newton
+    return [(series, "_dual_point", _count(passes, "dual_point")),
+            (solver, "minimize_convex_2d", counting_newton),
+            (finite, "minimize_convex_2d", counting_newton)]
 
 
 TRIP_KEYS = {**PASS_KEYS, "slope_passes": "slope_passes"}
 NEWTON_KEYS = ("newton_points", "proposal_points")
 READ_KEYS = ("sigma_builds", "reduce_calls", "ladder_lookups")
+TRIP_COUNTS = (*NEWTON_KEYS, "budget_errors", "rows_builds", "scalar_reads", *READ_KEYS)
 
 
 def count_roundtrips(tracer, entromin, trips, call=_roundtrip):
@@ -781,16 +670,12 @@ def count_roundtrips(tracer, entromin, trips, call=_roundtrip):
     per_target, failures = [], 0
     for trip in trips:
         counted = Counter()
-        with _counting_newton(counted), _counting_budget_errors(counted), \
-                _counting_rows_builds(counted), _counting_scalar_reads(counted), \
-                _counting_kernel_reads(counted):
+        with _patched(_counting_newton(counted) + _counting_budget_errors(counted)
+                      + _counting_rows_builds(counted) + _counting_scalar_reads(counted)
+                      + _counting_kernel_reads(counted)):
             result, counts = _counted(tracer, lambda t=trip: call(*t[1:]), TRIP_KEYS)
         failures += isinstance(result, entromin.InverseFailure)
-        per_target.append({**counts, **{k: counted[k] for k in NEWTON_KEYS},
-                           "budget_errors": counted["budget_errors"],
-                           "rows_builds": counted["rows_builds"],
-                           "scalar_reads": counted["scalar_reads"],
-                           **{k: counted[k] for k in READ_KEYS}})
+        per_target.append({**counts, **{k: counted[k] for k in TRIP_COUNTS}})
     return per_target, failures
 
 
@@ -865,7 +750,7 @@ def count_slow_values(tracer, targets, times):
     per_target = []
     for _, es, u, v in targets:
         built = Counter()
-        with _counting_budget_errors(built):
+        with _patched(_counting_budget_errors(built)):
             counts = _counted(tracer, lambda: es.value_mb(u, v), PASS_KEYS)[1]
         per_target.append({**counts, "budget_errors": built["budget_errors"]})
     return {"counts_per_solve": _summary(per_target),
@@ -894,12 +779,12 @@ def _truncated(entromin, p, sigma, w):
     return entromin.solve_two_mb_be(entromin.Entropy.MAXWELL_BOLTZMANN, p, sigma, 1.0, w)
 
 
-def count_truncations(np, entromin, solves, times):
+def count_truncations(entromin, solves, times):
     """finite_truncation's counts and wall times, overall and per family."""
     per_target = []
     for t in solves:
         exps = Counter()
-        with _counting_exp(np, exps):
+        with _patched(_counting_exp(exps)):
             _truncated(entromin, *t[1:])
         per_target.append({"exp_calls": exps["exp_calls"], "exp_terms": exps["exp_terms"]})
     return {"counts_per_solve": _summary(per_target),
@@ -927,55 +812,28 @@ def count_fd(solves, py_calls, times):
             "per_family": _per_family(solves, per_target, times)}
 
 
-def _clear_ladder(series):
-    """Empty the slope ladder's cache: the least-recently-used cache of
-    ladders, the parent's dict of them, or in trees before the ladder
-    tables the least-recently-used cache of its entries."""
-    if hasattr(series, "_LADDERS"):
-        series._LADDERS.clear()
-    elif hasattr(series, "_Ladder"):
-        series._ladder.cache_clear()
-    else:
-        series._ladder_entry.cache_clear()
+def _ladders_made(made):
+    """Sites that add every slope ladder made (series._Ladder) to the
+    WeakSet made: only the cache keeps one alive, so the set holds the
+    ladders made that are still cached."""
+    from entromin import series
+
+    def recording(init):
+        def record(self, *args):
+            init(self, *args)
+            made.add(self)
+
+        return record
+
+    return [(series._Ladder, "__init__", recording)]
 
 
-@contextlib.contextmanager
-def _ladders_made(series):
-    """A WeakSet that gains every slope ladder made from here on
-    (series._Ladder): only the cache keeps one alive, so the set holds the
-    ladders made that are still cached.  Empty in trees before the ladder
-    tables."""
-    made = weakref.WeakSet()
-    cls = getattr(series, "_Ladder", None)
-    if cls is None:
-        yield made
-        return
-    init = cls.__init__
-
-    def recording(self, *args):
-        init(self, *args)
-        made.add(self)
-
-    cls.__init__ = recording
-    try:
-        yield made
-    finally:
-        cls.__init__ = init
-
-
-def _ladder_entries(series, made):
-    """The slope-ladder entries cached: those of the ladders in made
-    (_ladders_made), or in trees before the ladder tables the entries of
-    series._ladder_entry's cache."""
-    if hasattr(series, "_Ladder"):
-        return sum(len(ladder.rungs) for ladder in made)
-    return series._ladder_entry.cache_info().currsize
-
-
-def count_ladder_build(tracer, series, groups):
+def count_ladder_build(tracer, groups):
     """Per family key of groups (key -> calls): the entries that one run of
     the calls from a cleared ladder cache leaves cached, and the passes and
     terms it spends beyond a warm rerun."""
+    from entromin import series
+
     keys = {"series_passes": "series.passes", "series_terms": "series_terms"}
 
     def run(calls):
@@ -986,10 +844,11 @@ def count_ladder_build(tracer, series, groups):
 
     out = {}
     for fam, calls in groups.items():
-        _clear_ladder(series)
-        with _ladders_made(series) as made:
+        series._ladder.cache_clear()
+        made = weakref.WeakSet()
+        with _patched(_ladders_made(made)):
             cold = run(calls)
-        entries = _ladder_entries(series, made)
+        entries = sum(len(ladder.rungs) for ladder in made)
         warm = run(calls)
         out[fam] = {"entries": entries, **{k: cold[k] - warm[k] for k in keys}}
     return out
@@ -997,10 +856,7 @@ def count_ladder_build(tracer, series, groups):
 
 def _grouped(targets, call):
     """{family key: [call(*rest) as a thunk]} over targets (key, *rest)."""
-    out = {}
-    for fam, *rest in targets:
-        out.setdefault(fam, []).append(lambda rest=rest: call(*rest))
-    return out
+    return _by_family(targets, [lambda rest=rest: call(*rest) for _, *rest in targets])
 
 
 VERIFY_CHECKS = (
@@ -1031,29 +887,25 @@ def _verify_runs(entromin, workloads):
     ]
 
 
-@contextlib.contextmanager
 def _timing_checks(times):
-    """Append each verify check's wall time in seconds to times[check]."""
+    """Sites that append each verify check's wall time in seconds to
+    times[check]."""
     from entromin import cli
 
-    saved = {name: getattr(cli, name) for name in VERIFY_CHECKS}
+    def timed(key):
+        def wrap(fn):
+            def timing(*args):
+                t0 = time.perf_counter()
+                try:
+                    return fn(*args)
+                finally:
+                    times.setdefault(key, []).append(time.perf_counter() - t0)
 
-    def timed(fn, key):
-        def wrapper(*args):
-            t0 = time.perf_counter()
-            try:
-                return fn(*args)
-            finally:
-                times.setdefault(key, []).append(time.perf_counter() - t0)
-        return wrapper
+            return timing
 
-    for name, fn in saved.items():
-        setattr(cli, name, timed(fn, name[len("_check_"):]))
-    try:
-        yield
-    finally:
-        for name, fn in saved.items():
-            setattr(cli, name, fn)
+        return wrap
+
+    return [(cli, name, timed(name[len("_check_"):])) for name in VERIFY_CHECKS]
 
 
 def verify_case(runs):
@@ -1064,15 +916,15 @@ def verify_case(runs):
     per_target, times, per_family = [], [], {}
     for fam, run in runs:
         counts, points = Counter({f"{name}_calls": 0 for name in ENTROPY_FUNCTIONS}), Counter()
-        with _counting_entropy_calls(counts), _counting_newton(points):
+        with _patched(_counting_entropy_calls(counts) + _counting_newton(points)):
             code = run()
         counts["entropy_calls"] = sum(counts.values())
         counts.update({k: points[k] for k in NEWTON_KEYS})
         counts.update(term_arrays_in_table=0, term_arrays_past_table=0)
         checks, runs_s = {}, []
-        with _counting_term_arrays(counts):  # the warm-up run: a warm verify
+        with _patched(_counting_term_arrays(counts)):  # the warm-up run: a warm verify
             run()
-        with _timing_checks(checks):
+        with _patched(_timing_checks(checks)):
             for _ in range(REPEATS):
                 t0 = time.perf_counter()
                 run()
@@ -1133,13 +985,12 @@ def prefix_case(tracer, rules, py_calls, runs):
             "per_family": per_family}
 
 
-def _clear_family_caches(entromin):
+def _clear_family_caches():
     """Empty the caches that a solver build fills per family."""
     from entromin import sequences, series, solver
 
-    for cache in (sequences.sigma_min_set, series.profile, solver._cached_prefix):
+    for cache in (sequences.sigma_min_set, series.profile, series._ladder, solver._cached_prefix):
         cache.cache_clear()
-    _clear_ladder(series)
 
 
 def explicit_case(entromin):
@@ -1147,16 +998,12 @@ def explicit_case(entromin):
     and the wall times of REPEATS cold builds; the caches are left empty."""
     tail = entromin.WeightedGeometric(1, 3)
     builds = [("explicit", entromin.ExplicitPrefix((1, 2), (1, 2), tail)), ("tail", tail)]
-
-    def clear():
-        _clear_family_caches(entromin)
-
     per_target, medians, per_family = [], [], {}
     for key, fam in builds:
-        times = _runs(lambda f=fam: entromin.EmpSolver(f), clear)
-        clear()
+        times = _runs(lambda f=fam: entromin.EmpSolver(f), _clear_family_caches)
+        _clear_family_caches()
         counts = {"py_calls": _py_calls(entromin.EmpSolver, fam)}
-        clear()
+        _clear_family_caches()
         per_target.append(counts)
         medians.append(statistics.median(times))
         per_family[key] = {"targets": 1, "counts_per_build": _summary([counts]),
@@ -1182,7 +1029,6 @@ def main(argv=None) -> int:
     explicit_solver = explicit_case(entromin)  # first: it empties the caches
     reqs = _targets(workloads, np)
     fams = _families(entromin, workloads, reqs)
-    es, lattice = _lattice(entromin, workloads, reqs)
     interior = _interior(entromin, workloads, reqs)
     shifted_es, shifted = _shifted(entromin, interior)
     trips = _roundtrips(entromin, workloads, np)
@@ -1190,7 +1036,6 @@ def main(argv=None) -> int:
     truncations = _truncations(entromin, workloads)
     slow = _slow(entromin, workloads)
     converge_ms = _wall([_timed(lambda f=f: f.converge(1e-3)) for f in fams])
-    lattice_ms = _wall([_timed(lambda u=u, v=v: es.solve_mb(u, v)) for u, v in lattice])
     interior_s = [_timed(lambda es=es, u=u, v=v: es.solve_mb(u, v)) for _, es, u, v in interior]
     shifted_ms = _wall([_timed(lambda u=u, v=v: shifted_es.solve_mb(u, v)) for u, v in shifted])
     roundtrip_s = [_timed(lambda t=t: _roundtrip(*t[1:])) for t in trips]
@@ -1202,7 +1047,6 @@ def main(argv=None) -> int:
     cli_verify = verify_case(_verify_runs(entromin, workloads))
     rules = _prefix_rules(entromin)
     prefix_runs = [_runs(lambda r=rule: r.prefix(PREFIX_COUNT)) for _, rule in rules]
-    lattice_calls = [_py_calls(es.solve_mb, u, v) for u, v in lattice]
     interior_calls = [_py_calls(es.solve_mb, u, v) for _, es, u, v in interior]
     shifted_calls = [_py_calls(shifted_es.solve_mb, u, v) for u, v in shifted]
     fd_calls = [_py_calls(entromin.solve_two_fd, *t[1:]) for t in fd_solves]
@@ -1211,44 +1055,42 @@ def main(argv=None) -> int:
 
     tracer = tracing.Tracer()
     tracer.install()
-    _count_kernel(_KERNEL_COUNTS)
     tracer.active = True
-    converge = {"targets": len(fams), **count_converge(tracer, np, fams),
-                "wall_ms_per_converge": converge_ms}
-    lattice = {"targets": len(lattice), **count_solves(tracer, es, lattice, lattice_calls),
-               "wall_ms_per_solve": lattice_ms}
-    shifted = {"targets": len(shifted),
-               **count_solves(tracer, shifted_es, shifted, shifted_calls),
-               "wall_ms_per_solve": shifted_ms}
-    mb_interior = {"targets": len(interior),
-                   **count_interior(tracer, interior, interior_s, interior_calls),
-                   "wall_ms_per_solve": _wall(interior_s)}
-    per_trip, failures = count_roundtrips(tracer, entromin, trips)
-    roundtrip = {"targets": len(trips), "counts_per_roundtrip": _summary(per_trip),
-                 "inverse_failures": failures, "wall_ms_per_roundtrip": _wall(roundtrip_s),
-                 "per_family": _per_family(trips, per_trip, roundtrip_s)}
-    per_trip, failures = count_roundtrips(tracer, entromin, slow_trips, _inverse)
-    slow_roundtrip = {
-        "targets": len(slow_trips), "counts_per_roundtrip": _summary(per_trip),
-        "inverse_failures": failures, "wall_ms_per_roundtrip": _wall(slow_trip_s),
-        "per_roundtrip": [
-            {"kind": k, "x": x, "y": y, "wall_ms": 1e3 * t, **counts}
-            for (k, x, y), t, counts in zip(SLOW_TRIPS, slow_trip_s, per_trip)
-        ],
-    }
-    truncation = {"targets": len(truncations),
-                  **count_truncations(np, entromin, truncations, truncation_s),
-                  "wall_ms_per_solve": _wall(truncation_s)}
-    finite_fd = {"targets": len(fd_solves), **count_fd(fd_solves, fd_calls, fd_s),
-                 "wall_ms_per_solve": _wall(fd_s)}
-    slow_value = {"targets": len(slow), **count_slow_values(tracer, slow, slow_s),
-                  "wall_ms_per_solve": _wall(slow_s)}
-    build = {
-        "mb_interior": count_ladder_build(
-            tracer, entromin.series, _grouped(interior, lambda es, u, v: es.solve_mb(u, v))),
-        "bf_roundtrip": count_ladder_build(tracer, entromin.series, _grouped(trips, _roundtrip)),
-    }
-    rule_prefix = prefix_case(tracer, rules, prefix_calls, prefix_runs)
+    with _patched(_count_kernel(_KERNEL_COUNTS)):
+        converge = {"targets": len(fams), **count_converge(tracer, fams),
+                    "wall_ms_per_converge": converge_ms}
+        shifted = {"targets": len(shifted),
+                   **count_solves(tracer, shifted_es, shifted, shifted_calls),
+                   "wall_ms_per_solve": shifted_ms}
+        mb_interior = {"targets": len(interior),
+                       **count_interior(tracer, interior, interior_s, interior_calls),
+                       "wall_ms_per_solve": _wall(interior_s)}
+        per_trip, failures = count_roundtrips(tracer, entromin, trips)
+        roundtrip = {"targets": len(trips), "counts_per_roundtrip": _summary(per_trip),
+                     "inverse_failures": failures, "wall_ms_per_roundtrip": _wall(roundtrip_s),
+                     "per_family": _per_family(trips, per_trip, roundtrip_s)}
+        per_trip, failures = count_roundtrips(tracer, entromin, slow_trips, _inverse)
+        slow_roundtrip = {
+            "targets": len(slow_trips), "counts_per_roundtrip": _summary(per_trip),
+            "inverse_failures": failures, "wall_ms_per_roundtrip": _wall(slow_trip_s),
+            "per_roundtrip": [
+                {"kind": k, "x": x, "y": y, "wall_ms": 1e3 * t, **counts}
+                for (k, x, y), t, counts in zip(SLOW_TRIPS, slow_trip_s, per_trip)
+            ],
+        }
+        truncation = {"targets": len(truncations),
+                      **count_truncations(entromin, truncations, truncation_s),
+                      "wall_ms_per_solve": _wall(truncation_s)}
+        finite_fd = {"targets": len(fd_solves), **count_fd(fd_solves, fd_calls, fd_s),
+                     "wall_ms_per_solve": _wall(fd_s)}
+        slow_value = {"targets": len(slow), **count_slow_values(tracer, slow, slow_s),
+                      "wall_ms_per_solve": _wall(slow_s)}
+        build = {
+            "mb_interior": count_ladder_build(
+                tracer, _grouped(interior, lambda es, u, v: es.solve_mb(u, v))),
+            "bf_roundtrip": count_ladder_build(tracer, _grouped(trips, _roundtrip)),
+        }
+        rule_prefix = prefix_case(tracer, rules, prefix_calls, prefix_runs)
     tracer.active = False
 
     record = {
@@ -1260,7 +1102,6 @@ def main(argv=None) -> int:
         "nproc": os.cpu_count(),
         "cases": {
             "epsilon_converge": converge,
-            "lattice_interior": lattice,
             "bf_roundtrip": roundtrip,
             "mb_interior": mb_interior,
             "shifted_interior": shifted,

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -923,13 +924,18 @@ def flipped(family: SequenceFamily) -> SequenceFamily:
 
 def lattice_levels(scale: float, count: int) -> list[tuple[int, float]]:
     """First `count` distinct 3-d lattice levels scale*(nx^2+ny^2+nz^2),
-    ascending, each with its degeneracy."""
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    if scale <= 0.0:
-        raise DomainError("scale must be positive")
-    values, degeneracy, _ = _lattice(count)
-    return list(zip(degeneracy[:count].tolist(), (scale * values[:count]).tolist()))
+    ascending, each with its degeneracy; DomainError unless count is an
+    integer >= 1 (numpy integers included) and scale positive and finite."""
+    try:
+        n = operator.index(count)
+    except TypeError:
+        n = 0
+    if n < 1:
+        raise DomainError(f"count must be an integer >= 1, got {count!r}")
+    if not (scale > 0.0 and math.isfinite(scale)):
+        raise DomainError(f"scale must be positive and finite, got {scale!r}")
+    values, degeneracy, _ = _lattice(n)
+    return list(zip(degeneracy[:n].tolist(), (scale * values[:n]).tolist()))
 
 
 TIE_RTOL = 1e-12  # levels within TIE_RTOL max(1, |theta1|) of theta1 tie with it

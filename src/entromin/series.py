@@ -245,26 +245,24 @@ def _pass_shape(keys, mb):
     """(multipliers, moments, {moment: its place}, layout) of a pass over
     the sums `keys`, the multipliers and moments each in order of first
     appearance (no multiplier under maxwell-boltzmann, `mb`), and the
-    layout of the pass's block of rows (_block_sums), (units, weighted,
-    index, rows).  Rows 0 .. units - 1 are base = p_n e^(t_n)
-    times 1, sigma_n and sigma_n^2, as far as a unit-multiplier sum needs
-    (base at least, units <= 3); then one row per multiplier, in the order
-    of multipliers, that _mult_arrays writes; then each remaining (row,
-    source row, k), block[source] sigma_n^k: a multiplier's moments k >= 1
-    and the unit moments k >= 3.  index holds each sum's row and rows their
+    layout of the pass's block of rows (_block_sums), (weighted, index,
+    rows).  Row 0 is base = p_n e^(t_n); then one row per multiplier, in
+    the order of multipliers, that _mult_arrays writes; then each
+    remaining (row, source row, k), block[source] sigma_n^k, for every sum
+    of moment k >= 1, its source row 0 for a unit-multiplier sum and its
+    multiplier's row otherwise.  index holds each sum's row and rows their
     count."""
     mults = () if mb else tuple(dict.fromkeys(m for m, _ in keys if m is not None))
     moments = tuple(dict.fromkeys(k for _, k in keys))
     sums = [(None if mb else m, k) for m, k in keys]
-    units = min(max((k for m, k in sums if m is None), default=0), 2) + 1
-    rows = [(None, j) for j in range(units)] + [(m, 0) for m in mults]
+    rows = [(None, 0)] + [(m, 0) for m in mults]
     weighted = []
     for m, k in dict.fromkeys(sums):
         if (m, k) not in rows:
             weighted.append((len(rows), rows.index((m, 0)), k))
             rows.append((m, k))
     index = tuple(rows.index(key) for key in sums)
-    layout = (units, tuple(weighted), index, len(rows))
+    layout = (tuple(weighted), index, len(rows))
     return mults, moments, {k: i for i, k in enumerate(moments)}, layout
 
 
@@ -278,21 +276,21 @@ def _block_sums(family, y, x, kind, shape, n, model=False):
     past it), the first of which, sigma_n, gives every level factor, and
     every row of the pass goes into one block of rows, laid out as
     _pass_shape says: base = e^(ln p_n + sigma_n y + x), exponentiated
-    into it once; sigma_n and sigma_n^2 times base, sigma_n^2 formed in
-    its own row first; the multiplier rows, which _mult_arrays writes in
-    place from one z = e^t; and the sigma-weighted rows.  Then one row-wise
-    np.add.reduce per block gives every partial: each row's is the float
-    that row's own pairwise reduce gives.  An array wider than _BLOCK_WIDTH
-    fills one block of that width a slice of columns at a time, and adds
-    the slices' partials pairwise, as np.add.reduce's pairwise summation
-    splits a row whose length is a power of two: the same floats, from a
-    block that stays in cache.  With `model` (a slope pass, its last sum
-    moment 2), higher holds the partial sums of moments 3, 4 and 5 over the
-    same terms, three more rows of successive products of the last sum's
-    row with sigma_n, reduced once per array, and top the largest level
-    summed; else () and 0."""
+    into it once; the multiplier rows, which _mult_arrays writes in place
+    from one z = e^t; and the sigma-weighted rows, each sigma_n^k times its
+    source row, a k = 2 row forming sigma_n^2 in its own row first.  Then
+    one row-wise np.add.reduce per block gives every partial: each row's is
+    the float that row's own pairwise reduce gives.  An array wider than
+    _BLOCK_WIDTH fills one block of that width a slice of columns at a
+    time, and adds the slices' partials pairwise, as np.add.reduce's
+    pairwise summation splits a row whose length is a power of two: the
+    same floats, from a block that stays in cache.  With `model` (a slope
+    pass, its last sum moment 2), higher holds the partial sums of moments
+    3, 4 and 5 over the same terms, three more rows of successive products
+    of the last sum's row with sigma_n, reduced once per array, and top the
+    largest level summed; else () and 0."""
     mults = shape[0]
-    units, weighted, index, rows = shape[3]
+    weighted, index, rows = shape[3]
     sums = [[] for _ in index]
     higher, top = [0.0, 0.0, 0.0] if model else (), 0.0
     size = rows + 3 if model else rows
@@ -313,16 +311,13 @@ def _block_sums(family, y, x, kind, shape, n, model=False):
             # the slice's terms: the whole array where it fits in the block
             lts, sig = (lt, sigma) if step == width else (lt[a : a + step], sigma[a : a + step])
             base = np.exp(lts, out=block[0])
-            if units > 1:
-                np.multiply(sig, base, out=block[1])
-            if units > 2:
-                np.multiply(np.multiply(sig, sig, out=block[2]), base, out=block[2])
             if mults:
                 t = x + sig * y
                 bound = t_hi if t_hi is not None else float(np.maximum.reduce(t))
-                _mult_arrays(kind, mults, t, bound, base, lts, out=dict(zip(mults, block[units:])))
+                _mult_arrays(kind, mults, t, bound, base, lts, out=dict(zip(mults, block[1:])))
             for r, src, k in weighted:
-                np.multiply(block[src], sig if k == 1 else sig**k, out=block[r])
+                level = sig if k == 1 else np.multiply(sig, sig, out=block[r]) if k == 2 else sig**k
+                np.multiply(level, block[src], out=block[r])
             if model:
                 row = block[index[-1]]
                 for r in range(rows, size):

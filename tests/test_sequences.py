@@ -153,6 +153,17 @@ class TestLatticeLevels:
         with pytest.raises(DomainError):
             lattice_levels(-1.0, 3)
 
+    @pytest.mark.parametrize("scale, count", [
+        (math.nan, 3), (math.inf, 3), (-math.inf, 3), (1.0, 2.5), (1.0, 3.0), (1.0, "3"), (1.0, None),
+    ])
+    def test_non_finite_scale_and_non_integer_count_are_refused(self, scale, count):
+        # as Lattice3D refuses its scale and SequenceRule.term its n
+        with pytest.raises(DomainError):
+            lattice_levels(scale, count)
+
+    def test_integer_counts_of_any_type_are_read(self):
+        assert lattice_levels(1.0, np.int64(3)) == lattice_levels(1.0, 3) == [(1, 3.0), (3, 6.0), (3, 9.0)]
+
 
 def _small_reads(monkeypatch) -> list:
     """The sigma_array and log_terms calls of at most two elements that any
