@@ -192,7 +192,7 @@ median of REPEATS calls, after one untimed warm-up call per target.  All
 timing and the py_calls profiles run before the tracer is installed, so
 the counts see what the library caches across calls warm, as a
 long-running process does (the slope ladder, and the epsilon family's
-prefix arrays and endpoint slopes phi_n(0) and phi_n(-alpha) and the
+prefix arrays, its endpoint passes at lam = 0 and lam = alpha and the
 proposal's rows, per family and n).
 
 Usage, from the repository root:

@@ -11,7 +11,12 @@ names.  That Newton (_minimize_dual), on the series kernel's rows
 (series._mult_arrays), is also the inverse's proposal.  The Gibbs pass,
 one exp of the weights, gives phi_n, Var_n(sigma), ln Z_n and that
 optimum: the slope root phi_n(beta) = v/u is rootfind.newton_root on it,
-and so is each solver.EpsilonFamily member.
+each Newton point rootfind.slope_step's step on ln(phi_n - min sigma), and
+so is each solver.EpsilonFamily member (on ln(phi_n - theta1), with the
+pass at the family's alpha kept per prefix record).  A value sum_k p_k
+W(u_k / p_k) whose ratio u_k / p_k overflows takes that term from
+logarithms, and a single-constraint split u p_k / rho whose product u p_k
+overflows is u (p_k / rho), with no float warning.
 
 Weights must be finite and positive and levels at most 1e150 in size, so
 that Var_n(sigma) does not overflow (DomainError), targets finite
@@ -38,7 +43,7 @@ from .errors import (
     NumericalFailureError,
     RangeError,
 )
-from .rootfind import minimize_convex_2d, newton_root
+from .rootfind import minimize_convex_2d, newton_root, slope_step
 
 __all__ = [
     "BoundaryFlag",
@@ -94,9 +99,24 @@ def _checked(p, sigma, **target):
 
 def _w_sum(kind: Entropy, p, u_bar) -> float:
     """sum_k p_k W(u_k / p_k), the terms formed in one array and summed by
-    math.fsum."""
-    p = np.asarray(p, dtype=float)
-    return math.fsum((p * entropy_value(kind, np.asarray(u_bar, dtype=float) / p)).tolist())
+    math.fsum.  No term can overflow unless some u_k or p_k exceeds 1e305
+    or u_k exceeds p_k 1e305; then, where u_k / p_k overflows, a
+    maxwell-boltzmann term is formed as u_k (ln u_k - ln p_k - 1) and a
+    bose-einstein one as -p_k (ln u_k - ln p_k + 1), its value to within a
+    relative 1/r < 1e-308 (a fermi-dirac term is +inf there), and a term
+    past the float range is +-inf, all of one sign."""
+    p, u = np.asarray(p, dtype=float), np.asarray(u_bar, dtype=float)
+    if not np.maximum.reduce(np.maximum(u, p) * 1e-305 - np.minimum(p, 1.0)) > 0.0:
+        return math.fsum((p * entropy_value(kind, u / p)).tolist())
+    with np.errstate(over="ignore"):
+        r = u / p
+        terms = p * entropy_value(kind, r)
+        big = np.isinf(r) & np.isfinite(u)
+        if big.any() and kind is not Entropy.FERMI_DIRAC:
+            ln_r = np.log(u[big]) - np.log(p[big])
+            mb = kind is Entropy.MAXWELL_BOLTZMANN
+            terms[big] = u[big] * (ln_r - 1.0) if mb else -p[big] * (ln_r + 1.0)
+    return math.fsum(terms.tolist())
 
 
 def kkt_residual(kind: Entropy, p, sigma, u_bar, alpha: float, beta: float) -> float:
@@ -126,7 +146,8 @@ def solve_single(kind: Entropy, p, u: float) -> FiniteSolution:
     rho = math.fsum(p)
     if kind is Entropy.FERMI_DIRAC and u > rho:
         raise InfeasibleError(f"fermi-dirac capacity is rho = {rho} < u = {u}")
-    u_bar = tuple((u * p / rho).tolist())
+    # u p_k / rho <= u, but u p_k overflows where u rho (rho >= p_k) does
+    u_bar = tuple((u * p / rho if float(u) * rho < math.inf else u * (p / rho)).tolist())
     value = rho * entropy_value(kind, u / rho)
     return FiniteSolution(u_bar, value, None, BoundaryFlag.SINGLE_CONSTRAINT)
 
@@ -157,13 +178,14 @@ def _gibbs_pass(log_p, s, t):
 
 def _slope_root(log_p, s, w, tol):
     """(t, the _gibbs_pass at t) with |phi_n(t) - w| <= tol, min s < w < max s:
-    rootfind.newton_root from t = 0 on g = phi_n - w, g' = Var_n(sigma)
-    from the same pass."""
+    rootfind.newton_root from t = 0 on g = phi_n - w, each Newton point
+    rootfind.slope_step's step on ln(phi_n - min s) with phi_n' =
+    Var_n(sigma) from the same pass."""
+    s_min = float(np.minimum.reduce(s))
 
     def evaluate(t):
         at = _gibbs_pass(log_p, s, t)
-        g = at[0] - w
-        return g, t - g / at[1] if at[1] > 0.0 else math.nan, at
+        return at[0] - w, t + slope_step(at[0], at[1], w, s_min), at
 
     try:
         t, at, _, _ = newton_root(evaluate, 0.0, evaluate(0.0), tol)

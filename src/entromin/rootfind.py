@@ -4,6 +4,12 @@ newton_root: the one 1-D Newton loop of the library, safeguarded by a
 bracket.  Every scalar root (series slope inversion, the finite slope root
 and the epsilon-family members) is one evaluate callback passed to it.
 
+slope_step: the Newton step on ln(phi - theta1) that each of those roots
+takes (theta1 the family's, or min sigma for a finite root).  phi tends to
+theta1 like e^(c y), so ln(phi - theta1) is nearly linear in y where the
+plain step on phi misses by orders of magnitude: from phi = 1e-200 at
+a root where phi = 5e99, one step lands within tolerance.
+
 solve_bracketed: safeguarded scalar root finding on a sign-changing
 bracket.  Bisection with secant acceleration: the secant candidate is
 accepted only when it falls safely inside the current bracket and the step
@@ -31,6 +37,7 @@ from .errors import BudgetError, NumericalFailureError
 __all__ = [
     "RootResult",
     "newton_root",
+    "slope_step",
     "solve_bracketed",
     "NewtonResult",
     "minimize_convex_2d",
@@ -81,6 +88,24 @@ def newton_root(evaluate, x, first, r_tol, lo=-math.inf, hi=math.inf, lo_ok=Fals
         last_step, x = nxt - x, nxt
     raise BudgetError(f"root search used 200 evaluations; best |g| = {best[0]:.3e} "
                       f"at x = {best[1]!r} exceeds tolerance {r_tol:.3e}")
+
+
+def slope_step(phi, dphi, w, theta1):
+    """The Newton step in y toward phi(y) = w for an increasing slope phi
+    with phi > theta1 and w > theta1, taken on ln(phi - theta1), which is
+    nearly linear in y where phi tends to theta1: -ln((phi - theta1) / (w -
+    theta1)) (phi - theta1) / phi', the ratio's logarithm taken as a
+    difference of two where the ratio is 0 or inf in floats.  Where phi -
+    theta1 is not positive (rounding) it is the plain step (w - phi) /
+    phi', and nan without a usable derivative (phi' not positive)."""
+    if not dphi > 0.0:
+        return math.nan
+    d, gap = phi - theta1, w - theta1
+    if not d > 0.0:
+        return (w - phi) / dphi
+    r = d / gap
+    ln_r = math.log(r) if 0.0 < r < math.inf else math.log(d) - math.log(gap)
+    return -ln_r * d / dphi
 
 
 @dataclass(frozen=True)

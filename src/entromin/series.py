@@ -72,7 +72,7 @@ from .errors import (
     UncertifiedError,
     UnsupportedFamilyError,
 )
-from .rootfind import newton_root
+from .rootfind import newton_root, slope_step
 from .sequences import TIE_RTOL, SequenceFamily, SigmaMinSet, sigma_min_set
 
 __all__ = [
@@ -753,23 +753,18 @@ def _invert_slope(family, w, tol, ceiling=1.0) -> _Slope:
     prof = profile(family)
     if not math.isfinite(w) or w <= prof.theta1 or w >= prof.theta2:
         raise RangeError(f"w={w} outside the open range ({prof.theta1}, {prof.theta2})")
-    t1, gap = prof.theta1, w - prof.theta1
     (lo, hi), start, y_h, _ = _ladder_start(family, prof, w, tol, ceiling)
-    last, q = start.slope, 0.25 * tol
-
-    def point(s):
-        # the residual and the Newton step on ln(phi - theta1), nearly
-        # linear where phi tends to theta1; nan without a usable derivative
-        d, dp = s.phi - t1, s.dphi
-        step = (-math.log(d / gap) * d if d > 0.0 else w - s.phi) / dp if dp > 0.0 else math.nan
-        return s.residual(w, q), s.y + step, s
+    last, q, t1 = start.slope, 0.25 * tol, prof.theta1
 
     def evaluate(y):
         nonlocal last
         last = _certified_slope(family, y, q, last, ceiling)
-        return point(last)
+        return last.residual(w, q), last.y + slope_step(last.phi, last.dphi, w, t1), last
 
-    first = point(last) if y_h is None else evaluate(y_h)
+    if y_h is not None:
+        first = evaluate(y_h)
+    else:  # the nearer entry, with no pass
+        first = last.residual(w, q), last.y + slope_step(last.phi, last.dphi, w, t1), last
     return newton_root(evaluate, last.y, first, 0.75 * tol, lo, hi, True, True)[1]
 
 

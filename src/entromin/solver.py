@@ -39,7 +39,7 @@ from .errors import (
     RangeError,
     UnsupportedFamilyError,
 )
-from .rootfind import _newton_step, minimize_convex_2d, newton_root
+from .rootfind import _newton_step, minimize_convex_2d, newton_root, slope_step
 from .sequences import (
     SequenceFamily,
     ShiftedSigma,
@@ -178,8 +178,9 @@ class _Prefix:
     family reads them: log_p and s, (ln p_k, sigma_k) for k = 1..n as
     read-only arrays; rows, finite._dual_rows(s), built on first read (the
     inverse's proposal reads it, n <= series._ONE_ARRAY); and ends, the
-    endpoint slopes {lam: phi_n(-lam)} that EpsilonFamily._root fills
-    (concurrent writers store the same float)."""
+    endpoint passes {lam: (phi_n, Var_n, ln Z_n) at t = -lam} that end
+    fills, each the first time EpsilonFamily._root asks for it
+    (concurrent writers store the same floats)."""
 
     def __init__(self, family, n: int):
         self.log_p = family.log_terms(0.0, 1, n)
@@ -190,6 +191,13 @@ class _Prefix:
     @functools.cached_property
     def rows(self):
         return finite._dual_rows(self.s)
+
+    def end(self, lam: float):
+        """ends[lam], from one Gibbs pass at t = -lam the first time."""
+        got = self.ends.get(lam)
+        if got is None:
+            got = self.ends[lam] = finite._gibbs_pass(self.log_p, self.s, -lam)[:3]
+        return got
 
 
 _cached_prefix = functools.lru_cache(maxsize=_PREFIX_CACHE_SIZE)(_Prefix)
@@ -282,8 +290,8 @@ class EpsilonFamily:
 
     def _member(self, n: int, start: float, bound: float = math.inf, floor: float = 0.0):
         """(member(n), its lam) with the Newton iteration started at
-        lam = start; (None, a root estimate) once the dual bound of an
-        iterate exceeds `bound` (see _root).  The prefix record comes from
+        lam = start; (None, a root estimate or None) once the member is
+        dropped by its dual bound (see _root).  The prefix record comes from
         _prefix, shared per (family, n); the member's terms are the root's
         last Gibbs pass scaled in place, u e / z0, and become a tuple only
         when read (EpsilonMember.terms)."""
@@ -301,57 +309,71 @@ class EpsilonFamily:
         """(lam, the Gibbs pass at t = -lam, finite._gibbs_pass) with
         g = phi_n(t) - w at most 1e-12 max(1, w) in absolute value, w = v/u,
         on the prefix record pre (_prefix): rootfind.newton_root in t = -lam
-        on [-alpha, 0] from t = -lam, with g' = Var_n(sigma) from the same
-        pass.  A step evaluates an end of [-alpha, 0] only when it points
-        past that end and no iterate has proved its side; an end no iterate
-        proved is checked after the root, at most once per record (pre.ends).
-        RangeError unless phi_n(-alpha) < w < phi_n(0).
+        on [-alpha, 0] from t = -lam, each Newton point rootfind.slope_step's
+        step on ln(phi_n - theta1) with phi_n' = Var_n(sigma) from the same
+        pass.  RangeError unless phi_n(-alpha) < w < phi_n(0).
 
         Every pass also gives the Lagrange dual of the n-term problem,
         D_n(lam) = (ln u - ln Z_n(lam) - 1) u - lam v, which is at most the
         member's objective for every lam (weak duality) and equals it at the
-        root.  Once an iterate's D_n exceeds `bound` the search stops and
-        returns (an estimate of the root, None): the objective is then above
-        `bound`, up to rounding.  The estimate is the Newton step, clipped
-        to [floor, alpha], from an iterate left of the root; from one right
-        of it, where g is flat and the step lands far short, the midpoint of
-        that step and the iterate.  evaluate carries it out of the root
-        search in a _Dropped."""
-        a = self._prof.alpha
+        root.  Under a finite `bound`, a cached record (n <= _PREFIX_CACHE_N)
+        first reads its alpha-end pass (pre.end, one target-free pass per
+        record): RangeError unless phi_n(-alpha) < w, and where D_n(alpha)
+        already exceeds `bound` it returns (alpha less slope_step's step
+        from alpha where that lies strictly inside (floor, alpha), else
+        None; None) with no pass of its own.  Once an iterate's D_n exceeds
+        `bound` the search stops and returns (an estimate of the root,
+        None): the objective is then above `bound`, up to rounding.  The
+        estimate is the Newton step, clipped to [floor, alpha], from an
+        iterate left of the root; from one right of it, where g is flat and
+        the step lands far short, the midpoint of that step and the
+        iterate.  evaluate carries it out of the root search in a _Dropped.
+
+        A step evaluates an end of [-alpha, 0] only when it points past
+        that end and no iterate has proved its side; an end left unproved
+        is checked after the root from pre.end, at most one pass per record
+        and end.  member(n), and records past _PREFIX_CACHE_N (built per
+        call), check the alpha end only so."""
+        a, t1 = self._prof.alpha, self._prof.theta1
         log_p, s = pre.log_p, pre.s
         n = len(s)
         u, v = self.u, self.v
         w = v / u
         ln_u = math.log(u)
 
+        def reach(phi, lam):
+            if (lam == 0.0 and not phi > w) or (lam == a and not phi < w):
+                raise RangeError(f"truncation n={n} cannot reach slope {w}")
+
+        alpha_ok = bound < math.inf and n <= _PREFIX_CACHE_N
+        if alpha_ok:
+            phi, var, log_z = pre.end(a)
+            reach(phi, a)
+            if (ln_u - log_z - 1.0) * u - a * v > bound:
+                est = a - slope_step(phi, var, w, t1)
+                return (est if floor < est < a else None), None
+
         def evaluate(t):
             lam = -t
             at = finite._gibbs_pass(log_p, s, t)
             phi, var, log_z = at[:3]
-            g = phi - w
-            if (lam == 0.0 and not g > 0.0) or (lam == a and not g < 0.0):
-                raise RangeError(f"truncation n={n} cannot reach slope {w}")
+            reach(phi, lam)
+            step = slope_step(phi, var, w, t1)
             if (ln_u - log_z - 1.0) * u - lam * v > bound:
-                step = min(max(lam + g / var, floor), a) if var > 0.0 else lam
-                raise _Dropped(step if g > 0.0 else 0.5 * (step + lam))
-            return g, t - g / var if var > 0.0 else math.nan, at
+                est = lam if math.isnan(step) else min(max(lam - step, floor), a)
+                raise _Dropped(est if phi > w else 0.5 * (est + lam))
+            return phi - w, t + step, at
 
         try:
             # the end t = -0.0, so that lam = -t is 0.0 there
             t, at, alpha_ok, zero_ok = newton_root(
-                evaluate, -lam, evaluate(-lam), 1e-12 * max(1.0, w), -a, -0.0
+                evaluate, -lam, evaluate(-lam), 1e-12 * max(1.0, w), -a, -0.0, alpha_ok
             )
         except _Dropped as drop:
             return drop.args[0], None
-        ends = pre.ends
         for end, ok in ((0.0, zero_ok), (a, alpha_ok)):
             if not ok:
-                phi = ends.get(end)
-                if phi is None:
-                    phi = ends[end] = finite._gibbs_pass(log_p, s, -end)[0]
-                g = phi - w
-                if not (g > 0.0 if end == 0.0 else g < 0.0):
-                    raise RangeError(f"truncation n={n} cannot reach slope {w}")
+                reach(pre.end(end)[0], end)
         return -t, at
 
     def converge(self, epsilon: float, n_max: int = 2**20, start: int = 8) -> EpsilonMember:
@@ -361,15 +383,18 @@ class EpsilonFamily:
         constant factor per doubling, so the next gap is extrapolated as
         (alpha - lam_k)^2 / (alpha - lam_{k-1}).
 
-        A member is dropped after the first Newton pass whose dual bound
-        D_n(lam) exceeds value + epsilon + delta: its objective is then
-        farther than epsilon from the value.  delta = 1e-12 max(1, |value| +
-        alpha v) covers the rounding of D_n and of the objective, whose two
-        products are each at most about |value| + alpha v in magnitude.
-        A dropped member's root estimate (_root; never below the previous
-        root, as roots grow with n for nondecreasing levels) stands in for
-        its root in the extrapolation, and it pays neither its endpoint pass
-        nor its terms.
+        A member is dropped once its dual bound D_n(lam) exceeds value +
+        epsilon + delta: its objective is then farther than epsilon from
+        the value.  delta = 1e-12 max(1, |value| + alpha v) covers the
+        rounding of D_n and of the objective, whose two products are each
+        at most about |value| + alpha v in magnitude.  Up to n =
+        _PREFIX_CACHE_N the bound is first read at lam = alpha from the
+        record's cached alpha-end pass, and a member whose D_n(alpha)
+        exceeds it takes no pass of its own; the others are dropped after
+        the first Newton pass past the bound (_root).  A dropped
+        member's root estimate (never below the previous root, as roots
+        grow with n for nondecreasing levels) stands in for its root in the
+        extrapolation, where it has one, and the member pays no terms.
         member(n) passes no bound and solves every member to its root.
         DomainError unless epsilon > 0 and start is an integer >= 1."""
         if not epsilon > 0.0:
@@ -389,7 +414,8 @@ class EpsilonFamily:
             except RangeError:
                 pass
             else:
-                roots.append(lam)
+                if lam is not None:
+                    roots.append(lam)
                 if member is not None and abs(member.objective - self.value) <= epsilon:
                     return member
             n *= 2

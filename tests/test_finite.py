@@ -3,6 +3,7 @@ certificates, zonotope feasibility, and agreement with the independent
 grid-refinement oracle on randomized instances."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from entromin import (
     BoundaryFlag,
     BudgetError,
     DomainError,
+    EmpError,
     Entropy,
     Feasibility,
     InfeasibleError,
@@ -29,7 +31,7 @@ from entromin import (
     solve_two_fd,
     solve_two_mb_be,
 )
-from entromin.rootfind import minimize_convex_2d, newton_root
+from entromin.rootfind import minimize_convex_2d, newton_root, slope_step
 
 from entromin import finite as finite_module
 
@@ -143,12 +145,16 @@ class TestPhiN:
         assert got[:3] == ref_gibbs_pass(log_p, s, -0.5)[:3]
 
     @pytest.mark.parametrize("w, tol", [(5e99, 5e87), (3e99, 1e87)])
-    def test_inverse_raises_where_it_cannot_reach_a_tiny_root(self, w, tol):
-        # the root is near t = 6.9e-98, Var_n is 0 at every t of the first
-        # bracket [0, 1] right of it, so the steps bisect: a width stop of
-        # 1e-14 once returned t = 7.1e-15 (and t = 0.0) far off tolerance
-        with pytest.raises(NumericalFailureError):
-            phi_n_inverse((1.0, 1e-300), (0.0, 1e100), w, tol)
+    def test_inverse_reaches_a_tiny_root(self, w, tol):
+        # the root is near t = 6.9e-98 and Var_n is 0 at every t of the
+        # first bracket [0, 1] right of it: the plain Newton point from t = 0
+        # (5e199) was capped to t = 1 and the steps then bisected [0, t]
+        # until the evaluations ran out; the step on ln(phi_n - min s) lands
+        # at the root from t = 0
+        p, s = (1.0, 1e-300), (0.0, 1e100)
+        t = phi_n_inverse(p, s, w, tol)
+        assert 6.8e-98 < t < 7.0e-98
+        assert abs(phi_n(p, s, t) - w) <= tol
 
 
 class TestSolveTwoMbBe:
@@ -261,6 +267,29 @@ class TestSolveTwoMbBe:
         assert math.fsum(s * x for s, x in zip(sigma, sol.u_bar)) == pytest.approx(
             800.0, rel=1e-10
         )
+
+
+class TestSlopeStep:
+    def test_step_on_the_log_of_the_distance_to_theta1(self):
+        # phi - theta1 = e^(2 y) is linear in y on the log scale: one step
+        # from any y lands on the root of phi = w exactly
+        for y in (-40.0, -1.5, 0.0, 2.0):
+            d = math.exp(2.0 * y)
+            assert y + slope_step(d, 2.0 * d, math.exp(-3.0), 0.0) == pytest.approx(-1.5, abs=1e-12)
+
+    def test_no_usable_derivative_or_distance(self):
+        assert math.isnan(slope_step(1.5, 0.0, 2.0, 1.0))
+        assert math.isnan(slope_step(1.5, math.nan, 2.0, 1.0))
+        # phi at or below theta1 by rounding: the plain Newton step
+        assert slope_step(1.0, 4.0, 2.0, 1.0) == 0.25
+
+    def test_a_ratio_that_underflows_or_overflows(self):
+        # (phi - theta1) / (w - theta1) rounds to 0 or inf: its logarithm
+        # is taken as a difference, not math.log(0.0) (a ValueError) or inf
+        small = slope_step(5e-324, 1.0, 2.0, 0.0)
+        assert small == pytest.approx(-(math.log(5e-324) - math.log(2.0)) * 5e-324, rel=1e-12)
+        big = slope_step(1e300, 1.0, 1e-300, 0.0)
+        assert big == pytest.approx(-(math.log(1e300) - math.log(1e-300)) * 1e300, rel=1e-12)
 
 
 class TestNewtonRoot:
@@ -437,11 +466,11 @@ class TestUBarElements:
             (lambda p, s: solve_two_mb_be(BE, p, s, 1.5, 6.0),
              BoundaryFlag.UPPER_EDGE, (ZERO, ZERO, "0x1.8000000000000p+0")),
             (lambda p, s: solve_two_mb_be(MB, p, s, 1.5, 3.7), BoundaryFlag.INTERIOR_KKT,
-             ("0x1.e9ccf2ba14b17p-2", "0x1.27441e56fc5f5p-1", "0x1.c7aad097f28fep-2")),
+             ("0x1.e9ccf2ba14b19p-2", "0x1.27441e56fc5f4p-1", "0x1.c7aad097f2900p-2")),
             (lambda p, s: solve_two_mb_be(BE, p, s, 1.5, 3.7), BoundaryFlag.INTERIOR_KKT,
-             ("0x1.f8c4491e51c6ap-2", "0x1.184cc7f2bf4a6p-1", "0x1.d6a226fc2fa4bp-2")),
+             ("0x1.f8c4491e51c6ep-2", "0x1.184cc7f2bf4a6p-1", "0x1.d6a226fc2fa4bp-2")),
             (lambda p, s: solve_two_fd(p, s, 1.5, 3.7), BoundaryFlag.INTERIOR_KKT,
-             ("0x1.b4e16f7803cf2p-2", "0x1.5c2fa19907200p-1", "0x1.92bf4d55eb450p-2")),
+             ("0x1.b4e16f7803cf3p-2", "0x1.5c2fa19907202p-1", "0x1.92bf4d55eb450p-2")),
             (lambda p, s: solve_two_fd(p, s, 1.2, 0.5 + 2.5 * 0.7), BoundaryFlag.LOWER_EDGE,
              ("0x1.0000000000000p-1", "0x1.6666666666666p-1", ZERO)),
             (lambda p, s: solve_two_fd(p, s, 0.0, 0.0), BoundaryFlag.ORIGIN, (ZERO,) * 3),
@@ -748,6 +777,73 @@ class TestInvalidInputs:
             solve_single(MB, p, u)
         with pytest.raises(error):
             FiniteProblem(MB, p, p, u)
+
+
+_FINITE_EXTREME = [
+    0.0, -0.0, 5e-324, sys.float_info.min, 1e-300, 1e-100, 1.0, 1e100, 1e300,
+    sys.float_info.max, -sys.float_info.max, math.inf, -math.inf, math.nan,
+]
+_FINITE_WEIGHTS = [(1.0, 1.0), (1.0, 1e-300), (1e300, 1.0), (5e-324, 1.0), (1.0, 2.0, 3.0)]
+# 1e151 is past the levels' 1e150 bound
+_FINITE_SCALES = [5e-324, 1e-300, 1e-100, 1.0, 1e100, 1e150, 1e151]
+
+
+@st.composite
+def _finite_calls(draw):
+    """(entry, args): phi_n_inverse or solve_two_mb_be on weights from
+    _FINITE_WEIGHTS, levels k c (k = 0, 1, ...), c from _FINITE_SCALES or
+    its negative, at a slope w inside the levels' span, 1 ulp inside either
+    end or an extreme float, and for solve_two_mb_be a mass u extreme too."""
+    p = draw(st.sampled_from(_FINITE_WEIGHTS))
+    scale = draw(st.sampled_from(_FINITE_SCALES)) * draw(st.sampled_from([1.0, -1.0]))
+    s = tuple(scale * k for k in range(len(p)))
+    lo, hi = min(s), max(s)
+    inside = [0.5 * (lo + hi), math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf)]
+    w = draw(st.sampled_from(inside + _FINITE_EXTREME))
+    if draw(st.booleans()):
+        return phi_n_inverse, (p, s, w)
+    u = draw(st.sampled_from([1.0, 5e-324, 1e-300, 1e300, sys.float_info.max]))
+    return solve_two_mb_be, (draw(st.sampled_from([MB, BE])), p, s, u, u * w)
+
+
+class TestOnlyEmpErrorEscapes:
+    """phi_n_inverse and solve_two_mb_be at extreme slopes, masses and
+    level scales return or raise an EmpError, with no float warning."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_finite_calls())
+    def test_extreme_slopes_masses_and_scales(self, call):
+        entry, args = call
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = entry(*args)
+            except EmpError:
+                return
+        if entry is phi_n_inverse:
+            assert not math.isnan(out)
+
+    def test_single_split_of_a_mass_whose_product_with_a_weight_overflows(self):
+        # u p_1 = 1e600 overflowed (a numpy warning) though u p_1 / rho does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_single(MB, (1e300, 1.0), 1e300)
+            edge = solve_two_mb_be(MB, (1e300, 1.0), (0.0, 1.0), 1e300, 0.0)
+        assert sol.u_bar == pytest.approx((1e300, 1.0), rel=1e-15)
+        assert edge.boundary_flag is BoundaryFlag.LOWER_EDGE
+        assert edge.u_bar == pytest.approx((1e300, 0.0), rel=1e-15)
+
+    def test_value_where_a_ratio_to_its_weight_overflows(self):
+        # u_2 / p_2 is about 1e310: the ratio overflowed (a numpy warning)
+        # and the value came out +inf, though its terms u_k (ln u_k - ln p_k
+        # - 1) are about 7e12 in all
+        p, u = (1.0, 1e-300), 1e10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_two_mb_be(MB, p, (0.0, 1.0), u, 0.99 * u)
+        assert sol.boundary_flag is BoundaryFlag.INTERIOR_KKT
+        want = math.fsum(uk * (math.log(uk) - math.log(pk) - 1.0) for pk, uk in zip(p, sol.u_bar))
+        assert 7e12 < sol.value == pytest.approx(want, rel=1e-12)
 
 
 def test_finite_problem_dispatch():

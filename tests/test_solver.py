@@ -47,7 +47,7 @@ from entromin import finite as finite_module
 from entromin import solver as solver_module
 from entromin.rootfind import solve_bracketed
 
-from conftest import LN2, ZETA2, ZETA3, objective_exponential
+from conftest import LN2, ZETA2, ZETA3, objective_exponential, ref_gibbs_pass
 
 MB = Entropy.MAXWELL_BOLTZMANN
 BE = Entropy.BOSE_EINSTEIN
@@ -606,10 +606,12 @@ class TestEpsilonFamily:
 
     def test_members_reproduce_the_pinned_digests(self, zeta_solver):
         # tests/golden/epsilon_members.json holds the sha256 of
-        # repr((n, lam, ups, objective, terms)) at commit 79f7045 for
-        # converge(1e-3) at every beyond-theta2 target of perfbench's
-        # mb-point cycles on seeds 9001-9003 (all on WeightedGeometric(1, 3)),
-        # and for member(128) and member(256) at (u, v) = (1, 2)
+        # repr((n, lam, ups, objective, terms)) for converge(1e-3) at every
+        # beyond-theta2 target of perfbench's mb-point cycles on seeds
+        # 9001-9003 (all on WeightedGeometric(1, 3)), and for member(128)
+        # and member(256) at (u, v) = (1, 2); pinned at commit 79f7045 and
+        # re-pinned, every n the same, when the member roots' Newton points
+        # became rootfind.slope_step's
         pinned = json.loads(self._PINNED.read_text())
         assert pinned["family"] == repr(zeta_solver.family)
         got = []
@@ -792,11 +794,12 @@ class TestEpsilonFamily:
 
     @pytest.mark.parametrize("ratio", [1.4, 1.7, 2.0])
     def test_prefix_terms_per_converge(self, zeta_solver, monkeypatch, ratio):
-        # members provably outside epsilon are dropped after one pass, with
-        # no endpoint pass and no terms; the returned member's terms come
-        # from its last pass (about 11.8 n on the parent of this bound)
+        # cold: every member record pays its alpha-end pass once, members
+        # provably outside epsilon are dropped at it or after one pass of
+        # their own, with no terms; the returned member's terms come from
+        # its last pass (about 11.8 n on the parent of this bound)
         eps_fam = self._eps_family(zeta_solver, ratio * zeta_solver.profile.theta2)
-        solver_module._cached_prefix.cache_clear()  # endpoint slopes go with their prefix
+        solver_module._cached_prefix.cache_clear()  # end passes go with their prefix
         terms = []
 
         class CountingNumpy:
@@ -814,8 +817,9 @@ class TestEpsilonFamily:
         assert sum(terms) <= 8 * member.n
 
     def test_endpoint_pass_cached_per_family_and_n(self, zeta_solver, monkeypatch):
-        # the returned member's root is approached from one side, so its
-        # other endpoint takes a pass the first time only
+        # every member record's alpha end takes a pass the first time only,
+        # and so does the returned member's other endpoint, its root being
+        # approached from one side
         eps_fam = self._eps_family(zeta_solver, 2.0)
         solver_module._cached_prefix.cache_clear()
         calls = []
@@ -828,13 +832,41 @@ class TestEpsilonFamily:
         monkeypatch.setattr(finite_module, "_gibbs_pass", counting)
         first = eps_fam.converge(1e-3)
         cold = len(calls)
-        ends = solver_module._prefix(eps_fam._family, first.n).ends
-        assert ends
-        phi = self._prefix_slope(eps_fam._family, first.n)
-        assert all(got == phi(-lam) for lam, got in ends.items())
+        alpha = eps_fam._prof.alpha
+        sizes = [8 << k for k in range((first.n // 8).bit_length())]
+        records = [solver_module._prefix(eps_fam._family, n) for n in sizes]
+        assert all(alpha in pre.ends for pre in records)
+        for pre in records:
+            for lam, got in pre.ends.items():
+                assert got == ref_gibbs_pass(pre.log_p, pre.s, -lam)[:3]
         again = eps_fam.converge(1e-3)
         assert again == first and again.terms == first.terms
-        assert len(calls) - cold == cold - len(ends)
+        assert len(calls) - cold == cold - sum(len(pre.ends) for pre in records)
+
+    @pytest.mark.parametrize("ratio", [1.6, 1.85, 2.05])
+    def test_extrapolated_starts_keep_terms_near_six_per_n(self, monkeypatch, ratio):
+        # a warm converge(1e-4) that reaches n = 2^18-2^19 exponentiates
+        # about 6 n prefix terms, the returned member's last passes and the
+        # dropped members' first; a root estimate that misleads the
+        # extrapolated starts (converge) costs whole passes of the largest
+        # members (10.5-11.5 n with no extrapolation at all)
+        solver = EmpSolver(WeightedGeometric(0.5, 4.0))
+        eps_fam = self._eps_family(solver, ratio * solver.profile.theta2)
+        eps_fam.converge(1e-4)
+        terms = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, x, *args, **kwargs):
+                terms.append(np.size(x))
+                return np.exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(finite_module, "np", CountingNumpy())
+        member = eps_fam.converge(1e-4)
+        assert member.n >= 2**18
+        assert sum(terms) <= 7 * member.n
 
     def test_threads_share_one_solver(self, zeta_solver):
         eps_fam = self._eps_family(zeta_solver, 1.7 * zeta_solver.profile.theta2)
@@ -1933,6 +1965,48 @@ class TestOnlyEmpErrorsEscape:
         assert isinstance(got, (EmpSolution, InverseFailure))
         if isinstance(got, EmpSolution):
             assert not math.isnan(got.value)
+
+
+class TestEpsilonFamilyOnlyEmpErrorEscapes:
+    """EpsilonFamily.converge (n_max = 2^12) and member at extreme
+    beyond-theta2 targets, epsilon values and truncations return a member
+    with no nan or raise an EmpError, with no float warning; so does the
+    solve that makes the family."""
+
+    MASSES = [5e-324, sys.float_info.min, 1e-300, 1.0, 1e300, sys.float_info.max]
+    EPSILONS = [0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf, 1e300, 1e-3]
+    TRUNCATIONS = [1, 2, 8, 4096]
+
+    @pytest.mark.parametrize("params", [(1.0, 3.0), (0.5, 4.0)])
+    def test_every_extreme_target_epsilon_and_truncation(self, params):
+        # all 432 calls per family, each (u, w u) with w 1 ulp or 2e-12
+        # relative past theta2, 2 theta2 or huge
+        solver = EmpSolver(WeightedGeometric(*params))
+        t2 = solver.profile.theta2
+        slopes = [math.nextafter(t2, math.inf), t2 * (1.0 + 2e-12), 2.0 * t2, 1e10, 1e300,
+                  sys.float_info.max]
+        calls = [("converge", eps) for eps in self.EPSILONS]
+        calls += [("member", n) for n in self.TRUNCATIONS]
+        returned = 0
+        for w in slopes:
+            for u in self.MASSES:
+                for entry, arg in calls:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        try:
+                            eps_fam = solver.solve_mb(u, u * w).epsilon_family
+                            if eps_fam is None:
+                                continue
+                            if entry == "converge":
+                                got = eps_fam.converge(arg, n_max=2**12)
+                            else:
+                                got = eps_fam.member(arg)
+                        except EmpError:
+                            continue
+                    assert not any(math.isnan(x) for x in (got.lam, got.ups, got.objective)), (
+                        u, w, entry, arg)
+                    returned += 1
+        assert returned
 
 
 class TestEarlyGiveUp:
