@@ -99,23 +99,21 @@ def _checked(p, sigma, **target):
 
 def _w_sum(kind: Entropy, p, u_bar) -> float:
     """sum_k p_k W(u_k / p_k), the terms formed in one array and summed by
-    math.fsum.  No term can overflow unless some u_k or p_k exceeds 1e305
-    or u_k exceeds p_k 1e305; then, where u_k / p_k overflows, a
-    maxwell-boltzmann term is formed as u_k (ln u_k - ln p_k - 1) and a
-    bose-einstein one as -p_k (ln u_k - ln p_k + 1), its value to within a
-    relative 1/r < 1e-308 (a fermi-dirac term is +inf there), and a term
-    past the float range is +-inf, all of one sign."""
+    math.fsum.  Where u_k / p_k overflows, a maxwell-boltzmann term is
+    formed as u_k (ln u_k - ln p_k - 1) and a bose-einstein one as -p_k
+    (ln u_k - ln p_k + 1), its value to within a relative 1/r < 1e-308 (a
+    fermi-dirac term is +inf there), and a term past the float range is
+    +-inf, all of one sign."""
     p, u = np.asarray(p, dtype=float), np.asarray(u_bar, dtype=float)
-    if not np.maximum.reduce(np.maximum(u, p) * 1e-305 - np.minimum(p, 1.0)) > 0.0:
-        return math.fsum((p * entropy_value(kind, u / p)).tolist())
     with np.errstate(over="ignore"):
         r = u / p
         terms = p * entropy_value(kind, r)
-        big = np.isinf(r) & np.isfinite(u)
-        if big.any() and kind is not Entropy.FERMI_DIRAC:
-            ln_r = np.log(u[big]) - np.log(p[big])
-            mb = kind is Entropy.MAXWELL_BOLTZMANN
-            terms[big] = u[big] * (ln_r - 1.0) if mb else -p[big] * (ln_r + 1.0)
+        if kind is not Entropy.FERMI_DIRAC:
+            big = np.isinf(r) & np.isfinite(u)
+            if big.any():
+                ln_r = np.log(u[big]) - np.log(p[big])
+                mb = kind is Entropy.MAXWELL_BOLTZMANN
+                terms[big] = u[big] * (ln_r - 1.0) if mb else -p[big] * (ln_r + 1.0)
     return math.fsum(terms.tolist())
 
 
@@ -176,16 +174,15 @@ def _gibbs_pass(log_p, s, t):
     return phi, var, m + math.log(z0), e, z0
 
 
-def _slope_root(log_p, s, w, tol):
-    """(t, the _gibbs_pass at t) with |phi_n(t) - w| <= tol, min s < w < max s:
-    rootfind.newton_root from t = 0 on g = phi_n - w, each Newton point
-    rootfind.slope_step's step on ln(phi_n - min s) with phi_n' =
-    Var_n(sigma) from the same pass."""
-    s_min = float(np.minimum.reduce(s))
+def _slope_root(log_p, s, w, tol, eta1):
+    """(t, the _gibbs_pass at t) with |phi_n(t) - w| <= tol, eta1 = min s <
+    w < max s: rootfind.newton_root from t = 0 on g = phi_n - w, each
+    Newton point rootfind.slope_step's step on ln(phi_n - eta1) with
+    phi_n' = Var_n(sigma) from the same pass."""
 
     def evaluate(t):
         at = _gibbs_pass(log_p, s, t)
-        return at[0] - w, t + slope_step(at[0], at[1], w, s_min), at
+        return at[0] - w, t + slope_step(at[0], at[1], w, eta1), at
 
     try:
         t, at, _, _ = newton_root(evaluate, 0.0, evaluate(0.0), tol)
@@ -206,7 +203,7 @@ def phi_n_inverse(p, sigma, w: float, tol: float = 1e-12) -> float:
     eta1, eta2 = float(s.min()), float(s.max())
     if not eta1 < w < eta2:
         raise RangeError(f"w={w} outside the open range ({eta1}, {eta2})")
-    return _slope_root(np.log(p), s, w, tol)[0]
+    return _slope_root(np.log(p), s, w, tol, eta1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +257,7 @@ def solve_two_mb_be(kind: Entropy, p, sigma, u: float, v: float) -> FiniteSoluti
     if where == "upper":
         return _edge_solution(kind, p, sigma, u, eta2, BoundaryFlag.UPPER_EDGE)
 
-    alpha, beta, u_bar = _mb_multipliers(p, sigma, u, v)
+    alpha, beta, u_bar = _mb_multipliers(p, sigma, u, v, eta1)
     if kind is Entropy.MAXWELL_BOLTZMANN:
         value = _w_sum(kind, p, u_bar)
         flag = BoundaryFlag.INTERIOR_KKT
@@ -268,13 +265,14 @@ def solve_two_mb_be(kind: Entropy, p, sigma, u: float, v: float) -> FiniteSoluti
     return _dual_newton(kind, p, sigma, u, v, alpha, beta)
 
 
-def _mb_multipliers(p, sigma, u, v):
+def _mb_multipliers(p, sigma, u, v, eta1):
     """Maxwell-boltzmann multipliers (alpha, beta) of an interior target and
     its optimum u_k = p_k e^(alpha + beta sigma_k), both from the slope
-    root's last Gibbs pass: alpha = ln u - ln Z_n, u_k = u e_k / z0.  The
-    multipliers also start the bose-einstein and fermi-dirac Newton."""
+    root's last Gibbs pass (eta1 = min sigma): alpha = ln u - ln Z_n, u_k =
+    u e_k / z0.  The multipliers also start the bose-einstein and
+    fermi-dirac Newton."""
     w = v / u
-    beta, at = _slope_root(np.log(p), sigma, w, 1e-12 * max(1.0, abs(w)))
+    beta, at = _slope_root(np.log(p), sigma, w, 1e-12 * max(1.0, abs(w)), eta1)
     _, _, log_z, e, z0 = at
     return math.log(u) - log_z, beta, u * e / z0
 
@@ -430,5 +428,5 @@ def solve_two_fd(p, sigma, u: float, v: float) -> FiniteSolution:
         if face is None:
             return FiniteSolution((0.0,) * len(p), 0.0, None, BoundaryFlag.ORIGIN)
         return _fd_face_solution(p, sigma, *face)
-    alpha, beta, _ = _mb_multipliers(p, sigma, u, v)
+    alpha, beta, _ = _mb_multipliers(p, sigma, u, v, float(np.minimum.reduce(sigma)))
     return _dual_newton(Entropy.FERMI_DIRAC, p, sigma, u, v, alpha, beta)

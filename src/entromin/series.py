@@ -756,15 +756,15 @@ def _invert_slope(family, w, tol, ceiling=1.0) -> _Slope:
     (lo, hi), start, y_h, _ = _ladder_start(family, prof, w, tol, ceiling)
     last, q, t1 = start.slope, 0.25 * tol, prof.theta1
 
+    def point(s):
+        return s.residual(w, q), s.y + slope_step(s.phi, s.dphi, w, t1), s
+
     def evaluate(y):
         nonlocal last
         last = _certified_slope(family, y, q, last, ceiling)
-        return last.residual(w, q), last.y + slope_step(last.phi, last.dphi, w, t1), last
+        return point(last)
 
-    if y_h is not None:
-        first = evaluate(y_h)
-    else:  # the nearer entry, with no pass
-        first = last.residual(w, q), last.y + slope_step(last.phi, last.dphi, w, t1), last
+    first = point(last) if y_h is None else evaluate(y_h)
     return newton_root(evaluate, last.y, first, 0.75 * tol, lo, hi, True, True)[1]
 
 

@@ -290,7 +290,7 @@ class EpsilonFamily:
 
     def _member(self, n: int, start: float, bound: float = math.inf, floor: float = 0.0):
         """(member(n), its lam) with the Newton iteration started at
-        lam = start; (None, a root estimate or None) once the member is
+        lam = start; (None, a root estimate) once the member is
         dropped by its dual bound (see _root).  The prefix record comes from
         _prefix, shared per (family, n); the member's terms are the root's
         last Gibbs pass scaled in place, u e / z0, and become a tuple only
@@ -316,24 +316,24 @@ class EpsilonFamily:
         Every pass also gives the Lagrange dual of the n-term problem,
         D_n(lam) = (ln u - ln Z_n(lam) - 1) u - lam v, which is at most the
         member's objective for every lam (weak duality) and equals it at the
-        root.  Under a finite `bound`, a cached record (n <= _PREFIX_CACHE_N)
-        first reads its alpha-end pass (pre.end, one target-free pass per
-        record): RangeError unless phi_n(-alpha) < w, and where D_n(alpha)
-        already exceeds `bound` it returns (alpha less slope_step's step
-        from alpha where that lies strictly inside (floor, alpha), else
-        None; None) with no pass of its own.  Once an iterate's D_n exceeds
-        `bound` the search stops and returns (an estimate of the root,
-        None): the objective is then above `bound`, up to rounding.  The
-        estimate is the Newton step, clipped to [floor, alpha], from an
-        iterate left of the root; from one right of it, where g is flat and
-        the step lands far short, the midpoint of that step and the
-        iterate.  evaluate carries it out of the root search in a _Dropped.
+        root.  A cached record (n <= _PREFIX_CACHE_N) first reads its
+        alpha-end pass (pre.end, one target-free pass per record):
+        RangeError unless phi_n(-alpha) < w.  Where D_n exceeds `bound`,
+        there or at an iterate, the member's objective is above `bound`, up
+        to rounding, and _root returns (an estimate of the root, None) with
+        no further pass; evaluate carries it out of the root search in a
+        _Dropped.  The estimate is the Newton step from that point, clipped
+        to [floor, alpha], where the point lies left of the root; right of
+        it (alpha included), where the step lands short, it is the midpoint
+        of that estimate and the point.
 
         A step evaluates an end of [-alpha, 0] only when it points past
-        that end and no iterate has proved its side; an end left unproved
-        is checked after the root from pre.end, at most one pass per record
-        and end.  member(n), and records past _PREFIX_CACHE_N (built per
-        call), check the alpha end only so."""
+        that end and no iterate has proved its side, so newton_root is not
+        told of the alpha-end pass read first: a pass at the end is a
+        better Newton point than the bracket's midpoint, which a proved end
+        sends such a step to (one or two passes more per warm member(n)).
+        An end left unproved is checked after the root from pre.end, at
+        most one pass per record and end."""
         a, t1 = self._prof.alpha, self._prof.theta1
         log_p, s = pre.log_p, pre.s
         n = len(s)
@@ -345,13 +345,15 @@ class EpsilonFamily:
             if (lam == 0.0 and not phi > w) or (lam == a and not phi < w):
                 raise RangeError(f"truncation n={n} cannot reach slope {w}")
 
-        alpha_ok = bound < math.inf and n <= _PREFIX_CACHE_N
-        if alpha_ok:
+        def estimate(lam, step, phi):
+            est = lam if math.isnan(step) else min(max(lam - step, floor), a)
+            return est if phi > w else 0.5 * (est + lam)
+
+        if n <= _PREFIX_CACHE_N:
             phi, var, log_z = pre.end(a)
             reach(phi, a)
             if (ln_u - log_z - 1.0) * u - a * v > bound:
-                est = a - slope_step(phi, var, w, t1)
-                return (est if floor < est < a else None), None
+                return estimate(a, slope_step(phi, var, w, t1), phi), None
 
         def evaluate(t):
             lam = -t
@@ -360,14 +362,13 @@ class EpsilonFamily:
             reach(phi, lam)
             step = slope_step(phi, var, w, t1)
             if (ln_u - log_z - 1.0) * u - lam * v > bound:
-                est = lam if math.isnan(step) else min(max(lam - step, floor), a)
-                raise _Dropped(est if phi > w else 0.5 * (est + lam))
+                raise _Dropped(estimate(lam, step, phi))
             return phi - w, t + step, at
 
         try:
             # the end t = -0.0, so that lam = -t is 0.0 there
             t, at, alpha_ok, zero_ok = newton_root(
-                evaluate, -lam, evaluate(-lam), 1e-12 * max(1.0, w), -a, -0.0, alpha_ok
+                evaluate, -lam, evaluate(-lam), 1e-12 * max(1.0, w), -a, -0.0
             )
         except _Dropped as drop:
             return drop.args[0], None
@@ -394,7 +395,7 @@ class EpsilonFamily:
         the first Newton pass past the bound (_root).  A dropped
         member's root estimate (never below the previous root, as roots
         grow with n for nondecreasing levels) stands in for its root in the
-        extrapolation, where it has one, and the member pays no terms.
+        extrapolation, and the member pays no terms.
         member(n) passes no bound and solves every member to its root.
         DomainError unless epsilon > 0 and start is an integer >= 1."""
         if not epsilon > 0.0:
@@ -414,8 +415,7 @@ class EpsilonFamily:
             except RangeError:
                 pass
             else:
-                if lam is not None:
-                    roots.append(lam)
+                roots.append(lam)
                 if member is not None and abs(member.objective - self.value) <= epsilon:
                     return member
             n *= 2

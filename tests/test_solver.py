@@ -843,6 +843,31 @@ class TestEpsilonFamily:
         assert again == first and again.terms == first.terms
         assert len(calls) - cold == cold - sum(len(pre.ends) for pre in records)
 
+    def test_member_reads_each_cached_alpha_end_once(self, zeta_solver, monkeypatch):
+        # member(n) passes no bound, yet a cached record's alpha end is read
+        # first, as in converge, at most one pass per record; a warm call
+        # repeats only the root's own passes
+        eps_fam = self._eps_family(zeta_solver, 2.0)
+        solver_module._cached_prefix.cache_clear()
+        calls = []
+        orig = finite_module._gibbs_pass
+
+        def counting(log_p, s, t):
+            calls.append(t)
+            return orig(log_p, s, t)
+
+        monkeypatch.setattr(finite_module, "_gibbs_pass", counting)
+        alpha = eps_fam._prof.alpha
+        for n in (128, 4096):
+            del calls[:]
+            first = eps_fam.member(n)
+            cold = len(calls)
+            pre = solver_module._prefix(eps_fam._family, n)
+            assert pre.ends[alpha] == ref_gibbs_pass(pre.log_p, pre.s, -alpha)[:3]
+            again = eps_fam.member(n)
+            assert again == first and again.terms == first.terms
+            assert len(calls) - cold == cold - len(pre.ends)
+
     @pytest.mark.parametrize("ratio", [1.6, 1.85, 2.05])
     def test_extrapolated_starts_keep_terms_near_six_per_n(self, monkeypatch, ratio):
         # a warm converge(1e-4) that reaches n = 2^18-2^19 exponentiates
