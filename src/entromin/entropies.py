@@ -87,7 +87,11 @@ def entropy_value(kind: Entropy, u):
         if kind is Entropy.MAXWELL_BOLTZMANN:
             w = np.where(u == _INF, _INF, _xlogx(u) - u)
         elif kind is Entropy.BOSE_EINSTEIN:
-            w = np.where(u == _INF, -_INF, _xlogx(u) - _xlogx(1.0 + u))
+            # u ln u - (1+u) ln(1+u) cancels for large u: past u = 1 it is
+            # -ln(1+u) - u ln(1 + 1/u), each term of one sign
+            small = _xlogx(u) - (1.0 + u) * np.log1p(u)
+            large = -np.log1p(u) - u * np.log1p(1.0 / u)
+            w = np.where(u == _INF, -_INF, np.where(u <= 1.0, small, large))
         else:
             w = np.where(u > 1.0, _INF, _xlogx(u) + _xlogx(1.0 - u))
         # u < 0 or nan

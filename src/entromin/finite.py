@@ -20,9 +20,11 @@ overflows is u (p_k / rho), with no float warning.
 
 Weights must be finite and positive and levels at most 1e150 in size, so
 that Var_n(sigma) does not overflow (DomainError), targets finite
-(RangeError).  A Newton iteration that does not converge raises
-NumericalFailureError.  The tolerances are fixed: the slope root to
-1e-12 relative, the dual Newton to 1e-11 of the constraint scale.
+(RangeError); the fermi-dirac zonotope also needs its scale, sum p_k and
+max |sigma_k| u, within the float range (DomainError).  A Newton
+iteration that does not converge raises NumericalFailureError.  The
+tolerances are fixed: the slope root to 1e-12 relative, the dual Newton
+to 1e-11 of the constraint scale.
 """
 
 from __future__ import annotations
@@ -357,7 +359,7 @@ def _fd_fill(p, s, u: float):
     of order is the stable ascending sort of sigma, row 1 its reverse, and
     each level takes min(p_k, what remains before it); sequential
     accumulates round as a level-by-level loop does."""
-    up = np.argsort(s, kind="stable")
+    up = s.argsort(kind="stable")
     order = np.array((up, up[::-1]))
     caps = p[order]
     left = np.empty_like(caps)  # u, then the p_k to subtract from it
@@ -372,9 +374,14 @@ def _fd_position(p, s, u: float, v: float):
     sigma_k), within atol = 1e-12 of its scale.  A BOUNDARY target with u >
     0 lies within atol of an envelope, and face = (order, take, lower) is
     that envelope's fill (_fd_fill), the lower one when both are that near;
-    face is None otherwise."""
-    rho = float(p.sum())
-    scale = max(1.0, abs(u), abs(v), rho, float(np.abs(s).max()) * max(1.0, abs(u)))
+    face is None otherwise.  DomainError where the scale passes the float
+    range: every target would then lie within atol of an envelope."""
+    with np.errstate(over="ignore"):
+        rho = float(np.add.reduce(p))
+    reach = float(np.maximum.reduce(np.abs(s))) * max(1.0, abs(u))  # max |sigma| u
+    scale = max(1.0, abs(u), abs(v), rho, reach)
+    if scale == math.inf:
+        raise DomainError("fermi-dirac: the weights' sum or max |sigma| u passes the float range")
     atol = 1e-12 * scale
     if u < -atol or u > rho + atol:
         return Feasibility.INFEASIBLE, None

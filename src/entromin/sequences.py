@@ -13,12 +13,10 @@ proves about f(y) = sum p_n exp(sigma_n y) rests on what a family declares:
     an undeclared alpha raises UnsupportedFamilyError;
   * ``sigma_direction`` when the levels do not tend to +inf, and
     ``sigma_increasing_from`` when they are not nondecreasing from n = 1;
-  * its tail certificates, three in a leaf family: ``tail_ratio`` (a
-    ratio-test constant r < 1 for the whole tail beyond an index),
-    ``_direct_intervals``, the one closed-form hook (brackets for all asked
-    moments from one call: exact geometric sums, integral tests, ratio and
-    block-doubling majorants, and zeta-type tails at and beyond the
-    endpoint y = -alpha) and ``boundary_divergent`` (summability there).
+  * its tail certificate, ``tail_intervals``: (lo, hi) brackets of the
+    tails beyond an index for every asked moment from one call (moments k
+    >= 1 need positive levels), what the series layer reads; with
+    ``boundary_divergent`` (summability at y = -alpha).
 
 The base class derives the rest: the family's term table (``_tabled``: the
 ``_term_arrays`` of [1, 2^13] and its (sigma_n, ln p_n) rows, built on
@@ -28,18 +26,18 @@ from ln p_n = 700 on), the scalars ``sigma``, ``log_p`` and ``p`` (an
 element of each array; ``sigma`` and ``log_p`` read from the table's rows,
 so that the block ends' levels and t_n, t_(n+1) cost no array),
 ``constant_sigma`` (sigma_direction 0) and ``dom_f_empty`` (alpha = +inf
-for levels not falling to -inf).
-``tail_intervals``, the brackets the series layer reads
-(all moments at one index from one call; ``tail_interval`` is its
-one-moment view), combines a leaf family's certificates (moments k >= 1
-need positive levels).  A family
-whose closed forms no other route can beat declares ``_direct_wins``, and
-they skip the combiner: Arithmetic's are the exact tails (the ratio
-route's 1 - r cancels near y = 0 and can round low), and Lattice3D has no
-other route.  A wrapper (ExplicitPrefix, ShiftedSigma) declares
-``tail_intervals`` from its base's whole brackets (a shift falls back on
-the combiner where that has none), and passes ``tail_ratio`` on where it
-holds.
+for levels not falling to -inf), and the default ``tail_intervals``.
+That default, ``_combined``, joins the ratio route (``tail_ratio``, a
+ratio-test constant r < 1 for the whole tail beyond an index), the closed
+forms its caller holds, and moment absorption into the plain tail at a
+shifted ordinate.  Arithmetic and Lattice3D return their closed forms as
+they are (Arithmetic's are the exact tails, where the ratio route's 1 - r
+cancels near y = 0 and can round low; Lattice3D has no ratio route);
+WeightedGeometric (zeta-type tails at and beyond y = -alpha), LogLevels
+(integral tests) and PowerLaw (a block-doubling majorant) pass theirs to
+``_combined``.  A wrapper (ExplicitPrefix, ShiftedSigma) brackets from its
+base's whole brackets (a shift falls back on the default where that has
+none), and passes ``tail_ratio`` on where it holds.
 theta1 = min sigma_n comes from ``sigma_min_set``, cached per family; the
 attainment cone and degenerate cases follow from alpha and theta1.
 
@@ -210,12 +208,6 @@ class SequenceFamily:
         or None when the family cannot certify one."""
         return None
 
-    def _direct_intervals(self, y, n, moments):
-        """Closed-form (lo, hi) brackets of the (N=n, k) tails, one per k in
-        `moments` (None where there is none): a family with closed forms
-        overrides this, taking pieces its moments share once."""
-        return [None] * len(moments)
-
     def boundary_divergent(self, moment: int = 0) -> Optional[bool]:
         """True/False when (non)summability at y = -alpha is certified."""
         return None
@@ -225,35 +217,27 @@ class SequenceFamily:
         None: the one-moment view of tail_intervals."""
         return self.tail_intervals(y, n, (moment,))[0]
 
-    # True where no other route can beat a closed form: tail_intervals then
-    # takes each as it is
-    _direct_wins = False
-
     def tail_intervals(self, y: float, n: int, moments) -> list:
         """Best available (lo, hi) bracket of the (N=n, k) tail for each k in
-        `moments`, in its order, from one call: what a summation pass reads
-        at each block end.  Subclasses override this, never tail_interval.
+        `moments`, in its order, from one call: the family's whole tail
+        certificate, what a summation pass reads at each block end.
+        Subclasses override this, never tail_interval.  Here the ratio
+        route and moment absorption, with no closed form (_combined)."""
+        return self._combined(y, n, moments, [None] * len(moments))
 
-        A family whose closed forms win (_direct_wins) takes each as it is,
-        trying no other route for that moment (and none at all where every
-        moment has one), so that no bracket depends on the other moments
-        asked for.  Every other moment combines the ratio route, the closed
-        form and moment absorption into the plain tail at a shifted
-        ordinate, keeping the largest lower and the smallest upper end, and
-        takes t_n and t_{n+1} (together) and the absorbed base tails once
-        for every moment.  None for a moment where nothing is certified.
-        For k >= 1 over a nonpositive level the family's routes must
-        decline (lo = 0 floors every bracket), and absorption is not tried.
-        """
-        directs = self._direct_intervals(y, n, moments)
-        if self._direct_wins and None not in directs:
-            return directs
+    def _combined(self, y, n, moments, closed) -> list:
+        """The brackets of the k in `moments` from the ratio route
+        (tail_ratio), the caller's closed forms `closed` (a (lo, hi) or None
+        per moment) and, for k >= 1 where neither bounds the tail above,
+        moment absorption into the plain tail at a shifted ordinate, keeping
+        the largest lower and the smallest upper end; t_n and t_{n+1}
+        (together) and the absorbed base tails are taken once for every
+        moment.  None for a moment where nothing is certified.  For k >= 1
+        over a nonpositive level the family's routes must decline (lo = 0
+        floors every bracket), and absorption is not tried."""
         out = []
         terms = bases = None  # t_n, t_{n+1} as (e^(ln p + sigma y), sigma), taken once
-        for k, direct in zip(moments, directs):
-            if self._direct_wins and direct is not None:
-                out.append(direct)
-                continue
+        for k, direct in zip(moments, closed):
             lo, hi = 0.0, None
             r = self.tail_ratio(y, n, k)
             if r is not None and r < 1.0:
@@ -334,7 +318,6 @@ class Arithmetic(SequenceFamily):
 
     offset: float = 0.0
     slope: float = 1.0
-    _direct_wins = True  # the closed forms are the exact tails
 
     def __post_init__(self):
         if not (math.isfinite(self.offset) and math.isfinite(self.slope)):
@@ -356,20 +339,16 @@ class Arithmetic(SequenceFamily):
         return 0 if self.slope == 0.0 else (1 if self.slope > 0.0 else -1)
 
     def tail_ratio(self, y, n, moment=0):
-        if self.slope <= 0.0 or y >= 0.0:
+        # the plain terms' ratio; the moments take their exact tails
+        if moment or self.slope <= 0.0 or y >= 0.0:
             return None
         r = math.exp(self.slope * y)
-        if moment > 0:
-            s_n = self.sigma(n)
-            if s_n <= 0.0:
-                return None
-            # (sigma_{m+1}/sigma_m)^k is decreasing in m for sigma > 0
-            r *= (self.sigma(n + 1) / s_n) ** moment
         return r if r < 1.0 else None
 
-    def _direct_intervals(self, y, n, moments):
-        # exact geometric moment tails, from 1 - rho, e^(offset y) and
-        # rho^(n+1) taken once for every moment
+    def tail_intervals(self, y, n, moments):
+        # the exact geometric moment tails (k <= 2), from 1 - rho, e^(offset
+        # y) and rho^(n+1) taken once for every moment; the ratio route's
+        # 1 - r cancels near y = 0 and can round low, so it is not tried
         if self.slope <= 0.0 or y >= 0.0:
             return [None] * len(moments)
         om = -math.expm1(self.slope * y)  # 1 - rho, rho = e^(slope y), without cancellation
@@ -377,12 +356,14 @@ class Arithmetic(SequenceFamily):
         positive = moments != (0,) and self.sigma(n + 1) > 0.0
         if om <= 2.0**-54:  # rho rounds to 1: only the trivial bracket is certain
             return [None if k and not positive else (0.0, math.inf) for k in moments]
-        try:
-            amp = math.exp(self.offset * y)
-        except OverflowError:  # no certificate from this route
-            return [None] * len(moments)
-        g = math.exp((n + 1) * self.slope * y)  # rho^(n+1)
         a, b = self.offset, self.slope
+        try:
+            amp, g = math.exp(a * y), math.exp((n + 1) * b * y)  # rho^(n+1)
+        except OverflowError:  # e^(offset y) overflows: take it into g, as e^(sigma_(n+1) y)
+            try:
+                amp, g = 1.0, math.exp(self.sigma(n + 1) * y)
+            except OverflowError:  # so does the tail's first term: none is certified
+                return [None] * len(moments)
         s0 = g / om
         out = []
         for k in moments:
@@ -402,27 +383,6 @@ class Arithmetic(SequenceFamily):
     def boundary_divergent(self, moment=0):
         # alpha = 0 and p_n = 1: terms do not vanish at y = 0
         return True if self.slope > 0.0 else None
-
-
-def _block_doubling_tail(term_log, sigma, y, n, budget=64):
-    """Upper bound on sum_{m > n} exp(term_log(m)) for terms nonincreasing in m
-    whose level gaps sigma(2m+1) - sigma(m+1) are nondecreasing in m.
-
-    Covers block (m, 2m] by m * t(m+1); once the certified block ratio
-    2 exp((sigma(2m+1) - sigma(m+1)) y) drops to 1/2 the remaining blocks sum
-    below twice the current one.
-    """
-    total = 0.0
-    m = n
-    for _ in range(budget):
-        t = math.exp(term_log(m + 1))
-        block = m * t
-        ratio = 2.0 * math.exp((sigma(2 * m + 1) - sigma(m + 1)) * y)
-        if ratio <= 0.5:
-            return total + 2.0 * block
-        total += block
-        m *= 2
-    return None
 
 
 @dataclass(frozen=True)
@@ -461,20 +421,35 @@ class PowerLaw(SequenceFamily):
             r *= ((n + 1) / n) ** (self.exponent * moment)
         return r if r < 1.0 else None
 
-    def _direct_intervals(self, y, n, moments):
-        # a block-doubling majorant of the plain tail; none for k >= 1
-        if self.scale <= 0.0 or y >= 0.0 or 0 not in moments:
-            return [None] * len(moments)
-        hi = _block_doubling_tail(lambda m: self.sigma(m) * y, self.sigma, y, n)
-        return [None if k or hi is None else (0.0, hi) for k in moments]
-
     def tail_intervals(self, y, n, moments):
-        # the terms are positive, so (0, inf) is a true bracket where no
-        # finite one is certified, and the kernel's early give-up applies
-        ivs = super().tail_intervals(y, n, moments)
-        if self.scale > 0.0 and y < 0.0:
-            return [(0.0, math.inf) if iv is None else iv for iv in ivs]
-        return ivs
+        # the ratio route, a block-doubling majorant of the plain tail and,
+        # for k >= 1, moment absorption into it; the terms are positive, so
+        # (0, inf) is a true bracket where no finite one is certified, and
+        # the kernel's early give-up applies
+        if self.scale <= 0.0 or y >= 0.0:  # no route holds, absorption included
+            return [None] * len(moments)
+        hi = self._doubling_majorant(y, n) if 0 in moments else None
+        closed = [None if k or hi is None else (0.0, hi) for k in moments]
+        ivs = self._combined(y, n, moments, closed)
+        return [(0.0, math.inf) if iv is None else iv for iv in ivs]
+
+    def _doubling_majorant(self, y, n):
+        """Upper bound on the plain tail sum_{m > n} e^(sigma_m y), y < 0, or
+        None: the terms are nonincreasing and the level gaps sigma_(2m+1) -
+        sigma_(m+1) nondecreasing in m.  Covers block (m, 2m] by m
+        e^(sigma_(m+1) y); once the certified block ratio 2 e^((sigma_(2m+1)
+        - sigma_(m+1)) y) drops to 1/2 the remaining blocks sum below twice
+        the current one.  At most 64 blocks."""
+        total = 0.0
+        m = n
+        for _ in range(64):
+            s = self.sigma(m + 1)
+            block = m * math.exp(s * y)
+            if 2.0 * math.exp((self.sigma(2 * m + 1) - s) * y) <= 0.5:
+                return total + 2.0 * block
+            total += block
+            m *= 2
+        return None
 
     def boundary_divergent(self, moment=0):
         return True if self.scale > 0.0 else None
@@ -503,12 +478,13 @@ class LogLevels(SequenceFamily):
     def sigma_direction(self):
         return 1 if self.scale > 0.0 else -1
 
-    def _direct_intervals(self, y, n, moments):
+    def tail_intervals(self, y, n, moments):
         # integral test on ln^k(w) w^(scale*y), w = x+1, which is elementary
         # for k <= 2 and decreasing once ln w > k/(-scale*y); the logs and
-        # powers of w = n+2 and n+1 are taken once for every moment
+        # powers of w = n+2 and n+1 are taken once for every moment, and
+        # moment absorption tries the k it leaves open
         e = self.scale * y
-        if self.scale <= 0.0 or e >= -1.0:
+        if self.scale <= 0.0 or e >= -1.0:  # y >= -alpha: no route holds
             return [None] * len(moments)
         m = -(e + 1.0)
         ends = [(math.log(w), w ** (e + 1.0)) for w in (n + 2.0, n + 1.0)]
@@ -526,13 +502,13 @@ class LogLevels(SequenceFamily):
                 tail = lw * lw / m + 2.0 * lw / (m * m) + cube
             return self.scale**k * pw * tail
 
-        out = []
+        closed = []
         for k in moments:
             if k > 2 or k > 0 and ends[1][0] <= k / (-e):  # ends[1][0] = ln(n+1)
-                out.append(None)  # terms not yet decreasing at this index
+                closed.append(None)  # terms not yet decreasing at this index
             else:
-                out.append(tuple(integral(k, lw, pw) for lw, pw in ends))
-        return out
+                closed.append(tuple(integral(k, lw, pw) for lw, pw in ends))
+        return self._combined(y, n, moments, closed)
 
     def boundary_divergent(self, moment=0):
         # at y = -alpha the terms are sigma^k/(n+1): harmonic or worse
@@ -575,20 +551,20 @@ class WeightedGeometric(SequenceFamily):
             r *= ((n + 1) / n) ** e  # sup over the tail sits at m = n
         return r if r < 1.0 else None
 
-    def _direct_intervals(self, y, n, moments):
-        # at y = -rate the terms are n^(k - power), a zeta-type tail with an
-        # integral-test bracket where k - power < -1; for y < -rate they are
-        # smaller
-        out = []
+    def tail_intervals(self, y, n, moments):
+        # the ratio route, and moment absorption where it fails; at y = -rate
+        # the terms are n^(k - power), a zeta-type tail with an integral-test
+        # bracket where k - power < -1, and for y < -rate they are smaller
+        closed = []
         for k in moments:
             e = k - self.power
             if y > -self.rate or e >= -1.0:
-                out.append(None)
+                closed.append(None)
             else:
                 c = -e - 1.0
                 lo = (n + 1.0) ** (e + 1.0) / c if y == -self.rate else 0.0
-                out.append((lo, float(n) ** (e + 1.0) / c))
-        return out
+                closed.append((lo, float(n) ** (e + 1.0) / c))
+        return self._combined(y, n, moments, closed)
 
     def boundary_divergent(self, moment=0):
         return moment - self.power >= -1.0
@@ -635,7 +611,6 @@ class Lattice3D(SequenceFamily):
     the distinct values, p_n = the number of positive triples attaining it."""
 
     scale: float = 1.0
-    _direct_wins = True  # no ratio route: the closed forms are its only brackets
 
     def __post_init__(self):
         if self.scale <= 0.0 or not math.isfinite(self.scale):
@@ -656,9 +631,10 @@ class Lattice3D(SequenceFamily):
     def alpha(self):
         return 0.0
 
-    def _direct_intervals(self, y, n, moments):
+    def tail_intervals(self, y, n, moments):
         if y >= 0.0:
             return [None] * len(moments)
+        # no ratio route: these closed forms are the only brackets.  The
         # degeneracy of value S is at most S (each admissible (i,j) fixes k),
         # so the tail is below scale^k * sum_{S > V} S^m rho^S, m = k + 1,
         # rho = e^(scale y).  Over S >= V + 1 the ratio of its terms is at

@@ -801,7 +801,7 @@ class EmpSolver:
             )
             return x * u + y * v - h
         terms = [float(t) for t in seq]
-        if any(t < 0.0 for t in terms):
+        if not all(t >= 0.0 for t in terms):  # nan included
             raise DomainError("occupation terms must be nonnegative")
         return finite._w_sum(kind, self.family.p_array(1, len(terms)), terms)
 

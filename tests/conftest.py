@@ -224,7 +224,9 @@ def ref_entropy_value(kind: Entropy, u: float) -> float:
     if kind is Entropy.BOSE_EINSTEIN:
         if math.isinf(u):
             return -math.inf
-        return _ref_xlogx(u) - _ref_xlogx(1.0 + u)
+        if u <= 1.0:
+            return _ref_xlogx(u) - (1.0 + u) * math.log1p(u)
+        return -math.log1p(u) - u * math.log1p(1.0 / u)
     if u > 1.0:
         return math.inf
     return _ref_xlogx(u) + _ref_xlogx(1.0 - u)

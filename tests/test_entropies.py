@@ -352,3 +352,18 @@ def test_be_conjugate_is_accurate_as_t_tends_to_zero():
         want = [float(-mpmath.log(-mpmath.expm1(mpmath.mpf(t)))) for t in ts.tolist()]
     for t, g, w in zip(ts.tolist(), got.tolist(), want):
         assert abs(g - w) <= 4.0 * math.ulp(w), (t, g, w)
+
+
+@pytest.mark.usefixtures("warnings_are_errors")
+def test_be_value_is_accurate_over_the_whole_float_range():
+    # u ln u - (1+u) ln(1+u) at 1,606 log-spaced u in [1e-300, 1e308]: the
+    # one-line form read 0.0 at 1e100 (true -231.2585...), nan from 1e306
+    # up and was 2,417 ulp off at 1e-5; split at u = 1 it keeps a few ulp
+    mpmath = pytest.importorskip("mpmath")
+    us = np.geomspace(1e-300, 1e308, 1606)
+    got = entropy_value(BE, us)
+    with mpmath.workdps(360):  # the form itself cancels 308 digits at 1e308
+        want = [float(u * mpmath.log(u) - (1 + u) * mpmath.log1p(u))
+                for u in map(mpmath.mpf, us.tolist())]
+    for u, g, w in zip(us.tolist(), got.tolist(), want):
+        assert abs(g - w) <= 4.0 * math.ulp(w), (u, g, w)

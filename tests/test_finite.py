@@ -806,6 +806,25 @@ def _finite_calls(draw):
     return solve_two_mb_be, (draw(st.sampled_from([MB, BE])), p, s, u, u * w)
 
 
+# 1e150 is the levels' bound, and two weights of the float maximum overflow their sum
+_FD_EXTREME = [
+    0.0, -0.0, 5e-324, 1.0, 700.0, -700.0, 1e150, -1e150, 1e300, -1e300,
+    sys.float_info.max, math.inf, -math.inf, math.nan,
+]
+
+
+@st.composite
+def _fd_calls(draw):
+    """(entry, args): solve_two_fd or fd_feasible on two or three weights
+    from the positive finite _FD_EXTREME (TestInvalidInputs refuses the
+    others), levels and a target (u, v) from _FD_EXTREME."""
+    entry = draw(st.sampled_from([solve_two_fd, fd_feasible]))
+    size = draw(st.sampled_from([2, 3]))
+    p = [draw(st.sampled_from([x for x in _FD_EXTREME if 0.0 < x < math.inf])) for _ in range(size)]
+    s = [draw(st.sampled_from(_FD_EXTREME)) for _ in range(size)]
+    return entry, (p, s, draw(st.sampled_from(_FD_EXTREME)), draw(st.sampled_from(_FD_EXTREME)))
+
+
 class TestOnlyEmpErrorEscapes:
     """phi_n_inverse and solve_two_mb_be at extreme slopes, masses and
     level scales return or raise an EmpError, with no float warning."""
@@ -844,6 +863,44 @@ class TestOnlyEmpErrorEscapes:
         assert sol.boundary_flag is BoundaryFlag.INTERIOR_KKT
         want = math.fsum(uk * (math.log(uk) - math.log(pk) - 1.0) for pk, uk in zip(p, sol.u_bar))
         assert 7e12 < sol.value == pytest.approx(want, rel=1e-12)
+
+    def test_bose_einstein_value_at_a_mass_near_the_float_maximum(self):
+        # u ln u - (1 + u) ln(1 + u) cancelled: W(u / rho) read nan here,
+        # with no exception; past u = 1 it is -ln(1 + u) - u ln(1 + 1/u),
+        # -ln u - 1 to within 1/u
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_single(BE, (1.0, 2.0), 1e306)
+        assert sol.value == pytest.approx(3.0 * (-math.log(1e306 / 3.0) - 1.0), rel=1e-15)
+
+    @pytest.mark.parametrize("p, sigma, u, v", [
+        ((1e308, 1e308), (1.0, 2.0), 1.0, 1.5),  # the weights' sum overflows
+        ((1.0, 1e300), (-1e150, 1e150), 1e299, -5.0),  # max |sigma| u overflows
+    ])
+    def test_fd_scale_past_the_float_range_is_refused(self, p, sigma, u, v):
+        # the zonotope's tolerance scale overflowed to inf, so every target
+        # lay "within atol" of an envelope: the interior target came back
+        # as a lower-edge solution and the infeasible one (its lower
+        # envelope is about 1e449) as one whose sum sigma u is inf, each
+        # with a numpy overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (fd_feasible, solve_two_fd):
+                with pytest.raises(DomainError):
+                    call(p, sigma, u, v)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_fd_calls())
+    def test_fermi_dirac_at_extreme_weights_levels_and_targets(self, call):
+        entry, args = call
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = entry(*args)
+            except EmpError:
+                return
+        if entry is solve_two_fd:
+            assert not math.isnan(out.value) and not any(map(math.isnan, out.u_bar))
 
 
 def test_finite_problem_dispatch():

@@ -643,6 +643,9 @@ _FAMILY_POINTS = [
     (WeightedGeometric(1.0, 3.0), -1.2),
     (WeightedGeometric(1.0, 3.0), -1.0 - 1e-9),
     (WeightedGeometric(2.0, 0.5), -2.3),
+    # moments 1 and 2 are boundary-divergent (power 1.5): near -alpha their
+    # brackets come from moment absorption into the plain tail
+    (WeightedGeometric(1.0, 1.5), -1.004),
     (Lattice3D(1.0), -0.3),
     (Lattice3D(0.25), -1.1),
     (ExplicitPrefix((2.0, 1.5), (0.7, 0.9), Arithmetic(0.0, 1.0)), -0.2),
@@ -810,6 +813,18 @@ def test_no_moment_bracket_over_nonpositive_levels():
     assert fam.tail_interval(-0.05, 64, 0) is not None
 
 
+def test_arithmetic_tail_where_its_amplitude_overflows():
+    # e^(offset y) = e^1000 overflows: it is taken into rho^(n+1) as
+    # e^(sigma_(n+1) y) = e^-25, and the brackets stay the exact tails
+    # (the ratio route gave (1.389e-11, 2.197e-11) for moment 0 here)
+    fam = Arithmetic(-1000.0, 1.0)
+    for k, (lo, hi) in zip((0, 1, 2), fam.tail_intervals(-1.0, 1024, (0, 1, 2))):
+        tail = math.fsum((m - 1000.0) ** k * math.exp(1000.0 - m) for m in range(1025, 3000))
+        assert lo == hi == pytest.approx(tail, rel=1e-13)
+    # e^(sigma_65 y) = e^935 overflows too: nothing is certified
+    assert fam.tail_intervals(-1.0, 64, (0, 1, 2)) == [None] * 3
+
+
 def test_boundary_divergence_flags(case_b_family, zeta_family):
     assert case_b_family.boundary_divergent(0) is False
     assert case_b_family.boundary_divergent(1) is True
@@ -935,8 +950,10 @@ def test_tail_intervals_reproduce_the_pinned_brackets():
     # entries re-pinned when that bracket gained its ratio-test route, none
     # of them wider, and its Arithmetic entries (alone or under a prefix or
     # a shift) when Arithmetic's exact tails stopped meeting the ratio
-    # route's rounding in the combiner; every moment set and order must
-    # give the same floats
+    # route's rounding in the combiner; its WeightedGeometric(1, 1.5)
+    # entries, whose moments 1 and 2 take moment absorption near -alpha,
+    # were written at commit 8c72b48; every moment set and order must give
+    # the same floats
     pinned = json.loads(_PINNED.read_text())
     keys = {_pin_key(f, y, n, k) for f, y, n in _pinned_bracket_inputs() for k in (0, 1, 2)}
     assert set(pinned) == keys
@@ -977,19 +994,3 @@ def test_arithmetic_brackets_are_the_exact_tail():
                 want = _arithmetic_tail(mpmath, family, y, n, k)
                 for end in iv:
                     assert abs(end - want) <= (1e-14 + rounding) * want + sys.float_info.min
-
-
-def test_skipping_the_combiner_changes_no_lattice_bracket():
-    # Lattice3D has no ratio route and its closed forms bracket every
-    # moment for y < 0, so the combiner would return them as they are; an
-    # Arithmetic moment without a closed form (k = 3) takes the combiner
-    # for every moment of the call
-    combined = sequences.SequenceFamily.tail_intervals
-    for family, y, n in _pinned_bracket_inputs():
-        if type(family) is Lattice3D:
-            for moments in ((0, 1, 2), (2, 0), (1,)):
-                got = family.tail_intervals(y, n, moments)
-                assert repr(got) == repr(combined(family, y, n, moments))
-    fam = Arithmetic(0.0, 1.0)
-    got = fam.tail_intervals(-0.3, 64, (0, 3))
-    assert got == combined(fam, -0.3, 64, (0, 3)) and got[1] is not None

@@ -2,6 +2,7 @@
 endpoint profiles, the slope bijection and its inverse, the conjugate of
 ln f, and the dual sums h_W with gradients and boundary subdifferentials."""
 
+import functools
 import json
 import math
 import sys
@@ -1129,6 +1130,77 @@ class TestOnlyEmpErrorEscapes:
         # sum was returned as nan
         big = sys.float_info.max
         assert EmpSolver(LogLevels(1.0)).value_mb(big, big) == math.inf
+
+
+_DUAL_EXTREME = [0.0, -0.0, 5e-324, 1e300, -1e300, 700.0, -700.0, math.inf, -math.inf, math.nan]
+
+
+def _dual_multipliers(family):
+    """(x, y) pairs: x from _DUAL_EXTREME or -1, y from _DUAL_EXTREME, 1 ulp
+    below -alpha or -alpha - 1."""
+    a = profile(family).alpha
+    ys = [math.nextafter(-a, -math.inf), -a - 1.0, *_DUAL_EXTREME]
+    return [(x, y) for x in [-1.0, *_DUAL_EXTREME] for y in ys]
+
+
+@st.composite
+def _dual_calls(draw):
+    """(family, entry, kind, args): forward_solve under any entropy at a
+    _dual_multipliers pair, then objective_value on its rule, or
+    objective_value on two terms from _DUAL_EXTREME."""
+    family = draw(st.sampled_from(_GUARD_FAMILIES))
+    kind = draw(st.sampled_from([MB, BE, FD]))
+    if draw(st.booleans()):
+        return family, "forward_solve", kind, draw(st.sampled_from(_dual_multipliers(family)))
+    return family, "objective_value", kind, ([draw(st.sampled_from(_DUAL_EXTREME)) for _ in range(2)],)
+
+
+class TestDualEntriesOnlyEmpErrorEscapes:
+    """forward_solve and objective_value under every entropy and
+    biconjugate_check, at extreme multipliers and terms, return values that
+    are not nan or raise EmpError, with no float warning."""
+
+    @staticmethod
+    def _check(call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = call()
+            except EmpError:
+                return
+        assert not any(math.isnan(o) for o in out)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_dual_calls())
+    def test_forward_solve_and_objective_value(self, call):
+        family, entry, kind, args = call
+        solver = EmpSolver(family)
+
+        def run():
+            if entry == "objective_value":
+                return (solver.objective_value(kind, *args),)
+            sol = solver.forward_solve(kind, *args)
+            return sol.u, sol.v, sol.value, solver.objective_value(kind, sol.solution)
+
+        self._check(run)
+
+    def test_a_nan_term_is_refused(self):
+        # its W was +inf, and a bose-einstein term at u = inf is -inf:
+        # math.fsum raised ValueError on the two
+        with pytest.raises(DomainError):
+            EmpSolver(Arithmetic(0.0, 1.0)).objective_value(BE, [math.inf, math.nan])
+
+    @pytest.mark.parametrize("family", _GUARD_FAMILIES, ids=repr)
+    def test_biconjugate_check(self, family, monkeypatch):
+        # its sampled sup reads lnf_conjugate on a grid of slopes that
+        # depends on the family alone, 0.6 s a call on LogLevels(1), whose
+        # largest slopes lie near its divergent boundary: one evaluation
+        # per slope serves every (x, y)
+        memo = functools.lru_cache(maxsize=None)(series.lnf_conjugate)
+        monkeypatch.setattr(series, "lnf_conjugate", memo)
+        solver = EmpSolver(family)
+        for x, y in _dual_multipliers(family):
+            self._check(lambda: solver.biconjugate_check(x, y, 64))
 
 
 class TestLnfConjugate:
