@@ -6,7 +6,12 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
 
   epsilon_converge     EpsilonFamily.converge(1e-3) on every beyond-theta2
                        target of mb-point (WeightedGeometric(1, 3), slopes
-                       1.4 to 2.0);
+                       1.4 to 2.0), counted three ways: warm on targets
+                       converged before (counts_per_converge), over a cold
+                       first cycle from a cleared prefix cache
+                       (counts_per_cold_converge), and on the targets of
+                       seeds 9002-9003 after a converge on each of seed
+                       9001's (counts_per_unseen_converge);
   mb_interior          solve_mb on every interior target of mb-point's three
                        families (Arithmetic(0, 1), WeightedGeometric(1, 3)
                        and Lattice3D(1)), reported overall and per family;
@@ -192,8 +197,9 @@ median of REPEATS calls, after one untimed warm-up call per target.  All
 timing and the py_calls profiles run before the tracer is installed, so
 the counts see what the library caches across calls warm, as a
 long-running process does (the slope ladder, and the epsilon family's
-prefix arrays, its endpoint passes at lam = 0 and lam = alpha and the
-proposal's rows, per family and n).
+prefix arrays, their rungs of target-free passes and the proposal's rows,
+per family and n); only epsilon_converge's cold and unseen counts, taken
+after every other case, start from a cleared prefix cache.
 
 Usage, from the repository root:
     python scripts/bench.py --out BENCH.json [--src PATH]
@@ -507,9 +513,9 @@ def _counted(tracer, fn, keys):
     return result, {out: counts[key] for out, key in keys.items()}
 
 
-def _targets(workloads, np):
+def _targets(workloads, np, seeds=SEEDS):
     wl = workloads.MbPoint()
-    return [r for seed in SEEDS for r in wl.requests(np.random.default_rng(seed))]
+    return [r for seed in seeds for r in wl.requests(np.random.default_rng(seed))]
 
 
 def _families(entromin, workloads, reqs):
@@ -523,7 +529,9 @@ def _families(entromin, workloads, reqs):
     return [f for f in fams if f is not None]
 
 
-def count_converge(tracer, fams):
+def _converge_counts(tracer, fams):
+    """The counts of converge(1e-3) on each of fams, in their order, and
+    the n each returned."""
     per_target, results = [], []
     for fam in fams:
         made = Counter()
@@ -537,10 +545,33 @@ def count_converge(tracer, fams):
                            "members": made["members"], **counts,
                            "terms_built": made["terms_built"]})
         results.append(member.n)
+    return per_target, results
+
+
+def count_converge(tracer, fams):
+    """counts_per_converge: the counts of a converge on each of fams with
+    the prefix records of earlier converges on the same targets kept."""
+    per_target, results = _converge_counts(tracer, fams)
     return {
         "counts_per_converge": _summary(per_target),
         "n_returned": dict(sorted(Counter(results).items())),
     }
+
+
+def count_fresh_converge(tracer, fams, seen, unseen):
+    """counts_per_cold_converge: a first cycle of converges on fams from a
+    cleared prefix cache; counts_per_unseen_converge: converges on unseen
+    after one uncounted converge on each of seen from a cleared cache.
+    The cache is left holding what those converges filled."""
+    from entromin import solver
+
+    solver._cached_prefix.cache_clear()
+    cold = _converge_counts(tracer, fams)[0]
+    solver._cached_prefix.cache_clear()
+    for fam in seen:
+        fam.converge(1e-3)
+    return {"counts_per_cold_converge": _summary(cold),
+            "counts_per_unseen_converge": _summary(_converge_counts(tracer, unseen)[0])}
 
 
 def _shifted(entromin, interior):
@@ -1029,6 +1060,8 @@ def main(argv=None) -> int:
     explicit_solver = explicit_case(entromin)  # first: it empties the caches
     reqs = _targets(workloads, np)
     fams = _families(entromin, workloads, reqs)
+    seen_fams = _families(entromin, workloads, _targets(workloads, np, SEEDS[:1]))
+    unseen_fams = _families(entromin, workloads, _targets(workloads, np, SEEDS[1:]))
     interior = _interior(entromin, workloads, reqs)
     shifted_es, shifted = _shifted(entromin, interior)
     trips = _roundtrips(entromin, workloads, np)
@@ -1091,6 +1124,8 @@ def main(argv=None) -> int:
             "bf_roundtrip": count_ladder_build(tracer, _grouped(trips, _roundtrip)),
         }
         rule_prefix = prefix_case(tracer, rules, prefix_calls, prefix_runs)
+        # last: it empties the prefix cache that the cases above read warm
+        converge.update(count_fresh_converge(tracer, fams, seen_fams, unseen_fams))
     tracer.active = False
 
     record = {
@@ -1119,10 +1154,12 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     for name, case in record["cases"].items():
         wall = next(v for k, v in case.items() if k.startswith("wall_ms"))
-        counts = next(v for k, v in case.items() if k.startswith("counts"))
-        means = ", ".join(f"{k} {v['mean']:.1f}" for k, v in counts.items())
+        counts = [(k, v) for k, v in case.items() if k.startswith("counts")]
+        means = ", ".join(f"{k} {v['mean']:.1f}" for k, v in counts[0][1].items())
         print(f"{name}: {case['targets']} targets; {means}; "
               f"median {wall['median']:.3f} ms [{wall['q1']:.3f}, {wall['q3']:.3f}]")
+        for key, more in counts[1:]:
+            print(f"  {key}: " + ", ".join(f"{k} {v['mean']:.2f}" for k, v in more.items()))
         for fam, sub in case.get("per_family", {}).items():
             if "counts_per_verify" in sub:
                 counts = ", ".join(f"{k} {v}" for k, v in sub["counts_per_verify"].items())

@@ -99,15 +99,19 @@ def _checked(p, sigma, **target):
     return p, s
 
 
-def _w_sum(kind: Entropy, p, u_bar) -> float:
+def _w_sum(kind: Entropy, p, u_bar, log_p=None) -> float:
     """sum_k p_k W(u_k / p_k), the terms formed in one array and summed by
     math.fsum.  Where u_k / p_k overflows, a maxwell-boltzmann term is
     formed as u_k (ln u_k - ln p_k - 1) and a bose-einstein one as -p_k
     (ln u_k - ln p_k + 1), its value to within a relative 1/r < 1e-308 (a
     fermi-dirac term is +inf there), and a term past the float range is
-    +-inf, all of one sign."""
+    +-inf, all of one sign.  Where p_k is +inf (a family's weight past ln
+    p_k = 700, SequenceFamily.p_array), the term is its limit as p_k
+    grows, u_k (ln u_k - ln p_k - 1) for all three entropies and 0 at u_k
+    = 0, formed from ln p_k in log_p."""
     p, u = np.asarray(p, dtype=float), np.asarray(u_bar, dtype=float)
-    with np.errstate(over="ignore"):
+    # invalid: inf p_k times W(0) = 0, replaced below
+    with np.errstate(over="ignore", invalid="ignore"):
         r = u / p
         terms = p * entropy_value(kind, r)
         if kind is not Entropy.FERMI_DIRAC:
@@ -116,6 +120,10 @@ def _w_sum(kind: Entropy, p, u_bar) -> float:
                 ln_r = np.log(u[big]) - np.log(p[big])
                 mb = kind is Entropy.MAXWELL_BOLTZMANN
                 terms[big] = u[big] * (ln_r - 1.0) if mb else -p[big] * (ln_r + 1.0)
+        if log_p is not None:
+            huge = np.isinf(p)
+            uh = u[huge]
+            terms[huge] = uh * (np.log(np.where(uh > 0.0, uh, 1.0)) - log_p[huge] - 1.0)
     return math.fsum(terms.tolist())
 
 

@@ -54,9 +54,10 @@ def newton_root(evaluate, x, first, r_tol, lo=-math.inf, hi=math.inf, lo_ok=Fals
     Each step moves at least 4 ulp(x).  While an end is infinite the steps
     are capped at 1, 2, 4, ...; between finite ends a step past an unproved
     end goes to that end, and the Newton point is taken when it lies
-    strictly inside and moves at most half as far as the step before it,
-    else the midpoint.  Once hi - lo <= 4 ulp(x) the point of least |g| is
-    returned.  BudgetError after 200 evaluations."""
+    strictly inside and moves at most half as far as the step before it
+    or at most the 4-ulp floor, else the midpoint.  Once hi - lo <= 4
+    ulp(x) the point of least |g| is returned.  BudgetError after 200
+    evaluations."""
     best = (math.inf, x, None)
     cap, last_step = 1.0, math.inf
     for evaluations in range(1, 201):
@@ -83,7 +84,8 @@ def newton_root(evaluate, x, first, r_tol, lo=-math.inf, hi=math.inf, lo_ok=Fals
             nxt = hi
         elif nxt <= lo and not lo_ok:
             nxt = lo
-        elif not (lo < nxt < hi and abs(nxt - x) <= 0.5 * abs(last_step)):
+        elif not (lo < nxt < hi
+                  and (abs(nxt - x) <= 0.5 * abs(last_step) or abs(nxt - x) <= floor)):
             nxt = 0.5 * (lo + hi)
         last_step, x = nxt - x, nxt
     raise BudgetError(f"root search used 200 evaluations; best |g| = {best[0]:.3e} "

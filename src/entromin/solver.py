@@ -10,6 +10,17 @@ EmpSolver.solve_mb is the one region dispatch for all of it; value_mb and
 h_star_mb return its value and h_star.  The interior value comes from the
 same slope root and f as series.lnf_conjugate.
 
+Beyond theta2 the n-th member of the epsilon family rests on the root lam
+in [0, alpha] of its prefix slope, phi_n(-lam) = v/u.  The first n terms
+of a family (n <= 2^16) are one cached record per (family, n) (_prefix),
+shared by every target of the family, which also keeps target-free Gibbs
+passes on a ladder of multipliers lam_k = alpha - alpha 2^(-k/16) (_rung),
+each computed on first use.  EpsilonFamily.converge reads the rung nearest
+each member's extrapolated start: it drops the member with no pass of its
+own where the rung's Lagrange dual already rules it out, and otherwise
+starts the member's Newton iteration from the rung's step.  The rung
+depends on the start alone, so no result depends on what the cache holds.
+
 Forward solves (from dual multipliers (x, y) to the unique optimizer) work
 for all three entropies.  Inverse bose-einstein/fermi-dirac solves are
 best-effort Newton iterations that either succeed and verify, or return an
@@ -171,6 +182,20 @@ class _Dropped(Exception):
 _PREFIX_CACHE_N = 2**16
 _PREFIX_CACHE_SIZE = 32
 _PREFIX_CACHE_BYTES = _PREFIX_CACHE_SIZE * 2 * 8 * _PREFIX_CACHE_N
+_RUNGS = 16  # rungs of a record's ladder per halving of alpha - lam (_rung)
+
+
+def _rung(start: float, alpha: float) -> float:
+    """The rung of a prefix record's ladder nearest start in ln(alpha -
+    lam): lam_k = alpha - alpha 2^(-k/16) for the k nearest 16
+    log2(alpha / (alpha - start)), alpha itself for start >= alpha.  lam_0
+    is 0.0, and lam_k is alpha for every k >= 16 * 54 (alpha 2^-54 is below
+    half an ulp of alpha), so the ladder has at most 865 distinct rungs, the
+    two ends of [0, alpha] among them."""
+    if not start < alpha:
+        return alpha
+    k = round(_RUNGS * (math.log2(alpha) - math.log2(alpha - start)))
+    return alpha - alpha * 2.0 ** (-k / _RUNGS)
 
 
 class _Prefix:
@@ -178,9 +203,11 @@ class _Prefix:
     family reads them: log_p and s, (ln p_k, sigma_k) for k = 1..n as
     read-only arrays; rows, finite._dual_rows(s), built on first read (the
     inverse's proposal reads it, n <= series._ONE_ARRAY); and ends, the
-    endpoint passes {lam: (phi_n, Var_n, ln Z_n) at t = -lam} that end
-    fills, each the first time EpsilonFamily._root asks for it
-    (concurrent writers store the same floats)."""
+    target-free Gibbs passes {lam: (phi_n, Var_n, ln Z_n) at t = -lam} on
+    the rungs of the ladder lam_k = alpha - alpha 2^(-k/16) (_rung), whose
+    rungs 0 and alpha are the ends of [0, alpha].  end fills ends, each
+    rung the first time EpsilonFamily._root asks for it, so a record holds
+    at most 865 of them (concurrent writers store the same floats)."""
 
     def __init__(self, family, n: int):
         self.log_p = family.log_terms(0.0, 1, n)
@@ -193,7 +220,9 @@ class _Prefix:
         return finite._dual_rows(self.s)
 
     def end(self, lam: float):
-        """ends[lam], from one Gibbs pass at t = -lam the first time."""
+        """ends[lam] for a rung lam (_rung), from one Gibbs pass at t = -lam
+        the first time.  The pass depends on the record and lam alone, so a
+        read returns the same floats whether it computes them or not."""
         got = self.ends.get(lam)
         if got is None:
             got = self.ends[lam] = finite._gibbs_pass(self.log_p, self.s, -lam)[:3]
@@ -209,8 +238,9 @@ def _prefix(family, n: int) -> _Prefix:
     cache of _PREFIX_CACHE_SIZE (32) entries, larger ones are built per
     call.  A record holds two float64 arrays of n, and its rows (n <=
     4096) three more columns, at most 2 * 2^16 floats in all, so the cache
-    holds at most _PREFIX_CACHE_BYTES (32 MiB) whatever truncations are
-    asked for."""
+    holds at most _PREFIX_CACHE_BYTES (32 MiB) of arrays whatever
+    truncations are asked for, besides each record's ends, at most 865
+    passes of three floats."""
     return _Prefix(family, n) if n > _PREFIX_CACHE_N else _cached_prefix(family, n)
 
 
@@ -284,14 +314,15 @@ class EpsilonFamily:
         """The n-term member; RangeError when n is too small to reach v/u,
         that is unless phi_n(-alpha) < v/u < phi_n(0) for the prefix slope
         phi_n.  lam solves phi_n(-lam) = v/u by a bracket-safeguarded Newton
-        iteration on [0, alpha], one pass over the prefix per step.
+        iteration on [0, alpha], one pass over the prefix per step, started
+        as converge starts a first member, from lam = alpha (_root).
         DomainError unless n is an integer >= 1."""
-        return self._member(_truncation(n, "n"), 0.0)[0]
+        return self._member(_truncation(n, "n"), self._prof.alpha)[0]
 
     def _member(self, n: int, start: float, bound: float = math.inf, floor: float = 0.0):
-        """(member(n), its lam) with the Newton iteration started at
-        lam = start; (None, a root estimate) once the member is
-        dropped by its dual bound (see _root).  The prefix record comes from
+        """(member(n), its lam) with the root search started from lam =
+        start (_root); (None, a root estimate) once the member is
+        dropped by its dual bound.  The prefix record comes from
         _prefix, shared per (family, n); the member's terms are the root's
         last Gibbs pass scaled in place, u e / z0, and become a tuple only
         when read (EpsilonMember.terms)."""
@@ -309,31 +340,40 @@ class EpsilonFamily:
         """(lam, the Gibbs pass at t = -lam, finite._gibbs_pass) with
         g = phi_n(t) - w at most 1e-12 max(1, w) in absolute value, w = v/u,
         on the prefix record pre (_prefix): rootfind.newton_root in t = -lam
-        on [-alpha, 0] from t = -lam, each Newton point rootfind.slope_step's
-        step on ln(phi_n - theta1) with phi_n' = Var_n(sigma) from the same
-        pass.  RangeError unless phi_n(-alpha) < w < phi_n(0).
+        on [-alpha, 0], each Newton point rootfind.slope_step's step on
+        ln(phi_n - theta1) with phi_n' = Var_n(sigma) from the same pass.
+        RangeError unless phi_n(-alpha) < w < phi_n(0).
 
         Every pass also gives the Lagrange dual of the n-term problem,
         D_n(lam) = (ln u - ln Z_n(lam) - 1) u - lam v, which is at most the
         member's objective for every lam (weak duality) and equals it at the
-        root.  A cached record (n <= _PREFIX_CACHE_N) first reads its
-        alpha-end pass (pre.end, one target-free pass per record):
-        RangeError unless phi_n(-alpha) < w.  Where D_n exceeds `bound`,
-        there or at an iterate, the member's objective is above `bound`, up
-        to rounding, and _root returns (an estimate of the root, None) with
-        no further pass; evaluate carries it out of the root search in a
-        _Dropped.  The estimate is the Newton step from that point, clipped
-        to [floor, alpha], where the point lies left of the root; right of
-        it (alpha included), where the step lands short, it is the midpoint
-        of that estimate and the point.
+        root.  A cached record (n <= _PREFIX_CACHE_N) first reads one rung
+        of its ladder of target-free passes, the one nearest the start lam
+        (_rung; pre.end, one pass per record and rung the first time), the
+        alpha end for a start at alpha and the zero end for a start at 0.
+        At an end it checks that end's side (RangeError unless phi_n(-alpha)
+        < w at alpha, w < phi_n(0) at 0); at every rung it checks the bound,
+        and the Newton iteration starts from the rung's Newton step, clipped
+        to [floor, alpha] (at the rung where the step is nan).  An uncached
+        record starts at lam itself.  The
+        rung depends on the start alone and its pass on the record and the
+        rung alone, so no result depends on which rungs the cache holds.
+
+        Where D_n exceeds `bound`, at the rung or at an iterate, the
+        member's objective is above `bound`, up to rounding, and _root
+        returns (an estimate of the root, None) with no further pass;
+        evaluate carries it out of the root search in a _Dropped.  The
+        estimate is the Newton step from that point, clipped to [floor,
+        alpha], where the point lies left of the root; right of it (alpha
+        included), where the step lands short, it is the midpoint of that
+        estimate and the point.
 
         A step evaluates an end of [-alpha, 0] only when it points past
         that end and no iterate has proved its side, so newton_root is not
-        told of the alpha-end pass read first: a pass at the end is a
-        better Newton point than the bracket's midpoint, which a proved end
-        sends such a step to (one or two passes more per warm member(n)).
-        An end left unproved is checked after the root from pre.end, at
-        most one pass per record and end."""
+        told of the rung read first: a pass at the end is a better Newton
+        point than the bracket's midpoint, which a proved end sends such a
+        step to.  An end left unproved is checked after the root from
+        pre.end, at most one pass per record and end."""
         a, t1 = self._prof.alpha, self._prof.theta1
         log_p, s = pre.log_p, pre.s
         n = len(s)
@@ -345,15 +385,21 @@ class EpsilonFamily:
             if (lam == 0.0 and not phi > w) or (lam == a and not phi < w):
                 raise RangeError(f"truncation n={n} cannot reach slope {w}")
 
+        def clipped(lam, step):
+            return lam if math.isnan(step) else min(max(lam - step, floor), a)
+
         def estimate(lam, step, phi):
-            est = lam if math.isnan(step) else min(max(lam - step, floor), a)
+            est = clipped(lam, step)
             return est if phi > w else 0.5 * (est + lam)
 
         if n <= _PREFIX_CACHE_N:
-            phi, var, log_z = pre.end(a)
-            reach(phi, a)
-            if (ln_u - log_z - 1.0) * u - a * v > bound:
-                return estimate(a, slope_step(phi, var, w, t1), phi), None
+            rung = _rung(lam, a)
+            phi, var, log_z = pre.end(rung)
+            reach(phi, rung)
+            step = slope_step(phi, var, w, t1)
+            if (ln_u - log_z - 1.0) * u - rung * v > bound:
+                return estimate(rung, step, phi), None
+            lam = clipped(rung, step)
 
         def evaluate(t):
             lam = -t
@@ -379,24 +425,26 @@ class EpsilonFamily:
 
     def converge(self, epsilon: float, n_max: int = 2**20, start: int = 8) -> EpsilonMember:
         """Double the truncation from `start` until the member objective is
-        within epsilon of the value.  Each member's Newton iteration starts
+        within epsilon of the value.  Each member's root search starts
         from the previous roots: the gap alpha - lam_n shrinks by a roughly
         constant factor per doubling, so the next gap is extrapolated as
-        (alpha - lam_k)^2 / (alpha - lam_{k-1}).
+        (alpha - lam_k)^2 / (alpha - lam_{k-1}); the first member starts at
+        alpha, the second at the first root.
 
         A member is dropped once its dual bound D_n(lam) exceeds value +
         epsilon + delta: its objective is then farther than epsilon from
         the value.  delta = 1e-12 max(1, |value| + alpha v) covers the
         rounding of D_n and of the objective, whose two products are each
         at most about |value| + alpha v in magnitude.  Up to n =
-        _PREFIX_CACHE_N the bound is first read at lam = alpha from the
-        record's cached alpha-end pass, and a member whose D_n(alpha)
-        exceeds it takes no pass of its own; the others are dropped after
-        the first Newton pass past the bound (_root).  A dropped
-        member's root estimate (never below the previous root, as roots
-        grow with n for nondecreasing levels) stands in for its root in the
-        extrapolation, and the member pays no terms.
-        member(n) passes no bound and solves every member to its root.
+        _PREFIX_CACHE_N the bound is first read at the rung of the record's
+        ladder of target-free passes nearest the member's start (_rung):
+        a member whose D_n there exceeds it takes no pass of its own, and
+        the others start their Newton iteration from the rung's step and
+        are dropped after the first Newton pass past the bound (_root).  A
+        dropped member's root estimate (never below the previous root, as
+        roots grow with n for nondecreasing levels) stands in for its root
+        in the extrapolation, and the member pays no terms.  member(n)
+        passes no bound and solves every member to its root.
         DomainError unless epsilon > 0 and start is an integer >= 1."""
         if not epsilon > 0.0:
             raise DomainError(f"epsilon must be > 0, got {epsilon!r}")
@@ -405,7 +453,7 @@ class EpsilonFamily:
         bound = self.value + epsilon + 1e-12 * max(1.0, abs(self.value) + a * self.v)
         roots = []
         while n <= n_max:
-            floor = guess = roots[-1] if roots else 0.0
+            floor, guess = (roots[-1], roots[-1]) if roots else (0.0, a)
             if len(roots) >= 2:
                 gap, prev = a - roots[-1], a - roots[-2]
                 if 0.0 < gap < prev:
@@ -803,7 +851,10 @@ class EmpSolver:
         terms = [float(t) for t in seq]
         if not all(t >= 0.0 for t in terms):  # nan included
             raise DomainError("occupation terms must be nonnegative")
-        return finite._w_sum(kind, self.family.p_array(1, len(terms)), terms)
+        p = self.family.p_array(1, len(terms))
+        # p_array reads inf past ln p_n = 700, where a term needs ln p_n
+        log_p = self.family.log_terms(0.0, 1, len(terms)) if np.isinf(p).any() else None
+        return finite._w_sum(kind, p, terms, log_p)
 
     # -- biconjugate ---------------------------------------------------------
 

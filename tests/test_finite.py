@@ -340,6 +340,20 @@ class TestNewtonRoot:
         assert x == min(seen, key=lambda t: abs(t - c)) and payload == ("at", x)
         assert len(seen) < 200
 
+    def test_floor_steps_follow_one_another(self):
+        # every Newton point lies 1 ulp from its iterate, under the 4-ulp
+        # floor: a floor step after a floor step moves more than half the
+        # step before it, and was sent to the midpoint of a bracket whose
+        # far end was unproved, then bisected back (99 evaluations)
+        c = 1.0 + 10.0 * math.ulp(1.0)
+        evaluate, seen = self._recorded(
+            lambda x: (x - c) / math.ulp(1.0), lambda x, gx: x - math.copysign(math.ulp(x), gx)
+        )
+        x, payload, lo_ok, hi_ok = newton_root(evaluate, 1.0, evaluate(1.0), 0.5, 0.0, 2.0)
+        assert seen == [1.0 + k * math.ulp(1.0) for k in (0, 4, 8, 12)]
+        assert abs(x - c) <= 2.0 * math.ulp(1.0) and payload == ("at", x)
+        assert lo_ok and hi_ok
+
     def test_budget_error_after_200_evaluations(self):
         # g < 0 everywhere: the capped steps never find a right end
         evaluate, seen = self._recorded(lambda x: -1.0)

@@ -1190,6 +1190,30 @@ class TestDualEntriesOnlyEmpErrorEscapes:
         with pytest.raises(DomainError):
             EmpSolver(Arithmetic(0.0, 1.0)).objective_value(BE, [math.inf, math.nan])
 
+    @pytest.mark.parametrize("kind", [MB, BE, FD])
+    @pytest.mark.parametrize("u", [1e-3, 0.0])
+    def test_terms_whose_weight_passes_the_float_range(self, kind, u):
+        # WeightedGeometric(1, 3)'s p_n reads inf in p_array where ln p_n >=
+        # 700, and p_n W(u / p_n) was inf * W(0) = nan with an 'invalid
+        # value' warning; such a term is its limit as p_n grows, u (ln u -
+        # ln p_n - 1) under every entropy, and 0 at u = 0
+        fam = WeightedGeometric(1.0, 3.0)
+        log_p = fam.log_terms(0.0, 1, 800)
+        first = int(np.argmax(log_p >= 700.0))  # the first such term, 0-based
+        assert 600 < first < 750
+        solver = EmpSolver(fam)
+        got = solver.objective_value(kind, [u] * 800)
+        if u == 0.0:
+            assert got == 0.0
+            return
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            limits = mpmath.fsum(
+                u * (mpmath.log(u) - mpmath.mpf(float(lp)) - 1) for lp in log_p[first:]
+            )
+        before = solver.objective_value(kind, [u] * first)
+        assert got - before == pytest.approx(float(limits), rel=1e-12)
+
     @pytest.mark.parametrize("family", _GUARD_FAMILIES, ids=repr)
     def test_biconjugate_check(self, family, monkeypatch):
         # its sampled sup reads lnf_conjugate on a grid of slopes that

@@ -611,7 +611,8 @@ class TestEpsilonFamily:
         # 9001-9003 (all on WeightedGeometric(1, 3)), and for member(128)
         # and member(256) at (u, v) = (1, 2); pinned at commit 79f7045 and
         # re-pinned, every n the same, when the member roots' Newton points
-        # became rootfind.slope_step's
+        # became rootfind.slope_step's and when converge's members came to
+        # start from the rungs of their records' ladders
         pinned = json.loads(self._PINNED.read_text())
         assert pinned["family"] == repr(zeta_solver.family)
         got = []
@@ -817,9 +818,9 @@ class TestEpsilonFamily:
         assert sum(terms) <= 8 * member.n
 
     def test_endpoint_pass_cached_per_family_and_n(self, zeta_solver, monkeypatch):
-        # every member record's alpha end takes a pass the first time only,
-        # and so does the returned member's other endpoint, its root being
-        # approached from one side
+        # every member record's rung, the one nearest the member's start,
+        # takes a pass the first time only, and so does the returned
+        # member's unproved endpoint, its root being approached from one side
         eps_fam = self._eps_family(zeta_solver, 2.0)
         solver_module._cached_prefix.cache_clear()
         calls = []
@@ -835,9 +836,11 @@ class TestEpsilonFamily:
         alpha = eps_fam._prof.alpha
         sizes = [8 << k for k in range((first.n // 8).bit_length())]
         records = [solver_module._prefix(eps_fam._family, n) for n in sizes]
-        assert all(alpha in pre.ends for pre in records)
+        assert all(pre.ends for pre in records)
+        assert alpha in records[0].ends  # the first member starts at alpha
         for pre in records:
             for lam, got in pre.ends.items():
+                assert solver_module._rung(lam, alpha) == lam
                 assert got == ref_gibbs_pass(pre.log_p, pre.s, -lam)[:3]
         again = eps_fam.converge(1e-3)
         assert again == first and again.terms == first.terms
@@ -845,8 +848,8 @@ class TestEpsilonFamily:
 
     def test_member_reads_each_cached_alpha_end_once(self, zeta_solver, monkeypatch):
         # member(n) passes no bound, yet a cached record's alpha end is read
-        # first, as in converge, at most one pass per record; a warm call
-        # repeats only the root's own passes
+        # first, as by converge's first member, at most one pass per record;
+        # a warm call repeats only the root's own passes
         eps_fam = self._eps_family(zeta_solver, 2.0)
         solver_module._cached_prefix.cache_clear()
         calls = []
@@ -894,15 +897,22 @@ class TestEpsilonFamily:
         assert sum(terms) <= 7 * member.n
 
     def test_threads_share_one_solver(self, zeta_solver):
-        eps_fam = self._eps_family(zeta_solver, 1.7 * zeta_solver.profile.theta2)
+        # both threads fill the same records' rungs from empty ladders, one
+        # over the targets in order and one in reverse, and match a serial
+        # run from empty ladders
+        theta2 = zeta_solver.profile.theta2
+        eps_fams = [self._eps_family(zeta_solver, r * theta2) for r in (1.2, 1.45, 1.7)]
         solver_module._cached_prefix.cache_clear()
+        family = eps_fams[0]._family
+        assert not any(solver_module._prefix(family, 8 << k).ends for k in range(14))
         start = threading.Barrier(2)
         got, errors = [None, None], []
 
         def run(k):
             try:
                 start.wait(timeout=10.0)
-                got[k] = eps_fam.converge(1e-3)
+                order = eps_fams if k == 0 else eps_fams[::-1]
+                got[k] = [f.converge(1e-3) for f in order]
             except Exception as exc:  # reported below, from the test's thread
                 errors.append(exc)
 
@@ -918,9 +928,13 @@ class TestEpsilonFamily:
         finally:
             sys.setswitchinterval(old)
         assert not errors, errors
-        assert got[0] == got[1] and got[0].terms == got[1].terms
-        again = eps_fam.converge(1e-3)
-        assert got[0] == again and got[0].terms == again.terms
+        got[1].reverse()
+        solver_module._cached_prefix.cache_clear()
+        serial = [f.converge(1e-3) for f in eps_fams]
+        for a, b in zip(got[0], got[1]):
+            assert a == b and a.terms == b.terms
+        for a, b in zip(got[0], serial):
+            assert a == b and a.terms == b.terms
 
     @pytest.mark.parametrize("n", [2, 3, 64])
     def test_range_error_exactly_at_the_edges(self, zeta_solver, n):
@@ -951,6 +965,67 @@ class TestEpsilonFamily:
         members = int(math.log2(member.n // 8)) + 1
         # secant/bisection took about 40 passes per member
         assert len(calls) <= 7 * members
+
+    def _pinned_families(self, zeta_solver):
+        """The epsilon families of the pinned converge targets, in order:
+        seed 9001's 60 first, then seeds 9002-9003's."""
+        pinned = json.loads(self._PINNED.read_text())["converge_1e-3"]
+        return [
+            zeta_solver.solve_mb(float.fromhex(u), float.fromhex(v)).epsilon_family
+            for u, v, _, _ in pinned
+        ]
+
+    def test_converge_does_not_depend_on_the_rungs_cached(self, zeta_solver):
+        # a member reads the rung nearest its start, which the earlier
+        # members of its own converge fix: cold, warm and with the targets
+        # visited in reverse order, every output is the same to the bit
+        fams = self._pinned_families(zeta_solver)[::4]
+        solver_module._cached_prefix.cache_clear()
+        cold = [self._member_digest(f.converge(1e-3)) for f in fams]
+        warm = [self._member_digest(f.converge(1e-3)) for f in fams]
+        solver_module._cached_prefix.cache_clear()
+        backward = [self._member_digest(f.converge(1e-3)) for f in fams[::-1]]
+        assert cold == warm == backward[::-1]
+
+    def test_warm_converge_on_unseen_targets(self, zeta_solver, monkeypatch):
+        # after one converge on each of seed 9001's 60 pinned targets, a
+        # converge on each of the other 120 takes at most 5 prefix passes on
+        # average (3.8; 10.8 when every member's record read its alpha end)
+        fams = self._pinned_families(zeta_solver)
+        solver_module._cached_prefix.cache_clear()
+        for f in fams[:60]:
+            f.converge(1e-3)
+        calls = []
+        orig = finite_module._gibbs_pass
+
+        def counting(log_p, s, t):
+            calls.append(len(s))
+            return orig(log_p, s, t)
+
+        monkeypatch.setattr(finite_module, "_gibbs_pass", counting)
+        for f in fams[60:]:
+            f.converge(1e-3)
+        assert len(calls) <= 5 * len(fams[60:])
+
+    def test_a_floor_step_after_a_shorter_step_stays_a_newton_step(self):
+        # member 2^18 of WeightedGeometric(0.5, 4) at 1.85 theta2, from a
+        # start near its root: a 4-ulp floor step that followed a shorter
+        # step was sent to the midpoint of a bracket whose far end was
+        # unproved and bisected back, 43 Gibbs passes of 2^18 terms
+        solver = EmpSolver(WeightedGeometric(0.5, 4.0))
+        eps_fam = self._eps_family(solver, 1.85 * solver.profile.theta2)
+        calls = []
+        orig = finite_module._gibbs_pass
+
+        def counting(log_p, s, t):
+            calls.append(t)
+            return orig(log_p, s, t)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(finite_module, "_gibbs_pass", counting)
+            member, lam = eps_fam._member(2**18, 0.499892334075)
+        assert len(calls) <= 6
+        assert member.lam == lam and abs(lam - self._reference_lam(eps_fam, 2**18)) <= 1e-12
 
 
 class TestDichotomyBeyondTheta2:
