@@ -355,9 +355,9 @@ class EpsilonFamily:
         < w at alpha, w < phi_n(0) at 0); at every rung it checks the bound,
         and the Newton iteration starts from the rung's Newton step, clipped
         to [floor, alpha] (at the rung where the step is nan).  An uncached
-        record starts at lam itself.  The
-        rung depends on the start alone and its pass on the record and the
-        rung alone, so no result depends on which rungs the cache holds.
+        record starts at lam itself.  The rung depends on the start alone
+        and its pass on the record and the rung alone, so no result depends
+        on which rungs the cache holds.
 
         Where D_n exceeds `bound`, at the rung or at an iterate, the
         member's objective is above `bound`, up to rounding, and _root
