@@ -65,11 +65,17 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
 
 Apart from the cases, ladder_build reports per family what filling the
 cache of slope-root starts costs for the mb_interior and the bf_roundtrip
-targets: the entries a run over the family's targets from a cleared cache
-leaves cached (those of the slope ladders the run made that the cache
-still holds), and the passes and terms that run spends beyond a warm rerun
-of the same targets.  Results do not depend on which entries are cached,
-so the difference is the build alone.
+targets: the entries and model rungs a run over the family's targets from
+a cleared cache leaves cached (those of the slope ladders the run made
+that the cache still holds), the passes and terms that run spends beyond a
+warm rerun of the same targets, the passes and terms of the whole cold run
+(cold_series_passes and cold_series_terms: for mb_interior, the interior
+solves of every seed's cycle from a cleared cache), and the passes and terms of the model rungs
+it fills (model_rung_passes and model_rung_terms: series._block_sums calls
+that keep series._MODEL_PARTIALS partial moments).  Results do not depend
+on which entries are cached, so the difference is the build alone.
+mb_interior also reports zero_pass_solves, the warm solves that make no
+series pass.
 dual_rows reports the wall time of one call of series._mult_arrays, which
 makes the bose-einstein and fermi-dirac dual's rows (W*, (W*)' and (W*)'',
 as finite._finite_dual asks for them), and of one finite._finite_dual, on
@@ -625,9 +631,10 @@ def _per_family(targets, per_target, times):
 
 
 def count_interior(tracer, targets, times, py_calls):
-    """mb_interior's counts and wall times, overall and per family; times
-    and py_calls hold each target's time in seconds and its calls measured
-    without the tracer, in the order of targets."""
+    """mb_interior's counts and wall times, and its solves that make no
+    series pass, overall and per family; times and py_calls hold each
+    target's time in seconds and its calls measured without the tracer, in
+    the order of targets."""
     per_target = []
     for (_, es, u, v), c in zip(targets, py_calls):
         reads = Counter()
@@ -635,8 +642,11 @@ def count_interior(tracer, targets, times, py_calls):
             counts = _counted(tracer, lambda es=es, u=u, v=v: es.solve_mb(u, v), SOLVE_KEYS)[1]
         per_target.append({**counts, "py_calls": c,
                            **{k: reads[k] for k in ("scalar_reads", *READ_KEYS)}})
+    zero = _by_family(targets, [t["series_passes"] == 0 for t in per_target])
     return {"counts_per_solve": _summary(per_target),
-            "per_family": _per_family(targets, per_target, times)}
+            "zero_pass_solves": sum(map(sum, zero.values())),
+            "per_family": {fam: {**sub, "zero_pass_solves": sum(zero[fam])}
+                           for fam, sub in _per_family(targets, per_target, times).items()}}
 
 
 def _roundtrips(entromin, workloads, np):
@@ -859,10 +869,33 @@ def _ladders_made(made):
     return [(series._Ladder, "__init__", recording)]
 
 
+def _counting_model_rungs(counts):
+    """Sites that count into counts the passes that fill the slope
+    ladder's model rungs, series._block_sums calls that keep
+    series._MODEL_PARTIALS partial moments (none on a tree without model
+    rungs), as model_rung_passes, and their terms as model_rung_terms."""
+    from entromin import series
+
+    sig, partials = inspect.signature(series._block_sums), getattr(series, "_MODEL_PARTIALS", None)
+
+    def counting(fn):
+        def count(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            if partials is not None and bound.arguments.get("model") == partials:
+                counts["model_rung_passes"] += 1
+                counts["model_rung_terms"] += bound.arguments["n"]
+            return fn(*args, **kwargs)
+
+        return count
+
+    return [(series, "_block_sums", counting)]
+
+
 def count_ladder_build(tracer, groups):
-    """Per family key of groups (key -> calls): the entries that one run of
-    the calls from a cleared ladder cache leaves cached, and the passes and
-    terms it spends beyond a warm rerun."""
+    """Per family key of groups (key -> calls): the entries and model rungs
+    that one run of the calls from a cleared ladder cache leaves cached, the
+    passes and terms it spends beyond a warm rerun and in all, and the
+    passes and terms of the model rungs it fills."""
     from entromin import series
 
     keys = {"series_passes": "series.passes", "series_terms": "series_terms"}
@@ -876,12 +909,15 @@ def count_ladder_build(tracer, groups):
     out = {}
     for fam, calls in groups.items():
         series._ladder.cache_clear()
-        made = weakref.WeakSet()
-        with _patched(_ladders_made(made)):
+        made, rungs = weakref.WeakSet(), Counter(model_rung_passes=0, model_rung_terms=0)
+        with _patched(_ladders_made(made) + _counting_model_rungs(rungs)):
             cold = run(calls)
         entries = sum(len(ladder.rungs) for ladder in made)
+        models = sum(len(getattr(ladder, "models", ())) for ladder in made)
         warm = run(calls)
-        out[fam] = {"entries": entries, **{k: cold[k] - warm[k] for k in keys}}
+        out[fam] = {"entries": entries, "model_rungs": models,
+                    **{k: cold[k] - warm[k] for k in keys},
+                    **{f"cold_{k}": cold[k] for k in keys}, **rungs}
     return out
 
 
@@ -1175,8 +1211,11 @@ def main(argv=None) -> int:
             print("  " + ", ".join(f"{k} {v}" for k, v in trip.items()))
     for name, per_family in build.items():
         print(f"ladder_build, {name}: " + "; ".join(
-            f"{fam} {b['entries']} entries, {b['series_passes']} passes, "
-            f"{b['series_terms']} terms" for fam, b in per_family.items()))
+            f"{fam} {b['entries']} entries + {b['model_rungs']} model rungs "
+            f"({b['model_rung_passes']} passes, {b['model_rung_terms']} terms), "
+            f"{b['series_passes']} passes, {b['series_terms']} terms beyond warm, cold "
+            f"{b['cold_series_passes']} passes, {b['cold_series_terms']} terms"
+            for fam, b in per_family.items()))
     for fn, by in dual_rows.items():
         print(f"dual_rows, {fn}: " + "; ".join(
             f"{key} {q['median']:.1f} us [{q['q1']:.1f}, {q['q3']:.1f}]" for key, q in by.items()))

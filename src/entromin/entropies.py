@@ -93,7 +93,9 @@ def entropy_value(kind: Entropy, u):
             large = -np.log1p(u) - u * np.log1p(1.0 / u)
             w = np.where(u == _INF, -_INF, np.where(u <= 1.0, small, large))
         else:
-            w = np.where(u > 1.0, _INF, _xlogx(u) + _xlogx(1.0 - u))
+            # (1-u) log1p(-u): (1-u) ln(1-u) loses its -u where 1-u rounds to 1
+            rest = np.where(u == 1.0, 0.0, (1.0 - u) * np.log1p(-u))
+            w = np.where(u > 1.0, _INF, _xlogx(u) + rest)
         # u < 0 or nan
         return _out(np.where(u >= 0.0, w, _INF))
 

@@ -108,7 +108,8 @@ def _w_sum(kind: Entropy, p, u_bar, log_p=None) -> float:
     +-inf, all of one sign.  Where p_k is +inf (a family's weight past ln
     p_k = 700, SequenceFamily.p_array), the term is its limit as p_k
     grows, u_k (ln u_k - ln p_k - 1) for all three entropies and 0 at u_k
-    = 0, formed from ln p_k in log_p."""
+    = 0, formed from ln p_k in log_p, and W(inf) at u_k = inf (-inf under
+    bose-einstein, as at a finite weight)."""
     p, u = np.asarray(p, dtype=float), np.asarray(u_bar, dtype=float)
     # invalid: inf p_k times W(0) = 0, replaced below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -123,7 +124,8 @@ def _w_sum(kind: Entropy, p, u_bar, log_p=None) -> float:
         if log_p is not None:
             huge = np.isinf(p)
             uh = u[huge]
-            terms[huge] = uh * (np.log(np.where(uh > 0.0, uh, 1.0)) - log_p[huge] - 1.0)
+            limit = uh * (np.log(np.where(uh > 0.0, uh, 1.0)) - log_p[huge] - 1.0)
+            terms[huge] = np.where(uh == math.inf, entropy_value(kind, uh), limit)
     return math.fsum(terms.tolist())
 
 

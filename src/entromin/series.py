@@ -27,15 +27,16 @@ reads and phi_inverse's Newton root (rootfind.newton_root) steps on.
 Every inversion starts from the slope ladder: the certified slopes at y_k =
 -alpha - 2^(k/4), k = -48..24, each evaluated on first use and kept in a
 table per (family, tol, ceiling) with its ln f and Hermite node (_Ladder;
-_ladder keeps the 56 tables used last, 4,088 entries at most), so a warm
+_ladder keeps the 11 tables used last, 3,982 entries at most), so a warm
 start gallops over kept entries alone.  The two entries that bracket the
 target are the first bracket, and the first iterate is the cubic Hermite
 interpolant of their (phi, phi') (_hermite_start).  A slope pass also keeps
-the partial sums of moments 0 to 5 over its terms (_SlopeModel), whose
-Taylor expansion with a proved remainder certifies phi at nearby points
-with one bracket call and no pass (_model_moments), so a warm interior
-inversion mostly takes one pass: the pass at that start certifies the
-Newton steps after it.  The ladder also starts the bose-einstein and
+the partial sums of moments 0 to 5 over its terms (_SlopeModel), 0 to 17
+on the ladder's model rungs at y_j = -alpha - 2^(j/16), whose Taylor
+expansion with a proved remainder certifies phi at nearby points with one
+bracket call and no pass (_model_moments), so a warm interior inversion
+mostly takes no pass: the model rung just right of the start certifies it
+and the Newton steps after it.  The ladder also starts the bose-einstein and
 fermi-dirac inverse with no pass (_ladder_point: that start, and ln f there
 interpolated through the same two entries); the inverse moves that start to
 the minimizer of the uncertified dual of its first 64 terms or more
@@ -58,6 +59,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul as _mul
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -94,6 +96,7 @@ _START_BLOCK = 64
 _ONE_ARRAY = 4096  # a pass sums its terms up to here in one array
 _BLOCK_WIDTH = 2**13  # the widest block of rows: wider arrays fill it a slice at a time
 _PROFILE_TOL = 1e-10  # every profile's f(-alpha) and gamma, so theta2
+_SLOPE_PARTIALS, _MODEL_PARTIALS = 6, 18  # P_0..P_5 a slope pass keeps, P_0..P_17 a model rung
 _MB = Entropy.MAXWELL_BOLTZMANN
 _UNIT = (1.0, 1.0)
 _LN2 = math.log(2.0)
@@ -147,7 +150,7 @@ class SeriesProfile:
 # core summation with certified tails
 
 
-def _eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0, model=False):
+def _eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0, model=0):
     """Certified sums of p_n sigma_n^k m(t_n) exp(t_n), t_n = x + sigma_n y,
     one SeriesEval per key (m, k) of `tols`, in its order, from one
     certified pass, stopped at the first block end n = 64, 128, ... where
@@ -172,9 +175,9 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0, model=False):
     term is summed, when that is out of reach too (at once under ceiling
     1).
 
-    With `model`, for a slope pass (the moments 0, 1, 2 of f, in that
-    order), the list ends with the pass's _SlopeModel, None where the pass
-    stopped at its ceiling.
+    With `model` > 0, for a slope pass (the moments 0, 1, 2 of f, in that
+    order), the list ends with the pass's _SlopeModel of its partial moments
+    0 to model - 1, None where the pass stopped at its ceiling.
     """
     try:
         ex = math.exp(x)
@@ -266,7 +269,7 @@ def _pass_shape(keys, mb):
     return mults, moments, {k: i for i, k in enumerate(moments)}, layout
 
 
-def _block_sums(family, y, x, kind, shape, n, model=False):
+def _block_sums(family, y, x, kind, shape, n, model=0):
     """(sums, higher, top).  Per sum of the pass `shape` (_pass_shape), its
     partials over the blocks 1-64, 65-128, ... up to a pass's stopping
     index n, whose math.fsum is the sum: one array of terms up to min(n,
@@ -284,16 +287,16 @@ def _block_sums(family, y, x, kind, shape, n, model=False):
     _BLOCK_WIDTH fills one block of that width a slice of columns at a
     time, and adds the slices' partials pairwise, as np.add.reduce's
     pairwise summation splits a row whose length is a power of two: the
-    same floats, from a block that stays in cache.  With `model` (a slope
-    pass, its last sum moment 2), higher holds the partial sums of moments
-    3, 4 and 5 over the same terms, three more rows of successive products
-    of the last sum's row with sigma_n, reduced once per array, and top the
-    largest level summed; else () and 0."""
+    same floats, from a block that stays in cache.  With `model` > 0 (a
+    slope pass, its last sum moment 2), higher holds the partial sums of
+    moments 3 to model - 1 over the same terms, model - 3 more rows of
+    successive products of the last sum's row with sigma_n, reduced once
+    per array, and top the largest level summed; else () and 0."""
     mults = shape[0]
     weighted, index, rows = shape[3]
     sums = [[] for _ in index]
-    higher, top = [0.0, 0.0, 0.0] if model else (), 0.0
-    size = rows + 3 if model else rows
+    higher, top = [0.0] * (model - 3) if model else (), 0.0
+    size = rows + model - 3 if model else rows
     # x + theta1 y bounds every t when y <= 0; else each slice's own max
     t_hi = x + sigma_min_set(family).theta1 * y if mults and y <= 0.0 else None
     lo, hi = 1, n if n < _ONE_ARRAY else _ONE_ARRAY
@@ -318,7 +321,7 @@ def _block_sums(family, y, x, kind, shape, n, model=False):
             for r, src, k in weighted:
                 level = sig if k == 1 else np.multiply(sig, sig, out=block[r]) if k == 2 else sig**k
                 np.multiply(level, block[src], out=block[r])
-            if model:
+            if higher:
                 row = block[index[-1]]
                 for r in range(rows, size):
                     row = np.multiply(row, sig, out=block[r])
@@ -333,7 +336,7 @@ def _block_sums(family, y, x, kind, shape, n, model=False):
                 for acc, i in zip(sums, index):
                     acc.append(float(got[i]))
                 a = 1 << j
-            got = _add_reduce(block[rows:], axis=-1) if model else ()
+            got = _add_reduce(block[rows:], axis=-1) if higher else ()
         else:
             while parts[1:]:
                 parts = [p + q for p, q in zip(parts[::2], parts[1::2])]
@@ -341,8 +344,8 @@ def _block_sums(family, y, x, kind, shape, n, model=False):
             for acc, i in zip(sums, index):
                 acc.append(float(got[i]))
             got = got[rows:]
-        if model:
-            for j in range(3):
+        if higher:
+            for j in range(len(higher)):
                 higher[j] += float(got[j])
         if hi == n:
             return sums, higher, top
@@ -361,7 +364,7 @@ def _check_boundary_summable(family, moment) -> None:
         )
 
 
-def _eval_moments(family, y, tols, x=0.0, kind=_MB, ceiling=1.0, model=False):
+def _eval_moments(family, y, tols, x=0.0, kind=_MB, ceiling=1.0, model=0):
     """_eval_many at one evaluation point, for the moments of f or for the
     dual sums, once the point is checked: DivergenceError beyond the domain
     or where a moment is not summable at y = -alpha, RangeError at a nan x
@@ -479,8 +482,9 @@ def phi(family: SequenceFamily, y: float, tol: float = 1e-10) -> float:
 
 class _SlopeModel(NamedTuple):
     """What a slope pass at y stopped at n keeps for nearby points: the
-    partial sums P_k = sum_{m <= n} p_m sigma_m^k exp(sigma_m y), k = 0..5,
-    and top, the largest sigma_m summed."""
+    partial sums P_k = sum_{m <= n} p_m sigma_m^k exp(sigma_m y), k = 0..5
+    (_SLOPE_PARTIALS), k = 0..17 on a model rung (_MODEL_PARTIALS), and
+    top, the largest sigma_m summed."""
 
     y: float
     n: int
@@ -508,7 +512,7 @@ class _Slope(NamedTuple):
         return (self.phi - w) * (q / self.err) if self.err > q else self.phi - w
 
 
-def _certified_slope(family, y, tol, last=None, ceiling=1.0) -> _Slope:
+def _certified_slope(family, y, tol, last=None, ceiling=1.0, partials=_SLOPE_PARTIALS) -> _Slope:
     """The slope at y with err <= tol: from last.model where its Taylor
     expansion certifies f and f' to the tolerances a pass at y would meet
     and phi to tol (_model_moments), else from moments-(0, 1, 2) passes
@@ -518,7 +522,8 @@ def _certified_slope(family, y, tol, last=None, ceiling=1.0) -> _Slope:
     its ceiling (a width above its tolerance: err > tol, no model).  phi' =
     f''/f - phi^2, the variance of sigma under the Gibbs weights, only
     proposes Newton steps, so moment 2 needs a finite tail bracket but no
-    tolerance: each pass stops when moments 0 and 1 are certified."""
+    tolerance: each pass stops when moments 0 and 1 are certified.  Each
+    pass keeps its partial moments 0 to partials - 1."""
     if last is None:
         rough = _eval_moments(family, y, {(None, 0): 1e-4, (None, 1): 1e-4})
         f_scale = max(rough[0].value, 1e-300)
@@ -531,7 +536,7 @@ def _certified_slope(family, y, tol, last=None, ceiling=1.0) -> _Slope:
             if slope.err <= tol:
                 return slope
     for _ in range(4):
-        s0, s1, s2, model = _eval_moments(family, y, tols, 0.0, _MB, ceiling, True)
+        s0, s1, s2, model = _eval_moments(family, y, tols, 0.0, _MB, ceiling, partials)
         if s0.value == 0.0:
             raise RangeError(f"f({y}) underflows to 0: phi has no float value there")
         slope = _judge_slope(y, s0, s1, s2.value, model)
@@ -566,33 +571,35 @@ def _model_moments(family, model, y, t0, t1):
     """(f(y), f'(y), f''(y)) from the pass kept in model, f and f' as
     SeriesEvals whose widths (twice their bounds) are within t0 and t1, or
     None.  With d = y - model.y and levels positive (normal form), the sum
-    over m <= n of p_m sigma_m^k exp(sigma_m y) is sum_{j < 4} d^j / j!
-    P_{k+j} within the Taylor remainder d^4 / 4! P_{k+4} e^{max(0, top d)},
-    and one family.tail_intervals call at y adds the tails beyond n.  The
-    remainders are checked against t0 and t1 before the bracket is taken;
-    f'' only proposes phi', and needs a finite bracket.  None too where
+    over m <= n of p_m sigma_m^k exp(sigma_m y) is sum_{j < K} d^j / j!
+    P_{k+j} within the Taylor remainder |d|^K / K! P_{k+K} e^{max(0, top
+    d)}, for every K up to two below the partials kept, and one
+    family.tail_intervals call at y adds the tails beyond n.  The model
+    takes the fewest K whose remainders, with those tails, meet t0 and t1;
+    the remainders alone are checked before the bracket is taken.  f''
+    only proposes phi', and needs a finite bracket.  None too where
     e^(top d) overflows or a bracket is missing."""
     d = y - model.y
     x = model.top * d
     if not x <= 700.0:
         return None
-    p0, p1, p2, p3, p4, p5 = model.partials
-    rem = d * d * d * d / 24.0 * (math.exp(x) if x > 0.0 else 1.0)
-    r0, r1 = rem * p4, rem * p5
-    if not (2.0 * r0 <= t0 and 2.0 * r1 <= t1):
-        return None
-    iv0, iv1, iv2 = family.tail_intervals(y, model.n, (0, 1, 2))
-    if iv0 is None or iv1 is None or iv2 is None or not math.isfinite(iv2[1]):
-        return None
-    b0, b1 = r0 + 0.5 * (iv0[1] - iv0[0]), r1 + 0.5 * (iv1[1] - iv1[0])
-    if not (2.0 * b0 <= t0 and 2.0 * b1 <= t1):
-        return None
-    c1, c2, c3 = d, 0.5 * d * d, d * d * d / 6.0
-    return (
-        SeriesEval(p0 + c1 * p1 + c2 * p2 + c3 * p3 + 0.5 * (iv0[0] + iv0[1]), model.n, b0),
-        SeriesEval(p1 + c1 * p2 + c2 * p3 + c3 * p4 + 0.5 * (iv1[0] + iv1[1]), model.n, b1),
-        p2 + c1 * p3 + c2 * p4 + c3 * p5 + 0.5 * (iv2[0] + iv2[1]),
-    )
+    p, ad = model.partials, abs(d)
+    cs, c, r, h0, h1, ivs = [1.0], 1.0, math.exp(x) if x > 0.0 else 1.0, 0.0, 0.0, None
+    for k in range(1, len(p) - 1):  # cs: d^j / j!, j < k; r: |d|^k / k! e^max(0, top d)
+        c, r = c * d / k, r * ad / k
+        r0, r1 = r * p[k], r * p[k + 1]
+        while 2.0 * (r0 + h0) <= t0 and 2.0 * (r1 + h1) <= t1:
+            if ivs is not None:
+                f0 = sum(map(_mul, cs, p)) + 0.5 * (iv0[0] + iv0[1])
+                f1 = sum(map(_mul, cs, p[1:])) + 0.5 * (iv1[0] + iv1[1])
+                f2 = sum(map(_mul, cs, p[2:])) + 0.5 * (iv2[0] + iv2[1])
+                return SeriesEval(f0, model.n, r0 + h0), SeriesEval(f1, model.n, r1 + h1), f2
+            ivs = iv0, iv1, iv2 = family.tail_intervals(y, model.n, (0, 1, 2))
+            if iv0 is None or iv1 is None or iv2 is None or not math.isfinite(iv2[1]):
+                return None
+            h0, h1 = 0.5 * (iv0[1] - iv0[0]), 0.5 * (iv1[1] - iv1[0])
+        cs.append(c)
+    return None
 
 
 def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
@@ -605,8 +612,9 @@ def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
     in ln(phi - theta1) through the two entries (_hermite_start), or at the
     nearer entry where that one meets tol, the ladder is one-sided or the
     interpolant leaves the bracket.  Each step is one _certified_slope from
-    the one before it, from that one's model (no pass) or else a pass as phi
-    takes, and proposes a Newton step on ln(phi - theta1), nearly linear
+    the one before it, the Hermite start's from the model rung just right of
+    it (_Ladder.model): from that one's model (no pass) or else a pass as
+    phi takes, and proposes a Newton step on ln(phi - theta1), nearly linear
     where phi tends to theta1.  Returns once the certified residual is
     within 0.75 tol, or when the bracket is at most 4 ulp(y) wide (the
     point of least residual).
@@ -615,8 +623,8 @@ def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
 
 
 # the slope ladder's indices: y_k = -alpha - 2^(k/4), from 2^-12 to 64 left
-# of -alpha
-_LADDER_K = (-48, 24)
+# of -alpha, and its model rungs', y_j = -alpha - 2^(j/16) over the same span
+_LADDER_K, _MODEL_RUNGS, _MODEL_J = (-48, 24), 16, (-192, 96)
 
 
 class _Rung(NamedTuple):
@@ -636,16 +644,18 @@ class _Ladder:
     its scale from its own rough pass, so an entry depends on its arguments
     alone), each computed on first use and kept as a _Rung by k (rungs).  An
     entry that raises (BudgetError, or RangeError where f(y_k) underflows
-    or y_k rounds to -alpha) is not kept.  The pass's model is dropped: a
-    Newton step from an entry is rarely short enough for it.  An entry is
-    added with dict.setdefault, so threads filling one ladder all read the
-    first record kept at k.  Two threads using a new key at once may each
+    or y_k rounds to -alpha) is not kept.  The pass keeps no higher
+    moments, and its model is dropped: a Newton step from an entry is
+    rarely short enough for it.  The model rungs (models, by j) are finer,
+    each one pass that keeps a long model (model).  An entry is added with
+    dict.setdefault, so threads filling one ladder all read the first
+    record kept at k (or j).  Two threads using a new key at once may each
     build a ladder (_ladder): the cache keeps one, and the other is dropped
     with its entries, which depend on their arguments alone."""
 
     def __init__(self, family, tol, ceiling):
         self.family, self.tol, self.ceiling = family, tol, ceiling
-        self.rungs = {}
+        self.rungs, self.models = {}, {}
 
     def rung(self, k) -> _Rung:
         """The entry at k, computed on first use."""
@@ -657,9 +667,26 @@ class _Ladder:
         y = -a - 2.0 ** (0.25 * k)
         if not y < -a:
             raise RangeError(f"ladder point {k} rounds to -alpha = {-a}")
-        s = _certified_slope(family, y, 0.25 * self.tol, None, self.ceiling)._replace(model=None)
+        s = _certified_slope(family, y, 0.25 * self.tol, None, self.ceiling, 3)._replace(model=None)
         node = _hermite_node(s, sigma_min_set(family).theta1, a)
         return self.rungs.setdefault(k, _Rung(y, s.phi, s, math.log(s.f.value), node))
+
+    def model(self, j) -> Optional[_Slope]:
+        """The model rung at j (-192..96), computed on first use: the slope
+        at y_j to 0.25 tol, its _SlopeModel of _MODEL_PARTIALS partial
+        moments, from one pass whose tolerances take the scale of the entry
+        at k = floor(j/4), on its -alpha side (no rough pass); None, kept
+        too, where either raises BudgetError or RangeError."""
+        if j not in self.models:
+            y, s = -self.family.alpha - 2.0 ** (j / _MODEL_RUNGS), None
+            try:
+                coarse = self.rung(j * 4 // _MODEL_RUNGS).slope  # raises where y_j rounds to -alpha
+                s = _certified_slope(self.family, y, 0.25 * self.tol, coarse, self.ceiling,
+                                     _MODEL_PARTIALS)
+            except (BudgetError, RangeError):
+                pass
+            self.models.setdefault(j, s)
+        return self.models[j]
 
     def bracket(self, w):
         """(inner, outer): the entries nearest w on either side, inner's phi
@@ -704,25 +731,26 @@ class _Ladder:
         return inner, outer
 
 
-# at most 4,096 entries: 56 ladders of at most 73 entries (one per k) each
-_ladder = functools.lru_cache(maxsize=4096 // (_LADDER_K[1] - _LADDER_K[0] + 1))(_Ladder)
+# at most 4,096 entries: 11 ladders of at most 73 entries (one per k) and
+# 289 model rungs (one per j) each
+_ladder = functools.lru_cache(maxsize=4096 // (73 + 289))(_Ladder)
 
 
-def _ladder_start(family, prof, w, tol, ceiling=1.0):
-    """Where a slope root for w starts, from the cached slope ladder alone
-    (_ladder(...).bracket, no new pass): (bracket, entry, y_h, ends).
+def _ladder_start(ladder, prof, w):
+    """Where a slope root for w starts, from the slope ladder alone
+    (ladder.bracket, no new pass): (bracket, entry, y_h, ends).
     bracket is the (lo, hi) of the two entries that bracket w, else
     (-inf, -alpha), as phi tends to theta2 > w at -alpha; entry is the one
     nearer w; y_h is their Hermite start (_hermite_start, from the entries'
     nodes), None where entry meets tol (its residual as _invert_slope judges
     it, _Slope.residual), the ladder is one-sided or the interpolant leaves
     the bracket; ends are the two entries, None where one-sided."""
-    inner, outer = _ladder(family, tol, ceiling).bracket(w)
+    inner, outer = ladder.bracket(w)
     if outer is None:
         return (-math.inf, -prof.alpha), inner, None, None
     bracket = (inner.y, outer.y) if inner.y < outer.y else (outer.y, inner.y)
     start = outer if abs(outer.phi - w) < abs(inner.phi - w) else inner
-    if not abs(start.slope.residual(w, 0.25 * tol)) > 0.75 * tol:
+    if not abs(start.slope.residual(w, 0.25 * ladder.tol)) > 0.75 * ladder.tol:
         return bracket, start, None, (inner, outer)
     y_h = _hermite_start(inner.node, outer.node, w, prof.theta1, prof.alpha)
     return bracket, start, (y_h if bracket[0] < y_h < bracket[1] else None), (inner, outer)
@@ -734,7 +762,7 @@ def _ladder_point(family, w, tol) -> tuple[float, float]:
     start the cubic Hermite interpolant of ln f in y through the two entries
     (values ln f(y_k), slopes phi(y_k)).  The bf inverse's Newton starts
     from it."""
-    _, start, y_h, ends = _ladder_start(family, profile(family), w, tol)
+    _, start, y_h, ends = _ladder_start(_ladder(family, tol, 1.0), profile(family), w)
     if y_h is None:
         return start.y, start.ln_f
     return y_h, _hermite(*((e.y, e.ln_f, e.phi) for e in ends), y_h)
@@ -744,17 +772,24 @@ def _invert_slope(family, w, tol, ceiling=1.0) -> _Slope:
     """phi_inverse's root as the certified slope of its last point, whose f
     a caller needing f at the root re-sums only when its bound is too
     loose.  The first bracket comes from the slope ladder (_ladder_start)
-    with no new pass; the first point is one pass at the Hermite start, or
-    the nearer entry (phi_inverse).  Each later point is _certified_slope
-    from the one before it: from that slope's model where it certifies phi
-    to q = 0.25 tol, else from a new pass, whose model the points after it
-    read.  A slope certified only to err > q (a ceiling stop, which leaves
-    no model) passes at |phi - w| <= 3 err (_Slope.residual)."""
+    with no new pass; the first point is the Hermite start, or the nearer
+    entry (phi_inverse).  The Hermite start is certified from the model
+    rung just right of it (_Ladder.model, y_j >= y_h), and each later point
+    is _certified_slope from the one before it: from that slope's model
+    where it certifies phi to q = 0.25 tol, else from a new pass, whose
+    model the points after it read.  So a warm root whose points the model
+    rung certifies makes no pass.  A slope certified only to err > q (a
+    ceiling stop, which leaves no model) passes at |phi - w| <= 3 err
+    (_Slope.residual)."""
     prof = profile(family)
     if not math.isfinite(w) or w <= prof.theta1 or w >= prof.theta2:
         raise RangeError(f"w={w} outside the open range ({prof.theta1}, {prof.theta2})")
-    (lo, hi), start, y_h, _ = _ladder_start(family, prof, w, tol, ceiling)
+    ladder = _ladder(family, tol, ceiling)
+    (lo, hi), start, y_h, _ = _ladder_start(ladder, prof, w)
     last, q, t1 = start.slope, 0.25 * tol, prof.theta1
+    if y_h is not None:
+        j = math.floor(_MODEL_RUNGS * math.log2(-prof.alpha - y_h))
+        last = ladder.model(min(max(j, _MODEL_J[0]), _MODEL_J[1])) or last
 
     def point(s):
         return s.residual(w, q), s.y + slope_step(s.phi, s.dphi, w, t1), s

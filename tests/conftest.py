@@ -229,7 +229,8 @@ def ref_entropy_value(kind: Entropy, u: float) -> float:
         return -math.log1p(u) - u * math.log1p(1.0 / u)
     if u > 1.0:
         return math.inf
-    return _ref_xlogx(u) + _ref_xlogx(1.0 - u)
+    # (1-u) ln(1-u) as (1-u) log1p(-u), which keeps its -u where 1-u rounds to 1
+    return _ref_xlogx(u) + (0.0 if u == 1.0 else (1.0 - u) * math.log1p(-u))
 
 
 def ref_entropy_conjugate(kind: Entropy, t: float) -> float:
@@ -659,15 +660,15 @@ def ref_conj_row(kind, t, base):
 # (tests/test_series.py).
 
 
-def ref_block_sums(family, y, tols, x, kind, mults, n, model=False):
+def ref_block_sums(family, y, tols, x, kind, mults, n, model=0):
     """(sums, higher, top).  Per sum of `tols`, its partials over the blocks
     1-64, 65-128, ... up to n: one array of terms up to min(n, 4096), each
     partial from a slice (none when n = 64), then one array per block.  With
-    `model`, higher holds the partial sums of moments 3, 4 and 5 (the last
-    sum's row times sigma, sigma^2 and sigma^3) and top the largest level
-    summed; else () and 0."""
+    `model` > 0, higher holds the partial sums of moments 3 to model - 1
+    (the last sum's row times sigma, sigma^2, ...) and top the largest
+    level summed; else () and 0."""
     sums = [[] for _ in tols]
-    higher, top = [0.0, 0.0, 0.0] if model else (), 0.0
+    higher, top = [0.0] * (model - 3) if model else (), 0.0
     t_hi = x + sigma_min_set(family).theta1 * y if mults and y <= 0.0 else None
     lo, hi = 1, n if n < _ONE_ARRAY else _ONE_ARRAY
     while True:
@@ -697,7 +698,7 @@ def ref_block_sums(family, y, tols, x, kind, mults, n, model=False):
                 for a, b in cuts:
                     acc.append(float(_add_reduce(block[a:b])))
         if model:
-            for j in range(3):
+            for j in range(model - 3):
                 block = block * sig
                 higher[j] += float(_add_reduce(block))
             top = max(top, float(sig[-1] if family.sigma_increasing_from <= lo else sig.max()))

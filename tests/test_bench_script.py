@@ -85,9 +85,18 @@ def _newton():
 
 
 def _kernel():
+    # a warm interior solve makes no pass: from a cleared ladder cache the
+    # solve sums its ladder entries and model rung
+    series._ladder.cache_clear()
     entromin.EmpSolver(entromin.Arithmetic(0.0, 1.0)).solve_mb(1.0, 2.0)
     keys = ("slope_passes", "model_points", "array_calls", "bracket_calls", "series_terms")
     return dict.fromkeys(keys)
+
+
+def _model_rungs():
+    series._ladder.cache_clear()
+    series._ladder(entromin.Arithmetic(0.0, 1.0), 1e-10, 1.0).model(0)
+    return {"model_rung_passes": 1, "model_rung_terms": None}
 
 
 # each site list's builder: (its argument, a thunk that calls through its
@@ -103,6 +112,7 @@ SITE_LISTS = {
     "_counting_entropy_calls": (Counter, _entropy_calls),
     "_counting_newton": (Counter, _newton),
     "_count_kernel": (Counter, _kernel),
+    "_counting_model_rungs": (Counter, _model_rungs),
     "_ladders_made": (weakref.WeakSet, None),
     "_timing_checks": (dict, None),
 }

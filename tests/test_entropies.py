@@ -367,3 +367,18 @@ def test_be_value_is_accurate_over_the_whole_float_range():
                 for u in map(mpmath.mpf, us.tolist())]
     for u, g, w in zip(us.tolist(), got.tolist(), want):
         assert abs(g - w) <= 4.0 * math.ulp(w), (u, g, w)
+
+
+@pytest.mark.usefixtures("warnings_are_errors")
+def test_fd_value_keeps_its_linear_term_at_small_u():
+    # u ln u + (1-u) ln(1-u) at 581 log-spaced u in [1e-300, 1e-10]: 1 - u
+    # rounds to 1 below about 1e-16, where (1-u) ln(1-u) dropped its -u
+    # (-3.914e-16 for -4.014e-16 at 1e-17); (1-u) log1p(-u) keeps a few ulp
+    mpmath = pytest.importorskip("mpmath")
+    us = np.geomspace(1e-300, 1e-10, 581)
+    got = entropy_value(FD, us)
+    with mpmath.workdps(50):
+        want = [float(u * mpmath.log(u) + (1 - u) * mpmath.log1p(-u))
+                for u in map(mpmath.mpf, us.tolist())]
+    for u, g, w in zip(us.tolist(), got.tolist(), want):
+        assert abs(g - w) <= 4.0 * math.ulp(w), (u, g, w)

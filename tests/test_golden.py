@@ -40,6 +40,15 @@ round-trip error moved from 2.55e-12 to 2.46e-13 and from 2.08e-12 to
 The three *_verify pairs were re-pinned when the bose-einstein entropy
 began to take -log1p(u) - u log1p(1/u) past u = 1, which moved only their
 Fenchel-Young equality gap (5.33e-15 to 3.55e-15, now maxwell-boltzmann's).
+The four geometric_* and weighted_geometric_* files that moved were
+re-pinned when a warm slope root began to take its start and Newton points
+from the slope ladder's model rungs, with no pass of its own:
+geometric_solve's y and x moved to 2.2e-15 and 4.9e-15 from -ln 2 and 0
+(1.4e-15 and 2.7e-15) and its printed terms by up to 1.3e-15 relative, the
+sweep's H at (1, 3), (1.5, 3) and (2, 3) moved 1-3 ulp, to within 3.2e-16,
+8.1e-16 and 3.0e-16 of the exact H (1.3e-16, 7.4e-17 and 1.4e-16), and
+verify's mb round-trip error reads 3.13e-16 (1.99e-16) and 1.68e-14
+(1.71e-14).
 A change meant to keep every figure, such as a refactor, must leave these
 files as they are.
 """

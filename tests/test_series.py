@@ -652,7 +652,7 @@ class TestSlopeLadder:
             return computed[k]
 
         def start(w):
-            (lo, hi), s, y_h, _ = series._ladder_start(family, prof, w, tol, ceiling)
+            (lo, hi), s, y_h, _ = series._ladder_start(ladder, prof, w)
             return lo, hi, s.y, y_h
 
         cold = [start(w) for w in ws]
@@ -708,11 +708,14 @@ class TestSlopeLadder:
 
     def test_the_ladder_store_stays_inside_its_bound(self):
         # 3,000 distinct (family, tol) ladders, each given a stand-in entry
-        # at every k of _LADDER_K as series._Ladder.rung adds its entries:
-        # the cache never holds more than 56 ladders or 4,096 entries, and
-        # the ladder read after every new one keeps its entries
+        # at every k of _LADDER_K and every model rung j of _MODEL_J, as
+        # series._Ladder.rung and .model add their entries: the cache never
+        # holds more than 11 ladders or 4,096 entries, coarse and model
+        # rungs together, and the ladder read after every new one keeps its
+        # entries
         family = Arithmetic(0.0, 1.0)
         lo_k, hi_k = series._LADDER_K
+        lo_j, hi_j = series._MODEL_J
         series._ladder.cache_clear()
         tols = [1e-10 * (1.0 + i / 10_000) for i in range(3_000)]
         kept = series._ladder(family, tols[0], 1.0)
@@ -722,19 +725,23 @@ class TestSlopeLadder:
             live.add(ladder)
             for k in range(lo_k, hi_k + 1):
                 ladder.rungs.setdefault(k, object())
+            for j in range(lo_j, hi_j + 1):
+                ladder.models.setdefault(j, object())
             del ladder
             assert series._ladder(family, tols[0], 1.0) is kept
-            assert len(kept.rungs) == hi_k - lo_k + 1
-            assert series._ladder.cache_info().currsize == len(live) <= 56
-            assert sum(len(t.rungs) for t in live) <= 4096
-        assert series._ladder.cache_info().currsize == 56
+            assert (len(kept.rungs), len(kept.models)) == (hi_k - lo_k + 1, hi_j - lo_j + 1)
+            assert series._ladder.cache_info().currsize == len(live) <= 11
+            assert sum(len(t.rungs) + len(t.models) for t in live) <= 4096
+        assert series._ladder.cache_info().currsize == 11
         series._ladder.cache_clear()
         assert series._ladder.cache_info().currsize == 0
         assert series._ladder(family, tols[0], 1.0).rungs == {}
         ladder = series._ladder(family, 1e-10, 1.0)
         for w in np.geomspace(1.02, 9.0, 200):
             ladder.bracket(float(w))
+            phi_inverse(family, float(w), 1e-10)
         assert set(ladder.rungs) <= set(range(lo_k, hi_k + 1))
+        assert ladder.models and set(ladder.models) <= set(range(lo_j, hi_j + 1))
 
     @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
     def test_a_cold_inversion_keeps_its_entries(self, monkeypatch, family, v1, v2, slopes):
@@ -778,30 +785,97 @@ _MODEL_FAMILIES = [Arithmetic(0.0, 1.0), WeightedGeometric(1.0, 3.0), Lattice3D(
 
 
 class TestSlopeModel:
-    """A slope root certifies each Newton iterate from the partial moments
-    0 to 5 of its last pass, with a proved Taylor remainder and one tail
-    bracket, and sums a new pass only where that misses its tolerance."""
+    """A slope root certifies its Hermite start and each Newton iterate
+    from a kept pass's partial moments, with a proved Taylor remainder and
+    one tail bracket: first those of the model rung just right of the start
+    (partial moments 0 to 17), then those of its last pass (0 to 5); it
+    sums a new pass only where that misses its tolerance."""
 
-    @pytest.mark.parametrize(
-        "family, vs",
-        [
-            (Arithmetic(0.0, 1.0), (1.5, 3.0, 6.5)),
-            (WeightedGeometric(1.0, 3.0), (1.05, 1.2, 1.3)),
-            (Lattice3D(1.0), (4.5, 8.0, 12.0)),
-        ],
-        ids=repr,
-    )
-    def test_a_warm_interior_solve_takes_one_pass(self, monkeypatch, family, vs):
-        # a pass at the Hermite start and one per Newton iterate took 2
-        # passes per warm solve on these families
+    @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
+    def test_a_warm_interior_solve_takes_no_pass(self, monkeypatch, family, v1, v2, slopes):
+        # a pass at the Hermite start certified the Newton steps after it:
+        # one pass per warm solve on these families
         solver = EmpSolver(family)
-        for v in vs:
-            solver.solve_mb(1.0, v)
+        ws = [float(w) for w in np.geomspace(*slopes, 200)]
+        for w in ws:
+            solver.solve_mb(1.0, w)
         passes = _count_passes(monkeypatch, family)
-        for v in vs:
+        for w in ws:
+            assert solver.solve_mb(1.0, w).region is Region.INTERIOR
+        assert passes == []
+
+    @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
+    def test_a_point_outside_its_model_rung_falls_back_to_a_pass(self, monkeypatch, family, v1, v2,
+                                                                 slopes):
+        # the model rung j just right of a root's start certifies a point
+        # near it; 8 rungs to either side the Taylor remainder misses, and
+        # the point is one pass, whose own model the next point reads
+        tol, a = 1e-10, family.alpha
+        q = 0.25 * tol
+        root = _invert_slope(family, v2, tol)
+        j = math.floor(series._MODEL_RUNGS * math.log2(-a - root.y))
+        rung = series._ladder(family, tol, 1.0).model(j)
+        assert len(rung.model.partials) == series._MODEL_PARTIALS
+        passes = _count_passes(monkeypatch, family)
+        assert series._certified_slope(family, root.y, q, rung).model is rung.model
+        assert passes == []
+        for dj in (-8, 8):
+            y = -a - 2.0 ** ((j + dj) / series._MODEL_RUNGS)
             passes.clear()
-            assert solver.solve_mb(1.0, v).region is Region.INTERIOR
-            assert len(passes) == 1
+            s = series._certified_slope(family, y, q, rung)
+            assert passes == [y]
+            assert s.err <= q
+            assert (s.model.y, len(s.model.partials)) == (y, series._SLOPE_PARTIALS)
+
+    @pytest.mark.parametrize("family", [Arithmetic(0.0, 1.0), WeightedGeometric(1.0, 3.0)], ids=repr)
+    def test_model_certified_roots_hold_against_closed_forms(self, monkeypatch, family):
+        # f = e^y / (1 - e^y) and phi = 1 / (1 - e^y) on Arithmetic(0, 1);
+        # f = Li3(e^(1 + y)) and f' = Li2(e^(1 + y)) on WeightedGeometric(1,
+        # 3).  A warm root with no pass is certified from its model rung
+        # alone: its f and phi lie within their bounds plus 4 ulp (rounding,
+        # which no certificate counts yet)
+        mpmath = pytest.importorskip("mpmath")
+        slopes = {Arithmetic(0.0, 1.0): (1.02, 9.0), WeightedGeometric(1.0, 3.0): (1.02, 1.34)}
+        t = 2.5e-13  # series._conjugate_at's root at tol 1e-12
+        ws = [float(w) for w in np.geomspace(*slopes[family], 200)]
+        for w in ws:
+            _invert_slope(family, w, t, 1e-5 / t)
+        passes = _count_passes(monkeypatch, family)
+        roots = [_invert_slope(family, w, t, 1e-5 / t) for w in ws]
+        assert passes == []
+        with mpmath.workdps(40):
+            for root in roots:
+                z = mpmath.exp(mpmath.mpf(root.y) + family.alpha)
+                if family.alpha == 0.0:
+                    f, phi_y = z / (1 - z), 1 / (1 - z)
+                else:
+                    f = mpmath.polylog(3, z)
+                    phi_y = mpmath.polylog(2, z) / f
+                f, phi_y = float(f), float(phi_y)
+                assert abs(root.f.value - f) <= root.f.tail_bound_used + 4.0 * math.ulp(f)
+                assert abs(root.phi - phi_y) <= root.err + 4.0 * math.ulp(phi_y)
+
+    def test_one_rule_serves_every_model_length(self):
+        # the fewest Taylor terms that meet the tolerances: one term at the
+        # pass's own point; a point 1e-2 away needs more terms than a slope
+        # pass keeps, and a model rung's 18 partial moments reach it
+        family = Arithmetic(0.0, 1.0)
+        *_, short = series._certified_slope(family, -1.0, 1e-10)
+        *_, long = series._certified_slope(family, -1.0, 1e-10, None, 1.0, series._MODEL_PARTIALS)
+        assert (len(short.partials), len(long.partials)) == (6, 18)
+        assert long.partials[:6] == short.partials
+        iv0, iv1, iv2 = family.tail_intervals(-1.0, short.n, (0, 1, 2))
+        for model in (short, long):
+            s0, s1, m2 = series._model_moments(family, model, -1.0, 1e-3, 1e-3)
+            assert s0.value == model.partials[0] + 0.5 * (iv0[0] + iv0[1])
+            assert s1.value == model.partials[1] + 0.5 * (iv1[0] + iv1[1])
+            assert m2 == model.partials[2] + 0.5 * (iv2[0] + iv2[1])
+        assert series._model_moments(family, short, -1.01, 1e-12, 1e-12) is None
+        s0, s1, _ = series._model_moments(family, long, -1.01, 1e-12, 1e-12)
+        f, df, *_ = _reference_slope_sums(family, -1.01)
+        assert 2.0 * s0.tail_bound_used <= 1e-12 and 2.0 * s1.tail_bound_used <= 1e-12
+        assert abs(s0.value - f) <= s0.tail_bound_used + 1e-15
+        assert abs(s1.value - df) <= s1.tail_bound_used + 1e-15
 
     @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
     @pytest.mark.parametrize("tol", [1e-10, 1e-12])
@@ -845,7 +919,7 @@ class TestSlopeModel:
     def test_the_pass_keeps_its_partial_moments(self):
         family = Arithmetic(0.0, 1.0)
         tols = {(None, 0): 1e-12, (None, 1): 1e-12, (None, 2): math.inf}
-        *sums, model = series._eval_many(family, -1.0, tols, 0.0, MB, 1.0, True)
+        *sums, model = series._eval_many(family, -1.0, tols, 0.0, MB, 1.0, series._SLOPE_PARTIALS)
         n = sums[0].truncation_n
         terms = np.exp(-np.arange(1.0, n + 1.0))
         sigma = np.arange(1.0, n + 1.0)
@@ -1000,9 +1074,11 @@ def _count_slope_branches(monkeypatch) -> Counter:
 class TestSlopeLayerGolden:
     def test_outputs_match_the_pinned_reprs(self, monkeypatch):
         # tests/golden/slope_layer.json holds _slope_layer_outputs() at
-        # commit 63298ca (json.dumps(..., indent=1) wrote it): the library's
-        # slope outputs to the bit, where the CLI goldens print rounded
-        # figures; the calls take every branch of the slope layer
+        # commit 63298ca (json.dumps(..., indent=1) wrote it), re-pinned when
+        # warm roots began to read the ladder's model rungs (13 of 28 moved,
+        # by at most 2.0e-12 in a y at tol 1e-10 and 3.6e-15 elsewhere): the
+        # library's slope outputs to the bit, where the CLI goldens print
+        # rounded figures; the calls take every branch of the slope layer
         branches = _count_slope_branches(monkeypatch)
         assert _slope_layer_outputs() == json.loads(_SLOPE_PINNED.read_text())
         assert {b: branches[b] for b in _SLOPE_BRANCHES if not branches[b]} == {}
@@ -1213,6 +1289,32 @@ class TestDualEntriesOnlyEmpErrorEscapes:
             )
         before = solver.objective_value(kind, [u] * first)
         assert got - before == pytest.approx(float(limits), rel=1e-12)
+
+    def test_infinite_terms_at_finite_and_past_range_weights_are_one_sign(self):
+        # a bose-einstein term at u = inf is -inf (W(u) -> -inf), at a
+        # finite weight and at one past ln p_n = 700 alike; the latter read
+        # +inf, and math.fsum raised ValueError on the two
+        solver = EmpSolver(WeightedGeometric(1.0, 3.0))
+        terms = [math.inf] + [1e-3] * 798 + [math.inf]
+        assert solver.objective_value(BE, terms) == -math.inf
+        assert solver.objective_value(MB, terms) == math.inf
+        assert solver.objective_value(FD, terms) == math.inf
+
+    def test_fermi_dirac_terms_of_tiny_occupation(self):
+        # u / p_n runs down to 1e-299 on WeightedGeometric(1, 3)'s first
+        # 699 terms, where (1 - r) ln(1 - r) dropped its -r: the sum read
+        # -237.869 for -238.527
+        mpmath = pytest.importorskip("mpmath")
+        fam = WeightedGeometric(1.0, 3.0)
+        got = EmpSolver(fam).objective_value(FD, [1e-3] * 699)
+        with mpmath.workdps(60):
+            u = mpmath.mpf(1e-3)
+            want = mpmath.fsum(
+                p * (r * mpmath.log(r) + (1 - r) * mpmath.log1p(-r))
+                for p in (mpmath.exp(n) / n**3 for n in range(1, 700))
+                for r in (u / p,)
+            )
+        assert got == pytest.approx(float(want), rel=1e-13)
 
     @pytest.mark.parametrize("family", _GUARD_FAMILIES, ids=repr)
     def test_biconjugate_check(self, family, monkeypatch):
@@ -1693,24 +1795,27 @@ _DUAL_6 = series._VALUE_GRADIENT + _HESSIAN
 
 def _block_cases(family):
     """(kind, x, keys, model) of the passes the block layout must match on
-    family at its y (_block_y): slope passes with and without their model,
-    single sums, the maxwell-boltzmann dual point, and bose-einstein and
-    fermi-dirac passes of 3 and 6 sums, bose-einstein with the first term's
-    t = x + theta1 y at -0.3 (the -expm1 branch above -ln 2) and at -2,
-    fermi-dirac at x = 1.5 and at x = 800 (the terms with t > 700)."""
+    family at its y (_block_y): slope passes with the model of a slope pass
+    and of a model rung (series._SLOPE_PARTIALS and _MODEL_PARTIALS partial
+    moments) and without one (model 0), single sums, the maxwell-boltzmann
+    dual point, and bose-einstein and fermi-dirac passes of 3 and 6 sums,
+    bose-einstein with the first term's t = x + theta1 y at -0.3 (the
+    -expm1 branch above -ln 2) and at -2, fermi-dirac at x = 1.5 and at x =
+    800 (the terms with t > 700)."""
     t1y = sigma_min_set(family).theta1 * _block_y(family)
     return [
-        (MB, 0.0, _SLOPE_KEYS, True),
-        (MB, 0.0, _SLOPE_KEYS, False),
-        (MB, 0.0, ((None, 0),), False),
-        (MB, 0.0, ((None, 1),), False),
-        (MB, -1.3, (("conj", 0), ("grad", 1), ("hess", 2)), False),
-        (BE, -t1y - 0.3, _DUAL_3, False),
-        (BE, -t1y - 0.3, _DUAL_6, False),
-        (BE, -t1y - 2.0, _DUAL_6 + ((None, 1),), False),
-        (FD, 1.5, _DUAL_3, False),
-        (FD, 1.5, _DUAL_6, False),
-        (FD, 800.0, _DUAL_6, False),
+        (MB, 0.0, _SLOPE_KEYS, series._SLOPE_PARTIALS),
+        (MB, 0.0, _SLOPE_KEYS, series._MODEL_PARTIALS),
+        (MB, 0.0, _SLOPE_KEYS, 0),
+        (MB, 0.0, ((None, 0),), 0),
+        (MB, 0.0, ((None, 1),), 0),
+        (MB, -1.3, (("conj", 0), ("grad", 1), ("hess", 2)), 0),
+        (BE, -t1y - 0.3, _DUAL_3, 0),
+        (BE, -t1y - 0.3, _DUAL_6, 0),
+        (BE, -t1y - 2.0, _DUAL_6 + ((None, 1),), 0),
+        (FD, 1.5, _DUAL_3, 0),
+        (FD, 1.5, _DUAL_6, 0),
+        (FD, 800.0, _DUAL_6, 0),
     ]
 
 
@@ -1771,7 +1876,7 @@ class TestBlockSumsMatchReference:
                             lambda self, lo, hi: calls.append((lo, hi)) or term_arrays(self, lo, hi))
         family._tabled(1, sequences._TABLE_MAX)  # the full table, built first
         y = -family.alpha - 0.01
-        for kind, x, keys, model in ((MB, 0.0, _SLOPE_KEYS, True), (FD, 1.5, _DUAL_6, False)):
+        for kind, x, keys, model in ((MB, 0.0, _SLOPE_KEYS, series._SLOPE_PARTIALS), (FD, 1.5, _DUAL_6, 0)):
             calls.clear()
             with np.errstate(all="ignore"):
                 series._block_sums(family, y, x, kind, series._pass_shape(keys, kind is MB), 2**16, model)
@@ -1791,7 +1896,7 @@ class TestBlockSumsMatchReference:
                             lambda self, lo, hi: calls.append((lo, hi)) or term_arrays(self, lo, hi))
         family._tabled(1, sequences._TABLE_MAX)
         y = -family.alpha - 0.01
-        for kind, x, keys, model in ((MB, 0.0, _SLOPE_KEYS, True), (FD, 1.5, _DUAL_6, False)):
+        for kind, x, keys, model in ((MB, 0.0, _SLOPE_KEYS, series._SLOPE_PARTIALS), (FD, 1.5, _DUAL_6, 0)):
             calls.clear()
             with np.errstate(all="ignore"):
                 series._block_sums(family, y, x, kind, series._pass_shape(keys, kind is MB), 2**16, model)
