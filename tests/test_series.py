@@ -668,25 +668,26 @@ class TestSlopeLadder:
 
     def test_threads_filling_one_ladder_match_serial_brackets(self):
         # four threads fill one cold ladder at a 1 us switch interval, each
-        # bracketing the slopes in its own order: every bracket, and the
-        # entries kept, are those of a serial run
+        # bracketing and inverting the slopes in its own order: every
+        # bracket and root, and the entries and model rungs kept, are those
+        # of a serial run
         family, tol = Arithmetic(0.0, 1.0), 1e-10
         ws = [float(w) for w in np.geomspace(1.02, 9.0, 60)]
 
-        def ends(pair):
-            inner, outer = pair
-            return inner.y, outer.y
+        def ends(w):
+            inner, outer = series._ladder(family, tol, 1.0).bracket(w)
+            return inner.y, outer.y, phi_inverse(family, w, tol)
 
         series._ladder.cache_clear()
-        serial = [ends(series._ladder(family, tol, 1.0).bracket(w)) for w in ws]
-        kept = set(series._ladder(family, tol, 1.0).rungs)
+        serial = [ends(w) for w in ws]
+        kept = set(series._ladder(family, tol, 1.0).rungs), set(series._ladder(family, tol, 1.0).models)
         series._ladder.cache_clear()
         results, errors = {}, []
 
         def work(seed):
             try:
                 order = np.random.default_rng(seed).permutation(len(ws)).tolist()
-                results[seed] = {j: ends(series._ladder(family, tol, 1.0).bracket(ws[j])) for j in order}
+                results[seed] = {j: ends(ws[j]) for j in order}
             except Exception as exc:  # reported below, from the test's thread
                 errors.append(exc)
 
@@ -704,7 +705,8 @@ class TestSlopeLadder:
         assert not errors, errors
         for got in results.values():
             assert [got[j] for j in range(len(ws))] == serial
-        assert set(series._ladder(family, tol, 1.0).rungs) == kept
+        ladder = series._ladder(family, tol, 1.0)
+        assert (set(ladder.rungs), set(ladder.models)) == kept
 
     def test_the_ladder_store_stays_inside_its_bound(self):
         # 3,000 distinct (family, tol) ladders, each given a stand-in entry
