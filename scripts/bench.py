@@ -70,12 +70,17 @@ a cleared cache leaves cached (those of the slope ladders the run made
 that the cache still holds), the passes and terms that run spends beyond a
 warm rerun of the same targets, the passes and terms of the whole cold run
 (cold_series_passes and cold_series_terms: for mb_interior, the interior
-solves of every seed's cycle from a cleared cache), and the passes and terms of the model rungs
-it fills (model_rung_passes and model_rung_terms: series._block_sums calls
-that keep series._MODEL_PARTIALS partial moments).  Results do not depend
-on which entries are cached, so the difference is the build alone.
-mb_interior also reports zero_pass_solves, the warm solves that make no
-series pass.
+solves of every seed's cycle from a cleared cache), and the passes and
+terms of the entries it fills (entry_passes and entry_terms:
+series._block_sums calls made inside series._Ladder.rung) and of the model
+rungs (model_rung_passes and model_rung_terms: series._block_sums calls
+that keep series._MODEL_PARTIALS partial moments), and under total their
+sums over the families.  Results do not depend on which entries are
+cached, so the difference is the build alone.  mb_interior also reports
+zero_pass_solves, the warm solves that make no series pass.
+cold_cycle reports per seed the series passes and terms of one whole
+mb-point cycle, every request in order from cleared family caches as a new
+perfbench process runs it, and its entry and model-rung fills as above.
 dual_rows reports the wall time of one call of series._mult_arrays, which
 makes the bose-einstein and fermi-dirac dual's rows (W*, (W*)' and (W*)'',
 as finite._finite_dual asks for them), and of one finite._finite_dual, on
@@ -871,31 +876,51 @@ def _ladders_made(made):
 
 def _counting_model_rungs(counts):
     """Sites that count into counts the passes that fill the slope
-    ladder's model rungs, series._block_sums calls that keep
+    ladder's entries and model rungs: series._block_sums calls made inside
+    series._Ladder.rung as entry_passes, and those that keep
     series._MODEL_PARTIALS partial moments (none on a tree without model
-    rungs), as model_rung_passes, and their terms as model_rung_terms."""
+    rungs) as model_rung_passes, with their terms as entry_terms and
+    model_rung_terms."""
     from entromin import series
 
     sig, partials = inspect.signature(series._block_sums), getattr(series, "_MODEL_PARTIALS", None)
+    filling = []  # the entries being computed, innermost last
 
     def counting(fn):
         def count(*args, **kwargs):
             bound = sig.bind(*args, **kwargs)
-            if partials is not None and bound.arguments.get("model") == partials:
-                counts["model_rung_passes"] += 1
-                counts["model_rung_terms"] += bound.arguments["n"]
+            if filling:
+                key = "entry"
+            elif partials is not None and bound.arguments.get("model") == partials:
+                key = "model_rung"
+            else:
+                key = None
+            if key:
+                counts[f"{key}_passes"] += 1
+                counts[f"{key}_terms"] += bound.arguments["n"]
             return fn(*args, **kwargs)
 
         return count
 
-    return [(series, "_block_sums", counting)]
+    def entry(rung):
+        def fill(self, k):
+            filling.append(k)
+            try:
+                return rung(self, k)
+            finally:
+                filling.pop()
+
+        return fill
+
+    return [(series, "_block_sums", counting), (series._Ladder, "rung", entry)]
 
 
 def count_ladder_build(tracer, groups):
-    """Per family key of groups (key -> calls): the entries and model rungs
-    that one run of the calls from a cleared ladder cache leaves cached, the
-    passes and terms it spends beyond a warm rerun and in all, and the
-    passes and terms of the model rungs it fills."""
+    """Per family key of groups (key -> calls), and their total: the
+    entries and model rungs that one run of the calls from a cleared ladder
+    cache leaves cached, the passes and terms it spends beyond a warm rerun
+    and in all, and the passes and terms of the entries and of the model
+    rungs it fills."""
     from entromin import series
 
     keys = {"series_passes": "series.passes", "series_terms": "series_terms"}
@@ -909,7 +934,8 @@ def count_ladder_build(tracer, groups):
     out = {}
     for fam, calls in groups.items():
         series._ladder.cache_clear()
-        made, rungs = weakref.WeakSet(), Counter(model_rung_passes=0, model_rung_terms=0)
+        made = weakref.WeakSet()
+        rungs = Counter(entry_passes=0, entry_terms=0, model_rung_passes=0, model_rung_terms=0)
         with _patched(_ladders_made(made) + _counting_model_rungs(rungs)):
             cold = run(calls)
         entries = sum(len(ladder.rungs) for ladder in made)
@@ -918,6 +944,26 @@ def count_ladder_build(tracer, groups):
         out[fam] = {"entries": entries, "model_rungs": models,
                     **{k: cold[k] - warm[k] for k in keys},
                     **{f"cold_{k}": cold[k] for k in keys}, **rungs}
+    out["total"] = {k: sum(b[k] for b in out.values()) for k in next(iter(out.values()))}
+    return out
+
+
+def count_cold_cycle(tracer, entromin, workloads, np):
+    """Per seed: the series passes and terms of one mb-point cycle, every
+    request in order from cleared family caches as in a new perfbench
+    process, and the passes and terms among them that fill the slope
+    ladder's entries and model rungs."""
+    wl, out = workloads.MbPoint(), {}
+    keys = {"series_passes": "series.passes", "series_terms": "series_terms"}
+    for seed in SEEDS:
+        _clear_family_caches()
+        ctx = wl.prepare(entromin, None, [])
+        total = Counter()
+        fills = Counter(entry_passes=0, entry_terms=0, model_rung_passes=0, model_rung_terms=0)
+        with _patched(_counting_model_rungs(fills)):
+            for req in wl.requests(np.random.default_rng(seed)):
+                total.update(_counted(tracer, lambda req=req: wl.run(ctx, req), keys)[1])
+        out[seed] = {**{k: total[k] for k in keys}, **fills}
     return out
 
 
@@ -1053,10 +1099,13 @@ def prefix_case(tracer, rules, py_calls, runs):
 
 
 def _clear_family_caches():
-    """Empty the caches that a solver build fills per family."""
+    """Empty the caches that a solver build fills per family, also where
+    the tracer wraps them."""
     from entromin import sequences, series, solver
 
     for cache in (sequences.sigma_min_set, series.profile, series._ladder, solver._cached_prefix):
+        while not hasattr(cache, "cache_clear"):
+            cache = cache.__wrapped__
         cache.cache_clear()
 
 
@@ -1159,6 +1208,7 @@ def main(argv=None) -> int:
                 tracer, _grouped(interior, lambda es, u, v: es.solve_mb(u, v))),
             "bf_roundtrip": count_ladder_build(tracer, _grouped(trips, _roundtrip)),
         }
+        cold_cycle = count_cold_cycle(tracer, entromin, workloads, np)
         rule_prefix = prefix_case(tracer, rules, prefix_calls, prefix_runs)
         # last: it empties the prefix cache that the cases above read warm
         converge.update(count_fresh_converge(tracer, fams, seen_fams, unseen_fams))
@@ -1185,6 +1235,7 @@ def main(argv=None) -> int:
             "explicit_solver": explicit_solver,
         },
         "ladder_build": build,
+        "cold_cycle": cold_cycle,
         "dual_rows": dual_rows,
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
@@ -1211,11 +1262,14 @@ def main(argv=None) -> int:
             print("  " + ", ".join(f"{k} {v}" for k, v in trip.items()))
     for name, per_family in build.items():
         print(f"ladder_build, {name}: " + "; ".join(
-            f"{fam} {b['entries']} entries + {b['model_rungs']} model rungs "
+            f"{fam} {b['entries']} entries ({b['entry_passes']} passes, {b['entry_terms']} "
+            f"terms) + {b['model_rungs']} model rungs "
             f"({b['model_rung_passes']} passes, {b['model_rung_terms']} terms), "
             f"{b['series_passes']} passes, {b['series_terms']} terms beyond warm, cold "
             f"{b['cold_series_passes']} passes, {b['cold_series_terms']} terms"
             for fam, b in per_family.items()))
+    for seed, c in cold_cycle.items():
+        print(f"cold_cycle, mb-point {seed}: " + ", ".join(f"{k} {v}" for k, v in c.items()))
     for fn, by in dual_rows.items():
         print(f"dual_rows, {fn}: " + "; ".join(
             f"{key} {q['median']:.1f} us [{q['q1']:.1f}, {q['q3']:.1f}]" for key, q in by.items()))

@@ -24,26 +24,26 @@ and hessian_h are the one-quantity entry points to it.
 The increasing bijection phi = f'/f : (-inf, -alpha) -> (theta1, theta2) has
 one certified evaluation (_certified_slope), whose record (_Slope) phi
 reads and phi_inverse's Newton root (rootfind.newton_root) steps on.
-Every inversion starts from the slope ladder: the certified slopes at y_k =
--alpha - 2^(k/4), k = -48..24, each evaluated on first use and kept in a
-table per (family, tol, ceiling) with its ln f and Hermite node (_Ladder;
-_ladder keeps the 11 tables used last, 3,982 entries at most), so a warm
-start gallops over kept entries alone.  The two entries that bracket the
-target are the first bracket, and the first iterate is the cubic Hermite
-interpolant of their (phi, phi') (_hermite_start).  A slope pass also keeps
-the partial sums of moments 0 to 5 over its terms (_SlopeModel), 0 to 17
-on the ladder's model rungs at y_j = -alpha - 2^(j/16), whose Taylor
-expansion with a proved remainder certifies phi at nearby points with one
-bracket call and no pass (_model_moments), so a warm interior inversion
-mostly takes no pass: the model rung just right of the start certifies it
-and the Newton steps after it.  The ladder also starts the bose-einstein and
-fermi-dirac inverse with no pass (_ladder_point: that start, and ln f there
-interpolated through the same two entries); the inverse moves that start to
-the minimizer of the uncertified dual of its first 64 terms or more
-(solver._proposal: no pass, finite._minimize_dual on the rows of
-_mult_arrays, which also builds a pass's W* rows, base ln(1 + z) / z or
--ln(1 - z) / z at z = e^t clipped at 1e-300: exactly base wherever z <
-2^-53, an underflowed z = 0 included) before its first certified point.
+Every inversion starts from the slope ladder: the rough slopes at y_k =
+-alpha - 2^(k/4), k = -48..24, one pass each to 1e-4 (_rough_slope), kept
+on first use with their ln f and Hermite node in a table per (family, tol,
+ceiling) (_Ladder; _ladder keeps the 11 tables used last, 3,982 entries at
+most).  An entry only locates a root: the two nearest entries whose phi
+lies beyond its err on either side of the target are the first bracket,
+and the first iterate is the cubic Hermite interpolant of their (phi,
+phi') (_hermite_start).  A slope pass also keeps the partial sums of
+moments 0 to 5 over its terms (_SlopeModel), 0 to 17 on the ladder's
+certified model rungs at y_j = -alpha - 2^(j/16), whose Taylor expansion
+with a proved remainder certifies phi nearby with one bracket call and no
+pass (_model_moments), so a warm interior inversion mostly takes no pass.
+The ladder also starts the bose-einstein and fermi-dirac inverse with no
+pass (_ladder_point: that start, and ln f there interpolated through the
+same two entries); the inverse moves that start to the minimizer of the
+uncertified dual of its first 64 terms or more (solver._proposal: no pass,
+finite._minimize_dual on the rows of _mult_arrays, which also builds a
+pass's W* rows, base ln(1 + z) / z or -ln(1 - z) / z at z = e^t clipped at
+1e-300: exactly base wherever z < 2^-53, an underflowed z = 0 included)
+before its first certified point.
 The conjugate of ln f follows its four-branch closed form, and its interior
 branch (_conjugate_at) is also the solver's interior value.
 A pass whose target is beyond the term budget stops at the bound it can
@@ -471,13 +471,13 @@ def phi(family: SequenceFamily, y: float, tol: float = 1e-10) -> float:
     """f'(y)/f(y) at y < -alpha, within tol; strictly increasing in y.
 
     The slope evaluation of each phi_inverse step (_certified_slope), at
-    the scale of one rough pass: the error of phi, bounded from the tail
-    brackets of f and f', is certified to be at most 0.25 tol.  RangeError
-    at a y so negative that the certified f(y) underflows to 0."""
+    the scale of one rough pass (_rough_slope): the error of phi, bounded
+    from the tail brackets of f and f', is certified to be at most 0.25
+    tol.  RangeError at a y so negative that f(y) underflows to 0."""
     a = family.alpha
     if not y < -a:
         raise DomainError(f"phi needs y < -alpha = {-a}, got {y}")
-    return _certified_slope(family, y, 0.25 * tol).phi
+    return _certified_slope(family, y, 0.25 * tol, _rough_slope(family, y)).phi
 
 
 class _SlopeModel(NamedTuple):
@@ -493,10 +493,10 @@ class _SlopeModel(NamedTuple):
 
 
 class _Slope(NamedTuple):
-    """A certified slope at y: phi(y) within err (inf where f's bracket
+    """A slope at y: phi(y) within its proved err (inf where f's bracket
     reaches 0), phi'(y), the certified f(y), the scale (f(y), max(|phi|, 1))
     the next point's tolerances assume, and the _SlopeModel of the pass it
-    rests on (None after a ceiling stop and in a ladder entry)."""
+    rests on (None after a ceiling stop and in a rough slope)."""
 
     y: float
     phi: float
@@ -512,33 +512,33 @@ class _Slope(NamedTuple):
         return (self.phi - w) * (q / self.err) if self.err > q else self.phi - w
 
 
-def _certified_slope(family, y, tol, last=None, ceiling=1.0, partials=_SLOPE_PARTIALS) -> _Slope:
+def _rough_slope(family, y) -> _Slope:
+    """The slope at y from one pass with moments 0, 1 and 2 each to 1e-4
+    (phi' sets an entry's Hermite node) and no model: a slope-ladder entry,
+    and the scale of phi's certified pass."""
+    s0, s1, s2 = _eval_moments(family, y, dict.fromkeys(((None, 0), (None, 1), (None, 2)), 1e-4))
+    return _judge_slope(y, s0, s1, s2.value, None)
+
+
+def _certified_slope(family, y, tol, last, ceiling=1.0, partials=_SLOPE_PARTIALS) -> _Slope:
     """The slope at y with err <= tol: from last.model where its Taylor
     expansion certifies f and f' to the tolerances a pass at y would meet
     and phi to tol (_model_moments), else from moments-(0, 1, 2) passes
-    whose tolerances assume the scale last.scale, or with no last that of
-    one pass at tolerance 1e-4.  A pass whose err misses tol is repeated at
-    the scale it measured, at most four passes in all, unless it stopped at
-    its ceiling (a width above its tolerance: err > tol, no model).  phi' =
-    f''/f - phi^2, the variance of sigma under the Gibbs weights, only
-    proposes Newton steps, so moment 2 needs a finite tail bracket but no
-    tolerance: each pass stops when moments 0 and 1 are certified.  Each
-    pass keeps its partial moments 0 to partials - 1."""
-    if last is None:
-        rough = _eval_moments(family, y, {(None, 0): 1e-4, (None, 1): 1e-4})
-        f_scale = max(rough[0].value, 1e-300)
-        tols = _slope_tols(tol, (f_scale, max(abs(rough[1].value) / f_scale, 1.0)))
-    else:
-        tols = _slope_tols(tol, last.scale)
-        got = last.model and _model_moments(family, last.model, y, tols[(None, 0)], tols[(None, 1)])
-        if got:
-            slope = _judge_slope(y, *got, last.model)
-            if slope.err <= tol:
-                return slope
+    whose tolerances assume the scale last.scale.  A pass whose err misses
+    tol is repeated at the scale it measured, at most four passes in all,
+    unless it stopped at its ceiling (a width above its tolerance: err >
+    tol, no model).  phi' = f''/f - phi^2, the variance of sigma under the
+    Gibbs weights, only proposes Newton steps, so moment 2 needs a finite
+    tail bracket but no tolerance: each pass stops when moments 0 and 1 are
+    certified.  Each pass keeps its partial moments 0 to partials - 1."""
+    tols = _slope_tols(tol, last.scale)
+    got = last.model and _model_moments(family, last.model, y, tols[(None, 0)], tols[(None, 1)])
+    if got:
+        slope = _judge_slope(y, *got, last.model)
+        if slope.err <= tol:
+            return slope
     for _ in range(4):
         s0, s1, s2, model = _eval_moments(family, y, tols, 0.0, _MB, ceiling, partials)
-        if s0.value == 0.0:
-            raise RangeError(f"f({y}) underflows to 0: phi has no float value there")
         slope = _judge_slope(y, s0, s1, s2.value, model)
         # a ceiling stop leaves no model: a width above its tolerance
         if slope.err < math.inf and (slope.err <= tol or model is None):
@@ -557,9 +557,11 @@ def _slope_tols(tol, scale):
 
 
 def _judge_slope(y, s0, s1, m2, model) -> _Slope:
-    """_certified_slope's slope at y from certified f and f', the moment-2
-    value m2 and the model they came from: phi = f'/f within err, inf where
-    f's bracket reaches 0."""
+    """The slope at y from certified f and f', the moment-2 value m2 and the
+    model they came from: phi = f'/f within err, inf where f's bracket
+    reaches 0.  RangeError where f(y) underflows to 0."""
+    if s0.value == 0.0:
+        raise RangeError(f"f({y}) underflows to 0: phi has no float value there")
     p = s1.value / s0.value
     floor = s0.value - s0.tail_bound_used
     e = (s1.tail_bound_used + abs(p) * s0.tail_bound_used) / floor if floor > 0.0 else math.inf
@@ -606,18 +608,18 @@ def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
     """The unique y < -alpha with |phi(y) - w| <= tol, for theta1 < w < theta2.
 
     rootfind.newton_root from the slope ladder (_Ladder): the two kept
-    certified slopes at y_k = -alpha - 2^(k/4) whose values bracket
-    w are its first bracket, else (-inf, -alpha), as phi tends to theta2 > w
+    rough slopes at y_k = -alpha - 2^(k/4) that prove w lies between them
+    are its first bracket, else (-inf, -alpha), as phi tends to theta2 > w
     at -alpha.  It starts at the cubic Hermite interpolant of ln(-alpha - y)
     in ln(phi - theta1) through the two entries (_hermite_start), or at the
-    nearer entry where that one meets tol, the ladder is one-sided or the
-    interpolant leaves the bracket.  Each step is one _certified_slope from
-    the one before it, the Hermite start's from the model rung just right of
-    it (_Ladder.model): from that one's model (no pass) or else a pass as
-    phi takes, and proposes a Newton step on ln(phi - theta1), nearly linear
-    where phi tends to theta1.  Returns once the certified residual is
-    within 0.75 tol, or when the bracket is at most 4 ulp(y) wide (the
-    point of least residual).
+    nearer entry where the ladder is one-sided or the interpolant leaves
+    the bracket.  Each point is one _certified_slope from the one before it,
+    the Hermite start's from the model rung just right of it (_Ladder.model)
+    and the nearer entry's at that entry's scale: from that one's model (no
+    pass) or else a pass as phi takes, and proposes a Newton step on ln(phi
+    - theta1), nearly linear where phi tends to theta1.  Returns once the
+    certified residual is within 0.75 tol, or when the bracket is at most 4
+    ulp(y) wide (the point of least residual).
     """
     return _invert_slope(family, w, tol).y
 
@@ -628,8 +630,9 @@ _LADDER_K, _MODEL_RUNGS, _MODEL_J = (-48, 24), 16, (-192, 96)
 
 
 class _Rung(NamedTuple):
-    """A slope-ladder entry at y_k: its phi and certified _Slope (no
-    model), ln f(y_k), and its Hermite node (_hermite_node)."""
+    """A slope-ladder entry at y_k: its phi and rough _Slope (_rough_slope:
+    no model, phi within its err), ln f(y_k), and its Hermite node
+    (_hermite_node)."""
 
     y: float
     phi: float
@@ -639,19 +642,17 @@ class _Rung(NamedTuple):
 
 
 class _Ladder:
-    """The slope ladder of one (family, tol, ceiling): the certified slopes
-    at y_k = -alpha - 2^(k/4), k = -48..24, to 0.25 tol (_certified_slope,
-    its scale from its own rough pass, so an entry depends on its arguments
-    alone), each computed on first use and kept as a _Rung by k (rungs).  An
-    entry that raises (BudgetError, or RangeError where f(y_k) underflows
-    or y_k rounds to -alpha) is not kept.  The pass keeps no higher
-    moments, and its model is dropped: a Newton step from an entry is
-    rarely short enough for it.  The model rungs (models, by j) are finer,
-    each one pass that keeps a long model (model).  An entry is added with
-    dict.setdefault, so threads filling one ladder all read the first
-    record kept at k (or j).  Two threads using a new key at once may each
-    build a ladder (_ladder): the cache keeps one, and the other is dropped
-    with its entries, which depend on their arguments alone."""
+    """The slope ladder of one (family, tol, ceiling): the rough slopes at
+    y_k = -alpha - 2^(k/4), k = -48..24 (_rough_slope, so an entry depends
+    on (family, k) alone), each computed on first use and kept as a _Rung
+    by k (rungs); one that raises (BudgetError, or RangeError where f(y_k)
+    underflows or y_k rounds to -alpha) is not kept.  An entry only locates
+    a root (bracket); the finer model rungs (models, by j) certify, each one
+    pass that keeps a long model (model).  An entry is added with
+    dict.setdefault, so threads filling one ladder all read the first record
+    kept at k (or j).  Two threads using a new key at once may each build a
+    ladder (_ladder): the cache keeps one, and the other is dropped with its
+    entries, which depend on their arguments alone."""
 
     def __init__(self, family, tol, ceiling):
         self.family, self.tol, self.ceiling = family, tol, ceiling
@@ -667,7 +668,7 @@ class _Ladder:
         y = -a - 2.0 ** (0.25 * k)
         if not y < -a:
             raise RangeError(f"ladder point {k} rounds to -alpha = {-a}")
-        s = _certified_slope(family, y, 0.25 * self.tol, None, self.ceiling, 3)._replace(model=None)
+        s = _rough_slope(family, y)
         node = _hermite_node(s, sigma_min_set(family).theta1, a)
         return self.rungs.setdefault(k, _Rung(y, s.phi, s, math.log(s.f.value), node))
 
@@ -675,8 +676,8 @@ class _Ladder:
         """The model rung at j (-192..96), computed on first use: the slope
         at y_j to 0.25 tol, its _SlopeModel of _MODEL_PARTIALS partial
         moments, from one pass whose tolerances take the scale of the entry
-        at k = floor(j/4), on its -alpha side (no rough pass); None, kept
-        too, where either raises BudgetError or RangeError."""
+        at k = floor(j/4), on its -alpha side (no rough pass of its own);
+        None, kept too, where either raises BudgetError or RangeError."""
         if j not in self.models:
             y, s = -self.family.alpha - 2.0 ** (j / _MODEL_RUNGS), None
             try:
@@ -689,18 +690,21 @@ class _Ladder:
         return self.models[j]
 
     def bracket(self, w):
-        """(inner, outer): the entries nearest w on either side, inner's phi
-        on the near side of w, outer's at or beyond it.  The search gallops
-        outward from k = 0 (y = -alpha - 1) and then bisects, so its path
-        depends on w alone.  The ladder ends at k = -48 and 24 and at the
-        first entry that raises BudgetError or RangeError: outer is None
-        where it ends before w is bracketed, and a bisection stops there
-        with the bracket it has.  An error of the k = 0 entry itself
-        propagates."""
+        """(inner, outer): the entries nearest w that prove it lies between
+        them, inner's phi on the near side of w and outer's beyond it: an
+        entry decides a side only where |phi - w| exceeds its err.  The
+        search gallops outward from k = 0 (y = -alpha - 1) and then bisects,
+        so its path depends on w alone.  It ends at k = -48 and 24, at the
+        first entry that raises BudgetError or RangeError and at one within
+        its err of w: outer is None where the gallop ends so, k = 0 too, and
+        a bisection stops with the bracket it has.  An error of the k = 0
+        entry itself propagates."""
         lo_k, hi_k = _LADDER_K
         rungs = self.rungs
         inner_k, inner = 0, rungs.get(0) or self.rung(0)
         up = inner.phi > w  # phi falls as k grows
+        if not abs(inner.phi - w) > inner.slope.err:
+            return inner, None
 
         def entry(k):  # a missing entry, computed; None where it raises
             try:
@@ -713,7 +717,7 @@ class _Ladder:
             outer_k = inner_k + step if up else inner_k - step
             outer_k = lo_k if outer_k < lo_k else hi_k if outer_k > hi_k else outer_k
             outer = None if outer_k == inner_k else rungs.get(outer_k) or entry(outer_k)
-            if outer is None:
+            if outer is None or not abs(outer.phi - w) > outer.slope.err:
                 return inner, None
             if (outer.phi <= w) if up else (outer.phi >= w):
                 break
@@ -722,7 +726,7 @@ class _Ladder:
         while not -1 <= outer_k - inner_k <= 1:
             mid_k = inner_k + (outer_k - inner_k) // 2
             mid = rungs.get(mid_k) or entry(mid_k)
-            if mid is None:
+            if mid is None or not abs(mid.phi - w) > mid.slope.err:
                 break
             if (mid.phi <= w) if up else (mid.phi >= w):
                 outer_k, outer = mid_k, mid
@@ -738,30 +742,27 @@ _ladder = functools.lru_cache(maxsize=4096 // (73 + 289))(_Ladder)
 
 def _ladder_start(ladder, prof, w):
     """Where a slope root for w starts, from the slope ladder alone
-    (ladder.bracket, no new pass): (bracket, entry, y_h, ends).
-    bracket is the (lo, hi) of the two entries that bracket w, else
-    (-inf, -alpha), as phi tends to theta2 > w at -alpha; entry is the one
-    nearer w; y_h is their Hermite start (_hermite_start, from the entries'
-    nodes), None where entry meets tol (its residual as _invert_slope judges
-    it, _Slope.residual), the ladder is one-sided or the interpolant leaves
-    the bracket; ends are the two entries, None where one-sided."""
+    (ladder.bracket, no new pass): (bracket, entry, y_h, ends).  bracket is
+    the (lo, hi) of the two entries that prove w lies between them, else
+    (-inf, -alpha), as phi tends to theta2 > w at -alpha, so both its ends
+    are proved as newton_root's lo_ok and hi_ok say; entry is the one nearer
+    w; y_h is their Hermite start (_hermite_start, from the entries' nodes),
+    None where the ladder is one-sided or the interpolant leaves the
+    bracket; ends are the two entries, None where one-sided."""
     inner, outer = ladder.bracket(w)
     if outer is None:
         return (-math.inf, -prof.alpha), inner, None, None
     bracket = (inner.y, outer.y) if inner.y < outer.y else (outer.y, inner.y)
     start = outer if abs(outer.phi - w) < abs(inner.phi - w) else inner
-    if not abs(start.slope.residual(w, 0.25 * ladder.tol)) > 0.75 * ladder.tol:
-        return bracket, start, None, (inner, outer)
     y_h = _hermite_start(inner.node, outer.node, w, prof.theta1, prof.alpha)
     return bracket, start, (y_h if bracket[0] < y_h < bracket[1] else None), (inner, outer)
 
 
 def _ladder_point(family, w, tol) -> tuple[float, float]:
     """(y, ln f(y)) where a slope root for w starts (_ladder_start), with no
-    new pass: the nearer entry's y and certified ln f, or at the Hermite
-    start the cubic Hermite interpolant of ln f in y through the two entries
-    (values ln f(y_k), slopes phi(y_k)).  The bf inverse's Newton starts
-    from it."""
+    new pass: the nearer entry's y and ln f, or at the Hermite start the
+    cubic Hermite interpolant of ln f in y through the two entries (values
+    ln f(y_k), slopes phi(y_k)).  The bf inverse's Newton starts from it."""
     _, start, y_h, ends = _ladder_start(_ladder(family, tol, 1.0), profile(family), w)
     if y_h is None:
         return start.y, start.ln_f
@@ -772,35 +773,30 @@ def _invert_slope(family, w, tol, ceiling=1.0) -> _Slope:
     """phi_inverse's root as the certified slope of its last point, whose f
     a caller needing f at the root re-sums only when its bound is too
     loose.  The first bracket comes from the slope ladder (_ladder_start)
-    with no new pass; the first point is the Hermite start, or the nearer
-    entry (phi_inverse).  The Hermite start is certified from the model
-    rung just right of it (_Ladder.model, y_j >= y_h), and each later point
-    is _certified_slope from the one before it: from that slope's model
-    where it certifies phi to q = 0.25 tol, else from a new pass, whose
-    model the points after it read.  So a warm root whose points the model
-    rung certifies makes no pass.  A slope certified only to err > q (a
-    ceiling stop, which leaves no model) passes at |phi - w| <= 3 err
-    (_Slope.residual)."""
+    with no new pass.  Every point is _certified_slope from the slope
+    before it: the Hermite start's from the model rung just right of it
+    (_Ladder.model, y_j >= y_h), else the nearer entry's from that entry's
+    scale, and each later one from that slope's model where it certifies
+    phi to q = 0.25 tol, else from a new pass, whose model the points after
+    it read; so a warm root whose points the model rung certifies makes no
+    pass.  A slope certified only to err > q (a ceiling stop, which leaves
+    no model) passes at |phi - w| <= 3 err (_Slope.residual)."""
     prof = profile(family)
     if not math.isfinite(w) or w <= prof.theta1 or w >= prof.theta2:
         raise RangeError(f"w={w} outside the open range ({prof.theta1}, {prof.theta2})")
     ladder = _ladder(family, tol, ceiling)
     (lo, hi), start, y_h, _ = _ladder_start(ladder, prof, w)
-    last, q, t1 = start.slope, 0.25 * tol, prof.theta1
+    last, y0, q, t1 = start.slope, start.y, 0.25 * tol, prof.theta1
     if y_h is not None:
         j = math.floor(_MODEL_RUNGS * math.log2(-prof.alpha - y_h))
-        last = ladder.model(min(max(j, _MODEL_J[0]), _MODEL_J[1])) or last
-
-    def point(s):
-        return s.residual(w, q), s.y + slope_step(s.phi, s.dphi, w, t1), s
+        last, y0 = ladder.model(min(max(j, _MODEL_J[0]), _MODEL_J[1])) or last, y_h
 
     def evaluate(y):
         nonlocal last
-        last = _certified_slope(family, y, q, last, ceiling)
-        return point(last)
+        last = s = _certified_slope(family, y, q, last, ceiling)
+        return s.residual(w, q), y + slope_step(s.phi, s.dphi, w, t1), s
 
-    first = point(last) if y_h is None else evaluate(y_h)
-    return newton_root(evaluate, last.y, first, 0.75 * tol, lo, hi, True, True)[1]
+    return newton_root(evaluate, y0, evaluate(y0), 0.75 * tol, lo, hi, True, True)[1]
 
 
 def _hermite_node(s, t1, a):

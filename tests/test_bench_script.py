@@ -94,9 +94,11 @@ def _kernel():
 
 
 def _model_rungs():
+    # the model rung reads the entry at k = 0 first: one pass each
     series._ladder.cache_clear()
     series._ladder(entromin.Arithmetic(0.0, 1.0), 1e-10, 1.0).model(0)
-    return {"model_rung_passes": 1, "model_rung_terms": None}
+    return {"entry_passes": 1, "entry_terms": None,
+            "model_rung_passes": 1, "model_rung_terms": None}
 
 
 # each site list's builder: (its argument, a thunk that calls through its

@@ -456,9 +456,9 @@ _LADDER_CASES = [
 
 
 class TestSlopeLadder:
-    """Every slope inversion starts from the kept certified slopes at y_k =
-    -alpha - 2^(k/4) that bracket its target; an entry depends on (family,
-    tol, k, ceiling) alone, and one that raises is not kept."""
+    """Every slope inversion starts from the kept rough slopes at y_k =
+    -alpha - 2^(k/4) that prove they bracket its target; an entry depends
+    on (family, k) alone, and one that raises is not kept."""
 
     @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
     def test_results_do_not_depend_on_the_filled_entries(self, family, v1, v2, slopes):
@@ -530,8 +530,7 @@ class TestSlopeLadder:
     @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
     def test_the_start_lies_inside_the_ladder_bracket(self, monkeypatch, family, v1, v2, slopes):
         # each root starts strictly inside its two bracketing entries, or
-        # at the nearer entry; a target at an entry's slope starts and ends
-        # there with no new pass
+        # at the nearer entry
         tol = 1e-10
         starts = []
         newton_root = series.newton_root
@@ -548,10 +547,6 @@ class TestSlopeLadder:
             [(x, lo, hi)] = starts
             assert (lo, hi) == tuple(sorted((inner[0], outer[0])))
             assert lo < x < hi
-        entry = series._ladder(family, tol, 1.0).rung(2)
-        passes = _count_passes(monkeypatch, family)
-        assert phi_inverse(family, entry[1], tol) == entry[0]
-        assert passes == []
 
     def test_the_start_falls_back_without_a_usable_interpolant(self):
         # entries (y, phi, phi') on Arithmetic(0, 1) (theta1 = 1, alpha = 0)
@@ -564,6 +559,42 @@ class TestSlopeLadder:
         assert math.isnan(series._hermite_start(entry(-2.0, 1.2, 0.0), outer, 1.4, 1.0, 0.0))
         assert math.isnan(series._hermite_start(entry(-2.0, 1.0, 0.2), outer, 1.4, 1.0, 0.0))
         assert math.isnan(series._hermite_start(inner, entry(-1.0, 1.2, 0.9), 1.2, 1.0, 0.0))
+
+    @pytest.mark.parametrize("family", [case[0] for case in _LADDER_CASES], ids=repr)
+    def test_an_entry_within_its_err_bounds_no_root(self, monkeypatch, family):
+        # a rough entry's phi holds only within its err: at w = phi_k -+
+        # err_k / 2, for k = 0 and for the kept entry k = 2 that the search
+        # bisects to, the entry decides no side of w.  The root agrees with
+        # a pass-only root (no model), and newton_root is told an end is
+        # proved only where it is -inf, -alpha or an entry whose |phi - w|
+        # exceeds its err
+        tol, a = 1e-10, family.alpha
+        ladder = series._ladder(family, tol, 1.0)
+        calls = []
+        newton_root = series.newton_root
+
+        def recording(evaluate, x, first, r_tol, lo, hi, lo_ok, hi_ok):
+            calls.append((lo, hi, lo_ok, hi_ok))
+            return newton_root(evaluate, x, first, r_tol, lo, hi, lo_ok, hi_ok)
+
+        cases = []
+        for k in (0, 2):
+            e = ladder.rung(k)
+            for w in (e.phi - 0.5 * e.slope.err, e.phi + 0.5 * e.slope.err):
+                assert not abs(e.phi - w) > e.slope.err
+                cases.append(w)
+        monkeypatch.setattr(series, "newton_root", recording)
+        roots = [phi_inverse(family, w, tol) for w in cases]
+        entries = {e.y: e for e in ladder.rungs.values()}
+        for w, (lo, hi, lo_ok, hi_ok) in zip(cases, calls, strict=True):
+            for end, ok in ((lo, lo_ok), (hi, hi_ok)):
+                if end not in (-math.inf, -a):
+                    e = entries[end]
+                    assert ok <= (abs(e.phi - w) > e.slope.err)
+        monkeypatch.setattr(series, "_model_moments", lambda *args: None)
+        for w, y in zip(cases, roots):
+            y_pass = _certified_root(family, w, tol)
+            assert abs(phi(family, y, 1e-14) - phi(family, y_pass, 1e-14)) <= tol
 
     def test_threads_sharing_a_solver_match_serial_results(self):
         solver = EmpSolver(Lattice3D(1.0))
@@ -596,43 +627,44 @@ class TestSlopeLadder:
             assert [results[name][i] for i in range(len(targets))] == serial
 
     def test_a_budget_error_at_the_start_is_not_cached(self, monkeypatch):
-        # PowerLaw(1, 0.5) terms at y = -1 fall like e^-sqrt(n): no tail
-        # bracket reaches a 1e-300 target, and the k = 0 entry gives up
-        family = PowerLaw(1.0, 0.5)
+        # PowerLaw(1.5, 0.195) terms at y = -1 fall like e^(-1.5 n^0.195):
+        # f(-1) is certified to the profile's 1e-6, but the k = 0 entry's
+        # rough pass gives up on its moments 0 to 2 at 1e-4
+        family = PowerLaw(1.5, 0.195)
         series._ladder.cache_clear()
         fills = _count_ladder_fills(monkeypatch)
         for _ in range(2):
             with pytest.raises(BudgetError):
-                phi_inverse(family, 1.5, 1e-300)
-        assert (len(fills), series._ladder(family, 1e-300, 1.0).rungs) == (2, {})
+                phi_inverse(family, 2.0, 1e-10)
+        assert (len(fills), series._ladder(family, 1e-10, 1.0).rungs) == (2, {})
 
     def test_the_ladder_ends_at_an_entry_that_raises(self, monkeypatch):
-        # at tol 2.5e-13 PowerLaw(1, 0.5) certifies its slope at y_-7 =
-        # -2^(-7/4) but not at y_-15 (the terms e^(y sqrt(n)) fall too
-        # slowly), where the search from k = 0 through -1, -3 and -7 goes
-        # next; the root beyond y_-7 is found one-sided from there
-        family, tol = PowerLaw(1.0, 0.5), 2.5e-13
+        # on Arithmetic(12, 0.01) f(y_k) underflows to 0 at y_24 = -64
+        # (every term is below e^-768), where the search from k = 0 through
+        # 1, 3, 7 and 15 goes next, but not at y_15 = -2^(15/4); the root
+        # beyond y_15 is found one-sided from there
+        family, tol = Arithmetic(12.0, 0.01), 1e-10
         series._ladder.cache_clear()
         ladder = series._ladder(family, tol, 1.0)
-        w = ladder.rung(-7).phi + 0.1
+        w = ladder.rung(15).phi - 0.01
         y = phi_inverse(family, w, tol)
-        assert -(2.0 ** -1.75) < y < -0.25
+        assert -64.0 < y < -(2.0**3.75)
         assert abs(y - _certified_root(family, w, 1e-10)) <= 1e-9
         fills = _count_ladder_fills(monkeypatch)
-        with pytest.raises(BudgetError):
-            ladder.rung(-15)
-        ladder.rung(-7)
-        assert fills == [(family, tol, 1.0, -15)]
-        assert -15 not in ladder.rungs
+        with pytest.raises(RangeError):
+            ladder.rung(24)
+        ladder.rung(15)
+        assert fills == [(family, tol, 1.0, 24)]
+        assert 24 not in ladder.rungs
 
     @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
     def test_brackets_and_entries_match_the_reference_gallop(self, monkeypatch, family, v1, v2, slopes):
         # mb-point's interior slopes on the family (a stratified geometric
         # draw over the same range), as a solve's slope root reads the
         # ladder: a cold run and a warm rerun return the same (bracket,
-        # start), the brackets of tests/conftest.py's ref_ladder_bracket, and
-        # the ladder computes the entries that gallop computed, the warm run
-        # none
+        # start), the brackets of tests/conftest.py's ref_ladder_bracket over
+        # the rough slopes (series._rough_slope), and the ladder computes the
+        # entries that gallop computed, the warm run none
         tol, ceiling = 2.5e-13, 1e-5 / 2.5e-13  # series._conjugate_at's ladder
         prof = profile(family)
         rng = np.random.default_rng(9001)
@@ -646,7 +678,7 @@ class TestSlopeLadder:
             if k not in computed:
                 y = -family.alpha - 2.0 ** (0.25 * k)
                 try:
-                    computed[k] = series._certified_slope(family, y, 0.25 * tol, None, ceiling)
+                    computed[k] = series._rough_slope(family, y)
                 except (BudgetError, RangeError):
                     computed[k] = None
             return computed[k]
@@ -862,8 +894,9 @@ class TestSlopeModel:
         # pass's own point; a point 1e-2 away needs more terms than a slope
         # pass keeps, and a model rung's 18 partial moments reach it
         family = Arithmetic(0.0, 1.0)
-        *_, short = series._certified_slope(family, -1.0, 1e-10)
-        *_, long = series._certified_slope(family, -1.0, 1e-10, None, 1.0, series._MODEL_PARTIALS)
+        rough = series._rough_slope(family, -1.0)
+        *_, short = series._certified_slope(family, -1.0, 1e-10, rough)
+        *_, long = series._certified_slope(family, -1.0, 1e-10, rough, 1.0, series._MODEL_PARTIALS)
         assert (len(short.partials), len(long.partials)) == (6, 18)
         assert long.partials[:6] == short.partials
         iv0, iv1, iv2 = family.tail_intervals(-1.0, short.n, (0, 1, 2))
@@ -902,7 +935,7 @@ class TestSlopeModel:
         # at any tolerance the model's f and f' hold at y0 + d or it
         # declines; rounding, which no certificate counts yet, within 1e-14
         y0 = -family.alpha - math.exp(log_gap)
-        *_, model = series._certified_slope(family, y0, tol)
+        *_, model = series._certified_slope(family, y0, tol, series._rough_slope(family, y0))
         y = y0 + sign * 10.0**log_d
         got = series._model_moments(family, model, y, math.inf, math.inf)
         if got is None:
@@ -914,7 +947,7 @@ class TestSlopeModel:
 
     def test_the_model_declines_far_from_its_pass(self):
         family = Arithmetic(0.0, 1.0)
-        *_, model = series._certified_slope(family, -1.0, 1e-10)
+        *_, model = series._certified_slope(family, -1.0, 1e-10, series._rough_slope(family, -1.0))
         assert series._model_moments(family, model, -0.5, 1e-3, 1e-3) is None
         assert series._model_moments(family, model, -1.0 + 1e-9, 1e-3, 1e-3) is not None
 
@@ -956,9 +989,9 @@ _SLOPE_CALLS = [
     ("phi_inverse", _WG, (1.2, 1e-10)),
     ("phi_inverse", _L3, (4.5, 1e-10)),
     ("phi_inverse", _L3, (12.0, 1e-12)),
-    ("phi_inverse", _A, (1.0000000000000002, 1e-15)),  # the nearer entry meets tol
+    ("phi_inverse", _A, (1.0000000000000002, 1e-15)),
     ("phi_inverse", _A, (1.000000000000001, 1e-15)),  # an entry at phi = theta1: no interpolant
-    ("phi_inverse", _WG, (1.0000000000000016, 1e-10)),  # the interpolant at the bracket's end
+    ("phi_inverse", _WG, (1.0000000000000016, 1e-10)),  # an entry within its err of w
     ("lnf_conjugate", _A, (2.0, 1e-12)),
     ("lnf_conjugate", _WG, (1.25, 1e-11)),
     ("lnf_conjugate", _L3, (8.0, 1e-10)),
@@ -982,7 +1015,7 @@ _SLOPE_BRANCHES = (
     "pass retried",
     "iterate ceiling stop",
     "one-sided ladder",
-    "start meets tol",
+    "entry within its err",
     "hermite outside",
 )
 _SLOPE_PINNED = Path(__file__).resolve().parent / "golden" / "slope_layer.json"
@@ -1007,12 +1040,12 @@ def _count_slope_branches(monkeypatch) -> Counter:
     from outside it: slope passes and their ceiling stops (series._eval_many
     with model, a None model), model tries (series._model_moments), passes
     per certified slope, slope-root iterates (the evaluate calls of
-    series.newton_root), one-sided ladders (series._Ladder.bracket) and
-    starts (series._ladder_start, with or without a _hermite_start call)."""
-    counts, live = Counter(), {"passes": 0, "tries": 0, "iterate": False, "hermite": False}
+    series.newton_root), one-sided ladders and targets within a kept
+    entry's err (series._Ladder.bracket) and two-sided starts with no
+    Hermite start (series._ladder_start)."""
+    counts, live = Counter(), {"passes": 0, "tries": 0, "iterate": False}
     kernel, moments, slope = series._eval_many, series._model_moments, series._certified_slope
-    newton, bracket = series.newton_root, series._Ladder.bracket
-    start, hermite = series._ladder_start, series._hermite_start
+    newton, bracket, start = series.newton_root, series._Ladder.bracket, series._ladder_start
 
     def eval_many(family, y, tols, x=0.0, kind=MB, ceiling=1.0, model=False):
         out = kernel(family, y, tols, x, kind, ceiling, model)
@@ -1047,17 +1080,13 @@ def _count_slope_branches(monkeypatch) -> Counter:
     def ladder_bracket(self, w):
         inner, outer = bracket(self, w)
         counts["one-sided ladder"] += outer is None
+        counts["entry within its err"] += any(
+            not abs(e.phi - w) > e.slope.err for e in self.rungs.values())
         return inner, outer
 
-    def hermite_start(*args):
-        live["hermite"] = True
-        return hermite(*args)
-
     def ladder_start(*args):
-        live["hermite"] = False
         out = start(*args)
-        if out[3] is not None and out[2] is None:
-            counts["hermite outside" if live["hermite"] else "start meets tol"] += 1
+        counts["hermite outside"] += out[3] is not None and out[2] is None
         return out
 
     for name, fn in [
@@ -1066,7 +1095,6 @@ def _count_slope_branches(monkeypatch) -> Counter:
         ("_certified_slope", certified_slope),
         ("newton_root", newton_root),
         ("_ladder_start", ladder_start),
-        ("_hermite_start", hermite_start),
     ]:
         monkeypatch.setattr(series, name, fn)
     monkeypatch.setattr(series._Ladder, "bracket", ladder_bracket)
@@ -1078,9 +1106,12 @@ class TestSlopeLayerGolden:
         # tests/golden/slope_layer.json holds _slope_layer_outputs() at
         # commit 63298ca (json.dumps(..., indent=1) wrote it), re-pinned when
         # warm roots began to read the ladder's model rungs (13 of 28 moved,
-        # by at most 2.0e-12 in a y at tol 1e-10 and 3.6e-15 elsewhere): the
-        # library's slope outputs to the bit, where the CLI goldens print
-        # rounded figures; the calls take every branch of the slope layer
+        # by at most 2.0e-12 in a y at tol 1e-10 and 3.6e-15 elsewhere) and
+        # when ladder entries became one rough pass each (5 moved: 3 by at
+        # most 1.6e-14, and a root 7 ulp above theta1 and its start moved
+        # from y = -33 to another root at -39.05): the library's slope
+        # outputs to the bit, where the CLI goldens print rounded figures;
+        # the calls take every branch of the slope layer
         branches = _count_slope_branches(monkeypatch)
         assert _slope_layer_outputs() == json.loads(_SLOPE_PINNED.read_text())
         assert {b: branches[b] for b in _SLOPE_BRANCHES if not branches[b]} == {}
@@ -1224,13 +1255,23 @@ def _dual_multipliers(family):
 @st.composite
 def _dual_calls(draw):
     """(family, entry, kind, args): forward_solve under any entropy at a
-    _dual_multipliers pair, then objective_value on its rule, or
-    objective_value on two terms from _DUAL_EXTREME."""
+    _dual_multipliers pair, then objective_value on its rule;
+    objective_value on two terms from _DUAL_EXTREME; or objective_value on
+    WeightedGeometric(1, 3) at 750 to 800 terms, whose ln p_n passes 700
+    near n = 720: one value throughout, 1e-3, 1 or from _DUAL_EXTREME, with
+    one term before n = 720 and one after it from _DUAL_EXTREME."""
     family = draw(st.sampled_from(_GUARD_FAMILIES))
     kind = draw(st.sampled_from([MB, BE, FD]))
-    if draw(st.booleans()):
-        return family, "forward_solve", kind, draw(st.sampled_from(_dual_multipliers(family)))
-    return family, "objective_value", kind, ([draw(st.sampled_from(_DUAL_EXTREME)) for _ in range(2)],)
+    entry = draw(st.sampled_from(["forward_solve", "objective_value", "long sequence"]))
+    if entry == "forward_solve":
+        return family, entry, kind, draw(st.sampled_from(_dual_multipliers(family)))
+    if entry == "objective_value":
+        return family, entry, kind, ([draw(st.sampled_from(_DUAL_EXTREME)) for _ in range(2)],)
+    n = draw(st.integers(750, 800))
+    terms = [draw(st.sampled_from([1e-3, 1.0, *_DUAL_EXTREME]))] * n
+    for i in (draw(st.integers(0, 718)), draw(st.integers(720, n - 1))):
+        terms[i] = draw(st.sampled_from(_DUAL_EXTREME))
+    return WeightedGeometric(1.0, 3.0), "objective_value", kind, (terms,)
 
 
 class TestDualEntriesOnlyEmpErrorEscapes:
