@@ -26,16 +26,17 @@ one certified evaluation (_certified_slope), whose record (_Slope) phi
 reads and phi_inverse's Newton root (rootfind.newton_root) steps on.
 Every inversion starts from the slope ladder: the rough slopes at y_k =
 -alpha - 2^(k/4), k = -48..24, one pass each to 1e-4 (_rough_slope), kept
-on first use with their ln f and Hermite node in a table per (family, tol,
-ceiling) (_Ladder; _ladder keeps the 11 tables used last, 3,982 entries at
-most).  An entry only locates a root: the two nearest entries whose phi
+on first use with their ln f and Hermite node in one table per family,
+whatever a root's tolerance (_Ladder; _ladder keeps the 11 tables used
+last).  An entry only locates a root: the two nearest entries whose phi
 lies beyond its err on either side of the target are the first bracket,
 and the first iterate is the cubic Hermite interpolant of their (phi,
 phi') (_hermite_start).  A slope pass also keeps the partial sums of
-moments 0 to 5 over its terms (_SlopeModel), 0 to 17 on the ladder's
-certified model rungs at y_j = -alpha - 2^(j/16), whose Taylor expansion
-with a proved remainder certifies phi nearby with one bracket call and no
-pass (_model_moments), so a warm interior inversion mostly takes no pass.
+moments 0 to 5 over its terms (_SlopeModel), 0 to 17 on the certified
+model rungs at y_j = -alpha - 2^(j/16), one per (family, j, tol, ceiling)
+(_model_rung, 11 x 289 at most), whose Taylor expansion with a proved
+remainder certifies phi nearby with one bracket call and no pass
+(_model_moments), so a warm interior inversion mostly takes no pass.
 The ladder also starts the bose-einstein and fermi-dirac inverse with no
 pass (_ladder_point: that start, and ln f there interpolated through the
 same two entries); the inverse moves that start to the minimizer of the
@@ -48,8 +49,8 @@ The conjugate of ln f follows its four-branch closed form, and its interior
 branch (_conjugate_at) is also the solver's interior value.
 A pass whose target is beyond the term budget stops at the bound it can
 reach up to a ceiling times it (_eval_many; only _conjugate_at's slope
-root and its ladder, _refine_f, forward_solve and inverse_solve_bf's Newton
-points pass one).  All tolerances are absolute unless noted.
+root and its model rungs, _refine_f, forward_solve and inverse_solve_bf's
+Newton points pass one).  All tolerances are absolute unless noted.
 """
 
 from __future__ import annotations
@@ -607,19 +608,19 @@ def _model_moments(family, model, y, t0, t1):
 def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
     """The unique y < -alpha with |phi(y) - w| <= tol, for theta1 < w < theta2.
 
-    rootfind.newton_root from the slope ladder (_Ladder): the two kept
-    rough slopes at y_k = -alpha - 2^(k/4) that prove w lies between them
-    are its first bracket, else (-inf, -alpha), as phi tends to theta2 > w
-    at -alpha.  It starts at the cubic Hermite interpolant of ln(-alpha - y)
-    in ln(phi - theta1) through the two entries (_hermite_start), or at the
-    nearer entry where the ladder is one-sided or the interpolant leaves
+    rootfind.newton_root from the family's slope ladder (_Ladder): the two
+    kept rough slopes at y_k = -alpha - 2^(k/4) that prove w lies between
+    them are its first bracket, else (-inf, -alpha), as phi tends to theta2
+    > w at -alpha.  It starts at the cubic Hermite interpolant of ln(-alpha
+    - y) in ln(phi - theta1) through the two entries (_hermite_start), or at
+    the nearer entry where the ladder is one-sided or the interpolant leaves
     the bracket.  Each point is one _certified_slope from the one before it,
-    the Hermite start's from the model rung just right of it (_Ladder.model)
-    and the nearer entry's at that entry's scale: from that one's model (no
-    pass) or else a pass as phi takes, and proposes a Newton step on ln(phi
-    - theta1), nearly linear where phi tends to theta1.  Returns once the
-    certified residual is within 0.75 tol, or when the bracket is at most 4
-    ulp(y) wide (the point of least residual).
+    the Hermite start's from the model rung just right of it at this tol
+    (_model_rung) and the nearer entry's at that entry's scale: from that
+    one's model (no pass) or else a pass as phi takes, and proposes a Newton
+    step on ln(phi - theta1), nearly linear where phi tends to theta1.
+    Returns once the certified residual is within 0.75 tol, or when the
+    bracket is at most 4 ulp(y) wide (the point of least residual).
     """
     return _invert_slope(family, w, tol).y
 
@@ -642,21 +643,19 @@ class _Rung(NamedTuple):
 
 
 class _Ladder:
-    """The slope ladder of one (family, tol, ceiling): the rough slopes at
-    y_k = -alpha - 2^(k/4), k = -48..24 (_rough_slope, so an entry depends
-    on (family, k) alone), each computed on first use and kept as a _Rung
-    by k (rungs); one that raises (BudgetError, or RangeError where f(y_k)
-    underflows or y_k rounds to -alpha) is not kept.  An entry only locates
-    a root (bracket); the finer model rungs (models, by j) certify, each one
-    pass that keeps a long model (model).  An entry is added with
-    dict.setdefault, so threads filling one ladder all read the first record
-    kept at k (or j).  Two threads using a new key at once may each build a
-    ladder (_ladder): the cache keeps one, and the other is dropped with its
-    entries, which depend on their arguments alone."""
+    """The slope ladder of one family, for every tolerance: the rough slopes
+    at y_k = -alpha - 2^(k/4), k = -48..24 (_rough_slope), each computed on
+    first use and kept as a _Rung by k (rungs); one that raises
+    (BudgetError, or RangeError where f(y_k) underflows or y_k rounds to
+    -alpha) is not kept.  An entry only locates a root (bracket); the finer
+    model rungs certify (_model_rung).  An entry is added with
+    dict.setdefault, so threads filling one ladder all read the first
+    record kept at k.  Two threads using a new family at once may each
+    build a ladder (_ladder): the cache keeps one, and the other is dropped
+    with its entries, which depend on (family, k) alone."""
 
-    def __init__(self, family, tol, ceiling):
-        self.family, self.tol, self.ceiling = family, tol, ceiling
-        self.rungs, self.models = {}, {}
+    def __init__(self, family):
+        self.family, self.rungs = family, {}
 
     def rung(self, k) -> _Rung:
         """The entry at k, computed on first use."""
@@ -671,23 +670,6 @@ class _Ladder:
         s = _rough_slope(family, y)
         node = _hermite_node(s, sigma_min_set(family).theta1, a)
         return self.rungs.setdefault(k, _Rung(y, s.phi, s, math.log(s.f.value), node))
-
-    def model(self, j) -> Optional[_Slope]:
-        """The model rung at j (-192..96), computed on first use: the slope
-        at y_j to 0.25 tol, its _SlopeModel of _MODEL_PARTIALS partial
-        moments, from one pass whose tolerances take the scale of the entry
-        at k = floor(j/4), on its -alpha side (no rough pass of its own);
-        None, kept too, where either raises BudgetError or RangeError."""
-        if j not in self.models:
-            y, s = -self.family.alpha - 2.0 ** (j / _MODEL_RUNGS), None
-            try:
-                coarse = self.rung(j * 4 // _MODEL_RUNGS).slope  # raises where y_j rounds to -alpha
-                s = _certified_slope(self.family, y, 0.25 * self.tol, coarse, self.ceiling,
-                                     _MODEL_PARTIALS)
-            except (BudgetError, RangeError):
-                pass
-            self.models.setdefault(j, s)
-        return self.models[j]
 
     def bracket(self, w):
         """(inner, outer): the entries nearest w that prove it lies between
@@ -735,9 +717,24 @@ class _Ladder:
         return inner, outer
 
 
-# at most 4,096 entries: 11 ladders of at most 73 entries (one per k) and
-# 289 model rungs (one per j) each
-_ladder = functools.lru_cache(maxsize=4096 // (73 + 289))(_Ladder)
+# at most 3,982 records: the ladders of the 11 families used last, 73 entries
+# each (one per k), and 11 x 289 model rungs (one per j for 11 (family, tol, ceiling))
+_ladder = functools.lru_cache(maxsize=11)(_Ladder)
+
+
+@functools.lru_cache(maxsize=11 * (_MODEL_J[1] - _MODEL_J[0] + 1))
+def _model_rung(family, j, tol, ceiling) -> Optional[_Slope]:
+    """The model rung at j (-192..96): the slope at y_j = -alpha - 2^(j/16)
+    to 0.25 tol, with its _SlopeModel of _MODEL_PARTIALS partial moments,
+    from one pass under ceiling whose tolerances take the scale of the
+    ladder entry at k = floor(j/4), on its -alpha side (no rough pass of its
+    own); None, kept too, where either raises BudgetError or RangeError."""
+    y = -family.alpha - 2.0 ** (j / _MODEL_RUNGS)
+    try:  # the entry raises where y rounds to -alpha
+        coarse = _ladder(family).rung(j * 4 // _MODEL_RUNGS).slope
+        return _certified_slope(family, y, 0.25 * tol, coarse, ceiling, _MODEL_PARTIALS)
+    except (BudgetError, RangeError):
+        return None
 
 
 def _ladder_start(ladder, prof, w):
@@ -758,12 +755,12 @@ def _ladder_start(ladder, prof, w):
     return bracket, start, (y_h if bracket[0] < y_h < bracket[1] else None), (inner, outer)
 
 
-def _ladder_point(family, w, tol) -> tuple[float, float]:
-    """(y, ln f(y)) where a slope root for w starts (_ladder_start), with no
-    new pass: the nearer entry's y and ln f, or at the Hermite start the
-    cubic Hermite interpolant of ln f in y through the two entries (values
-    ln f(y_k), slopes phi(y_k)).  The bf inverse's Newton starts from it."""
-    _, start, y_h, ends = _ladder_start(_ladder(family, tol, 1.0), profile(family), w)
+def _ladder_point(family, w) -> tuple[float, float]:
+    """(y, ln f(y)) where a slope root for w starts (_ladder_start), from
+    ladder entries alone, so at any tol: the nearer entry's y and ln f, or
+    at the Hermite start the cubic Hermite interpolant of ln f in y through
+    the two entries (values ln f(y_k), slopes phi(y_k)).  No new pass."""
+    _, start, y_h, ends = _ladder_start(_ladder(family), profile(family), w)
     if y_h is None:
         return start.y, start.ln_f
     return y_h, _hermite(*((e.y, e.ln_f, e.phi) for e in ends), y_h)
@@ -772,24 +769,25 @@ def _ladder_point(family, w, tol) -> tuple[float, float]:
 def _invert_slope(family, w, tol, ceiling=1.0) -> _Slope:
     """phi_inverse's root as the certified slope of its last point, whose f
     a caller needing f at the root re-sums only when its bound is too
-    loose.  The first bracket comes from the slope ladder (_ladder_start)
-    with no new pass.  Every point is _certified_slope from the slope
-    before it: the Hermite start's from the model rung just right of it
-    (_Ladder.model, y_j >= y_h), else the nearer entry's from that entry's
-    scale, and each later one from that slope's model where it certifies
-    phi to q = 0.25 tol, else from a new pass, whose model the points after
-    it read; so a warm root whose points the model rung certifies makes no
-    pass.  A slope certified only to err > q (a ceiling stop, which leaves
-    no model) passes at |phi - w| <= 3 err (_Slope.residual)."""
+    loose.  The first bracket comes from the family's slope ladder
+    (_ladder_start) with no new pass.  Every point is _certified_slope from
+    the slope before it: the Hermite start's from the model rung just right
+    of it (_model_rung at this tol and ceiling, y_j >= y_h), else the nearer
+    entry's from that entry's scale, and each later one from that slope's
+    model where it certifies phi to q = 0.25 tol, else from a new pass,
+    whose model the points after it read; so a warm root whose points the
+    model rung certifies makes no pass.  A slope certified only to err > q
+    (a ceiling stop, which leaves no model) passes at |phi - w| <= 3 err
+    (_Slope.residual)."""
     prof = profile(family)
     if not math.isfinite(w) or w <= prof.theta1 or w >= prof.theta2:
         raise RangeError(f"w={w} outside the open range ({prof.theta1}, {prof.theta2})")
-    ladder = _ladder(family, tol, ceiling)
-    (lo, hi), start, y_h, _ = _ladder_start(ladder, prof, w)
+    (lo, hi), start, y_h, _ = _ladder_start(_ladder(family), prof, w)
     last, y0, q, t1 = start.slope, start.y, 0.25 * tol, prof.theta1
     if y_h is not None:
         j = math.floor(_MODEL_RUNGS * math.log2(-prof.alpha - y_h))
-        last, y0 = ladder.model(min(max(j, _MODEL_J[0]), _MODEL_J[1])) or last, y_h
+        j = min(max(j, _MODEL_J[0]), _MODEL_J[1])
+        last, y0 = _model_rung(family, j, tol, ceiling) or last, y_h
 
     def evaluate(y):
         nonlocal last

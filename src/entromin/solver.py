@@ -722,17 +722,17 @@ class EmpSolver:
         """Best-effort inverse solve for bose-einstein / fermi-dirac targets
         strictly inside the cone: damped Newton on the dual potential
         F = h_W(x, y) - x u - y v, started without a pass at the
-        maxwell-boltzmann multipliers the cached slope ladder gives
-        (series._ladder_point at tolerance 1e-5): y where the root of phi(y)
-        = v/u starts, and x = ln u - ln f(y) with ln f(y) interpolated
-        through the two ladder entries.  From there the finite solves' dual
-        Newton (finite._minimize_dual), uncertified on the first 64 terms or
-        more (_proposal, no pass), proposes where the certified Newton
-        starts: the Newton step, not evaluated, from its first point whose
-        residual norm r meets r^2 <= t / 10, t = res_tol / (10 scale), the
-        norm the certified points' sums are held to (that point itself
-        where the step is unusable); it starts at the ladder point where
-        that Newton does not converge.
+        maxwell-boltzmann multipliers the family's cached slope ladder
+        gives (series._ladder_point, from its rough entries alone): y where
+        the root of phi(y) = v/u starts, and x = ln u - ln f(y) with ln f(y)
+        interpolated through the two ladder entries.  From there the finite
+        solves' dual Newton (finite._minimize_dual), uncertified on the
+        first 64 terms or more (_proposal, no pass), proposes where the
+        certified Newton starts: the Newton step, not evaluated, from its
+        first point whose residual norm r meets r^2 <= t / 10, t = res_tol
+        / (10 scale), the norm the certified points' sums are held to (that
+        point itself where the step is unusable); it starts at the ladder
+        point where that Newton does not converge.
         Each certified Newton point is one certified pass for h_W, its
         gradient and its Hessian, so a proposal that lands within the
         tolerance costs one pass.
@@ -759,7 +759,7 @@ class EmpSolver:
         w = v_n / u
         scale = max(1.0, u, abs(v_n))
         try:
-            y_c, ln_f = series._ladder_point(self._fam, w, 1e-5)
+            y_c, ln_f = series._ladder_point(self._fam, w)
         except BudgetError as exc:
             return InverseFailure(
                 kind, (math.nan, math.nan), (math.inf, math.inf),

@@ -6,7 +6,6 @@ renamed library name then fails here rather than reading 0 in a bench run."""
 
 import importlib.util
 import re
-import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -61,8 +60,14 @@ def _term_arrays():
 
 def _kernel_reads():
     series._add_reduce(np.ones((2, 4)), axis=-1)
-    series._ladder(entromin.Arithmetic(0.0, 1.0), 1e-10, 1.0)
+    series._ladder(entromin.Arithmetic(0.0, 1.0))
     return {"reduce_calls": 1, "ladder_lookups": 1}
+
+
+def _block_sums():
+    # one pass at y = -1 on Arithmetic(0, 1) stops at its first block end
+    series._eval_many(entromin.Arithmetic(0.0, 1.0), -1.0, {(None, 0): 1e-6})
+    return {"series_passes": 1, "series_terms": 64}
 
 
 def _budget_errors():
@@ -88,6 +93,7 @@ def _kernel():
     # a warm interior solve makes no pass: from a cleared ladder cache the
     # solve sums its ladder entries and model rung
     series._ladder.cache_clear()
+    series._model_rung.cache_clear()
     entromin.EmpSolver(entromin.Arithmetic(0.0, 1.0)).solve_mb(1.0, 2.0)
     keys = ("slope_passes", "model_points", "array_calls", "bracket_calls", "series_terms")
     return dict.fromkeys(keys)
@@ -96,7 +102,8 @@ def _kernel():
 def _model_rungs():
     # the model rung reads the entry at k = 0 first: one pass each
     series._ladder.cache_clear()
-    series._ladder(entromin.Arithmetic(0.0, 1.0), 1e-10, 1.0).model(0)
+    series._model_rung.cache_clear()
+    series._model_rung(entromin.Arithmetic(0.0, 1.0), 0, 1e-10, 1.0)
     return {"entry_passes": 1, "entry_terms": None,
             "model_rung_passes": 1, "model_rung_terms": None}
 
@@ -110,12 +117,12 @@ SITE_LISTS = {
     "_counting_scalar_reads": (Counter, _scalar_reads),
     "_counting_term_arrays": (Counter, _term_arrays),
     "_counting_kernel_reads": (Counter, _kernel_reads),
+    "_counting_block_sums": (Counter, _block_sums),
     "_counting_budget_errors": (Counter, _budget_errors),
     "_counting_entropy_calls": (Counter, _entropy_calls),
     "_counting_newton": (Counter, _newton),
     "_count_kernel": (Counter, _kernel),
     "_counting_model_rungs": (Counter, _model_rungs),
-    "_ladders_made": (weakref.WeakSet, None),
     "_timing_checks": (dict, None),
 }
 
@@ -176,13 +183,6 @@ def test_a_call_through_a_counting_site_adds_to_its_key(builder):
             assert counts[key] >= 1, key
         else:
             assert counts[key] == amount, key
-
-
-def test_ladders_made_holds_each_new_ladder():
-    made, sites = _sites("_ladders_made")
-    with bench._patched(sites):
-        ladder = series._Ladder(entromin.Arithmetic(0.0, 1.0), 1e-10, 1.0)
-    assert list(made) == [ladder]
 
 
 def test_timing_checks_time_every_check(capsys):

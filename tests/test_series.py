@@ -432,19 +432,26 @@ def _count_passes(monkeypatch, family) -> list:
 
 
 def _count_ladder_fills(monkeypatch) -> list:
-    """A list that gains (family, tol, ceiling, k) for every slope-ladder
-    entry computed from here on: each read of an entry its table does not
-    hold (series._Ladder.rung), whether it raises or not."""
+    """A list that gains (family, k) for every slope-ladder entry computed
+    from here on: each read of an entry its family's table does not hold
+    (series._Ladder.rung), whether it raises or not."""
     fills = []
     rung = series._Ladder.rung
 
     def counting(self, k):
         if k not in self.rungs:
-            fills.append((self.family, self.tol, self.ceiling, k))
+            fills.append((self.family, k))
         return rung(self, k)
 
     monkeypatch.setattr(series._Ladder, "rung", counting)
     return fills
+
+
+def _clear_ladders():
+    """Empty the slope-root caches: the ladders of entries and the model
+    rungs."""
+    series._ladder.cache_clear()
+    series._model_rung.cache_clear()
 
 
 _LADDER_CASES = [
@@ -467,12 +474,12 @@ class TestSlopeLadder:
         others = [
             (u, u * float(w)) for u, w in zip([0.5, 1.0, 2.0, 3.5] * 50, np.geomspace(lo, hi, 200))
         ]
-        series._ladder.cache_clear()
+        _clear_ladders()
         cold = repr(solver.solve_mb(1.0, v1))
         for t in others:
             solver.solve_mb(*t)
         warm = repr(solver.solve_mb(1.0, v1))
-        series._ladder.cache_clear()
+        _clear_ladders()
         for t in reversed(others):
             solver.solve_mb(*t)
         reverse = repr(solver.solve_mb(1.0, v1))
@@ -491,7 +498,7 @@ class TestSlopeLadder:
         ]
         fills = _count_ladder_fills(monkeypatch)
         for call in calls:
-            series._ladder.cache_clear()
+            _clear_ladders()
             cold = call()
             misses = len(fills)
             warm = call()
@@ -543,7 +550,7 @@ class TestSlopeLadder:
         for w in np.geomspace(*slopes, 40):
             starts.clear()
             phi_inverse(family, float(w), tol)
-            inner, outer = series._ladder(family, tol, 1.0).bracket(float(w))
+            inner, outer = series._ladder(family).bracket(float(w))
             [(x, lo, hi)] = starts
             assert (lo, hi) == tuple(sorted((inner[0], outer[0])))
             assert lo < x < hi
@@ -569,7 +576,7 @@ class TestSlopeLadder:
         # proved only where it is -inf, -alpha or an entry whose |phi - w|
         # exceeds its err
         tol, a = 1e-10, family.alpha
-        ladder = series._ladder(family, tol, 1.0)
+        ladder = series._ladder(family)
         calls = []
         newton_root = series.newton_root
 
@@ -607,7 +614,7 @@ class TestSlopeLadder:
             barrier.wait()
             results[name] = {i: repr(solver.solve_mb(*targets[i])) for i in order}
 
-        series._ladder.cache_clear()
+        _clear_ladders()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -631,12 +638,12 @@ class TestSlopeLadder:
         # f(-1) is certified to the profile's 1e-6, but the k = 0 entry's
         # rough pass gives up on its moments 0 to 2 at 1e-4
         family = PowerLaw(1.5, 0.195)
-        series._ladder.cache_clear()
+        _clear_ladders()
         fills = _count_ladder_fills(monkeypatch)
         for _ in range(2):
             with pytest.raises(BudgetError):
                 phi_inverse(family, 2.0, 1e-10)
-        assert (len(fills), series._ladder(family, 1e-10, 1.0).rungs) == (2, {})
+        assert (len(fills), series._ladder(family).rungs) == (2, {})
 
     def test_the_ladder_ends_at_an_entry_that_raises(self, monkeypatch):
         # on Arithmetic(12, 0.01) f(y_k) underflows to 0 at y_24 = -64
@@ -644,8 +651,8 @@ class TestSlopeLadder:
         # 1, 3, 7 and 15 goes next, but not at y_15 = -2^(15/4); the root
         # beyond y_15 is found one-sided from there
         family, tol = Arithmetic(12.0, 0.01), 1e-10
-        series._ladder.cache_clear()
-        ladder = series._ladder(family, tol, 1.0)
+        _clear_ladders()
+        ladder = series._ladder(family)
         w = ladder.rung(15).phi - 0.01
         y = phi_inverse(family, w, tol)
         assert -64.0 < y < -(2.0**3.75)
@@ -654,7 +661,7 @@ class TestSlopeLadder:
         with pytest.raises(RangeError):
             ladder.rung(24)
         ladder.rung(15)
-        assert fills == [(family, tol, 1.0, 24)]
+        assert fills == [(family, 24)]
         assert 24 not in ladder.rungs
 
     @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
@@ -665,13 +672,12 @@ class TestSlopeLadder:
         # start), the brackets of tests/conftest.py's ref_ladder_bracket over
         # the rough slopes (series._rough_slope), and the ladder computes the
         # entries that gallop computed, the warm run none
-        tol, ceiling = 2.5e-13, 1e-5 / 2.5e-13  # series._conjugate_at's ladder
         prof = profile(family)
         rng = np.random.default_rng(9001)
         edges = np.geomspace(*slopes, 241)
         ws = [float(w) for w in rng.uniform(edges[:-1], edges[1:])]
-        series._ladder.cache_clear()
-        ladder = series._ladder(family, tol, ceiling)
+        _clear_ladders()
+        ladder = series._ladder(family)
         computed = {}
 
         def entry(k):
@@ -698,22 +704,33 @@ class TestSlopeLadder:
         assert [start(w) for w in ws] == cold
         assert fills == []
 
-    def test_threads_filling_one_ladder_match_serial_brackets(self):
+    def test_threads_filling_one_ladder_match_serial_brackets(self, monkeypatch):
         # four threads fill one cold ladder at a 1 us switch interval, each
         # bracketing and inverting the slopes in its own order: every
         # bracket and root, and the entries and model rungs kept, are those
-        # of a serial run
+        # of a serial run (the rungs read back through series._model_rung,
+        # each a cache hit)
         family, tol = Arithmetic(0.0, 1.0), 1e-10
         ws = [float(w) for w in np.geomspace(1.02, 9.0, 60)]
+        model_rung, js = series._model_rung, set()
 
         def ends(w):
-            inner, outer = series._ladder(family, tol, 1.0).bracket(w)
+            inner, outer = series._ladder(family).bracket(w)
             return inner.y, outer.y, phi_inverse(family, w, tol)
 
-        series._ladder.cache_clear()
-        serial = [ends(w) for w in ws]
-        kept = set(series._ladder(family, tol, 1.0).rungs), set(series._ladder(family, tol, 1.0).models)
-        series._ladder.cache_clear()
+        def rungs():
+            misses = model_rung.cache_info().misses
+            got = {j: model_rung(family, j, tol, 1.0) for j in js}
+            assert model_rung.cache_info().misses == misses
+            return set(series._ladder(family).rungs), got, model_rung.cache_info().currsize
+
+        _clear_ladders()
+        with monkeypatch.context() as m:  # the model rungs the serial run reads
+            m.setattr(series, "_model_rung", lambda f, j, *args: js.add(j) or model_rung(f, j, *args))
+            serial = [ends(w) for w in ws]
+        kept = rungs()
+        assert js and kept[2] == len(js)
+        _clear_ladders()
         results, errors = {}, []
 
         def work(seed):
@@ -737,57 +754,97 @@ class TestSlopeLadder:
         assert not errors, errors
         for got in results.values():
             assert [got[j] for j in range(len(ws))] == serial
-        ladder = series._ladder(family, tol, 1.0)
-        assert (set(ladder.rungs), set(ladder.models)) == kept
+        assert rungs() == kept
 
     def test_the_ladder_store_stays_inside_its_bound(self):
-        # 3,000 distinct (family, tol) ladders, each given a stand-in entry
-        # at every k of _LADDER_K and every model rung j of _MODEL_J, as
-        # series._Ladder.rung and .model add their entries: the cache never
-        # holds more than 11 ladders or 4,096 entries, coarse and model
-        # rungs together, and the ladder read after every new one keeps its
-        # entries
-        family = Arithmetic(0.0, 1.0)
+        # 3,000 distinct families, each ladder given a stand-in entry at
+        # every k of _LADDER_K as series._Ladder.rung adds its entries: the
+        # cache never holds more than 11 ladders or 11 x 73 entries, and the
+        # ladder read after every new one keeps its entries.  4,000 distinct
+        # (j, tol) model rungs of one family, more than the cache holds: it
+        # never holds more than 11 x 289, and the rung read after every new
+        # one stays cached
         lo_k, hi_k = series._LADDER_K
         lo_j, hi_j = series._MODEL_J
-        series._ladder.cache_clear()
-        tols = [1e-10 * (1.0 + i / 10_000) for i in range(3_000)]
-        kept = series._ladder(family, tols[0], 1.0)
+        n_k, n_j = hi_k - lo_k + 1, hi_j - lo_j + 1
+        _clear_ladders()
+        families = [Arithmetic(0.0, 1.0 + i / 10_000) for i in range(3_000)]
+        kept = series._ladder(families[0])
         live = weakref.WeakSet()  # the ladders the cache holds: no other references
-        for tol in tols:
-            ladder = series._ladder(family, tol, 1.0)
+        for family in families:
+            ladder = series._ladder(family)
             live.add(ladder)
             for k in range(lo_k, hi_k + 1):
                 ladder.rungs.setdefault(k, object())
-            for j in range(lo_j, hi_j + 1):
-                ladder.models.setdefault(j, object())
             del ladder
-            assert series._ladder(family, tols[0], 1.0) is kept
-            assert (len(kept.rungs), len(kept.models)) == (hi_k - lo_k + 1, hi_j - lo_j + 1)
+            assert series._ladder(families[0]) is kept
+            assert len(kept.rungs) == n_k
             assert series._ladder.cache_info().currsize == len(live) <= 11
-            assert sum(len(t.rungs) + len(t.models) for t in live) <= 4096
+            assert sum(len(t.rungs) for t in live) <= 11 * n_k
         assert series._ladder.cache_info().currsize == 11
-        series._ladder.cache_clear()
-        assert series._ladder.cache_info().currsize == 0
-        assert series._ladder(family, tols[0], 1.0).rungs == {}
-        ladder = series._ladder(family, 1e-10, 1.0)
+        _clear_ladders()
+        family = families[0]
+        held = series._model_rung(family, 0, 1e-10, 1.0)
+        assert held is not None
+        for i in range(4_000):
+            series._model_rung(family, lo_j + i % n_j, 1e-10 * (1.0 + (i // n_j + 1) / 10_000), 1.0)
+            assert series._model_rung(family, 0, 1e-10, 1.0) is held
+            assert series._model_rung.cache_info().currsize <= 11 * n_j
+        assert series._model_rung.cache_info().currsize == 11 * n_j
+        _clear_ladders()
+        assert (series._ladder.cache_info().currsize, series._model_rung.cache_info().currsize) == (0, 0)
+        assert series._ladder(family).rungs == {}
+        ladder = series._ladder(family)
         for w in np.geomspace(1.02, 9.0, 200):
             ladder.bracket(float(w))
             phi_inverse(family, float(w), 1e-10)
         assert set(ladder.rungs) <= set(range(lo_k, hi_k + 1))
-        assert ladder.models and set(ladder.models) <= set(range(lo_j, hi_j + 1))
+        assert 0 < series._model_rung.cache_info().currsize <= n_j
 
     @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
     def test_a_cold_inversion_keeps_its_entries(self, monkeypatch, family, v1, v2, slopes):
-        # phi_inverse files its ladder under (family, tol, 1.0), the key
-        # every reader passes: the entries a cold root filled are read back
+        # phi_inverse files its ladder under the family, the key every
+        # reader passes: the entries a cold root filled are read back
         tol = 1e-10
-        series._ladder.cache_clear()
+        _clear_ladders()
         fills = _count_ladder_fills(monkeypatch)
         phi_inverse(family, v2, tol)
         assert fills
-        assert {k for *_, k in fills} <= set(series._ladder(family, tol, 1.0).rungs)
+        assert {k for _, k in fills} <= set(series._ladder(family).rungs)
         assert series._ladder.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
+    def test_one_ladder_serves_every_caller_of_a_family(self, monkeypatch, family, v1, v2, slopes):
+        # an interior solve_mb (its root at 2.5e-13 under a ceiling), a
+        # fermi-dirac inverse (its start from entries alone) and slope roots
+        # at 1e-5 and 1e-10 on one target share one ladder: from cleared
+        # caches no entry y_k is filled twice, and every result is the one
+        # the same call returns alone from cleared caches
+        solver, a = EmpSolver(family), family.alpha
+        calls = [
+            lambda: solver.solve_mb(1.0, v2),
+            lambda: solver.inverse_solve_bf(FD, 1.0, v2),
+            lambda: phi_inverse(family, v2, 1e-5),
+            lambda: phi_inverse(family, v2, 1e-10),
+        ]
+        alone = []
+        for call in calls:
+            _clear_ladders()
+            alone.append(repr(call()))
+        grid = {-a - 2.0 ** (0.25 * k) for k in range(series._LADDER_K[0], series._LADDER_K[1] + 1)}
+        rough, filled = series._rough_slope, Counter()
+
+        def counting(fam, y):
+            if y in grid:
+                filled[y] += 1
+            return rough(fam, y)
+
+        monkeypatch.setattr(series, "_rough_slope", counting)
+        _clear_ladders()
+        shared = [repr(call()) for call in calls]
+        assert filled and max(filled.values()) == 1
+        assert series._ladder.cache_info().currsize == 1
+        assert shared == alone
 
     @pytest.mark.parametrize("w", [0.0101, 0.01001])
     def test_root_left_of_the_ladder(self, w):
@@ -848,7 +905,7 @@ class TestSlopeModel:
         q = 0.25 * tol
         root = _invert_slope(family, v2, tol)
         j = math.floor(series._MODEL_RUNGS * math.log2(-a - root.y))
-        rung = series._ladder(family, tol, 1.0).model(j)
+        rung = series._model_rung(family, j, tol, 1.0)
         assert len(rung.model.partials) == series._MODEL_PARTIALS
         passes = _count_passes(monkeypatch, family)
         assert series._certified_slope(family, root.y, q, rung).model is rung.model
@@ -978,7 +1035,7 @@ class _LooseTails(Arithmetic):
 
 _A, _WG, _L3 = Arithmetic(0.0, 1.0), WeightedGeometric(1.0, 3.0), Lattice3D(1.0)
 # (entry, family, args): interior solve_mb at (u, v), the others at their
-# own arguments (a y or a slope w, and tol)
+# own arguments (a y or a slope w, and tol, but for _ladder_point's w alone)
 _SLOPE_CALLS = [
     ("phi", _A, (-1.0, 1e-10)),
     ("phi", _WG, (-1.5, 1e-12)),
@@ -995,11 +1052,11 @@ _SLOPE_CALLS = [
     ("lnf_conjugate", _A, (2.0, 1e-12)),
     ("lnf_conjugate", _WG, (1.25, 1e-11)),
     ("lnf_conjugate", _L3, (8.0, 1e-10)),
-    ("_ladder_point", _A, (1.5, 1e-5)),
-    ("_ladder_point", _WG, (1.2, 1e-5)),
-    ("_ladder_point", _L3, (6.0, 1e-5)),
-    ("_ladder_point", _A, (1.000000000000001, 1e-15)),
-    ("_ladder_point", _WG, (1.0000000000000016, 1e-10)),
+    ("_ladder_point", _A, (1.5,)),
+    ("_ladder_point", _WG, (1.2,)),
+    ("_ladder_point", _L3, (6.0,)),
+    ("_ladder_point", _A, (1.000000000000001,)),
+    ("_ladder_point", _WG, (1.0000000000000016,)),
     ("solve_mb", _A, (1.0, 2.0)),
     ("solve_mb", _A, (0.5, 1.7)),
     ("solve_mb", _WG, (1.0, 1.2)),

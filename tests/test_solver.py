@@ -1427,7 +1427,7 @@ class TestInverseSolve:
     def test_a_one_sided_ladder_start(self, family, kind, x, y, before):
         solver = EmpSolver(family)
         fwd = solver.forward_solve(kind, x, y)
-        assert series._ladder(solver.normal_family, 1e-5, 1.0).bracket(fwd.v / fwd.u)[1] is None
+        assert series._ladder(solver.normal_family).bracket(fwd.v / fwd.u)[1] is None
         self._assert_round_trip(family, kind, x, y, before)
 
     @pytest.mark.parametrize("family, kind, x, y, before", _BRACKETED_TRIPS, ids=repr)
@@ -1849,6 +1849,7 @@ class TestCeilingStop:
     @pytest.fixture(autouse=True)
     def _cold(self):
         series._ladder.cache_clear()
+        series._model_rung.cache_clear()
 
     def _run(self, monkeypatch, name):
         # with the cyclic collector off, only reference counts free the

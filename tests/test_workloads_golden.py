@@ -8,6 +8,16 @@ requests come from perfbench/workloads.py, which the test only reads.  The
 test runs no warm-up request, since no output depends on what the caches
 hold; run with them, output_digest.py gives the same outputs.
 
+Under "counts" it also holds each subset's work: the series passes and the
+terms they sum (scripts/bench.py's _counting_block_sums: series._block_sums
+calls and their n) of a cold run, from the caches that
+scripts/bench.py's _clear_family_caches empties, and of a warm rerun.  A
+change that adds or saves a pass moves them.  The counts were pinned when
+each family's slope ladder began to serve every tolerance; on the tree
+before, where each (family, tol, ceiling) filled its own ladder entries,
+cli-batch's cold run took 209 passes and 373,056 terms (173 and 366,336
+now), and every other count was the same.
+
 The pins are bit patterns of one platform: python 3.11.7, numpy 2.4.6 and
 glibc's libm, as for the other goldens.  A change that moves an output
 re-pins the file, `PYTHONPATH=src python tests/test_workloads_golden.py`
@@ -19,6 +29,7 @@ ladder's entries became one rough pass each.
 import importlib.util
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +49,7 @@ def _module(name, path):
 
 
 output_digest = _module("output_digest", ROOT / "scripts" / "output_digest.py")
+bench = _module("bench", ROOT / "scripts" / "bench.py")
 sys.path.insert(0, str(ROOT / "perfbench"))  # workloads and the oracles it imports
 try:
     import workloads
@@ -73,24 +85,36 @@ def _hex(value):
     return value.hex() if isinstance(value, float) else value
 
 
-def workload_outputs(out_dir) -> dict:
-    """{workload: [[field, value] of each output]}, floats as float.hex."""
-    got = {}
-    for name, keep in _PICKS.items():
-        wl = _Subset(workloads.WORKLOADS[name], keep)
-        got[name] = [
+def _run(name, out_dir):
+    """([[field, value] of each output], floats as float.hex, and the
+    passes and terms) of one run of the workload's subset."""
+    wl = _Subset(workloads.WORKLOADS[name], _PICKS[name])
+    counts = Counter(series_passes=0, series_terms=0)
+    with bench._patched(bench._counting_block_sums(counts)):
+        got = [
             [[field, _hex(value)] for field, value in output_digest.fields(name, out)]
             for out in output_digest.outputs(entromin, np, wl, _SEED, out_dir)
         ]
-    return got
+    return got, dict(counts)
 
 
-def test_outputs_match_the_pinned_bits(tmp_path):
-    assert workload_outputs(tmp_path) == json.loads(_PINNED.read_text())
+def workload_record(out_dir) -> dict:
+    """{workload: its outputs from a cold run, "counts": {"cold" and
+    "warm": {workload: its passes and terms}}}."""
+    got, counts = {}, {"cold": {}, "warm": {}}
+    for name in _PICKS:
+        bench._clear_family_caches()
+        got[name], counts["cold"][name] = _run(name, out_dir)
+        counts["warm"][name] = _run(name, out_dir)[1]
+    return {**got, "counts": counts}
+
+
+def test_outputs_and_counts_match_the_pins(tmp_path):
+    assert workload_record(tmp_path) == json.loads(_PINNED.read_text())
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        _PINNED.write_text(json.dumps(workload_outputs(Path(tmp)), indent=0) + "\n")
+        _PINNED.write_text(json.dumps(workload_record(Path(tmp)), indent=0) + "\n")
