@@ -57,36 +57,30 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
   explicit_solver      EmpSolver(ExplicitPrefix((1, 2), (1, 2),
                        WeightedGeometric(1, 3))) and EmpSolver of its tail
                        alone, each built cold (the module caches
-                       sigma_min_set, series.profile, the slope ladders,
-                       the model rungs and solver._cached_prefix cleared
-                       first; what a family instance keeps, its term
-                       table, stays), before any other case runs, and the
-                       caches cleared again after.
+                       sigma_min_set, series.profile, the slope ladders
+                       and solver._cached_prefix cleared first; what a
+                       family instance keeps, its term table, stays),
+                       before any other case runs, and the caches cleared
+                       again after.
 
 Apart from the cases, ladder_build reports per family what filling the
 cache of slope-root starts costs for the mb_interior and the bf_roundtrip
 targets: the entries and model rungs a run over the family's targets from
-cleared caches leaves cached (the entries of the family's slope ladder and
-every model rung cached), the passes and terms that run spends beyond a
-warm rerun of the same targets, the passes and terms of the whole cold run
-(cold_series_passes and cold_series_terms: for mb_interior, the interior
-solves of every seed's cycle from a cleared cache), and the passes and
-terms of the entries it fills (entry_passes and entry_terms:
-series._block_sums calls made inside series._Ladder.rung) and of the model
-rungs (model_rung_passes and model_rung_terms: series._block_sums calls
-that keep series._MODEL_PARTIALS partial moments), and under total their
-sums over the families.  Results do not depend on which entries are
-cached, so the difference is the build alone.  mb_interior also reports
-zero_pass_solves, the warm solves that make no series pass.
+a cleared cache leaves in the family's slope ladder, the passes and terms
+that run spends beyond a warm rerun of the same targets, the passes and
+terms of the whole cold run (cold_series_passes and cold_series_terms: for
+mb_interior, the interior solves of every seed's cycle from a cleared
+cache), and the passes and terms of the entries it fills (entry_passes and
+entry_terms: series._block_sums calls made inside series._Ladder.rung) and
+of the model rungs (model_rung_passes and model_rung_terms:
+series._block_sums calls that keep series._MODEL_PARTIALS partial
+moments), and under total their sums over the families.  Results do not
+depend on which entries are cached, so the difference is the build alone.
+mb_interior also reports zero_pass_solves, the warm solves that make no
+series pass.
 cold_cycle reports per seed the series passes and terms of one whole
 mb-point cycle, every request in order from cleared family caches as a new
 perfbench process runs it, and its entry and model-rung fills as above.
-shared_ladder reports what one process running seed 9001's mb-point,
-bf-roundtrip and cli-batch cycles, warm-ups included, from cleared family
-caches fills: the slope ladders it leaves cached (one per family, which
-every tolerance shares), the passes and terms of their entries and of the
-model rungs as above, and all its series passes and terms (series_passes
-and series_terms: series._block_sums calls and their n).
 dual_rows reports the wall time of one call of series._mult_arrays, which
 makes the bose-einstein and fermi-dirac dual's rows (W*, (W*)' and (W*)'',
 as finite._finite_dual asks for them), and of one finite._finite_dual, on
@@ -189,9 +183,8 @@ slope ladders:
                        per block (and one per array for a slope model's
                        rows; one per slice of series._BLOCK_WIDTH columns
                        in arrays wider than that);
-  ladder_lookups       reads of the slope ladders' cache during the same
-                       call: series._ladder calls (one per bracket, and
-                       one per model rung filled);
+  ladder_lookups       reads of the slope ladder's cache during the same
+                       call: series._ladder calls (one ladder per bracket);
   budget_errors        BudgetErrors constructed during one slow_value call
                        or round trip, raised or caught, counted through the
                        class's __init__;
@@ -378,17 +371,6 @@ def _counting_kernel_reads(counts):
 
     return [(series, "_add_reduce", _count(counts, "reduce_calls")),
             (series, "_ladder", _count(counts, "ladder_lookups"))]
-
-
-def _counting_block_sums(counts):
-    """Sites that count into counts the kernel's certified passes
-    (series._block_sums calls, series_passes) and the terms they sum (the
-    n of each, series_terms)."""
-    from entromin import series
-
-    return [(series, "_block_sums", _count(counts, "series_passes")),
-            (series, "_block_sums",
-             _count(counts, "series_terms", lambda family, y, x, kind, shape, n, model=0: n))]
 
 
 def _counting_budget_errors(counts):
@@ -918,11 +900,10 @@ def _counting_model_rungs(counts):
 def count_ladder_build(tracer, targets, call):
     """Per family key of targets (key, solver, *args), and their total:
     the entries and model rungs that one run of call(solver, *args) over
-    the family's targets from cleared slope-root caches leaves cached (the
-    entries of the family's ladder, series._ladder, and the model rungs,
-    series._model_rung), the passes and terms it spends beyond a warm
-    rerun and in all, and the passes and terms of the entries and of the
-    model rungs it fills."""
+    the family's targets from a cleared ladder cache leaves in the family's
+    slope ladder (series._ladder), the passes and terms it spends beyond a
+    warm rerun and in all, and the passes and terms of the entries and of
+    the model rungs it fills."""
     from entromin import series
 
     keys = {"series_passes": "series.passes", "series_terms": "series_terms"}
@@ -937,12 +918,11 @@ def count_ladder_build(tracer, targets, call):
     out = {}
     for fam, calls in _grouped(targets, call).items():
         series._ladder.cache_clear()
-        series._model_rung.cache_clear()
         rungs = Counter(entry_passes=0, entry_terms=0, model_rung_passes=0, model_rung_terms=0)
         with _patched(_counting_model_rungs(rungs)):
             cold = run(calls)
-        entries = len(series._ladder(families[fam]).rungs)
-        models = series._model_rung.cache_info().currsize
+        ladder = series._ladder(families[fam])
+        entries, models = len(ladder.rungs), len(ladder.models)
         warm = run(calls)
         out[fam] = {"entries": entries, "model_rungs": models,
                     **{k: cold[k] - warm[k] for k in keys},
@@ -967,36 +947,6 @@ def count_cold_cycle(tracer, entromin, workloads, np):
             for req in wl.requests(np.random.default_rng(seed)):
                 total.update(_counted(tracer, lambda req=req: wl.run(ctx, req), keys)[1])
         out[seed] = {**{k: total[k] for k in keys}, **fills}
-    return out
-
-
-SHARED_CYCLES = ("mb-point", "bf-roundtrip", "cli-batch")
-
-
-def count_shared_ladder(entromin, workloads, np):
-    """shared_ladder: seed SEEDS[0]'s cycles of SHARED_CYCLES, each with its
-    warm-up requests first, in that order in one process from cleared
-    family caches: the slope ladders then cached (series._ladder), the
-    passes and terms that fill their entries (one pass per entry filled)
-    and the model rungs (_counting_model_rungs), and all the kernel's
-    passes and terms (_counting_block_sums).  The caches are left empty."""
-    import tempfile
-
-    from entromin import series
-
-    _clear_family_caches()
-    counts = Counter(series_passes=0, series_terms=0, entry_passes=0, entry_terms=0,
-                     model_rung_passes=0, model_rung_terms=0)
-    with tempfile.TemporaryDirectory() as tmp, \
-            _patched(_counting_block_sums(counts) + _counting_model_rungs(counts)):
-        for name in SHARED_CYCLES:
-            wl = workloads.WORKLOADS[name]
-            requests = wl.requests(np.random.default_rng(SEEDS[0]))
-            ctx = wl.prepare(entromin, Path(tmp), requests)
-            for req in wl.warmups() + requests:
-                wl.run(ctx, req)
-    out = {"ladders": series._ladder.cache_info().currsize, **counts}
-    _clear_family_caches()
     return out
 
 
@@ -1136,8 +1086,7 @@ def _clear_family_caches():
     the tracer wraps them."""
     from entromin import sequences, series, solver
 
-    for cache in (sequences.sigma_min_set, series.profile, series._ladder, series._model_rung,
-                  solver._cached_prefix):
+    for cache in (sequences.sigma_min_set, series.profile, series._ladder, solver._cached_prefix):
         while not hasattr(cache, "cache_clear"):
             cache = cache.__wrapped__
         cache.cache_clear()
@@ -1177,7 +1126,6 @@ def main(argv=None) -> int:
     import workloads
 
     explicit_solver = explicit_case(entromin)  # first: it empties the caches
-    shared_ladder = count_shared_ladder(entromin, workloads, np)  # from and to empty caches
     reqs = _targets(workloads, np)
     fams = _families(entromin, workloads, reqs)
     seen_fams = _families(entromin, workloads, _targets(workloads, np, SEEDS[:1]))
@@ -1270,7 +1218,6 @@ def main(argv=None) -> int:
         },
         "ladder_build": build,
         "cold_cycle": cold_cycle,
-        "shared_ladder": shared_ladder,
         "dual_rows": dual_rows,
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
@@ -1305,8 +1252,6 @@ def main(argv=None) -> int:
             for fam, b in per_family.items()))
     for seed, c in cold_cycle.items():
         print(f"cold_cycle, mb-point {seed}: " + ", ".join(f"{k} {v}" for k, v in c.items()))
-    print(f"shared_ladder, {', '.join(SHARED_CYCLES)} {SEEDS[0]}: "
-          + ", ".join(f"{k} {v}" for k, v in shared_ladder.items()))
     for fn, by in dual_rows.items():
         print(f"dual_rows, {fn}: " + "; ".join(
             f"{key} {q['median']:.1f} us [{q['q1']:.1f}, {q['q3']:.1f}]" for key, q in by.items()))

@@ -33,9 +33,9 @@ lies beyond its err on either side of the target are the first bracket,
 and the first iterate is the cubic Hermite interpolant of their (phi,
 phi') (_hermite_start).  A slope pass also keeps the partial sums of
 moments 0 to 5 over its terms (_SlopeModel), 0 to 17 on the certified
-model rungs at y_j = -alpha - 2^(j/16), one per (family, j, tol, ceiling)
-(_model_rung, 11 x 289 at most), whose Taylor expansion with a proved
-remainder certifies phi nearby with one bracket call and no pass
+model rungs at y_j = -alpha - 2^(j/16), one per (j, tol, ceiling) in the
+family's table (_Ladder.model, 289 at most), whose Taylor expansion with a
+proved remainder certifies phi nearby with one bracket call and no pass
 (_model_moments), so a warm interior inversion mostly takes no pass.
 The ladder also starts the bose-einstein and fermi-dirac inverse with no
 pass (_ladder_point: that start, and ln f there interpolated through the
@@ -58,6 +58,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from operator import mul as _mul
@@ -616,7 +617,7 @@ def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
     the nearer entry where the ladder is one-sided or the interpolant leaves
     the bracket.  Each point is one _certified_slope from the one before it,
     the Hermite start's from the model rung just right of it at this tol
-    (_model_rung) and the nearer entry's at that entry's scale: from that
+    (_Ladder.model) and the nearer entry's at that entry's scale: from that
     one's model (no pass) or else a pass as phi takes, and proposes a Newton
     step on ln(phi - theta1), nearly linear where phi tends to theta1.
     Returns once the certified residual is within 0.75 tol, or when the
@@ -643,19 +644,18 @@ class _Rung(NamedTuple):
 
 
 class _Ladder:
-    """The slope ladder of one family, for every tolerance: the rough slopes
-    at y_k = -alpha - 2^(k/4), k = -48..24 (_rough_slope), each computed on
-    first use and kept as a _Rung by k (rungs); one that raises
-    (BudgetError, or RangeError where f(y_k) underflows or y_k rounds to
-    -alpha) is not kept.  An entry only locates a root (bracket); the finer
-    model rungs certify (_model_rung).  An entry is added with
-    dict.setdefault, so threads filling one ladder all read the first
-    record kept at k.  Two threads using a new family at once may each
-    build a ladder (_ladder): the cache keeps one, and the other is dropped
-    with its entries, which depend on (family, k) alone."""
+    """The slope ladder of one family: the rough slopes at y_k = -alpha -
+    2^(k/4), k = -48..24 (_rough_slope), each computed on first use and kept
+    as a _Rung by k (rungs), except one that raises (BudgetError, or
+    RangeError where f(y_k) underflows or y_k rounds to -alpha); an entry
+    only locates a root (bracket).  The model rungs certify (model), kept by
+    (j, tol, ceiling) in models, which drops its oldest record past 289.  A
+    record is added with setdefault, so threads filling one ladder all read
+    the first one kept at its key; two threads using a new family at once
+    may each build a ladder (_ladder), and the cache keeps one."""
 
     def __init__(self, family):
-        self.family, self.rungs = family, {}
+        self.family, self.rungs, self.models = family, {}, OrderedDict()
 
     def rung(self, k) -> _Rung:
         """The entry at k, computed on first use."""
@@ -670,6 +670,24 @@ class _Ladder:
         s = _rough_slope(family, y)
         node = _hermite_node(s, sigma_min_set(family).theta1, a)
         return self.rungs.setdefault(k, _Rung(y, s.phi, s, math.log(s.f.value), node))
+
+    def model(self, j, tol, ceiling) -> Optional[_Slope]:
+        """The model rung at j (-192..96) for tol and ceiling, computed on
+        first use: one pass under ceiling at y_j, to 0.25 tol at the scale of
+        the entry at k = floor(j/4), keeping _MODEL_PARTIALS partial moments;
+        None, kept too, where either raises BudgetError or RangeError."""
+        try:
+            return self.models[j, tol, ceiling]
+        except KeyError:
+            y, s = -self.family.alpha - 2.0 ** (j / _MODEL_RUNGS), None
+        try:
+            coarse = self.rung(j * 4 // _MODEL_RUNGS).slope  # raises where y_j rounds to -alpha
+            s = _certified_slope(self.family, y, 0.25 * tol, coarse, ceiling, _MODEL_PARTIALS)
+        except (BudgetError, RangeError):
+            pass
+        if len(self.models) >= _MODEL_J[1] - _MODEL_J[0] + 1:
+            self.models.popitem(last=False)
+        return self.models.setdefault((j, tol, ceiling), s)
 
     def bracket(self, w):
         """(inner, outer): the entries nearest w that prove it lies between
@@ -717,24 +735,8 @@ class _Ladder:
         return inner, outer
 
 
-# at most 3,982 records: the ladders of the 11 families used last, 73 entries
-# each (one per k), and 11 x 289 model rungs (one per j for 11 (family, tol, ceiling))
+# at most 3,982 records: 11 ladders of at most 73 entries and 289 model rungs
 _ladder = functools.lru_cache(maxsize=11)(_Ladder)
-
-
-@functools.lru_cache(maxsize=11 * (_MODEL_J[1] - _MODEL_J[0] + 1))
-def _model_rung(family, j, tol, ceiling) -> Optional[_Slope]:
-    """The model rung at j (-192..96): the slope at y_j = -alpha - 2^(j/16)
-    to 0.25 tol, with its _SlopeModel of _MODEL_PARTIALS partial moments,
-    from one pass under ceiling whose tolerances take the scale of the
-    ladder entry at k = floor(j/4), on its -alpha side (no rough pass of its
-    own); None, kept too, where either raises BudgetError or RangeError."""
-    y = -family.alpha - 2.0 ** (j / _MODEL_RUNGS)
-    try:  # the entry raises where y rounds to -alpha
-        coarse = _ladder(family).rung(j * 4 // _MODEL_RUNGS).slope
-        return _certified_slope(family, y, 0.25 * tol, coarse, ceiling, _MODEL_PARTIALS)
-    except (BudgetError, RangeError):
-        return None
 
 
 def _ladder_start(ladder, prof, w):
@@ -769,25 +771,24 @@ def _ladder_point(family, w) -> tuple[float, float]:
 def _invert_slope(family, w, tol, ceiling=1.0) -> _Slope:
     """phi_inverse's root as the certified slope of its last point, whose f
     a caller needing f at the root re-sums only when its bound is too
-    loose.  The first bracket comes from the family's slope ladder
-    (_ladder_start) with no new pass.  Every point is _certified_slope from
-    the slope before it: the Hermite start's from the model rung just right
-    of it (_model_rung at this tol and ceiling, y_j >= y_h), else the nearer
-    entry's from that entry's scale, and each later one from that slope's
-    model where it certifies phi to q = 0.25 tol, else from a new pass,
-    whose model the points after it read; so a warm root whose points the
-    model rung certifies makes no pass.  A slope certified only to err > q
-    (a ceiling stop, which leaves no model) passes at |phi - w| <= 3 err
-    (_Slope.residual)."""
+    loose.  The first bracket comes from the slope ladder (_ladder_start)
+    with no new pass.  Every point is _certified_slope from the slope
+    before it: the Hermite start's from the model rung just right of it
+    (_Ladder.model, y_j >= y_h), else the nearer entry's from that entry's
+    scale, and each later one from that slope's model where it certifies
+    phi to q = 0.25 tol, else from a new pass, whose model the points after
+    it read; so a warm root whose points the model rung certifies makes no
+    pass.  A slope certified only to err > q (a ceiling stop, which leaves
+    no model) passes at |phi - w| <= 3 err (_Slope.residual)."""
     prof = profile(family)
     if not math.isfinite(w) or w <= prof.theta1 or w >= prof.theta2:
         raise RangeError(f"w={w} outside the open range ({prof.theta1}, {prof.theta2})")
-    (lo, hi), start, y_h, _ = _ladder_start(_ladder(family), prof, w)
+    ladder = _ladder(family)
+    (lo, hi), start, y_h, _ = _ladder_start(ladder, prof, w)
     last, y0, q, t1 = start.slope, start.y, 0.25 * tol, prof.theta1
     if y_h is not None:
         j = math.floor(_MODEL_RUNGS * math.log2(-prof.alpha - y_h))
-        j = min(max(j, _MODEL_J[0]), _MODEL_J[1])
-        last, y0 = _model_rung(family, j, tol, ceiling) or last, y_h
+        last, y0 = ladder.model(min(max(j, _MODEL_J[0]), _MODEL_J[1]), tol, ceiling) or last, y_h
 
     def evaluate(y):
         nonlocal last

@@ -64,12 +64,6 @@ def _kernel_reads():
     return {"reduce_calls": 1, "ladder_lookups": 1}
 
 
-def _block_sums():
-    # one pass at y = -1 on Arithmetic(0, 1) stops at its first block end
-    series._eval_many(entromin.Arithmetic(0.0, 1.0), -1.0, {(None, 0): 1e-6})
-    return {"series_passes": 1, "series_terms": 64}
-
-
 def _budget_errors():
     BudgetError("one")
     return {"budget_errors": 1}
@@ -93,7 +87,6 @@ def _kernel():
     # a warm interior solve makes no pass: from a cleared ladder cache the
     # solve sums its ladder entries and model rung
     series._ladder.cache_clear()
-    series._model_rung.cache_clear()
     entromin.EmpSolver(entromin.Arithmetic(0.0, 1.0)).solve_mb(1.0, 2.0)
     keys = ("slope_passes", "model_points", "array_calls", "bracket_calls", "series_terms")
     return dict.fromkeys(keys)
@@ -102,8 +95,7 @@ def _kernel():
 def _model_rungs():
     # the model rung reads the entry at k = 0 first: one pass each
     series._ladder.cache_clear()
-    series._model_rung.cache_clear()
-    series._model_rung(entromin.Arithmetic(0.0, 1.0), 0, 1e-10, 1.0)
+    series._ladder(entromin.Arithmetic(0.0, 1.0)).model(0, 1e-10, 1.0)
     return {"entry_passes": 1, "entry_terms": None,
             "model_rung_passes": 1, "model_rung_terms": None}
 
@@ -117,7 +109,6 @@ SITE_LISTS = {
     "_counting_scalar_reads": (Counter, _scalar_reads),
     "_counting_term_arrays": (Counter, _term_arrays),
     "_counting_kernel_reads": (Counter, _kernel_reads),
-    "_counting_block_sums": (Counter, _block_sums),
     "_counting_budget_errors": (Counter, _budget_errors),
     "_counting_entropy_calls": (Counter, _entropy_calls),
     "_counting_newton": (Counter, _newton),

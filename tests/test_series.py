@@ -447,13 +447,6 @@ def _count_ladder_fills(monkeypatch) -> list:
     return fills
 
 
-def _clear_ladders():
-    """Empty the slope-root caches: the ladders of entries and the model
-    rungs."""
-    series._ladder.cache_clear()
-    series._model_rung.cache_clear()
-
-
 _LADDER_CASES = [
     # family, two interior slopes, and the interior slope range
     (Arithmetic(0.0, 1.0), 3.0, 6.5, (1.02, 9.0)),
@@ -474,12 +467,12 @@ class TestSlopeLadder:
         others = [
             (u, u * float(w)) for u, w in zip([0.5, 1.0, 2.0, 3.5] * 50, np.geomspace(lo, hi, 200))
         ]
-        _clear_ladders()
+        series._ladder.cache_clear()
         cold = repr(solver.solve_mb(1.0, v1))
         for t in others:
             solver.solve_mb(*t)
         warm = repr(solver.solve_mb(1.0, v1))
-        _clear_ladders()
+        series._ladder.cache_clear()
         for t in reversed(others):
             solver.solve_mb(*t)
         reverse = repr(solver.solve_mb(1.0, v1))
@@ -498,7 +491,7 @@ class TestSlopeLadder:
         ]
         fills = _count_ladder_fills(monkeypatch)
         for call in calls:
-            _clear_ladders()
+            series._ladder.cache_clear()
             cold = call()
             misses = len(fills)
             warm = call()
@@ -614,7 +607,7 @@ class TestSlopeLadder:
             barrier.wait()
             results[name] = {i: repr(solver.solve_mb(*targets[i])) for i in order}
 
-        _clear_ladders()
+        series._ladder.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -638,7 +631,7 @@ class TestSlopeLadder:
         # f(-1) is certified to the profile's 1e-6, but the k = 0 entry's
         # rough pass gives up on its moments 0 to 2 at 1e-4
         family = PowerLaw(1.5, 0.195)
-        _clear_ladders()
+        series._ladder.cache_clear()
         fills = _count_ladder_fills(monkeypatch)
         for _ in range(2):
             with pytest.raises(BudgetError):
@@ -651,7 +644,7 @@ class TestSlopeLadder:
         # 1, 3, 7 and 15 goes next, but not at y_15 = -2^(15/4); the root
         # beyond y_15 is found one-sided from there
         family, tol = Arithmetic(12.0, 0.01), 1e-10
-        _clear_ladders()
+        series._ladder.cache_clear()
         ladder = series._ladder(family)
         w = ladder.rung(15).phi - 0.01
         y = phi_inverse(family, w, tol)
@@ -676,7 +669,7 @@ class TestSlopeLadder:
         rng = np.random.default_rng(9001)
         edges = np.geomspace(*slopes, 241)
         ws = [float(w) for w in rng.uniform(edges[:-1], edges[1:])]
-        _clear_ladders()
+        series._ladder.cache_clear()
         ladder = series._ladder(family)
         computed = {}
 
@@ -704,33 +697,27 @@ class TestSlopeLadder:
         assert [start(w) for w in ws] == cold
         assert fills == []
 
-    def test_threads_filling_one_ladder_match_serial_brackets(self, monkeypatch):
+    def test_threads_filling_one_ladder_match_serial_brackets(self):
         # four threads fill one cold ladder at a 1 us switch interval, each
         # bracketing and inverting the slopes in its own order: every
         # bracket and root, and the entries and model rungs kept, are those
-        # of a serial run (the rungs read back through series._model_rung,
-        # each a cache hit)
+        # of a serial run
         family, tol = Arithmetic(0.0, 1.0), 1e-10
         ws = [float(w) for w in np.geomspace(1.02, 9.0, 60)]
-        model_rung, js = series._model_rung, set()
 
         def ends(w):
             inner, outer = series._ladder(family).bracket(w)
             return inner.y, outer.y, phi_inverse(family, w, tol)
 
-        def rungs():
-            misses = model_rung.cache_info().misses
-            got = {j: model_rung(family, j, tol, 1.0) for j in js}
-            assert model_rung.cache_info().misses == misses
-            return set(series._ladder(family).rungs), got, model_rung.cache_info().currsize
+        def kept():
+            ladder = series._ladder(family)
+            return set(ladder.rungs), dict(ladder.models)
 
-        _clear_ladders()
-        with monkeypatch.context() as m:  # the model rungs the serial run reads
-            m.setattr(series, "_model_rung", lambda f, j, *args: js.add(j) or model_rung(f, j, *args))
-            serial = [ends(w) for w in ws]
-        kept = rungs()
-        assert js and kept[2] == len(js)
-        _clear_ladders()
+        series._ladder.cache_clear()
+        serial = [ends(w) for w in ws]
+        serial_kept = kept()
+        assert serial_kept[1]
+        series._ladder.cache_clear()
         results, errors = {}, []
 
         def work(seed):
@@ -754,20 +741,19 @@ class TestSlopeLadder:
         assert not errors, errors
         for got in results.values():
             assert [got[j] for j in range(len(ws))] == serial
-        assert rungs() == kept
+        assert kept() == serial_kept
 
     def test_the_ladder_store_stays_inside_its_bound(self):
         # 3,000 distinct families, each ladder given a stand-in entry at
         # every k of _LADDER_K as series._Ladder.rung adds its entries: the
         # cache never holds more than 11 ladders or 11 x 73 entries, and the
-        # ladder read after every new one keeps its entries.  4,000 distinct
-        # (j, tol) model rungs of one family, more than the cache holds: it
-        # never holds more than 11 x 289, and the rung read after every new
-        # one stays cached
+        # ladder read after every new one keeps its entries.  3,000 distinct
+        # (j, tol) model rungs of one family, more than its ladder keeps: it
+        # never holds more than 289, the newest, beside its entries
         lo_k, hi_k = series._LADDER_K
         lo_j, hi_j = series._MODEL_J
         n_k, n_j = hi_k - lo_k + 1, hi_j - lo_j + 1
-        _clear_ladders()
+        series._ladder.cache_clear()
         families = [Arithmetic(0.0, 1.0 + i / 10_000) for i in range(3_000)]
         kept = series._ladder(families[0])
         live = weakref.WeakSet()  # the ladders the cache holds: no other references
@@ -782,31 +768,32 @@ class TestSlopeLadder:
             assert series._ladder.cache_info().currsize == len(live) <= 11
             assert sum(len(t.rungs) for t in live) <= 11 * n_k
         assert series._ladder.cache_info().currsize == 11
-        _clear_ladders()
+        series._ladder.cache_clear()
         family = families[0]
-        held = series._model_rung(family, 0, 1e-10, 1.0)
-        assert held is not None
-        for i in range(4_000):
-            series._model_rung(family, lo_j + i % n_j, 1e-10 * (1.0 + (i // n_j + 1) / 10_000), 1.0)
-            assert series._model_rung(family, 0, 1e-10, 1.0) is held
-            assert series._model_rung.cache_info().currsize <= 11 * n_j
-        assert series._model_rung.cache_info().currsize == 11 * n_j
-        _clear_ladders()
-        assert (series._ladder.cache_info().currsize, series._model_rung.cache_info().currsize) == (0, 0)
-        assert series._ladder(family).rungs == {}
         ladder = series._ladder(family)
+        keys = [(lo_j + i % n_j, 1e-10 * (1.0 + (i // n_j + 1) / 10_000)) for i in range(3_000)]
+        for i, (j, tol) in enumerate(keys):
+            ladder.model(j, tol, 1.0)
+            assert len(ladder.models) == min(i + 1, n_j)
+        assert list(ladder.models) == [(j, tol, 1.0) for j, tol in keys[-n_j:]]
+        assert set(ladder.rungs) <= set(range(lo_k, hi_k + 1))
+        series._ladder.cache_clear()
+        assert series._ladder.cache_info().currsize == 0
+        ladder = series._ladder(family)
+        assert (ladder.rungs, ladder.models) == ({}, {})
         for w in np.geomspace(1.02, 9.0, 200):
             ladder.bracket(float(w))
             phi_inverse(family, float(w), 1e-10)
         assert set(ladder.rungs) <= set(range(lo_k, hi_k + 1))
-        assert 0 < series._model_rung.cache_info().currsize <= n_j
+        assert ladder.models and {j for j, _, _ in ladder.models} <= set(range(lo_j, hi_j + 1))
+        assert {key[1:] for key in ladder.models} == {(1e-10, 1.0)}
 
     @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
     def test_a_cold_inversion_keeps_its_entries(self, monkeypatch, family, v1, v2, slopes):
         # phi_inverse files its ladder under the family, the key every
         # reader passes: the entries a cold root filled are read back
         tol = 1e-10
-        _clear_ladders()
+        series._ladder.cache_clear()
         fills = _count_ladder_fills(monkeypatch)
         phi_inverse(family, v2, tol)
         assert fills
@@ -829,7 +816,7 @@ class TestSlopeLadder:
         ]
         alone = []
         for call in calls:
-            _clear_ladders()
+            series._ladder.cache_clear()
             alone.append(repr(call()))
         grid = {-a - 2.0 ** (0.25 * k) for k in range(series._LADDER_K[0], series._LADDER_K[1] + 1)}
         rough, filled = series._rough_slope, Counter()
@@ -840,7 +827,7 @@ class TestSlopeLadder:
             return rough(fam, y)
 
         monkeypatch.setattr(series, "_rough_slope", counting)
-        _clear_ladders()
+        series._ladder.cache_clear()
         shared = [repr(call()) for call in calls]
         assert filled and max(filled.values()) == 1
         assert series._ladder.cache_info().currsize == 1
@@ -905,7 +892,7 @@ class TestSlopeModel:
         q = 0.25 * tol
         root = _invert_slope(family, v2, tol)
         j = math.floor(series._MODEL_RUNGS * math.log2(-a - root.y))
-        rung = series._model_rung(family, j, tol, 1.0)
+        rung = series._ladder(family).model(j, tol, 1.0)
         assert len(rung.model.partials) == series._MODEL_PARTIALS
         passes = _count_passes(monkeypatch, family)
         assert series._certified_slope(family, root.y, q, rung).model is rung.model

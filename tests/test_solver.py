@@ -1849,7 +1849,6 @@ class TestCeilingStop:
     @pytest.fixture(autouse=True)
     def _cold(self):
         series._ladder.cache_clear()
-        series._model_rung.cache_clear()
 
     def _run(self, monkeypatch, name):
         # with the cyclic collector off, only reference counts free the

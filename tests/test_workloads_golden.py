@@ -9,8 +9,8 @@ test runs no warm-up request, since no output depends on what the caches
 hold; run with them, output_digest.py gives the same outputs.
 
 Under "counts" it also holds each subset's work: the series passes and the
-terms they sum (scripts/bench.py's _counting_block_sums: series._block_sums
-calls and their n) of a cold run, from the caches that
+terms they sum (series._block_sums calls and their n, each counted through
+scripts/bench.py's _count) of a cold run, from the caches that
 scripts/bench.py's _clear_family_caches empties, and of a warm rerun.  A
 change that adds or saves a pass moves them.  The counts were pinned when
 each family's slope ladder began to serve every tolerance; on the tree
@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 import entromin
+from entromin import series
 
 ROOT = Path(__file__).resolve().parent.parent
 _PINNED = Path(__file__).resolve().parent / "golden" / "workloads.json"
@@ -90,7 +91,10 @@ def _run(name, out_dir):
     passes and terms) of one run of the workload's subset."""
     wl = _Subset(workloads.WORKLOADS[name], _PICKS[name])
     counts = Counter(series_passes=0, series_terms=0)
-    with bench._patched(bench._counting_block_sums(counts)):
+    terms = bench._count(counts, "series_terms", lambda family, y, x, kind, shape, n, model=0: n)
+    sites = [(series, "_block_sums", bench._count(counts, "series_passes")),
+             (series, "_block_sums", terms)]
+    with bench._patched(sites):
         got = [
             [[field, _hex(value)] for field, value in output_digest.fields(name, out)]
             for out in output_digest.outputs(entromin, np, wl, _SEED, out_dir)
