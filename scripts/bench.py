@@ -88,21 +88,15 @@ the first n = 64 and 4096 terms of the family at every bf_roundtrip target
 (x, y), per entropy: the median and quartiles over targets, in
 microseconds.
 
-Work counts are deterministic and come from wrapping the library from
-outside, each wrap installed and removed by _patched; nothing in src/
-counts.  prefix_builds, series_passes and log_terms_calls come from
-perfbench's tracer (perfbench/tracing.py), members and terms_built from
-solver.EpsilonFamily and solver.EpsilonMember, series_terms, array_calls
-and bracket_calls from the family that series._eval_many and
-series._model_moments see, model_points from series._certified_slope, the
-exp counts from the numpy that entromin.solver and entromin.finite see,
-slope_passes from the arguments of series._eval_many, newton_points and
-proposal_points from the minimize_convex_2d that entromin.solver and
-entromin.finite call and from series._dual_point, rows_builds from
-entromin.finite._dual_rows, scalar_reads and sigma_builds from the
-sigma_array and log_terms of the family classes, reduce_calls from
-series._add_reduce and ladder_lookups from series._ladder, the cache of
-slope ladders:
+Work counts are deterministic.  The solver's own work comes from the work
+record that the library fills while a block of entromin._work.counting()
+is open on the calling thread (each key counted where the library does
+that work: series, solver and finite).  Only the tracer's counts and the
+audits of which functions run come from outside: prefix_builds and
+log_terms_calls from perfbench's tracer (perfbench/tracing.py), and the
+exp counts, scalar_reads, sigma_builds, budget_errors, term_arrays_*,
+entropy_*_calls, the check timings and the ladder fills from wraps of
+library names, each installed and removed by _patched:
 
   prefix_passes        np.exp calls made by entromin.solver and
                        entromin.finite during one converge, one exp of the
@@ -118,40 +112,31 @@ slope ladders:
   terms_built          tuples of member terms made during one converge:
                        one per member whose terms are read
                        (EpsilonMember.terms, made on first read);
-  series_passes        log_terms calls starting at n = 1 during one
-                       solve_mb or round trip: one per certified series
-                       pass;
-  series_terms         elements the kernel's log_terms calls return (those
-                       of series._eval_many and series._model_moments, not
-                       a family's own reads inside a tail bracket);
-  array_calls          log_terms calls that series._eval_many makes during
-                       one solve_mb, round trip or value_mb: one per array
-                       pass over a stretch of terms;
-  bracket_calls        tail_interval and tail_intervals calls that
-                       series._eval_many and series._model_moments make
-                       during the same call: the kernel's tail brackets and
-                       a slope model's one per point it tries (calls the
-                       families make from inside one, and brackets taken
-                       elsewhere, do not count);
+  series_passes        certified series passes (series._block_sums calls)
+                       during one solve_mb or round trip;
+  series_terms         the terms those passes sum;
+  array_calls          their family.log_terms calls: one per array pass
+                       over a stretch of terms;
+  bracket_calls        family.tail_intervals calls of series._eval_many and
+                       series._model_moments during the same call: the
+                       kernel's tail brackets and a slope model's one per
+                       point it tries (calls the families make from inside
+                       one, and brackets taken elsewhere, do not count);
   model_points         slope-root iterates certified from the Taylor model
                        of an earlier pass, with no pass of their own, during
-                       one solve_mb: series._certified_slope calls that
-                       return without an _eval_many call (mb_interior and
-                       shifted_interior);
+                       one solve_mb (mb_interior and shifted_interior);
   slope_passes         series._eval_many calls under maxwell-boltzmann
                        during one round trip: the passes of a slope root
                        and of f at it that start the inverse's Newton (the
                        round trip's other passes are under its own entropy);
   newton_points        certified Newton points of the inverse solves during
-                       one round trip or verify: points at which a damped
-                       Newton evaluates its dual potential (the start and
-                       every line-search point inside the domain), counted
-                       through its `evaluate` callback, that make a
-                       series._dual_point pass;
-  proposal_points      the other such points: those of the uncertified
-                       finite-sum Newton that proposes where the certified
-                       one starts (finite._minimize_dual), which make no
-                       pass;
+                       one round trip or verify: points at which the damped
+                       Newton of inverse_solve_bf evaluates its dual
+                       potential (the start and every line-search point
+                       inside the domain), each one series._dual_point pass;
+  proposal_points      the points of the uncertified finite-sum Newton that
+                       proposes where the certified one starts
+                       (finite._minimize_dual), which make no pass;
   rows_builds          finite._dual_rows calls during one round trip: the
                        proposal's rows (1, sigma_k, sigma_k^2) built, none
                        for rows kept per (family, n) from an earlier call;
@@ -178,13 +163,13 @@ slope ladders:
                        one warm solve_mb (mb_interior) or round trip
                        (bf_roundtrip, slow_roundtrip), a wrapper's call of
                        its base's included: level arrays built;
-  reduce_calls         series._add_reduce calls during the same call: the
-                       kernel's reductions of its block of term rows, one
-                       per block (and one per array for a slope model's
-                       rows; one per slice of series._BLOCK_WIDTH columns
-                       in arrays wider than that);
+  reduce_calls         the kernel's reductions of its block of term rows
+                       during the same call, one per block (and one per
+                       array for a slope model's rows; one per slice of
+                       series._BLOCK_WIDTH columns in arrays wider than
+                       that);
   ladder_lookups       reads of the slope ladder's cache during the same
-                       call: series._ladder calls (one ladder per bracket);
+                       call (series._ladder, one ladder per bracket);
   budget_errors        BudgetErrors constructed during one slow_value call
                        or round trip, raised or caught, counted through the
                        class's __init__;
@@ -217,7 +202,8 @@ Usage, from the repository root:
 
 --src points at another checkout's src/ to measure it with the same bench
 code, e.g. a parent commit exported next to this one; the wrapped names
-must exist there as they do in this tree.
+and the work record (entromin._work) must exist there as they do in this
+tree.  A tree without the record is measured with its own scripts/bench.py.
 """
 
 from __future__ import annotations
@@ -308,23 +294,6 @@ def _counting_exp(counts):
     return [(module, "np", lambda np: _CountingNumpy(np, counts)) for module in (solver, finite)]
 
 
-def _counting_members(counts):
-    """Sites that count epsilon-family members tried (EpsilonFamily._member
-    calls) and tuples of member terms made into counts."""
-    from entromin.solver import EpsilonFamily, EpsilonMember
-
-    lazy = vars(EpsilonMember)["terms"]  # a cached_property: made on first read
-    return [(EpsilonFamily, "_member", _count(counts, "members")),
-            (lazy, "func", _count(counts, "terms_built"))]
-
-
-def _counting_rows_builds(counts):
-    """Sites that count finite._dual_rows calls into counts["rows_builds"]."""
-    from entromin import finite
-
-    return [(finite, "_dual_rows", _count(counts, "rows_builds"))]
-
-
 def _counting_scalar_reads(counts):
     """Sites that count into counts["scalar_reads"] the sigma_array and
     log_terms calls of at most two elements that any family class makes:
@@ -363,16 +332,6 @@ def _counting_term_arrays(counts):
                                 ("term_arrays_past_table", lambda self, lo, hi: hi > TABLE_TERMS))]
 
 
-def _counting_kernel_reads(counts):
-    """Sites that count into counts the kernel's reductions (series._add_reduce
-    calls, reduce_calls) and the slope ladder's cache reads (series._ladder
-    calls, ladder_lookups)."""
-    from entromin import series
-
-    return [(series, "_add_reduce", _count(counts, "reduce_calls")),
-            (series, "_ladder", _count(counts, "ladder_lookups"))]
-
-
 def _counting_budget_errors(counts):
     """Sites that count every BudgetError constructed into counts."""
     from entromin.errors import BudgetError
@@ -398,88 +357,6 @@ def _counting_entropy_calls(counts):
     return [(module, name, _count(counts, f"{name}_calls"))
             for name in ENTROPY_FUNCTIONS for module in modules
             if vars(module).get(name) is getattr(entropies, name)]
-
-
-KERNEL_CALLS = {
-    "log_terms": "array_calls",
-    "tail_interval": "bracket_calls",
-    "tail_intervals": "bracket_calls",
-}
-PASS_KEYS = {
-    "series_passes": "series.passes",
-    "series_terms": "series_terms",
-    "array_calls": "array_calls",
-    "bracket_calls": "bracket_calls",
-}
-SOLVE_KEYS = {**PASS_KEYS, "model_points": "model_points"}
-
-
-class _CountingFamily:
-    """A family as series._eval_many sees it, counting into counts the
-    kernel's calls of the methods in KERNEL_CALLS, and as series_terms the
-    elements its log_terms calls return.  It equals and hashes as the
-    family, so that the family's caches (sigma_min_set) see the family."""
-
-    def __init__(self, family, counts):
-        self._family = family
-        self._counts = counts
-
-    def __repr__(self):
-        return repr(self._family)
-
-    def __eq__(self, other):
-        return self._family == (other._family if isinstance(other, _CountingFamily) else other)
-
-    def __hash__(self):
-        return hash(self._family)
-
-    def __getattr__(self, name):
-        attr = getattr(self._family, name)
-        key = KERNEL_CALLS.get(name)
-        if key is None:
-            return attr
-
-        def counted(*args, **kwargs):
-            self._counts[key] += 1
-            if name == "log_terms":  # (y, lo, hi)
-                self._counts["series_terms"] += args[2] - args[1] + 1
-            return attr(*args, **kwargs)
-
-        return counted
-
-
-def _count_kernel(counts):
-    """Sites that wrap series._eval_many and series._model_moments so that
-    the family each works on counts its calls into counts, and count the
-    kernel's maxwell-boltzmann calls as slope_passes and the model's slopes
-    as model_points: series._certified_slope calls that return without an
-    _eval_many call."""
-    from entromin import series
-
-    calls, sig = Counter(), inspect.signature(series._eval_many)
-
-    def slope_pass(*args, **kwargs):
-        bound = sig.bind(*args, **kwargs)
-        bound.apply_defaults()
-        return bound.arguments["kind"] is series._MB
-
-    def counted_family(fn):
-        return lambda family, *args, **kwargs: fn(_CountingFamily(family, counts), *args, **kwargs)
-
-    def model_point(slope):
-        def counting(*args, **kwargs):
-            before = calls["eval_many"]
-            out = slope(*args, **kwargs)
-            counts["model_points"] += calls["eval_many"] == before
-            return out
-
-        return counting
-
-    return [(series, "_eval_many", counted_family),
-            (series, "_eval_many", _count(counts, "slope_passes", slope_pass)),
-            (series, "_eval_many", _count(calls, "eval_many")),
-            (series, "_model_moments", counted_family),
-            (series, "_certified_slope", model_point)]
 
 
 def _quartiles(xs):
@@ -510,17 +387,29 @@ def _py_calls(fn, *args):
     return pstats.Stats(prof).total_calls - 1  # not the profiler's disable()
 
 
-_KERNEL_COUNTS = Counter()
+SERIES_KEYS = {"series_passes": "passes", "series_terms": "series_terms"}
+PASS_KEYS = {**SERIES_KEYS, "array_calls": "array_calls", "bracket_calls": "bracket_calls"}
+SOLVE_KEYS = {**PASS_KEYS, "model_points": "model_points"}
+READ_KEYS = {"reduce_calls": "reduce_calls", "ladder_lookups": "ladder_lookups"}
+NEWTON_KEYS = {"newton_points": "newton_points", "proposal_points": "proposal_points"}
+TRIP_KEYS = {**PASS_KEYS, "slope_passes": "slope_passes", **NEWTON_KEYS,
+             "rows_builds": "rows_builds", **READ_KEYS}
+CONVERGE_KEYS = {"members": "members", "prefix_builds": "sequences.log_terms.calls",
+                 "terms_built": "terms_built"}
 
 
 def _counted(tracer, fn, keys):
-    """fn()'s result and {out: tracer or kernel count named key} for that
-    one call."""
+    """fn()'s result and {out: the count named key} for that one call: the
+    tracer's count where key has a dot, else the field key of the work
+    record that the library fills (entromin._work)."""
+    from entromin import _work
+
     tracer.reset_counters()
-    _KERNEL_COUNTS.clear()
-    result = fn()
-    counts = tracer.counts_now() + _KERNEL_COUNTS
-    return result, {out: counts[key] for out, key in keys.items()}
+    with _work.counting() as work:
+        result = fn()
+    traced = tracer.counts_now()
+    return result, {out: traced[key] if "." in key else getattr(work, key)
+                    for out, key in keys.items()}
 
 
 def _targets(workloads, np, seeds=SEEDS):
@@ -545,15 +434,10 @@ def _converge_counts(tracer, fams):
     per_target, results = [], []
     for fam in fams:
         made = Counter()
-        with _patched(_counting_exp(made) + _counting_members(made)):
-            member, counts = _counted(
-                tracer, lambda f=fam: f.converge(1e-3),
-                {"prefix_builds": "sequences.log_terms.calls"},
-            )
+        with _patched(_counting_exp(made)):
+            member, counts = _counted(tracer, lambda f=fam: f.converge(1e-3), CONVERGE_KEYS)
         per_target.append({"prefix_passes": made["exp_calls"], "prefix_terms": made["exp_terms"],
-                           "prefix_terms_per_n": made["exp_terms"] / member.n,
-                           "members": made["members"], **counts,
-                           "terms_built": made["terms_built"]})
+                           "prefix_terms_per_n": made["exp_terms"] / member.n, **counts})
         results.append(member.n)
     return per_target, results
 
@@ -642,10 +526,11 @@ def count_interior(tracer, targets, times, py_calls):
     per_target = []
     for (_, es, u, v), c in zip(targets, py_calls):
         reads = Counter()
-        with _patched(_counting_scalar_reads(reads) + _counting_kernel_reads(reads)):
-            counts = _counted(tracer, lambda es=es, u=u, v=v: es.solve_mb(u, v), SOLVE_KEYS)[1]
-        per_target.append({**counts, "py_calls": c,
-                           **{k: reads[k] for k in ("scalar_reads", *READ_KEYS)}})
+        with _patched(_counting_scalar_reads(reads)):
+            counts = _counted(tracer, lambda es=es, u=u, v=v: es.solve_mb(u, v),
+                              {**SOLVE_KEYS, **READ_KEYS})[1]
+        per_target.append({**counts, "py_calls": c, "scalar_reads": reads["scalar_reads"],
+                           "sigma_builds": reads["sigma_builds"]})
     zero = _by_family(targets, [t["series_passes"] == 0 for t in per_target])
     return {"counts_per_solve": _summary(per_target),
             "zero_pass_solves": sum(map(sum, zero.values())),
@@ -673,40 +558,7 @@ def _inverse(es, kind, u, v):
     return es.inverse_solve_bf(kind, u, v, 1e-10)
 
 
-def _counting_newton(counts):
-    """Sites that count into counts the points at which the damped Newtons
-    of solver and finite evaluate their dual potential (calls of the
-    `evaluate` callback of minimize_convex_2d as either module calls it):
-    newton_points where the point makes a certified series._dual_point
-    pass, proposal_points where it makes none.  The latter are the
-    inverse's uncertified finite-sum proposal, finite._minimize_dual; no
-    case runs a finite bose-einstein or fermi-dirac solve."""
-    from entromin import finite, series, solver
-
-    passes = Counter()
-
-    def counting_newton(newton):
-        def counting(evaluate, *args, **kwargs):
-            def counted(*point):
-                before = passes["dual_point"]
-                try:
-                    return evaluate(*point)
-                finally:
-                    counts["newton_points" if passes["dual_point"] > before else "proposal_points"] += 1
-
-            return newton(counted, *args, **kwargs)
-
-        return counting
-
-    return [(series, "_dual_point", _count(passes, "dual_point")),
-            (solver, "minimize_convex_2d", counting_newton),
-            (finite, "minimize_convex_2d", counting_newton)]
-
-
-TRIP_KEYS = {**PASS_KEYS, "slope_passes": "slope_passes"}
-NEWTON_KEYS = ("newton_points", "proposal_points")
-READ_KEYS = ("sigma_builds", "reduce_calls", "ladder_lookups")
-TRIP_COUNTS = (*NEWTON_KEYS, "budget_errors", "rows_builds", "scalar_reads", *READ_KEYS)
+TRIP_COUNTS = ("budget_errors", "scalar_reads", "sigma_builds")  # counted by the sites
 
 
 def count_roundtrips(tracer, entromin, trips, call=_roundtrip):
@@ -715,9 +567,7 @@ def count_roundtrips(tracer, entromin, trips, call=_roundtrip):
     per_target, failures = [], 0
     for trip in trips:
         counted = Counter()
-        with _patched(_counting_newton(counted) + _counting_budget_errors(counted)
-                      + _counting_rows_builds(counted) + _counting_scalar_reads(counted)
-                      + _counting_kernel_reads(counted)):
+        with _patched(_counting_budget_errors(counted) + _counting_scalar_reads(counted)):
             result, counts = _counted(tracer, lambda t=trip: call(*t[1:]), TRIP_KEYS)
         failures += isinstance(result, entromin.InverseFailure)
         per_target.append({**counts, **{k: counted[k] for k in TRIP_COUNTS}})
@@ -906,12 +756,10 @@ def count_ladder_build(tracer, targets, call):
     the model rungs it fills."""
     from entromin import series
 
-    keys = {"series_passes": "series.passes", "series_terms": "series_terms"}
-
     def run(calls):
         total = Counter()
         for fn in calls:
-            total.update(_counted(tracer, fn, keys)[1])
+            total.update(_counted(tracer, fn, SERIES_KEYS)[1])
         return total
 
     families = {key: es.normal_family for key, es, *_ in targets}
@@ -925,8 +773,8 @@ def count_ladder_build(tracer, targets, call):
         entries, models = len(ladder.rungs), len(ladder.models)
         warm = run(calls)
         out[fam] = {"entries": entries, "model_rungs": models,
-                    **{k: cold[k] - warm[k] for k in keys},
-                    **{f"cold_{k}": cold[k] for k in keys}, **rungs}
+                    **{k: cold[k] - warm[k] for k in SERIES_KEYS},
+                    **{f"cold_{k}": cold[k] for k in SERIES_KEYS}, **rungs}
     out["total"] = {k: sum(b[k] for b in out.values()) for k in next(iter(out.values()))}
     return out
 
@@ -937,7 +785,6 @@ def count_cold_cycle(tracer, entromin, workloads, np):
     process, and the passes and terms among them that fill the slope
     ladder's entries and model rungs."""
     wl, out = workloads.MbPoint(), {}
-    keys = {"series_passes": "series.passes", "series_terms": "series_terms"}
     for seed in SEEDS:
         _clear_family_caches()
         ctx = wl.prepare(entromin, None, [])
@@ -945,8 +792,8 @@ def count_cold_cycle(tracer, entromin, workloads, np):
         fills = Counter(entry_passes=0, entry_terms=0, model_rung_passes=0, model_rung_terms=0)
         with _patched(_counting_model_rungs(fills)):
             for req in wl.requests(np.random.default_rng(seed)):
-                total.update(_counted(tracer, lambda req=req: wl.run(ctx, req), keys)[1])
-        out[seed] = {**{k: total[k] for k in keys}, **fills}
+                total.update(_counted(tracer, lambda req=req: wl.run(ctx, req), SERIES_KEYS)[1])
+        out[seed] = {**{k: total[k] for k in SERIES_KEYS}, **fills}
     return out
 
 
@@ -1009,13 +856,15 @@ def verify_case(runs):
     check (median and quartiles over REPEATS runs after one warm-up), the
     entropy calls and inverse Newton points of one verify, which repeat
     exactly, and the term-array calls of the warm-up verify."""
+    from entromin import _work
+
     per_target, times, per_family = [], [], {}
     for fam, run in runs:
-        counts, points = Counter({f"{name}_calls": 0 for name in ENTROPY_FUNCTIONS}), Counter()
-        with _patched(_counting_entropy_calls(counts) + _counting_newton(points)):
+        counts = Counter({f"{name}_calls": 0 for name in ENTROPY_FUNCTIONS})
+        with _work.counting() as work, _patched(_counting_entropy_calls(counts)):
             code = run()
         counts["entropy_calls"] = sum(counts.values())
-        counts.update({k: points[k] for k in NEWTON_KEYS})
+        counts.update({out: getattr(work, key) for out, key in NEWTON_KEYS.items()})
         counts.update(term_arrays_in_table=0, term_arrays_past_table=0)
         checks, runs_s = {}, []
         with _patched(_counting_term_arrays(counts)):  # the warm-up run: a warm verify
@@ -1157,43 +1006,42 @@ def main(argv=None) -> int:
     tracer = tracing.Tracer()
     tracer.install()
     tracer.active = True
-    with _patched(_count_kernel(_KERNEL_COUNTS)):
-        converge = {"targets": len(fams), **count_converge(tracer, fams),
-                    "wall_ms_per_converge": converge_ms}
-        shifted = {"targets": len(shifted),
-                   **count_solves(tracer, shifted_es, shifted, shifted_calls),
-                   "wall_ms_per_solve": shifted_ms}
-        mb_interior = {"targets": len(interior),
-                       **count_interior(tracer, interior, interior_s, interior_calls),
-                       "wall_ms_per_solve": _wall(interior_s)}
-        per_trip, failures = count_roundtrips(tracer, entromin, trips)
-        roundtrip = {"targets": len(trips), "counts_per_roundtrip": _summary(per_trip),
-                     "inverse_failures": failures, "wall_ms_per_roundtrip": _wall(roundtrip_s),
-                     "per_family": _per_family(trips, per_trip, roundtrip_s)}
-        per_trip, failures = count_roundtrips(tracer, entromin, slow_trips, _inverse)
-        slow_roundtrip = {
-            "targets": len(slow_trips), "counts_per_roundtrip": _summary(per_trip),
-            "inverse_failures": failures, "wall_ms_per_roundtrip": _wall(slow_trip_s),
-            "per_roundtrip": [
-                {"kind": k, "x": x, "y": y, "wall_ms": 1e3 * t, **counts}
-                for (k, x, y), t, counts in zip(SLOW_TRIPS, slow_trip_s, per_trip)
-            ],
-        }
-        truncation = {"targets": len(truncations),
-                      **count_truncations(entromin, truncations, truncation_s),
-                      "wall_ms_per_solve": _wall(truncation_s)}
-        finite_fd = {"targets": len(fd_solves), **count_fd(fd_solves, fd_calls, fd_s),
-                     "wall_ms_per_solve": _wall(fd_s)}
-        slow_value = {"targets": len(slow), **count_slow_values(tracer, slow, slow_s),
-                      "wall_ms_per_solve": _wall(slow_s)}
-        build = {
-            "mb_interior": count_ladder_build(tracer, interior, lambda es, u, v: es.solve_mb(u, v)),
-            "bf_roundtrip": count_ladder_build(tracer, trips, _roundtrip),
-        }
-        cold_cycle = count_cold_cycle(tracer, entromin, workloads, np)
-        rule_prefix = prefix_case(tracer, rules, prefix_calls, prefix_runs)
-        # last: it empties the prefix cache that the cases above read warm
-        converge.update(count_fresh_converge(tracer, fams, seen_fams, unseen_fams))
+    converge = {"targets": len(fams), **count_converge(tracer, fams),
+                "wall_ms_per_converge": converge_ms}
+    shifted = {"targets": len(shifted),
+               **count_solves(tracer, shifted_es, shifted, shifted_calls),
+               "wall_ms_per_solve": shifted_ms}
+    mb_interior = {"targets": len(interior),
+                   **count_interior(tracer, interior, interior_s, interior_calls),
+                   "wall_ms_per_solve": _wall(interior_s)}
+    per_trip, failures = count_roundtrips(tracer, entromin, trips)
+    roundtrip = {"targets": len(trips), "counts_per_roundtrip": _summary(per_trip),
+                 "inverse_failures": failures, "wall_ms_per_roundtrip": _wall(roundtrip_s),
+                 "per_family": _per_family(trips, per_trip, roundtrip_s)}
+    per_trip, failures = count_roundtrips(tracer, entromin, slow_trips, _inverse)
+    slow_roundtrip = {
+        "targets": len(slow_trips), "counts_per_roundtrip": _summary(per_trip),
+        "inverse_failures": failures, "wall_ms_per_roundtrip": _wall(slow_trip_s),
+        "per_roundtrip": [
+            {"kind": k, "x": x, "y": y, "wall_ms": 1e3 * t, **counts}
+            for (k, x, y), t, counts in zip(SLOW_TRIPS, slow_trip_s, per_trip)
+        ],
+    }
+    truncation = {"targets": len(truncations),
+                  **count_truncations(entromin, truncations, truncation_s),
+                  "wall_ms_per_solve": _wall(truncation_s)}
+    finite_fd = {"targets": len(fd_solves), **count_fd(fd_solves, fd_calls, fd_s),
+                 "wall_ms_per_solve": _wall(fd_s)}
+    slow_value = {"targets": len(slow), **count_slow_values(tracer, slow, slow_s),
+                  "wall_ms_per_solve": _wall(slow_s)}
+    build = {
+        "mb_interior": count_ladder_build(tracer, interior, lambda es, u, v: es.solve_mb(u, v)),
+        "bf_roundtrip": count_ladder_build(tracer, trips, _roundtrip),
+    }
+    cold_cycle = count_cold_cycle(tracer, entromin, workloads, np)
+    rule_prefix = prefix_case(tracer, rules, prefix_calls, prefix_runs)
+    # last: it empties the prefix cache that the cases above read warm
+    converge.update(count_fresh_converge(tracer, fams, seen_fams, unseen_fams))
     tracer.active = False
 
     record = {

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import series
+from . import _work, series
 from .entropies import Entropy, entropy_conjugate_derivative, entropy_derivative, entropy_value
 from .errors import (
     BudgetError,
@@ -298,6 +298,8 @@ def _dual_rows(s):
     They depend on s alone, so the inverse's proposal keeps them per
     (family, n) (solver._Prefix.rows) and the exact solves build them per
     call."""
+    if _work.on and (work := _work.local.record) is not None:
+        work.rows_builds += 1
     powers = np.stack((np.ones_like(s), s, s * s), axis=1)
     powers.flags.writeable = False
     return s, powers, (float(np.minimum.reduce(s)), float(np.maximum.reduce(s)))
@@ -327,6 +329,8 @@ def _minimize_dual(kind, log_p, rows, u, v, start, scales, tol, in_domain):
     Hessian."""
 
     def evaluate(x, y):
+        if _work.on and (work := _work.local.record) is not None:
+            work.proposal_points += 1
         h, (gu, gv), hess = _finite_dual(kind, log_p, *rows, x, y)
         return h - x * u - y * v, (gu - u, gv - v), hess, tol
 

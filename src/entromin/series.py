@@ -66,6 +66,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import _work
 from .entropies import Entropy
 from .errors import (
     BudgetError,
@@ -181,6 +182,9 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0, model=0):
     order), the list ends with the pass's _SlopeModel of its partial moments
     0 to model - 1, None where the pass stopped at its ceiling.
     """
+    work = _work.local.record if _work.on else None
+    if work is not None and kind is _MB:
+        work.slope_passes += 1
     try:
         ex = math.exp(x)
         if ex == math.inf:  # x = +inf: math.exp returns inf without raising
@@ -199,6 +203,8 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0, model=0):
             if kind is Entropy.BOSE_EINSTEIN and t_next >= 0.0:
                 raise DomainError("bose-einstein dual needs x + sigma_n y < 0 on the tail")
             bounds = _mult_bounds(kind, t_next)
+        if work is not None:
+            work.bracket_calls += 1
         ivs = family.tail_intervals(y, hi, moments)
         while True:  # judged again once the tolerances rise to the ceiling
             brackets = []
@@ -294,6 +300,9 @@ def _block_sums(family, y, x, kind, shape, n, model=0):
     moments 3 to model - 1 over the same terms, model - 3 more rows of
     successive products of the last sum's row with sigma_n, reduced once
     per array, and top the largest level summed; else () and 0."""
+    work = _work.local.record if _work.on else None
+    if work is not None:
+        work.passes += 1
     mults = shape[0]
     weighted, index, rows = shape[3]
     sums = [[] for _ in index]
@@ -331,6 +340,10 @@ def _block_sums(family, y, x, kind, shape, n, model=0):
                 parts[a // step] = _add_reduce(block, axis=-1)
         if model:
             top = max(top, float(sigma[-1] if family.sigma_increasing_from <= lo else sigma.max()))
+        if work is not None:  # reduced per slice, or per block end and once for the higher rows
+            work.array_calls += 1
+            work.series_terms += width
+            work.reduce_calls += hi.bit_length() - 6 + (1 if higher else 0) if cut else len(parts)
         if cut:
             a = 0
             for j in range(6, hi.bit_length()):  # the blocks end at 64, 128, ..., hi
@@ -538,6 +551,8 @@ def _certified_slope(family, y, tol, last, ceiling=1.0, partials=_SLOPE_PARTIALS
     if got:
         slope = _judge_slope(y, *got, last.model)
         if slope.err <= tol:
+            if _work.on and (work := _work.local.record) is not None:
+                work.model_points += 1
             return slope
     for _ in range(4):
         s0, s1, s2, model = _eval_moments(family, y, tols, 0.0, _MB, ceiling, partials)
@@ -598,6 +613,8 @@ def _model_moments(family, model, y, t0, t1):
                 f1 = sum(map(_mul, cs, p[1:])) + 0.5 * (iv1[0] + iv1[1])
                 f2 = sum(map(_mul, cs, p[2:])) + 0.5 * (iv2[0] + iv2[1])
                 return SeriesEval(f0, model.n, r0 + h0), SeriesEval(f1, model.n, r1 + h1), f2
+            if _work.on and (work := _work.local.record) is not None:
+                work.bracket_calls += 1
             ivs = iv0, iv1, iv2 = family.tail_intervals(y, model.n, (0, 1, 2))
             if iv0 is None or iv1 is None or iv2 is None or not math.isfinite(iv2[1]):
                 return None
@@ -762,6 +779,8 @@ def _ladder_point(family, w) -> tuple[float, float]:
     ladder entries alone, so at any tol: the nearer entry's y and ln f, or
     at the Hermite start the cubic Hermite interpolant of ln f in y through
     the two entries (values ln f(y_k), slopes phi(y_k)).  No new pass."""
+    if _work.on and (work := _work.local.record) is not None:
+        work.ladder_lookups += 1
     _, start, y_h, ends = _ladder_start(_ladder(family), profile(family), w)
     if y_h is None:
         return start.y, start.ln_f
@@ -783,6 +802,8 @@ def _invert_slope(family, w, tol, ceiling=1.0) -> _Slope:
     prof = profile(family)
     if not math.isfinite(w) or w <= prof.theta1 or w >= prof.theta2:
         raise RangeError(f"w={w} outside the open range ({prof.theta1}, {prof.theta2})")
+    if _work.on and (work := _work.local.record) is not None:
+        work.ladder_lookups += 1
     ladder = _ladder(family)
     (lo, hi), start, y_h, _ = _ladder_start(ladder, prof, w)
     last, y0, q, t1 = start.slope, start.y, 0.25 * tol, prof.theta1

@@ -57,7 +57,7 @@ from .sequences import (
     flipped,
     sigma_min_set,
 )
-from . import finite, series
+from . import _work, finite, series
 from .series import SeriesProfile
 
 __all__ = [
@@ -171,6 +171,8 @@ class EpsilonMember:
 
     @functools.cached_property
     def terms(self) -> tuple[float, ...]:
+        if _work.on and (work := _work.local.record) is not None:
+            work.terms_built += 1
         return tuple(self.term_array.tolist())
 
 
@@ -326,6 +328,8 @@ class EpsilonFamily:
         _prefix, shared per (family, n); the member's terms are the root's
         last Gibbs pass scaled in place, u e / z0, and become a tuple only
         when read (EpsilonMember.terms)."""
+        if _work.on and (work := _work.local.record) is not None:
+            work.members += 1
         lam, at = self._root(_prefix(self._family, n), start, bound, floor)
         if at is None:
             return None, lam
@@ -774,6 +778,8 @@ class EmpSolver:
 
         def evaluate(xx, yy):
             nonlocal relax
+            if _work.on and (work := _work.local.record) is not None:
+                work.newton_points += 1
             s_tol = relax * res_tol / 10.0
             sums = series._dual_point(self._fam, kind, xx, yy, s_tol, ceiling=1e3 / relax)
             # only a pass past 4096 terms can stop at its ceiling
@@ -879,8 +885,6 @@ class EmpSolver:
         best = 0.0  # the origin sample: x*0 + y*0 - H(0,0) = 0
         for w in w_grid:
             c = series.lnf_conjugate(self._fam, float(w), self.tol)
-            if math.isinf(c):
-                continue
             # H(u, wu) = u ln u - u + u c on the cone
             vals = x_n * u_grid + y_n * w * u_grid - (
                 u_grid * np.log(u_grid) - u_grid + u_grid * c

@@ -1,11 +1,15 @@
-"""scripts/bench.py counts by wrapping private library names from outside.
-For every list of sites the script builds: each (owner, name) resolves on
-this tree, a call through a counting site adds to its key, and leaving
-_patched puts back the identical object, also when the block raises.  A
-renamed library name then fails here rather than reading 0 in a bench run."""
+"""scripts/bench.py counts by wrapping private library names from outside,
+and reads the rest from the work record that the library fills
+(entromin._work).  For every list of sites the script builds: each (owner,
+name) resolves on this tree, a call through a counting site adds to its
+key, and leaving _patched puts back the identical object, also when the
+block raises.  A renamed library name then fails here rather than reading 0
+in a bench run; so does a renamed key of the record."""
 
+import dataclasses
 import importlib.util
 import re
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -13,7 +17,7 @@ import numpy as np
 import pytest
 
 import entromin
-from entromin import cli, finite, series, solver
+from entromin import _work, cli, finite, series, solver
 from entromin.errors import BudgetError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,9 +63,15 @@ def _term_arrays():
 
 
 def _kernel_reads():
-    series._add_reduce(np.ones((2, 4)), axis=-1)
-    series._ladder(entromin.Arithmetic(0.0, 1.0))
-    return {"reduce_calls": 1, "ladder_lookups": 1}
+    # a pass of 4 arrays up to n = 32768, reduced at the 7 block ends of the
+    # first and once per slice of at most 8192 terms after (1 + 1 + 2), and a
+    # slope pass of 1 array up to 2048 that keeps 18 partials, reduced at its
+    # 6 block ends and once for the higher rows
+    family = entromin.LogLevels(1)
+    series._eval_many(family, -2.0, {(None, 0): 1e-9})
+    series._eval_many(family, -3.0, {(None, 0): 1e-9, (None, 1): 1e-9, (None, 2): 1e9}, model=18)
+    return {"passes": 2, "series_terms": 32768 + 2048, "array_calls": 5, "reduce_calls": 7 + 4 + 6 + 1,
+            "bracket_calls": 10 + 6, "slope_passes": 2}
 
 
 def _budget_errors():
@@ -88,8 +98,8 @@ def _kernel():
     # solve sums its ladder entries and model rung
     series._ladder.cache_clear()
     entromin.EmpSolver(entromin.Arithmetic(0.0, 1.0)).solve_mb(1.0, 2.0)
-    keys = ("slope_passes", "model_points", "array_calls", "bracket_calls", "series_terms")
-    return dict.fromkeys(keys)
+    keys = ("passes", "slope_passes", "model_points", "array_calls", "bracket_calls", "series_terms")
+    return {**dict.fromkeys(keys), "ladder_lookups": 1}
 
 
 def _model_rungs():
@@ -104,15 +114,10 @@ def _model_rungs():
 # sites and returns {key: the amount it adds, None for at least 1})
 SITE_LISTS = {
     "_counting_exp": (Counter, _exp),
-    "_counting_members": (Counter, _members),
-    "_counting_rows_builds": (Counter, _rows_builds),
     "_counting_scalar_reads": (Counter, _scalar_reads),
     "_counting_term_arrays": (Counter, _term_arrays),
-    "_counting_kernel_reads": (Counter, _kernel_reads),
     "_counting_budget_errors": (Counter, _budget_errors),
     "_counting_entropy_calls": (Counter, _entropy_calls),
-    "_counting_newton": (Counter, _newton),
-    "_count_kernel": (Counter, _kernel),
     "_counting_model_rungs": (Counter, _model_rungs),
     "_timing_checks": (dict, None),
 }
@@ -174,6 +179,63 @@ def test_a_call_through_a_counting_site_adds_to_its_key(builder):
             assert counts[key] >= 1, key
         else:
             assert counts[key] == amount, key
+
+
+# the calls that the work record counts: {key: the amount each adds, None
+# for at least 1}
+RECORD_CALLS = (_kernel, _kernel_reads, _newton, _rows_builds, _members)
+
+
+@pytest.mark.parametrize("call", RECORD_CALLS)
+def test_a_call_adds_to_its_keys_of_the_work_record(call):
+    with _work.counting() as work:
+        want = call()
+    for key, amount in want.items():
+        assert getattr(work, key) >= 1 if amount is None else getattr(work, key) == amount, key
+
+
+def test_the_script_reads_every_key_of_the_work_record_and_no_other():
+    read = {key for name, keys in vars(bench).items() if name.endswith("_KEYS")
+            for key in keys.values() if "." not in key}  # a dotted key is the tracer's
+    assert read == {field.name for field in dataclasses.fields(_work.Work)}
+
+
+def test_threads_counting_at_once_get_disjoint_records():
+    # between the barriers both blocks are open: each thread counts its own
+    # call while the main thread, in no block, makes both calls
+    barrier, works = threading.Barrier(3, timeout=60), {}
+
+    def run(call):
+        with _work.counting() as work:
+            barrier.wait()
+            works[call] = work, call()
+            barrier.wait()
+
+    threads = [threading.Thread(target=run, args=(call,)) for call in (_rows_builds, _kernel_reads)]
+    for t in threads:
+        t.start()
+    barrier.wait()
+    assert _work.on == 2 and _work.local.record is None
+    _rows_builds()
+    _kernel_reads()
+    barrier.wait()
+    for t in threads:
+        t.join()
+    assert len(works) == 2
+    for work, want in works.values():
+        assert work == _work.Work(**want)
+
+
+def test_a_nested_block_counts_apart_and_restores_the_outer_record():
+    with _work.counting() as outer:
+        _rows_builds()
+        with _work.counting() as inner:
+            _rows_builds()
+            _rows_builds()
+        assert _work.local.record is outer
+        _rows_builds()  # not counted by the closed inner block
+    assert outer == inner == _work.Work(rows_builds=2)
+    assert _work.local.record is None and _work.on == 0
 
 
 def test_timing_checks_time_every_check(capsys):

@@ -168,6 +168,21 @@ class _NoAlpha(SequenceFamily):
         return self.sigma_array(lo, hi) * y
 
 
+
+class _DeclaredAlpha(Arithmetic):
+    """Unit weights, sigma_n = n, declaring alpha = 1: its tails converge at -1/2."""
+
+    @property
+    def alpha(self):
+        return 1.0
+
+
+class _NoTails(Arithmetic):
+    """Unit weights, sigma_n = n, with no tail bracket certified anywhere."""
+
+    def tail_intervals(self, y, n, moments):
+        return [None] * len(moments)
+
 class TestProfile:
     def test_geometric(self, geometric):
         prof = profile(geometric)
@@ -211,6 +226,21 @@ class TestProfile:
         with pytest.raises(UnsupportedFamilyError, match="no dom-f endpoint"):
             EmpSolver(_NoAlpha())
 
+
+    @pytest.mark.parametrize("family, error, message", [
+        (Arithmetic(1.0, 0.0), UnsupportedFamilyError, "constant levels: the problem is degenerate"),
+        (sequences.ExplosiveWeights(), UnsupportedFamilyError, "dom f empty: the problem is degenerate"),
+        (Arithmetic(0.0, -1.0), UnsupportedFamilyError, "levels must increase to +inf; normalize first"),
+        (Arithmetic(-2.0, 1.0), UnsupportedFamilyError,
+         "levels must be positive (min sigma = -1.0); shift first"),
+        (_DeclaredAlpha(), ConfigurationError,
+         "declared alpha=1.0 contradicted by a convergent tail at y=-0.5"),
+        (_NoTails(), ConfigurationError, "f could not be certified finite at y=-1.0: series tails"),
+    ])
+    def test_refusals(self, family, error, message):
+        with pytest.raises(error) as refused:
+            profile(family)
+        assert type(refused.value) is error and str(refused.value).startswith(message)
 
     @pytest.mark.parametrize("shift", [-745.0, -800.0, -1000.0])
     def test_underflowing_boundary_value_is_unsupported(self, shift):

@@ -1176,6 +1176,14 @@ _WARM_POINTS = [
 ]
 
 
+
+class _NoSecondMoment(Arithmetic):
+    """Unit weights, sigma_n = n, with no tail bracket of moment 2."""
+
+    def tail_intervals(self, y, n, moments):
+        ivs = super().tail_intervals(y, n, moments)
+        return [None if k == 2 else iv for k, iv in zip(moments, ivs)]
+
 class TestInverseSolve:
     def test_be_round_trip(self, geo_solver):
         fwd = geo_solver.forward_solve(BE, -1.0, -LN2)
@@ -1190,6 +1198,13 @@ class TestInverseSolve:
         assert isinstance(inv, EmpSolution)
         assert inv.multipliers[0] == pytest.approx(0.0, abs=1e-8)
         assert inv.multipliers[1] == pytest.approx(-1.0, abs=1e-8)
+
+    def test_a_ladder_that_raises_yields_failure_report(self):
+        # the ladder's first entry needs a moment-2 bracket that the family
+        # never certifies: its BudgetError is the report, before any Newton
+        res = EmpSolver(_NoSecondMoment(0.0, 1.0)).inverse_solve_bf(BE, 1.0, 2.0, 1e-10)
+        assert isinstance(res, InverseFailure)
+        assert res.message.startswith("newton aborted: series tails uncertified after")
 
     def test_extreme_target_yields_failure_report(self, monkeypatch, geo_solver):
         # one Newton: the sums its first point needs are out of reach even
@@ -1519,6 +1534,16 @@ class TestObjectiveValue:
     def test_negative_terms_rejected(self, geo_solver):
         with pytest.raises(DomainError):
             geo_solver.objective_value(MB, [0.5, -0.1])
+
+    def test_restricted_rule_on_the_lower_boundary(self):
+        # u_1 = 2 on the one minimizing level n = 1: FD's occupation u_1 /
+        # p_1 = 2 exceeds 1, so its value is +inf
+        solver = EmpSolver(Arithmetic(0.0, 1.0))
+        sol = solver.solve_mb(2.0, 2.0)
+        assert sol.region is Region.LOWER_BOUNDARY and sol.solution.form == "restricted"
+        assert solver.objective_value(MB, sol.solution) == sol.value == -0.6137056388801094
+        assert solver.objective_value(BE, sol.solution) == -1.9095425048844386
+        assert solver.objective_value(FD, sol.solution) == math.inf
 
 
 class TestWeakDuality:

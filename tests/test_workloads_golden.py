@@ -9,14 +9,14 @@ test runs no warm-up request, since no output depends on what the caches
 hold; run with them, output_digest.py gives the same outputs.
 
 Under "counts" it also holds each subset's work: the series passes and the
-terms they sum (series._block_sums calls and their n, each counted through
-scripts/bench.py's _count) of a cold run, from the caches that
-scripts/bench.py's _clear_family_caches empties, and of a warm rerun.  A
-change that adds or saves a pass moves them.  The counts were pinned when
-each family's slope ladder began to serve every tolerance; on the tree
-before, where each (family, tol, ceiling) filled its own ladder entries,
-cli-batch's cold run took 209 passes and 373,056 terms (173 and 366,336
-now), and every other count was the same.
+terms they sum (the passes and series_terms of the work record that the
+library fills, entromin._work, as scripts/bench.py reads them) of a cold
+run, from the caches that scripts/bench.py's _clear_family_caches empties,
+and of a warm rerun.  A change that adds or saves a pass moves them.  The
+counts were pinned when each family's slope ladder began to serve every
+tolerance; on the tree before, where each (family, tol, ceiling) filled
+its own ladder entries, cli-batch's cold run took 209 passes and 373,056
+terms (173 and 366,336 now), and every other count was the same.
 
 The pins are bit patterns of one platform: python 3.11.7, numpy 2.4.6 and
 glibc's libm, as for the other goldens.  A change that moves an output
@@ -29,13 +29,12 @@ ladder's entries became one rough pass each.
 import importlib.util
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 import entromin
-from entromin import series
+from entromin import _work
 
 ROOT = Path(__file__).resolve().parent.parent
 _PINNED = Path(__file__).resolve().parent / "golden" / "workloads.json"
@@ -90,16 +89,12 @@ def _run(name, out_dir):
     """([[field, value] of each output], floats as float.hex, and the
     passes and terms) of one run of the workload's subset."""
     wl = _Subset(workloads.WORKLOADS[name], _PICKS[name])
-    counts = Counter(series_passes=0, series_terms=0)
-    terms = bench._count(counts, "series_terms", lambda family, y, x, kind, shape, n, model=0: n)
-    sites = [(series, "_block_sums", bench._count(counts, "series_passes")),
-             (series, "_block_sums", terms)]
-    with bench._patched(sites):
+    with _work.counting() as work:
         got = [
             [[field, _hex(value)] for field, value in output_digest.fields(name, out)]
             for out in output_digest.outputs(entromin, np, wl, _SEED, out_dir)
         ]
-    return got, dict(counts)
+    return got, {"series_passes": work.passes, "series_terms": work.series_terms}
 
 
 def workload_record(out_dir) -> dict:
