@@ -56,21 +56,19 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
                        family;
   explicit_solver      EmpSolver(ExplicitPrefix((1, 2), (1, 2),
                        WeightedGeometric(1, 3))) and EmpSolver of its tail
-                       alone, each built cold (the module caches
-                       sigma_min_set, series.profile, the slope ladders
-                       and solver._cached_prefix cleared first; what a
-                       family instance keeps, its term table, stays),
-                       before any other case runs, and the caches cleared
-                       again after.
+                       alone, each built cold: on a new family instance,
+                       whose records (its term table, sigma-min set,
+                       profile and normal form) start empty.
 
-Apart from the cases, ladder_build reports per family what filling the
-cache of slope-root starts costs for the mb_interior and the bf_roundtrip
-targets: the entries and model rungs a run over the family's targets from
-a cleared cache leaves in the family's slope ladder, the passes and terms
-that run spends beyond a warm rerun of the same targets, the passes and
-terms of the whole cold run (cold_series_passes and cold_series_terms: for
-mb_interior, the interior solves of every seed's cycle from a cleared
-cache), and the passes and terms of the entries it fills (entry_passes and
+Apart from the cases, ladder_build reports per family what filling its
+slope ladder, the store of slope-root starts, costs for the mb_interior
+and the bf_roundtrip targets: the entries and model rungs a run over the
+family's targets leaves in the empty ladder of a fresh instance of the
+family (its solver built first, so only the ladder starts empty), the
+passes and terms that run spends beyond a warm rerun of the same targets,
+the passes and terms of the whole cold run (cold_series_passes and
+cold_series_terms: for mb_interior, the interior solves of every seed's
+cycle on one fresh instance), and the passes and terms of the entries it fills (entry_passes and
 entry_terms: series._block_sums calls made inside series._Ladder.rung) and
 of the model rungs (model_rung_passes and model_rung_terms:
 series._block_sums calls that keep series._MODEL_PARTIALS partial
@@ -79,8 +77,8 @@ depend on which entries are cached, so the difference is the build alone.
 mb_interior also reports zero_pass_solves, the warm solves that make no
 series pass.
 cold_cycle reports per seed the series passes and terms of one whole
-mb-point cycle, every request in order from cleared family caches as a new
-perfbench process runs it, and its entry and model-rung fills as above.
+mb-point cycle, every request in order on fresh families, with the prefix
+cache (solver._cached_prefix) cleared, as a new perfbench process runs it, and its entry and model-rung fills as above.
 dual_rows reports the wall time of one call of series._mult_arrays, which
 makes the bose-einstein and fermi-dirac dual's rows (W*, (W*)' and (W*)'',
 as finite._finite_dual asks for them), and of one finite._finite_dual, on
@@ -168,8 +166,8 @@ library names, each installed and removed by _patched:
                        array for a slope model's rows; one per slice of
                        series._BLOCK_WIDTH columns in arrays wider than
                        that);
-  ladder_lookups       reads of the slope ladder's cache during the same
-                       call (series._ladder, one ladder per bracket);
+  ladder_lookups       reads of the family's slope ladder during the same
+                       call (one per bracket);
   budget_errors        BudgetErrors constructed during one slow_value call
                        or round trip, raised or caught, counted through the
                        class's __init__;
@@ -201,9 +199,10 @@ Usage, from the repository root:
     python scripts/bench.py --out BENCH.json [--src PATH]
 
 --src points at another checkout's src/ to measure it with the same bench
-code, e.g. a parent commit exported next to this one; the wrapped names
-and the work record (entromin._work) must exist there as they do in this
-tree.  A tree without the record is measured with its own scripts/bench.py.
+code, e.g. a parent commit exported next to this one; the wrapped names,
+the work record (entromin._work) and the records a family keeps
+(SequenceFamily._ladder) must exist there as they do in this tree.  A tree
+without them is measured with its own scripts/bench.py.
 """
 
 from __future__ import annotations
@@ -211,6 +210,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import cProfile
+import dataclasses
 import inspect
 import io
 import json
@@ -749,27 +749,26 @@ def _counting_model_rungs(counts):
 
 def count_ladder_build(tracer, targets, call):
     """Per family key of targets (key, solver, *args), and their total:
-    the entries and model rungs that one run of call(solver, *args) over
-    the family's targets from a cleared ladder cache leaves in the family's
-    slope ladder (series._ladder), the passes and terms it spends beyond a
-    warm rerun and in all, and the passes and terms of the entries and of
-    the model rungs it fills."""
-    from entromin import series
-
+    the entries and model rungs that one run of call(fresh, *args) over
+    the family's targets leaves in the slope ladder of fresh, a solver of a
+    new instance of the family whose ladder starts empty, the passes and
+    terms it spends beyond a warm rerun and in all, and the passes and
+    terms of the entries and of the model rungs it fills."""
     def run(calls):
         total = Counter()
         for fn in calls:
             total.update(_counted(tracer, fn, SERIES_KEYS)[1])
         return total
 
-    families = {key: es.normal_family for key, es, *_ in targets}
     out = {}
-    for fam, calls in _grouped(targets, call).items():
-        series._ladder.cache_clear()
+    for fam, group in _by_family(targets, [rest for _, *rest in targets]).items():
+        es = group[0][0]
+        fresh = type(es)(dataclasses.replace(es.family), es.tol)
+        calls = [lambda args=args: call(fresh, *args) for _, *args in group]
         rungs = Counter(entry_passes=0, entry_terms=0, model_rung_passes=0, model_rung_terms=0)
         with _patched(_counting_model_rungs(rungs)):
             cold = run(calls)
-        ladder = series._ladder(families[fam])
+        ladder = fresh.normal_family._ladder
         entries, models = len(ladder.rungs), len(ladder.models)
         warm = run(calls)
         out[fam] = {"entries": entries, "model_rungs": models,
@@ -781,12 +780,14 @@ def count_ladder_build(tracer, targets, call):
 
 def count_cold_cycle(tracer, entromin, workloads, np):
     """Per seed: the series passes and terms of one mb-point cycle, every
-    request in order from cleared family caches as in a new perfbench
-    process, and the passes and terms among them that fill the slope
-    ladder's entries and model rungs."""
+    request in order on the fresh families of a new prepare, the prefix
+    cache cleared, as in a new perfbench process, and the passes and terms
+    among them that fill the slope ladder's entries and model rungs."""
+    from entromin import solver
+
     wl, out = workloads.MbPoint(), {}
     for seed in SEEDS:
-        _clear_family_caches()
+        solver._cached_prefix.cache_clear()
         ctx = wl.prepare(entromin, None, [])
         total = Counter()
         fills = Counter(entry_passes=0, entry_terms=0, model_rung_passes=0, model_rung_terms=0)
@@ -795,11 +796,6 @@ def count_cold_cycle(tracer, entromin, workloads, np):
                 total.update(_counted(tracer, lambda req=req: wl.run(ctx, req), SERIES_KEYS)[1])
         out[seed] = {**{k: total[k] for k in SERIES_KEYS}, **fills}
     return out
-
-
-def _grouped(targets, call):
-    """{family key: [call(*rest) as a thunk]} over targets (key, *rest)."""
-    return _by_family(targets, [lambda rest=rest: call(*rest) for _, *rest in targets])
 
 
 VERIFY_CHECKS = (
@@ -930,28 +926,19 @@ def prefix_case(tracer, rules, py_calls, runs):
             "per_family": per_family}
 
 
-def _clear_family_caches():
-    """Empty the caches that a solver build fills per family, also where
-    the tracer wraps them."""
-    from entromin import sequences, series, solver
-
-    for cache in (sequences.sigma_min_set, series.profile, series._ladder, solver._cached_prefix):
-        while not hasattr(cache, "cache_clear"):
-            cache = cache.__wrapped__
-        cache.cache_clear()
-
-
 def explicit_case(entromin):
     """explicit_solver: per family, the py_calls of one cold EmpSolver build
-    and the wall times of REPEATS cold builds; the caches are left empty."""
-    tail = entromin.WeightedGeometric(1, 3)
-    builds = [("explicit", entromin.ExplicitPrefix((1, 2), (1, 2), tail)), ("tail", tail)]
+    and the wall times of REPEATS cold builds, each of a family instance
+    made for it (outside the timing), which keeps nothing yet."""
+    def tail():
+        return entromin.WeightedGeometric(1, 3)
+
+    builds = [("explicit", lambda: entromin.ExplicitPrefix((1, 2), (1, 2), tail())), ("tail", tail)]
     per_target, medians, per_family = [], [], {}
-    for key, fam in builds:
-        times = _runs(lambda f=fam: entromin.EmpSolver(f), _clear_family_caches)
-        _clear_family_caches()
-        counts = {"py_calls": _py_calls(entromin.EmpSolver, fam)}
-        _clear_family_caches()
+    for key, make in builds:
+        made = []
+        times = _runs(lambda: entromin.EmpSolver(made.pop()), lambda m=make: made.append(m()))
+        counts = {"py_calls": _py_calls(entromin.EmpSolver, make())}
         per_target.append(counts)
         medians.append(statistics.median(times))
         per_family[key] = {"targets": 1, "counts_per_build": _summary([counts]),
@@ -974,7 +961,7 @@ def main(argv=None) -> int:
     import tracing
     import workloads
 
-    explicit_solver = explicit_case(entromin)  # first: it empties the caches
+    explicit_solver = explicit_case(entromin)
     reqs = _targets(workloads, np)
     fams = _families(entromin, workloads, reqs)
     seen_fams = _families(entromin, workloads, _targets(workloads, np, SEEDS[:1]))

@@ -45,6 +45,7 @@ import multiprocessing
 import re
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,41 +66,48 @@ def _import(src):
     return np, entromin, workloads
 
 
-def _recorded(ctx) -> dict:
+def _recorded(ctx):
     """Make each of ctx's solvers record what its last forward_solve and
-    inverse_solve_bf returned, under those names, in the dict returned."""
-    seen = {}
+    inverse_solve_bf on the calling thread returned, as attributes of those
+    names of the threading.local returned."""
+    seen = threading.local()
     for es in ctx["solvers"].values():
         for name in ("forward_solve", "inverse_solve_bf"):
             def record(*args, _method=getattr(es, name), _name=name):
-                seen[_name] = out = _method(*args)
+                out = _method(*args)
+                setattr(seen, _name, out)
                 return out
 
             setattr(es, name, record)
     return seen
 
 
+def line(entromin, wl, ctx, seen, req):
+    """One request's line: its output's digest (on bf-roundtrip, where seen
+    is _recorded(ctx), followed by the forward solution's (u, v, value) and
+    the inverse solution's value, None for a failure), or the text 'raised
+    <type>: <message>' (a str)."""
+    try:
+        out = wl.digest(wl.run(ctx, req))
+    except Exception as exc:  # a request that raises is part of the output
+        return f"raised {type(exc).__name__}: {exc}"
+    if seen is not None:
+        fwd, inv = seen.forward_solve, seen.inverse_solve_bf
+        inverse = None if isinstance(inv, entromin.InverseFailure) else inv.value
+        out = (*out, (fwd.u, fwd.v, fwd.value), inverse)
+    return out
+
+
 def outputs(entromin, np, wl, seed, out_dir):
-    """Each request's line of one cycle of wl at seed, in order: its
-    output's digest (on bf-roundtrip followed by the forward solution's
-    (u, v, value) and the inverse solution's value, None for a failure),
-    or the text 'raised <type>: <message>' (a str)."""
+    """The line of each request of one cycle of wl at seed, in order, after
+    the workload's warm-up requests."""
     requests = wl.requests(np.random.default_rng(seed))
     ctx = wl.prepare(entromin, out_dir, requests)
     seen = _recorded(ctx) if wl.name == "bf-roundtrip" else None
     for req in wl.warmups():
         wl.run(ctx, req)
     for req in requests:
-        try:
-            out = wl.digest(wl.run(ctx, req))
-        except Exception as exc:  # a request that raises is part of the output
-            yield f"raised {type(exc).__name__}: {exc}"
-            continue
-        if seen is not None:
-            fwd, inv = seen["forward_solve"], seen["inverse_solve_bf"]
-            inverse = None if isinstance(inv, entromin.InverseFailure) else inv.value
-            out = (*out, (fwd.u, fwd.v, fwd.value), inverse)
-        yield out
+        yield line(entromin, wl, ctx, seen, req)
 
 
 def digest(entromin, np, wl, seed, out_dir) -> str:

@@ -18,7 +18,7 @@ class Work:
     bracket_calls: int = 0  # family.tail_intervals calls of a pass or a slope model
     slope_passes: int = 0  # series._eval_many calls under maxwell-boltzmann
     model_points: int = 0  # slopes certified from a model, with no pass
-    ladder_lookups: int = 0  # reads of the slope-ladder cache (series._ladder)
+    ladder_lookups: int = 0  # reads of a family's slope ladder (SequenceFamily._ladder)
     newton_points: int = 0  # points of the certified inverse Newton (inverse_solve_bf)
     proposal_points: int = 0  # points of the finite dual Newton (finite._minimize_dual)
     rows_builds: int = 0  # finite._dual_rows calls

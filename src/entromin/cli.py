@@ -31,7 +31,6 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .finite import solve_two_mb_be
-from .sequences import sigma_min_set
 from .solver import EmpSolution, EmpSolver, InverseFailure, Region
 from .specfile import ParseError, ProblemSpec, parse_spec
 from . import series
@@ -298,7 +297,7 @@ def _check_degenerate(solver):
     if ray:
         w, expected = solver.family.sigma(1), Region.DEGENERATE_CONSTANT_SIGMA
     else:
-        t1 = sigma_min_set(solver.normal_family).theta1
+        t1 = solver.normal_family._sigma_min.theta1
         w, expected = 2.0 * t1, Region.DEGENERATE_ALL_DIVERGENT
     region = solver.classify(1.0, w)
     value = solver.value_mb(1.0, w)

@@ -38,7 +38,7 @@ WeightedGeometric (zeta-type tails at and beyond y = -alpha), LogLevels
 ``_combined``.  A wrapper (ExplicitPrefix, ShiftedSigma) brackets from its
 base's whole brackets (a shift falls back on the default where that has
 none), and passes ``tail_ratio`` on where it holds.
-theta1 = min sigma_n comes from ``sigma_min_set``, cached per family; the
+theta1 = min sigma_n comes from ``sigma_min_set``, kept on the family; the
 attainment cone and degenerate cases follow from alpha and theta1.
 
 A bound is returned only when the family's structure proves it; otherwise
@@ -173,6 +173,51 @@ class SequenceFamily:
 
     def p(self, n: int) -> float:
         return float(self.p_array(n, n)[0])
+
+    # -- records derived from the family alone, each built on first read and
+    # kept on the instance.  Up to Python 3.11 cached_property fills under one
+    # lock per property, so cold fills of distinct families serialize; from
+    # 3.12 two threads may each fill one, the last kept.  Outputs do not vary.
+
+    @functools.cached_property
+    def _sigma_min(self) -> SigmaMinSet:
+        """sigma_min_set's record, found by scanning until the nondecreasing
+        tail guarantees sigma_n beyond the tie (TIE_RTOL)."""
+        if self.sigma_direction != +1:
+            raise UnsupportedFamilyError(
+                "sigma must increase to infinity (normalize the family first)"
+            )
+        n0 = self.sigma_increasing_from
+        head = self.sigma_array(1, n0)
+        theta1 = float(head.min())
+        top = theta1 + TIE_RTOL * max(1.0, abs(theta1))
+        # the tie run past n0, in blocks of 64 doubling up to 2^16, listed once it ends
+        lo, size, last = n0 + 1, 64, n0 + 10_000_000
+        while True:
+            above = np.flatnonzero(self.sigma_array(lo, min(lo + size - 1, last)) > top)
+            if above.size:
+                break
+            if lo + size > last:
+                raise UnsupportedFamilyError("level tie scan did not terminate")
+            lo, size = lo + size, min(2 * size, 2**16)
+        indices = (np.flatnonzero(head <= top) + 1).tolist() + list(range(n0 + 1, lo + int(above[0])))
+        p = self.p_array(1, indices[-1])[np.array(indices) - 1]
+        return SigmaMinSet(theta1, tuple(indices), math.fsum(p.tolist()))
+
+    @functools.cached_property
+    def _profile(self):  # series.profile's record; series imports this module
+        from .series import _build_profile
+        return _build_profile(self)
+
+    @functools.cached_property
+    def _ladder(self):  # the slope ladder, filled as slope roots read it
+        from .series import _Ladder
+        return _Ladder(self)
+
+    @functools.cached_property
+    def _normal(self):  # (flip, shift, normal form), shared by every EmpSolver
+        from .solver import _normal_form
+        return _normal_form(self)
 
     # -- analytic metadata ---------------------------------------------------
 
@@ -917,29 +962,6 @@ def lattice_levels(scale: float, count: int) -> list[tuple[int, float]]:
 TIE_RTOL = 1e-12  # levels within TIE_RTOL max(1, |theta1|) of theta1 tie with it
 
 
-@functools.lru_cache(maxsize=256)
 def sigma_min_set(family: SequenceFamily) -> SigmaMinSet:
-    """theta1 = min sigma_n with its attaining index set, found by scanning
-    until the nondecreasing tail guarantees sigma_n beyond the tie
-    (TIE_RTOL); cached per family, as families are immutable."""
-    if family.sigma_direction != +1:
-        raise UnsupportedFamilyError(
-            "sigma must increase to infinity (normalize the family first)"
-        )
-    n0 = family.sigma_increasing_from
-    head = family.sigma_array(1, n0)
-    theta1 = float(head.min())
-    top = theta1 + TIE_RTOL * max(1.0, abs(theta1))
-    # the tie run past n0, in blocks of 64 doubling up to 2^16, listed once it ends
-    lo, size, last = n0 + 1, 64, n0 + 10_000_000
-    while True:
-        above = np.flatnonzero(family.sigma_array(lo, min(lo + size - 1, last)) > top)
-        if above.size:
-            break
-        if lo + size > last:
-            raise UnsupportedFamilyError("level tie scan did not terminate")
-        lo, size = lo + size, min(2 * size, 2**16)
-    indices = (np.flatnonzero(head <= top) + 1).tolist() + list(range(n0 + 1, lo + int(above[0])))
-    p = family.p_array(1, indices[-1])[np.array(indices) - 1]
-    return SigmaMinSet(theta1, tuple(indices), math.fsum(p.tolist()))
-
+    """theta1 = min sigma_n with its attaining index set: family._sigma_min."""
+    return family._sigma_min

@@ -26,17 +26,17 @@ one certified evaluation (_certified_slope), whose record (_Slope) phi
 reads and phi_inverse's Newton root (rootfind.newton_root) steps on.
 Every inversion starts from the slope ladder: the rough slopes at y_k =
 -alpha - 2^(k/4), k = -48..24, one pass each to 1e-4 (_rough_slope), kept
-on first use with their ln f and Hermite node in one table per family,
-whatever a root's tolerance (_Ladder; _ladder keeps the 11 tables used
-last).  An entry only locates a root: the two nearest entries whose phi
-lies beyond its err on either side of the target are the first bracket,
-and the first iterate is the cubic Hermite interpolant of their (phi,
-phi') (_hermite_start).  A slope pass also keeps the partial sums of
-moments 0 to 5 over its terms (_SlopeModel), 0 to 17 on the certified
-model rungs at y_j = -alpha - 2^(j/16), one per (j, tol, ceiling) in the
-family's table (_Ladder.model, 289 at most), whose Taylor expansion with a
-proved remainder certifies phi nearby with one bracket call and no pass
-(_model_moments), so a warm interior inversion mostly takes no pass.
+on first use with their ln f and Hermite node in one table the family
+keeps, whatever a root's tolerance (_Ladder).  An entry only locates a
+root: the two nearest entries whose phi lies beyond its err on either side
+of the target are the first bracket, and the first iterate is the cubic
+Hermite interpolant of their (phi, phi') (_hermite_start).  A slope pass
+also keeps the partial sums of moments 0 to 5 over its terms
+(_SlopeModel), 0 to 17 on the certified model rungs at y_j = -alpha -
+2^(j/16), one per (j, tol, ceiling) in the family's table (_Ladder.model,
+289 at most), whose Taylor expansion with a proved remainder certifies phi
+nearby with one bracket call and no pass (_model_moments), so a warm
+interior inversion mostly takes no pass.
 The ladder also starts the bose-einstein and fermi-dirac inverse with no
 pass (_ladder_point: that start, and ln f there interpolated through the
 same two entries); the inverse moves that start to the minimizer of the
@@ -78,7 +78,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .rootfind import newton_root, slope_step
-from .sequences import TIE_RTOL, SequenceFamily, SigmaMinSet, sigma_min_set
+from .sequences import TIE_RTOL, SequenceFamily, SigmaMinSet
 
 __all__ = [
     "BoundaryCase",
@@ -309,7 +309,7 @@ def _block_sums(family, y, x, kind, shape, n, model=0):
     higher, top = [0.0] * (model - 3) if model else (), 0.0
     size = rows + model - 3 if model else rows
     # x + theta1 y bounds every t when y <= 0; else each slice's own max
-    t_hi = x + sigma_min_set(family).theta1 * y if mults and y <= 0.0 else None
+    t_hi = x + family._sigma_min.theta1 * y if mults and y <= 0.0 else None
     lo, hi = 1, n if n < _ONE_ARRAY else _ONE_ARRAY
     while True:
         arrays = family._tabled(lo, hi)
@@ -423,18 +423,23 @@ def eval_f(family: SequenceFamily, y: float, tol: float = 1e-12) -> SeriesEval:
 # profile
 
 
-@functools.lru_cache(maxsize=256)
 def profile(family: SequenceFamily) -> SeriesProfile:
     """Analytic profile (alpha, boundary case, theta1, theta2, ...), one per
     family whatever a caller's tolerance (sums to _PROFILE_TOL), so regions
-    and slope roots read one theta2; cached, so concurrent requests share it."""
+    and slope roots read one theta2: family._profile, which concurrent
+    requests share, built on its first read (_build_profile)."""
+    return family._profile
+
+
+def _build_profile(family) -> SeriesProfile:
+    """profile's record of a family."""
     if family.constant_sigma:
         raise UnsupportedFamilyError("constant levels: the problem is degenerate")
     if family.dom_f_empty:
         raise UnsupportedFamilyError("dom f empty: the problem is degenerate")
     if family.sigma_direction != +1:
         raise UnsupportedFamilyError("levels must increase to +inf; normalize first")
-    smin = sigma_min_set(family)
+    smin = family._sigma_min
     if smin.theta1 <= 0.0:
         raise UnsupportedFamilyError(
             f"levels must be positive (min sigma = {smin.theta1}); shift first"
@@ -669,7 +674,7 @@ class _Ladder:
     (j, tol, ceiling) in models, which drops its oldest record past 289.  A
     record is added with setdefault, so threads filling one ladder all read
     the first one kept at its key; two threads using a new family at once
-    may each build a ladder (_ladder), and the cache keeps one."""
+    may each get a ladder, and the family keeps one."""
 
     def __init__(self, family):
         self.family, self.rungs, self.models = family, {}, OrderedDict()
@@ -685,7 +690,7 @@ class _Ladder:
         if not y < -a:
             raise RangeError(f"ladder point {k} rounds to -alpha = {-a}")
         s = _rough_slope(family, y)
-        node = _hermite_node(s, sigma_min_set(family).theta1, a)
+        node = _hermite_node(s, family._sigma_min.theta1, a)
         return self.rungs.setdefault(k, _Rung(y, s.phi, s, math.log(s.f.value), node))
 
     def model(self, j, tol, ceiling) -> Optional[_Slope]:
@@ -752,10 +757,6 @@ class _Ladder:
         return inner, outer
 
 
-# at most 3,982 records: 11 ladders of at most 73 entries and 289 model rungs
-_ladder = functools.lru_cache(maxsize=11)(_Ladder)
-
-
 def _ladder_start(ladder, prof, w):
     """Where a slope root for w starts, from the slope ladder alone
     (ladder.bracket, no new pass): (bracket, entry, y_h, ends).  bracket is
@@ -781,7 +782,7 @@ def _ladder_point(family, w) -> tuple[float, float]:
     the two entries (values ln f(y_k), slopes phi(y_k)).  No new pass."""
     if _work.on and (work := _work.local.record) is not None:
         work.ladder_lookups += 1
-    _, start, y_h, ends = _ladder_start(_ladder(family), profile(family), w)
+    _, start, y_h, ends = _ladder_start(family._ladder, family._profile, w)
     if y_h is None:
         return start.y, start.ln_f
     return y_h, _hermite(*((e.y, e.ln_f, e.phi) for e in ends), y_h)
@@ -799,12 +800,12 @@ def _invert_slope(family, w, tol, ceiling=1.0) -> _Slope:
     it read; so a warm root whose points the model rung certifies makes no
     pass.  A slope certified only to err > q (a ceiling stop, which leaves
     no model) passes at |phi - w| <= 3 err (_Slope.residual)."""
-    prof = profile(family)
+    prof = family._profile
     if not math.isfinite(w) or w <= prof.theta1 or w >= prof.theta2:
         raise RangeError(f"w={w} outside the open range ({prof.theta1}, {prof.theta2})")
     if _work.on and (work := _work.local.record) is not None:
         work.ladder_lookups += 1
-    ladder = _ladder(family)
+    ladder = family._ladder
     (lo, hi), start, y_h, _ = _ladder_start(ladder, prof, w)
     last, y0, q, t1 = start.slope, start.y, 0.25 * tol, prof.theta1
     if y_h is not None:
@@ -854,7 +855,7 @@ def lnf_conjugate(family: SequenceFamily, w: float, tol: float = 1e-10) -> float
     theta1; w phi^{-1}(w) - ln f(phi^{-1}(w)) inside, the solver's interior
     g (_conjugate_at); -alpha w - ln f(-alpha) at and beyond theta2 (case c
     only).  tol sets the root and f, not the profile (profile(family))."""
-    prof = profile(family)
+    prof = family._profile
     t1_tol = TIE_RTOL * max(1.0, abs(prof.theta1))  # sigma_min_set's tie
     if not math.isfinite(w):
         raise RangeError(f"w must be finite, got {w}")
@@ -900,7 +901,7 @@ def _refine_f(family, y, f_y: SeriesEval, rtol: float) -> SeriesEval:
 def _outside_be(family, x, y) -> bool:
     """(x, y) outside dom h_BE: t = x + theta1 y >= 0, or t so near 0 that
     e^t rounds to 1 and the first term's -ln(1 - e^t) has no float value."""
-    t = x + sigma_min_set(family).theta1 * y
+    t = x + family._sigma_min.theta1 * y
     return t >= 0.0 or math.exp(t) == 1.0
 
 

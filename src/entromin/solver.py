@@ -51,12 +51,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .rootfind import _newton_step, minimize_convex_2d, newton_root, slope_step
-from .sequences import (
-    SequenceFamily,
-    ShiftedSigma,
-    flipped,
-    sigma_min_set,
-)
+from .sequences import SequenceFamily, ShiftedSigma, flipped, sigma_min_set
 from . import _work, finite, series
 from .series import SeriesProfile
 
@@ -238,11 +233,13 @@ def _prefix(family, n: int) -> _Prefix:
     """The _Prefix of the first n terms.  Up to n = _PREFIX_CACHE_N (2^16)
     it is built once per (family, n) and kept in a least-recently-used
     cache of _PREFIX_CACHE_SIZE (32) entries, larger ones are built per
-    call.  A record holds two float64 arrays of n, and its rows (n <=
-    4096) three more columns, at most 2 * 2^16 floats in all, so the cache
-    holds at most _PREFIX_CACHE_BYTES (32 MiB) of arrays whatever
-    truncations are asked for, besides each record's ends, at most 865
-    passes of three floats."""
+    call.  A record holds two float64 arrays of n, and its rows (n <= 4096)
+    three more columns, at most 2 * 2^16 floats in all, so the cache holds
+    at most _PREFIX_CACHE_BYTES (32 MiB) of arrays whatever truncations are
+    asked for, besides each record's ends, at most 865 passes of three
+    floats.  The cache is the module's, not the family's: a record holds up
+    to 1 MiB, and the public member(n) can ask for any n, so one byte bound
+    over every family keeps memory bounded."""
     return _Prefix(family, n) if n > _PREFIX_CACHE_N else _cached_prefix(family, n)
 
 
@@ -504,6 +501,22 @@ class InverseFailure:
 ExplicitSequence = Sequence[float]
 
 
+def _normal_form(family: SequenceFamily) -> tuple:
+    """(flip, shift, normal form) of a family (SequenceFamily._normal):
+    levels decreasing to -inf flipped (flip -1), then levels with min sigma
+    <= 0 shifted by theta1 - 1; constant levels as given."""
+    flip, shift, fam = 1, 0.0, family
+    if not fam.constant_sigma:
+        if fam.sigma_direction == -1:
+            fam, flip = flipped(fam), -1
+        if fam.sigma_direction != +1:
+            raise UnsupportedFamilyError("levels neither constant nor tending to +/-inf")
+        theta1 = sigma_min_set(fam).theta1
+        if theta1 <= 0.0:
+            shift, fam = theta1 - 1.0, ShiftedSigma(fam, theta1 - 1.0)
+    return flip, shift, fam
+
+
 class EmpSolver:
     """Immutable per-family front end; all methods are safe to call
     concurrently once construction (normalization + profiling) finishes.
@@ -513,32 +526,17 @@ class EmpSolver:
     shifted, and results are mapped back to the original coordinates.  A
     family is degenerate, with no profile, when its levels are constant or
     dom f is empty.  tol does not set the profile: classify and the slope
-    roots read the one series.profile of the normal form and its theta2."""
+    roots read the one series.profile of the normal form and its theta2.
+    The normal form, its profile and its slope ladder are records of the
+    family instance: its solvers share them, an equal instance starts cold."""
 
     def __init__(self, family: SequenceFamily, tol: float = 1e-10):
-        self.family = family
-        self.tol = tol
-        self._flip = 1
-        self._shift = 0.0
-        self._profile = None
-        self._smin = None  # the normal form's SigmaMinSet; None for constant levels
-        fam = family
-        if not fam.constant_sigma:
-            if fam.sigma_direction == -1:
-                fam = flipped(fam)
-                self._flip = -1
-            if fam.sigma_direction != +1:
-                raise UnsupportedFamilyError("levels neither constant nor tending to +/-inf")
-            smin = sigma_min_set(fam)
-            if smin.theta1 <= 0.0:
-                self._shift = smin.theta1 - 1.0
-                fam = ShiftedSigma(fam, self._shift)
-            if fam.dom_f_empty:
-                self._smin = sigma_min_set(fam)
-            else:
-                self._profile = series.profile(fam)
-                self._smin = self._profile.sigma_min
-        self._fam = fam
+        self.family, self.tol = family, tol
+        self._flip, self._shift, self._fam = family._normal
+        fam = self._fam
+        degenerate = fam.constant_sigma or fam.dom_f_empty
+        self._profile = None if degenerate else series.profile(fam)
+        self._smin = None if fam.constant_sigma else sigma_min_set(fam)  # the normal form's
 
     # -- coordinate maps ----------------------------------------------------
 

@@ -94,18 +94,17 @@ def _newton():
 
 
 def _kernel():
-    # a warm interior solve makes no pass: from a cleared ladder cache the
-    # solve sums its ladder entries and model rung
-    series._ladder.cache_clear()
+    # a warm interior solve makes no pass: on a fresh family, whose ladder
+    # starts empty, the solve sums its ladder entries and model rung
     entromin.EmpSolver(entromin.Arithmetic(0.0, 1.0)).solve_mb(1.0, 2.0)
     keys = ("passes", "slope_passes", "model_points", "array_calls", "bracket_calls", "series_terms")
     return {**dict.fromkeys(keys), "ladder_lookups": 1}
 
 
 def _model_rungs():
-    # the model rung reads the entry at k = 0 first: one pass each
-    series._ladder.cache_clear()
-    series._ladder(entromin.Arithmetic(0.0, 1.0)).model(0, 1e-10, 1.0)
+    # the model rung of a fresh family reads the entry at k = 0 first: one
+    # pass each
+    entromin.Arithmetic(0.0, 1.0)._ladder.model(0, 1e-10, 1.0)
     return {"entry_passes": 1, "entry_terms": None,
             "model_rung_passes": 1, "model_rung_terms": None}
 

@@ -3,6 +3,7 @@ endpoint profiles, the slope bijection and its inverse, the conjugate of
 ln f, and the dual sums h_W with gradients and boundary subdifferentials."""
 
 import functools
+import gc
 import json
 import math
 import sys
@@ -10,7 +11,7 @@ import threading
 import warnings
 import weakref
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +49,7 @@ from entromin import (
     phi_inverse,
     profile,
 )
-from entromin import sequences, series
+from entromin import _work, sequences, series
 from entromin.series import _HESSIAN, _dual_point, _dual_sums, _invert_slope, hessian_h
 from entromin.sequences import sigma_min_set
 
@@ -485,6 +486,12 @@ _LADDER_CASES = [
 ]
 
 
+def _fresh(family):
+    """An equal but distinct instance of family: its sigma-min set, profile
+    and slope ladder, which each instance keeps, start cold."""
+    return replace(family)
+
+
 class TestSlopeLadder:
     """Every slope inversion starts from the kept rough slopes at y_k =
     -alpha - 2^(k/4) that prove they bracket its target; an entry depends
@@ -492,17 +499,16 @@ class TestSlopeLadder:
 
     @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
     def test_results_do_not_depend_on_the_filled_entries(self, family, v1, v2, slopes):
-        solver = EmpSolver(family)
+        solver = EmpSolver(_fresh(family))
         lo, hi = slopes
         others = [
             (u, u * float(w)) for u, w in zip([0.5, 1.0, 2.0, 3.5] * 50, np.geomspace(lo, hi, 200))
         ]
-        series._ladder.cache_clear()
         cold = repr(solver.solve_mb(1.0, v1))
         for t in others:
             solver.solve_mb(*t)
         warm = repr(solver.solve_mb(1.0, v1))
-        series._ladder.cache_clear()
+        solver = EmpSolver(_fresh(family))
         for t in reversed(others):
             solver.solve_mb(*t)
         reverse = repr(solver.solve_mb(1.0, v1))
@@ -511,20 +517,21 @@ class TestSlopeLadder:
 
     @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
     def test_cold_and_warm_results_are_identical(self, monkeypatch, family, v1, v2, slopes):
-        solver = EmpSolver(family)
+        # each call twice on a solver of a fresh family: the second fills
+        # no ladder entry and returns the first's result
         calls = [
-            lambda: solver.solve_mb(1.0, v1),
-            lambda: lnf_conjugate(family, v2, 1e-11),
-            lambda: phi_inverse(family, v2, 1e-10),
-            lambda: solver.inverse_solve_bf(BE, 1.0, v1),
-            lambda: solver.inverse_solve_bf(FD, 1.0, v2),
+            lambda es: es.solve_mb(1.0, v1),
+            lambda es: lnf_conjugate(es.family, v2, 1e-11),
+            lambda es: phi_inverse(es.family, v2, 1e-10),
+            lambda es: es.inverse_solve_bf(BE, 1.0, v1),
+            lambda es: es.inverse_solve_bf(FD, 1.0, v2),
         ]
         fills = _count_ladder_fills(monkeypatch)
         for call in calls:
-            series._ladder.cache_clear()
-            cold = call()
+            solver = EmpSolver(_fresh(family))
+            cold = call(solver)
             misses = len(fills)
-            warm = call()
+            warm = call(solver)
             assert len(fills) == misses
             assert repr(warm) == repr(cold)
 
@@ -573,7 +580,7 @@ class TestSlopeLadder:
         for w in np.geomspace(*slopes, 40):
             starts.clear()
             phi_inverse(family, float(w), tol)
-            inner, outer = series._ladder(family).bracket(float(w))
+            inner, outer = family._ladder.bracket(float(w))
             [(x, lo, hi)] = starts
             assert (lo, hi) == tuple(sorted((inner[0], outer[0])))
             assert lo < x < hi
@@ -599,7 +606,7 @@ class TestSlopeLadder:
         # proved only where it is -inf, -alpha or an entry whose |phi - w|
         # exceeds its err
         tol, a = 1e-10, family.alpha
-        ladder = series._ladder(family)
+        ladder = family._ladder
         calls = []
         newton_root = series.newton_root
 
@@ -627,9 +634,11 @@ class TestSlopeLadder:
             assert abs(phi(family, y, 1e-14) - phi(family, y_pass, 1e-14)) <= tol
 
     def test_threads_sharing_a_solver_match_serial_results(self):
-        solver = EmpSolver(Lattice3D(1.0))
+        # two threads share a solver of a fresh family, its ladder cold
         targets = [(1.0, v) for v in (3.3, 4.5, 6.0, 8.0, 12.0, 20.0)]
-        serial = [repr(solver.solve_mb(u, v)) for u, v in targets]
+        alone = EmpSolver(Lattice3D(1.0))
+        serial = [repr(alone.solve_mb(u, v)) for u, v in targets]
+        solver = EmpSolver(Lattice3D(1.0))
         results = {}
         barrier = threading.Barrier(2)
 
@@ -637,7 +646,6 @@ class TestSlopeLadder:
             barrier.wait()
             results[name] = {i: repr(solver.solve_mb(*targets[i])) for i in order}
 
-        series._ladder.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -661,12 +669,11 @@ class TestSlopeLadder:
         # f(-1) is certified to the profile's 1e-6, but the k = 0 entry's
         # rough pass gives up on its moments 0 to 2 at 1e-4
         family = PowerLaw(1.5, 0.195)
-        series._ladder.cache_clear()
         fills = _count_ladder_fills(monkeypatch)
         for _ in range(2):
             with pytest.raises(BudgetError):
                 phi_inverse(family, 2.0, 1e-10)
-        assert (len(fills), series._ladder(family).rungs) == (2, {})
+        assert (len(fills), family._ladder.rungs) == (2, {})
 
     def test_the_ladder_ends_at_an_entry_that_raises(self, monkeypatch):
         # on Arithmetic(12, 0.01) f(y_k) underflows to 0 at y_24 = -64
@@ -674,8 +681,7 @@ class TestSlopeLadder:
         # 1, 3, 7 and 15 goes next, but not at y_15 = -2^(15/4); the root
         # beyond y_15 is found one-sided from there
         family, tol = Arithmetic(12.0, 0.01), 1e-10
-        series._ladder.cache_clear()
-        ladder = series._ladder(family)
+        ladder = family._ladder
         w = ladder.rung(15).phi - 0.01
         y = phi_inverse(family, w, tol)
         assert -64.0 < y < -(2.0**3.75)
@@ -693,14 +699,14 @@ class TestSlopeLadder:
         # draw over the same range), as a solve's slope root reads the
         # ladder: a cold run and a warm rerun return the same (bracket,
         # start), the brackets of tests/conftest.py's ref_ladder_bracket over
-        # the rough slopes (series._rough_slope), and the ladder computes the
-        # entries that gallop computed, the warm run none
+        # the rough slopes (series._rough_slope), and the ladder of a fresh
+        # family computes the entries that gallop computed, the warm run none
+        family = _fresh(family)
         prof = profile(family)
         rng = np.random.default_rng(9001)
         edges = np.geomspace(*slopes, 241)
         ws = [float(w) for w in rng.uniform(edges[:-1], edges[1:])]
-        series._ladder.cache_clear()
-        ladder = series._ladder(family)
+        ladder = family._ladder
         computed = {}
 
         def entry(k):
@@ -728,26 +734,26 @@ class TestSlopeLadder:
         assert fills == []
 
     def test_threads_filling_one_ladder_match_serial_brackets(self):
-        # four threads fill one cold ladder at a 1 us switch interval, each
-        # bracketing and inverting the slopes in its own order: every
-        # bracket and root, and the entries and model rungs kept, are those
-        # of a serial run
-        family, tol = Arithmetic(0.0, 1.0), 1e-10
+        # four threads fill the one cold ladder of a fresh family at a 1 us
+        # switch interval, each bracketing and inverting the slopes in its
+        # own order: every bracket and root, and the entries and model rungs
+        # kept, are those of a serial run on another fresh family
+        tol = 1e-10
         ws = [float(w) for w in np.geomspace(1.02, 9.0, 60)]
 
         def ends(w):
-            inner, outer = series._ladder(family).bracket(w)
+            inner, outer = family._ladder.bracket(w)
             return inner.y, outer.y, phi_inverse(family, w, tol)
 
         def kept():
-            ladder = series._ladder(family)
-            return set(ladder.rungs), dict(ladder.models)
+            return set(family._ladder.rungs), dict(family._ladder.models)
 
-        series._ladder.cache_clear()
+        family = Arithmetic(0.0, 1.0)
         serial = [ends(w) for w in ws]
         serial_kept = kept()
         assert serial_kept[1]
-        series._ladder.cache_clear()
+        family = Arithmetic(0.0, 1.0)
+        assert kept() == (set(), {})  # made here, so every thread reads this one
         results, errors = {}, []
 
         def work(seed):
@@ -774,42 +780,22 @@ class TestSlopeLadder:
         assert kept() == serial_kept
 
     def test_the_ladder_store_stays_inside_its_bound(self):
-        # 3,000 distinct families, each ladder given a stand-in entry at
-        # every k of _LADDER_K as series._Ladder.rung adds its entries: the
-        # cache never holds more than 11 ladders or 11 x 73 entries, and the
-        # ladder read after every new one keeps its entries.  3,000 distinct
-        # (j, tol) model rungs of one family, more than its ladder keeps: it
-        # never holds more than 289, the newest, beside its entries
+        # 3,000 distinct (j, tol) model rungs of one family, more than its
+        # ladder keeps: it never holds more than 289, the newest, beside its
+        # entries; a fresh family's ladder starts empty and keeps only the
+        # indices of the ladder
         lo_k, hi_k = series._LADDER_K
         lo_j, hi_j = series._MODEL_J
-        n_k, n_j = hi_k - lo_k + 1, hi_j - lo_j + 1
-        series._ladder.cache_clear()
-        families = [Arithmetic(0.0, 1.0 + i / 10_000) for i in range(3_000)]
-        kept = series._ladder(families[0])
-        live = weakref.WeakSet()  # the ladders the cache holds: no other references
-        for family in families:
-            ladder = series._ladder(family)
-            live.add(ladder)
-            for k in range(lo_k, hi_k + 1):
-                ladder.rungs.setdefault(k, object())
-            del ladder
-            assert series._ladder(families[0]) is kept
-            assert len(kept.rungs) == n_k
-            assert series._ladder.cache_info().currsize == len(live) <= 11
-            assert sum(len(t.rungs) for t in live) <= 11 * n_k
-        assert series._ladder.cache_info().currsize == 11
-        series._ladder.cache_clear()
-        family = families[0]
-        ladder = series._ladder(family)
+        n_j = hi_j - lo_j + 1
+        ladder = Arithmetic(0.0, 1.0)._ladder
         keys = [(lo_j + i % n_j, 1e-10 * (1.0 + (i // n_j + 1) / 10_000)) for i in range(3_000)]
         for i, (j, tol) in enumerate(keys):
             ladder.model(j, tol, 1.0)
             assert len(ladder.models) == min(i + 1, n_j)
         assert list(ladder.models) == [(j, tol, 1.0) for j, tol in keys[-n_j:]]
         assert set(ladder.rungs) <= set(range(lo_k, hi_k + 1))
-        series._ladder.cache_clear()
-        assert series._ladder.cache_info().currsize == 0
-        ladder = series._ladder(family)
+        family = Arithmetic(0.0, 1.0)
+        ladder = family._ladder
         assert (ladder.rungs, ladder.models) == ({}, {})
         for w in np.geomspace(1.02, 9.0, 200):
             ladder.bracket(float(w))
@@ -818,36 +804,52 @@ class TestSlopeLadder:
         assert ladder.models and {j for j, _, _ in ladder.models} <= set(range(lo_j, hi_j + 1))
         assert {key[1:] for key in ladder.models} == {(1e-10, 1.0)}
 
+    @pytest.mark.parametrize(
+        "family, w",
+        [(Arithmetic(0.0, 1.2345), 3.0), (WeightedGeometric(1.0, 3.0), 1.2), (Lattice3D(1.0), 6.0)],
+        ids=repr,
+    )
+    def test_a_dropped_family_frees_its_records(self, family, w):
+        # a family keeps its sigma-min set, profile, slope ladder and normal
+        # form, and no module cache keeps the family: once its last
+        # reference is dropped, it and they are freed
+        family = _fresh(family)
+        solver = EmpSolver(family)
+        solver.solve_mb(1.0, w)
+        phi_inverse(family, w, 1e-10)
+        solver.classify(1.0, w)
+        assert "_ladder" in vars(family) and "_normal" in vars(family)
+        ref = weakref.ref(family)
+        del family, solver
+        gc.collect()
+        assert ref() is None
+
     @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
     def test_a_cold_inversion_keeps_its_entries(self, monkeypatch, family, v1, v2, slopes):
-        # phi_inverse files its ladder under the family, the key every
-        # reader passes: the entries a cold root filled are read back
+        # a cold root on a fresh family fills that family's own ladder,
+        # which every reader of the family reads: its entries are read back
         tol = 1e-10
-        series._ladder.cache_clear()
+        family = _fresh(family)
         fills = _count_ladder_fills(monkeypatch)
         phi_inverse(family, v2, tol)
-        assert fills
-        assert {k for _, k in fills} <= set(series._ladder(family).rungs)
-        assert series._ladder.cache_info().currsize == 1
+        assert fills and all(ladder_family is family for ladder_family, _ in fills)
+        assert {k for _, k in fills} <= set(family._ladder.rungs)
 
     @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
     def test_one_ladder_serves_every_caller_of_a_family(self, monkeypatch, family, v1, v2, slopes):
         # an interior solve_mb (its root at 2.5e-13 under a ceiling), a
         # fermi-dirac inverse (its start from entries alone) and slope roots
-        # at 1e-5 and 1e-10 on one target share one ladder: from cleared
-        # caches no entry y_k is filled twice, and every result is the one
-        # the same call returns alone from cleared caches
-        solver, a = EmpSolver(family), family.alpha
+        # at 1e-5 and 1e-10 on one target share one ladder: on a fresh
+        # family no entry y_k is filled twice, and every result is the one
+        # the same call returns alone on a fresh family
+        a = family.alpha
         calls = [
-            lambda: solver.solve_mb(1.0, v2),
-            lambda: solver.inverse_solve_bf(FD, 1.0, v2),
-            lambda: phi_inverse(family, v2, 1e-5),
-            lambda: phi_inverse(family, v2, 1e-10),
+            lambda es: es.solve_mb(1.0, v2),
+            lambda es: es.inverse_solve_bf(FD, 1.0, v2),
+            lambda es: phi_inverse(es.family, v2, 1e-5),
+            lambda es: phi_inverse(es.family, v2, 1e-10),
         ]
-        alone = []
-        for call in calls:
-            series._ladder.cache_clear()
-            alone.append(repr(call()))
+        alone = [repr(call(EmpSolver(_fresh(family)))) for call in calls]
         grid = {-a - 2.0 ** (0.25 * k) for k in range(series._LADDER_K[0], series._LADDER_K[1] + 1)}
         rough, filled = series._rough_slope, Counter()
 
@@ -857,10 +859,9 @@ class TestSlopeLadder:
             return rough(fam, y)
 
         monkeypatch.setattr(series, "_rough_slope", counting)
-        series._ladder.cache_clear()
-        shared = [repr(call()) for call in calls]
+        solver = EmpSolver(_fresh(family))
+        shared = [repr(call(solver)) for call in calls]
         assert filled and max(filled.values()) == 1
-        assert series._ladder.cache_info().currsize == 1
         assert shared == alone
 
     @pytest.mark.parametrize("w", [0.0101, 0.01001])
@@ -922,7 +923,7 @@ class TestSlopeModel:
         q = 0.25 * tol
         root = _invert_slope(family, v2, tol)
         j = math.floor(series._MODEL_RUNGS * math.log2(-a - root.y))
-        rung = series._ladder(family).model(j, tol, 1.0)
+        rung = family._ladder.model(j, tol, 1.0)
         assert len(rung.model.partials) == series._MODEL_PARTIALS
         passes = _count_passes(monkeypatch, family)
         assert series._certified_slope(family, root.y, q, rung).model is rung.model
@@ -1770,13 +1771,15 @@ class TestFloatEdges:
         ],
         ids=str,
     )
-    def test_nan_is_a_range_error(self, monkeypatch, family, call, args):
+    def test_nan_is_a_range_error(self, family, call, args):
         # nan passed the y > -alpha tests and the exp(x) guard, so the
-        # sums ran on nan terms: 4,096 terms, or the whole 2^23-term budget
-        passes = _count_passes(monkeypatch, family)
-        with pytest.raises(RangeError):
+        # sums ran on nan terms: 4,096 terms, or the whole 2^23-term budget.
+        # A fresh family, whose first read of its sigma-min set builds its
+        # term table: the work record counts passes and brackets, not that
+        family = _fresh(family)
+        with _work.counting() as work, pytest.raises(RangeError):
             getattr(series, call)(family, *args)
-        assert passes == []
+        assert (work.passes, work.bracket_calls) == (0, 0)
 
     @pytest.mark.parametrize(
         "family",

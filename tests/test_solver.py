@@ -43,6 +43,7 @@ from entromin import (
     series,
     solve_two_mb_be,
 )
+from entromin import _work
 from entromin import finite as finite_module
 from entromin import solver as solver_module
 from entromin.rootfind import solve_bracketed
@@ -1442,7 +1443,7 @@ class TestInverseSolve:
     def test_a_one_sided_ladder_start(self, family, kind, x, y, before):
         solver = EmpSolver(family)
         fwd = solver.forward_solve(kind, x, y)
-        assert series._ladder(solver.normal_family).bracket(fwd.v / fwd.u)[1] is None
+        assert solver.normal_family._ladder.bracket(fwd.v / fwd.u)[1] is None
         self._assert_round_trip(family, kind, x, y, before)
 
     @pytest.mark.parametrize("family, kind, x, y, before", _BRACKETED_TRIPS, ids=repr)
@@ -1723,6 +1724,24 @@ class TestNormalization:
             assert got.value == pytest.approx(want.value, abs=1e-9)
             assert got.multipliers[1] == pytest.approx(want.multipliers[1], abs=1e-9)
 
+    def test_solvers_of_one_family_share_its_normal_form(self):
+        # the shifted normal form is a record of the user's family, with its
+        # profile and ladder: a second solver of the instance is warm, one of
+        # an equal instance builds its own
+        family = Arithmetic(-3.0, 1.0)
+        first, second = EmpSolver(family), EmpSolver(family)
+        assert isinstance(first.normal_family, ShiftedSigma)
+        assert second.normal_family is first.normal_family
+        assert second.profile is first.profile
+        cold = first.solve_mb(1.0, 2.0)
+        with _work.counting() as work:
+            warm = second.solve_mb(1.0, 2.0)
+        assert work.passes == 0
+        assert repr(warm) == repr(cold)
+        other = EmpSolver(Arithmetic(-3.0, 1.0))
+        assert other.normal_family == first.normal_family
+        assert other.normal_family is not first.normal_family
+
     def test_flipped_levels(self):
         # sigma_n = -n decreases to -inf: solving at (1, -2) must match the
         # geometric solve at (1, 2) with mirrored multipliers
@@ -1869,11 +1888,8 @@ _CEILING_CALLS = {
 class TestCeilingStop:
     """A sum whose target is out of reach stops, in the same pass, at the
     bound it can reach below its ceiling, where a ladder of tolerances
-    used to throw the pass away and start again from n = 1."""
-
-    @pytest.fixture(autouse=True)
-    def _cold(self):
-        series._ladder.cache_clear()
+    used to throw the pass away and start again from n = 1.  Each call
+    builds its own _CoarseTails, whose records start cold."""
 
     def _run(self, monkeypatch, name):
         # with the cyclic collector off, only reference counts free the

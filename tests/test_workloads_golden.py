@@ -11,8 +11,13 @@ hold; run with them, output_digest.py gives the same outputs.
 Under "counts" it also holds each subset's work: the series passes and the
 terms they sum (the passes and series_terms of the work record that the
 library fills, entromin._work, as scripts/bench.py reads them) of a cold
-run, from the caches that scripts/bench.py's _clear_family_caches empties,
-and of a warm rerun.  A change that adds or saves a pass moves them.  The
+run and of a warm rerun.  The cold run builds fresh families, whose
+records (sigma-min set, profile, slope ladder, normal form) start empty,
+from emptied module caches (solver._cached_prefix, and
+specfile._shared_family, which cli-batch's specs read their families
+from); the warm rerun reuses its solvers and families.  A change that adds
+or saves a pass moves them.  The same two subsets, run cold from four
+threads that share their solvers, give the pinned outputs too.  The
 counts were pinned when each family's slope ladder began to serve every
 tolerance; on the tree before, where each (family, tol, ceiling) filled
 its own ladder entries, cli-batch's cold run took 209 passes and 373,056
@@ -29,12 +34,13 @@ ladder's entries became one rough pass each.
 import importlib.util
 import json
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 
 import entromin
-from entromin import _work
+from entromin import _work, solver, specfile
 
 ROOT = Path(__file__).resolve().parent.parent
 _PINNED = Path(__file__).resolve().parent / "golden" / "workloads.json"
@@ -49,7 +55,6 @@ def _module(name, path):
 
 
 output_digest = _module("output_digest", ROOT / "scripts" / "output_digest.py")
-bench = _module("bench", ROOT / "scripts" / "bench.py")
 sys.path.insert(0, str(ROOT / "perfbench"))  # workloads and the oracles it imports
 try:
     import workloads
@@ -59,13 +64,19 @@ finally:
 
 class _Subset:
     """A workload whose cycle holds only the requests `keep` picks from its
-    own, with no warm-up requests."""
+    own, with no warm-up requests, and whose first prepare, which builds
+    fresh families, serves every run: a rerun reads what the first filled."""
 
     def __init__(self, wl, keep):
-        self._wl, self._keep = wl, keep
+        self._wl, self._keep, self._ctx = wl, keep, None
 
     def __getattr__(self, name):
         return getattr(self._wl, name)
+
+    def prepare(self, entromin, out_dir, requests):
+        if self._ctx is None:
+            self._ctx = self._wl.prepare(entromin, out_dir, requests)
+        return self._ctx
 
     def requests(self, rng):
         return self._keep(self._wl.requests(rng))
@@ -85,15 +96,22 @@ def _hex(value):
     return value.hex() if isinstance(value, float) else value
 
 
-def _run(name, out_dir):
+def _fields(name, out):
+    return [[field, _hex(value)] for field, value in output_digest.fields(name, out)]
+
+
+def _cold_subset(name):
+    """The workload's subset, its module caches emptied for a cold run."""
+    solver._cached_prefix.cache_clear()
+    specfile._shared_family.cache_clear()
+    return _Subset(workloads.WORKLOADS[name], _PICKS[name])
+
+
+def _run(name, wl, out_dir):
     """([[field, value] of each output], floats as float.hex, and the
-    passes and terms) of one run of the workload's subset."""
-    wl = _Subset(workloads.WORKLOADS[name], _PICKS[name])
+    passes and terms) of one run of the workload's subset wl."""
     with _work.counting() as work:
-        got = [
-            [[field, _hex(value)] for field, value in output_digest.fields(name, out)]
-            for out in output_digest.outputs(entromin, np, wl, _SEED, out_dir)
-        ]
+        got = [_fields(name, out) for out in output_digest.outputs(entromin, np, wl, _SEED, out_dir)]
     return got, {"series_passes": work.passes, "series_terms": work.series_terms}
 
 
@@ -102,14 +120,54 @@ def workload_record(out_dir) -> dict:
     "warm": {workload: its passes and terms}}}."""
     got, counts = {}, {"cold": {}, "warm": {}}
     for name in _PICKS:
-        bench._clear_family_caches()
-        got[name], counts["cold"][name] = _run(name, out_dir)
-        counts["warm"][name] = _run(name, out_dir)[1]
+        wl = _cold_subset(name)
+        got[name], counts["cold"][name] = _run(name, wl, out_dir)
+        counts["warm"][name] = _run(name, wl, out_dir)[1]
     return {**got, "counts": counts}
+
+
+def _threaded(name, threads=4):
+    """The outputs of one cold run of the workload's subset, its requests
+    dealt in turn to `threads` threads that share its solvers, in request
+    order."""
+    wl = _cold_subset(name)
+    requests = wl.requests(np.random.default_rng(_SEED))
+    ctx = wl.prepare(entromin, None, requests)
+    seen = output_digest._recorded(ctx) if name == "bf-roundtrip" else None
+    got, errors = [None] * len(requests), []
+    barrier = threading.Barrier(threads)
+
+    def work(first):
+        try:
+            barrier.wait()
+            for i in range(first, len(requests), threads):
+                got[i] = _fields(name, output_digest.line(entromin, wl, ctx, seen, requests[i]))
+        except Exception as exc:  # reported below, from the test's thread
+            errors.append(exc)
+
+    pool = [threading.Thread(target=work, args=(k,)) for k in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the threads interleave inside each request
+    try:
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in pool)
+    assert not errors, errors
+    return got
 
 
 def test_outputs_and_counts_match_the_pins(tmp_path):
     assert workload_record(tmp_path) == json.loads(_PINNED.read_text())
+
+
+def test_a_cold_run_from_four_threads_gets_the_pinned_outputs():
+    pinned = json.loads(_PINNED.read_text())
+    for name in ("mb-point", "bf-roundtrip"):
+        assert _threaded(name) == pinned[name]
 
 
 if __name__ == "__main__":
