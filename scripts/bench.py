@@ -47,9 +47,10 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
   cli_verify           cli._cmd_verify on the verify spec that perfbench's
                        cli-batch writes for each of mb-point's families,
                        with a solver built from that spec, reported per
-                       family with the wall time of each check, the
-                       inverse solves' Newton points and the term-array
-                       calls of a warm verify;
+                       family with the entropy calls, the inverse solves'
+                       Newton points and each check's time of one profiled
+                       verify, and the term tables and windows of a warm
+                       verify;
   rule_prefix          SequenceRule.prefix(100_000) of the interior
                        solutions solve_mb(1, 2) on Arithmetic(0, 1) and
                        solve_mb(1, 3.19) on LogLevels(1), reported per
@@ -68,17 +69,19 @@ family (its solver built first, so only the ladder starts empty), the
 passes and terms that run spends beyond a warm rerun of the same targets,
 the passes and terms of the whole cold run (cold_series_passes and
 cold_series_terms: for mb_interior, the interior solves of every seed's
-cycle on one fresh instance), and the passes and terms of the entries it fills (entry_passes and
-entry_terms: series._block_sums calls made inside series._Ladder.rung) and
-of the model rungs (model_rung_passes and model_rung_terms:
-series._block_sums calls that keep series._MODEL_PARTIALS partial
-moments), and under total their sums over the families.  Results do not
+cycle on one fresh instance), and the passes and terms of the entries it
+fills (entry_passes and entry_terms) and of the model rungs
+(model_rung_passes and model_rung_terms), read from the records the ladder
+keeps: one pass per entry and per model rung that is not None, of the kept
+slope's f.truncation_n terms; under total their sums over the families.
+Results do not
 depend on which entries are cached, so the difference is the build alone.
 mb_interior also reports zero_pass_solves, the warm solves that make no
 series pass.
 cold_cycle reports per seed the series passes and terms of one whole
 mb-point cycle, every request in order on fresh families, with the prefix
-cache (solver._cached_prefix) cleared, as a new perfbench process runs it, and its entry and model-rung fills as above.
+cache (solver._cached_prefix) cleared, as a new perfbench process runs it,
+and the entry and model-rung fills its families' ladders keep, as above.
 dual_rows reports the wall time of one call of series._mult_arrays, which
 makes the bose-einstein and fermi-dirac dual's rows (W*, (W*)' and (W*)'',
 as finite._finite_dual asks for them), and of one finite._finite_dual, on
@@ -86,22 +89,18 @@ the first n = 64 and 4096 terms of the family at every bf_roundtrip target
 (x, y), per entropy: the median and quartiles over targets, in
 microseconds.
 
-Work counts are deterministic.  The solver's own work comes from the work
-record that the library fills while a block of entromin._work.counting()
-is open on the calling thread (each key counted where the library does
-that work: series, solver and finite).  Only the tracer's counts and the
-audits of which functions run come from outside: prefix_builds and
-log_terms_calls from perfbench's tracer (perfbench/tracing.py), and the
-exp counts, scalar_reads, sigma_builds, budget_errors, term_arrays_*,
-entropy_*_calls, the check timings and the ladder fills from wraps of
-library names, each installed and removed by _patched:
+Work counts are deterministic, and the script patches no library name.
+The solver's own work comes from the work record that the library fills
+while a block of entromin._work.counting() is open on the calling thread
+(each key counted where the library does that work); the ladder fills
+from the records a ladder keeps; prefix_builds and log_terms_calls from
+perfbench's tracer (perfbench/tracing.py); py_calls, entropy_*_calls and
+the check times from cProfile:
 
-  prefix_passes        np.exp calls made by entromin.solver and
-                       entromin.finite during one converge, one exp of the
-                       prefix weights each: one per evaluation of the
-                       prefix slope phi_n, plus any that build a member
-                       after its root search;
-  prefix_terms         elements those calls exponentiate;
+  prefix_passes        Gibbs passes during one converge (finite._gibbs_pass
+                       calls, one exp of the prefix weights each): one per
+                       evaluation of the prefix slope phi_n;
+  prefix_terms         the terms those passes exponentiate;
   prefix_terms_per_n   prefix_terms over the returned member's n;
   members              truncations tried: EpsilonFamily._member calls;
   prefix_builds        log_terms calls during one converge: the member
@@ -138,11 +137,9 @@ library names, each installed and removed by _patched:
   rows_builds          finite._dual_rows calls during one round trip: the
                        proposal's rows (1, sigma_k, sigma_k^2) built, none
                        for rows kept per (family, n) from an earlier call;
-  exp_calls            np.exp calls made by entromin.solver and
-                       entromin.finite during one finite solve: every
-                       evaluation of phi_n in its slope root, and any exp
-                       that builds the optimum after it;
-  exp_terms            elements those calls exponentiate;
+  exp_calls            Gibbs passes during one finite solve: every
+                       evaluation of phi_n in its slope root;
+  exp_terms            the terms those passes exponentiate;
   py_calls             Python-level calls during one warm solve_mb or
                        solve_two_fd, one prefix or one cold solver build,
                        as cProfile counts them (functions and builtins, the
@@ -152,15 +149,6 @@ library names, each installed and removed by _patched:
                        rule_prefix and explicit_solver);
   log_terms_calls      log_terms calls during one prefix, outermost only
                        (rule_prefix);
-  scalar_reads         sigma_array and log_terms calls of one or two
-                       elements, made by any family class during one warm
-                       solve_mb (mb_interior) or round trip (bf_roundtrip,
-                       slow_roundtrip): reads of single levels and log
-                       weights not kept from an earlier call;
-  sigma_builds         sigma_array calls made by any family class during
-                       one warm solve_mb (mb_interior) or round trip
-                       (bf_roundtrip, slow_roundtrip), a wrapper's call of
-                       its base's included: level arrays built;
   reduce_calls         the kernel's reductions of its block of term rows
                        during the same call, one per block (and one per
                        array for a slope model's rows; one per slice of
@@ -168,23 +156,25 @@ library names, each installed and removed by _patched:
                        that);
   ladder_lookups       reads of the family's slope ladder during the same
                        call (one per bracket);
+  windows_built        term windows built past a family's 2^13-term table
+                       (SequenceFamily._tabled), a wrapper's and its
+                       base's each, during the same call or one warm
+                       verify (cli_verify's warm-up run, after the counted
+                       one, which parses its spec again): a read inside
+                       the table is a slice and builds none;
+  tables_built         term tables built during one warm verify (none
+                       where the spec's family is the one the last run
+                       built);
   budget_errors        BudgetErrors constructed during one slow_value call
-                       or round trip, raised or caught, counted through the
-                       class's __init__;
-  term_arrays_*        _term_arrays calls of any family class during one
-                       warm verify (cli_verify's warm-up run, after the
-                       counted one), which parses its spec again and asks
-                       it for its family: term_arrays_in_table those whose
-                       window ends at or below 2^13, the terms of a
-                       family's term table (table builds, none where the
-                       spec's family is the one the last run built),
-                       term_arrays_past_table the windows past it, built
-                       per call;
-  entropy_*_calls      Python-level calls of each entropy function
-                       (entropy_value, entropy_derivative, entropy_conjugate,
-                       entropy_conjugate_derivative) during one verify,
-                       whatever module makes them, and entropy_calls their
-                       sum.
+                       or round trip, raised or caught;
+  entropy_*_calls      calls of each entropy function (entropy_value,
+                       entropy_derivative, entropy_conjugate,
+                       entropy_conjugate_derivative) during one profiled
+                       verify, whatever module makes them, and
+                       entropy_calls their sum.
+
+A check's time in cli_verify (profiled_ms_per_check) is its cumulative
+time in that profiled verify, so it carries the profiler's overhead.
 
 Wall time is the median (with quartiles) over targets of each target's
 median of REPEATS calls, after one untimed warm-up call per target.  All
@@ -199,10 +189,11 @@ Usage, from the repository root:
     python scripts/bench.py --out BENCH.json [--src PATH]
 
 --src points at another checkout's src/ to measure it with the same bench
-code, e.g. a parent commit exported next to this one; the wrapped names,
-the work record (entromin._work) and the records a family keeps
-(SequenceFamily._ladder) must exist there as they do in this tree.  A tree
-without them is measured with its own scripts/bench.py.
+code, e.g. a parent commit exported next to this one; the work record
+(entromin._work) and the records a family keeps (SequenceFamily._ladder)
+must exist there as they do in this tree.  Where that tree's work record
+lacks a key the script reads, it exits with status 2 before any case and
+names the keys; measure such a tree with its own scripts/bench.py.
 """
 
 from __future__ import annotations
@@ -211,7 +202,6 @@ import argparse
 import contextlib
 import cProfile
 import dataclasses
-import inspect
 import io
 import json
 import math
@@ -230,133 +220,12 @@ SEEDS = (9001, 9002, 9003)
 REPEATS = 5
 
 
-_INHERITED = object()  # what _patched saves for a name its owner only inherits
-
-
-@contextlib.contextmanager
-def _patched(sites):
-    """Replace each (owner, name, wrap) of sites, in order, by wrap(owner.name)
-    while the block runs, and put back what owner itself held, in reverse
-    order, when the block ends, also when it raises: a name owner only
-    inherited is deleted again.  One (owner, name) may come more than once,
-    each wrap wrapping the one before."""
-    saved = []
-    try:
-        for owner, name, wrap in sites:
-            wrapped = wrap(getattr(owner, name))
-            saved.append((owner, name, vars(owner).get(name, _INHERITED)))
-            setattr(owner, name, wrapped)
-        yield
-    finally:
-        for owner, name, held in reversed(saved):
-            if held is _INHERITED:
-                delattr(owner, name)
-            else:
-                setattr(owner, name, held)
-
-
-def _count(counts, key, amount=None):
-    """A wrap for _patched: fn becomes a function that adds
-    amount(*args, **kwargs) of its arguments, or 1 without amount, to
-    counts[key] and then returns fn(*args, **kwargs)."""
-
-    def wrap(fn):
-        def counting(*args, **kwargs):
-            counts[key] += 1 if amount is None else amount(*args, **kwargs)
-            return fn(*args, **kwargs)
-
-        return counting
-
-    return wrap
-
-
-class _CountingNumpy:
-    """numpy as seen by one module, counting exp calls and their sizes."""
-
-    def __init__(self, np, counts):
-        self._np = np
-        self._counts = counts
-
-    def __getattr__(self, name):
-        return getattr(self._np, name)
-
-    def exp(self, x, *args, **kwargs):
-        self._counts["exp_calls"] += 1
-        self._counts["exp_terms"] += self._np.size(x)
-        return self._np.exp(x, *args, **kwargs)
-
-
-def _counting_exp(counts):
-    """Sites that count the exp calls of entromin.solver and entromin.finite
-    into counts."""
-    from entromin import finite, solver
-
-    return [(module, "np", lambda np: _CountingNumpy(np, counts)) for module in (solver, finite)]
-
-
-def _counting_scalar_reads(counts):
-    """Sites that count into counts["scalar_reads"] the sigma_array and
-    log_terms calls of at most two elements that any family class makes:
-    the scalar reads of levels and log weights (sigma, log_p and the
-    brackets' t_n and t_(n+1)) that are not kept from an earlier call; and
-    into counts["sigma_builds"] every sigma_array call."""
-    from entromin import sequences
-
-    sites = []
-    for cls in vars(sequences).values():
-        if not (isinstance(cls, type) and issubclass(cls, sequences.SequenceFamily)):
-            continue
-        if "sigma_array" in vars(cls):
-            sites += [(cls, "sigma_array",
-                       _count(counts, "scalar_reads", lambda self, lo, hi: hi - lo <= 1)),
-                      (cls, "sigma_array", _count(counts, "sigma_builds"))]
-        if "log_terms" in vars(cls):
-            sites.append((cls, "log_terms", _count(
-                counts, "scalar_reads", lambda self, y, lo, hi, *arrays: hi - lo <= 1)))
-    return sites
-
-
-TABLE_TERMS = 2**13  # the terms of a family's term table
-
-
-def _counting_term_arrays(counts):
-    """Sites that count into counts the _term_arrays calls of every family
-    class: those whose window ends at or below TABLE_TERMS
-    (term_arrays_in_table) and those past it (term_arrays_past_table)."""
-    from entromin import sequences
-
-    return [(cls, "_term_arrays", _count(counts, key, amount))
-            for cls in vars(sequences).values()
-            if isinstance(cls, type) and "_term_arrays" in vars(cls)
-            for key, amount in (("term_arrays_in_table", lambda self, lo, hi: hi <= TABLE_TERMS),
-                                ("term_arrays_past_table", lambda self, lo, hi: hi > TABLE_TERMS))]
-
-
-def _counting_budget_errors(counts):
-    """Sites that count every BudgetError constructed into counts."""
-    from entromin.errors import BudgetError
-
-    return [(BudgetError, "__init__", _count(counts, "budget_errors"))]
-
-
 ENTROPY_FUNCTIONS = (
     "entropy_value",
     "entropy_derivative",
     "entropy_conjugate",
     "entropy_conjugate_derivative",
 )
-
-
-def _counting_entropy_calls(counts):
-    """Sites that count into counts every call of the four entropy
-    functions, through each name that an entromin module binds to one of
-    them."""
-    from entromin import entropies
-
-    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "entromin"]
-    return [(module, name, _count(counts, f"{name}_calls"))
-            for name in ENTROPY_FUNCTIONS for module in modules
-            if vars(module).get(name) is getattr(entropies, name)]
 
 
 def _quartiles(xs):
@@ -380,22 +249,53 @@ def _timed(fn):
     return statistics.median(_runs(fn))
 
 
-def _py_calls(fn, *args):
-    """Calls that cProfile sees during fn(*args), fn's own included."""
+def _profiled(fn, *args):
+    """fn(*args) and the cProfile.Profile of that one call."""
     prof = cProfile.Profile()
-    prof.runcall(fn, *args)
-    return pstats.Stats(prof).total_calls - 1  # not the profiler's disable()
+    return prof.runcall(fn, *args), prof
+
+
+def _py_calls(fn, *args):
+    """Calls that cProfile sees during fn(*args), fn's own included: the sum
+    over its entries, one per code object.  pstats keys them by file, line
+    and name, so it keeps one of the entries that share a key (each
+    dataclass's generated __init__ is ('<string>', 2, '__init__'))."""
+    entries = _profiled(fn, *args)[1].getstats()
+    return sum(entry.callcount for entry in entries) - 1  # not the profiler's disable()
 
 
 SERIES_KEYS = {"series_passes": "passes", "series_terms": "series_terms"}
 PASS_KEYS = {**SERIES_KEYS, "array_calls": "array_calls", "bracket_calls": "bracket_calls"}
 SOLVE_KEYS = {**PASS_KEYS, "model_points": "model_points"}
-READ_KEYS = {"reduce_calls": "reduce_calls", "ladder_lookups": "ladder_lookups"}
+READ_KEYS = {"reduce_calls": "reduce_calls", "ladder_lookups": "ladder_lookups",
+             "windows_built": "windows_built"}
 NEWTON_KEYS = {"newton_points": "newton_points", "proposal_points": "proposal_points"}
+BUDGET_KEYS = {"budget_errors": "budget_errors"}
 TRIP_KEYS = {**PASS_KEYS, "slope_passes": "slope_passes", **NEWTON_KEYS,
-             "rows_builds": "rows_builds", **READ_KEYS}
-CONVERGE_KEYS = {"members": "members", "prefix_builds": "sequences.log_terms.calls",
+             "rows_builds": "rows_builds", **READ_KEYS, **BUDGET_KEYS}
+GIBBS_KEYS = {"exp_calls": "gibbs_passes", "exp_terms": "gibbs_terms"}
+CONVERGE_KEYS = {"prefix_passes": "gibbs_passes", "prefix_terms": "gibbs_terms",
+                 "members": "members", "prefix_builds": "sequences.log_terms.calls",
                  "terms_built": "terms_built"}
+TABLE_KEYS = {"tables_built": "tables_built", "windows_built": "windows_built"}
+
+
+def read_keys():
+    """The keys of the work record (entromin._work.Work) that the script
+    reads: the undotted values of its *_KEYS maps (a dotted one is the
+    tracer's)."""
+    return {key for name, keys in globals().items() if name.endswith("_KEYS")
+            for key in keys.values() if "." not in key}
+
+
+def missing_keys():
+    """The keys of read_keys() that the imported entromin's work record
+    lacks, sorted: all of them where it has no entromin._work."""
+    try:
+        from entromin import _work
+    except ImportError:
+        return sorted(read_keys())
+    return sorted(read_keys() - {f.name for f in dataclasses.fields(_work.Work)})
 
 
 def _counted(tracer, fn, keys):
@@ -433,11 +333,8 @@ def _converge_counts(tracer, fams):
     the n each returned."""
     per_target, results = [], []
     for fam in fams:
-        made = Counter()
-        with _patched(_counting_exp(made)):
-            member, counts = _counted(tracer, lambda f=fam: f.converge(1e-3), CONVERGE_KEYS)
-        per_target.append({"prefix_passes": made["exp_calls"], "prefix_terms": made["exp_terms"],
-                           "prefix_terms_per_n": made["exp_terms"] / member.n, **counts})
+        member, counts = _counted(tracer, lambda f=fam: f.converge(1e-3), CONVERGE_KEYS)
+        per_target.append({**counts, "prefix_terms_per_n": counts["prefix_terms"] / member.n})
         results.append(member.n)
     return per_target, results
 
@@ -523,14 +420,11 @@ def count_interior(tracer, targets, times, py_calls):
     series pass, overall and per family; times and py_calls hold each
     target's time in seconds and its calls measured without the tracer, in
     the order of targets."""
-    per_target = []
-    for (_, es, u, v), c in zip(targets, py_calls):
-        reads = Counter()
-        with _patched(_counting_scalar_reads(reads)):
-            counts = _counted(tracer, lambda es=es, u=u, v=v: es.solve_mb(u, v),
-                              {**SOLVE_KEYS, **READ_KEYS})[1]
-        per_target.append({**counts, "py_calls": c, "scalar_reads": reads["scalar_reads"],
-                           "sigma_builds": reads["sigma_builds"]})
+    per_target = [
+        {**_counted(tracer, lambda es=es, u=u, v=v: es.solve_mb(u, v), {**SOLVE_KEYS, **READ_KEYS})[1],
+         "py_calls": c}
+        for (_, es, u, v), c in zip(targets, py_calls)
+    ]
     zero = _by_family(targets, [t["series_passes"] == 0 for t in per_target])
     return {"counts_per_solve": _summary(per_target),
             "zero_pass_solves": sum(map(sum, zero.values())),
@@ -558,19 +452,14 @@ def _inverse(es, kind, u, v):
     return es.inverse_solve_bf(kind, u, v, 1e-10)
 
 
-TRIP_COUNTS = ("budget_errors", "scalar_reads", "sigma_builds")  # counted by the sites
-
-
 def count_roundtrips(tracer, entromin, trips, call=_roundtrip):
     """The counts of call(*trip[1:]) for each trip, in their order, and how
     many of them returned an InverseFailure."""
     per_target, failures = [], 0
     for trip in trips:
-        counted = Counter()
-        with _patched(_counting_budget_errors(counted) + _counting_scalar_reads(counted)):
-            result, counts = _counted(tracer, lambda t=trip: call(*t[1:]), TRIP_KEYS)
+        result, counts = _counted(tracer, lambda t=trip: call(*t[1:]), TRIP_KEYS)
         failures += isinstance(result, entromin.InverseFailure)
-        per_target.append({**counts, **{k: counted[k] for k in TRIP_COUNTS}})
+        per_target.append(counts)
     return per_target, failures
 
 
@@ -642,12 +531,8 @@ def _slow(entromin, workloads):
 
 def count_slow_values(tracer, targets, times):
     """slow_value's counts and wall times, overall and per family."""
-    per_target = []
-    for _, es, u, v in targets:
-        built = Counter()
-        with _patched(_counting_budget_errors(built)):
-            counts = _counted(tracer, lambda: es.value_mb(u, v), PASS_KEYS)[1]
-        per_target.append({**counts, "budget_errors": built["budget_errors"]})
+    per_target = [_counted(tracer, lambda es=es, u=u, v=v: es.value_mb(u, v),
+                           {**PASS_KEYS, **BUDGET_KEYS})[1] for _, es, u, v in targets]
     return {"counts_per_solve": _summary(per_target),
             "per_family": _per_family(targets, per_target, times)}
 
@@ -674,14 +559,10 @@ def _truncated(entromin, p, sigma, w):
     return entromin.solve_two_mb_be(entromin.Entropy.MAXWELL_BOLTZMANN, p, sigma, 1.0, w)
 
 
-def count_truncations(entromin, solves, times):
+def count_truncations(tracer, entromin, solves, times):
     """finite_truncation's counts and wall times, overall and per family."""
-    per_target = []
-    for t in solves:
-        exps = Counter()
-        with _patched(_counting_exp(exps)):
-            _truncated(entromin, *t[1:])
-        per_target.append({"exp_calls": exps["exp_calls"], "exp_terms": exps["exp_terms"]})
+    per_target = [_counted(tracer, lambda t=t: _truncated(entromin, *t[1:]), GIBBS_KEYS)[1]
+                  for t in solves]
     return {"counts_per_solve": _summary(per_target),
             "per_family": _per_family(solves, per_target, times)}
 
@@ -707,44 +588,16 @@ def count_fd(solves, py_calls, times):
             "per_family": _per_family(solves, per_target, times)}
 
 
-def _counting_model_rungs(counts):
-    """Sites that count into counts the passes that fill the slope
-    ladder's entries and model rungs: series._block_sums calls made inside
-    series._Ladder.rung as entry_passes, and those that keep
-    series._MODEL_PARTIALS partial moments as model_rung_passes, with their
-    terms as entry_terms and model_rung_terms."""
-    from entromin import series
-
-    sig, partials = inspect.signature(series._block_sums), series._MODEL_PARTIALS
-    filling = []  # the entries being computed, innermost last
-
-    def counting(fn):
-        def count(*args, **kwargs):
-            bound = sig.bind(*args, **kwargs)
-            if filling:
-                key = "entry"
-            elif bound.arguments.get("model") == partials:
-                key = "model_rung"
-            else:
-                key = None
-            if key:
-                counts[f"{key}_passes"] += 1
-                counts[f"{key}_terms"] += bound.arguments["n"]
-            return fn(*args, **kwargs)
-
-        return count
-
-    def entry(rung):
-        def fill(self, k):
-            filling.append(k)
-            try:
-                return rung(self, k)
-            finally:
-                filling.pop()
-
-        return fill
-
-    return [(series, "_block_sums", counting), (series._Ladder, "rung", entry)]
+def _ladder_fills(ladders):
+    """The passes and terms of the entries and model rungs that ladders keep:
+    one pass each (tests/test_series.py::TestSlopeLadder::
+    test_each_fill_is_one_kept_pass), its terms the kept slope's
+    f.truncation_n; a model rung kept as None made none."""
+    rungs = [r.slope for ladder in ladders for r in ladder.rungs.values()]
+    models = [m for ladder in ladders for m in ladder.models.values() if m is not None]
+    return {"entry_passes": len(rungs), "entry_terms": sum(s.f.truncation_n for s in rungs),
+            "model_rung_passes": len(models),
+            "model_rung_terms": sum(m.f.truncation_n for m in models)}
 
 
 def count_ladder_build(tracer, targets, call):
@@ -753,7 +606,7 @@ def count_ladder_build(tracer, targets, call):
     the family's targets leaves in the slope ladder of fresh, a solver of a
     new instance of the family whose ladder starts empty, the passes and
     terms it spends beyond a warm rerun and in all, and the passes and
-    terms of the entries and of the model rungs it fills."""
+    terms of the entries and of the model rungs it fills (_ladder_fills)."""
     def run(calls):
         total = Counter()
         for fn in calls:
@@ -765,15 +618,13 @@ def count_ladder_build(tracer, targets, call):
         es = group[0][0]
         fresh = type(es)(dataclasses.replace(es.family), es.tol)
         calls = [lambda args=args: call(fresh, *args) for _, *args in group]
-        rungs = Counter(entry_passes=0, entry_terms=0, model_rung_passes=0, model_rung_terms=0)
-        with _patched(_counting_model_rungs(rungs)):
-            cold = run(calls)
+        cold = run(calls)
         ladder = fresh.normal_family._ladder
-        entries, models = len(ladder.rungs), len(ladder.models)
+        entries, models, fills = len(ladder.rungs), len(ladder.models), _ladder_fills([ladder])
         warm = run(calls)
         out[fam] = {"entries": entries, "model_rungs": models,
                     **{k: cold[k] - warm[k] for k in SERIES_KEYS},
-                    **{f"cold_{k}": cold[k] for k in SERIES_KEYS}, **rungs}
+                    **{f"cold_{k}": cold[k] for k in SERIES_KEYS}, **fills}
     out["total"] = {k: sum(b[k] for b in out.values()) for k in next(iter(out.values()))}
     return out
 
@@ -790,22 +641,11 @@ def count_cold_cycle(tracer, entromin, workloads, np):
         solver._cached_prefix.cache_clear()
         ctx = wl.prepare(entromin, None, [])
         total = Counter()
-        fills = Counter(entry_passes=0, entry_terms=0, model_rung_passes=0, model_rung_terms=0)
-        with _patched(_counting_model_rungs(fills)):
-            for req in wl.requests(np.random.default_rng(seed)):
-                total.update(_counted(tracer, lambda req=req: wl.run(ctx, req), SERIES_KEYS)[1])
-        out[seed] = {**{k: total[k] for k in SERIES_KEYS}, **fills}
+        for req in wl.requests(np.random.default_rng(seed)):
+            total.update(_counted(tracer, lambda req=req: wl.run(ctx, req), SERIES_KEYS)[1])
+        ladders = [es.normal_family._ladder for es in ctx["solvers"].values()]
+        out[seed] = {**{k: total[k] for k in SERIES_KEYS}, **_ladder_fills(ladders)}
     return out
-
-
-VERIFY_CHECKS = (
-    "_check_fenchel_young",
-    "_check_truncation",
-    "_check_roundtrips",
-    "_check_weak_duality",
-    "_check_beyond_theta2",
-    "_check_degenerate",
-)
 
 
 def _verify_runs(entromin, workloads):
@@ -826,57 +666,46 @@ def _verify_runs(entromin, workloads):
     ]
 
 
-def _timing_checks(times):
-    """Sites that append each verify check's wall time in seconds to
-    times[check]."""
-    from entromin import cli
-
-    def timed(key):
-        def wrap(fn):
-            def timing(*args):
-                t0 = time.perf_counter()
-                try:
-                    return fn(*args)
-                finally:
-                    times.setdefault(key, []).append(time.perf_counter() - t0)
-
-            return timing
-
-        return wrap
-
-    return [(cli, name, timed(name[len("_check_"):])) for name in VERIFY_CHECKS]
+def _verify_profile(prof):
+    """From the cProfile.Profile of a verify: the calls of each entropy function
+    ({name}_calls, whoever makes them) and the cumulative time of each
+    check that ran, in ms, keyed by its name after cli's _check_."""
+    calls, checks = dict.fromkeys((f"{name}_calls" for name in ENTROPY_FUNCTIONS), 0), {}
+    for (path, _, name), (_, ncalls, _, cumtime, _) in pstats.Stats(prof).stats.items():
+        module = Path(path).parent.name, Path(path).name
+        if module == ("entromin", "entropies.py") and name in ENTROPY_FUNCTIONS:
+            calls[f"{name}_calls"] += ncalls
+        elif module == ("entromin", "cli.py") and name.startswith("_check_"):
+            checks[name[len("_check_"):]] = 1e3 * cumtime
+    return calls, checks
 
 
 def verify_case(runs):
-    """cli_verify: per family, the wall time of one verify and of each
-    check (median and quartiles over REPEATS runs after one warm-up), the
-    entropy calls and inverse Newton points of one verify, which repeat
-    exactly, and the term-array calls of the warm-up verify."""
+    """cli_verify: per family, the wall time of one verify (median and
+    quartiles over REPEATS runs after one warm-up); the entropy calls, the
+    inverse Newton points and each check's time of one profiled verify,
+    whose counts repeat exactly; and the tables and windows the warm-up
+    verify builds."""
     from entromin import _work
 
     per_target, times, per_family = [], [], {}
     for fam, run in runs:
-        counts = Counter({f"{name}_calls": 0 for name in ENTROPY_FUNCTIONS})
-        with _work.counting() as work, _patched(_counting_entropy_calls(counts)):
-            code = run()
+        with _work.counting() as work:
+            code, prof = _profiled(run)
+        counts, checks = _verify_profile(prof)
         counts["entropy_calls"] = sum(counts.values())
         counts.update({out: getattr(work, key) for out, key in NEWTON_KEYS.items()})
-        counts.update(term_arrays_in_table=0, term_arrays_past_table=0)
-        checks, runs_s = {}, []
-        with _patched(_counting_term_arrays(counts)):  # the warm-up run: a warm verify
+        with _work.counting() as work:  # the warm-up run: a warm verify
             run()
-        with _patched(_timing_checks(checks)):
-            for _ in range(REPEATS):
-                t0 = time.perf_counter()
-                run()
-                runs_s.append(time.perf_counter() - t0)
+        counts.update({out: getattr(work, key) for out, key in TABLE_KEYS.items()})
+        runs_s = [_seconds(run) for _ in range(REPEATS)]
         times.append(statistics.median(runs_s))
-        per_target.append(dict(counts))
+        per_target.append(counts)
         per_family[fam] = {
             "exit_code": code,
-            "counts_per_verify": dict(counts),
+            "counts_per_verify": counts,
             "wall_ms_per_verify": _wall(runs_s),
-            "wall_ms_per_check": {k: _wall(v) for k, v in checks.items()},
+            "profiled_ms_per_check": checks,
         }
     return {"targets": len(runs), "counts_per_verify": _summary(per_target),
             "wall_ms_per_verify": _wall(times), "per_family": per_family}
@@ -884,6 +713,12 @@ def verify_case(runs):
 
 def _wall(times):
     return {k: 1e3 * v for k, v in _quartiles(times).items()}
+
+
+def _seconds(fn):
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
 
 
 def _runs(fn, setup=lambda: None):
@@ -894,9 +729,7 @@ def _runs(fn, setup=lambda: None):
     times = []
     for _ in range(REPEATS):
         setup()
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
+        times.append(_seconds(fn))
     return times
 
 
@@ -958,6 +791,12 @@ def main(argv=None) -> int:
     import numpy as np
 
     import entromin
+
+    missing = missing_keys()
+    if missing:
+        print(f"{args.src}: entromin._work.Work lacks {', '.join(missing)}; measure that tree "
+              "with its own scripts/bench.py", file=sys.stderr)
+        return 2
     import tracing
     import workloads
 
@@ -1015,7 +854,7 @@ def main(argv=None) -> int:
         ],
     }
     truncation = {"targets": len(truncations),
-                  **count_truncations(entromin, truncations, truncation_s),
+                  **count_truncations(tracer, entromin, truncations, truncation_s),
                   "wall_ms_per_solve": _wall(truncation_s)}
     finite_fd = {"targets": len(fd_solves), **count_fd(fd_solves, fd_calls, fd_s),
                  "wall_ms_per_solve": _wall(fd_s)}
@@ -1067,9 +906,9 @@ def main(argv=None) -> int:
         for fam, sub in case.get("per_family", {}).items():
             if "counts_per_verify" in sub:
                 counts = ", ".join(f"{k} {v}" for k, v in sub["counts_per_verify"].items())
-                checks = ", ".join(f"{k} {v['median']:.2f}" for k, v in sub["wall_ms_per_check"].items())
+                checks = ", ".join(f"{k} {v:.2f}" for k, v in sub["profiled_ms_per_check"].items())
                 print(f"  {fam}: {counts}; median {sub['wall_ms_per_verify']['median']:.2f} ms "
-                      f"({checks} ms)")
+                      f"(profiled: {checks} ms)")
                 continue
             counts = next(v for k, v in sub.items() if k.startswith("counts"))
             wall = next(v for k, v in sub.items() if k.startswith("wall_ms"))

@@ -1,8 +1,8 @@
-"""The solver's work, counted per thread for scripts/bench.py and the tests.
-counting() opens a Work record on the calling thread, and the library adds
-to that thread's innermost open record where it does the work each key
-names.  A site tests the flag `on` (the open records) before it reads
-`local.record`, so it makes no call while nobody counts."""
+"""The solver's work per thread, the one source of scripts/bench.py's counts
+and the tests' work pins.  counting() opens a Work record on the calling
+thread, and the library adds to that thread's innermost open record where it
+does the work each key names.  A site tests the flag `on` (the open records)
+before it reads `local.record`, so it makes no call while nobody counts."""
 
 import contextlib
 import threading
@@ -24,6 +24,11 @@ class Work:
     rows_builds: int = 0  # finite._dual_rows calls
     members: int = 0  # epsilon-family members tried (EpsilonFamily._member calls)
     terms_built: int = 0  # tuples of member terms made (EpsilonMember.terms)
+    gibbs_passes: int = 0  # finite._gibbs_pass calls: one exp over a finite prefix each
+    gibbs_terms: int = 0  # the terms they exponentiate
+    budget_errors: int = 0  # BudgetErrors constructed, raised or caught
+    tables_built: int = 0  # term tables built (SequenceFamily._term_table)
+    windows_built: int = 0  # term windows built past the table (SequenceFamily._tabled)
 
 
 class _Local(threading.local):

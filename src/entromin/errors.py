@@ -5,6 +5,8 @@ a DivergenceError means divergence was proved, a BudgetError means the
 iteration/term budget ran out *without* a certificate either way.
 """
 
+from . import _work
+
 __all__ = [
     "EmpError",
     "DomainError",
@@ -41,6 +43,11 @@ class UncertifiedError(EmpError):
 
 class BudgetError(EmpError):
     """Term or iteration budget exhausted before reaching the tolerance."""
+
+    def __init__(self, *args):
+        if _work.on and (work := _work.local.record) is not None:
+            work.budget_errors += 1
+        super().__init__(*args)
 
 
 class ConfigurationError(EmpError):

@@ -173,6 +173,9 @@ def _gibbs_pass(log_p, s, t):
     at t is u e / z0 with no second exp.  Two arrays are made, e and one
     for the moments; log_p and s are only read, so they may be read-only
     and shared (solver._prefix)."""
+    if _work.on and (work := _work.local.record) is not None:
+        work.gibbs_passes += 1
+        work.gibbs_terms += len(s)
     e = s * t
     e += log_p
     m = float(np.maximum.reduce(e))

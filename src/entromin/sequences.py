@@ -56,6 +56,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _work
 from .errors import ConfigurationError, DomainError, UnsupportedFamilyError
 
 __all__ = [
@@ -143,6 +144,8 @@ class SequenceFamily:
         read-only, sigma_n stored once, as the first row of the pair; built
         with no warning: a level past the float maximum is inf, and a unit
         weight's ln p_n there inf * 0 = nan, as log_terms(0.0, n, n) reads."""
+        if _work.on and (work := _work.local.record) is not None:
+            work.tables_built += 1
         with np.errstate(over="ignore", invalid="ignore"):
             sigma, *rest = self._term_arrays(1, _TABLE_MAX)
             pair = np.empty((2, _TABLE_MAX))
@@ -155,15 +158,17 @@ class SequenceFamily:
 
     def _tabled(self, lo: int, hi: int) -> tuple:
         """The _term_arrays of [lo, hi], read-only: slices of the term table,
-        or built for the call past _TABLE_MAX."""
+        or built for the call past _TABLE_MAX, where every such window is."""
         if hi > _TABLE_MAX:
+            if _work.on and (work := _work.local.record) is not None:
+                work.windows_built += 1
             return self._term_arrays(lo, hi)
         i = lo - 1
         return tuple([a[i:hi] for a in self._term_table[0]])
 
     def sigma(self, n: int) -> float:
         if n > _TABLE_MAX:
-            return float(self._term_arrays(n, n)[0][0])
+            return float(self._tabled(n, n)[0][0])
         return float(self._term_table[1][0, n - 1])
 
     def log_p(self, n: int) -> float:
@@ -340,7 +345,7 @@ class SequenceFamily:
         if n < _TABLE_MAX:
             (s, s_next), (lp, lp_next) = self._term_table[1][:, n - 1 : n + 1].tolist()
         else:
-            arrays = self._term_arrays(n, n + 1)
+            arrays = self._tabled(n, n + 1)
             s, s_next = arrays[0].tolist()
             lp, lp_next = self.log_terms(0.0, n, n + 1, arrays).tolist()
         t, t_next = lp + s * y, lp_next + s_next * y

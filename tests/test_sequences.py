@@ -35,7 +35,7 @@ from entromin import (
     lattice_levels,
     sigma_min_set,
 )
-from entromin import sequences
+from entromin import _work, sequences
 from entromin.sequences import flipped
 
 from conftest import (
@@ -502,6 +502,21 @@ class TestTermTables:
             fam = Arithmetic(0.0, 1e305)
             assert EmpSolver(fam).solve_mb(1.0, 2.0).region.value == "below-cone"
             assert fam.sigma(5000) == math.inf and math.isnan(fam.log_p(5000))
+
+    @pytest.mark.parametrize("family", _LIBRARY_FAMILIES, ids=repr)
+    def test_every_window_past_the_table_is_built_in_one_place(self, family):
+        # _tabled is the one place a window past the table is built, where the
+        # work record counts it: a scalar read or a bracket's two terms past
+        # 2^13 build one window per layer (a wrapper's and its base's), and
+        # reads inside the table none
+        fam = dataclasses.replace(family)
+        layers = 2 if isinstance(fam, (ShiftedSigma, ExplicitPrefix)) else 1
+        n = sequences._TABLE_MAX + 1
+        with _work.counting() as work:
+            fam.sigma(5), fam.log_p(5), fam._terms(-1.0, 5)
+            inside = work.windows_built
+            fam.sigma(n), fam.log_p(n), fam._terms(-1.0, n)
+        assert inside == 0 and work.windows_built == 3 * layers
 
     def test_each_store_stays_inside_its_bound(self):
         # 10,000 distinct windows, many past the largest table: the table

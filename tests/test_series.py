@@ -864,6 +864,23 @@ class TestSlopeLadder:
         assert filled and max(filled.values()) == 1
         assert shared == alone
 
+    @pytest.mark.parametrize("k, tol", [(-8, 1e-10), (1, 1e-10), (8, 1e-6)])
+    @pytest.mark.parametrize("family", [Arithmetic(0.0, 1.0), WeightedGeometric(1.0, 3.0),
+                                        Lattice3D(1.0)], ids=repr)
+    def test_each_fill_is_one_kept_pass(self, family, k, tol):
+        # scripts/bench.py reads the passes and terms of a ladder's fills from
+        # the records it keeps: one pass per entry and per model rung, of the
+        # kept slope's f.truncation_n terms.  The model rung at j = 4k reads
+        # the entry at k, filled first.
+        ladder = EmpSolver(_fresh(family)).normal_family._ladder
+        assert k not in ladder.rungs and not ladder.models
+        with _work.counting() as entry:
+            rung = ladder.rung(k)
+        with _work.counting() as model:
+            slope = ladder.model(4 * k, tol, 1.0)
+        assert (entry.passes, entry.series_terms) == (1, rung.slope.f.truncation_n)
+        assert (model.passes, model.series_terms) == (1, slope.f.truncation_n)
+
     @pytest.mark.parametrize("w", [0.0101, 0.01001])
     def test_root_left_of_the_ladder(self, w):
         # on Arithmetic(0, 0.01) these roots lie near y = -462 and -691, left

@@ -8,10 +8,14 @@ requests come from perfbench/workloads.py, which the test only reads.  The
 test runs no warm-up request, since no output depends on what the caches
 hold; run with them, output_digest.py gives the same outputs.
 
-Under "counts" it also holds each subset's work: the series passes and the
-terms they sum (the passes and series_terms of the work record that the
-library fills, entromin._work, as scripts/bench.py reads them) of a cold
-run and of a warm rerun.  The cold run builds fresh families, whose
+Under "counts" it also holds each subset's work: every key of the work
+record that the library fills (entromin._work, as scripts/bench.py reads
+it), its passes as series_passes, of a cold run and of a warm rerun.  So
+each count is a Tier-1 gate: a bracket call, a BudgetError, a Newton or
+proposal point, a ladder lookup, a member or a window that a change adds
+moves it, and the keys that read 0 (budget_errors, terms_built, and on
+the warm mb-point and bf-roundtrip runs tables_built and windows_built)
+are zero guards.  The cold run builds fresh families, whose
 records (sigma-min set, profile, slope ladder, normal form) start empty,
 from emptied module caches (solver._cached_prefix, and
 specfile._shared_family, which cli-batch's specs read their families
@@ -31,6 +35,7 @@ meant to keep every figure must leave it as it is.  Pinned when the slope
 ladder's entries became one rough pass each.
 """
 
+import dataclasses
 import importlib.util
 import json
 import sys
@@ -108,16 +113,18 @@ def _cold_subset(name):
 
 
 def _run(name, wl, out_dir):
-    """([[field, value] of each output], floats as float.hex, and the
-    passes and terms) of one run of the workload's subset wl."""
+    """([[field, value] of each output], floats as float.hex, and every
+    key of the work record, its passes as series_passes) of one run of the
+    workload's subset wl."""
     with _work.counting() as work:
         got = [_fields(name, out) for out in output_digest.outputs(entromin, np, wl, _SEED, out_dir)]
-    return got, {"series_passes": work.passes, "series_terms": work.series_terms}
+    counts = dataclasses.asdict(work)
+    return got, {"series_passes": counts.pop("passes"), **counts}
 
 
 def workload_record(out_dir) -> dict:
     """{workload: its outputs from a cold run, "counts": {"cold" and
-    "warm": {workload: its passes and terms}}}."""
+    "warm": {workload: its work record}}}."""
     got, counts = {}, {"cold": {}, "warm": {}}
     for name in _PICKS:
         wl = _cold_subset(name)
