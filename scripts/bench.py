@@ -114,14 +114,20 @@ the check times from cProfile:
   series_terms         the terms those passes sum;
   array_calls          their family.log_terms calls: one per array pass
                        over a stretch of terms;
-  bracket_calls        family.tail_intervals calls of series._eval_many and
-                       series._model_moments during the same call: the
-                       kernel's tail brackets and a slope model's one per
-                       point it tries (calls the families make from inside
-                       one, and brackets taken elsewhere, do not count);
+  bracket_calls        the library's tail brackets during the same call
+                       (series._tails calls, the one place outside
+                       sequences.py that calls family.tail_intervals): the
+                       kernel's, a slope model's one per point it tries, a
+                       model rung's one for its bounds, the profile probe's
+                       and the boundary checks' (calls the families make
+                       from inside one do not count);
   model_points         slope-root iterates certified from the Taylor model
-                       of an earlier pass, with no pass of their own, during
-                       one solve_mb (mb_interior and shifted_interior);
+                       of an earlier pass and one bracket, with no pass of
+                       their own, during one solve_mb (mb_interior and
+                       shifted_interior);
+  step_points          slope-root iterates certified by a Taylor step from
+                       the iterate before them, with no bracket, during the
+                       same solve_mb;
   slope_passes         series._eval_many calls under maxwell-boltzmann
                        during one round trip: the passes of a slope root
                        and of f at it that start the inverse's Newton (the
@@ -266,7 +272,7 @@ def _py_calls(fn, *args):
 
 SERIES_KEYS = {"series_passes": "passes", "series_terms": "series_terms"}
 PASS_KEYS = {**SERIES_KEYS, "array_calls": "array_calls", "bracket_calls": "bracket_calls"}
-SOLVE_KEYS = {**PASS_KEYS, "model_points": "model_points"}
+SOLVE_KEYS = {**PASS_KEYS, "model_points": "model_points", "step_points": "step_points"}
 READ_KEYS = {"reduce_calls": "reduce_calls", "ladder_lookups": "ladder_lookups",
              "windows_built": "windows_built"}
 NEWTON_KEYS = {"newton_points": "newton_points", "proposal_points": "proposal_points"}

@@ -15,9 +15,10 @@ class Work:
     series_terms: int = 0  # the terms they sum
     array_calls: int = 0  # their family.log_terms calls, one per array of terms
     reduce_calls: int = 0  # their row reductions (series._add_reduce calls)
-    bracket_calls: int = 0  # family.tail_intervals calls of a pass or a slope model
+    bracket_calls: int = 0  # the library's tail brackets (series._tails calls)
     slope_passes: int = 0  # series._eval_many calls under maxwell-boltzmann
-    model_points: int = 0  # slopes certified from a model, with no pass
+    model_points: int = 0  # slopes certified from a model and one bracket, with no pass
+    step_points: int = 0  # slopes certified by a Taylor step from the one before: no bracket
     ladder_lookups: int = 0  # reads of a family's slope ladder (SequenceFamily._ladder)
     newton_points: int = 0  # points of the certified inverse Newton (inverse_solve_bf)
     proposal_points: int = 0  # points of the finite dual Newton (finite._minimize_dual)

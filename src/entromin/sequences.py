@@ -396,14 +396,15 @@ class Arithmetic(SequenceFamily):
         return r if r < 1.0 else None
 
     def tail_intervals(self, y, n, moments):
-        # the exact geometric moment tails (k <= 2), from 1 - rho, e^(offset
+        # the exact geometric moment tails (k <= 4), from 1 - rho, e^(offset
         # y) and rho^(n+1) taken once for every moment; the ratio route's
         # 1 - r cancels near y = 0 and can round low, so it is not tried
         if self.slope <= 0.0 or y >= 0.0:
             return [None] * len(moments)
         om = -math.expm1(self.slope * y)  # 1 - rho, rho = e^(slope y), without cancellation
         # moments k >= 1 need sigma_(n+1) > 0: read once, and not for moment 0 alone
-        positive = moments != (0,) and self.sigma(n + 1) > 0.0
+        c = self.sigma(n + 1) if moments != (0,) else 0.0
+        positive = c > 0.0
         if om <= 2.0**-54:  # rho rounds to 1: only the trivial bracket is certain
             return [None if k and not positive else (0.0, math.inf) for k in moments]
         a, b = self.offset, self.slope
@@ -417,7 +418,7 @@ class Arithmetic(SequenceFamily):
         s0 = g / om
         out = []
         for k in moments:
-            t = None  # k > 2, or k >= 1 over a nonpositive level
+            t = None  # k > 4, or k >= 1 over a nonpositive level
             if k == 0:
                 t = amp * s0
             elif k <= 2 and positive:
@@ -427,6 +428,14 @@ class Arithmetic(SequenceFamily):
                 else:
                     s2 = g * (2.0 + (2 * n - 1) * om + n * n * om * om) / om**3
                     t = amp * (a * a * s0 + 2 * a * b * s1 + b * b * s2)
+            elif k <= 4 and positive:
+                # sum_{j >= 0} (c + b j)^k rho^j, c = sigma_(n+1), from the
+                # positive S_i = sum_j j^i rho^j, i <= k, one power of 1 - rho at a time
+                rho = math.exp(b * y)
+                s = [1.0, rho / om, rho * (1.0 + rho) / om**2, rho * (1.0 + (4.0 + rho) * rho) / om**3,
+                     rho * (1.0 + (11.0 + (11.0 + rho) * rho) * rho) / om**4]
+                binom = (1.0, 4.0, 6.0, 4.0, 1.0) if k == 4 else (1.0, 3.0, 3.0, 1.0)
+                t = amp * s0 * math.fsum(m * c ** (k - i) * b**i * s[i] for i, m in enumerate(binom))
             out.append(None if t is None else (t, t))
         return out
 

@@ -36,7 +36,8 @@ also keeps the partial sums of moments 0 to 5 over its terms
 2^(j/16), one per (j, tol, ceiling) in the family's table (_Ladder.model,
 289 at most), whose Taylor expansion with a proved remainder certifies phi
 nearby with one bracket call and no pass (_model_moments), so a warm
-interior inversion mostly takes no pass.
+interior inversion mostly takes no pass; a Taylor step from the point
+before certifies a Newton point left of its rung with no bracket either.
 The ladder also starts the bose-einstein and fermi-dirac inverse with no
 pass (_ladder_point: that start, and ln f there interpolated through the
 same two entries); the inverse moves that start to the minimizer of the
@@ -203,9 +204,7 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0, model=0):
             if kind is Entropy.BOSE_EINSTEIN and t_next >= 0.0:
                 raise DomainError("bose-einstein dual needs x + sigma_n y < 0 on the tail")
             bounds = _mult_bounds(kind, t_next)
-        if work is not None:
-            work.bracket_calls += 1
-        ivs = family.tail_intervals(y, hi, moments)
+        ivs = _tails(family, y, hi, moments)
         while True:  # judged again once the tolerances rise to the ceiling
             brackets = []
             for (m, k), tol in tols.items():
@@ -249,6 +248,14 @@ def _eval_many(family, y, tols, x=0.0, kind=_MB, ceiling=1.0, model=0):
                 f"(tolerances {tols})"
             )
         hi = min(2 * hi, _TERM_BUDGET)
+
+
+def _tails(family, y, n, moments) -> list:
+    """family.tail_intervals(y, n, moments), counted (bracket_calls): every
+    tail bracket the library takes outside sequences comes through here."""
+    if _work.on and (work := _work.local.record) is not None:
+        work.bracket_calls += 1
+    return family.tail_intervals(y, n, moments)
 
 
 @functools.lru_cache(maxsize=64)
@@ -373,7 +380,7 @@ def _check_boundary_summable(family, moment) -> None:
         raise DivergenceError(
             f"boundary series (moment {moment}) certified divergent at y=-alpha"
         )
-    if div is None and family.tail_interval(-family.alpha, _START_BLOCK, moment) is None:
+    if div is None and _tails(family, -family.alpha, _START_BLOCK, (moment,))[0] is None:
         raise UncertifiedError(
             "family certifies neither summability nor divergence at y=-alpha"
         )
@@ -448,7 +455,7 @@ def _build_profile(family) -> SeriesProfile:
     if alpha > 0.0:
         # declared alpha must not be contradicted by a certificate of
         # convergence strictly outside (-inf, -alpha]
-        probe = family.tail_interval(-0.5 * alpha, _START_BLOCK, 0)
+        probe = _tails(family, -0.5 * alpha, _START_BLOCK, (0,))[0]
         if probe is not None and math.isfinite(probe[1]):
             raise ConfigurationError(
                 f"declared alpha={alpha} contradicted by a convergent tail at y={-0.5 * alpha}"
@@ -504,19 +511,26 @@ class _SlopeModel(NamedTuple):
     """What a slope pass at y stopped at n keeps for nearby points: the
     partial sums P_k = sum_{m <= n} p_m sigma_m^k exp(sigma_m y), k = 0..5
     (_SLOPE_PARTIALS), k = 0..17 on a model rung (_MODEL_PARTIALS), and
-    top, the largest sigma_m summed."""
+    top, the largest sigma_m summed.  A model rung also keeps bounds, (T3,
+    F4): the upper ends of the moment-3 tail beyond n and of f'''' at y.
+    Every moment increases in y (levels positive), so they bound the
+    moment-3 tail and f'''' at every point left of y (_Ladder.model)."""
 
     y: float
     n: int
     partials: tuple
     top: float
+    bounds: Optional[tuple] = None
 
 
 class _Slope(NamedTuple):
     """A slope at y: phi(y) within its proved err (inf where f's bracket
     reaches 0), phi'(y), the certified f(y), the scale (f(y), max(|phi|, 1))
-    the next point's tolerances assume, and the _SlopeModel of the pass it
-    rests on (None after a ceiling stop and in a rough slope)."""
+    the next point's tolerances assume, derivs, f to f''' at y as (f, its
+    bound, f', its bound, f'', its bound, f''', its bound) where the point
+    lies left of a model rung that keeps bounds (else None), and the
+    _SlopeModel of the pass it rests on (None after a ceiling stop and in a
+    rough slope)."""
 
     y: float
     phi: float
@@ -524,7 +538,8 @@ class _Slope(NamedTuple):
     f: SeriesEval
     scale: tuple
     err: float
-    model: Optional[_SlopeModel]
+    derivs: Optional[tuple] = None
+    model: Optional[_SlopeModel] = None
 
     def residual(self, w, q):
         """phi - w as a slope root judges it, times q / err where err > q: a
@@ -541,20 +556,32 @@ def _rough_slope(family, y) -> _Slope:
 
 
 def _certified_slope(family, y, tol, last, ceiling=1.0, partials=_SLOPE_PARTIALS) -> _Slope:
-    """The slope at y with err <= tol: from last.model where its Taylor
-    expansion certifies f and f' to the tolerances a pass at y would meet
-    and phi to tol (_model_moments), else from moments-(0, 1, 2) passes
-    whose tolerances assume the scale last.scale.  A pass whose err misses
-    tol is repeated at the scale it measured, at most four passes in all,
-    unless it stopped at its ceiling (a width above its tolerance: err >
-    tol, no model).  phi' = f''/f - phi^2, the variance of sigma under the
-    Gibbs weights, only proposes Newton steps, so moment 2 needs a finite
-    tail bracket but no tolerance: each pass stops when moments 0 and 1 are
+    """The slope at y with err <= tol, by the first of three routes that
+    certifies f and f' to the tolerances a pass at y would meet and phi to
+    tol: a Taylor step from last (_taylor_step, no bracket) where last
+    carries derivs and last.y and y both lie left of last.model's y; else
+    last.model's Taylor expansion and one tail bracket at y
+    (_model_moments), a point that keeps derivs where it lies left of a
+    model rung that keeps bounds; else moments-(0, 1, 2) passes whose
+    tolerances assume the scale last.scale.  A pass whose err misses tol is
+    repeated at the scale it measured, at most four passes in all, unless
+    it stopped at its ceiling (a width above its tolerance: err > tol, no
+    model).  phi' = f''/f - phi^2, the variance of sigma under the Gibbs
+    weights, only proposes Newton steps, so moment 2 needs a finite tail
+    bracket but no tolerance: each pass stops when moments 0 and 1 are
     certified.  Each pass keeps its partial moments 0 to partials - 1."""
     tols = _slope_tols(tol, last.scale)
-    got = last.model and _model_moments(family, last.model, y, tols[(None, 0)], tols[(None, 1)])
+    t0, t1, model = tols[(None, 0)], tols[(None, 1)], last.model
+    if last.derivs and max(last.y, y) <= model.y:
+        slope = _taylor_step(last, y, t0, t1)
+        if slope and slope.err <= tol:
+            if _work.on and (work := _work.local.record) is not None:
+                work.step_points += 1
+            return slope
+    higher = []  # f to f''' at y with their bounds, where the model certifies them
+    got = model and _model_moments(family, model, y, t0, t1, higher)
     if got:
-        slope = _judge_slope(y, *got, last.model)
+        slope = _judge_slope(y, *got, model, tuple(higher) or None)
         if slope.err <= tol:
             if _work.on and (work := _work.local.record) is not None:
                 work.model_points += 1
@@ -578,31 +605,60 @@ def _slope_tols(tol, scale):
     return {(None, 0): t1 / ratio, (None, 1): t1, (None, 2): math.inf}
 
 
-def _judge_slope(y, s0, s1, m2, model) -> _Slope:
-    """The slope at y from certified f and f', the moment-2 value m2 and the
-    model they came from: phi = f'/f within err, inf where f's bracket
-    reaches 0.  RangeError where f(y) underflows to 0."""
+def _judge_slope(y, s0, s1, m2, model, derivs=None) -> _Slope:
+    """The slope at y from certified f and f', the moment-2 value m2, the
+    model they came from and the derivs they carry: phi = f'/f within err,
+    inf where f's bracket reaches 0.  RangeError where f(y) underflows to
+    0."""
     if s0.value == 0.0:
         raise RangeError(f"f({y}) underflows to 0: phi has no float value there")
     p = s1.value / s0.value
     floor = s0.value - s0.tail_bound_used
     e = (s1.tail_bound_used + abs(p) * s0.tail_bound_used) / floor if floor > 0.0 else math.inf
     scale = (max(s0.value, 1e-300), max(abs(p), 1.0))
-    return _tuple_new(_Slope, (y, p, m2 / s0.value - p * p, s0, scale, e, model))
+    return _tuple_new(_Slope, (y, p, m2 / s0.value - p * p, s0, scale, e, derivs, model))
 
 
-def _model_moments(family, model, y, t0, t1):
+def _taylor_step(last, y, t0, t1) -> Optional[_Slope]:
+    """The slope at y from f to f''' at last.y (last.derivs) by their cubic
+    Taylor polynomials about last.y (math.fsum), for last.y and y left of
+    last.model's y.  With d = y - last.y, each derivative's bound adds
+    |d|^i / i! times its own, and F4 >= f'''' over both (last.model.bounds)
+    bounds the remainders, d^4 / 24 F4 for f and |d|^3 / 6 F4 for f'; None
+    where the widths (twice the bounds) exceed t0 or t1.  The slope keeps
+    last.model and its own f to f''', so steps chain."""
+    (f0, b0, f1, b1, f2, b2, f3, b3), f4 = last.derivs, last.model.bounds[1]
+    d = y - last.y
+    a, h = abs(d), 0.5 * d * d
+    c = h * d / 3.0
+    e0 = b0 + a * b1 + h * b2 + abs(c) * b3 + h * h / 6.0 * f4
+    e1 = b1 + a * b2 + h * b3 + abs(c) * f4
+    if not (2.0 * e0 <= t0 and 2.0 * e1 <= t1):
+        return None
+    n = last.f.truncation_n
+    g0 = SeriesEval(math.fsum((f0, d * f1, h * f2, c * f3)), n, e0)
+    g1 = SeriesEval(math.fsum((f1, d * f2, h * f3)), n, e1)
+    g2 = f2 + d * f3
+    derivs = (g0.value, e0, g1.value, e1, g2, b2 + a * b3 + h * f4, f3, b3 + a * f4)
+    return _judge_slope(y, g0, g1, g2, last.model, derivs)
+
+
+def _model_moments(family, model, y, t0, t1, higher=None):
     """(f(y), f'(y), f''(y)) from the pass kept in model, f and f' as
     SeriesEvals whose widths (twice their bounds) are within t0 and t1, or
     None.  With d = y - model.y and levels positive (normal form), the sum
     over m <= n of p_m sigma_m^k exp(sigma_m y) is sum_{j < K} d^j / j!
-    P_{k+j} within the Taylor remainder |d|^K / K! P_{k+K} e^{max(0, top
-    d)}, for every K up to two below the partials kept, and one
-    family.tail_intervals call at y adds the tails beyond n.  The model
+    P_{k+j} (math.fsum) within the Taylor remainder |d|^K / K! P_{k+K}
+    e^{max(0, top d)}, for every K up to two below the partials kept, and
+    one tail bracket at y (_tails) adds the tails beyond n.  The model
     takes the fewest K whose remainders, with those tails, meet t0 and t1;
     the remainders alone are checked before the bracket is taken.  f''
     only proposes phi', and needs a finite bracket.  None too where
-    e^(top d) overflows or a bracket is missing."""
+    e^(top d) overflows or a bracket is missing.  Where y <= model.y and
+    the model keeps bounds (T3, F4) and P_{K+4}, a list `higher` gains f to
+    f''' at y, each with its bound, from one Taylor term more (K + 1), so a
+    step from y has room: each moment's bracket at y adds its midpoint and
+    half-width, the range [0, T3] of the moment-3 tail included."""
     d = y - model.y
     x = model.top * d
     if not x <= 700.0:
@@ -614,13 +670,16 @@ def _model_moments(family, model, y, t0, t1):
         r0, r1 = r * p[k], r * p[k + 1]
         while 2.0 * (r0 + h0) <= t0 and 2.0 * (r1 + h1) <= t1:
             if ivs is not None:
-                f0 = sum(map(_mul, cs, p)) + 0.5 * (iv0[0] + iv0[1])
-                f1 = sum(map(_mul, cs, p[1:])) + 0.5 * (iv1[0] + iv1[1])
-                f2 = sum(map(_mul, cs, p[2:])) + 0.5 * (iv2[0] + iv2[1])
+                f0 = math.fsum(map(_mul, cs, p)) + 0.5 * (iv0[0] + iv0[1])
+                f1 = math.fsum(map(_mul, cs, p[1:])) + 0.5 * (iv1[0] + iv1[1])
+                f2 = math.fsum(map(_mul, cs, p[2:])) + 0.5 * (iv2[0] + iv2[1])
+                if higher is not None and d <= 0.0 and model.bounds and k + 4 < len(p):
+                    r, t3 = r * ad / (k + 1), 0.5 * model.bounds[0]  # one term more, c P_{K+i}
+                    higher += (f0 + c * p[k], r * p[k + 1] + h0, f1 + c * p[k + 1], r * p[k + 2] + h1,
+                               f2 + c * p[k + 2], r * p[k + 3] + 0.5 * (iv2[1] - iv2[0]),
+                               math.fsum(map(_mul, cs, p[3:])) + c * p[k + 3] + t3, r * p[k + 4] + t3)
                 return SeriesEval(f0, model.n, r0 + h0), SeriesEval(f1, model.n, r1 + h1), f2
-            if _work.on and (work := _work.local.record) is not None:
-                work.bracket_calls += 1
-            ivs = iv0, iv1, iv2 = family.tail_intervals(y, model.n, (0, 1, 2))
+            ivs = iv0, iv1, iv2 = _tails(family, y, model.n, (0, 1, 2))
             if iv0 is None or iv1 is None or iv2 is None or not math.isfinite(iv2[1]):
                 return None
             h0, h1 = 0.5 * (iv0[1] - iv0[0]), 0.5 * (iv1[1] - iv1[0])
@@ -639,9 +698,10 @@ def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
     the nearer entry where the ladder is one-sided or the interpolant leaves
     the bracket.  Each point is one _certified_slope from the one before it,
     the Hermite start's from the model rung just right of it at this tol
-    (_Ladder.model) and the nearer entry's at that entry's scale: from that
-    one's model (no pass) or else a pass as phi takes, and proposes a Newton
-    step on ln(phi - theta1), nearly linear where phi tends to theta1.
+    (_Ladder.model) and the nearer entry's at that entry's scale: a Taylor
+    step from that one (no bracket), its model (one bracket, no pass) or
+    else a pass as phi takes, and proposes a Newton step on ln(phi -
+    theta1), nearly linear where phi tends to theta1.
     Returns once the certified residual is within 0.75 tol, or when the
     bracket is at most 4 ulp(y) wide (the point of least residual).
     """
@@ -696,8 +756,11 @@ class _Ladder:
     def model(self, j, tol, ceiling) -> Optional[_Slope]:
         """The model rung at j (-192..96) for tol and ceiling, computed on
         first use: one pass under ceiling at y_j, to 0.25 tol at the scale of
-        the entry at k = floor(j/4), keeping _MODEL_PARTIALS partial moments;
-        None, kept too, where either raises BudgetError or RangeError."""
+        the entry at k = floor(j/4), keeping _MODEL_PARTIALS partial moments,
+        and one tail bracket of moments 3 and 4 at y_j, whose upper ends give
+        its model's bounds, T3 and F4 = P_4 + the moment-4 end, where both
+        are finite; None, kept too, where either raises BudgetError or
+        RangeError."""
         try:
             return self.models[j, tol, ceiling]
         except KeyError:
@@ -705,6 +768,10 @@ class _Ladder:
         try:
             coarse = self.rung(j * 4 // _MODEL_RUNGS).slope  # raises where y_j rounds to -alpha
             s = _certified_slope(self.family, y, 0.25 * tol, coarse, ceiling, _MODEL_PARTIALS)
+            if (m := s.model) is not None:
+                iv3, iv4 = _tails(self.family, y, m.n, (3, 4))
+                if iv3 and iv4 and math.isfinite(iv3[1] + iv4[1]):
+                    s = s._replace(model=m._replace(bounds=(iv3[1], m.partials[4] + iv4[1])))
         except (BudgetError, RangeError):
             pass
         if len(self.models) >= _MODEL_J[1] - _MODEL_J[0] + 1:
@@ -795,11 +862,12 @@ def _invert_slope(family, w, tol, ceiling=1.0) -> _Slope:
     with no new pass.  Every point is _certified_slope from the slope
     before it: the Hermite start's from the model rung just right of it
     (_Ladder.model, y_j >= y_h), else the nearer entry's from that entry's
-    scale, and each later one from that slope's model where it certifies
-    phi to q = 0.25 tol, else from a new pass, whose model the points after
-    it read; so a warm root whose points the model rung certifies makes no
-    pass.  A slope certified only to err > q (a ceiling stop, which leaves
-    no model) passes at |phi - w| <= 3 err (_Slope.residual)."""
+    scale, and each later one by a Taylor step from that slope or from its
+    model, where either certifies phi to q = 0.25 tol, else from a new pass,
+    whose model the points after it read; so a warm root whose points the
+    model rung certifies makes no pass, and one bracket where its Newton
+    points step.  A slope certified only to err > q (a ceiling stop, which
+    leaves no model) passes at |phi - w| <= 3 err (_Slope.residual)."""
     prof = family._profile
     if not math.isfinite(w) or w <= prof.theta1 or w >= prof.theta2:
         raise RangeError(f"w={w} outside the open range ({prof.theta1}, {prof.theta2})")

@@ -49,6 +49,12 @@ sweep's H at (1, 3), (1.5, 3) and (2, 3) moved 1-3 ulp, to within 3.2e-16,
 8.1e-16 and 3.0e-16 of the exact H (1.3e-16, 7.4e-17 and 1.4e-16), and
 verify's mb round-trip error reads 3.13e-16 (1.99e-16) and 1.68e-14
 (1.71e-14).
+The same four were re-pinned when a warm root's Newton point began to be
+certified by a Taylor step from its start point: geometric_solve's x and
+y moved to 4.0e-15 and 2.0e-15 from 0 and -ln 2 (4.9e-15 and 2.2e-15),
+the sweep's H at (1, 3), (1.5, 2) and (1.5, 3) to within 4.3e-17, 5.5e-18
+and 2.5e-17 of the exact H (1.1e-16, 2.3e-16 and 2.7e-16), and verify's
+mb round-trip error reads 1.99e-16 (3.13e-16) and 1.70e-14 (1.68e-14).
 A change meant to keep every figure, such as a refactor, must leave these
 files as they are.
 """

@@ -73,6 +73,15 @@ class TestCertificateRounding:
                 exact = mpmath.polylog(3, mpmath.exp(1 + mpmath.mpf(float(y))))
                 assert abs(mpmath.mpf(got.value) - exact) <= got.tail_bound_used, y
 
+    @_defect(AssertionError, "CHANGES.md FOUND line 87")
+    def test_fermi_dirac_term_at_large_t(self):
+        # t = 435, where 1 / (1 + e^-435) rounds to 1: the occupation is p_270
+        # itself, yet e^(ln p + sigma y + x) / (1 + e^t) is 440 ulp off it
+        family = WeightedGeometric(0.5, 4.0)
+        got = EmpSolver(family).forward_solve(FD, 705.0, -1.0).solution.term(270)
+        want = math.exp(family.log_p(270))
+        assert abs(got - want) <= 4.0 * math.ulp(want)
+
 
 class TestScaleCovariance:
     """ROADMAP item 2: tolerances absolute in u, v or the level scale."""

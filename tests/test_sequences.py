@@ -958,6 +958,19 @@ def test_arithmetic_moment_tails_are_exact(y, n):
         assert brute == pytest.approx(hi, rel=1e-9, abs=1e-300)
 
 
+@pytest.mark.parametrize("offset, slope", [(0.0, 1.0), (-3.0, 1.0), (2.0, 0.5)])
+@pytest.mark.parametrize("y", [-0.05, -0.3, -2.0])
+def test_arithmetic_moment_3_and_4_tails_are_exact(offset, slope, y):
+    # the slope ladder's model rungs bound f''' and f'''' from these: the
+    # exact tails beyond n = 64, against the terms summed directly up to
+    # where they fall below 1e-80 of the first
+    fam = Arithmetic(offset, slope)
+    levels = [offset + slope * m for m in range(65, 65 + math.ceil(200.0 / (slope * -y)))]
+    for k, (lo, hi) in zip((3, 4), fam.tail_intervals(y, 64, (3, 4))):
+        direct = math.fsum(s**k * math.exp(s * y) for s in levels)
+        assert lo == hi == pytest.approx(direct, rel=1e-14, abs=0.0)
+
+
 def test_tail_intervals_reproduce_the_pinned_brackets():
     # tests/golden/tail_brackets.json holds repr(tail_interval(y, n, k)) at
     # commit 0a2157d, before every moment came from one tail_intervals call

@@ -2,6 +2,7 @@
 endpoint profiles, the slope bijection and its inverse, the conjugate of
 ln f, and the dual sums h_W with gradients and boundary subdifferentials."""
 
+import ast
 import functools
 import gc
 import json
@@ -1055,6 +1056,133 @@ class TestSlopeModel:
             assert partial == pytest.approx(float(np.sum(terms * sigma**k)), rel=1e-14)
 
 
+class TestTaylorStep:
+    """A warm root's Newton point is certified by a Taylor step from the
+    point before it (series._taylor_step): that point's certified f to f'''
+    and the model rung's bound F4 on f'''' left of the rung, with no tail
+    bracket; the model route takes over where the step cannot."""
+
+    def test_each_warm_arithmetic_root_makes_one_model_point(self):
+        # the 200 warm roots of test_model_certified_roots_hold_against_closed_forms:
+        # the model rung certifies the Hermite start, a step the Newton point
+        family, t = Arithmetic(0.0, 1.0), 2.5e-13
+        ws = [float(w) for w in np.geomspace(1.02, 9.0, 200)]
+        for w in ws:
+            _invert_slope(family, w, t, 1e-5 / t)
+        counts = Counter()
+        for w in ws:
+            with _work.counting() as work:
+                _invert_slope(family, w, t, 1e-5 / t)
+            counts[work.model_points, work.bracket_calls, work.passes] += 1
+            assert work.step_points >= 1
+        assert counts == {(1, 1, 0): 200}
+
+    @pytest.mark.parametrize("family", _MODEL_FAMILIES, ids=repr)
+    def test_a_step_right_of_its_rung_falls_back_to_the_model(self, family):
+        # from a model point 1e-6 left of the rung at y_j, a point 1e-9 left
+        # of y_j is one step with no bracket; one 1e-9 right of y_j is a
+        # model point with one bracket, and keeps no derivatives
+        tol, a = 1e-10, family.alpha
+        q = 0.25 * tol
+        j = 8
+        rung = family._ladder.model(j, tol, 1.0)
+        y_j = rung.y
+        with _work.counting() as first:
+            start = series._certified_slope(family, y_j - 1e-6, q, rung)
+        assert (first.model_points, first.step_points, first.bracket_calls) == (1, 0, 1)
+        assert start.derivs is not None and start.model is rung.model
+        for y, route in ((y_j - 1e-9, "step"), (y_j + 1e-9, "model")):
+            assert y < -a
+            with _work.counting() as work:
+                s = series._certified_slope(family, y, q, start)
+            assert s.err <= q and work.passes == 0
+            if route == "step":
+                assert (work.model_points, work.step_points, work.bracket_calls) == (0, 1, 0)
+                assert s.derivs is not None
+            else:
+                assert (work.model_points, work.step_points, work.bracket_calls) == (1, 0, 1)
+                assert s.derivs is None
+            assert s.model is rung.model
+
+    def test_a_lattice_root_chains_two_steps_from_one_model_point(self, monkeypatch):
+        # the interior root of solve_mb(1, 6) on Lattice3D(1): the Hermite
+        # start from the model rung, then two Newton points, each a step
+        # from the one before, with no bracket
+        solver = EmpSolver(Lattice3D(1.0))
+        want = solver.solve_mb(1.0, 6.0)
+        steps = []
+        taylor_step = series._taylor_step
+
+        def recording(last, y, t0, t1):
+            s = taylor_step(last, y, t0, t1)
+            steps.append((last, s))
+            return s
+
+        monkeypatch.setattr(series, "_taylor_step", recording)
+        with _work.counting() as work:
+            got = solver.solve_mb(1.0, 6.0)
+        assert repr(got) == repr(want)
+        assert (work.model_points, work.step_points, work.bracket_calls, work.passes) == (1, 2, 1, 0)
+        (first, s1), (second, s2) = steps
+        assert second is s1 and s1 is not None and s2 is not None
+        assert first.model is s1.model is s2.model and first.model.bounds is not None
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(_MODEL_FAMILIES),
+        st.integers(-40, 40),
+        st.sampled_from([1e-6, 1e-10, 1e-12]),
+        st.floats(-6.0, -2.0),
+        st.floats(-9.0, -3.0),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    def test_the_step_brackets_f_and_its_derivatives(self, family, j, tol, log_gap, log_d, sign):
+        # f to f''' from a step hold against one pass certified to 1e-15
+        # relative, within their bounds plus rounding, which no certificate
+        # counts yet (1e-14 relative); the step and its start lie left of
+        # the rung
+        rung = family._ladder.model(j, tol, 1.0)
+        if rung is None or rung.model.bounds is None:
+            return
+        y0 = rung.y - 10.0**log_gap
+        start = series._certified_slope(family, y0, 0.25 * tol, rung)
+        y = min(y0 + sign * 10.0**log_d, rung.y)
+        if start.derivs is None:
+            return
+        s = series._taylor_step(start, y, math.inf, math.inf)
+        rough = series._eval_moments(family, y, dict.fromkeys(((None, k) for k in range(4)), 1e-6))
+        tols = {(None, k): 1e-15 * r.value for k, r in enumerate(rough)}
+        exact = series._eval_moments(family, y, tols)
+        assert s.derivs[:2] == (s.f.value, s.f.tail_bound_used)
+        for i, ref in enumerate(exact):
+            value, bound = s.derivs[2 * i : 2 * i + 2]
+            assert abs(value - ref.value) <= bound + ref.tail_bound_used + 1e-14 * ref.value
+
+
+def test_every_library_bracket_is_counted_in_one_helper():
+    # outside sequences.py, whose families combine their own brackets, the
+    # library takes a tail bracket only through series._tails, which counts
+    # it (bracket_calls); a call anywhere else would go uncounted
+    def calls(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute)
+                and n.func.attr in ("tail_intervals", "tail_interval")]
+
+    stray, helper = [], None
+    for path in sorted(Path(series.__file__).parent.glob("*.py")):
+        if path.name == "sequences.py":
+            continue
+        tree = ast.parse(path.read_text())
+        inside = set()
+        for node in ast.walk(tree):
+            if path.name == "series.py" and isinstance(node, ast.FunctionDef) and node.name == "_tails":
+                helper = node
+                inside = {id(n) for n in calls(node)}
+        stray += [f"{path.name}:{n.lineno}" for n in calls(tree) if id(n) not in inside]
+    assert helper is not None and len(calls(helper)) == 1
+    assert stray == []
+
+
 class _LooseTails(Arithmetic):
     """Unit weights, sigma_n = n, with every tail bracket's upper end raised
     by 1e-5 (64 / n)^4, still a true bracket: at y = -16, where f is
@@ -1201,9 +1329,11 @@ class TestSlopeLayerGolden:
         # by at most 2.0e-12 in a y at tol 1e-10 and 3.6e-15 elsewhere) and
         # when ladder entries became one rough pass each (5 moved: 3 by at
         # most 1.6e-14, and a root 7 ulp above theta1 and its start moved
-        # from y = -33 to another root at -39.05): the library's slope
-        # outputs to the bit, where the CLI goldens print rounded figures;
-        # the calls take every branch of the slope layer
+        # from y = -33 to another root at -39.05), and when Newton points
+        # began to be Taylor steps from their start (8 moved, by at most
+        # 1.6e-15): the library's slope outputs to the bit, where the CLI
+        # goldens print rounded figures; the calls take every branch of the
+        # slope layer
         branches = _count_slope_branches(monkeypatch)
         assert _slope_layer_outputs() == json.loads(_SLOPE_PINNED.read_text())
         assert {b: branches[b] for b in _SLOPE_BRANCHES if not branches[b]} == {}

@@ -32,7 +32,9 @@ glibc's libm, as for the other goldens.  A change that moves an output
 re-pins the file, `PYTHONPATH=src python tests/test_workloads_golden.py`
 from the repository root, and names each move in CHANGES.md; a change
 meant to keep every figure must leave it as it is.  Pinned when the slope
-ladder's entries became one rough pass each.
+ladder's entries became one rough pass each, and re-pinned when a warm
+root's Newton point began to be a Taylor step from its start (step_points,
+one bracket and one model point per warm root).
 """
 
 import dataclasses
