@@ -33,11 +33,11 @@ of the target are the first bracket, and the first iterate is the cubic
 Hermite interpolant of their (phi, phi') (_hermite_start).  A slope pass
 also keeps the partial sums of moments 0 to 5 over its terms
 (_SlopeModel), 0 to 17 on the certified model rungs at y_j = -alpha -
-2^(j/16), one per (j, tol, ceiling) in the family's table (_Ladder.model,
-289 at most), whose Taylor expansion with a proved remainder certifies phi
-nearby with one bracket call and no pass (_model_moments), so a warm
-interior inversion mostly takes no pass; a Taylor step from the point
-before certifies a Newton point left of its rung with no bracket either.
+2^(j/16), one per j for every tolerance in the same table (_Ladder.model),
+whose Taylor expansion with a proved remainder certifies phi nearby with
+one bracket call and no pass (_model_moments), so a warm interior
+inversion mostly takes no pass; a Taylor step from the point before
+certifies a Newton point left of its rung with no bracket either.
 The ladder also starts the bose-einstein and fermi-dirac inverse with no
 pass (_ladder_point: that start, and ln f there interpolated through the
 same two entries); the inverse moves that start to the minimizer of the
@@ -50,7 +50,7 @@ The conjugate of ln f follows its four-branch closed form, and its interior
 branch (_conjugate_at) is also the solver's interior value.
 A pass whose target is beyond the term budget stops at the bound it can
 reach up to a ceiling times it (_eval_many; only _conjugate_at's slope
-root and its model rungs, _refine_f, forward_solve and inverse_solve_bf's
+root, model rungs, _refine_f, forward_solve and inverse_solve_bf's
 Newton points pass one).  All tolerances are absolute unless noted.
 """
 
@@ -59,7 +59,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from operator import mul as _mul
@@ -697,11 +696,11 @@ def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
     - y) in ln(phi - theta1) through the two entries (_hermite_start), or at
     the nearer entry where the ladder is one-sided or the interpolant leaves
     the bracket.  Each point is one _certified_slope from the one before it,
-    the Hermite start's from the model rung just right of it at this tol
-    (_Ladder.model) and the nearer entry's at that entry's scale: a Taylor
-    step from that one (no bracket), its model (one bracket, no pass) or
-    else a pass as phi takes, and proposes a Newton step on ln(phi -
-    theta1), nearly linear where phi tends to theta1.
+    the start's from the model rung at its index (_Ladder.model), which
+    every tolerance shares: a Taylor step from that one (no bracket), its
+    model (one bracket, no pass) or else a pass as phi takes, and proposes
+    a Newton step on ln(phi - theta1), nearly linear where phi tends to
+    theta1.
     Returns once the certified residual is within 0.75 tol, or when the
     bracket is at most 4 ulp(y) wide (the point of least residual).
     """
@@ -711,6 +710,7 @@ def phi_inverse(family: SequenceFamily, w: float, tol: float = 1e-10) -> float:
 # the slope ladder's indices: y_k = -alpha - 2^(k/4), from 2^-12 to 64 left
 # of -alpha, and its model rungs', y_j = -alpha - 2^(j/16) over the same span
 _LADDER_K, _MODEL_RUNGS, _MODEL_J = (-48, 24), 16, (-192, 96)
+_MODEL_TOL = 2.5e-13  # a model rung's root tolerance: _conjugate_at's at every tol >= 1e-12
 
 
 class _Rung(NamedTuple):
@@ -731,13 +731,13 @@ class _Ladder:
     as a _Rung by k (rungs), except one that raises (BudgetError, or
     RangeError where f(y_k) underflows or y_k rounds to -alpha); an entry
     only locates a root (bracket).  The model rungs certify (model), kept by
-    (j, tol, ceiling) in models, which drops its oldest record past 289.  A
-    record is added with setdefault, so threads filling one ladder all read
-    the first one kept at its key; two threads using a new family at once
-    may each get a ladder, and the family keeps one."""
+    j alone in models, at most 289, which callers at every tolerance share.
+    A record is added with setdefault, so threads filling one ladder all
+    read the first one kept at its key; two threads using a new family at
+    once may each get a ladder, and the family keeps one."""
 
     def __init__(self, family):
-        self.family, self.rungs, self.models = family, {}, OrderedDict()
+        self.family, self.rungs, self.models = family, {}, {}
 
     def rung(self, k) -> _Rung:
         """The entry at k, computed on first use."""
@@ -753,30 +753,28 @@ class _Ladder:
         node = _hermite_node(s, family._sigma_min.theta1, a)
         return self.rungs.setdefault(k, _Rung(y, s.phi, s, math.log(s.f.value), node))
 
-    def model(self, j, tol, ceiling) -> Optional[_Slope]:
-        """The model rung at j (-192..96) for tol and ceiling, computed on
-        first use: one pass under ceiling at y_j, to 0.25 tol at the scale of
-        the entry at k = floor(j/4), keeping _MODEL_PARTIALS partial moments,
-        and one tail bracket of moments 3 and 4 at y_j, whose upper ends give
-        its model's bounds, T3 and F4 = P_4 + the moment-4 end, where both
-        are finite; None, kept too, where either raises BudgetError or
-        RangeError."""
-        try:
-            return self.models[j, tol, ceiling]
-        except KeyError:
-            y, s = -self.family.alpha - 2.0 ** (j / _MODEL_RUNGS), None
+    def model(self, j) -> Optional[_Slope]:
+        """The model rung at j (-192..96), computed on first use: one pass
+        at y_j to 0.25 _MODEL_TOL under the ceiling 1e-5 / _MODEL_TOL, at
+        the scale of the entry at k = floor(j/4), keeping _MODEL_PARTIALS
+        partial moments, and one tail bracket of moments 3 and 4 at y_j,
+        whose upper ends give its model's bounds, T3 and F4 = P_4 + the
+        moment-4 end, where both are finite; None, kept too, where either
+        raises BudgetError or RangeError."""
+        if j in self.models:  # a kept record is never dropped
+            return self.models[j]
+        y, s = -self.family.alpha - 2.0 ** (j / _MODEL_RUNGS), None
         try:
             coarse = self.rung(j * 4 // _MODEL_RUNGS).slope  # raises where y_j rounds to -alpha
-            s = _certified_slope(self.family, y, 0.25 * tol, coarse, ceiling, _MODEL_PARTIALS)
+            s = _certified_slope(self.family, y, 0.25 * _MODEL_TOL, coarse, 1e-5 / _MODEL_TOL,
+                                 _MODEL_PARTIALS)
             if (m := s.model) is not None:
                 iv3, iv4 = _tails(self.family, y, m.n, (3, 4))
                 if iv3 and iv4 and math.isfinite(iv3[1] + iv4[1]):
                     s = s._replace(model=m._replace(bounds=(iv3[1], m.partials[4] + iv4[1])))
         except (BudgetError, RangeError):
             pass
-        if len(self.models) >= _MODEL_J[1] - _MODEL_J[0] + 1:
-            self.models.popitem(last=False)
-        return self.models.setdefault((j, tol, ceiling), s)
+        return self.models.setdefault(j, s)
 
     def bracket(self, w):
         """(inner, outer): the entries nearest w that prove it lies between
@@ -860,14 +858,15 @@ def _invert_slope(family, w, tol, ceiling=1.0) -> _Slope:
     a caller needing f at the root re-sums only when its bound is too
     loose.  The first bracket comes from the slope ladder (_ladder_start)
     with no new pass.  Every point is _certified_slope from the slope
-    before it: the Hermite start's from the model rung just right of it
-    (_Ladder.model, y_j >= y_h), else the nearer entry's from that entry's
-    scale, and each later one by a Taylor step from that slope or from its
-    model, where either certifies phi to q = 0.25 tol, else from a new pass,
-    whose model the points after it read; so a warm root whose points the
-    model rung certifies makes no pass, and one bracket where its Newton
-    points step.  A slope certified only to err > q (a ceiling stop, which
-    leaves no model) passes at |phi - w| <= 3 err (_Slope.residual)."""
+    before it: the start y0, the Hermite start or else the nearer entry's
+    y, from the model rung at y0's index (_Ladder.model), or from the
+    entry's rough slope where that rung is None, and each later one by a
+    Taylor step from that slope or from its model, where either certifies
+    phi to q = 0.25 tol, else from a new pass, whose model the points after
+    it read; so a warm root whose points the model rung certifies makes no
+    pass, and one bracket where its Newton points step.  A slope certified
+    only to err > q (a ceiling stop, which leaves no model) passes at
+    |phi - w| <= 3 err (_Slope.residual)."""
     prof = family._profile
     if not math.isfinite(w) or w <= prof.theta1 or w >= prof.theta2:
         raise RangeError(f"w={w} outside the open range ({prof.theta1}, {prof.theta2})")
@@ -875,10 +874,9 @@ def _invert_slope(family, w, tol, ceiling=1.0) -> _Slope:
         work.ladder_lookups += 1
     ladder = family._ladder
     (lo, hi), start, y_h, _ = _ladder_start(ladder, prof, w)
-    last, y0, q, t1 = start.slope, start.y, 0.25 * tol, prof.theta1
-    if y_h is not None:
-        j = math.floor(_MODEL_RUNGS * math.log2(-prof.alpha - y_h))
-        last, y0 = ladder.model(min(max(j, _MODEL_J[0]), _MODEL_J[1]), tol, ceiling) or last, y_h
+    y0 = start.y if y_h is None else y_h
+    j = min(max(math.floor(_MODEL_RUNGS * math.log2(-prof.alpha - y0)), _MODEL_J[0]), _MODEL_J[1])
+    last, q, t1 = ladder.model(j) or start.slope, 0.25 * tol, prof.theta1
 
     def evaluate(y):
         nonlocal last

@@ -133,7 +133,7 @@ class SequenceRule:
     @series._overflow_ignored
     def _terms(self, lo: int, hi: int) -> np.ndarray:
         """u_n for n in [lo, hi].  Fermi-dirac terms past t = x + sigma_n y
-        = 700 read ln p_n, which only they read."""
+        = 0 are e^(ln p_n) / (1 + e^-t), from ln p_n, which only they read."""
         if self.form != "exponential":
             u = np.zeros(hi - lo + 1)
             for k, val in self.support or ():
@@ -146,8 +146,9 @@ class SequenceRule:
             return np.exp(lt)
         t = x + fam.sigma_array(lo, hi) * y
         t_hi = float(t.max())
-        log_p = fam.log_terms(0.0, lo, hi) if t_hi > 700.0 else None
-        return series._mult_arrays(self.kind, ("grad",), t, t_hi, np.exp(lt), lt, log_p)["grad"]
+        log_p = fam.log_terms(0.0, lo, hi) if t_hi > 0.0 else None  # fermi-dirac alone: BE t < 0
+        u = series._mult_arrays(self.kind, ("grad",), t, t_hi, np.exp(lt), lt, log_p)["grad"]
+        return u if log_p is None else np.where(t > 0.0, np.exp(log_p) / (1.0 + np.exp(-t)), u)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from entromin import (
     phi_n_inverse,
     solve_two_mb_be,
 )
-from entromin import _work
+from entromin import _work, series
 
 MB, BE, FD = Entropy.MAXWELL_BOLTZMANN, Entropy.BOSE_EINSTEIN, Entropy.FERMI_DIRAC
 S3 = 20853.54550805413  # (sum_{i>=1} e^(-0.001 i^2))^3, mpmath at 40 digits: Lattice3D(1)'s f(-0.001)
@@ -73,14 +73,30 @@ class TestCertificateRounding:
                 exact = mpmath.polylog(3, mpmath.exp(1 + mpmath.mpf(float(y))))
                 assert abs(mpmath.mpf(got.value) - exact) <= got.tail_bound_used, y
 
-    @_defect(AssertionError, "CHANGES.md FOUND line 87")
     def test_fermi_dirac_term_at_large_t(self):
         # t = 435, where 1 / (1 + e^-435) rounds to 1: the occupation is p_270
-        # itself, yet e^(ln p + sigma y + x) / (1 + e^t) is 440 ulp off it
+        # itself, which e^(ln p + sigma y + x) / (1 + e^t) missed by 440 ulp
         family = WeightedGeometric(0.5, 4.0)
         got = EmpSolver(family).forward_solve(FD, 705.0, -1.0).solution.term(270)
         want = math.exp(family.log_p(270))
         assert abs(got - want) <= 4.0 * math.ulp(want)
+
+    @_defect(AssertionError, "CHANGES.md FOUND line 186")
+    def test_a_stepped_root_lies_within_its_bounds(self):
+        # a warm root at tol 2.5e-13: one model point, then one Taylor step,
+        # whose bounds count no rounding of its sums; phi reads 8.0e-16 from
+        # Li_2 / Li_3(e^(1 + y)) against its err 1.2e-17, and f 4.1e-16 from
+        # Li_3 against its bound 4.7e-20
+        mpmath = pytest.importorskip("mpmath")
+        family, w = WeightedGeometric(1.0, 3.0), 1.27720989965683
+        series._invert_slope(family, w, 2.5e-13, 4e7)
+        root = series._invert_slope(family, w, 2.5e-13, 4e7)
+        with mpmath.workdps(40):
+            z = mpmath.exp(1 + mpmath.mpf(root.y))
+            f = mpmath.polylog(3, z)
+            phi = mpmath.polylog(2, z) / f
+            assert abs(mpmath.mpf(root.phi) - phi) <= root.err
+            assert abs(mpmath.mpf(root.f.value) - f) <= root.f.tail_bound_used
 
 
 class TestScaleCovariance:

@@ -780,30 +780,27 @@ class TestSlopeLadder:
             assert [got[j] for j in range(len(ws))] == serial
         assert kept() == serial_kept
 
-    def test_the_ladder_store_stays_inside_its_bound(self):
-        # 3,000 distinct (j, tol) model rungs of one family, more than its
-        # ladder keeps: it never holds more than 289, the newest, beside its
-        # entries; a fresh family's ladder starts empty and keeps only the
-        # indices of the ladder
-        lo_k, hi_k = series._LADDER_K
+    def test_every_caller_shares_one_set_of_model_rungs(self):
+        # phi_inverse at 1e-5, then at 1e-10, then solve_mb on one fresh
+        # family at the same 60 targets: the first fills every model rung
+        # the others read, keyed by its ladder index alone, and the second
+        # and third fill no entry or rung
         lo_j, hi_j = series._MODEL_J
-        n_j = hi_j - lo_j + 1
-        ladder = Arithmetic(0.0, 1.0)._ladder
-        keys = [(lo_j + i % n_j, 1e-10 * (1.0 + (i // n_j + 1) / 10_000)) for i in range(3_000)]
-        for i, (j, tol) in enumerate(keys):
-            ladder.model(j, tol, 1.0)
-            assert len(ladder.models) == min(i + 1, n_j)
-        assert list(ladder.models) == [(j, tol, 1.0) for j, tol in keys[-n_j:]]
-        assert set(ladder.rungs) <= set(range(lo_k, hi_k + 1))
         family = Arithmetic(0.0, 1.0)
-        ladder = family._ladder
-        assert (ladder.rungs, ladder.models) == ({}, {})
-        for w in np.geomspace(1.02, 9.0, 200):
-            ladder.bracket(float(w))
-            phi_inverse(family, float(w), 1e-10)
-        assert set(ladder.rungs) <= set(range(lo_k, hi_k + 1))
-        assert ladder.models and {j for j, _, _ in ladder.models} <= set(range(lo_j, hi_j + 1))
-        assert {key[1:] for key in ladder.models} == {(1e-10, 1.0)}
+        ladder, solver = family._ladder, EmpSolver(family)
+        ws = [float(w) for w in np.geomspace(1.02, 9.0, 60)]
+        callers = [
+            lambda w: phi_inverse(family, w, 1e-5),
+            lambda w: phi_inverse(family, w, 1e-10),
+            lambda w: solver.solve_mb(1.0, w),
+        ]
+        kept = []
+        for call in callers:
+            for w in ws:
+                call(w)
+            kept.append((set(ladder.rungs), dict(ladder.models)))
+        assert kept[0][1] and kept[1] == kept[0] and kept[2] == kept[0]
+        assert all(type(j) is int and lo_j <= j <= hi_j for j in ladder.models)
 
     @pytest.mark.parametrize(
         "family, w",
@@ -865,10 +862,10 @@ class TestSlopeLadder:
         assert filled and max(filled.values()) == 1
         assert shared == alone
 
-    @pytest.mark.parametrize("k, tol", [(-8, 1e-10), (1, 1e-10), (8, 1e-6)])
+    @pytest.mark.parametrize("k", [-8, 1, 8])
     @pytest.mark.parametrize("family", [Arithmetic(0.0, 1.0), WeightedGeometric(1.0, 3.0),
                                         Lattice3D(1.0)], ids=repr)
-    def test_each_fill_is_one_kept_pass(self, family, k, tol):
+    def test_each_fill_is_one_kept_pass(self, family, k):
         # scripts/bench.py reads the passes and terms of a ladder's fills from
         # the records it keeps: one pass per entry and per model rung, of the
         # kept slope's f.truncation_n terms.  The model rung at j = 4k reads
@@ -878,7 +875,7 @@ class TestSlopeLadder:
         with _work.counting() as entry:
             rung = ladder.rung(k)
         with _work.counting() as model:
-            slope = ladder.model(4 * k, tol, 1.0)
+            slope = ladder.model(4 * k)
         assert (entry.passes, entry.series_terms) == (1, rung.slope.f.truncation_n)
         assert (model.passes, model.series_terms) == (1, slope.f.truncation_n)
 
@@ -931,6 +928,22 @@ class TestSlopeModel:
             assert solver.solve_mb(1.0, w).region is Region.INTERIOR
         assert passes == []
 
+    @pytest.mark.parametrize("v, want", [
+        (5000.0, (-10.517093184748905, (-8.51699317141357, -0.00020002000266706673))),
+        (20000.0, (-11.903462552119452, (-9.903437551286087, -5.000125004166821e-05))),
+    ])
+    def test_a_warm_root_on_a_one_sided_ladder_takes_no_pass(self, v, want):
+        # these roots lie right of the ladder's first entry (y = -2^-12,
+        # phi = 4096.5), so the ladder is one-sided and they start at that
+        # entry, certified from the model rung at its index as a Hermite
+        # start is: warm, no pass, and the values of the pass-started roots
+        solver = EmpSolver(Arithmetic(0.0, 1.0))
+        solver.solve_mb(1.0, v)
+        with _work.counting() as work:
+            sol = solver.solve_mb(1.0, v)
+        assert (sol.region, sol.value, sol.multipliers) == (Region.INTERIOR, *want)
+        assert work.passes == 0
+
     @pytest.mark.parametrize("family, v1, v2, slopes", _LADDER_CASES, ids=repr)
     def test_a_point_outside_its_model_rung_falls_back_to_a_pass(self, monkeypatch, family, v1, v2,
                                                                  slopes):
@@ -941,7 +954,7 @@ class TestSlopeModel:
         q = 0.25 * tol
         root = _invert_slope(family, v2, tol)
         j = math.floor(series._MODEL_RUNGS * math.log2(-a - root.y))
-        rung = family._ladder.model(j, tol, 1.0)
+        rung = family._ladder.model(j)
         assert len(rung.model.partials) == series._MODEL_PARTIALS
         passes = _count_passes(monkeypatch, family)
         assert series._certified_slope(family, root.y, q, rung).model is rung.model
@@ -1085,7 +1098,7 @@ class TestTaylorStep:
         tol, a = 1e-10, family.alpha
         q = 0.25 * tol
         j = 8
-        rung = family._ladder.model(j, tol, 1.0)
+        rung = family._ladder.model(j)
         y_j = rung.y
         with _work.counting() as first:
             start = series._certified_slope(family, y_j - 1e-6, q, rung)
@@ -1141,7 +1154,7 @@ class TestTaylorStep:
         # relative, within their bounds plus rounding, which no certificate
         # counts yet (1e-14 relative); the step and its start lie left of
         # the rung
-        rung = family._ladder.model(j, tol, 1.0)
+        rung = family._ladder.model(j)
         if rung is None or rung.model.bounds is None:
             return
         y0 = rung.y - 10.0**log_gap

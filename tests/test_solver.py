@@ -306,9 +306,11 @@ class TestSolveMb:
                 assert abs(rule.term(n) / ref - 1) <= 1e-15
 
     def test_prefix_reads_one_term_array(self, monkeypatch):
-        # one log_terms call per prefix, not one per term
+        # one log_terms call per prefix, not one per term; a fermi-dirac
+        # rule with terms past t = 0 (t = 3 - n, and 705 - n) reads ln p_n
+        # in one more
         for name, rule in self._rules().items():
-            if rule.form != "exponential" or name == "fd-past-700":
+            if rule.form != "exponential":
                 continue
             cls = type(rule.normal[0])
             calls = []
@@ -320,7 +322,7 @@ class TestSolveMb:
 
             monkeypatch.setattr(cls, "log_terms", counting)
             rule.prefix(100_000)
-            assert calls == [(1, 100_000)], name
+            assert calls == [(1, 100_000)] * (2 if name in ("fd", "fd-past-700") else 1), name
             monkeypatch.undo()
 
     def test_beyond_theta2_not_attained(self, zeta_solver):

@@ -25,16 +25,19 @@ threads that share their solvers, give the pinned outputs too.  The
 counts were pinned when each family's slope ladder began to serve every
 tolerance; on the tree before, where each (family, tol, ceiling) filled
 its own ladder entries, cli-batch's cold run took 209 passes and 373,056
-terms (173 and 366,336 now), and every other count was the same.
+terms (162 and 365,248 now), and every other count was the same.
 
 The pins are bit patterns of one platform: python 3.11.7, numpy 2.4.6 and
 glibc's libm, as for the other goldens.  A change that moves an output
 re-pins the file, `PYTHONPATH=src python tests/test_workloads_golden.py`
 from the repository root, and names each move in CHANGES.md; a change
 meant to keep every figure must leave it as it is.  Pinned when the slope
-ladder's entries became one rough pass each, and re-pinned when a warm
+ladder's entries became one rough pass each, re-pinned when a warm
 root's Newton point began to be a Taylor step from its start (step_points,
-one bracket and one model point per warm root).
+one bracket and one model point per warm root), and when each ladder point
+kept one model rung for every tolerance: cli-batch's cold run, whose
+verify roots at 1e-5 had filled their own rungs, fell from 173 to 162
+passes, 366,336 to 365,248 terms and 547 to 523 bracket calls.
 """
 
 import dataclasses
