@@ -49,8 +49,8 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
                        with a solver built from that spec, reported per
                        family with the entropy calls, the inverse solves'
                        Newton points and each check's time of one profiled
-                       verify, and the term tables and windows of a warm
-                       verify;
+                       verify, and the series passes and terms, term tables
+                       and windows of a warm verify;
   rule_prefix          SequenceRule.prefix(100_000) of the interior
                        solutions solve_mb(1, 2) on Arithmetic(0, 1) and
                        solve_mb(1, 3.19) on LogLevels(1), reported per
@@ -110,7 +110,8 @@ the check times from cProfile:
                        one per member whose terms are read
                        (EpsilonMember.terms, made on first read);
   series_passes        certified series passes (series._block_sums calls)
-                       during one solve_mb or round trip;
+                       during one solve_mb or round trip, or one warm verify
+                       (cli_verify's warm-up run, as for windows_built);
   series_terms         the terms those passes sum;
   array_calls          their family.log_terms calls: one per array pass
                        over a stretch of terms;
@@ -690,8 +691,8 @@ def verify_case(runs):
     """cli_verify: per family, the wall time of one verify (median and
     quartiles over REPEATS runs after one warm-up); the entropy calls, the
     inverse Newton points and each check's time of one profiled verify,
-    whose counts repeat exactly; and the tables and windows the warm-up
-    verify builds."""
+    whose counts repeat exactly; and the series passes and terms of the
+    warm-up verify and the tables and windows it builds."""
     from entromin import _work
 
     per_target, times, per_family = [], [], {}
@@ -703,7 +704,8 @@ def verify_case(runs):
         counts.update({out: getattr(work, key) for out, key in NEWTON_KEYS.items()})
         with _work.counting() as work:  # the warm-up run: a warm verify
             run()
-        counts.update({out: getattr(work, key) for out, key in TABLE_KEYS.items()})
+        counts.update({out: getattr(work, key)
+                       for out, key in {**SERIES_KEYS, **TABLE_KEYS}.items()})
         runs_s = [_seconds(run) for _ in range(REPEATS)]
         times.append(statistics.median(runs_s))
         per_target.append(counts)

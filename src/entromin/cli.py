@@ -270,7 +270,8 @@ def _check_weak_duality(solver, rng):
 
 def _check_beyond_theta2(solver, spec):
     prof = solver.profile
-    sol = solver.solve_mb(1.0, 1.3 * prof.theta2)
+    u = 1.0
+    sol = solver.solve_mb(u, 1.3 * prof.theta2)
     if sol.attained or sol.epsilon_family is None:
         return False, "beyond-theta2 target misclassified"
     try:
@@ -279,10 +280,10 @@ def _check_beyond_theta2(solver, spec):
         member = sol.epsilon_family.converge(max(spec.epsilon, 1e-3), n_max=2**15)
     except BudgetError as exc:
         return False, str(exc)
-    x_n = math.log(1.0 / prof.f_at_boundary)
-    _, v_cand = series.grad_h(
-        solver.normal_family, Entropy.MAXWELL_BOLTZMANN, x_n, -prof.alpha, 1e-10
-    )
+    # the boundary candidate p_n e^(x_n - alpha sigma_n), x_n = ln(u / f(-alpha)),
+    # has moments e^(x_n) (f(-alpha), gamma) = (u, u theta2): the profile's
+    # certified sums at -alpha, so its second moment takes no pass of its own
+    v_cand = u * prof.theta2
     gap = abs(v_cand - 1.3 * prof.theta2)
     ok = gap > 1e-6
     detail = (
@@ -344,27 +345,30 @@ def _cmd_verify(solver: EmpSolver, spec: ProblemSpec, args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# one parser, built at import and never changed after: parse_args only reads it
+_PARSER = argparse.ArgumentParser(
+    prog="entromin",
+    description="Entropy minimization solver for countable moment problems.",
+)
+_PARSER.add_argument("--spec", required=True, help="problem-spec file path")
+_PARSER.add_argument("--out", default=None, help="write the machine-readable result here")
+_PARSER.add_argument("--format", choices=("csv", "json"), default="json")
+_PARSER.add_argument("--terms", type=int, default=10, help="solution terms to report")
+_PARSER.add_argument(
+    "--workers",
+    type=int,
+    default=1,
+    help="accepted for compatibility and ignored: sweeps run serially",
+)
+_PARSER.add_argument(
+    "--strict-feasible",
+    action="store_true",
+    help="exit 3 when every requested point is infeasible",
+)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="entromin",
-        description="Entropy minimization solver for countable moment problems.",
-    )
-    parser.add_argument("--spec", required=True, help="problem-spec file path")
-    parser.add_argument("--out", default=None, help="write the machine-readable result here")
-    parser.add_argument("--format", choices=("csv", "json"), default="json")
-    parser.add_argument("--terms", type=int, default=10, help="solution terms to report")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="accepted for compatibility and ignored: sweeps run serially",
-    )
-    parser.add_argument(
-        "--strict-feasible",
-        action="store_true",
-        help="exit 3 when every requested point is infeasible",
-    )
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     level = os.environ.get("EMP_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 

@@ -9,7 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from entromin import NumericalFailureError, Region, cli, sequences, series, solver
+from entromin import (
+    EmpSolver,
+    Entropy,
+    NumericalFailureError,
+    Region,
+    WeightedGeometric,
+    _work,
+    cli,
+    sequences,
+    series,
+    solver,
+)
 from entromin.cli import main
 from entromin.rootfind import solve_bracketed
 from entromin.specfile import ParseError, parse_spec
@@ -502,6 +513,27 @@ class TestVerifyMode:
             "value -inf, h = +inf"
         ) in capsys.readouterr().out.splitlines()
 
+    @pytest.mark.parametrize("rate, power", [(1.0, 3.0), (0.5, 4.0)])
+    def test_the_boundary_candidate_has_the_profile_moments(self, rate, power):
+        # the beyond-theta2 check reads the candidate's moments (1, theta2)
+        # from the profile; summed here, they agree
+        es = EmpSolver(WeightedGeometric(rate, power))
+        prof = es.profile
+        x_n = math.log(1.0 / prof.f_at_boundary)
+        u, v = series.grad_h(es.normal_family, Entropy.MAXWELL_BOLTZMANN, x_n, -prof.alpha, 1e-10)
+        assert abs(u - 1.0) <= 1e-9 and abs(v - prof.theta2) <= 1e-9
+
+    def test_a_warm_beyond_theta2_check_takes_no_series_pass(self):
+        spec = parse_spec((SPECS / "weighted_geometric_verify.emp").read_text())
+        es = EmpSolver(spec.build_family(), spec.tol)
+        cli._check_beyond_theta2(es, spec)
+        with _work.counting() as work:
+            got = cli._check_beyond_theta2(es, spec)
+        assert (work.passes, work.series_terms) == (0, 0)  # a grad_h pass of 131,072 terms before
+        assert got == (True, (
+            "epsilon family reached -2.96216953 (value -2.96299679) at n=4096; "
+            "boundary candidate misses second constraint by 4.105e-01"))
+
     def test_raising_check_fails_and_exits_four(self, tmp_path, capsys, monkeypatch):
         def raising(solver, spec):
             raise NumericalFailureError("no bracket")
@@ -519,6 +551,37 @@ class TestVerifyMode:
 
 
 class TestExitCodes:
+    def test_one_parser_serves_every_call(self, tmp_path):
+        # main parses with one module-level parser: no call's options leak
+        # into the next one's defaults
+        calls = [
+            ("weighted_geometric_verify.emp", []),
+            ("geometric_sweep.emp", ["--format", "csv", "--workers", "2", "--terms", "3",
+                                     "--strict-feasible"]),
+        ]
+        first = {}
+        for k, (name, extra) in enumerate(calls + calls):
+            out = tmp_path / f"out{k}"
+            code = main(["--spec", str(SPECS / name), "--out", str(out), *extra])
+            first.setdefault(name, (code, out.read_bytes()))
+            assert (code, out.read_bytes()) == first[name]
+        assert first["weighted_geometric_verify.emp"][1].startswith(b"{")  # json, the default
+        assert [code for code, _ in first.values()] == [0, 0]
+
+    @pytest.mark.parametrize("argv", [[], ["--spec", str(SPECS / "geometric_solve.emp"),
+                                           "--format", "xml"]])
+    def test_argument_errors_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: entromin")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: entromin")
+
     def test_missing_file(self):
         assert main(["--spec", "/nonexistent/x.emp"]) == 2
 

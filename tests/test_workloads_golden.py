@@ -25,7 +25,7 @@ threads that share their solvers, give the pinned outputs too.  The
 counts were pinned when each family's slope ladder began to serve every
 tolerance; on the tree before, where each (family, tol, ceiling) filled
 its own ladder entries, cli-batch's cold run took 209 passes and 373,056
-terms (162 and 365,248 now), and every other count was the same.
+terms (162 and 365,248 then), and every other count was the same.
 
 The pins are bit patterns of one platform: python 3.11.7, numpy 2.4.6 and
 glibc's libm, as for the other goldens.  A change that moves an output
@@ -37,7 +37,13 @@ root's Newton point began to be a Taylor step from its start (step_points,
 one bracket and one model point per warm root), and when each ladder point
 kept one model rung for every tolerance: cli-batch's cold run, whose
 verify roots at 1e-5 had filled their own rungs, fell from 173 to 162
-passes, 366,336 to 365,248 terms and 547 to 523 bracket calls.
+passes, 366,336 to 365,248 terms and 547 to 523 bracket calls.  Re-pinned
+when cli verify's beyond-theta2 check began to read the boundary
+candidate's second moment from the profile, in place of a pass of 131,072
+terms: cli-batch's cold run fell from 162 to 161 passes and 365,248 to
+234,176 terms, its warm rerun from 43 to 42 passes and 136,256 to 5,184
+terms, and both made fewer array, reduce and bracket calls, slope passes
+and windows.
 """
 
 import dataclasses
