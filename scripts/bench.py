@@ -8,10 +8,11 @@ Cases, with targets drawn exactly as perfbench's workloads draw them
                        target of mb-point (WeightedGeometric(1, 3), slopes
                        1.4 to 2.0), counted three ways: warm on targets
                        converged before (counts_per_converge), over a cold
-                       first cycle from a cleared prefix cache
+                       first cycle on a fresh family
                        (counts_per_cold_converge), and on the targets of
                        seeds 9002-9003 after a converge on each of seed
-                       9001's (counts_per_unseen_converge);
+                       9001's on one other fresh family
+                       (counts_per_unseen_converge);
   mb_interior          solve_mb on every interior target of mb-point's three
                        families (Arithmetic(0, 1), WeightedGeometric(1, 3)
                        and Lattice3D(1)), reported overall and per family;
@@ -79,9 +80,9 @@ depend on which entries are cached, so the difference is the build alone.
 mb_interior also reports zero_pass_solves, the warm solves that make no
 series pass.
 cold_cycle reports per seed the series passes and terms of one whole
-mb-point cycle, every request in order on fresh families, with the prefix
-cache (solver._cached_prefix) cleared, as a new perfbench process runs it,
-and the entry and model-rung fills its families' ladders keep, as above.
+mb-point cycle, every request in order on fresh families, as a new
+perfbench process runs it, and the entry and model-rung fills its
+families' ladders keep, as above.
 dual_rows reports the wall time of one call of series._mult_arrays, which
 makes the bose-einstein and fermi-dirac dual's rows (W*, (W*)' and (W*)'',
 as finite._finite_dual asks for them), and of one finite._finite_dual, on
@@ -104,8 +105,9 @@ the check times from cProfile:
   prefix_terms_per_n   prefix_terms over the returned member's n;
   members              truncations tried: EpsilonFamily._member calls;
   prefix_builds        log_terms calls during one converge: the member
-                       prefixes built, none for a prefix kept from an
-                       earlier call;
+                       prefixes built past the family's 2^13-term table,
+                       none for one within it (views of the table) or one
+                       the family kept from an earlier call;
   terms_built          tuples of member terms made during one converge:
                        one per member whose terms are read
                        (EpsilonMember.terms, made on first read);
@@ -143,7 +145,8 @@ the check times from cProfile:
                        (finite._minimize_dual), which make no pass;
   rows_builds          finite._dual_rows calls during one round trip: the
                        proposal's rows (1, sigma_k, sigma_k^2) built, none
-                       for rows kept per (family, n) from an earlier call;
+                       for rows of a prefix record the family kept from an
+                       earlier call;
   exp_calls            Gibbs passes during one finite solve: every
                        evaluation of phi_n in its slope root;
   exp_terms            the terms those passes exponentiate;
@@ -188,19 +191,20 @@ median of REPEATS calls, after one untimed warm-up call per target.  All
 timing and the py_calls profiles run before the tracer is installed, so
 the counts see what the library caches across calls warm, as a
 long-running process does (the slope ladder, and the epsilon family's
-prefix arrays, their rungs of target-free passes and the proposal's rows,
-per family and n); only epsilon_converge's cold and unseen counts, taken
-after every other case, start from a cleared prefix cache.
+prefix records, their rungs of target-free passes and the proposal's rows,
+which each family keeps by n); only epsilon_converge's cold and unseen
+counts start from fresh families.
 
 Usage, from the repository root:
     python scripts/bench.py --out BENCH.json [--src PATH]
 
 --src points at another checkout's src/ to measure it with the same bench
 code, e.g. a parent commit exported next to this one; the work record
-(entromin._work) and the records a family keeps (SequenceFamily._ladder)
-must exist there as they do in this tree.  Where that tree's work record
-lacks a key the script reads, it exits with status 2 before any case and
-names the keys; measure such a tree with its own scripts/bench.py.
+(entromin._work) and the records a family keeps (SequenceFamily._ladder
+and _prefixes) must exist there as they do in this tree.  Where that
+tree's work record lacks a key the script reads, it exits with status 2
+before any case and names the keys; measure such a tree with its own
+scripts/bench.py.
 """
 
 from __future__ import annotations
@@ -324,15 +328,21 @@ def _targets(workloads, np, seeds=SEEDS):
     return [r for seed in seeds for r in wl.requests(np.random.default_rng(seed))]
 
 
-def _families(entromin, workloads, reqs):
-    """Epsilon families of the beyond-theta2 weighted-geometric targets."""
-    es = entromin.EmpSolver(workloads.build_family(entromin, "weighted-geometric"))
+def _families(es, reqs):
+    """Epsilon families of the beyond-theta2 weighted-geometric targets of
+    reqs, all on the family of the solver es."""
     fams = [
         es.solve_mb(*r.args).epsilon_family
         for r in reqs
         if r.family == "weighted-geometric"
     ]
     return [f for f in fams if f is not None]
+
+
+def _geometric_solver(entromin, workloads):
+    """A solver on a new WeightedGeometric(1, 3) instance, whose records
+    (profile, ladder, prefix records) start empty."""
+    return entromin.EmpSolver(workloads.build_family(entromin, "weighted-geometric"))
 
 
 def _converge_counts(tracer, fams):
@@ -356,18 +366,16 @@ def count_converge(tracer, fams):
     }
 
 
-def count_fresh_converge(tracer, fams, seen, unseen):
-    """counts_per_cold_converge: a first cycle of converges on fams from a
-    cleared prefix cache; counts_per_unseen_converge: converges on unseen
-    after one uncounted converge on each of seen from a cleared cache.
-    The cache is left holding what those converges filled."""
-    from entromin import solver
-
-    solver._cached_prefix.cache_clear()
-    cold = _converge_counts(tracer, fams)[0]
-    solver._cached_prefix.cache_clear()
-    for fam in seen:
+def count_fresh_converge(tracer, entromin, workloads, np, reqs):
+    """counts_per_cold_converge: a first cycle of converges on the targets
+    of reqs on a fresh family; counts_per_unseen_converge: converges on the
+    targets of seeds 9002-9003 after one uncounted converge on each of seed
+    9001's, all on one other fresh family."""
+    cold = _converge_counts(tracer, _families(_geometric_solver(entromin, workloads), reqs))[0]
+    es = _geometric_solver(entromin, workloads)
+    for fam in _families(es, _targets(workloads, np, SEEDS[:1])):
         fam.converge(1e-3)
+    unseen = _families(es, _targets(workloads, np, SEEDS[1:]))
     return {"counts_per_cold_converge": _summary(cold),
             "counts_per_unseen_converge": _summary(_converge_counts(tracer, unseen)[0])}
 
@@ -638,14 +646,11 @@ def count_ladder_build(tracer, targets, call):
 
 def count_cold_cycle(tracer, entromin, workloads, np):
     """Per seed: the series passes and terms of one mb-point cycle, every
-    request in order on the fresh families of a new prepare, the prefix
-    cache cleared, as in a new perfbench process, and the passes and terms
-    among them that fill the slope ladder's entries and model rungs."""
-    from entromin import solver
-
+    request in order on the fresh families of a new prepare, as in a new
+    perfbench process, and the passes and terms among them that fill the
+    slope ladder's entries and model rungs."""
     wl, out = workloads.MbPoint(), {}
     for seed in SEEDS:
-        solver._cached_prefix.cache_clear()
         ctx = wl.prepare(entromin, None, [])
         total = Counter()
         for req in wl.requests(np.random.default_rng(seed)):
@@ -810,9 +815,7 @@ def main(argv=None) -> int:
 
     explicit_solver = explicit_case(entromin)
     reqs = _targets(workloads, np)
-    fams = _families(entromin, workloads, reqs)
-    seen_fams = _families(entromin, workloads, _targets(workloads, np, SEEDS[:1]))
-    unseen_fams = _families(entromin, workloads, _targets(workloads, np, SEEDS[1:]))
+    fams = _families(_geometric_solver(entromin, workloads), reqs)
     interior = _interior(entromin, workloads, reqs)
     shifted_es, shifted = _shifted(entromin, interior)
     trips = _roundtrips(entromin, workloads, np)
@@ -874,8 +877,7 @@ def main(argv=None) -> int:
     }
     cold_cycle = count_cold_cycle(tracer, entromin, workloads, np)
     rule_prefix = prefix_case(tracer, rules, prefix_calls, prefix_runs)
-    # last: it empties the prefix cache that the cases above read warm
-    converge.update(count_fresh_converge(tracer, fams, seen_fams, unseen_fams))
+    converge.update(count_fresh_converge(tracer, entromin, workloads, np, reqs))
     tracer.active = False
 
     record = {

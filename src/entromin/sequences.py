@@ -220,6 +220,10 @@ class SequenceFamily:
         return _Ladder(self)
 
     @functools.cached_property
+    def _prefixes(self):  # solver._prefix's records by n, each kept on first read
+        return {}
+
+    @functools.cached_property
     def _normal(self):  # (flip, shift, normal form), shared by every EmpSolver
         from .solver import _normal_form
         return _normal_form(self)

@@ -11,15 +11,15 @@ h_star_mb return its value and h_star.  The interior value comes from the
 same slope root and f as series.lnf_conjugate.
 
 Beyond theta2 the n-th member of the epsilon family rests on the root lam
-in [0, alpha] of its prefix slope, phi_n(-lam) = v/u.  The first n terms
-of a family (n <= 2^16) are one cached record per (family, n) (_prefix),
-shared by every target of the family, which also keeps target-free Gibbs
-passes on a ladder of multipliers lam_k = alpha - alpha 2^(-k/16) (_rung),
-each computed on first use.  EpsilonFamily.converge reads the rung nearest
-each member's extrapolated start: it drops the member with no pass of its
-own where the rung's Lagrange dual already rules it out, and otherwise
-starts the member's Newton iteration from the rung's step.  The rung
-depends on the start alone, so no result depends on what the cache holds.
+in [0, alpha] of its prefix slope, phi_n(-lam) = v/u.  The family keeps
+its first n terms, n a power of two up to 2^16, as one record (_prefix)
+shared by every target, with target-free Gibbs passes on a ladder of
+multipliers lam_k = alpha - alpha 2^(-k/16) (_rung), each computed on
+first use.  EpsilonFamily.converge reads the rung nearest each member's
+extrapolated start: it drops the member with no pass of its own where the
+rung's Lagrange dual already rules it out, and otherwise starts the
+member's Newton iteration from the rung's step.  The rung depends on the
+start alone, so no result depends on what the family keeps.
 
 Forward solves (from dual multipliers (x, y) to the unique optimizer) work
 for all three entropies.  Inverse bose-einstein/fermi-dirac solves are
@@ -51,7 +51,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .rootfind import _newton_step, minimize_convex_2d, newton_root, slope_step
-from .sequences import SequenceFamily, ShiftedSigma, flipped, sigma_min_set
+from .sequences import _TABLE_MAX, SequenceFamily, ShiftedSigma, flipped, sigma_min_set
 from . import _work, finite, series
 from .series import SeriesProfile
 
@@ -177,9 +177,7 @@ class _Dropped(Exception):
     is the root estimate that stands in for its root (EpsilonFamily._root)."""
 
 
-_PREFIX_CACHE_N = 2**16
-_PREFIX_CACHE_SIZE = 32
-_PREFIX_CACHE_BYTES = _PREFIX_CACHE_SIZE * 2 * 8 * _PREFIX_CACHE_N
+_PREFIX_KEPT_N = 2**16
 _RUNGS = 16  # rungs of a record's ladder per halving of alpha - lam (_rung)
 
 
@@ -198,19 +196,21 @@ def _rung(start: float, alpha: float) -> float:
 
 class _Prefix:
     """The first n terms of a normalized family, as every target of the
-    family reads them: log_p and s, (ln p_k, sigma_k) for k = 1..n as
-    read-only arrays; rows, finite._dual_rows(s), built on first read (the
+    family reads them: log_p and s, (ln p_k, sigma_k) for k = 1..n,
+    read-only, views of the term table's rows up to 2^13 and one window's
+    arrays past it; rows, finite._dual_rows(s), built on first read (the
     inverse's proposal reads it, n <= series._ONE_ARRAY); and ends, the
     target-free Gibbs passes {lam: (phi_n, Var_n, ln Z_n) at t = -lam} on
-    the rungs of the ladder lam_k = alpha - alpha 2^(-k/16) (_rung), whose
-    rungs 0 and alpha are the ends of [0, alpha].  end fills ends, each
-    rung the first time EpsilonFamily._root asks for it, so a record holds
-    at most 865 of them (concurrent writers store the same floats)."""
+    the rungs of _rung's ladder (0 and alpha among them, at most 865), each
+    filled when EpsilonFamily._root first asks (concurrent fills agree)."""
 
     def __init__(self, family, n: int):
-        self.log_p = family.log_terms(0.0, 1, n)
-        self.s = family.sigma_array(1, n)
-        self.log_p.flags.writeable = self.s.flags.writeable = False
+        if n <= _TABLE_MAX:
+            self.s, self.log_p = family._term_table[1][:, :n]
+        else:
+            arrays = family._tabled(1, n)
+            self.s, self.log_p = arrays[0], family.log_terms(0.0, 1, n, arrays)
+            self.log_p.flags.writeable = self.s.flags.writeable = False
         self.ends = {}
 
     @functools.cached_property
@@ -227,21 +227,15 @@ class _Prefix:
         return got
 
 
-_cached_prefix = functools.lru_cache(maxsize=_PREFIX_CACHE_SIZE)(_Prefix)
-
-
 def _prefix(family, n: int) -> _Prefix:
-    """The _Prefix of the first n terms.  Up to n = _PREFIX_CACHE_N (2^16)
-    it is built once per (family, n) and kept in a least-recently-used
-    cache of _PREFIX_CACHE_SIZE (32) entries, larger ones are built per
-    call.  A record holds two float64 arrays of n, and its rows (n <= 4096)
-    three more columns, at most 2 * 2^16 floats in all, so the cache holds
-    at most _PREFIX_CACHE_BYTES (32 MiB) of arrays whatever truncations are
-    asked for, besides each record's ends, at most 865 passes of three
-    floats.  The cache is the module's, not the family's: a record holds up
-    to 1 MiB, and the public member(n) can ask for any n, so one byte bound
-    over every family keeps memory bounded."""
-    return _Prefix(family, n) if n > _PREFIX_CACHE_N else _cached_prefix(family, n)
+    """The _Prefix of the first n terms, kept on the family (_prefixes) for
+    n a power of two up to _PREFIX_KEPT_N = 2^16 (every n from converge's
+    default start and the proposal's), else built per call: at most 17
+    records, whose own arrays (past 2^13; rows to 4096) hold under 2 MiB."""
+    if n > _PREFIX_KEPT_N or n & (n - 1):
+        return _Prefix(family, n)
+    kept = family._prefixes
+    return kept.get(n) or kept.setdefault(n, _Prefix(family, n))
 
 
 def _proposal(family, kind, u, v, start, scale, in_domain, tol):
@@ -261,8 +255,8 @@ def _proposal(family, kind, u, v, start, scale, in_domain, tol):
     and the certified Newton judges the proposal anyway.  Where the step
     is not finite or leaves in_domain, or the Hessian's determinant is not
     positive and finite, the proposal is the evaluated point.  It makes no
-    pass: ln p_k, sigma_k and the rows of the finite dual come from one
-    _prefix record per (family, n)."""
+    pass: ln p_k, sigma_k and the rows of the finite dual come from the
+    _prefix record of n that the family keeps."""
     x0, y0 = start
     shift = x0 - math.log(tol * scale)
     n = series._START_BLOCK
@@ -323,7 +317,7 @@ class EpsilonFamily:
         """(member(n), its lam) with the root search started from lam =
         start (_root); (None, a root estimate) once the member is
         dropped by its dual bound.  The prefix record comes from
-        _prefix, shared per (family, n); the member's terms are the root's
+        _prefix, kept on the family; the member's terms are the root's
         last Gibbs pass scaled in place, u e / z0, and become a tuple only
         when read (EpsilonMember.terms)."""
         if _work.on and (work := _work.local.record) is not None:
@@ -349,17 +343,17 @@ class EpsilonFamily:
         Every pass also gives the Lagrange dual of the n-term problem,
         D_n(lam) = (ln u - ln Z_n(lam) - 1) u - lam v, which is at most the
         member's objective for every lam (weak duality) and equals it at the
-        root.  A cached record (n <= _PREFIX_CACHE_N) first reads one rung
-        of its ladder of target-free passes, the one nearest the start lam
-        (_rung; pre.end, one pass per record and rung the first time), the
-        alpha end for a start at alpha and the zero end for a start at 0.
-        At an end it checks that end's side (RangeError unless phi_n(-alpha)
-        < w at alpha, w < phi_n(0) at 0); at every rung it checks the bound,
-        and the Newton iteration starts from the rung's Newton step, clipped
-        to [floor, alpha] (at the rung where the step is nan).  An uncached
-        record starts at lam itself.  The rung depends on the start alone
-        and its pass on the record and the rung alone, so no result depends
-        on which rungs the cache holds.
+        root.  A record of n <= _PREFIX_KEPT_N first reads one rung of its
+        ladder of target-free passes, the one nearest the start lam (_rung;
+        pre.end, one pass per record and rung the first time), the alpha
+        end for a start at alpha and the zero end for a start at 0.  At an
+        end it checks that end's side (RangeError unless phi_n(-alpha) < w
+        at alpha, w < phi_n(0) at 0); at every rung it checks the bound, and
+        the Newton iteration starts from the rung's Newton step, clipped to
+        [floor, alpha] (at the rung where the step is nan).  A longer record
+        starts at lam itself.  The rung depends on the start alone and its
+        pass on the record and the rung alone, so no result depends on what
+        the family keeps.
 
         Where D_n exceeds `bound`, at the rung or at an iterate, the
         member's objective is above `bound`, up to rounding, and _root
@@ -394,7 +388,7 @@ class EpsilonFamily:
             est = clipped(lam, step)
             return est if phi > w else 0.5 * (est + lam)
 
-        if n <= _PREFIX_CACHE_N:
+        if n <= _PREFIX_KEPT_N:
             rung = _rung(lam, a)
             phi, var, log_z = pre.end(rung)
             reach(phi, rung)
@@ -438,8 +432,8 @@ class EpsilonFamily:
         the value.  delta = 1e-12 max(1, |value| + alpha v) covers the
         rounding of D_n and of the objective, whose two products are each
         at most about |value| + alpha v in magnitude.  Up to n =
-        _PREFIX_CACHE_N the bound is first read at the rung of the record's
-        ladder of target-free passes nearest the member's start (_rung):
+        _PREFIX_KEPT_N the bound is first read at the rung nearest the
+        member's start (_rung) on its prefix record, kept on the family:
         a member whose D_n there exceeds it takes no pass of its own, and
         the others start their Newton iteration from the rung's step and
         are dropped after the first Newton pass past the bound (_root).  A

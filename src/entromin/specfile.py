@@ -84,14 +84,15 @@ class ProblemSpec:
     epsilon: float = 1e-6
 
     def build_family(self) -> SequenceFamily:
-        """The spec's family: one instance per (family_name, family_params),
-        shared by the specs that name it, so that what the instance keeps
-        (its term table) is built once."""
+        """The spec's family, shared by the specs that name it (_shared_family)."""
         return _shared_family(self.family_name, self.family_params)
 
 
 @functools.lru_cache(maxsize=16)
 def _shared_family(name: str, params: tuple[tuple[str, str], ...]) -> SequenceFamily:
+    """One instance per (family name, parameters), keyed by the spec's text
+    and not by a family, so that what the instance keeps, its term table,
+    profile, slope ladder and epsilon prefix records, serves every spec."""
     return _build_family(name, dict(params))
 
 

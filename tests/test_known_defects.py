@@ -38,7 +38,7 @@ from entromin import (
     phi_n_inverse,
     solve_two_mb_be,
 )
-from entromin import _work, series, solver
+from entromin import _work, series
 
 MB, BE, FD = Entropy.MAXWELL_BOLTZMANN, Entropy.BOSE_EINSTEIN, Entropy.FERMI_DIRAC
 S3 = 20853.54550805413  # (sum_{i>=1} e^(-0.001 i^2))^3, mpmath at 40 digits: Lattice3D(1)'s f(-0.001)
@@ -219,16 +219,11 @@ class TestShiftedLattice:
 
 
 class TestPrefixCacheLifetime:
-    """CHANGES.md FOUND line 168: the epsilon family's prefix records are
-    kept in a module cache keyed by (family, n), which holds a dropped
-    family alive until 32 other prefixes displace it."""
+    """CHANGES.md MENDED line 168: a family keeps its epsilon prefix
+    records, so that no module cache holds a dropped family alive."""
 
-    @_defect(AssertionError, "CHANGES.md FOUND line 168")
     def test_a_dropped_family_is_freed_after_a_converge(self):
-        # the converge leaves 9 solver._cached_prefix records of the family;
-        # solver._cached_prefix.cache_clear() frees it.  The cache starts
-        # empty: records of an equal family made earlier would serve this one
-        solver._cached_prefix.cache_clear()
+        # the converge leaves 9 prefix records on the family
         family = WeightedGeometric(1.0, 3.0)
         EmpSolver(family).solve_mb(1.0, 1.6).epsilon_family.converge(1e-3)
         ref = weakref.ref(family)

@@ -1196,6 +1196,25 @@ def test_every_library_bracket_is_counted_in_one_helper():
     assert stray == []
 
 
+def test_no_module_cache_is_keyed_by_a_family():
+    # a family keeps what is derived from it on the instance (its cached
+    # properties), so that it goes with the family; the library's functools
+    # caches are keyed by a pass's sums, a lattice limit and a spec's
+    # family parameters
+    def caches(node):
+        return any(isinstance(n, (ast.Name, ast.Attribute))
+                   and getattr(n, "id", getattr(n, "attr", None)) in ("lru_cache", "cache")
+                   for n in ast.walk(node))
+
+    found = set()
+    for path in sorted(Path(series.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if caches(stmt):
+                name = stmt.name if hasattr(stmt, "name") else ast.unparse(stmt.targets[0])
+                found.add(f"{path.stem}.{name}")
+    assert found == {"series._pass_shape", "sequences._lattice_upto", "specfile._shared_family"}
+
+
 class _LooseTails(Arithmetic):
     """Unit weights, sigma_n = n, with every tail bracket's upper end raised
     by 1e-5 (64 / n)^4, still a true bracket: at y = -16, where f is

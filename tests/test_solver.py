@@ -518,11 +518,12 @@ class TestEpsilonFamily:
         member = sol.epsilon_family.converge(1e-3, n_max=2**15)
         assert abs(member.objective - sol.value) <= 1e-3
 
-    def test_member_builds_prefix_once(self, zeta_solver, monkeypatch):
-        # the prefix is built once per (family, n) and then shared
-        sol = zeta_solver.solve_mb(1.0, 2.0)
+    def test_member_builds_prefix_once(self, monkeypatch):
+        # the prefix of n = 256 is kept on the family and then shared; its
+        # arrays are views of the family's term table, read with no
+        # log_terms call
+        sol = EmpSolver(WeightedGeometric(1.0, 3.0)).solve_mb(1.0, 2.0)
         fam = sol.epsilon_family._family
-        solver_module._cached_prefix.cache_clear()
         calls = []
         orig = type(fam).log_terms
 
@@ -532,10 +533,11 @@ class TestEpsilonFamily:
 
         monkeypatch.setattr(type(fam), "log_terms", counting)
         member = sol.epsilon_family.member(256)
-        assert calls == [(0.0, 1, 256)]
+        pre = fam._prefixes[256]
+        assert calls == []
         assert len(member.terms) == 256
         again = sol.epsilon_family.member(256)
-        assert calls == [(0.0, 1, 256)]
+        assert calls == [] and fam._prefixes[256] is pre
         assert again == member and hash(again) == hash(member)
         assert again.terms == member.terms
 
@@ -550,8 +552,17 @@ class TestEpsilonFamily:
         for arr in (pre.log_p, pre.s, powers, member.term_array):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
-        np.testing.assert_array_equal(pre.log_p, fam.log_terms(0.0, 1, 64))
-        np.testing.assert_array_equal(pre.s, fam.sigma_array(1, 64))
+        # up to 2^13 terms a record's arrays are views of the term table's
+        # (sigma_n, ln p_n) pair, past it its own, from one window
+        for n in (64, 2**14):
+            pre = solver_module._prefix(fam, n)
+            within = n <= 2**13
+            for arr in (pre.log_p, pre.s):
+                assert np.shares_memory(arr, fam._term_table[1]) is within
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
+            np.testing.assert_array_equal(pre.log_p, fam.log_terms(0.0, 1, n))
+            np.testing.assert_array_equal(pre.s, fam.sigma_array(1, n))
 
     def test_terms_are_built_once(self, zeta_solver):
         member = zeta_solver.solve_mb(1.0, 2.0).epsilon_family.member(128)
@@ -561,42 +572,34 @@ class TestEpsilonFamily:
         assert first == tuple(member.term_array.tolist())
         assert "term_array" not in repr(member) and "terms" not in repr(member)
 
-    def test_prefix_cache_stays_inside_its_bound(self, monkeypatch):
-        # 6 families x 7 sizes of proposal rows (42 records > 32, each with
-        # its rows), then WeightedGeometric(0.5, 4) at 2 theta2 under
-        # converge(1e-4), which reaches n = 2^19: records past the cached
-        # size are built per member and freed, and what the cache keeps
-        # alive stays inside its stated bound
-        solver_module._cached_prefix.cache_clear()
-        made = []
-        init = solver_module._Prefix.__init__
-
-        def keeping(pre, family, n):
-            init(pre, family, n)
-            made.append(weakref.ref(pre))
-
-        monkeypatch.setattr(solver_module._Prefix, "__init__", keeping)
-        for scale in range(1, 7):
-            fam = EmpSolver(Arithmetic(0.0, float(scale))).normal_family
-            n = series._START_BLOCK
-            while n <= series._ONE_ARRAY:
-                assert solver_module._prefix(fam, n).rows
-                n *= 2
+    def test_a_family_keeps_its_prefix_records_inside_their_bound(self):
+        # WeightedGeometric(0.5, 4) at 2 theta2 under converge(1e-4), which
+        # reaches n = 2^19, then every proposal size's rows and a record of
+        # every other power of two up to 2^20 and of n = 1000: the family
+        # keeps at most 17 records, none past 2^16 and each of a power of
+        # two, and their arrays that are not views of the term table stay
+        # inside _prefix's stated bound
         solver = EmpSolver(WeightedGeometric(0.5, 4.0))
+        fam = solver.normal_family
         member = self._eps_family(solver, 2.0 * solver.profile.theta2).converge(1e-4)
         assert member.n >= 2**18
-        del member
-        gc.collect()
-        alive = [r() for r in made if r() is not None]
-        assert alive and len(alive) < len(made)
-        assert len(alive) <= solver_module._PREFIX_CACHE_SIZE
-        assert any("rows" in vars(pre) for pre in alive)
-        assert max(len(pre.s) for pre in alive) <= solver_module._PREFIX_CACHE_N
-        held = sum(
-            pre.log_p.nbytes + pre.s.nbytes + (pre.rows[1].nbytes if "rows" in vars(pre) else 0)
-            for pre in alive
-        )
-        assert held <= solver_module._PREFIX_CACHE_BYTES
+        n = series._START_BLOCK
+        while n <= series._ONE_ARRAY:
+            assert solver_module._prefix(fam, n).rows
+            n *= 2
+        for n in [2**k for k in range(21)] + [1000]:
+            assert len(solver_module._prefix(fam, n).s) == n
+        kept = fam._prefixes
+        assert sorted(kept) == [2**k for k in range(17)]
+        assert sum("rows" in vars(pre) for pre in kept.values()) == 7
+        table = fam._term_table[1]
+        own = [
+            a
+            for pre in kept.values()
+            for a in (pre.log_p, pre.s, *([pre.rows[1]] if "rows" in vars(pre) else []))
+            if not np.shares_memory(a, table)
+        ]
+        assert sum(a.nbytes for a in own) <= 2 * 8 * (2**14 + 2**15 + 2**16) + 3 * 8 * 2**13
 
     # -- members pinned bit for bit -------------------------------------------
 
@@ -632,17 +635,17 @@ class TestEpsilonFamily:
 
     @pytest.fixture
     def counted_prefixes(self, zeta_solver, monkeypatch):
-        """The (1, 2) epsilon family and the log_terms calls made on its
-        family from here on."""
+        """The (1, 2) epsilon family and the n of each prefix record read
+        from here on (solver._prefix, kept or not)."""
         eps_fam = zeta_solver.solve_mb(1.0, 2.0).epsilon_family
         calls = []
-        orig = type(eps_fam._family).log_terms
+        orig = solver_module._prefix
 
-        def counting(self, y, lo, hi):
-            calls.append(hi)
-            return orig(self, y, lo, hi)
+        def counting(family, n):
+            calls.append(n)
+            return orig(family, n)
 
-        monkeypatch.setattr(type(eps_fam._family), "log_terms", counting)
+        monkeypatch.setattr(solver_module, "_prefix", counting)
         return eps_fam, calls
 
     @pytest.mark.parametrize("n", [0, -5])
@@ -797,13 +800,13 @@ class TestEpsilonFamily:
             assert eps_fam.converge(below).n == self._first_within(later, value, below)[0]
 
     @pytest.mark.parametrize("ratio", [1.4, 1.7, 2.0])
-    def test_prefix_terms_per_converge(self, zeta_solver, monkeypatch, ratio):
+    def test_prefix_terms_per_converge(self, monkeypatch, ratio):
         # cold: every member record pays its alpha-end pass once, members
         # provably outside epsilon are dropped at it or after one pass of
         # their own, with no terms; the returned member's terms come from
         # its last pass (about 11.8 n on the parent of this bound)
-        eps_fam = self._eps_family(zeta_solver, ratio * zeta_solver.profile.theta2)
-        solver_module._cached_prefix.cache_clear()  # end passes go with their prefix
+        solver = EmpSolver(WeightedGeometric(1.0, 3.0))  # a fresh family keeps no record
+        eps_fam = self._eps_family(solver, ratio * solver.profile.theta2)
         terms = []
 
         class CountingNumpy:
@@ -820,12 +823,11 @@ class TestEpsilonFamily:
         assert terms
         assert sum(terms) <= 8 * member.n
 
-    def test_endpoint_pass_cached_per_family_and_n(self, zeta_solver, monkeypatch):
+    def test_endpoint_pass_cached_per_family_and_n(self, monkeypatch):
         # every member record's rung, the one nearest the member's start,
         # takes a pass the first time only, and so does the returned
         # member's unproved endpoint, its root being approached from one side
-        eps_fam = self._eps_family(zeta_solver, 2.0)
-        solver_module._cached_prefix.cache_clear()
+        eps_fam = self._eps_family(EmpSolver(WeightedGeometric(1.0, 3.0)), 2.0)
         calls = []
         orig = finite_module._gibbs_pass
 
@@ -849,12 +851,11 @@ class TestEpsilonFamily:
         assert again == first and again.terms == first.terms
         assert len(calls) - cold == cold - sum(len(pre.ends) for pre in records)
 
-    def test_member_reads_each_cached_alpha_end_once(self, zeta_solver, monkeypatch):
-        # member(n) passes no bound, yet a cached record's alpha end is read
+    def test_member_reads_each_cached_alpha_end_once(self, monkeypatch):
+        # member(n) passes no bound, yet a kept record's alpha end is read
         # first, as by converge's first member, at most one pass per record;
         # a warm call repeats only the root's own passes
-        eps_fam = self._eps_family(zeta_solver, 2.0)
-        solver_module._cached_prefix.cache_clear()
+        eps_fam = self._eps_family(EmpSolver(WeightedGeometric(1.0, 3.0)), 2.0)
         calls = []
         orig = finite_module._gibbs_pass
 
@@ -899,13 +900,17 @@ class TestEpsilonFamily:
         assert member.n >= 2**18
         assert sum(terms) <= 7 * member.n
 
-    def test_threads_share_one_solver(self, zeta_solver):
+    def test_threads_share_one_solver(self):
         # both threads fill the same records' rungs from empty ladders, one
         # over the targets in order and one in reverse, and match a serial
-        # run from empty ladders
-        theta2 = zeta_solver.profile.theta2
-        eps_fams = [self._eps_family(zeta_solver, r * theta2) for r in (1.2, 1.45, 1.7)]
-        solver_module._cached_prefix.cache_clear()
+        # run from empty ladders, each on a fresh family
+
+        def fresh_eps_fams():
+            solver = EmpSolver(WeightedGeometric(1.0, 3.0))
+            theta2 = solver.profile.theta2
+            return [self._eps_family(solver, r * theta2) for r in (1.2, 1.45, 1.7)]
+
+        eps_fams = fresh_eps_fams()
         family = eps_fams[0]._family
         assert not any(solver_module._prefix(family, 8 << k).ends for k in range(14))
         start = threading.Barrier(2)
@@ -932,8 +937,7 @@ class TestEpsilonFamily:
             sys.setswitchinterval(old)
         assert not errors, errors
         got[1].reverse()
-        solver_module._cached_prefix.cache_clear()
-        serial = [f.converge(1e-3) for f in eps_fams]
+        serial = [f.converge(1e-3) for f in fresh_eps_fams()]
         for a, b in zip(got[0], got[1]):
             assert a == b and a.terms == b.terms
         for a, b in zip(got[0], serial):
@@ -969,33 +973,31 @@ class TestEpsilonFamily:
         # secant/bisection took about 40 passes per member
         assert len(calls) <= 7 * members
 
-    def _pinned_families(self, zeta_solver):
+    def _pinned_families(self, solver):
         """The epsilon families of the pinned converge targets, in order:
         seed 9001's 60 first, then seeds 9002-9003's."""
         pinned = json.loads(self._PINNED.read_text())["converge_1e-3"]
         return [
-            zeta_solver.solve_mb(float.fromhex(u), float.fromhex(v)).epsilon_family
+            solver.solve_mb(float.fromhex(u), float.fromhex(v)).epsilon_family
             for u, v, _, _ in pinned
         ]
 
-    def test_converge_does_not_depend_on_the_rungs_cached(self, zeta_solver):
+    def test_converge_does_not_depend_on_the_rungs_cached(self):
         # a member reads the rung nearest its start, which the earlier
         # members of its own converge fix: cold, warm and with the targets
         # visited in reverse order, every output is the same to the bit
-        fams = self._pinned_families(zeta_solver)[::4]
-        solver_module._cached_prefix.cache_clear()
+        fams = self._pinned_families(EmpSolver(WeightedGeometric(1.0, 3.0)))[::4]
         cold = [self._member_digest(f.converge(1e-3)) for f in fams]
         warm = [self._member_digest(f.converge(1e-3)) for f in fams]
-        solver_module._cached_prefix.cache_clear()
+        fams = self._pinned_families(EmpSolver(WeightedGeometric(1.0, 3.0)))[::4]
         backward = [self._member_digest(f.converge(1e-3)) for f in fams[::-1]]
         assert cold == warm == backward[::-1]
 
-    def test_warm_converge_on_unseen_targets(self, zeta_solver, monkeypatch):
+    def test_warm_converge_on_unseen_targets(self, monkeypatch):
         # after one converge on each of seed 9001's 60 pinned targets, a
         # converge on each of the other 120 takes at most 5 prefix passes on
         # average (3.8; 10.8 when every member's record read its alpha end)
-        fams = self._pinned_families(zeta_solver)
-        solver_module._cached_prefix.cache_clear()
+        fams = self._pinned_families(EmpSolver(WeightedGeometric(1.0, 3.0)))
         for f in fams[:60]:
             f.converge(1e-3)
         calls = []
@@ -1390,10 +1392,10 @@ class TestInverseSolve:
 
     def test_prefix_rows_are_built_once(self, monkeypatch):
         # the proposal's rows (1, sigma_k, sigma_k^2) are built once per
-        # cached (family, n), read-only; a second round of every proposal
-        # builds neither a prefix nor its rows
+        # record a fresh family keeps, read-only; a second round of every
+        # proposal builds neither a prefix nor its rows
         rows_of = finite_module._dual_rows
-        solver_module._cached_prefix.cache_clear()
+        fresh = [(dataclasses.replace(family), points) for family, points in _WARM_POINTS]
         built = []
 
         def keeping(s):
@@ -1405,12 +1407,12 @@ class TestInverseSolve:
         for kind in (BE, FD):
             rounds = []
             for _ in range(2):
-                for family, points in _WARM_POINTS:
+                for family, points in fresh:
                     self._proposal_calls(monkeypatch, family, points, kind)
                 rounds.append(len(built))
             assert rounds[0] == rounds[1]
-        info = solver_module._cached_prefix.cache_info()
-        assert built and len(built) <= info.currsize == info.misses and info.hits >= info.misses
+        kept = [pre for family, _ in fresh for pre in family._normal[2]._prefixes.values()]
+        assert built and len(built) == sum("rows" in vars(pre) for pre in kept)
         assert len({id(s) for s, _, _ in built}) == len(built)
         for s, powers, _ in built:
             for arr in (s, powers):

@@ -16,12 +16,12 @@ proposal point, a ladder lookup, a member or a window that a change adds
 moves it, and the keys that read 0 (budget_errors, terms_built, and on
 the warm mb-point and bf-roundtrip runs tables_built and windows_built)
 are zero guards.  The cold run builds fresh families, whose
-records (sigma-min set, profile, slope ladder, normal form) start empty,
-from emptied module caches (solver._cached_prefix, and
-specfile._shared_family, which cli-batch's specs read their families
-from); the warm rerun reuses its solvers and families.  A change that adds
-or saves a pass moves them.  The same two subsets, run cold from four
-threads that share their solvers, give the pinned outputs too.  The
+records (sigma-min set, profile, slope ladder, normal form, epsilon
+prefixes) start empty, from an emptied specfile._shared_family, which
+cli-batch's specs read their families from; the warm rerun reuses its
+solvers and families.  A change that adds or saves a pass moves them.
+The same two subsets, run cold from four threads that share their
+solvers, give the pinned outputs too.  The
 counts were pinned when each family's slope ladder began to serve every
 tolerance; on the tree before, where each (family, tol, ceiling) filled
 its own ladder entries, cli-batch's cold run took 209 passes and 373,056
@@ -56,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 import entromin
-from entromin import _work, solver, specfile
+from entromin import _work, specfile
 
 ROOT = Path(__file__).resolve().parent.parent
 _PINNED = Path(__file__).resolve().parent / "golden" / "workloads.json"
@@ -117,8 +117,7 @@ def _fields(name, out):
 
 
 def _cold_subset(name):
-    """The workload's subset, its module caches emptied for a cold run."""
-    solver._cached_prefix.cache_clear()
+    """The workload's subset, its shared-family cache emptied for a cold run."""
     specfile._shared_family.cache_clear()
     return _Subset(workloads.WORKLOADS[name], _PICKS[name])
 
